@@ -80,6 +80,93 @@ func extract(path string) (map[string]float64, error) {
 	return out, nil
 }
 
+// stemsOf returns the set of file stems a metric map covers.
+func stemsOf(metrics map[string]float64) map[string]bool {
+	stems := make(map[string]bool)
+	for k := range metrics {
+		stems[stemOf(k)] = true
+	}
+	return stems
+}
+
+// merge builds the -write result: stems covered by current are replaced
+// wholesale, pins for other stems carry over. Re-pinning from the smoke
+// files alone must not drop the launch_million point, which is pinned
+// from a large-memory host.
+func merge(prev, current map[string]float64) map[string]float64 {
+	curStems := stemsOf(current)
+	merged := make(map[string]float64, len(current))
+	for k, v := range prev {
+		if !curStems[stemOf(k)] {
+			merged[k] = v
+		}
+	}
+	for k, v := range current {
+		merged[k] = v
+	}
+	return merged
+}
+
+// compare gates current against base. It returns the report lines (in
+// sorted key order), how many metrics were checked, and how many failed:
+// drift beyond tolerance in either direction (any change from a zero
+// baseline is infinite drift) or a baseline metric missing from a stem
+// the run covers. Metrics new to the run only warn; baseline stems the
+// run does not cover are skipped with one note each.
+func compare(base, current map[string]float64, tolerance float64) (report []string, checked, failures int) {
+	curStems := stemsOf(current)
+	keys := make([]string, 0, len(base)+len(current))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	for k := range current {
+		if _, inBase := base[k]; !inBase {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+
+	skippedStems := make(map[string]bool)
+	for _, k := range keys {
+		want, inBase := base[k]
+		got, inCur := current[k]
+		switch {
+		case !inBase:
+			// New instrumentation, not a regression: warn so the metric is
+			// visible, and let the pin catch up via -write.
+			report = append(report, fmt.Sprintf("warning: NEW %s = %v not in baseline (regenerate with -write to pin)", k, got))
+		case !inCur:
+			stem := stemOf(k)
+			if !curStems[stem] {
+				if !skippedStems[stem] {
+					skippedStems[stem] = true
+					report = append(report, fmt.Sprintf("note: baseline stem %q not part of this run, skipping its pins", stem))
+				}
+				continue
+			}
+			report = append(report, fmt.Sprintf("MISSING %s (baseline %v) absent from this run", k, want))
+			failures++
+		default:
+			checked++
+			drift := 0.0
+			if want != 0 {
+				drift = (got - want) / want
+			} else if got != 0 {
+				drift = math.Inf(1)
+			}
+			if math.Abs(drift) > tolerance {
+				direction := "REGRESSION"
+				if drift < 0 {
+					direction = "DRIFT (improved)"
+				}
+				report = append(report, fmt.Sprintf("%s %s: baseline %v, got %v (%+.1f%%)", direction, k, want, got, drift*100))
+				failures++
+			}
+		}
+	}
+	return report, checked, failures
+}
+
 func main() {
 	basePath := flag.String("baseline", "", "path to the committed baseline JSON")
 	tolerance := flag.Float64("tolerance", 0.10, "maximum relative drift per metric")
@@ -92,7 +179,6 @@ func main() {
 	}
 
 	current := make(map[string]float64)
-	curStems := make(map[string]bool)
 	for _, path := range flag.Args() {
 		m, err := extract(path)
 		if err != nil {
@@ -101,29 +187,16 @@ func main() {
 		}
 		for k, v := range m {
 			current[k] = v
-			curStems[stemOf(k)] = true
 		}
 	}
 
 	if *write {
-		// Merge: stems covered by the given files are replaced wholesale,
-		// pins for other stems carry over. Re-pinning from the smoke files
-		// alone must not drop the launch_million point, which is pinned
-		// from a large-memory host.
-		merged := make(map[string]float64, len(current))
+		var prev baseline
 		if data, err := os.ReadFile(*basePath); err == nil {
-			var prev baseline
-			if err := json.Unmarshal(data, &prev); err == nil {
-				for k, v := range prev.Metrics {
-					if !curStems[stemOf(k)] {
-						merged[k] = v
-					}
-				}
-			}
+			// An unreadable previous pin carries nothing over.
+			_ = json.Unmarshal(data, &prev)
 		}
-		for k, v := range current {
-			merged[k] = v
-		}
+		merged := merge(prev.Metrics, current)
 		b := baseline{
 			Comment: "virtual-time bench pins for the CI smoke sweep plus the full-scale launch_million point; " +
 				"-write replaces only the stems of the files it is given, so regenerate the smoke pins with: " +
@@ -158,58 +231,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	keys := make([]string, 0, len(base.Metrics)+len(current))
-	seen := make(map[string]bool)
-	for k := range base.Metrics {
-		keys = append(keys, k)
-		seen[k] = true
-	}
-	for k := range current {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
-	failures := 0
-	checked := 0
-	skippedStems := make(map[string]bool)
-	for _, k := range keys {
-		want, inBase := base.Metrics[k]
-		got, inCur := current[k]
-		switch {
-		case !inBase:
-			// New instrumentation, not a regression: warn so the metric is
-			// visible, and let the pin catch up via -write.
-			fmt.Fprintf(os.Stderr, "benchdiff: warning: NEW %s = %v not in baseline (regenerate with -write to pin)\n", k, got)
-		case !inCur:
-			if !curStems[stemOf(k)] {
-				if stem := stemOf(k); !skippedStems[stem] {
-					skippedStems[stem] = true
-					fmt.Fprintf(os.Stderr, "benchdiff: note: baseline stem %q not part of this run, skipping its pins\n", stem)
-				}
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "benchdiff: MISSING %s (baseline %v) absent from this run\n", k, want)
-			failures++
-		default:
-			checked++
-			drift := 0.0
-			if want != 0 {
-				drift = (got - want) / want
-			} else if got != 0 {
-				drift = math.Inf(1)
-			}
-			if math.Abs(drift) > *tolerance {
-				direction := "REGRESSION"
-				if drift < 0 {
-					direction = "DRIFT (improved)"
-				}
-				fmt.Fprintf(os.Stderr, "benchdiff: %s %s: baseline %v, got %v (%+.1f%%)\n",
-					direction, k, want, got, drift*100)
-				failures++
-			}
-		}
+	report, checked, failures := compare(base.Metrics, current, *tolerance)
+	for _, line := range report {
+		fmt.Fprintf(os.Stderr, "benchdiff: %s\n", line)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) out of bounds (tolerance %.0f%%); "+

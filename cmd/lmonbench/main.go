@@ -9,9 +9,12 @@
 // BENCH_<name>.json in the working directory (machine-readable results
 // for CI and regression tracking). -smoke runs a fast reduced-scale
 // subset that exercises the bench rig end to end. -maxk caps the daemon
-// counts of the -failure/-collective/-contention/-launch/-mw sweeps (every simulated
-// daemon holds the full RPDTAB, so the 16384-point needs tens of GB of
-// host memory; CI runs -launch and -mw with -maxk 1024).
+// counts of the -failure/-collective/-contention/-launch/-mw sweeps (CI
+// runs -launch, -mw and -contention with -maxk 16384). A row whose
+// predicted host footprint exceeds GOMEMLIMIT (bench.DefaultMemLimit when
+// unset) is not run — lmonbench prints a skipped-row line with the
+// predicted bytes — which caps the store-forward launch row, K private
+// full-table copies, at K=4096 by default.
 //
 // -obs adds the observability rider to the -launch sweep (a second
 // obs-on pass per row, checked against the wire-byte and drift
@@ -25,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/debug"
 	"time"
@@ -58,10 +62,10 @@ func main() {
 	failure := flag.Bool("failure", false, "run the failure-detection ablation (K up to 16384)")
 	collective := flag.Bool("collective", false, "run the collective tool-data-plane ablation (flat vs tree, K up to 16384)")
 	contention := flag.Bool("contention", false, "run the collective contention ablation (lockstep serialization vs concurrent tagged streams, K up to 16384)")
-	launch := flag.Bool("launch", false, "run the launch-pipeline ablation (store-and-forward vs cut-through seed, full vs sliced retention, K up to 16384)")
+	launch := flag.Bool("launch", false, "run the launch-pipeline ablation (store-and-forward/full-retention vs cut-through/rank-sliced seed, K up to 16384)")
 	million := flag.Bool("million", false, "run the million-daemon launch sweep (rank-sliced cut-through on a lean rig, K=2^20)")
 	mem := flag.Bool("mem", false, "with -launch/-million/-smoke, also print the per-role peak RPDTAB memory table")
-	mwpipe := flag.Bool("mw", false, "run the middleware launch-pipeline ablation (store-and-forward vs cut-through MW seed, K up to 16384)")
+	mwpipe := flag.Bool("mw", false, "run the middleware launch-pipeline sweep (cut-through MW seed, K up to 16384)")
 	obsRider := flag.Bool("obs", false, "with -launch/-smoke, add the observability rider (obs-on second pass + invariant checks)")
 	tracePath := flag.String("trace", "", "run one obs-on launch at K=1024 (capped by -maxk) and write its Perfetto trace JSON to this file (+ .metrics.json)")
 	maxk := flag.Int("maxk", 0, "cap the daemon counts of the failure/collective/contention/launch/mw sweeps (0 = full scale)")
@@ -73,16 +77,27 @@ func main() {
 	if !*ablations && !*failure && !*collective && !*contention && !*launch && !*million && !*mwpipe && !*smoke && *fig == 0 && *table == 0 && *tracePath == "" {
 		*all = true
 	}
-	// capScales filters a sweep's daemon counts under -maxk.
-	capScales := func(scales []int) []int {
-		if *maxk <= 0 {
-			return scales
-		}
+	// A row must fit the soft memory limit the runtime was given; without
+	// one, the default row budget.
+	memLimit := debug.SetMemoryLimit(-1)
+	if memLimit == math.MaxInt64 {
+		memLimit = bench.DefaultMemLimit
+	}
+	// capScales filters a sweep's daemon counts under -maxk, then drops —
+	// with one printed line each — the points whose predicted host
+	// footprint exceeds the memory limit.
+	capScales := func(sweep string, scales []int, predict func(k int) int64) []int {
 		out := make([]int, 0, len(scales))
 		for _, k := range scales {
-			if k <= *maxk {
-				out = append(out, k)
+			if *maxk > 0 && k > *maxk {
+				continue
 			}
+			if need := predict(k); need > memLimit {
+				fmt.Printf("skipped %s K=%d: predicted footprint %d B exceeds the %d B memory limit (raise GOMEMLIMIT to run it)\n",
+					sweep, k, need, memLimit)
+				continue
+			}
+			out = append(out, k)
 		}
 		return out
 	}
@@ -210,7 +225,7 @@ func main() {
 	}
 	if *all || *collective {
 		run("collective", func() error {
-			rows, err := bench.CollectiveAblation(bench.CollectiveOpts{}, capScales(bench.CollectiveScales))
+			rows, err := bench.CollectiveAblation(bench.CollectiveOpts{}, capScales("collective", bench.CollectiveScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -220,7 +235,7 @@ func main() {
 	}
 	if *all || *contention {
 		run("contention", func() error {
-			rows, err := bench.ContentionAblation(bench.ContentionOpts{}, capScales(bench.ContentionScales))
+			rows, err := bench.ContentionAblation(bench.ContentionOpts{}, capScales("contention", bench.ContentionScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -230,7 +245,11 @@ func main() {
 	}
 	if *all || *launch {
 		run("launch pipeline", func() error {
-			rows, err := bench.LaunchPipeline(bench.LaunchPipeOpts{Obs: *obsRider}, capScales(bench.LaunchScales))
+			scales := capScales("launch cut-through/sliced", bench.LaunchScales, bench.SimFootprint)
+			fullScales := capScales("launch store-forward/full", scales, func(k int) int64 {
+				return bench.SimFootprint(k) + bench.FullTableFootprint(k, 1)
+			})
+			rows, err := bench.LaunchPipeline(bench.LaunchPipeOpts{Obs: *obsRider}, scales, fullScales)
 			if err != nil {
 				return err
 			}
@@ -296,7 +315,7 @@ func main() {
 	}
 	if *all || *mwpipe {
 		run("mw pipeline", func() error {
-			rows, err := bench.MWPipeline(bench.MWPipeOpts{}, capScales(bench.MWScales))
+			rows, err := bench.MWPipeline(bench.MWPipeOpts{}, capScales("mw", bench.MWScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -306,7 +325,7 @@ func main() {
 	}
 	if *all || *failure {
 		run("failure detection", func() error {
-			rows, err := bench.FailureDetection(bench.FailureOpts{Silent: true}, capScales(bench.FailureScales))
+			rows, err := bench.FailureDetection(bench.FailureOpts{Silent: true}, capScales("failure", bench.FailureScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -402,7 +421,7 @@ func runSmoke(mem, obsRider bool) error {
 	if err := emit("smoke_contention", ct); err != nil {
 		return err
 	}
-	lp, err := bench.LaunchPipeline(bench.LaunchPipeOpts{Fanout: 4, Obs: obsRider}, []int{8, 32})
+	lp, err := bench.LaunchPipeline(bench.LaunchPipeOpts{Fanout: 4, Obs: obsRider}, []int{8, 32}, []int{8, 32})
 	if err != nil {
 		return err
 	}

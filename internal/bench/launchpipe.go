@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -18,18 +19,18 @@ import (
 // Launch-pipeline ablation: time-to-DaemonsSpawned under the serialized
 // store-and-forward seed pipeline (the paper's Figure 2 shape: full-table
 // buffering at the FE and again at the master, monolithic broadcast after
-// bootstrap) versus the cut-through pipeline (chunks relayed FE→master as
-// they arrive from the engine and streamed through the still-forming ICCL
-// tree), and — under cut-through — full-table retention at every daemon
-// versus rank-sliced retention with one shared index (the memory model of
-// DESIGN.md). Every run verifies that the union of the daemons' rank
+// bootstrap, the full table retained at every daemon) versus the
+// cut-through pipeline (chunks relayed FE→master as they arrive from the
+// engine and streamed through the still-forming ICCL tree, each daemon
+// retaining only its rank slice beside one shared index — the memory model
+// of DESIGN.md). Every run verifies that the union of the daemons' rank
 // slices is byte-identical to the FE's table — the pipeline must never
 // trade correctness for overlap, and slicing must never lose an entry.
 
-// LaunchPipeRow is one pipeline × retention × scale measurement.
+// LaunchPipeRow is one pipeline × scale measurement.
 type LaunchPipeRow struct {
 	Mode    string        // seed pipeline: "cut-through" or "store-forward"
-	Table   string        // RPDTAB retention: "full" or "sliced"
+	Table   string        // RPDTAB retention the pipeline implies: "full" (store-forward) or "sliced" (cut-through)
 	Daemons int           // K daemons (one per node)
 	Tasks   int           // application tasks
 	Ready   time.Duration // LaunchAndSpawn call → return (e0→e11, the DaemonsSpawned transition)
@@ -41,7 +42,7 @@ type LaunchPipeRow struct {
 	// shared index, where full retention is O(K) per daemon.
 	MemEngine   int // largest encoded chunk the engine buffers (O(chunk), both pipelines)
 	MemFE       int // FE table copy
-	MemIndex    int // session-shared immutable index (once per session; 0 under full retention)
+	MemIndex    int // session-shared immutable index (once per session; 0 under store-forward, whose BE daemons never read it)
 	MemMaster   int // rank 0
 	MemInterior int // max over daemons with ICCL children (0 when the tree is flat)
 	MemLeaf     int // max over childless daemons
@@ -92,32 +93,34 @@ func (o LaunchPipeOpts) withDefaults() LaunchPipeOpts {
 	return o
 }
 
-// launchPipeConfig is one pipeline/retention combination of the sweep.
-type launchPipeConfig struct {
-	seed  core.SeedMode
-	table core.TableMode
+// launchPipeModes are the two measured pipelines: the serialized
+// full-retention baseline and the rank-sliced cut-through default.
+var launchPipeModes = []core.SeedMode{core.SeedStoreForward, core.SeedCutThrough}
+
+// retentionOf names the per-daemon RPDTAB retention a seed pipeline
+// implies (the Table column of every launch row).
+func retentionOf(mode core.SeedMode) string {
+	if mode == core.SeedStoreForward {
+		return "full"
+	}
+	return "sliced"
 }
 
-// launchPipeConfigs are the three measured combinations: the serialized
-// baseline, cut-through with the full-copy ablation, and cut-through with
-// rank-sliced retention (the default). Store-forward ignores TableMode,
-// so its sliced variant would duplicate the full row.
-var launchPipeConfigs = []launchPipeConfig{
-	{core.SeedStoreForward, core.TableFull},
-	{core.SeedCutThrough, core.TableFull},
-	{core.SeedCutThrough, core.TableSliced},
-}
-
-// LaunchPipeline measures every pipeline/retention combination at each
-// scale.
-func LaunchPipeline(opts LaunchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
+// LaunchPipeline measures the cut-through pipeline at each scale and the
+// store-forward baseline at those of them that are also in fullScales:
+// its K private full-table copies outgrow a runner long before the
+// simulator does (FullTableFootprint), so callers cap it separately.
+func LaunchPipeline(opts LaunchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
 	o := opts.withDefaults()
-	rows := make([]LaunchPipeRow, 0, len(launchPipeConfigs)*len(scales))
+	rows := make([]LaunchPipeRow, 0, len(launchPipeModes)*len(scales))
 	for _, k := range scales {
-		for _, cfg := range launchPipeConfigs {
-			row, err := measureLaunchPipe(k, cfg, o)
+		for _, mode := range launchPipeModes {
+			if mode == core.SeedStoreForward && !slices.Contains(fullScales, k) {
+				continue
+			}
+			row, err := measureLaunchPipe(k, mode, o)
 			if err != nil {
-				return nil, fmt.Errorf("launch pipeline %v/%v at K=%d: %w", cfg.seed, cfg.table, k, err)
+				return nil, fmt.Errorf("launch pipeline %v at K=%d: %w", mode, k, err)
 			}
 			rows = append(rows, row)
 		}
@@ -134,17 +137,16 @@ func tableHash(encoded []byte) []byte {
 }
 
 // launchPipeBE is the ablation's back-end daemon: it gathers its own rank
-// slice (every retention mode has one) prefixed by a fingerprint of its
-// full table copy — empty under sliced retention, where no such copy
-// exists and materializing one through Proctab would defeat the
-// measurement.
+// slice (both pipelines have one) prefixed by a fingerprint of its full
+// table copy — empty under cut-through, where no such copy exists and
+// materializing one through Proctab would defeat the measurement.
 func launchPipeBE(p *cluster.Proc) {
 	be, err := core.BEInit(p)
 	if err != nil {
 		return
 	}
 	var full []byte
-	if p.Env(core.EnvTableMode) != core.TableSliced.String() {
+	if p.Env(core.EnvSeedMode) == core.SeedStoreForward.String() {
 		full = tableHash(be.Proctab().Encode())
 	}
 	payload := lmonp.AppendBytes(nil, full)
@@ -157,7 +159,7 @@ func launchPipeBE(p *cluster.Proc) {
 // table: the union of the per-daemon rank slices must be byte-identical
 // to the full table, and under full retention every daemon's own copy
 // must fingerprint like the FE's.
-func checkLaunchTables(contribs [][]byte, feTab proctab.Table, table core.TableMode) bool {
+func checkLaunchTables(contribs [][]byte, feTab proctab.Table, fullCopies bool) bool {
 	want := append(proctab.Table(nil), feTab...)
 	want.SortByRank()
 	fullHash := string(tableHash(feTab.Encode()))
@@ -168,7 +170,7 @@ func checkLaunchTables(contribs [][]byte, feTab proctab.Table, table core.TableM
 		if err != nil {
 			return false
 		}
-		if table == core.TableFull && string(full) != fullHash {
+		if fullCopies && string(full) != fullHash {
 			return false
 		}
 		sliceRaw, err := rd.Bytes()
@@ -204,10 +206,10 @@ func roleMem(row *LaunchPipeRow, infos []core.DaemonInfo, fanout int) {
 	}
 }
 
-func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPipeRow, error) {
+func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts) (LaunchPipeRow, error) {
 	row := LaunchPipeRow{
-		Mode:    cfg.seed.String(),
-		Table:   cfg.table.String(),
+		Mode:    mode.String(),
+		Table:   retentionOf(mode),
 		Daemons: k,
 		Tasks:   k * o.TasksPerNode,
 	}
@@ -226,8 +228,7 @@ func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPip
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
 			Daemon:     rm.DaemonSpec{Exe: "lp_be"},
 			ICCLFanout: o.Fanout,
-			SeedMode:   cfg.seed,
-			TableMode:  cfg.table,
+			SeedMode:   mode,
 		})
 		if err != nil {
 			return err
@@ -237,12 +238,12 @@ func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPip
 		if err != nil {
 			return err
 		}
-		row.TableOK = len(contribs) == k && checkLaunchTables(contribs, sess.Proctab(), cfg.table)
+		row.TableOK = len(contribs) == k && checkLaunchTables(contribs, sess.Proctab(), mode == core.SeedStoreForward)
 		for _, chunk := range sess.Proctab().EncodeChunks(0) {
 			row.MemEngine = max(row.MemEngine, len(chunk))
 		}
 		row.MemFE = sess.Proctab().MemBytes()
-		if cfg.seed == core.SeedCutThrough && cfg.table == core.TableSliced {
+		if mode == core.SeedCutThrough {
 			sorted := append(proctab.Table(nil), sess.Proctab()...)
 			sorted.SortByRank()
 			idx, err := proctab.BuildIndex(sorted)
@@ -255,7 +256,7 @@ func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPip
 		return nil
 	})
 	if err == nil && o.Obs {
-		err = measureLaunchPipeObs(&row, k, cfg, o)
+		err = measureLaunchPipeObs(&row, k, mode, o)
 	}
 	return row, err
 }

@@ -61,7 +61,7 @@ func LaunchMillion(opts MillionOpts, scales []int) ([]LaunchPipeRow, error) {
 func measureLaunchMillion(k int, o MillionOpts) (LaunchPipeRow, error) {
 	row := LaunchPipeRow{
 		Mode:    core.SeedCutThrough.String(),
-		Table:   core.TableSliced.String(),
+		Table:   retentionOf(core.SeedCutThrough),
 		Daemons: k,
 		Tasks:   k * o.TasksPerNode,
 	}
@@ -76,8 +76,6 @@ func measureLaunchMillion(k int, o MillionOpts) (LaunchPipeRow, error) {
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
 			Daemon:     rm.DaemonSpec{Exe: "million_be"},
 			ICCLFanout: o.Fanout,
-			SeedMode:   core.SeedCutThrough,
-			TableMode:  core.TableSliced,
 		})
 		if err != nil {
 			return err

@@ -10,19 +10,17 @@ import (
 	"launchmon/internal/rm"
 )
 
-// Middleware launch-pipeline ablation: time-to-ready of LaunchMW under
-// the serialized store-and-forward MW seed (full-table buffering at the
-// MW master, monolithic broadcast after bootstrap — the pre-parity MW
-// pipeline) versus the cut-through seed (FE relays table chunks to the
-// MW master while the RM is still spawning its siblings, and the master
-// streams them through the still-forming MW tree). Both runs verify that
-// every MW rank reassembled a byte-identical RPDTAB over the MW
-// collective plane — the same never-trade-correctness-for-overlap check
-// as the BE launch-pipeline ablation.
+// Middleware launch-pipeline sweep: time-to-ready of LaunchMW under the
+// cut-through MW seed (the FE relays the seed to the MW master while the
+// RM is still spawning its siblings, and the master streams it through
+// the still-forming MW tree). Every run verifies over the MW collective
+// plane that each MW rank reads an RPDTAB byte-identical to the FE's —
+// the same never-trade-correctness-for-overlap check as the BE
+// launch-pipeline ablation.
 
-// MWPipeRow is one mode × scale measurement.
+// MWPipeRow is one scale's measurement.
 type MWPipeRow struct {
-	Mode    string        // "cut-through" or "store-forward"
+	Mode    string        // "cut-through" (the only MW seed pipeline)
 	Daemons int           // K middleware daemons (one per fresh node)
 	Tasks   int           // application tasks (sizes the seed)
 	Ready   time.Duration // LaunchMW call → return (m7..m10 chain complete)
@@ -62,24 +60,22 @@ func (o MWPipeOpts) withDefaults() MWPipeOpts {
 	return o
 }
 
-// MWPipeline measures both MW seed pipelines at each scale.
+// MWPipeline measures the MW seed pipeline at each scale.
 func MWPipeline(opts MWPipeOpts, scales []int) ([]MWPipeRow, error) {
 	o := opts.withDefaults()
-	rows := make([]MWPipeRow, 0, 2*len(scales))
+	rows := make([]MWPipeRow, 0, len(scales))
 	for _, k := range scales {
-		for _, mode := range []core.SeedMode{core.SeedStoreForward, core.SeedCutThrough} {
-			row, err := measureMWPipe(k, mode, o)
-			if err != nil {
-				return nil, fmt.Errorf("mw pipeline %v at K=%d: %w", mode, k, err)
-			}
-			rows = append(rows, row)
+		row, err := measureMWPipe(k, o)
+		if err != nil {
+			return nil, fmt.Errorf("mw pipeline at K=%d: %w", k, err)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func measureMWPipe(k int, mode core.SeedMode, o MWPipeOpts) (MWPipeRow, error) {
-	row := MWPipeRow{Mode: mode.String(), Daemons: k, Tasks: o.JobNodes * o.TasksPerNode}
+func measureMWPipe(k int, o MWPipeOpts) (MWPipeRow, error) {
+	row := MWPipeRow{Mode: core.SeedCutThrough.String(), Daemons: k, Tasks: o.JobNodes * o.TasksPerNode}
 	r, err := NewRig(RigOptions{Nodes: o.JobNodes + k})
 	if err != nil {
 		return row, err
@@ -111,7 +107,6 @@ func measureMWPipe(k int, mode core.SeedMode, o MWPipeOpts) (MWPipeRow, error) {
 			Nodes:      k,
 			Daemon:     rm.DaemonSpec{Exe: "mwp_mw"},
 			ICCLFanout: o.Fanout,
-			SeedMode:   mode,
 		}); err != nil {
 			return err
 		}
@@ -132,9 +127,9 @@ func measureMWPipe(k int, mode core.SeedMode, o MWPipeOpts) (MWPipeRow, error) {
 	return row, err
 }
 
-// PrintMWPipeline renders the comparison.
+// PrintMWPipeline renders the sweep.
 func PrintMWPipeline(w io.Writer, rows []MWPipeRow) {
-	fmt.Fprintln(w, "Ablation — MW launch pipeline (LaunchMW time to ready, byte-identical RPDTAB at every MW rank)")
+	fmt.Fprintln(w, "MW launch pipeline (LaunchMW time to ready, byte-identical RPDTAB at every MW rank)")
 	fmt.Fprintln(w, "mode           mw-daemons    tasks   ready      tables")
 	for _, r := range rows {
 		ok := "identical"

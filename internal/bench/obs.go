@@ -16,7 +16,7 @@ import (
 )
 
 // Observability ablation riders of the launch-pipeline sweep
-// (LaunchPipeOpts.Obs): every pipeline/retention row gets a second
+// (LaunchPipeOpts.Obs): every pipeline row gets a second
 // identical launch with Options.Obs = ObsOn, and the harvested metrics
 // feed two wire-byte invariants plus the virtual-time drift bound —
 // enabling the plane must never change what flows over the seed links,
@@ -41,7 +41,7 @@ func launchPipeObsBE(p *cluster.Proc) {
 
 // measureLaunchPipeObs reruns one sweep row with observability on and
 // fills the row's Obs* fields from the session's harvested metrics.
-func measureLaunchPipeObs(row *LaunchPipeRow, k int, cfg launchPipeConfig, o LaunchPipeOpts) error {
+func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o LaunchPipeOpts) error {
 	r, err := NewRig(RigOptions{Nodes: k})
 	if err != nil {
 		return err
@@ -53,8 +53,7 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, cfg launchPipeConfig, o Lau
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
 			Daemon:     rm.DaemonSpec{Exe: "lp_obs_be"},
 			ICCLFanout: o.Fanout,
-			SeedMode:   cfg.seed,
-			TableMode:  cfg.table,
+			SeedMode:   mode,
 			Obs:        core.ObsOn,
 		})
 		if err != nil {
@@ -83,8 +82,7 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, cfg launchPipeConfig, o Lau
 //
 //  1. Per-link seed bytes under rank-sliced routing: the busiest seed
 //     link carries O(table/K · subtree) — at most the root slice divided
-//     by the fanout, within framing slack. Full-copy retention must show
-//     the contrast (every link carries the whole table).
+//     by the fanout, within framing slack.
 //  2. Filtered-reduce FE bytes are K-independent: the bytes landing on
 //     the FE link for a sum reduction are identical at every scale.
 //  3. Virtual-time drift: enabling the plane moves time-to-ready by at
@@ -108,17 +106,12 @@ func CheckObsInvariants(rows []LaunchPipeRow, fanout int) error {
 				return fmt.Errorf("obs invariants: %s/%s K=%d: seed wire metrics missing (src=%d link-max=%d)",
 					r.Mode, r.Table, r.Daemons, r.SeedSrcB, r.SeedLinkMaxB)
 			}
-			if r.Table == core.TableSliced.String() {
-				// Slack covers per-chunk framing, the FEData frame and the
-				// end marker, all forwarded on every link regardless of slice.
-				bound := 2*r.SeedSrcB/uint64(fanout) + 4096
-				if r.SeedLinkMaxB > bound {
-					return fmt.Errorf("obs invariants: sliced K=%d: busiest seed link carried %d B > bound %d B (src %d B / fanout %d)",
-						r.Daemons, r.SeedLinkMaxB, bound, r.SeedSrcB, fanout)
-				}
-			} else if r.SeedLinkMaxB < r.SeedSrcB {
-				return fmt.Errorf("obs invariants: full-copy K=%d: busiest seed link carried %d B < table %d B (full retention must relay everything everywhere)",
-					r.Daemons, r.SeedLinkMaxB, r.SeedSrcB)
+			// Slack covers per-chunk framing, the FEData frame and the
+			// end marker, all forwarded on every link regardless of slice.
+			bound := 2*r.SeedSrcB/uint64(fanout) + 4096
+			if r.SeedLinkMaxB > bound {
+				return fmt.Errorf("obs invariants: sliced K=%d: busiest seed link carried %d B > bound %d B (src %d B / fanout %d)",
+					r.Daemons, r.SeedLinkMaxB, bound, r.SeedSrcB, fanout)
 			}
 		}
 		if !reduceSeen {

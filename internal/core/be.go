@@ -49,7 +49,7 @@ func (b *BackEnd) MyProctab() proctab.Table { return b.myTab }
 
 // icclConfigFromEnv builds the tree configuration from the environment the
 // RM and FE planted.
-func icclConfigFromEnv(p *cluster.Proc, mw bool) (iccl.Config, error) {
+func icclConfigFromEnv(p *cluster.Proc) (iccl.Config, error) {
 	var cfg iccl.Config
 	rank, err := strconv.Atoi(p.Env(rm.EnvNodeID))
 	if err != nil {
@@ -80,7 +80,6 @@ func icclConfigFromEnv(p *cluster.Proc, mw bool) (iccl.Config, error) {
 		}
 	}
 	cfg.Rank, cfg.Size, cfg.Fanout, cfg.Port, cfg.Nodelist = rank, size, fanout, port, nodelist
-	_ = mw
 	return cfg, nil
 }
 

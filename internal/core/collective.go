@@ -530,8 +530,8 @@ type BECollective = DaemonCollective
 // messages and broadcast/scatter frames are pulled from the master's FE
 // router, which demuxes the connection by stream tag so concurrent
 // tagged collectives share it. window is the per-(link, tag) credit
-// budget of the tree links' flow control (0 = coll.DefaultWindow,
-// negative = off); the FE hop itself carries no credits — it has exactly
+// budget of the tree links' flow control (0 = coll.DefaultWindow);
+// the FE hop itself carries no credits — it has exactly
 // one consumer draining into per-tag queues and no fan-in skew.
 func newDaemonCollective(d *daemonSession, chunkBytes, window int) *DaemonCollective {
 	var up iccl.UpFn

@@ -415,7 +415,7 @@ func TestTaggedCollectivesKillSurfacesFaultPerTag(t *testing.T) {
 // coll.queue.depth.max gauge: the credit window must bound every interior
 // (link, tag) queue at 4 chunks — the end-to-end knob test of the
 // LMON_COLL_WINDOW plumbing (the iccl battery covers the per-window
-// property and the unbounded ablation).
+// property).
 func TestCollWindowBoundsInteriorQueueDepth(t *testing.T) {
 	const n, window = 13, 4
 	sim, cl, _ := rig(t, n)
@@ -464,6 +464,27 @@ func TestCollWindowBoundsInteriorQueueDepth(t *testing.T) {
 		}
 		if depth > window {
 			t.Errorf("fabric-wide queue depth high-water %d exceeds CollWindow %d", depth, window)
+		}
+	})
+}
+
+// TestNegativeCollWindowRefused pins the API edge: a negative window (once
+// the unbounded ablation) is refused by both session entry points before
+// anything is spawned, with an error naming the field.
+func TestNegativeCollWindowRefused(t *testing.T) {
+	sim, cl, _ := rig(t, 1)
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		for name, start := range map[string]func(*cluster.Proc, Options) (*Session, error){
+			"LaunchAndSpawn": LaunchAndSpawn, "AttachAndSpawn": AttachAndSpawn,
+		} {
+			_, err := start(p, Options{
+				Job:        rm.JobSpec{Exe: "app", Nodes: 1, TasksPerNode: 1},
+				Daemon:     rm.DaemonSpec{Exe: "never_spawned"},
+				CollWindow: -1,
+			})
+			if err == nil || !strings.Contains(err.Error(), "CollWindow") {
+				t.Errorf("%s with CollWindow -1: err = %v, want one naming CollWindow", name, err)
+			}
 		}
 	})
 }

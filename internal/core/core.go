@@ -47,38 +47,24 @@ const (
 	EnvICCLPort = "LMON_ICCL_PORT"
 	// EnvICCLFanout is the ICCL tree fanout (0 = flat 1-deep).
 	EnvICCLFanout = "LMON_ICCL_FANOUT"
-	// EnvKind marks the daemon role: "be" or "mw".
-	EnvKind = "LMON_KIND"
 	// EnvCollChunk bounds one collective-plane chunk body in bytes
 	// (0 or unset selects coll.DefaultChunkBytes).
 	EnvCollChunk = "LMON_COLL_CHUNK"
 	// EnvCollWindow is the per-(link, tag) outstanding-chunk credit
 	// window of the collective plane's flow control (0 or unset selects
-	// coll.DefaultWindow; negative disables flow control — the unbounded
-	// ablation baseline). Planted from Options.CollWindow.
+	// coll.DefaultWindow). Planted from Options.CollWindow.
 	EnvCollWindow = "LMON_COLL_WINDOW"
 	// EnvSeedMode selects the session-seed (RPDTAB + FEData) distribution
-	// pipeline the fabric's daemons must match: "cut-through" (or unset)
-	// streams chunks through the forming ICCL tree, "store-forward" is the
-	// serialized baseline (Options.SeedMode for the BE fabric,
-	// MWOptions.SeedMode for the MW fabric).
+	// pipeline the BE daemons must match: "cut-through" (or unset) streams
+	// rank-sliced chunks through the forming ICCL tree, "store-forward" is
+	// the serialized full-table baseline (Options.SeedMode). The MW fabric
+	// is always cut-through and never sees this variable.
 	EnvSeedMode = "LMON_SEED_MODE"
 	// EnvHealthPeriod is the heartbeat period of the session's failure
 	// detector (a Go duration string); unset or empty disables it.
 	EnvHealthPeriod = "LMON_HEALTH_PERIOD"
 	// EnvHealthMiss is the missed-heartbeat threshold.
 	EnvHealthMiss = "LMON_HEALTH_MISS"
-	// EnvHealthLinks selects the heartbeat transport: "iccl" (the default)
-	// piggybacks heartbeats on the established ICCL tree links, "dial"
-	// builds the dedicated dialed heartbeat tree (the pre-link-reuse
-	// baseline, Options.Health.Dial).
-	EnvHealthLinks = "LMON_HEALTH_LINKS"
-	// EnvTableMode selects per-daemon RPDTAB retention under the
-	// cut-through seed: "sliced" keeps only the local rank slice plus the
-	// session-shared host/rank index, "full" (and any unset value, so
-	// hand-rolled rigs keep the legacy shape) retains the complete table
-	// at every daemon (Options.TableMode).
-	EnvTableMode = "LMON_TABLE_MODE"
 	// EnvProctabChunk bounds re-packed RPDTAB chunk bodies on routed
 	// (rank-sliced) seed links (0 or unset selects the proctab default).
 	EnvProctabChunk = "LMON_PROCTAB_CHUNK"
@@ -128,22 +114,10 @@ func icclPortFor(session int, mw bool) int {
 	return p
 }
 
-// healthBasePort is the first port used for per-session heartbeat trees
-// (internal/health); kept clear of the ICCL port range. Each session uses
-// two ports, mirroring the ICCL banding (BE tree, MW tree).
-const healthBasePort = 58000
-
-func healthPortFor(session int, mw bool) int {
-	p := healthBasePort + session*2
-	if mw {
-		p++
-	}
-	return p
-}
-
-// sessionShared models one session's node-local shared memory segment
-// under rank-sliced table retention (TableSliced): the immutable columnar
-// RPDTAB index published by the front end once the stream validates, and
+// sessionShared models one session's node-local shared memory segment:
+// the immutable columnar RPDTAB index published by the front end once the
+// stream validates (what rank-sliced daemons and every MW daemon read the
+// full table from), and
 // the host→daemon-rank map the seed router consults. Every daemon holds a
 // pointer into this one copy instead of materializing its own, which is
 // what turns the fabric's table memory from O(K x daemons) into

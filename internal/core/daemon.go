@@ -29,7 +29,7 @@ import (
 // fabricProfile names what differs between the two daemon fabrics.
 type fabricProfile struct {
 	kind string // diagnostic name: "BE" or "MW"
-	mw   bool   // selects the MW port band (ICCL + health trees)
+	mw   bool   // MW daemons own no tasks: empty rank slice, no seed router
 
 	class lmonp.MsgClass
 	role  transport.Role
@@ -63,10 +63,9 @@ type daemonSession struct {
 	mon  *health.Monitor // nil when the session has no failure detection
 	coll *DaemonCollective
 
-	tab    proctab.Table  // full table (nil under TableSliced)
+	tab    proctab.Table  // full table (store-forward only; nil under cut-through)
 	myTab  proctab.Table  // RPDTAB entries on this daemon's node (empty on MW nodes)
-	sliced bool           // TableSliced retention: tab is nil, seg has the index
-	seg    *sessionShared // session-shared segment (set under TableSliced)
+	seg    *sessionShared // session-shared segment holding the index (cut-through only)
 	feData []byte
 	tl     engine.Timeline
 
@@ -90,11 +89,11 @@ type daemonSession struct {
 // distributed to and validated at every daemon, and per-daemon info is
 // gathered to the master for the ready message. Under the default
 // cut-through pipeline the seed streams through the forming tree
-// (iccl.BootstrapSeed); the store-forward baseline (selected by
+// (iccl.BootstrapSeedRouted); the BE store-forward baseline (selected by
 // LMON_SEED_MODE) buffers it at the master and broadcasts after
 // bootstrap.
 func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
-	cfg, err := icclConfigFromEnv(p, fab.mw)
+	cfg, err := icclConfigFromEnv(p)
 	if err != nil {
 		return nil, err
 	}
@@ -108,10 +107,10 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 }
 
 // initCutThrough receives the session seed as a chunk stream flowing
-// through the still-forming ICCL tree. Every rank reassembles the table
-// with a proctab.Assembler and validates it (Finish) before contributing
-// to the ready gather, so the ready message at the front end implies a
-// validated, byte-identical table at every daemon of the fabric.
+// through the still-forming ICCL tree. Every rank reassembles its rank
+// slice with a proctab.Assembler and validates it (FinishSlice) before
+// contributing to the ready gather, so the ready message at the front end
+// implies a validated slice at every daemon of the fabric.
 //
 // Setup (seedRouterFromEnv, masterSeedSource) and the drain loop
 // (drainSeed) each run in their own frame: this function's frame is the
@@ -154,23 +153,18 @@ func initCutThrough(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*daem
 	return d, d.completeInit(cfg)
 }
 
-// seedRouterFromEnv builds the rank-sliced retention router
-// (TableSliced): BE daemons route the seed so each keeps only its own
-// slice, consulting the session-shared host→rank map; MW daemons receive
-// an empty stream (their slice is empty by construction) and read the
-// table, when they need it, from the same shared index. Unset
-// EnvTableMode means full retention (nil router) so hand-rolled rigs
-// that bypass the FE keep the legacy shape.
+// seedRouterFromEnv attaches the session-shared segment and builds the
+// rank-sliced retention router: BE daemons route the seed so each keeps
+// only its own slice, consulting the session-shared host→rank map; MW
+// daemons receive an empty stream (their slice is empty by construction,
+// so they need no router) and read the table, when they need it, from the
+// same shared index.
 func (d *daemonSession) seedRouterFromEnv(cfg *iccl.Config) (*iccl.SeedRouter, error) {
 	p := d.p
-	if p.Env(EnvTableMode) != TableSliced.envValue() {
-		return nil, nil
-	}
 	session, err := strconv.Atoi(p.Env(EnvSession))
 	if err != nil {
 		return nil, fmt.Errorf("core: bad %s: %w", EnvSession, err)
 	}
-	d.sliced = true
 	d.seg = sharedSegFor(session)
 	if d.fab.mw {
 		return nil, nil
@@ -212,24 +206,18 @@ func (d *daemonSession) masterSeedSource() (iccl.SeedSource, error) {
 
 // drainSeed consumes the locally delivered stream: frame 0 carries the
 // piggybacked FEData, later frames the RPDTAB chunks; the end marker's
-// total validates the reassembly (under TableSliced the stream — and so
-// the assembled table — is just this daemon's rank slice, already
-// validated chunk by chunk).
+// total validates the reassembly (the routed stream — and so the
+// assembled table — is just this daemon's rank slice, already validated
+// chunk by chunk).
 func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 	var asm proctab.Assembler
-	var tab proctab.Table
 	for {
 		f, err := seed.Next()
 		if err != nil {
 			return err
 		}
 		if f.End {
-			if d.sliced {
-				tab, err = asm.FinishSlice(int(f.Total))
-			} else {
-				tab, err = asm.Finish(int(f.Total))
-			}
-			if err != nil {
+			if d.myTab, err = asm.FinishSlice(int(f.Total)); err != nil {
 				return err
 			}
 			break
@@ -243,13 +231,6 @@ func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 		}
 	}
 	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
-	if d.sliced {
-		// The routed stream carried exactly the entries this daemon owns.
-		d.myTab = tab
-	} else {
-		d.tab = tab
-		d.myTab = d.tab.OnHost(d.p.Node().Name())
-	}
 	return nil
 }
 
@@ -427,13 +408,13 @@ func (d *daemonSession) harvestObs() ([]byte, error) {
 }
 
 // peakTableBytes models the daemon's peak private RPDTAB memory for the
-// ready gather: the whole table under full retention, just the local rank
-// slice under sliced retention. The session-shared index is deliberately
+// ready gather: the whole table under store-forward, just the local rank
+// slice under cut-through. The session-shared index is deliberately
 // not charged here — it is owned once per session (sessionShared), and
 // attributing it to every daemon would make the gathered totals scale as
 // O(K x daemons) on paper when the actual fabric footprint is O(K).
 func (d *daemonSession) peakTableBytes() int {
-	if !d.sliced {
+	if d.seg == nil {
 		return d.tab.MemBytes()
 	}
 	return d.myTab.MemBytes()
@@ -441,11 +422,9 @@ func (d *daemonSession) peakTableBytes() int {
 
 // startHealth joins the daemon into its fabric's heartbeat tree when the
 // FE planted a heartbeat period in the environment (Options.Health for
-// the BE fabric, MWOptions.Health for the MW fabric). By default the
-// heartbeats piggyback on the established ICCL tree links (ShareLinks +
-// health.StartOnLinks) — no extra connections; HealthOptions.Dial
-// ("dial" in EnvHealthLinks) selects the dedicated dialed tree over the
-// fabric's own port band, kept as the pre-link-reuse baseline.
+// the BE fabric, MWOptions.Health for the MW fabric). The heartbeats
+// piggyback on the established ICCL tree links (ShareLinks +
+// health.StartOnLinks) — no extra connections.
 func (d *daemonSession) startHealth(cfg *iccl.Config) error {
 	periodStr := d.p.Env(EnvHealthPeriod)
 	if periodStr == "" {
@@ -461,27 +440,11 @@ func (d *daemonSession) startHealth(cfg *iccl.Config) error {
 			return fmt.Errorf("core: bad %s: %w", EnvHealthMiss, err)
 		}
 	}
-	session, err := strconv.Atoi(d.p.Env(EnvSession))
-	if err != nil {
-		return fmt.Errorf("core: bad %s: %w", EnvSession, err)
-	}
-	var mon *health.Monitor
-	switch mode := d.p.Env(EnvHealthLinks); mode {
-	case "", "iccl":
-		parent, children := d.comm.ShareLinks()
-		mon, err = health.StartOnLinks(d.p, health.Config{
-			Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
-			Period: period, Miss: miss, Metrics: d.obsReg,
-		}, parent, children)
-	case "dial":
-		mon, err = health.Start(d.p, health.Config{
-			Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
-			Nodelist: cfg.Nodelist, Port: healthPortFor(session, d.fab.mw),
-			Period: period, Miss: miss, Metrics: d.obsReg,
-		})
-	default:
-		return fmt.Errorf("core: bad %s %q", EnvHealthLinks, mode)
-	}
+	parent, children := d.comm.ShareLinks()
+	mon, err := health.StartOnLinks(d.p, health.Config{
+		Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
+		Period: period, Miss: miss, Metrics: d.obsReg,
+	}, parent, children)
 	if err != nil {
 		return err
 	}
@@ -520,14 +483,14 @@ func (d *daemonSession) Rank() int { return d.comm.Rank() }
 // Size returns the number of daemons in this fabric of the session.
 func (d *daemonSession) Size() int { return d.comm.Size() }
 
-// Proctab returns the full RPDTAB of the target job. Under rank-sliced
-// retention (Options.TableMode == TableSliced, the default) the daemon
-// holds no full copy; the call materializes a fresh table from the
-// session-shared index — an O(K) allocation the caller owns, deliberately
-// paid only when a tool actually asks for the whole table. Scalable tools
-// should prefer MyProctab (the local slice, held anyway).
+// Proctab returns the full RPDTAB of the target job. Under the default
+// cut-through pipeline the daemon holds no full copy; the call
+// materializes a fresh table from the session-shared index — an O(K)
+// allocation the caller owns, deliberately paid only when a tool actually
+// asks for the whole table. Scalable tools should prefer MyProctab (the
+// local slice, held anyway).
 func (d *daemonSession) Proctab() proctab.Table {
-	if !d.sliced {
+	if d.seg == nil {
 		return d.tab
 	}
 	if idx := d.seg.index(); idx != nil {
@@ -588,9 +551,9 @@ func (d *daemonSession) RecvFromFE() ([]byte, error) {
 
 // Finalize leaves the session: it synchronizes the fabric's daemons,
 // stops the failure detector, and closes the tree (and, at the master,
-// the FE connection). Stopping the master's monitor cascades a teardown
-// wave down the heartbeat tree, so daemons that already finalized are not
-// reported as failures.
+// the FE connection). The barrier releases parents before children, so a
+// parent's monitor has stopped by the time a finalized child's link
+// closes and the child is not reported as a failure.
 func (d *daemonSession) Finalize() error {
 	err := d.comm.Barrier()
 	// Final metrics harvest: counters that only move after launch
@@ -615,8 +578,8 @@ func (d *daemonSession) Finalize() error {
 
 // distributeSessionSeed broadcasts the RPDTAB and the piggybacked tool
 // data from the master over the ICCL fabric as one monolithic frame —
-// the store-forward baseline of both fabrics' seed ablations, and the
-// shape the paper's broadcast-vs-shared-file ablation measures. The
+// the store-forward baseline of the BE seed ablation, and the shape the
+// paper's broadcast-vs-shared-file ablation measures. The
 // master keeps its already-decoded table instead of re-decoding its own
 // broadcast.
 func distributeSessionSeed(comm *iccl.Comm, masterTab proctab.Table, feData []byte) (proctab.Table, []byte, error) {

@@ -58,19 +58,15 @@ type Options struct {
 	// chunks of one tagged stream in flight per tree link, so interior
 	// queue depth is bounded by CollWindow x CollChunkBytes regardless of
 	// daemon count or subtree skew. 0 selects coll.DefaultWindow; negative
-	// disables flow control (the unbounded ablation baseline). Planted into
-	// daemon environments as LMON_COLL_WINDOW.
+	// values are rejected. Planted into daemon environments as
+	// LMON_COLL_WINDOW.
 	CollWindow int
 	// SeedMode selects the session-seed (RPDTAB + FEData) distribution
-	// pipeline: SeedCutThrough (the default) or the serialized
-	// SeedStoreForward baseline. See the SeedMode constants.
+	// pipeline, and with it per-daemon RPDTAB retention: SeedCutThrough
+	// (the default) streams rank slices and keeps the full table once per
+	// session in a shared index; the serialized SeedStoreForward baseline
+	// retains the full table at every daemon. See the SeedMode constants.
 	SeedMode SeedMode
-	// TableMode selects per-daemon RPDTAB retention under the cut-through
-	// pipeline: TableSliced (the default) keeps only each daemon's rank
-	// slice plus a session-shared immutable index, TableFull retains the
-	// complete table at every daemon (the ablation baseline, and the only
-	// shape store-forward supports). See the TableMode constants.
-	TableMode TableMode
 	// Timeout bounds (in virtual time) how long the front end waits for
 	// the engine and the master daemon to connect; daemons that crash
 	// before dialing in surface as an error instead of a hang. Zero means
@@ -97,22 +93,16 @@ type Options struct {
 	Obs ObsMode
 }
 
-// HealthOptions parameterize per-session failure detection: the back-end
-// daemons run heartbeats over a tree mirroring the ICCL topology, and
-// daemon/node loss is reported to the front end as DaemonExited status
-// events within roughly Period x Miss.
+// HealthOptions parameterize per-session failure detection: the daemons
+// run heartbeats over the established ICCL tree links, and daemon/node
+// loss is reported to the front end as DaemonExited status events within
+// roughly Period x Miss.
 type HealthOptions struct {
 	// Period between daemon heartbeats; 0 disables the subsystem.
 	Period time.Duration
 	// Miss is how many consecutive periods a daemon may miss before it is
 	// declared dead (default 3).
 	Miss int
-	// Dial forces the heartbeat tree onto dedicated dialed connections
-	// (the pre-link-reuse baseline). The default false piggybacks
-	// heartbeats on the established ICCL tree links (iccl.Comm.ShareLinks
-	// + health.StartOnLinks), halving the session's per-daemon connection
-	// count.
-	Dial bool
 }
 
 const defaultSessionTimeout = 10 * time.Minute
@@ -194,9 +184,8 @@ type Session struct {
 	daemons    []DaemonInfo
 	timeout    time.Duration
 	chunkBytes int
-	tableMode  TableMode
 	collChunk  int    // collective-plane chunk bound (0 = coll default)
-	collWindow int    // collective-plane credit window (0 = coll default, <0 = off)
+	collWindow int    // collective-plane credit window (0 = coll default)
 	collTag    uint32 // BE-fabric collective sequence (FE side)
 	mwTag      uint32 // MW-fabric collective sequence (FE side)
 	userTags   uint32 // AllocTag counter (guarded by mu)
@@ -298,6 +287,9 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	if opts.CollChunkBytes < 0 || opts.CollChunkBytes > lmonp.MaxPayload/2 {
 		return nil, fmt.Errorf("core: CollChunkBytes %d out of range [0, %d]", opts.CollChunkBytes, lmonp.MaxPayload/2)
 	}
+	if opts.CollWindow < 0 {
+		return nil, fmt.Errorf("core: CollWindow %d is negative (0 selects the default window)", opts.CollWindow)
+	}
 	s := &Session{
 		ID:         nextSessionID(),
 		p:          p,
@@ -306,7 +298,6 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 		chunkBytes: opts.ProctabChunkBytes,
 		collChunk:  opts.CollChunkBytes,
 		collWindow: opts.CollWindow,
-		tableMode:  opts.TableMode,
 		obsMode:    opts.Obs,
 	}
 	if opts.Obs.enabled() {
@@ -360,17 +351,14 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	env[EnvCollChunk] = fmt.Sprint(opts.CollChunkBytes)
 	env[EnvCollWindow] = fmt.Sprint(opts.CollWindow)
 	env[EnvSeedMode] = opts.SeedMode.envValue()
-	env[EnvTableMode] = opts.TableMode.envValue()
 	env[EnvProctabChunk] = fmt.Sprint(opts.ProctabChunkBytes)
 	env[EnvObs] = opts.Obs.envValue()
-	env[EnvKind] = "be"
 	if opts.JoinTimeout > 0 {
 		env[EnvJoinTimeout] = opts.JoinTimeout.String()
 	}
 	if opts.Health.Period > 0 {
 		env[EnvHealthPeriod] = opts.Health.Period.String()
 		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-		env[EnvHealthLinks] = healthLinksEnv(opts.Health)
 	}
 	daemon.Env = env
 
@@ -455,8 +443,9 @@ func (s *Session) launchStoreForward(opts Options) error {
 	if err != nil {
 		return err
 	}
-	s.tab = tab
-	s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
+	if err := s.adoptTable(tab); err != nil {
+		return err
+	}
 
 	status, engTL, err := s.recvStatus()
 	if err != nil {
@@ -733,6 +722,22 @@ func (s *Session) finishTeardown(detail string) {
 	s.fire(health.Event{Kind: health.EvSessionTornDown, Rank: -1, Detail: detail})
 }
 
+// adoptTable installs the validated RPDTAB as the session's table and
+// publishes the session-shared index built from it. Both seed pipelines
+// call it before the BE master can report ready — rank-sliced BE daemons
+// and every MW daemon (whichever pipeline launched the BE fabric) read
+// the full table from that index.
+func (s *Session) adoptTable(tab proctab.Table) error {
+	s.tab = tab
+	s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
+	idx, err := proctab.BuildIndex(tab)
+	if err != nil {
+		return fmt.Errorf("core: building shared RPDTAB index: %w", err)
+	}
+	sharedSegFor(s.ID).publishIndex(idx)
+	return nil
+}
+
 // sendHandshake sends the session handshake to a master daemon: the
 // handshake message itself (carrying the piggybacked tool data), then the
 // RPDTAB as a bounded-chunk stream.
@@ -935,15 +940,6 @@ func encodeReady(infos []DaemonInfo, tl engine.Timeline, obsBlob []byte) []byte 
 		return b
 	}
 	return lmonp.AppendBytes(b, obsBlob)
-}
-
-// healthLinksEnv renders the heartbeat-transport knob for the daemon
-// bootstrap environment.
-func healthLinksEnv(h HealthOptions) string {
-	if h.Dial {
-		return "dial"
-	}
-	return "iccl"
 }
 
 // splitNodeList parses the RM-provided node list: a hostlist-compressed

@@ -27,13 +27,18 @@ const (
 	// relays engine chunks to the master as they arrive, and the master
 	// injects them into an ICCL seed stream that interior daemons forward
 	// while the tree is still forming. No component ever store-and-forwards
-	// the full table.
+	// the full table, and no daemon retains it: interior daemons keep the
+	// entries whose host they own and re-pack the rest into per-subtree
+	// streams (iccl.SeedRouter), while the full table lives once per
+	// session in a shared immutable index (sessionShared) — O(K/daemons)
+	// table memory per daemon instead of O(K).
 	SeedCutThrough SeedMode = iota
 	// SeedStoreForward is the serialized baseline (the paper's Figure 2
 	// pipeline): full-table buffering at the FE and again at the master,
-	// which broadcasts it as one monolithic frame after bootstrap. Kept for
-	// the launch-pipeline ablation and for the §4 analytic model, whose
-	// decomposition assumes the serialized event chain.
+	// which broadcasts it as one monolithic frame after bootstrap, so every
+	// daemon retains the complete table. Kept for the launch-pipeline
+	// ablation and for the §4 analytic model, whose decomposition assumes
+	// the serialized event chain.
 	SeedStoreForward
 )
 
@@ -47,36 +52,6 @@ func (m SeedMode) String() string {
 
 // envValue renders the mode for the daemon bootstrap environment.
 func (m SeedMode) envValue() string { return m.String() }
-
-// TableMode selects how much of the RPDTAB each daemon retains under the
-// cut-through seed pipeline.
-type TableMode int
-
-const (
-	// TableSliced (the default) keeps only each daemon's own rank slice:
-	// interior daemons decode incoming seed chunks, retain the entries
-	// whose host they own, and re-pack the rest into per-subtree streams
-	// (iccl.SeedRouter), while the full table lives once per session in a
-	// shared immutable index (sessionShared). Per-daemon table memory is
-	// O(K/daemons) instead of O(K) — O(K) total across the fabric instead
-	// of O(K²)-ish K x daemons.
-	TableSliced TableMode = iota
-	// TableFull retains the complete table at every daemon — the ablation
-	// baseline for the memory model, and the only shape the store-forward
-	// seed pipeline supports (store-forward ignores TableMode).
-	TableFull
-)
-
-// String names the mode for diagnostics and bench output.
-func (m TableMode) String() string {
-	if m == TableFull {
-		return "full"
-	}
-	return "sliced"
-}
-
-// envValue renders the mode for the daemon bootstrap environment.
-func (m TableMode) envValue() string { return m.String() }
 
 // seedItem is one unit of the FE→master relay: an RPDTAB chunk, or the
 // end marker carrying the table's entry count and the rolling digest of
@@ -127,8 +102,8 @@ func newSeedRelay(s *Session, fab fabricProfile, feData []byte, markAccept, mark
 
 // abort wakes a relay parked on the item queue and stops further
 // forwarding: the relay checks the queue's closed flag before each item,
-// so even a pre-fed queue (the MW path queues the whole re-chunked table
-// up front) stops streaming to a stale dial after an abort — queued
+// so even a pre-fed queue (the MW path queues its end marker up front)
+// stops streaming to a stale dial after an abort — queued
 // values surviving Close would otherwise keep the stream flowing. A
 // relay parked in Endpoint.Accept is released by the caller closing the
 // session (s.close closes the endpoint); one already past its end marker
@@ -270,18 +245,12 @@ func (s *Session) launchCutThrough(opts Options) error {
 			if err != nil {
 				return fail(err)
 			}
-			s.tab = tab
-			s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
-			if s.tableMode == TableSliced {
-				// Publish the shared index before relaying the end marker:
-				// every daemon's seed drain completes only after this marker
-				// flows through the tree, so the index is visible by the
-				// time any daemon (or the tool code above it) consults it.
-				idx, err := proctab.BuildIndex(tab)
-				if err != nil {
-					return fail(fmt.Errorf("core: building shared RPDTAB index: %w", err))
-				}
-				sharedSegFor(s.ID).publishIndex(idx)
+			// Publish the shared index before relaying the end marker:
+			// every daemon's seed drain completes only after this marker
+			// flows through the tree, so the index is visible by the
+			// time any daemon (or the tool code above it) consults it.
+			if err := s.adoptTable(tab); err != nil {
+				return fail(err)
 			}
 			relay.items.Send(seedItem{end: true, total: total, sum: digest})
 			tabDone = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,6 +11,8 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
@@ -147,7 +150,9 @@ func TestDaemonsSpawnedAfterEveryRankValidates(t *testing.T) {
 }
 
 // TestSeedByteIdenticalBothModes launches under each pipeline and checks
-// every rank reassembled the exact bytes the front end holds.
+// every rank sees the exact bytes the front end holds — its own full copy
+// under store-forward, the shared index under cut-through — and that the
+// union of the ranks' slices is the front end's table under both.
 func TestSeedByteIdenticalBothModes(t *testing.T) {
 	for _, mode := range []SeedMode{SeedCutThrough, SeedStoreForward} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -162,7 +167,9 @@ func TestSeedByteIdenticalBothModes(t *testing.T) {
 				h := fnv.New64a()
 				h.Write(be.Proctab().Encode())
 				h.Write(be.FEData())
-				if err := be.Collective().Gather(h.Sum(nil)); err != nil {
+				contrib := lmonp.AppendBytes(nil, h.Sum(nil))
+				contrib = lmonp.AppendBytes(contrib, be.MyProctab().Encode())
+				if err := be.Collective().Gather(contrib); err != nil {
 					t.Errorf("rank %d gather: %v", be.Rank(), err)
 				}
 				be.Finalize()
@@ -184,15 +191,28 @@ func TestSeedByteIdenticalBothModes(t *testing.T) {
 				want := fnv.New64a()
 				want.Write(s.Proctab().Encode())
 				want.Write([]byte("seed-fedata"))
-				hashes, err := s.Gather()
+				contribs, err := s.Gather()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for rank, h := range hashes {
+				var union proctab.Table
+				for rank, raw := range contribs {
+					rd := lmonp.NewReader(raw)
+					h, _ := rd.Bytes()
 					if string(h) != string(want.Sum(nil)) {
 						t.Errorf("rank %d table/FEData bytes differ from the front end's", rank)
 					}
+					sliceRaw, _ := rd.Bytes()
+					slice, err := proctab.Decode(sliceRaw)
+					if err != nil {
+						t.Errorf("rank %d slice: %v", rank, err)
+					}
+					union = append(union, slice...)
+				}
+				union.SortByRank()
+				if !bytes.Equal(union.Encode(), s.Proctab().Encode()) {
+					t.Error("union of the rank slices differs from the front end's table")
 				}
 			})
 		})

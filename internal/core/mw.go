@@ -13,7 +13,7 @@ import (
 
 // MWOptions parameterize middleware daemon launches. The MW fabric gets
 // the same launch/data/health stack as the back-end fabric: a cut-through
-// (or store-forward) session seed, a collective tool-data plane
+// session seed, a collective tool-data plane
 // (Session.MWBroadcast/... mirrored by Middleware.Collective), and an
 // optional heartbeat tree whose failure reports surface as session status
 // events.
@@ -27,11 +27,6 @@ type MWOptions struct {
 	FEData []byte
 	// ICCLFanout of the MW bootstrap fabric; 0 = flat.
 	ICCLFanout int
-	// SeedMode selects the MW seed pipeline, mirroring Options.SeedMode:
-	// SeedCutThrough (the default) streams the session seed through the
-	// forming MW tree; SeedStoreForward is the serialized baseline kept
-	// for the MW launch-pipeline ablation.
-	SeedMode SeedMode
 	// Health configures failure detection over the MW tree, mirroring
 	// Options.Health: MW-daemon loss then fires DaemonExited status
 	// callbacks and the session watchdog, exactly like BE-daemon loss.
@@ -42,12 +37,13 @@ type MWOptions struct {
 // LaunchMW launches middleware (TBŌN) daemons on newly allocated nodes
 // (paper §3.4): the engine asks the RM for the allocation and the scalable
 // spawn; each daemon receives a personality handle (its rank), the RPDTAB,
-// and the same session fabric services as the back-end daemons. Under the
-// default cut-through seed the FE relays the session seed (RPDTAB +
-// MWOptions.FEData) to the MW master while the RM is still spawning the
-// master's siblings, and the master streams it through the forming MW tree
-// with per-rank validation; the MW marks form their own monotone chain
-// m7≤m8≤m9≤m10 in Session.Timeline.
+// and the same session fabric services as the back-end daemons. The FE
+// relays the MW seed (MWOptions.FEData plus an empty-table end marker — MW
+// daemons own no tasks and read the RPDTAB from the session-shared index)
+// to the MW master while the RM is still spawning the master's siblings,
+// and the master streams it through the forming MW tree with per-rank
+// validation; the MW marks form their own monotone chain m7≤m8≤m9≤m10 in
+// Session.Timeline.
 func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	s.mu.Lock()
 	if s.detached || s.killed {
@@ -76,15 +72,11 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	env[EnvICCLFanout] = fmt.Sprint(opts.ICCLFanout)
 	env[EnvCollChunk] = fmt.Sprint(s.collChunk)
 	env[EnvCollWindow] = fmt.Sprint(s.collWindow)
-	env[EnvSeedMode] = opts.SeedMode.envValue()
-	env[EnvTableMode] = s.tableMode.envValue()
 	env[EnvProctabChunk] = fmt.Sprint(s.chunkBytes)
 	env[EnvObs] = s.obsMode.envValue()
-	env[EnvKind] = "mw"
 	if opts.Health.Period > 0 {
 		env[EnvHealthPeriod] = opts.Health.Period.String()
 		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-		env[EnvHealthLinks] = healthLinksEnv(opts.Health)
 	}
 	daemon.Env = env
 
@@ -100,71 +92,44 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 		s.mu.Unlock()
 	}
 
-	var nodes []string
-	var res relayResult
-	if opts.SeedMode == SeedStoreForward {
-		var err error
-		if nodes, err = s.mwSpawn(opts.Nodes, daemon); err != nil {
-			release()
-			return nil, err
-		}
-		if res, err = s.mwSeedStoreForward(opts); err != nil {
-			release()
-			return nil, err
-		}
-	} else {
-		// Cut-through: the relay accepts the MW master and streams the seed
-		// concurrently with the spawn exchange below — the master daemon
-		// dials the moment the RM spawns it, typically while its sibling
-		// daemons are still coming up, and the seed flows through the
-		// forming MW tree (iccl.BootstrapSeed) with per-rank validation.
-		relay := newSeedRelay(s, mwFabric, opts.FEData,
-			engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
-		sim.Go(fmt.Sprintf("fe-sess-%d-mw-seed-relay", s.ID), relay.run)
-		if s.tableMode == TableSliced {
-			// Rank-sliced retention: MW daemons own no application tasks,
-			// so their slice is empty — the stream is just the FEData
-			// preamble plus an empty-table end marker, and MW daemons read
-			// the full table (when a tool asks) from the session-shared
-			// index. The seed transfer drops from O(K) to O(1) per MW link.
-			relay.items.Send(seedItem{end: true, total: 0, sum: lmonp.SumInit})
-		} else {
-			// The FE already holds the assembled table; re-chunk it into
-			// the relay so the MW stream is bounded exactly like the BE
-			// stream, folding the per-chunk sums into the end digest.
-			digest := lmonp.SumInit
-			for _, chunk := range s.tab.EncodeChunks(s.chunkBytes) {
-				digest = lmonp.FoldSum(digest, lmonp.Sum64(chunk))
-				relay.items.Send(seedItem{chunk: chunk})
-			}
-			relay.items.Send(seedItem{end: true, total: uint64(len(s.tab)), sum: digest})
-		}
+	// The relay accepts the MW master and streams the seed concurrently
+	// with the spawn exchange below — the master daemon dials the moment
+	// the RM spawns it, typically while its sibling daemons are still
+	// coming up, and the seed flows through the forming MW tree
+	// (iccl.BootstrapSeed) with per-rank validation.
+	relay := newSeedRelay(s, mwFabric, opts.FEData,
+		engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
+	sim.Go(fmt.Sprintf("fe-sess-%d-mw-seed-relay", s.ID), relay.run)
+	// MW daemons own no application tasks, so their rank slice is empty:
+	// the stream is just the FEData preamble plus an empty-table end
+	// marker — O(1) per MW link — and MW daemons read the full table
+	// (when a tool asks) from the session-shared index.
+	relay.items.Send(seedItem{end: true, total: 0, sum: lmonp.SumInit})
 
-		var err error
-		if nodes, err = s.mwSpawn(opts.Nodes, daemon); err != nil {
-			// The relay may still be parked in Accept (no MW daemon will
-			// ever dial) or mid-handshake with a daemon set that is being
-			// torn down; a reaper closes whatever it hands back and only
-			// then frees the launch slot, so a retry cannot race a stale
-			// Accept for the next master's dial.
-			relay.abort()
-			sim.Go(fmt.Sprintf("fe-sess-%d-mw-relay-reaper", s.ID), func() {
-				if r, ok := relay.result.Recv(); ok && r.conn != nil {
-					r.conn.Close()
-				}
-				release()
-			})
-			return nil, err
-		}
-		var ok bool
-		if res, ok = relay.result.Recv(); !ok {
+	nodes, err := s.mwSpawn(opts.Nodes, daemon)
+	if err != nil {
+		// The relay may still be parked in Accept (no MW daemon will
+		// ever dial) or mid-handshake with a daemon set that is being
+		// torn down; a reaper closes whatever it hands back and only
+		// then frees the launch slot, so a retry cannot race a stale
+		// Accept for the next master's dial.
+		relay.abort()
+		sim.Go(fmt.Sprintf("fe-sess-%d-mw-relay-reaper", s.ID), func() {
+			if r, ok := relay.result.Recv(); ok && r.conn != nil {
+				r.conn.Close()
+			}
 			release()
-			return nil, fmt.Errorf("core: session %d: MW seed relay lost", s.ID)
-		}
-		if res.err != nil {
-			release()
-			return nil, res.err
-		}
+		})
+		return nil, err
+	}
+	res, ok := relay.result.Recv()
+	if !ok {
+		release()
+		return nil, fmt.Errorf("core: session %d: MW seed relay lost", s.ID)
+	}
+	if res.err != nil {
+		release()
+		return nil, res.err
 	}
 
 	s.Timeline.Merge(res.tl)
@@ -205,36 +170,6 @@ func (s *Session) mwSpawn(nodes int, daemon rm.DaemonSpec) ([]string, error) {
 		return nil, fmt.Errorf("core: middleware spawn failed: %s", status)
 	}
 	return rd.StringList()
-}
-
-// mwSeedStoreForward is the serialized MW baseline: accept the master
-// after the spawn completed, stream the full table behind the handshake
-// (the master buffers it and broadcasts after bootstrap), await ready.
-func (s *Session) mwSeedStoreForward(opts MWOptions) (relayResult, error) {
-	sim := s.p.Sim()
-	conn, err := s.ep.Accept(transport.RoleMW, s.timeout)
-	if err != nil {
-		return relayResult{}, fmt.Errorf("core: MW master did not connect: %w", err)
-	}
-	var tl engine.Timeline
-	tl.Mark(engine.MarkMW7, sim.Now())
-	if err := s.sendHandshake(conn, lmonp.ClassFEMW, opts.FEData); err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	ready, err := conn.Expect(lmonp.ClassFEMW, lmonp.TypeReady)
-	if err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	tl.Mark(engine.MarkMW10, sim.Now())
-	infos, masterTL, obsBlob, err := decodeReady(ready.Payload)
-	if err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	tl.Merge(masterTL)
-	return relayResult{conn: conn, infos: infos, tl: tl, obsBlob: obsBlob}, nil
 }
 
 // MWNodes returns the middleware allocation (after LaunchMW).
@@ -301,9 +236,9 @@ type Middleware struct {
 
 // MWInit joins a middleware daemon into its session, mirroring BEInit:
 // the master handshakes with the FE, the fabric bootstraps with the
-// cut-through seed stream (or the store-forward baseline the FE selected),
-// every rank validates its reassembled RPDTAB + piggybacked data, and the
-// ready gather reports the daemon set to the front end.
+// cut-through seed stream, every rank validates its seed (piggybacked
+// data + empty rank slice), and the ready gather reports the daemon set
+// to the front end.
 func MWInit(p *cluster.Proc) (*Middleware, error) {
 	d, err := initDaemon(p, mwFabric)
 	if err != nil {

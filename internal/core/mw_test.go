@@ -17,9 +17,9 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// Middleware-fabric parity regressions: the MW seed must be byte-identical
-// to the BE table at every MW rank under both seed pipelines, the MW mark
-// chain must stay monotone, MW faults must surface (mid-seed and
+// Middleware-fabric parity regressions: every MW rank must read a table
+// byte-identical to the FE's whichever pipeline launched the BE fabric,
+// the MW mark chain must stay monotone, MW faults must surface (mid-seed and
 // mid-session) exactly like BE faults, and the MW collective plane must
 // report the terminal fault detail on a torn-down session.
 
@@ -38,12 +38,14 @@ func seedHash(tab, feData []byte) []byte {
 	return h.Sum(nil)
 }
 
-// TestMWSeedByteIdenticalBothModes launches middleware under each seed
-// pipeline and checks every MW rank reassembled the exact bytes the front
-// end holds, gathering the fingerprints over the MW collective plane. It
-// also pins the MW mark chain m7≤m8≤m9≤m10 (after e11) and the per-rank
-// mw_seed_validated mark.
-func TestMWSeedByteIdenticalBothModes(t *testing.T) {
+// TestMWSeedByteIdenticalBothBEPipelines launches middleware on a session
+// whose BE fabric came up under each seed pipeline and checks every MW
+// rank reads the exact bytes the front end holds — the FE publishes the
+// shared index under store-forward too, so an MW fabric on a store-forward
+// session is not left without a table — gathering the fingerprints over
+// the MW collective plane. It also pins the MW mark chain m7≤m8≤m9≤m10
+// (after e11) and the per-rank mw_seed_validated mark.
+func TestMWSeedByteIdenticalBothBEPipelines(t *testing.T) {
 	for _, mode := range []SeedMode{SeedCutThrough, SeedStoreForward} {
 		t.Run(mode.String(), func(t *testing.T) {
 			const jobNodes, mwNodes = 4, 5
@@ -59,6 +61,9 @@ func TestMWSeedByteIdenticalBothModes(t *testing.T) {
 					t.Errorf("MWInit: %v", err)
 					return
 				}
+				if v := p.Env(EnvSeedMode); v != "" {
+					t.Errorf("MW daemon environment carries %s=%q; the MW fabric has one seed pipeline", EnvSeedMode, v)
+				}
 				tl := mw.Timeline()
 				if _, ok := tl.Get(engine.MarkMWSeedValid); !ok {
 					t.Errorf("MW rank %d: no mw_seed_validated mark", mw.Rank())
@@ -72,8 +77,9 @@ func TestMWSeedByteIdenticalBothModes(t *testing.T) {
 				s, err := LaunchAndSpawn(p, Options{
 					Job:    rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 8},
 					Daemon: rm.DaemonSpec{Exe: "mwbi_be"},
-					// Small chunks so the MW stream is genuinely multi-chunk.
+					// Small chunks so the BE stream is genuinely multi-chunk.
 					ProctabChunkBytes: 256,
+					SeedMode:          mode,
 				})
 				if err != nil {
 					t.Error(err)
@@ -84,7 +90,6 @@ func TestMWSeedByteIdenticalBothModes(t *testing.T) {
 					Daemon:     rm.DaemonSpec{Exe: "mwbi_mw"},
 					FEData:     []byte("mw-seed-fedata"),
 					ICCLFanout: 2,
-					SeedMode:   mode,
 				}); err != nil {
 					t.Error(err)
 					return
@@ -120,10 +125,8 @@ func TestMWSeedByteIdenticalBothModes(t *testing.T) {
 				if _, ok := s.Timeline.Get(engine.MarkMWSeedValid); !ok {
 					t.Error("MW master mw_seed_validated mark missing from merged timeline")
 				}
-				if mode == SeedCutThrough {
-					if _, ok := s.Timeline.Get(engine.MarkMWSeedFwd); !ok {
-						t.Error("mw_seed_first_forward mark missing")
-					}
+				if _, ok := s.Timeline.Get(engine.MarkMWSeedFwd); !ok {
+					t.Error("mw_seed_first_forward mark missing")
 				}
 			})
 		})

@@ -7,8 +7,8 @@ import (
 // DaemonInfo is the per-daemon record gathered to the master during
 // handshake and reported to the front end in the ready message: where each
 // daemon landed, how many application tasks it watches, and its modeled
-// peak private RPDTAB memory (the full table under TableFull; just the
-// daemon's rank slice under TableSliced — the session-shared index is
+// peak private RPDTAB memory (the full table under store-forward; just the
+// daemon's rank slice under cut-through — the session-shared index is
 // owned once per session, not per daemon, so charging it here would
 // recreate on paper the O(K x daemons) footprint slicing removes). Its
 // size is linear in the daemon count, which is the Region C scaling term

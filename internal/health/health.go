@@ -1,5 +1,5 @@
 // Package health is LaunchMON's failure-detection subsystem: a heartbeat
-// fabric running over the same k-ary tree topology as the ICCL daemon tree
+// fabric piggybacked on the links of the ICCL daemon tree
 // (internal/iccl), detecting daemon and node loss at 10^4-node scale and
 // propagating failure reports to the tree root (the master back-end
 // daemon), which forwards them to the front end as LMONP status events.
@@ -30,26 +30,22 @@ import (
 	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
-	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
 // Heartbeat-tree opcodes.
 const (
-	hbJoin = 1 // child → parent: rank announcement
 	hbBeat = 2 // child → parent: heartbeat
 	hbDead = 3 // child → parent: failure report batch
 )
 
-// Config describes one daemon's place in the heartbeat tree. Rank, Size,
-// Fanout and Nodelist mirror the daemon's iccl.Config — the heartbeat tree
-// has the same shape as the ICCL tree, on its own port.
+// Config describes one daemon's place in the heartbeat tree. Rank, Size
+// and Fanout mirror the daemon's iccl.Config — the heartbeat tree is the
+// ICCL tree, riding its links.
 type Config struct {
-	Rank     int
-	Size     int
-	Fanout   int // 0 = flat (everyone under rank 0)
-	Nodelist []string
-	Port     int
+	Rank   int
+	Size   int
+	Fanout int // 0 = flat (everyone under rank 0)
 
 	// Period is the interval between heartbeats (default 500ms).
 	Period time.Duration
@@ -59,9 +55,6 @@ type Config struct {
 	// PerMsgCost is the CPU charge for handling one tree message
 	// (default 20us — heartbeats are cheap compared to collectives).
 	PerMsgCost time.Duration
-	// DialRetry and DialAttempts bound the child→parent connect loop.
-	DialRetry    time.Duration
-	DialAttempts int
 
 	// Metrics receives heartbeat-plane counters (health.beats.sent,
 	// health.timeouts, health.reports) when set; nil disables
@@ -81,12 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerMsgCost == 0 {
 		c.PerMsgCost = 20 * time.Microsecond
-	}
-	if c.DialRetry == 0 {
-		c.DialRetry = 5 * time.Millisecond
-	}
-	if c.DialAttempts == 0 {
-		c.DialAttempts = 2000
 	}
 	return c
 }
@@ -113,17 +100,13 @@ type Monitor struct {
 	p   *cluster.Proc
 	cfg Config
 
-	listener *simnet.Listener
-	parent   *simnet.Conn
-
 	failures *vtime.Chan[Report] // root only; nil elsewhere
 
-	plink *iccl.Link // links mode: shared parent link (nil at root / dial mode)
+	plink *iccl.Link // shared parent link (nil at root)
 
 	// mu guards the fields below and serializes parent writes (simnet
 	// writes return immediately; virtual time is charged on delivery).
 	mu       sync.Mutex
-	children map[int]*simnet.Conn
 	lastBeat map[int]time.Duration // direct child rank → last heard (virtual)
 	reported map[int]bool          // ranks already declared dead
 	stopped  bool
@@ -132,95 +115,15 @@ type Monitor struct {
 	beatsSent, timeouts, reportsUp *obs.Counter
 }
 
-// bindMetrics interns the monitor's counter handles from cfg.Metrics.
-func (m *Monitor) bindMetrics() {
-	reg := m.cfg.Metrics
-	m.beatsSent = reg.Counter("health.beats.sent")
-	m.timeouts = reg.Counter("health.timeouts")
-	m.reportsUp = reg.Counter("health.reports")
-}
-
-// Start joins the calling daemon into the session's heartbeat tree and
-// begins monitoring. Children dial their parent with retries; Start
-// returns once the daemon's own links are up (it does not wait for the
-// whole subtree — detection of children that never join falls out of the
-// heartbeat-miss path). Call Stop to leave the tree; stopping the root
-// cascades an EOF teardown wave down the whole tree.
-func Start(p *cluster.Proc, cfg Config) (*Monitor, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("%w: bad rank/size %d/%d", ErrMonitor, cfg.Rank, cfg.Size)
-	}
-	if len(cfg.Nodelist) != cfg.Size {
-		return nil, fmt.Errorf("%w: nodelist has %d entries for size %d", ErrMonitor, len(cfg.Nodelist), cfg.Size)
-	}
-	m := &Monitor{
-		p:        p,
-		cfg:      cfg,
-		children: make(map[int]*simnet.Conn),
-		lastBeat: make(map[int]time.Duration),
-		reported: make(map[int]bool),
-	}
-	m.bindMetrics()
-	if cfg.Rank == 0 {
-		m.failures = vtime.NewChan[Report](p.Sim())
-	}
-	kids := iccl.Children(cfg.Rank, cfg.Size, cfg.Fanout)
-
-	if len(kids) > 0 {
-		l, err := p.Host().Listen(cfg.Port)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMonitor, err)
-		}
-		m.listener = l
-		now := p.Sim().Now()
-		for _, k := range kids {
-			m.lastBeat[k] = now
-		}
-		p.Sim().Go(fmt.Sprintf("health-accept-%d", cfg.Rank), m.acceptLoop)
-		p.Sim().Go(fmt.Sprintf("health-check-%d", cfg.Rank), m.checkLoop)
-	}
-
-	if cfg.Rank > 0 {
-		parentRank := iccl.Parent(cfg.Rank, cfg.Fanout)
-		addr := simnet.Addr{Host: cfg.Nodelist[parentRank], Port: cfg.Port}
-		var conn *simnet.Conn
-		var err error
-		for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
-			conn, err = p.Host().Dial(addr)
-			if err == nil {
-				break
-			}
-			p.Sim().Sleep(cfg.DialRetry)
-		}
-		if err != nil {
-			m.Stop()
-			return nil, fmt.Errorf("%w: dialing parent %d: %v", ErrMonitor, parentRank, err)
-		}
-		m.parent = conn
-		join := lmonp.AppendUint32(nil, hbJoin)
-		join = lmonp.AppendUint32(join, uint32(cfg.Rank))
-		if err := lmonp.WriteFrame(conn, join); err != nil {
-			m.Stop()
-			return nil, fmt.Errorf("%w: join: %v", ErrMonitor, err)
-		}
-		p.Sim().Go(fmt.Sprintf("health-beat-%d", cfg.Rank), m.beatLoop)
-		p.Sim().Go(fmt.Sprintf("health-parent-%d", cfg.Rank), m.parentWatch)
-	}
-	return m, nil
-}
-
-// StartOnLinks starts the monitor in link-reuse mode: instead of
-// listening and dialing a second tree (one extra connection pair per
-// daemon), heartbeats piggyback on the established ICCL tree links
-// (iccl.Comm.ShareLinks), halving per-session connection count. parent
-// must be nil exactly at rank 0; children are the shared links of this
-// daemon's connected ICCL children. Both detection paths survive the
-// move: a severed node closes the mux queues (fast path), and silent
-// failures still surface via heartbeat misses. Stop in this mode leaves
-// the shared connections alone — they belong to the collective plane —
-// so teardown is per-daemon (core stops each monitor at session close)
-// rather than a root-initiated close cascade.
+// StartOnLinks joins the calling daemon into the session's heartbeat tree
+// and begins monitoring. Heartbeats piggyback on the established ICCL tree
+// links (iccl.Comm.ShareLinks) — no connections of their own. parent must
+// be nil exactly at rank 0; children are the shared links of this daemon's
+// connected ICCL children. A severed node closes the mux queues (fast
+// path); silent failures surface via heartbeat misses. Stop leaves the
+// shared connections alone — they belong to the collective plane — so a
+// daemon's descendants wind down when its communicator closes the links,
+// not when its monitor stops.
 func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*iccl.Link) (*Monitor, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
@@ -233,11 +136,13 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 		p:        p,
 		cfg:      cfg,
 		plink:    parent,
-		children: make(map[int]*simnet.Conn),
 		lastBeat: make(map[int]time.Duration),
 		reported: make(map[int]bool),
+
+		beatsSent: cfg.Metrics.Counter("health.beats.sent"),
+		timeouts:  cfg.Metrics.Counter("health.timeouts"),
+		reportsUp: cfg.Metrics.Counter("health.reports"),
 	}
-	m.bindMetrics()
 	if cfg.Rank == 0 {
 		m.failures = vtime.NewChan[Report](p.Sim())
 	}
@@ -266,7 +171,7 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 
 // linkReader consumes one shared child link's heartbeat queue. The queue
 // closing means the ICCL mux saw the connection fail — the child's whole
-// subtree is unreachable, exactly like a severed dial-mode conn.
+// subtree is unreachable.
 func (m *Monitor) linkReader(lk *iccl.Link) {
 	for {
 		payload, ok := lk.Recv.Recv()
@@ -307,10 +212,8 @@ func (m *Monitor) Rank() int { return m.cfg.Rank }
 // Config returns the effective configuration (defaults applied).
 func (m *Monitor) Config() Config { return m.cfg }
 
-// Stop leaves the heartbeat tree: the listener and all links close, the
-// periodic loops wind down, and (at the root) the failure stream closes.
-// Children observe the closed parent link and stop too, cascading the
-// teardown down the tree. Idempotent.
+// Stop leaves the heartbeat tree: the periodic loops wind down and (at the
+// root) the failure stream closes. Idempotent.
 func (m *Monitor) Stop() {
 	m.mu.Lock()
 	if m.stopped {
@@ -318,21 +221,7 @@ func (m *Monitor) Stop() {
 		return
 	}
 	m.stopped = true
-	children := make([]*simnet.Conn, 0, len(m.children))
-	for _, c := range m.children {
-		children = append(children, c)
-	}
 	m.mu.Unlock()
-
-	if m.listener != nil {
-		m.listener.Close()
-	}
-	if m.parent != nil {
-		m.parent.Close()
-	}
-	for _, c := range children {
-		c.Close()
-	}
 	if m.failures != nil {
 		m.failures.Close()
 	}
@@ -345,81 +234,6 @@ func (m *Monitor) halted() bool {
 	stopped := m.stopped
 	m.mu.Unlock()
 	return stopped || m.p.State() == cluster.StateExited
-}
-
-// acceptLoop admits child connections and hands each to a reader.
-func (m *Monitor) acceptLoop() {
-	for {
-		conn, err := m.listener.Accept()
-		if err != nil {
-			return
-		}
-		m.p.Sim().Go("health-child-reader", func() { m.childReader(conn) })
-	}
-}
-
-// childReader consumes one child's frames: the join announcement, then
-// heartbeats and failure reports. A read error means the link was severed
-// (node killed) — the child's whole subtree is declared unreachable.
-func (m *Monitor) childReader(conn *simnet.Conn) {
-	frame, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	rd := lmonp.NewReader(frame)
-	op, _ := rd.Uint32()
-	rk32, err := rd.Uint32()
-	if err != nil || op != hbJoin {
-		conn.Close()
-		return
-	}
-	rank := int(rk32)
-	valid := false
-	for _, k := range iccl.Children(m.cfg.Rank, m.cfg.Size, m.cfg.Fanout) {
-		if k == rank {
-			valid = true
-		}
-	}
-	if !valid {
-		conn.Close()
-		return
-	}
-	m.mu.Lock()
-	m.children[rank] = conn
-	m.lastBeat[rank] = m.p.Sim().Now()
-	m.mu.Unlock()
-
-	for {
-		frame, err := lmonp.ReadFrame(conn)
-		if err != nil {
-			if !m.halted() {
-				m.declareSubtreeDead(rank, "connection severed")
-			}
-			return
-		}
-		if m.halted() {
-			// A dead parent closes its child links so the children stop
-			// beating (cascade teardown) instead of feeding a corpse.
-			conn.Close()
-			return
-		}
-		m.p.Compute(m.cfg.PerMsgCost)
-		rd := lmonp.NewReader(frame)
-		op, _ := rd.Uint32()
-		switch op {
-		case hbBeat:
-			m.mu.Lock()
-			m.lastBeat[rank] = m.p.Sim().Now()
-			m.mu.Unlock()
-		case hbDead:
-			reports, err := decodeReports(rd)
-			if err != nil {
-				continue
-			}
-			m.propagate(reports)
-		}
-	}
 }
 
 // beatLoop sends one heartbeat per period to the parent.
@@ -440,14 +254,6 @@ func (m *Monitor) beatLoop() {
 		}
 		m.beatsSent.Inc()
 	}
-}
-
-// parentWatch blocks on the parent link; when it closes (root stopped, or
-// the parent's node died) the local monitor stops, cascading downward.
-func (m *Monitor) parentWatch() {
-	var buf [1]byte
-	_, _ = m.parent.Read(buf[:]) // parents never send; returns on close/sever
-	m.Stop()
 }
 
 // checkLoop declares children dead when they miss too many heartbeats.
@@ -518,11 +324,10 @@ func (m *Monitor) propagate(reports []Report) {
 	_ = m.sendUp(frame)
 }
 
-// sendUp writes one frame to the parent — the dialed conn, or the shared
-// ICCL link in link-reuse mode — serialized across the beat, reader and
-// checker goroutines.
+// sendUp writes one frame to the parent over the shared ICCL link,
+// serialized across the beat, reader and checker goroutines.
 func (m *Monitor) sendUp(frame []byte) error {
-	if m.parent == nil && m.plink == nil {
+	if m.plink == nil {
 		return nil
 	}
 	m.mu.Lock()
@@ -530,10 +335,7 @@ func (m *Monitor) sendUp(frame []byte) error {
 	if m.stopped {
 		return errors.New("health: monitor stopped")
 	}
-	if m.plink != nil {
-		return m.plink.Send(frame)
-	}
-	return lmonp.WriteFrame(m.parent, frame)
+	return m.plink.Send(frame)
 }
 
 func encodeReports(b []byte, reports []Report) []byte {

@@ -6,11 +6,16 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/iccl"
 	"launchmon/internal/vtime"
 )
 
 // healthRig boots n "daemon" processes (one per compute node) that each
-// join a heartbeat tree, and returns the root's monitor through rootCh.
+// bootstrap into an ICCL tree, share its links, and start a monitor on
+// them — the one heartbeat transport — and returns the root's monitor
+// through rootCh. A daemon lives until its monitor halts (root stopped by
+// the driver, parent link closed, or its node killed) and then closes its
+// communicator, which is what carries the teardown to its children.
 func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vtime.Sim, *cluster.Cluster, *vtime.Chan[*Monitor]) {
 	t.Helper()
 	sim := vtime.New()
@@ -28,10 +33,18 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 		if _, err := cl.Node(i).SpawnSystemProc(cluster.Spec{
 			Exe: fmt.Sprintf("hd%d", i),
 			Main: func(p *cluster.Proc) {
-				m, err := Start(p, Config{
-					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist,
-					Port: 59000, Period: period, Miss: miss,
+				comm, err := iccl.Bootstrap(p, iccl.Config{
+					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 59000,
 				})
+				if err != nil {
+					t.Errorf("rank %d bootstrap: %v", i, err)
+					return
+				}
+				defer comm.Close()
+				parent, children := comm.ShareLinks()
+				m, err := StartOnLinks(p, Config{
+					Rank: i, Size: n, Fanout: fanout, Period: period, Miss: miss,
+				}, parent, children)
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
@@ -39,9 +52,9 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 				if i == 0 {
 					rootCh.Send(m)
 				}
-				// Daemons park here; their monitors do the work. Node death
-				// or root teardown ends them.
-				vtime.NewChan[int](p.Sim()).Recv()
+				for !m.halted() {
+					p.Sim().Sleep(period)
+				}
 			},
 		}); err != nil {
 			t.Fatal(err)
@@ -50,135 +63,166 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 	return sim, cl, rootCh
 }
 
+// healthShapes are the tree shapes every detection path is checked on: a
+// lone root (no links at all), one more daemon than the fanout (a full
+// first level), and a prime count that fills three levels unevenly.
+var healthShapes = []struct{ n, fanout int }{{1, 3}, {4, 3}, {7, 2}}
+
 func TestSeveredNodeDetectedFast(t *testing.T) {
-	const n = 8
 	period := 200 * time.Millisecond
-	sim, cl, rootCh := healthRig(t, n, 0, period, 3)
-	var report Report
-	var latency time.Duration
-	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
-		if !ok {
-			t.Error("no root monitor")
-			return
-		}
-		sim.Sleep(1 * time.Second) // steady state
-		killAt := sim.Now()
-		cl.KillNode(5)
-		r, ok := root.Failures().Recv()
-		if !ok {
-			t.Error("failure stream closed early")
-			return
-		}
-		report, latency = r, sim.Now()-killAt
-		root.Stop()
-	})
-	sim.Run()
-	if report.Rank != 5 {
-		t.Errorf("reported rank %d, want 5", report.Rank)
-	}
-	if report.Detail != "connection severed" {
-		t.Errorf("detail %q", report.Detail)
-	}
-	// Sever detection is the fast path: well under one period.
-	if latency > period {
-		t.Errorf("detection took %v with period %v", latency, period)
+	for _, shape := range healthShapes {
+		t.Run(fmt.Sprintf("K%d_f%d", shape.n, shape.fanout), func(t *testing.T) {
+			victim := shape.n - 1 // deepest-ranked daemon, a leaf
+			sim, cl, rootCh := healthRig(t, shape.n, shape.fanout, period, 3)
+			var report Report
+			var latency time.Duration
+			sim.Go("driver", func() {
+				root, ok := rootCh.Recv()
+				if !ok {
+					t.Error("no root monitor")
+					return
+				}
+				defer root.Stop()
+				sim.Sleep(1 * time.Second) // steady state
+				if victim == 0 {
+					return // a lone root has nobody to lose
+				}
+				killAt := sim.Now()
+				cl.KillNode(victim)
+				r, ok := root.Failures().Recv()
+				if !ok {
+					t.Error("failure stream closed early")
+					return
+				}
+				report, latency = r, sim.Now()-killAt
+			})
+			sim.Run()
+			if victim == 0 {
+				return
+			}
+			if report.Rank != victim {
+				t.Errorf("reported rank %d, want %d", report.Rank, victim)
+			}
+			if report.Detail != "connection severed" {
+				t.Errorf("detail %q", report.Detail)
+			}
+			// Sever detection is the fast path: well under one period.
+			if latency > period {
+				t.Errorf("detection took %v with period %v", latency, period)
+			}
+		})
 	}
 }
 
 func TestSilentLinkDropDetectedWithinDeadline(t *testing.T) {
-	const n = 4
 	period := 100 * time.Millisecond
 	const miss = 3
-	sim, cl, rootCh := healthRig(t, n, 0, period, miss)
-	var report Report
-	var latency time.Duration
-	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
-		if !ok {
-			t.Error("no root monitor")
-			return
-		}
-		sim.Sleep(1 * time.Second)
-		dropAt := sim.Now()
-		// Rank 2's beats vanish silently; only the miss threshold can see it.
-		cl.Net().DropLink(cl.Node(0).Name(), cl.Node(2).Name())
-		r, ok := root.Failures().Recv()
-		if !ok {
-			t.Error("failure stream closed early")
-			return
-		}
-		report, latency = r, sim.Now()-dropAt
-		root.Stop()
-	})
-	sim.Run()
-	if report.Rank != 2 {
-		t.Errorf("reported rank %d, want 2", report.Rank)
-	}
-	if report.Detail != "heartbeat timeout" {
-		t.Errorf("detail %q", report.Detail)
-	}
-	deadline := time.Duration(miss+1) * period
-	if latency > deadline {
-		t.Errorf("silent failure detected after %v, deadline %v", latency, deadline)
-	}
-	if latency < time.Duration(miss)*period-period {
-		t.Errorf("silent failure detected implausibly fast: %v", latency)
+	for _, shape := range healthShapes[1:] {
+		t.Run(fmt.Sprintf("K%d_f%d", shape.n, shape.fanout), func(t *testing.T) {
+			victim := shape.n - 1
+			parent := iccl.Parent(victim, shape.fanout)
+			sim, cl, rootCh := healthRig(t, shape.n, shape.fanout, period, miss)
+			var report Report
+			var latency time.Duration
+			sim.Go("driver", func() {
+				root, ok := rootCh.Recv()
+				if !ok {
+					t.Error("no root monitor")
+					return
+				}
+				defer root.Stop()
+				sim.Sleep(1 * time.Second)
+				dropAt := sim.Now()
+				// The victim's beats vanish silently; only its parent's miss
+				// threshold can see it.
+				cl.Net().DropLink(cl.Node(parent).Name(), cl.Node(victim).Name())
+				r, ok := root.Failures().Recv()
+				if !ok {
+					t.Error("failure stream closed early")
+					return
+				}
+				report, latency = r, sim.Now()-dropAt
+			})
+			sim.Run()
+			if report.Rank != victim {
+				t.Errorf("reported rank %d, want %d", report.Rank, victim)
+			}
+			if report.Detail != "heartbeat timeout" {
+				t.Errorf("detail %q", report.Detail)
+			}
+			deadline := time.Duration(miss+1) * period
+			if latency > deadline {
+				t.Errorf("silent failure detected after %v, deadline %v", latency, deadline)
+			}
+			if latency < time.Duration(miss)*period-period {
+				t.Errorf("silent failure detected implausibly fast: %v", latency)
+			}
+		})
 	}
 }
 
 func TestInteriorDeathReportsSubtreeUnreachable(t *testing.T) {
-	// Fanout 2 over 7 ranks: rank 1's subtree is {1, 3, 4}.
-	const n = 7
-	sim, cl, rootCh := healthRig(t, n, 2, 100*time.Millisecond, 3)
-	got := map[int]string{}
-	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
-		if !ok {
-			t.Error("no root monitor")
-			return
-		}
-		sim.Sleep(1 * time.Second)
-		cl.KillNode(1)
-		for len(got) < 3 {
-			r, ok := root.Failures().Recv()
-			if !ok {
-				t.Error("failure stream closed early")
-				return
+	// Rank 1's whole subtree must be reported, descendants as unreachable:
+	// {1} alone in the one-level shape, {1, 3, 4} in the prime one.
+	for _, shape := range healthShapes[1:] {
+		t.Run(fmt.Sprintf("K%d_f%d", shape.n, shape.fanout), func(t *testing.T) {
+			subtree := iccl.SubtreeRanks(1, shape.n, shape.fanout)
+			sim, cl, rootCh := healthRig(t, shape.n, shape.fanout, 100*time.Millisecond, 3)
+			got := map[int]string{}
+			sim.Go("driver", func() {
+				root, ok := rootCh.Recv()
+				if !ok {
+					t.Error("no root monitor")
+					return
+				}
+				defer root.Stop()
+				sim.Sleep(1 * time.Second)
+				cl.KillNode(1)
+				for len(got) < len(subtree) {
+					r, ok := root.Failures().Recv()
+					if !ok {
+						t.Error("failure stream closed early")
+						return
+					}
+					got[r.Rank] = r.Detail
+				}
+			})
+			sim.Run()
+			for _, r := range subtree {
+				want := "unreachable"
+				if r == 1 {
+					want = "connection severed"
+				}
+				if got[r] != want {
+					t.Errorf("rank %d detail %q, want %q", r, got[r], want)
+				}
 			}
-			got[r.Rank] = r.Detail
-		}
-		root.Stop()
-	})
-	sim.Run()
-	if got[1] != "connection severed" {
-		t.Errorf("rank 1 detail %q", got[1])
-	}
-	for _, r := range []int{3, 4} {
-		if got[r] != "unreachable" {
-			t.Errorf("rank %d detail %q, want unreachable", r, got[r])
-		}
+		})
 	}
 }
 
 func TestRootStopCascades(t *testing.T) {
-	// After the root stops, every monitor winds down and the simulation
-	// quiesces — the absence of a hang IS the assertion (beat loops left
-	// running would keep virtual time advancing forever).
-	const n = 6
-	sim, _, rootCh := healthRig(t, n, 2, 100*time.Millisecond, 3)
-	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
-		if !ok {
-			t.Error("no root monitor")
-			return
-		}
-		sim.Sleep(500 * time.Millisecond)
-		root.Stop()
-	})
-	end := sim.Run()
-	if end > time.Hour {
-		t.Errorf("simulation ran to %v; teardown did not cascade", end)
+	// After the root stops and its communicator closes, every monitor
+	// below observes its parent link closing and winds down in turn, and
+	// the simulation quiesces — the absence of a hang IS the assertion
+	// (beat loops left running would keep virtual time advancing forever).
+	for _, shape := range healthShapes {
+		t.Run(fmt.Sprintf("K%d_f%d", shape.n, shape.fanout), func(t *testing.T) {
+			sim, _, rootCh := healthRig(t, shape.n, shape.fanout, 100*time.Millisecond, 3)
+			sim.Go("driver", func() {
+				root, ok := rootCh.Recv()
+				if !ok {
+					t.Error("no root monitor")
+					return
+				}
+				sim.Sleep(500 * time.Millisecond)
+				root.Stop()
+			})
+			end := sim.Run()
+			if end > time.Hour {
+				t.Errorf("simulation ran to %v; teardown did not cascade", end)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ type DownFn func(tag uint32) (coll.Frame, error)
 type Plane struct {
 	c          *Comm
 	chunkBytes int
-	window     int // per-(link, tag) chunk credits; 0 = unlimited
+	window     int // per-(link, tag) chunk credits (always positive)
 	seq        uint32
 	treeSeq    uint32
 	up         UpFn
@@ -81,19 +81,15 @@ type Plane struct {
 
 // NewPlane attaches a collective plane to the communicator. chunkBytes
 // bounds one chunk body per link (<= 0 selects coll.DefaultChunkBytes);
-// window is the per-(link, tag) outstanding-chunk credit budget (0
-// selects coll.DefaultWindow, negative disables flow control — the
-// unbounded ablation baseline); up and down bridge the root to the
-// front end and must be non-nil at the root only.
+// window is the per-(link, tag) outstanding-chunk credit budget (<= 0
+// selects coll.DefaultWindow); up and down bridge the root to the front
+// end and must be non-nil at the root only.
 func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, down DownFn) *Plane {
 	if chunkBytes <= 0 {
 		chunkBytes = coll.DefaultChunkBytes
 	}
-	switch {
-	case window == 0:
+	if window <= 0 {
 		window = coll.DefaultWindow
-	case window < 0:
-		window = 0
 	}
 	slotOf := make(map[int]int, len(c.childRk))
 	for slot, rk := range c.childRk {
@@ -209,7 +205,7 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 // retire the stream's gate).
 func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 	rt := pl.c.routerFor(conn)
-	if rt != nil && pl.window > 0 && !f.End {
+	if rt != nil && !f.End {
 		if err := rt.gate(f.H.Tag, pl.window).acquire(); err != nil {
 			return err
 		}
@@ -242,10 +238,8 @@ func (pl *Plane) recvTagged(conn *simnet.Conn, tag uint32) (coll.Frame, error) {
 	rt.dequeued(f)
 	if f.End {
 		rt.dropTag(tag)
-	} else if pl.window > 0 {
-		if err := pl.c.sendCredit(conn, tag, 1); err != nil {
-			return coll.Frame{}, err
-		}
+	} else if err := pl.c.sendCredit(conn, tag, 1); err != nil {
+		return coll.Frame{}, err
 	}
 	return f, nil
 }

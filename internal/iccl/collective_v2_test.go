@@ -296,8 +296,9 @@ func TestPlaneTagMismatchNamesOpTagsAndRank(t *testing.T) {
 // Reduce streams chunk their payload (coll.RawFrames), so every link
 // carries a long stream; interior nodes drain their child slots
 // serially, and rank 4 (slot 0 of interior rank 1) sits on a slow host —
-// while rank 1 waits on that slot, ranks 5 and 6 flood theirs. Without
-// credits the flood queues O(stream); the window bounds it.
+// while rank 1 waits on that slot, ranks 5 and 6 flood theirs. A window
+// longer than the stream lets the flood queue O(stream); a short one
+// bounds it.
 func runFlowReduce(t *testing.T, window int) []uint64 {
 	t.Helper()
 	const n, fanout, chunk = 13, 3, 64
@@ -396,11 +397,13 @@ func TestPlaneFlowControlBoundsInteriorDepth(t *testing.T) {
 	}
 }
 
-func TestPlaneUnboundedWindowShowsStreamDepth(t *testing.T) {
-	// Ablation baseline: with flow control off (negative window) the same
-	// skewed gather piles O(stream) chunks at the interior rank — the
-	// unbounded behavior the window removes.
-	depths := runFlowReduce(t, -1)
+func TestPlaneWindowAboveStreamLengthShowsStreamDepth(t *testing.T) {
+	// The contrast the window exists to remove: once it is at least as
+	// long as the stream (~64 chunks per daemon here), credits never bind,
+	// and the same skewed gather piles O(stream) chunks at the interior
+	// rank.
+	const window = 128
+	depths := runFlowReduce(t, window)
 	var max uint64
 	for _, d := range depths {
 		if d > max {
@@ -408,7 +411,7 @@ func TestPlaneUnboundedWindowShowsStreamDepth(t *testing.T) {
 		}
 	}
 	if max <= coll.DefaultWindow {
-		t.Fatalf("unbounded ablation high-water is %d; expected O(stream) depth above %d",
-			max, coll.DefaultWindow)
+		t.Fatalf("window %d high-water is %d; expected O(stream) depth above %d",
+			window, max, coll.DefaultWindow)
 	}
 }

@@ -117,8 +117,7 @@ func (c *Comm) routeConn(conn *simnet.Conn, rt *connRouter) {
 // daemon, coll.link.bytes.max the high-water queued body bytes. End
 // markers ride outside the credit window (they carry no payload and
 // each stream has exactly one), so the depth gauge excludes them and
-// the flow-control invariant is exact: depth ≤ window when the window
-// is on; O(stream) when off.
+// the flow-control invariant is exact: depth ≤ window.
 func (rt *connRouter) enqueue(f coll.Frame) {
 	rt.mu.Lock()
 	q := rt.tagQLocked(f.H.Tag)
@@ -228,8 +227,16 @@ func (rt *connRouter) fail(err error) {
 	}
 	rt.closed = true
 	rt.err = err
-	tags := rt.tags
-	gates := rt.gates
+	// Snapshot under the lock: streams finishing on other goroutines keep
+	// retiring entries (dropTag, dropGate) while the queues close below.
+	tags := make([]*vtime.Chan[coll.Frame], 0, len(rt.tags))
+	for _, q := range rt.tags {
+		tags = append(tags, q)
+	}
+	gates := make([]*creditGate, 0, len(rt.gates))
+	for _, g := range rt.gates {
+		gates = append(gates, g)
+	}
 	rt.mu.Unlock()
 	rt.base.Close()
 	for _, q := range tags {
@@ -254,29 +261,20 @@ func (rt *connRouter) takeErr() error {
 // creditGate is the send side of the per-(link, tag) outstanding-chunk
 // window: acquire takes one credit before a chunk goes on the wire
 // (blocking in virtual time while the window is exhausted), credit
-// returns credits as the receiver consumes chunks. A nil tokens channel
-// means flow control is off (the unbounded ablation baseline).
+// returns credits as the receiver consumes chunks.
 type creditGate struct {
 	tokens *vtime.Chan[struct{}]
 }
 
 func newCreditGate(sim *vtime.Sim, window int) *creditGate {
-	g := &creditGate{}
-	if window > 0 {
-		g.tokens = vtime.NewChan[struct{}](sim)
-		for i := 0; i < window; i++ {
-			g.tokens.Send(struct{}{})
-		}
-	}
+	g := &creditGate{tokens: vtime.NewChan[struct{}](sim)}
+	g.credit(window)
 	return g
 }
 
 // acquire blocks until a credit is available; it fails when the link
 // severed while the sender was waiting.
 func (g *creditGate) acquire() error {
-	if g.tokens == nil {
-		return nil
-	}
 	if _, ok := g.tokens.Recv(); !ok {
 		return ErrSevered
 	}
@@ -285,20 +283,13 @@ func (g *creditGate) acquire() error {
 
 // credit returns n credits to the window.
 func (g *creditGate) credit(n int) {
-	if g.tokens == nil {
-		return
-	}
 	for i := 0; i < n; i++ {
 		g.tokens.Send(struct{}{})
 	}
 }
 
 // sever wakes any sender blocked in acquire.
-func (g *creditGate) sever() {
-	if g.tokens != nil {
-		g.tokens.Close()
-	}
-}
+func (g *creditGate) sever() { g.tokens.Close() }
 
 // parseCredit decodes one opCredit tree frame: the opcode and the
 // encoded coll header whose Index field carries the credit count.

@@ -12,12 +12,21 @@ import (
 // ablations. Each iteration regenerates the complete experiment on a
 // fresh simulated cluster; reported ns/op is host time to simulate the
 // whole sweep (the virtual-time results themselves are printed by
-// cmd/lmonbench and recorded in EXPERIMENTS.md).
+// cmd/lmonbench and recorded in EXPERIMENTS.md). Every benchmark reports
+// allocations, and the ones that report virtual-time metrics put the host
+// clock beside them (hostWall), so `go test -bench` shows both clocks.
+
+// hostWall reports the host wall time one iteration spent per simulated
+// daemon of its sweep.
+func hostWall(b *testing.B, daemons int) {
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(daemons), "host-us/daemon")
+}
 
 // BenchmarkFigure3_LaunchAndSpawnModelVsMeasured regenerates Figure 3:
 // the launchAndSpawn component breakdown and analytic-model comparison,
 // 16..128 daemons at 8 tasks/daemon.
 func BenchmarkFigure3_LaunchAndSpawnModelVsMeasured(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.Figure3()
 		if err != nil {
@@ -32,6 +41,7 @@ func BenchmarkFigure3_LaunchAndSpawnModelVsMeasured(b *testing.B) {
 // BenchmarkFigure5_Jobsnap regenerates Figure 5: Jobsnap total and
 // init→attachAndSpawn times, 64..1024 daemons (512..8192 tasks).
 func BenchmarkFigure5_Jobsnap(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.Figure5()
 		if err != nil {
@@ -46,6 +56,7 @@ func BenchmarkFigure5_Jobsnap(b *testing.B) {
 // BenchmarkFigure6_STATStartup regenerates Figure 6: STAT launch+connect,
 // MRNet-rsh vs LaunchMON, 4..512 daemons with the rsh failure at 512.
 func BenchmarkFigure6_STATStartup(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.Figure6()
 		if err != nil {
@@ -60,6 +71,7 @@ func BenchmarkFigure6_STATStartup(b *testing.B) {
 // BenchmarkTable1_OSSAPAIAccess regenerates Table 1: O|SS APAI access
 // times, DPCL vs LaunchMON, 2..32 nodes.
 func BenchmarkTable1_OSSAPAIAccess(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.Table1()
 		if err != nil {
@@ -74,6 +86,7 @@ func BenchmarkTable1_OSSAPAIAccess(b *testing.B) {
 // BenchmarkAblation_BGL contrasts the SLURM-like and BG/L-like RM cost
 // profiles (§4's closing observation).
 func BenchmarkAblation_BGL(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.BGLAblation(); err != nil {
 			b.Fatal(err)
@@ -84,6 +97,7 @@ func BenchmarkAblation_BGL(b *testing.B) {
 // BenchmarkAblation_ICCLFanout sweeps the ICCL tree fan-out at 128
 // daemons.
 func BenchmarkAblation_ICCLFanout(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationFanout(); err != nil {
 			b.Fatal(err)
@@ -94,6 +108,7 @@ func BenchmarkAblation_ICCLFanout(b *testing.B) {
 // BenchmarkAblation_Piggyback compares piggybacked vs separate tool-data
 // delivery.
 func BenchmarkAblation_Piggyback(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationPiggyback(); err != nil {
 			b.Fatal(err)
@@ -104,6 +119,7 @@ func BenchmarkAblation_Piggyback(b *testing.B) {
 // BenchmarkAblation_ProctabDistribution compares RPDTAB broadcast vs the
 // shared-file mechanism.
 func BenchmarkAblation_ProctabDistribution(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationProctab(); err != nil {
 			b.Fatal(err)
@@ -114,6 +130,7 @@ func BenchmarkAblation_ProctabDistribution(b *testing.B) {
 // BenchmarkAblation_DebugEvents contrasts fixed vs scale-growing RM debug
 // events.
 func BenchmarkAblation_DebugEvents(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationDebugEvents(); err != nil {
 			b.Fatal(err)
@@ -125,6 +142,7 @@ func BenchmarkAblation_DebugEvents(b *testing.B) {
 // sessions from one FE process over a single transport mux and reports
 // the aggregate session-setup throughput at each K.
 func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
+	b.ReportAllocs()
 	var rows []bench.ConcurrentRow
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -136,9 +154,12 @@ func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
 			b.Fatalf("%d rows", len(rows))
 		}
 	}
+	daemons := 0
 	for _, r := range rows {
 		b.ReportMetric(r.Throughput, fmt.Sprintf("sessions/vsec-K%d", r.Sessions))
+		daemons += r.Sessions * r.NodesEach
 	}
+	hostWall(b, daemons)
 }
 
 // BenchmarkAblation_FailureDetection kills the deepest-ranked daemon's
@@ -147,6 +168,7 @@ func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
 // callback plus the time to full watchdog teardown, and sweeps heartbeat
 // wire overhead vs period on an idle 256-daemon session.
 func BenchmarkAblation_FailureDetection(b *testing.B) {
+	b.ReportAllocs()
 	var rows []bench.FailureRow
 	var overhead []bench.OverheadRow
 	for i := 0; i < b.N; i++ {
@@ -163,13 +185,17 @@ func BenchmarkAblation_FailureDetection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	daemons := 0
 	for _, r := range rows {
 		b.ReportMetric(r.DetectSever.Seconds()*1e3, fmt.Sprintf("detect-vms-K%d", r.Nodes))
 		b.ReportMetric(r.Teardown.Seconds()*1e3, fmt.Sprintf("teardown-vms-K%d", r.Nodes))
+		daemons += 2 * r.Nodes // a severed-link run and a silent-loss run
 	}
 	for _, r := range overhead {
 		b.ReportMetric(r.MsgsPerSec, fmt.Sprintf("hb-msgs-per-vsec-p%s", r.Period))
+		daemons += r.Nodes
 	}
+	hostWall(b, daemons)
 }
 
 // BenchmarkAblation_Collective compares the flat FE↔BE-master pipe (every
@@ -179,6 +205,7 @@ func BenchmarkAblation_FailureDetection(b *testing.B) {
 // tree gather must beat the flat-master gather at the largest scale, and
 // the sum reduction's FE-bound payload is K-independent outright.
 func BenchmarkAblation_Collective(b *testing.B) {
+	b.ReportAllocs()
 	var rows []bench.CollectiveRow
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -195,11 +222,14 @@ func BenchmarkAblation_Collective(b *testing.B) {
 				last.TreeGather, last.FlatGather, last.Daemons)
 		}
 	}
+	daemons := 0
 	for _, r := range rows {
 		b.ReportMetric(r.FlatGather.Seconds()*1e3, fmt.Sprintf("flat-gather-vms-K%d", r.Daemons))
 		b.ReportMetric(r.TreeGather.Seconds()*1e3, fmt.Sprintf("tree-gather-vms-K%d", r.Daemons))
 		b.ReportMetric(r.ReduceSum.Seconds()*1e3, fmt.Sprintf("reduce-sum-vms-K%d", r.Daemons))
+		daemons += r.Daemons
 	}
+	hostWall(b, daemons)
 }
 
 // BenchmarkAblation_LaunchPipeline compares time-to-DaemonsSpawned under
@@ -215,6 +245,7 @@ func BenchmarkAblation_Collective(b *testing.B) {
 // retention must shrink the leaf-daemon footprint by at least an order of
 // magnitude there.
 func BenchmarkAblation_LaunchPipeline(b *testing.B) {
+	b.ReportAllocs()
 	var fullScales []int
 	for _, k := range bench.LaunchScales {
 		if bench.SimFootprint(k)+bench.FullTableFootprint(k, 1) <= bench.DefaultMemLimit {
@@ -253,7 +284,9 @@ func BenchmarkAblation_LaunchPipeline(b *testing.B) {
 				sliced.MemLeaf, full.MemLeaf, maxK)
 		}
 	}
+	daemons := 0
 	for _, r := range rows {
+		daemons += r.Daemons
 		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-%s-ready-vms-K%d", r.Mode, r.Table, r.Daemons))
 		if r.Table == "sliced" {
 			b.ReportMetric(float64(r.MemMaster), fmt.Sprintf("sliced-master-peakB-K%d", r.Daemons))
@@ -261,6 +294,7 @@ func BenchmarkAblation_LaunchPipeline(b *testing.B) {
 			b.ReportMetric(float64(r.MemLeaf), fmt.Sprintf("sliced-leaf-peakB-K%d", r.Daemons))
 		}
 	}
+	hostWall(b, daemons)
 }
 
 // BenchmarkAblation_MWPipeline measures LaunchMW time-to-ready under the
@@ -268,6 +302,7 @@ func BenchmarkAblation_LaunchPipeline(b *testing.B) {
 // K ∈ {64, 1024, 16384} middleware daemons. Every MW rank must read a
 // byte-identical RPDTAB.
 func BenchmarkAblation_MWPipeline(b *testing.B) {
+	b.ReportAllocs()
 	var rows []bench.MWPipeRow
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -284,15 +319,19 @@ func BenchmarkAblation_MWPipeline(b *testing.B) {
 			}
 		}
 	}
+	daemons := 0
 	for _, r := range rows {
 		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-mw-ready-vms-K%d", r.Mode, r.Daemons))
+		daemons += r.Daemons
 	}
+	hostWall(b, daemons)
 }
 
 // BenchmarkAblation_JobsnapTree quantifies the paper's §5.1 future-work
 // suggestion: Jobsnap with a TBŌN-style k-ary collection tree vs the flat
 // gather it measured.
 func BenchmarkAblation_JobsnapTree(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationJobsnapTree(); err != nil {
 			b.Fatal(err)

@@ -404,27 +404,39 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 	})
 }
 
-// TestMalformedCollectiveFrameFailsGather pins the demux contract: a
-// frame the BE watcher cannot decode must fail the pending collective
-// with an error, not vanish and leave Gather waiting for an end marker
-// that never comes.
-func TestMalformedCollectiveFrameFailsGather(t *testing.T) {
+// TestMalformedCollectiveFrameFailsCollectives pins the sorter's contract
+// at both ends of a master connection: a collective frame it cannot decode
+// names no trustworthy tag, so it must fail the pending lockstep gather
+// and every tagged stream — pending or opened later — with an error
+// naming the cause, not vanish and leave them waiting for an end marker
+// that never comes. Tool data keeps flowing.
+func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 	sim := vtime.New()
 	var buf bytes.Buffer
-	s := &Session{
-		beMaster: lmonp.NewConn(&buf),
-		beColl:   vtime.NewChan[collEvent](sim),
-	}
-	var gatherErr error
-	sim.Go("fe", func() {
-		_, gatherErr = s.Gather()
-	})
+	s := &Session{}
+	s.be = feFabric{s: s, prof: beFabric, conn: lmonp.NewConn(&buf), rx: newRxStreams(sim, "master daemon")}
+	tag := s.AllocTag()
+	var gatherErr, tagErr, lateErr error
+	var usr []byte
+	sim.Go("fe-gather", func() { _, gatherErr = s.Gather() })
+	sim.Go("fe-reduce-tag", func() { _, tagErr = s.ReduceTag(tag) })
 	sim.Go("inject", func() {
-		// What beReader queues when coll.DecodeMsg rejects a frame.
-		s.beColl.Send(collEvent{err: errors.New("bad header")})
+		sim.Sleep(time.Millisecond)
+		// What fab.reader hands the sorter when the master sends garbage.
+		if !s.be.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
+			t.Error("sorter disowned a collective chunk")
+		}
+		s.be.rx.sort(&lmonp.Msg{Type: lmonp.TypeUsrData, UsrData: []byte("still here")})
+		_, lateErr = s.GatherTag(s.AllocTag())
+		usr, _ = s.RecvFromBE()
 	})
 	sim.Run()
-	if gatherErr == nil || !strings.Contains(gatherErr.Error(), "malformed collective frame") {
-		t.Fatalf("gather after malformed frame: %v", gatherErr)
+	for name, err := range map[string]error{"gather": gatherErr, "tagged reduce": tagErr, "late tagged gather": lateErr} {
+		if err == nil || !strings.Contains(err.Error(), "malformed collective frame from master daemon") {
+			t.Errorf("%s after malformed frame: %v", name, err)
+		}
+	}
+	if string(usr) != "still here" {
+		t.Errorf("tool data after malformed frame: %q", usr)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/iccl"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
@@ -40,7 +41,7 @@ func TestConcurrentTaggedCollectivesBothFabrics(t *testing.T) {
 	mwGather, mwBcast, mwReduce, mwScatter := base+4, base+5, base+6, base+7
 	bcast := bytes.Repeat([]byte("tagged-bcast-"), 40) // 520 B, several chunks at 128
 
-	daemonOps := func(p *cluster.Proc, dc *DaemonCollective, rank, size int, tG, tB, tR, tS uint32) error {
+	daemonOps := func(p *cluster.Proc, dc *iccl.Plane, rank, size int, tG, tB, tR, tS uint32) error {
 		done := vtime.NewChan[error](p.Sim())
 		p.Sim().Go(fmt.Sprintf("tool-g-%d", rank), func() {
 			done.Send(dc.GatherTag(tG, []byte{byte(rank)}))
@@ -199,7 +200,7 @@ func TestDaemonTreePrimitivesBothFabrics(t *testing.T) {
 	const beNodes, mwNodes = 5, 3
 	sim, cl, _ := rig(t, beNodes+mwNodes)
 
-	primitives := func(dc *DaemonCollective, rank, size int) error {
+	primitives := func(dc *iccl.Plane, rank, size int) error {
 		if err := dc.Barrier(); err != nil {
 			return fmt.Errorf("barrier: %w", err)
 		}

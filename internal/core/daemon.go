@@ -61,7 +61,7 @@ type daemonSession struct {
 	comm *iccl.Comm
 	fe   *lmonp.Conn     // non-nil at the master only
 	mon  *health.Monitor // nil when the session has no failure detection
-	coll *DaemonCollective
+	coll *iccl.Plane
 
 	tab    proctab.Table  // full table (store-forward only; nil under cut-through)
 	myTab  proctab.Table  // RPDTAB entries on this daemon's node (empty on MW nodes)
@@ -69,12 +69,10 @@ type daemonSession struct {
 	feData []byte
 	tl     engine.Timeline
 
-	// The master's FE-connection demultiplexer (feroute.go), started
-	// lazily by the first read-side use — RecvFromFE or a plane down hook
-	// — so the seed pipeline's direct reads during init are undisturbed
-	// and non-master daemons never pay for it.
-	feRtOnce sync.Once
-	feRt     *feRouter
+	// The master's sorted FE connection (feStreams), nil until its first
+	// read-side use.
+	feRxOnce sync.Once
+	feRx     *rxStreams
 
 	// obsReg is the daemon's observability registry (nil when LMON_OBS is
 	// off). Its snapshot is tree-folded to the master and rides the ready
@@ -324,7 +322,12 @@ func initStoreForward(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*da
 	return d, d.completeInit(cfg)
 }
 
-// setupCollective attaches the session's collective tool-data plane.
+// setupCollective attaches the session's collective tool-data plane. At
+// the master, gather/reduce frames bridge onto the FE connection as
+// TypeCollChunk/TypeCollEnd messages and broadcast/scatter frames are
+// pulled from the sorted FE connection, so concurrent tagged collectives
+// share it. The FE hop itself carries no credits — it has exactly one
+// consumer draining into per-tag queues and no fan-in skew.
 func (d *daemonSession) setupCollective() error {
 	collChunk := 0
 	if cc := d.p.Env(EnvCollChunk); cc != "" {
@@ -340,7 +343,13 @@ func (d *daemonSession) setupCollective() error {
 			return fmt.Errorf("core: bad %s: %w", EnvCollWindow, err)
 		}
 	}
-	d.coll = newDaemonCollective(d, collChunk, collWindow)
+	var up iccl.UpFn
+	var down iccl.DownFn
+	if d.comm.IsMaster() {
+		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
+		down = func(tag uint32) (coll.Frame, error) { return d.feStreams().next(tag) }
+	}
+	d.coll = d.comm.NewPlane(collChunk, collWindow, up, down)
 	return nil
 }
 
@@ -523,8 +532,12 @@ func (d *daemonSession) Gather(mine []byte) ([][]byte, error) { return d.comm.Ga
 func (d *daemonSession) Scatter(parts [][]byte) ([]byte, error) { return d.comm.Scatter(parts) }
 
 // Collective returns the daemon's handle on its fabric's collective
-// tool-data plane.
-func (d *daemonSession) Collective() *DaemonCollective { return d.coll }
+// tool-data plane, mirroring the Session methods: what the FE broadcasts
+// or scatters every daemon of the fabric receives here, and what every
+// daemon gathers or reduces arrives at the FE (Session.Broadcast/... for
+// back-end daemons, Session.MWBroadcast/... for middleware daemons);
+// Barrier, AllGather and AllReduce stay inside the tree.
+func (d *daemonSession) Collective() *iccl.Plane { return d.coll }
 
 // SendToFE ships tool data to the front end (master only).
 func (d *daemonSession) SendToFE(data []byte) error {
@@ -535,18 +548,13 @@ func (d *daemonSession) SendToFE(data []byte) error {
 }
 
 // RecvFromFE receives tool data from the front end (master only). Reads
-// go through the master's FE router, so tool-data receives and
-// concurrent tagged collectives share the connection safely.
+// go through the master's sorted FE connection, so tool-data receives and
+// concurrent tagged collectives share it safely.
 func (d *daemonSession) RecvFromFE() ([]byte, error) {
 	if !d.AmIMaster() {
 		return nil, ErrNotMaster
 	}
-	rt := d.feRouter()
-	data, ok := rt.usr.Recv()
-	if !ok {
-		return nil, rt.takeErr()
-	}
-	return data, nil
+	return d.feStreams().recvUsr()
 }
 
 // Finalize leaves the session: it synchronizes the fabric's daemons,

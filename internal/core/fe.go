@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
-	"launchmon/internal/coll"
 	"launchmon/internal/engine"
 	"launchmon/internal/health"
 	"launchmon/internal/hostlist"
@@ -173,12 +172,12 @@ func (fe *FrontEnd) AttachAndSpawn(opts Options) (*Session, error) {
 type Session struct {
 	ID int
 
-	p        *cluster.Proc
-	fe       *FrontEnd
-	ep       *transport.Endpoint
-	eng      *lmonp.Conn
-	beMaster *lmonp.Conn
-	mwMaster *lmonp.Conn
+	p   *cluster.Proc
+	fe  *FrontEnd
+	ep  *transport.Endpoint
+	eng *lmonp.Conn
+	be  feFabric // back-end fabric (up once launch completes)
+	mw  feFabric // middleware fabric (up after LaunchMW)
 
 	tab        proctab.Table
 	daemons    []DaemonInfo
@@ -186,8 +185,6 @@ type Session struct {
 	chunkBytes int
 	collChunk  int    // collective-plane chunk bound (0 = coll default)
 	collWindow int    // collective-plane credit window (0 = coll default)
-	collTag    uint32 // BE-fabric collective sequence (FE side)
-	mwTag      uint32 // MW-fabric collective sequence (FE side)
 	userTags   uint32 // AllocTag counter (guarded by mu)
 
 	// Timeline holds the merged e0..e11 critical-path marks for this
@@ -215,26 +212,17 @@ type Session struct {
 	faultDetail string // why the watchdog tore the session down ("" = no fault)
 
 	// Fault subsystem state: once established, dedicated watcher
-	// goroutines own all reads of the engine and BE-master connections,
+	// goroutines own all reads of the engine and master connections,
 	// demultiplexing synchronous status replies and tool data from
 	// asynchronous status events (job exit, daemon loss).
-	engStatus *vtime.Chan[[]byte]      // engine TypeStatus payloads
-	engToken  *vtime.Chan[struct{}]    // serializes engine request/reply exchanges
-	beUsr     *vtime.Chan[[]byte]      // BE-master TypeUsrData payloads
-	beColl    *vtime.Chan[collEvent]   // BE-master collective chunk/end frames (lockstep tags)
-	beTags    *tagRouter               // BE-master user-tagged collective streams
-	mwUsr     *vtime.Chan[[]byte]      // MW-master TypeUsrData payloads (after LaunchMW)
-	mwColl    *vtime.Chan[collEvent]   // MW-master collective chunk/end frames (lockstep tags)
-	mwTags    *tagRouter               // MW-master user-tagged collective streams
-	evQ       *vtime.Chan[sessionEvOp] // status-event dispatch queue
-}
+	engStatus *vtime.Chan[[]byte]   // engine TypeStatus payloads
+	engToken  *vtime.Chan[struct{}] // serializes engine request/reply exchanges
 
-// collEvent is one routed collective frame — or the decode error that
-// poisoned its stream, so a malformed frame fails the pending collective
-// instead of leaving it waiting for an end marker that never comes.
-type collEvent struct {
-	f   coll.Frame
-	err error
+	// Status-event dispatch: evQ feeds the dispatcher goroutine until it
+	// has delivered SessionTornDown, after which evLog (non-nil from then
+	// on, guarded by mu) serves late registrations.
+	evQ   *vtime.Chan[sessionEvOp]
+	evLog []health.Event
 }
 
 // sessionEvOp is one unit of work for the session's event dispatcher:
@@ -300,6 +288,8 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 		collWindow: opts.CollWindow,
 		obsMode:    opts.Obs,
 	}
+	s.be = feFabric{s: s, prof: beFabric}
+	s.mw = feFabric{s: s, prof: mwFabric}
 	if opts.Obs.enabled() {
 		s.obsReg = obs.NewRegistry()
 		s.obsRec = obs.NewRecorder(sim.Now)
@@ -408,16 +398,14 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	s.engStatus = vtime.NewChan[[]byte](sim)
 	s.engToken = vtime.NewChan[struct{}](sim)
 	s.engToken.Send(struct{}{})
-	s.beUsr = vtime.NewChan[[]byte](sim)
-	s.beColl = vtime.NewChan[collEvent](sim)
-	s.beTags = newTagRouter(sim)
 	s.evQ = vtime.NewChan[sessionEvOp](sim)
 	s.mu.Lock()
+	s.be.up(s.be.conn, len(s.daemons))
 	s.established = true
 	s.mu.Unlock()
 	sim.Go(fmt.Sprintf("fe-sess-%d-events", s.ID), s.eventLoop)
 	sim.Go(fmt.Sprintf("fe-sess-%d-eng-watch", s.ID), s.engineReader)
-	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), s.beReader)
+	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), s.be.reader)
 	s.fire(health.Event{Kind: health.EvDaemonsSpawned, Rank: -1})
 	return s, nil
 }
@@ -462,12 +450,12 @@ func (s *Session) launchStoreForward(opts Options) error {
 	if err != nil {
 		return fmt.Errorf("core: master daemon did not connect: %w", err)
 	}
-	s.beMaster = beConn
+	s.be.conn = beConn
 	s.Timeline.Mark(engine.MarkE7, sim.Now())
-	if err := s.sendHandshake(s.beMaster, lmonp.ClassFEBE, opts.FEData); err != nil {
+	if err := s.sendHandshake(beConn, lmonp.ClassFEBE, opts.FEData); err != nil {
 		return err
 	}
-	ready, err := s.beMaster.Expect(lmonp.ClassFEBE, lmonp.TypeReady)
+	ready, err := beConn.Expect(lmonp.ClassFEBE, lmonp.TypeReady)
 	if err != nil {
 		return err
 	}
@@ -488,20 +476,30 @@ func (s *Session) launchStoreForward(opts Options) error {
 // registration are replayed to the new callback first, in order, so a
 // callback registered right after LaunchAndSpawn still observes
 // DaemonsSpawned. Callbacks run on the session's event-dispatch goroutine
-// and must not block indefinitely.
+// — or, registered after SessionTornDown, on the caller — and must not
+// block indefinitely.
 func (s *Session) RegisterStatusCB(cb func(health.Event)) {
 	s.mu.Lock()
-	q := s.evQ
-	s.mu.Unlock()
-	if q == nil {
-		// Never-established session: no events ever fire.
+	if s.evLog == nil {
+		// Sent under mu (Send never blocks) so the dispatcher's terminal
+		// transition cannot slip between the check and the send. A
+		// never-established session has no queue: no events ever fire.
+		if s.evQ != nil {
+			s.evQ.Send(sessionEvOp{cb: cb})
+		}
+		s.mu.Unlock()
 		return
 	}
-	q.Send(sessionEvOp{cb: cb})
+	log := s.evLog
+	s.mu.Unlock()
+	for _, ev := range log {
+		cb(ev)
+	}
 }
 
 // fire delivers a status event through the dispatcher (in-order, with
-// replay bookkeeping).
+// replay bookkeeping). SessionTornDown is terminal: events fired after it
+// are dropped.
 func (s *Session) fire(ev health.Event) {
 	s.mu.Lock()
 	q := s.evQ
@@ -513,10 +511,14 @@ func (s *Session) fire(ev health.Event) {
 
 // eventLoop is the session's single event dispatcher: it serializes event
 // delivery and callback registration so every callback sees every event
-// exactly once, in order.
+// exactly once, in order. It exits once SessionTornDown is delivered —
+// publishing the log for late registrations and closing the queue, whose
+// already-queued registrations it still serves — so an ended session
+// leaves no goroutine behind.
 func (s *Session) eventLoop() {
 	var log []health.Event
 	var cbs []func(health.Event)
+	done := false
 	for {
 		op, ok := s.evQ.Recv()
 		if !ok {
@@ -528,10 +530,17 @@ func (s *Session) eventLoop() {
 			for _, ev := range log {
 				op.cb(ev)
 			}
-		case op.ev != nil:
+		case op.ev != nil && !done:
 			log = append(log, *op.ev)
 			for _, cb := range cbs {
 				cb(*op.ev)
+			}
+			if op.ev.Kind == health.EvSessionTornDown {
+				done = true
+				s.mu.Lock()
+				s.evLog = log
+				s.evQ.Close()
+				s.mu.Unlock()
 			}
 		}
 	}
@@ -575,94 +584,58 @@ func (s *Session) engineReader() {
 	}
 }
 
-// beReader owns the BE-master connection's read side after launch: tool
-// data queues for RecvFromBE; daemon-loss status events (from the health
-// subsystem at the BE master) fire callbacks and trigger the watchdog. An
-// unexpected connection loss means the master daemon itself (or its node)
-// died.
-func (s *Session) beReader() {
-	s.masterReader(s.beMaster, s.beUsr, s.beColl, s.beTags, "")
-}
-
-// mwReader is the MW-fabric mirror of beReader, started when LaunchMW
-// commits: it demuxes the MW master connection into the MW tool-data and
-// collective queues, and reacts to MW-daemon loss (health events from the
-// MW heartbeat tree, or the MW master's own link severing) exactly like
-// BE-daemon loss — callbacks fire and the watchdog tears the session down.
-func (s *Session) mwReader() {
-	s.mu.Lock()
-	conn, usrQ, collQ, tags := s.mwMaster, s.mwUsr, s.mwColl, s.mwTags
-	s.mu.Unlock()
-	s.masterReader(conn, usrQ, collQ, tags, "mw ")
-}
-
-// masterReader is the shared demux loop for a fabric's master-daemon
-// connection. kind prefixes fault details ("" for the BE fabric, "mw "
-// for the MW fabric) so tools and fault errors can tell which fabric's
-// daemon was lost.
-func (s *Session) masterReader(conn *lmonp.Conn, usrQ *vtime.Chan[[]byte], collQ *vtime.Chan[collEvent], tags *tagRouter, kind string) {
+// reader owns the fabric's master connection's read side once the fabric
+// is up: tool data and collective frames sort into fab.rx; daemon-loss
+// status events (from the health subsystem at the master) fire callbacks
+// and trigger the watchdog. An unexpected connection loss means the master
+// daemon itself (or its node) died. Both fabrics react identically; only
+// the fault details differ (pre).
+func (fab *feFabric) reader() {
+	s, pre := fab.s, fab.pre()
 	for {
-		msg, err := conn.Recv()
+		msg, err := fab.conn.Recv()
 		if err != nil {
 			// A clean EOF is the master daemon finalizing (tools may leave
 			// the session at any time); only a severed link — the master's
 			// node died — is a fault. The fault detail is recorded before
-			// the queues close so blocked receive/collective callers wake
+			// the queues fail so blocked receive/collective callers wake
 			// to an error that says why the session died.
-			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
-				s.noteFault(kind + "master daemon connection severed")
+			severed := errors.Is(err, simnet.ErrPeerDead) && !s.closed()
+			if severed {
+				s.noteFault(pre + "master daemon connection severed")
 			}
-			usrQ.Close()
-			collQ.Close()
-			tags.close()
-			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
+			fab.rx.fail(s.closedErr())
+			if severed {
 				s.fire(health.Event{
 					Kind: health.EvDaemonExited, Rank: 0,
-					Detail: kind + "master daemon connection severed",
+					Detail: pre + "master daemon connection severed",
 				})
 				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown(kind + "master daemon lost")
+					s.watchdogTeardown(pre + "master daemon lost")
 				})
 			}
 			return
 		}
+		if fab.rx.sort(msg) {
+			continue
+		}
 		switch msg.Type {
-		case lmonp.TypeUsrData:
-			usrQ.Send(msg.UsrData)
-		case lmonp.TypeCollChunk, lmonp.TypeCollEnd:
-			f, err := coll.DecodeMsg(msg.Type == lmonp.TypeCollEnd, msg.Payload, msg.UsrData)
-			switch {
-			case err != nil:
-				// An undecodable frame names no trustworthy tag: poison the
-				// lockstep queue and every tagged stream so no pending
-				// collective waits for an end marker that never comes.
-				collQ.Send(collEvent{err: err})
-				tags.poison(err)
-			case f.H.Tag >= coll.MinUserTag:
-				tags.send(f.H.Tag, collEvent{f: f})
-			default:
-				collQ.Send(collEvent{f: f})
-			}
 		case lmonp.TypeObsMetrics:
 			// The finalize-time harvest: a cumulative fabric-wide snapshot
 			// folded up the tree and pushed by the master before it closes.
-			fabric := "BE"
-			if kind != "" {
-				fabric = "MW"
-			}
-			s.stashObsHarvest(fabric, msg.Payload)
+			s.stashObsHarvest(fab.prof.kind, msg.Payload)
 		case lmonp.TypeStatusEvent:
 			ev, err := health.DecodeEvent(msg.Payload)
 			if err != nil {
 				continue
 			}
-			if kind != "" {
-				ev.Detail = kind + "fabric: " + ev.Detail
+			if pre != "" {
+				ev.Detail = pre + "fabric: " + ev.Detail
 			}
-			s.obsInstant(kind + "event:" + ev.Kind.String())
+			s.obsInstant(pre + "event:" + ev.Kind.String())
 			s.fire(ev)
 			if ev.Kind == health.EvDaemonExited {
-				detail := fmt.Sprintf("%sdaemon rank %d lost", kind, ev.Rank)
+				detail := fmt.Sprintf("%sdaemon rank %d lost", pre, ev.Rank)
 				s.noteFault(detail)
 				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
 					s.watchdogTeardown(detail)
@@ -715,8 +688,9 @@ func (s *Session) engExchange(m *lmonp.Msg) ([]byte, error) {
 }
 
 // finishTeardown releases the session's connections and delivers the
-// terminal SessionTornDown event. The event dispatcher stays available so
-// callbacks registered after the fact still get the full history replayed.
+// terminal SessionTornDown event, on which the event dispatcher exits
+// (callbacks registered after the fact still get the full history
+// replayed, see RegisterStatusCB).
 func (s *Session) finishTeardown(detail string) {
 	s.close()
 	s.fire(health.Event{Kind: health.EvSessionTornDown, Rank: -1, Detail: detail})
@@ -799,27 +773,10 @@ func (s *Session) Daemons() []DaemonInfo { return s.daemons }
 
 // SendToBE ships tool data to the master back-end daemon (which typically
 // broadcasts it over ICCL).
-func (s *Session) SendToBE(data []byte) error {
-	if s.beMaster == nil || s.closed() {
-		return ErrSessionClosed
-	}
-	return s.beMaster.Send(&lmonp.Msg{Class: lmonp.ClassFEBE, Type: lmonp.TypeUsrData, UsrData: data})
-}
+func (s *Session) SendToBE(data []byte) error { return s.be.sendUsr(data) }
 
-// RecvFromBE receives tool data from the master back-end daemon (queued
-// by the session's BE watcher, which filters out status events). On a
-// session the watchdog tore down, the error wraps the terminal fault
-// detail (see closedErr).
-func (s *Session) RecvFromBE() ([]byte, error) {
-	if s.beMaster == nil || s.closed() {
-		return nil, s.closedErr()
-	}
-	data, ok := s.beUsr.Recv()
-	if !ok {
-		return nil, s.closedErr()
-	}
-	return data, nil
-}
+// RecvFromBE receives tool data from the master back-end daemon.
+func (s *Session) RecvFromBE() ([]byte, error) { return s.be.recvUsr() }
 
 // endSession flips the given lifecycle flag exactly once; it reports
 // whether the caller won the transition. A session that never finished
@@ -889,7 +846,7 @@ func (s *Session) close() {
 		s.eng.Close()
 	}
 	s.mu.Lock()
-	be, mw := s.beMaster, s.mwMaster
+	be, mw := s.be.conn, s.mw.conn
 	s.mu.Unlock()
 	if be != nil {
 		be.Close()

@@ -2,130 +2,120 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/vtime"
 )
 
-// This file is the master daemon's FE-connection demultiplexer: once the
-// master serves concurrent tagged collectives (or hands tool-data reads
-// to one goroutine while another drives a collective), a single router
-// goroutine must own the connection's read side — lmonp connections have
-// exactly one reader. It sorts messages into the tool-data queue
-// (RecvFromFE), the lockstep collective queue (untagged plane
-// operations), and per-tag queues for user-tagged streams. The router
-// starts lazily on the first read-side use — never during init, where
-// the seed pipeline (seedSourceFromFE) still reads the connection
-// directly, and never at all on daemons that only ever push data up.
+// This file is the demultiplexed read side of an FE↔master connection —
+// the same pair of queues at both ends. LMONP connections have exactly one
+// reader, so once several consumers share one (tool-data receives, the
+// lockstep collectives, any number of concurrent tagged collectives) a
+// single reader owns it and sorts messages by consumer: the FE's
+// per-fabric watcher (feFabric.reader) and the master daemon's lazily
+// started FE reader (daemonSession.feStreams) both feed an rxStreams.
 
-// feRouter demultiplexes the master daemon's FE connection.
-type feRouter struct {
-	d *daemonSession
+// lockstepStream keys the one ordered queue all lockstep tags (below
+// coll.MinUserTag) share, which preserves the eager op/tag divergence
+// check of whoever consumes it; each user tag is its own stream.
+const lockstepStream = 0
 
-	usr    *vtime.Chan[[]byte]    // TypeUsrData payloads (RecvFromFE)
-	legacy *vtime.Chan[collEvent] // lockstep-tagged collective frames
-	tags   *tagRouter             // user-tagged collective streams
-
-	mu  sync.Mutex
-	err error // terminal router error (recorded by fail)
+func streamOf(tag uint32) uint32 {
+	if tag >= coll.MinUserTag {
+		return tag
+	}
+	return lockstepStream
 }
 
-// feRouter returns the master's FE router, starting it on first use.
-func (d *daemonSession) feRouter() *feRouter {
-	d.feRtOnce.Do(func() {
-		sim := d.p.Sim()
-		rt := &feRouter{
-			d:      d,
-			usr:    vtime.NewChan[[]byte](sim),
-			legacy: vtime.NewChan[collEvent](sim),
-			tags:   newTagRouter(sim),
-		}
-		d.feRt = rt
-		sim.Go(fmt.Sprintf("%s-master-fe-router", d.fab.kind), rt.run)
-	})
-	return d.feRt
+// rxStreams is one connection's sorted receive side.
+type rxStreams struct {
+	usr    *vtime.Chan[[]byte]                // TypeUsrData payloads
+	frames *vtime.Streams[uint32, coll.Frame] // collective frames by streamOf(tag)
+	peer   string                             // who writes the connection, for diagnostics
 }
 
-// run owns the FE connection's read side: tool data to the usr queue,
-// collective frames to their tag's stream (lockstep tags share one
-// ordered queue, preserving the eager divergence check of the plane's
-// down hook), anything else fails the router.
-func (rt *feRouter) run() {
-	for {
-		msg, err := rt.d.fe.Recv()
+func newRxStreams(sim *vtime.Sim, peer string) *rxStreams {
+	return &rxStreams{
+		usr:    vtime.NewChan[[]byte](sim),
+		frames: vtime.NewStreams[uint32, coll.Frame](sim),
+		peer:   peer,
+	}
+}
+
+// sort routes msg to its consumer when it is tool data or a collective
+// frame, and reports whether it was. An undecodable collective frame
+// names no trustworthy tag, so it fails every collective stream — current
+// and future — rather than leave one waiting for an end marker that never
+// comes.
+func (r *rxStreams) sort(msg *lmonp.Msg) bool {
+	switch msg.Type {
+	case lmonp.TypeUsrData:
+		r.usr.Send(msg.UsrData)
+	case lmonp.TypeCollChunk, lmonp.TypeCollEnd:
+		f, err := coll.DecodeMsg(msg.Type == lmonp.TypeCollEnd, msg.Payload, msg.UsrData)
 		if err != nil {
-			rt.fail(err)
-			return
+			r.frames.Fail(fmt.Errorf("core: malformed collective frame from %s: %w", r.peer, err))
+		} else {
+			r.frames.Send(streamOf(f.H.Tag), f)
 		}
-		switch msg.Type {
-		case lmonp.TypeUsrData:
-			rt.usr.Send(msg.UsrData)
-		case lmonp.TypeCollChunk, lmonp.TypeCollEnd:
-			f, derr := coll.DecodeMsg(msg.Type == lmonp.TypeCollEnd, msg.Payload, msg.UsrData)
-			switch {
-			case derr != nil:
-				// An undecodable frame names no trustworthy tag: poison
-				// every stream so no pending collective waits forever.
-				rt.legacy.Send(collEvent{err: derr})
-				rt.tags.poison(derr)
-			case f.H.Tag >= coll.MinUserTag:
-				rt.tags.send(f.H.Tag, collEvent{f: f})
-			default:
-				rt.legacy.Send(collEvent{f: f})
-			}
-		default:
-			rt.fail(fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type))
-			return
-		}
+	default:
+		return false
 	}
+	return true
 }
 
-// fail records the terminal error and wakes every consumer: the FE link
-// died (or delivered an unroutable message), so tool-data reads, lockstep
-// collectives and every tagged stream must observe it.
-func (rt *feRouter) fail(err error) {
-	rt.mu.Lock()
-	if rt.err == nil {
-		rt.err = err
-	}
-	rt.mu.Unlock()
-	rt.usr.Close()
-	rt.legacy.Close()
-	rt.tags.close()
+// fail ends every queue: the connection is gone (or delivered something
+// unroutable), so tool-data reads, lockstep collectives and every tagged
+// stream wake and report err.
+func (r *rxStreams) fail(err error) {
+	r.frames.Fail(err)
+	r.usr.Close()
 }
 
-// takeErr reports why the router stopped.
-func (rt *feRouter) takeErr() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.err != nil {
-		return rt.err
-	}
-	return fmt.Errorf("core: master FE connection lost")
-}
-
-// nextColl yields the tagged stream's next FE-originated collective frame
-// — the plane's down hook. Lockstep tags (below coll.MinUserTag) share
-// one ordered queue so an op/tag mismatch still errors eagerly in the
-// plane's checkStream; user tags each drain their own stream, retired at
-// its end marker.
-func (rt *feRouter) nextColl(tag uint32) (coll.Frame, error) {
-	user := tag >= coll.MinUserTag
-	q := rt.legacy
-	if user {
-		q = rt.tags.q(tag)
-	}
-	ev, ok := q.Recv()
+// recvUsr yields the next tool-data payload.
+func (r *rxStreams) recvUsr() ([]byte, error) {
+	data, ok := r.usr.Recv()
 	if !ok {
-		return coll.Frame{}, rt.takeErr()
+		return nil, r.frames.Err()
 	}
-	if ev.err != nil {
-		return coll.Frame{}, ev.err
+	return data, nil
+}
+
+// next yields the tagged stream's next collective frame, retiring a user
+// tag's queue at its end marker.
+func (r *rxStreams) next(tag uint32) (coll.Frame, error) {
+	k := streamOf(tag)
+	f, ok := r.frames.Q(k).Recv()
+	if !ok {
+		return coll.Frame{}, r.frames.Err()
 	}
-	if user && ev.f.End {
-		rt.tags.drop(tag)
+	if k != lockstepStream && f.End {
+		r.frames.Drop(k)
 	}
-	return ev.f, nil
+	return f, nil
+}
+
+// feStreams returns the master daemon's sorted FE connection, starting its
+// reader on first read-side use (RecvFromFE or a plane down hook) — never
+// during init, where the seed pipeline (seedSourceFromFE) still reads the
+// connection directly, and never at all on daemons that only ever push
+// data up.
+func (d *daemonSession) feStreams() *rxStreams {
+	d.feRxOnce.Do(func() {
+		d.feRx = newRxStreams(d.p.Sim(), "front end")
+		d.p.Sim().Go(fmt.Sprintf("%s-master-fe-reader", d.fab.kind), func() {
+			for {
+				msg, err := d.fe.Recv()
+				if err == nil && !d.feRx.sort(msg) {
+					err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
+				}
+				if err != nil {
+					d.feRx.fail(err)
+					return
+				}
+			}
+		})
+	})
+	return d.feRx
 }

@@ -277,7 +277,7 @@ func (s *Session) launchCutThrough(opts Options) error {
 	if res.err != nil {
 		return res.err
 	}
-	s.beMaster = res.conn
+	s.be.conn = res.conn
 	s.daemons = res.infos
 	s.Timeline.Merge(res.tl)
 	s.stashObsHarvest("BE", res.obsBlob)

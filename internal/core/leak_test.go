@@ -1,0 +1,95 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/health"
+	"launchmon/internal/rm"
+)
+
+// TestEndedSessionsLeaveNoGoroutines pins the per-session goroutine
+// footprint: N sequential sessions, each running a collective round trip
+// and ended by Kill, must leave Sim.Live() where the first one left it —
+// an ended session keeps no event dispatcher, watcher, link demux or RM
+// job reaper behind. (What the first session adds for good is per FE
+// process, not per session: the transport mux and its reaper.)
+func TestEndedSessionsLeaveNoGoroutines(t *testing.T) {
+	for _, attach := range []bool{false, true} {
+		name := "launch"
+		if attach {
+			name = "attach"
+		}
+		t.Run(name, func(t *testing.T) {
+			sim, cl, mgr := rig(t, 16) // the RM never frees an allocation: 5 jobs x 3 nodes
+			cl.Register("leak_be", func(p *cluster.Proc) {
+				be, err := BEInit(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				data, err := be.Collective().Broadcast()
+				if err != nil {
+					return // killed under us
+				}
+				if be.Collective().Gather(data) != nil {
+					return
+				}
+				be.Finalize()
+			})
+			runFE(t, sim, cl, func(p *cluster.Proc) {
+				var live []int
+				for i := 0; i < 5; i++ {
+					opts := Options{
+						Job:        rm.JobSpec{Exe: "app", Nodes: 3, TasksPerNode: 2},
+						Daemon:     rm.DaemonSpec{Exe: "leak_be"},
+						ICCLFanout: 2,
+						Health:     HealthOptions{Period: 100 * time.Millisecond},
+					}
+					start := LaunchAndSpawn
+					if attach {
+						j, err := mgr.StartJob(opts.Job)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						p.Sim().Sleep(2 * time.Second) // job reaches steady state
+						opts.JobID = j.ID()
+						start = AttachAndSpawn
+					}
+					s, err := start(p, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := s.Broadcast([]byte("ping")); err != nil {
+						t.Error(err)
+					}
+					if _, err := s.Gather(); err != nil {
+						t.Error(err)
+					}
+					if err := s.Kill(); err != nil {
+						t.Error(err)
+					}
+					p.Sim().Sleep(5 * time.Second) // let the teardown settle
+					live = append(live, sim.Live())
+
+					// The dispatcher is gone; a late registration replays the
+					// whole history on the caller.
+					var kinds []health.EventKind
+					s.RegisterStatusCB(func(ev health.Event) { kinds = append(kinds, ev.Kind) })
+					if n := len(kinds); n < 2 || kinds[0] != health.EvDaemonsSpawned || kinds[n-1] != health.EvSessionTornDown {
+						t.Errorf("session %d: late registration replayed %v", i, kinds)
+					}
+				}
+				for i, n := range live {
+					if n != live[0] {
+						t.Errorf("Live() after session %d = %d, want %d (after each: %v)", i, n, live[0], live)
+						break
+					}
+				}
+			})
+		})
+	}
+}

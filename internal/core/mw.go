@@ -8,7 +8,6 @@ import (
 	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
 	"launchmon/internal/transport"
-	"launchmon/internal/vtime"
 )
 
 // MWOptions parameterize middleware daemon launches. The MW fabric gets
@@ -50,7 +49,7 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 		s.mu.Unlock()
 		return nil, ErrSessionClosed
 	}
-	if s.mwMaster != nil || s.mwLaunching {
+	if s.mw.conn != nil || s.mwLaunching {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: session %d already has middleware daemons", s.ID)
 	}
@@ -135,18 +134,15 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	s.Timeline.Merge(res.tl)
 	s.stashObsHarvest("MW", res.obsBlob)
 	s.mu.Lock()
-	s.mwMaster = res.conn
+	s.mw.up(res.conn, len(res.infos))
 	s.mwNodes = nodes
 	s.mwInfos = res.infos
-	s.mwUsr = vtime.NewChan[[]byte](sim)
-	s.mwColl = vtime.NewChan[collEvent](sim)
-	s.mwTags = newTagRouter(sim)
 	s.mwLaunching = false
 	s.mu.Unlock()
 	// Hand the MW master connection's read side to a watcher goroutine
 	// demuxing tool data and collective frames from async status events
 	// (MW-daemon loss), mirroring the BE master's reader.
-	sim.Go(fmt.Sprintf("fe-sess-%d-mw-watch", s.ID), s.mwReader)
+	sim.Go(fmt.Sprintf("fe-sess-%d-mw-watch", s.ID), s.mw.reader)
 	return nodes, nil
 }
 
@@ -186,45 +182,11 @@ func (s *Session) MWDaemons() []DaemonInfo {
 	return append([]DaemonInfo(nil), s.mwInfos...)
 }
 
-// mwConn returns the middleware master connection, if any.
-func (s *Session) mwConn() *lmonp.Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mwMaster
-}
-
 // SendToMW ships tool data to the master middleware daemon.
-func (s *Session) SendToMW(data []byte) error {
-	c := s.mwConn()
-	if c == nil {
-		return fmt.Errorf("core: session %d has no middleware daemons", s.ID)
-	}
-	if s.closed() {
-		return ErrSessionClosed
-	}
-	return c.Send(&lmonp.Msg{Class: lmonp.ClassFEMW, Type: lmonp.TypeUsrData, UsrData: data})
-}
+func (s *Session) SendToMW(data []byte) error { return s.mw.sendUsr(data) }
 
-// RecvFromMW receives tool data from the master middleware daemon
-// (queued by the session's MW watcher, which filters out status events
-// and collective frames). On a session the watchdog tore down, the error
-// wraps the terminal fault detail (see closedErr).
-func (s *Session) RecvFromMW() ([]byte, error) {
-	s.mu.Lock()
-	c, q := s.mwMaster, s.mwUsr
-	s.mu.Unlock()
-	if c == nil {
-		return nil, fmt.Errorf("core: session %d has no middleware daemons", s.ID)
-	}
-	if s.closed() {
-		return nil, s.closedErr()
-	}
-	data, ok := q.Recv()
-	if !ok {
-		return nil, s.closedErr()
-	}
-	return data, nil
-}
+// RecvFromMW receives tool data from the master middleware daemon.
+func (s *Session) RecvFromMW() ([]byte, error) { return s.mw.recvUsr() }
 
 // Middleware is the MW-daemon-side session handle (paper §3.4). Its
 // personality handle is the rank, assigned by the RM spawn. It shares the

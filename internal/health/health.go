@@ -119,7 +119,7 @@ type Monitor struct {
 // and begins monitoring. Heartbeats piggyback on the established ICCL tree
 // links (iccl.Comm.ShareLinks) — no connections of their own. parent must
 // be nil exactly at rank 0; children are the shared links of this daemon's
-// connected ICCL children. A severed node closes the mux queues (fast
+// connected ICCL children. A severed node closes the link queues (fast
 // path); silent failures surface via heartbeat misses. Stop leaves the
 // shared connections alone — they belong to the collective plane — so a
 // daemon's descendants wind down when its communicator closes the links,
@@ -170,7 +170,7 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 }
 
 // linkReader consumes one shared child link's heartbeat queue. The queue
-// closing means the ICCL mux saw the connection fail — the child's whole
+// closing means the ICCL link demux saw the connection fail — the child's whole
 // subtree is unreachable.
 func (m *Monitor) linkReader(lk *iccl.Link) {
 	for {

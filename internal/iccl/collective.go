@@ -32,8 +32,8 @@ import (
 //     would serialize the FE against the slowest subtree for no bound
 //     it doesn't already have.
 //
-//   - Tagged streams: the per-connection router (router.go) demuxes
-//     frames by tag, so independent tagged collectives — each driven by
+//   - Tagged streams: the per-link demux (demux.go) sorts frames by
+//     tag, so independent tagged collectives — each driven by
 //     its own goroutine — multiplex one session tree concurrently. The
 //     legacy untagged API keeps the lockstep SPMD discipline on a
 //     per-plane sequence; *Tag variants take explicit tags from
@@ -98,8 +98,14 @@ func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, down DownFn) *Plane {
 	return &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up, down: down, slotOf: slotOf}
 }
 
+// Every public operation resolves its stream tag through one of the three
+// functions below, which is also where the link demux gets installed: at
+// operation entry, so frames arriving from then on are charged on
+// arrival, not at this daemon's first touch of the link.
+
 // nextTag advances the plane's lockstep FE-collective sequence.
 func (pl *Plane) nextTag() uint32 {
+	pl.c.demuxLinks()
 	pl.seq++
 	return pl.seq
 }
@@ -108,15 +114,17 @@ func (pl *Plane) nextTag() uint32 {
 // collectives (Barrier/AllGather/AllReduce without explicit tags),
 // in the reserved space above the user tags.
 func (pl *Plane) nextTreeTag() uint32 {
+	pl.c.demuxLinks()
 	pl.treeSeq++
 	return coll.MaxUserTag + pl.treeSeq
 }
 
-// checkUserTag validates an explicitly allocated stream tag.
-func checkUserTag(tag uint32) error {
+// userTag validates an explicitly allocated stream tag.
+func (pl *Plane) userTag(tag uint32) error {
 	if tag < coll.MinUserTag || tag >= coll.MaxUserTag {
 		return fmt.Errorf("%w: user tag %d outside [%d, %d)", ErrProtocol, tag, coll.MinUserTag, coll.MaxUserTag)
 	}
+	pl.c.demuxLinks()
 	return nil
 }
 
@@ -150,8 +158,8 @@ func writeFrameOp(conn *simnet.Conn, chunkOp, endOp uint32, f coll.Frame) (int, 
 
 // readFrameOp reads one frame written by writeFrameOp directly off the
 // conn, charging the per-message handling cost. It is only safe before
-// ShareLinks (the seed stream flows during bootstrap, well before links
-// are shared); afterwards reads must go through Comm.recvRaw.
+// the links are demultiplexed (the seed stream flows during bootstrap,
+// well before); afterwards reads must go through Comm.recvRaw.
 func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
 	raw, err := lmonp.ReadFrame(conn)
 	if err != nil {
@@ -204,9 +212,9 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 // window credit per chunk (End markers ride outside the window and
 // retire the stream's gate).
 func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
-	rt := pl.c.routerFor(conn)
-	if rt != nil && !f.End {
-		if err := rt.gate(f.H.Tag, pl.window).acquire(); err != nil {
+	d := pl.c.demuxFor(conn)
+	if !f.End {
+		if err := d.gate(f.H.Tag, pl.window).acquire(); err != nil {
 			return err
 		}
 	}
@@ -218,8 +226,8 @@ func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 	pl.c.txBytes.Add(uint64(n))
 	pl.c.collTxFrames.Inc()
 	pl.c.collTxBytes.Add(uint64(n))
-	if rt != nil && f.End {
-		rt.dropGate(f.H.Tag)
+	if f.End {
+		d.dropGate(f.H.Tag)
 	}
 	return nil
 }
@@ -227,19 +235,18 @@ func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 // recvTagged dequeues the next frame of one tagged stream from a tree
 // link, returning a credit to the sender as the chunk leaves the queue
 // (so the sender's window tracks this node's consumption, not its
-// arrivals) and retiring the tag queue at the stream's end.
+// arrivals); the stream's end marker retires its queue.
 func (pl *Plane) recvTagged(conn *simnet.Conn, tag uint32) (coll.Frame, error) {
-	rt := pl.c.routerFor(conn)
-	q := rt.tagQ(tag)
-	f, ok := q.Recv()
+	d := pl.c.demuxFor(conn)
+	f, ok := d.tags.Q(tag).Recv()
 	if !ok {
-		return coll.Frame{}, rt.takeErr()
+		return coll.Frame{}, d.tags.Err()
 	}
-	rt.dequeued(f)
-	if f.End {
-		rt.dropTag(tag)
-	} else if err := pl.c.sendCredit(conn, tag, 1); err != nil {
-		return coll.Frame{}, err
+	d.dequeued(f)
+	if !f.End {
+		if err := pl.c.sendCredit(conn, tag, 1); err != nil {
+			return coll.Frame{}, err
+		}
 	}
 	return f, nil
 }
@@ -280,16 +287,14 @@ func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 // Broadcast receives one FE-originated broadcast, forwarding every chunk
 // to the children as it arrives, and returns the reassembled payload.
 func (pl *Plane) Broadcast() ([]byte, error) {
-	pl.c.startRouter()
 	return pl.broadcast(pl.nextTag())
 }
 
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
 func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.broadcast(tag)
 }
 
@@ -339,16 +344,14 @@ func (pl *Plane) childSlot(r int) int {
 // child subtree and stream them onward in bounded-size chunks
 // (coll.Packer — the shared coalescing implementation).
 func (pl *Plane) Scatter() ([]byte, error) {
-	pl.c.startRouter()
 	return pl.scatter(pl.nextTag())
 }
 
 // ScatterTag is Scatter on an explicitly tagged concurrent stream.
 func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.scatter(tag)
 }
 
@@ -419,16 +422,14 @@ func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 // by the subtree's daemon count, and no link ever carries a monolithic
 // K-entry payload.
 func (pl *Plane) Gather(mine []byte) error {
-	pl.c.startRouter()
 	return pl.gather(pl.nextTag(), mine)
 }
 
 // GatherTag is Gather on an explicitly tagged concurrent stream.
 func (pl *Plane) GatherTag(tag uint32, mine []byte) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.gather(tag, mine)
 }
 
@@ -486,20 +487,19 @@ func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) er
 
 // Reduce contributes mine to an FE-bound reduction: every node folds its
 // children's subtree results into its own contribution with the named
-// filter (coll.LookupFilter) and ships one combined stream upward, so
-// per-link bytes are bounded by the combined result, not the subtree
-// size.
+// filter ("concat", "sum", "topk:N", or any coll.RegisterFilter
+// registration — all daemons must name the same one) and ships one
+// combined stream upward, so per-link bytes are bounded by the combined
+// result, not the subtree size.
 func (pl *Plane) Reduce(mine []byte, filter string) error {
-	pl.c.startRouter()
 	return pl.reduce(pl.nextTag(), mine, filter)
 }
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream.
 func (pl *Plane) ReduceTag(tag uint32, mine []byte, filter string) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.reduce(tag, mine, filter)
 }
 
@@ -567,16 +567,14 @@ func (pl *Plane) combineChildren(op coll.Op, tag uint32, mine []byte, filter str
 // involved — the root turns the barrier around. Barrier participates in
 // the tree-lockstep sequence shared with AllGather/AllReduce.
 func (pl *Plane) Barrier() error {
-	pl.c.startRouter()
 	return pl.barrier(pl.nextTreeTag())
 }
 
 // BarrierTag is Barrier on an explicitly tagged concurrent stream.
 func (pl *Plane) BarrierTag(tag uint32) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.barrier(tag)
 }
 
@@ -625,16 +623,14 @@ func (pl *Plane) checkBarrierFrame(f coll.Frame, tag uint32) error {
 // indexed by rank: a gather up-phase into the root, then the assembled
 // rank table redistributed down the tree in bounded chunks.
 func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
-	pl.c.startRouter()
 	return pl.allGather(pl.nextTreeTag(), mine)
 }
 
 // AllGatherTag is AllGather on an explicitly tagged concurrent stream.
 func (pl *Plane) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.allGather(tag, mine)
 }
 
@@ -725,16 +721,14 @@ func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 // folds into the root, whose final accumulator is redistributed down
 // the tree (down-phase reuse of the up-phase combine).
 func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
-	pl.c.startRouter()
 	return pl.allReduce(pl.nextTreeTag(), mine, filter)
 }
 
 // AllReduceTag is AllReduce on an explicitly tagged concurrent stream.
 func (pl *Plane) AllReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.userTag(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.allReduce(tag, mine, filter)
 }
 

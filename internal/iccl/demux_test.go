@@ -1,0 +1,168 @@
+package iccl
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/vtime"
+)
+
+// The link demux replaced a serial reader per link (a framer feeding a
+// parked router goroutine); what must survive is that reader's charging:
+// every frame but a heartbeat is delivered at max(arrival, busyUntil) +
+// PerMsgCost, a heartbeat uncharged at max(arrival, busyUntil), whichever
+// of ShareLinks / the first plane operation installed the demux.
+
+type linkFrame int
+
+const (
+	frHeartbeat linkFrame = iota
+	frBase
+	frChunk
+	frEnd
+	frCredit
+)
+
+// demuxScript is what rank 1 writes to its parent link, as offsets from
+// scriptStart: bursts that queue behind the busy horizon, and lone frames
+// that find the link idle.
+var demuxScript = []struct {
+	at    time.Duration
+	frame linkFrame
+}{
+	{0, frBase}, {0, frChunk}, {0, frHeartbeat}, {0, frCredit}, {0, frChunk},
+	{2000 * time.Microsecond, frHeartbeat},
+	{2050 * time.Microsecond, frBase},
+	{2100 * time.Microsecond, frHeartbeat},
+	{2120 * time.Microsecond, frEnd},
+	{5000 * time.Microsecond, frCredit}, {5000 * time.Microsecond, frBase},
+}
+
+const (
+	scriptStart = time.Second
+	scriptTag   = coll.MinUserTag + 7
+)
+
+// runDemuxScript bootstraps a 3-rank tree, installs the demux (ShareLinks
+// first when share is set, else by the plane operation alone), runs one
+// tree barrier, and has rank 1 play demuxScript at rank 0, closing its
+// link right behind the last frame. With probe set, rank 0 swaps the
+// demux's framer for a recorder of raw arrival instants and the result is
+// those; otherwise it is the delivery instants per queue.
+func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, got map[string][]time.Duration, cost time.Duration) {
+	t.Helper()
+	sim := vtime.New()
+	sim.SetSpawnObserver(func(name string) {
+		if strings.HasPrefix(name, "iccl-router-") {
+			t.Errorf("plane operation spawned %s", name)
+		}
+	})
+	got = map[string][]time.Duration{}
+	rigOn(t, sim, 3, 2, func(c *Comm, p *cluster.Proc) error {
+		if share {
+			c.ShareLinks()
+		}
+		if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil {
+			return err
+		}
+		switch c.Rank() {
+		case 0:
+			cost = c.cfg.PerMsgCost
+			conn := c.children[0]
+			if probe {
+				conn.Unhandle()
+				conn.Handle(func(_ []byte, err error) {
+					if err == nil {
+						arrivals = append(arrivals, sim.Now())
+					}
+				})
+			} else {
+				d := c.demuxFor(conn)
+				d.hb.Handle(func(_ []byte, ok bool) {
+					if ok {
+						got["hb"] = append(got["hb"], sim.Now())
+					}
+				})
+				d.base.Handle(func(_ []byte, ok bool) {
+					if ok {
+						got["base"] = append(got["base"], sim.Now())
+					}
+				})
+				d.tags.Q(scriptTag).Handle(func(_ coll.Frame, ok bool) {
+					if ok {
+						got["tag"] = append(got["tag"], sim.Now())
+					}
+				})
+				d.gate(scriptTag, 0).tokens.Handle(func(_ struct{}, ok bool) {
+					if ok {
+						got["credit"] = append(got["credit"], sim.Now())
+					}
+				})
+			}
+			sim.Sleep(2 * scriptStart)
+		case 1:
+			idx := uint32(0)
+			for _, it := range demuxScript {
+				sim.Sleep(scriptStart + it.at - sim.Now())
+				var err error
+				switch it.frame {
+				case frHeartbeat:
+					err = lmonp.WriteFrame(c.parent, lmonp.AppendUint32(nil, opHeartbeat))
+				case frBase:
+					err = lmonp.WriteFrame(c.parent, lmonp.AppendUint32(nil, opFold))
+				case frChunk, frEnd:
+					f := coll.Frame{H: coll.Header{Op: coll.OpGather, Tag: scriptTag, Index: idx}, Body: []byte("chunk")}
+					if f.End = it.frame == frEnd; f.End {
+						f.Body = nil
+					}
+					idx++
+					_, err = writeFrameOp(c.parent, opCollChunk, opCollEnd, f)
+				case frCredit:
+					err = c.sendCredit(c.parent, scriptTag, 1)
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	return arrivals, got, cost
+}
+
+func TestLinkDemuxChargesLikeASerialReader(t *testing.T) {
+	for _, share := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sharelinks_first=%v", share), func(t *testing.T) {
+			arrivals, _, cost := runDemuxScript(t, share, true)
+			if len(arrivals) != len(demuxScript) {
+				t.Fatalf("probe saw %d arrivals, script has %d frames", len(arrivals), len(demuxScript))
+			}
+			// The serial reader's model, from the probed arrival instants.
+			want := map[string][]time.Duration{}
+			var busyUntil time.Duration
+			for i, it := range demuxScript {
+				at := max(arrivals[i], busyUntil)
+				q := "hb"
+				if it.frame != frHeartbeat {
+					at += cost
+					busyUntil = at
+					q = map[linkFrame]string{frBase: "base", frChunk: "tag", frEnd: "tag", frCredit: "credit"}[it.frame]
+				}
+				want[q] = append(want[q], at)
+			}
+			if want["hb"][0] == arrivals[2] || want["hb"][1] != arrivals[5] {
+				t.Fatalf("script does not exercise both a queued and an idle heartbeat: arrivals %v, want %v", arrivals, want)
+			}
+			_, got, _ := runDemuxScript(t, share, false)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("delivery instants\n got  %v\n want %v\n(arrivals %v, cost %v)", got, want, arrivals, cost)
+			}
+		})
+	}
+}

@@ -13,7 +13,6 @@
 package iccl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -101,11 +100,8 @@ type Comm struct {
 	children []*simnet.Conn // indexed by child slot
 	childRk  []int          // rank of each child slot
 
-	muxMu sync.Mutex
-	mux   map[*simnet.Conn]*linkMux // set by ShareLinks, nil before
-
-	rtMu    sync.Mutex
-	routers map[*simnet.Conn]*connRouter // set by startRouter, nil before
+	dmMu  sync.Mutex
+	demux map[*simnet.Conn]*linkDemux // set by demuxLinks, nil before
 
 	// Metric handles, interned once at bootstrap (nil = obs off; all
 	// methods on nil handles no-op).
@@ -142,24 +138,10 @@ func (c *Comm) send(conn *simnet.Conn, frame []byte) error {
 var (
 	ErrBootstrap = errors.New("iccl: bootstrap failed")
 	ErrProtocol  = errors.New("iccl: protocol violation")
-	// ErrSevered reports a shared tree link whose peer died: the mux
-	// reader saw the connection fail and closed both demux queues.
+	// ErrSevered reports a demultiplexed tree link whose peer died (or
+	// delivered garbage): the link demux failed every queue of the link.
 	ErrSevered = errors.New("iccl: link severed")
 )
-
-// linkMux demultiplexes one shared tree connection: an event-driven framer
-// registered on the conn (simnet.Conn.Handle via lmonp.HandleFrames) owns
-// it and sorts incoming frames into the collective queue (charged the ICCL
-// per-message cost at arrival) and the heartbeat queue (left for the health
-// layer to charge). Both queues close when the connection dies, which is
-// how links-mode health detects peer death. No goroutine is parked per
-// link: the framer is a state machine on the vtime scheduler whose
-// busy-until horizon reproduces the serial charging of the reader loop it
-// replaced — frame i is delivered at max(arrival_i, done_{i-1}) + cost.
-type linkMux struct {
-	frames *vtime.Chan[[]byte]
-	hb     *vtime.Chan[[]byte]
-}
 
 // Link is one shared tree connection exposed for heartbeat piggybacking
 // (health link reuse): Send ships one heartbeat payload to the peer, and
@@ -171,68 +153,14 @@ type Link struct {
 	Recv *vtime.Chan[[]byte]        // heartbeats from the peer
 }
 
-// ShareLinks switches every tree connection to multiplexed mode and
-// returns heartbeat handles: the parent link (nil at the root) and one
-// link per connected child. Call it only after all one-shot bootstrap
-// traffic (the session seed in particular) has drained; from then on the
-// mux readers own the connections and all collective receives go through
-// the demux queues. Close still tears the connections down.
+// ShareLinks demultiplexes every tree connection (demuxLinks) and returns
+// heartbeat handles: the parent link (nil at the root) and one link per
+// connected child. Call it only after all one-shot bootstrap traffic (the
+// session seed in particular) has drained. Close still tears the
+// connections down.
 func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if c.mux != nil {
-		panic("iccl: ShareLinks called twice")
-	}
-	c.mux = make(map[*simnet.Conn]*linkMux, len(c.children)+1)
+	c.demuxLinks()
 	mklink := func(conn *simnet.Conn, rank int) *Link {
-		m := &linkMux{
-			frames: vtime.NewChan[[]byte](c.p.Sim()),
-			hb:     vtime.NewChan[[]byte](c.p.Sim()),
-		}
-		c.mux[conn] = m
-		sim := c.p.Sim()
-		// busyUntil is the serial reader's virtual-time horizon: the instant
-		// the previous collective frame's per-message charge finishes. It is
-		// only touched from scheduler callbacks, which never overlap.
-		var busyUntil time.Duration
-		lmonp.HandleFrames(conn, func(raw []byte, err error) {
-			now := sim.Now()
-			if err != nil {
-				// The serial reader only observed the failure after charging
-				// every frame before it; close behind the same horizon so
-				// in-flight deliveries are not dropped.
-				if busyUntil <= now {
-					m.frames.Close()
-					m.hb.Close()
-					return
-				}
-				sim.After(busyUntil-now, func() {
-					m.frames.Close()
-					m.hb.Close()
-				})
-				return
-			}
-			if len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat {
-				// Heartbeats are charged by the health layer when it
-				// consumes them, at its own (cheaper) per-message cost —
-				// but one queued behind a still-cooking collective frame
-				// waits for it, exactly like the serial reader it replaced.
-				hb := raw[4:]
-				if busyUntil <= now {
-					m.hb.Send(hb)
-					return
-				}
-				sim.After(busyUntil-now, func() { m.hb.Send(hb) })
-				return
-			}
-			readAt := now
-			if busyUntil > readAt {
-				readAt = busyUntil
-			}
-			deliverAt := readAt + c.cfg.PerMsgCost
-			busyUntil = deliverAt
-			sim.After(deliverAt-now, func() { m.frames.Send(raw) })
-		})
 		return &Link{
 			Rank: rank,
 			Send: func(payload []byte) error {
@@ -240,7 +168,7 @@ func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 				b = append(b, payload...)
 				return lmonp.WriteFrame(conn, b)
 			},
-			Recv: m.hb,
+			Recv: c.demuxFor(conn).hb,
 		}
 	}
 	if c.parent != nil {
@@ -253,37 +181,17 @@ func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 	return parent, children
 }
 
-// recvRaw reads one raw non-plane frame from a tree connection. Once the
-// collective-plane router owns the connection (startRouter), base frames
-// are served from its demux queue; before that, reads go through the
-// shared-link mux (ShareLinks) or directly off the connection.
+// recvRaw reads one raw non-plane frame from a tree connection: from the
+// link demux's base queue once it owns the connection (demuxLinks),
+// directly off the connection before. The ICCL per-message cost is
+// charged exactly once either way: here on the direct path, by the
+// demux's framer otherwise.
 func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
-	if rt := c.routerFor(conn); rt != nil {
-		raw, ok := rt.base.Recv()
+	if d := c.demuxFor(conn); d != nil {
+		raw, ok := d.base.Recv()
 		if !ok {
-			return nil, rt.takeErr()
+			return nil, d.tags.Err()
 		}
-		return raw, nil
-	}
-	return c.recvRawDirect(conn)
-}
-
-// recvRawDirect reads one raw frame from a tree connection, going through
-// the demux queue when the link is shared (ShareLinks) and reading
-// directly otherwise. The ICCL per-message cost is charged exactly once
-// either way: here on the direct path, by the mux reader on the shared
-// path. It is the router goroutine's read primitive; everything else
-// must go through recvRaw.
-func (c *Comm) recvRawDirect(conn *simnet.Conn) ([]byte, error) {
-	c.muxMu.Lock()
-	m := c.mux[conn]
-	c.muxMu.Unlock()
-	if m != nil {
-		raw, ok := m.frames.Recv()
-		if !ok {
-			return nil, ErrSevered
-		}
-		c.countRx(raw)
 		return raw, nil
 	}
 	raw, err := lmonp.ReadFrame(conn)
@@ -295,7 +203,7 @@ func (c *Comm) recvRawDirect(conn *simnet.Conn) ([]byte, error) {
 	return raw, nil
 }
 
-// countRx tallies one received tree frame (both recvRaw paths).
+// countRx tallies one received tree frame (both recvRaw modes).
 func (c *Comm) countRx(raw []byte) {
 	c.rxFrames.Inc()
 	c.rxBytes.Add(uint64(len(raw)))
@@ -704,7 +612,7 @@ func (c *Comm) gatherUp(collected map[int][]byte) error {
 // tree size — this is how the observability plane harvests per-daemon
 // metric snapshots without building an O(K) concatenation anywhere. The
 // root returns the full fold; every other daemon returns nil. Works both
-// before and after ShareLinks (recvRaw demuxes accordingly).
+// before and after the links are demultiplexed (recvRaw).
 func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error)) ([]byte, error) {
 	acc, err := combine(nil, mine)
 	if err != nil {

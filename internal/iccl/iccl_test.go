@@ -15,7 +15,12 @@ import (
 // and returns after the sim completes. Errors inside daemons fail the test.
 func rig(t *testing.T, n, fanout int, fn func(c *Comm, p *cluster.Proc) error) time.Duration {
 	t.Helper()
-	sim := vtime.New()
+	return rigOn(t, vtime.New(), n, fanout, fn)
+}
+
+// rigOn is rig on a caller-prepared simulation (spawn observers).
+func rigOn(t *testing.T, sim *vtime.Sim, n, fanout int, fn func(c *Comm, p *cluster.Proc) error) time.Duration {
+	t.Helper()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
 	if err != nil {
 		t.Fatal(err)

@@ -105,12 +105,24 @@ func (j *job) Kill() error {
 	return res.err
 }
 
+// errLauncherGone fails control requests nobody is left to serve.
+var errLauncherGone = errors.New("slurm: launcher gone")
+
 func (j *job) send(c command) cmdResult {
 	c.reply = vtime.NewChan[cmdResult](j.m.cl.Sim())
+	// Checked and enqueued under mu (Send never blocks): once the job is
+	// killed its command queue takes nothing more, which is what lets the
+	// reaper drain it and exit.
+	j.mu.Lock()
+	if j.killed {
+		j.mu.Unlock()
+		return cmdResult{err: errLauncherGone}
+	}
 	j.cmds.Send(c)
+	j.mu.Unlock()
 	res, ok := c.reply.Recv()
 	if !ok {
-		return cmdResult{err: errors.New("slurm: launcher gone")}
+		return cmdResult{err: errLauncherGone}
 	}
 	return res
 }
@@ -118,10 +130,24 @@ func (j *job) send(c command) cmdResult {
 // reaper takes over the command queue once the launcher process has
 // exited, so control requests against a dead launcher fail fast instead of
 // hanging — and a kill still reaps the job's remaining processes (the
-// orphan-cleanup path of the fault model).
+// orphan-cleanup path of the fault model). It exits once the job is
+// killed, by the launcher or by itself, after failing whatever was queued
+// behind the kill; the reaper of a job left running (detach) stays.
 func (j *job) reaper() {
 	j.proc.Wait()
 	for {
+		j.mu.Lock()
+		killed := j.killed
+		j.mu.Unlock()
+		if killed {
+			for {
+				cmd, ok := j.cmds.TryRecv()
+				if !ok {
+					return
+				}
+				j.serveOrphanCmd(cmd)
+			}
+		}
 		cmd, ok := j.cmds.Recv()
 		if !ok {
 			return
@@ -136,7 +162,7 @@ func (j *job) serveOrphanCmd(cmd command) {
 	case cmdKill:
 		cmd.reply.Send(cmdResult{err: j.directKill()})
 	default:
-		cmd.reply.Send(cmdResult{err: errors.New("slurm: launcher gone")})
+		cmd.reply.Send(cmdResult{err: errLauncherGone})
 	}
 }
 

@@ -112,7 +112,11 @@ func merge(prev, current map[string]float64) map[string]float64 {
 // drift beyond tolerance in either direction (any change from a zero
 // baseline is infinite drift) or a baseline metric missing from a stem
 // the run covers. Metrics new to the run only warn; baseline stems the
-// run does not cover are skipped with one note each.
+// run does not cover are skipped with one note each. The report always
+// ends with the bit-identity summary — how many checked metrics
+// reproduced exactly, and the largest drift among the rest — so a
+// refactor's "no pin moved" claim reads off the log whatever the
+// tolerance let through.
 func compare(base, current map[string]float64, tolerance float64) (report []string, checked, failures int) {
 	curStems := stemsOf(current)
 	keys := make([]string, 0, len(base)+len(current))
@@ -127,6 +131,7 @@ func compare(base, current map[string]float64, tolerance float64) (report []stri
 	sort.Strings(keys)
 
 	skippedStems := make(map[string]bool)
+	identical, worst, worstKey := 0, 0.0, ""
 	for _, k := range keys {
 		want, inBase := base[k]
 		got, inCur := current[k]
@@ -154,6 +159,11 @@ func compare(base, current map[string]float64, tolerance float64) (report []stri
 			} else if got != 0 {
 				drift = math.Inf(1)
 			}
+			if drift == 0 {
+				identical++
+			} else if math.Abs(drift) > math.Abs(worst) {
+				worst, worstKey = drift, k
+			}
 			if math.Abs(drift) > tolerance {
 				direction := "REGRESSION"
 				if drift < 0 {
@@ -164,7 +174,11 @@ func compare(base, current map[string]float64, tolerance float64) (report []stri
 			}
 		}
 	}
-	return report, checked, failures
+	summary := fmt.Sprintf("bit-identical: %d of %d metrics", identical, checked)
+	if worstKey != "" {
+		summary += fmt.Sprintf(", worst drift %+.3g%% (%s)", worst*100, worstKey)
+	}
+	return append(report, summary), checked, failures
 }
 
 func main() {
@@ -232,14 +246,18 @@ func main() {
 	}
 
 	report, checked, failures := compare(base.Metrics, current, *tolerance)
-	for _, line := range report {
+	for _, line := range report[:len(report)-1] {
 		fmt.Fprintf(os.Stderr, "benchdiff: %s\n", line)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) out of bounds (tolerance %.0f%%); "+
 			"if intentional, regenerate the baseline with -write and commit the diff\n",
 			failures, *tolerance*100)
+	} else {
+		fmt.Printf("benchdiff: %d metrics within %.0f%% of baseline\n", checked, *tolerance*100)
+	}
+	fmt.Printf("benchdiff: %s\n", report[len(report)-1])
+	if failures > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d metrics within %.0f%% of baseline\n", checked, *tolerance*100)
 }

@@ -21,6 +21,21 @@ func TestCompare(t *testing.T) {
 			base:    map[string]float64{"s[0].A": 100, "s[0].B": 100, "s[0].C": 0},
 			current: map[string]float64{"s[0].A": 110, "s[0].B": 90, "s[0].C": 0},
 			checked: 3,
+			report:  []string{"bit-identical: 1 of 3 metrics, worst drift +10% (s[0].A)"},
+		},
+		{
+			name:    "an exact reproduction says so",
+			base:    map[string]float64{"s[0].A": 100, "s[0].B": 0},
+			current: map[string]float64{"s[0].A": 100, "s[0].B": 0},
+			checked: 2,
+			report:  []string{"bit-identical: 2 of 2 metrics"},
+		},
+		{
+			name:    "drift far inside the tolerance still shows in the summary",
+			base:    map[string]float64{"s[0].A": 1e9, "s[0].B": 4},
+			current: map[string]float64{"s[0].A": 1e9 - 1, "s[0].B": 4},
+			checked: 2,
+			report:  []string{"bit-identical: 1 of 2 metrics, worst drift -1e-07% (s[0].A)"},
 		},
 		{
 			name:     "regression and unexplained improvement both fail",
@@ -28,7 +43,8 @@ func TestCompare(t *testing.T) {
 			current:  map[string]float64{"s[0].A": 111, "s[0].B": 89},
 			checked:  2,
 			failures: 2,
-			report:   []string{"REGRESSION s[0].A", "DRIFT (improved) s[0].B"},
+			report: []string{"REGRESSION s[0].A", "DRIFT (improved) s[0].B",
+				"bit-identical: 0 of 2 metrics, worst drift +11% (s[0].A)"},
 		},
 		{
 			name:     "any change from a zero baseline fails",
@@ -36,14 +52,14 @@ func TestCompare(t *testing.T) {
 			current:  map[string]float64{"s[0].A": 1e-9},
 			checked:  1,
 			failures: 1,
-			report:   []string{"REGRESSION s[0].A"},
+			report:   []string{"REGRESSION s[0].A", "bit-identical: 0 of 1 metrics, worst drift +Inf% (s[0].A)"},
 		},
 		{
 			name:    "new metric only warns",
 			base:    map[string]float64{"s[0].A": 1},
 			current: map[string]float64{"s[0].A": 1, "s[0].New": 7},
 			checked: 1,
-			report:  []string{"warning: NEW s[0].New = 7"},
+			report:  []string{"warning: NEW s[0].New = 7", "bit-identical: 1 of 1 metrics"},
 		},
 		{
 			// Removing sweep rows shifts the positional keys: the pin's
@@ -57,7 +73,7 @@ func TestCompare(t *testing.T) {
 			current:  map[string]float64{"pipe[0].Ready": 10, "pipe[1].Ready": 20},
 			checked:  2,
 			failures: 1,
-			report:   []string{"MISSING pipe[2].Ready"},
+			report:   []string{"MISSING pipe[2].Ready", "bit-identical: 2 of 2 metrics"},
 		},
 		{
 			name: "absent stem skipped with one note",
@@ -66,7 +82,7 @@ func TestCompare(t *testing.T) {
 			},
 			current: map[string]float64{"smoke[0].A": 1},
 			checked: 1,
-			report:  []string{`note: baseline stem "launch_million"`},
+			report:  []string{`note: baseline stem "launch_million"`, "bit-identical: 1 of 1 metrics"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

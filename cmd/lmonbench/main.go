@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime/debug"
@@ -83,23 +84,8 @@ func main() {
 	if memLimit == math.MaxInt64 {
 		memLimit = bench.DefaultMemLimit
 	}
-	// capScales filters a sweep's daemon counts under -maxk, then drops —
-	// with one printed line each — the points whose predicted host
-	// footprint exceeds the memory limit.
-	capScales := func(sweep string, scales []int, predict func(k int) int64) []int {
-		out := make([]int, 0, len(scales))
-		for _, k := range scales {
-			if *maxk > 0 && k > *maxk {
-				continue
-			}
-			if need := predict(k); need > memLimit {
-				fmt.Printf("skipped %s K=%d: predicted footprint %d B exceeds the %d B memory limit (raise GOMEMLIMIT to run it)\n",
-					sweep, k, need, memLimit)
-				continue
-			}
-			out = append(out, k)
-		}
-		return out
+	capped := func(sweep string, scales []int, predict func(k int) int64) []int {
+		return capScales(os.Stdout, sweep, scales, *maxk, memLimit, predict)
 	}
 
 	run := func(name string, fn func() error) {
@@ -225,7 +211,7 @@ func main() {
 	}
 	if *all || *collective {
 		run("collective", func() error {
-			rows, err := bench.CollectiveAblation(bench.CollectiveOpts{}, capScales("collective", bench.CollectiveScales, bench.SimFootprint))
+			rows, err := bench.CollectiveAblation(bench.CollectiveOpts{}, capped("collective", bench.CollectiveScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -235,7 +221,7 @@ func main() {
 	}
 	if *all || *contention {
 		run("contention", func() error {
-			rows, err := bench.ContentionAblation(bench.ContentionOpts{}, capScales("contention", bench.ContentionScales, bench.SimFootprint))
+			rows, err := bench.ContentionAblation(bench.ContentionOpts{}, capped("contention", bench.ContentionScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -245,8 +231,8 @@ func main() {
 	}
 	if *all || *launch {
 		run("launch pipeline", func() error {
-			scales := capScales("launch cut-through/sliced", bench.LaunchScales, bench.SimFootprint)
-			fullScales := capScales("launch store-forward/full", scales, func(k int) int64 {
+			scales := capped("launch cut-through/sliced", bench.LaunchScales, bench.SimFootprint)
+			fullScales := capped("launch store-forward/full", scales, func(k int) int64 {
 				return bench.SimFootprint(k) + bench.FullTableFootprint(k, 1)
 			})
 			rows, err := bench.LaunchPipeline(bench.LaunchPipeOpts{Obs: *obsRider}, scales, fullScales)
@@ -292,14 +278,7 @@ func main() {
 			if os.Getenv("GOMEMLIMIT") == "" {
 				defer debug.SetMemoryLimit(debug.SetMemoryLimit(13 << 30))
 			}
-			// -maxk lowers the sweep point instead of filtering it away:
-			// the sweep has exactly one scale, and a reduced run should
-			// still produce a row.
-			scales := bench.MillionScales
-			if *maxk > 0 && *maxk < scales[len(scales)-1] {
-				scales = []int{*maxk}
-			}
-			rows, err := bench.LaunchMillion(bench.MillionOpts{}, scales)
+			rows, err := bench.LaunchMillion(bench.MillionOpts{}, millionScales(bench.MillionScales, *maxk))
 			if err != nil {
 				return err
 			}
@@ -315,7 +294,7 @@ func main() {
 	}
 	if *all || *mwpipe {
 		run("mw pipeline", func() error {
-			rows, err := bench.MWPipeline(bench.MWPipeOpts{}, capScales("mw", bench.MWScales, bench.SimFootprint))
+			rows, err := bench.MWPipeline(bench.MWPipeOpts{}, capped("mw", bench.MWScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -325,7 +304,7 @@ func main() {
 	}
 	if *all || *failure {
 		run("failure detection", func() error {
-			rows, err := bench.FailureDetection(bench.FailureOpts{Silent: true}, capScales("failure", bench.FailureScales, bench.SimFootprint))
+			rows, err := bench.FailureDetection(bench.FailureOpts{Silent: true}, capped("failure", bench.FailureScales, bench.SimFootprint))
 			if err != nil {
 				return err
 			}
@@ -342,6 +321,35 @@ func main() {
 			return emit("heartbeat_overhead", overhead)
 		})
 	}
+}
+
+// capScales filters a sweep's daemon counts under -maxk (0 = no cap), then
+// drops — with one line printed to w each — the points whose predicted
+// host footprint exceeds the memory limit.
+func capScales(w io.Writer, sweep string, scales []int, maxk int, memLimit int64, predict func(k int) int64) []int {
+	out := make([]int, 0, len(scales))
+	for _, k := range scales {
+		if maxk > 0 && k > maxk {
+			continue
+		}
+		if need := predict(k); need > memLimit {
+			fmt.Fprintf(w, "skipped %s K=%d: predicted footprint %d B exceeds the %d B memory limit (raise GOMEMLIMIT to run it)\n",
+				sweep, k, need, memLimit)
+			continue
+		}
+		out = append(out, k)
+	}
+	return out
+}
+
+// millionScales applies -maxk to the million sweep, which lowers the sweep
+// point instead of filtering it away: the sweep has exactly one scale, and
+// a reduced run should still produce a row.
+func millionScales(scales []int, maxk int) []int {
+	if maxk > 0 && maxk < scales[len(scales)-1] {
+		return []int{maxk}
+	}
+	return scales
 }
 
 // runTrace exports one obs-on launch as a Perfetto trace (verified to

@@ -263,13 +263,6 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 	return elapsed, bytes, err
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PrintCollective renders the rows.
 func PrintCollective(w io.Writer, rows []CollectiveRow) {
 	fmt.Fprintln(w, "Ablation — collective tool-data plane (flat master relay vs tree routing)")

@@ -263,21 +263,6 @@ func (c *Cluster) KillNodeByName(name string) bool {
 	return true
 }
 
-// KillProc force-terminates one process identified by host name and pid
-// (injection API); it reports whether the process was found alive.
-func (c *Cluster) KillProc(host string, pid int) bool {
-	n, ok := c.NodeByName(host)
-	if !ok {
-		return false
-	}
-	p, ok := n.Proc(pid)
-	if !ok {
-		return false
-	}
-	p.Kill()
-	return true
-}
-
 // Spec describes a process to spawn.
 type Spec struct {
 	// Exe names a registered executable when Main is nil; with Main set

@@ -69,11 +69,6 @@ type Proc struct {
 	// them so a killed process's peers observe ErrPeerDead rather than
 	// hanging on a conn whose owner no longer runs.
 	conns []interface{ Sever() }
-
-	// Synthetic activity counters backing /proc snapshots; tools may bump
-	// them, and Snapshot derives the rest deterministically.
-	majFlt  int64
-	threads int
 }
 
 // Pid returns the process id (unique per node).
@@ -216,20 +211,6 @@ func (p *Proc) SetSymbol(name string, sym Symbol) {
 		p.symbols = make(map[string]Symbol)
 	}
 	p.symbols[name] = sym
-}
-
-// AddThreads adjusts the synthetic thread count reported via Snapshot.
-func (p *Proc) AddThreads(n int) {
-	p.node.mu.Lock()
-	defer p.node.mu.Unlock()
-	p.threads += n
-}
-
-// FaultPages bumps the synthetic major-page-fault counter.
-func (p *Proc) FaultPages(n int64) {
-	p.node.mu.Lock()
-	defer p.node.mu.Unlock()
-	p.majFlt += n
 }
 
 // --- Tracing (the substrate under the RM's APAI) ---

@@ -44,21 +44,17 @@ func (p *Proc) Snapshot() Snapshot {
 	// Deterministic pseudo-metrics: keyed by pid and elapsed time. A task
 	// spends ~70% user, ~5% system of its wall time in this model.
 	seed := uint64(p.pid)*2654435761 + uint64(len(p.exe))
-	threads := p.threads
-	if threads <= 0 {
-		threads = 1 + int(seed%4)
-	}
 	return Snapshot{
 		Pid:      p.pid,
 		Exe:      p.exe,
 		State:    p.state.String(),
 		PC:       0x400000 + (seed^uint64(alive/time.Millisecond))%0x10000,
-		Threads:  threads,
+		Threads:  1 + int(seed%4),
 		VmHWMKB:  int64(20000 + seed%8192),
 		VmLckKB:  int64(seed % 64),
 		VmRSSKB:  int64(16000 + seed%4096),
 		UtimeMS:  int64(float64(alive/time.Millisecond) * 0.7),
 		StimeMS:  int64(float64(alive/time.Millisecond) * 0.05),
-		MajFault: p.majFlt + int64(seed%17),
+		MajFault: int64(seed % 17),
 	}
 }

@@ -31,7 +31,7 @@ const (
 	OpReduce                  // every daemon → FE: combined at interior nodes
 
 	// OpSeed is the cut-through session-seed stream of the launch pipeline
-	// (iccl.BootstrapSeed): frame 0 carries the piggybacked FEData, later
+	// (iccl.BootstrapSeedRouted): frame 0 carries the piggybacked FEData, later
 	// frames carry RPDTAB chunks, and the end marker's Total is the table's
 	// entry count. It never shares a link direction with the tool-data
 	// collectives — the seed completes before the plane is usable — so it
@@ -98,8 +98,10 @@ const DefaultWindow = 32
 // collectives use tags below MinUserTag; concurrent tagged streams
 // allocated by Session.AllocTag live in [MinUserTag, MaxUserTag); tags
 // at or above MaxUserTag are reserved for tree-internal lockstep
-// sequences. The split lets readers route tagged frames to per-tag
-// queues while lockstep traffic keeps its legacy single-queue path.
+// sequences. The split lets the FE↔master readers (core.rxStreams) give
+// every user tag its own queue while all lockstep tags share one ordered
+// queue, which keeps the eager op/tag divergence check; on tree links
+// every tag has its own queue (iccl's link demux).
 const (
 	MinUserTag uint32 = 1 << 16
 	MaxUserTag uint32 = 1 << 31
@@ -526,9 +528,6 @@ func (a *RawAssembler) Finish(h Header, total uint64) ([]byte, error) {
 	}
 	return a.data, nil
 }
-
-// Filter returns the stream's filter spec (reduce streams).
-func (a *RawAssembler) Filter() string { return a.s.h.Filter }
 
 // RankAssembler reassembles a rank-tagged entry stream (the FE side of a
 // gather), validating chunk order and that no rank contributes twice.

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
-	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -14,6 +12,7 @@ import (
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
+	"launchmon/internal/simnet"
 	"launchmon/internal/transport"
 )
 
@@ -91,17 +90,23 @@ type daemonSession struct {
 // LMON_SEED_MODE) buffers it at the master and broadcasts after
 // bootstrap.
 func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
-	cfg, err := icclConfigFromEnv(p)
+	env, err := parseBootEnv(p)
 	if err != nil {
 		return nil, err
 	}
-	if p.Env(EnvObs) == ObsOn.envValue() {
-		cfg.Metrics = obs.NewRegistry()
+	if env.obs.enabled() {
+		env.tree.Metrics = obs.NewRegistry()
 	}
-	if p.Env(EnvSeedMode) == SeedStoreForward.envValue() {
-		return initStoreForward(p, &cfg, fab)
+	d := &daemonSession{p: p, fab: fab, obsReg: env.tree.Metrics}
+	if env.seedMode == SeedStoreForward {
+		err = d.initStoreForward(env)
+	} else {
+		err = d.initCutThrough(env)
 	}
-	return initCutThrough(p, &cfg, fab)
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // initCutThrough receives the session seed as a chunk stream flowing
@@ -110,96 +115,77 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 // contributing to the ready gather, so the ready message at the front end
 // implies a validated slice at every daemon of the fabric.
 //
-// Setup (seedRouterFromEnv, masterSeedSource) and the drain loop
-// (drainSeed) each run in their own frame: this function's frame is the
+// Setup (seedRouter, masterHandshake) and the drain loop (drainSeed)
+// each run in their own frame: this function's frame is the
 // one resident under the whole launch — every daemon goroutine parks
 // somewhere below it — so the router closures, handshake buffers, and
 // assembler state must not widen it (see iccl.bootstrap's stack note).
-func initCutThrough(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*daemonSession, error) {
-	d := &daemonSession{p: p, fab: fab, obsReg: cfg.Metrics}
-
-	rt, err := d.seedRouterFromEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func (d *daemonSession) initCutThrough(env *bootEnv) error {
+	rt := d.seedRouter(env)
 	var src iccl.SeedSource
-	if cfg.Rank == 0 {
-		if src, err = d.masterSeedSource(); err != nil {
-			return nil, err
+	if env.tree.Rank == 0 {
+		feData, err := d.masterHandshake(env)
+		if err != nil {
+			return err
 		}
+		src = seedSourceFromFE(d.fe, feData)
 	}
 
-	comm, seed, err := iccl.BootstrapSeedRouted(p, *cfg, src, rt)
+	comm, seed, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d.comm = comm
-	if comm.IsMaster() {
-		d.tl.Mark(fab.markNetDone, p.Sim().Now())
-	}
-	if err := d.setupCollective(); err != nil {
-		return nil, err
-	}
+	d.setupCollective(comm, env)
 	if err := d.drainSeed(seed); err != nil {
-		return nil, err
+		return err
 	}
 	// All child forwards must drain before any other down-flowing traffic
 	// may use the tree links.
 	if err := seed.Wait(); err != nil {
-		return nil, err
+		return err
 	}
-	return d, d.completeInit(cfg)
+	return d.completeInit(env)
 }
 
-// seedRouterFromEnv attaches the session-shared segment and builds the
+// seedRouter attaches the session-shared segment and builds the
 // rank-sliced retention router: BE daemons route the seed so each keeps
 // only its own slice, consulting the session-shared host→rank map; MW
 // daemons receive an empty stream (their slice is empty by construction,
 // so they need no router) and read the table, when they need it, from the
 // same shared index.
-func (d *daemonSession) seedRouterFromEnv(cfg *iccl.Config) (*iccl.SeedRouter, error) {
-	p := d.p
-	session, err := strconv.Atoi(p.Env(EnvSession))
-	if err != nil {
-		return nil, fmt.Errorf("core: bad %s: %w", EnvSession, err)
-	}
-	d.seg = sharedSegFor(session)
+func (d *daemonSession) seedRouter(env *bootEnv) *iccl.SeedRouter {
+	d.seg = sharedSegFor(env.session)
 	if d.fab.mw {
-		return nil, nil
+		return nil
 	}
-	ranks := d.seg.hostRanks(cfg.Nodelist)
-	chunkBytes := 0
-	if cb := p.Env(EnvProctabChunk); cb != "" {
-		if chunkBytes, err = strconv.Atoi(cb); err != nil {
-			return nil, fmt.Errorf("core: bad %s: %w", EnvProctabChunk, err)
-		}
-	}
+	ranks := d.seg.hostRanks(env.tree.Nodelist)
 	return &iccl.SeedRouter{
 		RankOf: func(host string) (int, bool) {
 			r, ok := ranks[host]
 			return r, ok
 		},
-		ChunkBytes: chunkBytes,
-	}, nil
+		ChunkBytes: env.proctabChunk,
+	}
 }
 
-// masterSeedSource connects the master to the FE through the session mux
-// and consumes the handshake (the piggybacked tool data arrives ahead of
-// the table stream), then adapts the connection so each relayed RPDTAB
-// chunk feeds straight into the tree's seed stream as it arrives.
-func (d *daemonSession) masterSeedSource() (iccl.SeedSource, error) {
-	p := d.p
-	fe, err := dialFE(p, d.fab.role)
+// masterHandshake connects the master to its front end's transport mux —
+// announcing the session and role so the mux routes the connection to the
+// owning session — and consumes the handshake, returning the piggybacked
+// tool data that arrives ahead of the table stream.
+func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
+	feAddr, err := simnet.ParseAddr(env.feAddr)
 	if err != nil {
+		return nil, err
+	}
+	if d.fe, err = transport.Dial(d.p.Host(), feAddr, env.session, d.fab.role); err != nil {
 		return nil, fmt.Errorf("core: %s master dialing FE: %w", d.fab.kind, err)
 	}
-	d.fe = fe
 	handshake, err := d.fe.Expect(d.fab.class, lmonp.TypeHandshake)
 	if err != nil {
 		return nil, err
 	}
-	d.tl.Mark(d.fab.markNetStart, p.Sim().Now())
-	return seedSourceFromFE(d.fe, handshake.UsrData), nil
+	d.tl.Mark(d.fab.markNetStart, d.p.Sim().Now())
+	return handshake.UsrData, nil
 }
 
 // drainSeed consumes the locally delivered stream: frame 0 carries the
@@ -240,12 +226,13 @@ func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 // covers the whole engine→FE→master path.
 func seedSourceFromFE(fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 	idx := uint32(0)
+	chunk := func(body []byte) (coll.Frame, error) {
+		idx++
+		return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx - 1}, Body: body, Sum: lmonp.Sum64(body)}, nil
+	}
 	return func() (coll.Frame, error) {
 		if idx == 0 {
-			idx = 1
-			return coll.Frame{
-				H: coll.Header{Op: coll.OpSeed, Index: 0}, Body: feData, Sum: lmonp.Sum64(feData),
-			}, nil
+			return chunk(feData)
 		}
 		msg, err := fe.Recv()
 		if err != nil {
@@ -253,19 +240,13 @@ func seedSourceFromFE(fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 		}
 		switch msg.Type {
 		case lmonp.TypeProctabChunk:
-			f := coll.Frame{
-				H: coll.Header{Op: coll.OpSeed, Index: idx}, Body: msg.Payload, Sum: lmonp.Sum64(msg.Payload),
-			}
-			idx++
-			return f, nil
+			return chunk(msg.Payload)
 		case lmonp.TypeProctabEnd:
 			total, digest, err := proctab.DecodeEndMarker(msg.Payload)
 			if err != nil {
 				return coll.Frame{}, fmt.Errorf("core: seed end marker: %w", err)
 			}
-			f := coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx}, End: true, Total: total, Sum: digest}
-			idx++
-			return f, nil
+			return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx}, End: true, Total: total, Sum: digest}, nil
 		default:
 			return coll.Frame{}, fmt.Errorf("core: unexpected %v message in session-seed stream", msg.Type)
 		}
@@ -275,87 +256,57 @@ func seedSourceFromFE(fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 // initStoreForward is the serialized baseline: the master buffers the
 // full chunk-streamed RPDTAB from the FE, the tree bootstraps, and the
 // seed goes out as one monolithic ICCL broadcast.
-func initStoreForward(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*daemonSession, error) {
-	d := &daemonSession{p: p, fab: fab, obsReg: cfg.Metrics}
-
+func (d *daemonSession) initStoreForward(env *bootEnv) error {
 	var masterTab proctab.Table
 	var feData []byte
-	if cfg.Rank == 0 {
-		fe, err := dialFE(p, fab.role)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s master dialing FE: %w", fab.kind, err)
+	if env.tree.Rank == 0 {
+		var err error
+		if feData, err = d.masterHandshake(env); err != nil {
+			return err
 		}
-		d.fe = fe
-		handshake, err := d.fe.Expect(fab.class, lmonp.TypeHandshake)
-		if err != nil {
-			return nil, err
-		}
-		d.tl.Mark(fab.markNetStart, p.Sim().Now())
-		feData = handshake.UsrData
-		masterTab, err = proctab.RecvStream(d.fe, fab.class, nil)
-		if err != nil {
-			return nil, err
+		if masterTab, err = proctab.RecvStream(d.fe, d.fab.class); err != nil {
+			return err
 		}
 	}
 
-	comm, err := iccl.Bootstrap(p, *cfg)
+	comm, err := iccl.Bootstrap(d.p, env.tree)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d.comm = comm
-	if comm.IsMaster() {
-		d.tl.Mark(fab.markNetDone, p.Sim().Now())
-	}
-	if err := d.setupCollective(); err != nil {
-		return nil, err
-	}
+	d.setupCollective(comm, env)
 
 	// Distribute RPDTAB + piggybacked FE data to every daemon.
-	tab, data, err := distributeSessionSeed(comm, masterTab, feData)
-	if err != nil {
-		return nil, err
+	if d.tab, d.feData, err = distributeSessionSeed(comm, masterTab, feData); err != nil {
+		return err
 	}
-	d.tab = tab
-	d.tl.Mark(fab.markSeedValid, p.Sim().Now())
-	d.myTab = tab.OnHost(p.Node().Name())
-	d.feData = data
-	return d, d.completeInit(cfg)
+	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
+	d.myTab = d.tab.OnHost(d.p.Node().Name())
+	return d.completeInit(env)
 }
 
-// setupCollective attaches the session's collective tool-data plane. At
-// the master, gather/reduce frames bridge onto the FE connection as
+// setupCollective adopts the bootstrapped communicator — the master's
+// return from bootstrap is the fabric-setup completion mark — and
+// attaches the session's collective tool-data plane. At the master,
+// gather/reduce frames bridge onto the FE connection as
 // TypeCollChunk/TypeCollEnd messages and broadcast/scatter frames are
 // pulled from the sorted FE connection, so concurrent tagged collectives
 // share it. The FE hop itself carries no credits — it has exactly one
 // consumer draining into per-tag queues and no fan-in skew.
-func (d *daemonSession) setupCollective() error {
-	collChunk := 0
-	if cc := d.p.Env(EnvCollChunk); cc != "" {
-		var err error
-		if collChunk, err = strconv.Atoi(cc); err != nil {
-			return fmt.Errorf("core: bad %s: %w", EnvCollChunk, err)
-		}
-	}
-	collWindow := 0
-	if cw := d.p.Env(EnvCollWindow); cw != "" {
-		var err error
-		if collWindow, err = strconv.Atoi(cw); err != nil {
-			return fmt.Errorf("core: bad %s: %w", EnvCollWindow, err)
-		}
-	}
+func (d *daemonSession) setupCollective(comm *iccl.Comm, env *bootEnv) {
+	d.comm = comm
 	var up iccl.UpFn
 	var down iccl.DownFn
-	if d.comm.IsMaster() {
+	if comm.IsMaster() {
+		d.tl.Mark(d.fab.markNetDone, d.p.Sim().Now())
 		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
 		down = func(tag uint32) (coll.Frame, error) { return d.feStreams().next(tag) }
 	}
-	d.coll = d.comm.NewPlane(collChunk, collWindow, up, down)
-	return nil
+	d.coll = comm.NewPlane(env.collChunk, env.collWindow, up, down)
 }
 
 // completeInit is the shared tail of both seed pipelines: gather
 // per-daemon info for the ready message, then join the heartbeat tree.
-func (d *daemonSession) completeInit(cfg *iccl.Config) error {
+func (d *daemonSession) completeInit(env *bootEnv) error {
 	// Gather per-daemon info to the master; it rides the ready message.
 	mine := encodeDaemonInfo(DaemonInfo{
 		Rank:      d.comm.Rank(),
@@ -378,18 +329,10 @@ func (d *daemonSession) completeInit(cfg *iccl.Config) error {
 		return err
 	}
 	if d.comm.IsMaster() {
-		infos := make([]DaemonInfo, 0, len(all))
-		for _, raw := range all {
-			di, err := decodeDaemonInfo(raw)
-			if err != nil {
-				return err
-			}
-			infos = append(infos, di)
-		}
 		if err := d.fe.Send(&lmonp.Msg{
 			Class:   d.fab.class,
 			Type:    lmonp.TypeReady,
-			Payload: encodeReady(infos, d.tl, obsBlob),
+			Payload: encodeReady(all, d.tl, obsBlob),
 		}); err != nil {
 			return err
 		}
@@ -399,7 +342,7 @@ func (d *daemonSession) completeInit(cfg *iccl.Config) error {
 	// detection; the master forwards failure reports upstream as LMONP
 	// status events. Started after the ready message so the launch critical
 	// path is not charged for it.
-	return d.startHealth(cfg)
+	return d.startHealth(env)
 }
 
 // harvestObs folds this fabric's per-daemon metrics snapshots up the
@@ -434,25 +377,14 @@ func (d *daemonSession) peakTableBytes() int {
 // the BE fabric, MWOptions.Health for the MW fabric). The heartbeats
 // piggyback on the established ICCL tree links (ShareLinks +
 // health.StartOnLinks) — no extra connections.
-func (d *daemonSession) startHealth(cfg *iccl.Config) error {
-	periodStr := d.p.Env(EnvHealthPeriod)
-	if periodStr == "" {
+func (d *daemonSession) startHealth(env *bootEnv) error {
+	if env.health.Period == 0 {
 		return nil
-	}
-	period, err := time.ParseDuration(periodStr)
-	if err != nil {
-		return fmt.Errorf("core: bad %s: %w", EnvHealthPeriod, err)
-	}
-	miss := 0
-	if ms := d.p.Env(EnvHealthMiss); ms != "" {
-		if miss, err = strconv.Atoi(ms); err != nil {
-			return fmt.Errorf("core: bad %s: %w", EnvHealthMiss, err)
-		}
 	}
 	parent, children := d.comm.ShareLinks()
 	mon, err := health.StartOnLinks(d.p, health.Config{
-		Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
-		Period: period, Miss: miss, Metrics: d.obsReg,
+		Rank: env.tree.Rank, Size: env.tree.Size, Fanout: env.tree.Fanout,
+		Period: env.health.Period, Miss: env.health.Miss, Metrics: d.obsReg,
 	}, parent, children)
 	if err != nil {
 		return err
@@ -617,19 +549,4 @@ func distributeSessionSeed(comm *iccl.Comm, masterTab proctab.Table, feData []by
 		return nil, nil, err
 	}
 	return tab, append([]byte(nil), data...), nil
-}
-
-// dialFE connects a master daemon to its front end's transport mux,
-// announcing the session ID and role from the bootstrap environment so
-// the mux routes the connection to the owning session.
-func dialFE(p *cluster.Proc, role transport.Role) (*lmonp.Conn, error) {
-	feAddr, err := parseHostPort(p.Env(EnvFEAddr))
-	if err != nil {
-		return nil, err
-	}
-	session, err := strconv.Atoi(p.Env(EnvSession))
-	if err != nil {
-		return nil, fmt.Errorf("core: bad %s: %w", EnvSession, err)
-	}
-	return transport.Dial(p.Host(), feAddr, session, role)
 }

@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/hostlist"
+	"launchmon/internal/iccl"
+	"launchmon/internal/rm"
+)
+
+// bootEnv is the daemon bootstrap environment as a data format: what the
+// front end plants into a daemon set's environment (plant) and what every
+// daemon of the set reads back (parseBootEnv). No other code touches the
+// LMON_* variables.
+type bootEnv struct {
+	feAddr  string // the front end's mux listener, dialed by master daemons
+	session int
+	// tree is the daemon's ICCL configuration: the FE plants Port, Fanout
+	// and JoinTimeout; Rank, Size and Nodelist are the RM's own variables
+	// and only exist on the parse side.
+	tree         iccl.Config
+	collChunk    int
+	collWindow   int
+	proctabChunk int
+	seedMode     SeedMode // BE fabric only: the MW fabric is always cut-through
+	obs          ObsMode
+	health       HealthOptions
+}
+
+// plant renders e over the tool's own daemon environment.
+func (e bootEnv) plant(tool map[string]string, fab fabricProfile) map[string]string {
+	env := make(map[string]string, len(tool)+12)
+	for k, v := range tool {
+		env[k] = v
+	}
+	env[EnvFEAddr] = e.feAddr
+	env[EnvSession] = encodeSessionID(e.session)
+	env[EnvICCLPort] = fmt.Sprint(e.tree.Port)
+	env[EnvICCLFanout] = fmt.Sprint(e.tree.Fanout)
+	env[EnvCollChunk] = fmt.Sprint(e.collChunk)
+	env[EnvCollWindow] = fmt.Sprint(e.collWindow)
+	env[EnvProctabChunk] = fmt.Sprint(e.proctabChunk)
+	env[EnvObs] = e.obs.String()
+	if !fab.mw {
+		env[EnvSeedMode] = e.seedMode.String()
+	}
+	if e.tree.JoinTimeout > 0 {
+		env[EnvJoinTimeout] = e.tree.JoinTimeout.String()
+	}
+	if e.health.Period > 0 {
+		env[EnvHealthPeriod] = e.health.Period.String()
+		env[EnvHealthMiss] = fmt.Sprint(e.health.Miss)
+	}
+	return env
+}
+
+// parseBootEnv reads the bootstrap environment the RM and the FE planted
+// for daemon p. It returns a pointer so init hands one word down its
+// phases instead of widening their resident frames (see iccl.bootstrap's
+// stack note).
+func parseBootEnv(p *cluster.Proc) (*bootEnv, error) {
+	var err error
+	// num and dur parse one variable each; an unset optional variable
+	// reads as zero, and the first failure sticks.
+	num := func(name string, required bool) int {
+		v := p.Env(name)
+		if err != nil || (v == "" && !required) {
+			return 0
+		}
+		n, aerr := strconv.Atoi(v)
+		if aerr != nil {
+			err = fmt.Errorf("core: bad %s: %w", name, aerr)
+		}
+		return n
+	}
+	dur := func(name string) time.Duration {
+		v := p.Env(name)
+		if err != nil || v == "" {
+			return 0
+		}
+		d, derr := time.ParseDuration(v)
+		if derr != nil {
+			err = fmt.Errorf("core: bad %s: %w", name, derr)
+		}
+		return d
+	}
+	e := &bootEnv{
+		feAddr:       p.Env(EnvFEAddr),
+		session:      num(EnvSession, true),
+		collChunk:    num(EnvCollChunk, false),
+		collWindow:   num(EnvCollWindow, false),
+		proctabChunk: num(EnvProctabChunk, false),
+		health:       HealthOptions{Period: dur(EnvHealthPeriod), Miss: num(EnvHealthMiss, false)},
+	}
+	e.tree = iccl.Config{
+		Rank: num(rm.EnvNodeID, true), Size: num(rm.EnvNNodes, true),
+		Port: num(EnvICCLPort, true), Fanout: num(EnvICCLFanout, false),
+		JoinTimeout: dur(EnvJoinTimeout),
+	}
+	if p.Env(EnvSeedMode) == SeedStoreForward.String() {
+		e.seedMode = SeedStoreForward
+	}
+	if p.Env(EnvObs) == ObsOn.String() {
+		e.obs = ObsOn
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The RM's node list is a hostlist-compressed range expression
+	// ("n[0-999999]") or a plain comma-joined list; expansion interns the
+	// shared suffix structure, so a million-node list costs one slice, not
+	// a million independent strings.
+	e.tree.Nodelist = hostlist.Expand(p.Env(rm.EnvNodeList))
+	if len(e.tree.Nodelist) != e.tree.Size {
+		return nil, fmt.Errorf("core: nodelist has %d entries, NNODES=%d", len(e.tree.Nodelist), e.tree.Size)
+	}
+	return e, nil
+}

@@ -9,7 +9,7 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
 	"launchmon/internal/health"
-	"launchmon/internal/hostlist"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
@@ -239,21 +239,21 @@ var ErrSessionClosed = errors.New("core: session detached or killed")
 // reusing) the calling process's front-end handle. Concurrent calls from
 // one process share a single transport mux.
 func LaunchAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
-	fe, err := NewFrontEnd(p)
-	if err != nil {
-		return nil, err
-	}
-	return startSession(fe, opts, false)
+	return startSessionOn(p, opts, false)
 }
 
 // AttachAndSpawn attaches to the running job opts.JobID and co-locates the
 // tool's daemons with its tasks.
 func AttachAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
+	return startSessionOn(p, opts, true)
+}
+
+func startSessionOn(p *cluster.Proc, opts Options, attach bool) (*Session, error) {
 	fe, err := NewFrontEnd(p)
 	if err != nil {
 		return nil, err
 	}
-	return startSession(fe, opts, true)
+	return startSession(fe, opts, attach)
 }
 
 func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
@@ -328,47 +328,26 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	}
 	s.eng = engConn
 
-	// Compose the daemon bootstrap environment.
 	daemon := opts.Daemon
-	env := make(map[string]string, len(daemon.Env)+5)
-	for k, v := range daemon.Env {
-		env[k] = v
-	}
-	env[EnvFEAddr] = feAddr
-	env[EnvSession] = encodeSessionID(s.ID)
-	env[EnvICCLPort] = fmt.Sprint(icclPortFor(s.ID, false))
-	env[EnvICCLFanout] = fmt.Sprint(opts.ICCLFanout)
-	env[EnvCollChunk] = fmt.Sprint(opts.CollChunkBytes)
-	env[EnvCollWindow] = fmt.Sprint(opts.CollWindow)
-	env[EnvSeedMode] = opts.SeedMode.envValue()
-	env[EnvProctabChunk] = fmt.Sprint(opts.ProctabChunkBytes)
-	env[EnvObs] = opts.Obs.envValue()
-	if opts.JoinTimeout > 0 {
-		env[EnvJoinTimeout] = opts.JoinTimeout.String()
-	}
-	if opts.Health.Period > 0 {
-		env[EnvHealthPeriod] = opts.Health.Period.String()
-		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-	}
-	daemon.Env = env
+	daemon.Env = bootEnv{
+		feAddr: feAddr, session: s.ID,
+		tree: iccl.Config{
+			Port: icclPortFor(s.ID, false), Fanout: opts.ICCLFanout, JoinTimeout: opts.JoinTimeout,
+		},
+		collChunk: opts.CollChunkBytes, collWindow: opts.CollWindow, proctabChunk: opts.ProctabChunkBytes,
+		seedMode: opts.SeedMode, obs: opts.Obs, health: opts.Health,
+	}.plant(daemon.Env, beFabric)
 
-	var req *lmonp.Msg
+	req := &lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeLaunchReq}
 	if attach {
-		req = &lmonp.Msg{
-			Class: lmonp.ClassFEEngine,
-			Type:  lmonp.TypeAttachReq,
-			Payload: engine.EncodeAttachReq(engine.AttachReq{
-				JobID: opts.JobID, Daemon: daemon, ChunkBytes: opts.ProctabChunkBytes,
-			}),
-		}
+		req.Type = lmonp.TypeAttachReq
+		req.Payload = engine.EncodeAttachReq(engine.AttachReq{
+			JobID: opts.JobID, Daemon: daemon, ChunkBytes: opts.ProctabChunkBytes,
+		})
 	} else {
-		req = &lmonp.Msg{
-			Class: lmonp.ClassFEEngine,
-			Type:  lmonp.TypeLaunchReq,
-			Payload: engine.EncodeLaunchReq(engine.LaunchReq{
-				Job: opts.Job, Daemon: daemon, ChunkBytes: opts.ProctabChunkBytes,
-			}),
-		}
+		req.Payload = engine.EncodeLaunchReq(engine.LaunchReq{
+			Job: opts.Job, Daemon: daemon, ChunkBytes: opts.ProctabChunkBytes,
+		})
 	}
 	if err := s.eng.Send(req); err != nil {
 		s.close()
@@ -377,12 +356,7 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 
 	// Distribute the session seed (RPDTAB + FEData) and complete the
 	// FE↔master handshake under the selected pipeline.
-	if opts.SeedMode == SeedStoreForward {
-		err = s.launchStoreForward(opts)
-	} else {
-		err = s.launchCutThrough(opts)
-	}
-	if err != nil {
+	if err := s.launchSeed(opts); err != nil {
 		s.close()
 		return nil, err
 	}
@@ -408,66 +382,6 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), s.be.reader)
 	s.fire(health.Event{Kind: health.EvDaemonsSpawned, Rank: -1})
 	return s, nil
-}
-
-// launchStoreForward is the serialized seed pipeline (the paper's
-// Figure 2 shape, kept as the ablation baseline and the pipeline the §4
-// analytic model decomposes): the FE buffers the full RPDTAB from the
-// engine, waits for the spawn status, and only then accepts the master
-// daemon and retransmits the table behind the handshake.
-func (s *Session) launchStoreForward(opts Options) error {
-	sim := s.p.Sim()
-	// The engine replies with the RPDTAB first, streamed as bounded
-	// chunks (the transfer overlaps the daemon spawn), then a status
-	// message once the RM finished spawning. An early status message
-	// means the engine failed before harvesting the table.
-	tab, err := proctab.RecvStream(s.eng, lmonp.ClassFEEngine, func(msg *lmonp.Msg) error {
-		if msg.Type == lmonp.TypeStatus {
-			status, _, _ := engine.DecodeStatus(msg.Payload)
-			return fmt.Errorf("core: engine failed: %s", status)
-		}
-		return fmt.Errorf("core: expected proctab stream, got %v", msg.Type)
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.adoptTable(tab); err != nil {
-		return err
-	}
-
-	status, engTL, err := s.recvStatus()
-	if err != nil {
-		return err
-	}
-	if status != "daemons-spawned" {
-		return fmt.Errorf("core: engine failed: %s", status)
-	}
-	s.Timeline.Merge(engTL)
-
-	// Handshake with the master back-end daemon (e7..e10): the hello-
-	// routed connection for this session, never another's.
-	beConn, err := s.ep.Accept(transport.RoleBE, s.timeout)
-	if err != nil {
-		return fmt.Errorf("core: master daemon did not connect: %w", err)
-	}
-	s.be.conn = beConn
-	s.Timeline.Mark(engine.MarkE7, sim.Now())
-	if err := s.sendHandshake(beConn, lmonp.ClassFEBE, opts.FEData); err != nil {
-		return err
-	}
-	ready, err := beConn.Expect(lmonp.ClassFEBE, lmonp.TypeReady)
-	if err != nil {
-		return err
-	}
-	s.Timeline.Mark(engine.MarkE10, sim.Now())
-	infos, beTL, obsBlob, err := decodeReady(ready.Payload)
-	if err != nil {
-		return err
-	}
-	s.daemons = infos
-	s.Timeline.Merge(beTL)
-	s.stashObsHarvest("BE", obsBlob)
-	return nil
 }
 
 // RegisterStatusCB mirrors lmon_fe_regStatusCB (paper §3.2): cb fires for
@@ -557,10 +471,7 @@ func (s *Session) engineReader() {
 			// Only a severed link (the engine's host died) is a fault; a
 			// clean EOF is the engine exiting after detach/kill.
 			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
-				s.noteFault("engine connection lost")
-				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown("engine connection lost")
-				})
+				s.fault("engine connection lost")
 			}
 			return
 		}
@@ -575,10 +486,7 @@ func (s *Session) engineReader() {
 			s.obsInstant("event:" + ev.Kind.String())
 			s.fire(ev)
 			if ev.Kind == health.EvJobExited {
-				s.noteFault("job exited")
-				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown("job exited")
-				})
+				s.fault("job exited")
 			}
 		}
 	}
@@ -610,9 +518,7 @@ func (fab *feFabric) reader() {
 					Kind: health.EvDaemonExited, Rank: 0,
 					Detail: pre + "master daemon connection severed",
 				})
-				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown(pre + "master daemon lost")
-				})
+				s.fault(pre + "master daemon lost")
 			}
 			return
 		}
@@ -635,14 +541,18 @@ func (fab *feFabric) reader() {
 			s.obsInstant(pre + "event:" + ev.Kind.String())
 			s.fire(ev)
 			if ev.Kind == health.EvDaemonExited {
-				detail := fmt.Sprintf("%sdaemon rank %d lost", pre, ev.Rank)
-				s.noteFault(detail)
-				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown(detail)
-				})
+				s.fault(fmt.Sprintf("%sdaemon rank %d lost", pre, ev.Rank))
 			}
 		}
 	}
+}
+
+// fault records a fatal session fault (the first one names the cause, see
+// noteFault) and hands the teardown to a watchdog goroutine, so the
+// reader that detected it is never the one blocked in the engine exchange.
+func (s *Session) fault(detail string) {
+	s.noteFault(detail)
+	s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() { s.watchdogTeardown(detail) })
 }
 
 // watchdogTeardown reacts to a fatal session fault: it wins the lifecycle
@@ -710,24 +620,6 @@ func (s *Session) adoptTable(tab proctab.Table) error {
 	}
 	sharedSegFor(s.ID).publishIndex(idx)
 	return nil
-}
-
-// sendHandshake sends the session handshake to a master daemon: the
-// handshake message itself (carrying the piggybacked tool data), then the
-// RPDTAB as a bounded-chunk stream.
-func (s *Session) sendHandshake(c *lmonp.Conn, class lmonp.MsgClass, feData []byte) error {
-	if err := c.Send(&lmonp.Msg{Class: class, Type: lmonp.TypeHandshake, UsrData: feData}); err != nil {
-		return err
-	}
-	return proctab.SendStream(c, class, s.tab, s.chunkBytes)
-}
-
-func (s *Session) recvStatus() (string, engine.Timeline, error) {
-	msg, err := s.eng.Expect(lmonp.ClassFEEngine, lmonp.TypeStatus)
-	if err != nil {
-		return "", engine.Timeline{}, err
-	}
-	return engine.DecodeStatus(msg.Payload)
 }
 
 // closed reports whether the session has been detached or killed.
@@ -799,34 +691,25 @@ func (s *Session) endSession(kill bool) bool {
 
 // Detach ends tool control, leaving the job running. Daemons observe their
 // FE/ICCL connections closing and shut themselves down.
-func (s *Session) Detach() error {
-	if !s.endSession(false) {
-		return ErrSessionClosed
-	}
-	// Tear down even when the exchange fails: the session is over either
-	// way, and the mux endpoint must be released.
-	defer s.finishTeardown("detached by tool")
-	payload, err := s.engExchange(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeDetach})
-	if err != nil {
-		return err
-	}
-	status, _, err := engine.DecodeStatus(payload)
-	if err != nil {
-		return err
-	}
-	if status != "detached" {
-		return fmt.Errorf("core: detach failed: %s", status)
-	}
-	return nil
-}
+func (s *Session) Detach() error { return s.end(false) }
 
 // Kill terminates the job, its tasks and all daemons.
-func (s *Session) Kill() error {
-	if !s.endSession(true) {
+func (s *Session) Kill() error { return s.end(true) }
+
+// end wins the lifecycle transition, asks the engine to detach from or
+// kill the job, and tears the session down — also when the exchange
+// fails: the session is over either way, and the mux endpoint must be
+// released.
+func (s *Session) end(kill bool) error {
+	if !s.endSession(kill) {
 		return ErrSessionClosed
 	}
-	defer s.finishTeardown("killed by tool")
-	payload, err := s.engExchange(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeKill})
+	req, verb, done := lmonp.TypeDetach, "detach", "detached"
+	if kill {
+		req, verb, done = lmonp.TypeKill, "kill", "killed"
+	}
+	defer s.finishTeardown(done + " by tool")
+	payload, err := s.engExchange(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: req})
 	if err != nil {
 		return err
 	}
@@ -834,8 +717,8 @@ func (s *Session) Kill() error {
 	if err != nil {
 		return err
 	}
-	if status != "killed" {
-		return fmt.Errorf("core: kill failed: %s", status)
+	if status != done {
+		return fmt.Errorf("core: %s failed: %s", verb, status)
 	}
 	return nil
 }
@@ -890,19 +773,23 @@ func decodeReady(b []byte) ([]DaemonInfo, engine.Timeline, []byte, error) {
 	return infos, tl, obsBlob, err
 }
 
-func encodeReady(infos []DaemonInfo, tl engine.Timeline, obsBlob []byte) []byte {
-	b := lmonp.AppendBytes(nil, encodeDaemonInfos(infos))
-	b = lmonp.AppendBytes(b, tl.Encode())
+// encodeReady renders the ready payload from the gathered per-daemon
+// info blobs (one encodeDaemonInfo each, rank-indexed) as they are: the
+// master never decodes K records just to re-encode the same bytes.
+func encodeReady(infoBlobs [][]byte, tl engine.Timeline, obsBlob []byte) []byte {
+	n := 4
+	for _, raw := range infoBlobs {
+		n += 4 + len(raw)
+	}
+	tlEnc := tl.Encode()
+	b := lmonp.AppendUint32(make([]byte, 0, 4+n+4+len(tlEnc)+4+len(obsBlob)), uint32(n))
+	b = lmonp.AppendUint32(b, uint32(len(infoBlobs)))
+	for _, raw := range infoBlobs {
+		b = lmonp.AppendBytes(b, raw)
+	}
+	b = lmonp.AppendBytes(b, tlEnc)
 	if len(obsBlob) == 0 {
 		return b
 	}
 	return lmonp.AppendBytes(b, obsBlob)
-}
-
-// splitNodeList parses the RM-provided node list: a hostlist-compressed
-// range expression ("n[0-999999]") or a plain comma-joined list. Expansion
-// interns the shared suffix structure, so a million-node list costs one
-// slice, not a million independent strings.
-func splitNodeList(s string) []string {
-	return hostlist.Expand(s)
 }

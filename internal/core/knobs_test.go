@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +18,7 @@ import (
 // package declares must be both planted by the FE and read by a daemon —
 // so a knob cannot be retired (or added) in code and linger (or go
 // missing) in the docs, and an environment variable cannot outlive its
-// reader.
+// reader or grow a second one outside the codec.
 
 // readmeTable returns the backticked first-column names of the README
 // table whose header row starts with the given first-column title.
@@ -94,7 +94,10 @@ func TestEveryLMONVariableIsPlantedAndRead(t *testing.T) {
 		t.Fatal("found no LMON_* constants in core.go")
 	}
 
-	var src strings.Builder
+	// The bootstrap-environment codec (env.go) is the one place allowed to
+	// know the variables: every constant must appear in both halves of it,
+	// and in no other function of the package.
+	uses := map[string]map[string]bool{} // enclosing function → constants it names
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -103,18 +106,41 @@ func TestEveryLMONVariableIsPlantedAndRead(t *testing.T) {
 		if strings.HasSuffix(f, "_test.go") {
 			continue
 		}
-		data, err := os.ReadFile(f)
+		parsed, err := parser.ParseFile(fset, f, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.Write(data)
+		for _, decl := range parsed.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			qualified := map[*ast.Ident]bool{} // pkg.Name selectors: other packages' constants
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					qualified[sel.Sel] = true
+				}
+				if id, ok := n.(*ast.Ident); ok && !qualified[id] && slices.Contains(consts, id.Name) {
+					if uses[fn.Name.Name] == nil {
+						uses[fn.Name.Name] = map[string]bool{}
+					}
+					uses[fn.Name.Name][id.Name] = true
+				}
+				return true
+			})
+		}
 	}
 	for _, name := range consts {
-		if !regexp.MustCompile(`env\[` + name + `\] =`).MatchString(src.String()) {
-			t.Errorf("%s is never planted into a daemon environment (no env[%s] = ...)", name, name)
+		if !uses["plant"][name] {
+			t.Errorf("%s is never planted into a daemon environment (bootEnv.plant does not name it)", name)
 		}
-		if !regexp.MustCompile(`\.Env\(` + name + `\)`).MatchString(src.String()) {
-			t.Errorf("%s is never read by a daemon (no p.Env(%s))", name, name)
+		if !uses["parseBootEnv"][name] {
+			t.Errorf("%s is never read by a daemon (parseBootEnv does not name it)", name)
+		}
+	}
+	for fn, names := range uses {
+		if fn != "plant" && fn != "parseBootEnv" {
+			t.Errorf("%s touches %v outside the bootstrap-environment codec", fn, names)
 		}
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// This file is the front-end half of the cut-through launch pipeline
-// (DESIGN.md "Life of a session"): instead of buffering the full RPDTAB
-// from the engine and retransmitting it after the spawn status arrives,
-// the FE relays each chunk toward the master back-end daemon as it
-// arrives, and accepts the master's connection concurrently with the
-// engine stream and status wait — so the FE↔BE handshake (with FEData
-// ahead of the table) begins the moment the master dials in, typically
-// while the RM is still spawning the master's sibling daemons.
+// This file is the front-end half of the launch pipeline (DESIGN.md "Life
+// of a session"). Under the default cut-through mode the FE does not
+// buffer the full RPDTAB from the engine and retransmit it after the
+// spawn status arrives: it relays each chunk toward the master back-end
+// daemon as it arrives, and accepts the master's connection concurrently
+// with the engine stream and status wait — so the FE↔BE handshake (with
+// FEData ahead of the table) begins the moment the master dials in,
+// typically while the RM is still spawning the master's sibling daemons.
+// The store-forward baseline is the same relay started late.
 
 // SeedMode selects how a session's seed — the RPDTAB plus the
 // piggybacked Options.FEData — reaches every back-end daemon.
@@ -42,7 +43,8 @@ const (
 	SeedStoreForward
 )
 
-// String names the mode for diagnostics and bench output.
+// String names the mode for diagnostics, bench output and the daemon
+// bootstrap environment (LMON_SEED_MODE).
 func (m SeedMode) String() string {
 	if m == SeedStoreForward {
 		return "store-forward"
@@ -50,17 +52,12 @@ func (m SeedMode) String() string {
 	return "cut-through"
 }
 
-// envValue renders the mode for the daemon bootstrap environment.
-func (m SeedMode) envValue() string { return m.String() }
-
-// seedItem is one unit of the FE→master relay: an RPDTAB chunk, or the
-// end marker carrying the table's entry count and the rolling digest of
-// the chunk checksums (sum).
+// seedItem is one unit of the FE→master relay: the payload of an RPDTAB
+// chunk message, or (end) of the end marker closing the stream
+// (proctab.EncodeEndMarker: entry count + rolling chunk digest).
 type seedItem struct {
-	chunk []byte
-	end   bool
-	total uint64
-	sum   uint64
+	payload []byte
+	end     bool
 }
 
 // relayResult is what the seed-relay goroutine hands back to the launch
@@ -100,15 +97,29 @@ func newSeedRelay(s *Session, fab fabricProfile, feData []byte, markAccept, mark
 	}
 }
 
-// abort wakes a relay parked on the item queue and stops further
-// forwarding: the relay checks the queue's closed flag before each item,
-// so even a pre-fed queue (the MW path queues its end marker up front)
-// stops streaming to a stale dial after an abort — queued
-// values surviving Close would otherwise keep the stream flowing. A
-// relay parked in Endpoint.Accept is released by the caller closing the
-// session (s.close closes the endpoint); one already past its end marker
-// is parked on the peer's ready and is reaped by the caller instead.
-func (r *seedRelay) abort() { r.items.Close() }
+// abandon gives up on the relay after a launch-side error. Closing the
+// item queue wakes a relay parked on it and stops further forwarding: the
+// relay checks the queue's closed flag before each item, so even a
+// pre-fed queue (the MW path queues its end marker up front) stops
+// streaming to a stale dial — queued values surviving Close would
+// otherwise keep the stream flowing. A relay parked in Endpoint.Accept is
+// released by the caller closing the session (s.close closes the
+// endpoint). One already past its end marker is parked awaiting the
+// master's ready and would hand back an open connection nobody reads —
+// leaving the master (and with it the whole daemon tree) waiting on the
+// session forever — so a reaper drains the result, closes that
+// connection, and only then runs then (nil for none).
+func (r *seedRelay) abandon(then func()) {
+	r.items.Close()
+	r.s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-%s-relay-reaper", r.s.ID, r.fab.kind), func() {
+		if res, ok := r.result.Recv(); ok && res.conn != nil {
+			res.conn.Close()
+		}
+		if then != nil {
+			then()
+		}
+	})
+}
 
 func (r *seedRelay) run() {
 	res := r.relay()
@@ -139,33 +150,21 @@ func (r *seedRelay) relay() relayResult {
 	}
 	first := true
 	for {
-		if r.items.Closed() {
-			return relayResult{conn: conn, err: fmt.Errorf("core: session %d: seed relay aborted", s.ID)}
-		}
 		it, ok := r.items.Recv()
-		if !ok {
+		if !ok || r.items.Closed() {
 			return relayResult{conn: conn, err: fmt.Errorf("core: session %d: seed relay aborted", s.ID)}
 		}
 		if first {
 			tl.Mark(r.markFwd, sim.Now())
 			first = false
 		}
-		if it.end {
-			err = conn.Send(&lmonp.Msg{
-				Class:   r.fab.class,
-				Type:    lmonp.TypeProctabEnd,
-				Payload: proctab.EncodeEndMarker(it.total, it.sum),
-			})
-		} else {
-			err = conn.Send(&lmonp.Msg{
-				Class:   r.fab.class,
-				Type:    lmonp.TypeProctabChunk,
-				Payload: it.chunk,
-			})
+		typ := lmonp.TypeProctabEnd
+		if !it.end {
+			typ = lmonp.TypeProctabChunk
 			relayChunks.Inc()
-			relayBytes.Add(uint64(len(it.chunk)))
+			relayBytes.Add(uint64(len(it.payload)))
 		}
-		if err != nil {
+		if err := conn.Send(&lmonp.Msg{Class: r.fab.class, Type: typ, Payload: it.payload}); err != nil {
 			return relayResult{conn: conn, err: fmt.Errorf("core: relaying session seed to %s master: %w", r.fab.kind, err)}
 		}
 		if it.end {
@@ -185,31 +184,31 @@ func (r *seedRelay) relay() relayResult {
 	return relayResult{conn: conn, infos: infos, tl: tl, obsBlob: obsBlob}
 }
 
-// launchCutThrough drains the engine's chunk stream and status while the
-// relay goroutine independently accepts the master daemon, handshakes,
-// and forwards the chunks. The FE assembles its own table copy from the
-// same chunks in passing — it never waits for the full table before
-// forwarding, and never retransmits it after the status arrives.
-func (s *Session) launchCutThrough(opts Options) error {
+// launchSeed drains the engine's chunk stream and spawn status into the
+// FE's own table copy and feeds every chunk to the BE seed relay. Under
+// cut-through the relay runs concurrently from the start — it accepts the
+// master daemon, handshakes and forwards while the engine is still
+// streaming, so the FE never waits for the full table before forwarding
+// and never retransmits it. Under store-forward (the serialized Figure 2
+// chain the §4 model decomposes) the relay runs only once table and
+// status are both in: it accepts the master then and plays back the
+// queued chunks — the engine's own, which are the chunks re-encoding the
+// finished table would produce (proctab.ChunkWriter is deterministic in
+// entry order and bound).
+func (s *Session) launchSeed(opts Options) error {
 	sim := s.p.Sim()
 	relay := newSeedRelay(s, beFabric, opts.FEData,
 		engine.MarkE7, engine.MarkSeedFwd, engine.MarkE10)
-	sim.Go(fmt.Sprintf("fe-sess-%d-seed-relay", s.ID), relay.run)
-
-	// fail abandons the relay on an engine-side error. Closing the item
-	// queue only reaches a relay still forwarding; one that has relayed
-	// the end marker is parked awaiting the master's ready and would
-	// otherwise hand back an open connection nobody reads — leaving the
-	// master (and with it the whole daemon tree) waiting on the session
-	// forever. A reaper drains the result and closes that connection; a
-	// relay still parked in Accept is released by the caller's s.close().
+	cut := opts.SeedMode != SeedStoreForward
+	if cut {
+		sim.Go(fmt.Sprintf("fe-sess-%d-seed-relay", s.ID), relay.run)
+	}
+	// fail gives up on an engine-side error; a relay that never started
+	// has nothing to reap.
 	fail := func(err error) error {
-		relay.abort()
-		sim.Go(fmt.Sprintf("fe-sess-%d-relay-reaper", s.ID), func() {
-			if res, ok := relay.result.Recv(); ok && res.conn != nil {
-				res.conn.Close()
-			}
-		})
+		if cut {
+			relay.abandon(nil)
+		}
 		return err
 	}
 
@@ -229,7 +228,7 @@ func (s *Session) launchCutThrough(opts Options) error {
 			if err := asm.Add(msg.Payload); err != nil {
 				return fail(err)
 			}
-			relay.items.Send(seedItem{chunk: msg.Payload})
+			relay.items.Send(seedItem{payload: msg.Payload})
 		case lmonp.TypeProctabEnd:
 			if tabDone {
 				return fail(fmt.Errorf("core: duplicate RPDTAB end marker"))
@@ -252,7 +251,7 @@ func (s *Session) launchCutThrough(opts Options) error {
 			if err := s.adoptTable(tab); err != nil {
 				return fail(err)
 			}
-			relay.items.Send(seedItem{end: true, total: total, sum: digest})
+			relay.items.Send(seedItem{payload: msg.Payload, end: true})
 			tabDone = true
 		case lmonp.TypeStatus:
 			status, tl, err := engine.DecodeStatus(msg.Payload)
@@ -269,6 +268,9 @@ func (s *Session) launchCutThrough(opts Options) error {
 		}
 	}
 	s.Timeline.Merge(engTL)
+	if !cut {
+		relay.run()
+	}
 
 	res, ok := relay.result.Recv()
 	if !ok {

@@ -5,7 +5,9 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/transport"
 )
@@ -61,23 +63,12 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 
 	sim := s.p.Sim()
 	daemon := opts.Daemon
-	env := make(map[string]string, len(daemon.Env)+8)
-	for k, v := range daemon.Env {
-		env[k] = v
-	}
-	env[EnvFEAddr] = s.fe.mux.Addr().String()
-	env[EnvSession] = encodeSessionID(s.ID)
-	env[EnvICCLPort] = fmt.Sprint(icclPortFor(s.ID, true))
-	env[EnvICCLFanout] = fmt.Sprint(opts.ICCLFanout)
-	env[EnvCollChunk] = fmt.Sprint(s.collChunk)
-	env[EnvCollWindow] = fmt.Sprint(s.collWindow)
-	env[EnvProctabChunk] = fmt.Sprint(s.chunkBytes)
-	env[EnvObs] = s.obsMode.envValue()
-	if opts.Health.Period > 0 {
-		env[EnvHealthPeriod] = opts.Health.Period.String()
-		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-	}
-	daemon.Env = env
+	daemon.Env = bootEnv{
+		feAddr: s.fe.mux.Addr().String(), session: s.ID,
+		tree:      iccl.Config{Port: icclPortFor(s.ID, true), Fanout: opts.ICCLFanout},
+		collChunk: s.collChunk, collWindow: s.collWindow, proctabChunk: s.chunkBytes,
+		obs: s.obsMode, health: opts.Health,
+	}.plant(daemon.Env, mwFabric)
 
 	// A previous timed-out attempt may have left a late MW-master dial
 	// queued on this session's endpoint; shed it so this attempt cannot
@@ -95,7 +86,7 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	// with the spawn exchange below — the master daemon dials the moment
 	// the RM spawns it, typically while its sibling daemons are still
 	// coming up, and the seed flows through the forming MW tree
-	// (iccl.BootstrapSeed) with per-rank validation.
+	// (iccl.BootstrapSeedRouted) with per-rank validation.
 	relay := newSeedRelay(s, mwFabric, opts.FEData,
 		engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
 	sim.Go(fmt.Sprintf("fe-sess-%d-mw-seed-relay", s.ID), relay.run)
@@ -103,22 +94,15 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	// the stream is just the FEData preamble plus an empty-table end
 	// marker — O(1) per MW link — and MW daemons read the full table
 	// (when a tool asks) from the session-shared index.
-	relay.items.Send(seedItem{end: true, total: 0, sum: lmonp.SumInit})
+	relay.items.Send(seedItem{payload: proctab.EncodeEndMarker(0, lmonp.SumInit), end: true})
 
 	nodes, err := s.mwSpawn(opts.Nodes, daemon)
 	if err != nil {
 		// The relay may still be parked in Accept (no MW daemon will
 		// ever dial) or mid-handshake with a daemon set that is being
-		// torn down; a reaper closes whatever it hands back and only
-		// then frees the launch slot, so a retry cannot race a stale
-		// Accept for the next master's dial.
-		relay.abort()
-		sim.Go(fmt.Sprintf("fe-sess-%d-mw-relay-reaper", s.ID), func() {
-			if r, ok := relay.result.Recv(); ok && r.conn != nil {
-				r.conn.Close()
-			}
-			release()
-		})
+		// torn down; the launch slot is freed only once it is reaped, so
+		// a retry cannot race a stale Accept for the next master's dial.
+		relay.abandon(release)
 		return nil, err
 	}
 	res, ok := relay.result.Recv()

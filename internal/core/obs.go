@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the front-end surface of the session observability plane
-// (internal/obs): the Options.Obs knob, the FE-side registry and span
+// (internal/obs): the two-valued Options.Obs knob, the FE-side registry and span
 // recorder, the per-fabric metrics harvest stash, and the exported
 // Session.MetricsSnapshot / Session.WriteTrace accessors. The plane runs
 // entirely in virtual time but charges none itself — its only wire cost
@@ -32,22 +32,16 @@ const (
 	// ObsOn enables the full plane: FE recorder + registry, daemon
 	// registries (planted via LMON_OBS), and the harvest folds.
 	ObsOn
-	// ObsOff is the explicit off value (same behavior as ObsDefault; kept
-	// distinct so rigs can override an inherited default).
-	ObsOff
 )
 
-// String names the mode for diagnostics and the bootstrap environment.
+// String names the mode for diagnostics and the daemon bootstrap
+// environment (LMON_OBS).
 func (m ObsMode) String() string {
 	if m == ObsOn {
 		return "on"
 	}
 	return "off"
 }
-
-// envValue renders the mode for the daemon bootstrap environment
-// (EnvObs / LMON_OBS).
-func (m ObsMode) envValue() string { return m.String() }
 
 // enabled reports whether the mode turns the plane on.
 func (m ObsMode) enabled() bool { return m == ObsOn }

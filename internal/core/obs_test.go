@@ -85,7 +85,7 @@ func TestObsDisabledAccessors(t *testing.T) {
 			return
 		}
 		// The plane is off: the FE must not have planted the obs env.
-		if v := p.Env(EnvObs); v != ObsDefault.envValue() {
+		if v := p.Env(EnvObs); v != ObsDefault.String() {
 			t.Errorf("daemon sees %s=%q with obs off", EnvObs, v)
 		}
 		be.Finalize()

@@ -56,14 +56,6 @@ func decodeDaemonInfo(b []byte) (DaemonInfo, error) {
 	return DaemonInfo{Rank: int(r), Host: h, Pid: int(p), Tasks: int(t), PeakBytes: int(pk)}, nil
 }
 
-func encodeDaemonInfos(ds []DaemonInfo) []byte {
-	b := lmonp.AppendUint32(nil, uint32(len(ds)))
-	for _, d := range ds {
-		b = lmonp.AppendBytes(b, encodeDaemonInfo(d))
-	}
-	return b
-}
-
 func decodeDaemonInfos(b []byte) ([]DaemonInfo, error) {
 	rd := lmonp.NewReader(b)
 	n, err := rd.Uint32()

@@ -182,16 +182,6 @@ func DecodeSpawnReq(b []byte) (SpawnReq, error) {
 	return r, nil
 }
 
-// DecodeStatusFromConn reads the next message from c, requiring it to be a
-// fe-engine status, and decodes it.
-func DecodeStatusFromConn(c *lmonp.Conn) (string, Timeline, error) {
-	msg, err := c.Expect(lmonp.ClassFEEngine, lmonp.TypeStatus)
-	if err != nil {
-		return "", Timeline{}, err
-	}
-	return DecodeStatus(msg.Payload)
-}
-
 // DecodeStatus parses a status payload into its message and any timeline.
 func DecodeStatus(b []byte) (string, Timeline, error) {
 	rd := lmonp.NewReader(b)

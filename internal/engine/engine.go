@@ -98,7 +98,7 @@ func (e *Engine) main() {
 	e.proc.Compute(e.cfg.BaseCost)
 	e.chunkBytes = e.cfg.ProctabChunkBytes
 
-	addr, err := parseAddr(e.proc.Env(EnvFEAddr))
+	addr, err := simnet.ParseAddr(e.proc.Env(EnvFEAddr))
 	if err != nil {
 		return
 	}
@@ -348,17 +348,4 @@ func (e *Engine) commandLoop() {
 			e.sendStatus(fmt.Sprintf("error: unexpected message %v", msg.Type))
 		}
 	}
-}
-
-func parseAddr(s string) (simnet.Addr, error) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			port, err := strconv.Atoi(s[i+1:])
-			if err != nil {
-				return simnet.Addr{}, fmt.Errorf("engine: bad address %q", s)
-			}
-			return simnet.Addr{Host: s[:i], Port: port}, nil
-		}
-	}
-	return simnet.Addr{}, fmt.Errorf("engine: bad address %q", s)
 }

@@ -190,14 +190,3 @@ func TestDecoderClassification(t *testing.T) {
 		}
 	}
 }
-
-func TestParseAddr(t *testing.T) {
-	if a, err := parseAddr("fe0:1234"); err != nil || a.Host != "fe0" || a.Port != 1234 {
-		t.Fatalf("parseAddr = %+v, %v", a, err)
-	}
-	for _, bad := range []string{"", "fe0", "fe0:abc", ":"} {
-		if _, err := parseAddr(bad); err == nil {
-			t.Errorf("parseAddr(%q) accepted", bad)
-		}
-	}
-}

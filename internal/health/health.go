@@ -78,14 +78,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Deadline returns the worst-case detection bound of the configuration:
-// a failure is reported within Miss+1 periods (the extra period covers
-// checker phase alignment).
-func (c Config) Deadline() time.Duration {
-	cfg := c.withDefaults()
-	return time.Duration(cfg.Miss+1) * cfg.Period
-}
-
 // Report is one detected daemon loss, delivered at the tree root.
 type Report struct {
 	Rank   int    // lost daemon's rank

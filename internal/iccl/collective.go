@@ -76,7 +76,6 @@ type Plane struct {
 	treeSeq    uint32
 	up         UpFn
 	down       DownFn
-	slotOf     map[int]int // direct child rank → slot (flat roots have K-1 children)
 }
 
 // NewPlane attaches a collective plane to the communicator. chunkBytes
@@ -91,11 +90,7 @@ func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, down DownFn) *Plane {
 	if window <= 0 {
 		window = coll.DefaultWindow
 	}
-	slotOf := make(map[int]int, len(c.childRk))
-	for slot, rk := range c.childRk {
-		slotOf[rk] = slot
-	}
-	return &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up, down: down, slotOf: slotOf}
+	return &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up, down: down}
 }
 
 // Every public operation resolves its stream tag through one of the three
@@ -300,43 +295,56 @@ func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
 
 func (pl *Plane) broadcast(tag uint32) ([]byte, error) {
 	var asm coll.RawAssembler
+	end, err := pl.relayDown(coll.OpBroadcast, tag, asm.Add)
+	if err != nil {
+		return nil, err
+	}
+	return asm.Finish(end.H, end.Total)
+}
+
+// relayDown is the down-phase of Broadcast, AllGather and AllReduce: it
+// pulls the tagged stream from above (recvDown), hands every chunk to add
+// (which validates the sequence and copies what it keeps) and forwards
+// every frame to the children, returning the end marker for the caller's
+// assembler to finish on.
+func (pl *Plane) relayDown(op coll.Op, tag uint32, add func(coll.Header, []byte) error) (coll.Frame, error) {
 	for {
 		f, err := pl.recvDown(tag)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
-		if err := pl.checkStream(f, coll.OpBroadcast, tag); err != nil {
-			return nil, err
+		if err := pl.checkStream(f, op, tag); err != nil {
+			return f, err
+		}
+		if !f.End {
+			if err := add(f.H, f.Body); err != nil {
+				return f, err
+			}
 		}
 		for _, conn := range pl.c.children {
 			if err := pl.sendFrame(conn, f); err != nil {
-				return nil, err
+				return f, err
 			}
 		}
 		if f.End {
-			return asm.Finish(f.H, f.Total)
-		}
-		if err := asm.Add(f.H, f.Body); err != nil { // Add copies
-			return nil, err
+			return f, nil
 		}
 	}
 }
 
-// childSlot returns which child slot owns rank r's subtree, or -1 when r
-// is outside this node's subtree.
-func (pl *Plane) childSlot(r int) int {
-	fanout := pl.c.cfg.Fanout
-	for r > 0 {
-		p := Parent(r, fanout)
-		if p == pl.c.rank {
-			if slot, ok := pl.slotOf[r]; ok {
-				return slot
-			}
-			return -1
+// toConn is the frame sink writing to one tree link (Packer.Emit, sendRaw).
+func (pl *Plane) toConn(conn *simnet.Conn) func(coll.Frame) error {
+	return func(f coll.Frame) error { return pl.sendFrame(conn, f) }
+}
+
+// sendRaw streams data through emit as a raw chunk stream plus end marker.
+func (pl *Plane) sendRaw(op coll.Op, tag uint32, filter string, data []byte, emit func(coll.Frame) error) error {
+	for _, f := range coll.RawFrames(op, tag, filter, data, pl.chunkBytes) {
+		if err := emit(f); err != nil {
+			return err
 		}
-		r = p
 	}
-	return -1
+	return nil
 }
 
 // Scatter receives one FE-originated scatter and returns this rank's
@@ -358,11 +366,7 @@ func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) {
 func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 	packers := make([]*coll.Packer, len(pl.c.children))
 	for slot, conn := range pl.c.children {
-		conn := conn
-		packers[slot] = &coll.Packer{
-			Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes,
-			Emit: func(f coll.Frame) error { return pl.sendFrame(conn, f) },
-		}
+		packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.toConn(conn)}
 	}
 	var mine []byte
 	have := false
@@ -399,7 +403,7 @@ func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 				have = true
 				continue
 			}
-			slot := pl.childSlot(e.Rank)
+			slot := subtreeSlot(pl.c.rank, pl.c.cfg.Fanout, len(packers), e.Rank)
 			if slot < 0 {
 				return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree",
 					ErrProtocol, e.Rank, pl.c.rank)
@@ -422,7 +426,7 @@ func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 // by the subtree's daemon count, and no link ever carries a monolithic
 // K-entry payload.
 func (pl *Plane) Gather(mine []byte) error {
-	return pl.gather(pl.nextTag(), mine)
+	return pl.gatherUp(coll.OpGather, pl.nextTag(), mine)
 }
 
 // GatherTag is Gather on an explicitly tagged concurrent stream.
@@ -430,15 +434,18 @@ func (pl *Plane) GatherTag(tag uint32, mine []byte) error {
 	if err := pl.userTag(tag); err != nil {
 		return err
 	}
-	return pl.gather(tag, mine)
+	return pl.gatherUp(coll.OpGather, tag, mine)
 }
 
-func (pl *Plane) gather(tag uint32, mine []byte) error {
-	pk := &coll.Packer{Op: coll.OpGather, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.emitUp}
+// gatherUp streams this subtree's entries upward — own entry first, then
+// each child subtree's, re-coalesced into bounded chunks: the whole of
+// Gather and the non-root up-phase of AllGather.
+func (pl *Plane) gatherUp(op coll.Op, tag uint32, mine []byte) error {
+	pk := &coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.emitUp}
 	if err := pk.Add(coll.Entry{Rank: pl.c.rank, Blob: mine}); err != nil {
 		return err
 	}
-	if err := pl.gatherChildren(coll.OpGather, tag, pk.Add); err != nil {
+	if err := pl.gatherChildren(op, tag, pk.Add); err != nil {
 		return err
 	}
 	return pk.End()
@@ -508,12 +515,7 @@ func (pl *Plane) reduce(tag uint32, mine []byte, filter string) error {
 	if err != nil {
 		return err
 	}
-	for _, f := range coll.RawFrames(coll.OpReduce, tag, filter, acc, pl.chunkBytes) {
-		if err := pl.emitUp(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pl.sendRaw(coll.OpReduce, tag, filter, acc, pl.emitUp)
 }
 
 // combineChildren folds every child subtree's combined stream into this
@@ -637,34 +639,29 @@ func (pl *Plane) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
 func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 	if pl.c.parent == nil {
 		// Root: assemble the full rank table from the subtree streams...
-		byRank := map[int][]byte{pl.c.rank: append([]byte(nil), mine...)}
+		out := make([][]byte, pl.c.size)
+		out[pl.c.rank] = append([]byte{}, mine...) // non-nil marks a slot filled
+		have := 1
 		err := pl.gatherChildren(coll.OpAllGather, tag, func(e coll.Entry) error {
-			if _, dup := byRank[e.Rank]; dup {
-				return fmt.Errorf("%w: rank %d contributed twice to allgather", ErrProtocol, e.Rank)
+			if e.Rank >= len(out) || out[e.Rank] != nil {
+				return fmt.Errorf("%w: rank %d contributed twice to (or is outside) a %d-daemon allgather",
+					ErrProtocol, e.Rank, len(out))
 			}
-			byRank[e.Rank] = append([]byte(nil), e.Blob...)
+			out[e.Rank] = append([]byte{}, e.Blob...)
+			have++
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if len(byRank) != pl.c.size {
-			return nil, fmt.Errorf("%w: allgather assembled %d of %d contributions",
-				ErrProtocol, len(byRank), pl.c.size)
-		}
-		out := make([][]byte, pl.c.size)
-		entries := make([]coll.Entry, pl.c.size)
-		for rk := 0; rk < pl.c.size; rk++ {
-			out[rk] = byRank[rk]
-			entries[rk] = coll.Entry{Rank: rk, Blob: byRank[rk]}
+		if have != len(out) {
+			return nil, fmt.Errorf("%w: allgather assembled %d of %d contributions", ErrProtocol, have, len(out))
 		}
 		// ...then redistribute it down every child link in bounded chunks.
 		for _, conn := range pl.c.children {
-			conn := conn
-			pk := &coll.Packer{Op: coll.OpAllGather, Tag: tag, ChunkBytes: pl.chunkBytes,
-				Emit: func(f coll.Frame) error { return pl.sendFrame(conn, f) }}
-			for _, e := range entries {
-				if err := pk.Add(e); err != nil {
+			pk := &coll.Packer{Op: coll.OpAllGather, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.toConn(conn)}
+			for rk, blob := range out {
+				if err := pk.Add(coll.Entry{Rank: rk, Blob: blob}); err != nil {
 					return nil, err
 				}
 			}
@@ -674,46 +671,17 @@ func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 		}
 		return out, nil
 	}
-	// Non-root up-phase: own entry first, then each child subtree,
-	// re-coalesced upward (the Gather shape).
-	pk := &coll.Packer{Op: coll.OpAllGather, Tag: tag, ChunkBytes: pl.chunkBytes,
-		Emit: func(f coll.Frame) error { return pl.sendFrame(pl.c.parent, f) }}
-	if err := pk.Add(coll.Entry{Rank: pl.c.rank, Blob: mine}); err != nil {
+	// Non-root up-phase: the Gather shape under the allgather op...
+	if err := pl.gatherUp(coll.OpAllGather, tag, mine); err != nil {
 		return nil, err
 	}
-	if err := pl.gatherChildren(coll.OpAllGather, tag, pk.Add); err != nil {
-		return nil, err
-	}
-	if err := pk.End(); err != nil {
-		return nil, err
-	}
-	// Down-phase: forward the table stream to the children as it
-	// arrives and reassemble it locally (the Broadcast shape).
-	var in coll.SeqCheck
+	// ...then the table stream comes back down (the Broadcast shape).
 	var asm coll.RankAssembler
-	for {
-		f, err := pl.recvTagged(pl.c.parent, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := pl.checkStream(f, coll.OpAllGather, tag); err != nil {
-			return nil, err
-		}
-		if err := in.Admit(f.H); err != nil {
-			return nil, err
-		}
-		for _, conn := range pl.c.children {
-			if err := pl.sendFrame(conn, f); err != nil {
-				return nil, err
-			}
-		}
-		if f.End {
-			return asm.Finish(f.H, f.Total, pl.c.size)
-		}
-		if err := asm.Add(f.H, f.Body); err != nil {
-			return nil, err
-		}
+	end, err := pl.relayDown(coll.OpAllGather, tag, asm.Add)
+	if err != nil {
+		return nil, err
 	}
+	return asm.Finish(end.H, end.Total, pl.c.size)
 }
 
 // AllReduce contributes mine to a reduction with the named filter and
@@ -739,38 +707,19 @@ func (pl *Plane) allReduce(tag uint32, mine []byte, filter string) ([]byte, erro
 	}
 	if pl.c.parent == nil {
 		for _, conn := range pl.c.children {
-			for _, f := range coll.RawFrames(coll.OpAllReduce, tag, filter, acc, pl.chunkBytes) {
-				if err := pl.sendFrame(conn, f); err != nil {
-					return nil, err
-				}
+			if err := pl.sendRaw(coll.OpAllReduce, tag, filter, acc, pl.toConn(conn)); err != nil {
+				return nil, err
 			}
 		}
 		return acc, nil
 	}
-	for _, f := range coll.RawFrames(coll.OpAllReduce, tag, filter, acc, pl.chunkBytes) {
-		if err := pl.sendFrame(pl.c.parent, f); err != nil {
-			return nil, err
-		}
+	if err := pl.sendRaw(coll.OpAllReduce, tag, filter, acc, pl.emitUp); err != nil {
+		return nil, err
 	}
 	var asm coll.RawAssembler
-	for {
-		f, err := pl.recvTagged(pl.c.parent, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := pl.checkStream(f, coll.OpAllReduce, tag); err != nil {
-			return nil, err
-		}
-		for _, conn := range pl.c.children {
-			if err := pl.sendFrame(conn, f); err != nil {
-				return nil, err
-			}
-		}
-		if f.End {
-			return asm.Finish(f.H, f.Total)
-		}
-		if err := asm.Add(f.H, f.Body); err != nil {
-			return nil, err
-		}
+	end, err := pl.relayDown(coll.OpAllReduce, tag, asm.Add)
+	if err != nil {
+		return nil, err
 	}
+	return asm.Finish(end.H, end.Total)
 }

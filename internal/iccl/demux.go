@@ -71,14 +71,38 @@ func (c *Comm) demuxFor(conn *simnet.Conn) *linkDemux {
 	return c.demux[conn]
 }
 
-// newLinkDemux registers the framer on conn. Its busy-until horizon
-// reproduces the serial charging of a reader loop: frame i is delivered at
-// max(arrival_i, done_{i-1}) + PerMsgCost. Heartbeats are not charged here
-// (the health layer charges them on consumption, at its own cheaper
-// per-message cost) — but one queued behind a still-cooking frame waits
-// for it, and so does the link's death: a serial reader only observes the
-// failure after charging every frame before it, so in-flight deliveries
-// are not dropped.
+// serialFramer charges the frames of one event-driven link the way a
+// blocking reader loop would: frame i is handed over at
+// max(arrival_i, done_{i-1}) + cost. Whatever is not charged — a
+// heartbeat, the link's death — still waits its turn behind a frame that
+// is cooking: a serial reader only observes it after charging every frame
+// before it, so in-flight deliveries are never dropped or overtaken. It is
+// only touched from scheduler callbacks, which never overlap.
+type serialFramer struct {
+	sim       *vtime.Sim
+	cost      time.Duration
+	busyUntil time.Duration
+}
+
+// charge hands fn one frame's worth of reader time from now on.
+func (fr *serialFramer) charge(fn func()) {
+	now := fr.sim.Now()
+	fr.busyUntil = max(now, fr.busyUntil) + fr.cost
+	fr.sim.After(fr.busyUntil-now, fn)
+}
+
+// behind runs fn uncharged once every frame charged so far is delivered.
+func (fr *serialFramer) behind(fn func()) {
+	if now := fr.sim.Now(); fr.busyUntil > now {
+		fr.sim.After(fr.busyUntil-now, fn)
+	} else {
+		fn()
+	}
+}
+
+// newLinkDemux registers the framer on conn. Heartbeats are not charged
+// here: the health layer charges them on consumption, at its own cheaper
+// per-message cost.
 func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 	sim := c.p.Sim()
 	d := &linkDemux{
@@ -87,25 +111,15 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 		hb:   vtime.NewChan[[]byte](sim),
 		tags: vtime.NewStreams[uint32, coll.Frame](sim),
 	}
-	// Only touched from scheduler callbacks, which never overlap.
-	var busyUntil time.Duration
+	fr := &serialFramer{sim: sim, cost: c.cfg.PerMsgCost}
 	lmonp.HandleFrames(conn, func(raw []byte, err error) {
-		now := sim.Now()
-		behind := func(fn func()) {
-			if busyUntil <= now {
-				fn()
-			} else {
-				sim.After(busyUntil-now, fn)
-			}
-		}
 		switch {
 		case err != nil:
-			behind(func() { d.fail(err) })
+			fr.behind(func() { d.fail(err) })
 		case len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat:
-			behind(func() { d.hb.Send(raw[4:]) })
+			fr.behind(func() { d.hb.Send(raw[4:]) })
 		default:
-			busyUntil = max(now, busyUntil) + c.cfg.PerMsgCost
-			sim.After(busyUntil-now, func() { d.deliver(raw) })
+			fr.charge(func() { d.deliver(raw) })
 		}
 	})
 	return d

@@ -17,7 +17,10 @@ import (
 // parked router goroutine); what must survive is that reader's charging:
 // every frame but a heartbeat is delivered at max(arrival, busyUntil) +
 // PerMsgCost, a heartbeat uncharged at max(arrival, busyUntil), whichever
-// of ShareLinks / the first plane operation installed the demux.
+// of ShareLinks / the first plane operation installed the demux. The same
+// framer (serialFramer) serves a leaf's seed stream, where the reader it
+// stands in for still exists — the pump of an interior rank — and the two
+// must deliver at the same instants.
 
 type linkFrame int
 
@@ -164,5 +167,96 @@ func TestLinkDemuxChargesLikeASerialReader(t *testing.T) {
 				t.Errorf("delivery instants\n got  %v\n want %v\n(arrivals %v, cost %v)", got, want, arrivals, cost)
 			}
 		})
+	}
+	t.Run("leaf_seed_stream", leafSeedFramerMatchesPump)
+}
+
+// seedScript is when the root's seed source releases each frame (frame 0
+// is the FEData preamble, the last the End marker), as offsets from
+// scriptStart: a burst that queues behind the busy horizon, frames closer
+// together than the per-message cost, and lone ones that find the link idle.
+var seedScript = []time.Duration{
+	0, 0, 0, 0,
+	2000 * time.Microsecond, 2050 * time.Microsecond, 2120 * time.Microsecond,
+	5000 * time.Microsecond, 5000 * time.Microsecond,
+}
+
+// runSeedScript plays seedScript down a fanout-1 chain of n ranks and
+// returns the instants rank 1's seed frames were delivered locally. With
+// n=2 rank 1 is a leaf (the event-driven framer owns its parent link);
+// with n=3 it is interior (a pump goroutine block-reads the link).
+func runSeedScript(t *testing.T, n int) (at []time.Duration, cost time.Duration) {
+	t.Helper()
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodelist := make([]string, n)
+	for i := range nodelist {
+		nodelist[i] = cl.Node(i).Name()
+	}
+	sim.Go("boot", func() {
+		for i := 0; i < n; i++ {
+			i := i
+			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+				var src SeedSource
+				if i == 0 {
+					next := scriptedSeed(make([][]byte, len(seedScript)-1))
+					idx := 0
+					src = func() (coll.Frame, error) {
+						sim.Sleep(scriptStart + seedScript[idx] - sim.Now())
+						idx++
+						return next()
+					}
+				}
+				c, seed, err := BootstrapSeedRouted(p, Config{
+					Rank: i, Size: n, Fanout: 1, Nodelist: nodelist, Port: 50010,
+				}, src, nil)
+				if err != nil {
+					t.Errorf("rank %d: %v", i, err)
+					return
+				}
+				defer c.Close()
+				if i == 1 {
+					cost = c.cfg.PerMsgCost
+					seed.local.Handle(func(_ coll.Frame, ok bool) {
+						if ok {
+							at = append(at, sim.Now())
+						}
+					})
+				}
+				sim.Sleep(2*scriptStart - sim.Now())
+				if err := seed.Wait(); err != nil {
+					t.Errorf("rank %d: %v", i, err)
+				}
+			}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	sim.Run()
+	return at, cost
+}
+
+// leafSeedFramerMatchesPump is the seed-stream half of
+// TestLinkDemuxChargesLikeASerialReader.
+func leafSeedFramerMatchesPump(t *testing.T) {
+	framer, cost := runSeedScript(t, 2)
+	pump, _ := runSeedScript(t, 3)
+	if len(framer) != len(seedScript) {
+		t.Fatalf("leaf saw %d of %d seed frames", len(framer), len(seedScript))
+	}
+	if !reflect.DeepEqual(framer, pump) {
+		t.Errorf("delivery instants at rank 1\n leaf framer    %v\n interior pump  %v", framer, pump)
+	}
+	queued, idle := false, false
+	for i := 1; i < len(framer); i++ {
+		queued = queued || framer[i]-framer[i-1] == cost
+		idle = idle || framer[i]-framer[i-1] > 2*cost
+	}
+	if !queued || !idle {
+		t.Errorf("script exercises queued=%v idle=%v deliveries: %v (cost %v)", queued, idle, framer, cost)
 	}
 }

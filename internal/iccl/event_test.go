@@ -46,7 +46,7 @@ func scriptedSeed(bodies [][]byte) SeedSource {
 }
 
 // TestSeedGoroutinesOnlyAtForwardingRanks pins the lazy-spawn contract of
-// BootstrapSeed: seed pumps exist only at ranks that must forward while
+// BootstrapSeedRouted: seed pumps exist only at ranks that must forward while
 // their own bootstrap still blocks (the root and interior ranks); child
 // forwarders are outbox callbacks, not goroutines; and leaves — the
 // overwhelming majority at scale — spawn nothing at all.
@@ -77,9 +77,9 @@ func TestSeedGoroutinesOnlyAtForwardingRanks(t *testing.T) {
 				if i == 0 {
 					src = scriptedSeed(bodies)
 				}
-				c, seed, err := BootstrapSeed(p, Config{
+				c, seed, err := BootstrapSeedRouted(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src)
+				}, src, nil)
 				if err != nil {
 					errs[i] = err
 					return

@@ -5,20 +5,24 @@
 // arrive in the environment the RM sets when spawning them) and then
 // perform simple barriers, broadcasts, gathers and scatters.
 //
-// ICCL deliberately provides only these four collectives: it is not a
-// general TBŌN replacement (tools needing scalable filtering/reduction
-// should layer MRNet-like infrastructure — internal/tbon — on top), but it
-// is enough to launch daemons and hand tools a rudimentary coordination
-// fabric.
+// ICCL stays deliberately minimal: Comm carries those four collectives
+// plus FoldUp (the associative fold the observability harvest rides), and
+// Plane (collective.go) streams tool data over the same tree in chunked,
+// tagged, credit-windowed form. It is not a general TBŌN replacement
+// (tools needing scalable filtering/reduction should layer MRNet-like
+// infrastructure — internal/tbon — on top), but it is enough to launch
+// daemons and hand tools a rudimentary coordination fabric.
 package iccl
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
 	"launchmon/internal/simnet"
@@ -194,13 +198,51 @@ func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
 		}
 		return raw, nil
 	}
-	raw, err := lmonp.ReadFrame(conn)
+	return c.readCharged(conn, 0)
+}
+
+// readCharged reads one frame straight off a tree link — under a
+// virtual-time deadline when positive — charging the per-message handling
+// cost. Tree frames are written one per network message (lmonp.WriteFrame
+// is a single Write call), so the whole-message timed receive unwraps to
+// exactly one frame.
+func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, error) {
+	var raw []byte
+	var err error
+	if deadline > 0 {
+		if raw, err = conn.RecvMessageTimeout(deadline); err == nil {
+			raw, err = lmonp.FrameFromMessage(raw)
+		}
+	} else {
+		raw, err = lmonp.ReadFrame(conn)
+	}
 	if err != nil {
 		return nil, err
 	}
 	c.p.Compute(c.cfg.PerMsgCost)
 	c.countRx(raw)
 	return raw, nil
+}
+
+// ctlFrame renders a bootstrap control frame (join, ready): the opcode
+// plus one value.
+func ctlFrame(op, v uint32) []byte {
+	return lmonp.AppendUint32(lmonp.AppendUint32(nil, op), v)
+}
+
+// recvCtl reads and validates a child's bootstrap control frame.
+func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string, deadline time.Duration) (uint32, error) {
+	frame, err := c.readCharged(conn, deadline)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %s: %v", ErrBootstrap, what, err)
+	}
+	rd := lmonp.NewReader(frame)
+	op, _ := rd.Uint32()
+	v, err := rd.Uint32()
+	if err != nil || op != want {
+		return 0, fmt.Errorf("%w: bad %s", ErrBootstrap, what)
+	}
+	return v, nil
 }
 
 // countRx tallies one received tree frame (both recvRaw modes).
@@ -229,16 +271,26 @@ func SubtreeRanks(r, size, fanout int) []int {
 	}
 	// BFS order from a heap layout is already ascending within levels but
 	// not globally; sort for a stable contract.
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// subtreeSlot returns which of self's n child slots roots the subtree
+// holding rank r, or -1 when r is not below self. In the heap layout
+// self's children are self·fanout+1… in slot order, so walking r's
+// ancestor chain up to self's level names the slot with no lookup table.
+func subtreeSlot(self, fanout, n, r int) int {
+	for r > self {
+		p := Parent(r, fanout)
+		if p == self {
+			if slot := r - (self*fanout + 1); slot < n {
+				return slot
+			}
+			return -1
 		}
+		r = p
 	}
+	return -1
 }
 
 // Bootstrap connects the calling daemon into the tree and blocks until the
@@ -252,7 +304,7 @@ func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
 
 // bootstrap is the shared tree-formation engine. The hooks expose links as
 // soon as they carry traffic — onParent right after the join is sent,
-// onChild right after a child's join is validated — so BootstrapSeed can
+// onChild right after a child's join is validated — so BootstrapSeedRouted can
 // stream the session seed through the still-forming tree. Both may be nil.
 // cfg must already have its defaults applied.
 //
@@ -290,10 +342,10 @@ func bootstrap(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn), onChil
 			return nil, err
 		}
 	}
-	if err := c.acceptChildren(p, cfg, l, kids, onChild); err != nil {
+	if err := c.acceptChildren(cfg, l, kids, onChild); err != nil {
 		return nil, err
 	}
-	if err := c.readyWave(p, cfg); err != nil {
+	if err := c.readyWave(cfg); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -307,7 +359,7 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 	// same virtual instant would otherwise tie their joins at the
 	// parent's listener, and the accept order of tied joins is a host
 	// race. Since the parent's per-join handling cost ladders whatever
-	// follows a join (the seed catch-up of BootstrapSeed in particular),
+	// follows a join (the seed catch-up of BootstrapSeedRouted in particular),
 	// that race would leak host scheduling into virtual time. One
 	// nanosecond per sibling slot breaks ties in rank order at no
 	// measurable cost (≤ fanout ns).
@@ -331,9 +383,7 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 		return fmt.Errorf("%w: dialing parent %d: %v", ErrBootstrap, parentRank, err)
 	}
 	c.parent = conn
-	join := lmonp.AppendUint32(nil, opJoin)
-	join = lmonp.AppendUint32(join, uint32(cfg.Rank))
-	if err := c.send(conn, join); err != nil {
+	if err := c.send(conn, ctlFrame(opJoin, uint32(cfg.Rank))); err != nil {
 		return fmt.Errorf("%w: join: %v", ErrBootstrap, err)
 	}
 	if onParent != nil {
@@ -343,7 +393,7 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 }
 
 // acceptChildren accepts and validates one join per expected child.
-func (c *Comm) acceptChildren(p *cluster.Proc, cfg *Config, l *simnet.Listener, kids []int, onChild func(slot int, conn *simnet.Conn)) error {
+func (c *Comm) acceptChildren(cfg *Config, l *simnet.Listener, kids []int, onChild func(slot int, conn *simnet.Conn)) error {
 	c.children = make([]*simnet.Conn, len(kids))
 	c.childRk = append([]int(nil), kids...)
 	for range kids {
@@ -357,25 +407,12 @@ func (c *Comm) acceptChildren(p *cluster.Proc, cfg *Config, l *simnet.Listener, 
 		if err != nil {
 			return c.failBootstrap(fmt.Errorf("%w: accept: %v", ErrBootstrap, err))
 		}
-		frame, err := lmonp.ReadFrame(conn)
+		rk32, err := c.recvCtl(conn, opJoin, "join", 0)
 		if err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: join frame: %v", ErrBootstrap, err))
+			return c.failBootstrap(err)
 		}
-		p.Compute(cfg.PerMsgCost)
-		c.countRx(frame)
-		rd := lmonp.NewReader(frame)
-		op, _ := rd.Uint32()
-		rk32, err := rd.Uint32()
-		if err != nil || op != opJoin {
-			return c.failBootstrap(fmt.Errorf("%w: bad join", ErrBootstrap))
-		}
-		slot := -1
-		for i, k := range kids {
-			if k == int(rk32) {
-				slot = i
-			}
-		}
-		if slot < 0 || c.children[slot] != nil {
+		slot := int(rk32) - kids[0] // direct children are consecutive ranks
+		if slot < 0 || slot >= len(kids) || c.children[slot] != nil {
 			return c.failBootstrap(fmt.Errorf("%w: unexpected child rank %d", ErrBootstrap, rk32))
 		}
 		c.children[slot] = conn
@@ -388,33 +425,17 @@ func (c *Comm) acceptChildren(p *cluster.Proc, cfg *Config, l *simnet.Listener, 
 
 // readyWave waits for all children to report their subtree connected,
 // then reports upward (the root instead checks the full count).
-func (c *Comm) readyWave(p *cluster.Proc, cfg *Config) error {
+func (c *Comm) readyWave(cfg *Config) error {
 	total := 1
 	for _, conn := range c.children {
-		var frame []byte
-		var err error
-		if cfg.JoinTimeout > 0 {
-			frame, err = readFrameTimeout(conn, cfg.JoinTimeout)
-		} else {
-			frame, err = lmonp.ReadFrame(conn)
-		}
+		n32, err := c.recvCtl(conn, opReady, "ready", cfg.JoinTimeout)
 		if err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: ready: %v", ErrBootstrap, err))
-		}
-		p.Compute(cfg.PerMsgCost)
-		c.countRx(frame)
-		rd := lmonp.NewReader(frame)
-		op, _ := rd.Uint32()
-		n32, err := rd.Uint32()
-		if err != nil || op != opReady {
-			return c.failBootstrap(fmt.Errorf("%w: bad ready", ErrBootstrap))
+			return c.failBootstrap(err)
 		}
 		total += int(n32)
 	}
 	if c.parent != nil {
-		rdy := lmonp.AppendUint32(nil, opReady)
-		rdy = lmonp.AppendUint32(rdy, uint32(total))
-		if err := c.send(c.parent, rdy); err != nil {
+		if err := c.send(c.parent, ctlFrame(opReady, uint32(total))); err != nil {
 			return c.failBootstrap(fmt.Errorf("%w: ready up: %v", ErrBootstrap, err))
 		}
 	} else if total != cfg.Size {
@@ -423,32 +444,13 @@ func (c *Comm) readyWave(p *cluster.Proc, cfg *Config) error {
 	return nil
 }
 
-// readFrameTimeout reads one length-prefixed tree frame with a
-// virtual-time deadline. Tree frames are written one per network message
-// (lmonp.WriteFrame is a single Write call), so a whole-message timed
-// receive unwraps to exactly one frame.
-func readFrameTimeout(conn *simnet.Conn, d time.Duration) ([]byte, error) {
-	msg, err := conn.RecvMessageTimeout(d)
-	if err != nil {
-		return nil, err
-	}
-	return lmonp.FrameFromMessage(msg)
-}
-
 // failBootstrap tears down whatever part of the tree this daemon already
 // formed — the parent link and any accepted children — so ranks blocked on
 // this subtree observe the failure (their reads end) instead of waiting
 // forever on a silently absent branch. It returns err unchanged for use in
 // bootstrap's error returns.
 func (c *Comm) failBootstrap(err error) error {
-	if c.parent != nil {
-		c.parent.Close()
-	}
-	for _, conn := range c.children {
-		if conn != nil {
-			conn.Close()
-		}
-	}
+	c.Close()
 	return err
 }
 
@@ -461,30 +463,34 @@ func (c *Comm) Size() int { return c.size }
 // IsMaster reports whether this daemon is rank 0.
 func (c *Comm) IsMaster() bool { return c.rank == 0 }
 
-// Close tears down the tree links.
+// Close tears down the tree links (those a failed bootstrap got as far as
+// forming).
 func (c *Comm) Close() {
 	if c.parent != nil {
 		c.parent.Close()
 	}
 	for _, conn := range c.children {
-		conn.Close()
+		if conn != nil {
+			conn.Close()
+		}
 	}
 }
 
-func (c *Comm) recvOp(conn *simnet.Conn, want uint32) (*lmonp.Reader, error) {
+// recvOp reads one bootstrap-era collective frame from conn, checks its
+// opcode, and returns the body behind it.
+func (c *Comm) recvOp(conn *simnet.Conn, want uint32) ([]byte, error) {
 	frame, err := c.recvRaw(conn)
 	if err != nil {
 		return nil, err
 	}
-	rd := lmonp.NewReader(frame)
-	op, err := rd.Uint32()
+	op, err := lmonp.NewReader(frame).Uint32()
 	if err != nil {
 		return nil, err
 	}
 	if op != want {
 		return nil, fmt.Errorf("%w: got op %d want %d", ErrProtocol, op, want)
 	}
-	return rd, nil
+	return frame[4:], nil
 }
 
 // Barrier blocks until every daemon has entered it.
@@ -515,15 +521,13 @@ func (c *Comm) Barrier() error {
 // returns the broadcast bytes (the master returns buf unchanged).
 func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 	if c.parent != nil {
-		rd, err := c.recvOp(c.parent, opBcast)
+		body, err := c.recvOp(c.parent, opBcast)
 		if err != nil {
 			return nil, err
 		}
-		buf, err = rd.Bytes()
-		if err != nil {
+		if buf, err = lmonp.NewReader(body).Bytes(); err != nil {
 			return nil, err
 		}
-		buf = append([]byte(nil), buf...)
 	}
 	frame := lmonp.AppendUint32(nil, opBcast)
 	frame = lmonp.AppendBytes(frame, buf)
@@ -536,72 +540,50 @@ func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 }
 
 // Gather collects one byte slice from every daemon; the master receives
-// them indexed by rank, other daemons receive nil. The receive and send
-// phases sit in their own frames (gatherChildren, gatherUp) so their
-// decode/pack state is gone from the stack while the daemon parks under
-// the collective — the same shallow-resident-frame rule bootstrap follows.
+// them indexed by rank, other daemons receive nil. Gather and Scatter
+// frames are the opcode plus a coll entry list in rank order; decoded
+// blobs alias the frame they arrived in. The receive phase sits in its own
+// frame (gatherChildren) so its decode state is gone from the stack while
+// the daemon parks under the collective — the same shallow-resident-frame
+// rule bootstrap follows.
 func (c *Comm) Gather(mine []byte) ([][]byte, error) {
-	collected := map[int][]byte{c.rank: mine}
-	if err := c.gatherChildren(collected); err != nil {
+	entries, err := c.gatherChildren(mine)
+	if err != nil {
 		return nil, err
 	}
 	if c.parent != nil {
-		if err := c.gatherUp(collected); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, c.send(c.parent, coll.AppendEntries(lmonp.AppendUint32(nil, opGather), entries))
+	}
+	if len(entries) != c.size {
+		return nil, fmt.Errorf("%w: gathered %d of %d contributions", ErrProtocol, len(entries), c.size)
 	}
 	out := make([][]byte, c.size)
-	if len(collected) != c.size {
-		return nil, fmt.Errorf("%w: gathered %d of %d contributions", ErrProtocol, len(collected), c.size)
-	}
-	for rk, blob := range collected {
-		out[rk] = blob
+	for i, e := range entries {
+		if e.Rank != i {
+			return nil, fmt.Errorf("%w: gathered rank %d where rank %d belongs", ErrProtocol, e.Rank, i)
+		}
+		out[i] = e.Blob
 	}
 	return out, nil
 }
 
-// gatherChildren merges each child subtree's gather contribution into
-// collected.
-func (c *Comm) gatherChildren(collected map[int][]byte) error {
+// gatherChildren returns this subtree's contributions in rank order: mine
+// plus every child subtree's entry list.
+func (c *Comm) gatherChildren(mine []byte) ([]coll.Entry, error) {
+	entries := []coll.Entry{{Rank: c.rank, Blob: mine}}
 	for _, conn := range c.children {
-		rd, err := c.recvOp(conn, opGather)
+		body, err := c.recvOp(conn, opGather)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		n, err := rd.Uint32()
+		sub, err := coll.DecodeEntries(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for i := uint32(0); i < n; i++ {
-			rk, err := rd.Uint32()
-			if err != nil {
-				return err
-			}
-			blob, err := rd.Bytes()
-			if err != nil {
-				return err
-			}
-			collected[int(rk)] = append([]byte(nil), blob...)
-		}
+		entries = append(entries, sub...)
 	}
-	return nil
-}
-
-// gatherUp packs this subtree's contributions and sends them to the parent.
-func (c *Comm) gatherUp(collected map[int][]byte) error {
-	frame := lmonp.AppendUint32(nil, opGather)
-	frame = lmonp.AppendUint32(frame, uint32(len(collected)))
-	ranks := make([]int, 0, len(collected))
-	for rk := range collected {
-		ranks = append(ranks, rk)
-	}
-	sortInts(ranks)
-	for _, rk := range ranks {
-		frame = lmonp.AppendUint32(frame, uint32(rk))
-		frame = lmonp.AppendBytes(frame, collected[rk])
-	}
-	return c.send(c.parent, frame)
+	slices.SortFunc(entries, func(a, b coll.Entry) int { return a.Rank - b.Rank })
+	return entries, nil
 }
 
 // FoldUp reduces one byte blob per daemon toward the root with the given
@@ -619,11 +601,11 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 		return nil, err
 	}
 	for _, conn := range c.children {
-		rd, err := c.recvOp(conn, opFold)
+		body, err := c.recvOp(conn, opFold)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := rd.Bytes()
+		blob, err := lmonp.NewReader(body).Bytes()
 		if err != nil {
 			return nil, err
 		}
@@ -634,10 +616,7 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 	if c.parent != nil {
 		frame := lmonp.AppendUint32(nil, opFold)
 		frame = lmonp.AppendBytes(frame, acc)
-		if err := c.send(c.parent, frame); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, c.send(c.parent, frame)
 	}
 	return acc, nil
 }
@@ -645,49 +624,46 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 // Scatter delivers parts[rank] to each daemon; only the master's parts
 // argument is used, and it must have exactly Size entries.
 func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
-	byRank := map[int][]byte{}
+	var entries []coll.Entry
 	if c.parent == nil {
 		if len(parts) != c.size {
 			return nil, fmt.Errorf("%w: scatter needs %d parts, got %d", ErrProtocol, c.size, len(parts))
 		}
+		entries = make([]coll.Entry, len(parts))
 		for rk, p := range parts {
-			byRank[rk] = p
+			entries[rk] = coll.Entry{Rank: rk, Blob: p}
 		}
 	} else {
-		rd, err := c.recvOp(c.parent, opScatter)
+		body, err := c.recvOp(c.parent, opScatter)
 		if err != nil {
 			return nil, err
 		}
-		n, err := rd.Uint32()
-		if err != nil {
+		if entries, err = coll.DecodeEntries(body); err != nil {
 			return nil, err
 		}
-		for i := uint32(0); i < n; i++ {
-			rk, err := rd.Uint32()
-			if err != nil {
-				return nil, err
-			}
-			blob, err := rd.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			byRank[int(rk)] = append([]byte(nil), blob...)
+	}
+	// Entries arrive in rank order, so splitting them by child subtree
+	// leaves every onward list in rank order too.
+	subs := make([][]coll.Entry, len(c.children))
+	var mine []byte
+	have := false
+	for _, e := range entries {
+		if e.Rank == c.rank {
+			mine, have = e.Blob, true
+			continue
 		}
+		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(subs), e.Rank)
+		if slot < 0 {
+			return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", ErrProtocol, e.Rank, c.rank)
+		}
+		subs[slot] = append(subs[slot], e)
 	}
 	for slot, conn := range c.children {
-		sub := SubtreeRanks(c.childRk[slot], c.size, c.cfg.Fanout)
-		frame := lmonp.AppendUint32(nil, opScatter)
-		frame = lmonp.AppendUint32(frame, uint32(len(sub)))
-		for _, rk := range sub {
-			frame = lmonp.AppendUint32(frame, uint32(rk))
-			frame = lmonp.AppendBytes(frame, byRank[rk])
-		}
-		if err := c.send(conn, frame); err != nil {
+		if err := c.send(conn, coll.AppendEntries(lmonp.AppendUint32(nil, opScatter), subs[slot])); err != nil {
 			return nil, err
 		}
 	}
-	mine, ok := byRank[c.rank]
-	if !ok {
+	if !have {
 		return nil, fmt.Errorf("%w: no scatter part for rank %d", ErrProtocol, c.rank)
 	}
 	return mine, nil

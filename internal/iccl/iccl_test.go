@@ -123,52 +123,62 @@ func TestBroadcastDeliversToAll(t *testing.T) {
 	}
 }
 
+// orderShapes are the tree shapes the gather/scatter rank-order tests run
+// on: a small ragged tree, and a three-level fanout-64 tree (1 + 64 + 4034)
+// whose interior ranks merge 64 rank-interleaved subtree lists of 64
+// entries each.
+var orderShapes = []struct{ n, fanout int }{{10, 3}, {11, 4}, {4099, 64}}
+
 func TestGatherRankOrdered(t *testing.T) {
-	n := 10
-	var result [][]byte
-	rig(t, n, 3, func(c *Comm, p *cluster.Proc) error {
-		mine := []byte(fmt.Sprintf("from-%d", c.Rank()))
-		all, err := c.Gather(mine)
-		if err != nil {
-			return err
+	for _, shape := range orderShapes {
+		n := shape.n
+		var result [][]byte
+		rig(t, n, shape.fanout, func(c *Comm, p *cluster.Proc) error {
+			mine := []byte(fmt.Sprintf("from-%d", c.Rank()))
+			all, err := c.Gather(mine)
+			if err != nil {
+				return err
+			}
+			if c.IsMaster() {
+				result = all
+			} else if all != nil {
+				return fmt.Errorf("non-master got gather result")
+			}
+			return nil
+		})
+		if len(result) != n {
+			t.Fatalf("n=%d: gathered %d entries", n, len(result))
 		}
-		if c.IsMaster() {
-			result = all
-		} else if all != nil {
-			return fmt.Errorf("non-master got gather result")
-		}
-		return nil
-	})
-	if len(result) != n {
-		t.Fatalf("gathered %d entries", len(result))
-	}
-	for r, blob := range result {
-		if string(blob) != fmt.Sprintf("from-%d", r) {
-			t.Fatalf("rank %d slot holds %q", r, blob)
+		for r, blob := range result {
+			if string(blob) != fmt.Sprintf("from-%d", r) {
+				t.Fatalf("n=%d: rank %d slot holds %q", n, r, blob)
+			}
 		}
 	}
 }
 
 func TestScatterDelivery(t *testing.T) {
-	n := 11
-	got := make([][]byte, n)
-	rig(t, n, 4, func(c *Comm, p *cluster.Proc) error {
-		var parts [][]byte
-		if c.IsMaster() {
-			for i := 0; i < n; i++ {
-				parts = append(parts, []byte(fmt.Sprintf("part-%d", i)))
+	for _, shape := range orderShapes {
+		n := shape.n
+		got := make([][]byte, n)
+		rig(t, n, shape.fanout, func(c *Comm, p *cluster.Proc) error {
+			var parts [][]byte
+			if c.IsMaster() {
+				for i := 0; i < n; i++ {
+					parts = append(parts, []byte(fmt.Sprintf("part-%d", i)))
+				}
 			}
-		}
-		mine, err := c.Scatter(parts)
-		if err != nil {
-			return err
-		}
-		got[c.Rank()] = mine
-		return nil
-	})
-	for r, g := range got {
-		if string(g) != fmt.Sprintf("part-%d", r) {
-			t.Fatalf("rank %d got %q", r, g)
+			mine, err := c.Scatter(parts)
+			if err != nil {
+				return err
+			}
+			got[c.Rank()] = mine
+			return nil
+		})
+		for r, g := range got {
+			if string(g) != fmt.Sprintf("part-%d", r) {
+				t.Fatalf("n=%d: rank %d got %q", n, r, g)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -76,7 +75,6 @@ type seedSplitter struct {
 	fanout int
 	local  *vtime.Chan[coll.Frame]
 	outs   []*vtime.Chan[coll.Frame]
-	slotOf map[int]int // direct child rank → slot
 
 	locW   *proctab.ChunkWriter
 	locIx  uint32
@@ -84,7 +82,7 @@ type seedSplitter struct {
 	slotIx []uint32
 }
 
-func newSeedSplitter(rt *SeedRouter, cfg Config, kids []int, local *vtime.Chan[coll.Frame], outs []*vtime.Chan[coll.Frame]) *seedSplitter {
+func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], outs []*vtime.Chan[coll.Frame]) *seedSplitter {
 	cb := rt.ChunkBytes
 	if cb <= 0 {
 		cb = coll.DefaultChunkBytes
@@ -92,12 +90,10 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, kids []int, local *vtime.Chan[c
 	s := &seedSplitter{
 		rt: rt, rank: cfg.Rank, fanout: cfg.Fanout,
 		local: local, outs: outs,
-		slotOf: make(map[int]int, len(kids)),
-		slotW:  make([]*proctab.ChunkWriter, len(kids)),
-		slotIx: make([]uint32, len(kids)),
+		slotW:  make([]*proctab.ChunkWriter, len(outs)),
+		slotIx: make([]uint32, len(outs)),
 	}
-	for slot, rk := range kids {
-		s.slotOf[rk] = slot
+	for slot := range outs {
 		slot := slot
 		s.slotW[slot] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
 			s.slotIx[slot]++
@@ -115,22 +111,6 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, kids []int, local *vtime.Chan[c
 		return nil
 	})
 	return s
-}
-
-// slotFor walks rk's ancestor chain up to this node and returns the child
-// slot whose subtree holds rk, or -1 when rk is outside the subtree.
-func (s *seedSplitter) slotFor(rk int) int {
-	for rk > 0 {
-		p := Parent(rk, s.fanout)
-		if p == s.rank {
-			if slot, ok := s.slotOf[rk]; ok {
-				return slot
-			}
-			return -1
-		}
-		rk = p
-	}
-	return -1
 }
 
 // chunk routes one admitted seed frame. FEData (frame 0) is forwarded
@@ -159,7 +139,7 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 			}
 			continue
 		}
-		slot := s.slotFor(rk)
+		slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
 		if slot < 0 {
 			return fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
 		}
@@ -231,16 +211,12 @@ func (e *seedEngine) step(f coll.Frame) bool {
 		}
 	}
 	if f.H.Op != coll.OpSeed {
-		e.seed.fail(fmt.Errorf("%w: %v frame in seed stream", ErrProtocol, f.H.Op))
-		e.abort()
-		return true
+		return e.bail(fmt.Errorf("%w: %v frame in seed stream", ErrProtocol, f.H.Op))
 	}
 	// Streaming validation: per-chunk sums and, at End, the rolling
 	// digest — every rank verifies the stream it saw without retaining it.
 	if err := e.chk.AdmitFrame(f); err != nil {
-		e.seed.fail(err)
-		e.abort()
-		return true
+		return e.bail(err)
 	}
 	if e.split != nil {
 		var err error
@@ -250,9 +226,7 @@ func (e *seedEngine) step(f coll.Frame) bool {
 			err = e.split.chunk(f)
 		}
 		if err != nil {
-			e.seed.fail(err)
-			e.abort()
-			return true
+			return e.bail(err)
 		}
 		return f.End
 	}
@@ -261,6 +235,13 @@ func (e *seedEngine) step(f coll.Frame) bool {
 		e.outs[i].Send(f)
 	}
 	return f.End
+}
+
+// bail fails the stream with err and reports it finished.
+func (e *seedEngine) bail(err error) bool {
+	e.seed.fail(err)
+	e.abort()
+	return true
 }
 
 // Seed is one daemon's handle on an in-flight session-seed stream. Next
@@ -316,26 +297,22 @@ func (s *Seed) Wait() error {
 	return s.firstErr()
 }
 
-// BootstrapSeed is Bootstrap with the cut-through session-seed stream
-// layered over the forming tree. src must be non-nil exactly at the root
-// (rank 0); every other rank receives the stream from its parent. The
+// BootstrapSeedRouted is Bootstrap with the cut-through session-seed
+// stream layered over the forming tree. src must be non-nil exactly at the
+// root (rank 0); every other rank receives the stream from its parent. The
 // returned Seed delivers the frames locally; the caller must drain it to
 // the End frame and then Wait before using the communicator.
+//
+// With a non-nil router the locally delivered stream carries only this
+// daemon's slice of the RPDTAB (plus the FEData preamble), and children
+// receive freshly packed streams covering exactly their subtrees. With a
+// nil router every frame is relayed verbatim everywhere (the MW fabric's
+// table-less stream).
 //
 // On a bootstrap error the seed stream is aborted (Next and Wait report
 // it); on a mid-stream link failure — a child's node dying while chunks
 // are in flight — the affected forwarder records the error for Wait while
 // bootstrap itself surfaces the broken tree.
-func BootstrapSeed(p *cluster.Proc, cfg Config, src SeedSource) (*Comm, *Seed, error) {
-	return BootstrapSeedRouted(p, cfg, src, nil)
-}
-
-// BootstrapSeedRouted is BootstrapSeed with optional rank-slice routing:
-// with a non-nil router the locally delivered stream carries only this
-// daemon's slice of the RPDTAB (plus the FEData preamble), and children
-// receive freshly packed streams covering exactly their subtrees. With a
-// nil router every frame is relayed verbatim everywhere (full-table
-// mode, the ablation baseline).
 func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter) (*Comm, *Seed, error) {
 	cfg = cfg.withDefaults()
 	if (cfg.Rank == 0) != (src != nil) {
@@ -395,7 +372,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 		srcBytes: cfg.Metrics.Gauge("seed.src.bytes"),
 	}
 	if rt != nil {
-		eng.split = newSeedSplitter(rt, *cfg, kids, seed.local, outs)
+		eng.split = newSeedSplitter(rt, *cfg, seed.local, outs)
 	}
 
 	// One forwarder per *joined* child, armed lazily from onChild and
@@ -465,26 +442,17 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 
 	onParent := func(conn *simnet.Conn) {
 		if len(kids) == 0 {
-			// Leaf: no pump either — an event-driven framer owns the
-			// parent link while the seed is in flight, reproducing the
-			// serial reader's charging on a busy-until horizon (frame i
-			// lands at max(arrival_i, done_{i-1}) + PerMsgCost) and
-			// detaching at the End frame's arrival so pre-ShareLinks
-			// collective traffic block-reads the same conn as before.
-			// Decoding and engine admission run behind the horizon, like
-			// the reader they replace.
-			var busyUntil time.Duration
+			// Leaf: no pump either — the serialFramer owns the parent link
+			// while the seed is in flight, charging like the serial reader
+			// it replaces and detaching at the End frame's arrival so
+			// pre-ShareLinks collective traffic block-reads the same conn
+			// as before. Decoding and engine admission run behind the
+			// horizon, like that reader's.
+			fr := &serialFramer{sim: sim, cost: cfg.PerMsgCost}
 			lmonp.HandleFrames(conn, func(raw []byte, err error) {
-				now := sim.Now()
 				if err != nil {
-					// The serial reader would only observe the failure
-					// after charging every frame before it.
 					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
-					if busyUntil <= now {
-						abort()
-					} else {
-						sim.After(busyUntil-now, abort)
-					}
+					fr.behind(abort)
 					return
 				}
 				// Peek the opcode at arrival: the End frame (or a
@@ -494,13 +462,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 				if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
 					conn.Unhandle()
 				}
-				readAt := now
-				if busyUntil > readAt {
-					readAt = busyUntil
-				}
-				deliverAt := readAt + cfg.PerMsgCost
-				busyUntil = deliverAt
-				sim.After(deliverAt-now, func() {
+				fr.charge(func() {
 					f, perr := parseFrameOp(raw, opSeedChunk, opSeedEnd)
 					if perr != nil {
 						seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, perr))

@@ -11,7 +11,7 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// seedRig bootstraps n daemons with BootstrapSeed: the root feeds the
+// seedRig bootstraps n daemons with BootstrapSeedRouted: the root feeds the
 // scripted frame bodies, every daemon drains its local stream and then
 // runs fn on the fully formed communicator.
 func seedRig(t *testing.T, n, fanout int, bodies [][]byte, fn func(c *Comm, got [][]byte, p *cluster.Proc) error) {
@@ -57,9 +57,9 @@ func seedRig(t *testing.T, n, fanout int, bodies [][]byte, fn func(c *Comm, got 
 						}, nil
 					}
 				}
-				c, seed, err := BootstrapSeed(p, Config{
+				c, seed, err := BootstrapSeedRouted(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
-				}, src)
+				}, src, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -134,14 +134,14 @@ func TestSeedSourceOnlyAtRoot(t *testing.T) {
 	}
 	sim.Go("boot", func() {
 		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-			if _, _, err := BootstrapSeed(p, Config{
+			if _, _, err := BootstrapSeedRouted(p, Config{
 				Rank: 0, Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50003,
-			}, nil); err == nil {
+			}, nil, nil); err == nil {
 				t.Error("rank 0 without a seed source accepted")
 			}
-			if _, _, err := BootstrapSeed(p, Config{
+			if _, _, err := BootstrapSeedRouted(p, Config{
 				Rank: 1, Size: 2, Nodelist: []string{cl.Node(0).Name(), "x"}, Port: 50003,
-			}, func() (coll.Frame, error) { return coll.Frame{}, nil }); err == nil {
+			}, func() (coll.Frame, error) { return coll.Frame{}, nil }, nil); err == nil {
 				t.Error("rank 1 with a seed source accepted")
 			}
 		}})

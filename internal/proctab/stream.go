@@ -121,9 +121,6 @@ func (w *ChunkWriter) Flush() error {
 // Count returns the number of entries added so far.
 func (w *ChunkWriter) Count() int { return w.count }
 
-// Chunks returns the number of chunks emitted so far.
-func (w *ChunkWriter) Chunks() int { return w.chunks }
-
 // Digest returns the rolling digest of the emitted chunk sums, the value
 // the stream's end marker carries.
 func (w *ChunkWriter) Digest() uint64 { return w.digest }
@@ -190,9 +187,6 @@ func (a *Assembler) startDigest() uint64 {
 	return a.digest
 }
 
-// Chunks returns the number of chunks added so far.
-func (a *Assembler) Chunks() int { return a.chunks }
-
 // Digest returns the rolling digest over the chunks added so far, for
 // comparison against the sender's end marker.
 func (a *Assembler) Digest() uint64 { return a.startDigest() }
@@ -245,11 +239,8 @@ func SendStream(c *lmonp.Conn, class lmonp.MsgClass, t Table, maxBytes int) erro
 }
 
 // RecvStream consumes a chunk stream from c until the end marker and
-// returns the validated table. Messages of other types are passed to
-// onOther when non-nil (so callers can interleave status handling); a nil
-// onOther treats them as protocol errors. A non-nil error from onOther
-// aborts the stream.
-func RecvStream(c *lmonp.Conn, class lmonp.MsgClass, onOther func(*lmonp.Msg) error) (Table, error) {
+// returns the validated table; any other message is a protocol error.
+func RecvStream(c *lmonp.Conn, class lmonp.MsgClass) (Table, error) {
 	var asm Assembler
 	for {
 		msg, err := c.Recv()
@@ -277,12 +268,7 @@ func RecvStream(c *lmonp.Conn, class lmonp.MsgClass, onOther func(*lmonp.Msg) er
 			}
 			return asm.Finish(int(total))
 		default:
-			if onOther == nil {
-				return nil, fmt.Errorf("proctab: unexpected %v message in RPDTAB stream", msg.Type)
-			}
-			if err := onOther(msg); err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("proctab: unexpected %v message in RPDTAB stream", msg.Type)
 		}
 	}
 }

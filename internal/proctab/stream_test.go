@@ -129,7 +129,7 @@ func TestSendRecvStream(t *testing.T) {
 			recvErr = err
 			return
 		}
-		got, recvErr = RecvStream(lmonp.NewConn(raw), lmonp.ClassFEBE, nil)
+		got, recvErr = RecvStream(lmonp.NewConn(raw), lmonp.ClassFEBE)
 	})
 	sim.Go("send", func() {
 		raw, err := net.Host("b").Dial(simnet.Addr{Host: "a", Port: l.Addr().Port})

@@ -1,0 +1,150 @@
+package rm
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/proctab"
+	"launchmon/internal/vtime"
+)
+
+// withLauncher runs fn in a simulated goroutine holding a tracer on a
+// passive stand-in for the job launcher, after publish has set its symbols.
+func withLauncher(t *testing.T, publish func(p *cluster.Proc), fn func(tr *cluster.Tracer)) {
+	t.Helper()
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Go("engine", func() {
+		p, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "srun", Passive: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		publish(p)
+		tr, err := p.Attach()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fn(tr)
+		tr.Detach()
+		p.Kill()
+	})
+	sim.Run()
+}
+
+func synthTable(n int) proctab.Table {
+	tab := make(proctab.Table, n)
+	for i := range tab {
+		tab[i] = proctab.ProcDesc{Host: fmt.Sprintf("node%05d", i/8), Exe: "app", Pid: 1000 + i%8, Rank: i}
+	}
+	return tab
+}
+
+func TestPublishProctabRoundTrip(t *testing.T) {
+	// 0 and 1 entries publish one chunk; 20000 entries on 2500 hosts
+	// encode to well over one ProctabChunkBytes.
+	for _, n := range []int{0, 1, 20000} {
+		tab := synthTable(n)
+		withLauncher(t, func(p *cluster.Proc) { PublishProctab(p, tab) }, func(tr *cluster.Tracer) {
+			var chunks, entries int
+			err := ReadProctabChunks(tr, func(chunk []byte, i, total int) error {
+				if i != chunks {
+					t.Errorf("n=%d: chunk index %d delivered at position %d", n, i, chunks)
+				}
+				if len(chunk) > ProctabChunkBytes {
+					t.Errorf("n=%d: chunk %d is %d bytes, bound %d", n, i, len(chunk), ProctabChunkBytes)
+				}
+				sub, err := proctab.Decode(chunk)
+				chunks, entries = chunks+1, entries+len(sub)
+				if chunks == total && entries != n {
+					t.Errorf("n=%d: %d chunks carried %d entries", n, total, entries)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if multi := n == 20000; (chunks > 1) != multi || chunks == 0 {
+				t.Errorf("n=%d: published as %d chunks", n, chunks)
+			}
+			if size, err := tr.ReadSymbol(SymProctabLen); err != nil || size != n {
+				t.Errorf("n=%d: %s = %v, %v", n, SymProctabLen, size, err)
+			}
+			got, err := ProctabFromLauncher(tr)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if len(got) != n || (n > 0 && !reflect.DeepEqual(got, tab)) {
+				t.Errorf("n=%d: ProctabFromLauncher returned %d entries, not the published table", n, len(got))
+			}
+		})
+	}
+}
+
+func TestLegacyMonolithicProctabStillReads(t *testing.T) {
+	tab := synthTable(40)
+	enc := tab.Encode()
+	withLauncher(t, func(p *cluster.Proc) {
+		p.SetSymbol(SymProctab, cluster.Symbol{Value: enc, Size: len(enc)})
+	}, func(tr *cluster.Tracer) {
+		calls := 0
+		if err := ReadProctabChunks(tr, func(chunk []byte, i, total int) error {
+			calls++
+			if i != 0 || total != 1 || !reflect.DeepEqual(chunk, enc) {
+				t.Errorf("legacy table delivered as chunk %d of %d (%d bytes)", i, total, len(chunk))
+			}
+			return nil
+		}); err != nil || calls != 1 {
+			t.Fatalf("ReadProctabChunks: %d calls, %v", calls, err)
+		}
+		got, err := ProctabFromLauncher(tr)
+		if err != nil || !reflect.DeepEqual(got, tab) {
+			t.Errorf("ProctabFromLauncher = %d entries, %v", len(got), err)
+		}
+	})
+	// A launcher publishing neither form has no table to read.
+	withLauncher(t, func(*cluster.Proc) {}, func(tr *cluster.Tracer) {
+		if _, err := ProctabFromLauncher(tr); err == nil {
+			t.Error("read a table from a launcher that published none")
+		}
+	})
+}
+
+func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
+	for name, publish := range map[string]func(p *cluster.Proc){
+		SymProctabChunks: func(p *cluster.Proc) {
+			p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: "2", Size: 4})
+		},
+		SymProctabChunk(1): func(p *cluster.Proc) {
+			PublishProctab(p, synthTable(20000))
+			p.SetSymbol(SymProctabChunk(1), cluster.Symbol{Value: 7, Size: 4})
+		},
+		SymProctab: func(p *cluster.Proc) {
+			p.SetSymbol(SymProctab, cluster.Symbol{Value: 7, Size: 4})
+		},
+	} {
+		withLauncher(t, publish, func(tr *cluster.Tracer) {
+			_, err := ProctabFromLauncher(tr)
+			if err == nil || !strings.Contains(err.Error(), name+" symbol has unexpected type") {
+				t.Errorf("%s of the wrong type: %v", name, err)
+			}
+		})
+	}
+	// A chunk count that promises more chunks than were published fails on
+	// the missing symbol rather than returning a short table.
+	withLauncher(t, func(p *cluster.Proc) {
+		PublishProctab(p, synthTable(8))
+		p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: 2, Size: 4})
+	}, func(tr *cluster.Tracer) {
+		if _, err := ProctabFromLauncher(tr); err == nil {
+			t.Error("short publication accepted")
+		}
+	})
+}

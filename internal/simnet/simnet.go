@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -88,6 +90,17 @@ type Addr struct {
 // String renders the address as host:port.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
 
+// ParseAddr parses the host:port form String renders (the port follows
+// the last colon).
+func ParseAddr(s string) (Addr, error) {
+	if i := strings.LastIndexByte(s, ':'); i >= 0 {
+		if port, err := strconv.Atoi(s[i+1:]); err == nil {
+			return Addr{Host: s[:i], Port: port}, nil
+		}
+	}
+	return Addr{}, fmt.Errorf("simnet: bad address %q", s)
+}
+
 // Stats aggregates traffic counters for the whole network.
 type Stats struct {
 	Messages int64 // Write calls delivered
@@ -152,13 +165,6 @@ func (n *Network) Host(name string) *Host {
 		n.hosts[name] = h
 	}
 	return h
-}
-
-// LookupHost returns the named host, or nil when it does not exist.
-func (n *Network) LookupHost(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hosts[name]
 }
 
 // HostDead reports whether KillHost has been called for name.
@@ -466,12 +472,6 @@ type Conn struct {
 	closed   bool
 	peerDead bool // the other endpoint's host was killed (reads/writes fail)
 }
-
-// LocalAddr returns the local endpoint address.
-func (c *Conn) LocalAddr() Addr { return c.local }
-
-// RemoteAddr returns the peer endpoint address.
-func (c *Conn) RemoteAddr() Addr { return c.remote }
 
 // Write sends p to the peer. It returns immediately (socket-buffer
 // semantics); delivery is charged serialization + latency in virtual time.

@@ -458,3 +458,16 @@ func TestPropertyFIFODelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseAddrInvertsString(t *testing.T) {
+	for _, a := range []Addr{{Host: "fe0", Port: 1234}, {Host: "n[0-3]:x", Port: 0}} {
+		if got, err := ParseAddr(a.String()); err != nil || got != a {
+			t.Errorf("ParseAddr(%q) = %+v, %v", a.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "fe0", "fe0:abc", ":", "fe0:12x"} {
+		if _, err := ParseAddr(bad); err == nil {
+			t.Errorf("ParseAddr(%q) accepted", bad)
+		}
+	}
+}

@@ -37,7 +37,7 @@ func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expect
 	}
 	cn := &CommNode{p: p, cfg: cfg, rank: rank, expect: expectChildren, listener: l}
 
-	addr, err := parseHostPort(parentAddr)
+	addr, err := parseParent(parentAddr)
 	if err != nil {
 		return nil, err
 	}

@@ -243,7 +243,7 @@ var ErrNoParent = errors.New("tbon: no parent address")
 // ConnectLeaf dials the parent and sends the hello. rank identifies the
 // leaf; retry covers parents that are still coming up.
 func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
-	addr, err := parseHostPort(parentAddr)
+	addr, err := parseParent(parentAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -317,15 +317,11 @@ func LaunchNativeFlat(p *cluster.Proc, svc *rsh.Service, nodes []string, leafExe
 	return fe, nil
 }
 
-func parseHostPort(s string) (simnet.Addr, error) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			var port int
-			if _, err := fmt.Sscanf(s[i+1:], "%d", &port); err != nil {
-				return simnet.Addr{}, fmt.Errorf("%w: %q", ErrNoParent, s)
-			}
-			return simnet.Addr{Host: s[:i], Port: port}, nil
-		}
+// parseParent parses a parent address, wrapping failures in ErrNoParent.
+func parseParent(s string) (simnet.Addr, error) {
+	addr, err := simnet.ParseAddr(s)
+	if err != nil {
+		return addr, fmt.Errorf("%w: %q", ErrNoParent, s)
 	}
-	return simnet.Addr{}, fmt.Errorf("%w: %q", ErrNoParent, s)
+	return addr, nil
 }

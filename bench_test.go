@@ -1,11 +1,17 @@
 package launchmon_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
 	"launchmon/internal/bench"
+	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
+	"launchmon/internal/iccl"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/vtime"
 )
 
 // One benchmark per table/figure of the paper's evaluation, plus the
@@ -336,5 +342,152 @@ func BenchmarkAblation_JobsnapTree(b *testing.B) {
 		if _, err := bench.AblationJobsnapTree(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The two data-plane benchmarks below run on a bare ICCL tree (no RM, no
+// core) of sample_loop's fanout, three levels deep, and report host cost
+// per operation with SetBytes = the bytes the operation delivers (payload ×
+// daemons), so B/op next to it reads as allocation per delivered byte:
+// the zero-copy data plane keeps it near 1 (the copy each daemon hands its
+// tool) where per-hop re-encoding paid for every child link again.
+const (
+	planeTreeSize   = 273 // 1 + 16 + 256
+	planeTreeFanout = 16
+)
+
+// planeCluster builds the bare cluster the tree runs on.
+func planeCluster(b *testing.B) *cluster.Cluster {
+	b.Helper()
+	cl, err := cluster.New(vtime.New(), cluster.Options{Nodes: planeTreeSize})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cl
+}
+
+// icclTree boots one daemon per node of cl into a tree with boot and runs
+// body on it, failing the benchmark on any daemon's error.
+func icclTree(b *testing.B, cl *cluster.Cluster,
+	boot func(p *cluster.Proc, cfg iccl.Config) (*iccl.Comm, error),
+	body func(c *iccl.Comm, p *cluster.Proc) error) {
+	b.Helper()
+	sim, n := cl.Sim(), planeTreeSize
+	nodelist := make([]string, n)
+	for i := range nodelist {
+		nodelist[i] = cl.Node(i).Name()
+	}
+	errs := make([]error, n)
+	sim.Go("boot", func() {
+		for i := 0; i < n; i++ {
+			i := i
+			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+				c, err := boot(p, iccl.Config{Rank: i, Size: n, Fanout: planeTreeFanout, Nodelist: nodelist, Port: 50001})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer c.Close()
+				errs[i] = body(c, p)
+			}}); err != nil {
+				errs[i] = err
+				return
+			}
+		}
+	})
+	sim.Run()
+	for i, err := range errs {
+		if err != nil {
+			b.Fatalf("daemon %d: %v", i, err)
+		}
+	}
+}
+
+// BenchmarkPlaneBroadcast32K is sample_loop's tagged broadcast in
+// isolation: a 32 KiB payload in 4 KiB chunks down the tree, b.N times on
+// one formed tree (the timer starts once the tree and its link demuxes are
+// up).
+func BenchmarkPlaneBroadcast32K(b *testing.B) {
+	const chunk = 4 << 10
+	payload := bytes.Repeat([]byte("launchmon-32KiB-"), 2<<10)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)) * planeTreeSize)
+	// The root's FE side: broadcast i arrives as the frames of lockstep tag i.
+	var pending []coll.Frame
+	down := func(tag uint32) (coll.Frame, error) {
+		if len(pending) == 0 {
+			pending = coll.RawFrames(coll.OpBroadcast, tag, "", payload, chunk)
+		}
+		f := pending[0]
+		pending = pending[1:]
+		return f, nil
+	}
+	icclTree(b, planeCluster(b), iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
+		var fe iccl.DownFn
+		if c.IsMaster() {
+			fe = down
+		}
+		pl := c.NewPlane(chunk, 0, nil, fe)
+		if err := pl.Barrier(); err != nil {
+			return err
+		}
+		if c.IsMaster() {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			got, err := pl.Broadcast()
+			if err != nil {
+				return err
+			}
+			if len(got) != len(payload) {
+				return fmt.Errorf("rank %d: broadcast %d delivered %d bytes", c.Rank(), i, len(got))
+			}
+		}
+		return nil
+	})
+}
+
+// BenchmarkSeedFEData64K is launch_fat's seed preamble in isolation: each
+// iteration forms the tree while a seed stream whose only chunk is a
+// 64 KiB FEData frame flows down it (cluster construction is not timed).
+func BenchmarkSeedFEData64K(b *testing.B) {
+	feData := bytes.Repeat([]byte("launchmon-64KiB-"), 4<<10)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(feData)) * planeTreeSize)
+	for i := 0; i < b.N; i++ {
+		sent := 0
+		src := func() (coll.Frame, error) {
+			sent++
+			if sent == 1 {
+				return coll.Frame{H: coll.Header{Op: coll.OpSeed}, Body: feData, Sum: lmonp.Sum64(feData)}, nil
+			}
+			return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: 1}, End: true, Sum: lmonp.SumInit}, nil
+		}
+		b.StopTimer()
+		cl := planeCluster(b)
+		b.StartTimer()
+		icclTree(b, cl, func(p *cluster.Proc, cfg iccl.Config) (*iccl.Comm, error) {
+			var s iccl.SeedSource
+			if cfg.Rank == 0 {
+				s = src
+			}
+			c, seed, err := iccl.BootstrapSeedRouted(p, cfg, s, nil)
+			if err != nil {
+				return nil, err
+			}
+			for {
+				f, err := seed.Next()
+				if err != nil {
+					return nil, err
+				}
+				if f.End {
+					break
+				}
+				if len(f.Body) != len(feData) {
+					return nil, fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
+				}
+			}
+			return c, seed.Wait()
+		}, func(*iccl.Comm, *cluster.Proc) error { return nil })
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	lmonbench [-fig 3|5|6] [-table 1] [-ablations] [-failure] [-collective] [-contention] [-launch] [-million] [-mem] [-mw] [-obs] [-trace FILE] [-maxk N] [-smoke] [-json] [-all]
+//	lmonbench [-fig 3|5|6] [-table 1] [-ablations] [-failure] [-collective] [-contention] [-launch] [-million] [-mem] [-mw] [-obs] [-trace FILE] [-maxk N] [-smoke] [-json] [-all] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -json, each experiment additionally writes its rows as
 // BENCH_<name>.json in the working directory (machine-readable results
@@ -22,6 +22,11 @@
 // -maxk) and writes its Chrome/Perfetto trace-event JSON to FILE plus
 // the harvested metrics snapshot to FILE.metrics.json; load the trace in
 // ui.perfetto.dev or chrome://tracing.
+//
+// -cpuprofile FILE and -memprofile FILE profile the host side of whatever
+// the other flags select (runtime/pprof: a CPU profile of the whole run,
+// and the "allocs" profile — every allocation since start — written at
+// exit); read them with `go tool pprof -top [-sample_index=alloc_space]`.
 package main
 
 import (
@@ -31,7 +36,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"time"
 
 	"launchmon/internal/bench"
@@ -72,8 +79,17 @@ func main() {
 	maxk := flag.Int("maxk", 0, "cap the daemon counts of the failure/collective/contention/launch/mw sweeps (0 = full scale)")
 	smoke := flag.Bool("smoke", false, "run a fast reduced-scale subset (CI)")
 	all := flag.Bool("all", false, "run every experiment")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write the allocation profile (every allocation since start) to this file at exit")
 	flag.BoolVar(&writeJSON, "json", false, "also write results as BENCH_<name>.json")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lmonbench: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	if !*ablations && !*failure && !*collective && !*contention && !*launch && !*million && !*mwpipe && !*smoke && *fig == 0 && *table == 0 && *tracePath == "" {
 		*all = true
@@ -91,6 +107,7 @@ func main() {
 	run := func(name string, fn func() error) {
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "lmonbench: %s: %v\n", name, err)
+			stopProfiles() // os.Exit skips the deferred call
 			os.Exit(1)
 		}
 		fmt.Println()
@@ -321,6 +338,50 @@ func main() {
 			return emit("heartbeat_overhead", overhead)
 		})
 	}
+}
+
+// startProfiles starts the CPU profile (cpuPath) and arranges the
+// allocation profile (memPath); empty paths select nothing. The returned
+// stop function finishes both and must run before the process exits.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "lmonbench: cpu profile: %v\n", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintf(os.Stderr, "lmonbench: allocation profile: %v\n", err)
+			}
+		}
+	}, nil
+}
+
+// writeAllocProfile writes the "allocs" profile, after a GC so that it
+// covers everything allocated up to now.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // capScales filters a sweep's daemon counts under -maxk (0 = no cap), then

@@ -2,9 +2,29 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// TestProfileFlagsLeaveProfiles runs the program itself on one small sweep
+// row with both profile flags and checks that each left a non-empty file.
+func TestProfileFlagsLeaveProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = []string{"lmonbench", "-collective", "-maxk", "64", "-cpuprofile", cpu, "-memprofile", mem}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	main() // exits the test binary non-zero if a flag does not parse or the row fails
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+}
 
 func TestCapScales(t *testing.T) {
 	scales := []int{64, 1024, 4096, 16384}

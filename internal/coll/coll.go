@@ -126,16 +126,21 @@ type Header struct {
 	Filter string // reduction filter spec (OpReduce streams only)
 }
 
-// Encode renders the header.
-func (h Header) Encode() []byte {
-	b := []byte{byte(h.Op)}
+// EncodedSize returns the size of the encoded header in bytes.
+func (h Header) EncodedSize() int { return 1 + 4*4 + 4 + len(h.Filter) }
+
+// AppendTo appends the encoded header (EncodedSize bytes) to b.
+func (h Header) AppendTo(b []byte) []byte {
+	b = append(b, byte(h.Op))
 	b = lmonp.AppendUint32(b, h.Tag)
 	b = lmonp.AppendUint32(b, h.Index)
 	b = lmonp.AppendUint32(b, h.Lo)
 	b = lmonp.AppendUint32(b, h.Hi)
-	b = lmonp.AppendString(b, h.Filter)
-	return b
+	return lmonp.AppendString(b, h.Filter)
 }
+
+// Encode renders the header.
+func (h Header) Encode() []byte { return h.AppendTo(make([]byte, 0, h.EncodedSize())) }
 
 // ErrBadHeader reports an undecodable or inconsistent collective header.
 var ErrBadHeader = errors.New("coll: bad header")
@@ -181,20 +186,45 @@ type Frame struct {
 	End   bool
 	Total uint64
 	Sum   uint64
+
+	// Wire is the tree-link message a received frame was parsed from (Body
+	// aliases it); nil for a frame built locally. A node that relays the
+	// frame unchanged sends Wire itself instead of encoding the frame again
+	// for every child. Nothing else reads it: every encoder renders the
+	// fields above, so a frame that is edited and sent on is never stale.
+	Wire []byte
 }
 
-// EncodeMsg renders the frame as the two LMONP payload sections of a
-// TypeCollChunk (chunks) or TypeCollEnd (end markers) message: the header
-// — plus the total, for end markers — and the checksum in the LaunchMON
-// section, the chunk body as piggybacked tool data.
-func (f Frame) EncodeMsg() (payload, usr []byte) {
-	payload = f.H.Encode()
+// A frame travels between the front end and a master daemon as one
+// TypeCollChunk (chunks) or TypeCollEnd (end markers) LMONP message: the
+// header — plus the total, for end markers — and the checksum in the
+// LaunchMON section, the chunk body as piggybacked tool data.
+
+// PayloadSize returns the size of the LaunchMON section of the frame's
+// LMONP message.
+func (f Frame) PayloadSize() int {
 	if f.End {
-		payload = lmonp.AppendUint64(payload, f.Total)
-		payload = lmonp.AppendUint64(payload, f.Sum)
+		return f.H.EncodedSize() + 16
+	}
+	return f.H.EncodedSize() + 8
+}
+
+// AppendPayload appends the LaunchMON section (PayloadSize bytes) to b.
+func (f Frame) AppendPayload(b []byte) []byte {
+	b = f.H.AppendTo(b)
+	if f.End {
+		b = lmonp.AppendUint64(b, f.Total)
+	}
+	return lmonp.AppendUint64(b, f.Sum)
+}
+
+// EncodeMsg renders the frame as the two payload sections of its LMONP
+// message (usr aliases Body).
+func (f Frame) EncodeMsg() (payload, usr []byte) {
+	payload = f.AppendPayload(make([]byte, 0, f.PayloadSize()))
+	if f.End {
 		return payload, nil
 	}
-	payload = lmonp.AppendUint64(payload, f.Sum)
 	return payload, f.Body
 }
 
@@ -228,6 +258,15 @@ func DecodeMsg(end bool, payload, usr []byte) (Frame, error) {
 type Entry struct {
 	Rank int
 	Blob []byte
+}
+
+// EntriesSize returns the size AppendEntries renders entries in.
+func EntriesSize(entries []Entry) int {
+	n := 4
+	for _, e := range entries {
+		n += 8 + len(e.Blob)
+	}
+	return n
 }
 
 // AppendEntries encodes a count-prefixed list of rank-tagged blobs.
@@ -333,8 +372,10 @@ type Packer struct {
 	digest uint64
 }
 
-// Add appends one entry (copying its blob), flushing a frame when the
-// pending chunk would exceed the bound.
+// Add appends one entry, flushing a frame when the pending chunk would
+// exceed the bound. The blob is not copied: it is encoded into its chunk's
+// body when that chunk flushes — at a later Add or at End, which every
+// operation reaches before it returns — and must stay unchanged until then.
 func (p *Packer) Add(e Entry) error {
 	if p.ChunkBytes <= 0 {
 		p.ChunkBytes = DefaultChunkBytes
@@ -348,7 +389,7 @@ func (p *Packer) Add(e Entry) error {
 	if len(p.pend) == 0 {
 		p.size = 4 // the chunk's entry-count prefix
 	}
-	p.pend = append(p.pend, Entry{Rank: e.Rank, Blob: append([]byte(nil), e.Blob...)})
+	p.pend = append(p.pend, e)
 	p.size += add
 	p.total++
 	return nil
@@ -367,7 +408,7 @@ func (p *Packer) flush() error {
 			hi = uint32(e.Rank) + 1
 		}
 	}
-	body := AppendEntries(nil, p.pend)
+	body := AppendEntries(make([]byte, 0, p.size), p.pend)
 	sum := lmonp.Sum64(body)
 	if p.index == 0 {
 		p.digest = lmonp.SumInit
@@ -378,7 +419,7 @@ func (p *Packer) flush() error {
 		Body: body,
 		Sum:  sum,
 	}
-	p.pend, p.size = nil, 0
+	p.pend, p.size = p.pend[:0], 0
 	p.index++
 	return p.Emit(f)
 }
@@ -502,31 +543,46 @@ func (c *SeqCheck) Digest() uint64 {
 }
 
 // RawAssembler reassembles a raw chunk stream (broadcast payloads,
-// reduce results), validating in-order duplicate-free chunk indices.
+// reduce results), validating in-order duplicate-free chunk indices. It
+// keeps the chunk bodies it admitted — aliasing the messages they arrived
+// in, which nobody writes to — and copies them exactly once, into the
+// result Finish allocates.
 type RawAssembler struct {
-	s    stream
-	data []byte
+	s      stream
+	chunks [][]byte
+	size   uint64
 }
 
-// Add validates and appends one chunk.
+// Add validates one chunk and keeps its body (not a copy: body must stay
+// unchanged until Finish).
 func (a *RawAssembler) Add(h Header, body []byte) error {
 	if err := a.s.admit(h); err != nil {
 		return err
 	}
-	a.data = append(a.data, body...)
+	a.chunks = append(a.chunks, body)
+	a.size += uint64(len(body))
 	return nil
 }
 
 // Finish validates the end marker (h continues the stream's index
-// sequence; total is the stream's byte count) and returns the payload.
+// sequence; total is the stream's byte count) and returns the payload in
+// a buffer of its own.
 func (a *RawAssembler) Finish(h Header, total uint64) ([]byte, error) {
 	if err := a.s.admit(h); err != nil {
 		return nil, err
 	}
-	if uint64(len(a.data)) != total {
-		return nil, fmt.Errorf("%w: reassembled %d bytes, end marker says %d", ErrShortTotal, len(a.data), total)
+	if a.size != total {
+		return nil, fmt.Errorf("%w: reassembled %d bytes, end marker says %d", ErrShortTotal, a.size, total)
 	}
-	return a.data, nil
+	if total == 0 {
+		return nil, nil
+	}
+	data := make([]byte, 0, total)
+	for _, ch := range a.chunks {
+		data = append(data, ch...)
+	}
+	a.chunks = nil
+	return data, nil
 }
 
 // RankAssembler reassembles a rank-tagged entry stream (the FE side of a

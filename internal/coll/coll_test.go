@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"launchmon/internal/lmonp"
@@ -156,6 +157,71 @@ func TestRawAssemblerRejectsShortTotal(t *testing.T) {
 	}
 	if _, err := asm.Finish(Header{Op: OpBroadcast, Tag: 1, Index: 1}, 99); !errors.Is(err, ErrShortTotal) {
 		t.Fatalf("bad total: %v", err)
+	}
+}
+
+// TestRawAssemblerAllocatesResultOnce is the allocation guard of the
+// one-copy reassembly: Add keeps the chunk bodies it is handed, Finish
+// allocates the payload exactly once — at its final size, checked against
+// the end marker before it is trusted — and what it returns is the
+// caller's own, sharing no byte with the chunks.
+func TestRawAssemblerAllocatesResultOnce(t *testing.T) {
+	const payload, chunk = 32 << 10, 4 << 10
+	data := bytes.Repeat([]byte{7}, payload)
+	frames := RawFrames(OpBroadcast, 5, "", data, chunk)
+	end := frames[len(frames)-1]
+	fill := func(asm *RawAssembler) {
+		for _, f := range frames[:len(frames)-1] {
+			if err := asm.Add(f.H, f.Body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Finish alone, on assemblers filled beforehand: one object, the result.
+	const runs = 50
+	asms := make([]RawAssembler, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range asms {
+		fill(&asms[i])
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := asms[next].Finish(end.H, end.Total); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n != 1 {
+		t.Errorf("Finish allocates %v objects, want 1 (the result)", n)
+	}
+
+	// Add + Finish together allocate the payload once over, plus the list
+	// of kept chunks — not the payload several times over, as growing it
+	// chunk by chunk did.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		var asm RawAssembler
+		fill(&asm)
+		if _, err := asm.Finish(end.H, end.Total); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > payload+1024 {
+		t.Errorf("reassembling %d bytes allocates %d, want the payload plus at most 1 KiB", payload, per)
+	}
+
+	var asm RawAssembler
+	fill(&asm)
+	got, err := asm.Finish(end.H, end.Total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] = 0xff
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{7}, payload)) {
+		t.Error("a write to the result reached the chunks it was assembled from")
 	}
 }
 

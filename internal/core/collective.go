@@ -146,14 +146,19 @@ func (s *Session) AllocTag() uint32 {
 
 // sendFrameOn bridges one collective frame onto an LMONP connection —
 // the single Frame→message mapping, shared by the FE sender and the
-// masters' up hooks.
+// masters' up hooks. Header and body are rendered straight into the
+// message buffer the network then carries, so the caller's data is copied
+// exactly once and is the caller's again when the send returns.
 func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
-	payload, usr := f.EncodeMsg()
-	typ := lmonp.TypeCollChunk
+	typ, body := lmonp.TypeCollChunk, f.Body
 	if f.End {
-		typ = lmonp.TypeCollEnd
+		typ, body = lmonp.TypeCollEnd, nil
 	}
-	return c.Send(&lmonp.Msg{Class: class, Type: typ, Payload: payload, UsrData: usr})
+	buf, err := lmonp.Begin(class, typ, f.PayloadSize(), len(body))
+	if err != nil {
+		return err
+	}
+	return c.SendEncoded(append(f.AppendPayload(buf), body...))
 }
 
 // The sixteen operations below are the four collectives over the two

@@ -123,48 +123,51 @@ func (pl *Plane) userTag(tag uint32) error {
 	return nil
 }
 
-// writeFrameOp renders f as a tree-link frame under the given chunk/end
-// opcode pair and writes it — the single coll.Frame↔link-frame mapping,
-// shared by the collective plane and the session-seed stream. Only the
-// End frame carries a checksum on the wire: the rolling digest of the
-// stream's per-chunk sums. Receivers recompute each chunk's sum from the
-// body as it arrives and fold it (coll.SeqCheck), so streaming validation
-// covers every chunk at O(chunk) memory without an 8-byte per-frame wire
-// tax — on a deep tree those bytes ride every hop of every link.
-// It returns the encoded frame size so callers can maintain per-link
-// wire-byte metrics.
-func writeFrameOp(conn *simnet.Conn, chunkOp, endOp uint32, f coll.Frame) (int, error) {
-	var b []byte
+// encodeFrameOp renders f as a tree-link message under the given chunk/end
+// opcode pair, in one buffer of exactly its wire size — the single
+// coll.Frame↔link-frame mapping, shared by the collective plane and the
+// session-seed stream. Only the End frame carries a checksum on the wire:
+// the rolling digest of the stream's per-chunk sums. Receivers recompute
+// each chunk's sum from the body as it arrives and fold it (coll.SeqCheck),
+// so streaming validation covers every chunk at O(chunk) memory without an
+// 8-byte per-frame wire tax — on a deep tree those bytes ride every hop of
+// every link.
+func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
+	hn := f.H.EncodedSize()
 	if f.End {
-		b = lmonp.AppendUint32(nil, endOp)
-		b = lmonp.AppendBytes(b, f.H.Encode())
+		b := lmonp.AppendUint32(newFrame(endOp, 4+hn+16), uint32(hn))
+		b = f.H.AppendTo(b)
 		b = lmonp.AppendUint64(b, f.Total)
-		b = lmonp.AppendUint64(b, f.Sum)
-	} else {
-		b = lmonp.AppendUint32(nil, chunkOp)
-		b = lmonp.AppendBytes(b, f.H.Encode())
-		b = lmonp.AppendBytes(b, f.Body)
+		return lmonp.AppendUint64(b, f.Sum)
 	}
-	if err := lmonp.WriteFrame(conn, b); err != nil {
-		return 0, err
-	}
-	return len(b), nil
+	b := lmonp.AppendUint32(newFrame(chunkOp, 4+hn+4+len(f.Body)), uint32(hn))
+	b = f.H.AppendTo(b)
+	return lmonp.AppendBytes(b, f.Body)
 }
 
-// readFrameOp reads one frame written by writeFrameOp directly off the
-// conn, charging the per-message handling cost. It is only safe before
-// the links are demultiplexed (the seed stream flows during bootstrap,
-// well before); afterwards reads must go through Comm.recvRaw.
+// readFrameOp reads one frame sent as encodeFrameOp renders it directly
+// off the conn, taking the delivered message whole (the frame aliases and
+// keeps it, see coll.Frame.Wire) and charging the per-message handling
+// cost. It is only safe before the links are demultiplexed (the seed
+// stream flows during bootstrap, well before); afterwards reads must go
+// through Comm.recvRaw.
 func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
-	raw, err := lmonp.ReadFrame(conn)
+	msg, err := conn.RecvMessage()
+	if err != nil {
+		return coll.Frame{}, err
+	}
+	raw, err := lmonp.FrameFromMessage(msg)
 	if err != nil {
 		return coll.Frame{}, err
 	}
 	p.Compute(cost)
-	return parseFrameOp(raw, chunkOp, endOp)
+	f, err := parseFrameOp(raw, chunkOp, endOp)
+	f.Wire = msg
+	return f, err
 }
 
-// parseFrameOp decodes one raw tree frame produced by writeFrameOp.
+// parseFrameOp decodes one raw tree frame (the message encodeFrameOp
+// renders, behind its length prefix); the frame's body aliases raw.
 func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	rd := lmonp.NewReader(raw)
 	op, err := rd.Uint32()
@@ -203,26 +206,30 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	return f, nil
 }
 
-// sendFrame writes one collective frame to a tree link, holding one
-// window credit per chunk (End markers ride outside the window and
-// retire the stream's gate).
+// sendFrame encodes one collective frame and sends it on a tree link.
 func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
+	return pl.sendMsg(conn, f.H.Tag, f.End, encodeFrameOp(opCollChunk, opCollEnd, f))
+}
+
+// sendMsg puts one encoded collective frame on a tree link, holding one
+// window credit per chunk (End markers ride outside the window and retire
+// the stream's gate). msg is sent as is, so one buffer — a frame encoded
+// once at the root, or the very message an interior node received — goes
+// out on every child link.
+func (pl *Plane) sendMsg(conn *simnet.Conn, tag uint32, end bool, msg []byte) error {
 	d := pl.c.demuxFor(conn)
-	if !f.End {
-		if err := d.gate(f.H.Tag, pl.window).acquire(); err != nil {
+	if !end {
+		if err := d.gate(tag, pl.window).acquire(); err != nil {
 			return err
 		}
 	}
-	n, err := writeFrameOp(conn, opCollChunk, opCollEnd, f)
-	if err != nil {
+	if err := pl.c.send(conn, msg); err != nil {
 		return err
 	}
-	pl.c.txFrames.Inc()
-	pl.c.txBytes.Add(uint64(n))
 	pl.c.collTxFrames.Inc()
-	pl.c.collTxBytes.Add(uint64(n))
-	if f.End {
-		d.dropGate(f.H.Tag)
+	pl.c.collTxBytes.Add(uint64(len(msg) - 4))
+	if end {
+		d.dropGate(tag)
 	}
 	return nil
 }
@@ -304,9 +311,10 @@ func (pl *Plane) broadcast(tag uint32) ([]byte, error) {
 
 // relayDown is the down-phase of Broadcast, AllGather and AllReduce: it
 // pulls the tagged stream from above (recvDown), hands every chunk to add
-// (which validates the sequence and copies what it keeps) and forwards
-// every frame to the children, returning the end marker for the caller's
-// assembler to finish on.
+// (which validates the sequence and keeps or copies what it needs) and
+// forwards every frame to the children — the very message it arrived in,
+// or at the root one encoding for all of them — returning the end marker
+// for the caller's assembler to finish on.
 func (pl *Plane) relayDown(op coll.Op, tag uint32, add func(coll.Header, []byte) error) (coll.Frame, error) {
 	for {
 		f, err := pl.recvDown(tag)
@@ -321,8 +329,12 @@ func (pl *Plane) relayDown(op coll.Op, tag uint32, add func(coll.Header, []byte)
 				return f, err
 			}
 		}
+		msg := f.Wire
+		if msg == nil && len(pl.c.children) > 0 {
+			msg = encodeFrameOp(opCollChunk, opCollEnd, f)
+		}
 		for _, conn := range pl.c.children {
-			if err := pl.sendFrame(conn, f); err != nil {
+			if err := pl.sendMsg(conn, tag, f.End, msg); err != nil {
 				return f, err
 			}
 		}
@@ -338,6 +350,8 @@ func (pl *Plane) toConn(conn *simnet.Conn) func(coll.Frame) error {
 }
 
 // sendRaw streams data through emit as a raw chunk stream plus end marker.
+// The frames' bodies alias data; each is copied once, into the message its
+// sink encodes.
 func (pl *Plane) sendRaw(op coll.Op, tag uint32, filter string, data []byte, emit func(coll.Frame) error) error {
 	for _, f := range coll.RawFrames(op, tag, filter, data, pl.chunkBytes) {
 		if err := emit(f); err != nil {

@@ -112,23 +112,31 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 		tags: vtime.NewStreams[uint32, coll.Frame](sim),
 	}
 	fr := &serialFramer{sim: sim, cost: c.cfg.PerMsgCost}
-	lmonp.HandleFrames(conn, func(raw []byte, err error) {
+	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
+	// payloads: a collective frame keeps the message it arrived in
+	// (coll.Frame.Wire), length prefix included, for the down-phase relay.
+	conn.Handle(func(msg []byte, err error) {
+		var raw []byte
+		if err == nil {
+			raw, err = lmonp.FrameFromMessage(msg)
+		}
 		switch {
 		case err != nil:
 			fr.behind(func() { d.fail(err) })
 		case len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat:
 			fr.behind(func() { d.hb.Send(raw[4:]) })
 		default:
-			fr.charge(func() { d.deliver(raw) })
+			fr.charge(func() { d.deliver(msg) })
 		}
 	})
 	return d
 }
 
-// deliver sorts one charged frame: collective-plane frames to their tag's
-// stream, credit frames to their gate, everything else to the base queue.
-// A frame that does not parse fails the link.
-func (d *linkDemux) deliver(raw []byte) {
+// deliver sorts one charged message: collective-plane frames to their
+// tag's stream, credit frames to their gate, everything else to the base
+// queue. A frame that does not parse fails the link.
+func (d *linkDemux) deliver(msg []byte) {
+	raw := msg[4:] // the framer checked the prefix
 	d.c.countRx(raw)
 	var op uint32
 	if len(raw) >= 4 {
@@ -141,6 +149,7 @@ func (d *linkDemux) deliver(raw []byte) {
 			d.fail(err)
 			return
 		}
+		f.Wire = msg
 		d.enqueue(f)
 	case opCredit:
 		f, err := parseCredit(raw)
@@ -308,9 +317,9 @@ func parseCredit(raw []byte) (coll.Frame, error) {
 // coll.tx data counters, so wire-byte invariants on collective payload
 // still hold with flow control on.
 func (c *Comm) sendCredit(conn *simnet.Conn, tag uint32, n uint32) error {
-	cf := coll.CreditFrame(tag, n)
-	b := lmonp.AppendUint32(nil, opCredit)
-	b = lmonp.AppendBytes(b, cf.H.Encode())
+	h := coll.CreditFrame(tag, n).H
+	hn := h.EncodedSize()
+	msg := lmonp.AppendUint32(newFrame(opCredit, 4+hn), uint32(hn))
 	c.creditTxFrames.Inc()
-	return c.send(conn, b)
+	return c.send(conn, h.AppendTo(msg))
 }

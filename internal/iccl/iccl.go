@@ -129,13 +129,23 @@ func (c *Comm) bindMetrics() {
 	c.collBytesMax = reg.Gauge("coll.link.bytes.max")
 }
 
-// send writes one tree frame, counting it when metrics are bound. All
-// collective sends go through here so wire-byte invariants (bench
-// assertions on O(K) claims) observe every frame.
-func (c *Comm) send(conn *simnet.Conn, frame []byte) error {
+// newFrame starts a tree-link message in one buffer of exactly its wire
+// size: the length prefix and the opcode, behind which the caller appends
+// the n-byte body. The finished message is handed to the network as is
+// (send, lmonp.SendFrame) and is immutable from then on — which is what
+// lets one buffer go out on every child link.
+func newFrame(op uint32, n int) []byte {
+	return lmonp.AppendUint32(lmonp.NewFrame(4+n), op)
+}
+
+// send puts one tree-link message (newFrame) on conn, counting it when
+// metrics are bound. All collective sends go through here or through
+// Plane.sendMsg so wire-byte invariants (bench assertions on O(K) claims)
+// observe every frame.
+func (c *Comm) send(conn *simnet.Conn, msg []byte) error {
 	c.txFrames.Inc()
-	c.txBytes.Add(uint64(len(frame)))
-	return lmonp.WriteFrame(conn, frame)
+	c.txBytes.Add(uint64(len(msg) - 4))
+	return lmonp.SendFrame(conn, msg)
 }
 
 // Errors from the collective layer.
@@ -168,9 +178,7 @@ func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 		return &Link{
 			Rank: rank,
 			Send: func(payload []byte) error {
-				b := lmonp.AppendUint32(make([]byte, 0, 4+len(payload)), opHeartbeat)
-				b = append(b, payload...)
-				return lmonp.WriteFrame(conn, b)
+				return lmonp.SendFrame(conn, append(newFrame(opHeartbeat, len(payload)), payload...))
 			},
 			Recv: c.demuxFor(conn).hb,
 		}
@@ -203,19 +211,20 @@ func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
 
 // readCharged reads one frame straight off a tree link — under a
 // virtual-time deadline when positive — charging the per-message handling
-// cost. Tree frames are written one per network message (lmonp.WriteFrame
-// is a single Write call), so the whole-message timed receive unwraps to
-// exactly one frame.
+// cost. Tree frames travel one per network message, so the delivered
+// message is taken whole and unwraps to exactly one frame, which aliases it.
 func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, error) {
-	var raw []byte
+	var msg []byte
 	var err error
 	if deadline > 0 {
-		if raw, err = conn.RecvMessageTimeout(deadline); err == nil {
-			raw, err = lmonp.FrameFromMessage(raw)
-		}
+		msg, err = conn.RecvMessageTimeout(deadline)
 	} else {
-		raw, err = lmonp.ReadFrame(conn)
+		msg, err = conn.RecvMessage()
 	}
+	if err != nil {
+		return nil, err
+	}
+	raw, err := lmonp.FrameFromMessage(msg)
 	if err != nil {
 		return nil, err
 	}
@@ -224,10 +233,10 @@ func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, e
 	return raw, nil
 }
 
-// ctlFrame renders a bootstrap control frame (join, ready): the opcode
+// ctlFrame renders a bootstrap control message (join, ready): the opcode
 // plus one value.
 func ctlFrame(op, v uint32) []byte {
-	return lmonp.AppendUint32(lmonp.AppendUint32(nil, op), v)
+	return lmonp.AppendUint32(newFrame(op, 4), v)
 }
 
 // recvCtl reads and validates a child's bootstrap control frame.
@@ -501,14 +510,14 @@ func (c *Comm) Barrier() error {
 		}
 	}
 	if c.parent != nil {
-		if err := c.send(c.parent, lmonp.AppendUint32(nil, opBarrier)); err != nil {
+		if err := c.send(c.parent, newFrame(opBarrier, 0)); err != nil {
 			return err
 		}
 		if _, err := c.recvOp(c.parent, opRelease); err != nil {
 			return err
 		}
 	}
-	rel := lmonp.AppendUint32(nil, opRelease)
+	rel := newFrame(opRelease, 0)
 	for _, conn := range c.children {
 		if err := c.send(conn, rel); err != nil {
 			return err
@@ -518,21 +527,28 @@ func (c *Comm) Barrier() error {
 }
 
 // Broadcast distributes buf from the master to every daemon; every caller
-// returns the broadcast bytes (the master returns buf unchanged).
+// returns the broadcast bytes — the master buf unchanged, every other
+// daemon a copy of its own (the message it arrived in is shared with the
+// sender's other children). Each node builds the onward message once and
+// sends that one buffer on every child link.
 func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 	if c.parent != nil {
 		body, err := c.recvOp(c.parent, opBcast)
 		if err != nil {
 			return nil, err
 		}
-		if buf, err = lmonp.NewReader(body).Bytes(); err != nil {
+		got, err := lmonp.NewReader(body).Bytes()
+		if err != nil {
 			return nil, err
 		}
+		buf = append([]byte(nil), got...)
 	}
-	frame := lmonp.AppendUint32(nil, opBcast)
-	frame = lmonp.AppendBytes(frame, buf)
+	if len(c.children) == 0 {
+		return buf, nil
+	}
+	msg := lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf)
 	for _, conn := range c.children {
-		if err := c.send(conn, frame); err != nil {
+		if err := c.send(conn, msg); err != nil {
 			return nil, err
 		}
 	}
@@ -552,7 +568,7 @@ func (c *Comm) Gather(mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	if c.parent != nil {
-		return nil, c.send(c.parent, coll.AppendEntries(lmonp.AppendUint32(nil, opGather), entries))
+		return nil, c.send(c.parent, entriesFrame(opGather, entries))
 	}
 	if len(entries) != c.size {
 		return nil, fmt.Errorf("%w: gathered %d of %d contributions", ErrProtocol, len(entries), c.size)
@@ -565,6 +581,12 @@ func (c *Comm) Gather(mine []byte) ([][]byte, error) {
 		out[i] = e.Blob
 	}
 	return out, nil
+}
+
+// entriesFrame renders a Gather or Scatter message: the opcode plus the
+// entry list.
+func entriesFrame(op uint32, entries []coll.Entry) []byte {
+	return coll.AppendEntries(newFrame(op, coll.EntriesSize(entries)), entries)
 }
 
 // gatherChildren returns this subtree's contributions in rank order: mine
@@ -614,9 +636,7 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 		}
 	}
 	if c.parent != nil {
-		frame := lmonp.AppendUint32(nil, opFold)
-		frame = lmonp.AppendBytes(frame, acc)
-		return nil, c.send(c.parent, frame)
+		return nil, c.send(c.parent, lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc))
 	}
 	return acc, nil
 }
@@ -659,7 +679,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 		subs[slot] = append(subs[slot], e)
 	}
 	for slot, conn := range c.children {
-		if err := c.send(conn, coll.AppendEntries(lmonp.AppendUint32(nil, opScatter), subs[slot])); err != nil {
+		if err := c.send(conn, entriesFrame(opScatter, subs[slot])); err != nil {
 			return nil, err
 		}
 	}

@@ -34,7 +34,7 @@ import (
 // parent link inside Seed.Next, with identical virtual-time charging.
 
 // Seed-stream opcodes on tree links (the frame layout is the shared
-// coll.Frame codec, see writeFrameOp).
+// coll.Frame codec, see encodeFrameOp).
 const (
 	opSeedChunk = 10
 	opSeedEnd   = 11
@@ -65,16 +65,36 @@ type SeedRouter struct {
 	ChunkBytes int
 }
 
+// seedOutbox queues one child link's seed stream as encoded link messages
+// (encodeFrameOp), ready for the child's forwarder to send as they are.
+type seedOutbox = vtime.Chan[[]byte]
+
+// fanOut queues one unchanged frame on every child outbox: the message it
+// arrived in when there is one (an interior rank relays it verbatim), else
+// one encoding shared by all of them.
+func fanOut(outs []*seedOutbox, f coll.Frame) {
+	if len(outs) == 0 {
+		return
+	}
+	msg := f.Wire
+	if msg == nil {
+		msg = encodeFrameOp(opSeedChunk, opSeedEnd, f)
+	}
+	for _, out := range outs {
+		out.Send(msg)
+	}
+}
+
 // seedSplitter is the per-node routing state: one ChunkWriter per child
-// slot plus one for the locally retained slice, each emitting coll.Frames
-// with a fresh contiguous index sequence (FEData stays frame 0 on every
-// link, chunks start at 1).
+// slot plus one for the locally retained slice, each emitting frames with
+// a fresh contiguous index sequence (FEData stays frame 0 on every link,
+// chunks start at 1).
 type seedSplitter struct {
 	rt     *SeedRouter
 	rank   int
 	fanout int
 	local  *vtime.Chan[coll.Frame]
-	outs   []*vtime.Chan[coll.Frame]
+	outs   []*seedOutbox
 
 	locW   *proctab.ChunkWriter
 	locIx  uint32
@@ -82,7 +102,7 @@ type seedSplitter struct {
 	slotIx []uint32
 }
 
-func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], outs []*vtime.Chan[coll.Frame]) *seedSplitter {
+func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], outs []*seedOutbox) *seedSplitter {
 	cb := rt.ChunkBytes
 	if cb <= 0 {
 		cb = coll.DefaultChunkBytes
@@ -97,9 +117,9 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], 
 		slot := slot
 		s.slotW[slot] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
 			s.slotIx[slot]++
-			s.outs[slot].Send(coll.Frame{
+			s.outs[slot].Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{
 				H: coll.Header{Op: coll.OpSeed, Index: s.slotIx[slot]}, Body: chunk, Sum: sum,
-			})
+			}))
 			return nil
 		})
 	}
@@ -119,9 +139,7 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], 
 func (s *seedSplitter) chunk(f coll.Frame) error {
 	if f.H.Index == 0 {
 		s.local.Send(f)
-		for i := range s.outs {
-			s.outs[i].Send(f)
-		}
+		fanOut(s.outs, f)
 		return nil
 	}
 	entries, err := proctab.Decode(f.Body)
@@ -169,10 +187,10 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 			ErrProtocol, routed, s.rank, f.Total)
 	}
 	for i := range s.outs {
-		s.outs[i].Send(coll.Frame{
+		s.outs[i].Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{
 			H:   coll.Header{Op: coll.OpSeed, Index: s.slotIx[i] + 1},
 			End: true, Total: uint64(s.slotW[i].Count()), Sum: s.slotW[i].Digest(),
-		})
+		}))
 	}
 	s.local.Send(coll.Frame{
 		H:   coll.Header{Op: coll.OpSeed, Index: s.locIx + 1},
@@ -192,7 +210,7 @@ type seedEngine struct {
 	seed     *Seed
 	abort    func()
 	split    *seedSplitter
-	outs     []*vtime.Chan[coll.Frame]
+	outs     []*seedOutbox
 	chk      coll.SeqCheck
 	pumped   uint64
 	srcBytes *obs.Gauge
@@ -231,9 +249,7 @@ func (e *seedEngine) step(f coll.Frame) bool {
 		return f.End
 	}
 	e.seed.local.Send(f)
-	for i := range e.outs {
-		e.outs[i].Send(f)
-	}
+	fanOut(e.outs, f)
 	return f.End
 }
 
@@ -347,9 +363,9 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 	sim := p.Sim()
 	seed := &Seed{local: vtime.NewChan[coll.Frame](sim), wg: vtime.NewWaitGroup(sim)}
 	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
-	outs := make([]*vtime.Chan[coll.Frame], len(kids))
+	outs := make([]*seedOutbox, len(kids))
 	for i := range kids {
-		outs[i] = vtime.NewChan[coll.Frame](sim)
+		outs[i] = vtime.NewChan[[]byte](sim)
 	}
 	abort := func() {
 		seed.local.Close()
@@ -380,7 +396,10 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 	// aborts / the child link dies mid-stream). A forwarder is not a
 	// goroutine: link writes never block in virtual time, so relaying is a
 	// per-frame outbox callback — a million-daemon tree forwards its whole
-	// seed without parking a single stack on a child link.
+	// seed without parking a single stack on a child link. It sends the
+	// queued messages as they are: a frame that is the same for every
+	// child (the FEData preamble, a nil-router stream) is one buffer on all
+	// the outboxes.
 	startForwarder := func(i int, conn *simnet.Conn) {
 		seed.wg.Add(1)
 		var linkBytes uint64
@@ -390,7 +409,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 			linkMax.SetMax(linkBytes)
 			seed.wg.Done()
 		}
-		outs[i].Handle(func(f coll.Frame, ok bool) {
+		outs[i].Handle(func(msg []byte, ok bool) {
 			if done {
 				return // stream already finished or failed; drop stragglers
 			}
@@ -399,16 +418,16 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 				return
 			}
 			queueMax.SetMax(uint64(outs[i].Len()))
-			n, err := writeFrameOp(conn, opSeedChunk, opSeedEnd, f)
-			if err != nil {
+			if err := lmonp.SendFrame(conn, msg); err != nil {
 				seed.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", kids[i], err))
 				finish()
 				return
 			}
+			n := uint64(len(msg) - 4)
 			fwdChunks.Inc()
-			fwdBytes.Add(uint64(n))
-			linkBytes += uint64(n)
-			if f.End {
+			fwdBytes.Add(n)
+			linkBytes += n
+			if binary.BigEndian.Uint32(msg[4:]) == opSeedEnd {
 				finish()
 			}
 		})

@@ -113,21 +113,22 @@ const (
 	TypeObsMetrics // BE/MW master→FE: harvested metrics snapshot
 )
 
+var msgTypeNames = [...]string{
+	TypeLaunchReq: "launch-req", TypeAttachReq: "attach-req",
+	TypeSpawnReq: "spawn-req", TypeProctab: "proctab",
+	TypeReady: "ready", TypeDetach: "detach", TypeKill: "kill",
+	TypeShutdown: "shutdown", TypeStatus: "status",
+	TypeHandshake: "handshake", TypeUsrData: "usrdata",
+	TypeProctabBE: "proctab-be", TypeProctabChunk: "proctab-chunk",
+	TypeProctabEnd: "proctab-end", TypeStatusEvent: "status-event",
+	TypeCollChunk: "coll-chunk", TypeCollEnd: "coll-end",
+	TypeObsMetrics: "obs-metrics",
+}
+
 // String names the type for diagnostics.
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		TypeLaunchReq: "launch-req", TypeAttachReq: "attach-req",
-		TypeSpawnReq: "spawn-req", TypeProctab: "proctab",
-		TypeReady: "ready", TypeDetach: "detach", TypeKill: "kill",
-		TypeShutdown: "shutdown", TypeStatus: "status",
-		TypeHandshake: "handshake", TypeUsrData: "usrdata",
-		TypeProctabBE: "proctab-be", TypeProctabChunk: "proctab-chunk",
-		TypeProctabEnd: "proctab-end", TypeStatusEvent: "status-event",
-		TypeCollChunk: "coll-chunk", TypeCollEnd: "coll-end",
-		TypeObsMetrics: "obs-metrics",
-	}
-	if n, ok := names[t]; ok {
-		return n
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -152,38 +153,58 @@ var (
 // WireSize returns the total encoded size of the message in bytes.
 func (m *Msg) WireSize() int { return HeaderSize + len(m.Payload) + len(m.UsrData) }
 
-// Encode renders the message into a single buffer. Oversized sections —
-// including a combined Payload+UsrData beyond MaxPayload — are rejected
-// here, with the offending sizes, so tool payloads that no peer could
-// accept fail at the sender instead of surfacing as a truncated read on
-// the other end of the connection.
-func (m *Msg) Encode() ([]byte, error) {
-	if len(m.Payload) > MaxPayload || len(m.UsrData) > MaxPayload ||
-		len(m.Payload)+len(m.UsrData) > MaxPayload {
+// Begin starts a message's wire encoding in one buffer of exactly its wire
+// size: the header (sequence number zero), behind which the caller appends
+// plen bytes of LaunchMON payload and then ulen bytes of tool data. It is
+// how a sender renders a message straight into the buffer the network will
+// carry (Conn.SendEncoded) instead of through intermediate section slices.
+// Oversized sections — including a combined payload beyond MaxPayload —
+// are rejected here, with the offending sizes, so tool payloads that no
+// peer could accept fail at the sender instead of surfacing as a truncated
+// read on the other end of the connection.
+func Begin(class MsgClass, typ MsgType, plen, ulen int) ([]byte, error) {
+	if plen > MaxPayload || ulen > MaxPayload || plen+ulen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d + usrdata %d bytes (cap %d)",
-			ErrTooLarge, len(m.Payload), len(m.UsrData), MaxPayload)
+			ErrTooLarge, plen, ulen, MaxPayload)
 	}
-	buf := make([]byte, m.WireSize())
-	buf[0] = byte(m.Class&0x7)<<5 | Version&0x1f
-	buf[1] = byte(m.Type)
-	binary.BigEndian.PutUint16(buf[2:4], m.Flags)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(m.Payload)))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(len(m.UsrData)))
-	binary.BigEndian.PutUint32(buf[12:16], m.Seq)
-	copy(buf[HeaderSize:], m.Payload)
-	copy(buf[HeaderSize+len(m.Payload):], m.UsrData)
+	buf := make([]byte, HeaderSize, HeaderSize+plen+ulen)
+	buf[0] = byte(class&0x7)<<5 | Version&0x1f
+	buf[1] = byte(typ)
+	binary.BigEndian.PutUint32(buf[4:8], uint32(plen))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(ulen))
 	return buf, nil
 }
 
-// Write encodes and writes the message to w as one Write call (one
-// simulated network message).
+// Encode renders the message into a single buffer (see Begin for the size
+// limits).
+func (m *Msg) Encode() ([]byte, error) {
+	buf, err := Begin(m.Class, m.Type, len(m.Payload), len(m.UsrData))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint16(buf[2:4], m.Flags)
+	binary.BigEndian.PutUint32(buf[12:16], m.Seq)
+	return append(append(buf, m.Payload...), m.UsrData...), nil
+}
+
+// SendMessage puts one whole network message on w: by ownership, with no
+// further copy, when w takes messages that way (simnet.Conn.Send — msg must
+// not be written to afterwards), else as one Write call.
+func SendMessage(w io.Writer, msg []byte) error {
+	if s, ok := w.(interface{ Send(msg []byte) error }); ok {
+		return s.Send(msg)
+	}
+	_, err := w.Write(msg)
+	return err
+}
+
+// Write encodes the message and puts it on w as one network message.
 func Write(w io.Writer, m *Msg) error {
 	buf, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
-	return err
+	return SendMessage(w, buf)
 }
 
 // Read reads exactly one message from r.
@@ -247,6 +268,17 @@ func (c *Conn) Send(m *Msg) error {
 	c.seq++
 	m.Seq = c.seq
 	return Write(c.rw, m)
+}
+
+// SendEncoded is Send for a message rendered with Begin (and filled to its
+// wire size): it stamps the next sequence number into the buffer and hands
+// the buffer itself to the stream.
+func (c *Conn) SendEncoded(buf []byte) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.seq++
+	binary.BigEndian.PutUint32(buf[12:16], c.seq)
+	return SendMessage(c.rw, buf)
 }
 
 // Recv reads the next message.

@@ -17,15 +17,28 @@ import (
 // ErrTruncated reports a payload shorter than its own length fields claim.
 var ErrTruncated = errors.New("lmonp: truncated field")
 
-// WriteFrame writes a 32-bit length-prefixed payload as one Write call
-// (one simulated network message). It is the request/response framing used
-// by RM-internal and ICCL traffic that does not need a full LMONP header.
+// NewFrame starts a frame message — a 32-bit length prefix and the payload
+// behind it, the request/response framing of RM-internal and ICCL traffic
+// that does not need a full LMONP header — in one buffer of exactly its
+// wire size: the prefix for an n-byte payload, which the caller appends
+// before handing the buffer to SendFrame.
+func NewFrame(n int) []byte {
+	return AppendUint32(make([]byte, 0, 4+n), uint32(n))
+}
+
+// SendFrame puts a frame message built with NewFrame on w as one network
+// message (SendMessage: by ownership when w takes it that way).
+func SendFrame(w io.Writer, msg []byte) error {
+	if len(msg) < 4 || uint32(len(msg)-4) != binary.BigEndian.Uint32(msg) {
+		return fmt.Errorf("lmonp: frame message of %d bytes does not match its length prefix", len(msg))
+	}
+	return SendMessage(w, msg)
+}
+
+// WriteFrame frames payload (one copy, into the message buffer) and sends
+// it; the caller keeps payload.
 func WriteFrame(w io.Writer, payload []byte) error {
-	buf := make([]byte, 0, 4+len(payload))
-	buf = AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	return err
+	return SendFrame(w, append(NewFrame(len(payload)), payload...))
 }
 
 // MessageConn is the event-driven face of a message-preserving transport
@@ -37,8 +50,8 @@ type MessageConn interface {
 }
 
 // HandleFrames registers a frame-level callback on a message connection
-// whose peer writes one WriteFrame per message (the invariant all LMONP and
-// ICCL traffic keeps: a frame is a single Write call). Each delivery is
+// whose peer sends one frame per message (the invariant all LMONP and ICCL
+// traffic keeps: a frame is a single network message). Each delivery is
 // unwrapped to its payload; a malformed message surfaces as an error and no
 // further callbacks fire for it. fn runs on the vtime scheduler and must
 // not block.
@@ -54,8 +67,8 @@ func HandleFrames(c MessageConn, fn func(frame []byte, err error)) {
 }
 
 // FrameFromMessage unwraps one delivered network message into the frame
-// payload WriteFrame produced, enforcing that the message carries exactly
-// one complete frame.
+// payload behind its length prefix (aliasing msg), enforcing that the
+// message carries exactly one complete frame.
 func FrameFromMessage(msg []byte) ([]byte, error) {
 	if len(msg) < 4 {
 		return nil, fmt.Errorf("lmonp: short frame message (%d bytes)", len(msg))

@@ -5,7 +5,7 @@
 // sockets while every transfer is charged latency + size/bandwidth in
 // virtual time.
 //
-// The cost model per message (one Write call) is:
+// The cost model per message (one Send or Write call) is:
 //
 //	start  = max(now, lastSendDone)   // per-direction serialization
 //	txDone = start + size/bandwidth
@@ -103,7 +103,7 @@ func ParseAddr(s string) (Addr, error) {
 
 // Stats aggregates traffic counters for the whole network.
 type Stats struct {
-	Messages int64 // Write calls delivered
+	Messages int64 // Send/Write calls delivered
 	Bytes    int64 // payload bytes delivered
 	Dials    int64 // successful connections
 }
@@ -468,38 +468,40 @@ type Conn struct {
 	peer *Conn
 
 	mu       sync.Mutex
-	sendDone time.Duration // virtual time the previous Write finishes on the wire
+	sendDone time.Duration // virtual time the previous Send finishes on the wire
 	closed   bool
 	peerDead bool // the other endpoint's host was killed (reads/writes fail)
 }
 
-// Write sends p to the peer. It returns immediately (socket-buffer
+// Send hands msg to the peer as one network message, taking ownership of
+// it: the very slice is what the peer's Read, RecvMessage or Handle
+// delivers, so the caller must not write to it afterwards (it may send the
+// same buffer on any number of connections, and receivers may alias it but
+// never write to it either). Send returns immediately (socket-buffer
 // semantics); delivery is charged serialization + latency in virtual time.
 // Messages crossing a dropped link are silently discarded at delivery
-// time; writes to a severed (dead-host) connection fail with ErrPeerDead.
-func (c *Conn) Write(p []byte) (int, error) {
+// time; sends on a severed (dead-host) connection fail with ErrPeerDead.
+func (c *Conn) Send(msg []byte) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if c.peerDead {
 		c.mu.Unlock()
-		return 0, ErrPeerDead
+		return ErrPeerDead
 	}
 	now := c.net.sim.Now()
 	start := now
 	if c.sendDone > start {
 		start = c.sendDone
 	}
-	tx := time.Duration(float64(len(p)) / c.bw * float64(time.Second))
+	tx := time.Duration(float64(len(msg)) / c.bw * float64(time.Second))
 	c.sendDone = start + tx
 	arrive := c.sendDone + c.lat
 	peerIn := c.peer.in
 	c.mu.Unlock()
 
-	buf := make([]byte, len(p))
-	copy(buf, p)
 	c.net.sim.After(arrive-now, func() {
 		// Delivery-time checks: packets vanish on a down link or when the
 		// destination died while they were in flight.
@@ -508,10 +510,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		c.net.mu.Lock()
 		c.net.stats.Messages++
-		c.net.stats.Bytes += int64(len(buf))
+		c.net.stats.Bytes += int64(len(msg))
 		c.net.mu.Unlock()
-		peerIn.Send(buf)
+		peerIn.Send(msg)
 	})
+	return nil
+}
+
+// Write is Send for io.Writer callers, who keep ownership of p: it sends a
+// private copy.
+func (c *Conn) Write(p []byte) (int, error) {
+	buf := make([]byte, len(p))
+	copy(buf, p)
+	if err := c.Send(buf); err != nil {
+		return 0, err
+	}
 	return len(p), nil
 }
 
@@ -523,13 +536,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	for len(c.rbuf) == 0 {
 		buf, ok := c.in.Recv()
 		if !ok {
-			c.mu.Lock()
-			dead := c.peerDead
-			c.mu.Unlock()
-			if dead {
-				return 0, ErrPeerDead
-			}
-			return 0, io.EOF
+			return 0, c.endErr()
 		}
 		c.rbuf = buf
 	}
@@ -538,11 +545,24 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// RecvMessageTimeout returns the next delivered message (one peer Write)
-// whole, with a virtual-time deadline: ErrReadTimeout when it passes with
-// nothing delivered, io.EOF/ErrPeerDead per Read's contract otherwise. It
-// must be called on a message boundary (no partially consumed arrival) —
-// the caller is reading a message-per-frame protocol.
+// RecvMessage returns the next delivered message (one peer Send) whole —
+// the sender's own buffer, to be read and never written — blocking in
+// virtual time: io.EOF/ErrPeerDead per Read's contract once the connection
+// ends. It must be called on a message boundary (no partially consumed
+// arrival) — the caller is reading a message-per-frame protocol.
+func (c *Conn) RecvMessage() ([]byte, error) {
+	if len(c.rbuf) != 0 {
+		panic("simnet: RecvMessage with a partially read message")
+	}
+	buf, ok := c.in.Recv()
+	if !ok {
+		return nil, c.endErr()
+	}
+	return buf, nil
+}
+
+// RecvMessageTimeout is RecvMessage with a virtual-time deadline:
+// ErrReadTimeout when it passes with nothing delivered.
 func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
 	if len(c.rbuf) != 0 {
 		panic("simnet: RecvMessageTimeout with a partially read message")
@@ -552,21 +572,27 @@ func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
 		return nil, fmt.Errorf("%w: no message from %s within %v", ErrReadTimeout, c.remote, d)
 	}
 	if !ok {
-		c.mu.Lock()
-		dead := c.peerDead
-		c.mu.Unlock()
-		if dead {
-			return nil, ErrPeerDead
-		}
-		return nil, io.EOF
+		return nil, c.endErr()
 	}
 	return buf, nil
 }
 
+// endErr is what the receive side reports once the inbound queue has
+// closed and drained: ErrPeerDead on a severed connection, io.EOF after a
+// clean close.
+func (c *Conn) endErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.peerDead {
+		return ErrPeerDead
+	}
+	return io.EOF
+}
+
 // Handle switches the connection's receive side to event-driven delivery:
-// fn runs on the vtime scheduler once per delivered message (one Write call
-// on the peer = one callback, so framed protocols that write one frame per
-// Write receive exactly one complete frame per event), in arrival order
+// fn runs on the vtime scheduler once per delivered message (one Send or
+// Write call on the peer = one callback, so framed protocols that send one
+// frame per call receive exactly one complete frame per event), in arrival order
 // under the scheduler's deterministic (time, seq) tie-break. After the peer
 // closes (or the link severs) and queued messages drain, fn fires once with
 // err — io.EOF for a clean close, ErrPeerDead for a severed connection.
@@ -582,14 +608,7 @@ func (c *Conn) Handle(fn func(msg []byte, err error)) {
 	}
 	c.in.Handle(func(buf []byte, ok bool) {
 		if !ok {
-			c.mu.Lock()
-			dead := c.peerDead
-			c.mu.Unlock()
-			if dead {
-				fn(nil, ErrPeerDead)
-			} else {
-				fn(nil, io.EOF)
-			}
+			fn(nil, c.endErr())
 			return
 		}
 		fn(buf, nil)

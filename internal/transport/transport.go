@@ -95,15 +95,13 @@ func EncodeHello(h Hello) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteHello writes the hello frame as a single Write call (one simulated
-// network message).
+// WriteHello puts the hello frame on w as one simulated network message.
 func WriteHello(w io.Writer, h Hello) error {
 	buf, err := EncodeHello(h)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
-	return err
+	return lmonp.SendMessage(w, buf)
 }
 
 // ReadHello reads one hello frame.

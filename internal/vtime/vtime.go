@@ -21,7 +21,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -93,23 +92,58 @@ type timer struct {
 	cancelled *bool // non-nil for cancellable timers
 }
 
+// timerHeap is a binary min-heap of timers ordered by (at, seq) — a total
+// order, seq being unique, so the pop sequence is a function of what was
+// pushed alone. It is typed rather than a container/heap.Interface because
+// that interface moves every element through an `any`, which heap-allocates
+// the 32-byte timer once per push and once per pop.
 type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push adds t, sifting it up to its place.
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !a.less(i, parent) {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest timer; the heap must not be empty.
+func (h *timerHeap) pop() timer {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a[n] = timer{} // drop the callback reference
+	a = a[:n]
+	*h = a
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && a.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && a.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	return top
 }
 
 // After schedules fn to run at now+d. fn executes on the scheduler
@@ -126,7 +160,7 @@ func (s *Sim) afterLocked(d time.Duration, fn func()) {
 		d = 0
 	}
 	s.seq++
-	heap.Push(&s.timers, timer{at: s.now + d, seq: s.seq, fn: fn})
+	s.timers.push(timer{at: s.now + d, seq: s.seq, fn: fn})
 }
 
 // afterCancellableLocked schedules fn like afterLocked but returns a cancel
@@ -138,7 +172,7 @@ func (s *Sim) afterCancellableLocked(d time.Duration, fn func()) (cancel func())
 	}
 	s.seq++
 	c := new(bool)
-	heap.Push(&s.timers, timer{at: s.now + d, seq: s.seq, fn: fn, cancelled: c})
+	s.timers.push(timer{at: s.now + d, seq: s.seq, fn: fn, cancelled: c})
 	return func() { *c = true }
 }
 
@@ -275,12 +309,12 @@ func (s *Sim) Run() time.Duration {
 			panic(p)
 		}
 		for len(s.timers) > 0 && s.timers[0].cancelled != nil && *s.timers[0].cancelled {
-			heap.Pop(&s.timers)
+			s.timers.pop()
 		}
 		if len(s.timers) == 0 {
 			break
 		}
-		t := heap.Pop(&s.timers).(timer)
+		t := s.timers.pop()
 		if t.at > s.now {
 			s.now = t.at
 		}
@@ -310,7 +344,7 @@ func (s *Sim) Run() time.Duration {
 		// A torn-down goroutine became runnable and may spawn nothing new;
 		// also drain any timers it scheduled during teardown.
 		if len(s.timers) > 0 {
-			t := heap.Pop(&s.timers).(timer)
+			t := s.timers.pop()
 			if t.at > s.now {
 				s.now = t.at
 			}

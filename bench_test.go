@@ -3,8 +3,8 @@ package launchmon_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
-	"time"
 
 	"launchmon/internal/bench"
 	"launchmon/internal/cluster"
@@ -14,13 +14,46 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// One benchmark per table/figure of the paper's evaluation, plus the
-// ablations. Each iteration regenerates the complete experiment on a
-// fresh simulated cluster; reported ns/op is host time to simulate the
-// whole sweep (the virtual-time results themselves are printed by
-// cmd/lmonbench and recorded in EXPERIMENTS.md). Every benchmark reports
-// allocations, and the ones that report virtual-time metrics put the host
-// clock beside them (hostWall), so `go test -bench` shows both clocks.
+// BenchmarkExperiments regenerates the paper's evaluation: one
+// sub-benchmark per result table of bench.Experiments that -all runs (the
+// figures, Table 1 and the ablations; the million-daemon sweep and the
+// trace export are lmonbench's alone), named by its JSON stem. Each
+// iteration runs the complete sweep on fresh simulated clusters at full
+// scale under bench.DefaultMemLimit; reported ns/op is host time to
+// simulate it (the virtual-time results themselves are printed by
+// cmd/lmonbench and recorded in EXPERIMENTS.md). Every sub-benchmark
+// reports allocations, and the ones that report virtual-time metrics put
+// the host clock beside them (hostWall), so `go test -bench` shows both
+// clocks.
+func BenchmarkExperiments(b *testing.B) {
+	p := bench.Params{MemLimit: bench.DefaultMemLimit, Out: io.Discard}
+	for _, e := range bench.Experiments {
+		if e.OwnFlagOnly {
+			continue
+		}
+		for _, t := range e.Tables {
+			t := t
+			b.Run(t.Stem, func(b *testing.B) {
+				b.ReportAllocs()
+				var res bench.Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = t.Run(p); err != nil {
+						b.Fatal(err)
+					}
+					if res.N == 0 {
+						b.Fatal("no rows")
+					}
+				}
+				if check := rowChecks[t.Stem]; check != nil {
+					if daemons := check(b, res.Rows); daemons > 0 {
+						hostWall(b, daemons)
+					}
+				}
+			})
+		}
+	}
+}
 
 // hostWall reports the host wall time one iteration spent per simulated
 // daemon of its sweep.
@@ -28,248 +61,108 @@ func hostWall(b *testing.B, daemons int) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(daemons), "host-us/daemon")
 }
 
-// BenchmarkFigure3_LaunchAndSpawnModelVsMeasured regenerates Figure 3:
-// the launchAndSpawn component breakdown and analytic-model comparison,
-// 16..128 daemons at 8 tasks/daemon.
-func BenchmarkFigure3_LaunchAndSpawnModelVsMeasured(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.Figure3Scales) {
-			b.Fatalf("%d rows", len(rows))
-		}
+// wantRows fails the benchmark unless the sweep produced one row per scale.
+func wantRows(b *testing.B, got int, scales []int) {
+	if got != len(scales) {
+		b.Fatalf("%d rows for scales %v", got, scales)
 	}
 }
 
-// BenchmarkFigure5_Jobsnap regenerates Figure 5: Jobsnap total and
-// init→attachAndSpawn times, 64..1024 daemons (512..8192 tasks).
-func BenchmarkFigure5_Jobsnap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.Figure5Scales) {
-			b.Fatal("row count")
-		}
-	}
-}
-
-// BenchmarkFigure6_STATStartup regenerates Figure 6: STAT launch+connect,
-// MRNet-rsh vs LaunchMON, 4..512 daemons with the rsh failure at 512.
-func BenchmarkFigure6_STATStartup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rows[len(rows)-1].MRNetFailed {
+// rowChecks holds, per JSON stem, what the paper or the design claims of
+// that table's rows at full scale, reports the rows' virtual-time metrics,
+// and returns the number of daemons the sweep simulated (0 = no hostWall).
+var rowChecks = map[string]func(b *testing.B, rows any) (daemons int){
+	// Figure 3: launchAndSpawn breakdown and analytic-model comparison,
+	// 16..128 daemons at 8 tasks/daemon.
+	"figure3": func(b *testing.B, rows any) int {
+		wantRows(b, len(rows.([]bench.Fig3Row)), bench.Figure3Scales)
+		return 0
+	},
+	// Figure 5: Jobsnap total and init→attachAndSpawn times, 64..1024
+	// daemons (512..8192 tasks).
+	"figure5": func(b *testing.B, rows any) int {
+		wantRows(b, len(rows.([]bench.Fig5Row)), bench.Figure5Scales)
+		return 0
+	},
+	// Figure 6: STAT launch+connect, MRNet-rsh vs LaunchMON, 4..512 daemons
+	// with the rsh failure at 512.
+	"figure6": func(b *testing.B, rows any) int {
+		r := rows.([]bench.Fig6Row)
+		if !r[len(r)-1].MRNetFailed {
 			b.Fatal("rsh did not fail at 512")
 		}
-	}
-}
-
-// BenchmarkTable1_OSSAPAIAccess regenerates Table 1: O|SS APAI access
-// times, DPCL vs LaunchMON, 2..32 nodes.
-func BenchmarkTable1_OSSAPAIAccess(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1()
-		if err != nil {
-			b.Fatal(err)
+		return 0
+	},
+	// Table 1: O|SS APAI access times, DPCL vs LaunchMON, 2..32 nodes.
+	"table1": func(b *testing.B, rows any) int {
+		wantRows(b, len(rows.([]bench.T1Row)), bench.Table1Scales)
+		return 0
+	},
+	// K ∈ {1,4,8} concurrent sessions from one FE process over a single
+	// transport mux: aggregate session-setup throughput at each K.
+	"ablation_concurrent": func(b *testing.B, rows any) (daemons int) {
+		r := rows.([]bench.ConcurrentRow)
+		wantRows(b, len(r), bench.ConcurrentScales)
+		for _, r := range r {
+			b.ReportMetric(r.Throughput, fmt.Sprintf("sessions/vsec-K%d", r.Sessions))
+			daemons += r.Sessions * r.NodesEach
 		}
-		if len(rows) != len(bench.Table1Scales) {
-			b.Fatal("row count")
+		return daemons
+	},
+	// The deepest-ranked daemon's node killed mid-session at K ∈ {64, 1024,
+	// 16384}: virtual time until the loss reaches the front end as a
+	// DaemonExited callback, and until full watchdog teardown.
+	"failure_detection": func(b *testing.B, rows any) (daemons int) {
+		r := rows.([]bench.FailureRow)
+		wantRows(b, len(r), bench.SweepScales)
+		for _, r := range r {
+			b.ReportMetric(r.DetectSever.Seconds()*1e3, fmt.Sprintf("detect-vms-K%d", r.Nodes))
+			b.ReportMetric(r.Teardown.Seconds()*1e3, fmt.Sprintf("teardown-vms-K%d", r.Nodes))
+			daemons += 2 * r.Nodes // a severed-link run and a silent-loss run
 		}
-	}
-}
-
-// BenchmarkAblation_BGL contrasts the SLURM-like and BG/L-like RM cost
-// profiles (§4's closing observation).
-func BenchmarkAblation_BGL(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.BGLAblation(); err != nil {
-			b.Fatal(err)
+		return daemons
+	},
+	// Heartbeat wire overhead vs period on an idle 256-daemon session.
+	"heartbeat_overhead": func(b *testing.B, rows any) (daemons int) {
+		for _, r := range rows.([]bench.OverheadRow) {
+			b.ReportMetric(r.MsgsPerSec, fmt.Sprintf("hb-msgs-per-vsec-p%s", r.Period))
+			daemons += r.Nodes
 		}
-	}
-}
-
-// BenchmarkAblation_ICCLFanout sweeps the ICCL tree fan-out at 128
-// daemons.
-func BenchmarkAblation_ICCLFanout(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationFanout(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_Piggyback compares piggybacked vs separate tool-data
-// delivery.
-func BenchmarkAblation_Piggyback(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationPiggyback(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_ProctabDistribution compares RPDTAB broadcast vs the
-// shared-file mechanism.
-func BenchmarkAblation_ProctabDistribution(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationProctab(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_DebugEvents contrasts fixed vs scale-growing RM debug
-// events.
-func BenchmarkAblation_DebugEvents(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationDebugEvents(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_ConcurrentSessions launches K ∈ {1,4,8} concurrent
-// sessions from one FE process over a single transport mux and reports
-// the aggregate session-setup throughput at each K.
-func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
-	b.ReportAllocs()
-	var rows []bench.ConcurrentRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.ConcurrentSessions(bench.ConcurrentSessionOpts{}, bench.ConcurrentScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.ConcurrentScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-	}
-	daemons := 0
-	for _, r := range rows {
-		b.ReportMetric(r.Throughput, fmt.Sprintf("sessions/vsec-K%d", r.Sessions))
-		daemons += r.Sessions * r.NodesEach
-	}
-	hostWall(b, daemons)
-}
-
-// BenchmarkAblation_FailureDetection kills the deepest-ranked daemon's
-// node mid-session at K ∈ {64, 1024, 16384} and reports how long (in
-// virtual time) the loss takes to reach the front end as a DaemonExited
-// callback plus the time to full watchdog teardown, and sweeps heartbeat
-// wire overhead vs period on an idle 256-daemon session.
-func BenchmarkAblation_FailureDetection(b *testing.B) {
-	b.ReportAllocs()
-	var rows []bench.FailureRow
-	var overhead []bench.OverheadRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.FailureDetection(bench.FailureOpts{}, bench.FailureScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.FailureScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		overhead, err = bench.HeartbeatOverhead(256, bench.OverheadPeriods, 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	daemons := 0
-	for _, r := range rows {
-		b.ReportMetric(r.DetectSever.Seconds()*1e3, fmt.Sprintf("detect-vms-K%d", r.Nodes))
-		b.ReportMetric(r.Teardown.Seconds()*1e3, fmt.Sprintf("teardown-vms-K%d", r.Nodes))
-		daemons += 2 * r.Nodes // a severed-link run and a silent-loss run
-	}
-	for _, r := range overhead {
-		b.ReportMetric(r.MsgsPerSec, fmt.Sprintf("hb-msgs-per-vsec-p%s", r.Period))
-		daemons += r.Nodes
-	}
-	hostWall(b, daemons)
-}
-
-// BenchmarkAblation_Collective compares the flat FE↔BE-master pipe (every
-// gathered byte relayed monolithically through the master) against the
-// tree-routed collective plane at K ∈ {64, 1024, 16384}: per-link message
-// counts are bounded by the fanout and chunk size instead of K, so the
-// tree gather must beat the flat-master gather at the largest scale, and
-// the sum reduction's FE-bound payload is K-independent outright.
-func BenchmarkAblation_Collective(b *testing.B) {
-	b.ReportAllocs()
-	var rows []bench.CollectiveRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.CollectiveAblation(bench.CollectiveOpts{}, bench.CollectiveScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.CollectiveScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		last := rows[len(rows)-1]
-		if last.TreeGather >= last.FlatGather {
+		return daemons
+	},
+	// The flat FE↔BE-master pipe (every gathered byte relayed
+	// monolithically through the master) against the tree-routed collective
+	// plane at K ∈ {64, 1024, 16384}: per-link message counts are bounded by
+	// the fanout and chunk size instead of K, so the tree gather must beat
+	// the flat-master gather at the largest scale, and the sum reduction's
+	// FE-bound payload is K-independent outright.
+	"collective": func(b *testing.B, rows any) (daemons int) {
+		r := rows.([]bench.CollectiveRow)
+		wantRows(b, len(r), bench.SweepScales)
+		if last := r[len(r)-1]; last.TreeGather >= last.FlatGather {
 			b.Fatalf("tree gather (%v) not faster than flat-master gather (%v) at K=%d",
 				last.TreeGather, last.FlatGather, last.Daemons)
 		}
-	}
-	daemons := 0
-	for _, r := range rows {
-		b.ReportMetric(r.FlatGather.Seconds()*1e3, fmt.Sprintf("flat-gather-vms-K%d", r.Daemons))
-		b.ReportMetric(r.TreeGather.Seconds()*1e3, fmt.Sprintf("tree-gather-vms-K%d", r.Daemons))
-		b.ReportMetric(r.ReduceSum.Seconds()*1e3, fmt.Sprintf("reduce-sum-vms-K%d", r.Daemons))
-		daemons += r.Daemons
-	}
-	hostWall(b, daemons)
-}
-
-// BenchmarkAblation_LaunchPipeline compares time-to-DaemonsSpawned under
-// the serialized store-and-forward seed pipeline (full-table buffering at
-// the FE and the master, monolithic post-bootstrap broadcast, a full copy
-// retained at every daemon) against the cut-through pipeline (chunks
-// relayed as they arrive and streamed through the still-forming ICCL
-// tree, rank slices over a shared index) at K ∈ {64, 1024, 16384} — the
-// store-forward row only where its K full-table copies fit
-// bench.DefaultMemLimit. Cut-through must be measurably faster at the
-// largest scale both ran at, every run must leave the union of the
-// daemons' rank slices byte-identical to the FE table, and sliced
-// retention must shrink the leaf-daemon footprint by at least an order of
-// magnitude there.
-func BenchmarkAblation_LaunchPipeline(b *testing.B) {
-	b.ReportAllocs()
-	var fullScales []int
-	for _, k := range bench.LaunchScales {
-		if bench.SimFootprint(k)+bench.FullTableFootprint(k, 1) <= bench.DefaultMemLimit {
-			fullScales = append(fullScales, k)
+		for _, r := range r {
+			b.ReportMetric(r.FlatGather.Seconds()*1e3, fmt.Sprintf("flat-gather-vms-K%d", r.Daemons))
+			b.ReportMetric(r.TreeGather.Seconds()*1e3, fmt.Sprintf("tree-gather-vms-K%d", r.Daemons))
+			b.ReportMetric(r.ReduceSum.Seconds()*1e3, fmt.Sprintf("reduce-sum-vms-K%d", r.Daemons))
+			daemons += r.Daemons
 		}
-	}
-	var rows []bench.LaunchPipeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.LaunchPipeline(bench.LaunchPipeOpts{}, bench.LaunchScales, fullScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.LaunchScales)+len(fullScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
+		return daemons
+	},
+	// Time-to-DaemonsSpawned under the serialized store-and-forward seed
+	// pipeline against the cut-through pipeline at K ∈ {64, 1024, 16384} —
+	// the store-forward row only where its K full-table copies fit
+	// bench.DefaultMemLimit. Cut-through must be measurably faster at the
+	// largest scale both ran at, every run must leave the union of the
+	// daemons' rank slices byte-identical to the FE table, and sliced
+	// retention must shrink the leaf-daemon footprint by at least an order
+	// of magnitude there.
+	"launchpipe": func(b *testing.B, rows any) (daemons int) {
 		byCfg := map[string]map[int]bench.LaunchPipeRow{}
-		for _, r := range rows {
+		maxFull := 0
+		for _, r := range rows.([]bench.LaunchPipeRow) {
 			if !r.TableOK {
 				b.Fatalf("mode %s/%s K=%d: RPDTAB slice union not byte-identical", r.Mode, r.Table, r.Daemons)
 			}
@@ -278,71 +171,42 @@ func BenchmarkAblation_LaunchPipeline(b *testing.B) {
 				byCfg[key] = map[int]bench.LaunchPipeRow{}
 			}
 			byCfg[key][r.Daemons] = r
+			if r.Table == "full" {
+				maxFull = max(maxFull, r.Daemons)
+			}
+			daemons += r.Daemons
+			b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-%s-ready-vms-K%d", r.Mode, r.Table, r.Daemons))
+			if r.Table == "sliced" {
+				b.ReportMetric(float64(r.MemMaster), fmt.Sprintf("sliced-master-peakB-K%d", r.Daemons))
+				b.ReportMetric(float64(r.MemInterior), fmt.Sprintf("sliced-interior-peakB-K%d", r.Daemons))
+				b.ReportMetric(float64(r.MemLeaf), fmt.Sprintf("sliced-leaf-peakB-K%d", r.Daemons))
+			}
 		}
-		maxK := fullScales[len(fullScales)-1]
-		full, sliced := byCfg["store-forward/full"][maxK], byCfg["cut-through/sliced"][maxK]
-		if sliced.Ready >= full.Ready {
-			b.Fatalf("cut-through (%v) not below store-and-forward (%v) at K=%d",
-				sliced.Ready, full.Ready, maxK)
+		wantRows(b, len(byCfg["cut-through/sliced"]), bench.SweepScales)
+		full, sliced := byCfg["store-forward/full"][maxFull], byCfg["cut-through/sliced"][maxFull]
+		if maxFull == 0 || sliced.Ready >= full.Ready {
+			b.Fatalf("cut-through (%v) not below store-and-forward (%v) at K=%d", sliced.Ready, full.Ready, maxFull)
 		}
 		if sliced.MemLeaf*10 > full.MemLeaf {
-			b.Fatalf("sliced leaf footprint %d B not 10x below full %d B at K=%d",
-				sliced.MemLeaf, full.MemLeaf, maxK)
+			b.Fatalf("sliced leaf footprint %d B not 10x below full %d B at K=%d", sliced.MemLeaf, full.MemLeaf, maxFull)
 		}
-	}
-	daemons := 0
-	for _, r := range rows {
-		daemons += r.Daemons
-		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-%s-ready-vms-K%d", r.Mode, r.Table, r.Daemons))
-		if r.Table == "sliced" {
-			b.ReportMetric(float64(r.MemMaster), fmt.Sprintf("sliced-master-peakB-K%d", r.Daemons))
-			b.ReportMetric(float64(r.MemInterior), fmt.Sprintf("sliced-interior-peakB-K%d", r.Daemons))
-			b.ReportMetric(float64(r.MemLeaf), fmt.Sprintf("sliced-leaf-peakB-K%d", r.Daemons))
-		}
-	}
-	hostWall(b, daemons)
-}
-
-// BenchmarkAblation_MWPipeline measures LaunchMW time-to-ready under the
-// cut-through seed streamed through the still-forming MW tree, at
-// K ∈ {64, 1024, 16384} middleware daemons. Every MW rank must read a
-// byte-identical RPDTAB.
-func BenchmarkAblation_MWPipeline(b *testing.B) {
-	b.ReportAllocs()
-	var rows []bench.MWPipeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.MWPipeline(bench.MWPipeOpts{}, bench.MWScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.MWScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		for _, r := range rows {
+		return daemons
+	},
+	// LaunchMW time-to-ready under the cut-through seed streamed through
+	// the still-forming MW tree, at K ∈ {64, 1024, 16384} middleware
+	// daemons. Every MW rank must read a byte-identical RPDTAB.
+	"mwpipe": func(b *testing.B, rows any) (daemons int) {
+		r := rows.([]bench.MWPipeRow)
+		wantRows(b, len(r), bench.SweepScales)
+		for _, r := range r {
 			if !r.TableOK {
 				b.Fatalf("K=%d: MW RPDTAB not byte-identical at every rank", r.Daemons)
 			}
+			b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-mw-ready-vms-K%d", r.Mode, r.Daemons))
+			daemons += r.Daemons
 		}
-	}
-	daemons := 0
-	for _, r := range rows {
-		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-mw-ready-vms-K%d", r.Mode, r.Daemons))
-		daemons += r.Daemons
-	}
-	hostWall(b, daemons)
-}
-
-// BenchmarkAblation_JobsnapTree quantifies the paper's §5.1 future-work
-// suggestion: Jobsnap with a TBŌN-style k-ary collection tree vs the flat
-// gather it measured.
-func BenchmarkAblation_JobsnapTree(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationJobsnapTree(); err != nil {
-			b.Fatal(err)
-		}
-	}
+		return daemons
+	},
 }
 
 // The two data-plane benchmarks below run on a bare ICCL tree (no RM, no

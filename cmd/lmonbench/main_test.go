@@ -1,12 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"testing"
+
+	"launchmon/internal/bench"
 )
 
 // TestProfileFlagsLeaveProfiles runs the program itself on one small sweep
@@ -26,51 +27,57 @@ func TestProfileFlagsLeaveProfiles(t *testing.T) {
 	}
 }
 
-func TestCapScales(t *testing.T) {
-	scales := []int{64, 1024, 4096, 16384}
-	perK := func(k int) int64 { return int64(k) * 1000 } // predicted bytes
-	for _, tc := range []struct {
-		name     string
-		maxk     int
-		memLimit int64
-		want     []int
-		skipped  string
-	}{
-		{"no cap, everything fits", 0, 1 << 40, scales, ""},
-		{"-maxk filters larger points", 1024, 1 << 40, []int{64, 1024}, ""},
-		{"-maxk between points keeps the smaller ones", 5000, 1 << 40, []int{64, 1024, 4096}, ""},
-		{"-maxk below every point leaves nothing", 8, 1 << 40, []int{}, ""},
-		{"a point over the memory limit is skipped with a line",
-			0, 5_000_000, []int{64, 1024, 4096},
-			"skipped sweep K=16384: predicted footprint 16384000 B exceeds the 5000000 B memory limit (raise GOMEMLIMIT to run it)\n"},
-		{"-maxk applies before the footprint check: no line for a filtered point",
-			4096, 2_000_000, []int{64, 1024},
-			"skipped sweep K=4096: predicted footprint 4096000 B exceeds the 2000000 B memory limit (raise GOMEMLIMIT to run it)\n"},
-	} {
-		var out bytes.Buffer
-		got := capScales(&out, "sweep", scales, tc.maxk, tc.memLimit, perK)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: scales %v, want %v", tc.name, got, tc.want)
+// TestSmokeWritesEveryPinnedStem runs the program itself on the smoke
+// sweep with -json and checks that it left one non-empty file per smoke
+// table of bench.Experiments and nothing else — the property main's own
+// closing check enforces, seen from outside.
+func TestSmokeWritesEveryPinnedStem(t *testing.T) {
+	oldDir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() {
+		os.Args, flag.CommandLine = oldArgs, oldFlags
+		os.Chdir(oldDir)
+	}()
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	os.Args = []string{"lmonbench", "-smoke", "-json"}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	main() // exits the test binary non-zero if a smoke table fails or wrote no file
+	var stems []string
+	for _, e := range bench.Experiments {
+		stems = append(stems, e.SmokeStems()...)
+	}
+	for _, stem := range stems {
+		if st, err := os.Stat("BENCH_" + stem + ".json"); err != nil || st.Size() == 0 {
+			t.Errorf("BENCH_%s.json: missing or empty (%v)", stem, err)
 		}
-		if out.String() != tc.skipped {
-			t.Errorf("%s: printed %q, want %q", tc.name, out.String(), tc.skipped)
-		}
+	}
+	if files, _ := filepath.Glob("BENCH_*.json"); len(files) != len(stems) {
+		t.Errorf("wrote %v, the smoke table has %d stems", files, len(stems))
 	}
 }
 
-func TestMillionScalesLowersInsteadOfFiltering(t *testing.T) {
-	full := []int{1 << 20}
-	for _, tc := range []struct {
-		maxk int
-		want []int
-	}{
-		{0, full},
-		{65536, []int{65536}}, // a reduced run still produces a row
-		{1 << 20, full},
-		{1 << 21, full}, // a cap above the sweep point changes nothing
-	} {
-		if got := millionScales(full, tc.maxk); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("-maxk %d: scales %v, want %v", tc.maxk, got, tc.want)
+// TestAllHelpNamesWhatAllLeavesOut checks that -all's usage is generated
+// from the table: it names exactly the selecting flags of the experiments
+// marked OwnFlagOnly.
+func TestAllHelpNamesWhatAllLeavesOut(t *testing.T) {
+	oldFlags := flag.CommandLine
+	defer func() { flag.CommandLine = oldFlags }()
+	flag.CommandLine = flag.NewFlagSet("lmonbench", flag.ContinueOnError)
+	notInAll := selectors()
+	if len(notInAll) == 0 {
+		t.Fatal("every experiment is in -all; the million sweep must not be")
+	}
+	for _, e := range bench.Experiments {
+		if flag.Lookup(e.Flag) == nil {
+			t.Errorf("%s: selecting flag -%s not registered", e.Name, e.Flag)
+		}
+		if named := slices.Contains(notInAll, "-"+e.Flag); named != e.OwnFlagOnly {
+			t.Errorf("%s: OwnFlagOnly=%v but named as left out of -all: %v", e.Name, e.OwnFlagOnly, named)
 		}
 	}
 }

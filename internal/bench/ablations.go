@@ -7,13 +7,11 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/core"
-	"launchmon/internal/engine"
 	"launchmon/internal/perfmodel"
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/alps"
 	"launchmon/internal/rm/bgl"
 	"launchmon/internal/rm/slurm"
-	"launchmon/internal/vtime"
 )
 
 // This file holds the ablation benchmarks for design decisions the paper
@@ -21,66 +19,60 @@ import (
 // observation), ICCL tree fan-out, user-data piggybacking, RPDTAB
 // distribution mechanism, and RM debug-event scaling.
 
-// BGLRow compares launchAndSpawn on the SLURM-like and BG/L-like RMs.
+// BGLRow compares launchAndSpawn across RM cost profiles.
 type BGLRow struct {
 	RM       string
 	Measured perfmodel.Breakdown
 }
 
+// breakdown launches sc and decomposes the session's e0→e11 timeline.
+func breakdown(sc Scenario) (b perfmodel.Breakdown, err error) {
+	sc.FE = func(r *Run) error {
+		b, err = perfmodel.Decompose(r.Sess.Timeline)
+		return err
+	}
+	_, err = sc.Run()
+	return b, err
+}
+
 // BGLAblation measures launchAndSpawn at 64 nodes across the three RM
 // implementations, reproducing the paper's note that BG/L's
 // T(job)/T(daemon) dominate while LaunchMON's own costs stay put — and
-// extending it with the ALPS-like star launcher.
+// extending it with the ALPS-like star launcher and with a tree-acked
+// SLURM, whose srun handles one ack per child of its launch tree instead
+// of one per node: both serialized root costs scaled by Fanout/K. That
+// profile bounds what an RM fix could give back, and with it the share of
+// time-to-ready that is LaunchMON's to move (EXPERIMENTS.md).
 func BGLAblation() ([]BGLRow, error) {
 	const nodes, tpd = 64, 8
-	measure := func(which string, install func(cl *cluster.Cluster) (rm.Manager, error)) (perfmodel.Breakdown, error) {
-		sim := vtime.New()
-		cl, err := cluster.New(sim, cluster.Options{Nodes: nodes})
-		if err != nil {
-			return perfmodel.Breakdown{}, err
-		}
-		mgr, err := install(cl)
-		if err != nil {
-			return perfmodel.Breakdown{}, err
-		}
-		core.Setup(cl, mgr)
-		registerNoopBE(cl, "abl_be")
-		var b perfmodel.Breakdown
-		var ferr error
-		sim.Go("abl-fe", func() {
-			cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "abl_fe", Main: func(p *cluster.Proc) {
-				sess, err := core.LaunchAndSpawn(p, core.Options{
-					Job:    rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
-					Daemon: rm.DaemonSpec{Exe: "abl_be"},
-				})
-				if err != nil {
-					ferr = err
-					return
-				}
-				b, ferr = perfmodel.Decompose(sess.Timeline)
-			}})
-		})
-		sim.Run()
-		if ferr != nil {
-			return b, fmt.Errorf("rm ablation (%s): %w", which, ferr)
-		}
-		return b, nil
-	}
-	installs := []struct {
-		name    string
-		install func(cl *cluster.Cluster) (rm.Manager, error)
+	// slurm.Config's defaults: launch-tree fanout 32, 1.8 ms per node
+	// spawned, 500 µs per task.
+	const fanout, perNode, perTask = 32, 1800 * time.Microsecond, 500 * time.Microsecond
+	profiles := []struct {
+		name string
+		sc   Scenario
 	}{
-		{"slurm", func(cl *cluster.Cluster) (rm.Manager, error) { return slurm.Install(cl, slurm.Config{}) }},
-		{"bgl-mpirun", func(cl *cluster.Cluster) (rm.Manager, error) { return bgl.Install(cl) }},
-		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }},
+		{"slurm", Scenario{}},
+		{"bgl-mpirun", Scenario{Install: bgl.Install}},
+		{"alps", Scenario{Install: func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }}},
+		{"tree-acked", Scenario{Slurm: slurm.Config{
+			PerNodeSpawnRootCost: perNode * fanout / nodes,
+			PerTaskRootCost:      perTask * fanout / nodes,
+		}}},
 	}
 	var rows []BGLRow
-	for _, in := range installs {
-		b, err := measure(in.name, in.install)
-		if err != nil {
-			return nil, err
+	for _, pr := range profiles {
+		sc := pr.sc
+		sc.Nodes, sc.Lean = nodes, true // the launch path alone, whatever the RM
+		sc.Opts = core.Options{
+			Job:    rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
+			Daemon: rm.DaemonSpec{Exe: "abl_be"},
 		}
-		rows = append(rows, BGLRow{RM: in.name, Measured: b})
+		b, err := breakdown(sc)
+		if err != nil {
+			return nil, fmt.Errorf("rm ablation (%s): %w", pr.name, err)
+		}
+		rows = append(rows, BGLRow{RM: pr.name, Measured: b})
 	}
 	return rows, nil
 }
@@ -100,24 +92,11 @@ func AblationFanout() ([]FanoutRow, error) {
 	const nodes, tpd = 128, 8
 	var rows []FanoutRow
 	for _, fanout := range []int{0, 4, 16, 32} {
-		r, err := NewRig(RigOptions{Nodes: nodes})
-		if err != nil {
-			return nil, err
-		}
-		registerNoopBE(r.Cl, "abl_be")
-		var b perfmodel.Breakdown
-		err = r.RunFE(func(p *cluster.Proc) error {
-			sess, err := core.LaunchAndSpawn(p, core.Options{
-				Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
-				Daemon:     rm.DaemonSpec{Exe: "abl_be"},
-				ICCLFanout: fanout,
-			})
-			if err != nil {
-				return err
-			}
-			b, err = perfmodel.Decompose(sess.Timeline)
-			return err
-		})
+		b, err := breakdown(Scenario{Nodes: nodes, Opts: core.Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
+			Daemon:     rm.DaemonSpec{Exe: "abl_be"},
+			ICCLFanout: fanout,
+		}})
 		if err != nil {
 			return nil, fmt.Errorf("fanout ablation (%d): %w", fanout, err)
 		}
@@ -139,57 +118,33 @@ type PiggybackRow struct {
 func AblationPiggyback() ([]PiggybackRow, error) {
 	const nodes, tpd = 128, 8
 	payload := make([]byte, 4096)
-	var rows []PiggybackRow
+	job := rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd}
 
 	// Piggybacked: FEData rides the handshake and the RPDTAB broadcast.
-	{
-		r, err := NewRig(RigOptions{Nodes: nodes})
-		if err != nil {
-			return nil, err
-		}
-		r.Cl.Register("pig_be", func(p *cluster.Proc) {
-			be, err := core.BEInit(p)
-			if err != nil {
-				return
+	pig, err := Scenario{
+		Nodes: nodes,
+		Opts:  core.Options{Job: job, Daemon: rm.DaemonSpec{Exe: "pig_be"}, FEData: payload},
+		BE: func(p *cluster.Proc, be *core.BackEnd) {
+			if len(be.FEData()) == len(payload) {
+				be.Finalize()
 			}
-			if len(be.FEData()) != len(payload) {
-				return
-			}
-			be.Finalize()
-		})
-		var total time.Duration
-		err = r.RunFE(func(p *cluster.Proc) error {
-			start := p.Sim().Now()
-			_, err := core.LaunchAndSpawn(p, core.Options{
-				Job:    rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
-				Daemon: rm.DaemonSpec{Exe: "pig_be"},
-				FEData: payload,
-			})
-			total = p.Sim().Now() - start
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("piggyback ablation: %w", err)
-		}
-		rows = append(rows, PiggybackRow{Mode: "piggybacked", Total: total})
+		},
+	}.Run()
+	if err != nil {
+		return nil, fmt.Errorf("piggyback ablation: %w", err)
 	}
 
 	// Separate: empty handshake, then an explicit usr-data message that
 	// the master broadcasts, with a confirmation gather back to the FE.
-	{
-		r, err := NewRig(RigOptions{Nodes: nodes})
-		if err != nil {
-			return nil, err
-		}
-		r.Cl.Register("sep_be", func(p *cluster.Proc) {
-			be, err := core.BEInit(p)
-			if err != nil {
-				return
-			}
+	var exchange time.Duration
+	sep, err := Scenario{
+		Nodes: nodes,
+		Opts:  core.Options{Job: job, Daemon: rm.DaemonSpec{Exe: "sep_be"}},
+		BE: func(p *cluster.Proc, be *core.BackEnd) {
 			var data []byte
+			var err error
 			if be.AmIMaster() {
-				data, err = be.RecvFromFE()
-				if err != nil {
+				if data, err = be.RecvFromFE(); err != nil {
 					return
 				}
 			}
@@ -203,32 +158,25 @@ func AblationPiggyback() ([]PiggybackRow, error) {
 				be.SendToFE([]byte("ok"))
 			}
 			be.Finalize()
-		})
-		var total time.Duration
-		err = r.RunFE(func(p *cluster.Proc) error {
-			start := p.Sim().Now()
-			sess, err := core.LaunchAndSpawn(p, core.Options{
-				Job:    rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
-				Daemon: rm.DaemonSpec{Exe: "sep_be"},
+		},
+		FE: func(r *Run) (err error) {
+			exchange, _, err = r.Timed(func() error {
+				if err := r.Sess.SendToBE(payload); err != nil {
+					return err
+				}
+				_, err := r.Sess.RecvFromBE()
+				return err
 			})
-			if err != nil {
-				return err
-			}
-			if err := sess.SendToBE(payload); err != nil {
-				return err
-			}
-			if _, err := sess.RecvFromBE(); err != nil {
-				return err
-			}
-			total = p.Sim().Now() - start
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("separate-exchange ablation: %w", err)
-		}
-		rows = append(rows, PiggybackRow{Mode: "separate", Total: total})
+			return err
+		},
+	}.Run()
+	if err != nil {
+		return nil, fmt.Errorf("separate-exchange ablation: %w", err)
 	}
-	return rows, nil
+	return []PiggybackRow{
+		{Mode: "piggybacked", Total: pig.Ready},
+		{Mode: "separate", Total: sep.Ready + exchange},
+	}, nil
 }
 
 // DebugEventsRow shows engine tracing cost under different RM debug-event
@@ -250,60 +198,64 @@ func AblationDebugEvents() ([]DebugEventsRow, error) {
 			if mode == "scaling" {
 				events = 11 + scale/2 // grows with node count
 			}
-			r, err := NewRig(RigOptions{
+			b, err := breakdown(Scenario{
 				Nodes: scale,
 				Slurm: slurm.Config{DebugEvents: events},
-			})
-			if err != nil {
-				return nil, err
-			}
-			registerNoopBE(r.Cl, "dbg_be")
-			var tracing time.Duration
-			err = r.RunFE(func(p *cluster.Proc) error {
-				sess, err := core.LaunchAndSpawn(p, core.Options{
+				Opts: core.Options{
 					Job:    rm.JobSpec{Exe: "app", Nodes: scale, TasksPerNode: 8},
 					Daemon: rm.DaemonSpec{Exe: "dbg_be"},
-				})
-				if err != nil {
-					return err
-				}
-				tracing, _ = sess.Timeline.Get(engine.MarkTracing)
-				return nil
+				},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("debug-events ablation: %w", err)
 			}
-			rows = append(rows, DebugEventsRow{Mode: mode, Daemons: scale, Tracing: tracing})
+			rows = append(rows, DebugEventsRow{Mode: mode, Daemons: scale, Tracing: b.Tracing})
 		}
 	}
 	return rows, nil
 }
 
-// PrintAblations renders all ablation results.
-func PrintAblations(w io.Writer, bglRows []BGLRow, fanRows []FanoutRow, pigRows []PiggybackRow, dbgRows []DebugEventsRow) {
+// PrintBGL renders the RM cost-profile rows.
+func PrintBGL(w io.Writer, rows []BGLRow) {
 	fmt.Fprintln(w, "Ablation — RM cost profile (64 daemons, 8 tasks/daemon)")
 	fmt.Fprintln(w, "rm           T(job)    T(daemon) tracing   total")
-	for _, r := range bglRows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %8.3fs %8.3fs %8.3fs %8.3fs\n", r.RM,
 			r.Measured.Job.Seconds(), r.Measured.DaemonSpawn.Seconds(),
 			r.Measured.Tracing.Seconds(), r.Measured.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — ICCL fan-out (128 daemons)")
+}
+
+// PrintFanout renders the ICCL fan-out rows.
+func PrintFanout(w io.Writer, rows []FanoutRow) {
+	fmt.Fprintln(w, "Ablation — ICCL fan-out (128 daemons)")
 	fmt.Fprintln(w, "fanout    setup     collective total")
-	for _, r := range fanRows {
-		name := fmt.Sprint(r.Fanout)
-		if r.Fanout == 0 {
-			name = "flat"
-		}
-		fmt.Fprintf(w, "%-9s %8.3fs %8.3fs %8.3fs\n", name, r.Setup.Seconds(), r.Collective.Seconds(), r.Total.Seconds())
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-9s %8.3fs %8.3fs %8.3fs\n", fanoutName(r.Fanout), r.Setup.Seconds(), r.Collective.Seconds(), r.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — tool data piggybacking (128 daemons, 4 KiB payload)")
-	for _, r := range pigRows {
+}
+
+// fanoutName labels a tree fanout column; 0 is the flat (1-deep) tree.
+func fanoutName(fanout int) string {
+	if fanout == 0 {
+		return "flat"
+	}
+	return fmt.Sprint(fanout)
+}
+
+// PrintPiggyback renders the piggybacking rows.
+func PrintPiggyback(w io.Writer, rows []PiggybackRow) {
+	fmt.Fprintln(w, "Ablation — tool data piggybacking (128 daemons, 4 KiB payload)")
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %8.3fs\n", r.Mode, r.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — RM debug-event scaling (engine tracing cost)")
+}
+
+// PrintDebugEvents renders the debug-event scaling rows.
+func PrintDebugEvents(w io.Writer, rows []DebugEventsRow) {
+	fmt.Fprintln(w, "Ablation — RM debug-event scaling (engine tracing cost)")
 	fmt.Fprintln(w, "mode     daemons  tracing")
-	for _, r := range dbgRows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s %7d %8.3fs\n", r.Mode, r.Daemons, r.Tracing.Seconds())
 	}
 }

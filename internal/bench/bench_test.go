@@ -44,7 +44,7 @@ func TestFigure3ShapeAndModel(t *testing.T) {
 }
 
 func TestFigure5ShapeSmall(t *testing.T) {
-	rows, err := Figure5Small()
+	rows, err := figure5At([]int{16, 32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFigure5ShapeSmall(t *testing.T) {
 }
 
 func TestFigure6ShapeSmall(t *testing.T) {
-	rows, err := Figure6Small()
+	rows, err := figure6At([]int{4, 8, 16}, 12) // a 12-process front end: rsh fails at 16
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,19 @@ func TestBGLAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	slurmRow, bglRow, alpsRow := rows[0], rows[1], rows[2]
+	slurmRow, bglRow, alpsRow, ackedRow := rows[0], rows[1], rows[2], rows[3]
+	// Tree-acked spawn halves both serialized root costs at K=64, fanout
+	// 32, and touches nothing of LaunchMON's own.
+	if ackedRow.Measured.Job >= slurmRow.Measured.Job || ackedRow.Measured.DaemonSpawn >= slurmRow.Measured.DaemonSpawn {
+		t.Errorf("tree-acked T(job)/T(daemon) %v/%v not below slurm's %v/%v", ackedRow.Measured.Job,
+			ackedRow.Measured.DaemonSpawn, slurmRow.Measured.Job, slurmRow.Measured.DaemonSpawn)
+	}
+	if ackedRow.Measured.Tracing != slurmRow.Measured.Tracing {
+		t.Errorf("tree-acked tracing %v differs from slurm's %v", ackedRow.Measured.Tracing, slurmRow.Measured.Tracing)
+	}
 	if alpsRow.Measured.Total == 0 {
 		t.Error("alps row empty")
 	}
@@ -250,7 +259,7 @@ func TestConcurrentSessionsShape(t *testing.T) {
 }
 
 func TestContentionShapeSmall(t *testing.T) {
-	rows, err := ContentionAblation(ContentionOpts{PayloadB: 128, Fanout: 4}, []int{8, 32})
+	rows, err := ContentionAblation(ContentionOpts{Tools: 4, PayloadB: 128, Fanout: 4}, []int{8, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +360,10 @@ func TestPrinters(t *testing.T) {
 	PrintFigure5(&buf, []Fig5Row{{Daemons: 1, Tasks: 8}})
 	PrintFigure6(&buf, []Fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
 	PrintTable1(&buf, []T1Row{{Nodes: 2}})
-	PrintAblations(&buf, []BGLRow{{RM: "x"}}, []FanoutRow{{}}, []PiggybackRow{{Mode: "m"}}, []DebugEventsRow{{Mode: "f"}})
+	PrintBGL(&buf, []BGLRow{{RM: "x"}})
+	PrintFanout(&buf, []FanoutRow{{}})
+	PrintPiggyback(&buf, []PiggybackRow{{Mode: "m"}})
+	PrintDebugEvents(&buf, []DebugEventsRow{{Mode: "f"}})
 	PrintProctabAblation(&buf, []ProctabRow{{Mode: "m"}})
 	PrintFailure(&buf, []FailureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
 	PrintOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})

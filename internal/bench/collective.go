@@ -9,6 +9,7 @@ import (
 	"launchmon/internal/core"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
+	"launchmon/internal/simnet"
 )
 
 // Collective tool-data-plane ablation: the flat pipe the paper's tools
@@ -44,30 +45,15 @@ type CollectiveRow struct {
 	TreeMasterLinks int // inbound tree links at the master: min(fanout, K-1)
 }
 
-// CollectiveScales are the daemon counts of the sweep.
-var CollectiveScales = []int{64, 1024, 16384}
-
 // CollectiveOpts parameterize the ablation.
 type CollectiveOpts struct {
-	PayloadB int // per-daemon contribution (default 256)
-	Fanout   int // tree fanout (default 32)
-}
-
-func (o CollectiveOpts) withDefaults() CollectiveOpts {
-	if o.PayloadB == 0 {
-		o.PayloadB = 256
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 32
-	}
-	return o
+	PayloadB int // per-daemon contribution
+	Fanout   int // tree fanout
 }
 
 // CollectiveAblation measures all three phases at each scale.
-func CollectiveAblation(opts CollectiveOpts, scales []int) ([]CollectiveRow, error) {
-	o := opts.withDefaults()
-	rows := make([]CollectiveRow, 0, len(scales))
-	for _, k := range scales {
+func CollectiveAblation(o CollectiveOpts, scales []int) ([]CollectiveRow, error) {
+	return sweep("collective ablation", scales, func(k int) (CollectiveRow, error) {
 		row := CollectiveRow{
 			Daemons: k, PayloadB: o.PayloadB, Fanout: o.Fanout,
 			FlatMasterLinks: k - 1,
@@ -75,17 +61,16 @@ func CollectiveAblation(opts CollectiveOpts, scales []int) ([]CollectiveRow, err
 		}
 		var err error
 		if row.FlatGather, row.FlatBytes, err = measureFlatGather(k, o.PayloadB); err != nil {
-			return nil, fmt.Errorf("flat gather at K=%d: %w", k, err)
+			return row, fmt.Errorf("flat gather: %w", err)
 		}
 		if row.TreeGather, row.TreeBytes, err = measureTreeGather(k, o.Fanout, o.PayloadB); err != nil {
-			return nil, fmt.Errorf("tree gather at K=%d: %w", k, err)
+			return row, fmt.Errorf("tree gather: %w", err)
 		}
 		if row.ReduceSum, row.ReduceBytes, err = measureReduceSum(k, o.Fanout); err != nil {
-			return nil, fmt.Errorf("reduce at K=%d: %w", k, err)
+			return row, fmt.Errorf("reduce: %w", err)
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 func payloadFor(rank, bytes int) []byte {
@@ -96,20 +81,35 @@ func payloadFor(rank, bytes int) []byte {
 	return b
 }
 
+// collectivePhase launches k daemons running be over a fanout-ary tree
+// (0 = flat) and times fe — go-signal to merged and verified result — on
+// the ready session, returning its virtual time and network bytes.
+func collectivePhase(k, fanout int, exe string, be func(*cluster.Proc, *core.BackEnd), fe func(*core.Session) error) (time.Duration, int64, error) {
+	var elapsed time.Duration
+	var net simnet.Stats
+	_, err := Scenario{
+		Nodes: k,
+		Opts: core.Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: exe},
+			ICCLFanout: fanout,
+		},
+		BE: be,
+		FE: func(r *Run) (err error) {
+			elapsed, net, err = r.Timed(func() error { return fe(r.Sess) })
+			return err
+		},
+	}.Run()
+	return elapsed, net.Bytes, err
+}
+
 // measureFlatGather is the legacy shape: flat (1-deep) ICCL tree, every
 // contribution crosses one hop to the master, which relays the
 // concatenation as one monolithic UsrData message.
 func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
-	r.Cl.Register("cflat_be", func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
+	return collectivePhase(k, 0, "cflat_be", func(p *cluster.Proc, be *core.BackEnd) {
 		var data []byte
+		var err error
 		if be.AmIMaster() {
 			if data, err = be.RecvFromFE(); err != nil {
 				return
@@ -130,19 +130,7 @@ func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
 			be.SendToFE(blob)
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:    rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon: rm.DaemonSpec{Exe: "cflat_be"},
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(sess *core.Session) error {
 		if err := sess.SendToBE([]byte("go")); err != nil {
 			return err
 		}
@@ -150,30 +138,18 @@ func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
-		rd := lmonp.NewReader(blob)
-		n, err := rd.Uint32()
+		n, err := lmonp.NewReader(blob).Uint32()
 		if err != nil || int(n) != k {
 			return fmt.Errorf("flat gather merged %d of %d contributions (%v)", n, k, err)
 		}
 		return nil
 	})
-	return elapsed, bytes, err
 }
 
 // measureTreeGather is the collective plane: k-ary tree, interior daemons
 // forward bounded chunks, the FE assembles rank-indexed contributions.
 func measureTreeGather(k, fanout, payloadB int) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
-	r.Cl.Register("ctree_be", func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
+	return collectivePhase(k, fanout, "ctree_be", func(p *cluster.Proc, be *core.BackEnd) {
 		if _, err := be.Collective().Broadcast(); err != nil { // go-signal
 			return
 		}
@@ -181,49 +157,22 @@ func measureTreeGather(k, fanout, payloadB int) (time.Duration, int64, error) {
 			return
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "ctree_be"},
-			ICCLFanout: fanout,
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(sess *core.Session) error {
 		if err := sess.Broadcast([]byte("go")); err != nil {
 			return err
 		}
 		all, err := sess.Gather()
-		if err != nil {
-			return err
+		if err == nil && len(all) != k {
+			err = fmt.Errorf("tree gather returned %d of %d contributions", len(all), k)
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
-		if len(all) != k {
-			return fmt.Errorf("tree gather returned %d of %d contributions", len(all), k)
-		}
-		return nil
+		return err
 	})
-	return elapsed, bytes, err
 }
 
 // measureReduceSum is the combining plane: every daemon contributes one
 // uint64, interior daemons sum, the FE receives 8 bytes no matter K.
 func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
-	r.Cl.Register("cred_be", func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
+	return collectivePhase(k, fanout, "cred_be", func(p *cluster.Proc, be *core.BackEnd) {
 		if _, err := be.Collective().Broadcast(); err != nil { // go-signal
 			return
 		}
@@ -231,20 +180,7 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 			return
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "cred_be"},
-			ICCLFanout: fanout,
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(sess *core.Session) error {
 		if err := sess.Broadcast([]byte("go")); err != nil {
 			return err
 		}
@@ -252,15 +188,12 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
 		v, err := lmonp.NewReader(sum).Uint64()
 		if err != nil || v != uint64(k) {
 			return fmt.Errorf("reduce summed %d of %d daemons (%v)", v, k, err)
 		}
 		return nil
 	})
-	return elapsed, bytes, err
 }
 
 // PrintCollective renders the rows.

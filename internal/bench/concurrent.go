@@ -32,81 +32,62 @@ var ConcurrentScales = []int{1, 4, 8}
 
 // ConcurrentSessionOpts sizes one session of the ablation.
 type ConcurrentSessionOpts struct {
-	NodesEach    int // default 16
-	TasksPerNode int // default 8
-}
-
-func (o ConcurrentSessionOpts) withDefaults() ConcurrentSessionOpts {
-	if o.NodesEach == 0 {
-		o.NodesEach = 16
-	}
-	if o.TasksPerNode == 0 {
-		o.TasksPerNode = 8
-	}
-	return o
+	NodesEach    int
+	TasksPerNode int
 }
 
 // ConcurrentSessions measures aggregate launchAndSpawn throughput for
 // each K in scales: K sessions launched from parallel goroutines of one
 // FE process on a fresh rig sized to hold all K jobs.
-func ConcurrentSessions(opts ConcurrentSessionOpts, scales []int) ([]ConcurrentRow, error) {
-	o := opts.withDefaults()
-	rows := make([]ConcurrentRow, 0, len(scales))
-	for _, k := range scales {
-		row, err := measureConcurrent(k, o)
-		if err != nil {
-			return nil, fmt.Errorf("concurrent sessions at K=%d: %w", k, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+func ConcurrentSessions(o ConcurrentSessionOpts, scales []int) ([]ConcurrentRow, error) {
+	return sweep("concurrent sessions", scales, func(k int) (ConcurrentRow, error) { return measureConcurrent(k, o) })
 }
 
 func measureConcurrent(k int, o ConcurrentSessionOpts) (ConcurrentRow, error) {
 	row := ConcurrentRow{Sessions: k, NodesEach: o.NodesEach}
-	r, err := NewRig(RigOptions{Nodes: k * o.NodesEach})
-	if err != nil {
-		return row, err
-	}
-	registerNoopBE(r.Cl, "cc_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		start := p.Sim().Now()
-		errs := make([]error, k)
-		durs := make([]time.Duration, k)
-		wg := vtime.NewWaitGroup(p.Sim())
-		wg.Add(k)
-		for i := 0; i < k; i++ {
-			i := i
-			p.Sim().Go(fmt.Sprintf("cc-session-%d", i), func() {
-				defer wg.Done()
-				t0 := p.Sim().Now()
-				_, err := core.LaunchAndSpawn(p, core.Options{
-					Job:    rm.JobSpec{Exe: "app", Nodes: o.NodesEach, TasksPerNode: o.TasksPerNode},
-					Daemon: rm.DaemonSpec{Exe: "cc_be"},
-				})
-				durs[i] = p.Sim().Now() - t0
-				errs[i] = err
+	_, err := Scenario{
+		Nodes: k * o.NodesEach,
+		Boot: func(cl *cluster.Cluster) error {
+			cl.Register("cc_be", beMain(nil))
+			return nil
+		},
+		FE: func(r *Run) error {
+			errs := make([]error, k)
+			durs := make([]time.Duration, k)
+			wg := vtime.NewWaitGroup(r.Sim)
+			wg.Add(k)
+			row.Wall, _, _ = r.Timed(func() error {
+				for i := 0; i < k; i++ {
+					i := i
+					r.Sim.Go(fmt.Sprintf("cc-session-%d", i), func() {
+						defer wg.Done()
+						t0 := r.Sim.Now()
+						// The runner launches one session from the FE's own
+						// goroutine; this ablation is K launches racing on
+						// the FE's one transport mux, so it launches by hand.
+						_, errs[i] = core.LaunchAndSpawn(r.P, core.Options{
+							Job:    rm.JobSpec{Exe: "app", Nodes: o.NodesEach, TasksPerNode: o.TasksPerNode},
+							Daemon: rm.DaemonSpec{Exe: "cc_be"},
+						})
+						durs[i] = r.Sim.Now() - t0
+					})
+				}
+				wg.Wait()
+				return nil
 			})
-		}
-		wg.Wait()
-		row.Wall = p.Sim().Now() - start
-		for i := 0; i < k; i++ {
-			if errs[i] != nil {
-				return fmt.Errorf("session %d: %w", i, errs[i])
+			for i := 0; i < k; i++ {
+				if errs[i] != nil {
+					return fmt.Errorf("session %d: %w", i, errs[i])
+				}
+				row.Slowest = max(row.Slowest, durs[i])
 			}
-			if durs[i] > row.Slowest {
-				row.Slowest = durs[i]
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return row, err
-	}
-	if row.Wall > 0 {
+			return nil
+		},
+	}.Run()
+	if err == nil && row.Wall > 0 {
 		row.Throughput = float64(row.Sessions) / row.Wall.Seconds()
 	}
-	return row, nil
+	return row, err
 }
 
 // PrintConcurrent renders the concurrent-session rows.

@@ -9,6 +9,7 @@ import (
 	"launchmon/internal/coll"
 	"launchmon/internal/core"
 	"launchmon/internal/rm"
+	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
@@ -49,52 +50,33 @@ type ContentionRow struct {
 	Speedup float64 // Serialized / Concurrent
 }
 
-// ContentionScales are the daemon counts of the sweep.
-var ContentionScales = []int{64, 1024, 16384}
-
 // ContentionOpts parameterize the ablation.
 type ContentionOpts struct {
-	Tools    int // concurrent tool components (default 4)
-	PayloadB int // per-daemon gather contribution (default 256)
-	Fanout   int // tree fanout (default 32)
-	Window   int // credit window (default 0 → coll.DefaultWindow)
-}
-
-func (o ContentionOpts) withDefaults() ContentionOpts {
-	if o.Tools == 0 {
-		o.Tools = 4
-	}
-	if o.PayloadB == 0 {
-		o.PayloadB = 256
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 32
-	}
-	return o
+	Tools    int // concurrent tool components
+	PayloadB int // per-daemon gather contribution
+	Fanout   int // tree fanout
+	Window   int // credit window (0 → coll.DefaultWindow)
 }
 
 // ContentionAblation measures both phases at each scale.
-func ContentionAblation(opts ContentionOpts, scales []int) ([]ContentionRow, error) {
-	o := opts.withDefaults()
-	rows := make([]ContentionRow, 0, len(scales))
-	for _, k := range scales {
+func ContentionAblation(o ContentionOpts, scales []int) ([]ContentionRow, error) {
+	return sweep("contention ablation", scales, func(k int) (ContentionRow, error) {
 		row := ContentionRow{
 			Daemons: k, Tools: o.Tools, PayloadB: o.PayloadB,
 			Fanout: o.Fanout, Window: o.Window,
 		}
 		var err error
 		if row.Serialized, row.SerializedBytes, err = measureContention(k, o, false); err != nil {
-			return nil, fmt.Errorf("serialized at K=%d: %w", k, err)
+			return row, fmt.Errorf("serialized: %w", err)
 		}
 		if row.Concurrent, row.ConcurrentBytes, err = measureContention(k, o, true); err != nil {
-			return nil, fmt.Errorf("concurrent at K=%d: %w", k, err)
+			return row, fmt.Errorf("concurrent: %w", err)
 		}
 		if row.Concurrent > 0 {
 			row.Speedup = float64(row.Serialized) / float64(row.Concurrent)
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // contentionTags returns tool i's (broadcast, gather) tag pair. Both
@@ -112,114 +94,104 @@ var contentionQuery = []byte("query: report status")
 // query-broadcast / response-gather round trip, serialized over the
 // lockstep plane or concurrently over tagged streams.
 func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
 	exe := "cont_serial_be"
 	if tagged {
 		exe = "cont_tagged_be"
 	}
-	r.Cl.Register(exe, func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
-		dc := be.Collective()
-		contrib := payloadFor(be.Rank(), o.PayloadB)
-		if !tagged {
-			for i := 0; i < o.Tools; i++ {
-				if _, err := dc.Broadcast(); err != nil {
-					return
-				}
-				if err := dc.Gather(contrib); err != nil {
-					return
-				}
-			}
-		} else {
-			done := vtime.NewChan[error](p.Sim())
-			for i := 0; i < o.Tools; i++ {
-				bTag, gTag := contentionTags(i)
-				p.Sim().Go(fmt.Sprintf("cont-be-tool-%d", i), func() {
-					if _, err := dc.BroadcastTag(bTag); err != nil {
-						done.Send(err)
-						return
-					}
-					done.Send(dc.GatherTag(gTag, contrib))
-				})
-			}
-			for i := 0; i < o.Tools; i++ {
-				if err, _ := done.Recv(); err != nil {
-					return
-				}
-			}
-		}
-		be.Finalize()
-	})
 	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
+	var net simnet.Stats
+	_, err := Scenario{
+		Nodes: k,
+		Opts: core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: exe},
 			ICCLFanout: o.Fanout,
 			CollWindow: o.Window,
-		})
+		},
+		BE: func(p *cluster.Proc, be *core.BackEnd) {
+			dc := be.Collective()
+			contrib := payloadFor(be.Rank(), o.PayloadB)
+			if !tagged {
+				for i := 0; i < o.Tools; i++ {
+					if _, err := dc.Broadcast(); err != nil {
+						return
+					}
+					if err := dc.Gather(contrib); err != nil {
+						return
+					}
+				}
+			} else {
+				done := vtime.NewChan[error](p.Sim())
+				for i := 0; i < o.Tools; i++ {
+					bTag, gTag := contentionTags(i)
+					p.Sim().Go(fmt.Sprintf("cont-be-tool-%d", i), func() {
+						if _, err := dc.BroadcastTag(bTag); err != nil {
+							done.Send(err)
+							return
+						}
+						done.Send(dc.GatherTag(gTag, contrib))
+					})
+				}
+				for i := 0; i < o.Tools; i++ {
+					if err, _ := done.Recv(); err != nil {
+						return
+					}
+				}
+			}
+			be.Finalize()
+		},
+		FE: func(r *Run) (err error) {
+			elapsed, net, err = r.Timed(func() error { return contentionFE(r, k, o.Tools, tagged) })
+			return err
+		},
+	}.Run()
+	return elapsed, net.Bytes, err
+}
+
+// contentionFE is the front-end side of one phase: every tool's round
+// trip must gather every daemon's contribution.
+func contentionFE(r *Run, k, tools int, tagged bool) error {
+	sess := r.Sess
+	check := func(i int, all [][]byte, err error) error {
+		if err == nil && len(all) != k {
+			err = fmt.Errorf("gather returned %d of %d contributions", len(all), k)
+		}
 		if err != nil {
+			return fmt.Errorf("tool %d: %w", i, err)
+		}
+		return nil
+	}
+	if !tagged {
+		for i := 0; i < tools; i++ {
+			if err := sess.Broadcast(contentionQuery); err != nil {
+				return err
+			}
+			all, err := sess.Gather()
+			if err := check(i, all, err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	done := vtime.NewChan[error](r.Sim)
+	for i := 0; i < tools; i++ {
+		i := i
+		bTag, gTag := contentionTags(i)
+		r.Sim.Go(fmt.Sprintf("cont-fe-tool-%d", i), func() {
+			if err := sess.BroadcastTag(bTag, contentionQuery); err != nil {
+				done.Send(fmt.Errorf("tool %d: %w", i, err))
+				return
+			}
+			all, err := sess.GatherTag(gTag)
+			done.Send(check(i, all, err))
+		})
+	}
+	for i := 0; i < tools; i++ {
+		if err, _ := done.Recv(); err != nil {
 			return err
 		}
-		// One tool's round trip: the gathered responses must hold every
-		// daemon's contribution.
-		check := func(all [][]byte, gerr error) error {
-			if gerr != nil {
-				return gerr
-			}
-			if len(all) != k {
-				return fmt.Errorf("gather returned %d of %d contributions", len(all), k)
-			}
-			return nil
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
-		if !tagged {
-			for i := 0; i < o.Tools; i++ {
-				if err := sess.Broadcast(contentionQuery); err != nil {
-					return err
-				}
-				all, gerr := sess.Gather()
-				if err := check(all, gerr); err != nil {
-					return fmt.Errorf("tool %d: %w", i, err)
-				}
-			}
-		} else {
-			done := vtime.NewChan[error](p.Sim())
-			for i := 0; i < o.Tools; i++ {
-				i := i
-				bTag, gTag := contentionTags(i)
-				p.Sim().Go(fmt.Sprintf("cont-fe-tool-%d", i), func() {
-					if err := sess.BroadcastTag(bTag, contentionQuery); err != nil {
-						done.Send(fmt.Errorf("tool %d: %w", i, err))
-						return
-					}
-					all, gerr := sess.GatherTag(gTag)
-					if err := check(all, gerr); err != nil {
-						done.Send(fmt.Errorf("tool %d: %w", i, err))
-						return
-					}
-					done.Send(nil)
-				})
-			}
-			for i := 0; i < o.Tools; i++ {
-				if err, _ := done.Recv(); err != nil {
-					return err
-				}
-			}
-		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
-		return nil
-	})
-	return elapsed, bytes, err
+	}
+	return nil
 }
 
 // PrintContention renders the rows.

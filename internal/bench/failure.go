@@ -43,9 +43,6 @@ type OverheadRow struct {
 	MsgsPerSec float64
 }
 
-// FailureScales are the daemon counts of the detection-latency sweep.
-var FailureScales = []int{64, 1024, 16384}
-
 // OverheadPeriods are the heartbeat periods of the overhead sweep.
 var OverheadPeriods = []time.Duration{
 	2 * time.Second, time.Second, 500 * time.Millisecond, 200 * time.Millisecond,
@@ -53,132 +50,102 @@ var OverheadPeriods = []time.Duration{
 
 // FailureOpts parameterize the failure ablation.
 type FailureOpts struct {
-	Period time.Duration // heartbeat period (default 500ms)
-	Miss   int           // miss threshold (default 3)
-	Fanout int           // ICCL/heartbeat tree fanout (default 32)
+	Period time.Duration // heartbeat period
+	Miss   int           // miss threshold
+	Fanout int           // ICCL/heartbeat tree fanout
 	Silent bool          // also measure the silent link-drop path (slower: one extra rig per scale)
 }
 
-func (o FailureOpts) withDefaults() FailureOpts {
-	if o.Period == 0 {
-		o.Period = 500 * time.Millisecond
-	}
-	if o.Miss == 0 {
-		o.Miss = 3
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 32
-	}
-	return o
-}
-
 // FailureDetection measures detection and teardown latency for each scale.
-func FailureDetection(opts FailureOpts, scales []int) ([]FailureRow, error) {
-	o := opts.withDefaults()
-	rows := make([]FailureRow, 0, len(scales))
-	for _, k := range scales {
+func FailureDetection(o FailureOpts, scales []int) ([]FailureRow, error) {
+	return sweep("failure detection", scales, func(k int) (FailureRow, error) {
 		row, err := measureFailure(k, o, false)
-		if err != nil {
-			return nil, fmt.Errorf("failure detection at K=%d: %w", k, err)
-		}
-		if o.Silent {
-			silent, err := measureFailure(k, o, true)
-			if err != nil {
-				return nil, fmt.Errorf("silent failure at K=%d: %w", k, err)
+		if err == nil && o.Silent {
+			var silent FailureRow
+			if silent, err = measureFailure(k, o, true); err != nil {
+				err = fmt.Errorf("silent: %w", err)
 			}
 			row.DetectSilent = silent.DetectSilent
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, err
+	})
 }
 
-// registerResidentBE registers a BE daemon that joins the session and
-// parks until killed (the resident shape a monitoring tool has).
-func registerResidentBE(cl *cluster.Cluster, exe string) {
-	cl.Register(exe, func(p *cluster.Proc) {
-		if _, err := core.BEInit(p); err != nil {
-			return
-		}
-		vtime.NewChan[int](p.Sim()).Recv()
-	})
+// residentBE is a BE daemon that joins the session and parks until killed
+// (the resident shape a monitoring tool has).
+func residentBE(p *cluster.Proc, _ *core.BackEnd) {
+	vtime.NewChan[int](p.Sim()).Recv()
 }
 
 // measureFailure kills (or, silent, partitions) the node of the
 // deepest-ranked daemon and times the FE-side callbacks.
 func measureFailure(k int, o FailureOpts, silent bool) (FailureRow, error) {
 	row := FailureRow{Nodes: k, Period: o.Period, Miss: o.Miss}
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return row, err
-	}
-	registerResidentBE(r.Cl, "fd_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		s, err := core.LaunchAndSpawn(p, core.Options{
+	_, err := Scenario{
+		Nodes: k,
+		Opts: core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: "fd_be"},
 			ICCLFanout: o.Fanout,
 			Health:     core.HealthOptions{Period: o.Period, Miss: o.Miss},
-		})
-		if err != nil {
-			return err
-		}
-		victim := k - 1 // deepest rank: worst-case report propagation
-		victimHost := ""
-		parentHost := ""
-		nodelist := make([]string, k)
-		for _, d := range s.Daemons() {
-			nodelist[d.Rank] = d.Host
-		}
-		victimHost = nodelist[victim]
-		if victim > 0 {
-			parentHost = nodelist[(victim-1)/o.Fanout]
-		}
-
-		exitedCh := vtime.NewChan[health.Event](p.Sim())
-		tornCh := vtime.NewChan[health.Event](p.Sim())
-		s.RegisterStatusCB(func(ev health.Event) {
-			switch ev.Kind {
-			case health.EvDaemonExited:
-				exitedCh.Send(ev)
-			case health.EvSessionTornDown:
-				tornCh.Send(ev)
+		},
+		BE: residentBE,
+		FE: func(r *Run) error {
+			victim := k - 1 // deepest rank: worst-case report propagation
+			nodelist := make([]string, k)
+			for _, d := range r.Sess.Daemons() {
+				nodelist[d.Rank] = d.Host
 			}
-		})
-		p.Sim().Sleep(2 * time.Second) // steady state
+			victimHost, parentHost := nodelist[victim], ""
+			if victim > 0 {
+				parentHost = nodelist[(victim-1)/o.Fanout]
+			}
 
-		failAt := p.Sim().Now()
-		if silent {
-			// Partition the victim from its heartbeat parent; only the
-			// miss threshold can see this.
-			r.Cl.Net().DropLink(victimHost, parentHost)
-		} else {
-			r.Cl.KillNodeByName(victimHost)
-		}
+			exitedCh := vtime.NewChan[health.Event](r.Sim)
+			tornCh := vtime.NewChan[health.Event](r.Sim)
+			r.Sess.RegisterStatusCB(func(ev health.Event) {
+				switch ev.Kind {
+				case health.EvDaemonExited:
+					exitedCh.Send(ev)
+				case health.EvSessionTornDown:
+					tornCh.Send(ev)
+				}
+			})
+			r.Sim.Sleep(2 * time.Second) // steady state
 
-		ev, ok := exitedCh.Recv()
-		if !ok {
-			return fmt.Errorf("no DaemonExited event")
-		}
-		if ev.Rank != victim {
-			return fmt.Errorf("DaemonExited rank %d, want %d", ev.Rank, victim)
-		}
-		detect := p.Sim().Now() - failAt
-		if silent {
-			row.DetectSilent = detect
-			// Heal the partition so the watchdog's kill tree can reach the
-			// victim's subtree again.
-			r.Cl.Net().RestoreLink(victimHost, parentHost)
-		} else {
-			row.DetectSever = detect
-		}
+			failAt := r.Sim.Now()
+			if silent {
+				// Partition the victim from its heartbeat parent; only the
+				// miss threshold can see this.
+				r.Cl.Net().DropLink(victimHost, parentHost)
+			} else {
+				r.Cl.KillNodeByName(victimHost)
+			}
 
-		if _, ok := tornCh.Recv(); !ok {
-			return fmt.Errorf("no SessionTornDown event")
-		}
-		row.Teardown = p.Sim().Now() - failAt
-		return nil
-	})
+			ev, ok := exitedCh.Recv()
+			if !ok {
+				return fmt.Errorf("no DaemonExited event")
+			}
+			if ev.Rank != victim {
+				return fmt.Errorf("DaemonExited rank %d, want %d", ev.Rank, victim)
+			}
+			detect := r.Sim.Now() - failAt
+			if silent {
+				row.DetectSilent = detect
+				// Heal the partition so the watchdog's kill tree can reach the
+				// victim's subtree again.
+				r.Cl.Net().RestoreLink(victimHost, parentHost)
+			} else {
+				row.DetectSever = detect
+			}
+
+			if _, ok := tornCh.Recv(); !ok {
+				return fmt.Errorf("no SessionTornDown event")
+			}
+			row.Teardown = r.Sim.Now() - failAt
+			return nil
+		},
+	}.Run()
 	return row, err
 }
 
@@ -198,30 +165,26 @@ func HeartbeatOverhead(nodes int, periods []time.Duration, window time.Duration)
 
 func measureOverhead(nodes int, period, window time.Duration) (OverheadRow, error) {
 	row := OverheadRow{Nodes: nodes, Period: period, Window: window}
-	r, err := NewRig(RigOptions{Nodes: nodes})
-	if err != nil {
-		return row, err
-	}
-	registerResidentBE(r.Cl, "ov_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		s, err := core.LaunchAndSpawn(p, core.Options{
+	_, err := Scenario{
+		Nodes: nodes,
+		Opts: core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: "ov_be"},
 			ICCLFanout: 32,
 			Health:     core.HealthOptions{Period: period},
-		})
-		if err != nil {
-			return err
-		}
-		p.Sim().Sleep(2 * period) // settle past the priming beats
-		before := r.Cl.Net().Stats()
-		p.Sim().Sleep(window)
-		after := r.Cl.Net().Stats()
-		row.Messages = after.Messages - before.Messages
-		row.Bytes = after.Bytes - before.Bytes
-		row.MsgsPerSec = float64(row.Messages) / window.Seconds()
-		return s.Kill()
-	})
+		},
+		BE: residentBE,
+		FE: func(r *Run) error {
+			r.Sim.Sleep(2 * period) // settle past the priming beats
+			_, net, _ := r.Timed(func() error {
+				r.Sim.Sleep(window)
+				return nil
+			})
+			row.Messages, row.Bytes = net.Messages, net.Bytes
+			row.MsgsPerSec = float64(row.Messages) / window.Seconds()
+			return r.Sess.Kill()
+		},
+	}.Run()
 	return row, err
 }
 

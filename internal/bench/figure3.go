@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/core"
 	"launchmon/internal/perfmodel"
 	"launchmon/internal/rm"
@@ -33,30 +32,16 @@ var Figure3CalibrationScales = []int{16, 32, 48}
 // measureLaunchAndSpawn runs one launchAndSpawn at the given scale and
 // decomposes its timeline.
 func measureLaunchAndSpawn(daemons, tasksPerDaemon int) (perfmodel.Breakdown, error) {
-	r, err := NewRig(RigOptions{Nodes: daemons})
-	if err != nil {
-		return perfmodel.Breakdown{}, err
-	}
-	registerNoopBE(r.Cl, "f3_be")
-	var b perfmodel.Breakdown
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:    rm.JobSpec{Exe: "app", Nodes: daemons, TasksPerNode: tasksPerDaemon},
-			Daemon: rm.DaemonSpec{Exe: "f3_be"},
-			// Figure 3 reproduces the paper's serialized pipeline: the §4
-			// model decomposes the Figure 2 event chain, whose components
-			// (T(daemon), T(setup), T(collective)) are disjoint only when
-			// the phases do not overlap. The cut-through pipeline is
-			// measured by its own ablation (launchpipe.go).
-			SeedMode: core.SeedStoreForward,
-		})
-		if err != nil {
-			return err
-		}
-		b, err = perfmodel.Decompose(sess.Timeline)
-		return err
-	})
-	return b, err
+	return breakdown(Scenario{Nodes: daemons, Opts: core.Options{
+		Job:    rm.JobSpec{Exe: "app", Nodes: daemons, TasksPerNode: tasksPerDaemon},
+		Daemon: rm.DaemonSpec{Exe: "f3_be"},
+		// Figure 3 reproduces the paper's serialized pipeline: the §4
+		// model decomposes the Figure 2 event chain, whose components
+		// (T(daemon), T(setup), T(collective)) are disjoint only when
+		// the phases do not overlap. The cut-through pipeline is
+		// measured by its own ablation (launchpipe.go).
+		SeedMode: core.SeedStoreForward,
+	}})
 }
 
 // Figure3 regenerates the modeled-vs-measured launchAndSpawn comparison:

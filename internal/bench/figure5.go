@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"launchmon/internal/cluster"
-	"launchmon/internal/rm"
 	"launchmon/internal/tools/jobsnap"
 )
 
@@ -29,34 +27,13 @@ func Figure5() ([]Fig5Row, error) {
 	return figure5At(Figure5Scales)
 }
 
-// Figure5Small is the fast variant used by unit tests and -short benches.
-func Figure5Small() ([]Fig5Row, error) {
-	return figure5At([]int{16, 32, 64})
-}
-
 func figure5At(scales []int) ([]Fig5Row, error) {
 	const tasksPerDaemon = 8
 	rows := make([]Fig5Row, 0, len(scales))
 	for _, n := range scales {
-		r, err := NewRig(RigOptions{Nodes: n})
-		if err != nil {
-			return nil, err
-		}
-		var res jobsnap.Result
-		err = r.RunFE(func(p *cluster.Proc) error {
-			j, err := r.Mgr.StartJob(rm.JobSpec{Exe: "mpiapp", Nodes: n, TasksPerNode: tasksPerDaemon})
-			if err != nil {
-				return err
-			}
-			p.Sim().Sleep(5 * time.Second)
-			res, err = jobsnap.Run(p, j.ID())
-			return err
-		})
+		res, err := measureJobsnap(n, tasksPerDaemon, 0)
 		if err != nil {
 			return nil, fmt.Errorf("figure5 at %d daemons: %w", n, err)
-		}
-		if res.Lines != n*tasksPerDaemon {
-			return nil, fmt.Errorf("figure5 at %d daemons: report has %d lines, want %d", n, res.Lines, n*tasksPerDaemon)
 		}
 		rows = append(rows, Fig5Row{
 			Daemons: n, Tasks: n * tasksPerDaemon,
@@ -64,6 +41,25 @@ func figure5At(scales []int) ([]Fig5Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// measureJobsnap snapshots a running job of daemons × tasksPerDaemon tasks
+// over a collection tree of the given fanout (0 = flat, the paper's
+// measured configuration) and checks the report is complete.
+func measureJobsnap(daemons, tasksPerDaemon, fanout int) (jobsnap.Result, error) {
+	var res jobsnap.Result
+	_, err := Scenario{Nodes: daemons, FE: func(r *Run) error {
+		j, err := r.StartJob("mpiapp", daemons, tasksPerDaemon, 5*time.Second)
+		if err != nil {
+			return err
+		}
+		res, err = jobsnap.RunWithOptions(r.P, j.ID(), jobsnap.RunOptions{Fanout: fanout})
+		return err
+	}}.Run()
+	if err == nil && res.Lines != daemons*tasksPerDaemon {
+		err = fmt.Errorf("report has %d lines, want %d", res.Lines, daemons*tasksPerDaemon)
+	}
+	return res, err
 }
 
 // PrintFigure5 renders the two series of the paper's chart.

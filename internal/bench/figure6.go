@@ -5,9 +5,7 @@ import (
 	"io"
 	"time"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/proctab"
-	"launchmon/internal/rm"
 	"launchmon/internal/tbon"
 	"launchmon/internal/tools/stat"
 )
@@ -35,11 +33,6 @@ const figure6FrontEndProcLimit = 512
 // Figure6 regenerates the STAT start-up comparison.
 func Figure6() ([]Fig6Row, error) {
 	return figure6At(Figure6Scales, figure6FrontEndProcLimit)
-}
-
-// Figure6Small is the fast variant for unit tests.
-func Figure6Small() ([]Fig6Row, error) {
-	return figure6At([]int{4, 8, 16}, 12)
 }
 
 func figure6At(scales []int, feLimit int) ([]Fig6Row, error) {
@@ -75,18 +68,13 @@ func figure6At(scales []int, feLimit int) ([]Fig6Row, error) {
 }
 
 func measureSTATLaunchMON(daemons, tasksPerDaemon int) (time.Duration, error) {
-	r, err := NewRig(RigOptions{Nodes: daemons})
-	if err != nil {
-		return 0, err
-	}
 	var startup time.Duration
-	err = r.RunFE(func(p *cluster.Proc) error {
-		j, err := r.Mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: daemons, TasksPerNode: tasksPerDaemon})
+	_, err := Scenario{Nodes: daemons, FE: func(r *Run) error {
+		j, err := r.StartJob("app", daemons, tasksPerDaemon, 5*time.Second)
 		if err != nil {
 			return err
 		}
-		p.Sim().Sleep(5 * time.Second)
-		inst, err := stat.LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+		inst, err := stat.LaunchWithLaunchMON(r.P, j.ID(), tbon.Config{})
 		if err != nil {
 			return err
 		}
@@ -101,7 +89,7 @@ func measureSTATLaunchMON(daemons, tasksPerDaemon int) (time.Duration, error) {
 			return fmt.Errorf("sampled %d tasks, want %d", tree.Tasks(), daemons*tasksPerDaemon)
 		}
 		return nil
-	})
+	}}.Run()
 	return startup, err
 }
 
@@ -109,24 +97,19 @@ func measureSTATLaunchMON(daemons, tasksPerDaemon int) (time.Duration, error) {
 // when the front end could not fork all rsh clients (the paper's 512-node
 // failure).
 func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, bool, error) {
-	r, err := NewRig(RigOptions{Nodes: daemons, MaxProcs: feLimit})
-	if err != nil {
-		return 0, false, err
-	}
 	var startup time.Duration
 	failed := false
-	err = r.RunFE(func(p *cluster.Proc) error {
-		j, err := r.Mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: daemons, TasksPerNode: tasksPerDaemon})
+	_, err := Scenario{Nodes: daemons, MaxProcs: feLimit, FE: func(r *Run) error {
+		j, err := r.StartJob("app", daemons, tasksPerDaemon, 5*time.Second)
 		if err != nil {
 			return err
 		}
-		p.Sim().Sleep(5 * time.Second)
 		tab := j.(interface{ Proctab() proctab.Table }).Proctab()
 		ranks := map[string][]int{}
 		for _, d := range tab {
 			ranks[d.Host] = append(ranks[d.Host], d.Rank)
 		}
-		inst, err := stat.LaunchWithRsh(p, r.Rsh, tab.Hosts(), ranks, tbon.Config{})
+		inst, err := stat.LaunchWithRsh(r.P, r.Rsh, tab.Hosts(), ranks, tbon.Config{})
 		if err != nil {
 			failed = true
 			return nil // expected at the largest scale
@@ -134,7 +117,7 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 		defer inst.Close()
 		startup = inst.StartupTime
 		return nil
-	})
+	}}.Run()
 	return startup, failed, err
 }
 

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"launchmon/internal/cluster"
-	"launchmon/internal/rm"
-	"launchmon/internal/tools/jobsnap"
 )
 
 // JobsnapTreeRow compares Jobsnap's flat collection against the TBŌN-style
@@ -25,25 +21,9 @@ func AblationJobsnapTree() ([]JobsnapTreeRow, error) {
 	const daemons, tpd = 512, 8
 	var rows []JobsnapTreeRow
 	for _, fanout := range []int{0, 8, 32} {
-		r, err := NewRig(RigOptions{Nodes: daemons})
-		if err != nil {
-			return nil, err
-		}
-		var res jobsnap.Result
-		err = r.RunFE(func(p *cluster.Proc) error {
-			j, err := r.Mgr.StartJob(rm.JobSpec{Exe: "mpiapp", Nodes: daemons, TasksPerNode: tpd})
-			if err != nil {
-				return err
-			}
-			p.Sim().Sleep(5 * time.Second)
-			res, err = jobsnap.RunWithOptions(p, j.ID(), jobsnap.RunOptions{Fanout: fanout})
-			return err
-		})
+		res, err := measureJobsnap(daemons, tpd, fanout)
 		if err != nil {
 			return nil, fmt.Errorf("jobsnap tree ablation (fanout %d): %w", fanout, err)
-		}
-		if res.Lines != daemons*tpd {
-			return nil, fmt.Errorf("jobsnap tree ablation (fanout %d): %d lines", fanout, res.Lines)
 		}
 		rows = append(rows, JobsnapTreeRow{Fanout: fanout, Daemons: daemons, Total: res.Total, Launch: res.LaunchTime})
 	}
@@ -55,10 +35,6 @@ func PrintJobsnapTree(w io.Writer, rows []JobsnapTreeRow) {
 	fmt.Fprintln(w, "Ablation — Jobsnap collection tree (512 daemons, 8 tasks/daemon)")
 	fmt.Fprintln(w, "fanout    total      launch")
 	for _, r := range rows {
-		name := fmt.Sprint(r.Fanout)
-		if r.Fanout == 0 {
-			name = "flat"
-		}
-		fmt.Fprintf(w, "%-9s %9.3fs %9.3fs\n", name, r.Total.Seconds(), r.Launch.Seconds())
+		fmt.Fprintf(w, "%-9s %9.3fs %9.3fs\n", fanoutName(r.Fanout), r.Total.Seconds(), r.Launch.Seconds())
 	}
 }

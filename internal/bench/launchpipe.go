@@ -68,29 +68,17 @@ type LaunchPipeRow struct {
 	RSSPeakB          uint64  `json:",omitempty"`
 }
 
-// LaunchScales are the daemon counts of the pipeline sweep.
-var LaunchScales = []int{64, 1024, 16384}
-
-// LaunchPipeOpts parameterize the ablation.
+// LaunchPipeOpts parameterize the launch sweeps.
 type LaunchPipeOpts struct {
-	// TasksPerNode sizes the RPDTAB (default 1, like the other 16384-scale
-	// sweeps: table memory at the FE bounds task count, not virtual time).
+	// TasksPerNode sizes the RPDTAB (1 in every sweep, like the other
+	// 16384-scale sweeps: table memory at the FE bounds task count, not
+	// virtual time).
 	TasksPerNode int
-	Fanout       int // ICCL tree fanout (default 32)
+	Fanout       int // ICCL tree fanout
 	// Obs adds the observability rider: every row is measured a second
 	// time with Options.Obs = ObsOn, populating the Obs*/Seed*/Reduce*
 	// columns (checked by CheckObsInvariants).
 	Obs bool
-}
-
-func (o LaunchPipeOpts) withDefaults() LaunchPipeOpts {
-	if o.TasksPerNode == 0 {
-		o.TasksPerNode = 1
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 32
-	}
-	return o
 }
 
 // launchPipeModes are the two measured pipelines: the serialized
@@ -110,15 +98,14 @@ func retentionOf(mode core.SeedMode) string {
 // store-forward baseline at those of them that are also in fullScales:
 // its K private full-table copies outgrow a runner long before the
 // simulator does (FullTableFootprint), so callers cap it separately.
-func LaunchPipeline(opts LaunchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
-	o := opts.withDefaults()
+func LaunchPipeline(o LaunchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
 	rows := make([]LaunchPipeRow, 0, len(launchPipeModes)*len(scales))
 	for _, k := range scales {
 		for _, mode := range launchPipeModes {
 			if mode == core.SeedStoreForward && !slices.Contains(fullScales, k) {
 				continue
 			}
-			row, err := measureLaunchPipe(k, mode, o)
+			row, err := measureLaunchPipe(k, mode, o, false)
 			if err != nil {
 				return nil, fmt.Errorf("launch pipeline %v at K=%d: %w", mode, k, err)
 			}
@@ -140,11 +127,7 @@ func tableHash(encoded []byte) []byte {
 // slice (both pipelines have one) prefixed by a fingerprint of its full
 // table copy — empty under cut-through, where no such copy exists and
 // materializing one through Proctab would defeat the measurement.
-func launchPipeBE(p *cluster.Proc) {
-	be, err := core.BEInit(p)
-	if err != nil {
-		return
-	}
+func launchPipeBE(p *cluster.Proc, be *core.BackEnd) {
 	var full []byte
 	if p.Env(core.EnvSeedMode) == core.SeedStoreForward.String() {
 		full = tableHash(be.Proctab().Encode())
@@ -206,45 +189,53 @@ func roleMem(row *LaunchPipeRow, infos []core.DaemonInfo, fanout int) {
 	}
 }
 
-func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts) (LaunchPipeRow, error) {
+// launchPipeScenario is the launch whose time-to-ready a pipeline row
+// reports. The lean form is the million sweep's: RM and LaunchMON only,
+// and daemons that finalize at once — at that scale the full rig's two
+// parked system processes per node cost more host memory than LaunchMON
+// itself, and there is no full retention to verify slices against.
+func launchPipeScenario(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) Scenario {
+	sc := Scenario{Nodes: k, Lean: lean, BE: launchPipeBE, Opts: core.Options{
+		Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
+		Daemon:     rm.DaemonSpec{Exe: "lp_be"},
+		ICCLFanout: o.Fanout,
+		SeedMode:   mode,
+	}}
+	if lean {
+		sc.Opts.Daemon.Exe, sc.BE = "million_be", nil
+	}
+	return sc
+}
+
+func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) (LaunchPipeRow, error) {
 	row := LaunchPipeRow{
 		Mode:    mode.String(),
 		Table:   retentionOf(mode),
 		Daemons: k,
 		Tasks:   k * o.TasksPerNode,
 	}
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return row, err
-	}
-	// Every daemon gathers its rank slice (plus, under full retention, a
-	// full-copy fingerprint) to the FE over the collective plane — after
-	// the launch, so verification does not perturb the time-to-ready
-	// measurement.
-	r.Cl.Register("lp_be", launchPipeBE)
-	err = r.RunFE(func(p *cluster.Proc) error {
-		t0 := p.Sim().Now()
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
-			Daemon:     rm.DaemonSpec{Exe: "lp_be"},
-			ICCLFanout: o.Fanout,
-			SeedMode:   mode,
-		})
-		if err != nil {
-			return err
+	sc := launchPipeScenario(k, mode, o, lean)
+	sc.FE = func(r *Run) error {
+		row.Ready = r.Ready
+		tab := r.Sess.Proctab()
+		row.TableOK = lean // the lean sweep's pipeline is verified below, at K≤16384
+		if !lean {
+			// Every daemon gathers its rank slice (plus, under full
+			// retention, a full-copy fingerprint) to the FE over the
+			// collective plane — after the launch, so verification does not
+			// perturb the time-to-ready measurement.
+			contribs, err := r.Sess.Gather()
+			if err != nil {
+				return err
+			}
+			row.TableOK = len(contribs) == k && checkLaunchTables(contribs, tab, mode == core.SeedStoreForward)
 		}
-		row.Ready = p.Sim().Now() - t0
-		contribs, err := sess.Gather()
-		if err != nil {
-			return err
-		}
-		row.TableOK = len(contribs) == k && checkLaunchTables(contribs, sess.Proctab(), mode == core.SeedStoreForward)
-		for _, chunk := range sess.Proctab().EncodeChunks(0) {
+		for _, chunk := range tab.EncodeChunks(0) {
 			row.MemEngine = max(row.MemEngine, len(chunk))
 		}
-		row.MemFE = sess.Proctab().MemBytes()
+		row.MemFE = tab.MemBytes()
 		if mode == core.SeedCutThrough {
-			sorted := append(proctab.Table(nil), sess.Proctab()...)
+			sorted := append(proctab.Table(nil), tab...)
 			sorted.SortByRank()
 			idx, err := proctab.BuildIndex(sorted)
 			if err != nil {
@@ -252,9 +243,17 @@ func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts) (LaunchPipeR
 			}
 			row.MemIndex = idx.MemBytes()
 		}
-		roleMem(&row, sess.Daemons(), o.Fanout)
+		roleMem(&row, r.Sess.Daemons(), o.Fanout)
 		return nil
-	})
+	}
+	r, err := sc.Run()
+	if lean && r != nil {
+		// Host-cost columns: the sweep's acceptance bound is ≤1.25 parked
+		// goroutines per simulated node (DESIGN.md "Simulator cost model").
+		row.GoroutinesPeak = r.Sim.PeakLive()
+		row.GoroutinesPerNode = float64(row.GoroutinesPeak) / float64(k)
+		row.RSSPeakB = hostRSSPeak()
+	}
 	if err == nil && o.Obs {
 		err = measureLaunchPipeObs(&row, k, mode, o)
 	}

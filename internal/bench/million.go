@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strconv"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/core"
-	"launchmon/internal/proctab"
-	"launchmon/internal/rm"
 )
 
 // The million-daemon launch sweep — the ROADMAP's headline scale target.
@@ -27,81 +25,45 @@ import (
 // MillionScales are the daemon counts of the million sweep.
 var MillionScales = []int{1 << 20}
 
-// MillionOpts parameterize the sweep.
-type MillionOpts struct {
-	TasksPerNode int // default 1
-	Fanout       int // ICCL tree fanout (default 64)
-}
-
-func (o MillionOpts) withDefaults() MillionOpts {
-	if o.TasksPerNode == 0 {
-		o.TasksPerNode = 1
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 64
-	}
-	return o
-}
-
 // LaunchMillion measures the rank-sliced cut-through launch at each
-// scale, reporting the same row shape as LaunchPipeline.
-func LaunchMillion(opts MillionOpts, scales []int) ([]LaunchPipeRow, error) {
-	o := opts.withDefaults()
-	rows := make([]LaunchPipeRow, 0, len(scales))
-	for _, k := range scales {
-		row, err := measureLaunchMillion(k, o)
-		if err != nil {
-			return nil, fmt.Errorf("million launch sweep at K=%d: %w", k, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+// scale, reporting the same row shape as LaunchPipeline plus the
+// simulator host-cost columns.
+func LaunchMillion(o LaunchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
+	return sweep("million launch sweep", scales, func(k int) (LaunchPipeRow, error) {
+		return measureLaunchPipe(k, core.SeedCutThrough, o, true)
+	})
 }
 
-func measureLaunchMillion(k int, o MillionOpts) (LaunchPipeRow, error) {
-	row := LaunchPipeRow{
-		Mode:    core.SeedCutThrough.String(),
-		Table:   retentionOf(core.SeedCutThrough),
-		Daemons: k,
-		Tasks:   k * o.TasksPerNode,
+// boundMillionHeap sets the GC up for the full-scale sweep and returns the
+// function that restores it.
+func boundMillionHeap() (restore func()) {
+	gc, limit := -1, int64(-1)
+	// The million sweep's peak heap is ~everything live at once (all K
+	// daemons coexist until the seed drains), so the default GOGC headroom
+	// nearly doubles RSS for no reclaim. Trade GC CPU for the 16 GB CI
+	// budget; GOGC set in the environment wins.
+	if os.Getenv("GOGC") == "" {
+		gc = debug.SetGCPercent(30)
 	}
-	r, err := NewRig(RigOptions{Nodes: k, Lean: true})
-	if err != nil {
-		return row, err
+	// A soft memory limit backstops the GOGC slack: near the limit the GC
+	// collects proportionally harder, trading CPU for the heap headroom
+	// GOGC=30 would otherwise keep. 13 GiB leaves the full-scale run's
+	// fixed costs (a million 4 KB goroutine stacks plus their descriptors,
+	// plus ~7 GB of live fabric state) inside the 16 GB CI budget with
+	// margin; a GOMEMLIMIT set in the environment wins. Note the limit
+	// bounds what the runtime holds, not the process RSS a memory-gated
+	// runner sees: freed pages returned with MADV_FREE stay resident until
+	// the host is under pressure, so CI additionally runs this step with
+	// GODEBUG=madvdontneed=1 to make VmHWM track the limit.
+	if os.Getenv("GOMEMLIMIT") == "" {
+		limit = debug.SetMemoryLimit(13 << 30)
 	}
-	registerNoopBE(r.Cl, "million_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		t0 := p.Sim().Now()
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
-			Daemon:     rm.DaemonSpec{Exe: "million_be"},
-			ICCLFanout: o.Fanout,
-		})
-		if err != nil {
-			return err
+	return func() {
+		if gc != -1 {
+			debug.SetGCPercent(gc)
 		}
-		row.Ready = p.Sim().Now() - t0
-		row.TableOK = true // verified against full retention in LaunchPipeline at K≤16384
-		for _, chunk := range sess.Proctab().EncodeChunks(0) {
-			row.MemEngine = max(row.MemEngine, len(chunk))
-		}
-		row.MemFE = sess.Proctab().MemBytes()
-		sorted := append(proctab.Table(nil), sess.Proctab()...)
-		sorted.SortByRank()
-		idx, err := proctab.BuildIndex(sorted)
-		if err != nil {
-			return err
-		}
-		row.MemIndex = idx.MemBytes()
-		roleMem(&row, sess.Daemons(), o.Fanout)
-		return nil
-	})
-	// Host-cost columns: the sweep's acceptance bound is ≤1.25 parked
-	// goroutines per simulated node (DESIGN.md "Simulator cost model").
-	row.GoroutinesPeak = r.Sim.PeakLive()
-	row.GoroutinesPerNode = float64(row.GoroutinesPeak) / float64(k)
-	row.RSSPeakB = hostRSSPeak()
-	return row, err
+		debug.SetMemoryLimit(limit)
+	}
 }
 
 // hostRSSPeak reads this process's peak resident set (VmHWM) in bytes.

@@ -18,7 +18,7 @@ import (
 // the ≤1-per-idle-node budget.
 func TestIdleRigParksConstantGoroutines(t *testing.T) {
 	const nodes = 256
-	r, err := NewRig(RigOptions{Nodes: nodes, Lean: true})
+	r, err := Scenario{Nodes: nodes, Lean: true}.boot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestIdleRigParksConstantGoroutines(t *testing.T) {
 // reproduces exactly.
 func TestMillionGoroutineBudgetAtSmallScale(t *testing.T) {
 	const k = 256
-	rows, err := LaunchMillion(MillionOpts{Fanout: 8}, []int{k})
+	rows, err := LaunchMillion(LaunchPipeOpts{TasksPerNode: 1, Fanout: 8}, []int{k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,42 +28,25 @@ import (
 // probe — the tree-combined result reaching the FE stays 8 bytes no
 // matter how many daemons contributed) and finalizes, which pushes the
 // end-of-session metrics harvest.
-func launchPipeObsBE(p *cluster.Proc) {
-	be, err := core.BEInit(p)
-	if err != nil {
-		return
-	}
+func launchPipeObsBE(p *cluster.Proc, be *core.BackEnd) {
 	var word [8]byte
 	binary.LittleEndian.PutUint64(word[:], 1)
 	be.Collective().Reduce(word[:], "sum")
 	be.Finalize()
 }
 
-// measureLaunchPipeObs reruns one sweep row with observability on and
-// fills the row's Obs* fields from the session's harvested metrics.
+// measureLaunchPipeObs reruns one sweep row's scenario with
+// observability on and fills the row's Obs* fields from the session's
+// harvested metrics.
 func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o LaunchPipeOpts) error {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return err
-	}
-	r.Cl.Register("lp_obs_be", launchPipeObsBE)
-	return r.RunFE(func(p *cluster.Proc) error {
-		t0 := p.Sim().Now()
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
-			Daemon:     rm.DaemonSpec{Exe: "lp_obs_be"},
-			ICCLFanout: o.Fanout,
-			SeedMode:   mode,
-			Obs:        core.ObsOn,
-		})
-		if err != nil {
+	sc := launchPipeScenario(k, mode, o, false)
+	sc.Opts.Obs, sc.Opts.Daemon.Exe, sc.BE = core.ObsOn, "lp_obs_be", launchPipeObsBE
+	sc.FE = func(r *Run) error {
+		row.ObsReady = r.Ready
+		if _, err := r.Sess.Reduce(); err != nil {
 			return err
 		}
-		row.ObsReady = p.Sim().Now() - t0
-		if _, err := sess.Reduce(); err != nil {
-			return err
-		}
-		snap, err := sess.MetricsSnapshot()
+		snap, err := r.Sess.MetricsSnapshot()
 		if err != nil {
 			return err
 		}
@@ -74,7 +57,9 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o Launc
 			row.ObsDriftPct = 100 * math.Abs(row.ObsReady.Seconds()-row.Ready.Seconds()) / row.Ready.Seconds()
 		}
 		return nil
-	})
+	}
+	_, err := sc.Run()
+	return err
 }
 
 // CheckObsInvariants enforces the observability acceptance bounds over an
@@ -88,9 +73,6 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o Launc
 //  3. Virtual-time drift: enabling the plane moves time-to-ready by at
 //     most 2% (the harvest folds are its only virtual-time cost).
 func CheckObsInvariants(rows []LaunchPipeRow, fanout int) error {
-	if fanout <= 0 {
-		fanout = 32
-	}
 	var reduceSeen bool
 	var reduceFEB uint64
 	for _, r := range rows {
@@ -140,11 +122,19 @@ func PrintLaunchObs(w io.Writer, rows []LaunchPipeRow) {
 
 // TraceResult summarizes one traced launch (lmonbench -trace).
 type TraceResult struct {
+	Path       string // the trace file; the metrics snapshot is Path.metrics.json
 	Daemons    int
 	Spans      int
 	Instants   int
 	TraceBytes int
 	Metrics    obs.Snapshot
+}
+
+func printTrace(w io.Writer, rows []TraceResult) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "wrote %s (K=%d, %d spans, %d instants, %d B) and %s.metrics.json\n",
+			r.Path, r.Daemons, r.Spans, r.Instants, r.TraceBytes, r.Path)
+	}
 }
 
 // TraceLaunch runs one obs-on launch at K daemons on a lean rig, writes
@@ -153,40 +143,32 @@ type TraceResult struct {
 // mark chains (engine chain e0…e6,e11 and handshake chain e5,e7…e11).
 func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
 	res := TraceResult{Daemons: k}
-	if fanout <= 0 {
-		fanout = 32
-	}
-	r, err := NewRig(RigOptions{Nodes: k, Lean: true})
-	if err != nil {
-		return res, err
-	}
-	registerNoopBE(r.Cl, "trace_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
+	_, err := Scenario{
+		Nodes: k, Lean: true,
+		Opts: core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: "trace_be"},
 			ICCLFanout: fanout,
 			Obs:        core.ObsOn,
-		})
-		if err != nil {
+		},
+		FE: func(r *Run) error {
+			var buf bytes.Buffer
+			if err := r.Sess.WriteTrace(&buf); err != nil {
+				return err
+			}
+			spans, instants, err := verifyTrace(buf.Bytes())
+			if err != nil {
+				return err
+			}
+			snap, err := r.Sess.MetricsSnapshot()
+			if err != nil {
+				return err
+			}
+			res.Spans, res.Instants, res.TraceBytes, res.Metrics = spans, instants, buf.Len(), snap
+			_, err = w.Write(buf.Bytes())
 			return err
-		}
-		var buf bytes.Buffer
-		if err := sess.WriteTrace(&buf); err != nil {
-			return err
-		}
-		spans, instants, err := verifyTrace(buf.Bytes())
-		if err != nil {
-			return err
-		}
-		snap, err := sess.MetricsSnapshot()
-		if err != nil {
-			return err
-		}
-		res.Spans, res.Instants, res.TraceBytes, res.Metrics = spans, instants, buf.Len(), snap
-		_, err = w.Write(buf.Bytes())
-		return err
-	})
+		},
+	}.Run()
 	return res, err
 }
 

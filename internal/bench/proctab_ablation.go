@@ -45,24 +45,30 @@ func AblationProctab() ([]ProctabRow, error) {
 // stamps the clock, the table is broadcast, and a closing barrier bounds
 // the last delivery.
 func measureProctabBroadcast(n int) (time.Duration, error) {
-	r, err := NewRig(RigOptions{Nodes: n})
-	if err != nil {
-		return 0, err
-	}
-	r.Cl.Register("pt_be", func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
-		if err := be.Barrier(); err != nil {
-			return
-		}
-		start := p.Sim().Now()
+	return timedDistribution(n, "pt_be", nil, func(p *cluster.Proc, be *core.BackEnd) error {
 		var seed []byte
 		if be.AmIMaster() {
 			seed = be.Proctab().Encode()
 		}
-		if _, err := be.Broadcast(seed); err != nil {
+		_, err := be.Broadcast(seed)
+		return err
+	})
+}
+
+// timedDistribution launches n daemons that run fetch between two
+// barriers, and reads back the duration the master measured across them.
+func timedDistribution(n int, exe string, boot func(*cluster.Cluster) error, fetch func(*cluster.Proc, *core.BackEnd) error) (time.Duration, error) {
+	var dur time.Duration
+	sc := Scenario{Nodes: n, Boot: boot, Opts: core.Options{
+		Job:    rm.JobSpec{Exe: "app", Nodes: n, TasksPerNode: 8},
+		Daemon: rm.DaemonSpec{Exe: exe},
+	}}
+	sc.BE = func(p *cluster.Proc, be *core.BackEnd) {
+		if err := be.Barrier(); err != nil {
+			return
+		}
+		start := p.Sim().Now()
+		if err := fetch(p, be); err != nil {
 			return
 		}
 		if err := be.Barrier(); err != nil {
@@ -71,23 +77,9 @@ func measureProctabBroadcast(n int) (time.Duration, error) {
 		if be.AmIMaster() {
 			be.SendToFE([]byte(fmt.Sprint(int64(p.Sim().Now() - start))))
 		}
-	})
-	return runTimedDistribution(r, n, "pt_be")
-}
-
-// runTimedDistribution launches the session and reads the master-reported
-// distribution duration.
-func runTimedDistribution(r *Rig, n int, exe string) (time.Duration, error) {
-	var dur time.Duration
-	err := r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:    rm.JobSpec{Exe: "app", Nodes: n, TasksPerNode: 8},
-			Daemon: rm.DaemonSpec{Exe: exe},
-		})
-		if err != nil {
-			return err
-		}
-		raw, err := sess.RecvFromBE()
+	}
+	sc.FE = func(r *Run) error {
+		raw, err := r.Sess.RecvFromBE()
 		if err != nil {
 			return err
 		}
@@ -97,7 +89,8 @@ func runTimedDistribution(r *Rig, n int, exe string) (time.Duration, error) {
 		}
 		dur = time.Duration(ns)
 		return nil
-	})
+	}
+	_, err := sc.Run()
 	return dur, err
 }
 
@@ -105,58 +98,39 @@ func runTimedDistribution(r *Rig, n int, exe string) (time.Duration, error) {
 // front-end "file server" (reads serialize at the server, the old STAT
 // mechanism's bottleneck).
 func measureProctabSharedFile(n int) (time.Duration, error) {
-	r, err := NewRig(RigOptions{Nodes: n})
-	if err != nil {
-		return 0, err
-	}
 	const fileServerPort = 9999
 	const perReadCost = 2 * time.Millisecond // open+read+close of the shared file
-	r.Cl.Register("ptf_be", func(p *cluster.Proc) {
-		be, err := core.BEInit(p)
-		if err != nil {
-			return
-		}
-		if err := be.Barrier(); err != nil {
-			return
-		}
-		start := p.Sim().Now()
-		conn, err := p.Host().Dial(simnet.Addr{Host: "fe0", Port: fileServerPort})
-		if err != nil {
-			return
-		}
-		if _, err := lmonp.ReadFrame(conn); err != nil {
-			return
-		}
-		conn.Close()
-		if err := be.Barrier(); err != nil {
-			return
-		}
-		if be.AmIMaster() {
-			be.SendToFE([]byte(fmt.Sprint(int64(p.Sim().Now() - start))))
-		}
-	})
 	// The "NFS server" serving the shared proctab file is a system service
 	// present from boot; its serialized per-read cost is the mechanism
 	// under test.
-	if _, err := r.Cl.FrontEnd().SpawnSystemProc(cluster.Spec{Exe: "nfsd", Main: func(p *cluster.Proc) {
-		l, err := p.Host().Listen(fileServerPort)
-		if err != nil {
-			return
-		}
-		blob := make([]byte, 40+16*n) // proctab-file-sized payload
-		for {
-			conn, err := l.Accept()
+	nfsd := func(cl *cluster.Cluster) error {
+		_, err := cl.FrontEnd().SpawnSystemProc(cluster.Spec{Exe: "nfsd", Main: func(p *cluster.Proc) {
+			l, err := p.Host().Listen(fileServerPort)
 			if err != nil {
 				return
 			}
-			p.Compute(perReadCost) // server-side read serialization
-			lmonp.WriteFrame(conn, blob)
-			conn.Close()
-		}
-	}}); err != nil {
-		return 0, err
+			blob := make([]byte, 40+16*n) // proctab-file-sized payload
+			for {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				p.Compute(perReadCost) // server-side read serialization
+				lmonp.WriteFrame(conn, blob)
+				conn.Close()
+			}
+		}})
+		return err
 	}
-	return runTimedDistribution(r, n, "ptf_be")
+	return timedDistribution(n, "ptf_be", nfsd, func(p *cluster.Proc, be *core.BackEnd) error {
+		conn, err := p.Host().Dial(simnet.Addr{Host: "fe0", Port: fileServerPort})
+		if err != nil {
+			return err
+		}
+		_, err = lmonp.ReadFrame(conn)
+		conn.Close()
+		return err
+	})
 }
 
 // PrintProctabAblation renders the comparison.

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"launchmon/internal/cluster"
-	"launchmon/internal/rm"
 	"launchmon/internal/tools/oss"
 )
 
@@ -40,24 +38,17 @@ func Table1() ([]T1Row, error) {
 }
 
 func measureOSS(nodes int, which string) (time.Duration, error) {
-	r, err := NewRig(RigOptions{Nodes: nodes})
-	if err != nil {
-		return 0, err
-	}
-	var inst oss.Instrumentor
-	if which == "dpcl" {
-		inst = &oss.DPCLInstrumentor{Svc: r.Dpc}
-	} else {
-		inst = &oss.LaunchMONInstrumentor{}
-	}
 	var elapsed time.Duration
-	err = r.RunFE(func(p *cluster.Proc) error {
-		j, err := r.Mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 8})
+	_, err := Scenario{Nodes: nodes, FE: func(r *Run) error {
+		var inst oss.Instrumentor = &oss.LaunchMONInstrumentor{}
+		if which == "dpcl" {
+			inst = &oss.DPCLInstrumentor{Svc: r.Dpc}
+		}
+		j, err := r.StartJob("app", nodes, 8, 3*time.Second)
 		if err != nil {
 			return err
 		}
-		p.Sim().Sleep(3 * time.Second)
-		res, err := inst.AcquireAPAI(p, j)
+		res, err := inst.AcquireAPAI(r.P, j)
 		if err != nil {
 			return err
 		}
@@ -66,7 +57,7 @@ func measureOSS(nodes int, which string) (time.Duration, error) {
 		}
 		elapsed = res.Elapsed
 		return nil
-	})
+	}}.Run()
 	return elapsed, err
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/core"
-	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/slurm"
 	"launchmon/internal/rsh"
@@ -80,7 +79,11 @@ func main() {
 			if *skipRsh {
 				return
 			}
-			tab := j.(interface{ Proctab() proctab.Table }).Proctab()
+			tab, err := rm.ReadProctab(j.LauncherProc())
+			if err != nil {
+				fmt.Printf("\nreading the job's proctable: %v\n", err)
+				return
+			}
 			ranks := map[string][]int{}
 			for _, d := range tab {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)

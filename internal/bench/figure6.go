@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"launchmon/internal/proctab"
+	"launchmon/internal/rm"
 	"launchmon/internal/tbon"
 	"launchmon/internal/tools/stat"
 )
@@ -104,7 +104,12 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 		if err != nil {
 			return err
 		}
-		tab := j.(interface{ Proctab() proctab.Table }).Proctab()
+		// Native MRNet needs the task map up front (the old shared-file
+		// mechanism); read it off the launcher before the clock starts.
+		tab, err := rm.ReadProctab(j.LauncherProc())
+		if err != nil {
+			return err
+		}
 		ranks := map[string][]int{}
 		for _, d := range tab {
 			ranks[d.Host] = append(ranks[d.Host], d.Rank)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"launchmon/internal/cluster"
@@ -142,6 +143,15 @@ func TestAttachPortability(t *testing.T) {
 				}
 				if len(sess.Proctab()) != 8 {
 					t.Errorf("[%s] proctab = %d", mgr.name, len(sess.Proctab()))
+				}
+				// A killed job has left the RM: a second attach finds no such
+				// job instead of attaching to a corpse.
+				if err := sess.Kill(); err != nil {
+					t.Errorf("[%s] kill: %v", mgr.name, err)
+				}
+				_, err = AttachAndSpawn(p, Options{JobID: j.ID(), Daemon: rm.DaemonSpec{Exe: "portable_be"}})
+				if err == nil || !strings.Contains(err.Error(), rm.ErrNoSuchJob.Error()) {
+					t.Errorf("[%s] attach to a killed job: %v, want %v", mgr.name, err, rm.ErrNoSuchJob)
 				}
 			})
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -92,4 +93,69 @@ func TestEndedSessionsLeaveNoGoroutines(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestEndedSessionsRetainBoundedHeap is the heap-side twin of the goroutine
+// pin above: a launched-and-killed session (16 nodes x 8 tasks, fanout 4,
+// plus 2 middleware daemons) leaves at most 20 KB reachable once it is over.
+// A killed job leaves the RM's registry with its table and interned daemon
+// environment, and no queue keeps what it has already delivered (popped
+// vtime.Chan slots are cleared) — before both, a session retained 39 KB.
+// What remains is first use of freshly allocated nodes (per-node process
+// tables; the RM never reuses an allocation), so it is a per-session cost
+// only because every session here gets new nodes.
+func TestEndedSessionsRetainBoundedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector retains memory on the test's behalf")
+	}
+	const sessions, perSession, bound = 32, 16 + 2, 20 << 10
+	sim, cl, _ := rig(t, (1+sessions)*perSession)
+	cl.Register("heap_be", func(p *cluster.Proc) {
+		if be, err := BEInit(p); err == nil {
+			be.Finalize()
+		}
+	})
+	cl.Register("heap_mw", func(p *cluster.Proc) {
+		if mw, err := MWInit(p); err == nil {
+			mw.Finalize()
+		}
+	})
+	session := func(p *cluster.Proc) {
+		s, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: 16, TasksPerNode: 8},
+			Daemon:     rm.DaemonSpec{Exe: "heap_be"},
+			ICCLFanout: 4,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.LaunchMW(MWOptions{Nodes: 2, Daemon: rm.DaemonSpec{Exe: "heap_mw"}, ICCLFanout: 4}); err != nil {
+			t.Error(err)
+		}
+		if err := s.Kill(); err != nil {
+			t.Error(err)
+		}
+		p.Sim().Sleep(5 * time.Second) // let the teardown settle
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a second cycle frees what the first one's finalizers released
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		session(p) // warm-up: what the first session adds for good is per FE process
+		before := heap()
+		for i := 0; i < sessions; i++ {
+			session(p)
+		}
+		after := heap()
+		per := (int64(after) - int64(before)) / sessions
+		t.Logf("%d B retained per ended session", per)
+		if per > bound {
+			t.Errorf("an ended session retains %d B, want at most %d", per, bound)
+		}
+	})
 }

@@ -85,46 +85,26 @@ const (
 
 func (s *Service) dpcldMain(node *cluster.Node) cluster.ProcMain {
 	return func(p *cluster.Proc) {
-		l, err := p.Host().Listen(Port)
-		if err != nil {
-			return
-		}
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			p.Sim().Go("dpcld-session", func() {
-				defer conn.Close()
-				s.handle(p, node, conn)
-			})
-		}
+		rm.Serve(p, Port, func(rd *lmonp.Reader, reply rm.Reply) {
+			reply(s.handle(p, node, rd))
+		})
 	}
 }
 
-func (s *Service) handle(p *cluster.Proc, node *cluster.Node, conn *simnet.Conn) {
-	req, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	rd := lmonp.NewReader(req)
-	op, _ := rd.Uint32()
-	switch op {
+func (s *Service) handle(p *cluster.Proc, node *cluster.Node, rd *lmonp.Reader) ([]byte, error) {
+	switch op, _ := rd.Uint32(); op {
 	case opAPAI:
 		pid32, err := rd.Uint32()
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad request"))
-			return
+			return nil, errors.New("bad request")
 		}
 		target, ok := node.Proc(int(pid32))
 		if !ok {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, fmt.Sprintf("no process %d", pid32)))
-			return
+			return nil, fmt.Errorf("no process %d", pid32)
 		}
 		tr, err := target.Attach()
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, err.Error()))
-			return
+			return nil, err
 		}
 		defer tr.Detach()
 		// DPCL's general-purpose path: attach, then parse the target
@@ -133,49 +113,37 @@ func (s *Service) handle(p *cluster.Proc, node *cluster.Node, conn *simnet.Conn)
 		p.Compute(s.cfg.BinaryParseCost)
 		tab, err := rm.ProctabFromLauncher(tr)
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, err.Error()))
-			return
+			return nil, err
 		}
-		enc := tab.Encode()
-		out := lmonp.AppendString(nil, "")
-		out = lmonp.AppendBytes(out, enc)
-		lmonp.WriteFrame(conn, out)
+		return lmonp.AppendBytes(nil, tab.Encode()), nil
 	case opSession:
 		p.Compute(s.cfg.PerNodeSessionCost)
-		lmonp.WriteFrame(conn, lmonp.AppendString(nil, ""))
+		return nil, nil
 	default:
-		lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad op"))
+		return nil, errors.New("bad op")
 	}
 }
 
 // Client errors.
 var ErrDPCL = errors.New("dpcl: request failed")
 
+// call performs one dpcld request from p against node's daemon.
+func call(p *cluster.Proc, node string, req []byte) (*lmonp.Reader, error) {
+	rd, err := rm.Call(p.Host(), simnet.Addr{Host: node, Port: Port}, req)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDPCL, err)
+	}
+	return rd, nil
+}
+
 // APAIViaDPCL performs the DPCL-style APAI access from the calling
 // process: connect to the local dpcld, have it attach to the launcher,
 // parse its binary in full, and return the proctable bytes.
 func (s *Service) APAIViaDPCL(p *cluster.Proc, launcherNode string, launcherPid int) ([]byte, error) {
-	conn, err := p.Host().Dial(simnet.Addr{Host: launcherNode, Port: Port})
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial: %v", ErrDPCL, err)
-	}
-	defer conn.Close()
 	req := lmonp.AppendUint32(nil, opAPAI)
-	req = lmonp.AppendUint32(req, uint32(launcherPid))
-	if err := lmonp.WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := lmonp.ReadFrame(conn)
+	rd, err := call(p, launcherNode, lmonp.AppendUint32(req, uint32(launcherPid)))
 	if err != nil {
 		return nil, err
-	}
-	rd := lmonp.NewReader(resp)
-	emsg, err := rd.String()
-	if err != nil {
-		return nil, err
-	}
-	if emsg != "" {
-		return nil, fmt.Errorf("%w: %s", ErrDPCL, emsg)
 	}
 	return rd.Bytes()
 }
@@ -183,25 +151,6 @@ func (s *Service) APAIViaDPCL(p *cluster.Proc, launcherNode string, launcherPid 
 // OpenNodeSession sets up an instrumentation session with one node's
 // persistent daemon (the per-node serial step of widening an experiment).
 func (s *Service) OpenNodeSession(p *cluster.Proc, node string) error {
-	conn, err := p.Host().Dial(simnet.Addr{Host: node, Port: Port})
-	if err != nil {
-		return fmt.Errorf("%w: dial %s: %v", ErrDPCL, node, err)
-	}
-	defer conn.Close()
-	if err := lmonp.WriteFrame(conn, lmonp.AppendUint32(nil, opSession)); err != nil {
-		return err
-	}
-	resp, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	rd := lmonp.NewReader(resp)
-	emsg, err := rd.String()
-	if err != nil {
-		return err
-	}
-	if emsg != "" {
-		return fmt.Errorf("%w: %s", ErrDPCL, emsg)
-	}
-	return nil
+	_, err := call(p, node, lmonp.AppendUint32(nil, opSession))
+	return err
 }

@@ -34,8 +34,7 @@ func TestAPAIViaDPCLReadsProctab(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		enc := want.Encode()
-		launcher.SetSymbol(rm.SymProctab, cluster.Symbol{Value: enc, Size: len(enc)})
+		rm.PublishProctab(launcher, want)
 		client, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "oss", Main: func(p *cluster.Proc) {
 			got, err := svc.APAIViaDPCL(p, "fe0", launcher.Pid())
 			if err != nil {
@@ -62,8 +61,7 @@ func TestAPAICostDominatedByParse(t *testing.T) {
 	var cost time.Duration
 	sim.Go("test", func() {
 		launcher, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "srun", Passive: true})
-		enc := proctab.Table{{Host: "node0", Exe: "a", Pid: 1, Rank: 0}}.Encode()
-		launcher.SetSymbol(rm.SymProctab, cluster.Symbol{Value: enc, Size: len(enc)})
+		rm.PublishProctab(launcher, proctab.Table{{Host: "node0", Exe: "a", Pid: 1, Rank: 0}})
 		client, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "oss", Main: func(p *cluster.Proc) {
 			start := p.Sim().Now()
 			if _, err := svc.APAIViaDPCL(p, "fe0", launcher.Pid()); err != nil {

@@ -68,23 +68,26 @@ func (c MsgClass) String() string {
 type MsgType uint8
 
 // Message types. Tags are flat across classes for simplicity; each is
-// documented with the class it travels in.
+// documented with the class it travels in. The blank entries are retired
+// types (the monolithic RPDTAB messages, a shutdown request nothing ever
+// sent): they keep the values of the types behind them, and so every wire
+// byte, where they were.
 const (
 	// fe-engine
 	TypeLaunchReq MsgType = iota + 1 // FE→Engine: launchAndSpawn request
 	TypeAttachReq                    // FE→Engine: attachAndSpawn request
 	TypeSpawnReq                     // FE→Engine: spawn daemons for an attached job
-	TypeProctab                      // Engine→FE: the RPDTAB
+	_                                // 4, retired
 	TypeReady                        // Engine→FE / BE→FE / MW→FE: component ready
 	TypeDetach                       // FE→Engine: detach from job, leave it running
 	TypeKill                         // FE→Engine: kill job and daemons
-	TypeShutdown                     // FE→Engine: shut down daemons, keep job
+	_                                // 8, retired
 	TypeStatus                       // Engine→FE: async status notification
 
 	// fe-be / fe-mw
 	TypeHandshake // FE→BE/MW master: session parameters (+ piggyback)
 	TypeUsrData   // either direction: pure tool payload
-	TypeProctabBE // FE→BE/MW master: RPDTAB broadcast seed (legacy, unused)
+	_             // 12, retired
 
 	// RPDTAB streaming (any proctab-carrying class): the table travels as
 	// bounded-size chunks so peak payload memory stays flat at
@@ -115,12 +118,11 @@ const (
 
 var msgTypeNames = [...]string{
 	TypeLaunchReq: "launch-req", TypeAttachReq: "attach-req",
-	TypeSpawnReq: "spawn-req", TypeProctab: "proctab",
-	TypeReady: "ready", TypeDetach: "detach", TypeKill: "kill",
-	TypeShutdown: "shutdown", TypeStatus: "status",
+	TypeSpawnReq: "spawn-req", TypeReady: "ready",
+	TypeDetach: "detach", TypeKill: "kill", TypeStatus: "status",
 	TypeHandshake: "handshake", TypeUsrData: "usrdata",
-	TypeProctabBE: "proctab-be", TypeProctabChunk: "proctab-chunk",
-	TypeProctabEnd: "proctab-end", TypeStatusEvent: "status-event",
+	TypeProctabChunk: "proctab-chunk",
+	TypeProctabEnd:   "proctab-end", TypeStatusEvent: "status-event",
 	TypeCollChunk: "coll-chunk", TypeCollEnd: "coll-end",
 	TypeObsMetrics: "obs-metrics",
 }

@@ -23,7 +23,7 @@ func TestHeaderIs16Bytes(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	in := &Msg{
 		Class:   ClassFEEngine,
-		Type:    TypeProctab,
+		Type:    TypeProctabChunk,
 		Flags:   0xBEEF,
 		Seq:     42,
 		Payload: []byte("launchmon-data"),
@@ -251,5 +251,23 @@ func TestPropertyStringList(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMsgTypeWireValues pins the tag every message type puts on the wire:
+// retiring a type must leave a gap, not renumber the types behind it.
+func TestMsgTypeWireValues(t *testing.T) {
+	for typ, want := range map[MsgType]uint8{
+		TypeLaunchReq: 1, TypeAttachReq: 2, TypeSpawnReq: 3, TypeReady: 5,
+		TypeDetach: 6, TypeKill: 7, TypeStatus: 9, TypeHandshake: 10,
+		TypeUsrData: 11, TypeProctabChunk: 13, TypeProctabEnd: 14,
+		TypeStatusEvent: 15, TypeCollChunk: 16, TypeCollEnd: 17, TypeObsMetrics: 18,
+	} {
+		if uint8(typ) != want {
+			t.Errorf("%v travels as %d, want %d", typ, uint8(typ), want)
+		}
+	}
+	if got := MsgType(4).String(); got != "type(4)" {
+		t.Errorf("retired type 4 still has a name: %q", got)
 	}
 }

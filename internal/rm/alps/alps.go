@@ -14,17 +14,12 @@
 package alps
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/hostlist"
-	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
-	"launchmon/internal/simnet"
-	"launchmon/internal/vtime"
 )
 
 // Service ports.
@@ -68,167 +63,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager is the ALPS-like rm.Manager.
-type Manager struct {
-	cl  *cluster.Cluster
-	cfg Config
-
-	mu     sync.Mutex
-	nextID int
-	jobs   map[int]*job
-}
+// Manager is the ALPS-like rm.Manager: the shared skeleton (registry, job
+// handle, aprun, apsched) over the apinit star fabric.
+type Manager struct{ *rm.Skeleton }
 
 var _ rm.Manager = (*Manager)(nil)
 
 // Install boots apsched on the front end and apinit on every compute node.
 func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
-	m := &Manager{cl: cl, cfg: cfg.withDefaults(), jobs: make(map[int]*job)}
-	if _, err := cl.FrontEnd().SpawnSystemProc(cluster.Spec{Exe: "apsched", Main: m.apschedMain}); err != nil {
+	cfg = cfg.withDefaults()
+	sk, err := rm.Install(cl, rm.Profile{
+		Name:     "alps",
+		Launcher: "aprun",
+		LauncherArgs: func(spec rm.JobSpec) []string {
+			return []string{fmt.Sprintf("-n%d", spec.Tasks()), fmt.Sprintf("-N%d", spec.TasksPerNode), spec.Exe}
+		},
+		Allocator:       "apsched",
+		AllocPort:       ApschedPort,
+		DebugEvents:     cfg.DebugEvents,
+		AllocBase:       cfg.AllocBase,
+		PerTaskRootCost: cfg.PerTaskRootCost,
+		// No per-node terms: apsched's claim is one lookup, and aprun pays
+		// for a spawn at submission (PerNodeSubmit, in the star fabric).
+	}, star{cfg: cfg, sim: cl.Sim()})
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < cl.NumNodes(); i++ {
 		node := cl.Node(i)
-		a := &apinit{m: m, node: node, jobProcs: make(map[int][]*cluster.Proc)}
+		a := &apinit{cfg: cfg, node: node, jobProcs: make(map[int][]*cluster.Proc)}
 		if _, err := node.SpawnSystemProc(cluster.Spec{Exe: "apinit", Main: a.main}); err != nil {
 			return nil, err
 		}
 	}
-	return m, nil
-}
-
-// Name implements rm.Manager.
-func (m *Manager) Name() string { return "alps" }
-
-// DebugEventCount implements rm.Manager.
-func (m *Manager) DebugEventCount(rm.JobSpec) int { return m.cfg.DebugEvents }
-
-// StartJobHeld implements rm.Manager.
-func (m *Manager) StartJobHeld(spec rm.JobSpec) (rm.Job, error) { return m.start(spec, true) }
-
-// StartJob implements rm.Manager.
-func (m *Manager) StartJob(spec rm.JobSpec) (rm.Job, error) { return m.start(spec, false) }
-
-func (m *Manager) start(spec rm.JobSpec, hold bool) (rm.Job, error) {
-	if spec.Nodes <= 0 || spec.TasksPerNode <= 0 {
-		return nil, errors.New("alps: job needs positive Nodes and TasksPerNode")
-	}
-	if spec.Nodes > m.cl.NumNodes() {
-		return nil, fmt.Errorf("%w: want %d, have %d", rm.ErrInsufficient, spec.Nodes, m.cl.NumNodes())
-	}
-	m.mu.Lock()
-	m.nextID++
-	j := &job{m: m, id: m.nextID, spec: spec, cmds: vtime.NewChan[command](m.cl.Sim())}
-	m.jobs[j.id] = j
-	m.mu.Unlock()
-
-	p, err := m.cl.FrontEnd().SpawnProc(cluster.Spec{
-		Exe:  "aprun",
-		Main: j.launcherMain,
-		Hold: hold,
-		Args: []string{fmt.Sprintf("-n%d", spec.Tasks()), fmt.Sprintf("-N%d", spec.TasksPerNode), spec.Exe},
-	})
-	if err != nil {
-		return nil, err
-	}
-	j.proc = p
-	return j, nil
-}
-
-// FindJob implements rm.Manager.
-func (m *Manager) FindJob(id int) (rm.Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
-
-// --- apsched (allocation service) ---
-
-func (m *Manager) apschedMain(p *cluster.Proc) {
-	l, err := p.Host().Listen(ApschedPort)
-	if err != nil {
-		return
-	}
-	free := make(map[string]bool, m.cl.NumNodes())
-	order := make([]string, 0, m.cl.NumNodes())
-	for i := 0; i < m.cl.NumNodes(); i++ {
-		name := m.cl.Node(i).Name()
-		free[name] = true
-		order = append(order, name)
-	}
-	var mu sync.Mutex
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		p.Sim().Go("apsched-conn", func() {
-			defer conn.Close()
-			req, err := lmonp.ReadFrame(conn)
-			if err != nil {
-				return
-			}
-			p.Compute(m.cfg.AllocBase)
-			rd := lmonp.NewReader(req)
-			n32, _ := rd.Uint32()
-			exclude, err := rd.StringList()
-			if err != nil {
-				return
-			}
-			ex := make(map[string]bool, len(exclude))
-			for _, e := range exclude {
-				ex[e] = true
-			}
-			mu.Lock()
-			var picked []string
-			for _, name := range order {
-				if len(picked) == int(n32) {
-					break
-				}
-				if free[name] && !ex[name] {
-					picked = append(picked, name)
-				}
-			}
-			if len(picked) < int(n32) {
-				mu.Unlock()
-				lmonp.WriteFrame(conn, lmonp.AppendString(nil, "claim exceeds reservation"))
-				return
-			}
-			for _, name := range picked {
-				free[name] = false
-			}
-			mu.Unlock()
-			out := lmonp.AppendString(nil, "")
-			out = lmonp.AppendStringList(out, picked)
-			lmonp.WriteFrame(conn, out)
-		})
-	}
-}
-
-func (m *Manager) allocate(from *simnet.Host, n int, exclude []string) ([]string, error) {
-	conn, err := from.Dial(simnet.Addr{Host: m.cl.FrontEnd().Name(), Port: ApschedPort})
-	if err != nil {
-		return nil, fmt.Errorf("alps: apsched unreachable: %w", err)
-	}
-	defer conn.Close()
-	req := lmonp.AppendUint32(nil, uint32(n))
-	req = lmonp.AppendStringList(req, exclude)
-	if err := lmonp.WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	rd := lmonp.NewReader(resp)
-	emsg, err := rd.String()
-	if err != nil {
-		return nil, err
-	}
-	if emsg != "" {
-		return nil, fmt.Errorf("%w: %s", rm.ErrInsufficient, emsg)
-	}
-	return rd.StringList()
+	return &Manager{sk}, nil
 }
 
 // joinNIDs carries the placement node list in compressed hostlist form

@@ -1,12 +1,13 @@
 package alps
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/simnet"
+	"launchmon/internal/rm"
 )
 
 // apinit opcodes (star protocol: aprun contacts every apinit directly).
@@ -17,9 +18,11 @@ const (
 )
 
 // apinit is the per-node launch daemon; it only ever acts locally (no
-// forwarding — the star topology keeps it trivial compared to slurmd).
+// forwarding — the star topology keeps it trivial compared to slurmd). It
+// stays goroutine-per-request: its forks block, and nothing pinned runs it
+// at a scale where a parked goroutine per request matters.
 type apinit struct {
-	m    *Manager
+	cfg  Config
 	node *cluster.Node
 
 	mu       sync.Mutex
@@ -27,61 +30,44 @@ type apinit struct {
 }
 
 func (a *apinit) main(p *cluster.Proc) {
-	l, err := p.Host().Listen(ApinitPort)
-	if err != nil {
-		return
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		p.Sim().Go("apinit-conn", func() {
-			defer conn.Close()
-			a.handle(p, conn)
-		})
-	}
+	rm.Serve(p, ApinitPort, func(rd *lmonp.Reader, reply rm.Reply) {
+		p.Compute(a.cfg.ApinitPerMsg)
+		reply(a.handle(rd))
+	})
 }
 
-func (a *apinit) handle(p *cluster.Proc, conn *simnet.Conn) {
-	req, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	p.Compute(a.m.cfg.ApinitPerMsg)
-	rd := lmonp.NewReader(req)
+func (a *apinit) handle(rd *lmonp.Reader) ([]byte, error) {
 	op, _ := rd.Uint32()
+	jobid32, err := rd.Uint32()
+	if err != nil {
+		return nil, errors.New("apinit: short request")
+	}
+	jobid := int(jobid32)
 	switch op {
 	case opLaunchTasks:
-		jobid32, _ := rd.Uint32()
 		baseRank32, _ := rd.Uint32()
 		count32, _ := rd.Uint32()
 		exe, err := rd.String()
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad launch request"))
-			return
+			return nil, errors.New("bad launch request")
 		}
-		out := lmonp.AppendString(nil, "")
-		out = lmonp.AppendUint32(out, count32)
+		out := lmonp.AppendUint32(nil, count32)
 		for i := 0; i < int(count32); i++ {
 			proc, err := a.node.SpawnProc(cluster.Spec{Exe: exe, Passive: true})
 			if err != nil {
-				lmonp.WriteFrame(conn, lmonp.AppendString(nil, err.Error()))
-				return
+				return nil, err
 			}
-			a.track(int(jobid32), proc)
+			a.track(jobid, proc)
 			out = lmonp.AppendUint32(out, uint32(int(baseRank32)+i))
 			out = lmonp.AppendUint32(out, uint32(proc.Pid()))
 		}
-		lmonp.WriteFrame(conn, out)
+		return out, nil
 	case opSpawnDaemon:
-		jobid32, _ := rd.Uint32()
 		exe, _ := rd.String()
 		args, _ := rd.StringList()
 		kv, err := rd.StringMap()
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad spawn request"))
-			return
+			return nil, errors.New("bad spawn request")
 		}
 		env := make(map[string]string, len(kv))
 		for _, e := range kv {
@@ -89,29 +75,21 @@ func (a *apinit) handle(p *cluster.Proc, conn *simnet.Conn) {
 		}
 		proc, err := a.node.SpawnProc(cluster.Spec{Exe: exe, Args: args, Env: env})
 		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, err.Error()))
-			return
+			return nil, err
 		}
-		a.track(int(jobid32), proc)
-		out := lmonp.AppendString(nil, "")
-		out = lmonp.AppendUint32(out, uint32(proc.Pid()))
-		lmonp.WriteFrame(conn, out)
+		a.track(jobid, proc)
+		return lmonp.AppendUint32(nil, uint32(proc.Pid())), nil
 	case opKillJob:
-		jobid32, err := rd.Uint32()
-		if err != nil {
-			lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad kill request"))
-			return
-		}
 		a.mu.Lock()
-		procs := a.jobProcs[int(jobid32)]
-		delete(a.jobProcs, int(jobid32))
+		procs := a.jobProcs[jobid]
+		delete(a.jobProcs, jobid)
 		a.mu.Unlock()
 		for _, proc := range procs {
 			proc.Kill()
 		}
-		lmonp.WriteFrame(conn, lmonp.AppendString(nil, ""))
+		return nil, nil
 	default:
-		lmonp.WriteFrame(conn, lmonp.AppendString(nil, fmt.Sprintf("apinit: bad op %d", op)))
+		return nil, fmt.Errorf("apinit: bad op %d", op)
 	}
 }
 
@@ -119,29 +97,4 @@ func (a *apinit) track(jobid int, p *cluster.Proc) {
 	a.mu.Lock()
 	a.jobProcs[jobid] = append(a.jobProcs[jobid], p)
 	a.mu.Unlock()
-}
-
-// starCall performs one request/response against a node's apinit.
-func starCall(p *cluster.Proc, node string, req []byte) (*lmonp.Reader, error) {
-	conn, err := p.Host().Dial(simnet.Addr{Host: node, Port: ApinitPort})
-	if err != nil {
-		return nil, fmt.Errorf("alps: apinit on %s unreachable: %w", node, err)
-	}
-	defer conn.Close()
-	if err := lmonp.WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := lmonp.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	rd := lmonp.NewReader(resp)
-	emsg, err := rd.String()
-	if err != nil {
-		return nil, err
-	}
-	if emsg != "" {
-		return nil, fmt.Errorf("alps: apinit on %s: %s", node, emsg)
-	}
-	return rd, nil
 }

@@ -3,10 +3,17 @@
 // Process Acquisition Interface (APAI) contract, scalable co-located tool
 // daemon spawning, and extra-node allocation for middleware daemons.
 //
-// Concrete managers (internal/rm/slurm, internal/rm/bgl) install their
-// launcher and node daemons onto a simulated cluster and implement this
+// Concrete managers (internal/rm/slurm, internal/rm/alps, internal/rm/bgl)
+// install their node daemons onto a simulated cluster and implement this
 // interface; the LaunchMON engine is written purely against it, which is
 // the m×n → m+n portability argument of the paper made concrete.
+//
+// What the managers have in common is written here once — Skeleton: the
+// job registry, the job handle, the APAI launcher process and the
+// allocation service, over the Call/Serve request convention. A backend
+// supplies a Fabric (how a request reaches its node daemons: slurm's
+// k-ary slurmd tree, alps' star of apinit daemons) and a Profile (names
+// and virtual-time costs; bgl is the slurm fabric under another profile).
 package rm
 
 import (
@@ -34,7 +41,6 @@ const (
 
 // MPIR symbol names exposed by launcher processes (the APAI contract).
 const (
-	SymProctab       = "MPIR_proctable"        // encoded proctab.Table (monolithic, legacy)
 	SymProctabLen    = "MPIR_proctable_size"   // entry count
 	SymProctabChunks = "MPIR_proctable_chunks" // chunk count (chunked publication)
 	SymDebugState    = "MPIR_debug_state"      // launch progress indicator
@@ -72,7 +78,6 @@ type DaemonSpec struct {
 var (
 	ErrNoSuchJob     = errors.New("rm: no such job")
 	ErrInsufficient  = errors.New("rm: insufficient nodes available")
-	ErrJobNotReady   = errors.New("rm: job has not reached MPIR_Breakpoint")
 	ErrAlreadyKilled = errors.New("rm: job already terminated")
 )
 
@@ -146,10 +151,8 @@ func PublishProctab(p *cluster.Proc, tab proctab.Table) {
 // ProctabFromLauncher reads and decodes the RPDTAB from a launcher process
 // through an attached tracer — the engine's Region B operation, in its
 // whole-table form (tools and the DPCL daemon use it; the engine's launch
-// path streams via ReadProctabChunks instead). Chunked publication is
-// preferred; launchers publishing only the legacy monolithic SymProctab
-// still work. The cost charged by ReadSymbol is proportional to the
-// bytes read either way.
+// path streams via ReadProctabChunks instead). The cost charged by
+// ReadSymbol is proportional to the bytes read.
 func ProctabFromLauncher(tr *cluster.Tracer) (proctab.Table, error) {
 	var tab proctab.Table
 	err := ReadProctabChunks(tr, func(chunk []byte, i, total int) error {
@@ -166,39 +169,43 @@ func ProctabFromLauncher(tr *cluster.Tracer) (proctab.Table, error) {
 	return tab, nil
 }
 
+// ReadProctab is a late-attaching debugger's whole APAI access: attach to
+// a launcher past MPIR_Breakpoint, read the table it published (charged
+// like any tracer read), detach.
+func ReadProctab(launcher *cluster.Proc) (proctab.Table, error) {
+	tr, err := launcher.Attach()
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Detach()
+	return ProctabFromLauncher(tr)
+}
+
 // ReadProctabChunks streams the launcher's published RPDTAB chunk by
 // chunk: fn receives each encoded chunk (with its index and the chunk
 // count) right after its symbol read, so a caller re-streaming the table
-// holds O(chunk) bytes at a time. Launchers that only publish the legacy
-// monolithic SymProctab yield a single chunk.
+// holds O(chunk) bytes at a time.
 func ReadProctabChunks(tr *cluster.Tracer, fn func(chunk []byte, i, total int) error) error {
-	if raw, err := tr.ReadSymbol(SymProctabChunks); err == nil {
-		n, ok := raw.(int)
-		if !ok {
-			return errors.New("rm: MPIR_proctable_chunks symbol has unexpected type")
-		}
-		for i := 0; i < n; i++ {
-			craw, err := tr.ReadSymbol(SymProctabChunk(i))
-			if err != nil {
-				return err
-			}
-			chunk, ok := craw.([]byte)
-			if !ok {
-				return fmt.Errorf("rm: %s symbol has unexpected type", SymProctabChunk(i))
-			}
-			if err := fn(chunk, i, n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	raw, err := tr.ReadSymbol(SymProctab)
+	raw, err := tr.ReadSymbol(SymProctabChunks)
 	if err != nil {
 		return err
 	}
-	enc, ok := raw.([]byte)
+	n, ok := raw.(int)
 	if !ok {
-		return errors.New("rm: MPIR_proctable symbol has unexpected type")
+		return errors.New("rm: MPIR_proctable_chunks symbol has unexpected type")
 	}
-	return fn(enc, 0, 1)
+	for i := 0; i < n; i++ {
+		craw, err := tr.ReadSymbol(SymProctabChunk(i))
+		if err != nil {
+			return err
+		}
+		chunk, ok := craw.([]byte)
+		if !ok {
+			return fmt.Errorf("rm: %s symbol has unexpected type", SymProctabChunk(i))
+		}
+		if err := fn(chunk, i, n); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -88,35 +88,6 @@ func TestPublishProctabRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacyMonolithicProctabStillReads(t *testing.T) {
-	tab := synthTable(40)
-	enc := tab.Encode()
-	withLauncher(t, func(p *cluster.Proc) {
-		p.SetSymbol(SymProctab, cluster.Symbol{Value: enc, Size: len(enc)})
-	}, func(tr *cluster.Tracer) {
-		calls := 0
-		if err := ReadProctabChunks(tr, func(chunk []byte, i, total int) error {
-			calls++
-			if i != 0 || total != 1 || !reflect.DeepEqual(chunk, enc) {
-				t.Errorf("legacy table delivered as chunk %d of %d (%d bytes)", i, total, len(chunk))
-			}
-			return nil
-		}); err != nil || calls != 1 {
-			t.Fatalf("ReadProctabChunks: %d calls, %v", calls, err)
-		}
-		got, err := ProctabFromLauncher(tr)
-		if err != nil || !reflect.DeepEqual(got, tab) {
-			t.Errorf("ProctabFromLauncher = %d entries, %v", len(got), err)
-		}
-	})
-	// A launcher publishing neither form has no table to read.
-	withLauncher(t, func(*cluster.Proc) {}, func(tr *cluster.Tracer) {
-		if _, err := ProctabFromLauncher(tr); err == nil {
-			t.Error("read a table from a launcher that published none")
-		}
-	})
-}
-
 func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 	for name, publish := range map[string]func(p *cluster.Proc){
 		SymProctabChunks: func(p *cluster.Proc) {
@@ -125,9 +96,6 @@ func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 		SymProctabChunk(1): func(p *cluster.Proc) {
 			PublishProctab(p, synthTable(20000))
 			p.SetSymbol(SymProctabChunk(1), cluster.Symbol{Value: 7, Size: 4})
-		},
-		SymProctab: func(p *cluster.Proc) {
-			p.SetSymbol(SymProctab, cluster.Symbol{Value: 7, Size: 4})
 		},
 	} {
 		withLauncher(t, publish, func(tr *cluster.Tracer) {
@@ -145,6 +113,12 @@ func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 	}, func(tr *cluster.Tracer) {
 		if _, err := ProctabFromLauncher(tr); err == nil {
 			t.Error("short publication accepted")
+		}
+	})
+	// A launcher that published nothing has no table to read.
+	withLauncher(t, func(*cluster.Proc) {}, func(tr *cluster.Tracer) {
+		if _, err := ProctabFromLauncher(tr); err == nil {
+			t.Error("read a table from a launcher that published none")
 		}
 	})
 }

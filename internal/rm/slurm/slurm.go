@@ -13,10 +13,8 @@
 package slurm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -25,7 +23,6 @@ import (
 	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/simnet"
-	"launchmon/internal/vtime"
 )
 
 // Well-known ports of the RM services.
@@ -87,14 +84,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager is the SLURM-like rm.Manager implementation.
+// Manager is the SLURM-like rm.Manager: the shared skeleton (registry, job
+// handle, srun, slurmctld) over the slurmd tree fabric.
 type Manager struct {
-	cl  *cluster.Cluster
+	*rm.Skeleton
 	cfg Config
-
-	mu     sync.Mutex
-	nextID int
-	jobs   map[int]*job
 }
 
 var _ rm.Manager = (*Manager)(nil)
@@ -102,17 +96,30 @@ var _ rm.Manager = (*Manager)(nil)
 // Install boots the RM onto the cluster: controller on the front end,
 // slurmd on every compute node. Call before running the simulation.
 func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
-	m := &Manager{cl: cl, cfg: cfg.withDefaults(), jobs: make(map[int]*job)}
-	if _, err := cl.FrontEnd().SpawnSystemProc(cluster.Spec{
-		Exe: m.cfg.Name + "ctld", Passive: false, Main: m.controllerMain,
-	}); err != nil {
+	cfg = cfg.withDefaults()
+	sk, err := rm.Install(cl, rm.Profile{
+		Name:     cfg.Name,
+		Launcher: "srun",
+		LauncherArgs: func(spec rm.JobSpec) []string {
+			return []string{fmt.Sprintf("-N%d", spec.Nodes), fmt.Sprintf("--ntasks-per-node=%d", spec.TasksPerNode), spec.Exe}
+		},
+		Allocator:            cfg.Name + "ctld",
+		AllocPort:            CtrlPort,
+		DebugEvents:          cfg.DebugEvents,
+		AllocBase:            cfg.AllocBase,
+		AllocPerNode:         cfg.AllocPerNode,
+		PerTaskRootCost:      cfg.PerTaskRootCost,
+		PerNodeSpawnRootCost: cfg.PerNodeSpawnRootCost,
+	}, tree{})
+	if err != nil {
 		return nil, err
 	}
+	m := &Manager{Skeleton: sk, cfg: cfg}
 	for i := 0; i < cl.NumNodes(); i++ {
 		node := cl.Node(i)
 		d := &slurmd{m: m, node: node, jobProcs: make(map[int][]*cluster.Proc)}
 		if _, err := node.SpawnSystemProc(cluster.Spec{
-			Exe: m.cfg.Name + "d", Main: d.main, Resident: true,
+			Exe: cfg.Name + "d", Main: d.main, Resident: true,
 		}); err != nil {
 			return nil, err
 		}
@@ -120,171 +127,51 @@ func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Name implements rm.Manager.
-func (m *Manager) Name() string { return m.cfg.Name }
+// tree is the rm.Fabric of the slurmd launch tree: one request to the
+// root slurmd of the node list, which forwards it down the k-ary tree and
+// answers with the merged result (slurmd.go).
+type tree struct{}
 
-// Config returns the effective configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
-// DebugEventCount implements rm.Manager; SLURM's count is scale-free.
-func (m *Manager) DebugEventCount(rm.JobSpec) int { return m.cfg.DebugEvents }
-
-// StartJobHeld implements rm.Manager.
-func (m *Manager) StartJobHeld(spec rm.JobSpec) (rm.Job, error) {
-	return m.startJob(spec, true)
+// treeRequest sends a raw request to the root slurmd of nodelist and
+// returns the reply payload.
+func treeRequest(h *simnet.Host, nodelist []string, raw []byte) (*lmonp.Reader, error) {
+	return rm.Call(h, simnet.Addr{Host: nodelist[0], Port: SlurmdPort}, raw)
 }
 
-// StartJob implements rm.Manager.
-func (m *Manager) StartJob(spec rm.JobSpec) (rm.Job, error) {
-	return m.startJob(spec, false)
-}
-
-func (m *Manager) startJob(spec rm.JobSpec, hold bool) (rm.Job, error) {
-	if spec.Nodes <= 0 || spec.TasksPerNode <= 0 {
-		return nil, errors.New("slurm: job needs positive Nodes and TasksPerNode")
-	}
-	if spec.Nodes > m.cl.NumNodes() {
-		return nil, fmt.Errorf("%w: want %d, have %d", rm.ErrInsufficient, spec.Nodes, m.cl.NumNodes())
-	}
-	m.mu.Lock()
-	m.nextID++
-	j := &job{
-		m:    m,
-		id:   m.nextID,
-		spec: spec,
-		cmds: vtime.NewChan[command](m.cl.Sim()),
-	}
-	m.jobs[j.id] = j
-	m.mu.Unlock()
-
-	p, err := m.cl.FrontEnd().SpawnProc(cluster.Spec{
-		Exe:  "srun",
-		Main: j.launcherMain,
-		Hold: hold,
-		Args: []string{fmt.Sprintf("-N%d", spec.Nodes), fmt.Sprintf("--ntasks-per-node=%d", spec.TasksPerNode), spec.Exe},
-	})
+func (tree) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (proctab.Table, error) {
+	rd, err := treeRequest(p.Host(), nodes, encodeLaunch(id, spec.TasksPerNode, spec.Exe, nodes))
 	if err != nil {
 		return nil, err
 	}
-	j.proc = p
-	// The reaper serves control commands once the launcher dies, so a kill
-	// against a lost launcher still reaps the job instead of hanging.
-	m.cl.Sim().Go(fmt.Sprintf("slurm-job-reaper-%d", j.id), j.reaper)
-	return j, nil
-}
-
-// FindJob implements rm.Manager.
-func (m *Manager) FindJob(id int) (rm.Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
-
-// --- controller ---
-
-// Controller request opcodes.
-const (
-	opAlloc = 1 // payload: n uint32, exclude []string → status, nodelist
-)
-
-func (m *Manager) controllerMain(p *cluster.Proc) {
-	l, err := p.Host().Listen(CtrlPort)
-	if err != nil {
-		return
-	}
-	free := make(map[string]bool, m.cl.NumNodes())
-	order := make([]string, 0, m.cl.NumNodes())
-	for i := 0; i < m.cl.NumNodes(); i++ {
-		name := m.cl.Node(i).Name()
-		free[name] = true
-		order = append(order, name)
-	}
-	var mu sync.Mutex
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		p.Sim().Go("slurmctld-conn", func() {
-			defer conn.Close()
-			r, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			rd := lmonp.NewReader(r)
-			op, _ := rd.Uint32()
-			if op != opAlloc {
-				writeFrame(conn, lmonp.AppendString(nil, "bad op"))
-				return
-			}
-			n32, _ := rd.Uint32()
-			exclude, _ := rd.StringList()
-			n := int(n32)
-			p.Compute(m.cfg.AllocBase + time.Duration(n)*m.cfg.AllocPerNode)
-			ex := make(map[string]bool, len(exclude))
-			for _, e := range exclude {
-				ex[e] = true
-			}
-			mu.Lock()
-			var picked []string
-			for _, name := range order {
-				if len(picked) == n {
-					break
-				}
-				if free[name] && !ex[name] {
-					picked = append(picked, name)
-				}
-			}
-			if len(picked) < n {
-				mu.Unlock()
-				writeFrame(conn, lmonp.AppendString(nil, "insufficient nodes"))
-				return
-			}
-			for _, name := range picked {
-				free[name] = false
-			}
-			mu.Unlock()
-			out := lmonp.AppendString(nil, "") // empty error
-			out = lmonp.AppendStringList(out, picked)
-			writeFrame(conn, out)
-		})
-	}
-}
-
-// allocate asks the controller for n nodes, excluding the given ones.
-func (m *Manager) allocate(from *simnet.Host, n int, exclude []string) ([]string, error) {
-	conn, err := from.Dial(simnet.Addr{Host: m.cl.FrontEnd().Name(), Port: CtrlPort})
-	if err != nil {
-		return nil, fmt.Errorf("slurm: controller unreachable: %w", err)
-	}
-	defer conn.Close()
-	req := lmonp.AppendUint32(nil, opAlloc)
-	req = lmonp.AppendUint32(req, uint32(n))
-	req = lmonp.AppendStringList(req, exclude)
-	if err := writeFrame(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := readFrame(conn)
+	enc, err := rd.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	rd := lmonp.NewReader(resp)
-	emsg, err := rd.String()
-	if err != nil {
-		return nil, err
-	}
-	if emsg != "" {
-		return nil, fmt.Errorf("%w: %s", rm.ErrInsufficient, emsg)
-	}
-	return rd.StringList()
+	return proctab.Decode(enc)
 }
 
-// Frame helpers shared with the wire package.
-var (
-	writeFrame = lmonp.WriteFrame
-	readFrame  = lmonp.ReadFrame
-)
+func (tree) Spawn(p *cluster.Proc, id int, nodes []string, spec rm.DaemonSpec) error {
+	rd, err := treeRequest(p.Host(), nodes, encodeSpawn(id, spec, nodes))
+	if err != nil {
+		return err
+	}
+	count, err := rd.Uint32()
+	if err != nil {
+		return err
+	}
+	if int(count) != len(nodes) {
+		return fmt.Errorf("slurm: spawned %d daemons on %d nodes", count, len(nodes))
+	}
+	return nil
+}
+
+func (tree) Kill(from *simnet.Host, id int, nodes []string) error {
+	_, err := treeRequest(from, nodes, encodeKill(id, nodes))
+	return err
+}
+
+// writeFrame is slurmd's reply and forward path.
+var writeFrame = lmonp.WriteFrame
 
 // joinNodes and splitNodes carry node lists on the wire and in the
 // daemon environment in SLURM's compressed hostlist form
@@ -305,5 +192,3 @@ func sortedEnv(env map[string]string) [][2]string {
 	}
 	return kv
 }
-
-var _ = proctab.Table(nil) // used by sibling files

@@ -8,9 +8,15 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
+
+// The rm.Manager contract every backend owes the engine is tested once, in
+// internal/rm/conformance_test.go, against slurm, bgl and alps alike. What
+// stays here drives this package's own code — the slurmd tree and the
+// slurm cost profile — through the shared skeleton.
 
 // testRig boots a cluster with the RM installed.
 func testRig(t *testing.T, nodes int, cfg Config) (*vtime.Sim, *cluster.Cluster, *Manager) {
@@ -55,6 +61,17 @@ func launchToBreakpoint(t *testing.T, m *Manager, spec rm.JobSpec) (rm.Job, *clu
 			t.Fatal(err)
 		}
 	}
+}
+
+// publishedTable reads the RPDTAB a launcher past MPIR_Breakpoint has
+// published, the way a debugger attaching late would.
+func publishedTable(t *testing.T, j rm.Job) proctab.Table {
+	t.Helper()
+	tab, err := rm.ReadProctab(j.LauncherProc())
+	if err != nil {
+		t.Error(err)
+	}
+	return tab
 }
 
 func TestLaunchReachesBreakpointWithValidProctab(t *testing.T) {
@@ -183,39 +200,6 @@ func TestSpawnDaemonsCoLocated(t *testing.T) {
 	}
 }
 
-func TestAllocateAndSpawnDisjointNodes(t *testing.T) {
-	sim, cl, m := testRig(t, 10, Config{})
-	var mwNodes []string
-	cl.Register("mwd", func(p *cluster.Proc) { p.Compute(time.Millisecond) })
-	sim.Go("test", func() {
-		j, tr := launchToBreakpoint(t, m, rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 2})
-		if err := tr.Continue(); err != nil {
-			t.Error(err)
-			return
-		}
-		nodes, err := j.AllocateAndSpawn(3, rm.DaemonSpec{Exe: "mwd"})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		mwNodes = nodes
-		jobSet := map[string]bool{}
-		for _, n := range j.Nodes() {
-			jobSet[n] = true
-		}
-		for _, n := range nodes {
-			if jobSet[n] {
-				t.Errorf("MW node %s overlaps job allocation", n)
-			}
-		}
-		tr.Detach()
-	})
-	sim.Run()
-	if len(mwNodes) != 3 {
-		t.Fatalf("allocated %d MW nodes, want 3", len(mwNodes))
-	}
-}
-
 func TestAllocateInsufficientNodes(t *testing.T) {
 	sim, _, m := testRig(t, 4, Config{})
 	sim.Go("test", func() {
@@ -335,8 +319,7 @@ func TestUntracedJobRunsToBreakpointAlone(t *testing.T) {
 		}
 		// Give the launch time to complete, then attach and read directly.
 		sim.Sleep(5 * time.Second)
-		jj := j.(*job)
-		tab = len(jj.Proctab())
+		tab = len(publishedTable(t, j))
 	})
 	sim.Run()
 	if tab != 6 {
@@ -438,7 +421,7 @@ func TestPropertyLaunchProctabValid(t *testing.T) {
 				return
 			}
 			sim.Sleep(10 * time.Second)
-			tab := j.(*job).Proctab()
+			tab := publishedTable(t, j)
 			if len(tab) != nodes*tpn || tab.Validate() != nil {
 				ok = false
 			}

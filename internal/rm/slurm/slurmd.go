@@ -234,13 +234,12 @@ func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, rep
 		}
 		merged := local
 		for _, rep := range st.replies {
-			rrd := lmonp.NewReader(rep)
-			emsg, err := rrd.String()
-			if err != nil || emsg != "" {
-				st.reply(lmonp.AppendString(nil, "slurmd: child launch failed: "+emsg))
+			res, err := rm.OpenReply(rep)
+			if err != nil {
+				st.reply(lmonp.AppendString(nil, "slurmd: child launch failed: "+err.Error()))
 				return
 			}
-			enc, err := rrd.Bytes()
+			enc, err := lmonp.NewReader(res).Bytes()
 			if err != nil {
 				st.reply(lmonp.AppendString(nil, err.Error()))
 				return
@@ -318,13 +317,12 @@ func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, repl
 		}
 		count := uint32(1)
 		for _, rep := range st.replies {
-			rrd := lmonp.NewReader(rep)
-			emsg, err := rrd.String()
-			if err != nil || emsg != "" {
-				st.reply(lmonp.AppendString(nil, "slurmd: child spawn failed: "+emsg))
+			res, err := rm.OpenReply(rep)
+			if err != nil {
+				st.reply(lmonp.AppendString(nil, "slurmd: child spawn failed: "+err.Error()))
 				return
 			}
-			c, err := rrd.Uint32()
+			c, err := lmonp.NewReader(res).Uint32()
 			if err != nil {
 				st.reply(lmonp.AppendString(nil, err.Error()))
 				return
@@ -338,10 +336,11 @@ func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, repl
 	d.forwardKids(p, raw, nodelist, kids, st)
 
 	// Only the node index differs across the K spawned daemons; the rest
-	// of the environment is interned once per request body and shared as
-	// the processes' base layer — one map for the whole fabric instead of
-	// one ~16-entry map per node.
-	base := internSpawnEnv(raw[8:], func() map[string]string {
+	// of the environment is interned once per request body (identical at
+	// every node: the self-index field is excluded) with the job, and
+	// shared as the processes' base layer — one map for the whole fabric
+	// instead of one ~16-entry map per node.
+	base := d.m.SpawnEnv(jobid, raw[8:], func() map[string]string {
 		env := make(map[string]string, len(kv)+3)
 		for _, e := range kv {
 			env[e[0]] = e[1]
@@ -400,21 +399,6 @@ func (d *slurmd) handleKill(p *cluster.Proc, raw []byte, rd *lmonp.Reader, reply
 		proc.Kill()
 	}
 	st.complete()
-}
-
-// spawnEnvCache interns the shared daemon-environment layer by the spawn
-// request body (identical at every node: the self-index field is excluded
-// by the caller). Like the hostlist expansion cache, it is the simulated
-// analogue of K nodes parsing the same request: one decoded value, shared.
-var spawnEnvCache sync.Map // string(request body) -> map[string]string
-
-func internSpawnEnv(body []byte, build func() map[string]string) map[string]string {
-	key := string(body)
-	if cached, ok := spawnEnvCache.Load(key); ok {
-		return cached.(map[string]string)
-	}
-	actual, _ := spawnEnvCache.LoadOrStore(key, build())
-	return actual.(map[string]string)
 }
 
 func (d *slurmd) track(jobid int, p *cluster.Proc) {

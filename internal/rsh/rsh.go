@@ -22,6 +22,7 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/rm"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
@@ -76,50 +77,32 @@ func Install(cl *cluster.Cluster, cfg Config) (*Service, error) {
 // sshdMain accepts rsh sessions and execs requested commands locally.
 func (s *Service) sshdMain(node *cluster.Node) cluster.ProcMain {
 	return func(p *cluster.Proc) {
-		l, err := p.Host().Listen(Port)
-		if err != nil {
-			return
-		}
-		for {
-			conn, err := l.Accept()
+		rm.Serve(p, Port, func(rd *lmonp.Reader, reply rm.Reply) {
+			// Authentication and shell startup happen on the remote side
+			// of the connection.
+			p.Compute(s.cfg.AuthCost)
+			exe, _ := rd.String()
+			args, _ := rd.StringList()
+			kv, err := rd.StringMap()
 			if err != nil {
+				reply(nil, errors.New("bad request"))
 				return
 			}
-			p.Sim().Go("sshd-session", func() {
-				defer conn.Close()
-				req, err := lmonp.ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				// Authentication and shell startup happen on the remote
-				// side of the connection.
-				p.Compute(s.cfg.AuthCost)
-				rd := lmonp.NewReader(req)
-				exe, _ := rd.String()
-				args, _ := rd.StringList()
-				kv, err := rd.StringMap()
-				if err != nil {
-					lmonp.WriteFrame(conn, lmonp.AppendString(nil, "bad request"))
-					return
-				}
-				env := make(map[string]string, len(kv))
-				for _, e := range kv {
-					env[e[0]] = e[1]
-				}
-				p.Compute(s.cfg.RemoteForkCost)
-				proc, err := node.SpawnProc(cluster.Spec{Exe: exe, Args: args, Env: env})
-				if err != nil {
-					lmonp.WriteFrame(conn, lmonp.AppendString(nil, err.Error()))
-					return
-				}
-				out := lmonp.AppendString(nil, "")
-				out = lmonp.AppendUint32(out, uint32(proc.Pid()))
-				lmonp.WriteFrame(conn, out)
-				// The rsh session lingers as the daemon's stdio/control
-				// channel until the daemon exits.
-				proc.Wait()
-			})
-		}
+			env := make(map[string]string, len(kv))
+			for _, e := range kv {
+				env[e[0]] = e[1]
+			}
+			p.Compute(s.cfg.RemoteForkCost)
+			proc, err := node.SpawnProc(cluster.Spec{Exe: exe, Args: args, Env: env})
+			if err != nil {
+				reply(nil, err)
+				return
+			}
+			reply(lmonp.AppendUint32(nil, uint32(proc.Pid())), nil)
+			// The rsh session lingers as the daemon's stdio/control
+			// channel until the daemon exits.
+			proc.Wait()
+		})
 	}
 }
 
@@ -148,6 +131,8 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 	done := vtime.NewChan[error](p.Sim())
 	_, err := p.Spawn(cluster.Spec{Exe: "rsh", Main: func(client *cluster.Proc) {
 		client.Compute(s.cfg.ClientForkCost)
+		// Not rm.Call: the connection outlives the reply, as the daemon's
+		// control channel.
 		conn, err := client.Host().Dial(simnet.Addr{Host: node, Port: Port})
 		if err != nil {
 			done.Send(err)
@@ -161,23 +146,8 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 			kv = append(kv, [2]string{k, v})
 		}
 		req = lmonp.AppendStringMap(req, kv)
-		if err := lmonp.WriteFrame(conn, req); err != nil {
+		if _, err := rm.Exchange(conn, req); err != nil {
 			done.Send(err)
-			return
-		}
-		resp, err := lmonp.ReadFrame(conn)
-		if err != nil {
-			done.Send(err)
-			return
-		}
-		rd := lmonp.NewReader(resp)
-		emsg, err := rd.String()
-		if err != nil {
-			done.Send(err)
-			return
-		}
-		if emsg != "" {
-			done.Send(errors.New(emsg))
 			return
 		}
 		done.Send(nil)

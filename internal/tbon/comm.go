@@ -1,9 +1,6 @@
 package tbon
 
 import (
-	"fmt"
-	"time"
-
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/simnet"
@@ -37,20 +34,9 @@ func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expect
 	}
 	cn := &CommNode{p: p, cfg: cfg, rank: rank, expect: expectChildren, listener: l}
 
-	addr, err := parseParent(parentAddr)
+	conn, err := dialParent(p, parentAddr)
 	if err != nil {
 		return nil, err
-	}
-	var conn *simnet.Conn
-	for attempt := 0; attempt < 2000; attempt++ {
-		conn, err = p.Host().Dial(addr)
-		if err == nil {
-			break
-		}
-		p.Sim().Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tbon: comm node dialing parent: %w", err)
 	}
 	cn.parent = conn
 	return cn, nil
@@ -62,25 +48,10 @@ func (cn *CommNode) Addr() string { return cn.listener.Addr().String() }
 // FinishHandshakeAndServe accepts the expected children, sends the upward
 // hello, and enters the relay loop.
 func (cn *CommNode) FinishHandshakeAndServe() error {
-	for i := 0; i < cn.expect; i++ {
-		c, err := cn.listener.Accept()
-		if err != nil {
-			return err
-		}
-		cn.p.Compute(cn.cfg.PerChildAcceptCost)
-		hello, err := lmonp.ReadFrame(c)
-		if err != nil {
-			return err
-		}
-		cn.p.Compute(cn.cfg.HandshakeCost)
-		rd := lmonp.NewReader(hello)
-		rk, _ := rd.Uint32()
-		lv, err := rd.Uint32()
-		if err != nil {
-			return err
-		}
-		cn.children = append(cn.children, child{conn: c, rank: int(rk), leaves: int(lv)})
-		cn.leaves += int(lv)
+	var err error
+	cn.children, cn.leaves, err = acceptChildren(cn.p, cn.cfg, cn.listener, cn.expect)
+	if err != nil {
+		return err
 	}
 	hello := lmonp.AppendUint32(nil, uint32(cn.rank))
 	hello = lmonp.AppendUint32(hello, uint32(cn.leaves))
@@ -111,21 +82,10 @@ func (cn *CommNode) Serve() error {
 				return err
 			}
 		}
-		f := lookupFilter(pkt.Filter)
-		var acc []byte
-		for _, c := range cn.children {
-			resp, err := lmonp.ReadFrame(c.conn)
-			if err != nil {
-				cn.close()
-				return err
-			}
-			rpkt, err := decodePacket(resp)
-			if err != nil {
-				cn.close()
-				return err
-			}
-			cn.p.Compute(cn.cfg.HandshakeCost / 3)
-			acc = f(acc, rpkt.Data)
+		acc, err := gatherMerged(cn.p, cn.cfg, cn.children, pkt.Filter)
+		if err != nil {
+			cn.close()
+			return err
 		}
 		up := pkt
 		up.Data = acc

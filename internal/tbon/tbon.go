@@ -152,31 +152,46 @@ func NewFrontEnd(p *cluster.Proc, cfg Config) (*FrontEnd, error) {
 // Addr returns the root's listen address (host:port) for daemons to dial.
 func (fe *FrontEnd) Addr() string { return fe.listener.Addr().String() }
 
+// acceptChildren accepts exactly n children on l for the process p,
+// charging it the per-child accept and handshake costs, and returns them
+// with the leaf total of their subtrees. On an error the children accepted
+// so far are still returned, for the caller to close.
+func acceptChildren(p *cluster.Proc, cfg Config, l *simnet.Listener, n int) ([]child, int, error) {
+	var kids []child
+	leaves := 0
+	for i := 0; i < n; i++ {
+		conn, err := l.Accept()
+		if err != nil {
+			return kids, leaves, err
+		}
+		p.Compute(cfg.PerChildAcceptCost)
+		hello, err := lmonp.ReadFrame(conn)
+		if err != nil {
+			conn.Close()
+			return kids, leaves, err
+		}
+		p.Compute(cfg.HandshakeCost)
+		rd := lmonp.NewReader(hello)
+		rank, _ := rd.Uint32()
+		lv, err := rd.Uint32()
+		if err != nil {
+			conn.Close()
+			return kids, leaves, fmt.Errorf("tbon: bad hello: %w", err)
+		}
+		kids = append(kids, child{conn: conn, rank: int(rank), leaves: int(lv)})
+		leaves += int(lv)
+	}
+	return kids, leaves, nil
+}
+
 // AcceptChildren accepts exactly n direct children, charging the per-child
 // accept and handshake costs — the connection-establishment phase whose
 // serial root cost dominates MRNet's 1-deep startup.
 func (fe *FrontEnd) AcceptChildren(n int) error {
-	for i := 0; i < n; i++ {
-		conn, err := fe.listener.Accept()
-		if err != nil {
-			return err
-		}
-		fe.p.Compute(fe.cfg.PerChildAcceptCost)
-		hello, err := lmonp.ReadFrame(conn)
-		if err != nil {
-			return err
-		}
-		fe.p.Compute(fe.cfg.HandshakeCost)
-		rd := lmonp.NewReader(hello)
-		rank, _ := rd.Uint32()
-		leaves, err := rd.Uint32()
-		if err != nil {
-			return fmt.Errorf("tbon: bad hello: %w", err)
-		}
-		fe.children = append(fe.children, child{conn: conn, rank: int(rank), leaves: int(leaves)})
-		fe.leaves += int(leaves)
-	}
-	return nil
+	kids, leaves, err := acceptChildren(fe.p, fe.cfg, fe.listener, n)
+	fe.children = append(fe.children, kids...)
+	fe.leaves += leaves
+	return err
 }
 
 // Leaves returns the number of leaf back-ends connected (directly or
@@ -194,12 +209,13 @@ func (fe *FrontEnd) Multicast(pkt Packet) error {
 	return nil
 }
 
-// GatherMerged reads one (possibly pre-merged) response per direct child
-// and merges them with pkt's filter, returning the reduced payload.
-func (fe *FrontEnd) GatherMerged(filter string) ([]byte, error) {
+// gatherMerged reads one (possibly pre-merged) response per child and
+// merges them with the named filter on the process p, returning the
+// reduced payload.
+func gatherMerged(p *cluster.Proc, cfg Config, children []child, filter string) ([]byte, error) {
 	f := lookupFilter(filter)
 	var acc []byte
-	for _, c := range fe.children {
+	for _, c := range children {
 		raw, err := lmonp.ReadFrame(c.conn)
 		if err != nil {
 			return nil, err
@@ -208,10 +224,16 @@ func (fe *FrontEnd) GatherMerged(filter string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		fe.p.Compute(fe.cfg.HandshakeCost / 3) // per-packet processing
+		p.Compute(cfg.HandshakeCost / 3) // per-packet processing
 		acc = f(acc, pkt.Data)
 	}
 	return acc, nil
+}
+
+// GatherMerged reads one (possibly pre-merged) response per direct child
+// and merges them with the named filter, returning the reduced payload.
+func (fe *FrontEnd) GatherMerged(filter string) ([]byte, error) {
+	return gatherMerged(fe.p, fe.cfg, fe.children, filter)
 }
 
 // Request multicasts a request and returns the filter-merged responses —
@@ -240,23 +262,30 @@ type Leaf struct {
 // ErrNoParent reports a missing/invalid parent address.
 var ErrNoParent = errors.New("tbon: no parent address")
 
-// ConnectLeaf dials the parent and sends the hello. rank identifies the
-// leaf; retry covers parents that are still coming up.
-func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
-	addr, err := parseParent(parentAddr)
+// dialParent dials a parent's listen address, retrying while the parent is
+// still coming up.
+func dialParent(p *cluster.Proc, parentAddr string) (*simnet.Conn, error) {
+	addr, err := simnet.ParseAddr(parentAddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %q", ErrNoParent, parentAddr)
 	}
 	var conn *simnet.Conn
 	for attempt := 0; attempt < 2000; attempt++ {
 		conn, err = p.Host().Dial(addr)
 		if err == nil {
-			break
+			return conn, nil
 		}
 		p.Sim().Sleep(5 * time.Millisecond)
 	}
+	return nil, fmt.Errorf("tbon: dialing parent %s: %w", parentAddr, err)
+}
+
+// ConnectLeaf dials the parent and sends the hello. rank identifies the
+// leaf.
+func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
+	conn, err := dialParent(p, parentAddr)
 	if err != nil {
-		return nil, fmt.Errorf("tbon: leaf %d dialing %s: %w", rank, parentAddr, err)
+		return nil, err
 	}
 	hello := lmonp.AppendUint32(nil, uint32(rank))
 	hello = lmonp.AppendUint32(hello, 1)
@@ -315,13 +344,4 @@ func LaunchNativeFlat(p *cluster.Proc, svc *rsh.Service, nodes []string, leafExe
 		return nil, err
 	}
 	return fe, nil
-}
-
-// parseParent parses a parent address, wrapping failures in ErrNoParent.
-func parseParent(s string) (simnet.Addr, error) {
-	addr, err := simnet.ParseAddr(s)
-	if err != nil {
-		return addr, fmt.Errorf("%w: %q", ErrNoParent, s)
-	}
-	return addr, nil
 }

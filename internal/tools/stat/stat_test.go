@@ -105,8 +105,7 @@ func TestNativeModeEquivalentResult(t *testing.T) {
 
 			// Native path needs the task map (the old shared-file
 			// mechanism); derive it from the RM's proctable.
-			jj := j.(interface{ Proctab() proctab.Table })
-			tab := jj.Proctab()
+			tab := jobTable(t, j)
 			ranks := map[string][]int{}
 			for _, d := range tab {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)
@@ -132,6 +131,16 @@ func TestNativeModeEquivalentResult(t *testing.T) {
 	}
 }
 
+// jobTable reads a running job's RPDTAB off its launcher.
+func jobTable(t *testing.T, j rm.Job) proctab.Table {
+	t.Helper()
+	tab, err := rm.ReadProctab(j.LauncherProc())
+	if err != nil {
+		t.Error(err)
+	}
+	return tab
+}
+
 func TestLaunchMONFasterThanRshAtScale(t *testing.T) {
 	sim, cl, mgr, svc := rig(t, 32)
 	var lmTime, rshTime time.Duration
@@ -152,8 +161,7 @@ func TestLaunchMONFasterThanRshAtScale(t *testing.T) {
 			lmTime = lm.StartupTime
 			lm.Close()
 
-			jj := j.(interface{ Proctab() proctab.Table })
-			tab := jj.Proctab()
+			tab := jobTable(t, j)
 			ranks := map[string][]int{}
 			for _, d := range tab {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)

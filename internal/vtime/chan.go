@@ -75,6 +75,20 @@ func (c *Chan[T]) Unhandle() {
 	c.handler = nil
 }
 
+// popLocked removes and returns the head of the (non-empty) queue. The
+// vacated slot is zeroed: the backing array outlives the pop — until an
+// append happens to reallocate it — and would otherwise keep the last few
+// values of a long-lived channel (a resident listener's accepted
+// connections, a link's messages) reachable for as long as the channel.
+// Caller must hold s.mu.
+func (c *Chan[T]) popLocked() T {
+	v := c.q[0]
+	var zero T
+	c.q[0] = zero
+	c.q = c.q[1:]
+	return v
+}
+
 // pumpLocked schedules the next handler delivery if one is due and none is
 // in flight. Caller must hold s.mu.
 func (c *Chan[T]) pumpLocked() {
@@ -99,8 +113,7 @@ func (c *Chan[T]) deliverOne() {
 		return
 	}
 	if len(c.q) > 0 {
-		v := c.q[0]
-		c.q = c.q[1:]
+		v := c.popLocked()
 		c.s.mu.Unlock()
 		fn(v, true)
 		c.s.mu.Lock()
@@ -158,9 +171,7 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	}
 	for {
 		if len(c.q) > 0 {
-			v = c.q[0]
-			c.q = c.q[1:]
-			return v, true
+			return c.popLocked(), true
 		}
 		if c.closed || c.s.stopped {
 			var zero T
@@ -186,9 +197,7 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 	deadline := c.s.now + d
 	for {
 		if len(c.q) > 0 {
-			v = c.q[0]
-			c.q = c.q[1:]
-			return v, true, false
+			return c.popLocked(), true, false
 		}
 		if c.closed || c.s.stopped {
 			var zero T
@@ -223,9 +232,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if len(c.q) == 0 {
 		return v, false
 	}
-	v = c.q[0]
-	c.q = c.q[1:]
-	return v, true
+	return c.popLocked(), true
 }
 
 // Len returns the number of queued values.

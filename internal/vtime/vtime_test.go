@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -402,6 +403,37 @@ func TestDeterministicEndTime(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if got := run(); got != first {
 			t.Fatalf("run %d ended at %v, first ended at %v", i, got, first)
+		}
+	}
+}
+
+// TestChanPopReleasesValue: a value received from a Chan is the receiver's
+// alone — the queue's backing array, which lives on while the Chan does,
+// must not keep it reachable. (It did: a resident listener pinned the last
+// connections it had accepted, with their handlers and frames.)
+func TestChanPopReleasesValue(t *testing.T) {
+	c := NewChan[*[64]byte](New())
+	collected := make(chan struct{})
+	func() {
+		v := new([64]byte)
+		runtime.SetFinalizer(v, func(*[64]byte) { close(collected) })
+		c.Send(v)
+		c.Send(new([64]byte)) // still queued: the backing array stays in use
+	}()
+	if _, ok := c.TryRecv(); !ok {
+		t.Fatal("nothing queued")
+	}
+	deadline := time.After(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(c)
+			return
+		case <-deadline:
+			t.Fatal("a popped value is still reachable through its Chan")
+		default:
+			runtime.Gosched() // the finalizer runs on its own goroutine
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Command jobsnap runs the Jobsnap tool (paper §5.1) against a freshly
 // started MPI job on a simulated cluster and prints the per-task report:
 // rank, host, executable, pid, state, program counter, thread count,
-// memory statistics and CPU times — one line per task.
+// memory statistics and CPU times — one line per task. The tool attaches
+// by job id and detaches when done, leaving the job running: the workflow
+// the paper's introduction motivates for production triage.
 //
 // Usage:
 //
@@ -41,6 +43,7 @@ func main() {
 
 	var res jobsnap.Result
 	var runErr error
+	alive := 0
 	sim.Go("boot", func() {
 		if _, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "jobsnap", Main: func(p *cluster.Proc) {
 			j, err := mgr.StartJob(rm.JobSpec{Exe: "mpiapp", Nodes: *nodes, TasksPerNode: *tpn})
@@ -50,6 +53,12 @@ func main() {
 			}
 			p.Sim().Sleep(10 * time.Second) // let the job run before snapshotting
 			res, runErr = jobsnap.Run(p, j.ID())
+			// The job is untouched: once the detached daemons have had a
+			// moment to exit, only its tasks (and slurmd) are left.
+			p.Sim().Sleep(time.Second)
+			for i := 0; i < *nodes; i++ {
+				alive += cl.Node(i).NumProcs() - 1
+			}
 		}}); err != nil {
 			runErr = err
 		}
@@ -59,8 +68,8 @@ func main() {
 		fatal(runErr)
 	}
 	fmt.Print(res.Report)
-	fmt.Printf("\njobsnap: %d tasks on %d nodes; total %.3fs (launchmon %.3fs)\n",
-		res.Lines, *nodes, res.Total.Seconds(), res.LaunchTime.Seconds())
+	fmt.Printf("\njobsnap: %d tasks on %d nodes; total %.3fs (launchmon %.3fs); %d tasks still alive after detach\n",
+		res.Lines, *nodes, res.Total.Seconds(), res.LaunchTime.Seconds(), alive)
 }
 
 func fatal(err error) {

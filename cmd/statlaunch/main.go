@@ -2,7 +2,8 @@
 // one scale: it starts an MPI job on a simulated cluster, launches STAT's
 // stack-sampling daemons first through LaunchMON and then through the
 // ad hoc rsh path, reports both start-up times, and prints the process
-// equivalence classes from one sampling wave.
+// equivalence classes from one sampling wave — the handful of
+// representative tasks a full debugger would then attach to.
 //
 // Usage:
 //
@@ -20,7 +21,6 @@ import (
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/slurm"
 	"launchmon/internal/rsh"
-	"launchmon/internal/tbon"
 	"launchmon/internal/tools/stat"
 	"launchmon/internal/vtime"
 )
@@ -45,7 +45,7 @@ func main() {
 		fatal(err)
 	}
 	core.Setup(cl, mgr)
-	stat.Install(cl, tbon.Config{})
+	stat.Install(cl)
 
 	var runErr error
 	sim.Go("boot", func() {
@@ -57,7 +57,7 @@ func main() {
 			}
 			p.Sim().Sleep(10 * time.Second)
 
-			inst, err := stat.LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+			inst, err := stat.LaunchWithLaunchMON(p, j.ID())
 			if err != nil {
 				runErr = err
 				return
@@ -88,7 +88,7 @@ func main() {
 			for _, d := range tab {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)
 			}
-			nat, err := stat.LaunchWithRsh(p, svc, tab.Hosts(), ranks, tbon.Config{})
+			nat, err := stat.LaunchWithRsh(p, svc, tab.Hosts(), ranks)
 			if err != nil {
 				fmt.Printf("\nMRNet(rsh) launch FAILED: %v\n", err)
 				return

@@ -54,7 +54,7 @@ func BGLAblation() ([]BGLRow, error) {
 	}{
 		{"slurm", Scenario{}},
 		{"bgl-mpirun", Scenario{Install: bgl.Install}},
-		{"alps", Scenario{Install: func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }}},
+		{"alps", Scenario{Install: func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl) }}},
 		{"tree-acked", Scenario{Slurm: slurm.Config{
 			PerNodeSpawnRootCost: perNode * fanout / nodes,
 			PerTaskRootCost:      perTask * fanout / nodes,

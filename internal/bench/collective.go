@@ -138,9 +138,9 @@ func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		n, err := lmonp.NewReader(blob).Uint32()
-		if err != nil || int(n) != k {
-			return fmt.Errorf("flat gather merged %d of %d contributions (%v)", n, k, err)
+		rd := lmonp.NewReader(blob)
+		if n := rd.Uint32(); rd.Err() != nil || int(n) != k {
+			return fmt.Errorf("flat gather merged %d of %d contributions (%v)", n, k, rd.Err())
 		}
 		return nil
 	})
@@ -188,9 +188,9 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		v, err := lmonp.NewReader(sum).Uint64()
-		if err != nil || v != uint64(k) {
-			return fmt.Errorf("reduce summed %d of %d daemons (%v)", v, k, err)
+		rd := lmonp.NewReader(sum)
+		if v := rd.Uint64(); rd.Err() != nil || v != uint64(k) {
+			return fmt.Errorf("reduce summed %d of %d daemons (%v)", v, k, rd.Err())
 		}
 		return nil
 	})

@@ -39,7 +39,7 @@ type ContentionRow struct {
 	Tools    int // concurrent tool components on the one session
 	PayloadB int // per-daemon gather contribution bytes
 	Fanout   int // ICCL tree fanout
-	Window   int // credit window (0 = coll.DefaultWindow)
+	Window   int // credit window: always 0, coll.DefaultWindow (a pinned column)
 
 	Serialized time.Duration // go-signal → last result, lockstep plane
 	Concurrent time.Duration // go-signal → last result, tagged streams
@@ -55,15 +55,13 @@ type ContentionOpts struct {
 	Tools    int // concurrent tool components
 	PayloadB int // per-daemon gather contribution
 	Fanout   int // tree fanout
-	Window   int // credit window (0 → coll.DefaultWindow)
 }
 
 // ContentionAblation measures both phases at each scale.
 func ContentionAblation(o ContentionOpts, scales []int) ([]ContentionRow, error) {
 	return sweep("contention ablation", scales, func(k int) (ContentionRow, error) {
 		row := ContentionRow{
-			Daemons: k, Tools: o.Tools, PayloadB: o.PayloadB,
-			Fanout: o.Fanout, Window: o.Window,
+			Daemons: k, Tools: o.Tools, PayloadB: o.PayloadB, Fanout: o.Fanout,
 		}
 		var err error
 		if row.Serialized, row.SerializedBytes, err = measureContention(k, o, false); err != nil {
@@ -106,7 +104,6 @@ func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: exe},
 			ICCLFanout: o.Fanout,
-			CollWindow: o.Window,
 		},
 		BE: func(p *cluster.Proc, be *core.BackEnd) {
 			dc := be.Collective()
@@ -199,12 +196,8 @@ func PrintContention(w io.Writer, rows []ContentionRow) {
 	fmt.Fprintln(w, "Ablation — collective contention (lockstep serialization vs concurrent tagged streams)")
 	fmt.Fprintln(w, "daemons  tools payload fanout window  serialized concurrent speedup")
 	for _, r := range rows {
-		win := r.Window
-		if win == 0 {
-			win = coll.DefaultWindow
-		}
 		fmt.Fprintf(w, "%7d %6d %6dB %6d %6d %10.3fs %9.3fs %6.2fx\n",
-			r.Daemons, r.Tools, r.PayloadB, r.Fanout, win,
+			r.Daemons, r.Tools, r.PayloadB, r.Fanout, coll.DefaultWindow,
 			r.Serialized.Seconds(), r.Concurrent.Seconds(), r.Speedup)
 	}
 }

@@ -14,12 +14,10 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/core"
 	"launchmon/internal/dpcl"
-	"launchmon/internal/engine"
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/slurm"
 	"launchmon/internal/rsh"
 	"launchmon/internal/simnet"
-	"launchmon/internal/tbon"
 	"launchmon/internal/tools/jobsnap"
 	"launchmon/internal/tools/oss"
 	"launchmon/internal/tools/stat"
@@ -89,10 +87,10 @@ func handAssembled(k, fanout int, lean bool) (bracket, error) {
 			return b, err
 		}
 	}
-	core.SetupWithEngineConfig(cl, mgr, engine.Config{})
+	core.Setup(cl, mgr)
 	if !lean {
 		jobsnap.Install(cl)
-		stat.Install(cl, tbon.Config{})
+		stat.Install(cl)
 		oss.Install(cl)
 	}
 	cl.Register("ref_be", func(p *cluster.Proc) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"launchmon/internal/rm"
-	"launchmon/internal/tbon"
 	"launchmon/internal/tools/stat"
 )
 
@@ -74,7 +73,7 @@ func measureSTATLaunchMON(daemons, tasksPerDaemon int) (time.Duration, error) {
 		if err != nil {
 			return err
 		}
-		inst, err := stat.LaunchWithLaunchMON(r.P, j.ID(), tbon.Config{})
+		inst, err := stat.LaunchWithLaunchMON(r.P, j.ID())
 		if err != nil {
 			return err
 		}
@@ -114,7 +113,7 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 		for _, d := range tab {
 			ranks[d.Host] = append(ranks[d.Host], d.Rank)
 		}
-		inst, err := stat.LaunchWithRsh(r.P, r.Rsh, tab.Hosts(), ranks, tbon.Config{})
+		inst, err := stat.LaunchWithRsh(r.P, r.Rsh, tab.Hosts(), ranks)
 		if err != nil {
 			failed = true
 			return nil // expected at the largest scale

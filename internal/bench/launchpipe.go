@@ -149,15 +149,8 @@ func checkLaunchTables(contribs [][]byte, feTab proctab.Table, fullCopies bool) 
 	var union proctab.Table
 	for _, raw := range contribs {
 		rd := lmonp.NewReader(raw)
-		full, err := rd.Bytes()
-		if err != nil {
-			return false
-		}
-		if fullCopies && string(full) != fullHash {
-			return false
-		}
-		sliceRaw, err := rd.Bytes()
-		if err != nil {
+		full, sliceRaw := rd.Bytes(), rd.Bytes()
+		if rd.Err() != nil || fullCopies && string(full) != fullHash {
 			return false
 		}
 		slice, err := proctab.Decode(sliceRaw)

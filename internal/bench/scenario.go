@@ -13,12 +13,10 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/core"
 	"launchmon/internal/dpcl"
-	"launchmon/internal/engine"
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/slurm"
 	"launchmon/internal/rsh"
 	"launchmon/internal/simnet"
-	"launchmon/internal/tbon"
 	"launchmon/internal/tools/jobsnap"
 	"launchmon/internal/tools/oss"
 	"launchmon/internal/tools/stat"
@@ -98,10 +96,10 @@ func (sc Scenario) boot() (*Run, error) {
 			return nil, err
 		}
 	}
-	core.SetupWithEngineConfig(cl, r.Mgr, engine.Config{})
+	core.Setup(cl, r.Mgr)
 	if !sc.Lean {
 		jobsnap.Install(cl)
-		stat.Install(cl, tbon.Config{})
+		stat.Install(cl)
 		oss.Install(cl)
 	}
 	if exe := sc.Opts.Daemon.Exe; exe != "" {

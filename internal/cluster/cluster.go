@@ -217,13 +217,6 @@ var ErrProcLimit = errors.New("cluster: fork: resource temporarily unavailable")
 // ErrNodeDown is returned by Spawn on a killed node.
 var ErrNodeDown = errors.New("cluster: node is down")
 
-// Down reports whether the node has been killed.
-func (n *Node) Down() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down
-}
-
 // Fail kills the node: its network host is severed (peers observe
 // ErrPeerDead once in-flight data drains) and every process on it is
 // force-terminated. Further spawns fail with ErrNodeDown. This is the
@@ -300,7 +293,7 @@ type Spec struct {
 // way processes come into existence; remote placement happens through
 // daemons (RM or rsh) that call SpawnProc on their own node.
 func (n *Node) SpawnProc(spec Spec) (*Proc, error) {
-	n.chargeFork()
+	n.cl.sim.Sleep(n.reserveFork())
 	return n.spawn(spec)
 }
 
@@ -317,17 +310,7 @@ func (n *Node) SpawnSystemProc(spec Spec) (*Proc, error) {
 // and cb fires at the instant the fork completes, with the process
 // spawned at that same instant.
 func (n *Node) SpawnProcAsync(spec Spec, cb func(*Proc, error)) {
-	d := n.cl.opts.ForkCost
-	now := n.cl.sim.Now()
-	n.mu.Lock()
-	start := now
-	if n.cpuFree > start {
-		start = n.cpuFree
-	}
-	n.cpuFree = start + d
-	wait := n.cpuFree - now
-	n.mu.Unlock()
-	n.cl.sim.After(wait, func() {
+	n.cl.sim.After(n.reserveFork(), func() {
 		p, err := n.spawn(spec)
 		cb(p, err)
 	})
@@ -400,19 +383,17 @@ func (p *Proc) Start() {
 	}
 }
 
-// chargeFork blocks the caller for the fork cost, serializing forks per node.
-func (n *Node) chargeFork() {
-	d := n.cl.opts.ForkCost
+// reserveFork books the node's next fork window — forks on a node
+// serialize — and returns how long from now until that fork completes.
+func (n *Node) reserveFork() time.Duration {
 	now := n.cl.sim.Now()
 	n.mu.Lock()
-	start := now
-	if n.cpuFree > start {
-		start = n.cpuFree
+	defer n.mu.Unlock()
+	if n.cpuFree < now {
+		n.cpuFree = now
 	}
-	n.cpuFree = start + d
-	wait := n.cpuFree - now
-	n.mu.Unlock()
-	n.cl.sim.Sleep(wait)
+	n.cpuFree += n.cl.opts.ForkCost
+	return n.cpuFree - now
 }
 
 func copyEnv(env map[string]string) map[string]string {

@@ -147,29 +147,12 @@ var ErrBadHeader = errors.New("coll: bad header")
 
 // DecodeHeader consumes one encoded header from rd.
 func DecodeHeader(rd *lmonp.Reader) (Header, error) {
-	var h Header
-	op, err := rd.Byte()
-	if err != nil {
-		return h, err
+	h := Header{Op: Op(rd.Byte()), Tag: rd.Uint32(), Index: rd.Uint32(), Lo: rd.Uint32(), Hi: rd.Uint32(), Filter: rd.String()}
+	if err := rd.Err(); err != nil {
+		return Header{}, err
 	}
-	h.Op = Op(op)
 	if h.Op < OpBroadcast || h.Op > OpCredit {
-		return h, fmt.Errorf("%w: op %d", ErrBadHeader, op)
-	}
-	if h.Tag, err = rd.Uint32(); err != nil {
-		return h, err
-	}
-	if h.Index, err = rd.Uint32(); err != nil {
-		return h, err
-	}
-	if h.Lo, err = rd.Uint32(); err != nil {
-		return h, err
-	}
-	if h.Hi, err = rd.Uint32(); err != nil {
-		return h, err
-	}
-	if h.Filter, err = rd.String(); err != nil {
-		return h, err
+		return Header{}, fmt.Errorf("%w: op %d", ErrBadHeader, h.Op)
 	}
 	return h, nil
 }
@@ -236,21 +219,16 @@ func DecodeMsg(end bool, payload, usr []byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	f := Frame{H: h}
+	f := Frame{H: h, End: end}
 	if end {
-		if f.Total, err = rd.Uint64(); err != nil {
-			return Frame{}, fmt.Errorf("%w: end total: %v", ErrBadHeader, err)
-		}
-		if f.Sum, err = rd.Uint64(); err != nil {
-			return Frame{}, fmt.Errorf("%w: end sum: %v", ErrBadHeader, err)
-		}
-		f.End = true
-		return f, nil
+		f.Total = rd.Uint64()
+	} else {
+		f.Body = usr
 	}
-	if f.Sum, err = rd.Uint64(); err != nil {
-		return Frame{}, fmt.Errorf("%w: chunk sum: %v", ErrBadHeader, err)
+	f.Sum = rd.Uint64()
+	if err := rd.Err(); err != nil {
+		return Frame{}, fmt.Errorf("%w: total and checksum: %v", ErrBadHeader, err)
 	}
-	f.Body = usr
 	return f, nil
 }
 
@@ -282,25 +260,14 @@ func AppendEntries(b []byte, entries []Entry) []byte {
 // DecodeEntries parses an entry list (blobs alias the input buffer).
 func DecodeEntries(b []byte) ([]Entry, error) {
 	rd := lmonp.NewReader(b)
-	n, err := rd.Uint32()
-	if err != nil {
-		return nil, err
-	}
 	// Each entry needs at least its rank and blob-length fields.
-	if uint64(n)*8 > uint64(rd.Remaining()) {
-		return nil, fmt.Errorf("%w: %d entries, %d bytes remain", lmonp.ErrTruncated, n, rd.Remaining())
-	}
+	n := rd.Count(8)
 	out := make([]Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		rk, err := rd.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		blob, err := rd.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Entry{Rank: int(rk), Blob: blob})
+	for i := 0; i < n; i++ {
+		out = append(out, Entry{Rank: int(rd.Uint32()), Blob: rd.Bytes()})
+	}
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

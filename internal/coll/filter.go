@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"launchmon/internal/lmonp"
 )
 
 // A Combine folds one more contribution into an accumulator at a tree
@@ -110,46 +112,27 @@ func makeTopK(k int) Combine {
 
 // EncodeSample renders a sample item list for the topk filter.
 func EncodeSample(items [][]byte) []byte {
-	b := make([]byte, 0, 4)
-	b = appendUint32(b, uint32(len(items)))
+	b := lmonp.AppendUint32(make([]byte, 0, 4), uint32(len(items)))
 	for _, it := range items {
-		b = appendUint32(b, uint32(len(it)))
-		b = append(b, it...)
+		b = lmonp.AppendBytes(b, it)
 	}
 	return b
 }
 
-// DecodeSample parses a sample item list (nil decodes to no items).
+// DecodeSample parses a sample item list (nil decodes to no items; the
+// items alias b).
 func DecodeSample(b []byte) ([][]byte, error) {
 	if b == nil {
 		return nil, nil
 	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("coll: short sample list")
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(n)*4 > uint64(len(b)) {
-		return nil, fmt.Errorf("coll: sample list claims %d items in %d bytes", n, len(b))
-	}
+	rd := lmonp.NewReader(b)
+	n := rd.Count(4)
 	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("coll: truncated sample item")
-		}
-		l := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint64(l) > uint64(len(b)) {
-			return nil, fmt.Errorf("coll: sample item of %d bytes, %d remain", l, len(b))
-		}
-		out = append(out, b[:l])
-		b = b[l:]
+	for i := 0; i < n; i++ {
+		out = append(out, rd.Bytes())
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("coll: sample list: %w", err)
 	}
 	return out, nil
-}
-
-func appendUint32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
 }

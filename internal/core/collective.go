@@ -12,8 +12,8 @@ import (
 // SendToBE/RecvFromBE pipe for bulk tool traffic): Session.Broadcast /
 // Scatter / Gather / Reduce on the front end, mirrored by the daemon-side
 // Collective handle on every back-end daemon — and, since the MW fabric
-// gained parity, Session.MWBroadcast / MWScatter / MWGather / MWReduce
-// mirrored by Middleware.Collective over the MW tree. Payloads ride the
+// gained parity, Session.MWGather and the MW*Tag forms mirrored by
+// Middleware.Collective over the MW tree. Payloads ride the
 // fabric's ICCL k-ary tree as bounded-size chunk streams (codec
 // internal/coll, routing internal/iccl); interior daemons forward — and,
 // for Reduce, combine — instead of the master relaying every byte over
@@ -171,10 +171,6 @@ func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
 // daemon receives it from Collective().Broadcast.
 func (s *Session) Broadcast(data []byte) error { return s.be.lockstep().broadcast(data) }
 
-// MWBroadcast ships data to every middleware daemon over the MW tree
-// (received by Middleware.Collective().Broadcast).
-func (s *Session) MWBroadcast(data []byte) error { return s.mw.lockstep().broadcast(data) }
-
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
 func (s *Session) BroadcastTag(tag uint32, data []byte) error {
 	return s.be.tagged(tag).broadcast(data)
@@ -190,10 +186,6 @@ func (s *Session) MWBroadcastTag(tag uint32, data []byte) error {
 // Collective().Scatter; interior tree nodes route each part toward its
 // rank's subtree, so no single link ever carries the whole part set.
 func (s *Session) Scatter(parts [][]byte) error { return s.be.lockstep().scatter(parts) }
-
-// MWScatter delivers parts[rank] to each middleware daemon over the MW
-// tree (received by Middleware.Collective().Scatter).
-func (s *Session) MWScatter(parts [][]byte) error { return s.mw.lockstep().scatter(parts) }
 
 // ScatterTag is Scatter on an explicitly tagged concurrent stream.
 func (s *Session) ScatterTag(tag uint32, parts [][]byte) error {
@@ -227,10 +219,6 @@ func (s *Session) MWGatherTag(tag uint32) ([][]byte, error) { return s.mw.tagged
 // combined result — a sum or top-k sample reaches the front end at a
 // size independent of the daemon count.
 func (s *Session) Reduce() ([]byte, error) { return s.be.lockstep().reduce() }
-
-// MWReduce receives the tree-combined reduction of every middleware
-// daemon's Collective().Reduce contribution over the MW tree.
-func (s *Session) MWReduce() ([]byte, error) { return s.mw.lockstep().reduce() }
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream.
 func (s *Session) ReduceTag(tag uint32) ([]byte, error) { return s.be.tagged(tag).reduce() }

@@ -105,9 +105,9 @@ func TestCollectiveRoundTripAllOps(t *testing.T) {
 					t.Errorf("reduce: %v", err)
 					return
 				}
-				v, err := lmonp.NewReader(sum).Uint64()
-				if err != nil || v != uint64(n) {
-					t.Errorf("reduce sum = %d (%v), want %d", v, err, n)
+				rd := lmonp.NewReader(sum)
+				if v := rd.Uint64(); rd.Err() != nil || v != uint64(n) {
+					t.Errorf("reduce sum = %d (%v), want %d", v, rd.Err(), n)
 				}
 				sess.Kill()
 			})
@@ -358,10 +358,11 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 			if acc == nil {
 				return append([]byte(nil), next...), nil
 			}
-			a, _ := lmonp.NewReader(acc).Uint64()
-			b, errB := lmonp.NewReader(next).Uint64()
-			if errB != nil {
-				return nil, errB
+			a := lmonp.NewReader(acc).Uint64()
+			rd := lmonp.NewReader(next)
+			b := rd.Uint64()
+			if rd.Err() != nil {
+				return nil, rd.Err()
 			}
 			if b < a {
 				return append([]byte(nil), next...), nil
@@ -396,8 +397,7 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		v, _ := lmonp.NewReader(out).Uint64()
-		if v != 100 {
+		if v := lmonp.NewReader(out).Uint64(); v != 100 {
 			t.Errorf("min = %d, want 100", v)
 		}
 		sess.Kill()

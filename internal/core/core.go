@@ -21,7 +21,7 @@
 // BackEnd.Collective handle, stream chunked payloads over the ICCL
 // k-ary tree with interior forwarding and filtered reduction (see
 // internal/coll and DESIGN.md "Tool data plane"). The middleware fabric
-// has full parity: Session.MWBroadcast/MWScatter/MWGather/MWReduce pair
+// has the same plane: Session.MWGather and the MW*Tag operations pair
 // with Middleware.Collective over the MW tree, the MW session seed
 // streams cut-through during LaunchMW, and MWOptions.Health runs the
 // failure detector over the MW topology.

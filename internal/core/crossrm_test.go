@@ -26,7 +26,7 @@ func TestPortabilityAcrossResourceManagers(t *testing.T) {
 	}{
 		{"slurm", func(cl *cluster.Cluster) (rm.Manager, error) { return slurm.Install(cl, slurm.Config{}) }},
 		{"bgl-mpirun", func(cl *cluster.Cluster) (rm.Manager, error) { return bgl.Install(cl) }},
-		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }},
+		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl) }},
 	}
 	for _, mgr := range managers {
 		mgr := mgr
@@ -109,7 +109,7 @@ func TestAttachPortability(t *testing.T) {
 		install func(cl *cluster.Cluster) (rm.Manager, error)
 	}{
 		{"slurm", func(cl *cluster.Cluster) (rm.Manager, error) { return slurm.Install(cl, slurm.Config{}) }},
-		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }},
+		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl) }},
 	}
 	for _, mgr := range managers {
 		mgr := mgr

@@ -467,7 +467,7 @@ func (d *daemonSession) Scatter(parts [][]byte) ([]byte, error) { return d.comm.
 // tool-data plane, mirroring the Session methods: what the FE broadcasts
 // or scatters every daemon of the fabric receives here, and what every
 // daemon gathers or reduces arrives at the FE (Session.Broadcast/... for
-// back-end daemons, Session.MWBroadcast/... for middleware daemons);
+// back-end daemons, Session.MWGather and MW*Tag for middleware daemons);
 // Barrier, AllGather and AllReduce stay inside the tree.
 func (d *daemonSession) Collective() *iccl.Plane { return d.coll }
 
@@ -536,12 +536,8 @@ func distributeSessionSeed(comm *iccl.Comm, masterTab proctab.Table, feData []by
 		return masterTab, append([]byte(nil), feData...), nil
 	}
 	rd := lmonp.NewReader(blob)
-	tabEnc, err := rd.Bytes()
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := rd.Bytes()
-	if err != nil {
+	tabEnc, data := rd.Bytes(), rd.Bytes()
+	if err := rd.Err(); err != nil {
 		return nil, nil, err
 	}
 	tab, err := proctab.Decode(tabEnc)

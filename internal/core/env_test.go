@@ -102,3 +102,29 @@ func TestBootEnvRejectsMalformedValuesByName(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinTimeoutOptionReachesDaemons: Options.JoinTimeout is the front
+// end's only way to bound a forming tree's wait for a child that never
+// dials; every daemon of the session must find it in its environment.
+func TestJoinTimeoutOptionReachesDaemons(t *testing.T) {
+	sim, cl, _ := rig(t, 4)
+	cl.Register("tool_be", func(p *cluster.Proc) {
+		if got := p.Env(EnvJoinTimeout); got != "7s" {
+			t.Errorf("%s: %s = %q, want 7s", p.Node().Name(), EnvJoinTimeout, got)
+		}
+		if be, err := BEInit(p); err != nil {
+			t.Errorf("BEInit on %s: %v", p.Node().Name(), err)
+		} else {
+			be.Finalize()
+		}
+	})
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		if _, err := LaunchAndSpawn(p, Options{
+			Job:         rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
+			Daemon:      rm.DaemonSpec{Exe: "tool_be"},
+			JoinTimeout: 7 * time.Second,
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+}

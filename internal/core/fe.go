@@ -23,12 +23,7 @@ import (
 // it registers the engine executable. Tools call it once before starting
 // their front ends.
 func Setup(cl *cluster.Cluster, mgr rm.Manager) {
-	engine.Install(cl, mgr, engine.Config{})
-}
-
-// SetupWithEngineConfig is Setup with an explicit engine cost profile.
-func SetupWithEngineConfig(cl *cluster.Cluster, mgr rm.Manager, cfg engine.Config) {
-	engine.Install(cl, mgr, cfg)
+	engine.Install(cl, mgr)
 }
 
 // Options parameterize session creation.
@@ -204,7 +199,6 @@ type Session struct {
 	// concurrent session operations.
 	mu          sync.Mutex
 	mwInfos     []DaemonInfo
-	mwNodes     []string
 	mwLaunching bool
 	established bool // launch completed; conns and watchers are live
 	detached    bool
@@ -747,15 +741,18 @@ func (s *Session) close() {
 // off).
 func decodeReady(b []byte) ([]DaemonInfo, engine.Timeline, []byte, error) {
 	rd := lmonp.NewReader(b)
-	infosRaw, err := rd.Bytes()
-	if err != nil {
+	infosRaw, tlRaw := rd.Bytes(), rd.Bytes()
+	// The harvested-metrics field is optional: an obs-off fabric omits it
+	// entirely, keeping the obs-off ready message byte-identical to the
+	// pre-observability wire format (zero cost when the plane is off).
+	var obsBlob []byte
+	if rd.Remaining() > 0 {
+		obsBlob = rd.Bytes()
+	}
+	if err := rd.Err(); err != nil {
 		return nil, engine.Timeline{}, nil, err
 	}
 	infos, err := decodeDaemonInfos(infosRaw)
-	if err != nil {
-		return nil, engine.Timeline{}, nil, err
-	}
-	tlRaw, err := rd.Bytes()
 	if err != nil {
 		return nil, engine.Timeline{}, nil, err
 	}
@@ -763,14 +760,7 @@ func decodeReady(b []byte) ([]DaemonInfo, engine.Timeline, []byte, error) {
 	if err != nil {
 		return nil, engine.Timeline{}, nil, err
 	}
-	// The harvested-metrics field is optional: an obs-off fabric omits it
-	// entirely, keeping the obs-off ready message byte-identical to the
-	// pre-observability wire format (zero cost when the plane is off).
-	if rd.Remaining() == 0 {
-		return infos, tl, nil, nil
-	}
-	obsBlob, err := rd.Bytes()
-	return infos, tl, obsBlob, err
+	return infos, tl, obsBlob, nil
 }
 
 // encodeReady renders the ready payload from the gathered per-daemon

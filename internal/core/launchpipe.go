@@ -233,16 +233,9 @@ func (s *Session) launchSeed(opts Options) error {
 			if tabDone {
 				return fail(fmt.Errorf("core: duplicate RPDTAB end marker"))
 			}
-			total, digest, err := proctab.DecodeEndMarker(msg.Payload)
+			tab, err := asm.FinishMarker(msg.Payload)
 			if err != nil {
-				return fail(fmt.Errorf("core: RPDTAB end marker: %w", err))
-			}
-			if digest != asm.Digest() {
-				return fail(fmt.Errorf("core: RPDTAB stream digest mismatch at FE"))
-			}
-			tab, err := asm.Finish(int(total))
-			if err != nil {
-				return fail(err)
+				return fail(fmt.Errorf("core: RPDTAB stream at FE: %w", err))
 			}
 			// Publish the shared index before relaying the end marker:
 			// every daemon's seed drain completes only after this marker

@@ -199,12 +199,10 @@ func TestSeedByteIdenticalBothModes(t *testing.T) {
 				var union proctab.Table
 				for rank, raw := range contribs {
 					rd := lmonp.NewReader(raw)
-					h, _ := rd.Bytes()
-					if string(h) != string(want.Sum(nil)) {
+					if h := rd.Bytes(); string(h) != string(want.Sum(nil)) {
 						t.Errorf("rank %d table/FEData bytes differ from the front end's", rank)
 					}
-					sliceRaw, _ := rd.Bytes()
-					slice, err := proctab.Decode(sliceRaw)
+					slice, err := proctab.Decode(rd.Bytes())
 					if err != nil {
 						t.Errorf("rank %d slice: %v", rank, err)
 					}

@@ -15,7 +15,7 @@ import (
 // MWOptions parameterize middleware daemon launches. The MW fabric gets
 // the same launch/data/health stack as the back-end fabric: a cut-through
 // session seed, a collective tool-data plane
-// (Session.MWBroadcast/... mirrored by Middleware.Collective), and an
+// (Session.MWGather and MW*Tag mirrored by Middleware.Collective), and an
 // optional heartbeat tree whose failure reports surface as session status
 // events.
 type MWOptions struct {
@@ -119,7 +119,6 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	s.stashObsHarvest("MW", res.obsBlob)
 	s.mu.Lock()
 	s.mw.up(res.conn, len(res.infos))
-	s.mwNodes = nodes
 	s.mwInfos = res.infos
 	s.mwLaunching = false
 	s.mu.Unlock()
@@ -142,21 +141,10 @@ func (s *Session) mwSpawn(nodes int, daemon rm.DaemonSpec) ([]string, error) {
 		return nil, err
 	}
 	rd := lmonp.NewReader(payload)
-	status, err := rd.String()
-	if err != nil {
-		return nil, err
-	}
-	if status != "mw-spawned" {
+	if status := rd.String(); rd.Err() == nil && status != "mw-spawned" {
 		return nil, fmt.Errorf("core: middleware spawn failed: %s", status)
 	}
-	return rd.StringList()
-}
-
-// MWNodes returns the middleware allocation (after LaunchMW).
-func (s *Session) MWNodes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.mwNodes...)
+	return rd.StringList(), rd.Err()
 }
 
 // MWDaemons returns the per-daemon records of the middleware set.

@@ -32,47 +32,21 @@ func encodeDaemonInfo(d DaemonInfo) []byte {
 
 func decodeDaemonInfo(b []byte) (DaemonInfo, error) {
 	rd := lmonp.NewReader(b)
-	var d DaemonInfo
-	r, err := rd.Uint32()
-	if err != nil {
-		return d, err
-	}
-	h, err := rd.String()
-	if err != nil {
-		return d, err
-	}
-	p, err := rd.Uint32()
-	if err != nil {
-		return d, err
-	}
-	t, err := rd.Uint32()
-	if err != nil {
-		return d, err
-	}
-	pk, err := rd.Uint64()
-	if err != nil {
-		return d, err
-	}
-	return DaemonInfo{Rank: int(r), Host: h, Pid: int(p), Tasks: int(t), PeakBytes: int(pk)}, nil
+	d := DaemonInfo{Rank: int(rd.Uint32()), Host: rd.String(), Pid: int(rd.Uint32()), Tasks: int(rd.Uint32()), PeakBytes: int(rd.Uint64())}
+	return d, rd.Err()
 }
 
 func decodeDaemonInfos(b []byte) ([]DaemonInfo, error) {
 	rd := lmonp.NewReader(b)
-	n, err := rd.Uint32()
-	if err != nil {
-		return nil, err
-	}
+	// Each info travels as a length-prefixed record.
+	n := rd.Count(4)
 	out := make([]DaemonInfo, 0, n)
-	for i := uint32(0); i < n; i++ {
-		raw, err := rd.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		d, err := decodeDaemonInfo(raw)
+	for i := 0; i < n; i++ {
+		d, err := decodeDaemonInfo(rd.Bytes())
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, d)
 	}
-	return out, nil
+	return out, rd.Err()
 }

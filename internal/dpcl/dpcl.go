@@ -26,15 +26,16 @@ import (
 // Port of the persistent dpcld super daemon.
 const Port = 7878
 
+// AttachCost is the ptrace attach + bootstrap of the instrumentation
+// runtime in the target.
+const AttachCost = 150 * time.Millisecond
+
 // Config models DPCL's cost profile.
 type Config struct {
 	// BinaryParseCost is the full parse of a target binary before any
 	// instrumentation (default 33.5s for the RM launcher — the Table 1
 	// constant).
 	BinaryParseCost time.Duration
-	// AttachCost is the ptrace attach + bootstrap of the instrumentation
-	// runtime in the target (default 150ms).
-	AttachCost time.Duration
 	// PerNodeSessionCost is the per-node daemon session setup the client
 	// pays when widening an experiment (default 28ms — Table 1's slight
 	// growth from 33.77s at 2 nodes to 34.66s at 32).
@@ -44,9 +45,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BinaryParseCost == 0 {
 		c.BinaryParseCost = 33500 * time.Millisecond
-	}
-	if c.AttachCost == 0 {
-		c.AttachCost = 150 * time.Millisecond
 	}
 	if c.PerNodeSessionCost == 0 {
 		c.PerNodeSessionCost = 28 * time.Millisecond
@@ -92,15 +90,15 @@ func (s *Service) dpcldMain(node *cluster.Node) cluster.ProcMain {
 }
 
 func (s *Service) handle(p *cluster.Proc, node *cluster.Node, rd *lmonp.Reader) ([]byte, error) {
-	switch op, _ := rd.Uint32(); op {
+	switch op := rd.Uint32(); op {
 	case opAPAI:
-		pid32, err := rd.Uint32()
-		if err != nil {
+		pid := int(rd.Uint32())
+		if rd.Err() != nil {
 			return nil, errors.New("bad request")
 		}
-		target, ok := node.Proc(int(pid32))
+		target, ok := node.Proc(pid)
 		if !ok {
-			return nil, fmt.Errorf("no process %d", pid32)
+			return nil, fmt.Errorf("no process %d", pid)
 		}
 		tr, err := target.Attach()
 		if err != nil {
@@ -109,7 +107,7 @@ func (s *Service) handle(p *cluster.Proc, node *cluster.Node, rd *lmonp.Reader) 
 		defer tr.Detach()
 		// DPCL's general-purpose path: attach, then parse the target
 		// binary in full before touching any symbol.
-		p.Compute(s.cfg.AttachCost)
+		p.Compute(AttachCost)
 		p.Compute(s.cfg.BinaryParseCost)
 		tab, err := rm.ProctabFromLauncher(tr)
 		if err != nil {
@@ -145,7 +143,7 @@ func (s *Service) APAIViaDPCL(p *cluster.Proc, launcherNode string, launcherPid 
 	if err != nil {
 		return nil, err
 	}
-	return rd.Bytes()
+	return rd.Bytes(), rd.Err()
 }
 
 // OpenNodeSession sets up an instrumentation session with one node's

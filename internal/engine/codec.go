@@ -42,117 +42,48 @@ func appendJobSpec(b []byte, s rm.JobSpec) []byte {
 	return b
 }
 
-func readJobSpec(rd *lmonp.Reader) (rm.JobSpec, error) {
-	var s rm.JobSpec
-	var err error
-	if s.Name, err = rd.String(); err != nil {
-		return s, err
-	}
-	if s.Exe, err = rd.String(); err != nil {
-		return s, err
-	}
-	n, err := rd.Uint32()
-	if err != nil {
-		return s, err
-	}
-	t, err := rd.Uint32()
-	if err != nil {
-		return s, err
-	}
-	s.Nodes, s.TasksPerNode = int(n), int(t)
-	return s, nil
-}
-
-func appendDaemonSpec(b []byte, s rm.DaemonSpec) []byte {
-	b = lmonp.AppendString(b, s.Exe)
-	b = lmonp.AppendStringList(b, s.Args)
-	kv := make([][2]string, 0, len(s.Env))
-	for k, v := range s.Env {
-		kv = append(kv, [2]string{k, v})
-	}
-	// Deterministic order.
-	for i := 1; i < len(kv); i++ {
-		for j := i; j > 0 && kv[j][0] < kv[j-1][0]; j-- {
-			kv[j], kv[j-1] = kv[j-1], kv[j]
-		}
-	}
-	return lmonp.AppendStringMap(b, kv)
-}
-
-func readDaemonSpec(rd *lmonp.Reader) (rm.DaemonSpec, error) {
-	var s rm.DaemonSpec
-	var err error
-	if s.Exe, err = rd.String(); err != nil {
-		return s, err
-	}
-	if s.Args, err = rd.StringList(); err != nil {
-		return s, err
-	}
-	kv, err := rd.StringMap()
-	if err != nil {
-		return s, err
-	}
-	s.Env = make(map[string]string, len(kv))
-	for _, e := range kv {
-		s.Env[e[0]] = e[1]
-	}
-	return s, nil
+func readJobSpec(rd *lmonp.Reader) rm.JobSpec {
+	return rm.JobSpec{Name: rd.String(), Exe: rd.String(), Nodes: int(rd.Uint32()), TasksPerNode: int(rd.Uint32())}
 }
 
 // EncodeLaunchReq renders a LaunchReq payload.
 func EncodeLaunchReq(r LaunchReq) []byte {
 	b := appendJobSpec(nil, r.Job)
-	b = appendDaemonSpec(b, r.Daemon)
+	b = rm.AppendDaemonSpec(b, r.Daemon)
 	return lmonp.AppendUint32(b, uint32(r.ChunkBytes))
 }
 
 // DecodeLaunchReq parses a LaunchReq payload.
 func DecodeLaunchReq(b []byte) (LaunchReq, error) {
 	rd := lmonp.NewReader(b)
-	var r LaunchReq
+	r := LaunchReq{Job: readJobSpec(rd), Daemon: rm.ReadDaemonSpec(rd)}
 	var err error
-	if r.Job, err = readJobSpec(rd); err != nil {
-		return r, err
-	}
-	if r.Daemon, err = readDaemonSpec(rd); err != nil {
-		return r, err
-	}
-	if r.ChunkBytes, err = readChunkBytes(rd); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.ChunkBytes, err = readChunkBytes(rd)
+	return r, err
 }
 
 // EncodeAttachReq renders an AttachReq payload.
 func EncodeAttachReq(r AttachReq) []byte {
 	b := lmonp.AppendUint32(nil, uint32(r.JobID))
-	b = appendDaemonSpec(b, r.Daemon)
+	b = rm.AppendDaemonSpec(b, r.Daemon)
 	return lmonp.AppendUint32(b, uint32(r.ChunkBytes))
 }
 
 // DecodeAttachReq parses an AttachReq payload.
 func DecodeAttachReq(b []byte) (AttachReq, error) {
 	rd := lmonp.NewReader(b)
-	var r AttachReq
-	id, err := rd.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.JobID = int(id)
-	if r.Daemon, err = readDaemonSpec(rd); err != nil {
-		return r, err
-	}
-	if r.ChunkBytes, err = readChunkBytes(rd); err != nil {
-		return r, err
-	}
-	return r, nil
+	r := AttachReq{JobID: int(rd.Uint32()), Daemon: rm.ReadDaemonSpec(rd)}
+	var err error
+	r.ChunkBytes, err = readChunkBytes(rd)
+	return r, err
 }
 
 // readChunkBytes reads the trailing chunk-size override of a session
-// request, rejecting values that overflow int chunk arithmetic.
+// request — the request's last field, so this is also where the decoder
+// checks the Reader — rejecting values that overflow int chunk arithmetic.
 func readChunkBytes(rd *lmonp.Reader) (int, error) {
-	v, err := rd.Uint32()
-	if err != nil {
+	v := rd.Uint32()
+	if err := rd.Err(); err != nil {
 		return 0, err
 	}
 	if v > 1<<30 {
@@ -164,36 +95,24 @@ func readChunkBytes(rd *lmonp.Reader) (int, error) {
 // EncodeSpawnReq renders a SpawnReq payload.
 func EncodeSpawnReq(r SpawnReq) []byte {
 	b := lmonp.AppendUint32(nil, uint32(r.Nodes))
-	return appendDaemonSpec(b, r.Daemon)
+	return rm.AppendDaemonSpec(b, r.Daemon)
 }
 
 // DecodeSpawnReq parses a SpawnReq payload.
 func DecodeSpawnReq(b []byte) (SpawnReq, error) {
 	rd := lmonp.NewReader(b)
-	var r SpawnReq
-	n, err := rd.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Nodes = int(n)
-	if r.Daemon, err = readDaemonSpec(rd); err != nil {
-		return r, err
-	}
-	return r, nil
+	return SpawnReq{Nodes: int(rd.Uint32()), Daemon: rm.ReadDaemonSpec(rd)}, rd.Err()
 }
 
 // DecodeStatus parses a status payload into its message and any timeline.
 func DecodeStatus(b []byte) (string, Timeline, error) {
 	rd := lmonp.NewReader(b)
-	msg, err := rd.String()
-	if err != nil {
-		return "", Timeline{}, err
-	}
+	msg := rd.String()
 	if rd.Remaining() == 0 {
-		return msg, Timeline{}, nil
+		return msg, Timeline{}, rd.Err()
 	}
-	enc, err := rd.Bytes()
-	if err != nil {
+	enc := rd.Bytes()
+	if err := rd.Err(); err != nil {
 		return msg, Timeline{}, err
 	}
 	tl, err := DecodeTimeline(enc)

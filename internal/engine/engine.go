@@ -40,39 +40,20 @@ const EnvFEAddr = "LMON_ENGINE_FE_ADDR"
 // the connection to the owning session.
 const EnvSession = "LMON_ENGINE_SESSION"
 
-// Config tunes engine behaviour.
-type Config struct {
-	// HandlerCost is the engine CPU time per dispatched trace event
-	// (default 1.5ms: 12 SLURM events → the paper's 18 ms tracing cost).
-	HandlerCost time.Duration
-	// BaseCost models the engine's fixed startup bookkeeping (default 3ms).
-	BaseCost time.Duration
-	// ProctabChunkBytes bounds one RPDTAB chunk payload on the engine→FE
-	// stream (default proctab.DefaultChunkBytes). Requests may override it
-	// per session.
-	ProctabChunkBytes int
-}
-
-func (c Config) withDefaults() Config {
-	if c.HandlerCost == 0 {
-		c.HandlerCost = 1500 * time.Microsecond
-	}
-	if c.BaseCost == 0 {
-		c.BaseCost = 3 * time.Millisecond
-	}
-	if c.ProctabChunkBytes == 0 {
-		c.ProctabChunkBytes = proctab.DefaultChunkBytes
-	}
-	return c
-}
+// The engine's cost model: HandlerCost is its CPU time per dispatched
+// trace event (12 SLURM events → the paper's 18 ms tracing cost), BaseCost
+// its fixed startup bookkeeping.
+const (
+	HandlerCost = 1500 * time.Microsecond
+	BaseCost    = 3 * time.Millisecond
+)
 
 // Install registers the engine executable on the cluster, bound to the
 // given resource manager. Tool front ends then spawn ExeName on the
 // front-end node once per session.
-func Install(cl *cluster.Cluster, mgr rm.Manager, cfg Config) {
-	c := cfg.withDefaults()
+func Install(cl *cluster.Cluster, mgr rm.Manager) {
 	cl.Register(ExeName, func(p *cluster.Proc) {
-		e := &Engine{proc: p, mgr: mgr, cfg: c}
+		e := &Engine{proc: p, mgr: mgr}
 		e.main()
 	})
 }
@@ -81,10 +62,9 @@ func Install(cl *cluster.Cluster, mgr rm.Manager, cfg Config) {
 type Engine struct {
 	proc *cluster.Proc
 	mgr  rm.Manager
-	cfg  Config
 
 	session    int
-	chunkBytes int // effective RPDTAB chunk size for this session
+	chunkBytes int // the session's RPDTAB chunk size; 0 = proctab.DefaultChunkBytes
 
 	fe  *lmonp.Conn
 	job rm.Job
@@ -95,8 +75,7 @@ type Engine struct {
 func (e *Engine) main() {
 	start := e.proc.Sim().Now()
 	e.tl.Mark(MarkE1, start)
-	e.proc.Compute(e.cfg.BaseCost)
-	e.chunkBytes = e.cfg.ProctabChunkBytes
+	e.proc.Compute(BaseCost)
 
 	addr, err := simnet.ParseAddr(e.proc.Env(EnvFEAddr))
 	if err != nil {
@@ -175,38 +154,22 @@ func (e *Engine) serveLaunch(req *lmonp.Msg) error {
 	if err != nil {
 		return err
 	}
-	if lr.ChunkBytes > 0 {
-		e.chunkBytes = lr.ChunkBytes
-	}
 	job, err := e.mgr.StartJobHeld(lr.Job)
 	if err != nil {
 		return err
 	}
-	e.job = job
-	tr, err := job.LauncherProc().Attach()
-	if err != nil {
-		return err
-	}
-	e.tr = tr
-	job.Start()
-	e.tl.Mark(MarkE2, e.proc.Sim().Now())
-
 	// Drive the launcher to MPIR_Breakpoint through the event pipeline.
-	drv := NewDriver(e.proc, NewEventManager(tr), NewEventDecoder(rm.BPName), e.cfg.HandlerCost)
-	drv.Handle(EvLauncherStop, func(Event) (bool, error) {
-		return false, tr.Continue()
+	return e.acquire(job, lr.Daemon, lr.ChunkBytes, func(tr *cluster.Tracer, drv *Driver) error {
+		drv.Handle(EvLauncherStop, func(Event) (bool, error) {
+			return false, tr.Continue()
+		})
+		drv.Handle(EvBreakpoint, func(Event) (bool, error) { return true, nil })
+		drv.Handle(EvLauncherExit, func(ev Event) (bool, error) {
+			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint", ev.Code)
+		})
+		job.Start()
+		return nil
 	})
-	drv.Handle(EvBreakpoint, func(Event) (bool, error) { return true, nil })
-	drv.Handle(EvLauncherExit, func(ev Event) (bool, error) {
-		return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint", ev.Code)
-	})
-	if _, err := drv.Run(); err != nil {
-		return err
-	}
-	e.tl.Mark(MarkE3, e.proc.Sim().Now())
-	e.tl.Mark(MarkTracing, drv.TracingCost)
-
-	return e.harvestAndSpawn(lr.Daemon, tr)
 }
 
 // serveAttach implements attachAndSpawn's engine half for a running job.
@@ -215,38 +178,42 @@ func (e *Engine) serveAttach(req *lmonp.Msg) error {
 	if err != nil {
 		return err
 	}
-	if ar.ChunkBytes > 0 {
-		e.chunkBytes = ar.ChunkBytes
-	}
 	job, ok := e.mgr.FindJob(ar.JobID)
 	if !ok {
 		return fmt.Errorf("%w: id %d", rm.ErrNoSuchJob, ar.JobID)
 	}
-	e.job = job
+	// Interrupt the running launcher, consume the stop, and proceed as in
+	// launch mode from the breakpoint-equivalent state.
+	return e.acquire(job, ar.Daemon, ar.ChunkBytes, func(tr *cluster.Tracer, drv *Driver) error {
+		drv.Handle(EvAttachStop, func(Event) (bool, error) { return true, nil })
+		drv.Handle(EvLauncherExit, func(Event) (bool, error) {
+			return true, errors.New("engine: launcher exited during attach")
+		})
+		return tr.Interrupt()
+	})
+}
+
+// acquire is what both modes share (e2..e6): attach to the job's launcher,
+// let arm install the mode's handlers and set the launcher going toward
+// its stop, run the event pipeline to it, then harvest and spawn.
+func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *Driver) error) error {
+	e.job, e.chunkBytes = job, chunkBytes
 	tr, err := job.LauncherProc().Attach()
 	if err != nil {
 		return err
 	}
 	e.tr = tr
-	e.tl.Mark(MarkE2, e.proc.Sim().Now())
-
-	// Interrupt the running launcher, consume the stop, and proceed as in
-	// launch mode from the breakpoint-equivalent state.
-	if err := tr.Interrupt(); err != nil {
+	drv := NewDriver(e.proc, NewEventManager(tr), NewEventDecoder(rm.BPName), HandlerCost)
+	if err := arm(tr, drv); err != nil {
 		return err
 	}
-	drv := NewDriver(e.proc, NewEventManager(tr), NewEventDecoder(rm.BPName), e.cfg.HandlerCost)
-	drv.Handle(EvAttachStop, func(Event) (bool, error) { return true, nil })
-	drv.Handle(EvLauncherExit, func(Event) (bool, error) {
-		return true, errors.New("engine: launcher exited during attach")
-	})
+	e.tl.Mark(MarkE2, e.proc.Sim().Now())
 	if _, err := drv.Run(); err != nil {
 		return err
 	}
 	e.tl.Mark(MarkE3, e.proc.Sim().Now())
 	e.tl.Mark(MarkTracing, drv.TracingCost)
-
-	return e.harvestAndSpawn(ar.Daemon, tr)
+	return e.harvestAndSpawn(daemon, tr)
 }
 
 // harvestAndSpawn fetches the RPDTAB (Region B), ships it to the FE, and
@@ -262,16 +229,12 @@ func (e *Engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
 	// master into the forming ICCL tree), so chunks flow end to end
 	// without a full-table stop anywhere. All symbol reads complete before
 	// the launcher is resumed, per the APAI contract.
-	total := 0
-	w := proctab.NewChunkWriter(e.chunkBytes, func(chunk []byte, _ uint64) error {
-		return e.fe.Send(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeProctabChunk, Payload: chunk})
-	})
+	w, end := proctab.StreamTo(e.fe, lmonp.ClassFEEngine, e.chunkBytes)
 	err := rm.ReadProctabChunks(tr, func(chunk []byte, _, _ int) error {
 		entries, err := proctab.Decode(chunk)
 		if err != nil {
 			return err
 		}
-		total += len(entries)
 		return w.AddTable(entries)
 	})
 	if err != nil {
@@ -279,14 +242,7 @@ func (e *Engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
 	}
 	e.tl.Mark(MarkE4, e.proc.Sim().Now())
 	e.tl.Mark(MarkFetch, e.proc.Sim().Now()-fetchStart)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := e.fe.Send(&lmonp.Msg{
-		Class:   lmonp.ClassFEEngine,
-		Type:    lmonp.TypeProctabEnd,
-		Payload: proctab.EncodeEndMarker(uint64(total), w.Digest()),
-	}); err != nil {
+	if err := end(); err != nil {
 		return err
 	}
 

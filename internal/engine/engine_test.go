@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
@@ -109,6 +112,34 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 	if gotSR.Nodes != 5 || gotSR.Daemon.Exe != "mw" {
 		t.Fatalf("SpawnReq roundtrip: %+v", gotSR)
+	}
+}
+
+// TestRequestsCarryTheSharedDaemonSpecRecord: each request is its own
+// fields around rm.AppendDaemonSpec's bytes (key order, pinned in
+// internal/rm), so the same request encodes to the same bytes every time.
+func TestRequestsCarryTheSharedDaemonSpecRecord(t *testing.T) {
+	d := rm.DaemonSpec{Exe: "d", Args: []string{"-v"}, Env: map[string]string{}}
+	for i := 0; i < 16; i++ {
+		d.Env[fmt.Sprintf("LMON_K%02d", i)] = fmt.Sprint(i)
+	}
+	rec := rm.AppendDaemonSpec(nil, d)
+	u32 := func(v uint32) []byte { return lmonp.AppendUint32(nil, v) }
+	job := rm.JobSpec{Name: "j", Exe: "app", Nodes: 7, TasksPerNode: 3}
+	for name, c := range map[string]struct {
+		enc  func() []byte
+		want [][]byte
+	}{
+		"launch": {func() []byte { return EncodeLaunchReq(LaunchReq{Job: job, Daemon: d, ChunkBytes: 256}) },
+			[][]byte{appendJobSpec(nil, job), rec, u32(256)}},
+		"attach": {func() []byte { return EncodeAttachReq(AttachReq{JobID: 42, Daemon: d}) }, [][]byte{u32(42), rec, u32(0)}},
+		"spawn":  {func() []byte { return EncodeSpawnReq(SpawnReq{Nodes: 5, Daemon: d}) }, [][]byte{u32(5), rec}},
+	} {
+		for i := 0; i < 100; i++ {
+			if got, want := c.enc(), bytes.Join(c.want, nil); !bytes.Equal(got, want) {
+				t.Fatalf("%s request, encoding %d:\n got %q\nwant %q", name, i, got, want)
+			}
+		}
 	}
 }
 

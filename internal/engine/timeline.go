@@ -132,20 +132,9 @@ func (t Timeline) Encode() []byte {
 func DecodeTimeline(b []byte) (Timeline, error) {
 	var t Timeline
 	rd := lmonp.NewReader(b)
-	n, err := rd.Uint32()
-	if err != nil {
-		return t, err
+	// Each entry is a length-prefixed name and a 64-bit instant.
+	for i, n := 0, rd.Count(12); i < n; i++ {
+		t.Entries = append(t.Entries, MarkEntry{Name: rd.String(), At: time.Duration(rd.Uint64())})
 	}
-	for i := uint32(0); i < n; i++ {
-		name, err := rd.String()
-		if err != nil {
-			return t, err
-		}
-		at, err := rd.Uint64()
-		if err != nil {
-			return t, err
-		}
-		t.Entries = append(t.Entries, MarkEntry{Name: name, At: time.Duration(at)})
-	}
-	return t, nil
+	return t, rd.Err()
 }

@@ -63,24 +63,6 @@ func EncodeEvent(e Event) []byte {
 // DecodeEvent parses a status-event payload.
 func DecodeEvent(b []byte) (Event, error) {
 	rd := lmonp.NewReader(b)
-	var e Event
-	k, err := rd.Uint32()
-	if err != nil {
-		return e, err
-	}
-	e.Kind = EventKind(k)
-	rank, err := rd.Uint32()
-	if err != nil {
-		return e, err
-	}
-	e.Rank = int(int32(rank))
-	code, err := rd.Uint32()
-	if err != nil {
-		return e, err
-	}
-	e.Code = int(int32(code))
-	if e.Detail, err = rd.String(); err != nil {
-		return e, err
-	}
-	return e, nil
+	e := Event{Kind: EventKind(rd.Uint32()), Rank: int(int32(rd.Uint32())), Code: int(int32(rd.Uint32())), Detail: rd.String()}
+	return e, rd.Err()
 }

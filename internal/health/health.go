@@ -39,6 +39,10 @@ const (
 	hbDead = 3 // child → parent: failure report batch
 )
 
+// PerMsgCost is the CPU charge for handling one tree message (heartbeats
+// are cheap compared to collectives).
+const PerMsgCost = 20 * time.Microsecond
+
 // Config describes one daemon's place in the heartbeat tree. Rank, Size
 // and Fanout mirror the daemon's iccl.Config — the heartbeat tree is the
 // ICCL tree, riding its links.
@@ -52,9 +56,6 @@ type Config struct {
 	// Miss is how many consecutive periods a child may miss before it is
 	// declared dead (default 3).
 	Miss int
-	// PerMsgCost is the CPU charge for handling one tree message
-	// (default 20us — heartbeats are cheap compared to collectives).
-	PerMsgCost time.Duration
 
 	// Metrics receives heartbeat-plane counters (health.beats.sent,
 	// health.timeouts, health.reports) when set; nil disables
@@ -71,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Miss == 0 {
 		c.Miss = 3
-	}
-	if c.PerMsgCost == 0 {
-		c.PerMsgCost = 20 * time.Microsecond
 	}
 	return c
 }
@@ -178,10 +176,9 @@ func (m *Monitor) linkReader(lk *iccl.Link) {
 			// just stop consuming.
 			return
 		}
-		m.p.Compute(m.cfg.PerMsgCost)
+		m.p.Compute(PerMsgCost)
 		rd := lmonp.NewReader(payload)
-		op, _ := rd.Uint32()
-		switch op {
+		switch rd.Uint32() {
 		case hbBeat:
 			m.mu.Lock()
 			m.lastBeat[lk.Rank] = m.p.Sim().Now()
@@ -340,21 +337,11 @@ func encodeReports(b []byte, reports []Report) []byte {
 }
 
 func decodeReports(rd *lmonp.Reader) ([]Report, error) {
-	n, err := rd.Uint32()
-	if err != nil {
-		return nil, err
-	}
+	// Each report is a rank and a length-prefixed detail.
+	n := rd.Count(8)
 	out := make([]Report, 0, n)
-	for i := uint32(0); i < n; i++ {
-		rk, err := rd.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		detail, err := rd.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Report{Rank: int(rk), Detail: detail})
+	for i := 0; i < n; i++ {
+		out = append(out, Report{Rank: int(rd.Uint32()), Detail: rd.String()})
 	}
-	return out, nil
+	return out, rd.Err()
 }

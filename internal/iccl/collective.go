@@ -2,7 +2,6 @@ package iccl
 
 import (
 	"fmt"
-	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -151,7 +150,7 @@ func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 // cost. It is only safe before the links are demultiplexed (the seed
 // stream flows during bootstrap, well before); afterwards reads must go
 // through Comm.recvRaw.
-func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
+func readFrameOp(p *cluster.Proc, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
 	msg, err := conn.RecvMessage()
 	if err != nil {
 		return coll.Frame{}, err
@@ -160,7 +159,7 @@ func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp
 	if err != nil {
 		return coll.Frame{}, err
 	}
-	p.Compute(cost)
+	p.Compute(PerMsgCost)
 	f, err := parseFrameOp(raw, chunkOp, endOp)
 	f.Wire = msg
 	return f, err
@@ -170,39 +169,30 @@ func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp
 // renders, behind its length prefix); the frame's body aliases raw.
 func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	rd := lmonp.NewReader(raw)
-	op, err := rd.Uint32()
-	if err != nil {
+	op, hraw := rd.Uint32(), rd.Bytes()
+	if err := rd.Err(); err != nil {
 		return coll.Frame{}, err
 	}
 	if op != chunkOp && op != endOp {
 		return coll.Frame{}, fmt.Errorf("%w: got op %d, want %d or %d", ErrProtocol, op, chunkOp, endOp)
 	}
-	hraw, err := rd.Bytes()
-	if err != nil {
-		return coll.Frame{}, err
-	}
 	h, err := coll.DecodeHeader(lmonp.NewReader(hraw))
 	if err != nil {
 		return coll.Frame{}, err
 	}
-	f := coll.Frame{H: h}
-	if op == endOp {
-		if f.Total, err = rd.Uint64(); err != nil {
-			return coll.Frame{}, err
-		}
-		if f.Sum, err = rd.Uint64(); err != nil {
-			return coll.Frame{}, err
-		}
-		f.End = true
-		return f, nil
+	f := coll.Frame{H: h, End: op == endOp}
+	if f.End {
+		f.Total, f.Sum = rd.Uint64(), rd.Uint64()
+	} else {
+		// No on-wire sum for chunks: compute it here so the receiver's
+		// rolling digest (checked against the end marker) still covers
+		// every chunk it admitted.
+		f.Body = rd.Bytes()
+		f.Sum = lmonp.Sum64(f.Body)
 	}
-	if f.Body, err = rd.Bytes(); err != nil {
+	if err := rd.Err(); err != nil {
 		return coll.Frame{}, err
 	}
-	// No on-wire sum for chunks: compute it here so the receiver's rolling
-	// digest (checked against the end marker) still covers every chunk it
-	// admitted.
-	f.Sum = lmonp.Sum64(f.Body)
 	return f, nil
 }
 
@@ -563,7 +553,7 @@ func (pl *Plane) combineChildren(op coll.Op, tag uint32, mine []byte, filter str
 				if err != nil {
 					return nil, err
 				}
-				pl.c.p.Compute(pl.c.cfg.PerMsgCost) // combine charge
+				pl.c.p.Compute(PerMsgCost) // combine charge
 				if acc, err = fn(acc, blob); err != nil {
 					return nil, err
 				}

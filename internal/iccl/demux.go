@@ -73,21 +73,20 @@ func (c *Comm) demuxFor(conn *simnet.Conn) *linkDemux {
 
 // serialFramer charges the frames of one event-driven link the way a
 // blocking reader loop would: frame i is handed over at
-// max(arrival_i, done_{i-1}) + cost. Whatever is not charged — a
+// max(arrival_i, done_{i-1}) + PerMsgCost. Whatever is not charged — a
 // heartbeat, the link's death — still waits its turn behind a frame that
 // is cooking: a serial reader only observes it after charging every frame
 // before it, so in-flight deliveries are never dropped or overtaken. It is
 // only touched from scheduler callbacks, which never overlap.
 type serialFramer struct {
 	sim       *vtime.Sim
-	cost      time.Duration
 	busyUntil time.Duration
 }
 
 // charge hands fn one frame's worth of reader time from now on.
 func (fr *serialFramer) charge(fn func()) {
 	now := fr.sim.Now()
-	fr.busyUntil = max(now, fr.busyUntil) + fr.cost
+	fr.busyUntil = max(now, fr.busyUntil) + PerMsgCost
 	fr.sim.After(fr.busyUntil-now, fn)
 }
 
@@ -111,7 +110,7 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 		hb:   vtime.NewChan[[]byte](sim),
 		tags: vtime.NewStreams[uint32, coll.Frame](sim),
 	}
-	fr := &serialFramer{sim: sim, cost: c.cfg.PerMsgCost}
+	fr := &serialFramer{sim: sim}
 	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
 	// payloads: a collective frame keeps the message it arrived in
 	// (coll.Frame.Wire), length prefix included, for the down-phase relay.
@@ -294,11 +293,9 @@ func (g *creditGate) sever() { g.tokens.Close() }
 // encoded coll header whose Index field carries the credit count.
 func parseCredit(raw []byte) (coll.Frame, error) {
 	rd := lmonp.NewReader(raw)
-	if _, err := rd.Uint32(); err != nil {
-		return coll.Frame{}, err
-	}
-	hraw, err := rd.Bytes()
-	if err != nil {
+	rd.Uint32() // the opcode, which the demux dispatched on
+	hraw := rd.Bytes()
+	if err := rd.Err(); err != nil {
 		return coll.Frame{}, err
 	}
 	h, err := coll.DecodeHeader(lmonp.NewReader(hraw))

@@ -76,7 +76,7 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 		}
 		switch c.Rank() {
 		case 0:
-			cost = c.cfg.PerMsgCost
+			cost = PerMsgCost
 			conn := c.children[0]
 			if probe {
 				conn.Unhandle()
@@ -219,7 +219,7 @@ func runSeedScript(t *testing.T, n int) (at []time.Duration, cost time.Duration)
 				}
 				defer c.Close()
 				if i == 1 {
-					cost = c.cfg.PerMsgCost
+					cost = PerMsgCost
 					seed.local.Handle(func(_ coll.Frame, ok bool) {
 						if ok {
 							at = append(at, sim.Now())

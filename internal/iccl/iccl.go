@@ -43,6 +43,16 @@ const (
 	opCredit    = 14 // receiver → sender: flow-control credits for a tagged stream
 )
 
+// The tree's cost model. PerMsgCost is the CPU charge for handling one
+// tree message. DialRetry and DialAttempts bound the child→parent connect
+// loop: children may come up long before their parent when the RM is still
+// spawning thousands of sibling daemons, so the window is 30 s.
+const (
+	PerMsgCost   = 150 * time.Microsecond
+	DialRetry    = 5 * time.Millisecond
+	DialAttempts = 6000
+)
+
 // Config describes one daemon's place in the ICCL tree.
 type Config struct {
 	Rank     int      // this daemon's rank (0 = master)
@@ -50,14 +60,6 @@ type Config struct {
 	Fanout   int      // tree fanout; 0 means flat (1-deep: everyone under rank 0)
 	Nodelist []string // node names indexed by rank
 	Port     int      // per-session TCP port each daemon listens on
-
-	// PerMsgCost is the CPU charge for handling one tree message
-	// (default 150us).
-	PerMsgCost time.Duration
-	// DialRetry and DialAttempts bound the child→parent connect loop
-	// (parents may not be listening yet when a child daemon starts).
-	DialRetry    time.Duration
-	DialAttempts int
 
 	// JoinTimeout bounds how long bootstrap waits for each successive
 	// child join (and subtree-ready report) once this daemon is accepting.
@@ -78,17 +80,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Fanout <= 0 {
 		c.Fanout = c.Size // flat: rank 0 parents everyone
-	}
-	if c.PerMsgCost == 0 {
-		c.PerMsgCost = 150 * time.Microsecond
-	}
-	if c.DialRetry == 0 {
-		c.DialRetry = 5 * time.Millisecond
-	}
-	if c.DialAttempts == 0 {
-		// Children may come up long before their parent when the RM is
-		// still spawning thousands of sibling daemons; allow a 30s window.
-		c.DialAttempts = 6000
 	}
 	return c
 }
@@ -214,13 +205,7 @@ func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
 // cost. Tree frames travel one per network message, so the delivered
 // message is taken whole and unwraps to exactly one frame, which aliases it.
 func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, error) {
-	var msg []byte
-	var err error
-	if deadline > 0 {
-		msg, err = conn.RecvMessageTimeout(deadline)
-	} else {
-		msg, err = conn.RecvMessage()
-	}
+	msg, err := conn.RecvMessageTimeout(deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +213,7 @@ func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	c.p.Compute(c.cfg.PerMsgCost)
+	c.p.Compute(PerMsgCost)
 	c.countRx(raw)
 	return raw, nil
 }
@@ -246,9 +231,8 @@ func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string, deadline tim
 		return 0, fmt.Errorf("%w: %s: %v", ErrBootstrap, what, err)
 	}
 	rd := lmonp.NewReader(frame)
-	op, _ := rd.Uint32()
-	v, err := rd.Uint32()
-	if err != nil || op != want {
+	op, v := rd.Uint32(), rd.Uint32()
+	if rd.Err() != nil || op != want {
 		return 0, fmt.Errorf("%w: bad %s", ErrBootstrap, what)
 	}
 	return v, nil
@@ -380,13 +364,13 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 	retries := cfg.Metrics.Counter("iccl.dial.retries")
 	var conn *simnet.Conn
 	var err error
-	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < DialAttempts; attempt++ {
 		conn, err = p.Host().Dial(addr)
 		if err == nil {
 			break
 		}
 		retries.Inc()
-		p.Sim().Sleep(cfg.DialRetry)
+		p.Sim().Sleep(DialRetry)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: dialing parent %d: %v", ErrBootstrap, parentRank, err)
@@ -492,8 +476,9 @@ func (c *Comm) recvOp(conn *simnet.Conn, want uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := lmonp.NewReader(frame).Uint32()
-	if err != nil {
+	rd := lmonp.NewReader(frame)
+	op := rd.Uint32()
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if op != want {
@@ -537,8 +522,9 @@ func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		got, err := lmonp.NewReader(body).Bytes()
-		if err != nil {
+		rd := lmonp.NewReader(body)
+		got := rd.Bytes()
+		if err := rd.Err(); err != nil {
 			return nil, err
 		}
 		buf = append([]byte(nil), got...)
@@ -627,8 +613,9 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		blob, err := lmonp.NewReader(body).Bytes()
-		if err != nil {
+		rd := lmonp.NewReader(body)
+		blob := rd.Bytes()
+		if err := rd.Err(); err != nil {
 			return nil, err
 		}
 		if acc, err = combine(acc, blob); err != nil {

@@ -467,7 +467,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 			// pre-ShareLinks collective traffic block-reads the same conn
 			// as before. Decoding and engine admission run behind the
 			// horizon, like that reader's.
-			fr := &serialFramer{sim: sim, cost: cfg.PerMsgCost}
+			fr := &serialFramer{sim: sim}
 			lmonp.HandleFrames(conn, func(raw []byte, err error) {
 				if err != nil {
 					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
@@ -494,7 +494,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 			return
 		}
 		startPump(func() (coll.Frame, error) {
-			return readFrameOp(p, cfg.PerMsgCost, conn, opSeedChunk, opSeedEnd)
+			return readFrameOp(p, conn, opSeedChunk, opSeedEnd)
 		})
 	}
 	return &seedPlumbing{seed: seed, abort: abort, onParent: onParent, onChild: startForwarder}

@@ -20,36 +20,54 @@ func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Each accessor on its own Reader over the same input.
 		r := NewReader(data)
-		if s, err := r.String(); err == nil && len(s) > len(data) {
+		if s := r.String(); r.Err() == nil && len(s) > len(data) {
 			t.Fatalf("String longer than input: %d > %d", len(s), len(data))
 		}
 		r = NewReader(data)
-		if b, err := r.Bytes(); err == nil && len(b) > len(data) {
+		if b := r.Bytes(); r.Err() == nil && len(b) > len(data) {
 			t.Fatalf("Bytes longer than input")
 		}
 		r = NewReader(data)
-		if ss, err := r.StringList(); err == nil {
+		if ss := r.StringList(); r.Err() == nil {
 			// n entries need at least 4 bytes each after the count.
 			if len(ss)*4 > len(data)-4 {
 				t.Fatalf("list of %d entries decoded from %d bytes", len(ss), len(data))
 			}
+		} else if ss != nil {
+			t.Fatalf("failed StringList returned %d entries", len(ss))
 		}
 		r = NewReader(data)
-		if kv, err := r.StringMap(); err == nil {
+		if kv := r.StringMap(); r.Err() == nil {
 			if len(kv)*8 > len(data)-4 {
 				t.Fatalf("map of %d entries decoded from %d bytes", len(kv), len(data))
 			}
+		} else if kv != nil {
+			t.Fatalf("failed StringMap returned %d entries", len(kv))
 		}
 		// A mixed sequence must keep Remaining consistent.
 		r = NewReader(data)
 		for r.Remaining() > 0 {
 			before := r.Remaining()
-			if _, err := r.Uint32(); err != nil {
+			if r.Uint32(); r.Err() != nil {
 				break
 			}
 			if r.Remaining() >= before {
 				t.Fatal("Uint32 consumed nothing")
 			}
+		}
+		// The first error sticks: once a read has failed, every accessor
+		// returns its zero value and consumes nothing.
+		r = NewReader(data)
+		for r.Err() == nil {
+			r.Bytes()
+		}
+		failed, left := r.Err(), r.Remaining()
+		if r.Byte() != 0 || r.Uint32() != 0 || r.Uint64() != 0 || r.String() != "" || r.Bytes() != nil ||
+			r.Count(1) != 0 || r.StringList() != nil || r.StringMap() != nil {
+			t.Fatal("a read after a failed read returned a value")
+		}
+		if r.Err() != failed || r.Remaining() != left {
+			t.Fatalf("a read after a failed read moved the Reader: %v → %v, %d → %d bytes left", failed, r.Err(), left, r.Remaining())
 		}
 	})
 }
@@ -59,21 +77,23 @@ func FuzzReader(f *testing.F) {
 // while one that exactly fits must decode.
 func TestLengthGuardBoundaries(t *testing.T) {
 	// List claiming 1 entry with zero bytes left: impossible.
-	if _, err := NewReader(AppendUint32(nil, 1)).StringList(); err == nil {
+	if r := NewReader(AppendUint32(nil, 1)); r.StringList() != nil || r.Err() == nil {
 		t.Error("list count 1 with 0 remaining bytes accepted")
 	}
 	// Map claiming 1 entry with only 4 bytes left (needs >= 8).
-	if _, err := NewReader(AppendUint32(AppendUint32(nil, 1), 0)).StringMap(); err == nil {
+	if r := NewReader(AppendUint32(AppendUint32(nil, 1), 0)); r.StringMap() != nil || r.Err() == nil {
 		t.Error("map count 1 with 4 remaining bytes accepted")
 	}
 	// Exactly-fitting boundary: n empty strings in exactly 4n bytes.
 	ok := AppendStringList(nil, []string{"", "", ""})
-	if ss, err := NewReader(ok).StringList(); err != nil || len(ss) != 3 {
-		t.Errorf("exact-fit list rejected: %v, %v", ss, err)
+	r := NewReader(ok)
+	if ss := r.StringList(); r.Err() != nil || len(ss) != 3 {
+		t.Errorf("exact-fit list rejected: %v, %v", ss, r.Err())
 	}
 	okMap := AppendStringMap(nil, [][2]string{{"", ""}})
-	if kv, err := NewReader(okMap).StringMap(); err != nil || len(kv) != 1 {
-		t.Errorf("exact-fit map rejected: %v, %v", kv, err)
+	r = NewReader(okMap)
+	if kv := r.StringMap(); r.Err() != nil || len(kv) != 1 {
+		t.Errorf("exact-fit map rejected: %v, %v", kv, r.Err())
 	}
 }
 

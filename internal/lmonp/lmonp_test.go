@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,23 +191,23 @@ func TestWireHelpersRoundTrip(t *testing.T) {
 	b = AppendStringMap(b, [][2]string{{"k1", "v1"}, {"k2", "v2"}})
 
 	r := NewReader(b)
-	if v, err := r.Uint32(); err != nil || v != 7 {
-		t.Fatalf("Uint32 = %d, %v", v, err)
+	if v := r.Uint32(); r.Err() != nil || v != 7 {
+		t.Fatalf("Uint32 = %d, %v", v, r.Err())
 	}
-	if v, err := r.Uint64(); err != nil || v != 1<<40 {
-		t.Fatalf("Uint64 = %d, %v", v, err)
+	if v := r.Uint64(); r.Err() != nil || v != 1<<40 {
+		t.Fatalf("Uint64 = %d, %v", v, r.Err())
 	}
-	if s, err := r.String(); err != nil || s != "hello" {
-		t.Fatalf("String = %q, %v", s, err)
+	if s := r.String(); r.Err() != nil || s != "hello" {
+		t.Fatalf("String = %q, %v", s, r.Err())
 	}
-	if p, err := r.Bytes(); err != nil || !bytes.Equal(p, []byte{1, 2, 3}) {
-		t.Fatalf("Bytes = %v, %v", p, err)
+	if p := r.Bytes(); r.Err() != nil || !bytes.Equal(p, []byte{1, 2, 3}) {
+		t.Fatalf("Bytes = %v, %v", p, r.Err())
 	}
-	if ss, err := r.StringList(); err != nil || !reflect.DeepEqual(ss, []string{"x", "", "zzz"}) {
-		t.Fatalf("StringList = %v, %v", ss, err)
+	if ss := r.StringList(); r.Err() != nil || !reflect.DeepEqual(ss, []string{"x", "", "zzz"}) {
+		t.Fatalf("StringList = %v, %v", ss, r.Err())
 	}
-	if kv, err := r.StringMap(); err != nil || len(kv) != 2 || kv[1][1] != "v2" {
-		t.Fatalf("StringMap = %v, %v", kv, err)
+	if kv := r.StringMap(); r.Err() != nil || len(kv) != 2 || kv[1][1] != "v2" {
+		t.Fatalf("StringMap = %v, %v", kv, r.Err())
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("%d bytes left over", r.Remaining())
@@ -217,17 +218,38 @@ func TestReaderTruncation(t *testing.T) {
 	full := AppendString(nil, "hello")
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
-		if _, err := r.String(); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if s := r.String(); s != "" || !errors.Is(r.Err(), ErrTruncated) {
+			t.Fatalf("truncation at %d accepted: %v", cut, r.Err())
 		}
 	}
 	// Hostile list count must not over-allocate or succeed.
 	bad := AppendUint32(nil, 1<<30)
-	if _, err := NewReader(bad).StringList(); err == nil {
+	if r := NewReader(bad); r.StringList() != nil || r.Err() == nil {
 		t.Fatal("hostile list count accepted")
 	}
-	if _, err := NewReader(bad).StringMap(); err == nil {
+	if r := NewReader(bad); r.StringMap() != nil || r.Err() == nil {
 		t.Fatal("hostile map count accepted")
+	}
+}
+
+// TestReaderKeepsFirstError is the decode-error policy: a field whose
+// length prefix overruns the payload fails the Reader where it stands —
+// the fields behind it do not decode from the middle of it — and the
+// error reported is that first one.
+func TestReaderKeepsFirstError(t *testing.T) {
+	// exe prefix reads 1000 over what would otherwise parse as an empty
+	// string, an empty list and the string "node0".
+	b := AppendUint32(nil, 1000)
+	b = AppendString(b, "")
+	b = AppendStringList(b, nil)
+	b = AppendString(b, "node0")
+	r := NewReader(b)
+	exe, args, kv, nl := r.String(), r.StringList(), r.StringMap(), r.String()
+	if exe != "" || args != nil || kv != nil || nl != "" {
+		t.Fatalf("fields decoded past a failed read: %q %v %v %q", exe, args, kv, nl)
+	}
+	if err := r.Err(); !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "1000") {
+		t.Fatalf("Err = %v, want the first failure (the 1000-byte field)", err)
 	}
 }
 
@@ -235,8 +257,9 @@ func TestReaderTruncation(t *testing.T) {
 func TestPropertyStringList(t *testing.T) {
 	f := func(ss []string) bool {
 		b := AppendStringList(nil, ss)
-		out, err := NewReader(b).StringList()
-		if err != nil {
+		r := NewReader(b)
+		out := r.StringList()
+		if r.Err() != nil {
 			return false
 		}
 		if len(out) != len(ss) {

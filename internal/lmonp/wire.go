@@ -146,10 +146,15 @@ func AppendStringMap(b []byte, kv [][2]string) []byte {
 	return b
 }
 
-// Reader consumes the encodings above.
+// Reader consumes the encodings above. It keeps the first error: a read
+// that cannot be satisfied returns the zero value and fails the Reader, and
+// every read after it fails too, so a decoder reads all its fields in a row
+// and checks Err once — no field of a corrupt payload is ever taken for
+// real because an error before it went unchecked.
 type Reader struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewReader wraps buf.
@@ -158,109 +163,107 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Err returns the error of the first read that failed, nil if none has.
+func (r *Reader) Err() error { return r.err }
+
+// short fails a fixed-width read: the first failure is kept.
+func (r *Reader) short() {
+	if r.err == nil {
+		r.err = ErrTruncated
+	}
+}
+
 // Byte reads a single byte.
-func (r *Reader) Byte() (byte, error) {
-	if r.Remaining() < 1 {
-		return 0, ErrTruncated
+func (r *Reader) Byte() byte {
+	if r.err != nil || r.Remaining() < 1 {
+		r.short()
+		return 0
 	}
 	b := r.buf[r.off]
 	r.off++
-	return b, nil
+	return b
 }
 
 // Uint32 reads a big-endian uint32.
-func (r *Reader) Uint32() (uint32, error) {
-	if r.Remaining() < 4 {
-		return 0, ErrTruncated
+func (r *Reader) Uint32() uint32 {
+	if r.err != nil || r.Remaining() < 4 {
+		r.short()
+		return 0
 	}
 	v := binary.BigEndian.Uint32(r.buf[r.off:])
 	r.off += 4
-	return v, nil
+	return v
 }
 
 // Uint64 reads a big-endian uint64.
-func (r *Reader) Uint64() (uint64, error) {
-	if r.Remaining() < 8 {
-		return 0, ErrTruncated
+func (r *Reader) Uint64() uint64 {
+	if r.err != nil || r.Remaining() < 8 {
+		r.short()
+		return 0
 	}
 	v := binary.BigEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return v, nil
+	return v
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() (string, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return "", err
+// overrun fails a read whose prefix claims more than the buffer holds.
+func (r *Reader) overrun(what string, n uint64) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s of %d bytes, %d remain", ErrTruncated, what, n, r.Remaining())
 	}
-	if uint32(r.Remaining()) < n {
-		return "", fmt.Errorf("%w: string of %d bytes, %d remain", ErrTruncated, n, r.Remaining())
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
 }
 
 // Bytes reads a length-prefixed byte slice (aliasing the input buffer).
-func (r *Reader) Bytes() ([]byte, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(r.Remaining()) < n {
-		return nil, fmt.Errorf("%w: bytes of %d, %d remain", ErrTruncated, n, r.Remaining())
+func (r *Reader) Bytes() []byte {
+	n := r.Uint32()
+	if r.err != nil || uint32(r.Remaining()) < n {
+		r.overrun("field", uint64(n))
+		return nil
 	}
 	p := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return p, nil
+	return p
+}
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Count reads the count prefix of a list whose entries each encode to at
+// least min (> 0) bytes, failing when the unread bytes cannot hold that
+// many: a decoder may size an allocation by the result and loop to it.
+func (r *Reader) Count(min int) int {
+	n := r.Uint32()
+	if r.err != nil || uint64(n)*uint64(min) > uint64(r.Remaining()) {
+		r.overrun("list", uint64(n)*uint64(min))
+		return 0
+	}
+	return int(n)
 }
 
 // StringList reads a count-prefixed string list.
-func (r *Reader) StringList() ([]string, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry needs at least its own 4-byte length prefix, and the
-	// count field has already been consumed — so n entries can never need
-	// more than exactly the remaining bytes. (The previous guard allowed a
-	// +4 slack that admitted impossible counts at the boundary.)
-	if uint64(n)*4 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: list of %d entries, %d bytes remain", ErrTruncated, n, r.Remaining())
-	}
+func (r *Reader) StringList() []string {
+	// Each entry needs at least its own 4-byte length prefix.
+	n := r.Count(4)
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+	for i := 0; i < n; i++ {
+		out = append(out, r.String())
 	}
-	return out, nil
+	if r.err != nil {
+		return nil
+	}
+	return out
 }
 
 // StringMap reads a count-prefixed key/value list.
-func (r *Reader) StringMap() ([][2]string, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return nil, err
-	}
+func (r *Reader) StringMap() [][2]string {
 	// Each entry is two length-prefixed strings: at least 8 bytes.
-	if uint64(n)*8 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: map of %d entries, %d bytes remain", ErrTruncated, n, r.Remaining())
-	}
+	n := r.Count(8)
 	out := make([][2]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		k, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, [2]string{k, v})
+	for i := 0; i < n; i++ {
+		out = append(out, [2]string{r.String(), r.String()})
 	}
-	return out, nil
+	if r.err != nil {
+		return nil
+	}
+	return out
 }

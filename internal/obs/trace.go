@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -192,30 +193,4 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, pid int, process string) error 
 }
 
 // trackName names a daemon rank's thread track.
-func trackName(rank int) string {
-	// Staying allocation-light is pointless at export time; plain Sprintf
-	// would be fine, but strconv avoids the fmt import here.
-	return "rank-" + itoa(rank)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func trackName(rank int) string { return "rank-" + strconv.Itoa(rank) }

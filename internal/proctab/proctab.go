@@ -58,22 +58,13 @@ func (t Table) Encode() []byte {
 // distinct host — hundreds of millions of GC-traceable objects when every
 // daemon of a 10^4-node job decodes the full RPDTAB — where one backing
 // object per table costs the collector nothing.
-func readPool(r *lmonp.Reader) ([]string, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return nil, err
-	}
+func readPool(r *lmonp.Reader) []string {
 	// Each entry needs at least its 4-byte length prefix.
-	if uint64(n)*4 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("pool of %d entries, %d bytes remain", n, r.Remaining())
-	}
+	n := r.Count(4)
 	raw := make([][]byte, 0, n)
 	var b strings.Builder
-	for i := uint32(0); i < n; i++ {
-		s, err := r.Bytes()
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		s := r.Bytes()
 		raw = append(raw, s)
 		b.Write(s)
 	}
@@ -84,32 +75,20 @@ func readPool(r *lmonp.Reader) ([]string, error) {
 		pool = append(pool, backing[off:off+len(s)])
 		off += len(s)
 	}
-	return pool, nil
+	return pool
 }
 
 // Decode parses a table encoded by Encode.
 func Decode(b []byte) (Table, error) {
 	r := lmonp.NewReader(b)
-	pool, err := readPool(r)
-	if err != nil {
-		return nil, fmt.Errorf("proctab: pool: %w", err)
-	}
-	n, err := r.Uint32()
-	if err != nil {
-		return nil, fmt.Errorf("proctab: count: %w", err)
-	}
-	if uint64(n)*16 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("proctab: truncated: %d entries, %d bytes", n, r.Remaining())
+	pool := readPool(r)
+	n := r.Count(entryBytes)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("proctab: pool and count: %w", err)
 	}
 	t := make(Table, 0, n)
-	for i := uint32(0); i < n; i++ {
-		hi, _ := r.Uint32()
-		ei, _ := r.Uint32()
-		pid, _ := r.Uint32()
-		rank, err := r.Uint32()
-		if err != nil {
-			return nil, fmt.Errorf("proctab: entry %d: %w", i, err)
-		}
+	for i := 0; i < n; i++ {
+		hi, ei, pid, rank := r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()
 		if int(hi) >= len(pool) || int(ei) >= len(pool) {
 			return nil, fmt.Errorf("proctab: entry %d: pool index out of range", i)
 		}
@@ -165,11 +144,8 @@ func (t Table) Validate() error {
 			return fmt.Errorf("proctab: duplicate rank %d", d.Rank)
 		}
 		seen[d.Rank] = true
-		if d.Host == "" {
-			return fmt.Errorf("proctab: entry %d: empty host", i)
-		}
-		if d.Exe == "" {
-			return fmt.Errorf("proctab: entry %d: empty exe", i)
+		if err := d.checkNames(i); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -191,12 +167,20 @@ func (t Table) ValidateSlice() error {
 			return fmt.Errorf("proctab: entry %d: rank %d not increasing (prev %d)", i, d.Rank, prev)
 		}
 		prev = d.Rank
-		if d.Host == "" {
-			return fmt.Errorf("proctab: entry %d: empty host", i)
+		if err := d.checkNames(i); err != nil {
+			return err
 		}
-		if d.Exe == "" {
-			return fmt.Errorf("proctab: entry %d: empty exe", i)
-		}
+	}
+	return nil
+}
+
+// checkNames rejects entry i of a table if it names no host or executable.
+func (d ProcDesc) checkNames(i int) error {
+	if d.Host == "" {
+		return fmt.Errorf("proctab: entry %d: empty host", i)
+	}
+	if d.Exe == "" {
+		return fmt.Errorf("proctab: entry %d: empty exe", i)
 	}
 	return nil
 }

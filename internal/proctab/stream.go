@@ -151,11 +151,9 @@ func EncodeEndMarker(total uint64, digest uint64) []byte {
 // DecodeEndMarker parses an end-marker payload.
 func DecodeEndMarker(payload []byte) (total uint64, digest uint64, err error) {
 	rd := lmonp.NewReader(payload)
-	if total, err = rd.Uint64(); err != nil {
+	total, digest = rd.Uint64(), rd.Uint64()
+	if err := rd.Err(); err != nil {
 		return 0, 0, fmt.Errorf("proctab: end marker: %w", err)
-	}
-	if digest, err = rd.Uint64(); err != nil {
-		return 0, 0, fmt.Errorf("proctab: end marker digest: %w", err)
 	}
 	return total, digest, nil
 }
@@ -195,13 +193,7 @@ func (a *Assembler) Digest() uint64 { return a.startDigest() }
 // the structural invariants (Table.Validate: every rank exactly once,
 // no empty names) and returns it.
 func (a *Assembler) Finish(total int) (Table, error) {
-	if total < 0 || len(a.tab) != total {
-		return nil, fmt.Errorf("proctab: reassembled %d entries, end marker says %d", len(a.tab), total)
-	}
-	if err := a.tab.Validate(); err != nil {
-		return nil, fmt.Errorf("proctab: reassembled table: %w", err)
-	}
-	return a.tab, nil
+	return a.finish(total, "table", Table.Validate)
 }
 
 // FinishSlice is Finish for a rank slice of a larger table (rank-sliced
@@ -209,33 +201,62 @@ func (a *Assembler) Finish(total int) (Table, error) {
 // Validate's dense-rank check it requires strictly increasing ranks —
 // the order the routed stream preserves — and non-empty names.
 func (a *Assembler) FinishSlice(total int) (Table, error) {
+	return a.finish(total, "slice", Table.ValidateSlice)
+}
+
+func (a *Assembler) finish(total int, what string, validate func(Table) error) (Table, error) {
 	if total < 0 || len(a.tab) != total {
 		return nil, fmt.Errorf("proctab: reassembled %d entries, end marker says %d", len(a.tab), total)
 	}
-	if err := a.tab.ValidateSlice(); err != nil {
-		return nil, fmt.Errorf("proctab: reassembled slice: %w", err)
+	if err := validate(a.tab); err != nil {
+		return nil, fmt.Errorf("proctab: reassembled %s: %w", what, err)
 	}
 	return a.tab, nil
 }
 
-// SendStream writes the table to c as TypeProctabChunk messages of at
-// most maxBytes payload each, closed by a TypeProctabEnd marker carrying
-// the total entry count and stream digest.
-func SendStream(c *lmonp.Conn, class lmonp.MsgClass, t Table, maxBytes int) error {
-	w := NewChunkWriter(maxBytes, func(chunk []byte, _ uint64) error {
+// FinishMarker is Finish against a received end-marker payload: the stream
+// must also fold to the digest the sender put in the marker.
+func (a *Assembler) FinishMarker(payload []byte) (Table, error) {
+	total, digest, err := DecodeEndMarker(payload)
+	if err != nil {
+		return nil, err
+	}
+	if digest != a.Digest() {
+		return nil, fmt.Errorf("proctab: stream digest mismatch: sender %#x, received %#x", digest, a.Digest())
+	}
+	if total > uint64(len(a.tab)) {
+		return nil, fmt.Errorf("proctab: end marker claims %d entries, received %d", total, len(a.tab))
+	}
+	return a.Finish(int(total))
+}
+
+// StreamTo returns a ChunkWriter whose chunks go out on c as
+// TypeProctabChunk messages of at most maxBytes payload each, and the end
+// function that closes the stream: it flushes the tail chunk and sends the
+// TypeProctabEnd marker carrying the entry count and the stream digest.
+func StreamTo(c *lmonp.Conn, class lmonp.MsgClass, maxBytes int) (w *ChunkWriter, end func() error) {
+	w = NewChunkWriter(maxBytes, func(chunk []byte, _ uint64) error {
 		return c.Send(&lmonp.Msg{Class: class, Type: lmonp.TypeProctabChunk, Payload: chunk})
 	})
+	return w, func() error {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		return c.Send(&lmonp.Msg{
+			Class:   class,
+			Type:    lmonp.TypeProctabEnd,
+			Payload: EncodeEndMarker(uint64(w.Count()), w.Digest()),
+		})
+	}
+}
+
+// SendStream writes the table to c as a chunk stream (StreamTo).
+func SendStream(c *lmonp.Conn, class lmonp.MsgClass, t Table, maxBytes int) error {
+	w, end := StreamTo(c, class, maxBytes)
 	if err := w.AddTable(t); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return c.Send(&lmonp.Msg{
-		Class:   class,
-		Type:    lmonp.TypeProctabEnd,
-		Payload: EncodeEndMarker(uint64(len(t)), w.Digest()),
-	})
+	return end()
 }
 
 // RecvStream consumes a chunk stream from c until the end marker and
@@ -256,17 +277,7 @@ func RecvStream(c *lmonp.Conn, class lmonp.MsgClass) (Table, error) {
 				return nil, err
 			}
 		case lmonp.TypeProctabEnd:
-			total, digest, err := DecodeEndMarker(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if total > uint64(len(asm.tab)) {
-				return nil, fmt.Errorf("proctab: end marker claims %d entries, received %d", total, len(asm.tab))
-			}
-			if digest != asm.Digest() {
-				return nil, fmt.Errorf("proctab: stream digest mismatch: sender %#x, received %#x", digest, asm.Digest())
-			}
-			return asm.Finish(int(total))
+			return asm.FinishMarker(msg.Payload)
 		default:
 			return nil, fmt.Errorf("proctab: unexpected %v message in RPDTAB stream", msg.Type)
 		}

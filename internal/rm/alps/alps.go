@@ -28,40 +28,21 @@ const (
 	ApinitPort  = 602 // per-node launch daemon
 )
 
-// Config tunes the RM's cost model. Zero fields default.
-type Config struct {
-	// DebugEvents raised by aprun before MPIR_Breakpoint (default 14;
-	// scale-independent, like fixed SLURM).
-	DebugEvents int
+// The RM's cost model.
+const (
+	// DebugEvents raised by aprun before MPIR_Breakpoint
+	// (scale-independent, like fixed SLURM).
+	DebugEvents = 14
 	// PerNodeSubmit is aprun's serial cost to submit one node's launch
-	// (default 350us; the star's linear term).
-	PerNodeSubmit time.Duration
-	// PerTaskRootCost is aprun's per-task bookkeeping (default 550us).
-	PerTaskRootCost time.Duration
-	// ApinitPerMsg is apinit's request-handling cost (default 150us).
-	ApinitPerMsg time.Duration
-	// AllocBase is apsched's allocation cost (default 4ms).
-	AllocBase time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.DebugEvents == 0 {
-		c.DebugEvents = 14
-	}
-	if c.PerNodeSubmit == 0 {
-		c.PerNodeSubmit = 350 * time.Microsecond
-	}
-	if c.PerTaskRootCost == 0 {
-		c.PerTaskRootCost = 550 * time.Microsecond
-	}
-	if c.ApinitPerMsg == 0 {
-		c.ApinitPerMsg = 150 * time.Microsecond
-	}
-	if c.AllocBase == 0 {
-		c.AllocBase = 4 * time.Millisecond
-	}
-	return c
-}
+	// (the star's linear term).
+	PerNodeSubmit = 350 * time.Microsecond
+	// PerTaskRootCost is aprun's per-task bookkeeping.
+	PerTaskRootCost = 550 * time.Microsecond
+	// ApinitPerMsg is apinit's request-handling cost.
+	ApinitPerMsg = 150 * time.Microsecond
+	// AllocBase is apsched's allocation cost.
+	AllocBase = 4 * time.Millisecond
+)
 
 // Manager is the ALPS-like rm.Manager: the shared skeleton (registry, job
 // handle, aprun, apsched) over the apinit star fabric.
@@ -70,8 +51,7 @@ type Manager struct{ *rm.Skeleton }
 var _ rm.Manager = (*Manager)(nil)
 
 // Install boots apsched on the front end and apinit on every compute node.
-func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
+func Install(cl *cluster.Cluster) (*Manager, error) {
 	sk, err := rm.Install(cl, rm.Profile{
 		Name:     "alps",
 		Launcher: "aprun",
@@ -80,18 +60,18 @@ func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 		},
 		Allocator:       "apsched",
 		AllocPort:       ApschedPort,
-		DebugEvents:     cfg.DebugEvents,
-		AllocBase:       cfg.AllocBase,
-		PerTaskRootCost: cfg.PerTaskRootCost,
+		DebugEvents:     DebugEvents,
+		AllocBase:       AllocBase,
+		PerTaskRootCost: PerTaskRootCost,
 		// No per-node terms: apsched's claim is one lookup, and aprun pays
 		// for a spawn at submission (PerNodeSubmit, in the star fabric).
-	}, star{cfg: cfg, sim: cl.Sim()})
+	}, star{sim: cl.Sim()})
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < cl.NumNodes(); i++ {
 		node := cl.Node(i)
-		a := &apinit{cfg: cfg, node: node, jobProcs: make(map[int][]*cluster.Proc)}
+		a := &apinit{node: node, jobProcs: make(map[int][]*cluster.Proc)}
 		if _, err := node.SpawnSystemProc(cluster.Spec{Exe: "apinit", Main: a.main}); err != nil {
 			return nil, err
 		}

@@ -1,10 +1,13 @@
 package alps
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
@@ -19,7 +22,7 @@ func testRig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, *Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Install(cl, Config{})
+	m, err := Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +157,59 @@ func TestPipelinedLaunchFasterThanSerialSubmit(t *testing.T) {
 	serialFloor := 32 * (8*900*time.Microsecond + time.Millisecond) // forks if fully serial
 	if dur >= serialFloor {
 		t.Fatalf("star launch %v not pipelined (serial floor %v)", dur, serialFloor)
+	}
+}
+
+// TestSpawnRequestEnvTravelsInKeyOrder stands in for apinit on two nodes
+// and reads aprun's spawn requests as they arrive: the environment — the
+// tool's variables and the four the RM adds — must be on the wire in key
+// order, so the request is a function of the spawn and not of a map's
+// iteration order.
+func TestSpawnRequestEnvTravelsInKeyOrder(t *testing.T) {
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := rm.DaemonSpec{Exe: "d", Env: map[string]string{}}
+	for i := 0; i < 16; i++ {
+		spec.Env[fmt.Sprintf("TOOL_K%02d", i)] = fmt.Sprint(i)
+	}
+	requests := 0
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Node(i).SpawnSystemProc(cluster.Spec{Exe: "apinit", Main: func(p *cluster.Proc) {
+			rm.Serve(p, ApinitPort, func(rd *lmonp.Reader, reply rm.Reply) {
+				rd.Uint32() // op
+				rd.Uint32() // jobid
+				exe, _, kv := rd.String(), rd.StringList(), rd.StringMap()
+				if rd.Err() != nil || exe != "d" || len(kv) != 20 {
+					t.Errorf("spawn request: exe %q, %d variables (%v)", exe, len(kv), rd.Err())
+				}
+				if !sort.SliceIsSorted(kv, func(a, b int) bool { return kv[a][0] < kv[b][0] }) {
+					t.Errorf("environment not in key order on the wire: %v", kv)
+				}
+				requests++
+				reply(nil, nil)
+			})
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Go("aprun", func() {
+		sim.Sleep(time.Millisecond) // the stand-ins are listening
+		p, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "aprun", Passive: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 50; i++ {
+			if err := (star{sim: sim}).Spawn(p, 7, []string{"node0", "node1"}, spec); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	sim.Run()
+	if requests != 100 {
+		t.Errorf("%d spawn requests arrived, want 100", requests)
 	}
 }

@@ -22,7 +22,6 @@ const (
 // stays goroutine-per-request: its forks block, and nothing pinned runs it
 // at a scale where a parked goroutine per request matters.
 type apinit struct {
-	cfg  Config
 	node *cluster.Node
 
 	mu       sync.Mutex
@@ -31,55 +30,47 @@ type apinit struct {
 
 func (a *apinit) main(p *cluster.Proc) {
 	rm.Serve(p, ApinitPort, func(rd *lmonp.Reader, reply rm.Reply) {
-		p.Compute(a.cfg.ApinitPerMsg)
+		p.Compute(ApinitPerMsg)
 		reply(a.handle(rd))
 	})
 }
 
+// handle serves one request. Each op reads all its fields and then checks
+// the Reader once: a request that does not parse starts nothing.
 func (a *apinit) handle(rd *lmonp.Reader) ([]byte, error) {
-	op, _ := rd.Uint32()
-	jobid32, err := rd.Uint32()
-	if err != nil {
-		return nil, errors.New("apinit: short request")
-	}
-	jobid := int(jobid32)
+	op, jobid := rd.Uint32(), int(rd.Uint32())
 	switch op {
 	case opLaunchTasks:
-		baseRank32, _ := rd.Uint32()
-		count32, _ := rd.Uint32()
-		exe, err := rd.String()
-		if err != nil {
+		baseRank, count, exe := int(rd.Uint32()), int(rd.Uint32()), rd.String()
+		if rd.Err() != nil {
 			return nil, errors.New("bad launch request")
 		}
-		out := lmonp.AppendUint32(nil, count32)
-		for i := 0; i < int(count32); i++ {
+		out := lmonp.AppendUint32(nil, uint32(count))
+		for i := 0; i < count; i++ {
 			proc, err := a.node.SpawnProc(cluster.Spec{Exe: exe, Passive: true})
 			if err != nil {
 				return nil, err
 			}
 			a.track(jobid, proc)
-			out = lmonp.AppendUint32(out, uint32(int(baseRank32)+i))
+			out = lmonp.AppendUint32(out, uint32(baseRank+i))
 			out = lmonp.AppendUint32(out, uint32(proc.Pid()))
 		}
 		return out, nil
 	case opSpawnDaemon:
-		exe, _ := rd.String()
-		args, _ := rd.StringList()
-		kv, err := rd.StringMap()
-		if err != nil {
+		spec := rm.ReadDaemonSpec(rd)
+		if rd.Err() != nil {
 			return nil, errors.New("bad spawn request")
 		}
-		env := make(map[string]string, len(kv))
-		for _, e := range kv {
-			env[e[0]] = e[1]
-		}
-		proc, err := a.node.SpawnProc(cluster.Spec{Exe: exe, Args: args, Env: env})
+		proc, err := a.node.SpawnProc(cluster.Spec{Exe: spec.Exe, Args: spec.Args, Env: spec.Env})
 		if err != nil {
 			return nil, err
 		}
 		a.track(jobid, proc)
 		return lmonp.AppendUint32(nil, uint32(proc.Pid())), nil
 	case opKillJob:
+		if rd.Err() != nil {
+			return nil, errors.New("bad kill request")
+		}
 		a.mu.Lock()
 		procs := a.jobProcs[jobid]
 		delete(a.jobProcs, jobid)

@@ -15,10 +15,7 @@ import (
 // star is the rm.Fabric of the apinit star: aprun contacts every node's
 // apinit directly, one request per node, and gathers the answers
 // asynchronously.
-type star struct {
-	cfg Config
-	sim *vtime.Sim
-}
+type star struct{ sim *vtime.Sim }
 
 // each issues call(i, node) for every node on a goroutine of its own,
 // running submit before each (aprun's serial cost of a submission; the
@@ -53,7 +50,7 @@ func starCall(from *simnet.Host, node string, req []byte) (*lmonp.Reader, error)
 func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (proctab.Table, error) {
 	tpn := spec.TasksPerNode
 	tab := make(proctab.Table, len(nodes)*tpn)
-	err := s.each(nodes, func() { p.Compute(s.cfg.PerNodeSubmit) }, func(i int, node string) error {
+	err := s.each(nodes, func() { p.Compute(PerNodeSubmit) }, func(i int, node string) error {
 		req := lmonp.AppendUint32(nil, opLaunchTasks)
 		req = lmonp.AppendUint32(req, uint32(id))
 		req = lmonp.AppendUint32(req, uint32(i*tpn))
@@ -63,20 +60,15 @@ func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (
 		if err != nil {
 			return err
 		}
-		if n32, _ := rd.Uint32(); int(n32) != tpn {
-			return fmt.Errorf("alps: apinit on %s started %d tasks, want %d", node, n32, tpn)
+		if n := rd.Uint32(); int(n) != tpn {
+			return fmt.Errorf("alps: apinit on %s started %d tasks, want %d", node, n, tpn)
 		}
 		// Each node fills its own block of the table (placement is by NID:
 		// node i owns ranks i*tpn .. i*tpn+tpn-1).
 		for k := 0; k < tpn; k++ {
-			rank32, _ := rd.Uint32()
-			pid32, err := rd.Uint32()
-			if err != nil {
-				return err
-			}
-			tab[i*tpn+k] = proctab.ProcDesc{Host: node, Exe: spec.Exe, Pid: int(pid32), Rank: int(rank32)}
+			tab[i*tpn+k] = proctab.ProcDesc{Host: node, Exe: spec.Exe, Rank: int(rd.Uint32()), Pid: int(rd.Uint32())}
 		}
-		return nil
+		return rd.Err()
 	})
 	if err != nil {
 		return nil, err
@@ -88,22 +80,18 @@ func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (
 // the RM-provided environment (the same contract slurmd honours).
 func (s star) Spawn(p *cluster.Proc, id int, nodes []string, spec rm.DaemonSpec) error {
 	nidList := joinNIDs(nodes)
-	return s.each(nodes, func() { p.Compute(s.cfg.PerNodeSubmit) }, func(i int, node string) error {
-		kv := make([][2]string, 0, len(spec.Env)+4)
+	return s.each(nodes, func() { p.Compute(PerNodeSubmit) }, func(i int, node string) error {
+		perNode := rm.DaemonSpec{Exe: spec.Exe, Args: spec.Args, Env: make(map[string]string, len(spec.Env)+4)}
 		for k, v := range spec.Env {
-			kv = append(kv, [2]string{k, v})
+			perNode.Env[k] = v
 		}
-		kv = append(kv,
-			[2]string{rm.EnvNodeID, fmt.Sprint(i)},
-			[2]string{rm.EnvNNodes, fmt.Sprint(len(nodes))},
-			[2]string{rm.EnvNodeList, nidList},
-			[2]string{rm.EnvJobID, fmt.Sprint(id)})
+		perNode.Env[rm.EnvNodeID] = fmt.Sprint(i)
+		perNode.Env[rm.EnvNNodes] = fmt.Sprint(len(nodes))
+		perNode.Env[rm.EnvNodeList] = nidList
+		perNode.Env[rm.EnvJobID] = fmt.Sprint(id)
 		req := lmonp.AppendUint32(nil, opSpawnDaemon)
 		req = lmonp.AppendUint32(req, uint32(id))
-		req = lmonp.AppendString(req, spec.Exe)
-		req = lmonp.AppendStringList(req, spec.Args)
-		req = lmonp.AppendStringMap(req, kv)
-		_, err := starCall(p.Host(), node, req)
+		_, err := starCall(p.Host(), node, rm.AppendDaemonSpec(req, perNode))
 		return err
 	})
 }

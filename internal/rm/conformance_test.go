@@ -29,7 +29,7 @@ func TestConformance(t *testing.T) {
 	}{
 		{"slurm", func(cl *cluster.Cluster) (rm.Manager, error) { return slurm.Install(cl, slurm.Config{}) }},
 		{"bgl-mpirun", bgl.Install},
-		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl, alps.Config{}) }},
+		{"alps", func(cl *cluster.Cluster) (rm.Manager, error) { return alps.Install(cl) }},
 	} {
 		b := b
 		t.Run(b.name, func(t *testing.T) { conformance(t, b.install) })

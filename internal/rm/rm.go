@@ -19,8 +19,11 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 )
 
@@ -72,6 +75,34 @@ type DaemonSpec struct {
 	Exe  string // registered executable name
 	Args []string
 	Env  map[string]string // session bootstrap environment (LMON_*)
+}
+
+// AppendDaemonSpec appends the wire record of a daemon request — exe, args,
+// env — that every launch path below the front end carries: the engine's
+// LMONP requests, slurmd's tree request, aprun's per-node request and the
+// rsh client's. The environment goes out in key order, so the bytes are a
+// function of the spec.
+func AppendDaemonSpec(b []byte, s DaemonSpec) []byte {
+	kv := make([][2]string, 0, len(s.Env))
+	for k, v := range s.Env {
+		kv = append(kv, [2]string{k, v})
+	}
+	slices.SortFunc(kv, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
+	b = lmonp.AppendString(b, s.Exe)
+	b = lmonp.AppendStringList(b, s.Args)
+	return lmonp.AppendStringMap(b, kv)
+}
+
+// ReadDaemonSpec reads the record AppendDaemonSpec wrote (the caller
+// checks rd.Err).
+func ReadDaemonSpec(rd *lmonp.Reader) DaemonSpec {
+	s := DaemonSpec{Exe: rd.String(), Args: rd.StringList()}
+	kv := rd.StringMap()
+	s.Env = make(map[string]string, len(kv))
+	for _, e := range kv {
+		s.Env[e[0]] = e[1]
+	}
+	return s
 }
 
 // Errors common to manager implementations.

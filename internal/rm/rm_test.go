@@ -1,12 +1,14 @@
 package rm
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
@@ -121,4 +123,28 @@ func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 			t.Error("read a table from a launcher that published none")
 		}
 	})
+}
+
+// TestDaemonSpecBytesAreAFunctionOfTheSpec: the record every launch path
+// carries goes out in key order — the same bytes every time, whatever
+// order the map ranges in — and reads back as the spec.
+func TestDaemonSpecBytesAreAFunctionOfTheSpec(t *testing.T) {
+	spec := DaemonSpec{Exe: "tool_be", Args: []string{"-v", ""}, Env: map[string]string{}}
+	want := lmonp.AppendString(nil, spec.Exe)
+	want = lmonp.AppendStringList(want, spec.Args)
+	want = lmonp.AppendUint32(want, 16)
+	for i := 0; i < 16; i++ {
+		k, v := fmt.Sprintf("LMON_K%02d", i), fmt.Sprint(i*i)
+		spec.Env[k] = v
+		want = lmonp.AppendString(lmonp.AppendString(want, k), v)
+	}
+	for i := 0; i < 100; i++ {
+		if got := AppendDaemonSpec(nil, spec); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d: env not in key order:\n got %q\nwant %q", i, got, want)
+		}
+	}
+	rd := lmonp.NewReader(want)
+	if got := ReadDaemonSpec(rd); rd.Err() != nil || rd.Remaining() != 0 || !reflect.DeepEqual(got, spec) {
+		t.Fatalf("read back %+v (%v, %d bytes left), want %+v", got, rd.Err(), rd.Remaining(), spec)
+	}
 }

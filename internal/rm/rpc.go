@@ -25,8 +25,8 @@ func (e RemoteError) Error() string { return string(e) }
 // result behind it (aliasing frame).
 func OpenReply(frame []byte) ([]byte, error) {
 	rd := lmonp.NewReader(frame)
-	emsg, err := rd.String()
-	if err != nil {
+	emsg := rd.String()
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	if emsg != "" {

@@ -180,13 +180,11 @@ func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 	}
 	var mu sync.Mutex
 	Serve(p, s.prof.AllocPort, func(rd *lmonp.Reader, reply Reply) {
-		if op, _ := rd.Uint32(); op != opAlloc {
-			reply(nil, errors.New("bad op"))
+		op, want, exclude := rd.Uint32(), int(rd.Uint32()), rd.StringList()
+		if rd.Err() != nil || op != opAlloc {
+			reply(nil, errors.New("bad request"))
 			return
 		}
-		n32, _ := rd.Uint32()
-		exclude, _ := rd.StringList()
-		want := int(n32)
 		p.Compute(s.prof.AllocBase + time.Duration(want)*s.prof.AllocPerNode)
 		ex := make(map[string]bool, len(exclude))
 		for _, e := range exclude {
@@ -228,5 +226,5 @@ func (s *Skeleton) allocate(from *simnet.Host, n int, exclude []string) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	return rd.StringList()
+	return rd.StringList(), rd.Err()
 }

@@ -8,13 +8,12 @@
 // slurmd daemons computed over the launch node list, with per-node forks
 // happening in parallel across nodes — the scalable native launch fabric
 // the paper's LaunchMON delegates to. Cost constants default to values
-// calibrated against the paper's Atlas measurements (see
-// internal/bench/calibrate.go).
+// calibrated against the paper's Atlas measurements (Figure 3, which
+// `lmonbench -fig 3` regenerates).
 package slurm
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -143,8 +142,8 @@ func (tree) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (pr
 	if err != nil {
 		return nil, err
 	}
-	enc, err := rd.Bytes()
-	if err != nil {
+	enc := rd.Bytes()
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	return proctab.Decode(enc)
@@ -155,8 +154,8 @@ func (tree) Spawn(p *cluster.Proc, id int, nodes []string, spec rm.DaemonSpec) e
 	if err != nil {
 		return err
 	}
-	count, err := rd.Uint32()
-	if err != nil {
+	count := rd.Uint32()
+	if err := rd.Err(); err != nil {
 		return err
 	}
 	if int(count) != len(nodes) {
@@ -180,15 +179,3 @@ var writeFrame = lmonp.WriteFrame
 // splitNodes returns a shared interned slice — callers must not mutate.
 func joinNodes(nodes []string) string { return hostlist.Compress(nodes) }
 func splitNodes(s string) []string    { return hostlist.Expand(s) }
-func sortedEnv(env map[string]string) [][2]string {
-	keys := make([]string, 0, len(env))
-	for k := range env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	kv := make([][2]string, 0, len(keys))
-	for _, k := range keys {
-		kv = append(kv, [2]string{k, env[k]})
-	}
-	return kv
-}

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
@@ -431,5 +433,23 @@ func TestPropertyLaunchProctabValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpawnRequestCarriesTheSharedDaemonSpecRecord: the tree request is
+// slurmd's own fields around rm.AppendDaemonSpec's bytes (key order, pinned
+// in internal/rm) — the same bytes every time for the same spawn.
+func TestSpawnRequestCarriesTheSharedDaemonSpecRecord(t *testing.T) {
+	d := rm.DaemonSpec{Exe: "d", Args: []string{"-v"}, Env: map[string]string{}}
+	for i := 0; i < 16; i++ {
+		d.Env[fmt.Sprintf("LMON_K%02d", i)] = fmt.Sprint(i)
+	}
+	nodes := []string{"node0", "node1", "node2"}
+	want := lmonp.AppendUint32(lmonp.AppendUint32(lmonp.AppendUint32(nil, opSpawn), 0), 7)
+	want = lmonp.AppendString(rm.AppendDaemonSpec(want, d), joinNodes(nodes))
+	for i := 0; i < 100; i++ {
+		if got := encodeSpawn(7, d, nodes); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d:\n got %q\nwant %q", i, got, want)
+		}
 	}
 }

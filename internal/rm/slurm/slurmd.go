@@ -73,26 +73,26 @@ func (d *slurmd) serve(p *cluster.Proc, conn *simnet.Conn) {
 	})
 }
 
+// dispatch reads what every tree request starts with — op, self, jobid —
+// and hands the rest to the op's handler. No read is checked here: the
+// Reader keeps its first error, and every handler checks it in open, after
+// the request's last field.
 func (d *slurmd) dispatch(p *cluster.Proc, conn *simnet.Conn, req []byte) {
 	rd := lmonp.NewReader(req)
-	op, err := rd.Uint32()
-	if err != nil {
-		conn.Close()
-		return
-	}
-	reply := func(resp []byte) {
+	op := rd.Uint32()
+	st := &treeCall{self: int(rd.Uint32()), jobid: int(rd.Uint32()), reply: func(resp []byte) {
 		writeFrame(conn, resp)
 		conn.Close()
-	}
+	}}
 	switch op {
 	case opLaunch:
-		d.handleLaunch(p, req, rd, reply)
+		d.handleLaunch(p, req, rd, st)
 	case opSpawn:
-		d.handleSpawn(p, req, rd, reply)
+		d.handleSpawn(p, req, rd, st)
 	case opKill:
-		d.handleKill(p, req, rd, reply)
+		d.handleKill(p, req, rd, st)
 	default:
-		reply(lmonp.AppendString(nil, fmt.Sprintf("slurmd: bad op %d", op)))
+		st.fail(fmt.Sprintf("slurmd: bad op %d", op))
 	}
 }
 
@@ -115,6 +115,11 @@ func children(self, n, fanout int) []int {
 // fork failure" path); late completions after an abort are dropped. All
 // state transitions happen on scheduler callbacks, so no lock is needed.
 type treeCall struct {
+	self, jobid int      // this node's index in the node list; the job
+	nl          string   // the request's node list as it travelled
+	nodes       []string // and expanded
+	kids        []int    // this node's children in it
+
 	pending int
 	done    bool
 	replies [][]byte
@@ -123,13 +128,23 @@ type treeCall struct {
 	finish  func()
 }
 
-func newTreeCall(kids int, reply func([]byte)) *treeCall {
-	return &treeCall{
-		pending: kids + 1, // +1 for the local work unit
-		replies: make([][]byte, kids),
-		errs:    make([]error, kids),
-		reply:   reply,
+// open reads the node list that ends every tree request and sets the call
+// up over this node's children in it. The whole request has been read by
+// then, so this is where the Reader is checked: a request that does not
+// parse — truncated, or a length prefix past its end — at any field is
+// refused (false, error reply sent) before anything is forwarded or forked.
+func (d *slurmd) open(st *treeCall, rd *lmonp.Reader, what string) bool {
+	st.nl = rd.String()
+	if rd.Err() != nil {
+		st.fail("slurmd: bad " + what + " request")
+		return false
 	}
+	st.nodes = splitNodes(st.nl)
+	st.kids = children(st.self, len(st.nodes), d.m.cfg.Fanout)
+	st.pending = len(st.kids) + 1 // +1 for the local work unit
+	st.replies = make([][]byte, len(st.kids))
+	st.errs = make([]error, len(st.kids))
+	return true
 }
 
 func (t *treeCall) complete() {
@@ -140,23 +155,41 @@ func (t *treeCall) complete() {
 	}
 }
 
-func (t *treeCall) abort(resp []byte) {
+// fail answers the call with an error reply.
+func (t *treeCall) fail(msg string) { t.reply(lmonp.AppendString(nil, msg)) }
+
+func (t *treeCall) abort(msg string) {
 	if t.done {
 		return
 	}
 	t.done = true
-	t.reply(resp)
+	t.fail(msg)
 }
 
-// firstErr returns the first forward error in child order (the error the
-// old sequential check surfaced).
-func (t *treeCall) firstErr() error {
+// gather answers the call from its children's replies: merge folds in each
+// child's result, in child order, and result renders what follows the
+// empty error string of a success. The first forward error (the error the
+// old sequential check surfaced), failed child or merge error is the
+// answer instead.
+func (t *treeCall) gather(what string, merge func(res []byte) error, result func(b []byte) []byte) {
 	for _, err := range t.errs {
 		if err != nil {
-			return err
+			t.fail(err.Error())
+			return
 		}
 	}
-	return nil
+	for _, rep := range t.replies {
+		res, err := rm.OpenReply(rep)
+		if err != nil {
+			t.fail("slurmd: child " + what + " failed: " + err.Error())
+			return
+		}
+		if err := merge(res); err != nil {
+			t.fail(err.Error())
+			return
+		}
+	}
+	t.reply(result(lmonp.AppendString(nil, "")))
 }
 
 // forwardKids fans the raw request out to the children of self in
@@ -165,8 +198,8 @@ func (t *treeCall) firstErr() error {
 // payload or error per child in st. Each child costs a dial callback and
 // a frame handler — no forwarding goroutine — and its connection is
 // closed as soon as its reply lands. Replies are uncharged, as before.
-func (d *slurmd) forwardKids(p *cluster.Proc, raw []byte, nodelist []string, kids []int, st *treeCall) {
-	for i, k := range kids {
+func (d *slurmd) forwardKids(p *cluster.Proc, raw []byte, st *treeCall) {
+	for i, k := range st.kids {
 		i, k := i, k
 		req := make([]byte, len(raw))
 		copy(req, raw)
@@ -174,7 +207,7 @@ func (d *slurmd) forwardKids(p *cluster.Proc, raw []byte, nodelist []string, kid
 		req[5] = byte(uint32(k) >> 16)
 		req[6] = byte(uint32(k) >> 8)
 		req[7] = byte(uint32(k))
-		p.Host().DialAsync(simnet.Addr{Host: nodelist[k], Port: SlurmdPort}, func(conn *simnet.Conn, err error) {
+		p.Host().DialAsync(simnet.Addr{Host: st.nodes[k], Port: SlurmdPort}, func(conn *simnet.Conn, err error) {
 			if err != nil {
 				st.errs[i] = err
 				st.complete()
@@ -211,52 +244,28 @@ func encodeLaunch(jobid, tasksPerNode int, exe string, nodelist []string) []byte
 	return b
 }
 
-func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, reply func([]byte)) {
-	self32, _ := rd.Uint32()
-	jobid32, _ := rd.Uint32()
-	tpn32, _ := rd.Uint32()
-	exe, _ := rd.String()
-	nl, err := rd.String()
-	if err != nil {
-		reply(lmonp.AppendString(nil, "slurmd: bad launch request"))
+func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
+	tpn, exe := int(rd.Uint32()), rd.String()
+	if !d.open(st, rd, "launch") {
 		return
 	}
-	self, jobid, tpn := int(self32), int(jobid32), int(tpn32)
-	nodelist := splitNodes(nl)
-
-	kids := children(self, len(nodelist), d.m.cfg.Fanout)
-	st := newTreeCall(len(kids), reply)
 	local := make(proctab.Table, 0, tpn)
 	st.finish = func() {
-		if err := st.firstErr(); err != nil {
-			st.reply(lmonp.AppendString(nil, err.Error()))
-			return
-		}
 		merged := local
-		for _, rep := range st.replies {
-			res, err := rm.OpenReply(rep)
-			if err != nil {
-				st.reply(lmonp.AppendString(nil, "slurmd: child launch failed: "+err.Error()))
-				return
-			}
-			enc, err := lmonp.NewReader(res).Bytes()
-			if err != nil {
-				st.reply(lmonp.AppendString(nil, err.Error()))
-				return
+		st.gather("launch", func(res []byte) error {
+			rd := lmonp.NewReader(res)
+			enc := rd.Bytes()
+			if err := rd.Err(); err != nil {
+				return err
 			}
 			sub, err := proctab.Decode(enc)
-			if err != nil {
-				st.reply(lmonp.AppendString(nil, err.Error()))
-				return
-			}
 			merged = append(merged, sub...)
-		}
-		out := lmonp.AppendString(nil, "")
-		st.reply(lmonp.AppendBytes(out, merged.Encode()))
+			return err
+		}, func(b []byte) []byte { return lmonp.AppendBytes(b, merged.Encode()) })
 	}
 
 	// Forward first so subtrees overlap with local forking.
-	d.forwardKids(p, raw, nodelist, kids, st)
+	d.forwardKids(p, raw, st)
 
 	// Fork the local tasks (block rank distribution: node i owns ranks
 	// i*tpn .. i*tpn+tpn-1), chained so they serialize on this node's fork
@@ -269,12 +278,12 @@ func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, rep
 		}
 		d.node.SpawnProcAsync(cluster.Spec{Exe: exe, Passive: true}, func(proc *cluster.Proc, err error) {
 			if err != nil {
-				st.abort(lmonp.AppendString(nil, fmt.Sprintf("slurmd %s: %v", d.node.Name(), err)))
+				st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
 				return
 			}
-			d.track(jobid, proc)
+			d.track(st.jobid, proc)
 			local = append(local, proctab.ProcDesc{
-				Host: d.node.Name(), Exe: exe, Pid: proc.Pid(), Rank: self*tpn + i,
+				Host: d.node.Name(), Exe: exe, Pid: proc.Pid(), Rank: st.self*tpn + i,
 			})
 			forkNext(i + 1)
 		})
@@ -282,81 +291,58 @@ func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, rep
 	forkNext(0)
 }
 
-// spawn request layout: op, self, jobid, exe, args, env, nodelist.
+// spawn request layout: op, self, jobid, daemon spec, nodelist.
 func encodeSpawn(jobid int, spec rm.DaemonSpec, nodelist []string) []byte {
 	b := lmonp.AppendUint32(nil, opSpawn)
 	b = lmonp.AppendUint32(b, 0) // self index; rewritten per hop
 	b = lmonp.AppendUint32(b, uint32(jobid))
-	b = lmonp.AppendString(b, spec.Exe)
-	b = lmonp.AppendStringList(b, spec.Args)
-	b = lmonp.AppendStringMap(b, sortedEnv(spec.Env))
+	b = rm.AppendDaemonSpec(b, spec)
 	b = lmonp.AppendString(b, joinNodes(nodelist))
 	return b
 }
 
-func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, reply func([]byte)) {
-	self32, _ := rd.Uint32()
-	jobid32, _ := rd.Uint32()
-	exe, _ := rd.String()
-	args, _ := rd.StringList()
-	kv, _ := rd.StringMap()
-	nl, err := rd.String()
-	if err != nil {
-		reply(lmonp.AppendString(nil, "slurmd: bad spawn request"))
+func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
+	// The daemon spec, field by field rather than through
+	// rm.ReadDaemonSpec: the environment stays a pair list here, because
+	// only the first node of the fabric to see this request makes a map of
+	// it (SpawnEnv below).
+	exe, args, kv := rd.String(), rd.StringList(), rd.StringMap()
+	if !d.open(st, rd, "spawn") {
 		return
 	}
-	self, jobid := int(self32), int(jobid32)
-	nodelist := splitNodes(nl)
-
-	kids := children(self, len(nodelist), d.m.cfg.Fanout)
-	st := newTreeCall(len(kids), reply)
 	st.finish = func() {
-		if err := st.firstErr(); err != nil {
-			st.reply(lmonp.AppendString(nil, err.Error()))
-			return
-		}
 		count := uint32(1)
-		for _, rep := range st.replies {
-			res, err := rm.OpenReply(rep)
-			if err != nil {
-				st.reply(lmonp.AppendString(nil, "slurmd: child spawn failed: "+err.Error()))
-				return
-			}
-			c, err := lmonp.NewReader(res).Uint32()
-			if err != nil {
-				st.reply(lmonp.AppendString(nil, err.Error()))
-				return
-			}
-			count += c
-		}
-		out := lmonp.AppendString(nil, "")
-		st.reply(lmonp.AppendUint32(out, count))
+		st.gather("spawn", func(res []byte) error {
+			rd := lmonp.NewReader(res)
+			count += rd.Uint32()
+			return rd.Err()
+		}, func(b []byte) []byte { return lmonp.AppendUint32(b, count) })
 	}
 
-	d.forwardKids(p, raw, nodelist, kids, st)
+	d.forwardKids(p, raw, st)
 
 	// Only the node index differs across the K spawned daemons; the rest
 	// of the environment is interned once per request body (identical at
 	// every node: the self-index field is excluded) with the job, and
 	// shared as the processes' base layer — one map for the whole fabric
 	// instead of one ~16-entry map per node.
-	base := d.m.SpawnEnv(jobid, raw[8:], func() map[string]string {
+	base := d.m.SpawnEnv(st.jobid, raw[8:], func() map[string]string {
 		env := make(map[string]string, len(kv)+3)
 		for _, e := range kv {
 			env[e[0]] = e[1]
 		}
-		env[rm.EnvNNodes] = fmt.Sprint(len(nodelist))
-		env[rm.EnvNodeList] = nl
-		env[rm.EnvJobID] = fmt.Sprint(jobid)
+		env[rm.EnvNNodes] = fmt.Sprint(len(st.nodes))
+		env[rm.EnvNodeList] = st.nl
+		env[rm.EnvJobID] = fmt.Sprint(st.jobid)
 		return env
 	})
-	overlay := map[string]string{rm.EnvNodeID: fmt.Sprint(self)}
+	overlay := map[string]string{rm.EnvNodeID: fmt.Sprint(st.self)}
 	d.node.SpawnProcAsync(cluster.Spec{Exe: exe, Args: args, Env: overlay, EnvBase: base}, func(proc *cluster.Proc, err error) {
 		if err != nil {
-			st.abort(lmonp.AppendString(nil, fmt.Sprintf("slurmd %s: %v", d.node.Name(), err)))
+			st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
 			return
 		}
-		d.track(jobid, proc)
+		d.track(st.jobid, proc)
 		st.complete()
 	})
 }
@@ -370,30 +356,19 @@ func encodeKill(jobid int, nodelist []string) []byte {
 	return b
 }
 
-func (d *slurmd) handleKill(p *cluster.Proc, raw []byte, rd *lmonp.Reader, reply func([]byte)) {
-	self32, _ := rd.Uint32()
-	jobid32, _ := rd.Uint32()
-	nl, err := rd.String()
-	if err != nil {
-		reply(lmonp.AppendString(nil, "slurmd: bad kill request"))
+func (d *slurmd) handleKill(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
+	if !d.open(st, rd, "kill") {
 		return
 	}
-	self, jobid := int(self32), int(jobid32)
-	nodelist := splitNodes(nl)
+	// Kill is tolerant: an unreachable child's processes died with its
+	// node, so forward errors are not failures.
+	st.finish = func() { st.reply(lmonp.AppendString(nil, "")) }
 
-	kids := children(self, len(nodelist), d.m.cfg.Fanout)
-	st := newTreeCall(len(kids), reply)
-	st.finish = func() {
-		// Kill is tolerant: an unreachable child's processes died with its
-		// node, so forward errors are not failures.
-		st.reply(lmonp.AppendString(nil, ""))
-	}
-
-	d.forwardKids(p, raw, nodelist, kids, st)
+	d.forwardKids(p, raw, st)
 
 	d.mu.Lock()
-	procs := d.jobProcs[jobid]
-	delete(d.jobProcs, jobid)
+	procs := d.jobProcs[st.jobid]
+	delete(d.jobProcs, st.jobid)
 	d.mu.Unlock()
 	for _, proc := range procs {
 		proc.Kill()

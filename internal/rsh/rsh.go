@@ -30,28 +30,25 @@ import (
 // Port of the per-node remote shell daemon (sshd-like).
 const Port = 22
 
+// The fixed costs of one remote shell invocation: ClientForkCost is the
+// front-end fork+exec of the rsh client binary (rsh clients are fat),
+// RemoteForkCost the remote daemon exec.
+const (
+	ClientForkCost = 6 * time.Millisecond
+	RemoteForkCost = 4 * time.Millisecond
+)
+
 // Config models the cost of one remote shell invocation.
 type Config struct {
-	// ClientForkCost is the front-end fork+exec of the rsh client binary
-	// (default 6ms; rsh clients are fat).
-	ClientForkCost time.Duration
 	// AuthCost is connection setup + authentication + shell startup on the
 	// remote side (default 225ms, matching the paper's ≈0.24 s/node ad hoc
 	// launch slope).
 	AuthCost time.Duration
-	// RemoteForkCost is the remote daemon exec (default 4ms).
-	RemoteForkCost time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.ClientForkCost == 0 {
-		c.ClientForkCost = 6 * time.Millisecond
-	}
 	if c.AuthCost == 0 {
 		c.AuthCost = 225 * time.Millisecond
-	}
-	if c.RemoteForkCost == 0 {
-		c.RemoteForkCost = 4 * time.Millisecond
 	}
 	return c
 }
@@ -81,19 +78,13 @@ func (s *Service) sshdMain(node *cluster.Node) cluster.ProcMain {
 			// Authentication and shell startup happen on the remote side
 			// of the connection.
 			p.Compute(s.cfg.AuthCost)
-			exe, _ := rd.String()
-			args, _ := rd.StringList()
-			kv, err := rd.StringMap()
-			if err != nil {
+			spec := rm.ReadDaemonSpec(rd)
+			if rd.Err() != nil {
 				reply(nil, errors.New("bad request"))
 				return
 			}
-			env := make(map[string]string, len(kv))
-			for _, e := range kv {
-				env[e[0]] = e[1]
-			}
-			p.Compute(s.cfg.RemoteForkCost)
-			proc, err := node.SpawnProc(cluster.Spec{Exe: exe, Args: args, Env: env})
+			p.Compute(RemoteForkCost)
+			proc, err := node.SpawnProc(cluster.Spec{Exe: spec.Exe, Args: spec.Args, Env: spec.Env})
 			if err != nil {
 				reply(nil, err)
 				return
@@ -130,7 +121,7 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 	// channel, so the process stays in the table until the daemon dies.
 	done := vtime.NewChan[error](p.Sim())
 	_, err := p.Spawn(cluster.Spec{Exe: "rsh", Main: func(client *cluster.Proc) {
-		client.Compute(s.cfg.ClientForkCost)
+		client.Compute(ClientForkCost)
 		// Not rm.Call: the connection outlives the reply, as the daemon's
 		// control channel.
 		conn, err := client.Host().Dial(simnet.Addr{Host: node, Port: Port})
@@ -139,13 +130,7 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 			return
 		}
 		defer conn.Close()
-		req := lmonp.AppendString(nil, exe)
-		req = lmonp.AppendStringList(req, args)
-		kv := make([][2]string, 0, len(env))
-		for k, v := range env {
-			kv = append(kv, [2]string{k, v})
-		}
-		req = lmonp.AppendStringMap(req, kv)
+		req := rm.AppendDaemonSpec(nil, rm.DaemonSpec{Exe: exe, Args: args, Env: env})
 		if _, err := rm.Exchange(conn, req); err != nil {
 			done.Send(err)
 			return

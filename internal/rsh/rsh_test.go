@@ -2,12 +2,15 @@ package rsh
 
 import (
 	"errors"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
 
@@ -161,5 +164,55 @@ func TestClientsLingerUntilDaemonExit(t *testing.T) {
 	}
 	if endCount != 1 {
 		t.Fatalf("front end has %d procs after daemon exit, want 1", endCount)
+	}
+}
+
+// TestSpawnRequestEnvTravelsInKeyOrder stands in for sshd and reads the
+// rsh client's requests as they arrive: the environment must be on the
+// wire in key order, so the request is a function of the spawn and not of
+// a map's iteration order.
+func TestSpawnRequestEnvTravelsInKeyOrder(t *testing.T) {
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := map[string]string{}
+	for i := 0; i < 16; i++ {
+		env["TOOL_K"+strconv.Itoa(10+i)] = strconv.Itoa(i)
+	}
+	requests := 0
+	if _, err := cl.Node(0).SpawnSystemProc(cluster.Spec{Exe: "sshd", Main: func(p *cluster.Proc) {
+		rm.Serve(p, Port, func(rd *lmonp.Reader, reply rm.Reply) {
+			exe, _, kv := rd.String(), rd.StringList(), rd.StringMap()
+			if rd.Err() != nil || exe != "d" || len(kv) != 16 {
+				t.Errorf("request: exe %q, %d variables (%v)", exe, len(kv), rd.Err())
+			}
+			if !sort.SliceIsSorted(kv, func(a, b int) bool { return kv[a][0] < kv[b][0] }) {
+				t.Errorf("environment not in key order on the wire: %v", kv)
+			}
+			requests++
+			reply(nil, nil)
+		})
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	svc := &Service{cl: cl, cfg: Config{AuthCost: time.Millisecond}}
+	sim.Go("fe", func() {
+		sim.Sleep(time.Millisecond) // the stand-in is listening
+		p, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "tool", Passive: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 100; i++ {
+			if err := svc.Spawn(p, []string{"node0"}, "d", nil, []map[string]string{env}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	sim.Run()
+	if requests != 100 {
+		t.Errorf("%d requests arrived, want 100", requests)
 	}
 }

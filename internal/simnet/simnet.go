@@ -38,29 +38,25 @@ type Options struct {
 	// Bandwidth is the per-connection bandwidth in bytes/second between
 	// distinct hosts.
 	Bandwidth float64
-	// LoopbackBandwidth is the per-connection loopback bandwidth.
-	LoopbackBandwidth float64
 
 	// SlowHosts maps host names to a slowdown factor (> 1): connections
 	// touching a slow host see their latency multiplied and bandwidth
 	// divided by the factor (the fault model's slow-node knob). The larger
 	// factor wins when both endpoints are slow.
 	SlowHosts map[string]float64
-	// DropLinks lists host pairs whose links start out down (see
-	// Network.DropLink): messages between them are silently discarded and
-	// new dials fail with ErrLinkDown.
-	DropLinks [][2]string
 }
+
+// LoopbackBandwidth is the per-connection bandwidth within one host.
+const LoopbackBandwidth = 4e9
 
 // DefaultOptions models a 2008-era Infiniband cluster interconnect
 // (4x DDR): ~30us MPI-level latency, ~1.2 GB/s per stream, and fast local
 // loopback.
 func DefaultOptions() Options {
 	return Options{
-		Latency:           30 * time.Microsecond,
-		LoopbackLatency:   6 * time.Microsecond,
-		Bandwidth:         1.2e9,
-		LoopbackBandwidth: 4e9,
+		Latency:         30 * time.Microsecond,
+		LoopbackLatency: 6 * time.Microsecond,
+		Bandwidth:       1.2e9,
 	}
 }
 
@@ -74,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Bandwidth == 0 {
 		o.Bandwidth = d.Bandwidth
-	}
-	if o.LoopbackBandwidth == 0 {
-		o.LoopbackBandwidth = d.LoopbackBandwidth
 	}
 	return o
 }
@@ -123,7 +116,7 @@ type Network struct {
 
 // New creates an empty network bound to sim.
 func New(sim *vtime.Sim, opts Options) *Network {
-	n := &Network{
+	return &Network{
 		sim:       sim,
 		opts:      opts.withDefaults(),
 		hosts:     make(map[string]*Host),
@@ -131,10 +124,6 @@ func New(sim *vtime.Sim, opts Options) *Network {
 		downLinks: make(map[[2]string]bool),
 		conns:     make(map[string]map[*Conn]bool),
 	}
-	for _, pair := range n.opts.DropLinks {
-		n.downLinks[linkKey(pair[0], pair[1])] = true
-	}
-	return n
 }
 
 // linkKey normalizes an unordered host pair.
@@ -342,8 +331,8 @@ func (l *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
-// AcceptTimeout is Accept with a virtual-time deadline; ok is false and err
-// nil when the deadline passed.
+// AcceptTimeout is Accept with a virtual-time deadline: an error naming
+// the listener when it passes with nothing to accept.
 func (l *Listener) AcceptTimeout(d time.Duration) (*Conn, error) {
 	c, ok, timedOut := l.incoming.RecvTimeout(d)
 	if timedOut {
@@ -437,7 +426,7 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 	lat = n.opts.Latency
 	bw := n.opts.Bandwidth
 	if addr.Host == h.name {
-		lat, bw = n.opts.LoopbackLatency, n.opts.LoopbackBandwidth
+		lat, bw = n.opts.LoopbackLatency, LoopbackBandwidth
 	}
 	if f := n.opts.slowFactor(h.name, addr.Host); f > 1 {
 		lat = time.Duration(float64(lat) * f)
@@ -550,24 +539,21 @@ func (c *Conn) Read(p []byte) (int, error) {
 // virtual time: io.EOF/ErrPeerDead per Read's contract once the connection
 // ends. It must be called on a message boundary (no partially consumed
 // arrival) — the caller is reading a message-per-frame protocol.
-func (c *Conn) RecvMessage() ([]byte, error) {
+func (c *Conn) RecvMessage() ([]byte, error) { return c.RecvMessageTimeout(0) }
+
+// RecvMessageTimeout is RecvMessage with a virtual-time deadline when d is
+// positive: ErrReadTimeout when it passes with nothing delivered.
+func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
 	if len(c.rbuf) != 0 {
 		panic("simnet: RecvMessage with a partially read message")
 	}
-	buf, ok := c.in.Recv()
-	if !ok {
-		return nil, c.endErr()
+	var buf []byte
+	var ok, timedOut bool
+	if d > 0 {
+		buf, ok, timedOut = c.in.RecvTimeout(d)
+	} else {
+		buf, ok = c.in.Recv()
 	}
-	return buf, nil
-}
-
-// RecvMessageTimeout is RecvMessage with a virtual-time deadline:
-// ErrReadTimeout when it passes with nothing delivered.
-func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
-	if len(c.rbuf) != 0 {
-		panic("simnet: RecvMessageTimeout with a partially read message")
-	}
-	buf, ok, timedOut := c.in.RecvTimeout(d)
 	if timedOut {
 		return nil, fmt.Errorf("%w: no message from %s within %v", ErrReadTimeout, c.remote, d)
 	}
@@ -641,17 +627,8 @@ func (c *Conn) sever() {
 	}
 	// The local side belongs to the dead host: fail its I/O immediately.
 	c.peerDead = true
-	now := c.net.sim.Now()
-	fin := c.sendDone
-	if fin < now {
-		fin = now
-	}
-	fin += c.lat
 	peer := c.peer
-	c.mu.Unlock()
-	c.in.Close()
-	c.net.unregister(c.local.Host, c)
-	c.net.sim.After(fin-now, func() {
+	c.shutLocked(func() {
 		peer.net.unregister(peer.local.Host, peer)
 		peer.mu.Lock()
 		if peer.closed {
@@ -675,19 +652,24 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	// EOF must not overtake in-flight data.
+	c.shutLocked(c.peer.in.Close)
+	return nil
+}
+
+// shutLocked ends the local endpoint, which the caller has marked closed
+// or severed under c.mu (released here), and runs atPeer at the instant
+// the end of the stream reaches the other side: one latency behind
+// whatever is still on the wire, so it never overtakes in-flight data.
+func (c *Conn) shutLocked(atPeer func()) {
 	now := c.net.sim.Now()
 	fin := c.sendDone
 	if fin < now {
 		fin = now
 	}
-	fin += c.lat
-	peer := c.peer
 	c.mu.Unlock()
 	c.in.Close()
 	c.net.unregister(c.local.Host, c)
-	c.net.sim.After(fin-now, func() { peer.in.Close() })
-	return nil
+	c.net.sim.After(fin+c.lat-now, atPeer)
 }
 
 var _ io.ReadWriteCloser = (*Conn)(nil)

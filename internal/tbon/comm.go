@@ -12,7 +12,6 @@ import (
 // scalability (distributed reduction instead of a root hot spot).
 type CommNode struct {
 	p        *cluster.Proc
-	cfg      Config
 	rank     int
 	expect   int
 	parent   *simnet.Conn
@@ -26,13 +25,12 @@ type CommNode struct {
 // accepted the whole subtree — so the root's AcceptChildren accounts for
 // complete subtrees. The comm node's Addr is available (for distributing
 // to its leaves) as soon as this returns.
-func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expectChildren int, cfg Config) (*CommNode, error) {
-	cfg = cfg.withDefaults()
+func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expectChildren int) (*CommNode, error) {
 	l, err := p.Host().Listen(0)
 	if err != nil {
 		return nil, err
 	}
-	cn := &CommNode{p: p, cfg: cfg, rank: rank, expect: expectChildren, listener: l}
+	cn := &CommNode{p: p, rank: rank, expect: expectChildren, listener: l}
 
 	conn, err := dialParent(p, parentAddr)
 	if err != nil {
@@ -49,7 +47,7 @@ func (cn *CommNode) Addr() string { return cn.listener.Addr().String() }
 // hello, and enters the relay loop.
 func (cn *CommNode) FinishHandshakeAndServe() error {
 	var err error
-	cn.children, cn.leaves, err = acceptChildren(cn.p, cn.cfg, cn.listener, cn.expect)
+	cn.children, cn.leaves, err = acceptChildren(cn.p, cn.listener, cn.expect)
 	if err != nil {
 		return err
 	}
@@ -82,7 +80,7 @@ func (cn *CommNode) Serve() error {
 				return err
 			}
 		}
-		acc, err := gatherMerged(cn.p, cn.cfg, cn.children, pkt.Filter)
+		acc, err := gatherMerged(cn.p, cn.children, pkt.Filter)
 		if err != nil {
 			cn.close()
 			return err

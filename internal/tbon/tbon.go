@@ -52,23 +52,9 @@ func encodePacket(p Packet) []byte {
 
 func decodePacket(raw []byte) (Packet, error) {
 	rd := lmonp.NewReader(raw)
-	var p Packet
-	var err error
-	if p.Stream, err = rd.Uint32(); err != nil {
-		return p, err
-	}
-	if p.Tag, err = rd.Uint32(); err != nil {
-		return p, err
-	}
-	if p.Filter, err = rd.String(); err != nil {
-		return p, err
-	}
-	data, err := rd.Bytes()
-	if err != nil {
-		return p, err
-	}
-	p.Data = append([]byte(nil), data...)
-	return p, nil
+	p := Packet{Stream: rd.Uint32(), Tag: rd.Uint32(), Filter: rd.String()}
+	p.Data = append([]byte(nil), rd.Bytes()...)
+	return p, rd.Err()
 }
 
 // Filter merges two upstream payloads; it must be associative. A nil
@@ -102,27 +88,15 @@ func init() {
 	RegisterFilter("concat", func(a, b []byte) []byte { return append(a, b...) })
 }
 
-// Config tunes the overlay cost model.
-type Config struct {
-	// PerChildAcceptCost is the root/internal-node CPU cost to accept and
-	// set up one child connection (thread spin-up, fd bookkeeping;
-	// default 4ms — MRNet's dominant serial term at the root).
-	PerChildAcceptCost time.Duration
-	// HandshakeCost is the per-child protocol handshake processing
-	// (default 3ms; ≈0.77 s at 256 children, the paper's measured MRNet
-	// handshake share).
-	HandshakeCost time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.PerChildAcceptCost == 0 {
-		c.PerChildAcceptCost = 4 * time.Millisecond
-	}
-	if c.HandshakeCost == 0 {
-		c.HandshakeCost = 3 * time.Millisecond
-	}
-	return c
-}
+// The overlay's cost model. PerChildAcceptCost is the root/internal-node
+// CPU cost to accept and set up one child connection (thread spin-up, fd
+// bookkeeping — MRNet's dominant serial term at the root); HandshakeCost is
+// the per-child protocol handshake processing (≈0.77 s at 256 children,
+// the paper's measured MRNet handshake share).
+const (
+	PerChildAcceptCost = 4 * time.Millisecond
+	HandshakeCost      = 3 * time.Millisecond
+)
 
 // child is one downstream connection at the front end or a comm node.
 type child struct {
@@ -134,19 +108,18 @@ type child struct {
 // FrontEnd is the overlay root, owned by the tool's front-end process.
 type FrontEnd struct {
 	p        *cluster.Proc
-	cfg      Config
 	listener *simnet.Listener
 	children []child
 	leaves   int
 }
 
 // NewFrontEnd opens the overlay root on an ephemeral port.
-func NewFrontEnd(p *cluster.Proc, cfg Config) (*FrontEnd, error) {
+func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
 	l, err := p.Host().Listen(0)
 	if err != nil {
 		return nil, err
 	}
-	return &FrontEnd{p: p, cfg: cfg.withDefaults(), listener: l}, nil
+	return &FrontEnd{p: p, listener: l}, nil
 }
 
 // Addr returns the root's listen address (host:port) for daemons to dial.
@@ -156,7 +129,7 @@ func (fe *FrontEnd) Addr() string { return fe.listener.Addr().String() }
 // charging it the per-child accept and handshake costs, and returns them
 // with the leaf total of their subtrees. On an error the children accepted
 // so far are still returned, for the caller to close.
-func acceptChildren(p *cluster.Proc, cfg Config, l *simnet.Listener, n int) ([]child, int, error) {
+func acceptChildren(p *cluster.Proc, l *simnet.Listener, n int) ([]child, int, error) {
 	var kids []child
 	leaves := 0
 	for i := 0; i < n; i++ {
@@ -164,22 +137,21 @@ func acceptChildren(p *cluster.Proc, cfg Config, l *simnet.Listener, n int) ([]c
 		if err != nil {
 			return kids, leaves, err
 		}
-		p.Compute(cfg.PerChildAcceptCost)
+		p.Compute(PerChildAcceptCost)
 		hello, err := lmonp.ReadFrame(conn)
 		if err != nil {
 			conn.Close()
 			return kids, leaves, err
 		}
-		p.Compute(cfg.HandshakeCost)
+		p.Compute(HandshakeCost)
 		rd := lmonp.NewReader(hello)
-		rank, _ := rd.Uint32()
-		lv, err := rd.Uint32()
-		if err != nil {
+		kid := child{conn: conn, rank: int(rd.Uint32()), leaves: int(rd.Uint32())}
+		if err := rd.Err(); err != nil {
 			conn.Close()
 			return kids, leaves, fmt.Errorf("tbon: bad hello: %w", err)
 		}
-		kids = append(kids, child{conn: conn, rank: int(rank), leaves: int(lv)})
-		leaves += int(lv)
+		kids = append(kids, kid)
+		leaves += kid.leaves
 	}
 	return kids, leaves, nil
 }
@@ -188,7 +160,7 @@ func acceptChildren(p *cluster.Proc, cfg Config, l *simnet.Listener, n int) ([]c
 // accept and handshake costs — the connection-establishment phase whose
 // serial root cost dominates MRNet's 1-deep startup.
 func (fe *FrontEnd) AcceptChildren(n int) error {
-	kids, leaves, err := acceptChildren(fe.p, fe.cfg, fe.listener, n)
+	kids, leaves, err := acceptChildren(fe.p, fe.listener, n)
 	fe.children = append(fe.children, kids...)
 	fe.leaves += leaves
 	return err
@@ -212,7 +184,7 @@ func (fe *FrontEnd) Multicast(pkt Packet) error {
 // gatherMerged reads one (possibly pre-merged) response per child and
 // merges them with the named filter on the process p, returning the
 // reduced payload.
-func gatherMerged(p *cluster.Proc, cfg Config, children []child, filter string) ([]byte, error) {
+func gatherMerged(p *cluster.Proc, children []child, filter string) ([]byte, error) {
 	f := lookupFilter(filter)
 	var acc []byte
 	for _, c := range children {
@@ -224,7 +196,7 @@ func gatherMerged(p *cluster.Proc, cfg Config, children []child, filter string) 
 		if err != nil {
 			return nil, err
 		}
-		p.Compute(cfg.HandshakeCost / 3) // per-packet processing
+		p.Compute(HandshakeCost / 3) // per-packet processing
 		acc = f(acc, pkt.Data)
 	}
 	return acc, nil
@@ -233,7 +205,7 @@ func gatherMerged(p *cluster.Proc, cfg Config, children []child, filter string) 
 // GatherMerged reads one (possibly pre-merged) response per direct child
 // and merges them with the named filter, returning the reduced payload.
 func (fe *FrontEnd) GatherMerged(filter string) ([]byte, error) {
-	return gatherMerged(fe.p, fe.cfg, fe.children, filter)
+	return gatherMerged(fe.p, fe.children, filter)
 }
 
 // Request multicasts a request and returns the filter-merged responses —
@@ -318,22 +290,23 @@ func (l *Leaf) Close() { l.conn.Close() }
 // LaunchNativeFlat reproduces MRNet's native 1-deep startup: the front end
 // launches one leaf daemon per node through the rsh substrate
 // (sequentially, the ad hoc mechanism of paper §2) and then accepts all of
-// them directly. baseEnv is merged into every daemon's environment; the
-// parent address and rank ride EnvParent/EnvRank.
-func LaunchNativeFlat(p *cluster.Proc, svc *rsh.Service, nodes []string, leafExe string, baseEnv map[string]string, cfg Config) (*FrontEnd, error) {
-	fe, err := NewFrontEnd(p, cfg)
+// them directly. env, when not nil, returns what node i's daemon finds in
+// its environment beside the parent address and rank (EnvParent/EnvRank) —
+// the old mechanism for per-node tool configuration.
+func LaunchNativeFlat(p *cluster.Proc, svc *rsh.Service, nodes []string, leafExe string, env func(i int, node string) map[string]string) (*FrontEnd, error) {
+	fe, err := NewFrontEnd(p)
 	if err != nil {
 		return nil, err
 	}
 	envs := make([]map[string]string, len(nodes))
-	for i := range nodes {
-		env := make(map[string]string, len(baseEnv)+2)
-		for k, v := range baseEnv {
-			env[k] = v
+	for i, node := range nodes {
+		envs[i] = map[string]string{}
+		if env != nil {
+			for k, v := range env(i, node) {
+				envs[i][k] = v
+			}
 		}
-		env[EnvParent] = fe.Addr()
-		env[EnvRank] = fmt.Sprint(i)
-		envs[i] = env
+		envs[i][EnvParent], envs[i][EnvRank] = fe.Addr(), fmt.Sprint(i)
 	}
 	if err := svc.Spawn(p, nodes, leafExe, nil, envs); err != nil {
 		fe.Close()

@@ -66,7 +66,7 @@ func TestFlatRequestReduce(t *testing.T) {
 	var got string
 	sim.Go("root", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			fe, err := NewFrontEnd(p, Config{})
+			fe, err := NewFrontEnd(p)
 			if err != nil {
 				t.Error(err)
 				return
@@ -101,7 +101,7 @@ func TestConcatDefaultFilterCollectsAll(t *testing.T) {
 	var got string
 	sim.Go("root", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			fe, err := NewFrontEnd(p, Config{})
+			fe, err := NewFrontEnd(p)
 			if err != nil {
 				t.Error(err)
 				return
@@ -138,7 +138,7 @@ func TestTwoLevelTreeWithCommNodes(t *testing.T) {
 	var merged string
 	sim.Go("root", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			fe, err := NewFrontEnd(p, Config{})
+			fe, err := NewFrontEnd(p)
 			if err != nil {
 				t.Error(err)
 				return
@@ -149,7 +149,7 @@ func TestTwoLevelTreeWithCommNodes(t *testing.T) {
 			for ci := 0; ci < 2; ci++ {
 				ci := ci
 				cl.Node(6 + ci).SpawnProc(cluster.Spec{Exe: "comm", Main: func(p *cluster.Proc) {
-					cn, err := StartCommNodeDeferredHello(p, fe.Addr(), 100+ci, 3, Config{})
+					cn, err := StartCommNodeDeferredHello(p, fe.Addr(), 100+ci, 3)
 					if err != nil {
 						t.Errorf("comm %d: %v", ci, err)
 						return
@@ -243,7 +243,7 @@ func TestNativeLaunchViaRsh(t *testing.T) {
 	var leaves int
 	sim.Go("root", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			fe, err := LaunchNativeFlat(p, svc, []string{"node0", "node1", "node2", "node3"}, "tbon_leaf", nil, Config{})
+			fe, err := LaunchNativeFlat(p, svc, []string{"node0", "node1", "node2", "node3"}, "tbon_leaf", nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -267,7 +267,7 @@ func TestAcceptCostLinearInChildren(t *testing.T) {
 		var dur time.Duration
 		sim.Go("root", func() {
 			cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-				fe, err := NewFrontEnd(p, Config{})
+				fe, err := NewFrontEnd(p)
 				if err != nil {
 					t.Error(err)
 					return

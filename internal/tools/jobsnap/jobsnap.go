@@ -79,60 +79,13 @@ func encodeLine(l Line) []byte {
 }
 
 func decodeLine(rd *lmonp.Reader) (Line, error) {
-	var l Line
-	r32, err := rd.Uint32()
-	if err != nil {
-		return l, err
+	l := Line{
+		Rank: int(rd.Uint32()), Host: rd.String(), Exe: rd.String(), Pid: int(rd.Uint32()),
+		State: rd.String(), PC: rd.Uint64(), Threads: int(rd.Uint32()),
+		VmHWMKB: int64(rd.Uint64()), VmLckKB: int64(rd.Uint64()),
+		UtimeMS: int64(rd.Uint64()), StimeMS: int64(rd.Uint64()), MajFlt: int64(rd.Uint64()),
 	}
-	l.Rank = int(r32)
-	if l.Host, err = rd.String(); err != nil {
-		return l, err
-	}
-	if l.Exe, err = rd.String(); err != nil {
-		return l, err
-	}
-	p32, err := rd.Uint32()
-	if err != nil {
-		return l, err
-	}
-	l.Pid = int(p32)
-	if l.State, err = rd.String(); err != nil {
-		return l, err
-	}
-	if l.PC, err = rd.Uint64(); err != nil {
-		return l, err
-	}
-	t32, err := rd.Uint32()
-	if err != nil {
-		return l, err
-	}
-	l.Threads = int(t32)
-	vm, err := rd.Uint64()
-	if err != nil {
-		return l, err
-	}
-	l.VmHWMKB = int64(vm)
-	lck, err := rd.Uint64()
-	if err != nil {
-		return l, err
-	}
-	l.VmLckKB = int64(lck)
-	ut, err := rd.Uint64()
-	if err != nil {
-		return l, err
-	}
-	l.UtimeMS = int64(ut)
-	st, err := rd.Uint64()
-	if err != nil {
-		return l, err
-	}
-	l.StimeMS = int64(st)
-	mf, err := rd.Uint64()
-	if err != nil {
-		return l, err
-	}
-	l.MajFlt = int64(mf)
-	return l, nil
+	return l, rd.Err()
 }
 
 // beMain is the Jobsnap back-end daemon (Figure 4, right column):
@@ -173,20 +126,16 @@ func MergeReport(blobs [][]byte) (string, error) {
 	lines := make([]Line, 0, 64)
 	for _, blob := range blobs {
 		rd := lmonp.NewReader(blob)
-		n, err := rd.Uint32()
-		if err != nil {
-			return "", err
-		}
-		for i := uint32(0); i < n; i++ {
-			raw, err := rd.Bytes()
-			if err != nil {
-				return "", err
-			}
-			l, err := decodeLine(lmonp.NewReader(raw))
+		// Each line travels as a length-prefixed record.
+		for i, n := 0, rd.Count(4); i < n; i++ {
+			l, err := decodeLine(lmonp.NewReader(rd.Bytes()))
 			if err != nil {
 				return "", err
 			}
 			lines = append(lines, l)
+		}
+		if err := rd.Err(); err != nil {
+			return "", err
 		}
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i].Rank < lines[j].Rank })

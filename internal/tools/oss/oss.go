@@ -122,8 +122,9 @@ func (l *LaunchMONInstrumentor) AcquireAPAI(p *cluster.Proc, job rm.Job) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	count, err := lmonp.NewReader(ready).Uint64()
-	if err != nil {
+	rd := lmonp.NewReader(ready)
+	count := rd.Uint64()
+	if err := rd.Err(); err != nil {
 		return Result{}, fmt.Errorf("oss/launchmon: readiness sum: %w", err)
 	}
 	if count != uint64(len(sess.Daemons())) {

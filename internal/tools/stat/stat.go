@@ -17,6 +17,7 @@ package stat
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -46,7 +47,7 @@ const DaemonInitCost = 300 * time.Millisecond
 // Install registers STAT's daemons and the prefix-tree merge filter —
 // with both overlays: the MRNet-like TBŌN and the session's own
 // collective plane, where interior ICCL daemons run the merge.
-func Install(cl *cluster.Cluster, cfg tbon.Config) {
+func Install(cl *cluster.Cluster) {
 	tbon.RegisterFilter(FilterName, mergeFilter)
 	coll.RegisterFilter(FilterName, func(string) (coll.Combine, error) {
 		return func(acc, next []byte) ([]byte, error) {
@@ -90,6 +91,27 @@ func StackFor(rank int) []string {
 	}
 }
 
+// sampleLocal walks the stack of each of the daemon's tasks and returns
+// their encoded prefix tree: one daemon's contribution to a sample wave.
+func sampleLocal(p *cluster.Proc, ranks []int) []byte {
+	local := NewTree()
+	for _, r := range ranks {
+		p.Compute(SampleCost)
+		local.AddStack(r, StackFor(r))
+	}
+	return local.Encode()
+}
+
+// localRanks returns the ranks of the tasks a LaunchMON-launched daemon
+// watches.
+func localRanks(be *core.BackEnd) []int {
+	ranks := make([]int, 0, len(be.MyProctab()))
+	for _, d := range be.MyProctab() {
+		ranks = append(ranks, d.Rank)
+	}
+	return ranks
+}
+
 // serveSampling answers TBŌN sample requests for the given local ranks.
 func serveSampling(p *cluster.Proc, leaf *tbon.Leaf, ranks []int) {
 	for {
@@ -97,12 +119,7 @@ func serveSampling(p *cluster.Proc, leaf *tbon.Leaf, ranks []int) {
 		if err != nil {
 			return
 		}
-		local := NewTree()
-		for _, r := range ranks {
-			p.Compute(SampleCost)
-			local.AddStack(r, StackFor(r))
-		}
-		pkt.Data = local.Encode()
+		pkt.Data = sampleLocal(p, ranks)
 		if err := leaf.Send(pkt); err != nil {
 			return
 		}
@@ -123,11 +140,7 @@ func beMainLaunchMON(p *cluster.Proc) {
 		return
 	}
 	defer leaf.Close()
-	ranks := make([]int, 0, len(be.MyProctab()))
-	for _, d := range be.MyProctab() {
-		ranks = append(ranks, d.Rank)
-	}
-	serveSampling(p, leaf, ranks)
+	serveSampling(p, leaf, localRanks(be))
 }
 
 // beMainCollective is the STAT daemon of the collective-plane mode: no
@@ -140,22 +153,14 @@ func beMainCollective(p *cluster.Proc) {
 		return
 	}
 	p.Compute(DaemonInitCost)
-	ranks := make([]int, 0, len(be.MyProctab()))
-	for _, d := range be.MyProctab() {
-		ranks = append(ranks, d.Rank)
-	}
+	ranks := localRanks(be)
 	for {
 		req, err := be.Collective().Broadcast()
 		if err != nil || string(req) == "quit" {
 			be.Finalize()
 			return
 		}
-		local := NewTree()
-		for _, r := range ranks {
-			p.Compute(SampleCost)
-			local.AddStack(r, StackFor(r))
-		}
-		if err := be.Collective().Reduce(local.Encode(), FilterName); err != nil {
+		if err := be.Collective().Reduce(sampleLocal(p, ranks), FilterName); err != nil {
 			return
 		}
 	}
@@ -176,27 +181,12 @@ func beMainNative(p *cluster.Proc) {
 	}
 	defer leaf.Close()
 	var ranks []int
-	for _, s := range splitCSV(p.Env("STAT_RANKS")) {
+	for _, s := range strings.Split(p.Env("STAT_RANKS"), ",") {
 		if r, err := strconv.Atoi(s); err == nil {
 			ranks = append(ranks, r)
 		}
 	}
 	serveSampling(p, leaf, ranks)
-}
-
-func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // Instance is a running STAT session.
@@ -213,9 +203,9 @@ type Instance struct {
 // LaunchWithLaunchMON attaches STAT to a running job via LaunchMON,
 // broadcasting the TBŌN parent address as piggybacked tool data, and waits
 // for all daemons to connect (1-deep topology).
-func LaunchWithLaunchMON(p *cluster.Proc, jobID int, cfg tbon.Config) (*Instance, error) {
+func LaunchWithLaunchMON(p *cluster.Proc, jobID int) (*Instance, error) {
 	start := p.Sim().Now()
-	fe, err := tbon.NewFrontEnd(p, cfg)
+	fe, err := tbon.NewFrontEnd(p)
 	if err != nil {
 		return nil, err
 	}
@@ -259,34 +249,17 @@ func LaunchCollective(p *cluster.Proc, jobID, fanout int) (*Instance, error) {
 // launch with per-node configuration passed through the environment. tab
 // maps node names to their task ranks (previously a shared file or long
 // command lines).
-func LaunchWithRsh(p *cluster.Proc, svc *rsh.Service, nodes []string, ranksPerNode map[string][]int, cfg tbon.Config) (*Instance, error) {
+func LaunchWithRsh(p *cluster.Proc, svc *rsh.Service, nodes []string, ranksPerNode map[string][]int) (*Instance, error) {
 	start := p.Sim().Now()
-	fe, err := tbon.NewFrontEnd(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	envs := make([]map[string]string, len(nodes))
-	for i, node := range nodes {
-		csv := ""
+	fe, err := tbon.LaunchNativeFlat(p, svc, nodes, NativeBEExe, func(_ int, node string) map[string]string {
+		csv := make([]string, len(ranksPerNode[node]))
 		for j, r := range ranksPerNode[node] {
-			if j > 0 {
-				csv += ","
-			}
-			csv += strconv.Itoa(r)
+			csv[j] = strconv.Itoa(r)
 		}
-		envs[i] = map[string]string{
-			tbon.EnvParent: fe.Addr(),
-			tbon.EnvRank:   strconv.Itoa(i),
-			"STAT_RANKS":   csv,
-		}
-	}
-	if err := svc.Spawn(p, nodes, NativeBEExe, nil, envs); err != nil {
-		fe.Close()
+		return map[string]string{"STAT_RANKS": strings.Join(csv, ",")}
+	})
+	if err != nil {
 		return nil, fmt.Errorf("stat: native launch: %w", err)
-	}
-	if err := fe.AcceptChildren(len(nodes)); err != nil {
-		fe.Close()
-		return nil, err
 	}
 	return &Instance{p: p, fe: fe, StartupTime: p.Sim().Now() - start}, nil
 }

@@ -10,7 +10,6 @@ import (
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/slurm"
 	"launchmon/internal/rsh"
-	"launchmon/internal/tbon"
 	"launchmon/internal/vtime"
 )
 
@@ -30,7 +29,7 @@ func rig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, rm.Manager, *rs
 		t.Fatal(err)
 	}
 	core.Setup(cl, mgr)
-	Install(cl, tbon.Config{})
+	Install(cl)
 	return sim, cl, mgr, svc
 }
 
@@ -46,7 +45,7 @@ func TestLaunchMONModeSamplesAllTasks(t *testing.T) {
 				return
 			}
 			p.Sim().Sleep(2 * time.Second)
-			inst, err := LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+			inst, err := LaunchWithLaunchMON(p, j.ID())
 			if err != nil {
 				t.Error(err)
 				return
@@ -90,7 +89,7 @@ func TestNativeModeEquivalentResult(t *testing.T) {
 			p.Sim().Sleep(2 * time.Second)
 
 			// LaunchMON path.
-			lm, err := LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+			lm, err := LaunchWithLaunchMON(p, j.ID())
 			if err != nil {
 				t.Error(err)
 				return
@@ -111,7 +110,7 @@ func TestNativeModeEquivalentResult(t *testing.T) {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)
 			}
 			nodes := tab.Hosts()
-			nat, err := LaunchWithRsh(p, svc, nodes, ranks, tbon.Config{})
+			nat, err := LaunchWithRsh(p, svc, nodes, ranks)
 			if err != nil {
 				t.Error(err)
 				return
@@ -153,7 +152,7 @@ func TestLaunchMONFasterThanRshAtScale(t *testing.T) {
 			}
 			p.Sim().Sleep(3 * time.Second)
 
-			lm, err := LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+			lm, err := LaunchWithLaunchMON(p, j.ID())
 			if err != nil {
 				t.Error(err)
 				return
@@ -166,7 +165,7 @@ func TestLaunchMONFasterThanRshAtScale(t *testing.T) {
 			for _, d := range tab {
 				ranks[d.Host] = append(ranks[d.Host], d.Rank)
 			}
-			nat, err := LaunchWithRsh(p, svc, tab.Hosts(), ranks, tbon.Config{})
+			nat, err := LaunchWithRsh(p, svc, tab.Hosts(), ranks)
 			if err != nil {
 				t.Error(err)
 				return
@@ -194,7 +193,7 @@ func TestRshModeFailsAtFrontEndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Install(cl, tbon.Config{})
+	Install(cl)
 	var launchErr error
 	sim.Go("boot", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "stat_fe", Main: func(p *cluster.Proc) {
@@ -204,7 +203,7 @@ func TestRshModeFailsAtFrontEndLimit(t *testing.T) {
 				nodes[i] = cl.Node(i).Name()
 				ranks[nodes[i]] = []int{i}
 			}
-			_, launchErr = LaunchWithRsh(p, svc, nodes, ranks, tbon.Config{})
+			_, launchErr = LaunchWithRsh(p, svc, nodes, ranks)
 		}})
 	})
 	sim.Run()
@@ -234,7 +233,7 @@ func TestCollectiveModeIdenticalToTBON(t *testing.T) {
 				if collective {
 					inst, err = LaunchCollective(p, j.ID(), fanout)
 				} else {
-					inst, err = LaunchWithLaunchMON(p, j.ID(), tbon.Config{})
+					inst, err = LaunchWithLaunchMON(p, j.ID())
 				}
 				if err != nil {
 					t.Error(err)

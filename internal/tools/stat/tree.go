@@ -152,35 +152,17 @@ func DecodeTree(raw []byte) (*Tree, error) {
 
 func decodeTree(rd *lmonp.Reader) (*Tree, error) {
 	t := NewTree()
-	var err error
-	if t.Frame, err = rd.String(); err != nil {
-		return nil, err
+	t.Frame = rd.String()
+	for i, n := 0, rd.Count(4); i < n; i++ {
+		t.Ranks = append(t.Ranks, int(rd.Uint32()))
 	}
-	nr, err := rd.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nr; i++ {
-		r, err := rd.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		t.Ranks = append(t.Ranks, int(r))
-	}
-	nc, err := rd.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nc; i++ {
-		raw, err := rd.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		child, err := decodeTree(lmonp.NewReader(raw))
+	// Each child travels as a length-prefixed encoded tree.
+	for i, n := 0, rd.Count(4); i < n; i++ {
+		child, err := decodeTree(lmonp.NewReader(rd.Bytes()))
 		if err != nil {
 			return nil, err
 		}
 		t.Children[child.Frame] = child
 	}
-	return t, nil
+	return t, rd.Err()
 }

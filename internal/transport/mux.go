@@ -206,14 +206,7 @@ func (e *Endpoint) Close() {
 	delete(m.sessions, e.session)
 	m.mu.Unlock()
 	for _, r := range []Role{RoleEngine, RoleBE, RoleMW} {
-		q := e.queues[r]
-		for {
-			conn, ok := q.TryRecv()
-			if !ok {
-				break
-			}
-			conn.Close()
-		}
-		q.Close()
+		e.Drain(r)
+		e.queues[r].Close()
 	}
 }

@@ -164,35 +164,23 @@ func (c *Chan[T]) Close() {
 // closed and drained. ok is false when the channel is closed and empty or
 // the simulation has been torn down.
 func (c *Chan[T]) Recv() (v T, ok bool) {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	if c.handler != nil {
-		panic("vtime: Recv on a handled Chan")
-	}
-	for {
-		if len(c.q) > 0 {
-			return c.popLocked(), true
-		}
-		if c.closed || c.s.stopped {
-			var zero T
-			return zero, false
-		}
-		p := c.s.park()
-		c.wakers = append(c.wakers, p)
-		if !p.wait() {
-			var zero T
-			return zero, false
-		}
-	}
+	v, ok, _ = c.recv(0, false)
+	return v, ok
 }
 
 // RecvTimeout is Recv with a virtual-time deadline. timedOut reports the
 // deadline expiring before a value arrived; ok follows Recv's contract.
 func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
+	return c.recv(d, true)
+}
+
+// recv is the one wait loop: park until a Send, a Close or teardown wakes
+// the receiver — or, when timed, a timer at the deadline d from now does.
+func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	if c.handler != nil {
-		panic("vtime: RecvTimeout on a handled Chan")
+		panic("vtime: Recv on a handled Chan")
 	}
 	deadline := c.s.now + d
 	for {
@@ -200,27 +188,29 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 			return c.popLocked(), true, false
 		}
 		if c.closed || c.s.stopped {
-			var zero T
-			return zero, false, false
+			return v, false, false
 		}
-		if c.s.now >= deadline {
-			var zero T
-			return zero, false, true
+		if timed && c.s.now >= deadline {
+			return v, false, true
 		}
 		p := c.s.park()
 		c.wakers = append(c.wakers, p)
-		cancel := c.s.afterCancellableLocked(deadline-c.s.now, func() {
-			c.s.mu.Lock()
-			// Waking a goroutine that was already woken by a Send is a
-			// no-op; the parker wake is idempotent.
-			p.wake()
-			c.s.mu.Unlock()
-		})
-		ok := p.wait()
-		cancel()
-		if !ok {
-			var zero T
-			return zero, false, false
+		var cancel func()
+		if timed {
+			cancel = c.s.afterCancellableLocked(deadline-c.s.now, func() {
+				c.s.mu.Lock()
+				// Waking a goroutine that was already woken by a Send is a
+				// no-op; the parker wake is idempotent.
+				p.wake()
+				c.s.mu.Unlock()
+			})
+		}
+		woken := p.wait()
+		if timed {
+			cancel()
+		}
+		if !woken {
+			return v, false, false
 		}
 	}
 }

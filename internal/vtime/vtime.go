@@ -17,7 +17,7 @@
 //     Sim.Go (or is the caller of Sim.Run itself);
 //   - simulated goroutines never block on real synchronization primitives
 //     while counted as runnable — all blocking goes through Sleep, Chan,
-//     Cond or Semaphore from this package.
+//     Streams or WaitGroup from this package.
 package vtime
 
 import (
@@ -212,9 +212,9 @@ func (s *Sim) Go(name string, fn func()) {
 }
 
 // parker represents one parked (blocked) simulated goroutine. Its wake
-// method is idempotent and must be called with s.mu held; fired reports
-// whether the parker has already been woken (so queued stale parkers can
-// be skipped by wakeup dispatchers).
+// and abort methods are idempotent and must be called with s.mu held;
+// fired reports whether the parker has already been woken (so queued stale
+// parkers can be skipped by wakeup dispatchers).
 type parker struct {
 	s     *Sim
 	ch    chan bool
@@ -222,26 +222,21 @@ type parker struct {
 	id    uint64
 }
 
-// wake unparks the goroutine. Caller must hold s.mu. Idempotent.
-func (p *parker) wake() {
-	if p.fired {
-		return
-	}
-	p.fired = true
-	delete(p.s.parked, p.id)
-	p.s.runnable++
-	p.ch <- true
-}
+// wake unparks the goroutine.
+func (p *parker) wake() { p.fire(true) }
 
-// abort unparks the goroutine with a teardown signal. Caller must hold s.mu.
-func (p *parker) abort() {
+// abort unparks the goroutine with a teardown signal: its wait returns
+// false.
+func (p *parker) abort() { p.fire(false) }
+
+func (p *parker) fire(ok bool) {
 	if p.fired {
 		return
 	}
 	p.fired = true
 	delete(p.s.parked, p.id)
 	p.s.runnable++
-	p.ch <- false
+	p.ch <- ok
 }
 
 // wait blocks until wake or abort; it releases and reacquires s.mu and
@@ -300,28 +295,14 @@ func (s *Sim) Sleep(d time.Duration) {
 func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
 	for {
-		for s.runnable > 0 {
-			s.schedule.Wait()
-		}
-		if s.panicked != nil {
-			p := s.panicked
-			s.mu.Unlock()
-			panic(p)
-		}
+		s.settle()
 		for len(s.timers) > 0 && s.timers[0].cancelled != nil && *s.timers[0].cancelled {
 			s.timers.pop()
 		}
 		if len(s.timers) == 0 {
 			break
 		}
-		t := s.timers.pop()
-		if t.at > s.now {
-			s.now = t.at
-		}
-		// Fire on the scheduler goroutine. Callbacks take s.mu themselves.
-		s.mu.Unlock()
-		t.fn()
-		s.mu.Lock()
+		s.fireNext()
 	}
 	// Quiescent: no timers, nothing runnable. Abort parked goroutines so
 	// their goroutines can exit and tests do not leak.
@@ -335,32 +316,43 @@ func (s *Sim) Run() time.Duration {
 		a()
 	}
 	for s.live > 0 {
-		for s.runnable > 0 {
-			s.schedule.Wait()
-		}
-		if s.live == 0 {
-			break
-		}
+		s.settle()
 		// A torn-down goroutine became runnable and may spawn nothing new;
 		// also drain any timers it scheduled during teardown.
-		if len(s.timers) > 0 {
-			t := s.timers.pop()
-			if t.at > s.now {
-				s.now = t.at
-			}
-			s.mu.Unlock()
-			t.fn()
-			s.mu.Lock()
+		if s.live > 0 && len(s.timers) > 0 {
+			s.fireNext()
 		}
+	}
+	s.settle()
+	end := s.now
+	s.mu.Unlock()
+	return end
+}
+
+// settle waits until no simulated goroutine is runnable, then re-raises
+// the panic of one that panicked. Caller holds s.mu.
+func (s *Sim) settle() {
+	for s.runnable > 0 {
+		s.schedule.Wait()
 	}
 	if s.panicked != nil {
 		p := s.panicked
 		s.mu.Unlock()
 		panic(p)
 	}
-	end := s.now
+}
+
+// fireNext pops the earliest timer, advances the clock to it and fires it
+// on the scheduler goroutine. Callbacks take s.mu themselves, so it is
+// released around the call. Caller holds s.mu.
+func (s *Sim) fireNext() {
+	t := s.timers.pop()
+	if t.at > s.now {
+		s.now = t.at
+	}
 	s.mu.Unlock()
-	return end
+	t.fn()
+	s.mu.Lock()
 }
 
 // Stopped reports whether Run has completed and the simulation is torn down.

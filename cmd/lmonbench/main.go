@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lmonbench [-fig 3|5|6] [-table 1] [-ablations] [-failure] [-collective] [-contention] [-launch] [-million] [-mem] [-mw] [-obs] [-trace FILE] [-maxk N] [-smoke] [-json] [-all] [-cpuprofile FILE] [-memprofile FILE]
+//	lmonbench [-fig 3|5|6] [-table 1] [-ablations] [-failure] [-collective] [-contention] [-launch] [-million] [-mem] [-mw] [-obs] [-trace FILE] [-maxk N] [-smoke] [-json] [-all] [-cpuprofile FILE] [-memprofile FILE] [-blockprofile FILE] [-mutexprofile FILE]
 //
 // The experiments, their selecting flags and their scales are the rows of
 // bench.Experiments. With -json, each experiment additionally writes its
@@ -32,6 +32,9 @@
 // the other flags select (runtime/pprof: a CPU profile of the whole run,
 // and the "allocs" profile — every allocation since start — written at
 // exit); read them with `go tool pprof -top [-sample_index=alloc_space]`.
+// -blockprofile FILE and -mutexprofile FILE add where goroutines waited —
+// the scheduler ↔ goroutine hand-off, which a CPU profile shows only as
+// runtime.futex — recording every event, as `go test` does by default.
 package main
 
 import (
@@ -104,10 +107,12 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment except "+strings.Join(notInAll, " and ")+", which only their own flags select")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write the allocation profile (every allocation since start) to this file at exit")
+	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile of the run to this file")
+	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile of the run to this file")
 	writeJSON := flag.Bool("json", false, "also write results as BENCH_<name>.json")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(*cpuProfile, map[string]string{"allocs": *memProfile, "block": *blockProfile, "mutex": *mutexProfile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lmonbench: %v\n", err)
 		os.Exit(1)
@@ -176,10 +181,11 @@ func main() {
 	}
 }
 
-// startProfiles starts the CPU profile (cpuPath) and arranges the
-// allocation profile (memPath); empty paths select nothing. The returned
-// stop function finishes both and must run before the process exits.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// startProfiles starts the CPU profile (cpuPath) and arranges the profiles
+// runtime/pprof keeps by name ("allocs", "block", "mutex": name → path);
+// empty paths select nothing. The returned stop function finishes them all
+// and must run before the process exits.
+func startProfiles(cpuPath string, named map[string]string) (stop func(), err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		if cpu, err = os.Create(cpuPath); err != nil {
@@ -190,6 +196,12 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			return nil, err
 		}
 	}
+	if named["block"] != "" {
+		runtime.SetBlockProfileRate(1)
+	}
+	if named["mutex"] != "" {
+		runtime.SetMutexProfileFraction(1)
+	}
 	return func() {
 		if cpu != nil {
 			pprof.StopCPUProfile()
@@ -197,23 +209,25 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 				fmt.Fprintf(os.Stderr, "lmonbench: cpu profile: %v\n", err)
 			}
 		}
-		if memPath != "" {
-			if err := writeAllocProfile(memPath); err != nil {
-				fmt.Fprintf(os.Stderr, "lmonbench: allocation profile: %v\n", err)
+		for name, path := range named {
+			if path != "" {
+				if err := writeProfile(name, path); err != nil {
+					fmt.Fprintf(os.Stderr, "lmonbench: %s profile: %v\n", name, err)
+				}
 			}
 		}
 	}, nil
 }
 
-// writeAllocProfile writes the "allocs" profile, after a GC so that it
-// covers everything allocated up to now.
-func writeAllocProfile(path string) error {
+// writeProfile writes one of runtime/pprof's named profiles, after a GC so
+// that "allocs" covers everything allocated up to now.
+func writeProfile(name, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		f.Close()
 		return err
 	}

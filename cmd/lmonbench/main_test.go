@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,16 +12,22 @@ import (
 )
 
 // TestProfileFlagsLeaveProfiles runs the program itself on one small sweep
-// row with both profile flags and checks that each left a non-empty file.
+// row with every profile flag and checks that each left a non-empty file.
 func TestProfileFlagsLeaveProfiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
-	os.Args = []string{"lmonbench", "-collective", "-maxk", "64", "-cpuprofile", cpu, "-memprofile", mem}
+	defer runtime.SetBlockProfileRate(0)
+	defer runtime.SetMutexProfileFraction(0)
+	os.Args = []string{"lmonbench", "-collective", "-maxk", "64"}
+	var paths []string
+	for _, kind := range []string{"cpu", "mem", "block", "mutex"} {
+		paths = append(paths, filepath.Join(dir, kind+".pprof"))
+		os.Args = append(os.Args, "-"+kind+"profile", paths[len(paths)-1])
+	}
 	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	main() // exits the test binary non-zero if a flag does not parse or the row fails
-	for _, path := range []string{cpu, mem} {
+	for _, path := range paths {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
 		}

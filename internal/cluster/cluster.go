@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -219,8 +220,9 @@ var ErrNodeDown = errors.New("cluster: node is down")
 
 // Fail kills the node: its network host is severed (peers observe
 // ErrPeerDead once in-flight data drains) and every process on it is
-// force-terminated. Further spawns fail with ErrNodeDown. This is the
-// fault-injection entry point for node-loss scenarios; it is idempotent.
+// force-terminated, lowest pid first. Further spawns fail with ErrNodeDown.
+// This is the fault-injection entry point for node-loss scenarios; it is
+// idempotent.
 func (n *Node) Fail() {
 	n.mu.Lock()
 	if n.down {
@@ -233,6 +235,9 @@ func (n *Node) Fail() {
 		procs = append(procs, p)
 	}
 	n.mu.Unlock()
+	// Pid order: which process dies first decides which of its connections'
+	// peers hears first, and that must not be the process table's map order.
+	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 
 	// Sever the interconnect first so no process "escapes" a final message
 	// after the instant of failure, then reap the process table.

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -438,4 +440,46 @@ func TestExitSeversAdoptedConns(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// TestNodeFailKillsInPidOrder: the processes of a failed node die lowest pid
+// first, so the order their tracers (and through them the survivors) hear of
+// it is the same in every run. (It was the process table's map order.)
+func TestNodeFailKillsInPidOrder(t *testing.T) {
+	run := func() []int {
+		sim := vtime.New()
+		c := newCluster(t, sim, 1, Options{})
+		var exits []int
+		sim.Go("boot", func() {
+			for i := 0; i < 16; i++ {
+				p, err := c.Node(0).SpawnProc(Spec{Passive: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tr, err := p.Attach()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tr.Events().Handle(func(ev TraceEvent, ok bool) {
+					if ok && ev.Type == EventExit {
+						exits = append(exits, p.Pid())
+					}
+				})
+			}
+			c.Node(0).Fail()
+		})
+		sim.Run()
+		return exits
+	}
+	first := run()
+	if len(first) != 16 || !sort.IntsAreSorted(first) {
+		t.Fatalf("exit events arrived as pids %v, want all 16 ascending", first)
+	}
+	for i := 0; i < 50; i++ {
+		if got := run(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d: exit events arrived as pids %v, first run %v", i, got, first)
+		}
+	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,9 +110,7 @@ type Network struct {
 	mu        sync.Mutex
 	hosts     map[string]*Host
 	stats     Stats
-	dead      map[string]bool           // hosts killed by KillHost
-	downLinks map[[2]string]bool        // severed host pairs (normalized order)
-	conns     map[string]map[*Conn]bool // live conn endpoints by host name
+	downLinks map[[2]string]bool // severed host pairs (normalized order)
 }
 
 // New creates an empty network bound to sim.
@@ -120,9 +119,7 @@ func New(sim *vtime.Sim, opts Options) *Network {
 		sim:       sim,
 		opts:      opts.withDefaults(),
 		hosts:     make(map[string]*Host),
-		dead:      make(map[string]bool),
 		downLinks: make(map[[2]string]bool),
-		conns:     make(map[string]map[*Conn]bool),
 	}
 }
 
@@ -160,28 +157,33 @@ func (n *Network) Host(name string) *Host {
 func (n *Network) HostDead(name string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.dead[name]
+	h := n.hosts[name]
+	return h != nil && h.dead
 }
 
 // KillHost marks a host dead: its listeners close, new dials to or from it
 // fail with ErrPeerDead, and every established connection touching it is
 // severed — the remote peer reads any in-flight data, then observes
 // ErrPeerDead (after the link latency drains) instead of a clean EOF.
+// Listeners close in port order and connections sever in the order they
+// were established, so what the survivors see, and in which order among
+// equal-latency peers, is a function of the node and not of map iteration.
 // Killing an unknown or already-dead host is a no-op.
 func (n *Network) KillHost(name string) {
 	n.mu.Lock()
 	h := n.hosts[name]
-	if h == nil || n.dead[name] {
+	if h == nil || h.dead {
 		n.mu.Unlock()
 		return
 	}
-	n.dead[name] = true
+	h.dead = true
 	listeners := make([]*Listener, 0, len(h.listeners))
 	for _, l := range h.listeners {
 		listeners = append(listeners, l)
 	}
-	conns := make([]*Conn, 0, len(n.conns[name]))
-	for c := range n.conns[name] {
+	sort.Slice(listeners, func(i, j int) bool { return listeners[i].addr.Port < listeners[j].addr.Port })
+	var conns []*Conn
+	for c := h.conns; c != nil; c = c.next {
 		conns = append(conns, c)
 	}
 	n.mu.Unlock()
@@ -212,35 +214,43 @@ func (n *Network) RestoreLink(a, b string) {
 	delete(n.downLinks, linkKey(a, b))
 }
 
-// linkDown reports whether the a↔b link is currently dropped.
-func (n *Network) linkDown(a, b string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.downLinks[linkKey(a, b)]
+// openLocked initializes a new conn endpoint where it lies and appends it to
+// its host's list, the index fault injection walks. Caller holds n.mu
+// (registration must be atomic with the dead-host check in Dial, or a racing
+// KillHost misses the new conn).
+func (c *Conn) openLocked(h *Host, port int, lat time.Duration, bw float64, peer *Conn) {
+	c.host, c.port, c.lat, c.bw, c.peer = h, port, lat, bw, peer
+	c.in.Init(h.net.sim)
+	c.listed = true
+	if c.prev = h.lastConn; c.prev != nil {
+		c.prev.next = c
+	} else {
+		h.conns = c
+	}
+	h.lastConn = c
 }
 
-// registerLocked tracks a conn endpoint under its host for fault
-// injection. Caller holds n.mu (registration must be atomic with the
-// dead-host check in Dial, or a racing KillHost misses the new conn).
-func (n *Network) registerLocked(host string, c *Conn) {
-	set := n.conns[host]
-	if set == nil {
-		set = make(map[*Conn]bool)
-		n.conns[host] = set
+// unregister drops a closed or severed conn endpoint from its host's list;
+// a no-op the second time.
+func (c *Conn) unregister() {
+	h := c.host
+	h.net.mu.Lock()
+	defer h.net.mu.Unlock()
+	if !c.listed {
+		return
 	}
-	set[c] = true
-}
-
-// unregister drops a closed conn endpoint from the fault-injection index.
-func (n *Network) unregister(host string, c *Conn) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if set := n.conns[host]; set != nil {
-		delete(set, c)
-		if len(set) == 0 {
-			delete(n.conns, host)
-		}
+	c.listed = false
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		h.conns = c.next
 	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	} else {
+		h.lastConn = c.prev
+	}
+	c.prev, c.next = nil, nil
 }
 
 // slowFactor returns the effective slowdown for a conn between two hosts
@@ -262,6 +272,9 @@ type Host struct {
 	name      string
 	listeners map[int]*Listener
 	nextPort  int
+	dead      bool  // killed by KillHost
+	conns     *Conn // live conn endpoints, oldest first, linked through Conn.next
+	lastConn  *Conn
 }
 
 // Name returns the host name.
@@ -289,7 +302,7 @@ var (
 func (h *Host) Listen(port int) (*Listener, error) {
 	h.net.mu.Lock()
 	defer h.net.mu.Unlock()
-	if h.net.dead[h.name] {
+	if h.dead {
 		return nil, fmt.Errorf("%w: %s", ErrPeerDead, h.name)
 	}
 	if port == 0 {
@@ -405,7 +418,8 @@ func (h *Host) DialAsync(addr Addr, cb func(*Conn, error)) {
 func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], lat time.Duration, err error) {
 	n := h.net
 	n.mu.Lock()
-	if n.dead[h.name] || n.dead[addr.Host] {
+	dst := n.hosts[addr.Host]
+	if h.dead || dst != nil && dst.dead {
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: %s", ErrPeerDead, addr)
 	}
@@ -413,7 +427,6 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: %s <-> %s", ErrLinkDown, h.name, addr.Host)
 	}
-	dst := n.hosts[addr.Host]
 	if dst == nil {
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: no host %q", ErrConnRefused, addr.Host)
@@ -432,12 +445,12 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 		lat = time.Duration(float64(lat) * f)
 		bw /= f
 	}
-	local := Addr{Host: h.name, Port: -1} // anonymous client port
-	a = &Conn{net: n, local: local, remote: addr, lat: lat, bw: bw, in: vtime.NewChan[[]byte](n.sim)}
-	b = &Conn{net: n, local: addr, remote: local, lat: lat, bw: bw, in: vtime.NewChan[[]byte](n.sim)}
-	a.peer, b.peer = b, a
-	n.registerLocked(h.name, a)
-	n.registerLocked(addr.Host, b)
+	// One allocation is the whole connection: both endpoints, with their
+	// inbound queues and what they have on the wire by value.
+	pair := new([2]Conn)
+	a, b = &pair[0], &pair[1]
+	a.openLocked(h, -1, lat, bw, b) // anonymous client port
+	b.openLocked(dst, addr.Port, lat, bw, a)
 	n.stats.Dials++
 	n.mu.Unlock()
 	return a, b, l.incoming, lat, nil
@@ -445,21 +458,55 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 
 // Conn is one direction-pair stream connection endpoint.
 type Conn struct {
-	net    *Network
-	local  Addr
-	remote Addr
-	lat    time.Duration
-	bw     float64
+	host *Host // the local end; the remote one is peer.host
+	port int
+	lat  time.Duration
+	bw   float64
 
-	in   *vtime.Chan[[]byte] // arriving payloads
-	rbuf []byte              // partially consumed arrival
+	in   vtime.Chan[[]byte] // arriving payloads
+	rbuf []byte             // partially consumed arrival
 
-	peer *Conn
+	peer       *Conn
+	prev, next *Conn // host.conns; guarded by net.mu, as is listed
+	listed     bool
 
 	mu       sync.Mutex
 	sendDone time.Duration // virtual time the previous Send finishes on the wire
+	wire     wire          // sent, not yet arrived at peer
 	closed   bool
 	peerDead bool // the other endpoint's host was killed (reads/writes fail)
+}
+
+// wire is what one direction has in flight, oldest first. Arrival instants
+// never decrease along a direction (each is the previous sendDone or later,
+// plus the same latency) and the scheduler breaks ties in scheduling order,
+// so the n-th arrival event to fire always finds the n-th message at the
+// head, and an arrival carries nothing of its own. Nearly always one message
+// is in flight and lives inline; a burst spills into a slice that is dropped
+// as it drains, so an idle connection retains nothing.
+type wire struct {
+	n     int      // messages in flight
+	first []byte   // the oldest, when n > 0
+	rest  [][]byte // those behind it
+}
+
+func (w *wire) push(msg []byte) {
+	if w.n == 0 {
+		w.first = msg
+	} else {
+		w.rest = append(w.rest, msg)
+	}
+	w.n++
+}
+
+func (w *wire) pop() []byte {
+	msg := w.first
+	if w.n--; w.n == 0 {
+		w.first, w.rest = nil, nil
+	} else {
+		w.first, w.rest[0], w.rest = w.rest[0], nil, w.rest[1:]
+	}
+	return msg
 }
 
 // Send hands msg to the peer as one network message, taking ownership of
@@ -480,30 +527,63 @@ func (c *Conn) Send(msg []byte) error {
 		c.mu.Unlock()
 		return ErrPeerDead
 	}
-	now := c.net.sim.Now()
+	sim := c.host.net.sim
+	now := sim.Now()
 	start := now
 	if c.sendDone > start {
 		start = c.sendDone
 	}
 	tx := time.Duration(float64(len(msg)) / c.bw * float64(time.Second))
 	c.sendDone = start + tx
-	arrive := c.sendDone + c.lat
-	peerIn := c.peer.in
+	c.wire.push(msg)
+	sim.AfterEvent(c.sendDone+c.lat-now, (*arrival)(c))
 	c.mu.Unlock()
-
-	c.net.sim.After(arrive-now, func() {
-		// Delivery-time checks: packets vanish on a down link or when the
-		// destination died while they were in flight.
-		if c.net.linkDown(c.local.Host, c.remote.Host) || c.net.HostDead(c.remote.Host) {
-			return
-		}
-		c.net.mu.Lock()
-		c.net.stats.Messages++
-		c.net.stats.Bytes += int64(len(msg))
-		c.net.mu.Unlock()
-		peerIn.Send(msg)
-	})
 	return nil
+}
+
+// arrival, fin and rst are a Conn as the three events it schedules at its
+// peer: the message at the head of the wire, the end of the stream after
+// Close, the end of the stream after sever.
+type (
+	arrival Conn
+	fin     Conn
+	rst     Conn
+)
+
+// Fire delivers the head of the wire, unless the packet vanishes: the link
+// is down or the destination died while it was in flight.
+func (a *arrival) Fire() {
+	c := (*Conn)(a)
+	c.mu.Lock()
+	msg := c.wire.pop()
+	c.mu.Unlock()
+	n := c.host.net
+	n.mu.Lock()
+	lost := c.peer.host.dead || len(n.downLinks) > 0 && n.downLinks[linkKey(c.host.name, c.peer.host.name)]
+	if !lost {
+		n.stats.Messages++
+		n.stats.Bytes += int64(len(msg))
+	}
+	n.mu.Unlock()
+	if !lost {
+		c.peer.in.Send(msg)
+	}
+}
+
+func (f *fin) Fire() { f.peer.in.Close() }
+
+func (r *rst) Fire() {
+	peer := r.peer
+	peer.unregister()
+	peer.mu.Lock()
+	if peer.closed {
+		// The survivor already closed its side; nothing to observe.
+		peer.mu.Unlock()
+		return
+	}
+	peer.peerDead = true
+	peer.mu.Unlock()
+	peer.in.Close()
 }
 
 // Write is Send for io.Writer callers, who keep ownership of p: it sends a
@@ -555,7 +635,7 @@ func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
 		buf, ok = c.in.Recv()
 	}
 	if timedOut {
-		return nil, fmt.Errorf("%w: no message from %s within %v", ErrReadTimeout, c.remote, d)
+		return nil, fmt.Errorf("%w: no message from %s within %v", ErrReadTimeout, Addr{c.peer.host.name, c.peer.port}, d)
 	}
 	if !ok {
 		return nil, c.endErr()
@@ -627,19 +707,7 @@ func (c *Conn) sever() {
 	}
 	// The local side belongs to the dead host: fail its I/O immediately.
 	c.peerDead = true
-	peer := c.peer
-	c.shutLocked(func() {
-		peer.net.unregister(peer.local.Host, peer)
-		peer.mu.Lock()
-		if peer.closed {
-			// The survivor already closed its side; nothing to observe.
-			peer.mu.Unlock()
-			return
-		}
-		peer.peerDead = true
-		peer.mu.Unlock()
-		peer.in.Close()
-	})
+	c.shutLocked((*rst)(c))
 }
 
 // Close shuts down the local endpoint; after one latency the peer observes
@@ -652,24 +720,25 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.shutLocked(c.peer.in.Close)
+	c.shutLocked((*fin)(c))
 	return nil
 }
 
 // shutLocked ends the local endpoint, which the caller has marked closed
-// or severed under c.mu (released here), and runs atPeer at the instant
+// or severed under c.mu (released here), and fires atPeer at the instant
 // the end of the stream reaches the other side: one latency behind
 // whatever is still on the wire, so it never overtakes in-flight data.
-func (c *Conn) shutLocked(atPeer func()) {
-	now := c.net.sim.Now()
-	fin := c.sendDone
-	if fin < now {
-		fin = now
+func (c *Conn) shutLocked(atPeer vtime.Event) {
+	sim := c.host.net.sim
+	now := sim.Now()
+	end := c.sendDone
+	if end < now {
+		end = now
 	}
 	c.mu.Unlock()
 	c.in.Close()
-	c.net.unregister(c.local.Host, c)
-	c.net.sim.After(fin+c.lat-now, atPeer)
+	c.unregister()
+	sim.AfterEvent(end+c.lat-now, atPeer)
 }
 
 var _ io.ReadWriteCloser = (*Conn)(nil)

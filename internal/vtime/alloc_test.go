@@ -1,0 +1,197 @@
+package vtime
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// The allocation guards of the scheduler's hot path: what one more park,
+// timer or handled delivery costs the host in objects. They run in CI's
+// `go test -run 'Alloc|Heap'` step, without the race detector.
+
+// allocsPerOp reports how many objects one more operation costs: run(2n)
+// against run(n), each a whole simulation, so set-up and the one-off growth
+// of heaps and queues cancel.
+func allocsPerOp(t *testing.T, n int, run func(ops int)) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	two := testing.AllocsPerRun(3, func() { run(2 * n) })
+	one := testing.AllocsPerRun(3, func() { run(n) })
+	return (two - one) / float64(n)
+}
+
+func TestSleepAllocsOneObject(t *testing.T) {
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		s.Go("sleeper", func() {
+			for i := 0; i < ops; i++ {
+				s.Sleep(time.Microsecond)
+			}
+		})
+		s.Run()
+	})
+	if per > 1.01 {
+		t.Errorf("a Sleep allocates %.2f objects, want the parker alone", per)
+	}
+}
+
+func TestRecvWakeAllocsOneObject(t *testing.T) {
+	// Ping-pong: every Send wakes a receiver parked in Recv, two parks a
+	// round trip.
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		ping, pong := NewChan[int](s), NewChan[int](s)
+		s.Go("pong", func() {
+			for {
+				v, ok := ping.Recv()
+				if !ok {
+					return
+				}
+				pong.Send(v)
+			}
+		})
+		s.Go("ping", func() {
+			for i := 0; i < ops/2; i++ {
+				ping.Send(i)
+				pong.Recv()
+			}
+			ping.Close()
+		})
+		s.Run()
+	})
+	if per > 1.01 {
+		t.Errorf("a blocking Recv and its wake-up allocate %.2f objects, want the parker alone", per)
+	}
+}
+
+func TestRecvTimeoutAllocsOneObject(t *testing.T) {
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		c := NewChan[int](s)
+		s.Go("receiver", func() {
+			for i := 0; i < ops; i++ {
+				c.RecvTimeout(time.Microsecond)
+			}
+		})
+		s.Run()
+	})
+	if per > 1.01 {
+		t.Errorf("a timed-out receive allocates %.2f objects, want the parker alone", per)
+	}
+}
+
+func TestHandledDeliveryAllocsNothing(t *testing.T) {
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		c := NewChan[int](s)
+		c.Handle(func(v int, ok bool) {
+			if ok && v < ops {
+				c.Send(v + 1)
+			}
+		})
+		c.Send(1)
+		s.Run()
+	})
+	if per > 0.01 {
+		t.Errorf("a handled delivery allocates %.2f objects, want 0", per)
+	}
+}
+
+// ticker is an Event that schedules itself again until it has fired n times.
+type ticker struct {
+	s *Sim
+	n int
+}
+
+func (k *ticker) Fire() {
+	if k.n--; k.n > 0 {
+		k.s.AfterEvent(time.Microsecond, k)
+	}
+}
+
+func TestAfterEventAllocsNothing(t *testing.T) {
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		s.AfterEvent(0, &ticker{s: s, n: ops})
+		s.Run()
+	})
+	if per > 0.01 {
+		t.Errorf("scheduling and firing an Event allocates %.2f objects, want 0", per)
+	}
+	// After adapts a func without boxing it: a func value is a pointer.
+	per = allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		var tick func()
+		tick = func() {
+			if ops--; ops > 0 {
+				s.After(time.Microsecond, tick)
+			}
+		}
+		s.After(0, tick)
+		s.Run()
+	})
+	if per > 0.01 {
+		t.Errorf("After with a ready func allocates %.2f objects, want 0", per)
+	}
+}
+
+// TestTimedOutReceiverLeavesTheChanHeapFlat: a receiver whose deadline passes is
+// woken by its timer, and nobody but itself can take it off the channel's
+// list of waiters. (Nobody did: every RecvTimeout on an idle channel left
+// its parker queued until the next Send or Close, so a daemon polling a
+// quiet link grew without bound.) The heap half of the check needs MemStats
+// and runs in the no-race step, hence the name.
+func TestTimedOutReceiverLeavesTheChanHeapFlat(t *testing.T) {
+	s := New()
+	c := NewChan[int](s)
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var before, after uint64
+	s.Go("poller", func() {
+		for i := 0; i < 11000; i++ {
+			if i == 1000 {
+				before = heap()
+			}
+			if _, ok, timedOut := c.RecvTimeout(time.Millisecond); ok || !timedOut {
+				t.Errorf("RecvTimeout %d on an idle Chan = (ok=%v, timedOut=%v)", i, ok, timedOut)
+				return
+			}
+			s.mu.Lock()
+			queued := c.wakers.head
+			s.mu.Unlock()
+			if queued != nil {
+				t.Errorf("after timeout %d a parker is still queued on the Chan", i)
+				return
+			}
+		}
+		after = heap()
+
+		// The list still works: of a receiver that gives up and one that
+		// stays, a later Send wakes the one that stayed.
+		got := NewChan[int](s)
+		s.Go("stays", func() {
+			v, _ := c.Recv()
+			got.Send(v)
+		})
+		s.Go("gives up", func() { c.RecvTimeout(time.Millisecond) })
+		s.Sleep(time.Second)
+		c.Send(42)
+		if v, ok, _ := got.RecvTimeout(time.Second); !ok || v != 42 {
+			t.Errorf("the receiver still parked got (%d, %v), want 42", v, ok)
+		}
+	})
+	s.Run()
+	if raceEnabled {
+		return
+	}
+	if grown := int64(after) - int64(before); grown > 64<<10 {
+		t.Errorf("10000 timed-out receives left %d bytes reachable", grown)
+	}
+}

@@ -5,24 +5,30 @@ import "time"
 // Chan is an unbounded FIFO message queue with virtual-time blocking
 // receive semantics. Sends never block (the queue is unbounded, matching
 // kernel socket buffers in the simulated network). The zero value is not
-// usable; call NewChan.
+// usable; call NewChan, or Init on a Chan held by value.
 type Chan[T any] struct {
 	s      *Sim
-	q      []T
-	wakers []*parker // parked receivers, FIFO (stale fired entries skipped)
-	closed bool
+	q      []T      // q[head:] is queued; popped slots are reused, see pushLocked
+	head   int      // 0 whenever the queue is empty
+	wakers waitList // parked receivers
 
 	// Handler-mode state (see Handle): instead of parking a receiver
 	// goroutine, deliveries run as zero-delay scheduler events.
 	handler  func(T, bool)
 	hPending bool // a delivery event is scheduled and has not run yet
 	hDone    bool // the terminal ok=false callback has been delivered
+
+	closed bool
 }
 
 // NewChan returns an empty open channel bound to s.
 func NewChan[T any](s *Sim) *Chan[T] {
 	return &Chan[T]{s: s}
 }
+
+// Init binds a zero Chan to s where it lies, for an owner that holds its
+// channels by value (a connection is one allocation, queues included).
+func (c *Chan[T]) Init(s *Sim) { c.s = s }
 
 // Send enqueues v and wakes one blocked receiver, if any. Send on a closed
 // channel is a no-op (the value is dropped), mirroring delivery to a closed
@@ -33,12 +39,26 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		return
 	}
-	c.q = append(c.q, v)
+	c.pushLocked(v)
 	if c.handler != nil {
 		c.pumpLocked()
 		return
 	}
 	c.wakeOneLocked()
+}
+
+// pushLocked appends v. Together with popLocked it keeps the queue on one
+// backing array: a queue that drains starts again from the front, and one
+// that never drains slides back over its popped slots once they are most of
+// the array, so only a backlog that really grows makes the array grow.
+// Caller must hold s.mu.
+func (c *Chan[T]) pushLocked(v T) {
+	if n := len(c.q); n == cap(c.q) && c.head > n/2 {
+		live := copy(c.q, c.q[c.head:])
+		clear(c.q[live:])
+		c.q, c.head = c.q[:live], 0
+	}
+	c.q = append(c.q, v)
 }
 
 // Handle switches the channel to event-driven delivery: each queued and
@@ -56,7 +76,7 @@ func (c *Chan[T]) Handle(fn func(v T, ok bool)) {
 	if c.handler != nil {
 		panic("vtime: Chan.Handle installed twice")
 	}
-	if len(c.wakers) > 0 {
+	if c.wakers.head != nil {
 		panic("vtime: Chan.Handle with receivers parked on the channel")
 	}
 	c.handler = fn
@@ -76,16 +96,17 @@ func (c *Chan[T]) Unhandle() {
 }
 
 // popLocked removes and returns the head of the (non-empty) queue. The
-// vacated slot is zeroed: the backing array outlives the pop — until an
-// append happens to reallocate it — and would otherwise keep the last few
-// values of a long-lived channel (a resident listener's accepted
-// connections, a link's messages) reachable for as long as the channel.
-// Caller must hold s.mu.
+// vacated slot is zeroed: the backing array outlives the pop and would
+// otherwise keep the last few values of a long-lived channel (a resident
+// listener's accepted connections, a link's messages) reachable for as long
+// as the channel. Caller must hold s.mu.
 func (c *Chan[T]) popLocked() T {
-	v := c.q[0]
+	v := c.q[c.head]
 	var zero T
-	c.q[0] = zero
-	c.q = c.q[1:]
+	c.q[c.head] = zero
+	if c.head++; c.head == len(c.q) {
+		c.q, c.head = c.q[:0], 0
+	}
 	return v
 }
 
@@ -99,12 +120,17 @@ func (c *Chan[T]) pumpLocked() {
 		return
 	}
 	c.hPending = true
-	c.s.afterLocked(0, c.deliverOne)
+	c.s.afterLocked(0, (*delivery[T])(c))
 }
 
-// deliverOne runs on the scheduler goroutine: it pops one value (or the
-// terminal close) and invokes the handler outside the scheduler lock.
-func (c *Chan[T]) deliverOne() {
+// delivery is a handled Chan as the Event pumpLocked schedules — the Chan
+// itself under another name, which keeps Fire out of Chan's method set.
+type delivery[T any] Chan[T]
+
+// Fire runs on the scheduler goroutine: it pops one value (or the terminal
+// close) and invokes the handler outside the scheduler lock.
+func (d *delivery[T]) Fire() {
+	c := (*Chan[T])(d)
 	c.s.mu.Lock()
 	fn := c.handler
 	if fn == nil { // Unhandled between scheduling and delivery
@@ -133,10 +159,10 @@ func (c *Chan[T]) deliverOne() {
 	c.s.mu.Unlock()
 }
 
+// wakeOneLocked wakes the longest-parked receiver, skipping any already
+// woken (by its deadline, by teardown) that has not left the list yet.
 func (c *Chan[T]) wakeOneLocked() {
-	for len(c.wakers) > 0 {
-		w := c.wakers[0]
-		c.wakers = c.wakers[1:]
+	for w := c.wakers.pop(); w != nil; w = c.wakers.pop() {
 		if !w.fired {
 			w.wake()
 			return
@@ -153,10 +179,9 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.wakers {
+	for w := c.wakers.pop(); w != nil; w = c.wakers.pop() {
 		w.wake()
 	}
-	c.wakers = nil
 	c.pumpLocked()
 }
 
@@ -175,7 +200,9 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 }
 
 // recv is the one wait loop: park until a Send, a Close or teardown wakes
-// the receiver — or, when timed, a timer at the deadline d from now does.
+// the receiver — or, when timed, its parker scheduled as the timer at the
+// deadline d from now does, and then nobody has taken the receiver off
+// c.wakers, so it leaves by itself.
 func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
@@ -194,20 +221,13 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 			return v, false, true
 		}
 		p := c.s.park()
-		c.wakers = append(c.wakers, p)
-		var cancel func()
+		c.wakers.push(p)
 		if timed {
-			cancel = c.s.afterCancellableLocked(deadline-c.s.now, func() {
-				c.s.mu.Lock()
-				// Waking a goroutine that was already woken by a Send is a
-				// no-op; the parker wake is idempotent.
-				p.wake()
-				c.s.mu.Unlock()
-			})
+			c.s.afterLocked(deadline-c.s.now, p)
 		}
 		woken := p.wait()
 		if timed {
-			cancel()
+			c.wakers.remove(p)
 		}
 		if !woken {
 			return v, false, false
@@ -229,7 +249,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 func (c *Chan[T]) Len() int {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	return len(c.q)
+	return len(c.q) - c.head
 }
 
 // Closed reports whether Close has been called.
@@ -243,7 +263,7 @@ func (c *Chan[T]) Closed() bool {
 type WaitGroup struct {
 	s      *Sim
 	n      int
-	wakers []*parker
+	wakers waitList
 }
 
 // NewWaitGroup returns a WaitGroup bound to s.
@@ -258,10 +278,9 @@ func (w *WaitGroup) Add(delta int) {
 		panic("vtime: negative WaitGroup counter")
 	}
 	if w.n == 0 {
-		for _, wk := range w.wakers {
-			wk.wake()
+		for p := w.wakers.pop(); p != nil; p = w.wakers.pop() {
+			p.wake()
 		}
-		w.wakers = nil
 	}
 }
 
@@ -277,7 +296,7 @@ func (w *WaitGroup) Wait() {
 			return
 		}
 		p := w.s.park()
-		w.wakers = append(w.wakers, p)
+		w.wakers.push(p)
 		if !p.wait() {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refHeap is the container/heap implementation the scheduler ran on before
@@ -32,15 +33,15 @@ func (h *refHeap) Pop() any {
 // TestTimerOrderMatchesReferenceHeap drives 10^5 random pushes, pops and
 // cancels through the typed heap and the reference and compares what comes
 // out, in the scheduler's own usage: timestamps never below the last pop
-// (the clock), many ties broken by seq, cancelled timers discarded when
-// they surface.
+// (the clock), many ties broken by seq, void deadlines (a parker something
+// else woke first) discarded when they surface.
 func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var typed timerHeap
 	var ref refHeap
 	var now time.Duration
 	var seq uint64
-	var cancels []*bool // cancel flags of timers that may still be queued
+	var cancels []*parker // receivers whose deadline timers may still be queued
 	popBoth := func() (timer, timer, bool) {
 		for len(typed) > 0 {
 			if len(ref) != len(typed) {
@@ -50,7 +51,7 @@ func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 			if a.at != b.at || a.seq != b.seq {
 				t.Fatalf("pop order diverged: typed (%v, %d), reference (%v, %d)", a.at, a.seq, b.at, b.seq)
 			}
-			if a.cancelled == nil || !*a.cancelled {
+			if p, ok := a.ev.(*parker); !ok || !p.fired {
 				return a, b, true
 			}
 		}
@@ -63,8 +64,9 @@ func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 			seq++
 			tm := timer{at: now + time.Duration(rng.Intn(8))*time.Microsecond, seq: seq}
 			if rng.Intn(4) == 0 {
-				tm.cancelled = new(bool)
-				cancels = append(cancels, tm.cancelled)
+				p := &parker{}
+				tm.ev = p
+				cancels = append(cancels, p)
 			}
 			typed.push(tm)
 			heap.Push(&ref, tm)
@@ -78,7 +80,7 @@ func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 			}
 		case len(cancels) > 0:
 			i := rng.Intn(len(cancels))
-			*cancels[i] = true
+			cancels[i].fired = true
 			cancels = append(cancels[:i], cancels[i+1:]...)
 		}
 	}
@@ -99,15 +101,18 @@ func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 // TestTimerPushPopDoesNotAllocate pins what the typed heap is for: once the
 // backing array has grown, scheduling and firing a timer allocates nothing.
 func TestTimerPushPopDoesNotAllocate(t *testing.T) {
+	if size := unsafe.Sizeof(timer{}); size > 32 {
+		t.Errorf("a timer is %d bytes, want at most 32 (instant, seq, one two-word event)", size)
+	}
 	var h timerHeap
-	fn := func() {}
+	var ev Event = funcEvent(func() {})
 	for i := 0; i < 64; i++ {
-		h.push(timer{at: time.Duration(i), seq: uint64(i), fn: fn})
+		h.push(timer{at: time.Duration(i), seq: uint64(i), ev: ev})
 	}
 	seq := uint64(64)
 	if n := testing.AllocsPerRun(1000, func() {
 		seq++
-		h.push(timer{at: time.Duration(seq % 7), seq: seq, fn: fn})
+		h.push(timer{at: time.Duration(seq % 7), seq: seq, ev: ev})
 		h.pop()
 	}); n != 0 {
 		t.Errorf("push+pop allocates %v objects, want 0", n)

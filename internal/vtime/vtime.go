@@ -34,19 +34,18 @@ type Sim struct {
 	now      time.Duration
 	runnable int // simulated goroutines currently executing
 	timers   timerHeap
-	seq      uint64            // tie-break for deterministic ordering of equal timestamps
-	stopped  bool              // Run has returned; subsequent blocking ops abort
-	live     int               // simulated goroutines that have started and not finished
-	peakLive int               // high-water mark of live
-	parked   map[uint64]func() // wake funcs of blocked goroutines, for teardown
-	parkSeq  uint64
+	seq      uint64  // tie-break for deterministic ordering of equal timestamps
+	stopped  bool    // Run has returned; subsequent blocking ops abort
+	live     int     // simulated goroutines that have started and not finished
+	peakLive int     // high-water mark of live
+	parked   *parker // blocked goroutines, newest first, for teardown
 	panicked any
 	spawnObs func(name string) // test hook: observes every Go() by name
 }
 
 // New returns a fresh simulation with the clock at zero.
 func New() *Sim {
-	s := &Sim{parked: make(map[uint64]func())}
+	s := &Sim{}
 	s.schedule.L = &s.mu
 	return s
 }
@@ -84,12 +83,22 @@ func (s *Sim) SetSpawnObserver(fn func(name string)) {
 	s.spawnObs = fn
 }
 
-// timer is a scheduled callback.
+// Event is something the scheduler fires at a virtual instant. Fire runs on
+// the scheduler goroutine under After's contract. The things that get
+// scheduled over and over — a parked goroutine, a handled Chan, a network
+// connection — are Events themselves, so scheduling them allocates nothing;
+// After adapts a plain func.
+type Event interface{ Fire() }
+
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// timer is a scheduled event.
 type timer struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled *bool // non-nil for cancellable timers
+	at  time.Duration
+	seq uint64
+	ev  Event
 }
 
 // timerHeap is a binary min-heap of timers ordered by (at, seq) — a total
@@ -126,7 +135,7 @@ func (h *timerHeap) pop() timer {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = timer{} // drop the callback reference
+	a[n] = timer{} // drop the event reference
 	a = a[:n]
 	*h = a
 	for i := 0; ; {
@@ -149,31 +158,22 @@ func (h *timerHeap) pop() timer {
 // After schedules fn to run at now+d. fn executes on the scheduler
 // goroutine and must not block; it typically wakes a parked goroutine or
 // enqueues a message. d < 0 is treated as 0.
-func (s *Sim) After(d time.Duration, fn func()) {
+func (s *Sim) After(d time.Duration, fn func()) { s.AfterEvent(d, funcEvent(fn)) }
+
+// AfterEvent is After for a caller that is, or already holds, the object to
+// fire: nothing is allocated when ev is a pointer.
+func (s *Sim) AfterEvent(d time.Duration, ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.afterLocked(d, fn)
+	s.afterLocked(d, ev)
 }
 
-func (s *Sim) afterLocked(d time.Duration, fn func()) {
+func (s *Sim) afterLocked(d time.Duration, ev Event) {
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	s.timers.push(timer{at: s.now + d, seq: s.seq, fn: fn})
-}
-
-// afterCancellableLocked schedules fn like afterLocked but returns a cancel
-// func. A cancelled timer is discarded without firing and without advancing
-// the virtual clock. The cancel func must be called with s.mu held.
-func (s *Sim) afterCancellableLocked(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.seq++
-	c := new(bool)
-	s.timers.push(timer{at: s.now + d, seq: s.seq, fn: fn, cancelled: c})
-	return func() { *c = true }
+	s.timers.push(timer{at: s.now + d, seq: s.seq, ev: ev})
 }
 
 // Go starts fn as a simulated goroutine. The name is used in panic
@@ -211,60 +211,122 @@ func (s *Sim) Go(name string, fn func()) {
 	}()
 }
 
-// parker represents one parked (blocked) simulated goroutine. Its wake
-// and abort methods are idempotent and must be called with s.mu held;
-// fired reports whether the parker has already been woken (so queued stale
-// parkers can be skipped by wakeup dispatchers).
+// parker is one parked (blocked) simulated goroutine, and the whole cost of
+// parking it: the goroutine sleeps on cond, teardown finds it through
+// prev/next, the Chan or WaitGroup it waits on queues it through link, and as
+// an Event it is its own Sleep or receive-deadline timer. wake and abort are
+// idempotent and must be called with s.mu held.
 type parker struct {
-	s     *Sim
-	ch    chan bool
-	fired bool
-	id    uint64
+	s          *Sim
+	cond       sync.Cond // on s.mu
+	prev, next *parker   // s.parked
+	link       *parker   // next in the waitList this parker is queued on
+	fired      bool      // woken already: a timer that still holds it is void
+	aborted    bool      // woken by teardown
 }
 
 // wake unparks the goroutine.
-func (p *parker) wake() { p.fire(true) }
+func (p *parker) wake() { p.fire(false) }
 
 // abort unparks the goroutine with a teardown signal: its wait returns
 // false.
-func (p *parker) abort() { p.fire(false) }
+func (p *parker) abort() { p.fire(true) }
 
-func (p *parker) fire(ok bool) {
+func (p *parker) fire(aborted bool) {
 	if p.fired {
 		return
 	}
-	p.fired = true
-	delete(p.s.parked, p.id)
+	p.fired, p.aborted = true, aborted
+	// Unlink from s.parked, keeping no pointer to a neighbour: a void
+	// deadline stays in the timer heap until its instant comes up.
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		p.s.parked = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
 	p.s.runnable++
-	p.ch <- ok
+	p.cond.Signal()
+}
+
+// Fire is the parker as a timer: the end of a Sleep, or a receive deadline.
+func (p *parker) Fire() {
+	p.s.mu.Lock()
+	p.wake()
+	p.s.mu.Unlock()
 }
 
 // wait blocks until wake or abort; it releases and reacquires s.mu and
 // returns false on teardown.
 func (p *parker) wait() bool {
-	p.s.mu.Unlock()
-	ok := <-p.ch
-	p.s.mu.Lock()
-	return ok
+	for !p.fired {
+		p.cond.Wait()
+	}
+	return !p.aborted
 }
 
 // park marks the calling simulated goroutine blocked and returns a parker
-// to wait on. The caller must hold s.mu. If the simulation is already torn
-// down, the returned parker's wait returns false immediately.
+// to wait on. The caller must hold s.mu and have seen s.stopped false under
+// it: teardown aborts what is on s.parked once, and nothing may join later.
 func (s *Sim) park() *parker {
-	p := &parker{s: s, ch: make(chan bool, 1), id: s.parkSeq}
-	s.parkSeq++
-	if s.stopped {
-		p.fired = true
-		p.ch <- false
-		return p
+	p := &parker{s: s}
+	p.cond.L = &s.mu
+	if p.next = s.parked; p.next != nil {
+		p.next.prev = p
 	}
-	s.parked[p.id] = p.abort
+	s.parked = p
 	s.runnable--
 	if s.runnable == 0 {
 		s.schedule.Signal()
 	}
 	return p
+}
+
+// waitList is a FIFO of parked goroutines, threaded through the parkers.
+type waitList struct{ head, tail *parker }
+
+func (l *waitList) push(p *parker) {
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.link = p
+	}
+	l.tail = p
+}
+
+// pop removes and returns the longest waiter, nil when there is none.
+func (l *waitList) pop() *parker {
+	p := l.head
+	if p != nil {
+		if l.head = p.link; l.head == nil {
+			l.tail = nil
+		}
+		p.link = nil
+	}
+	return p
+}
+
+// remove unlinks p if it is still queued (whoever woke it may have popped it).
+func (l *waitList) remove(p *parker) {
+	var prev *parker
+	for q := l.head; q != nil; prev, q = q, q.link {
+		if q != p {
+			continue
+		}
+		if prev == nil {
+			l.head = p.link
+		} else {
+			prev.link = p.link
+		}
+		if l.tail == p {
+			l.tail = prev
+		}
+		p.link = nil
+		return
+	}
 }
 
 // Sleep blocks the calling simulated goroutine for d of virtual time.
@@ -278,11 +340,7 @@ func (s *Sim) Sleep(d time.Duration) {
 		return
 	}
 	p := s.park()
-	s.afterLocked(d, func() {
-		s.mu.Lock()
-		p.wake()
-		s.mu.Unlock()
-	})
+	s.afterLocked(d, p)
 	p.wait()
 	s.mu.Unlock()
 }
@@ -296,9 +354,6 @@ func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
 	for {
 		s.settle()
-		for len(s.timers) > 0 && s.timers[0].cancelled != nil && *s.timers[0].cancelled {
-			s.timers.pop()
-		}
 		if len(s.timers) == 0 {
 			break
 		}
@@ -307,13 +362,8 @@ func (s *Sim) Run() time.Duration {
 	// Quiescent: no timers, nothing runnable. Abort parked goroutines so
 	// their goroutines can exit and tests do not leak.
 	s.stopped = true
-	aborts := make([]func(), 0, len(s.parked))
-	for _, a := range s.parked {
-		aborts = append(aborts, a)
-	}
-	s.parked = map[uint64]func(){}
-	for _, a := range aborts {
-		a()
+	for s.parked != nil {
+		s.parked.abort()
 	}
 	for s.live > 0 {
 		s.settle()
@@ -343,15 +393,20 @@ func (s *Sim) settle() {
 }
 
 // fireNext pops the earliest timer, advances the clock to it and fires it
-// on the scheduler goroutine. Callbacks take s.mu themselves, so it is
-// released around the call. Caller holds s.mu.
+// on the scheduler goroutine. Events take s.mu themselves, so it is
+// released around the call. A parker that something else woke first is a
+// void deadline: it is discarded without advancing the clock. Caller holds
+// s.mu.
 func (s *Sim) fireNext() {
 	t := s.timers.pop()
+	if p, ok := t.ev.(*parker); ok && p.fired {
+		return
+	}
 	if t.at > s.now {
 		s.now = t.at
 	}
 	s.mu.Unlock()
-	t.fn()
+	t.ev.Fire()
 	s.mu.Lock()
 }
 

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -350,6 +352,28 @@ func TestHeartbeatOverheadScalesWithPeriod(t *testing.T) {
 	// 15 beating daemons at 4x the rate: expect roughly 4x the messages.
 	if fast.Messages < 3*slow.Messages {
 		t.Errorf("message ratio %d/%d below ~4x", fast.Messages, slow.Messages)
+	}
+}
+
+// TestTraceLaunchMetricsAreOneSnapshot: the traced launch's daemons
+// finalize at once, so their finalize-time harvest is in the session
+// watcher's hands at the very instant LaunchAndSpawn returns. A snapshot
+// taken at that instant held it or not as the host ran the two goroutines
+// (obs.harvests 1 or 2, iccl.tx.frames doubled or not), and carried the
+// host's goroutine count besides: ten launches, one Metrics.
+func TestTraceLaunchMetricsAreOneSnapshot(t *testing.T) {
+	first, err := TraceLaunch(64, 32, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 10; run++ {
+		res, err := TraceLaunch(64, 32, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Metrics, first.Metrics) {
+			t.Fatalf("run %d metrics differ from run 0's:\n %v\n %v", run, res.Metrics, first.Metrics)
+		}
 	}
 }
 

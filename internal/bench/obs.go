@@ -160,6 +160,12 @@ func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
 			if err != nil {
 				return err
 			}
+			// The daemons finalize the moment they are up, and their
+			// finalize-time harvest reaches the session's watcher at the
+			// instant LaunchAndSpawn returns: let that instant pass, so
+			// the snapshot holds the harvest however the host ordered the
+			// two goroutines.
+			r.Sim.Sleep(1)
 			snap, err := r.Sess.MetricsSnapshot()
 			if err != nil {
 				return err

@@ -156,9 +156,6 @@ func (c *Cluster) lookup(exe string) (ProcMain, bool) {
 	return m, ok
 }
 
-// Options returns the cluster's effective options (defaults applied).
-func (c *Cluster) Options() Options { return c.opts }
-
 // Node is one simulated machine in the cluster.
 type Node struct {
 	cl   *Cluster
@@ -177,9 +174,6 @@ func (n *Node) Name() string { return n.name }
 
 // Host returns the node's network endpoint.
 func (n *Node) Host() *simnet.Host { return n.host }
-
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cl }
 
 // NumProcs returns the current process count on the node.
 func (n *Node) NumProcs() int {

@@ -268,9 +268,6 @@ func (p *Proc) Attach() (*Tracer, error) {
 // tracee exits or the tracer detaches.
 func (t *Tracer) Events() *vtime.Chan[TraceEvent] { return t.events }
 
-// Proc returns the traced process.
-func (t *Tracer) Proc() *Proc { return t.proc }
-
 // ReadSymbol reads a named symbol from the tracee's address space, charging
 // the caller ptrace-style cost proportional to the symbol's size.
 func (t *Tracer) ReadSymbol(name string) (any, error) {

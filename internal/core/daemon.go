@@ -411,10 +411,6 @@ func (d *daemonSession) startHealth(env *bootEnv) error {
 	return nil
 }
 
-// Health returns the daemon's failure-detection monitor (nil when the
-// fabric was launched without health options).
-func (d *daemonSession) Health() *health.Monitor { return d.mon }
-
 // AmIMaster reports whether this daemon is the fabric master (rank 0).
 func (d *daemonSession) AmIMaster() bool { return d.comm.IsMaster() }
 
@@ -447,9 +443,6 @@ func (d *daemonSession) FEData() []byte { return d.feData }
 // master, seed-validated at every rank). The master's copy also rides the
 // ready message into the front end's merged Session.Timeline.
 func (d *daemonSession) Timeline() engine.Timeline { return d.tl }
-
-// Proc returns the daemon's process handle.
-func (d *daemonSession) Proc() *cluster.Proc { return d.p }
 
 // Barrier is the ICCL barrier over all daemons of this fabric.
 func (d *daemonSession) Barrier() error { return d.comm.Barrier() }

@@ -147,19 +147,6 @@ func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
 // Mux exposes the front end's transport mux (tests and diagnostics).
 func (fe *FrontEnd) Mux() *transport.Mux { return fe.mux }
 
-// LaunchAndSpawn launches a new job under tool control and co-locates the
-// tool's daemons with it in a single operation — the paper's primary FE
-// service, whose critical path is modeled in §4.
-func (fe *FrontEnd) LaunchAndSpawn(opts Options) (*Session, error) {
-	return startSession(fe, opts, false)
-}
-
-// AttachAndSpawn attaches to the running job opts.JobID and co-locates
-// the tool's daemons with its tasks.
-func (fe *FrontEnd) AttachAndSpawn(opts Options) (*Session, error) {
-	return startSession(fe, opts, true)
-}
-
 // Session binds one job and its daemon sets (paper §3.2): the handle all
 // other FE operations take. A session's exported methods are safe to call
 // from the goroutine that created it; distinct sessions of one front end
@@ -229,9 +216,11 @@ type sessionEvOp struct {
 // ErrSessionClosed is returned by operations on a finished session.
 var ErrSessionClosed = errors.New("core: session detached or killed")
 
-// LaunchAndSpawn launches a new job under tool control, creating (or
-// reusing) the calling process's front-end handle. Concurrent calls from
-// one process share a single transport mux.
+// LaunchAndSpawn launches a new job under tool control and co-locates the
+// tool's daemons with it in a single operation — the paper's primary FE
+// service, whose critical path is modeled in §4 — creating (or reusing)
+// the calling process's front-end handle. Concurrent calls from one
+// process share a single transport mux.
 func LaunchAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
 	return startSessionOn(p, opts, false)
 }

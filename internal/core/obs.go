@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 
 	"launchmon/internal/coll"
 	"launchmon/internal/engine"
@@ -113,9 +112,6 @@ func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	if fault != "" {
 		return obs.Snapshot{}, s.closedErr()
 	}
-	// The goroutine gauge is simulator-process-wide (all sessions share
-	// the Go runtime), so it is informational, not per-session.
-	s.obsGauge("fe.goroutines").SetMax(uint64(runtime.NumGoroutine()))
 	snap := s.obsReg.Snapshot()
 	s.obsMu.Lock()
 	for _, h := range s.obsHarvest {

@@ -23,7 +23,6 @@ package health
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -85,25 +84,40 @@ type Report struct {
 // ErrMonitor wraps heartbeat-tree bootstrap failures.
 var ErrMonitor = errors.New("health: monitor bootstrap failed")
 
-// Monitor is one daemon's view of the heartbeat tree.
+// Monitor is one daemon's view of the heartbeat tree: a state machine on
+// the vtime scheduler. It parks no goroutine and takes no lock — its tick
+// (Fire) and its link handlers are scheduler callbacks, which run one at a
+// time and only while no simulated goroutine is runnable, so they overlap
+// neither each other nor the daemon goroutine calling Stop.
 type Monitor struct {
 	p   *cluster.Proc
 	cfg Config
 
 	failures *vtime.Chan[Report] // root only; nil elsewhere
 
-	plink *iccl.Link // shared parent link (nil at root)
-
-	// mu guards the fields below and serializes parent writes (simnet
-	// writes return immediately; virtual time is charged on delivery).
-	mu       sync.Mutex
-	lastBeat map[int]time.Duration // direct child rank → last heard (virtual)
-	reported map[int]bool          // ranks already declared dead
+	// plink is the shared parent link: nil at the root, and dropped after
+	// a failed send — nothing more can go up a dead link.
+	plink    *iccl.Link
+	kids     []child      // direct children, in tree slot order
+	reported map[int]bool // ranks already declared dead
 	stopped  bool
 
 	// Metric handles (nil = obs off; methods on nil handles no-op).
 	beatsSent, timeouts, reportsUp *obs.Counter
 }
+
+// child is one direct child's link state.
+type child struct {
+	rank int
+	last time.Duration // last beat handled (virtual)
+	// fr charges the link's frames like the blocking reader it stands in
+	// for: each is handled PerMsgCost after the later of its arrival and
+	// the previous frame's handling, and the link's close waits behind them.
+	fr iccl.SerialFramer
+}
+
+// beatFrame is the heartbeat payload (Link.Send copies it).
+var beatFrame = lmonp.AppendUint32(nil, hbBeat)
 
 // StartOnLinks joins the calling daemon into the session's heartbeat tree
 // and begins monitoring. Heartbeats piggyback on the established ICCL tree
@@ -122,11 +136,12 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 	if (cfg.Rank == 0) != (parent == nil) {
 		return nil, fmt.Errorf("%w: parent link must be nil at rank 0 only (rank %d)", ErrMonitor, cfg.Rank)
 	}
+	sim := p.Sim()
 	m := &Monitor{
 		p:        p,
 		cfg:      cfg,
 		plink:    parent,
-		lastBeat: make(map[int]time.Duration),
+		kids:     make([]child, len(children)),
 		reported: make(map[int]bool),
 
 		beatsSent: cfg.Metrics.Counter("health.beats.sent"),
@@ -134,60 +149,54 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 		reportsUp: cfg.Metrics.Counter("health.reports"),
 	}
 	if cfg.Rank == 0 {
-		m.failures = vtime.NewChan[Report](p.Sim())
+		m.failures = vtime.NewChan[Report](sim)
 	}
-	if len(children) > 0 {
-		now := p.Sim().Now()
-		for _, lk := range children {
-			m.lastBeat[lk.Rank] = now
-		}
-		for _, lk := range children {
-			lk := lk
-			p.Sim().Go(fmt.Sprintf("health-link-reader-%d-%d", cfg.Rank, lk.Rank), func() { m.linkReader(lk) })
-		}
-		p.Sim().Go(fmt.Sprintf("health-check-%d", cfg.Rank), m.checkLoop)
+	now := sim.Now()
+	for slot, lk := range children {
+		k := &m.kids[slot]
+		*k = child{rank: lk.Rank, last: now, fr: iccl.SerialFramer{Sim: sim, Cost: PerMsgCost}}
+		lk.Recv.Handle(func(payload []byte, ok bool) { m.onChildFrame(k, payload, ok) })
 	}
 	if parent != nil {
-		p.Sim().Go(fmt.Sprintf("health-beat-%d", cfg.Rank), m.beatLoop)
-		p.Sim().Go(fmt.Sprintf("health-parent-%d", cfg.Rank), func() {
-			// Parents never send heartbeats downward; the queue closing
-			// means the parent's node (or the session) went away.
-			_, _ = parent.Recv.Recv()
-			m.Stop()
+		// Parents never send heartbeats downward; the queue closing means
+		// the parent's node (or the session) went away.
+		parent.Recv.Handle(func(_ []byte, ok bool) {
+			if !ok {
+				m.Stop()
+			}
 		})
 	}
+	// Prime immediately so the parent's miss window starts from a beat.
+	m.beat()
+	m.arm()
 	return m, nil
 }
 
-// linkReader consumes one shared child link's heartbeat queue. The queue
-// closing means the ICCL link demux saw the connection fail — the child's whole
-// subtree is unreachable.
-func (m *Monitor) linkReader(lk *iccl.Link) {
-	for {
-		payload, ok := lk.Recv.Recv()
-		if !ok {
+// onChildFrame takes one arrival off a shared child link's heartbeat
+// queue. The queue closing means the ICCL link demux saw the connection
+// fail — the child's whole subtree is unreachable. A halted monitor drops
+// what arrives (it can't close a shared conn; the collective plane owns
+// it); halted is sampled at the frame's arrival, not when its turn comes.
+func (m *Monitor) onChildFrame(k *child, payload []byte, ok bool) {
+	switch {
+	case !ok:
+		k.fr.Behind(func() {
 			if !m.halted() {
-				m.declareSubtreeDead(lk.Rank, "connection severed")
+				m.declareSubtreeDead(k.rank, "connection severed")
 			}
-			return
-		}
-		if m.halted() {
-			// Can't close a shared conn (the collective plane owns it);
-			// just stop consuming.
-			return
-		}
-		m.p.Compute(PerMsgCost)
-		rd := lmonp.NewReader(payload)
-		switch rd.Uint32() {
-		case hbBeat:
-			m.mu.Lock()
-			m.lastBeat[lk.Rank] = m.p.Sim().Now()
-			m.mu.Unlock()
-		case hbDead:
-			if reports, err := decodeReports(rd); err == nil {
-				m.propagate(reports)
+		})
+	case !m.halted():
+		k.fr.Charge(func() {
+			rd := lmonp.NewReader(payload)
+			switch rd.Uint32() {
+			case hbBeat:
+				k.last = m.p.Sim().Now()
+			case hbDead:
+				if reports, err := decodeReports(rd); err == nil {
+					m.propagate(reports)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -195,22 +204,13 @@ func (m *Monitor) linkReader(lk *iccl.Link) {
 // channel closes when the monitor stops.
 func (m *Monitor) Failures() *vtime.Chan[Report] { return m.failures }
 
-// Rank returns the monitor's tree rank.
-func (m *Monitor) Rank() int { return m.cfg.Rank }
-
-// Config returns the effective configuration (defaults applied).
-func (m *Monitor) Config() Config { return m.cfg }
-
-// Stop leaves the heartbeat tree: the periodic loops wind down and (at the
-// root) the failure stream closes. Idempotent.
+// Stop leaves the heartbeat tree: the tick winds down and (at the root)
+// the failure stream closes. Idempotent.
 func (m *Monitor) Stop() {
-	m.mu.Lock()
 	if m.stopped {
-		m.mu.Unlock()
 		return
 	}
 	m.stopped = true
-	m.mu.Unlock()
 	if m.failures != nil {
 		m.failures.Close()
 	}
@@ -219,54 +219,59 @@ func (m *Monitor) Stop() {
 // halted reports whether the monitor stopped or its process exited (a dead
 // daemon must not keep virtual-time timers alive).
 func (m *Monitor) halted() bool {
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	return stopped || m.p.State() == cluster.StateExited
+	return m.stopped || m.p.State() == cluster.StateExited
 }
 
-// beatLoop sends one heartbeat per period to the parent.
-func (m *Monitor) beatLoop() {
-	beat := lmonp.AppendUint32(nil, hbBeat)
-	// Prime immediately so the parent's miss window starts from a beat.
-	if err := m.sendUp(beat); err != nil {
+// arm schedules the next tick one period from now — while there is a child
+// to check or a parent to beat to: a daemon that can no longer beat still
+// checks its children.
+func (m *Monitor) arm() {
+	if len(m.kids) > 0 || m.plink != nil {
+		m.p.Sim().AfterEvent(m.cfg.Period, m)
+	}
+}
+
+// Fire is the daemon's one tick per period (the Monitor is its own
+// vtime.Event), in one fixed order: children that missed too many
+// heartbeats are declared dead in slot order, then the daemon beats
+// upward, then the tick re-arms. It is an order because the two are a tie
+// — a failure report and a beat leave on one parent link at one virtual
+// instant, and the parent's serial reader charges whichever comes second
+// PerMsgCost more; report first is what detection latency is quoted at.
+func (m *Monitor) Fire() {
+	if m.halted() {
 		return
 	}
-	m.beatsSent.Inc()
-	for {
-		m.p.Sim().Sleep(m.cfg.Period)
-		if m.halted() {
-			return
+	now := m.p.Sim().Now()
+	threshold := time.Duration(m.cfg.Miss) * m.cfg.Period
+	for i := range m.kids {
+		if k := &m.kids[i]; !m.reported[k.rank] && now-k.last > threshold {
+			m.timeouts.Inc()
+			m.declareSubtreeDead(k.rank, "heartbeat timeout")
 		}
-		if err := m.sendUp(beat); err != nil {
-			return
-		}
+	}
+	m.beat()
+	m.arm()
+}
+
+// beat sends one heartbeat to the parent, if there is one.
+func (m *Monitor) beat() {
+	if m.sendUp(beatFrame) {
 		m.beatsSent.Inc()
 	}
 }
 
-// checkLoop declares children dead when they miss too many heartbeats.
-func (m *Monitor) checkLoop() {
-	threshold := time.Duration(m.cfg.Miss) * m.cfg.Period
-	for {
-		m.p.Sim().Sleep(m.cfg.Period)
-		if m.halted() {
-			return
-		}
-		now := m.p.Sim().Now()
-		var late []int
-		m.mu.Lock()
-		for rank, last := range m.lastBeat {
-			if !m.reported[rank] && now-last > threshold {
-				late = append(late, rank)
-			}
-		}
-		m.mu.Unlock()
-		for _, rank := range late {
-			m.timeouts.Inc()
-			m.declareSubtreeDead(rank, "heartbeat timeout")
-		}
+// sendUp writes one frame to the parent over the shared ICCL link (simnet
+// writes return immediately; virtual time is charged on delivery).
+func (m *Monitor) sendUp(frame []byte) bool {
+	if m.plink == nil {
+		return false
 	}
+	if err := m.plink.Send(frame); err != nil {
+		m.plink = nil
+		return false
+	}
+	return true
 }
 
 // declareSubtreeDead reports the child rank and all its descendants lost
@@ -288,17 +293,13 @@ func (m *Monitor) declareSubtreeDead(rank int, detail string) {
 // the sever and timeout paths cannot double-report.
 func (m *Monitor) propagate(reports []Report) {
 	fresh := reports[:0]
-	m.mu.Lock()
 	for _, r := range reports {
-		if m.reported[r.Rank] {
-			continue
+		if !m.reported[r.Rank] {
+			m.reported[r.Rank] = true
+			fresh = append(fresh, r)
 		}
-		m.reported[r.Rank] = true
-		fresh = append(fresh, r)
 	}
-	stopped := m.stopped
-	m.mu.Unlock()
-	if len(fresh) == 0 || stopped {
+	if len(fresh) == 0 || m.stopped {
 		return
 	}
 	m.reportsUp.Add(uint64(len(fresh)))
@@ -308,23 +309,7 @@ func (m *Monitor) propagate(reports []Report) {
 		}
 		return
 	}
-	frame := lmonp.AppendUint32(nil, hbDead)
-	frame = encodeReports(frame, fresh)
-	_ = m.sendUp(frame)
-}
-
-// sendUp writes one frame to the parent over the shared ICCL link,
-// serialized across the beat, reader and checker goroutines.
-func (m *Monitor) sendUp(frame []byte) error {
-	if m.plink == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return errors.New("health: monitor stopped")
-	}
-	return m.plink.Send(frame)
+	m.sendUp(encodeReports(lmonp.AppendUint32(nil, hbDead), fresh))
 }
 
 func encodeReports(b []byte, reports []Report) []byte {

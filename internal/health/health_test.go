@@ -18,6 +18,18 @@ import (
 // communicator, which is what carries the teardown to its children.
 func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vtime.Sim, *cluster.Cluster, *vtime.Chan[*Monitor]) {
 	t.Helper()
+	return healthRigAt(t, n, fanout, period, miss, atOnce)
+}
+
+// atOnce starts a rank's monitor the moment its links are shared.
+func atOnce(_ *cluster.Proc, _ int, start func() (*Monitor, error)) (*Monitor, error) { return start() }
+
+// healthRigAt is healthRig with each rank's StartOnLinks handed to a hook
+// to call — when it chooses, and looking at what it likes on either side.
+func healthRigAt(t *testing.T, n, fanout int, period time.Duration, miss int,
+	hook func(p *cluster.Proc, rank int, start func() (*Monitor, error)) (*Monitor, error),
+) (*vtime.Sim, *cluster.Cluster, *vtime.Chan[*Monitor]) {
+	t.Helper()
 	sim := vtime.New()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
 	if err != nil {
@@ -42,9 +54,11 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 				}
 				defer comm.Close()
 				parent, children := comm.ShareLinks()
-				m, err := StartOnLinks(p, Config{
-					Rank: i, Size: n, Fanout: fanout, Period: period, Miss: miss,
-				}, parent, children)
+				m, err := hook(p, i, func() (*Monitor, error) {
+					return StartOnLinks(p, Config{
+						Rank: i, Size: n, Fanout: fanout, Period: period, Miss: miss,
+					}, parent, children)
+				})
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
@@ -61,6 +75,14 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 		}
 	}
 	return sim, cl, rootCh
+}
+
+// staggered starts rank i's monitor at 1s + i ms, whatever order the host
+// ran the bootstraps in: every tick's phase is set by the test, and each
+// StartOnLinks runs at a virtual instant nothing else runs at.
+func staggered(p *cluster.Proc, rank int, start func() (*Monitor, error)) (*Monitor, error) {
+	p.Sim().Sleep(time.Second + time.Duration(rank)*time.Millisecond - p.Sim().Now())
+	return start()
 }
 
 // healthShapes are the tree shapes every detection path is checked on: a
@@ -244,4 +266,128 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeEvent([]byte{1, 2}); err == nil {
 		t.Error("truncated event decoded")
 	}
+}
+
+// TestSimultaneousTimeoutsReportInRankOrder drops two of the root's child
+// links at one instant, so both children time out in the same tick: they
+// must be declared dead in the tree's slot order, every time (a walk over
+// a rank-keyed map declared them in whatever order the map gave that run).
+func TestSimultaneousTimeoutsReportInRankOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		sim, cl, rootCh := healthRigAt(t, 4, 3, 100*time.Millisecond, 3, staggered)
+		var got []int
+		var at []time.Duration
+		sim.Go("driver", func() {
+			root, ok := rootCh.Recv()
+			if !ok {
+				t.Error("no root monitor")
+				return
+			}
+			defer root.Stop()
+			sim.Sleep(1 * time.Second)
+			for _, victim := range []int{2, 1} {
+				cl.Net().DropLink(cl.Node(0).Name(), cl.Node(victim).Name())
+			}
+			for len(got) < 2 {
+				r, ok := root.Failures().Recv()
+				if !ok {
+					t.Error("failure stream closed early")
+					return
+				}
+				got, at = append(got, r.Rank), append(at, sim.Now())
+			}
+		})
+		sim.Run()
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("run %d: reported ranks %v, want [1 2]", run, got)
+		}
+		if at[0] != at[1] {
+			t.Fatalf("run %d: reports at %v: the rig no longer times both children out in one tick", run, at)
+		}
+	}
+}
+
+// TestReportPrecedesSameInstantBeat pins the order of the tick. Rank 2
+// declares its silent child 6 dead in the same tick that sends its own
+// beat, so a report and a beat leave on one link at one instant and the
+// root's serial reader charges whichever is second PerMsgCost more. The
+// report goes first: every run sees one detection latency, and when the
+// root hears of the loss rank 2's beat of that tick is still behind the
+// report — the last one handled is a whole period old. (When the two were
+// timers of two goroutines the host picked the order: in this rig, the
+// other one in 0.15-0.55% of simulations at GOMAXPROCS 2-8, hence 1000.)
+func TestReportPrecedesSameInstantBeat(t *testing.T) {
+	period := 100 * time.Millisecond
+	var first time.Duration
+	for run := 0; run < 1000; run++ {
+		sim, cl, rootCh := healthRigAt(t, 7, 2, period, 3, staggered)
+		var latency, beatAge time.Duration
+		sim.Go("driver", func() {
+			root, ok := rootCh.Recv()
+			if !ok {
+				t.Error("no root monitor")
+				return
+			}
+			defer root.Stop()
+			sim.Sleep(1 * time.Second)
+			dropAt := sim.Now()
+			cl.Net().DropLink(cl.Node(2).Name(), cl.Node(6).Name())
+			if r, ok := root.Failures().Recv(); !ok || r.Rank != 6 {
+				t.Errorf("report %+v, %v; want rank 6", r, ok)
+				return
+			}
+			latency = sim.Now() - dropAt
+			for _, k := range root.kids {
+				if k.rank == 2 {
+					beatAge = sim.Now() - k.last
+				}
+			}
+		})
+		sim.Run()
+		if run == 0 {
+			first = latency
+		}
+		if latency == 0 || latency != first {
+			t.Fatalf("run %d: detection latency %v, run 0 saw %v", run, latency, first)
+		}
+		if beatAge < period {
+			t.Fatalf("run %d: rank 2's last handled beat is %v old at the report: the beat went first", run, beatAge)
+		}
+	}
+}
+
+// TestMonitorParksNoGoroutine: the monitor is scheduler state at every kind
+// of rank — a root, interior ranks 1 and 2, leaves 3 to 6. Each starts at
+// an instant of its own (staggered), so anything spawned across the call
+// is that monitor's.
+func TestMonitorParksNoGoroutine(t *testing.T) {
+	period := 100 * time.Millisecond
+	starting := false
+	sim, _, rootCh := healthRigAt(t, 7, 2, period, 3, func(p *cluster.Proc, rank int, start func() (*Monitor, error)) (*Monitor, error) {
+		return staggered(p, rank, func() (*Monitor, error) {
+			live := p.Sim().Live()
+			starting = true
+			m, err := start()
+			starting = false
+			if got := p.Sim().Live(); got != live {
+				t.Errorf("rank %d: %d goroutines live after StartOnLinks, %d before", rank, got, live)
+			}
+			return m, err
+		})
+	})
+	sim.SetSpawnObserver(func(name string) {
+		if starting {
+			t.Errorf("StartOnLinks spawned %s", name)
+		}
+	})
+	sim.Go("driver", func() {
+		root, ok := rootCh.Recv()
+		if !ok {
+			t.Error("no root monitor")
+			return
+		}
+		sim.Sleep(5 * period) // beats flow, ticks fire
+		root.Stop()
+	})
+	sim.Run()
 }

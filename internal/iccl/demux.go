@@ -34,6 +34,7 @@ type linkDemux struct {
 	base *vtime.Chan[[]byte]                // non-plane tree frames
 	hb   *vtime.Chan[[]byte]                // heartbeat payloads (Link.Recv)
 	tags *vtime.Streams[uint32, coll.Frame] // per-tag collective streams
+	fr   SerialFramer                       // the link's reader time
 
 	mu     sync.Mutex
 	qBytes map[uint32]uint64      // queued body bytes per tag
@@ -71,29 +72,32 @@ func (c *Comm) demuxFor(conn *simnet.Conn) *linkDemux {
 	return c.demux[conn]
 }
 
-// serialFramer charges the frames of one event-driven link the way a
+// SerialFramer charges the frames of one event-driven link the way a
 // blocking reader loop would: frame i is handed over at
-// max(arrival_i, done_{i-1}) + PerMsgCost. Whatever is not charged — a
+// max(arrival_i, done_{i-1}) + Cost. Whatever is not charged — a
 // heartbeat, the link's death — still waits its turn behind a frame that
 // is cooking: a serial reader only observes it after charging every frame
 // before it, so in-flight deliveries are never dropped or overtaken. It is
-// only touched from scheduler callbacks, which never overlap.
-type serialFramer struct {
-	sim       *vtime.Sim
+// only touched from scheduler callbacks, which never overlap. The link
+// demux and the leaf seed charge PerMsgCost with it; the health layer, on
+// the heartbeat queue the demux feeds it, its own cheaper cost.
+type SerialFramer struct {
+	Sim       *vtime.Sim
+	Cost      time.Duration // reader time per charged frame
 	busyUntil time.Duration
 }
 
-// charge hands fn one frame's worth of reader time from now on.
-func (fr *serialFramer) charge(fn func()) {
-	now := fr.sim.Now()
-	fr.busyUntil = max(now, fr.busyUntil) + PerMsgCost
-	fr.sim.After(fr.busyUntil-now, fn)
+// Charge hands fn one frame's worth of reader time from now on.
+func (fr *SerialFramer) Charge(fn func()) {
+	now := fr.Sim.Now()
+	fr.busyUntil = max(now, fr.busyUntil) + fr.Cost
+	fr.Sim.After(fr.busyUntil-now, fn)
 }
 
-// behind runs fn uncharged once every frame charged so far is delivered.
-func (fr *serialFramer) behind(fn func()) {
-	if now := fr.sim.Now(); fr.busyUntil > now {
-		fr.sim.After(fr.busyUntil-now, fn)
+// Behind runs fn uncharged once every frame charged so far is delivered.
+func (fr *SerialFramer) Behind(fn func()) {
+	if now := fr.Sim.Now(); fr.busyUntil > now {
+		fr.Sim.After(fr.busyUntil-now, fn)
 	} else {
 		fn()
 	}
@@ -109,8 +113,8 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 		base: vtime.NewChan[[]byte](sim),
 		hb:   vtime.NewChan[[]byte](sim),
 		tags: vtime.NewStreams[uint32, coll.Frame](sim),
+		fr:   SerialFramer{Sim: sim, Cost: PerMsgCost},
 	}
-	fr := &serialFramer{sim: sim}
 	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
 	// payloads: a collective frame keeps the message it arrived in
 	// (coll.Frame.Wire), length prefix included, for the down-phase relay.
@@ -121,11 +125,11 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 		}
 		switch {
 		case err != nil:
-			fr.behind(func() { d.fail(err) })
+			d.fr.Behind(func() { d.fail(err) })
 		case len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat:
-			fr.behind(func() { d.hb.Send(raw[4:]) })
+			d.fr.Behind(func() { d.hb.Send(raw[4:]) })
 		default:
-			fr.charge(func() { d.deliver(msg) })
+			d.fr.Charge(func() { d.deliver(msg) })
 		}
 	})
 	return d

@@ -18,7 +18,7 @@ import (
 // every frame but a heartbeat is delivered at max(arrival, busyUntil) +
 // PerMsgCost, a heartbeat uncharged at max(arrival, busyUntil), whichever
 // of ShareLinks / the first plane operation installed the demux. The same
-// framer (serialFramer) serves a leaf's seed stream, where the reader it
+// framer (SerialFramer) serves a leaf's seed stream, where the reader it
 // stands in for still exists — the pump of an interior rank — and the two
 // must deliver at the same instants.
 

@@ -461,17 +461,17 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 
 	onParent := func(conn *simnet.Conn) {
 		if len(kids) == 0 {
-			// Leaf: no pump either — the serialFramer owns the parent link
+			// Leaf: no pump either — the SerialFramer owns the parent link
 			// while the seed is in flight, charging like the serial reader
 			// it replaces and detaching at the End frame's arrival so
 			// pre-ShareLinks collective traffic block-reads the same conn
 			// as before. Decoding and engine admission run behind the
 			// horizon, like that reader's.
-			fr := &serialFramer{sim: sim}
+			fr := &SerialFramer{Sim: sim, Cost: PerMsgCost}
 			lmonp.HandleFrames(conn, func(raw []byte, err error) {
 				if err != nil {
 					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
-					fr.behind(abort)
+					fr.Behind(abort)
 					return
 				}
 				// Peek the opcode at arrival: the End frame (or a
@@ -481,7 +481,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 				if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
 					conn.Unhandle()
 				}
-				fr.charge(func() {
+				fr.Charge(func() {
 					f, perr := parseFrameOp(raw, opSeedChunk, opSeedEnd)
 					if perr != nil {
 						seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, perr))

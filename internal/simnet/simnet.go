@@ -153,14 +153,6 @@ func (n *Network) Host(name string) *Host {
 	return h
 }
 
-// HostDead reports whether KillHost has been called for name.
-func (n *Network) HostDead(name string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h := n.hosts[name]
-	return h != nil && h.dead
-}
-
 // KillHost marks a host dead: its listeners close, new dials to or from it
 // fail with ErrPeerDead, and every established connection touching it is
 // severed — the remote peer reads any in-flight data, then observes
@@ -276,9 +268,6 @@ type Host struct {
 	conns     *Conn // live conn endpoints, oldest first, linked through Conn.next
 	lastConn  *Conn
 }
-
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
 
 // Errors returned by the network layer.
 var (

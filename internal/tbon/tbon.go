@@ -228,7 +228,6 @@ func (fe *FrontEnd) Close() {
 // Leaf is a back-end endpoint of the overlay.
 type Leaf struct {
 	conn *simnet.Conn
-	rank int
 }
 
 // ErrNoParent reports a missing/invalid parent address.
@@ -264,11 +263,8 @@ func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
 	if err := lmonp.WriteFrame(conn, hello); err != nil {
 		return nil, err
 	}
-	return &Leaf{conn: conn, rank: rank}, nil
+	return &Leaf{conn: conn}, nil
 }
-
-// Rank returns the leaf's rank.
-func (l *Leaf) Rank() int { return l.rank }
 
 // Recv blocks for the next downstream packet.
 func (l *Leaf) Recv() (Packet, error) {

@@ -28,34 +28,29 @@ import (
 // rank order — tools needing rank order gather instead.
 
 // feFabric is the front end's state for one daemon fabric of a session
-// (Session.be, Session.mw): the master connection, its sorted receive
-// side, the lockstep collective sequence and the daemon count operations
-// are sized against.
+// (Session.be, Session.mw): its share of the session's state machine
+// (state.go; written by step under s.mu), the lockstep collective sequence
+// and the daemon set operations are sized against.
 type feFabric struct {
 	s    *Session
 	prof fabricProfile
 
-	conn *lmonp.Conn // nil until the fabric is up (guarded by s.mu)
-	rx   *rxStreams  // fed by reader
-	size int
-	seq  uint32 // lockstep collective sequence, FE side
+	st     fabState
+	launch *seedRelay   // the launching call's sub-state; nil unless fabLaunching
+	conn   *lmonp.Conn  // the master connection, from the moment the mux hands it over
+	rx     *rxStreams   // its sorted receive side, fed by onMaster
+	infos  []DaemonInfo // the daemon set the master reported ready
+	seq    uint32       // lockstep collective sequence, FE side
 }
 
-// pre prefixes fault details and diagnostics ("" for the BE fabric, "mw "
-// for the MW fabric) so tools and fault errors can tell which fabric's
-// daemon was lost.
+// pre prefixes fault details and diagnostics ("" for the BE fabric and for
+// nil, the engine link; "mw " for the MW fabric) so tools and fault errors
+// can tell which fabric's daemon was lost.
 func (fab *feFabric) pre() string {
-	if fab.prof.mw {
+	if fab != nil && fab.prof.mw {
 		return "mw "
 	}
 	return ""
-}
-
-// up marks the fabric established on its master connection (s.mu held);
-// the caller then hands the connection's read side to fab.reader.
-func (fab *feFabric) up(conn *lmonp.Conn, size int) {
-	fab.conn, fab.size = conn, size
-	fab.rx = newRxStreams(fab.s.p.Sim(), fab.pre()+"master daemon")
 }
 
 // live returns the fabric's master connection, or why operations on it
@@ -64,15 +59,14 @@ func (fab *feFabric) up(conn *lmonp.Conn, size int) {
 func (fab *feFabric) live() (*lmonp.Conn, error) {
 	s := fab.s
 	s.mu.Lock()
-	conn, over := fab.conn, s.detached || s.killed
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	switch {
-	case conn == nil && fab.prof.mw:
+	case fab.st != fabUp && fab.prof.mw:
 		return nil, fmt.Errorf("core: session %d has no middleware daemons", s.ID)
-	case conn == nil || over:
-		return nil, s.closedErr()
+	case fab.st != fabUp || s.state != stReady:
+		return nil, s.closedErrLocked()
 	}
-	return conn, nil
+	return fab.conn, nil
 }
 
 // sendUsr ships tool data to the fabric's master daemon. A send on an
@@ -90,9 +84,9 @@ func (fab *feFabric) sendUsr(data []byte) error {
 }
 
 // recvUsr receives tool data from the fabric's master daemon (queued by
-// fab.reader, which filters out status events and collective frames). On
-// a session the watchdog tore down, the error wraps the terminal fault
-// detail (see closedErr).
+// onMaster, which filters out status events and collective frames). On a
+// session a fault tore down, the error wraps the terminal fault detail
+// (see closedErr).
 func (fab *feFabric) recvUsr() ([]byte, error) {
 	if _, err := fab.live(); err != nil {
 		return nil, err
@@ -253,8 +247,8 @@ func (st feStream) scatter(parts [][]byte) error {
 	if st.err != nil {
 		return st.err
 	}
-	if len(parts) != st.fab.size {
-		return fmt.Errorf("core: scatter needs %d parts (one per daemon), got %d", st.fab.size, len(parts))
+	if len(parts) != len(st.fab.infos) {
+		return fmt.Errorf("core: scatter needs %d parts (one per daemon), got %d", len(st.fab.infos), len(parts))
 	}
 	s := st.fab.s
 	sp := s.obsRec.Start("fe-scatter", -1)
@@ -298,7 +292,7 @@ func (st feStream) gather() ([][]byte, error) {
 			return nil, err
 		}
 		if f.End {
-			return asm.Finish(f.H, f.Total, st.fab.size)
+			return asm.Finish(f.H, f.Total, len(st.fab.infos))
 		}
 		if err := asm.Add(f.H, f.Body); err != nil {
 			return nil, err

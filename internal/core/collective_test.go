@@ -413,8 +413,8 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 	sim := vtime.New()
 	var buf bytes.Buffer
-	s := &Session{}
-	s.be = feFabric{s: s, prof: beFabric, conn: lmonp.NewConn(&buf), rx: newRxStreams(sim, "master daemon")}
+	s := &Session{state: stReady}
+	s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: newRxStreams(sim, "master daemon")}
 	tag := s.AllocTag()
 	var gatherErr, tagErr, lateErr error
 	var usr []byte
@@ -422,7 +422,7 @@ func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 	sim.Go("fe-reduce-tag", func() { _, tagErr = s.ReduceTag(tag) })
 	sim.Go("inject", func() {
 		sim.Sleep(time.Millisecond)
-		// What fab.reader hands the sorter when the master sends garbage.
+		// What onMaster hands the sorter when the master sends garbage.
 		if !s.be.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
 			t.Error("sorter disowned a collective chunk")
 		}

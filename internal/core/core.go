@@ -33,7 +33,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"launchmon/internal/cluster"
 	"launchmon/internal/proctab"
+	"launchmon/internal/transport"
 )
 
 // Environment variables the FE plants in daemon environments (in addition
@@ -113,6 +115,52 @@ func icclPortFor(session int, mw bool) int {
 	}
 	return p
 }
+
+// FrontEnd is the per-process LaunchMON front-end handle: it owns the one
+// transport mux every session of this tool process shares. Any number of
+// sessions may be created concurrently from separate goroutines; the mux
+// routes each engine / master-daemon dial to its owning session by the
+// session ID in the transport hello, so interleaved sessions never cross.
+type FrontEnd struct {
+	p   *cluster.Proc
+	mux *transport.Mux
+}
+
+// feRegistry maps FE processes to their FrontEnd so the package-level
+// LaunchAndSpawn/AttachAndSpawn entry points share one mux per process.
+var (
+	feRegMu sync.Mutex
+	feReg   = make(map[*cluster.Proc]*FrontEnd)
+)
+
+// NewFrontEnd returns the process-wide front-end handle for p, creating
+// its transport mux on first use.
+func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
+	feRegMu.Lock()
+	defer feRegMu.Unlock()
+	if fe, ok := feReg[p]; ok {
+		return fe, nil
+	}
+	mux, err := transport.ListenMux(p.Sim(), p.Host())
+	if err != nil {
+		return nil, err
+	}
+	fe := &FrontEnd{p: p, mux: mux}
+	feReg[p] = fe
+	// Reap the mux (and the registry entry) when the process exits, so
+	// long simulations with many tool processes do not accumulate muxes.
+	p.Sim().Go("fe-mux-reaper", func() {
+		p.Wait()
+		feRegMu.Lock()
+		delete(feReg, p)
+		feRegMu.Unlock()
+		mux.Close()
+	})
+	return fe, nil
+}
+
+// Mux exposes the front end's transport mux (tests and diagnostics).
+func (fe *FrontEnd) Mux() *transport.Mux { return fe.mux }
 
 // sessionShared models one session's node-local shared memory segment:
 // the immutable columnar RPDTAB index published by the front end once the

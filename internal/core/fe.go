@@ -14,7 +14,6 @@ import (
 	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
-	"launchmon/internal/simnet"
 	"launchmon/internal/transport"
 	"launchmon/internal/vtime"
 )
@@ -101,52 +100,6 @@ type HealthOptions struct {
 
 const defaultSessionTimeout = 10 * time.Minute
 
-// FrontEnd is the per-process LaunchMON front-end handle: it owns the one
-// transport mux every session of this tool process shares. Any number of
-// sessions may be created concurrently from separate goroutines; the mux
-// routes each engine / master-daemon dial to its owning session by the
-// session ID in the transport hello, so interleaved sessions never cross.
-type FrontEnd struct {
-	p   *cluster.Proc
-	mux *transport.Mux
-}
-
-// feRegistry maps FE processes to their FrontEnd so the package-level
-// LaunchAndSpawn/AttachAndSpawn entry points share one mux per process.
-var (
-	feRegMu sync.Mutex
-	feReg   = make(map[*cluster.Proc]*FrontEnd)
-)
-
-// NewFrontEnd returns the process-wide front-end handle for p, creating
-// its transport mux on first use.
-func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
-	feRegMu.Lock()
-	defer feRegMu.Unlock()
-	if fe, ok := feReg[p]; ok {
-		return fe, nil
-	}
-	mux, err := transport.ListenMux(p.Sim(), p.Host())
-	if err != nil {
-		return nil, err
-	}
-	fe := &FrontEnd{p: p, mux: mux}
-	feReg[p] = fe
-	// Reap the mux (and the registry entry) when the process exits, so
-	// long simulations with many tool processes do not accumulate muxes.
-	p.Sim().Go("fe-mux-reaper", func() {
-		p.Wait()
-		feRegMu.Lock()
-		delete(feReg, p)
-		feRegMu.Unlock()
-		mux.Close()
-	})
-	return fe, nil
-}
-
-// Mux exposes the front end's transport mux (tests and diagnostics).
-func (fe *FrontEnd) Mux() *transport.Mux { return fe.mux }
-
 // Session binds one job and its daemon sets (paper §3.2): the handle all
 // other FE operations take. A session's exported methods are safe to call
 // from the goroutine that created it; distinct sessions of one front end
@@ -154,20 +107,15 @@ func (fe *FrontEnd) Mux() *transport.Mux { return fe.mux }
 type Session struct {
 	ID int
 
-	p   *cluster.Proc
-	fe  *FrontEnd
-	ep  *transport.Endpoint
-	eng *lmonp.Conn
-	be  feFabric // back-end fabric (up once launch completes)
-	mw  feFabric // middleware fabric (up after LaunchMW)
+	p  *cluster.Proc
+	fe *FrontEnd
+	ep *transport.Endpoint
 
 	tab        proctab.Table
-	daemons    []DaemonInfo
 	timeout    time.Duration
 	chunkBytes int
-	collChunk  int    // collective-plane chunk bound (0 = coll default)
-	collWindow int    // collective-plane credit window (0 = coll default)
-	userTags   uint32 // AllocTag counter (guarded by mu)
+	collChunk  int // collective-plane chunk bound (0 = coll default)
+	collWindow int // collective-plane credit window (0 = coll default)
 
 	// Timeline holds the merged e0..e11 critical-path marks for this
 	// session (paper Figure 2); consumed by the performance model.
@@ -182,35 +130,21 @@ type Session struct {
 	obsMu      sync.Mutex
 	obsHarvest map[string]obs.Snapshot
 
-	// mu guards the lifecycle flags and middleware state below against
-	// concurrent session operations.
-	mu          sync.Mutex
-	mwInfos     []DaemonInfo
-	mwLaunching bool
-	established bool // launch completed; conns and watchers are live
-	detached    bool
-	killed      bool
-	faultDetail string // why the watchdog tore the session down ("" = no fault)
+	// The state machine of state.go. mu guards it against the tool's
+	// goroutines calling in concurrently; step is its only writer (AllocTag
+	// and the reply queue's pop aside, which decide nothing).
+	mu      sync.Mutex
+	state   sessState
+	cause   string               // from stEnding on: who ended the session — the SessionTornDown detail
+	fault   string               // the first fatal fault ("" = none): what closedErr wraps
+	eng     *lmonp.Conn          // the engine connection, from the moment the mux hands it over
+	engGone bool                 // it ended
+	replies []*vtime.Chan[feIn]  // pending engine replies, oldest first (requestLocked)
+	be, mw  feFabric             // the back-end and middleware fabrics
+	cbs     []func(health.Event) // status callbacks; nil again once ended
+	evLog   []health.Event       // every status event so far, for replay
 
-	// Fault subsystem state: once established, dedicated watcher
-	// goroutines own all reads of the engine and master connections,
-	// demultiplexing synchronous status replies and tool data from
-	// asynchronous status events (job exit, daemon loss).
-	engStatus *vtime.Chan[[]byte]   // engine TypeStatus payloads
-	engToken  *vtime.Chan[struct{}] // serializes engine request/reply exchanges
-
-	// Status-event dispatch: evQ feeds the dispatcher goroutine until it
-	// has delivered SessionTornDown, after which evLog (non-nil from then
-	// on, guarded by mu) serves late registrations.
-	evQ   *vtime.Chan[sessionEvOp]
-	evLog []health.Event
-}
-
-// sessionEvOp is one unit of work for the session's event dispatcher:
-// either an event to deliver or a callback to register (and replay to).
-type sessionEvOp struct {
-	ev *health.Event
-	cb func(health.Event)
+	userTags uint32 // AllocTag counter
 }
 
 // ErrSessionClosed is returned by operations on a finished session.
@@ -222,26 +156,20 @@ var ErrSessionClosed = errors.New("core: session detached or killed")
 // the calling process's front-end handle. Concurrent calls from one
 // process share a single transport mux.
 func LaunchAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
-	return startSessionOn(p, opts, false)
+	return startSession(p, opts, false)
 }
 
 // AttachAndSpawn attaches to the running job opts.JobID and co-locates the
 // tool's daemons with its tasks.
 func AttachAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
-	return startSessionOn(p, opts, true)
+	return startSession(p, opts, true)
 }
 
-func startSessionOn(p *cluster.Proc, opts Options, attach bool) (*Session, error) {
+func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) {
 	fe, err := NewFrontEnd(p)
 	if err != nil {
 		return nil, err
 	}
-	return startSession(fe, opts, attach)
-}
-
-func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
-	p := fe.p
-	sim := p.Sim()
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = defaultSessionTimeout
@@ -275,22 +203,32 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	s.mw = feFabric{s: s, prof: mwFabric}
 	if opts.Obs.enabled() {
 		s.obsReg = obs.NewRegistry()
-		s.obsRec = obs.NewRecorder(sim.Now)
+		s.obsRec = obs.NewRecorder(p.Sim().Now)
 		// The mux is process-wide; with several concurrent obs-on sessions
 		// the accept/reject counters land in whichever registry attached
 		// last (they are process-level admission counts either way).
 		fe.mux.SetMetrics(s.obsReg)
 	}
+	if s.ep, err = fe.mux.Open(s.ID); err != nil {
+		return nil, err
+	}
+	relay := &seedRelay{fab: &s.be, feData: opts.FEData,
+		markAccept: engine.MarkE7, markFwd: engine.MarkSeedFwd, markReady: engine.MarkE10}
+	if err := s.launchFabric(&s.be, relay, func() error { return s.launch(opts, attach, relay) }); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// launch drives the session through stLaunching on the caller's
+// goroutine, blocked on relay.in between inputs: spawn the engine, send it
+// the request once it has dialed in, and distribute the session seed.
+func (s *Session) launch(opts Options, attach bool, relay *seedRelay) error {
+	p, sim := s.p, s.p.Sim()
 	launchSpan := s.obsRec.Start("launch-and-spawn", -1)
 	s.Timeline.Mark(engine.MarkE0, sim.Now())
 	p.Compute(feStartCost)
-
-	ep, err := fe.mux.Open(s.ID)
-	if err != nil {
-		return nil, err
-	}
-	s.ep = ep
-	feAddr := fe.mux.Addr().String()
+	feAddr := s.fe.mux.Addr().String()
 
 	// Spawn the engine co-located with the RM process (same node). It
 	// dials back through the mux, identified by the session hello.
@@ -301,15 +239,18 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 			engine.EnvSession: encodeSessionID(s.ID),
 		},
 	}); err != nil {
-		s.close()
-		return nil, fmt.Errorf("core: spawning engine: %w", err)
+		return fmt.Errorf("core: spawning engine: %w", err)
 	}
-	engConn, err := ep.Accept(transport.RoleEngine, timeout)
+	s.ep.Handle(transport.RoleEngine, s.timeout, func(c *lmonp.Conn, err error) {
+		s.step(&input{kind: inConn, conn: c, err: err})
+	})
+	in, err := relay.next()
+	if err == nil {
+		err = in.err
+	}
 	if err != nil {
-		s.close()
-		return nil, fmt.Errorf("core: engine did not connect: %w", err)
+		return fmt.Errorf("core: engine did not connect: %w", err)
 	}
-	s.eng = engConn
 
 	daemon := opts.Daemon
 	daemon.Env = bootEnv{
@@ -332,39 +273,20 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 			Job: opts.Job, Daemon: daemon, ChunkBytes: opts.ProctabChunkBytes,
 		})
 	}
-	if err := s.eng.Send(req); err != nil {
-		s.close()
-		return nil, err
+	if err := s.request(req, relay.in); err != nil {
+		return err
 	}
 
 	// Distribute the session seed (RPDTAB + FEData) and complete the
 	// FE↔master handshake under the selected pipeline.
-	if err := s.launchSeed(opts); err != nil {
-		s.close()
-		return nil, err
+	if err := s.launchSeed(opts, relay); err != nil {
+		return err
 	}
 
 	p.Compute(feFinishCost)
 	s.Timeline.Mark(engine.MarkE11, sim.Now())
 	launchSpan.End()
-
-	// The session is up: hand ownership of both connections' read sides to
-	// watcher goroutines (they demux async status events from synchronous
-	// replies), start the event dispatcher, and report the first
-	// transition.
-	s.engStatus = vtime.NewChan[[]byte](sim)
-	s.engToken = vtime.NewChan[struct{}](sim)
-	s.engToken.Send(struct{}{})
-	s.evQ = vtime.NewChan[sessionEvOp](sim)
-	s.mu.Lock()
-	s.be.up(s.be.conn, len(s.daemons))
-	s.established = true
-	s.mu.Unlock()
-	sim.Go(fmt.Sprintf("fe-sess-%d-events", s.ID), s.eventLoop)
-	sim.Go(fmt.Sprintf("fe-sess-%d-eng-watch", s.ID), s.engineReader)
-	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), s.be.reader)
-	s.fire(health.Event{Kind: health.EvDaemonsSpawned, Rank: -1})
-	return s, nil
+	return nil
 }
 
 // RegisterStatusCB mirrors lmon_fe_regStatusCB (paper §3.2): cb fires for
@@ -372,221 +294,17 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 // DaemonExited(rank), SessionTornDown. Transitions that fired before
 // registration are replayed to the new callback first, in order, so a
 // callback registered right after LaunchAndSpawn still observes
-// DaemonsSpawned. Callbacks run on the session's event-dispatch goroutine
-// — or, registered after SessionTornDown, on the caller — and must not
-// block indefinitely.
+// DaemonsSpawned. Callbacks run on the vtime scheduler — or, registered
+// after SessionTornDown, on the caller — and must not block: no Sleep,
+// Recv, Compute or session call that waits; sending on a Chan, appending
+// and taking a mutex nothing holds across a wait are fine.
 func (s *Session) RegisterStatusCB(cb func(health.Event)) {
-	s.mu.Lock()
-	if s.evLog == nil {
-		// Sent under mu (Send never blocks) so the dispatcher's terminal
-		// transition cannot slip between the check and the send. A
-		// never-established session has no queue: no events ever fire.
-		if s.evQ != nil {
-			s.evQ.Send(sessionEvOp{cb: cb})
-		}
-		s.mu.Unlock()
-		return
-	}
-	log := s.evLog
-	s.mu.Unlock()
-	for _, ev := range log {
+	in := input{kind: inRegister, cb: cb}
+	s.step(&in)
+	// The history of an ended session is final, so it is served right here.
+	for _, ev := range in.replay {
 		cb(ev)
 	}
-}
-
-// fire delivers a status event through the dispatcher (in-order, with
-// replay bookkeeping). SessionTornDown is terminal: events fired after it
-// are dropped.
-func (s *Session) fire(ev health.Event) {
-	s.mu.Lock()
-	q := s.evQ
-	s.mu.Unlock()
-	if q != nil {
-		q.Send(sessionEvOp{ev: &ev})
-	}
-}
-
-// eventLoop is the session's single event dispatcher: it serializes event
-// delivery and callback registration so every callback sees every event
-// exactly once, in order. It exits once SessionTornDown is delivered —
-// publishing the log for late registrations and closing the queue, whose
-// already-queued registrations it still serves — so an ended session
-// leaves no goroutine behind.
-func (s *Session) eventLoop() {
-	var log []health.Event
-	var cbs []func(health.Event)
-	done := false
-	for {
-		op, ok := s.evQ.Recv()
-		if !ok {
-			return
-		}
-		switch {
-		case op.cb != nil:
-			cbs = append(cbs, op.cb)
-			for _, ev := range log {
-				op.cb(ev)
-			}
-		case op.ev != nil && !done:
-			log = append(log, *op.ev)
-			for _, cb := range cbs {
-				cb(*op.ev)
-			}
-			if op.ev.Kind == health.EvSessionTornDown {
-				done = true
-				s.mu.Lock()
-				s.evLog = log
-				s.evQ.Close()
-				s.mu.Unlock()
-			}
-		}
-	}
-}
-
-// engineReader owns the engine connection's read side after launch: it
-// routes synchronous status replies to waiting session operations and
-// reacts to asynchronous status events (job exit) with the watchdog.
-func (s *Session) engineReader() {
-	for {
-		msg, err := s.eng.Recv()
-		if err != nil {
-			s.engStatus.Close()
-			// Only a severed link (the engine's host died) is a fault; a
-			// clean EOF is the engine exiting after detach/kill.
-			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
-				s.fault("engine connection lost")
-			}
-			return
-		}
-		switch msg.Type {
-		case lmonp.TypeStatus:
-			s.engStatus.Send(msg.Payload)
-		case lmonp.TypeStatusEvent:
-			ev, err := health.DecodeEvent(msg.Payload)
-			if err != nil {
-				continue
-			}
-			s.obsInstant("event:" + ev.Kind.String())
-			s.fire(ev)
-			if ev.Kind == health.EvJobExited {
-				s.fault("job exited")
-			}
-		}
-	}
-}
-
-// reader owns the fabric's master connection's read side once the fabric
-// is up: tool data and collective frames sort into fab.rx; daemon-loss
-// status events (from the health subsystem at the master) fire callbacks
-// and trigger the watchdog. An unexpected connection loss means the master
-// daemon itself (or its node) died. Both fabrics react identically; only
-// the fault details differ (pre).
-func (fab *feFabric) reader() {
-	s, pre := fab.s, fab.pre()
-	for {
-		msg, err := fab.conn.Recv()
-		if err != nil {
-			// A clean EOF is the master daemon finalizing (tools may leave
-			// the session at any time); only a severed link — the master's
-			// node died — is a fault. The fault detail is recorded before
-			// the queues fail so blocked receive/collective callers wake
-			// to an error that says why the session died.
-			severed := errors.Is(err, simnet.ErrPeerDead) && !s.closed()
-			if severed {
-				s.noteFault(pre + "master daemon connection severed")
-			}
-			fab.rx.fail(s.closedErr())
-			if severed {
-				s.fire(health.Event{
-					Kind: health.EvDaemonExited, Rank: 0,
-					Detail: pre + "master daemon connection severed",
-				})
-				s.fault(pre + "master daemon lost")
-			}
-			return
-		}
-		if fab.rx.sort(msg) {
-			continue
-		}
-		switch msg.Type {
-		case lmonp.TypeObsMetrics:
-			// The finalize-time harvest: a cumulative fabric-wide snapshot
-			// folded up the tree and pushed by the master before it closes.
-			s.stashObsHarvest(fab.prof.kind, msg.Payload)
-		case lmonp.TypeStatusEvent:
-			ev, err := health.DecodeEvent(msg.Payload)
-			if err != nil {
-				continue
-			}
-			if pre != "" {
-				ev.Detail = pre + "fabric: " + ev.Detail
-			}
-			s.obsInstant(pre + "event:" + ev.Kind.String())
-			s.fire(ev)
-			if ev.Kind == health.EvDaemonExited {
-				s.fault(fmt.Sprintf("%sdaemon rank %d lost", pre, ev.Rank))
-			}
-		}
-	}
-}
-
-// fault records a fatal session fault (the first one names the cause, see
-// noteFault) and hands the teardown to a watchdog goroutine, so the
-// reader that detected it is never the one blocked in the engine exchange.
-func (s *Session) fault(detail string) {
-	s.noteFault(detail)
-	s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() { s.watchdogTeardown(detail) })
-}
-
-// watchdogTeardown reacts to a fatal session fault: it wins the lifecycle
-// transition (or yields to a teardown already in flight), best-effort
-// kills the job and daemons through the engine, releases every connection,
-// and fires SessionTornDown. Idempotent across the sever/heartbeat/job-exit
-// detection paths racing each other.
-func (s *Session) watchdogTeardown(detail string) {
-	if !s.endSession(true) {
-		return
-	}
-	_, _ = s.engExchange(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeKill}) // best effort; the engine may be gone
-	s.finishTeardown("watchdog: " + detail)
-}
-
-// awaitEngPayload waits for the next engine status payload routed by the
-// engine reader, bounded by the session timeout.
-func (s *Session) awaitEngPayload() ([]byte, error) {
-	payload, ok, timedOut := s.engStatus.RecvTimeout(s.timeout)
-	if timedOut {
-		return nil, fmt.Errorf("core: session %d: engine status timeout", s.ID)
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: session %d: engine connection lost", s.ID)
-	}
-	return payload, nil
-}
-
-// engExchange performs one request/reply exchange with the engine under
-// the session's exchange token. The engine's command loop replies in
-// request order while engStatus wakes waiters in park order, so two
-// overlapping exchanges (say LaunchMW racing the watchdog's kill) could
-// otherwise each collect the other's reply.
-func (s *Session) engExchange(m *lmonp.Msg) ([]byte, error) {
-	if _, ok := s.engToken.Recv(); !ok {
-		return nil, fmt.Errorf("core: session %d: torn down", s.ID)
-	}
-	defer s.engToken.Send(struct{}{})
-	if err := s.eng.Send(m); err != nil {
-		return nil, err
-	}
-	return s.awaitEngPayload()
-}
-
-// finishTeardown releases the session's connections and delivers the
-// terminal SessionTornDown event, on which the event dispatcher exits
-// (callbacks registered after the fact still get the full history
-// replayed, see RegisterStatusCB).
-func (s *Session) finishTeardown(detail string) {
-	s.close()
-	s.fire(health.Event{Kind: health.EvSessionTornDown, Rank: -1, Detail: detail})
 }
 
 // adoptTable installs the validated RPDTAB as the session's table and
@@ -605,46 +323,29 @@ func (s *Session) adoptTable(tab proctab.Table) error {
 	return nil
 }
 
-// closed reports whether the session has been detached or killed.
-func (s *Session) closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.detached || s.killed
-}
-
-// noteFault records the first terminal fault's detail so receive paths
-// can report why the session died; later faults keep the original cause.
-func (s *Session) noteFault(detail string) {
-	s.mu.Lock()
-	// A session the tool already ended has no fault to report — late
-	// events from the dying daemons must not turn a clean Detach/Kill
-	// into a "torn down" error.
-	if !s.detached && !s.killed && s.faultDetail == "" {
-		s.faultDetail = detail
-	}
-	s.mu.Unlock()
-}
-
 // closedErr is what a receive path returns on a finished session: the
-// bare ErrSessionClosed after a tool-initiated Detach/Kill, or — when
-// the watchdog tore the session down — an error wrapping the terminal
-// fault detail (e.g. "session torn down: daemon rank 3 lost"), so tools
-// can report why a gather died rather than just that it did.
+// bare ErrSessionClosed after a tool-initiated Detach/Kill, or — when a
+// fault tore the session down — an error wrapping the first fault's detail
+// (e.g. "session torn down: daemon rank 3 lost"), so tools can report why
+// a gather died rather than just that it did.
 func (s *Session) closedErr() error {
 	s.mu.Lock()
-	d := s.faultDetail
-	s.mu.Unlock()
-	if d == "" {
+	defer s.mu.Unlock()
+	return s.closedErrLocked()
+}
+
+func (s *Session) closedErrLocked() error {
+	if s.fault == "" {
 		return ErrSessionClosed
 	}
-	return fmt.Errorf("core: session torn down: %s: %w", d, ErrSessionClosed)
+	return fmt.Errorf("core: session torn down: %s: %w", s.fault, ErrSessionClosed)
 }
 
 // Proctab returns the job's RPDTAB.
 func (s *Session) Proctab() proctab.Table { return s.tab }
 
 // Daemons returns the per-daemon records gathered during handshake.
-func (s *Session) Daemons() []DaemonInfo { return s.daemons }
+func (s *Session) Daemons() []DaemonInfo { return s.be.infos }
 
 // SendToBE ships tool data to the master back-end daemon (which typically
 // broadcasts it over ICCL).
@@ -653,50 +354,34 @@ func (s *Session) SendToBE(data []byte) error { return s.be.sendUsr(data) }
 // RecvFromBE receives tool data from the master back-end daemon.
 func (s *Session) RecvFromBE() ([]byte, error) { return s.be.recvUsr() }
 
-// endSession flips the given lifecycle flag exactly once; it reports
-// whether the caller won the transition. A session that never finished
-// launching (startSession failed before returning it) is not transitionable:
-// Detach and Kill on it are idempotent no-ops, so racing them against a
-// failed launch cannot touch the half-initialized connection set.
-func (s *Session) endSession(kill bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.established || s.detached || s.killed {
-		return false
-	}
-	if kill {
-		s.killed = true
-	} else {
-		s.detached = true
-	}
-	return true
-}
-
 // Detach ends tool control, leaving the job running. Daemons observe their
 // FE/ICCL connections closing and shut themselves down.
-func (s *Session) Detach() error { return s.end(false) }
+func (s *Session) Detach() error { return s.end(lmonp.TypeDetach, "detach", "detached") }
 
 // Kill terminates the job, its tasks and all daemons.
-func (s *Session) Kill() error { return s.end(true) }
+func (s *Session) Kill() error { return s.end(lmonp.TypeKill, "kill", "killed") }
 
 // end wins the lifecycle transition, asks the engine to detach from or
-// kill the job, and tears the session down — also when the exchange
-// fails: the session is over either way, and the mux endpoint must be
-// released.
-func (s *Session) end(kill bool) error {
-	if !s.endSession(kill) {
-		return ErrSessionClosed
+// kill the job, and ends the session — also when the exchange fails: the
+// session is over either way, and the mux endpoint must be released.
+func (s *Session) end(req lmonp.MsgType, verb, done string) error {
+	in := input{kind: inEnd, req: req}
+	err := s.step(&in)
+	if in.reply == nil {
+		return err // ErrSessionClosed: not ready, or someone else is ending it
 	}
-	req, verb, done := lmonp.TypeDetach, "detach", "detached"
-	if kill {
-		req, verb, done = lmonp.TypeKill, "kill", "killed"
-	}
-	defer s.finishTeardown(done + " by tool")
-	payload, err := s.engExchange(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: req})
+	defer s.step(&input{kind: inEnded})
 	if err != nil {
 		return err
 	}
-	status, _, err := engine.DecodeStatus(payload)
+	answer, ok, timedOut := in.reply.RecvTimeout(s.timeout)
+	if timedOut {
+		return s.engineErr("status timeout")
+	}
+	if !ok {
+		return s.engineErr("connection lost")
+	}
+	status, _, err := engine.DecodeStatus(answer.msg.Payload)
 	if err != nil {
 		return err
 	}
@@ -704,25 +389,6 @@ func (s *Session) end(kill bool) error {
 		return fmt.Errorf("core: %s failed: %s", verb, status)
 	}
 	return nil
-}
-
-func (s *Session) close() {
-	dropSharedSeg(s.ID)
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	s.mu.Lock()
-	be, mw := s.be.conn, s.mw.conn
-	s.mu.Unlock()
-	if be != nil {
-		be.Close()
-	}
-	if mw != nil {
-		mw.Close()
-	}
-	if s.ep != nil {
-		s.ep.Close()
-	}
 }
 
 // decodeReady parses a ready payload: daemon infos + component timeline +

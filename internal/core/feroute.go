@@ -12,9 +12,9 @@ import (
 // the same pair of queues at both ends. LMONP connections have exactly one
 // reader, so once several consumers share one (tool-data receives, the
 // lockstep collectives, any number of concurrent tagged collectives) a
-// single reader owns it and sorts messages by consumer: the FE's
-// per-fabric watcher (feFabric.reader) and the master daemon's lazily
-// started FE reader (daemonSession.feStreams) both feed an rxStreams.
+// single handler owns it and sorts messages by consumer: the FE's
+// per-fabric one (feFabric.onMaster) and the master daemon's lazily
+// installed one (daemonSession.feStreams) both feed an rxStreams.
 
 // lockstepStream keys the one ordered queue all lockstep tags (below
 // coll.MinUserTag) share, which preserves the eager op/tag divergence
@@ -96,24 +96,21 @@ func (r *rxStreams) next(tag uint32) (coll.Frame, error) {
 	return f, nil
 }
 
-// feStreams returns the master daemon's sorted FE connection, starting its
-// reader on first read-side use (RecvFromFE or a plane down hook) — never
-// during init, where the seed pipeline (seedSourceFromFE) still reads the
-// connection directly, and never at all on daemons that only ever push
-// data up.
+// feStreams returns the master daemon's sorted FE connection, installing
+// its handler on first read-side use (RecvFromFE or a plane down hook) —
+// never during init, where the seed pipeline (seedSourceFromFE) still
+// reads the connection directly, and never at all on daemons that only
+// ever push data up.
 func (d *daemonSession) feStreams() *rxStreams {
 	d.feRxOnce.Do(func() {
-		d.feRx = newRxStreams(d.p.Sim(), "front end")
-		d.p.Sim().Go(fmt.Sprintf("%s-master-fe-reader", d.fab.kind), func() {
-			for {
-				msg, err := d.fe.Recv()
-				if err == nil && !d.feRx.sort(msg) {
-					err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
-				}
-				if err != nil {
-					d.feRx.fail(err)
-					return
-				}
+		rx := newRxStreams(d.p.Sim(), "front end")
+		d.feRx = rx
+		d.fe.Handle(func(msg *lmonp.Msg, err error) {
+			if err == nil && !rx.sort(msg) {
+				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
+			}
+			if err != nil {
+				rx.fail(err)
 			}
 		})
 	})

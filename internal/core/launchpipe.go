@@ -5,6 +5,7 @@ import (
 
 	"launchmon/internal/engine"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
@@ -52,229 +53,214 @@ func (m SeedMode) String() string {
 	return "cut-through"
 }
 
-// seedItem is one unit of the FE→master relay: the payload of an RPDTAB
-// chunk message, or (end) of the end marker closing the stream
-// (proctab.EncodeEndMarker: entry count + rolling chunk digest).
-type seedItem struct {
-	payload []byte
-	end     bool
-}
-
-// relayResult is what the seed-relay goroutine hands back to the launch
-// path: the established master connection, the decoded ready message, and
-// the relay's share of the timeline (e7, e10, overlap marks).
-type relayResult struct {
-	conn    *lmonp.Conn
-	infos   []DaemonInfo
-	tl      engine.Timeline
-	obsBlob []byte // harvested metrics snapshot off the ready message
-	err     error
-}
-
-// seedRelay accepts a fabric's master-daemon connection and forwards the
-// seed stream to it, concurrently with whatever the launch path is doing
-// (draining the engine chunk stream on the BE fabric, awaiting the MW
-// spawn status on the MW fabric). The fabric profile selects the LMONP
-// class, the transport role, and which timeline marks the relay stamps.
+// seedRelay is a launching fabric's sub-state (feFabric.launch): the one
+// Chan its launching call blocks on, and the seed stream toward the
+// fabric's master daemon — RPDTAB chunk messages closed by the end marker
+// (proctab.EncodeEndMarker), behind the handshake that carries FEData. A
+// message goes out once the launch path has accepted it and the master has
+// connected, whichever is later, so the relay overlaps whatever else the
+// call waits for: the engine's chunk stream on the BE fabric, the spawn
+// status on the MW fabric. Apart from in, only the launching call touches
+// it.
 type seedRelay struct {
-	s      *Session
-	fab    fabricProfile
+	fab    *feFabric
+	in     *vtime.Chan[feIn] // every input of the launching call (made by inClaim)
 	feData []byte
-	items  *vtime.Chan[seedItem]
-	result *vtime.Chan[relayResult]
+	span   *obs.Span    // open from start to the master's ready, or the failure
+	conn   *lmonp.Conn  // the master, once the handshake went out
+	queued []*lmonp.Msg // accepted before that
 
 	markAccept, markFwd, markReady string
+
+	done  bool            // the master reported ready, with
+	infos []DaemonInfo    // its daemon set and
+	tl    engine.Timeline // its marks, merged with the relay's
 }
 
-// newSeedRelay builds a relay for the given fabric with its mark names.
-func newSeedRelay(s *Session, fab fabricProfile, feData []byte, markAccept, markFwd, markReady string) *seedRelay {
-	sim := s.p.Sim()
-	return &seedRelay{
-		s: s, fab: fab, feData: feData,
-		items:      vtime.NewChan[seedItem](sim),
-		result:     vtime.NewChan[relayResult](sim),
-		markAccept: markAccept, markFwd: markFwd, markReady: markReady,
+// launchFabric takes fab from down to up — the BE fabric takes the session
+// to ready with it — around drive, the launch path that blocks on
+// relay.in, or back down (the session: to ended) if that fails.
+func (s *Session) launchFabric(fab *feFabric, relay *seedRelay, drive func() error) error {
+	if err := s.step(&input{kind: inClaim, fab: fab, relay: relay}); err != nil {
+		return err
 	}
+	err := drive()
+	relay.span.End() // open only if drive failed
+	relay.in.Close() // what handlers still send here is dropped
+	return s.step(&input{kind: inLaunched, fab: fab, err: err})
 }
 
-// abandon gives up on the relay after a launch-side error. Closing the
-// item queue wakes a relay parked on it and stops further forwarding: the
-// relay checks the queue's closed flag before each item, so even a
-// pre-fed queue (the MW path queues its end marker up front) stops
-// streaming to a stale dial — queued values surviving Close would
-// otherwise keep the stream flowing. A relay parked in Endpoint.Accept is
-// released by the caller closing the session (s.close closes the
-// endpoint). One already past its end marker is parked awaiting the
-// master's ready and would hand back an open connection nobody reads —
-// leaving the master (and with it the whole daemon tree) waiting on the
-// session forever — so a reaper drains the result, closes that
-// connection, and only then runs then (nil for none).
-func (r *seedRelay) abandon(then func()) {
-	r.items.Close()
-	r.s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-%s-relay-reaper", r.s.ID, r.fab.kind), func() {
-		if res, ok := r.result.Recv(); ok && res.conn != nil {
-			res.conn.Close()
-		}
-		if then != nil {
-			then()
-		}
+// start opens the relay: from now the mux hands the fabric's master
+// connection over as soon as it has dialed in — at once if it already has.
+func (r *seedRelay) start() {
+	s, fab := r.fab.s, r.fab
+	r.span = s.obsRec.Start("seed-relay-"+fab.prof.kind, -1)
+	s.ep.Handle(fab.prof.role, s.timeout, func(c *lmonp.Conn, err error) {
+		s.step(&input{kind: inConn, fab: fab, conn: c, err: err})
 	})
 }
 
-func (r *seedRelay) run() {
-	res := r.relay()
-	if res.err != nil && res.conn != nil {
-		res.conn.Close()
-		res.conn = nil
+// next blocks for the launching call's next input.
+func (r *seedRelay) next() (feIn, error) {
+	in, ok := r.in.Recv()
+	if !ok { // closed as a pending reply (step, inConnEnd)
+		return in, r.fab.s.engineErr("connection lost")
 	}
-	r.result.Send(res)
+	return in, nil
 }
 
-func (r *seedRelay) relay() relayResult {
-	s := r.s
-	sim := s.p.Sim()
-	sp := s.obsRec.Start("seed-relay-"+r.fab.kind, -1)
-	defer sp.End()
-	relayChunks := s.obsCounter("fe.relay.chunks")
-	relayBytes := s.obsCounter("fe.relay.bytes")
-	conn, err := s.ep.Accept(r.fab.role, s.timeout)
-	if err != nil {
-		return relayResult{err: fmt.Errorf("core: %s master daemon did not connect: %w", r.fab.kind, err)}
-	}
-	var tl engine.Timeline
-	tl.Mark(r.markAccept, sim.Now())
-	// FEData rides the handshake ahead of the proctab stream, so every
-	// daemon has its bootstrap data before the first table chunk lands.
-	if err := conn.Send(&lmonp.Msg{Class: r.fab.class, Type: lmonp.TypeHandshake, UsrData: r.feData}); err != nil {
-		return relayResult{conn: conn, err: fmt.Errorf("core: handshake to %s master: %w", r.fab.kind, err)}
-	}
-	first := true
-	for {
-		it, ok := r.items.Recv()
-		if !ok || r.items.Closed() {
-			return relayResult{conn: conn, err: fmt.Errorf("core: session %d: seed relay aborted", s.ID)}
-		}
-		if first {
-			tl.Mark(r.markFwd, sim.Now())
-			first = false
-		}
-		typ := lmonp.TypeProctabEnd
-		if !it.end {
-			typ = lmonp.TypeProctabChunk
-			relayChunks.Inc()
-			relayBytes.Add(uint64(len(it.payload)))
-		}
-		if err := conn.Send(&lmonp.Msg{Class: r.fab.class, Type: typ, Payload: it.payload}); err != nil {
-			return relayResult{conn: conn, err: fmt.Errorf("core: relaying session seed to %s master: %w", r.fab.kind, err)}
-		}
-		if it.end {
-			break
-		}
-	}
-	ready, err := conn.Expect(r.fab.class, lmonp.TypeReady)
-	if err != nil {
-		return relayResult{conn: conn, err: fmt.Errorf("core: awaiting %s master ready: %w", r.fab.kind, err)}
-	}
-	tl.Mark(r.markReady, sim.Now())
-	infos, masterTL, obsBlob, err := decodeReady(ready.Payload)
-	if err != nil {
-		return relayResult{conn: conn, err: err}
-	}
-	tl.Merge(masterTL)
-	return relayResult{conn: conn, infos: infos, tl: tl, obsBlob: obsBlob}
+// forward relays one message of the seed stream — when the master has
+// connected: until then it is queued.
+func (r *seedRelay) forward(typ lmonp.MsgType, payload []byte) error {
+	r.queued = append(r.queued, &lmonp.Msg{Class: r.fab.prof.class, Type: typ, Payload: payload})
+	return r.flush()
 }
 
-// launchSeed drains the engine's chunk stream and spawn status into the
+func (r *seedRelay) flush() error {
+	if r.conn == nil || len(r.queued) == 0 {
+		return nil
+	}
+	s := r.fab.s
+	if _, marked := r.tl.Get(r.markFwd); !marked {
+		r.tl.Mark(r.markFwd, s.p.Sim().Now())
+	}
+	for _, m := range r.queued {
+		if m.Type == lmonp.TypeProctabChunk {
+			s.obsCounter("fe.relay.chunks").Inc()
+			s.obsCounter("fe.relay.bytes").Add(uint64(len(m.Payload)))
+		}
+		if err := r.conn.Send(m); err != nil {
+			return fmt.Errorf("core: relaying session seed to %s master: %w", r.fab.prof.kind, err)
+		}
+	}
+	r.queued = nil
+	return nil
+}
+
+// input takes what came from the master's side: its connection, its ready
+// message, or the error instead of either.
+func (r *seedRelay) input(in feIn) error {
+	s, prof := r.fab.s, r.fab.prof
+	switch {
+	case r.done:
+		// A master may finalize right behind its ready; that its link then
+		// ends is the data plane's business (and step's, if it was severed).
+	case in.err != nil && r.conn == nil:
+		return fmt.Errorf("core: %s master daemon did not connect: %w", prof.kind, in.err)
+	case in.err != nil:
+		return fmt.Errorf("core: awaiting %s master ready: %w", prof.kind, in.err)
+	case in.conn != nil:
+		r.tl.Mark(r.markAccept, s.p.Sim().Now())
+		// FEData rides the handshake ahead of the proctab stream, so every
+		// daemon has its bootstrap data before the first table chunk lands.
+		if err := in.conn.Send(&lmonp.Msg{Class: prof.class, Type: lmonp.TypeHandshake, UsrData: r.feData}); err != nil {
+			return fmt.Errorf("core: handshake to %s master: %w", prof.kind, err)
+		}
+		r.conn = in.conn
+		return r.flush()
+	case in.msg.Class != prof.class || in.msg.Type != lmonp.TypeReady:
+		return fmt.Errorf("core: awaiting %s master ready: got %v/%v", prof.kind, in.msg.Class, in.msg.Type)
+	default:
+		r.tl.Mark(r.markReady, s.p.Sim().Now())
+		infos, masterTL, obsBlob, err := decodeReady(in.msg.Payload)
+		if err != nil {
+			return err
+		}
+		r.tl.Merge(masterTL)
+		// Stashed in arrival order: the master's finalize-time harvest may
+		// be right behind.
+		s.stashObsHarvest(prof.kind, obsBlob)
+		r.infos, r.done = infos, true
+		r.span.End()
+		r.span = nil
+	}
+	return nil
+}
+
+// launchSeed takes the engine's chunk stream and spawn status into the
 // FE's own table copy and feeds every chunk to the BE seed relay. Under
-// cut-through the relay runs concurrently from the start — it accepts the
-// master daemon, handshakes and forwards while the engine is still
+// cut-through the relay is open from the start — the master daemon is
+// accepted, handshaken and forwarded to while the engine is still
 // streaming, so the FE never waits for the full table before forwarding
 // and never retransmits it. Under store-forward (the serialized Figure 2
-// chain the §4 model decomposes) the relay runs only once table and
-// status are both in: it accepts the master then and plays back the
-// queued chunks — the engine's own, which are the chunks re-encoding the
-// finished table would produce (proctab.ChunkWriter is deterministic in
-// entry order and bound).
-func (s *Session) launchSeed(opts Options) error {
-	sim := s.p.Sim()
-	relay := newSeedRelay(s, beFabric, opts.FEData,
-		engine.MarkE7, engine.MarkSeedFwd, engine.MarkE10)
-	cut := opts.SeedMode != SeedStoreForward
-	if cut {
-		sim.Go(fmt.Sprintf("fe-sess-%d-seed-relay", s.ID), relay.run)
+// chain the §4 model decomposes) it is the same relay started late: only
+// once table and status are both in is the master accepted and the queue
+// played back — the engine's own chunks, which are the chunks re-encoding
+// the finished table would produce (proctab.ChunkWriter is deterministic
+// in entry order and bound). No chunk is forwarded before the FE's own
+// assembler has accepted it.
+func (s *Session) launchSeed(opts Options, relay *seedRelay) error {
+	started := opts.SeedMode != SeedStoreForward
+	if started {
+		relay.start()
 	}
-	// fail gives up on an engine-side error; a relay that never started
-	// has nothing to reap.
-	fail := func(err error) error {
-		if cut {
-			relay.abandon(nil)
-		}
-		return err
-	}
-
 	var asm proctab.Assembler
 	var engTL engine.Timeline
 	tabDone, statusDone := false, false
-	for !tabDone || !statusDone {
-		msg, err := s.eng.Recv()
-		if err != nil {
-			return fail(err)
+	for !tabDone || !statusDone || !relay.done {
+		if tabDone && statusDone && !started {
+			relay.start()
+			started = true
 		}
+		in, err := relay.next()
+		if err != nil {
+			return err
+		}
+		if in.fab != nil {
+			if err := relay.input(in); err != nil {
+				return err
+			}
+			continue
+		}
+		if in.err != nil {
+			return in.err
+		}
+		msg := in.msg
 		switch msg.Type {
 		case lmonp.TypeProctabChunk:
 			if tabDone {
-				return fail(fmt.Errorf("core: RPDTAB chunk after end marker"))
+				return fmt.Errorf("core: RPDTAB chunk after end marker")
 			}
 			if err := asm.Add(msg.Payload); err != nil {
-				return fail(err)
+				return err
 			}
-			relay.items.Send(seedItem{payload: msg.Payload})
+			if err := relay.forward(msg.Type, msg.Payload); err != nil {
+				return err
+			}
 		case lmonp.TypeProctabEnd:
 			if tabDone {
-				return fail(fmt.Errorf("core: duplicate RPDTAB end marker"))
+				return fmt.Errorf("core: duplicate RPDTAB end marker")
 			}
 			tab, err := asm.FinishMarker(msg.Payload)
 			if err != nil {
-				return fail(fmt.Errorf("core: RPDTAB stream at FE: %w", err))
+				return fmt.Errorf("core: RPDTAB stream at FE: %w", err)
 			}
 			// Publish the shared index before relaying the end marker:
 			// every daemon's seed drain completes only after this marker
 			// flows through the tree, so the index is visible by the
 			// time any daemon (or the tool code above it) consults it.
 			if err := s.adoptTable(tab); err != nil {
-				return fail(err)
+				return err
 			}
-			relay.items.Send(seedItem{payload: msg.Payload, end: true})
+			if err := relay.forward(msg.Type, msg.Payload); err != nil {
+				return err
+			}
 			tabDone = true
 		case lmonp.TypeStatus:
 			status, tl, err := engine.DecodeStatus(msg.Payload)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			if status != "daemons-spawned" {
-				return fail(fmt.Errorf("core: engine failed: %s", status))
+				return fmt.Errorf("core: engine failed: %s", status)
 			}
 			engTL = tl
 			statusDone = true
 		default:
-			return fail(fmt.Errorf("core: unexpected %v message during launch", msg.Type))
+			return fmt.Errorf("core: unexpected %v message during launch", msg.Type)
 		}
 	}
 	s.Timeline.Merge(engTL)
-	if !cut {
-		relay.run()
-	}
-
-	res, ok := relay.result.Recv()
-	if !ok {
-		return fmt.Errorf("core: session %d: seed relay lost", s.ID)
-	}
-	if res.err != nil {
-		return res.err
-	}
-	s.be.conn = res.conn
-	s.daemons = res.infos
-	s.Timeline.Merge(res.tl)
-	s.stashObsHarvest("BE", res.obsBlob)
+	s.Timeline.Merge(relay.tl)
 	return nil
 }

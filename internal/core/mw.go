@@ -45,23 +45,22 @@ type MWOptions struct {
 // and the master streams it through the forming MW tree with per-rank
 // validation; the MW marks form their own monotone chain m7≤m8≤m9≤m10 in
 // Session.Timeline.
-func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
-	s.mu.Lock()
-	if s.detached || s.killed {
-		s.mu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	if s.mw.conn != nil || s.mwLaunching {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("core: session %d already has middleware daemons", s.ID)
-	}
-	s.mwLaunching = true
-	s.mu.Unlock()
+func (s *Session) LaunchMW(opts MWOptions) (nodes []string, err error) {
+	relay := &seedRelay{fab: &s.mw, feData: opts.FEData,
+		markAccept: engine.MarkMW7, markFwd: engine.MarkMWSeedFwd, markReady: engine.MarkMW10}
+	err = s.launchFabric(&s.mw, relay, func() error {
+		nodes, err = s.launchMW(opts, relay)
+		return err
+	})
+	return nodes, err // the fabric is down again on an error: the tool may retry
+}
 
+// launchMW drives the MW fabric through fabLaunching on the caller's
+// goroutine, blocked on relay.in between inputs.
+func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 	sp := s.obsRec.Start("launch-mw", -1)
 	defer sp.End()
 
-	sim := s.p.Sim()
 	daemon := opts.Daemon
 	daemon.Env = bootEnv{
 		feAddr: s.fe.mux.Addr().String(), session: s.ID,
@@ -70,76 +69,61 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 		obs: s.obsMode, health: opts.Health,
 	}.plant(daemon.Env, mwFabric)
 
-	// A previous timed-out attempt may have left a late MW-master dial
-	// queued on this session's endpoint; shed it so this attempt cannot
-	// handshake with the stale daemon set.
+	// A previous failed attempt may have left a late MW-master dial queued
+	// on this session's endpoint; shed it so this attempt cannot handshake
+	// with the stale daemon set.
 	s.ep.Drain(transport.RoleMW)
 
-	// release frees the launch slot so the tool may retry a failed launch.
-	release := func() {
-		s.mu.Lock()
-		s.mwLaunching = false
-		s.mu.Unlock()
-	}
-
-	// The relay accepts the MW master and streams the seed concurrently
-	// with the spawn exchange below — the master daemon dials the moment
-	// the RM spawns it, typically while its sibling daemons are still
-	// coming up, and the seed flows through the forming MW tree
-	// (iccl.BootstrapSeedRouted) with per-rank validation.
-	relay := newSeedRelay(s, mwFabric, opts.FEData,
-		engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
-	sim.Go(fmt.Sprintf("fe-sess-%d-mw-seed-relay", s.ID), relay.run)
+	// The relay is open across the spawn exchange below — the master
+	// daemon dials the moment the RM spawns it, typically while its sibling
+	// daemons are still coming up, and the seed flows through the forming
+	// MW tree (iccl.BootstrapSeedRouted) with per-rank validation.
+	relay.start()
 	// MW daemons own no application tasks, so their rank slice is empty:
 	// the stream is just the FEData preamble plus an empty-table end
 	// marker — O(1) per MW link — and MW daemons read the full table
 	// (when a tool asks) from the session-shared index.
-	relay.items.Send(seedItem{payload: proctab.EncodeEndMarker(0, lmonp.SumInit), end: true})
-
-	nodes, err := s.mwSpawn(opts.Nodes, daemon)
-	if err != nil {
-		// The relay may still be parked in Accept (no MW daemon will
-		// ever dial) or mid-handshake with a daemon set that is being
-		// torn down; the launch slot is freed only once it is reaped, so
-		// a retry cannot race a stale Accept for the next master's dial.
-		relay.abandon(release)
+	if err := relay.forward(lmonp.TypeProctabEnd, proctab.EncodeEndMarker(0, lmonp.SumInit)); err != nil {
 		return nil, err
 	}
-	res, ok := relay.result.Recv()
-	if !ok {
-		release()
-		return nil, fmt.Errorf("core: session %d: MW seed relay lost", s.ID)
-	}
-	if res.err != nil {
-		release()
-		return nil, res.err
-	}
 
-	s.Timeline.Merge(res.tl)
-	s.stashObsHarvest("MW", res.obsBlob)
-	s.mu.Lock()
-	s.mw.up(res.conn, len(res.infos))
-	s.mwInfos = res.infos
-	s.mwLaunching = false
-	s.mu.Unlock()
-	// Hand the MW master connection's read side to a watcher goroutine
-	// demuxing tool data and collective frames from async status events
-	// (MW-daemon loss), mirroring the BE master's reader.
-	sim.Go(fmt.Sprintf("fe-sess-%d-mw-watch", s.ID), s.mw.reader)
+	// Ask the engine (and through it the RM) for the MW allocation and
+	// spawn. Its answer is due within the session timeout — a deadline
+	// that, as an input nobody may be left to take, holds on to no more
+	// than the Chan; the master's ready is due whenever the tree is.
+	if err := s.request(&lmonp.Msg{
+		Class:   lmonp.ClassFEEngine,
+		Type:    lmonp.TypeSpawnReq,
+		Payload: engine.EncodeSpawnReq(engine.SpawnReq{Nodes: opts.Nodes, Daemon: daemon}),
+	}, relay.in); err != nil {
+		return nil, err
+	}
+	in, late := relay.in, s.engineErr("status timeout")
+	s.p.Sim().After(s.timeout, func() { in.Send(feIn{err: late}) })
+	var nodes []string
+	for spawned := false; !spawned || !relay.done; {
+		in, err := relay.next()
+		switch {
+		case err != nil:
+		case in.fab != nil:
+			err = relay.input(in)
+		case in.err == nil:
+			spawned = true
+			nodes, err = decodeSpawned(in.msg.Payload)
+		case !spawned: // the deadline, and not behind the answer
+			err = in.err
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.Timeline.Merge(relay.tl)
 	return nodes, nil
 }
 
-// mwSpawn asks the engine (and through it the RM) for the MW allocation
-// and spawn, returning the allocated node names.
-func (s *Session) mwSpawn(nodes int, daemon rm.DaemonSpec) ([]string, error) {
-	payload, err := s.engExchange(&lmonp.Msg{
-		Class:   lmonp.ClassFEEngine,
-		Type:    lmonp.TypeSpawnReq,
-		Payload: engine.EncodeSpawnReq(engine.SpawnReq{Nodes: nodes, Daemon: daemon}),
-	})
-	if err != nil {
-		return nil, err
-	}
+// decodeSpawned parses the engine's answer to a spawn request: the
+// allocated node names.
+func decodeSpawned(payload []byte) ([]string, error) {
 	rd := lmonp.NewReader(payload)
 	if status := rd.String(); rd.Err() == nil && status != "mw-spawned" {
 		return nil, fmt.Errorf("core: middleware spawn failed: %s", status)
@@ -151,7 +135,7 @@ func (s *Session) mwSpawn(nodes int, daemon rm.DaemonSpec) ([]string, error) {
 func (s *Session) MWDaemons() []DaemonInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]DaemonInfo(nil), s.mwInfos...)
+	return append([]DaemonInfo(nil), s.mw.infos...)
 }
 
 // SendToMW ships tool data to the master middleware daemon.

@@ -106,11 +106,8 @@ func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	if s.obsReg == nil {
 		return obs.Snapshot{}, ErrObsDisabled
 	}
-	s.mu.Lock()
-	fault := s.faultDetail
-	s.mu.Unlock()
-	if fault != "" {
-		return obs.Snapshot{}, s.closedErr()
+	if err := s.closedErr(); err != ErrSessionClosed {
+		return obs.Snapshot{}, err
 	}
 	snap := s.obsReg.Snapshot()
 	s.obsMu.Lock()

@@ -294,3 +294,37 @@ func TestMsgTypeWireValues(t *testing.T) {
 		t.Errorf("retired type 4 still has a name: %q", got)
 	}
 }
+
+// handledStream is a MessageConn whose deliveries the test makes itself.
+type handledStream struct {
+	bytes.Buffer
+	deliver func(msg []byte, err error)
+}
+
+func (h *handledStream) Handle(fn func(msg []byte, err error)) { h.deliver = fn }
+
+func TestConnHandleDecodesOneMessagePerDelivery(t *testing.T) {
+	var stream handledStream
+	var got []*Msg
+	var errs []error
+	NewConn(&stream).Handle(func(m *Msg, err error) {
+		got, errs = append(got, m), append(errs, err)
+	})
+	want := &Msg{Class: ClassFEBE, Type: TypeUsrData, Seq: 7, Payload: []byte("lmon"), UsrData: []byte("tool")}
+	wire, err := want.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.deliver(wire, nil)
+	stream.deliver(wire[:HeaderSize+2], nil) // a delivery cut short
+	stream.deliver(nil, io.EOF)
+	if len(got) != 3 || !reflect.DeepEqual(got[0], want) || errs[0] != nil {
+		t.Fatalf("first delivery decoded to %+v, %v", got[0], errs[0])
+	}
+	if errs[1] == nil || got[1] != nil {
+		t.Errorf("truncated delivery: %+v, %v; want an error", got[1], errs[1])
+	}
+	if errs[2] != io.EOF {
+		t.Errorf("end of stream reported as %v, want io.EOF", errs[2])
+	}
+}

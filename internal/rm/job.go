@@ -119,12 +119,16 @@ func (j *job) send(c command) cmdResult {
 
 // retire ends the job's life in the manager: marked killed, it takes no
 // more commands, FindJob no longer sees it, and what it interned goes
-// with it — an ended job pins nothing the caller's handle does not.
+// with it — an ended job pins nothing the caller's handle does not. The
+// command queue closes behind the flag: when a force-killed launcher's
+// goroutine, still parked on the queue, took the kill ahead of the reaper,
+// this is what lets the reaper go.
 func (j *job) retire() {
 	j.mu.Lock()
 	j.killed = true
 	j.envs = nil
 	j.mu.Unlock()
+	j.cmds.Close()
 	j.s.forget(j.id)
 }
 

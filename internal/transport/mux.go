@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -12,10 +13,11 @@ import (
 )
 
 // Mux is the front-end connection multiplexer: one listener shared by
-// every session of one front-end process. An accept loop reads the hello
-// frame off each incoming connection and routes it to the owning session's
-// endpoint; sessions wait on their own per-role queues, never on the raw
-// listener, so concurrent sessions cannot steal each other's connections.
+// every session of one front-end process. The scheduler hands it each
+// incoming connection and then that connection's hello frame, which routes
+// it to the owning session's endpoint; sessions take connections off their
+// own per-role queues, never off the raw listener, so concurrent sessions
+// cannot steal each other's connections. The mux holds no goroutine.
 type Mux struct {
 	sim *vtime.Sim
 	l   *simnet.Listener
@@ -28,29 +30,21 @@ type Mux struct {
 
 // SetMetrics attaches an observability registry: the accept path then
 // counts admitted and rejected hellos (mux.accept / mux.reject). Safe to
-// call concurrently with the accept loop; a nil registry detaches.
+// call concurrently with admissions; a nil registry detaches.
 func (m *Mux) SetMetrics(reg *obs.Registry) {
 	m.mu.Lock()
 	m.metrics = reg
 	m.mu.Unlock()
 }
 
-// metric returns the named counter under the registry lock (nil-safe).
-func (m *Mux) metric(name string) *obs.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.metrics.Counter(name)
-}
-
-// ListenMux opens the process-wide mux on an ephemeral port of host and
-// starts its accept loop.
+// ListenMux opens the process-wide mux on an ephemeral port of host.
 func ListenMux(sim *vtime.Sim, host *simnet.Host) (*Mux, error) {
 	l, err := host.Listen(0)
 	if err != nil {
 		return nil, err
 	}
 	m := &Mux{sim: sim, l: l, sessions: make(map[int]*Endpoint)}
-	sim.Go("transport-mux", m.serve)
+	l.Handle(m.admit)
 	return m, nil
 }
 
@@ -58,34 +52,36 @@ func ListenMux(sim *vtime.Sim, host *simnet.Host) (*Mux, error) {
 // engine and master daemon of this front end dials.
 func (m *Mux) Addr() simnet.Addr { return m.l.Addr() }
 
-// serve accepts connections forever, handing each to its own greeter
-// goroutine so a peer that is slow to send its hello cannot head-of-line
-// block other sessions' dials.
-func (m *Mux) serve() {
-	for {
-		conn, err := m.l.Accept()
-		if err != nil {
-			return
-		}
-		m.sim.Go("transport-mux-hello", func() { m.admit(conn) })
-	}
-}
-
-// admit reads the hello frame and routes the connection to its session's
-// endpoint. Connections for unknown sessions or malformed hellos are
-// closed (the dialer observes EOF).
-func (m *Mux) admit(conn *simnet.Conn) {
-	h, err := ReadHello(conn)
+// admit takes one incoming connection (or the listener's end) and installs
+// a one-shot handler for its hello frame, so a peer that is slow to send —
+// or never sends — its hello holds nothing but its own connection.
+func (m *Mux) admit(conn *simnet.Conn, err error) {
 	if err != nil {
-		m.metric("mux.reject").Inc()
-		conn.Close()
 		return
 	}
+	conn.Handle(func(msg []byte, err error) {
+		conn.Unhandle()
+		m.route(conn, msg, err)
+	})
+}
+
+// route reads the hello frame — the whole of the peer's first message —
+// and queues the connection at its session's endpoint. Connections for
+// unknown sessions or with malformed hellos are closed (the dialer
+// observes EOF).
+func (m *Mux) route(conn *simnet.Conn, msg []byte, err error) {
+	var h Hello
+	if err == nil && len(msg) != helloSize {
+		err = ErrBadHello
+	}
+	if err == nil {
+		h, err = ReadHello(bytes.NewReader(msg))
+	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	ep := m.sessions[h.Session]
-	if ep == nil || ep.closed {
+	if err != nil || ep == nil || ep.closed {
 		m.metrics.Counter("mux.reject").Inc()
-		m.mu.Unlock()
 		conn.Close()
 		return
 	}
@@ -95,7 +91,6 @@ func (m *Mux) admit(conn *simnet.Conn) {
 	// drains the queues after deregistering, so the connection is either
 	// delivered or closed, never dropped).
 	ep.queues[h.Role].Send(conn)
-	m.mu.Unlock()
 }
 
 // Open registers a session and returns its endpoint. Session IDs must be
@@ -124,7 +119,7 @@ func (m *Mux) Sessions() int {
 	return len(m.sessions)
 }
 
-// Close stops the accept loop and tears down every endpoint.
+// Close stops the listener and tears down every endpoint.
 func (m *Mux) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -150,6 +145,8 @@ type Endpoint struct {
 	session int
 	queues  [4]*vtime.Chan[*simnet.Conn] // indexed by Role; slot 0 unused
 	closed  bool                         // guarded by mux.mu
+
+	handing [4]*handOff // the pending Handle per role, nil when none
 }
 
 // Session returns the endpoint's session ID.
@@ -164,13 +161,62 @@ func (e *Endpoint) Accept(role Role, timeout time.Duration) (*lmonp.Conn, error)
 	}
 	conn, ok, timedOut := e.queues[role].RecvTimeout(timeout)
 	if timedOut {
-		return nil, fmt.Errorf("%w: no %v connection for session %d within %v",
-			ErrAcceptTimeout, role, e.session, timeout)
+		return nil, e.timeoutErr(role, timeout)
 	}
 	if !ok {
 		return nil, ErrEndpointClosed
 	}
 	return lmonp.NewConn(conn), nil
+}
+
+// Handle is Accept without a blocked goroutine: fn runs once, on the vtime
+// scheduler, with the role's next connection (a queued one at once), or
+// with Accept's error when the timeout elapses or the endpoint closes
+// first. fn must not block. One Handle per role may be pending and it may
+// not be mixed with Accept; Unhandle withdraws it.
+func (e *Endpoint) Handle(role Role, timeout time.Duration, fn func(*lmonp.Conn, error)) {
+	h := &handOff{e: e, fn: fn}
+	e.handing[role] = h
+	e.mux.sim.After(timeout, func() {
+		if e := h.e; e != nil {
+			e.handOff(role, nil, e.timeoutErr(role, timeout))
+		}
+	})
+	e.queues[role].Handle(func(conn *simnet.Conn, ok bool) {
+		if ok {
+			e.handOff(role, lmonp.NewConn(conn), nil)
+		} else {
+			e.handOff(role, nil, ErrEndpointClosed)
+		}
+	})
+}
+
+// handOff is one pending Handle. Its deadline stays in the timer heap when
+// the hand-off is over, holding on to this and nothing more: both fields
+// are cleared then.
+type handOff struct {
+	e  *Endpoint
+	fn func(*lmonp.Conn, error)
+}
+
+func (e *Endpoint) handOff(role Role, conn *lmonp.Conn, err error) {
+	fn := e.handing[role].fn
+	e.Unhandle(role)
+	fn(conn, err)
+}
+
+// Unhandle withdraws the role's pending Handle, if any: its fn will not
+// run, and connections arriving from now on stay queued.
+func (e *Endpoint) Unhandle(role Role) {
+	if h := e.handing[role]; h != nil {
+		h.e, h.fn, e.handing[role] = nil, nil, nil
+	}
+	e.queues[role].Unhandle()
+}
+
+func (e *Endpoint) timeoutErr(role Role, timeout time.Duration) error {
+	return fmt.Errorf("%w: no %v connection for session %d within %v",
+		ErrAcceptTimeout, role, e.session, timeout)
 }
 
 // Drain closes and discards any queued, not-yet-accepted connections for

@@ -5,12 +5,9 @@
 // daemon) dials that one address and identifies itself with a small hello
 // frame carrying its session ID and role. The Mux demultiplexes incoming
 // connections onto per-session, per-role queues, so N concurrent tool
-// sessions share one listener without their LMONP streams ever crossing.
-//
-// This replaces the seed's per-session listener plus strictly ordered
-// AcceptTimeout choreography: sessions no longer depend on connection
-// arrival order, and a dial belonging to session A can never be handed to
-// session B.
+// sessions share one listener without their LMONP streams ever crossing:
+// sessions do not depend on connection arrival order, and a dial belonging
+// to session A can never be handed to session B.
 package transport
 
 import (

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"launchmon/internal/lmonp"
+	"launchmon/internal/obs"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
@@ -280,4 +281,88 @@ func TestEndpointCloseDeregistersAndDrains(t *testing.T) {
 	if readErr != io.EOF {
 		t.Fatalf("read on drained connection = %v, want EOF", readErr)
 	}
+}
+
+// TestMuxSilentPeerBlocksNobody: the mux reads each connection's hello with
+// a handler of that connection's own, so a peer that connects and never
+// sends one holds up no other dial — and rejected hellos (a malformed one,
+// one for a session nobody opened) are counted and answered with EOF.
+func TestMuxSilentPeerBlocksNobody(t *testing.T) {
+	sim, net, mux := muxRig(t)
+	reg := obs.NewRegistry()
+	mux.SetMetrics(reg)
+	ep, err := mux.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	sim.Go("scenario", func() {
+		silent, err := net.Host("node0").Dial(mux.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer silent.Close()
+		for name, hello := range map[string][]byte{
+			"malformed":       []byte("not a hello!"),
+			"unknown session": mustHello(t, Hello{Session: 99, Role: RoleBE}),
+		} {
+			raw, err := net.Host("node1").Dial(mux.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := lmonp.SendMessage(raw, hello); err != nil {
+				t.Error(err)
+			}
+			var b [1]byte
+			if _, err := raw.Read(b[:]); err != io.EOF {
+				t.Errorf("%s hello: read = %v, want EOF", name, err)
+			}
+		}
+		// Behind the silent peer and the rejects, a good dial is handed
+		// over without a goroutine waiting for it.
+		handed := vtime.NewChan[*lmonp.Conn](sim)
+		ep.Handle(RoleBE, 10*time.Second, func(c *lmonp.Conn, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			handed.Send(c)
+		})
+		c, err := Dial(net.Host("node2"), mux.Addr(), 1, RoleBE)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Send(&lmonp.Msg{Class: lmonp.ClassFEBE, Type: lmonp.TypeUsrData, Payload: []byte("good")}); err != nil {
+			t.Error(err)
+		}
+		if fe, _ := handed.Recv(); fe != nil {
+			if msg, err := fe.Recv(); err == nil {
+				got = string(msg.Payload)
+			}
+		}
+		// A withdrawn hand-off never runs, and its deadline is void.
+		ep.Handle(RoleMW, time.Second, func(*lmonp.Conn, error) { t.Error("withdrawn hand-off ran") })
+		ep.Unhandle(RoleMW)
+		sim.Sleep(2 * time.Second)
+	})
+	sim.Run()
+	if got != "good" {
+		t.Errorf("handed-over connection carried %q, want the good dial's message", got)
+	}
+	snap := reg.Snapshot()
+	// The silent peer's connection ends without a hello: a reject too.
+	if a, r := snap.Counters["mux.accept"], snap.Counters["mux.reject"]; a != 1 || r != 3 {
+		t.Errorf("mux.accept = %d, mux.reject = %d; want 1 and 3", a, r)
+	}
+}
+
+func mustHello(t *testing.T, h Hello) []byte {
+	t.Helper()
+	buf, err := EncodeHello(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }

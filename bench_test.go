@@ -319,16 +319,14 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(feData)) * planeTreeSize)
 	for i := 0; i < b.N; i++ {
-		sent := 0
-		src := func() (coll.Frame, error) {
-			sent++
-			if sent == 1 {
-				return coll.Frame{H: coll.Header{Op: coll.OpSeed}, Body: feData, Sum: lmonp.Sum64(feData)}, nil
-			}
-			return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: 1}, End: true, Sum: lmonp.SumInit}, nil
-		}
 		b.StopTimer()
 		cl := planeCluster(b)
+		src := func(emit func(coll.Frame, error) bool) {
+			cl.Sim().After(0, func() {
+				emit(coll.Frame{H: coll.Header{Op: coll.OpSeed}, Body: feData, Sum: lmonp.Sum64(feData)}, nil)
+				emit(coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: 1}, End: true, Sum: lmonp.SumInit}, nil)
+			})
+		}
 		b.StartTimer()
 		icclTree(b, cl, func(p *cluster.Proc, cfg iccl.Config) (*iccl.Comm, error) {
 			var s iccl.SeedSource

@@ -60,7 +60,7 @@ type LaunchPipeRow struct {
 	// simnet budget that lets K=2^20 fit a 16 GB runner. GoroutinesPeak is
 	// vtime.Sim.PeakLive over the whole run — every simulated process main
 	// plus every transient helper the fabric ever parked at once;
-	// GoroutinesPerNode normalizes by K (the ≤1.25 acceptance bound).
+	// GoroutinesPerNode normalizes by K (one per node plus a constant).
 	// RSSPeakB is the host process's peak resident set (VmHWM), a
 	// machine-dependent observable: report it, never pin it.
 	GoroutinesPeak    int     `json:",omitempty"`
@@ -241,8 +241,8 @@ func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) (
 	}
 	r, err := sc.Run()
 	if lean && r != nil {
-		// Host-cost columns: the sweep's acceptance bound is ≤1.25 parked
-		// goroutines per simulated node (DESIGN.md "Simulator cost model").
+		// Host-cost columns: the sweep's budget is one parked goroutine per
+		// simulated node plus a constant (DESIGN.md "Simulator cost model").
 		row.GoroutinesPeak = r.Sim.PeakLive()
 		row.GoroutinesPerNode = float64(row.GoroutinesPeak) / float64(k)
 		row.RSSPeakB = hostRSSPeak()

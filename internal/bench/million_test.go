@@ -33,8 +33,12 @@ func TestIdleRigParksConstantGoroutines(t *testing.T) {
 }
 
 // TestMillionGoroutineBudgetAtSmallScale runs the million-sweep
-// measurement at K=256 and checks the acceptance bound the full sweep is
-// pinned to: at most 1.25 peak goroutines per simulated node. The peak is
+// measurement at K=256 and checks the budget the full sweep is pinned to:
+// one goroutine per simulated node plus a constant — 262 here, 1.024 per
+// node: the K daemon mains, the tool front end and its mux reaper, the
+// engine and its job watch, the launcher, the RM's job reaper. The bound
+// is that ratio rounded up: the 32 forwarding ranks of this tree each
+// holding one more (the seed pumps did) read 1.14. The peak is
 // virtual-time-deterministic (vtime.Sim.PeakLive), so a regression here
 // reproduces exactly.
 func TestMillionGoroutineBudgetAtSmallScale(t *testing.T) {
@@ -50,8 +54,8 @@ func TestMillionGoroutineBudgetAtSmallScale(t *testing.T) {
 	if row.GoroutinesPeak <= 0 {
 		t.Fatalf("no goroutine peak measured: %+v", row)
 	}
-	if row.GoroutinesPerNode > 1.25 {
-		t.Errorf("peak %d goroutines for %d nodes = %.3f per node, budget 1.25",
+	if row.GoroutinesPerNode > 1.03 {
+		t.Errorf("peak %d goroutines for %d nodes = %.3f per node, budget 1.03",
 			row.GoroutinesPeak, k, row.GoroutinesPerNode)
 	}
 }

@@ -155,8 +155,9 @@ func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
 	return c.SendEncoded(append(f.AppendPayload(buf), body...))
 }
 
-// The sixteen operations below are the four collectives over the two
-// fabrics, each in a lockstep and a tagged form. The tagged forms run on
+// The thirteen operations below are the four collectives over the two
+// fabrics in a lockstep and a tagged form (the middleware fabric's one
+// lockstep form is MWGather). The tagged forms run on
 // an explicitly allocated stream (AllocTag) paired with the daemon-side
 // *Tag operation under the same tag; any number may be in flight on a
 // session at once, each driven by its own goroutine.

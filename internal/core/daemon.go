@@ -14,6 +14,7 @@ import (
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/transport"
+	"launchmon/internal/vtime"
 )
 
 // This file is the fabric-agnostic daemon-side session core: everything a
@@ -128,7 +129,7 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 		if err != nil {
 			return err
 		}
-		src = seedSourceFromFE(d.fe, feData)
+		src = seedSourceFromFE(d.p.Sim(), d.fe, feData)
 	}
 
 	comm, seed, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt)
@@ -221,23 +222,18 @@ func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 // seedSourceFromFE adapts the master's FE connection into the tree's
 // seed stream: a synthesized frame 0 with the handshake's FEData, then
 // one frame per relayed RPDTAB chunk, closed by the relay's end marker.
-// Chunk sums are computed here (the LMONP relay ships bare payloads); the
-// end marker's digest arrives from the FE, so the master's stream check
-// covers the whole engine→FE→master path.
-func seedSourceFromFE(fe *lmonp.Conn, feData []byte) iccl.SeedSource {
+// Frame 0 is its own zero-delay event, scheduled ahead of the connection's
+// first delivery; the handler detaches at the end of the stream, leaving
+// the connection to feStreams. Chunk sums are computed here (the LMONP
+// relay ships bare payloads); the end marker's digest arrives from the FE,
+// so the master's stream check covers the whole engine→FE→master path.
+func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 	idx := uint32(0)
 	chunk := func(body []byte) (coll.Frame, error) {
 		idx++
 		return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx - 1}, Body: body, Sum: lmonp.Sum64(body)}, nil
 	}
-	return func() (coll.Frame, error) {
-		if idx == 0 {
-			return chunk(feData)
-		}
-		msg, err := fe.Recv()
-		if err != nil {
-			return coll.Frame{}, err
-		}
+	frame := func(msg *lmonp.Msg) (coll.Frame, error) {
 		switch msg.Type {
 		case lmonp.TypeProctabChunk:
 			return chunk(msg.Payload)
@@ -250,6 +246,18 @@ func seedSourceFromFE(fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 		default:
 			return coll.Frame{}, fmt.Errorf("core: unexpected %v message in session-seed stream", msg.Type)
 		}
+	}
+	return func(emit func(coll.Frame, error) bool) {
+		sim.After(0, func() { emit(chunk(feData)) })
+		fe.Handle(func(msg *lmonp.Msg, err error) {
+			var f coll.Frame
+			if err == nil {
+				f, err = frame(msg)
+			}
+			if emit(f, err) {
+				fe.Unhandle()
+			}
+		})
 	}
 }
 

@@ -98,9 +98,9 @@ func (r *rxStreams) next(tag uint32) (coll.Frame, error) {
 
 // feStreams returns the master daemon's sorted FE connection, installing
 // its handler on first read-side use (RecvFromFE or a plane down hook) —
-// never during init, where the seed pipeline (seedSourceFromFE) still
-// reads the connection directly, and never at all on daemons that only
-// ever push data up.
+// never during init, where the seed pipeline (seedSourceFromFE) holds
+// the connection's handler until the stream's end marker, and never at
+// all on daemons that only ever push data up.
 func (d *daemonSession) feStreams() *rxStreams {
 	d.feRxOnce.Do(func() {
 		rx := newRxStreams(d.p.Sim(), "front end")

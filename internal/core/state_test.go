@@ -11,7 +11,6 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
 	"launchmon/internal/health"
-	"launchmon/internal/iccl"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
@@ -36,12 +35,12 @@ func registerMortal(cl *cluster.Cluster, be, mw string) {
 	})
 }
 
-// settledLive lets a finished session's teardown settle and reads the
-// simulator's goroutine count. The goroutine of a daemon killed while it
-// was still dialing its tree parent only ends when the dial gives up, so
-// the wait is longer than that.
+// settledLive lets whatever is ending end — a finished session's teardown,
+// before one the goroutine that spawned the calling process — and reads the
+// simulator's goroutine count. A daemon killed while it was still dialing
+// its tree parent ends at its next attempt, well inside the wait.
 func settledLive(sim *vtime.Sim) int {
-	sim.Sleep(iccl.DialAttempts*iccl.DialRetry + 5*time.Second)
+	sim.Sleep(5 * time.Second)
 	return sim.Live()
 }
 
@@ -59,7 +58,7 @@ func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		pre := sim.Live()
+		pre := settledLive(sim)
 		s, err := LaunchAndSpawn(p, Options{
 			Job:     rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 1},
 			Daemon:  rm.DaemonSpec{Exe: "poison_be"},
@@ -94,7 +93,8 @@ func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 // handlers and the caller's own goroutine. Nothing it does — launching in
 // either seed mode, LaunchMW, a collective round trip, Detach, Kill, a
 // launch or a LaunchMW that fails — starts a goroutine for the session or
-// for a dial into the mux.
+// for a dial into the mux, and the seed streams it feeds start none in
+// either daemon tree.
 func TestSessionSpawnsNoFEGoroutine(t *testing.T) {
 	const nodes = 4
 	sim, cl, _ := rig(t, 64)
@@ -160,7 +160,7 @@ func TestSessionSpawnsNoFEGoroutine(t *testing.T) {
 		t.Fatal("the spawn observer saw nothing")
 	}
 	for _, name := range spawned {
-		if strings.HasPrefix(name, "fe-sess-") || strings.HasPrefix(name, "transport-mux") {
+		if strings.HasPrefix(name, "fe-sess-") || strings.HasPrefix(name, "transport-mux") || strings.HasPrefix(name, "iccl-") {
 			t.Errorf("the session spawned goroutine %q", name)
 		}
 	}
@@ -218,7 +218,7 @@ func TestFaultEndsInNamedState(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					pre := sim.Live()
+					pre := settledLive(sim)
 					s, err := LaunchAndSpawn(p, Options{
 						Job:        rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 1},
 						Daemon:     rm.DaemonSpec{Exe: "named_be"},

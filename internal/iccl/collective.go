@@ -3,7 +3,6 @@ package iccl
 import (
 	"fmt"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/simnet"
@@ -142,27 +141,6 @@ func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 	b := lmonp.AppendUint32(newFrame(chunkOp, 4+hn+4+len(f.Body)), uint32(hn))
 	b = f.H.AppendTo(b)
 	return lmonp.AppendBytes(b, f.Body)
-}
-
-// readFrameOp reads one frame sent as encodeFrameOp renders it directly
-// off the conn, taking the delivered message whole (the frame aliases and
-// keeps it, see coll.Frame.Wire) and charging the per-message handling
-// cost. It is only safe before the links are demultiplexed (the seed
-// stream flows during bootstrap, well before); afterwards reads must go
-// through Comm.recvRaw.
-func readFrameOp(p *cluster.Proc, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
-	msg, err := conn.RecvMessage()
-	if err != nil {
-		return coll.Frame{}, err
-	}
-	raw, err := lmonp.FrameFromMessage(msg)
-	if err != nil {
-		return coll.Frame{}, err
-	}
-	p.Compute(PerMsgCost)
-	f, err := parseFrameOp(raw, chunkOp, endOp)
-	f.Wire = msg
-	return f, err
 }
 
 // parseFrameOp decodes one raw tree frame (the message encodeFrameOp

@@ -1,6 +1,7 @@
 package iccl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -18,9 +19,10 @@ import (
 // every frame but a heartbeat is delivered at max(arrival, busyUntil) +
 // PerMsgCost, a heartbeat uncharged at max(arrival, busyUntil), whichever
 // of ShareLinks / the first plane operation installed the demux. The same
-// framer (SerialFramer) serves a leaf's seed stream, where the reader it
-// stands in for still exists — the pump of an interior rank — and the two
-// must deliver at the same instants.
+// framer (SerialFramer) owns every rank's parent link while the seed is in
+// flight; there the reader it stands in for is written out below
+// (runSeedScript) over Comm.readCharged, and the two must deliver at the
+// same instants.
 
 type linkFrame int
 
@@ -168,7 +170,8 @@ func TestLinkDemuxChargesLikeASerialReader(t *testing.T) {
 			}
 		})
 	}
-	t.Run("leaf_seed_stream", leafSeedFramerMatchesPump)
+	t.Run("leaf_seed_stream", func(t *testing.T) { seedFramerMatchesReader(t, 2) })
+	t.Run("interior_seed_stream", func(t *testing.T) { seedFramerMatchesReader(t, 3) })
 }
 
 // seedScript is when the root's seed source releases each frame (frame 0
@@ -182,10 +185,11 @@ var seedScript = []time.Duration{
 }
 
 // runSeedScript plays seedScript down a fanout-1 chain of n ranks and
-// returns the instants rank 1's seed frames were delivered locally. With
-// n=2 rank 1 is a leaf (the event-driven framer owns its parent link);
-// with n=3 it is interior (a pump goroutine block-reads the link).
-func runSeedScript(t *testing.T, n int) (at []time.Duration, cost time.Duration) {
+// returns the instants rank 1 was handed its seed frames: a leaf with n=2,
+// an interior rank with n=3. With reference set rank 1 is the serial
+// reader instead of the seed stream's framer — it block-reads its parent
+// link, charging each frame — and forwards nothing, so n must be 2.
+func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 	t.Helper()
 	sim := vtime.New()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
@@ -200,26 +204,41 @@ func runSeedScript(t *testing.T, n int) (at []time.Duration, cost time.Duration)
 		for i := 0; i < n; i++ {
 			i := i
 			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+				cfg := Config{Rank: i, Size: n, Fanout: 1, Nodelist: nodelist, Port: 50010}
+				if i == 1 && reference {
+					c, err := Bootstrap(p, cfg)
+					if err != nil {
+						t.Errorf("rank %d: %v", i, err)
+						return
+					}
+					defer c.Close()
+					for op := uint32(opSeedChunk); op == opSeedChunk; {
+						raw, err := c.readCharged(c.parent, 0)
+						if err != nil {
+							t.Errorf("rank %d: %v", i, err)
+							return
+						}
+						at = append(at, sim.Now())
+						op = binary.BigEndian.Uint32(raw)
+					}
+					return
+				}
 				var src SeedSource
 				if i == 0 {
-					next := scriptedSeed(make([][]byte, len(seedScript)-1))
-					idx := 0
-					src = func() (coll.Frame, error) {
-						sim.Sleep(scriptStart + seedScript[idx] - sim.Now())
-						idx++
-						return next()
+					src = func(emit func(coll.Frame, error) bool) {
+						for k, f := range seedFrames(make([][]byte, len(seedScript)-1)) {
+							f := f
+							sim.After(scriptStart+seedScript[k]-sim.Now(), func() { emit(f, nil) })
+						}
 					}
 				}
-				c, seed, err := BootstrapSeedRouted(p, Config{
-					Rank: i, Size: n, Fanout: 1, Nodelist: nodelist, Port: 50010,
-				}, src, nil)
+				c, seed, err := BootstrapSeedRouted(p, cfg, src, nil)
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
 				}
 				defer c.Close()
 				if i == 1 {
-					cost = PerMsgCost
 					seed.local.Handle(func(_ coll.Frame, ok bool) {
 						if ok {
 							at = append(at, sim.Now())
@@ -237,26 +256,26 @@ func runSeedScript(t *testing.T, n int) (at []time.Duration, cost time.Duration)
 		}
 	})
 	sim.Run()
-	return at, cost
+	return at
 }
 
-// leafSeedFramerMatchesPump is the seed-stream half of
-// TestLinkDemuxChargesLikeASerialReader.
-func leafSeedFramerMatchesPump(t *testing.T) {
-	framer, cost := runSeedScript(t, 2)
-	pump, _ := runSeedScript(t, 3)
+// seedFramerMatchesReader is the seed-stream half of
+// TestLinkDemuxChargesLikeASerialReader, rank 1 being one of n.
+func seedFramerMatchesReader(t *testing.T, n int) {
+	framer := runSeedScript(t, n, false)
+	reader := runSeedScript(t, 2, true)
 	if len(framer) != len(seedScript) {
-		t.Fatalf("leaf saw %d of %d seed frames", len(framer), len(seedScript))
+		t.Fatalf("rank 1 saw %d of %d seed frames", len(framer), len(seedScript))
 	}
-	if !reflect.DeepEqual(framer, pump) {
-		t.Errorf("delivery instants at rank 1\n leaf framer    %v\n interior pump  %v", framer, pump)
+	if !reflect.DeepEqual(framer, reader) {
+		t.Errorf("delivery instants at rank 1\n framer         %v\n serial reader  %v", framer, reader)
 	}
 	queued, idle := false, false
 	for i := 1; i < len(framer); i++ {
-		queued = queued || framer[i]-framer[i-1] == cost
-		idle = idle || framer[i]-framer[i-1] > 2*cost
+		queued = queued || framer[i]-framer[i-1] == PerMsgCost
+		idle = idle || framer[i]-framer[i-1] > 2*PerMsgCost
 	}
 	if !queued || !idle {
-		t.Errorf("script exercises queued=%v idle=%v deliveries: %v (cost %v)", queued, idle, framer, cost)
+		t.Errorf("script exercises queued=%v idle=%v deliveries: %v (cost %v)", queued, idle, framer, PerMsgCost)
 	}
 }

@@ -2,7 +2,6 @@ package iccl
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,125 +12,68 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// Event-driven bootstrap regressions: the lazy seed plumbing must spawn
-// goroutines only at ranks that actually forward (never at leaves), and
-// the join deadline must turn a child that dies before dialing its parent
-// into a prompt wrapped ErrBootstrap instead of a parked-forever accept.
+// Event-driven bootstrap regressions: the seed stream must spawn no
+// goroutine at any rank, and the join deadline must turn a child that dies
+// before dialing its parent into a prompt wrapped ErrBootstrap instead of
+// a parked-forever accept.
 
-// scriptedSeed returns a root seed source feeding the given bodies
-// (frame 0 is the FEData preamble) followed by a digest-carrying End.
-func scriptedSeed(bodies [][]byte) SeedSource {
+// seedFrames renders bodies (frame 0 is the FEData preamble) as the
+// root's stream, closed by a digest-carrying End.
+func seedFrames(bodies [][]byte) []coll.Frame {
 	digest := lmonp.SumInit
-	for _, b := range bodies[1:] {
-		digest = lmonp.FoldSum(digest, lmonp.Sum64(b))
-	}
-	idx := 0
-	return func() (coll.Frame, error) {
-		if idx < len(bodies) {
-			f := coll.Frame{
-				H:    coll.Header{Op: coll.OpSeed, Index: uint32(idx)},
-				Body: bodies[idx],
-				Sum:  lmonp.Sum64(bodies[idx]),
-			}
-			idx++
-			return f, nil
+	frames := make([]coll.Frame, 0, len(bodies)+1)
+	for i, b := range bodies {
+		if i > 0 {
+			digest = lmonp.FoldSum(digest, lmonp.Sum64(b))
 		}
-		return coll.Frame{
-			H:     coll.Header{Op: coll.OpSeed, Index: uint32(idx)},
-			End:   true,
-			Total: uint64(len(bodies)),
-			Sum:   digest,
-		}, nil
+		frames = append(frames, coll.Frame{
+			H: coll.Header{Op: coll.OpSeed, Index: uint32(i)}, Body: b, Sum: lmonp.Sum64(b),
+		})
+	}
+	return append(frames, coll.Frame{
+		H:   coll.Header{Op: coll.OpSeed, Index: uint32(len(bodies))},
+		End: true, Total: uint64(len(bodies)), Sum: digest,
+	})
+}
+
+// scriptedSeed returns a root seed source that emits frames from one
+// scheduler callback at the instant it is subscribed.
+func scriptedSeed(sim *vtime.Sim, frames []coll.Frame) SeedSource {
+	return func(emit func(coll.Frame, error) bool) {
+		sim.After(0, func() {
+			for _, f := range frames {
+				if emit(f, nil) {
+					return
+				}
+			}
+		})
 	}
 }
 
-// TestSeedGoroutinesOnlyAtForwardingRanks pins the lazy-spawn contract of
-// BootstrapSeedRouted: seed pumps exist only at ranks that must forward while
-// their own bootstrap still blocks (the root and interior ranks); child
-// forwarders are outbox callbacks, not goroutines; and leaves — the
-// overwhelming majority at scale — spawn nothing at all.
-func TestSeedGoroutinesOnlyAtForwardingRanks(t *testing.T) {
-	const n, fanout = 13, 3
-	sim := vtime.New()
-	var spawned []string
-	sim.SetSpawnObserver(func(name string) {
-		if strings.HasPrefix(name, "iccl-seed-") {
-			spawned = append(spawned, name)
-		}
-	})
-	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodelist := make([]string, n)
-	for i := range nodelist {
-		nodelist[i] = cl.Node(i).Name()
-	}
-	bodies := [][]byte{[]byte("fedata"), []byte("chunk-0"), []byte("chunk-1")}
-	errs := make([]error, n)
-	sim.Go("boot", func() {
-		for i := 0; i < n; i++ {
-			i := i
-			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-				var src SeedSource
-				if i == 0 {
-					src = scriptedSeed(bodies)
+// TestSeedSpawnsNoGoroutine: the seed stream is scheduler state at every
+// rank of a 3-level tree — the root's source, an interior rank's relay, a
+// leaf's drain, routed or verbatim — so nothing named iccl-* is ever
+// spawned: the daemon's main is the one goroutine it holds during launch.
+func TestSeedSpawnsNoGoroutine(t *testing.T) {
+	frames, rt, _ := routedSeed(wireN, 2, 96)
+	for _, tc := range []struct {
+		name string
+		rt   *SeedRouter
+	}{{"verbatim", nil}, {"routed", rt}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			spawns := 0
+			sim.SetSpawnObserver(func(name string) {
+				if strings.HasPrefix(name, "iccl-") {
+					t.Errorf("the seed stream spawned goroutine %q", name)
 				}
-				c, seed, err := BootstrapSeedRouted(p, Config{
-					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src, nil)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				defer c.Close()
-				for {
-					f, err := seed.Next()
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if f.End {
-						break
-					}
-				}
-				errs[i] = seed.Wait()
-			}}); err != nil {
-				t.Error(err)
-				return
+				spawns++
+			})
+			seedRig(t, seedCluster(t, sim, wireN), wireFanout, frames, tc.rt, func(*Comm, []coll.Frame) error { return nil })
+			if spawns < wireN {
+				t.Fatalf("the spawn observer saw %d goroutines start, fewer than the %d daemons", spawns, wireN)
 			}
-		}
-	})
-	sim.Run()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("daemon %d: %v", i, err)
-		}
-	}
-
-	pumps := 0
-	for _, name := range spawned {
-		var rank int
-		if !strings.HasPrefix(name, "iccl-seed-pump-") {
-			t.Errorf("unexpected seed goroutine %q (forwarding is outbox callbacks, not goroutines)", name)
-			continue
-		}
-		if _, err := fmt.Sscanf(name, "iccl-seed-pump-%d", &rank); err != nil {
-			t.Fatalf("unparseable pump name %q", name)
-		}
-		if rank != 0 && len(Children(rank, n, fanout)) == 0 {
-			t.Errorf("leaf rank %d spawned a seed pump", rank)
-		}
-		pumps++
-	}
-	wantPumps := 0
-	for r := 0; r < n; r++ {
-		if r == 0 || len(Children(r, n, fanout)) > 0 {
-			wantPumps++
-		}
-	}
-	if pumps != wantPumps {
-		t.Errorf("%d seed pumps spawned, want %d (root + interior ranks)", pumps, wantPumps)
+		})
 	}
 }
 
@@ -190,5 +132,41 @@ func TestBootstrapJoinDeadlineSurfacesDeadSubtree(t *testing.T) {
 		if took[i] > 2*joinTimeout {
 			t.Errorf("rank %d took %v to fail, budget %v", i, took[i], 2*joinTimeout)
 		}
+	}
+}
+
+// TestKilledDaemonStopsRedialing: a daemon whose node is killed while its
+// parent is not yet listening leaves the dial loop at its next attempt —
+// within one DialRetry, with a wrapped ErrBootstrap — where its goroutine
+// used to retry for the rest of the 30 s window.
+func TestKilledDaemonStopsRedialing(t *testing.T) {
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodelist := []string{cl.Node(0).Name(), cl.Node(1).Name()}
+	var bootErr error
+	sim.Go("boot", func() {
+		pre := sim.Live()
+		if _, err := cl.Node(1).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+			_, bootErr = Bootstrap(p, Config{Rank: 1, Size: 2, Fanout: 1, Nodelist: nodelist, Port: 50007})
+		}}); err != nil {
+			t.Error(err)
+			return
+		}
+		sim.Sleep(2*DialRetry + DialRetry/2) // between two attempts
+		if got := sim.Live(); got != pre+1 {
+			t.Errorf("Live() = %d with the daemon dialing, want %d", got, pre+1)
+		}
+		cl.KillNode(1)
+		sim.Sleep(DialRetry)
+		if got := sim.Live(); got != pre {
+			t.Errorf("Live() = %d one DialRetry after the kill, %d before the spawn", got, pre)
+		}
+	})
+	sim.Run()
+	if !errors.Is(bootErr, ErrBootstrap) {
+		t.Errorf("killed daemon's bootstrap returned %v, want a wrapped ErrBootstrap", bootErr)
 	}
 }

@@ -365,6 +365,11 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 	var conn *simnet.Conn
 	var err error
 	for attempt := 0; attempt < DialAttempts; attempt++ {
+		// A killed process's goroutine runs on: without this it would
+		// keep dialing a parent that may never come for the whole window.
+		if p.State() == cluster.StateExited {
+			return fmt.Errorf("%w: rank %d exited while dialing parent %d", ErrBootstrap, cfg.Rank, parentRank)
+		}
 		conn, err = p.Host().Dial(addr)
 		if err == nil {
 			break

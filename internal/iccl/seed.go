@@ -3,7 +3,6 @@ package iccl
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -25,13 +24,13 @@ import (
 // any node store-and-forward the full table, and the transfer overlaps
 // the join/ready waves of the subtree below it.
 //
-// Goroutine budget: only ranks that must forward concurrently with their
-// own bootstrap — the root and interior nodes, whose accept loop blocks
-// while upstream chunks keep arriving — run a pump goroutine, and child
-// forwarders are spawned lazily when the child joins and exit once its
-// End frame is on the wire. Leaves (the overwhelming majority of a k-ary
-// tree) spawn nothing: their consumer pulls frames straight off the
-// parent link inside Seed.Next, with identical virtual-time charging.
+// Goroutine budget: none. The stream is scheduler state at every rank —
+// the root's source and every other rank's parent link deliver frames as
+// callbacks into the rank's seedEngine, which keeps forwarding while the
+// daemon's own bootstrap blocks in its accept loop; child forwarders are
+// outbox callbacks armed when the child joins and finished once its End
+// frame is on the wire. The daemon's main is the one goroutine it holds,
+// during launch as after it.
 
 // Seed-stream opcodes on tree links (the frame layout is the shared
 // coll.Frame codec, see encodeFrameOp).
@@ -40,13 +39,18 @@ const (
 	opSeedEnd   = 11
 )
 
-// SeedSource yields successive seed frames at the tree root (the master
-// daemon pulls them off its front-end connection as they arrive). Frames
-// must carry coll.OpSeed with a contiguous Index sequence, closed by an
-// End frame; every chunk carries Sum64 of its body and the End frame
-// carries the rolling digest of the RPDTAB chunk sums (frames from
-// index 1 — index 0 is the FEData preamble, excluded from the digest).
-type SeedSource func() (coll.Frame, error)
+// SeedSource subscribes the tree root to its seed frames (the master
+// daemon's arrive on its front-end connection). It is called once, before
+// the tree forms, and must not block: it arranges for emit to run on the
+// vtime scheduler — never on the caller's stack — once per frame, in
+// order, or once with the error that broke the stream. emit reports
+// whether the stream is finished (the End frame, or a failure), after
+// which the source stops delivering. Frames must carry coll.OpSeed with a
+// contiguous Index sequence, closed by an End frame; every chunk carries
+// Sum64 of its body and the End frame carries the rolling digest of the
+// RPDTAB chunk sums (frames from index 1 — index 0 is the FEData
+// preamble, excluded from the digest).
+type SeedSource func(emit func(coll.Frame, error) (done bool))
 
 // SeedRouter enables rank-sliced seed delivery: instead of relaying every
 // RPDTAB chunk to every child (each daemon ending up with the full K-entry
@@ -85,10 +89,10 @@ func fanOut(outs []*seedOutbox, f coll.Frame) {
 	}
 }
 
-// seedSplitter is the per-node routing state: one ChunkWriter per child
-// slot plus one for the locally retained slice, each emitting frames with
-// a fresh contiguous index sequence (FEData stays frame 0 on every link,
-// chunks start at 1).
+// seedSplitter is the per-node routing state: one stream per destination
+// — stream 0 the locally retained slice, stream 1+slot a child subtree —
+// each a ChunkWriter whose frames carry a fresh contiguous index sequence
+// (FEData stays frame 0 on every link, chunks start at 1).
 type seedSplitter struct {
 	rt     *SeedRouter
 	rank   int
@@ -96,10 +100,8 @@ type seedSplitter struct {
 	local  *vtime.Chan[coll.Frame]
 	outs   []*seedOutbox
 
-	locW   *proctab.ChunkWriter
-	locIx  uint32
-	slotW  []*proctab.ChunkWriter
-	slotIx []uint32
+	w  []*proctab.ChunkWriter // by stream
+	ix []uint32               // last index emitted, by stream
 }
 
 func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], outs []*seedOutbox) *seedSplitter {
@@ -110,27 +112,29 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], 
 	s := &seedSplitter{
 		rt: rt, rank: cfg.Rank, fanout: cfg.Fanout,
 		local: local, outs: outs,
-		slotW:  make([]*proctab.ChunkWriter, len(outs)),
-		slotIx: make([]uint32, len(outs)),
+		w:  make([]*proctab.ChunkWriter, 1+len(outs)),
+		ix: make([]uint32, 1+len(outs)),
 	}
-	for slot := range outs {
-		slot := slot
-		s.slotW[slot] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
-			s.slotIx[slot]++
-			s.outs[slot].Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{
-				H: coll.Header{Op: coll.OpSeed, Index: s.slotIx[slot]}, Body: chunk, Sum: sum,
-			}))
+	for i := range s.w {
+		i := i
+		s.w[i] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
+			s.emit(i, coll.Frame{Body: chunk, Sum: sum})
 			return nil
 		})
 	}
-	s.locW = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
-		s.locIx++
-		s.local.Send(coll.Frame{
-			H: coll.Header{Op: coll.OpSeed, Index: s.locIx}, Body: chunk, Sum: sum,
-		})
-		return nil
-	})
 	return s
+}
+
+// emit numbers f as stream i's next frame and queues it: as it is for the
+// local consumer, as a link message for a child's forwarder.
+func (s *seedSplitter) emit(i int, f coll.Frame) {
+	s.ix[i]++
+	f.H = coll.Header{Op: coll.OpSeed, Index: s.ix[i]}
+	if i == 0 {
+		s.local.Send(f)
+	} else {
+		s.outs[i-1].Send(encodeFrameOp(opSeedChunk, opSeedEnd, f))
+	}
 }
 
 // chunk routes one admitted seed frame. FEData (frame 0) is forwarded
@@ -151,60 +155,51 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 		if !ok {
 			return fmt.Errorf("%w: no daemon rank for host %q in seed route", ErrProtocol, d.Host)
 		}
-		if rk == s.rank {
-			if err := s.locW.Add(d); err != nil {
-				return err
+		i := 0
+		if rk != s.rank {
+			slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
+			if slot < 0 {
+				return fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
 			}
-			continue
+			i = 1 + slot
 		}
-		slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
-		if slot < 0 {
-			return fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
-		}
-		if err := s.slotW[slot].Add(d); err != nil {
+		if err := s.w[i].Add(d); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finish flushes every stream on the incoming End frame, verifies the
-// routed entry count against the end marker's claimed total, and closes
-// each outgoing stream with its own per-subtree total and digest.
+// finish flushes every stream on the incoming End frame — the local one
+// first — verifies the routed entry count against the end marker's claimed
+// total, and closes each stream with its own total and digest.
 func (s *seedSplitter) finish(f coll.Frame) error {
-	if err := s.locW.Flush(); err != nil {
-		return err
-	}
-	routed := uint64(s.locW.Count())
-	for i := range s.slotW {
-		if err := s.slotW[i].Flush(); err != nil {
+	var routed uint64
+	for _, w := range s.w {
+		if err := w.Flush(); err != nil {
 			return err
 		}
-		routed += uint64(s.slotW[i].Count())
+		routed += uint64(w.Count())
 	}
 	if routed != f.Total {
 		return fmt.Errorf("%w: routed %d seed entries at rank %d, end marker says %d",
 			ErrProtocol, routed, s.rank, f.Total)
 	}
-	for i := range s.outs {
-		s.outs[i].Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{
-			H:   coll.Header{Op: coll.OpSeed, Index: s.slotIx[i] + 1},
-			End: true, Total: uint64(s.slotW[i].Count()), Sum: s.slotW[i].Digest(),
-		}))
+	// The End markers go to the children in slot order and to the local
+	// consumer last — streams 1 … n, then 0. Same-instant sends to different
+	// queues take their scheduler sequence numbers in this order, which is
+	// the one every pin was taken with.
+	for k := range s.w {
+		i := (k + 1) % len(s.w)
+		s.emit(i, coll.Frame{End: true, Total: uint64(s.w[i].Count()), Sum: s.w[i].Digest()})
 	}
-	s.local.Send(coll.Frame{
-		H:   coll.Header{Op: coll.OpSeed, Index: s.locIx + 1},
-		End: true, Total: uint64(s.locW.Count()), Sum: s.locW.Digest(),
-	})
 	return nil
 }
 
 // seedEngine is one rank's seed-stream state machine: streaming sequence
-// validation plus routing (or verbatim fanout) of each admitted frame. The
-// root and interior ranks drive it from a pump goroutine — they must keep
-// forwarding while their own bootstrap blocks in the accept loop — while
-// leaves drive it inline from Seed.Next, so a leaf spawns no seed
-// goroutine at all.
+// validation plus routing (or verbatim fanout) of each admitted frame. It
+// is only ever stepped from scheduler callbacks — the root's source, the
+// parent link's framer everywhere else — which never overlap.
 type seedEngine struct {
 	cfg      Config
 	seed     *Seed
@@ -212,20 +207,24 @@ type seedEngine struct {
 	split    *seedSplitter
 	outs     []*seedOutbox
 	chk      coll.SeqCheck
-	pumped   uint64
+	entered  uint64
 	srcBytes *obs.Gauge
 }
 
 // step admits one incoming frame, fanning it out locally and to the child
-// outboxes. It returns true when the stream is finished — the End frame
-// was processed, or a validation failure aborted it.
-func (e *seedEngine) step(f coll.Frame) bool {
+// outboxes, or fails the stream with the error that came in its place. It
+// returns true when the stream is finished — the End frame was processed,
+// or a failure aborted it.
+func (e *seedEngine) step(f coll.Frame, err error) bool {
+	if err != nil {
+		return e.bail(fmt.Errorf("iccl: seed stream at rank %d: %w", e.cfg.Rank, err))
+	}
 	if e.cfg.Rank == 0 {
 		// Total seed bytes entering the tree at the root: the
 		// denominator of the per-link wire-byte invariants.
-		e.pumped += uint64(len(f.Body))
+		e.entered += uint64(len(f.Body))
 		if f.End {
-			e.srcBytes.SetMax(e.pumped)
+			e.srcBytes.SetMax(e.entered)
 		}
 	}
 	if f.H.Op != coll.OpSeed {
@@ -269,23 +268,18 @@ type Seed struct {
 	local *vtime.Chan[coll.Frame]
 	wg    *vtime.WaitGroup
 
-	mu  sync.Mutex
+	// err is the stream's first error. Its writers are scheduler callbacks
+	// and the daemon's own main between parks (a failed bootstrap), which
+	// never overlap; main reads it after the park that local's Close or
+	// wg's last Done ended, both of which follow the write.
 	err error
 }
 
 // fail records the stream's first error (later ones keep the original).
 func (s *Seed) fail(err error) {
-	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.mu.Unlock()
-}
-
-func (s *Seed) firstErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Next returns the next locally delivered seed frame, blocking in virtual
@@ -297,20 +291,20 @@ func (s *Seed) firstErr() error {
 func (s *Seed) Next() (coll.Frame, error) {
 	f, ok := s.local.Recv()
 	if !ok {
-		if err := s.firstErr(); err != nil {
-			return coll.Frame{}, err
+		if s.err != nil {
+			return coll.Frame{}, s.err
 		}
 		return coll.Frame{}, fmt.Errorf("%w: seed stream aborted", ErrBootstrap)
 	}
 	return f, nil
 }
 
-// Wait blocks until the pump and every child forwarder have finished and
-// returns the stream's first error. After a nil Wait (and a consumed End
-// frame from Next) the communicator's links carry no more seed traffic.
+// Wait blocks until every child forwarder has finished and returns the
+// stream's first error. After a nil Wait (and a consumed End frame from
+// Next) the communicator's links carry no more seed traffic.
 func (s *Seed) Wait() error {
 	s.wg.Wait()
-	return s.firstErr()
+	return s.err
 }
 
 // BootstrapSeedRouted is Bootstrap with the cut-through session-seed
@@ -337,8 +331,7 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 	pl := newSeedPlumbing(p, &cfg, src, rt)
 	c, err := bootstrap(p, &cfg, pl.onParent, pl.onChild)
 	if err != nil {
-		pl.seed.fail(err)
-		pl.abort()
+		pl.bail(err)
 		return nil, nil, err
 	}
 	return c, pl.seed, nil
@@ -354,7 +347,7 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 // caller chain (see bootstrap's stack note).
 type seedPlumbing struct {
 	seed     *Seed
-	abort    func()
+	bail     func(error) bool // fail the stream: the engine's
 	onParent func(*simnet.Conn)
 	onChild  func(slot int, conn *simnet.Conn)
 }
@@ -433,69 +426,41 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 		})
 	}
 
-	// The pump owns the incoming stream at ranks that must forward while
-	// their own bootstrap still blocks accepting children — the source
-	// callback at the root, the parent link at interior ranks. Leaves skip
-	// it: with no children to feed and a consumer that starts the moment
-	// bootstrap returns, Seed.Next pulls the parent link directly.
-	startPump := func(next func() (coll.Frame, error)) {
-		seed.wg.Add(1)
-		sim.Go(fmt.Sprintf("iccl-seed-pump-%d", cfg.Rank), func() {
-			defer seed.wg.Done()
-			for {
-				f, err := next()
-				if err != nil {
-					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
-					abort()
-					return
-				}
-				if eng.step(f) {
-					return
-				}
-			}
-		})
-	}
-	if cfg.Rank == 0 {
-		startPump(src)
+	if src != nil {
+		src(eng.step)
 	}
 
+	// Every other rank's stream is its parent link. A SerialFramer owns the
+	// link while the seed is in flight, charging like the serial reader it
+	// stands in for and detaching at the End frame's arrival, so the
+	// bootstrap-era collective traffic that follows block-reads the same
+	// conn. Decoding and engine admission run behind the horizon, like that
+	// reader's. The framer takes whole messages: a frame keeps the one it
+	// arrived in (coll.Frame.Wire) for the verbatim relay.
 	onParent := func(conn *simnet.Conn) {
-		if len(kids) == 0 {
-			// Leaf: no pump either — the SerialFramer owns the parent link
-			// while the seed is in flight, charging like the serial reader
-			// it replaces and detaching at the End frame's arrival so
-			// pre-ShareLinks collective traffic block-reads the same conn
-			// as before. Decoding and engine admission run behind the
-			// horizon, like that reader's.
-			fr := &SerialFramer{Sim: sim, Cost: PerMsgCost}
-			lmonp.HandleFrames(conn, func(raw []byte, err error) {
-				if err != nil {
-					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
-					fr.Behind(abort)
-					return
-				}
-				// Peek the opcode at arrival: the End frame (or a
-				// protocol-violating opcode, which the deferred parse
-				// will turn into an error) is the framer's last — detach
-				// so later arrivals queue for blocking readers.
-				if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
-					conn.Unhandle()
-				}
-				fr.Charge(func() {
-					f, perr := parseFrameOp(raw, opSeedChunk, opSeedEnd)
-					if perr != nil {
-						seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, perr))
-						abort()
-						return
-					}
-					eng.step(f)
-				})
+		fr := &SerialFramer{Sim: sim, Cost: PerMsgCost}
+		conn.Handle(func(msg []byte, err error) {
+			var raw []byte
+			if err == nil {
+				raw, err = lmonp.FrameFromMessage(msg)
+			}
+			if err != nil {
+				fr.Behind(func() { eng.step(coll.Frame{}, err) })
+				return
+			}
+			// Peek the opcode at arrival: the End frame (or a
+			// protocol-violating opcode, which the deferred parse will
+			// turn into an error) is the framer's last — detach so later
+			// arrivals queue for blocking readers.
+			if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
+				conn.Unhandle()
+			}
+			fr.Charge(func() {
+				f, err := parseFrameOp(raw, opSeedChunk, opSeedEnd)
+				f.Wire = msg
+				eng.step(f, err)
 			})
-			return
-		}
-		startPump(func() (coll.Frame, error) {
-			return readFrameOp(p, conn, opSeedChunk, opSeedEnd)
 		})
 	}
-	return &seedPlumbing{seed: seed, abort: abort, onParent: onParent, onChild: startForwarder}
+	return &seedPlumbing{seed: seed, bail: eng.bail, onParent: onParent, onChild: startForwarder}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
-	"launchmon/internal/coll"
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
@@ -190,37 +189,13 @@ func TestWireBytesPinnedCollectives(t *testing.T) {
 func TestWireBytesPinnedSeedStream(t *testing.T) {
 	// Two tasks per node, chunked small enough that every subtree stream
 	// re-packs into several chunks.
-	var tab proctab.Table
-	rankOf := map[string]int{}
-	for rk := 0; rk < wireN; rk++ {
-		host := fmt.Sprintf("node%d", rk)
-		rankOf[host] = rk
-		for j := 0; j < 2; j++ {
-			tab = append(tab, proctab.ProcDesc{Host: host, Exe: "app", Pid: 100 + j, Rank: 2*rk + j})
-		}
-	}
-	// The root's stream: FEData as frame 0, the table chunks, and an End
-	// marker whose total is the entry count the router checks.
-	bodies := append([][]byte{[]byte("fedata")}, tab.EncodeChunks(96)...)
-	source := func() SeedSource {
-		next := scriptedSeed(bodies)
-		return func() (coll.Frame, error) {
-			f, err := next()
-			if f.End {
-				f.Total = uint64(len(tab))
-			}
-			return f, err
-		}
-	}
+	frames, rt, tab := routedSeed(wireN, 2, 96)
 	for _, tc := range []struct {
 		step wireStep
 		rt   *SeedRouter
 	}{
 		{wireStep{"bootstrap + verbatim seed", 156, 13884}, nil},
-		{wireStep{"bootstrap + routed seed", 66, 3223}, &SeedRouter{
-			RankOf:     func(host string) (int, bool) { rk, ok := rankOf[host]; return rk, ok },
-			ChunkBytes: 96,
-		}},
+		{wireStep{"bootstrap + routed seed", 66, 3223}, rt},
 	} {
 		got := wireRig(t, func(p *cluster.Proc, cfg Config) (*Comm, error) {
 			// cluster node names are the hosts the table must route by.
@@ -231,7 +206,7 @@ func TestWireBytesPinnedSeedStream(t *testing.T) {
 			}
 			var src SeedSource
 			if cfg.Rank == 0 {
-				src = source()
+				src = scriptedSeed(p.Sim(), frames)
 			}
 			c, seed, err := BootstrapSeedRouted(p, cfg, src, tc.rt)
 			if err != nil {

@@ -287,13 +287,13 @@ func (c *Conn) SendEncoded(buf []byte) error {
 // Recv reads the next message.
 func (c *Conn) Recv() (*Msg, error) { return Read(c.rw) }
 
-// Handle switches the connection's read side to event-driven delivery for
-// the rest of its life: fn runs on the vtime scheduler once per message, in
-// arrival order, and with the error that ended the stream (io.EOF after a
-// clean close) or made a delivery undecodable. It replaces a goroutine
-// parked in Recv and must not block. The stream must be a MessageConn at a
-// message boundary — every sender puts a message on the wire with one
-// SendMessage — and Recv may not be called again.
+// Handle switches the connection's read side to event-driven delivery:
+// fn runs on the vtime scheduler once per message, in arrival order, and
+// with the error that ended the stream (io.EOF after a clean close) or made
+// a delivery undecodable. It replaces a goroutine parked in Recv and must
+// not block. The stream must be a MessageConn at a message boundary — every
+// sender puts a message on the wire with one SendMessage — and Recv may not
+// be called again before Unhandle.
 func (c *Conn) Handle(fn func(*Msg, error)) {
 	c.rw.(MessageConn).Handle(func(buf []byte, err error) {
 		if err != nil {
@@ -303,6 +303,12 @@ func (c *Conn) Handle(fn func(*Msg, error)) {
 		fn(Read(bytes.NewReader(buf)))
 	})
 }
+
+// Unhandle detaches the handler and hands the read side back to Recv or a
+// later Handle; messages not yet delivered stay queued. A handler that owns
+// one phase of the connection's life calls it, from itself, at that phase's
+// last message (simnet.Conn.Unhandle).
+func (c *Conn) Unhandle() { c.rw.(interface{ Unhandle() }).Unhandle() }
 
 // Expect reads the next message and verifies its class and type.
 func (c *Conn) Expect(class MsgClass, typ MsgType) (*Msg, error) {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"launchmon/internal/bench"
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/core"
 	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
 
@@ -352,4 +355,63 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 			return c, seed.Wait()
 		}, func(*iccl.Comm, *cluster.Proc) error { return nil })
 	}
+}
+
+// BenchmarkLaunchFat is the benchmark's launch_fat workload at 1/32 of its
+// daemons with profile flags in reach (`go test -run '^$' -bench LaunchFat
+// -memprofile F .`; benchmark/ has none): 64 daemons × 256 tasks, 64 KiB
+// FEData, slurmd tree of the default fanout (two levels), ICCL fanout 4 so
+// the seed splitter re-packs the table on three tree levels. B/task is the
+// allocation of the LaunchAndSpawn call alone, the workload's timed section;
+// B/op also counts the rig.
+func BenchmarkLaunchFat(b *testing.B) {
+	const nodes, tasks = 64, 256
+	feData := bytes.Repeat([]byte("launchmon-64KiB-"), 4<<10)
+	b.ReportAllocs()
+	var allocB, allocs uint64
+	for i := 0; i < b.N; i++ {
+		_, err := bench.Scenario{
+			Nodes: nodes, Lean: true,
+			Boot: func(cl *cluster.Cluster) error {
+				cl.Register("fat_be", func(p *cluster.Proc) {
+					be, err := core.BEInit(p)
+					if err != nil {
+						return
+					}
+					be.Collective().Gather(be.MyProctab().Encode())
+					be.Finalize()
+				})
+				return nil
+			},
+			FE: func(r *bench.Run) error {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sess, err := core.LaunchAndSpawn(r.P, core.Options{
+					Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tasks},
+					Daemon:     rm.DaemonSpec{Exe: "fat_be"},
+					ICCLFanout: 4,
+					FEData:     feData,
+				})
+				if err != nil {
+					return err
+				}
+				runtime.ReadMemStats(&after)
+				allocB += after.TotalAlloc - before.TotalAlloc
+				allocs += after.Mallocs - before.Mallocs
+				if n := len(sess.Proctab()); n != nodes*tasks {
+					return fmt.Errorf("front-end table has %d entries", n)
+				}
+				if _, err := sess.Gather(); err != nil {
+					return err
+				}
+				return sess.Kill()
+			},
+		}.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	perTask := float64(b.N) * nodes * tasks
+	b.ReportMetric(float64(allocB)/perTask, "B/task")
+	b.ReportMetric(float64(allocs)/perTask, "allocs/task")
 }

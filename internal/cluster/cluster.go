@@ -309,10 +309,33 @@ func (n *Node) SpawnSystemProc(spec Spec) (*Proc, error) {
 // and cb fires at the instant the fork completes, with the process
 // spawned at that same instant.
 func (n *Node) SpawnProcAsync(spec Spec, cb func(*Proc, error)) {
-	n.cl.sim.After(n.reserveFork(), func() {
-		p, err := n.spawn(spec)
-		cb(p, err)
-	})
+	n.SpawnProcEvent(&Fork{Spec: spec, To: forkFunc(cb)})
+}
+
+// Forked is told how an asynchronous fork ended.
+type Forked interface{ Forked(p *Proc, err error) }
+
+type forkFunc func(*Proc, error)
+
+func (cb forkFunc) Forked(p *Proc, err error) { cb(p, err) }
+
+// Fork is an asynchronous fork as the scheduler event it is (vtime:
+// events are objects). Its caller owns it and may start it again once it
+// has reported to To, so a caller that forks in sequence — slurmd starting
+// a node's tasks one after the other — allocates one for all of them.
+type Fork struct {
+	Spec Spec
+	To   Forked
+	node *Node
+}
+
+// Fire spawns the process at the instant its fork window ends.
+func (f *Fork) Fire() { f.To.Forked(f.node.spawn(f.Spec)) }
+
+// SpawnProcEvent is SpawnProcAsync for a caller that holds its Fork.
+func (n *Node) SpawnProcEvent(f *Fork) {
+	f.node = n
+	n.cl.sim.AfterEvent(n.reserveFork(), f)
 }
 
 func (n *Node) spawn(spec Spec) (*Proc, error) {

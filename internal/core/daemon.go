@@ -223,8 +223,8 @@ func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 // seed stream: a synthesized frame 0 with the handshake's FEData, then
 // one frame per relayed RPDTAB chunk, closed by the relay's end marker.
 // Frame 0 is its own zero-delay event, scheduled ahead of the connection's
-// first delivery; the handler detaches at the end of the stream, leaving
-// the connection to feStreams. Chunk sums are computed here (the LMONP
+// first delivery; the handler detaches as the stream's last frame arrives,
+// leaving the connection to feStreams. Chunk sums are computed here (the LMONP
 // relay ships bare payloads); the end marker's digest arrives from the FE,
 // so the master's stream check covers the whole engine→FE→master path.
 func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSource {
@@ -254,7 +254,15 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 			if err == nil {
 				f, err = frame(msg)
 			}
-			if emit(f, err) {
+			// Detach before the frame that ends the stream is delivered: the
+			// End frame wakes the daemon's main, which goes on to install
+			// feStreams' handler on this connection — on a one-daemon tree with
+			// nothing to wait for first, while this callback is still running.
+			last := err != nil || f.End
+			if last {
+				fe.Unhandle()
+			}
+			if emit(f, err) && !last {
 				fe.Unhandle()
 			}
 		})

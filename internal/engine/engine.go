@@ -221,21 +221,20 @@ func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm f
 func (e *Engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
 	fetchStart := e.proc.Sim().Now()
 	// Stream the harvest: each launcher-published chunk symbol is read,
-	// decoded, and immediately re-chunked onto the engine→FE stream at the
-	// session chunk size — the engine's transient is O(chunk), it never
-	// materializes the table (let alone a second full copy, which the old
-	// read-then-encode path held). Under the cut-through pipeline the FE
-	// relays each chunk onward to the master daemon as it arrives (and the
-	// master into the forming ICCL tree), so chunks flow end to end
-	// without a full-table stop anywhere. All symbol reads complete before
-	// the launcher is resumed, per the APAI contract.
+	// scanned, and immediately re-chunked onto the engine→FE stream at the
+	// session chunk size — the engine's transient is O(chunk) and in wire
+	// form, it never materializes an entry, let alone the table. Under the
+	// cut-through pipeline the FE relays each chunk onward to the master
+	// daemon as it arrives (and the master into the forming ICCL tree), so
+	// chunks flow end to end without a full-table stop anywhere. All symbol
+	// reads complete before the launcher is resumed, per the APAI contract.
 	w, end := proctab.StreamTo(e.fe, lmonp.ClassFEEngine, e.chunkBytes)
 	err := rm.ReadProctabChunks(tr, func(chunk []byte, _, _ int) error {
-		entries, err := proctab.Decode(chunk)
+		c, err := proctab.Scan(chunk)
 		if err != nil {
 			return err
 		}
-		return w.AddTable(entries)
+		return w.AddChunk(c)
 	})
 	if err != nil {
 		return err

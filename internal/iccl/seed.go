@@ -54,7 +54,7 @@ type SeedSource func(emit func(coll.Frame, error) (done bool))
 
 // SeedRouter enables rank-sliced seed delivery: instead of relaying every
 // RPDTAB chunk to every child (each daemon ending up with the full K-entry
-// table), every node decodes the chunks it receives, keeps only the
+// table), every node scans the chunks it receives, keeps only the
 // entries whose host maps to its own daemon rank, and re-packs the rest
 // into fresh bounded chunk streams — one per child subtree, each with its
 // own index sequence, per-chunk sums, and digest-bearing end marker. No
@@ -102,6 +102,12 @@ type seedSplitter struct {
 
 	w  []*proctab.ChunkWriter // by stream
 	ix []uint32               // last index emitted, by stream
+
+	// Scratch of chunk, kept between calls: the stream of each pooled
+	// string of the chunk in hand (-1 until an entry names it as its host),
+	// and how many of the chunk's entries go to each stream.
+	route []int
+	share []int
 }
 
 func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], outs []*seedOutbox) *seedSplitter {
@@ -112,8 +118,9 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local *vtime.Chan[coll.Frame], 
 	s := &seedSplitter{
 		rt: rt, rank: cfg.Rank, fanout: cfg.Fanout,
 		local: local, outs: outs,
-		w:  make([]*proctab.ChunkWriter, 1+len(outs)),
-		ix: make([]uint32, 1+len(outs)),
+		w:     make([]*proctab.ChunkWriter, 1+len(outs)),
+		ix:    make([]uint32, 1+len(outs)),
+		share: make([]int, 1+len(outs)),
 	}
 	for i := range s.w {
 		i := i
@@ -138,36 +145,62 @@ func (s *seedSplitter) emit(i int, f coll.Frame) {
 }
 
 // chunk routes one admitted seed frame. FEData (frame 0) is forwarded
-// verbatim everywhere; RPDTAB chunks are decoded and their entries split
-// between the local slice and the owning child subtrees.
+// verbatim everywhere; an RPDTAB chunk is scanned and its entries — still
+// the records they arrived as — are split between the local slice and the
+// owning child subtrees. A host is resolved to its stream once per chunk,
+// not once per entry, and every stream is told how many entries are coming
+// before the first is added.
 func (s *seedSplitter) chunk(f coll.Frame) error {
 	if f.H.Index == 0 {
 		s.local.Send(f)
 		fanOut(s.outs, f)
 		return nil
 	}
-	entries, err := proctab.Decode(f.Body)
+	c, err := proctab.Scan(f.Body)
 	if err != nil {
 		return err
 	}
-	for _, d := range entries {
-		rk, ok := s.rt.RankOf(d.Host)
-		if !ok {
-			return fmt.Errorf("%w: no daemon rank for host %q in seed route", ErrProtocol, d.Host)
-		}
-		i := 0
-		if rk != s.rank {
-			slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
-			if slot < 0 {
-				return fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
+	pool := c.Pool()
+	s.route = s.route[:0]
+	for range pool {
+		s.route = append(s.route, -1)
+	}
+	for i, n := 0, c.Len(); i < n; i++ {
+		host, _, _, _ := c.Entry(i)
+		if s.route[host] < 0 {
+			if s.route[host], err = s.streamOf(pool[host]); err != nil {
+				return err
 			}
-			i = 1 + slot
 		}
-		if err := s.w[i].Add(d); err != nil {
+		s.share[s.route[host]]++
+	}
+	for i, n := range s.share {
+		s.w[i].Grow(n)
+		s.share[i] = 0
+	}
+	for i, n := 0, c.Len(); i < n; i++ {
+		host, exe, pid, rank := c.Entry(i)
+		if err := s.w[s.route[host]].AddRaw(pool[host], pool[exe], pid, rank); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// streamOf returns the stream the entries on host belong to.
+func (s *seedSplitter) streamOf(host string) (int, error) {
+	rk, ok := s.rt.RankOf(host)
+	if !ok {
+		return 0, fmt.Errorf("%w: no daemon rank for host %q in seed route", ErrProtocol, host)
+	}
+	if rk == s.rank {
+		return 0, nil
+	}
+	slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
+	if slot < 0 {
+		return 0, fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
+	}
+	return 1 + slot, nil
 }
 
 // finish flushes every stream on the incoming End frame — the local one
@@ -193,6 +226,8 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 		i := (k + 1) % len(s.w)
 		s.emit(i, coll.Frame{End: true, Total: uint64(s.w[i].Count()), Sum: s.w[i].Digest()})
 	}
+	// The writers keep their buffers between chunks; the stream is over.
+	s.w, s.route = nil, nil
 	return nil
 }
 

@@ -1,0 +1,100 @@
+package proctab
+
+import (
+	"runtime"
+	"testing"
+)
+
+// allocBytes returns what fn allocates per call, over runs calls.
+func allocBytes(t *testing.T, runs int, fn func()) uint64 {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	var m0, m1 runtime.MemStats
+	fn()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// TestScanAllocatesForThePoolNotTheEntries is the allocation guard of the
+// pass-through hops: scanning a full 64 KiB chunk of 16 hosts allocates a
+// handful of objects for its pool and not one byte for its 4 000 entries —
+// the same bytes as scanning 16 entries over the same pool.
+func TestScanAllocatesForThePoolNotTheEntries(t *testing.T) {
+	full, few := sampleTable(16, 255).Encode(), sampleTable(16, 1).Encode()
+	if len(full) < 63<<10 || len(full) > DefaultChunkBytes {
+		t.Fatalf("the full chunk is %d bytes, want just under 64 KiB", len(full))
+	}
+	scan := func(enc []byte) func() {
+		return func() {
+			if _, err := Scan(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(50, scan(full)); n > 4 {
+		t.Errorf("Scan of a 16-host chunk allocates %v objects, want at most 4 (the pool, its backing string, the scratch behind both)", n)
+	}
+	if a, b := allocBytes(t, 50, scan(full)), allocBytes(t, 50, scan(few)); a != b {
+		t.Errorf("Scan allocates %d B for %d entries and %d B for 16 over the same pool: %0.2f B per entry, want 0",
+			a, 16*255, b, float64(a-b)/float64(16*254))
+	}
+}
+
+// TestWarmChunkWriterAllocatesOneObjectPerChunk: a writer that has emitted
+// before holds its entry buffer, pool and index, so a chunk costs the one
+// exact-size buffer it is rendered into and nothing else.
+func TestWarmChunkWriterAllocatesOneObjectPerChunk(t *testing.T) {
+	tab := sampleTable(64, 64)
+	chunks := 0
+	w := NewChunkWriter(4<<10, func(chunk []byte, _ uint64) error {
+		if len(chunk) != cap(chunk) {
+			t.Errorf("chunk of %d bytes rendered into a buffer of %d", len(chunk), cap(chunk))
+		}
+		chunks++
+		return nil
+	})
+	write := func() {
+		if err := w.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	per := chunks
+	if per < 10 {
+		t.Fatalf("the table made %d chunks, want a good many", per)
+	}
+	if n := testing.AllocsPerRun(20, write); n != float64(per) {
+		t.Errorf("a warm writer allocates %v objects for %d chunks, want one each", n, per)
+	}
+}
+
+// TestAssemblerAllocatesTheTableOnce: the receiving end keeps the chunks as
+// they arrived and materializes at Finish, at the final size — not chunk by
+// chunk into a table that outgrows itself.
+func TestAssemblerAllocatesTheTableOnce(t *testing.T) {
+	tab := sampleTable(64, 256)
+	chunks := tab.EncodeChunks(8 << 10)
+	table := uint64(len(tab)) * 48
+	got := allocBytes(t, 10, func() {
+		var a Assembler
+		for _, c := range chunks {
+			if err := a.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.Finish(len(tab)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > table+table/8 {
+		t.Errorf("assembling %d entries allocates %d B, want the %d B table plus at most an eighth (pools, the list of chunks, Validate's marks)", len(tab), got, table)
+	}
+}

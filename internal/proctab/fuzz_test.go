@@ -1,7 +1,9 @@
 package proctab
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -45,6 +47,49 @@ func FuzzProctabDecode(f *testing.F) {
 		if !reflect.DeepEqual(back, tab) {
 			t.Fatal("re-encode roundtrip mismatch")
 		}
+	})
+}
+
+// FuzzWireMatchesTable holds the wire-level codec to the materializing one
+// it replaced (referenceDecode / referenceEncode / referenceChunks) on
+// arbitrary input: Scan accepts exactly what the old Decode accepted and
+// fails with the same words; what it accepted materializes to the same
+// table; and passing it on as bytes — re-chunked by a ChunkWriter, or merged
+// — puts on the wire what decoding and re-encoding did, pool strings no
+// entry uses dropped and duplicated ones collapsed.
+func FuzzWireMatchesTable(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add(synthTable(0).Encode(), uint16(0))
+	f.Add(synthTable(64).Encode(), uint16(100))
+	f.Add(randomTable(rand.New(rand.NewSource(1)), 40).Encode(), uint16(64))
+	// A pool with an unused string and one string twice, entries using both copies.
+	hostile := lmonp.AppendStringList(nil, []string{"unused", "h", "e", "h"})
+	hostile = lmonp.AppendUint32(hostile, 2)
+	hostile = appendEntry(appendEntry(hostile, 3, 2, 7, 0), 1, 2, 8, 1)
+	f.Add(hostile, uint16(40))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 'h', 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2}, uint16(0))    // pool index out of range
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 'h', 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 1, 0, 0, 0, 2}, uint16(0)) // pid overflows
+
+	f.Fuzz(func(t *testing.T, data []byte, bound uint16) {
+		want, wantErr := referenceDecode(data)
+		c, err := Scan(data)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("Scan: %v; the materializing decoder: %v", err, wantErr)
+		}
+		if _, derr := Decode(data); (derr == nil) != (err == nil) || derr != nil && derr.Error() != err.Error() {
+			t.Fatalf("Decode: %v; Scan: %v", derr, err)
+		}
+		if err != nil {
+			return
+		}
+		if got := c.AppendTo(nil); len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendTo(nil) materializes %d entries that differ from the %d the old decoder returned", len(got), len(want))
+		}
+		if got, ref := AppendMerged(nil, c), referenceEncode(want); !bytes.Equal(got, ref) {
+			t.Fatalf("AppendMerged differs from decode + encode\n got  %x\n want %x", got, ref)
+		}
+		writeChunks(t, int(bound), func(w *ChunkWriter) error { return w.AddChunk(c) }).
+			mustEqual(t, referenceChunks(want, int(bound)), "Scan + AddChunk against Decode + AddTable")
 	})
 }
 

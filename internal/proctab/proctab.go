@@ -6,8 +6,10 @@
 package proctab
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,29 +30,98 @@ type Table []ProcDesc
 // Encode renders the table in LaunchMON's compact wire form. Host and
 // executable strings are pooled: real RPDTABs repeat the same executable
 // for every task and the same host for every task on a node, and the
-// compact form is what keeps the linear-in-tasks transfer affordable.
+// compact form is what keeps the linear-in-tasks transfer affordable. A
+// string joins the pool when an entry first uses it, host before
+// executable. It is a ChunkWriter without a bound: one chunk, however large.
 func (t Table) Encode() []byte {
-	pool := make([]string, 0, 16)
-	index := make(map[string]uint32)
-	intern := func(s string) uint32 {
-		if i, ok := index[s]; ok {
-			return i
-		}
-		i := uint32(len(pool))
-		index[s] = i
-		pool = append(pool, s)
+	w := ChunkWriter{maxBytes: math.MaxInt}
+	w.Grow(len(t))
+	for _, d := range t {
+		w.AddRaw(d.Host, d.Exe, uint32(d.Pid), uint32(d.Rank)) // cannot fail: nothing is emitted
+	}
+	return w.render()
+}
+
+// pool is the string pool of an encoding under construction: the strings
+// in order of first use, and the encoded size they add up to. Consecutive
+// entries of a real table repeat their host and their executable, so the
+// string last looked up in each of the two places (role 0 the host, 1 the
+// executable) is remembered and answers the next lookup without hashing.
+type pool struct {
+	strs  []string
+	index map[string]uint32
+	size  int // encoded bytes of strs: a 4-byte length prefix and the string, each
+	last  [2]lookup
+}
+
+type lookup struct {
+	s  string
+	i  uint32
+	ok bool
+}
+
+// find returns the pool index of s, if it is pooled.
+func (p *pool) find(role int, s string) (uint32, bool) {
+	if l := &p.last[role]; l.ok && l.s == s {
+		return l.i, true
+	}
+	i, ok := p.index[s]
+	if ok {
+		p.last[role] = lookup{s, i, true}
+	}
+	return i, ok
+}
+
+// intern returns the pool index of s, pooling it first if need be.
+func (p *pool) intern(role int, s string) uint32 {
+	i, ok := p.find(role, s)
+	if ok {
 		return i
 	}
-	entries := make([]byte, 0, len(t)*16)
-	for _, d := range t {
-		entries = lmonp.AppendUint32(entries, intern(d.Host))
-		entries = lmonp.AppendUint32(entries, intern(d.Exe))
-		entries = lmonp.AppendUint32(entries, uint32(d.Pid))
-		entries = lmonp.AppendUint32(entries, uint32(d.Rank))
+	if p.index == nil {
+		p.index = make(map[string]uint32)
 	}
-	out := lmonp.AppendStringList(nil, pool)
-	out = lmonp.AppendUint32(out, uint32(len(t)))
-	return append(out, entries...)
+	i = uint32(len(p.strs))
+	p.index[s] = i
+	p.strs = append(p.strs, s)
+	p.size += 4 + len(s)
+	p.last[role] = lookup{s, i, true}
+	return i
+}
+
+// reset empties the pool, keeping what it allocated.
+func (p *pool) reset() {
+	clear(p.strs)
+	clear(p.index)
+	*p = pool{strs: p.strs[:0], index: p.index}
+}
+
+// appendHeader and appendEntry are the one renderer of the wire form:
+// the pool as a string list and the entry count, then 16 bytes an entry.
+func (p *pool) appendHeader(dst []byte, entries int) []byte {
+	dst = lmonp.AppendStringList(dst, p.strs)
+	return lmonp.AppendUint32(dst, uint32(entries))
+}
+
+func appendEntry(dst []byte, host, exe, pid, rank uint32) []byte {
+	var e [entryBytes]byte
+	binary.BigEndian.PutUint32(e[0:], host)
+	binary.BigEndian.PutUint32(e[4:], exe)
+	binary.BigEndian.PutUint32(e[8:], pid)
+	binary.BigEndian.PutUint32(e[12:], rank)
+	return append(dst, e[:]...)
+}
+
+// Chunk is an encoded table — a whole one or one chunk of a stream — held
+// in wire form: the pool decoded, the entries left as the 16-byte records
+// they arrived as. It is what a hop that only passes entries on works with
+// (slurmd merging its children's replies, the engine re-chunking the
+// harvest, a seed router re-packing a chunk): the entries of a scanned
+// chunk alias the message it was scanned from, and its pool strings share
+// one backing string. The two ends of the path materialize (AppendTo).
+type Chunk struct {
+	pool    []string
+	entries []byte
 }
 
 // readPool reads the string pool as substrings of one shared backing
@@ -62,10 +133,15 @@ func readPool(r *lmonp.Reader) []string {
 	// Each entry needs at least its 4-byte length prefix.
 	n := r.Count(4)
 	raw := make([][]byte, 0, n)
-	var b strings.Builder
+	total := 0
 	for i := 0; i < n; i++ {
 		s := r.Bytes()
 		raw = append(raw, s)
+		total += len(s)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for _, s := range raw {
 		b.Write(s)
 	}
 	backing := b.String()
@@ -78,33 +154,166 @@ func readPool(r *lmonp.Reader) []string {
 	return pool
 }
 
-// Decode parses a table encoded by Encode.
-func Decode(b []byte) (Table, error) {
+// Scan parses the encoding Encode writes as far as a hop that passes it on
+// needs: the pool is decoded (O(distinct strings)), every entry is checked
+// — what Decode rejects, Scan rejects, with the same error — and none is
+// materialized.
+func Scan(b []byte) (Chunk, error) {
+	c, err := scanPool(b)
+	if err != nil {
+		return Chunk{}, err
+	}
+	for i, n := 0, c.Len(); i < n; i++ {
+		if hi, ei, pid, rank := c.Entry(i); c.bad(hi, ei, pid, rank) {
+			return Chunk{}, c.entryError(i)
+		}
+	}
+	return c, nil
+}
+
+// scanPool reads the pool and the entry count and frames the entries,
+// unchecked.
+func scanPool(b []byte) (Chunk, error) {
 	r := lmonp.NewReader(b)
 	pool := readPool(r)
 	n := r.Count(entryBytes)
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("proctab: pool and count: %w", err)
+		return Chunk{}, fmt.Errorf("proctab: pool and count: %w", err)
 	}
-	t := make(Table, 0, n)
-	for i := 0; i < n; i++ {
-		hi, ei, pid, rank := r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()
-		if int(hi) >= len(pool) || int(ei) >= len(pool) {
-			return nil, fmt.Errorf("proctab: entry %d: pool index out of range", i)
+	return Chunk{pool: pool, entries: b[len(b)-r.Remaining():][:n*entryBytes]}, nil
+}
+
+// bad reports whether an entry must not enter a table: a pool index past
+// the pool, or a pid or rank past MaxInt32 — they travel as uint32 but live
+// as int, so such a value cannot round-trip through Encode (a negative int
+// cast to uint32 lands here too) and is rejected instead of smuggling a
+// corrupt identity into the table.
+func (c Chunk) bad(host, exe, pid, rank uint32) bool {
+	return int(host) >= len(c.pool) || int(exe) >= len(c.pool) || pid > math.MaxInt32 || rank > math.MaxInt32
+}
+
+// entryError says what is wrong with bad entry i, first fault first.
+func (c Chunk) entryError(i int) error {
+	host, exe, pid, rank := c.Entry(i)
+	switch {
+	case int(host) >= len(c.pool) || int(exe) >= len(c.pool):
+		return fmt.Errorf("proctab: entry %d: pool index out of range", i)
+	case pid > math.MaxInt32:
+		return fmt.Errorf("proctab: entry %d: pid %d overflows", i, pid)
+	default:
+		return fmt.Errorf("proctab: entry %d: rank %d overflows", i, rank)
+	}
+}
+
+// Len returns the number of entries.
+func (c Chunk) Len() int { return len(c.entries) / entryBytes }
+
+// Pool returns the chunk's strings; Entry's host and exe index it. The
+// caller must not modify it.
+func (c Chunk) Pool() []string { return c.pool }
+
+// Entry returns entry i as it travels: host and executable as pool
+// indices, pid and rank.
+func (c Chunk) Entry(i int) (host, exe, pid, rank uint32) {
+	e := c.entries[i*entryBytes:][:entryBytes]
+	return binary.BigEndian.Uint32(e[0:]), binary.BigEndian.Uint32(e[4:]),
+		binary.BigEndian.Uint32(e[8:]), binary.BigEndian.Uint32(e[12:])
+}
+
+// AppendTo materializes the chunk's entries behind those of t.
+func (c Chunk) AppendTo(t Table) Table {
+	t, _ = c.appendTo(slices.Grow(t, c.Len()), false)
+	return t
+}
+
+// appendTo is AppendTo, checking each entry first if the chunk has not
+// been through Scan's loop (Decode: one pass over the entries, not two).
+func (c Chunk) appendTo(t Table, check bool) (Table, error) {
+	for i, n := 0, c.Len(); i < n; i++ {
+		hi, ei, pid, rank := c.Entry(i)
+		if check && c.bad(hi, ei, pid, rank) {
+			return nil, c.entryError(i)
 		}
-		// Pid and Rank travel as uint32 but live as int: values past
-		// MaxInt32 cannot round-trip through Encode (a negative int cast to
-		// uint32 lands here too), so reject them instead of smuggling
-		// corrupt identities into the table.
-		if pid > math.MaxInt32 {
-			return nil, fmt.Errorf("proctab: entry %d: pid %d overflows", i, pid)
-		}
-		if rank > math.MaxInt32 {
-			return nil, fmt.Errorf("proctab: entry %d: rank %d overflows", i, rank)
-		}
-		t = append(t, ProcDesc{Host: pool[hi], Exe: pool[ei], Pid: int(pid), Rank: int(rank)})
+		t = append(t, ProcDesc{Host: c.pool[hi], Exe: c.pool[ei], Pid: int(pid), Rank: int(rank)})
 	}
 	return t, nil
+}
+
+// Append adds one entry to a chunk being built by hand (slurmd's local
+// tasks). A string joins the pool unless it is one of the two pooled last,
+// so a run of tasks on one host pools its host and executable once; a chunk
+// built this way may pool a string twice, which AppendMerged — its only way
+// onto the wire — collapses.
+func (c *Chunk) Append(host, exe string, pid, rank uint32) {
+	c.entries = appendEntry(c.entries, c.pooled(host), c.pooled(exe), pid, rank)
+}
+
+func (c *Chunk) pooled(s string) uint32 {
+	for i := len(c.pool) - 1; i >= 0 && i >= len(c.pool)-2; i-- {
+		if c.pool[i] == s {
+			return uint32(i)
+		}
+	}
+	c.pool = append(c.pool, s)
+	return uint32(len(c.pool) - 1)
+}
+
+// Grow makes room for n more entries.
+func (c *Chunk) Grow(n int) { c.entries = slices.Grow(c.entries, n*entryBytes) }
+
+// AppendMerged appends to dst the encoding of the table that holds the
+// entries of all the chunks, in order — byte for byte what decoding them
+// into one Table and encoding that gives, because a string joins the
+// merged pool when an entry first uses it (host before executable): pool
+// strings no entry uses are dropped and duplicates collapse. The chunks
+// are walked twice, to size the pool and to write, so dst grows once, by
+// exactly the encoding's size.
+func AppendMerged(dst []byte, chunks ...Chunk) []byte {
+	var p pool
+	strs, entries := 0, 0
+	for _, c := range chunks {
+		strs += len(c.pool)
+		entries += c.Len()
+	}
+	// remap[k] is the merged pool index + 1 of string k, counting through
+	// the chunks' pools in order; 0 until an entry uses the string.
+	remap := make([]uint32, strs)
+	base := 0
+	for _, c := range chunks {
+		rm := remap[base : base+len(c.pool)]
+		base += len(c.pool)
+		for i, n := 0, c.Len(); i < n; i++ {
+			hi, ei, _, _ := c.Entry(i)
+			if rm[hi] == 0 {
+				rm[hi] = p.intern(0, c.pool[hi]) + 1
+			}
+			if rm[ei] == 0 {
+				rm[ei] = p.intern(1, c.pool[ei]) + 1
+			}
+		}
+	}
+	dst = slices.Grow(dst, chunkOverhead+p.size+entries*entryBytes)
+	dst = p.appendHeader(dst, entries)
+	base = 0
+	for _, c := range chunks {
+		rm := remap[base : base+len(c.pool)]
+		base += len(c.pool)
+		for i, n := 0, c.Len(); i < n; i++ {
+			hi, ei, pid, rank := c.Entry(i)
+			dst = appendEntry(dst, rm[hi]-1, rm[ei]-1, pid, rank)
+		}
+	}
+	return dst
+}
+
+// Decode parses a table encoded by Encode: Scan and AppendTo in one pass
+// over the entries.
+func Decode(b []byte) (Table, error) {
+	c, err := scanPool(b)
+	if err != nil {
+		return nil, err
+	}
+	return c.appendTo(make(Table, 0, c.Len()), true)
 }
 
 // Hosts returns the distinct hosts in table order of first appearance.

@@ -2,6 +2,7 @@ package proctab
 
 import (
 	"fmt"
+	"slices"
 
 	"launchmon/internal/lmonp"
 )
@@ -27,21 +28,23 @@ const DefaultChunkBytes = 64 << 10
 const chunkOverhead, entryBytes = 8, 16
 
 // ChunkWriter streams entries into encoded chunks of at most maxBytes
-// each, handing every finished chunk (and its FNV-1a sum) to emit. It
-// produces exactly the chunk boundaries EncodeChunks produces for the
-// same input, so a sender that never materializes the full table — the
-// engine re-chunking the launcher's harvest, an interior seed router
-// re-packing a rank slice — stays byte-compatible with one that does.
+// each, handing every finished chunk (and its FNV-1a sum) to emit. The
+// pending chunk is held the way it will travel — its pool, and its entries
+// as 16-byte records in a buffer the writer keeps across chunks — and is
+// rendered in one allocation of exactly its size. Chunk boundaries depend
+// on entry order and bound alone, so a sender that never materializes the
+// table — the engine re-chunking the launcher's harvest, an interior seed
+// router re-packing a rank slice — emits the chunks EncodeChunks cuts from
+// the table itself.
 type ChunkWriter struct {
 	maxBytes int
 	emit     func(chunk []byte, sum uint64) error
 
-	pend   Table
-	size   int
-	pooled map[string]bool
-	count  int
-	chunks int
-	digest uint64
+	pool    pool
+	entries []byte
+	count   int
+	chunks  int
+	digest  uint64
 }
 
 // NewChunkWriter returns a writer emitting chunks of at most maxBytes
@@ -50,42 +53,43 @@ func NewChunkWriter(maxBytes int, emit func(chunk []byte, sum uint64) error) *Ch
 	if maxBytes <= 0 {
 		maxBytes = DefaultChunkBytes
 	}
-	return &ChunkWriter{
-		maxBytes: maxBytes,
-		emit:     emit,
-		size:     chunkOverhead,
-		pooled:   make(map[string]bool),
-		digest:   lmonp.SumInit,
-	}
+	return &ChunkWriter{maxBytes: maxBytes, emit: emit, digest: lmonp.SumInit}
 }
 
-// Add appends one entry, emitting the pending chunk first when the entry
-// would push its encoded size past maxBytes. A chunk always carries at
-// least one entry; a single entry whose pooled strings alone exceed
+// AddRaw appends one entry, emitting the pending chunk first when the
+// entry would push its encoded size past maxBytes. A chunk always carries
+// at least one entry; a single entry whose pooled strings alone exceed
 // maxBytes yields one oversized chunk rather than an error.
-func (w *ChunkWriter) Add(d ProcDesc) error {
+func (w *ChunkWriter) AddRaw(host, exe string, pid, rank uint32) error {
+	hi, hok := w.pool.find(0, host)
+	ei, eok := w.pool.find(1, exe)
 	add := entryBytes
-	if !w.pooled[d.Host] {
-		add += 4 + len(d.Host)
+	if !hok {
+		add += 4 + len(host)
 	}
-	if !w.pooled[d.Exe] && d.Exe != d.Host {
-		add += 4 + len(d.Exe)
+	if !eok && exe != host {
+		add += 4 + len(exe)
 	}
-	if len(w.pend) > 0 && w.size+add > w.maxBytes {
+	if len(w.entries) > 0 && chunkOverhead+w.pool.size+len(w.entries)+add > w.maxBytes {
 		if err := w.flush(); err != nil {
 			return err
 		}
-		add = entryBytes + 4 + len(d.Host)
-		if d.Exe != d.Host {
-			add += 4 + len(d.Exe)
-		}
+		hok, eok = false, false
 	}
-	w.pooled[d.Host] = true
-	w.pooled[d.Exe] = true
-	w.size += add
-	w.pend = append(w.pend, d)
+	if !hok {
+		hi = w.pool.intern(0, host)
+	}
+	if !eok {
+		ei = w.pool.intern(1, exe)
+	}
+	w.entries = appendEntry(w.entries, hi, ei, pid, rank)
 	w.count++
 	return nil
+}
+
+// Add appends one entry of a materialized table.
+func (w *ChunkWriter) Add(d ProcDesc) error {
+	return w.AddRaw(d.Host, d.Exe, uint32(d.Pid), uint32(d.Rank))
 }
 
 // AddTable appends every entry of t.
@@ -98,21 +102,48 @@ func (w *ChunkWriter) AddTable(t Table) error {
 	return nil
 }
 
+// AddChunk appends every entry of a scanned chunk.
+func (w *ChunkWriter) AddChunk(c Chunk) error {
+	for i, n := 0, c.Len(); i < n; i++ {
+		hi, ei, pid, rank := c.Entry(i)
+		if err := w.AddRaw(c.pool[hi], c.pool[ei], pid, rank); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Grow readies the entry buffer for n more entries, as far as one chunk
+// can hold them: a caller that knows how many are coming saves the
+// buffer's growth steps. A buffer that must grow at least doubles, so a
+// stream fed a few entries per call still grows in a few steps.
+func (w *ChunkWriter) Grow(n int) {
+	room := max(0, w.maxBytes-chunkOverhead)
+	if need := min(len(w.entries)+n*entryBytes, room); need > cap(w.entries) {
+		w.entries = slices.Grow(w.entries, min(max(need, 2*cap(w.entries)), room)-len(w.entries))
+	}
+}
+
+// render returns the pending chunk, in one allocation of its size.
+func (w *ChunkWriter) render() []byte {
+	chunk := make([]byte, 0, chunkOverhead+w.pool.size+len(w.entries))
+	return append(w.pool.appendHeader(chunk, len(w.entries)/entryBytes), w.entries...)
+}
+
 func (w *ChunkWriter) flush() error {
-	chunk := w.pend.Encode()
+	chunk := w.render()
 	sum := lmonp.Sum64(chunk)
 	w.digest = lmonp.FoldSum(w.digest, sum)
 	w.chunks++
-	w.pend = w.pend[:0]
-	w.size = chunkOverhead
-	clear(w.pooled)
+	w.entries = w.entries[:0]
+	w.pool.reset()
 	return w.emit(chunk, sum)
 }
 
 // Flush emits the pending tail chunk. An empty stream still emits one
 // empty chunk, mirroring EncodeChunks on an empty table.
 func (w *ChunkWriter) Flush() error {
-	if len(w.pend) > 0 || w.chunks == 0 {
+	if len(w.entries) > 0 || w.chunks == 0 {
 		return w.flush()
 	}
 	return nil
@@ -159,35 +190,36 @@ func DecodeEndMarker(payload []byte) (total uint64, digest uint64, err error) {
 }
 
 // Assembler reassembles a chunk stream back into a Table, folding the
-// rolling digest as chunks arrive so validation needs no second copy.
+// rolling digest as chunks arrive so validation needs no second copy. It
+// keeps each chunk as scanned — checked, aliasing the message it came in —
+// and materializes the table once, at its final size, when the end marker
+// has vouched for the count.
 type Assembler struct {
-	tab    Table
-	chunks int
-	digest uint64
+	parts   []Chunk
+	entries int
+	digest  uint64
 }
 
-// Add decodes one chunk and appends its entries.
+// Add checks one chunk and queues its entries.
 func (a *Assembler) Add(chunk []byte) error {
-	t, err := Decode(chunk)
+	c, err := Scan(chunk)
 	if err != nil {
-		return fmt.Errorf("proctab: chunk %d: %w", a.chunks, err)
+		return fmt.Errorf("proctab: chunk %d: %w", len(a.parts), err)
 	}
-	a.digest = lmonp.FoldSum(a.startDigest(), lmonp.Sum64(chunk))
-	a.chunks++
-	a.tab = append(a.tab, t...)
+	a.digest = lmonp.FoldSum(a.Digest(), lmonp.Sum64(chunk))
+	a.parts = append(a.parts, c)
+	a.entries += c.Len()
 	return nil
-}
-
-func (a *Assembler) startDigest() uint64 {
-	if a.chunks == 0 {
-		return lmonp.SumInit
-	}
-	return a.digest
 }
 
 // Digest returns the rolling digest over the chunks added so far, for
 // comparison against the sender's end marker.
-func (a *Assembler) Digest() uint64 { return a.startDigest() }
+func (a *Assembler) Digest() uint64 {
+	if len(a.parts) == 0 {
+		return lmonp.SumInit
+	}
+	return a.digest
+}
 
 // Finish checks the reassembled table against the end marker's total and
 // the structural invariants (Table.Validate: every rank exactly once,
@@ -205,13 +237,17 @@ func (a *Assembler) FinishSlice(total int) (Table, error) {
 }
 
 func (a *Assembler) finish(total int, what string, validate func(Table) error) (Table, error) {
-	if total < 0 || len(a.tab) != total {
-		return nil, fmt.Errorf("proctab: reassembled %d entries, end marker says %d", len(a.tab), total)
+	if total < 0 || a.entries != total {
+		return nil, fmt.Errorf("proctab: reassembled %d entries, end marker says %d", a.entries, total)
 	}
-	if err := validate(a.tab); err != nil {
+	tab := slices.Grow(Table(nil), total)
+	for _, c := range a.parts {
+		tab = c.AppendTo(tab)
+	}
+	if err := validate(tab); err != nil {
 		return nil, fmt.Errorf("proctab: reassembled %s: %w", what, err)
 	}
-	return a.tab, nil
+	return tab, nil
 }
 
 // FinishMarker is Finish against a received end-marker payload: the stream
@@ -224,8 +260,8 @@ func (a *Assembler) FinishMarker(payload []byte) (Table, error) {
 	if digest != a.Digest() {
 		return nil, fmt.Errorf("proctab: stream digest mismatch: sender %#x, received %#x", digest, a.Digest())
 	}
-	if total > uint64(len(a.tab)) {
-		return nil, fmt.Errorf("proctab: end marker claims %d entries, received %d", total, len(a.tab))
+	if total > uint64(a.entries) {
+		return nil, fmt.Errorf("proctab: end marker claims %d entries, received %d", total, a.entries)
 	}
 	return a.Finish(int(total))
 }

@@ -133,3 +133,64 @@ func TestCorruptRequestsAreRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestCorruptChildReplyFailsTheLaunch: a slurmd merges its children's
+// tables as bytes, so a child's reply is checked where it is merged. A fake
+// child — a server on the front end, which has no slurmd, named second in
+// the node list — answers node0's forward with a table that does not scan;
+// the launch must fail with the words the decoder has for it (the same ones
+// decoding the reply into a Table, as slurmd did before, failed with).
+func TestCorruptChildReplyFailsTheLaunch(t *testing.T) {
+	entry := func(host, exe, pid, rank uint32) []byte {
+		return join([]field{u32(host), u32(exe), u32(pid), u32(rank)})
+	}
+	table := func(entries uint32, body ...[]byte) []byte {
+		b := join([]field{list("fe0", "app"), u32(entries)})
+		for _, e := range body {
+			b = append(b, e...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		table      []byte
+	}{
+		{"pool index out of range", "proctab: entry 1: pool index out of range",
+			table(2, entry(0, 1, 100, 1), entry(0, 2, 101, 2))},
+		{"truncated entry", "proctab: pool and count: lmonp: truncated field: list of 32 bytes, 25 remain",
+			table(2, entry(0, 1, 100, 1), entry(0, 1, 101, 2)[:9])},
+		{"pid overflows", "proctab: entry 0: pid 4294967295 overflows",
+			table(1, entry(0, 1, 0xffffffff, 1))},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := slurm.Install(cl, slurm.Config{}); err != nil {
+				t.Fatal(err)
+			}
+			fe := cl.FrontEnd()
+			if _, err := fe.SpawnSystemProc(cluster.Spec{Exe: "evil-slurmd", Main: func(p *cluster.Proc) {
+				rm.Serve(p, slurm.SlurmdPort, func(_ *lmonp.Reader, reply rm.Reply) {
+					reply(lmonp.AppendBytes(nil, tc.table), nil)
+				})
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			sim.Go("client", func() {
+				sim.Sleep(time.Millisecond) // the servers are listening
+				// op, self, jobid, tasksPerNode, exe, nodelist
+				req := join([]field{u32(10), u32(0), u32(7), u32(1), str("app"), str("node0,fe0")})
+				_, err := rm.Call(fe.Host(), simnet.Addr{Host: "node0", Port: slurm.SlurmdPort}, req)
+				var refused rm.RemoteError
+				if !errors.As(err, &refused) || string(refused) != tc.want {
+					t.Errorf("launch answered %q, want the error reply %q", err, tc.want)
+				}
+			})
+			sim.Run()
+		})
+	}
+}

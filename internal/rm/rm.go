@@ -166,9 +166,9 @@ type Manager interface {
 func PublishProctab(p *cluster.Proc, tab proctab.Table) {
 	n := 0
 	w := proctab.NewChunkWriter(ProctabChunkBytes, func(chunk []byte, sum uint64) error {
-		// SetSymbol keeps a reference, not a copy; each chunk is freshly
-		// allocated by the writer's encoder.
-		p.SetSymbol(SymProctabChunk(n), cluster.Symbol{Value: append([]byte(nil), chunk...), Size: len(chunk)})
+		// SetSymbol keeps a reference, not a copy: the writer allocates
+		// every chunk afresh and is done with it once emitted.
+		p.SetSymbol(SymProctabChunk(n), cluster.Symbol{Value: chunk, Size: len(chunk)})
 		n++
 		return nil
 	})
@@ -187,11 +187,11 @@ func PublishProctab(p *cluster.Proc, tab proctab.Table) {
 func ProctabFromLauncher(tr *cluster.Tracer) (proctab.Table, error) {
 	var tab proctab.Table
 	err := ReadProctabChunks(tr, func(chunk []byte, i, total int) error {
-		entries, err := proctab.Decode(chunk)
+		c, err := proctab.Scan(chunk)
 		if err != nil {
 			return err
 		}
-		tab = append(tab, entries...)
+		tab = c.AppendTo(tab)
 		return nil
 	})
 	if err != nil {

@@ -169,9 +169,6 @@ func (tree) Kill(from *simnet.Host, id int, nodes []string) error {
 	return err
 }
 
-// writeFrame is slurmd's reply and forward path.
-var writeFrame = lmonp.WriteFrame
-
 // joinNodes and splitNodes carry node lists on the wire and in the
 // daemon environment in SLURM's compressed hostlist form
 // ("node[0-99999]"): at 10^6 nodes a comma-joined list is ~7 MB per

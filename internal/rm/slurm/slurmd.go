@@ -1,7 +1,9 @@
 package slurm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"launchmon/internal/cluster"
@@ -80,8 +82,9 @@ func (d *slurmd) serve(p *cluster.Proc, conn *simnet.Conn) {
 func (d *slurmd) dispatch(p *cluster.Proc, conn *simnet.Conn, req []byte) {
 	rd := lmonp.NewReader(req)
 	op := rd.Uint32()
-	st := &treeCall{self: int(rd.Uint32()), jobid: int(rd.Uint32()), reply: func(resp []byte) {
-		writeFrame(conn, resp)
+	st := &treeCall{self: int(rd.Uint32()), jobid: int(rd.Uint32()), reply: func(msg []byte) {
+		binary.BigEndian.PutUint32(msg, uint32(len(msg)-4))
+		lmonp.SendFrame(conn, msg)
 		conn.Close()
 	}}
 	switch op {
@@ -124,8 +127,18 @@ type treeCall struct {
 	done    bool
 	replies [][]byte
 	errs    []error
-	reply   func([]byte)
+	reply   func(msg []byte) // sends a message newReply started
 	finish  func()
+}
+
+// newReply starts the reply to a tree request in the buffer that goes on
+// the wire: a frame message led by the error string, empty on success. Its
+// length prefix is filled in when it is sent, so the result is appended
+// behind the string however long it turns out to be: there is room for a
+// small one (a spawn's count), and a launch's table grows the buffer once,
+// to its size.
+func newReply(emsg string) []byte {
+	return lmonp.AppendString(make([]byte, 4, 16+len(emsg)), emsg)
 }
 
 // open reads the node list that ends every tree request and sets the call
@@ -156,7 +169,7 @@ func (t *treeCall) complete() {
 }
 
 // fail answers the call with an error reply.
-func (t *treeCall) fail(msg string) { t.reply(lmonp.AppendString(nil, msg)) }
+func (t *treeCall) fail(msg string) { t.reply(newReply(msg)) }
 
 func (t *treeCall) abort(msg string) {
 	if t.done {
@@ -189,7 +202,7 @@ func (t *treeCall) gather(what string, merge func(res []byte) error, result func
 			return
 		}
 	}
-	t.reply(result(lmonp.AppendString(nil, "")))
+	t.reply(result(newReply("")))
 }
 
 // forwardKids fans the raw request out to the children of self in
@@ -213,7 +226,7 @@ func (d *slurmd) forwardKids(p *cluster.Proc, raw []byte, st *treeCall) {
 				st.complete()
 				return
 			}
-			if err := writeFrame(conn, req); err != nil {
+			if err := lmonp.WriteFrame(conn, req); err != nil {
 				conn.Close()
 				st.errs[i] = err
 				st.complete()
@@ -249,46 +262,78 @@ func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st 
 	if !d.open(st, rd, "launch") {
 		return
 	}
-	local := make(proctab.Table, 0, tpn)
-	st.finish = func() {
-		merged := local
-		st.gather("launch", func(res []byte) error {
-			rd := lmonp.NewReader(res)
-			enc := rd.Bytes()
-			if err := rd.Err(); err != nil {
-				return err
-			}
-			sub, err := proctab.Decode(enc)
-			merged = append(merged, sub...)
-			return err
-		}, func(b []byte) []byte { return lmonp.AppendBytes(b, merged.Encode()) })
-	}
+	lc := &launchCall{d: d, st: st, tpn: tpn, fork: cluster.Fork{Spec: cluster.Spec{Exe: exe, Passive: true}}}
+	lc.fork.To = lc
+	lc.local.Grow(tpn)
+	d.mu.Lock()
+	// The tasks, and the tool daemon a spawn on the job adds.
+	d.jobProcs[st.jobid] = slices.Grow(d.jobProcs[st.jobid], tpn+1)
+	d.mu.Unlock()
+	st.finish = func() { st.replyLaunch(lc.local) }
 
 	// Forward first so subtrees overlap with local forking.
 	d.forwardKids(p, raw, st)
+	lc.next()
+}
 
-	// Fork the local tasks (block rank distribution: node i owns ranks
-	// i*tpn .. i*tpn+tpn-1), chained so they serialize on this node's fork
-	// window in request order, as the old blocking loop did.
-	var forkNext func(i int)
-	forkNext = func(i int) {
-		if i == tpn {
-			st.complete()
-			return
-		}
-		d.node.SpawnProcAsync(cluster.Spec{Exe: exe, Passive: true}, func(proc *cluster.Proc, err error) {
-			if err != nil {
-				st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
-				return
-			}
-			d.track(st.jobid, proc)
-			local = append(local, proctab.ProcDesc{
-				Host: d.node.Name(), Exe: exe, Pid: proc.Pid(), Rank: st.self*tpn + i,
-			})
-			forkNext(i + 1)
-		})
+// launchCall is the local half of one launch request: the node's tasks
+// (block rank distribution: node i owns ranks i*tpn .. i*tpn+tpn-1), forked
+// one after the other so they serialize on this node's fork window in
+// request order, as the old blocking loop did. It is the one Fork they all
+// use and the callback each reports to, and it keeps them the way the reply
+// carries them.
+type launchCall struct {
+	d     *slurmd
+	st    *treeCall
+	tpn   int
+	fork  cluster.Fork
+	local proctab.Chunk
+}
+
+// next forks the next task, or reports the local work done.
+func (lc *launchCall) next() {
+	if lc.local.Len() == lc.tpn {
+		lc.st.complete()
+		return
 	}
-	forkNext(0)
+	lc.d.node.SpawnProcEvent(&lc.fork)
+}
+
+func (lc *launchCall) Forked(proc *cluster.Proc, err error) {
+	d, st := lc.d, lc.st
+	if err != nil {
+		st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
+		return
+	}
+	d.track(st.jobid, proc)
+	lc.local.Append(d.node.Name(), lc.fork.Spec.Exe, uint32(proc.Pid()), uint32(st.self*lc.tpn+lc.local.Len()))
+	lc.next()
+}
+
+// replyLaunch answers a launch with this node's tasks followed by its
+// children's tables, in child order, merged as bytes: every child reply is
+// scanned — checked like a decode, nothing materialized — and the reply is
+// written once, at its exact size (proctab.AppendMerged).
+func (t *treeCall) replyLaunch(local proctab.Chunk) {
+	parts := make([]proctab.Chunk, 1, 1+len(t.replies))
+	parts[0] = local
+	t.gather("launch", func(res []byte) error {
+		rd := lmonp.NewReader(res)
+		enc := rd.Bytes()
+		if err := rd.Err(); err != nil {
+			return err
+		}
+		sub, err := proctab.Scan(enc)
+		parts = append(parts, sub)
+		return err
+	}, func(b []byte) []byte {
+		// lmonp.AppendBytes of a table that is rendered in place: the
+		// length prefix is filled in behind it.
+		at := len(b)
+		b = proctab.AppendMerged(append(b, 0, 0, 0, 0), parts...)
+		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+		return b
+	})
 }
 
 // spawn request layout: op, self, jobid, daemon spec, nodelist.
@@ -362,7 +407,7 @@ func (d *slurmd) handleKill(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *t
 	}
 	// Kill is tolerant: an unreachable child's processes died with its
 	// node, so forward errors are not failures.
-	st.finish = func() { st.reply(lmonp.AppendString(nil, "")) }
+	st.finish = func() { st.reply(newReply("")) }
 
 	d.forwardKids(p, raw, st)
 

@@ -273,7 +273,9 @@ func icclTree(b *testing.B, cl *cluster.Cluster,
 // BenchmarkPlaneBroadcast32K is sample_loop's tagged broadcast in
 // isolation: a 32 KiB payload in 4 KiB chunks down the tree, b.N times on
 // one formed tree (the timer starts once the tree and its link demuxes are
-// up).
+// up). parks/rank is how often a daemon's goroutine blocks per broadcast —
+// one, for every rank but the root: the down phase runs on the scheduler —
+// and allocs/rank the objects one rank's share of a broadcast costs.
 func BenchmarkPlaneBroadcast32K(b *testing.B) {
 	const chunk = 4 << 10
 	payload := bytes.Repeat([]byte("launchmon-32KiB-"), 2<<10)
@@ -289,7 +291,10 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 		pending = pending[1:]
 		return f, nil
 	}
-	icclTree(b, planeCluster(b), iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
+	cl := planeCluster(b)
+	var parks0 uint64
+	var m0, m1 runtime.MemStats
+	icclTree(b, cl, iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
 		var fe iccl.DownFn
 		if c.IsMaster() {
 			fe = down
@@ -300,6 +305,8 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 		}
 		if c.IsMaster() {
 			b.ResetTimer()
+			parks0 = cl.Sim().Parks()
+			runtime.ReadMemStats(&m0)
 		}
 		for i := 0; i < b.N; i++ {
 			got, err := pl.Broadcast()
@@ -312,6 +319,10 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 		}
 		return nil
 	})
+	runtime.ReadMemStats(&m1)
+	perRank := float64(b.N) * planeTreeSize
+	b.ReportMetric(float64(cl.Sim().Parks()-parks0)/perRank, "parks/rank")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/perRank, "allocs/rank")
 }
 
 // BenchmarkSeedFEData64K is launch_fat's seed preamble in isolation: each

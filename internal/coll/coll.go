@@ -513,7 +513,8 @@ func (c *SeqCheck) Digest() uint64 {
 // reduce results), validating in-order duplicate-free chunk indices. It
 // keeps the chunk bodies it admitted — aliasing the messages they arrived
 // in, which nobody writes to — and copies them exactly once, into the
-// result Finish allocates.
+// result Finish allocates. Before the first chunk it holds nothing; the
+// first sizes the chunk list for the common stream (rawChunksHint).
 type RawAssembler struct {
 	s      stream
 	chunks [][]byte
@@ -526,10 +527,17 @@ func (a *RawAssembler) Add(h Header, body []byte) error {
 	if err := a.s.admit(h); err != nil {
 		return err
 	}
+	if a.chunks == nil {
+		a.chunks = make([][]byte, 0, rawChunksHint)
+	}
 	a.chunks = append(a.chunks, body)
 	a.size += uint64(len(body))
 	return nil
 }
+
+// rawChunksHint is the chunk-list capacity a RawAssembler starts from: a
+// 32 KiB payload in 4 KiB chunks fills it without growing.
+const rawChunksHint = 8
 
 // Finish validates the end marker (h continues the stream's index
 // sequence; total is the stream's byte count) and returns the payload in

@@ -154,7 +154,10 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 	now := sim.Now()
 	for slot, lk := range children {
 		k := &m.kids[slot]
-		*k = child{rank: lk.Rank, last: now, fr: iccl.SerialFramer{Sim: sim, Cost: PerMsgCost}}
+		*k = child{rank: lk.Rank, last: now, fr: iccl.SerialFramer{
+			Sim: sim, Cost: PerMsgCost,
+			Deliver: func(payload []byte) { m.onChildBeat(k, payload) },
+		}}
 		lk.Recv.Handle(func(payload []byte, ok bool) { m.onChildFrame(k, payload, ok) })
 	}
 	if parent != nil {
@@ -186,17 +189,21 @@ func (m *Monitor) onChildFrame(k *child, payload []byte, ok bool) {
 			}
 		})
 	case !m.halted():
-		k.fr.Charge(func() {
-			rd := lmonp.NewReader(payload)
-			switch rd.Uint32() {
-			case hbBeat:
-				k.last = m.p.Sim().Now()
-			case hbDead:
-				if reports, err := decodeReports(rd); err == nil {
-					m.propagate(reports)
-				}
-			}
-		})
+		k.fr.Charge(payload)
+	}
+}
+
+// onChildBeat handles one charged heartbeat-queue payload of child k: a
+// beat, or the failure reports of its subtree.
+func (m *Monitor) onChildBeat(k *child, payload []byte) {
+	rd := lmonp.NewReader(payload)
+	switch rd.Uint32() {
+	case hbBeat:
+		k.last = m.p.Sim().Now()
+	case hbDead:
+		if reports, err := decodeReports(rd); err == nil {
+			m.propagate(reports)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/simnet"
+	"launchmon/internal/vtime"
 )
 
 // This file implements the tool-data collective plane over the ICCL
@@ -191,6 +192,11 @@ func (pl *Plane) sendMsg(conn *simnet.Conn, tag uint32, end bool, msg []byte) er
 			return err
 		}
 	}
+	return pl.put(d, conn, tag, end, msg)
+}
+
+// put is sendMsg past the window: the chunk's credit is in hand.
+func (pl *Plane) put(d *linkDemux, conn *simnet.Conn, tag uint32, end bool, msg []byte) error {
 	if err := pl.c.send(conn, msg); err != nil {
 		return err
 	}
@@ -233,14 +239,19 @@ func (pl *Plane) emitUp(f coll.Frame) error {
 	return pl.sendFrame(pl.c.parent, f)
 }
 
-// recvDown yields the tagged stream's next FE-originated frame: from
-// the down hook at the root, from the parent link elsewhere.
+// fromFE yields the tagged stream's next FE-originated frame at the root.
+func (pl *Plane) fromFE(tag uint32) (coll.Frame, error) {
+	if pl.down == nil {
+		return coll.Frame{}, fmt.Errorf("%w: root plane has no down hook", ErrProtocol)
+	}
+	return pl.down(tag)
+}
+
+// recvDown yields a scatter stream's next frame: from the down hook at the
+// root, from the parent link elsewhere.
 func (pl *Plane) recvDown(tag uint32) (coll.Frame, error) {
 	if pl.c.parent == nil {
-		if pl.down == nil {
-			return coll.Frame{}, fmt.Errorf("%w: root plane has no down hook", ErrProtocol)
-		}
-		return pl.down(tag)
+		return pl.fromFE(tag)
 	}
 	return pl.recvTagged(pl.c.parent, tag)
 }
@@ -269,47 +280,203 @@ func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
 }
 
 func (pl *Plane) broadcast(tag uint32) ([]byte, error) {
-	var asm coll.RawAssembler
-	end, err := pl.relayDown(coll.OpBroadcast, tag, asm.Add)
+	asm := new(coll.RawAssembler)
+	end, err := pl.relayDown(coll.OpBroadcast, tag, asm)
 	if err != nil {
 		return nil, err
 	}
 	return asm.Finish(end.H, end.Total)
 }
 
-// relayDown is the down-phase of Broadcast, AllGather and AllReduce: it
-// pulls the tagged stream from above (recvDown), hands every chunk to add
+// relayDown is the down-phase of Broadcast, AllGather and AllReduce: the
+// tagged stream from above is checked, handed chunk by chunk to sink
 // (which validates the sequence and keeps or copies what it needs) and
-// forwards every frame to the children — the very message it arrived in,
-// or at the root one encoding for all of them — returning the end marker
-// for the caller's assembler to finish on.
-func (pl *Plane) relayDown(op coll.Op, tag uint32, add func(coll.Header, []byte) error) (coll.Frame, error) {
-	for {
-		f, err := pl.recvDown(tag)
-		if err != nil {
-			return f, err
-		}
-		if err := pl.checkStream(f, op, tag); err != nil {
-			return f, err
-		}
-		if !f.End {
-			if err := add(f.H, f.Body); err != nil {
+// forwarded to the children — the very message each frame arrived in, or
+// at the root one encoding for all of them. It returns the end marker for
+// the caller's assembler to finish on.
+//
+// The stream is carried by a downRelay, on the scheduler, while the
+// daemon's goroutine waits here: it is woken once, when the stream has
+// ended or failed. Only the root has a goroutine's work to do — its frames
+// come from the down hook, which blocks, so it pulls one, gives it to the
+// relay, and waits for it to clear the children before pulling the next.
+func (pl *Plane) relayDown(op coll.Op, tag uint32, sink chunkSink) (coll.Frame, error) {
+	r := &downRelay{pl: pl, sink: sink, op: op, tag: tag}
+	r.w.Init(pl.c.p.Sim())
+	if pl.c.parent != nil {
+		r.up = pl.c.demuxFor(pl.c.parent)
+		r.up.register(r)
+		r.pump() // what arrived before this daemon entered the operation
+	}
+	for !r.done {
+		if r.up == nil && r.held == nil {
+			f, err := pl.fromFE(tag)
+			if err != nil {
 				return f, err
 			}
-		}
-		msg := f.Wire
-		if msg == nil && len(pl.c.children) > 0 {
-			msg = encodeFrameOp(opCollChunk, opCollEnd, f)
-		}
-		for _, conn := range pl.c.children {
-			if err := pl.sendMsg(conn, tag, f.End, msg); err != nil {
-				return f, err
-			}
-		}
-		if f.End {
-			return f, nil
+			r.take(f)
+		} else if !r.w.Wait() {
+			return coll.Frame{}, fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, pl.c.rank, op, tag)
 		}
 	}
+	return coll.Frame{H: r.endH, End: true, Total: r.total}, r.err
+}
+
+// chunkSink is what a down-phase stream's chunks are assembled in
+// (coll.RawAssembler, coll.RankAssembler).
+type chunkSink interface {
+	Add(coll.Header, []byte) error
+}
+
+// downRelay is one down-phase stream passing through one rank — what a
+// goroutine looping over recvTagged, add and sendMsg would be, as state the
+// scheduler's callbacks advance. The parent link's demux hands it each
+// frame at delivery (take); frames that arrived before the operation was
+// entered, or while a frame was stalled, wait in the tag queue and pump
+// drains them. Forwarding takes one window credit per child per chunk;
+// where a child's window is empty the relay keeps the frame in hand
+// (held), leaves itself as that gate's waiter and returns — it takes
+// nothing more from the parent's side until the credit calls pump back, so
+// back-pressure and the depth ≤ window invariant are those of a goroutine
+// blocked in acquire. End, a protocol error or a severed link finish it and
+// wake the daemon.
+//
+// Its callers never overlap: scheduler callbacks, and the daemon's own
+// goroutine while it is runnable (operation entry; every step at the root).
+// It is the whole of what a daemon parked in a down phase holds — wait point
+// by value, stall record allocated only by a rank that stalls.
+type downRelay struct {
+	pl   *Plane
+	sink chunkSink
+	up   *linkDemux // the parent link's demux, nil at the root
+	next *downRelay // up.relays
+	held *heldFrame // the frame a child's empty window stalled, nil when none
+	tag  uint32
+	op   coll.Op
+	done bool
+
+	endH  coll.Header // the end marker's header and total, once done
+	total uint64
+	err   error
+	w     vtime.Waiter // the daemon's goroutine
+}
+
+// heldFrame is a frame part-way through the children.
+type heldFrame struct {
+	msg  []byte
+	end  bool
+	slot int // the first child that has not been sent it
+}
+
+// take runs one frame of the stream through the rank, from the point it
+// leaves the parent's side: the parent's credit goes back, the frame is
+// checked and assembled, then forwarded.
+func (r *downRelay) take(f coll.Frame) {
+	pl := r.pl
+	if r.up != nil && !f.End {
+		if err := pl.c.sendCredit(pl.c.parent, r.tag, 1); err != nil {
+			// f outlived its link in the tag queue: the stream ends here of
+			// the link's failure, not of the send that found it out.
+			if cause := r.up.tags.Err(); cause != nil {
+				err = cause
+			}
+			r.finish(err)
+			return
+		}
+	}
+	if err := pl.checkStream(f, r.op, r.tag); err != nil {
+		r.finish(err)
+		return
+	}
+	if f.End {
+		r.endH, r.total = f.H, f.Total
+	} else if err := r.sink.Add(f.H, f.Body); err != nil {
+		r.finish(err)
+		return
+	}
+	msg := f.Wire
+	if msg == nil && len(pl.c.children) > 0 {
+		msg = encodeFrameOp(opCollChunk, opCollEnd, f)
+	}
+	r.forward(heldFrame{msg: msg, end: f.End})
+}
+
+// forward sends h to the children from h.slot on, in slot order. It stops
+// at a child whose window is empty, keeping h for the gate's callback.
+func (r *downRelay) forward(h heldFrame) {
+	pl := r.pl
+	for ; h.slot < len(pl.c.children); h.slot++ {
+		conn := pl.c.children[h.slot]
+		d := pl.c.demuxFor(conn)
+		if !h.end {
+			g := d.gate(r.tag, pl.window)
+			ok, err := g.tryAcquire()
+			if err != nil {
+				r.finish(err)
+				return
+			}
+			if !ok {
+				if r.held == nil {
+					r.held = new(heldFrame)
+				}
+				*r.held, g.waiter = h, r
+				return
+			}
+		}
+		if err := pl.put(d, conn, r.tag, h.end, h.msg); err != nil {
+			r.finish(err)
+			return
+		}
+	}
+	r.held = nil
+	if h.end {
+		r.finish(nil)
+	}
+}
+
+// pump advances the relay as far as it goes without waiting: the frame in
+// hand first, then what the parent link's tag queue holds of the stream —
+// until a child's window is empty, the queue is (deliver hands over what
+// arrives next) or the stream is over. A severed parent link ends the
+// stream once everything that arrived before has been relayed, as a
+// blocking reader would see it.
+func (r *downRelay) pump() {
+	if r.held != nil {
+		r.forward(*r.held)
+		if r.up == nil && r.held == nil {
+			r.w.Wake() // the root's goroutine pulls the next frame
+		}
+	}
+	if r.up == nil {
+		return
+	}
+	q := r.up.tags.Lookup(r.tag) // nil: nothing of the stream was ever queued
+	for r.held == nil && !r.done {
+		var f coll.Frame
+		ok := false
+		if q != nil {
+			f, ok = q.TryRecv()
+		}
+		if !ok {
+			if err := r.up.tags.Err(); err != nil {
+				r.finish(err)
+			}
+			return
+		}
+		r.up.dequeued(f)
+		r.take(f)
+	}
+}
+
+// finish ends the stream at this rank, leaving nothing of it on the parent
+// link, and wakes the daemon.
+func (r *downRelay) finish(err error) {
+	r.done, r.err, r.held = true, err, nil
+	if r.up != nil {
+		r.up.unregister(r)
+		r.up.retire(r.tag)
+	}
+	r.w.Wake()
 }
 
 // toConn is the frame sink writing to one tree link (Packer.Emit, sendRaw).
@@ -658,8 +825,8 @@ func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	// ...then the table stream comes back down (the Broadcast shape).
-	var asm coll.RankAssembler
-	end, err := pl.relayDown(coll.OpAllGather, tag, asm.Add)
+	asm := new(coll.RankAssembler)
+	end, err := pl.relayDown(coll.OpAllGather, tag, asm)
 	if err != nil {
 		return nil, err
 	}
@@ -698,8 +865,8 @@ func (pl *Plane) allReduce(tag uint32, mine []byte, filter string) ([]byte, erro
 	if err := pl.sendRaw(coll.OpAllReduce, tag, filter, acc, pl.emitUp); err != nil {
 		return nil, err
 	}
-	var asm coll.RawAssembler
-	end, err := pl.relayDown(coll.OpAllReduce, tag, asm.Add)
+	asm := new(coll.RawAssembler)
+	end, err := pl.relayDown(coll.OpAllReduce, tag, asm)
 	if err != nil {
 		return nil, err
 	}

@@ -171,7 +171,7 @@ func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 			Send: func(payload []byte) error {
 				return lmonp.SendFrame(conn, append(newFrame(opHeartbeat, len(payload)), payload...))
 			},
-			Recv: c.demuxFor(conn).hb,
+			Recv: &c.demuxFor(conn).hb,
 		}
 	}
 	if c.parent != nil {

@@ -171,8 +171,9 @@ func broadcastAllocPerDaemon(t *testing.T, n, fanout int) (perDaemon uint64, pay
 
 // TestBroadcastAllocationIsPayloadPlusFrames is the allocation guard of the
 // zero-copy relay: a daemon pays for the payload it hands the tool plus
-// queue and timer records per frame — not for one encoding per child link,
-// so the cost does not grow with the fanout. (Before the relay forwarded
+// the messages it sends and a handful of records per operation — not for
+// one encoding per child link, so the cost does not grow with the fanout,
+// and not for a closure and a parker per frame (1.14 x and 1.05 x measured). (Before the relay forwarded
 // the message it received, this was ≈ 8 × the payload at fanout 16.)
 func TestBroadcastAllocationIsPayloadPlusFrames(t *testing.T) {
 	if raceEnabled {
@@ -185,8 +186,8 @@ func TestBroadcastAllocationIsPayloadPlusFrames(t *testing.T) {
 		per, payload := broadcastAllocPerDaemon(t, tc.n, tc.fanout)
 		t.Logf("fanout %d, %d daemons: %d B allocated per daemon for a %d B broadcast (%.2f x)",
 			tc.fanout, tc.n, per, payload, float64(per)/float64(payload))
-		if per > uint64(payload)*3/2 {
-			t.Errorf("fanout %d: %d B allocated per daemon for a %d B broadcast, want at most 1.5 x the payload",
+		if per > uint64(payload)*5/4 {
+			t.Errorf("fanout %d: %d B allocated per daemon for a %d B broadcast, want at most 1.25 x the payload",
 				tc.fanout, per, payload)
 		}
 	}

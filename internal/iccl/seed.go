@@ -473,7 +473,11 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 	// reader's. The framer takes whole messages: a frame keeps the one it
 	// arrived in (coll.Frame.Wire) for the verbatim relay.
 	onParent := func(conn *simnet.Conn) {
-		fr := &SerialFramer{Sim: sim, Cost: PerMsgCost}
+		fr := &SerialFramer{Sim: sim, Cost: PerMsgCost, Deliver: func(msg []byte) {
+			f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
+			f.Wire = msg
+			eng.step(f, err)
+		}}
 		conn.Handle(func(msg []byte, err error) {
 			var raw []byte
 			if err == nil {
@@ -490,11 +494,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 			if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
 				conn.Unhandle()
 			}
-			fr.Charge(func() {
-				f, err := parseFrameOp(raw, opSeedChunk, opSeedEnd)
-				f.Wire = msg
-				eng.step(f, err)
-			})
+			fr.Charge(msg)
 		})
 	}
 	return &seedPlumbing{seed: seed, bail: eng.bail, onParent: onParent, onChild: startForwarder}

@@ -67,6 +67,29 @@ func TestRecvWakeAllocsOneObject(t *testing.T) {
 	}
 }
 
+func TestWaiterWaitAllocsNothing(t *testing.T) {
+	per := allocsPerOp(t, 2000, func(ops int) {
+		s := New()
+		var w Waiter
+		w.Init(s)
+		s.Go("waiter", func() {
+			for i := 0; i < ops; i++ {
+				s.AfterEvent(time.Microsecond, (*wakeEvent)(&w))
+				w.Wait()
+			}
+		})
+		s.Run()
+	})
+	if per > 0.01 {
+		t.Errorf("a Wait and its Wake allocate %.2f objects, want 0: the parker is the Waiter's own", per)
+	}
+}
+
+// wakeEvent is a Waiter as the event that wakes it.
+type wakeEvent Waiter
+
+func (e *wakeEvent) Fire() { (*Waiter)(e).Wake() }
+
 func TestRecvTimeoutAllocsOneObject(t *testing.T) {
 	per := allocsPerOp(t, 2000, func(ops int) {
 		s := New()

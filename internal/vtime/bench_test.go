@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -58,6 +59,50 @@ func BenchmarkPark(b *testing.B) {
 		ping.Close()
 	})
 	sim.Run()
+}
+
+// BenchmarkParkWakeIdleP: the hand-off as a workload pays it. One goroutine
+// sleeps a virtual millisecond at a time with nothing else runnable, under
+// GOMAXPROCS=2, so the P it or the scheduler leaves is idle — and between
+// hand-offs it works for some tens of microseconds, as a daemon handling a
+// frame does. The work is what makes the difference to BenchmarkPark: the
+// runtime wakes a thread for the idle P at every hand-off (ready → wakep),
+// and that thread finds nothing, spins and goes back to sleep — in a tight
+// ping-pong it never gets that far, and the next wakep finds it spinning
+// and costs nothing. ns/op is one park, its wake and the work;
+// handoff-ns/op is what the same loop costs less under GOMAXPROCS=1, where
+// no thread is woken: the hand-off's real price (µs, not BenchmarkPark's
+// fraction of one).
+func BenchmarkParkWakeIdleP(b *testing.B) {
+	run := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sim := New()
+		sim.Go("sleeper", func() {
+			for i := 0; i < b.N; i++ {
+				handoffWork()
+				sim.Sleep(time.Millisecond)
+			}
+		})
+		start := time.Now()
+		sim.Run()
+		return time.Since(start)
+	}
+	b.ReportAllocs()
+	one := run(1)
+	b.ResetTimer()
+	two := run(2)
+	b.ReportMetric(float64(two-one)/float64(b.N), "handoff-ns/op")
+}
+
+var handoffSink uint64
+
+// handoffWork is ≈ 25 µs of arithmetic on the reference host.
+func handoffWork() {
+	x := handoffSink | 1
+	for i := 0; i < 20000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	handoffSink = x
 }
 
 // BenchmarkSpawn: b.N goroutines that park once and stay parked until all

@@ -302,3 +302,54 @@ func (w *WaitGroup) Wait() {
 		}
 	}
 }
+
+// Waiter is the wait point of an operation one goroutine waits on while
+// scheduler callbacks carry it out. It is held by value in the operation's
+// own record and parks its goroutine on a parker of its own, so waiting
+// allocates nothing. Wake releases the goroutine in Wait; a Wake that comes
+// first is kept for the next Wait. The zero value is not usable; call Init
+// where the Waiter lies, and do not copy it afterwards.
+type Waiter struct {
+	p      parker
+	woken  bool // a Wake no Wait has consumed yet
+	parked bool // the goroutine is in Wait
+}
+
+// Init binds the Waiter to s.
+func (w *Waiter) Init(s *Sim) {
+	w.p.s = s
+	w.p.cond.L = &s.mu
+}
+
+// Wait blocks in virtual time until Wake; it returns false when the
+// simulation is torn down first.
+func (w *Waiter) Wait() bool {
+	s := w.p.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !w.woken {
+		if s.stopped {
+			return false
+		}
+		s.parkOn(&w.p)
+		w.parked = true
+		ok := w.p.wait()
+		w.parked = false
+		if !ok {
+			return false
+		}
+	}
+	w.woken = false
+	return true
+}
+
+// Wake releases the goroutine in Wait, or the next one to call it.
+func (w *Waiter) Wake() {
+	s := w.p.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w.woken = true
+	if w.parked {
+		w.p.wake()
+	}
+}

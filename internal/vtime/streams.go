@@ -10,20 +10,26 @@ import "sync"
 // created on demand from either side, so a value may arrive before its
 // consumer asks for it and the other way round. Fail ends every stream at
 // once — present and future — and Err says why. The zero value is not
-// usable; call NewStreams. All methods are safe for concurrent use.
+// usable; call NewStreams, or Init on a Streams held by value. All methods
+// are safe for concurrent use.
 type Streams[K comparable, T any] struct {
 	s *Sim
 
 	mu     sync.Mutex
-	qs     map[K]*Chan[T]
+	qs     map[K]*Chan[T] // made with the first queue
+	spare  *Chan[T]       // the last queue Drop retired idle, for the next stream
 	failed bool
 	err    error
 }
 
 // NewStreams returns an empty open stream set bound to s.
 func NewStreams[K comparable, T any](s *Sim) *Streams[K, T] {
-	return &Streams[K, T]{s: s, qs: make(map[K]*Chan[T])}
+	return &Streams[K, T]{s: s}
 }
+
+// Init binds a zero Streams to s where it lies, for an owner that holds it
+// by value. A set no queue was ever asked of holds nothing else.
+func (m *Streams[K, T]) Init(s *Sim) { m.s = s }
 
 // Q returns the queue of stream k, creating it on demand. A queue created
 // after Fail comes pre-closed, so a late subscriber observes the failure
@@ -33,13 +39,25 @@ func (m *Streams[K, T]) Q(k K) *Chan[T] {
 	defer m.mu.Unlock()
 	q := m.qs[k]
 	if q == nil {
-		q = NewChan[T](m.s)
+		if q, m.spare = m.spare, nil; q == nil {
+			q = NewChan[T](m.s)
+		}
 		if m.failed {
 			q.Close()
+		}
+		if m.qs == nil {
+			m.qs = make(map[K]*Chan[T])
 		}
 		m.qs[k] = q
 	}
 	return q
+}
+
+// Lookup returns the queue of stream k if something created it, else nil.
+func (m *Streams[K, T]) Lookup(k K) *Chan[T] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.qs[k]
 }
 
 // Send enqueues v on stream k (dropped, like any Send on a closed Chan,
@@ -47,11 +65,27 @@ func (m *Streams[K, T]) Q(k K) *Chan[T] {
 func (m *Streams[K, T]) Send(k K, v T) { m.Q(k).Send(v) }
 
 // Drop retires stream k so keys do not accumulate across streams; values
-// still queued on it are discarded.
+// still queued on it are discarded. It is the stream's consumer that calls
+// it, after the stream's last value: a queue retired empty and open, with
+// nobody waiting on it, is kept — backing array and all — as the next
+// stream's, so a link that carries one stream after another allocates a
+// queue once.
 func (m *Streams[K, T]) Drop(k K) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.qs[k]
 	delete(m.qs, k)
-	m.mu.Unlock()
+	if q != nil && q.idle() {
+		m.spare = q
+	}
+}
+
+// idle reports whether c is as good as new: empty, open, nobody parked on
+// it and no handler installed.
+func (c *Chan[T]) idle() bool {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return len(c.q) == 0 && !c.closed && c.handler == nil && !c.hPending && c.wakers.head == nil
 }
 
 // Fail closes every queue, present and future, recording err as the cause
@@ -62,7 +96,7 @@ func (m *Streams[K, T]) Fail(err error) {
 	if m.failed {
 		return
 	}
-	m.failed, m.err = true, err
+	m.failed, m.err, m.spare = true, err, nil
 	// Under the lock: consumers finishing on other goroutines keep
 	// Dropping keys while the queues close (Close never blocks).
 	for _, q := range m.qs {

@@ -44,6 +44,46 @@ func TestStreams(t *testing.T) {
 				t.Errorf("Q after Drop: same queue %v, %d queued", q == old, q.Len())
 			}
 		}},
+		{"a queue retired empty and open is the next stream's", func(t *testing.T, s *Sim, m *Streams[uint32, string]) {
+			old := m.Q(7)
+			m.Send(7, "last")
+			old.Recv()
+			m.Drop(7)
+			if m.Lookup(7) != nil {
+				t.Error("Lookup finds a dropped stream")
+			}
+			if q := m.Q(8); q != old {
+				t.Error("the retired queue was not reused")
+			}
+			if q := m.Q(9); q == old {
+				t.Error("one retired queue serves two streams")
+			}
+			m.Send(8, "eight")
+			if v, ok := m.Q(8).Recv(); !ok || v != "eight" {
+				t.Errorf("stream 8 on the reused queue: %q %v", v, ok)
+			}
+		}},
+		{"Lookup creates nothing", func(t *testing.T, s *Sim, m *Streams[uint32, string]) {
+			if m.Lookup(7) != nil {
+				t.Error("Lookup on an empty set")
+			}
+			m.Send(7, "seven")
+			if q := m.Lookup(7); q == nil || q.Len() != 1 {
+				t.Error("Lookup misses a stream a Send created")
+			}
+			if m.Lookup(8) != nil {
+				t.Error("Lookup created, or found, stream 8")
+			}
+		}},
+		{"a queue retired by Fail is not reused", func(t *testing.T, s *Sim, m *Streams[uint32, string]) {
+			old := m.Q(7)
+			m.Drop(7)
+			m.Fail(cause)
+			m.Drop(7)
+			if q := m.Q(8); q == old {
+				t.Error("the spare survived Fail")
+			}
+		}},
 		{"Fail wakes parked consumers, keeps queued values, and Err names the cause", func(t *testing.T, s *Sim, m *Streams[uint32, string]) {
 			m.Send(8, "queued")
 			s.Go("failer", func() {
@@ -110,6 +150,13 @@ func TestStreams(t *testing.T) {
 			s := New()
 			m := NewStreams[uint32, string](s)
 			s.Go("test", func() { tc.run(t, s, m) })
+			s.Run()
+		})
+		t.Run(tc.name+" (held by value)", func(t *testing.T) {
+			s := New()
+			var owner struct{ m Streams[uint32, string] }
+			owner.m.Init(s)
+			s.Go("test", func() { tc.run(t, s, &owner.m) })
 			s.Run()
 		})
 	}

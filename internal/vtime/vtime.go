@@ -39,6 +39,7 @@ type Sim struct {
 	live     int     // simulated goroutines that have started and not finished
 	peakLive int     // high-water mark of live
 	parked   *parker // blocked goroutines, newest first, for teardown
+	parks    uint64  // times a simulated goroutine has blocked
 	panicked any
 	spawnObs func(name string) // test hook: observes every Go() by name
 }
@@ -72,6 +73,14 @@ func (s *Sim) PeakLive() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peakLive
+}
+
+// Parks returns how many times a simulated goroutine has blocked so far —
+// each one a hand-off to the scheduler and, later, one back.
+func (s *Sim) Parks() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parks
 }
 
 // SetSpawnObserver installs a test hook invoked (with s.mu held, so it must
@@ -274,15 +283,23 @@ func (p *parker) wait() bool {
 func (s *Sim) park() *parker {
 	p := &parker{s: s}
 	p.cond.L = &s.mu
+	s.parkOn(p)
+	return p
+}
+
+// parkOn is park on a parker the caller owns (a Waiter's): one that is bound
+// to s and not parked now.
+func (s *Sim) parkOn(p *parker) {
+	p.fired, p.aborted = false, false
 	if p.next = s.parked; p.next != nil {
 		p.next.prev = p
 	}
 	s.parked = p
+	s.parks++
 	s.runnable--
 	if s.runnable == 0 {
 		s.schedule.Signal()
 	}
-	return p
 }
 
 // waitList is a FIFO of parked goroutines, threaded through the parkers.

@@ -437,3 +437,79 @@ func TestChanPopReleasesValue(t *testing.T) {
 		}
 	}
 }
+
+// TestWaiter: the wait point of an operation scheduler callbacks carry out.
+func TestWaiter(t *testing.T) {
+	t.Run("Wake releases the goroutine in Wait, once per Wake", func(t *testing.T) {
+		s := New()
+		var op struct {
+			w    Waiter
+			done int
+		}
+		op.w.Init(s)
+		var woke []time.Duration
+		s.Go("waiter", func() {
+			for i := 0; i < 2; i++ {
+				if !op.w.Wait() {
+					t.Error("Wait torn down")
+				}
+				woke = append(woke, s.Now())
+			}
+		})
+		s.After(time.Millisecond, func() {
+			op.w.Wake()
+			op.w.Wake() // the goroutine has not run yet: one wake
+		})
+		s.After(3*time.Millisecond, op.w.Wake)
+		s.Run()
+		if len(woke) != 2 || woke[0] != time.Millisecond || woke[1] != 3*time.Millisecond {
+			t.Errorf("woken at %v, want 1ms and 3ms", woke)
+		}
+	})
+	t.Run("a Wake that comes first is kept", func(t *testing.T) {
+		s := New()
+		var w Waiter
+		w.Init(s)
+		s.Go("waiter", func() {
+			w.Wake()
+			before := s.Parks()
+			if !w.Wait() || s.Parks() != before {
+				t.Error("Wait after Wake blocked")
+			}
+		})
+		s.Run()
+	})
+	t.Run("teardown ends Wait with false", func(t *testing.T) {
+		s := New()
+		var w Waiter
+		w.Init(s)
+		got := true
+		s.Go("waiter", func() { got = w.Wait() })
+		s.Run()
+		if got {
+			t.Error("Wait returned true with nobody to wake it")
+		}
+		if w.Wait() {
+			t.Error("Wait on a stopped simulation returned true")
+		}
+	})
+}
+
+func TestParksCountsBlockingCalls(t *testing.T) {
+	s := New()
+	c := NewChan[int](s)
+	s.Go("a", func() {
+		s.Sleep(time.Millisecond) // 1
+		c.Recv()                  // 2
+		c.Send(1)
+		c.Recv() // a value is queued: no park
+	})
+	s.Go("b", func() {
+		s.Sleep(2 * time.Millisecond) // 3
+		c.Send(0)
+	})
+	s.Run()
+	if got := s.Parks(); got != 3 {
+		t.Errorf("Parks = %d, want 3", got)
+	}
+}

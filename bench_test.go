@@ -325,6 +325,50 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/perRank, "allocs/rank")
 }
 
+// BenchmarkPlaneGatherReduce is sample_loop's up-heavy half in isolation: a
+// lockstep Gather of 64–1023 B per rank and a tagged sum ReduceTag of eight
+// counters, in 4 KiB chunks under a window of 4, b.N times on one formed
+// tree. parks/rank is how often a daemon's goroutine blocks per pair of
+// operations — at most one each, every up phase runs on the scheduler —
+// and allocs/rank what one rank's share of the pair costs.
+func BenchmarkPlaneGatherReduce(b *testing.B) {
+	const chunk, window, tag = 4 << 10, 4, coll.MinUserTag
+	b.ReportAllocs()
+	counters := make([]byte, 8*8)
+	cl := planeCluster(b)
+	var parks0 uint64
+	var m0, m1 runtime.MemStats
+	icclTree(b, cl, iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
+		contrib := bytes.Repeat([]byte{byte(c.Rank())}, 64+c.Rank()*960/planeTreeSize)
+		var up iccl.UpFn
+		if c.IsMaster() {
+			up = func(coll.Frame) error { return nil }
+		}
+		pl := c.NewPlane(chunk, window, up, nil)
+		if err := pl.Barrier(); err != nil {
+			return err
+		}
+		if c.IsMaster() {
+			b.ResetTimer()
+			parks0 = cl.Sim().Parks()
+			runtime.ReadMemStats(&m0)
+		}
+		for i := 0; i < b.N; i++ {
+			if err := pl.Gather(contrib); err != nil {
+				return err
+			}
+			if err := pl.ReduceTag(tag, counters, "sum"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&m1)
+	perRank := float64(b.N) * planeTreeSize
+	b.ReportMetric(float64(cl.Sim().Parks()-parks0)/perRank, "parks/rank")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/perRank, "allocs/rank")
+}
+
 // BenchmarkSeedFEData64K is launch_fat's seed preamble in isolation: each
 // iteration forms the tree while a seed stream whose only chunk is a
 // 64 KiB FEData frame flows down it (cluster construction is not timed).

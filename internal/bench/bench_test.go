@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"launchmon/internal/core"
+	"launchmon/internal/iccl"
 )
 
 // The unit tests here run the generators at reduced scale and assert the
@@ -393,5 +396,35 @@ func TestPrinters(t *testing.T) {
 	PrintOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})
 	if buf.Len() == 0 {
 		t.Fatal("printers produced nothing")
+	}
+}
+
+// TestObsDriftBoundIsTheRootsFolds: the obs rider's drift bound is the
+// root's fold charges plus the byte slack, to the nanosecond. The row the
+// store-forward K=64 launch measures passes, so does one at the bound, and
+// one a nanosecond past it either way fails.
+func TestObsDriftBoundIsTheRootsFolds(t *testing.T) {
+	const fanout, ready = 32, 213308587 * time.Nanosecond
+	bound := ObsDriftBound(fanout)
+	if want := fanout*iccl.PerMsgCost + 3413*time.Nanosecond; bound != want {
+		t.Fatalf("ObsDriftBound(%d) = %v, want %v", fanout, bound, want)
+	}
+	for _, tc := range []struct {
+		name  string
+		drift time.Duration
+		ok    bool
+	}{
+		{"measured", 4800260, true},
+		{"at_the_bound", bound, true},
+		{"past_the_bound", bound + 1, false},
+		{"early_past_the_bound", -bound - 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row := LaunchPipeRow{Mode: core.SeedStoreForward.String(), Table: "full", Daemons: 64,
+				Ready: ready, ObsReady: ready + tc.drift, ReduceFEB: 8}
+			if err := CheckObsInvariants([]LaunchPipeRow{row}, fanout); (err == nil) != tc.ok {
+				t.Errorf("drift %v: CheckObsInvariants = %v, want ok=%v", tc.drift, err, tc.ok)
+			}
+		})
 	}
 }

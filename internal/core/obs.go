@@ -14,9 +14,9 @@ import (
 // (internal/obs): the two-valued Options.Obs knob, the FE-side registry and span
 // recorder, the per-fabric metrics harvest stash, and the exported
 // Session.MetricsSnapshot / Session.WriteTrace accessors. The plane runs
-// entirely in virtual time but charges none itself — its only wire cost
-// is the harvest fold (iccl.Comm.FoldUp) riding the ready gather and the
-// finalize barrier, which the launch-pipeline bench bounds at ≤2% drift.
+// entirely in virtual time but charges none itself — its only wire cost is
+// the harvest fold (iccl.Comm.FoldUp) riding the ready gather and the
+// finalize barrier, bounded by the root's fold charges (bench.ObsDriftBound).
 
 // ObsMode selects per-session observability: spans and instants recorded
 // at the front end, per-link metrics counted at every daemon, and

@@ -1,6 +1,7 @@
 package iccl
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"launchmon/internal/coll"
@@ -22,7 +23,7 @@ import (
 //
 //   - Flow control: each chunk on a tree link consumes one credit of the
 //     per-(link, tag) window; the receiver returns a credit as it
-//     dequeues the chunk (opCredit), so at most window chunks of one
+//     takes the chunk (opCredit), so at most window chunks of one
 //     stream are ever queued at a receiver — interior depth is bounded
 //     by window × chunk bytes regardless of tree size or subtree skew.
 //     End markers and credits ride outside the window. Credits apply to
@@ -32,7 +33,7 @@ import (
 //     it doesn't already have.
 //
 //   - Tagged streams: the per-link demux (demux.go) sorts frames by
-//     tag, so independent tagged collectives — each driven by
+//     tag, so independent tagged collectives — each called from
 //     its own goroutine — multiplex one session tree concurrently. The
 //     legacy untagged API keeps the lockstep SPMD discipline on a
 //     per-plane sequence; *Tag variants take explicit tags from
@@ -40,12 +41,12 @@ import (
 //     (Barrier/AllGather/AllReduce) sequence above coll.MaxUserTag.
 //
 // One caveat follows from tag demux: a frame whose tag matches no
-// running operation parks silently in its tag queue instead of failing
-// the current operation, so a cross-tag SPMD divergence on a tree link
-// surfaces as the sender's own stream erroring (or a hang under fault-
-// free misuse), not as a mismatch error at the receiver. The root's
-// down hook is not demuxed by the plane, so FE-originated tag
-// divergence still errors eagerly (checkStream).
+// running operation waits silently in its link's backlog instead of
+// failing the current operation, so a cross-tag SPMD divergence on a tree
+// link surfaces as the sender's own stream erroring (or a hang under
+// fault-free misuse), not as a mismatch error at the receiver. The root's
+// down hook is not demuxed by the plane, so FE-originated tag divergence
+// still errors eagerly (checkStream).
 
 // Tree link opcodes of the collective plane.
 const (
@@ -175,87 +176,6 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	return f, nil
 }
 
-// sendFrame encodes one collective frame and sends it on a tree link.
-func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
-	return pl.sendMsg(conn, f.H.Tag, f.End, encodeFrameOp(opCollChunk, opCollEnd, f))
-}
-
-// sendMsg puts one encoded collective frame on a tree link, holding one
-// window credit per chunk (End markers ride outside the window and retire
-// the stream's gate). msg is sent as is, so one buffer — a frame encoded
-// once at the root, or the very message an interior node received — goes
-// out on every child link.
-func (pl *Plane) sendMsg(conn *simnet.Conn, tag uint32, end bool, msg []byte) error {
-	d := pl.c.demuxFor(conn)
-	if !end {
-		if err := d.gate(tag, pl.window).acquire(); err != nil {
-			return err
-		}
-	}
-	return pl.put(d, conn, tag, end, msg)
-}
-
-// put is sendMsg past the window: the chunk's credit is in hand.
-func (pl *Plane) put(d *linkDemux, conn *simnet.Conn, tag uint32, end bool, msg []byte) error {
-	if err := pl.c.send(conn, msg); err != nil {
-		return err
-	}
-	pl.c.collTxFrames.Inc()
-	pl.c.collTxBytes.Add(uint64(len(msg) - 4))
-	if end {
-		d.dropGate(tag)
-	}
-	return nil
-}
-
-// recvTagged dequeues the next frame of one tagged stream from a tree
-// link, returning a credit to the sender as the chunk leaves the queue
-// (so the sender's window tracks this node's consumption, not its
-// arrivals); the stream's end marker retires its queue.
-func (pl *Plane) recvTagged(conn *simnet.Conn, tag uint32) (coll.Frame, error) {
-	d := pl.c.demuxFor(conn)
-	f, ok := d.tags.Q(tag).Recv()
-	if !ok {
-		return coll.Frame{}, d.tags.Err()
-	}
-	d.dequeued(f)
-	if !f.End {
-		if err := pl.c.sendCredit(conn, tag, 1); err != nil {
-			return coll.Frame{}, err
-		}
-	}
-	return f, nil
-}
-
-// emitUp ships one FE-bound frame: through the up hook at the root,
-// up the parent link elsewhere.
-func (pl *Plane) emitUp(f coll.Frame) error {
-	if pl.c.parent == nil {
-		if pl.up == nil {
-			return fmt.Errorf("%w: root plane has no up hook", ErrProtocol)
-		}
-		return pl.up(f)
-	}
-	return pl.sendFrame(pl.c.parent, f)
-}
-
-// fromFE yields the tagged stream's next FE-originated frame at the root.
-func (pl *Plane) fromFE(tag uint32) (coll.Frame, error) {
-	if pl.down == nil {
-		return coll.Frame{}, fmt.Errorf("%w: root plane has no down hook", ErrProtocol)
-	}
-	return pl.down(tag)
-}
-
-// recvDown yields a scatter stream's next frame: from the down hook at the
-// root, from the parent link elsewhere.
-func (pl *Plane) recvDown(tag uint32) (coll.Frame, error) {
-	if pl.c.parent == nil {
-		return pl.fromFE(tag)
-	}
-	return pl.recvTagged(pl.c.parent, tag)
-}
-
 // checkStream validates that a frame belongs to the current operation.
 func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 	if f.H.Op != op || f.H.Tag != tag {
@@ -265,307 +185,420 @@ func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 	return nil
 }
 
-// Broadcast receives one FE-originated broadcast, forwarding every chunk
-// to the children as it arrives, and returns the reassembled payload.
-func (pl *Plane) Broadcast() ([]byte, error) {
-	return pl.broadcast(pl.nextTag())
+// Links are named by child slot, or by one of these.
+const (
+	above = -1 // the parent link; at the root, the front end's down hook
+	none  = -2 // no link: the operation is over once its sends are out
+)
+
+// planeOp is one Plane operation at one rank: what a goroutine looping
+// over its links would be, as state the scheduler's callbacks advance. It
+// drains one link at a time (a down phase its parent, an up phase its
+// children in slot order), registered on that link's record for its tag,
+// and the link demux calls it inline wherever a frame or a credit for it
+// arrives (demux.go). Sends go out while the windows have credit; behind an
+// empty one they wait in out, in order, and the operation takes nothing
+// more until out has drained — back-pressure and depth ≤ window as a
+// goroutine blocked in a send had them. Its callers never overlap:
+// scheduler callbacks, and the daemon's goroutine while it is runnable.
+type planeOp struct {
+	pl    *Plane
+	steps opSteps  // what the operation does with each frame
+	src   *tagLink // the record of the link being drained, nil when none is
+	out   []outMsg // sends an empty window holds back, oldest first
+	err   error
+	slot  int // the link being drained: a child slot, above or none
+	tag   uint32
+	op    coll.Op
+	busy  bool // a combine charge is running
+	done  bool
+	w     vtime.Waiter // the daemon's goroutine
 }
 
-// BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
-func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
-	if err := pl.userTag(tag); err != nil {
-		return nil, err
-	}
-	return pl.broadcast(tag)
+// opSteps is one kind of operation: what it does with each checked frame of
+// the link it drains, moving on (drain) as that link's stream ends.
+type opSteps interface {
+	frame(f coll.Frame) error
 }
 
-func (pl *Plane) broadcast(tag uint32) ([]byte, error) {
-	asm := new(coll.RawAssembler)
-	end, err := pl.relayDown(coll.OpBroadcast, tag, asm)
-	if err != nil {
-		return nil, err
-	}
-	return asm.Finish(end.H, end.Total)
+// outMsg is one encoded frame bound for the links slot..to-1 in slot order
+// — the children [0, n), or the parent alone [above, above+1).
+type outMsg struct {
+	msg      []byte
+	slot, to int
 }
 
-// relayDown is the down-phase of Broadcast, AllGather and AllReduce: the
-// tagged stream from above is checked, handed chunk by chunk to sink
-// (which validates the sequence and keeps or copies what it needs) and
-// forwarded to the children — the very message each frame arrived in, or
-// at the root one encoding for all of them. It returns the end marker for
-// the caller's assembler to finish on.
-//
-// The stream is carried by a downRelay, on the scheduler, while the
-// daemon's goroutine waits here: it is woken once, when the stream has
-// ended or failed. Only the root has a goroutine's work to do — its frames
-// come from the down hook, which blocks, so it pulls one, gives it to the
-// relay, and waits for it to clear the children before pulling the next.
-func (pl *Plane) relayDown(op coll.Op, tag uint32, sink chunkSink) (coll.Frame, error) {
-	r := &downRelay{pl: pl, sink: sink, op: op, tag: tag}
-	r.w.Init(pl.c.p.Sim())
-	if pl.c.parent != nil {
-		r.up = pl.c.demuxFor(pl.c.parent)
-		r.up.register(r)
-		r.pump() // what arrived before this daemon entered the operation
-	}
-	for !r.done {
-		if r.up == nil && r.held == nil {
-			f, err := pl.fromFE(tag)
-			if err != nil {
-				return f, err
+// start binds o to the plane as an operation of the given kind; err is the
+// tag's, which ends o before it begins.
+func (o *planeOp) start(pl *Plane, steps opSteps, op coll.Op, tag uint32, err error) bool {
+	o.pl, o.steps, o.op, o.tag, o.slot, o.err, o.done = pl, steps, op, tag, none, err, err != nil
+	o.w.Init(pl.c.p.Sim())
+	return !o.done
+}
+
+// wait carries o to its end from the daemon's goroutine, which has started
+// it: what arrived before entry is handled here, then the goroutine waits
+// once while the demux carries the operation on. Only the root's down
+// phases pull: the front end's hook blocks, so the goroutine takes a
+// frame, steps it, and waits for it to clear the children before the next.
+func (o *planeOp) wait() error {
+	o.pump()
+	for !o.done {
+		if !o.pullsFE() {
+			if !o.w.Wait() {
+				return fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, o.pl.c.rank, o.op, o.tag)
 			}
-			r.take(f)
-		} else if !r.w.Wait() {
-			return coll.Frame{}, fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, pl.c.rank, op, tag)
+		} else if o.pl.down == nil {
+			o.finish(fmt.Errorf("%w: root plane has no down hook", ErrProtocol))
+		} else if f, err := o.pl.down(o.tag); err != nil {
+			o.finish(err)
+		} else {
+			o.take(f)
+			o.pump()
 		}
 	}
-	return coll.Frame{H: r.endH, End: true, Total: r.total}, r.err
+	return o.err
 }
 
-// chunkSink is what a down-phase stream's chunks are assembled in
-// (coll.RawAssembler, coll.RankAssembler).
+// pullsFE reports whether o is the root's down phase with nothing held
+// back: its goroutine takes the next frame from the front end.
+func (o *planeOp) pullsFE() bool {
+	return o.slot == above && o.src == nil && len(o.out) == 0 && !o.done
+}
+
+// link is the connection a link name stands for (nil for none, and for
+// above at the root).
+func (o *planeOp) link(slot int) *simnet.Conn {
+	if slot >= 0 {
+		return o.pl.c.children[slot]
+	}
+	if slot == above {
+		return o.pl.c.parent
+	}
+	return nil
+}
+
+// drain makes slot the link o takes frames from next, registering o on the
+// link's record for its tag (unless a send of the same step ended o); pump
+// takes what the record already holds.
+func (o *planeOp) drain(slot int) {
+	o.slot, o.src = slot, nil
+	if conn := o.link(slot); conn != nil && !o.done {
+		o.src = o.pl.c.demuxFor(conn).consume(o)
+	}
+}
+
+// pump advances o as far as it goes without waiting: what empty windows
+// held back, then what the drained link's record holds — until a window
+// or the record is empty, a combine charge runs, or o is over. A severed
+// link ends o once what arrived before it died is taken.
+func (o *planeOp) pump() {
+	for o.flush() && !o.busy {
+		s := o.src
+		if s == nil {
+			if o.slot == none {
+				o.finish(nil)
+			}
+			return
+		}
+		f, ok := s.d.pop(s)
+		if !ok {
+			if err := s.d.failure(); err != nil {
+				o.sever(s.d, err)
+			}
+			return
+		}
+		o.take(f)
+	}
+}
+
+// take runs one frame through the operation from the point it leaves the
+// drained link's side: a chunk's credit goes back to its sender, an end
+// marker releases the record, then the frame is checked and stepped.
+func (o *planeOp) take(f coll.Frame) {
+	if s := o.src; s != nil {
+		if f.End {
+			o.src = nil
+			s.d.release(s, o)
+		} else if err := o.pl.c.sendCredit(o.link(o.slot), o.tag, 1); err != nil {
+			o.sever(s.d, err)
+			return
+		}
+	}
+	err := o.pl.checkStream(f, o.op, o.tag)
+	if err == nil {
+		err = o.steps.frame(f)
+	}
+	if err != nil {
+		o.finish(err)
+	}
+}
+
+// send puts m on its links, behind whatever an empty window already holds
+// back.
+func (o *planeOp) send(m outMsg) {
+	if !o.done && (len(o.out) > 0 || !o.put(&m)) && !o.done { // put may end o
+		o.out = append(o.out, m)
+	}
+}
+
+// flush sends what empty windows held back, oldest first, and reports
+// whether o may go on. The root's goroutine, waiting for its frame to
+// clear the children, is woken to pull the next, and from then on o is
+// its: the caller must not touch o again.
+func (o *planeOp) flush() bool {
+	if len(o.out) == 0 {
+		return !o.done
+	}
+	for len(o.out) > 0 {
+		if !o.put(&o.out[0]) {
+			return false
+		}
+		o.out = o.out[:copy(o.out, o.out[1:])]
+	}
+	if o.pullsFE() {
+		o.w.Wake()
+		return false
+	}
+	return true
+}
+
+// put sends m on its links from m.slot on; false when a window is empty
+// (m.slot is where m resumes) or o failed.
+func (o *planeOp) put(m *outMsg) bool {
+	for ; m.slot < m.to; m.slot++ {
+		if !o.sendOn(m.slot, m.msg) {
+			return false
+		}
+	}
+	return true
+}
+
+// sendOn puts one encoded frame on a link as is — one buffer may go out on
+// every child link — spending a window credit per chunk (end markers ride
+// outside the window and close the stream's send side). It is false when
+// the window is empty, o then waiting on the link's record for the next
+// credit, or when the link has failed, which ends o.
+func (o *planeOp) sendOn(slot int, msg []byte) bool {
+	conn := o.link(slot)
+	d := o.pl.c.demuxFor(conn)
+	if err := d.failure(); err != nil {
+		o.sever(d, err)
+		return false
+	}
+	end := binary.BigEndian.Uint32(msg[4:]) == opCollEnd
+	if !end && !d.takeCredit(o) {
+		return false
+	}
+	if err := o.pl.c.send(conn, msg); err != nil {
+		o.sever(d, err)
+		return false
+	}
+	o.pl.c.collTxFrames.Inc()
+	o.pl.c.collTxBytes.Add(uint64(len(msg) - 4))
+	if end {
+		d.closeSend(o)
+	}
+	return true
+}
+
+// sever is how a lost link ends an operation, however it found out —
+// waiting, stalled on credit, sending after a combine charge: ErrSevered
+// wrapping the link's recorded failure (the failed send's, before the demux
+// has seen it), naming rank, op and tag.
+func (o *planeOp) sever(d *linkDemux, err error) {
+	cause := d.failure()
+	if cause == nil {
+		cause = fmt.Errorf("%w: %v", ErrSevered, err)
+	}
+	o.finish(fmt.Errorf("rank %d: %v tag %d: %w", o.pl.c.rank, o.op, o.tag, cause))
+}
+
+// finish ends o at this rank and wakes the daemon. A failed operation
+// leaves nothing of its stream on any of the rank's links.
+func (o *planeOp) finish(err error) {
+	if o.done {
+		return
+	}
+	o.done, o.err, o.out, o.src = true, err, nil, nil
+	for slot := above; err != nil && slot < len(o.pl.c.children); slot++ {
+		if conn := o.link(slot); conn != nil {
+			o.pl.c.demuxFor(conn).abandon(o)
+		}
+	}
+	o.w.Wake()
+}
+
+// emitUp ships one FE-bound frame: through the up hook at the root, up the
+// parent link elsewhere.
+func (o *planeOp) emitUp(f coll.Frame) error {
+	if o.pl.c.parent != nil {
+		o.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, f), slot: above, to: above + 1})
+		return nil
+	}
+	if o.pl.up == nil {
+		return fmt.Errorf("%w: root plane has no up hook", ErrProtocol)
+	}
+	return o.pl.up(f)
+}
+
+// chunkSink is what a down phase assembles (coll.RawAssembler, RankAssembler).
 type chunkSink interface {
 	Add(coll.Header, []byte) error
 }
 
-// downRelay is one down-phase stream passing through one rank — what a
-// goroutine looping over recvTagged, add and sendMsg would be, as state the
-// scheduler's callbacks advance. The parent link's demux hands it each
-// frame at delivery (take); frames that arrived before the operation was
-// entered, or while a frame was stalled, wait in the tag queue and pump
-// drains them. Forwarding takes one window credit per child per chunk;
-// where a child's window is empty the relay keeps the frame in hand
-// (held), leaves itself as that gate's waiter and returns — it takes
-// nothing more from the parent's side until the credit calls pump back, so
-// back-pressure and the depth ≤ window invariant are those of a goroutine
-// blocked in acquire. End, a protocol error or a severed link finish it and
-// wake the daemon.
-//
-// Its callers never overlap: scheduler callbacks, and the daemon's own
-// goroutine while it is runnable (operation entry; every step at the root).
-// It is the whole of what a daemon parked in a down phase holds — wait point
-// by value, stall record allocated only by a rank that stalls.
-type downRelay struct {
-	pl   *Plane
-	sink chunkSink
-	up   *linkDemux // the parent link's demux, nil at the root
-	next *downRelay // up.relays
-	held *heldFrame // the frame a child's empty window stalled, nil when none
-	tag  uint32
-	op   coll.Op
-	done bool
-
-	endH  coll.Header // the end marker's header and total, once done
-	total uint64
-	err   error
-	w     vtime.Waiter // the daemon's goroutine
-}
-
-// heldFrame is a frame part-way through the children.
-type heldFrame struct {
-	msg  []byte
-	end  bool
-	slot int // the first child that has not been sent it
-}
-
-// take runs one frame of the stream through the rank, from the point it
-// leaves the parent's side: the parent's credit goes back, the frame is
-// checked and assembled, then forwarded.
-func (r *downRelay) take(f coll.Frame) {
-	pl := r.pl
-	if r.up != nil && !f.End {
-		if err := pl.c.sendCredit(pl.c.parent, r.tag, 1); err != nil {
-			// f outlived its link in the tag queue: the stream ends here of
-			// the link's failure, not of the send that found it out.
-			if cause := r.up.tags.Err(); cause != nil {
-				err = cause
-			}
-			r.finish(err)
-			return
+// relay is the down phase of Broadcast, AllGather and AllReduce: a frame
+// from above is assembled in sink and forwarded to the children — the very
+// message it arrived in, or at the root one encoding for all of them. It
+// reports the end marker, for the caller to finish its assembler on.
+func (o *planeOp) relay(f coll.Frame, sink chunkSink) (end bool, err error) {
+	if !f.End {
+		if err := sink.Add(f.H, f.Body); err != nil {
+			return false, err
 		}
 	}
-	if err := pl.checkStream(f, r.op, r.tag); err != nil {
-		r.finish(err)
-		return
+	if n := len(o.pl.c.children); n > 0 {
+		msg := f.Wire
+		if msg == nil {
+			msg = encodeFrameOp(opCollChunk, opCollEnd, f)
+		}
+		o.send(outMsg{msg: msg, to: n})
 	}
 	if f.End {
-		r.endH, r.total = f.H, f.Total
-	} else if err := r.sink.Add(f.H, f.Body); err != nil {
-		r.finish(err)
-		return
+		o.drain(none)
 	}
-	msg := f.Wire
-	if msg == nil && len(pl.c.children) > 0 {
-		msg = encodeFrameOp(opCollChunk, opCollEnd, f)
-	}
-	r.forward(heldFrame{msg: msg, end: f.End})
+	return f.End, nil
 }
 
-// forward sends h to the children from h.slot on, in slot order. It stops
-// at a child whose window is empty, keeping h for the gate's callback.
-func (r *downRelay) forward(h heldFrame) {
-	pl := r.pl
-	for ; h.slot < len(pl.c.children); h.slot++ {
-		conn := pl.c.children[h.slot]
-		d := pl.c.demuxFor(conn)
-		if !h.end {
-			g := d.gate(r.tag, pl.window)
-			ok, err := g.tryAcquire()
-			if err != nil {
-				r.finish(err)
-				return
-			}
-			if !ok {
-				if r.held == nil {
-					r.held = new(heldFrame)
-				}
-				*r.held, g.waiter = h, r
-				return
-			}
-		}
-		if err := pl.put(d, conn, r.tag, h.end, h.msg); err != nil {
-			r.finish(err)
-			return
+// redistribute is the root's down phase of AllGather and AllReduce, fed
+// from the result it holds: every child is sent the whole stream,
+// child-major, each frame encoded once for all of them.
+func (o *planeOp) redistribute(frames []coll.Frame) {
+	msgs := make([][]byte, len(frames))
+	for i, f := range frames {
+		msgs[i] = encodeFrameOp(opCollChunk, opCollEnd, f)
+	}
+	for slot := range o.pl.c.children {
+		for _, msg := range msgs {
+			o.send(outMsg{msg: msg, slot: slot, to: slot + 1})
 		}
 	}
-	r.held = nil
-	if h.end {
-		r.finish(nil)
-	}
+	o.drain(none)
 }
 
-// pump advances the relay as far as it goes without waiting: the frame in
-// hand first, then what the parent link's tag queue holds of the stream —
-// until a child's window is empty, the queue is (deliver hands over what
-// arrives next) or the stream is over. A severed parent link ends the
-// stream once everything that arrived before has been relayed, as a
-// blocking reader would see it.
-func (r *downRelay) pump() {
-	if r.held != nil {
-		r.forward(*r.held)
-		if r.up == nil && r.held == nil {
-			r.w.Wake() // the root's goroutine pulls the next frame
-		}
-	}
-	if r.up == nil {
-		return
-	}
-	q := r.up.tags.Lookup(r.tag) // nil: nothing of the stream was ever queued
-	for r.held == nil && !r.done {
-		var f coll.Frame
-		ok := false
-		if q != nil {
-			f, ok = q.TryRecv()
-		}
-		if !ok {
-			if err := r.up.tags.Err(); err != nil {
-				r.finish(err)
-			}
-			return
-		}
-		r.up.dequeued(f)
-		r.take(f)
-	}
+// upOnly is the result of an FE-bound Gather or Reduce, which has none.
+func upOnly[T any](_ T, err error) error { return err }
+
+// Broadcast receives one FE-originated broadcast, forwarding every chunk
+// to the children as it arrives, and returns the reassembled payload.
+func (pl *Plane) Broadcast() ([]byte, error) { return pl.broadcast(pl.nextTag(), nil) }
+
+// BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
+func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) { return pl.broadcast(tag, pl.userTag(tag)) }
+
+// broadcastOp is a Broadcast at one rank: the whole of what a daemon
+// parked in one holds, its assembler by value.
+type broadcastOp struct {
+	planeOp
+	asm coll.RawAssembler
+	got []byte
 }
 
-// finish ends the stream at this rank, leaving nothing of it on the parent
-// link, and wakes the daemon.
-func (r *downRelay) finish(err error) {
-	r.done, r.err, r.held = true, err, nil
-	if r.up != nil {
-		r.up.unregister(r)
-		r.up.retire(r.tag)
+func (pl *Plane) broadcast(tag uint32, err error) ([]byte, error) {
+	b := new(broadcastOp)
+	if b.start(pl, b, coll.OpBroadcast, tag, err) {
+		b.drain(above)
 	}
-	r.w.Wake()
+	if err := b.wait(); err != nil {
+		return nil, err
+	}
+	return b.got, nil
 }
 
-// toConn is the frame sink writing to one tree link (Packer.Emit, sendRaw).
-func (pl *Plane) toConn(conn *simnet.Conn) func(coll.Frame) error {
-	return func(f coll.Frame) error { return pl.sendFrame(conn, f) }
-}
-
-// sendRaw streams data through emit as a raw chunk stream plus end marker.
-// The frames' bodies alias data; each is copied once, into the message its
-// sink encodes.
-func (pl *Plane) sendRaw(op coll.Op, tag uint32, filter string, data []byte, emit func(coll.Frame) error) error {
-	for _, f := range coll.RawFrames(op, tag, filter, data, pl.chunkBytes) {
-		if err := emit(f); err != nil {
-			return err
-		}
+func (b *broadcastOp) frame(f coll.Frame) error {
+	end, err := b.relay(f, &b.asm)
+	if end && err == nil {
+		b.got, err = b.asm.Finish(f.H, f.Total)
 	}
-	return nil
+	return err
 }
 
 // Scatter receives one FE-originated scatter and returns this rank's
 // part. Interior nodes re-bucket the incoming rank-tagged entries by
 // child subtree and stream them onward in bounded-size chunks
 // (coll.Packer — the shared coalescing implementation).
-func (pl *Plane) Scatter() ([]byte, error) {
-	return pl.scatter(pl.nextTag())
-}
+func (pl *Plane) Scatter() ([]byte, error) { return pl.scatter(pl.nextTag(), nil) }
 
 // ScatterTag is Scatter on an explicitly tagged concurrent stream.
-func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) {
-	if err := pl.userTag(tag); err != nil {
-		return nil, err
-	}
-	return pl.scatter(tag)
+func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) { return pl.scatter(tag, pl.userTag(tag)) }
+
+// scatterOp is a Scatter at one rank: one packer per child, and this
+// rank's own part.
+type scatterOp struct {
+	planeOp
+	in      coll.SeqCheck // validates the incoming chunk index sequence
+	packers []*coll.Packer
+	mine    []byte
+	have    bool
 }
 
-func (pl *Plane) scatter(tag uint32) ([]byte, error) {
-	packers := make([]*coll.Packer, len(pl.c.children))
-	for slot, conn := range pl.c.children {
-		packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.toConn(conn)}
+func (pl *Plane) scatter(tag uint32, err error) ([]byte, error) {
+	s := new(scatterOp)
+	if s.start(pl, s, coll.OpScatter, tag, err) {
+		s.packers = make([]*coll.Packer, len(pl.c.children))
+		for slot := range s.packers {
+			slot := slot
+			s.packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: func(f coll.Frame) error {
+				s.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, f), slot: slot, to: slot + 1})
+				return nil
+			}}
+		}
+		s.drain(above)
 	}
-	var mine []byte
-	have := false
-	var in coll.SeqCheck // validates the incoming chunk index sequence
-	for {
-		f, err := pl.recvDown(tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := pl.checkStream(f, coll.OpScatter, tag); err != nil {
-			return nil, err
-		}
-		if err := in.Admit(f.H); err != nil {
-			return nil, err
-		}
-		if f.End {
-			for _, sp := range packers {
-				if err := sp.End(); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		entries, err := coll.DecodeEntries(f.Body)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if e.Rank == pl.c.rank {
-				if have {
-					return nil, fmt.Errorf("%w: duplicate scatter part for rank %d", ErrProtocol, e.Rank)
-				}
-				mine = append([]byte(nil), e.Blob...)
-				have = true
-				continue
-			}
-			slot := subtreeSlot(pl.c.rank, pl.c.cfg.Fanout, len(packers), e.Rank)
-			if slot < 0 {
-				return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree",
-					ErrProtocol, e.Rank, pl.c.rank)
-			}
-			if err := packers[slot].Add(e); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.wait(); err != nil {
+		return nil, err
 	}
-	if !have {
+	if !s.have {
 		return nil, fmt.Errorf("%w: no scatter part for rank %d", ErrProtocol, pl.c.rank)
 	}
-	return mine, nil
+	return s.mine, nil
+}
+
+func (s *scatterOp) frame(f coll.Frame) error {
+	if err := s.in.Admit(f.H); err != nil {
+		return err
+	}
+	if f.End {
+		for _, pk := range s.packers {
+			if err := pk.End(); err != nil {
+				return err
+			}
+		}
+		s.drain(none)
+		return nil
+	}
+	entries, err := coll.DecodeEntries(f.Body)
+	if err != nil {
+		return err
+	}
+	c := s.pl.c
+	for _, e := range entries {
+		if e.Rank == c.rank {
+			if s.have {
+				return fmt.Errorf("%w: duplicate scatter part for rank %d", ErrProtocol, e.Rank)
+			}
+			s.mine, s.have = append([]byte(nil), e.Blob...), true
+			continue
+		}
+		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(s.packers), e.Rank)
+		if slot < 0 {
+			return fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", ErrProtocol, e.Rank, c.rank)
+		}
+		if err := s.packers[slot].Add(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Gather contributes mine to an FE-bound gather. Interior nodes stream
@@ -575,69 +608,119 @@ func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 // by the subtree's daemon count, and no link ever carries a monolithic
 // K-entry payload.
 func (pl *Plane) Gather(mine []byte) error {
-	return pl.gatherUp(coll.OpGather, pl.nextTag(), mine)
+	return upOnly(pl.gather(coll.OpGather, pl.nextTag(), nil, mine))
 }
 
 // GatherTag is Gather on an explicitly tagged concurrent stream.
 func (pl *Plane) GatherTag(tag uint32, mine []byte) error {
-	if err := pl.userTag(tag); err != nil {
-		return err
-	}
-	return pl.gatherUp(coll.OpGather, tag, mine)
+	return upOnly(pl.gather(coll.OpGather, tag, pl.userTag(tag), mine))
 }
 
-// gatherUp streams this subtree's entries upward — own entry first, then
-// each child subtree's, re-coalesced into bounded chunks: the whole of
-// Gather and the non-root up-phase of AllGather.
-func (pl *Plane) gatherUp(op coll.Op, tag uint32, mine []byte) error {
-	pk := &coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.emitUp}
-	if err := pk.Add(coll.Entry{Rank: pl.c.rank, Blob: mine}); err != nil {
-		return err
-	}
-	if err := pl.gatherChildren(op, tag, pk.Add); err != nil {
-		return err
-	}
-	return pk.End()
+// gatherOp is a Gather or an AllGather at one rank: this subtree's
+// entries go up — its own first, then each child subtree's, drained in
+// slot order and validated for per-link sequencing and entry count — and
+// an AllGather's rank table comes back down (the root assembles it).
+type gatherOp struct {
+	planeOp
+	pk    coll.Packer   // the entries going up
+	in    coll.SeqCheck // the child being drained
+	sub   uint64        // the entries it has sent
+	table [][]byte      // an AllGather's result; at the root, assembled here
+	have  int
+	down  coll.RankAssembler
 }
 
-// gatherChildren drains each child subtree's entry stream in slot
-// order, validating per-link sequencing and the entry sub-count, and
-// feeds every entry to sink — the shared up-phase of Gather and
-// AllGather.
-func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) error) error {
-	for slot, conn := range pl.c.children {
-		var in coll.SeqCheck
-		var sub uint64
-		for {
-			f, err := pl.recvTagged(conn, tag)
-			if err != nil {
-				return err
-			}
-			if err := pl.checkStream(f, op, tag); err != nil {
-				return err
-			}
-			if err := in.Admit(f.H); err != nil {
-				return err
-			}
-			if f.End {
-				if sub != f.Total {
-					return fmt.Errorf("%w: child %d forwarded %d %v entries, end marker says %d",
-						ErrProtocol, pl.c.childRk[slot], sub, op, f.Total)
-				}
-				break
-			}
-			entries, err := coll.DecodeEntries(f.Body)
-			if err != nil {
-				return err
-			}
-			sub += uint64(len(entries))
-			for _, e := range entries {
-				if err := sink(e); err != nil {
-					return err
-				}
-			}
+func (pl *Plane) gather(op coll.Op, tag uint32, err error, mine []byte) ([][]byte, error) {
+	g := new(gatherOp)
+	if g.start(pl, g, op, tag, err) {
+		g.pk = coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: g.emitUp}
+		if op == coll.OpAllGather && pl.c.parent == nil {
+			g.table = make([][]byte, pl.c.size)
+			g.table[pl.c.rank] = append([]byte{}, mine...) // non-nil marks a slot filled
+			g.have = 1
+		} else {
+			g.pk.Add(coll.Entry{Rank: pl.c.rank, Blob: mine}) // the first entry never flushes
+		}
+		if err := g.next(0); err != nil {
+			g.finish(err)
 		}
 	}
+	if err := g.wait(); err != nil {
+		return nil, err
+	}
+	return g.table, nil
+}
+
+// next moves the up phase on to child slot; past the last child the
+// subtree's stream ends — at the root of an AllGather, its table goes
+// down instead.
+func (g *gatherOp) next(slot int) error {
+	switch {
+	case slot < len(g.pl.c.children):
+		g.drain(slot)
+	case g.table != nil:
+		if g.have != len(g.table) {
+			return fmt.Errorf("%w: allgather assembled %d of %d contributions", ErrProtocol, g.have, len(g.table))
+		}
+		entries := make([]coll.Entry, len(g.table))
+		for rk, blob := range g.table {
+			entries[rk] = coll.Entry{Rank: rk, Blob: blob}
+		}
+		g.redistribute(coll.EntryFrames(coll.OpAllGather, g.tag, entries, g.pl.chunkBytes))
+	case g.op == coll.OpAllGather:
+		g.drain(above)
+		return g.pk.End()
+	default:
+		g.drain(none)
+		return g.pk.End()
+	}
+	return nil
+}
+
+func (g *gatherOp) frame(f coll.Frame) error {
+	if g.slot == above {
+		end, err := g.relay(f, &g.down)
+		if end && err == nil {
+			g.table, err = g.down.Finish(f.H, f.Total, g.pl.c.size)
+		}
+		return err
+	}
+	if err := g.in.Admit(f.H); err != nil {
+		return err
+	}
+	if f.End {
+		if g.sub != f.Total {
+			return fmt.Errorf("%w: child %d forwarded %d %v entries, end marker says %d",
+				ErrProtocol, g.pl.c.childRk[g.slot], g.sub, g.op, f.Total)
+		}
+		g.in, g.sub = coll.SeqCheck{}, 0
+		return g.next(g.slot + 1)
+	}
+	entries, err := coll.DecodeEntries(f.Body)
+	if err != nil {
+		return err
+	}
+	g.sub += uint64(len(entries))
+	for _, e := range entries {
+		if err := g.add(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add takes one entry of a child subtree: into the packer going up, or
+// into the table at the root of an AllGather.
+func (g *gatherOp) add(e coll.Entry) error {
+	if g.table == nil {
+		return g.pk.Add(e)
+	}
+	if e.Rank >= len(g.table) || g.table[e.Rank] != nil {
+		return fmt.Errorf("%w: rank %d contributed twice to (or is outside) a %d-daemon allgather",
+			ErrProtocol, e.Rank, len(g.table))
+	}
+	g.table[e.Rank] = append([]byte{}, e.Blob...)
+	g.have++
 	return nil
 }
 
@@ -648,68 +731,104 @@ func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) er
 // combined stream upward, so per-link bytes are bounded by the combined
 // result, not the subtree size.
 func (pl *Plane) Reduce(mine []byte, filter string) error {
-	return pl.reduce(pl.nextTag(), mine, filter)
+	return upOnly(pl.reduce(coll.OpReduce, pl.nextTag(), nil, mine, filter))
 }
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream.
 func (pl *Plane) ReduceTag(tag uint32, mine []byte, filter string) error {
-	if err := pl.userTag(tag); err != nil {
-		return err
-	}
-	return pl.reduce(tag, mine, filter)
+	return upOnly(pl.reduce(coll.OpReduce, tag, pl.userTag(tag), mine, filter))
 }
 
-func (pl *Plane) reduce(tag uint32, mine []byte, filter string) error {
-	acc, err := pl.combineChildren(coll.OpReduce, tag, mine, filter)
-	if err != nil {
-		return err
-	}
-	return pl.sendRaw(coll.OpReduce, tag, filter, acc, pl.emitUp)
+// reduceOp is a Reduce or an AllReduce at one rank: each child subtree's
+// combined stream, drained in slot order, is folded into this rank's own
+// contribution, and the up phase moves on one combine charge of
+// PerMsgCost later — a timer on the scheduler. The result goes up; an
+// AllReduce's final result comes back down (the root sends its own).
+type reduceOp struct {
+	planeOp
+	fn     coll.Combine
+	filter string
+	acc    []byte
+	asm    coll.RawAssembler // the child being drained, then the result from above
 }
 
-// combineChildren folds every child subtree's combined stream into this
-// node's own contribution with the named filter — the shared up-phase
-// of Reduce and AllReduce.
-func (pl *Plane) combineChildren(op coll.Op, tag uint32, mine []byte, filter string) ([]byte, error) {
-	fn, err := coll.LookupFilter(filter)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := fn(nil, mine)
-	if err != nil {
-		return nil, err
-	}
-	for slot, conn := range pl.c.children {
-		var asm coll.RawAssembler
-		for {
-			f, err := pl.recvTagged(conn, tag)
-			if err != nil {
-				return nil, err
-			}
-			if err := pl.checkStream(f, op, tag); err != nil {
-				return nil, err
-			}
-			if f.H.Filter != filter {
-				return nil, fmt.Errorf("%w: child %d reduces with filter %q, this node with %q",
-					ErrProtocol, pl.c.childRk[slot], f.H.Filter, filter)
-			}
-			if f.End {
-				blob, err := asm.Finish(f.H, f.Total)
-				if err != nil {
-					return nil, err
-				}
-				pl.c.p.Compute(PerMsgCost) // combine charge
-				if acc, err = fn(acc, blob); err != nil {
-					return nil, err
-				}
-				break
-			}
-			if err := asm.Add(f.H, f.Body); err != nil {
-				return nil, err
-			}
+func (pl *Plane) reduce(op coll.Op, tag uint32, err error, mine []byte, filter string) ([]byte, error) {
+	r := &reduceOp{filter: filter}
+	if r.start(pl, r, op, tag, err) {
+		if r.fn, err = coll.LookupFilter(filter); err == nil {
+			r.acc, err = r.fn(nil, mine)
+		}
+		if err == nil {
+			err = r.next(0)
+		}
+		if err != nil {
+			r.finish(err)
 		}
 	}
-	return acc, nil
+	if err := r.wait(); err != nil {
+		return nil, err
+	}
+	return r.acc, nil
+}
+
+// next moves the up phase on to child slot; past the last child the
+// combined result goes up — at the root of an AllReduce, down instead.
+func (r *reduceOp) next(slot int) error {
+	if slot < len(r.pl.c.children) {
+		r.drain(slot)
+		return nil
+	}
+	frames := coll.RawFrames(r.op, r.tag, r.filter, r.acc, r.pl.chunkBytes)
+	if r.pl.c.parent == nil && r.op == coll.OpAllReduce {
+		r.redistribute(frames)
+		return nil
+	}
+	if r.op == coll.OpAllReduce {
+		r.drain(above)
+	} else {
+		r.drain(none)
+	}
+	for _, f := range frames {
+		if err := r.emitUp(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *reduceOp) frame(f coll.Frame) error {
+	if r.slot == above {
+		end, err := r.relay(f, &r.asm)
+		if end && err == nil {
+			r.acc, err = r.asm.Finish(f.H, f.Total)
+		}
+		return err
+	}
+	if f.H.Filter != r.filter {
+		return fmt.Errorf("%w: child %d reduces with filter %q, this node with %q",
+			ErrProtocol, r.pl.c.childRk[r.slot], f.H.Filter, r.filter)
+	}
+	if !f.End {
+		return r.asm.Add(f.H, f.Body)
+	}
+	blob, err := r.asm.Finish(f.H, f.Total)
+	if err == nil {
+		r.acc, err = r.fn(r.acc, blob)
+	}
+	if err == nil {
+		r.asm, r.busy = coll.RawAssembler{}, true
+		r.pl.c.p.Sim().AfterEvent(PerMsgCost, r) // the combine charge
+	}
+	return err
+}
+
+// Fire is the end of a combine charge: the up phase moves on.
+func (r *reduceOp) Fire() {
+	r.busy = false
+	if err := r.next(r.slot + 1); err != nil {
+		r.finish(err)
+	}
+	r.pump()
 }
 
 // Barrier blocks until every daemon of the tree has entered it: an
@@ -717,55 +836,46 @@ func (pl *Plane) combineChildren(op coll.Op, tag uint32, mine []byte, filter str
 // flows back down (the DAOS crt_barrier two-phase shape). The FE is not
 // involved — the root turns the barrier around. Barrier participates in
 // the tree-lockstep sequence shared with AllGather/AllReduce.
-func (pl *Plane) Barrier() error {
-	return pl.barrier(pl.nextTreeTag())
-}
+func (pl *Plane) Barrier() error { return pl.barrier(pl.nextTreeTag(), nil) }
 
 // BarrierTag is Barrier on an explicitly tagged concurrent stream.
-func (pl *Plane) BarrierTag(tag uint32) error {
-	if err := pl.userTag(tag); err != nil {
-		return err
+func (pl *Plane) BarrierTag(tag uint32) error { return pl.barrier(tag, pl.userTag(tag)) }
+
+// barrierOp is a Barrier at one rank; both of its waves are end markers.
+type barrierOp struct{ planeOp }
+
+func (pl *Plane) barrier(tag uint32, err error) error {
+	b := new(barrierOp)
+	if b.start(pl, b, coll.OpBarrier, tag, err) {
+		b.next(0)
 	}
-	return pl.barrier(tag)
+	return b.wait()
 }
 
-func (pl *Plane) barrier(tag uint32) error {
-	end := coll.Frame{H: coll.Header{Op: coll.OpBarrier, Tag: tag}, End: true, Sum: lmonp.SumInit}
-	for _, conn := range pl.c.children {
-		f, err := pl.recvTagged(conn, tag)
-		if err != nil {
-			return err
-		}
-		if err := pl.checkBarrierFrame(f, tag); err != nil {
-			return err
-		}
+// next waits for child slot's end marker; past the last child this
+// subtree's entry goes up and the release is awaited, or at the root sent
+// down.
+func (b *barrierOp) next(slot int) {
+	end := coll.Frame{H: coll.Header{Op: coll.OpBarrier, Tag: b.tag}, End: true, Sum: lmonp.SumInit}
+	switch {
+	case slot < len(b.pl.c.children):
+		b.drain(slot)
+	case b.pl.c.parent != nil:
+		b.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, end), slot: above, to: above + 1})
+		b.drain(above)
+	default:
+		b.relay(end, nil)
 	}
-	if pl.c.parent != nil {
-		if err := pl.sendFrame(pl.c.parent, end); err != nil {
-			return err
-		}
-		f, err := pl.recvTagged(pl.c.parent, tag)
-		if err != nil {
-			return err
-		}
-		if err := pl.checkBarrierFrame(f, tag); err != nil {
-			return err
-		}
-	}
-	for _, conn := range pl.c.children {
-		if err := pl.sendFrame(conn, end); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-func (pl *Plane) checkBarrierFrame(f coll.Frame, tag uint32) error {
-	if err := pl.checkStream(f, coll.OpBarrier, tag); err != nil {
-		return err
-	}
+func (b *barrierOp) frame(f coll.Frame) error {
 	if !f.End {
-		return fmt.Errorf("%w: rank %d: barrier stream carries a chunk", ErrProtocol, pl.c.rank)
+		return fmt.Errorf("%w: rank %d: barrier stream carries a chunk", ErrProtocol, b.pl.c.rank)
+	}
+	if b.slot == above {
+		b.relay(f, nil) // the release wave
+	} else {
+		b.next(b.slot + 1)
 	}
 	return nil
 }
@@ -774,63 +884,12 @@ func (pl *Plane) checkBarrierFrame(f coll.Frame, tag uint32) error {
 // indexed by rank: a gather up-phase into the root, then the assembled
 // rank table redistributed down the tree in bounded chunks.
 func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
-	return pl.allGather(pl.nextTreeTag(), mine)
+	return pl.gather(coll.OpAllGather, pl.nextTreeTag(), nil, mine)
 }
 
 // AllGatherTag is AllGather on an explicitly tagged concurrent stream.
 func (pl *Plane) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
-	if err := pl.userTag(tag); err != nil {
-		return nil, err
-	}
-	return pl.allGather(tag, mine)
-}
-
-func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
-	if pl.c.parent == nil {
-		// Root: assemble the full rank table from the subtree streams...
-		out := make([][]byte, pl.c.size)
-		out[pl.c.rank] = append([]byte{}, mine...) // non-nil marks a slot filled
-		have := 1
-		err := pl.gatherChildren(coll.OpAllGather, tag, func(e coll.Entry) error {
-			if e.Rank >= len(out) || out[e.Rank] != nil {
-				return fmt.Errorf("%w: rank %d contributed twice to (or is outside) a %d-daemon allgather",
-					ErrProtocol, e.Rank, len(out))
-			}
-			out[e.Rank] = append([]byte{}, e.Blob...)
-			have++
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if have != len(out) {
-			return nil, fmt.Errorf("%w: allgather assembled %d of %d contributions", ErrProtocol, have, len(out))
-		}
-		// ...then redistribute it down every child link in bounded chunks.
-		for _, conn := range pl.c.children {
-			pk := &coll.Packer{Op: coll.OpAllGather, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: pl.toConn(conn)}
-			for rk, blob := range out {
-				if err := pk.Add(coll.Entry{Rank: rk, Blob: blob}); err != nil {
-					return nil, err
-				}
-			}
-			if err := pk.End(); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	// Non-root up-phase: the Gather shape under the allgather op...
-	if err := pl.gatherUp(coll.OpAllGather, tag, mine); err != nil {
-		return nil, err
-	}
-	// ...then the table stream comes back down (the Broadcast shape).
-	asm := new(coll.RankAssembler)
-	end, err := pl.relayDown(coll.OpAllGather, tag, asm)
-	if err != nil {
-		return nil, err
-	}
-	return asm.Finish(end.H, end.Total, pl.c.size)
+	return pl.gather(coll.OpAllGather, tag, pl.userTag(tag), mine)
 }
 
 // AllReduce contributes mine to a reduction with the named filter and
@@ -838,37 +897,10 @@ func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 // folds into the root, whose final accumulator is redistributed down
 // the tree (down-phase reuse of the up-phase combine).
 func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
-	return pl.allReduce(pl.nextTreeTag(), mine, filter)
+	return pl.reduce(coll.OpAllReduce, pl.nextTreeTag(), nil, mine, filter)
 }
 
 // AllReduceTag is AllReduce on an explicitly tagged concurrent stream.
 func (pl *Plane) AllReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
-	if err := pl.userTag(tag); err != nil {
-		return nil, err
-	}
-	return pl.allReduce(tag, mine, filter)
-}
-
-func (pl *Plane) allReduce(tag uint32, mine []byte, filter string) ([]byte, error) {
-	acc, err := pl.combineChildren(coll.OpAllReduce, tag, mine, filter)
-	if err != nil {
-		return nil, err
-	}
-	if pl.c.parent == nil {
-		for _, conn := range pl.c.children {
-			if err := pl.sendRaw(coll.OpAllReduce, tag, filter, acc, pl.toConn(conn)); err != nil {
-				return nil, err
-			}
-		}
-		return acc, nil
-	}
-	if err := pl.sendRaw(coll.OpAllReduce, tag, filter, acc, pl.emitUp); err != nil {
-		return nil, err
-	}
-	asm := new(coll.RawAssembler)
-	end, err := pl.relayDown(coll.OpAllReduce, tag, asm)
-	if err != nil {
-		return nil, err
-	}
-	return asm.Finish(end.H, end.Total)
+	return pl.reduce(coll.OpAllReduce, tag, pl.userTag(tag), mine, filter)
 }

@@ -16,47 +16,58 @@ import (
 // links with the health layer (ShareLinks) or runs its first collective-
 // plane operation — whichever comes first — one event-driven framer per
 // tree connection owns the receive side and sorts frames into the
-// heartbeat queue, the per-tag collective streams, the credit gates of the
-// flow-control window, and the base queue (barrier/fold/bcast of the
-// bootstrap-era Comm collectives). No goroutine is parked per link: the
-// framer is a state machine on the vtime scheduler. It is installed
-// lazily, never at bootstrap, so the session-seed stream (which flows
-// through the same connections while the tree forms) and the million-
-// daemon noop profile (whose daemons do neither, and hold nothing per
-// link) are untouched.
+// heartbeat queue, the per-tag stream records of the collective plane
+// (frames and credits both, handed to the operation they belong to), and
+// the base queue (barrier/fold/bcast of the bootstrap-era Comm
+// collectives). No goroutine is parked per link: the framer is a state
+// machine on the vtime scheduler. It is installed lazily, never at
+// bootstrap, so the session-seed stream (which flows through the same
+// connections while the tree forms) and the million-daemon noop profile
+// (whose daemons do neither, and hold nothing per link) are untouched.
 
 // linkDemux is the demultiplexed receive side of one tree connection.
-// Every queue is unbounded, so one stalled tagged stream cannot head-of-
-// line-block another tag, the base collectives, the heartbeats, or the
-// credits that would un-stall it.
+// Every queue and backlog is unbounded, so one stalled tagged stream
+// cannot head-of-line-block another tag, the base collectives, the
+// heartbeats, or the credits that would un-stall it.
 //
 // It is one allocation, queues and framer held by value: a parked daemon
 // holds one per tree link, so what it weighs is multiplied by the tree.
 type linkDemux struct {
 	c    *Comm
-	base vtime.Chan[[]byte]                // non-plane tree frames
-	hb   vtime.Chan[[]byte]                // heartbeat payloads (Link.Recv)
-	tags vtime.Streams[uint32, coll.Frame] // per-tag collective streams
-	fr   SerialFramer                      // the link's reader time
+	base vtime.Chan[[]byte] // non-plane tree frames
+	hb   vtime.Chan[[]byte] // heartbeat payloads (Link.Recv)
+	fr   SerialFramer       // the link's reader time
 
-	// Per-tag state. A link carries a stream or two at a time, so each kind
-	// is a short list searched by tag — a map would outweigh what it holds,
+	// Per-tag state, one record per stream the link carries in either
+	// direction. A link carries a stream or two at a time, so the records
+	// are a short list searched by tag — a map would outweigh what it holds,
 	// on every link, for as long as the daemon lives.
-	mu     sync.Mutex
-	qBytes []tagBytes  // queued body bytes per tag
-	gates  *creditGate // send-side credit per tag
-	relays *downRelay  // down-phase streams running on this (parent) link
+	mu      sync.Mutex
+	streams *tagLink
+	spare   *tagLink // the last record retired, backlog array and all
+	err     error    // the link's failure, once it has failed
 }
 
-// tagBytes is the body bytes one tag's queue holds.
-type tagBytes struct {
-	tag uint32
-	n   uint64
+// tagLink is one tagged stream on one link, both directions in one place:
+// the frames that arrived and no operation has taken yet (a backlog nobody
+// blocks on) and their body bytes, the send side's credit, and the
+// operation of that tag at this rank the link calls — the one draining the
+// backlog, or the one the window stalled. It lives while any of that does.
+type tagLink struct {
+	d      *linkDemux
+	next   *tagLink
+	op     *planeOp
+	q      []coll.Frame // q[head:] is the backlog
+	head   int
+	bytes  uint64 // body bytes in the backlog
+	credit int    // window credits left to the stream being sent
+	tag    uint32
+	open   bool // a stream is being sent: credits count
 }
 
 // demuxLinks idempotently hands the receive side of every tree connection
 // to a linkDemux. From then on all receives are served from the demux
-// queues (recvRaw, recvTagged, Link.Recv) in any interleaving. The one
+// (recvRaw, the plane's operations, Link.Recv) in any interleaving. The one
 // constraint is on the switch itself: no goroutine of this daemon may be
 // parked in a direct-mode read on a tree link while it happens (vtime
 // panics on a handler installed under a parked reader), which holds for
@@ -165,11 +176,10 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 	d := &linkDemux{c: c}
 	d.base.Init(sim)
 	d.hb.Init(sim)
-	d.tags.Init(sim)
 	d.fr = SerialFramer{Sim: sim, Cost: PerMsgCost, Deliver: d.deliver}
 	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
 	// payloads: a collective frame keeps the message it arrived in
-	// (coll.Frame.Wire), length prefix included, for the down-phase relay.
+	// (coll.Frame.Wire), length prefix included, for planeOp.relay.
 	conn.Handle(func(msg []byte, err error) {
 		var raw []byte
 		if err == nil {
@@ -187,16 +197,15 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 	return d
 }
 
-// deliver sorts one charged message: collective-plane frames to their
-// tag's stream, credit frames to their gate, everything else to the base
-// queue. A frame that does not parse fails the link.
+// deliver sorts one charged message: collective-plane frames and credit
+// frames to their tag's record, everything else to the base queue. A frame
+// that does not parse fails the link.
 //
-// A down-phase stream is handled where it arrives: when the daemon is in
-// the operation (its relay is registered) and nothing of the stream waits
-// ahead of the frame, the relay takes it here, on the scheduler, in place
-// of a queue the daemon's goroutine would be woken to read. It is a plain
-// call, not a zero-delay event, so the credit and the onward sends take
-// the scheduling order they took when that goroutine made them.
+// A collective is handled where it arrives: the operation a frame or a
+// credit belongs to is called here, on the scheduler, in place of a queue
+// the daemon's goroutine would be woken to read. It is a plain call, not a
+// zero-delay event, so the credit and the onward sends take the scheduling
+// order they took when that goroutine made them.
 func (d *linkDemux) deliver(msg []byte) {
 	raw := msg[4:] // the framer checked the prefix
 	d.c.countRx(raw)
@@ -212,12 +221,7 @@ func (d *linkDemux) deliver(msg []byte) {
 			return
 		}
 		f.Wire = msg
-		if r := d.relay(f.H.Tag); r != nil && r.held == nil {
-			d.gauge(f, 1, uint64(len(f.Body))) // queued and taken in one step
-			r.take(f)
-			return
-		}
-		d.enqueue(f)
+		d.arrive(f)
 	case opCredit:
 		f, err := parseCredit(raw)
 		if err != nil {
@@ -231,9 +235,9 @@ func (d *linkDemux) deliver(msg []byte) {
 }
 
 // gauge maintains the interior-depth observability gauges for one frame
-// entering a tag queue that then holds depth frames and bytes body bytes:
+// entering a backlog that then holds depth frames and bytes body bytes:
 // coll.queue.depth.max is the high-water data-chunk count of any one
-// (link, tag) queue at this daemon, coll.link.bytes.max the high-water
+// (link, tag) backlog at this daemon, coll.link.bytes.max the high-water
 // queued body bytes. End markers ride outside the credit window (they
 // carry no payload and each stream has exactly one), so the depth gauge
 // excludes them and the flow-control invariant is exact: depth ≤ window.
@@ -244,227 +248,190 @@ func (d *linkDemux) gauge(f coll.Frame, depth int, bytes uint64) {
 	d.c.collBytesMax.SetMax(bytes)
 }
 
-// enqueue routes one collective frame to its tag queue.
-func (d *linkDemux) enqueue(f coll.Frame) {
-	q := d.tags.Q(f.H.Tag)
-	d.mu.Lock()
-	b := d.queued(f.H.Tag)
-	if b == nil {
-		d.qBytes = append(d.qBytes, tagBytes{tag: f.H.Tag})
-		b = &d.qBytes[len(d.qBytes)-1]
+// find returns tag's record, nil when the link has none. Caller holds mu.
+func (d *linkDemux) find(tag uint32) *tagLink {
+	s := d.streams
+	for s != nil && s.tag != tag {
+		s = s.next
 	}
-	b.n += uint64(len(f.Body))
-	bytes := b.n
-	d.mu.Unlock()
-	d.gauge(f, q.Len()+1, bytes)
-	q.Send(f)
+	return s
 }
 
-// queued returns tag's byte count, nil when nothing of it was ever queued.
-// Caller holds mu.
-func (d *linkDemux) queued(tag uint32) *tagBytes {
-	for i := range d.qBytes {
-		if d.qBytes[i].tag == tag {
-			return &d.qBytes[i]
-		}
+// stream returns tag's record, making it when the link has none. Caller
+// holds mu.
+func (d *linkDemux) stream(tag uint32) *tagLink {
+	if s := d.find(tag); s != nil {
+		return s
 	}
-	return nil
+	s := d.spare
+	if s == nil {
+		s = &tagLink{d: d}
+	}
+	d.spare = nil
+	s.tag, s.next, d.streams = tag, d.streams, s
+	return s
 }
 
-// dequeued accounts for one frame leaving its tag queue (consumed by
-// recvTagged or a relay), retiring the stream's state at its end marker so
-// tags do not accumulate across collectives.
-func (d *linkDemux) dequeued(f coll.Frame) {
-	if f.End {
-		d.retire(f.H.Tag)
+// drop retires s once nothing of it is live, so tags do not accumulate
+// across collectives; the record is kept as the next stream's, backlog
+// array and all. Caller holds mu.
+func (d *linkDemux) drop(s *tagLink) {
+	if s.open || s.op != nil || len(s.q) > s.head {
 		return
 	}
-	d.mu.Lock()
-	if b := d.queued(f.H.Tag); b != nil && b.n >= uint64(len(f.Body)) {
-		b.n -= uint64(len(f.Body))
+	for p := &d.streams; *p != nil; p = &(*p).next {
+		if *p == s {
+			*p = s.next
+			s.next, s.q, s.head, s.bytes = nil, s.q[:0], 0, 0
+			d.spare = s
+			return
+		}
 	}
-	d.mu.Unlock()
 }
 
-// retire drops a stream's tag queue, if it ever had one, and its byte
-// count.
-func (d *linkDemux) retire(tag uint32) {
+// arrive hands one collective frame to its tag's record: to the operation
+// draining it when that one is ready and nothing of the stream waits ahead
+// of the frame, else to the backlog.
+func (d *linkDemux) arrive(f coll.Frame) {
 	d.mu.Lock()
-	if b := d.queued(tag); b != nil {
-		last := len(d.qBytes) - 1
-		*b = d.qBytes[last]
-		d.qBytes = d.qBytes[:last]
+	s := d.stream(f.H.Tag)
+	o := s.op
+	if o != nil && o.src == s && len(s.q) == s.head && len(o.out) == 0 && !o.busy && !o.done {
+		d.mu.Unlock()
+		d.gauge(f, 1, uint64(len(f.Body))) // queued and taken in one step
+		o.take(f)
+		o.pump()
+		return
 	}
+	s.q = append(s.q, f)
+	s.bytes += uint64(len(f.Body))
+	depth, bytes := len(s.q)-s.head, s.bytes
 	d.mu.Unlock()
-	d.tags.Drop(tag)
+	d.gauge(f, depth, bytes)
 }
 
-// relay returns the down-phase relay registered for tag on this link, nil
-// when the daemon is not in that operation.
-func (d *linkDemux) relay(tag uint32) *downRelay {
+// pop takes the oldest frame of s's backlog.
+func (d *linkDemux) pop(s *tagLink) (coll.Frame, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r := d.relays
-	for r != nil && r.tag != tag {
-		r = r.next
+	if s.head == len(s.q) {
+		return coll.Frame{}, false
 	}
-	return r
-}
-
-// register enters r — one down stream a link is the norm, so the relays
-// are a list threaded through them, not a map.
-func (d *linkDemux) register(r *downRelay) {
-	d.mu.Lock()
-	r.next, d.relays = d.relays, r
-	d.mu.Unlock()
-}
-
-// unregister takes r off the list, once its stream is over.
-func (d *linkDemux) unregister(r *downRelay) {
-	d.mu.Lock()
-	for p := &d.relays; *p != nil; p = &(*p).next {
-		if *p == r {
-			*p, r.next = r.next, nil
-			break
-		}
+	f := s.q[s.head]
+	s.q[s.head] = coll.Frame{}
+	if s.head++; s.head == len(s.q) {
+		s.q, s.head = s.q[:0], 0
 	}
-	d.mu.Unlock()
+	s.bytes -= uint64(len(f.Body))
+	return f, true
 }
 
-// gate returns (creating on demand, preloaded with window tokens) the
-// send-side credit gate of one tagged stream on this link; on a failed
-// link it comes severed.
-func (d *linkDemux) gate(tag uint32, window int) *creditGate {
+// consume registers o as what drains its tag's stream on this link.
+func (d *linkDemux) consume(o *planeOp) *tagLink {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	g := d.gateOf(tag)
-	if g == nil {
-		g = &creditGate{tag: tag, next: d.gates}
-		g.tokens.Init(d.c.p.Sim())
-		g.credit(window)
-		if d.tags.Err() != nil {
-			g.sever()
-		}
-		d.gates = g
-	}
-	return g
+	s := d.stream(o.tag)
+	s.op = o
+	return s
 }
 
-// gateOf returns tag's gate, nil when it has none. Caller holds mu.
-func (d *linkDemux) gateOf(tag uint32) *creditGate {
-	g := d.gates
-	for g != nil && g.tag != tag {
-		g = g.next
-	}
-	return g
-}
-
-// dropGate retires a stream's credit gate once its End frame is on the
-// wire; credits still in flight for it are dropped on arrival.
-func (d *linkDemux) dropGate(tag uint32) {
+// release ends o's draining of s at the stream's end marker.
+func (d *linkDemux) release(s *tagLink, o *planeOp) {
 	d.mu.Lock()
-	for p := &d.gates; *p != nil; p = &(*p).next {
-		if g := *p; g.tag == tag {
-			*p, g.next = g.next, nil
-			break
-		}
+	defer d.mu.Unlock()
+	if s.op == o {
+		s.op = nil
 	}
-	d.mu.Unlock()
+	d.drop(s)
 }
 
-// credit applies n returned credits to the tag's gate, dropping credits
-// for already-retired streams.
+// takeCredit spends one window credit of o's stream on this link, opening
+// the window at the stream's first chunk; false when it is empty, leaving
+// o on the record for the next credit to call back.
+func (d *linkDemux) takeCredit(o *planeOp) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.stream(o.tag)
+	if !s.open {
+		s.open, s.credit = true, o.pl.window
+	}
+	if s.credit == 0 {
+		s.op = o
+		return false
+	}
+	s.credit--
+	return true
+}
+
+// closeSend retires the send side of o's stream once its End frame is on
+// the wire; credits still in flight for it are dropped on arrival.
+func (d *linkDemux) closeSend(o *planeOp) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s := d.find(o.tag); s != nil {
+		if s.op == o && o.src != s {
+			s.op = nil
+		}
+		s.open, s.credit = false, 0
+		d.drop(s)
+	}
+}
+
+// credit applies n returned credits to the tag's stream being sent and
+// calls its operation back.
 func (d *linkDemux) credit(tag uint32, n uint32) {
 	d.mu.Lock()
-	g := d.gateOf(tag)
-	d.mu.Unlock()
-	if g != nil {
-		g.credit(int(n))
+	var o *planeOp
+	if s := d.find(tag); s != nil && s.open {
+		s.credit += int(n)
+		o = s.op
 	}
+	d.mu.Unlock()
+	if o != nil {
+		o.pump()
+	}
+}
+
+// abandon drops what a failed operation leaves on this link: its
+// registration, its stream's backlog and its send side.
+func (d *linkDemux) abandon(o *planeOp) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s := d.find(o.tag); s != nil && (s.op == nil || s.op == o) {
+		clear(s.q)
+		s.q, s.head, s.op, s.open = s.q[:0], 0, nil, false
+		d.drop(s)
+	}
+}
+
+// failure returns the link's recorded failure, nil while it is up.
+func (d *linkDemux) failure() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
 }
 
 // fail severs the link's receive side: the connection died (or delivered
-// garbage), so every consumer — base receivers, tagged receivers, the
-// health layer, senders waiting for credit, the relays fed from this link —
-// must observe it. The streams fail first: gate reads their error under mu
-// to sever gates created after this point. Gates and relays are called
-// outside mu: a relay that resumes asks this demux for its gate.
+// garbage), so every consumer — base receivers, the health layer, the
+// operations draining the link or waiting for its credit — must observe
+// it. Operations are called back outside mu, after the queues: each goes
+// on until it touches the link and finds it failed.
 func (d *linkDemux) fail(err error) {
-	d.tags.Fail(fmt.Errorf("%w: %v", ErrSevered, err))
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %v", ErrSevered, err)
+	}
+	var ops []*planeOp
+	for s := d.streams; s != nil; s = s.next {
+		if s.op != nil {
+			ops = append(ops, s.op)
+		}
+	}
+	d.mu.Unlock()
 	d.base.Close()
 	d.hb.Close()
-	d.mu.Lock()
-	var gates []*creditGate
-	for g := d.gates; g != nil; g = g.next {
-		gates = append(gates, g)
-	}
-	r := d.relays
-	d.mu.Unlock()
-	for _, g := range gates {
-		g.sever()
-	}
-	for r != nil {
-		next := r.next // pump may finish r, which unlinks it
-		r.pump()
-		r = next
-	}
-}
-
-// creditGate is the send side of the per-(link, tag) outstanding-chunk
-// window, one object: acquire takes one credit before a chunk goes on the
-// wire (blocking in virtual time while the window is exhausted), credit
-// returns credits as the receiver consumes chunks. A stream has one sender,
-// so at most one party waits on an empty window: a goroutine parked in
-// acquire, or the down-phase relay that found tryAcquire empty and left
-// itself as waiter, to be called back on the scheduler.
-type creditGate struct {
-	tokens  vtime.Chan[struct{}]
-	waiter  *downRelay
-	tag     uint32
-	severed bool
-	next    *creditGate // linkDemux.gates
-}
-
-// acquire blocks until a credit is available; it fails when the link
-// severed while the sender was waiting.
-func (g *creditGate) acquire() error {
-	if _, ok := g.tokens.Recv(); !ok {
-		return ErrSevered
-	}
-	return nil
-}
-
-// tryAcquire takes a credit if the window has one; ok false means it is
-// empty, and the caller may leave itself as waiter. On a severed link it
-// fails whatever credit is left: nothing sent there arrives.
-func (g *creditGate) tryAcquire() (ok bool, err error) {
-	if g.severed {
-		return false, ErrSevered
-	}
-	_, ok = g.tokens.TryRecv()
-	return ok, nil
-}
-
-// credit returns n credits to the window.
-func (g *creditGate) credit(n int) {
-	for i := 0; i < n; i++ {
-		g.tokens.Send(struct{}{})
-	}
-	g.resume()
-}
-
-// sever wakes any sender waiting for a credit.
-func (g *creditGate) sever() {
-	g.severed = true
-	g.tokens.Close()
-	g.resume()
-}
-
-// resume calls the waiting relay back, once.
-func (g *creditGate) resume() {
-	if r := g.waiter; r != nil {
-		g.waiter = nil
-		r.pump()
+	for _, o := range ops {
+		o.pump()
 	}
 }
 

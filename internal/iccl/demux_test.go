@@ -99,16 +99,18 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 						got["base"] = append(got["base"], sim.Now())
 					}
 				})
-				d.tags.Q(scriptTag).Handle(func(_ coll.Frame, ok bool) {
-					if ok {
+				// Tagged frames and credits are handed to their record the
+				// instant the framer delivers them.
+				deliver := d.fr.Deliver
+				d.fr.Deliver = func(msg []byte) {
+					switch binary.BigEndian.Uint32(msg[4:]) {
+					case opCollChunk, opCollEnd:
 						got["tag"] = append(got["tag"], sim.Now())
-					}
-				})
-				d.gate(scriptTag, 0).tokens.Handle(func(_ struct{}, ok bool) {
-					if ok {
+					case opCredit:
 						got["credit"] = append(got["credit"], sim.Now())
 					}
-				})
+					deliver(msg)
+				}
 			}
 			sim.Sleep(2 * scriptStart)
 		case 1:

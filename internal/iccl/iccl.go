@@ -131,7 +131,7 @@ func newFrame(op uint32, n int) []byte {
 
 // send puts one tree-link message (newFrame) on conn, counting it when
 // metrics are bound. All collective sends go through here or through
-// Plane.sendMsg so wire-byte invariants (bench assertions on O(K) claims)
+// planeOp.sendOn so wire-byte invariants (bench assertions on O(K) claims)
 // observe every frame.
 func (c *Comm) send(conn *simnet.Conn, msg []byte) error {
 	c.txFrames.Inc()
@@ -193,7 +193,7 @@ func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
 	if d := c.demuxFor(conn); d != nil {
 		raw, ok := d.base.Recv()
 		if !ok {
-			return nil, d.tags.Err()
+			return nil, d.failure()
 		}
 		return raw, nil
 	}

@@ -1,0 +1,385 @@
+package iccl
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
+	"launchmon/internal/simnet"
+)
+
+// Every Plane operation is one planeOp per rank, run where its frames and
+// credits arrive (collective.go). What must survive the goroutine loops it
+// replaced is everything they did in virtual time — the same instants,
+// combine charges included, and the same failures; what must be gone is
+// the wake per frame and per credit.
+
+const opChunk = 64
+
+// opPayload is eight chunks: every raw stream outlasts a window of 4.
+var opPayload = relayPayload(8, opChunk)
+
+// opPart is rank rk's scatter part and gather contribution: one chunk.
+func opPart(rk int) []byte { return bytes.Repeat([]byte{byte(rk + 1)}, opChunk) }
+
+// planeOpCase is one Plane operation as every rank of a 13-rank tree runs
+// it: fe is what the root's front end sends down (nil for none), call the
+// operation — lockstep for tag 0, else tagged — checking what it returns.
+type planeOpCase struct {
+	name string
+	fe   func(tag uint32) []coll.Frame
+	call func(pl *Plane, tag uint32, rank int) error
+}
+
+var planeOpCases = []planeOpCase{
+	{"Broadcast", func(tag uint32) []coll.Frame {
+		return coll.RawFrames(coll.OpBroadcast, tag, "", opPayload, opChunk)
+	}, func(pl *Plane, tag uint32, _ int) (err error) {
+		var got []byte
+		if tag == 0 {
+			got, err = pl.Broadcast()
+		} else {
+			got, err = pl.BroadcastTag(tag)
+		}
+		if err == nil && !bytes.Equal(got, opPayload) {
+			err = fmt.Errorf("broadcast delivered another payload")
+		}
+		return err
+	}},
+	{"Scatter", func(tag uint32) []coll.Frame {
+		parts := make([]coll.Entry, wireN)
+		for rk := range parts {
+			parts[rk] = coll.Entry{Rank: rk, Blob: opPart(rk)}
+		}
+		return coll.EntryFrames(coll.OpScatter, tag, parts, opChunk)
+	}, func(pl *Plane, tag uint32, rank int) (err error) {
+		var got []byte
+		if tag == 0 {
+			got, err = pl.Scatter()
+		} else {
+			got, err = pl.ScatterTag(tag)
+		}
+		if err == nil && !bytes.Equal(got, opPart(rank)) {
+			err = fmt.Errorf("scatter delivered another part")
+		}
+		return err
+	}},
+	{"Gather", nil, func(pl *Plane, tag uint32, rank int) error {
+		if tag == 0 {
+			return pl.Gather(opPart(rank))
+		}
+		return pl.GatherTag(tag, opPart(rank))
+	}},
+	{"Reduce", nil, func(pl *Plane, tag uint32, _ int) error {
+		if tag == 0 {
+			return pl.Reduce(opPayload, "concat")
+		}
+		return pl.ReduceTag(tag, opPayload, "concat")
+	}},
+	{"Barrier", nil, func(pl *Plane, tag uint32, _ int) error {
+		if tag == 0 {
+			return pl.Barrier()
+		}
+		return pl.BarrierTag(tag)
+	}},
+	{"AllGather", nil, func(pl *Plane, tag uint32, rank int) (err error) {
+		var all [][]byte
+		if tag == 0 {
+			all, err = pl.AllGather(opPart(rank))
+		} else {
+			all, err = pl.AllGatherTag(tag, opPart(rank))
+		}
+		for rk := 0; err == nil && rk < wireN; rk++ {
+			if len(all) != wireN || !bytes.Equal(all[rk], opPart(rk)) {
+				err = fmt.Errorf("allgather table wrong at rank %d", rk)
+			}
+		}
+		return err
+	}},
+	{"AllReduce", nil, func(pl *Plane, tag uint32, _ int) (err error) {
+		var got []byte
+		if tag == 0 {
+			got, err = pl.AllReduce(opPayload, "sum")
+		} else {
+			got, err = pl.AllReduceTag(tag, opPayload, "sum")
+		}
+		if err == nil && len(got) != len(opPayload) {
+			err = fmt.Errorf("allreduce returned %d bytes", len(got))
+		}
+		return err
+	}},
+}
+
+// opTag is the stream tag of oc at every rank: tagged, relayTag; lockstep,
+// the first of its sequence behind the warm-up barrier.
+func opTag(oc planeOpCase, tagged bool) uint32 {
+	switch {
+	case tagged:
+		return relayTag
+	case oc.fe != nil || oc.name == "Gather" || oc.name == "Reduce":
+		return 1
+	}
+	return coll.MaxUserTag + 2
+}
+
+// opsDone is when the last rank of TestPlaneOpsParkOncePerRank left each
+// operation, from relayAt, under windows 4 and 1 — recorded from the same
+// runs at commit a66c233, where every up phase was a goroutine loop and
+// every combine charge a Compute.
+var opsDone = map[string][2]time.Duration{
+	"Broadcast": {1560168, 3030945},
+	"Scatter":   {1110188, 1110188},
+	"Gather":    {960188, 4051277},
+	"Reduce":    {18300642, 43213402},
+	"Barrier":   {720160, 720160},
+	"AllGather": {3870309, 8882917},
+	"AllReduce": {9150624, 20315881},
+}
+
+// TestPlaneOpsParkOncePerRank is the guard of "a daemon waits once per
+// operation": every operation, lockstep and tagged, on 13 ranks of fanout
+// 3, entered by all of them at one instant. Each non-root rank waits for
+// something, so the counts below, one per rank that may wait, mean one
+// wait each: the root pulls the front end's frames without blocking (its
+// window fits the stream) and waits once for its children elsewhere; in a
+// Gather the nine leaves' one-chunk streams have room in the window and
+// they do not wait at all. The combine charges stay where they were: the
+// last rank leaves at the instant it did with the goroutine loops.
+func TestPlaneOpsParkOncePerRank(t *testing.T) {
+	for _, oc := range planeOpCases {
+		for _, tagged := range []bool{false, true} {
+			for wi, window := range []int{4, 1} {
+				name := oc.name
+				if tagged {
+					name += "Tag"
+				}
+				t.Run(fmt.Sprintf("%s/window%d", name, window), func(t *testing.T) {
+					parks, last := runPlaneOp(t, oc, opTag(oc, tagged), tagged, window)
+					want := uint64(wireN)
+					switch {
+					case oc.fe != nil:
+						want = wireN - 1
+					case oc.name == "Gather":
+						want = 1 + wireFanout // the root and the interior ranks
+					}
+					if parks != want {
+						t.Errorf("%d parks, want %d: one per rank that waits", parks, want)
+					}
+					if want := opsDone[oc.name][wi]; last != want {
+						t.Errorf("the last rank left %v after the start, %v with the goroutine loops", last, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// runPlaneOp runs oc on every rank at relayAt and returns the simulation's
+// parks from then until the last rank left it, and when that was.
+func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window int) (parks uint64, last time.Duration) {
+	t.Helper()
+	r := newRelayRig(t, wireN)
+	d := &feDriver{}
+	if oc.fe != nil {
+		d.send = oc.fe(tag)
+	}
+	var before, after uint64
+	r.sim.After(relayAt-time.Millisecond, func() { before = r.sim.Parks() })
+	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
+		w, up, down := window, UpFn(nil), DownFn(nil)
+		if c.IsMaster() {
+			w, up, down = 64, d.up, d.down
+		}
+		pl := c.NewPlane(opChunk, w, up, down)
+		if err := pl.Barrier(); err != nil {
+			return err
+		}
+		sim := p.Sim()
+		sim.Sleep(relayAt - sim.Now())
+		callTag := uint32(0)
+		if tagged {
+			callTag = tag
+		}
+		err := oc.call(pl, callTag, c.Rank())
+		last, after = max(last, sim.Now()-relayAt), max(after, sim.Parks())
+		return err
+	})
+	for i, err := range r.errs {
+		if err != nil {
+			t.Fatalf("daemon %d: %v", i, err)
+		}
+	}
+	return after - before, last
+}
+
+// TestOpLinkDiesMidStream kills a link of interior rank 1 (parent 0,
+// children 4, 5 and 6 on the 13-rank fanout-3 tree, window 1) in the middle
+// of each kind of operation, in two states. Waiting: rank 1 waits for a
+// frame — from the link that dies, or from elsewhere before it needs that
+// link. Stalled: a stream of the operation at rank 1 sits behind an empty
+// window when the link dies — rank 1's own, the parent's held back by rank
+// 1 not yet in the operation, or a child's rank 1 has not reached; a
+// barrier's end markers ride outside the window, so for it only the second
+// applies. Held ranks enter 40 ms after the others, the link dies at 20 ms,
+// and a scatter's front end pauses in between. Whichever way rank 1 finds
+// out, its operation ends once, with ErrSevered naming rank, op and tag;
+// every rank's call returns once; nothing of the stream is left at rank 1;
+// every goroutine ends.
+func TestOpLinkDiesMidStream(t *testing.T) {
+	const window = 1
+	const killAt, resumeAt = relayAt + 20*time.Millisecond, relayAt + 40*time.Millisecond
+	type state struct {
+		hold  []int // the ranks that enter at resumeAt
+		pause bool  // the root's front end pauses until resumeAt
+		kill  int   // the node that dies at killAt
+	}
+	type states map[string]state
+	// An up phase waits for its children, and stalls on its parent's window
+	// or holds a child's stream — one chunk for an entry stream, which
+	// therefore has to be cut off before it ends; a down phase waits for its
+	// parent, whose stream stalls while rank 1 stays out.
+	raw := states{
+		"parent_link/waiting": {hold: []int{5}, kill: 0},
+		"parent_link/stalled": {hold: []int{0}, kill: 0},
+		"child_link/waiting":  {hold: []int{4}, kill: 4},
+		"child_link/stalled":  {hold: []int{4}, kill: 6},
+	}
+	entries := states{
+		"parent_link/waiting": raw["parent_link/waiting"],
+		"parent_link/stalled": raw["parent_link/stalled"],
+		"child_link/waiting":  raw["child_link/waiting"],
+		"child_link/stalled":  {hold: []int{0, 6}, kill: 6},
+	}
+	late := states{
+		"parent_link/stalled": {hold: []int{1}, kill: 0},
+		"child_link/stalled":  {hold: []int{1}, kill: 4},
+	}
+	down := states{
+		"parent_link/waiting": {pause: true, kill: 0},
+		"parent_link/stalled": late["parent_link/stalled"],
+		"child_link/waiting":  {pause: true, kill: 4},
+		"child_link/stalled":  late["child_link/stalled"],
+	}
+	barrier := states{
+		"parent_link/waiting": {hold: []int{2}, kill: 0},
+		"parent_link/stalled": late["parent_link/stalled"],
+		"child_link/waiting":  raw["child_link/waiting"],
+		"child_link/stalled":  late["child_link/stalled"],
+	}
+	// AllGather and AllReduce wait for the table or result from above while
+	// another subtree holds the root up.
+	allOf := func(up states) states {
+		s := states{"parent_link/waiting": barrier["parent_link/waiting"]}
+		for _, k := range []string{"parent_link/stalled", "child_link/waiting", "child_link/stalled"} {
+			s[k] = up[k]
+		}
+		return s
+	}
+	kinds := []struct {
+		oc     planeOpCase
+		tagged bool
+		states states
+	}{
+		{planeOpCases[2], false, entries}, // Gather
+		{planeOpCases[3], true, raw},      // ReduceTag
+		{planeOpCases[1], false, down},    // Scatter
+		{planeOpCases[4], false, barrier},
+		{planeOpCases[5], false, allOf(entries)}, // AllGather
+		{planeOpCases[6], false, allOf(raw)},     // AllReduce
+	}
+	for _, k := range kinds {
+		for _, link := range []string{"parent_link", "child_link"} {
+			for _, how := range []string{"waiting", "stalled"} {
+				k, st := k, k.states[link+"/"+how]
+				name := k.oc.name
+				if k.tagged {
+					name += "Tag"
+				}
+				t.Run(name+"/"+link+"/"+how, func(t *testing.T) {
+					tag := opTag(k.oc, k.tagged)
+					r := newRelayRig(t, wireN)
+					d := &feDriver{}
+					if k.oc.fe != nil {
+						d.send = k.oc.fe(tag)
+					}
+					feDown := func(tag uint32) (coll.Frame, error) {
+						if st.pause && d.sent == 4 {
+							r.sim.Sleep(resumeAt - r.sim.Now())
+						}
+						return d.down(tag)
+					}
+					r.sim.After(killAt, func() { r.cl.KillNode(st.kill) })
+					live := -1
+					r.sim.After(relayAt+time.Second, func() { live = r.sim.Live() })
+					returns, left := make([]int, wireN), -1
+					r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
+						var up UpFn
+						var down DownFn
+						if c.IsMaster() {
+							up, down = d.up, feDown
+						}
+						pl := c.NewPlane(opChunk, window, up, down)
+						if err := pl.Barrier(); err != nil {
+							return err
+						}
+						at := relayAt
+						if slices.Contains(st.hold, c.Rank()) {
+							at = resumeAt
+						}
+						sim := p.Sim()
+						sim.Sleep(at - sim.Now())
+						callTag := uint32(0)
+						if k.tagged {
+							callTag = tag
+						}
+						err := k.oc.call(pl, callTag, c.Rank())
+						returns[c.Rank()]++
+						if c.Rank() == 1 {
+							left = backlogAt(c, tag)
+						}
+						return err
+					})
+					err := r.errs[1]
+					if !errors.Is(err, ErrSevered) {
+						t.Fatalf("rank 1 returned %v, want a wrapped ErrSevered", err)
+					}
+					for _, want := range []string{"rank 1:", strings.ToLower(k.oc.name), fmt.Sprintf("tag %d", tag)} {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("rank 1's error %q does not name %q", err, want)
+						}
+					}
+					for rk, n := range returns {
+						if n != 1 {
+							t.Errorf("rank %d's call returned %d times, want once", rk, n)
+						}
+					}
+					if left != 0 {
+						t.Errorf("rank 1 left %d frames of the stream on its links", left)
+					}
+					if live != 0 {
+						t.Errorf("%d goroutines still alive a second after the operation began", live)
+					}
+				})
+			}
+		}
+	}
+}
+
+// backlogAt is how many frames of tag wait on c's links.
+func backlogAt(c *Comm, tag uint32) (n int) {
+	for _, conn := range append([]*simnet.Conn{c.parent}, c.children...) {
+		d := c.demuxFor(conn)
+		d.mu.Lock()
+		if s := d.find(tag); s != nil {
+			n += len(s.q) - s.head
+		}
+		d.mu.Unlock()
+	}
+	return n
+}

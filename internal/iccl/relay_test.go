@@ -81,8 +81,11 @@ func (r *relayRig) run(t *testing.T, fanout int, body func(c *Comm, p *cluster.P
 // queuedOnParentLink is how many frames of the test's stream wait in c's
 // parent-link tag queue.
 func queuedOnParentLink(c *Comm) int {
-	if q := c.demuxFor(c.parent).tags.Lookup(relayTag); q != nil {
-		return q.Len()
+	d := c.demuxFor(c.parent)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s := d.find(relayTag); s != nil {
+		return len(s.q) - s.head
 	}
 	return 0
 }

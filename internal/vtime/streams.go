@@ -4,14 +4,13 @@ import "sync"
 
 // Streams is a set of Chans keyed by stream: the demultiplexed receive
 // side of one connection whose frames belong to many logical streams (the
-// per-tag collective streams of a tree link, of a master connection). A
-// sorter Sends each value to its key's queue; each stream's consumer
-// Recvs from Q(key) and Drops the key when the stream ends. Queues are
-// created on demand from either side, so a value may arrive before its
-// consumer asks for it and the other way round. Fail ends every stream at
-// once — present and future — and Err says why. The zero value is not
-// usable; call NewStreams, or Init on a Streams held by value. All methods
-// are safe for concurrent use.
+// per-tag collective streams of a master connection). A sorter Sends each
+// value to its key's queue; each stream's consumer Recvs from Q(key) and
+// Drops the key when the stream ends. Queues are created on demand from
+// either side, so a value may arrive before its consumer asks for it and
+// the other way round. Fail ends every stream at once — present and
+// future — and Err says why. The zero value is not usable; call
+// NewStreams. All methods are safe for concurrent use.
 type Streams[K comparable, T any] struct {
 	s *Sim
 
@@ -26,10 +25,6 @@ type Streams[K comparable, T any] struct {
 func NewStreams[K comparable, T any](s *Sim) *Streams[K, T] {
 	return &Streams[K, T]{s: s}
 }
-
-// Init binds a zero Streams to s where it lies, for an owner that holds it
-// by value. A set no queue was ever asked of holds nothing else.
-func (m *Streams[K, T]) Init(s *Sim) { m.s = s }
 
 // Q returns the queue of stream k, creating it on demand. A queue created
 // after Fail comes pre-closed, so a late subscriber observes the failure
@@ -51,13 +46,6 @@ func (m *Streams[K, T]) Q(k K) *Chan[T] {
 		m.qs[k] = q
 	}
 	return q
-}
-
-// Lookup returns the queue of stream k if something created it, else nil.
-func (m *Streams[K, T]) Lookup(k K) *Chan[T] {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.qs[k]
 }
 
 // Send enqueues v on stream k (dropped, like any Send on a closed Chan,

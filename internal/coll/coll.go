@@ -162,7 +162,10 @@ func DecodeHeader(rd *lmonp.Reader) (Header, error) {
 // count, matching the proctab end-marker idiom). Sum is the frame's
 // checksum: Sum64 of the body for chunks, the stream's rolling digest
 // for end markers — what lets a receiver validate a stream at O(chunk)
-// memory instead of retaining it for comparison.
+// memory instead of retaining it for comparison. Producers (Packer,
+// RawFrames, proctab.ChunkWriter) compute both. A chunk parsed off an ICCL
+// tree link has Sum 0 — the tree wire carries only the End digest — unless
+// its receiver checks the stream and computes it, as the seed stream does.
 type Frame struct {
 	H     Header
 	Body  []byte

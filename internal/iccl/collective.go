@@ -127,11 +127,10 @@ func (pl *Plane) userTag(tag uint32) error {
 // opcode pair, in one buffer of exactly its wire size — the single
 // coll.Frame↔link-frame mapping, shared by the collective plane and the
 // session-seed stream. Only the End frame carries a checksum on the wire:
-// the rolling digest of the stream's per-chunk sums. Receivers recompute
-// each chunk's sum from the body as it arrives and fold it (coll.SeqCheck),
-// so streaming validation covers every chunk at O(chunk) memory without an
-// 8-byte per-frame wire tax — on a deep tree those bytes ride every hop of
-// every link.
+// the rolling digest of the stream's per-chunk sums. A chunk's Sum is not
+// sent — on a deep tree 8 bytes a frame would ride every hop of every
+// link — so a receiver that checks the stream computes each chunk's sum
+// from the body and folds it (the seed's parent link, for coll.SeqCheck).
 func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 	hn := f.H.EncodedSize()
 	if f.End {
@@ -146,7 +145,9 @@ func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 }
 
 // parseFrameOp decodes one raw tree frame (the message encodeFrameOp
-// renders, behind its length prefix); the frame's body aliases raw.
+// renders, behind its length prefix); the frame's body aliases raw. An End
+// frame has the wire digest as its Sum; a chunk has none (Sum 0), since
+// no collective operation checks one — a caller that does computes it.
 func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	rd := lmonp.NewReader(raw)
 	op, hraw := rd.Uint32(), rd.Bytes()
@@ -164,11 +165,7 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	if f.End {
 		f.Total, f.Sum = rd.Uint64(), rd.Uint64()
 	} else {
-		// No on-wire sum for chunks: compute it here so the receiver's
-		// rolling digest (checked against the end marker) still covers
-		// every chunk it admitted.
 		f.Body = rd.Bytes()
-		f.Sum = lmonp.Sum64(f.Body)
 	}
 	if err := rd.Err(); err != nil {
 		return coll.Frame{}, err

@@ -49,7 +49,9 @@ const (
 // contiguous Index sequence, closed by an End frame; every chunk carries
 // Sum64 of its body and the End frame carries the rolling digest of the
 // RPDTAB chunk sums (frames from index 1 — index 0 is the FEData
-// preamble, excluded from the digest).
+// preamble, excluded from the digest). Tree links carry only that digest:
+// every other rank's parent link computes each chunk's Sum64 on arrival,
+// so every rank's SeqCheck admits the same kind of frame the root does.
 type SeedSource func(emit func(coll.Frame, error) (done bool))
 
 // SeedRouter enables rank-sliced seed delivery: instead of relaying every
@@ -471,10 +473,15 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 	// bootstrap-era collective traffic that follows block-reads the same
 	// conn. Decoding and engine admission run behind the horizon, like that
 	// reader's. The framer takes whole messages: a frame keeps the one it
-	// arrived in (coll.Frame.Wire) for the verbatim relay.
+	// arrived in (coll.Frame.Wire) for the verbatim relay. It is the one
+	// receive path that checks a tree stream, so a chunk's sum, which the
+	// wire does not carry, is computed here for the engine's SeqCheck.
 	onParent := func(conn *simnet.Conn) {
 		fr := &SerialFramer{Sim: sim, Cost: PerMsgCost, Deliver: func(msg []byte) {
 			f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
+			if err == nil && !f.End {
+				f.Sum = lmonp.Sum64(f.Body)
+			}
 			f.Wire = msg
 			eng.step(f, err)
 		}}

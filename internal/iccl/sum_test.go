@@ -1,0 +1,80 @@
+package iccl
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/vtime"
+)
+
+// TestChunkSumsOnTreeLinks pins the receive contract of chunk sums: the
+// tree wire carries only the End frame's digest, so a collective chunk
+// parsed off a link has no sum — no Plane operation checks one — and the
+// seed stream, the one stream a receiver checks, computes every chunk's
+// sum as it arrives.
+func TestChunkSumsOnTreeLinks(t *testing.T) {
+	// Rank 1 sends a producer-summed stream on a tag rank 0 runs no
+	// operation for, and rank 0 reads it out of its backlog as the link
+	// demux parsed it.
+	t.Run("collective", func(t *testing.T) {
+		const tag = coll.MinUserTag + 9
+		frames := coll.RawFrames(coll.OpBroadcast, tag, "", []byte("a stream of three chunks"), 10)
+		var got []coll.Frame
+		rigOn(t, vtime.New(), 2, 2, func(c *Comm, p *cluster.Proc) error {
+			if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil {
+				return err
+			}
+			switch c.Rank() {
+			case 0:
+				p.Sim().Sleep(time.Second)
+				d := c.demuxFor(c.children[0])
+				d.mu.Lock()
+				if s := d.find(tag); s != nil {
+					got = append(got, s.q[s.head:]...)
+				}
+				d.mu.Unlock()
+			case 1:
+				for _, f := range frames {
+					if _, err := writeFrameOp(c.parent, opCollChunk, opCollEnd, f); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if len(got) != len(frames) {
+			t.Fatalf("rank 0's backlog holds %d frames, rank 1 sent %d", len(got), len(frames))
+		}
+		for i, f := range got {
+			want := uint64(0)
+			if f.End {
+				want = frames[i].Sum
+			}
+			if f.Sum != want {
+				t.Errorf("frame %d (end %v) arrived with sum %#x, want %#x", i, f.End, f.Sum, want)
+			}
+		}
+	})
+	// Every rank of a 3-level tree: what the verbatim stream delivers is
+	// the frame SeqCheck.AdmitFrame admitted.
+	t.Run("seed", func(t *testing.T) {
+		frames := seedFrames([][]byte{[]byte("fedata"), []byte("chunk-0"), {}, []byte("chunk-2, longer than one 32-byte block")})
+		digest := frames[len(frames)-1].Sum
+		seedRig(t, seedCluster(t, vtime.New(), wireN), wireFanout, frames, nil, func(c *Comm, got []coll.Frame) error {
+			for _, f := range got {
+				want := lmonp.Sum64(f.Body)
+				if f.End {
+					want = digest
+				}
+				if f.Sum != want {
+					return fmt.Errorf("rank %d: seed frame %d (end %v) has sum %#x, want %#x", c.Rank(), f.H.Index, f.End, f.Sum, want)
+				}
+			}
+			return nil
+		})
+	})
+}

@@ -101,10 +101,10 @@ func FuzzWireMatchesTable(f *testing.F) {
 // to the exact slice with matching digests; a stream with any single bit
 // flipped in any chunk must never pass silently — decode failure, digest
 // mismatch, or slice validation must catch it. The digest carries the
-// whole burden when the flipped chunk still decodes (FNV-1a over the raw
-// chunk bytes changes on any byte change), so this is the property that
-// lets every rank validate its slice before the ready gather without a
-// second table copy.
+// whole burden when the flipped chunk still decodes (Sum64 over the raw
+// chunk bytes changes on any change inside one 8-byte word), so this is
+// the property that lets every rank validate its slice before the ready
+// gather without a second table copy.
 func FuzzSeedStreamValidate(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint16(0), uint32(0), false)
 	f.Add(uint16(1), uint16(64), uint16(0), uint32(0), true)

@@ -28,7 +28,7 @@ const DefaultChunkBytes = 64 << 10
 const chunkOverhead, entryBytes = 8, 16
 
 // ChunkWriter streams entries into encoded chunks of at most maxBytes
-// each, handing every finished chunk (and its FNV-1a sum) to emit. The
+// each, handing every finished chunk (and its lmonp.Sum64) to emit. The
 // pending chunk is held the way it will travel — its pool, and its entries
 // as 16-byte records in a buffer the writer keeps across chunks — and is
 // rendered in one allocation of exactly its size. Chunk boundaries depend

@@ -3,9 +3,12 @@ package rm
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
@@ -147,4 +150,65 @@ func TestDaemonSpecBytesAreAFunctionOfTheSpec(t *testing.T) {
 	if got := ReadDaemonSpec(rd); rd.Err() != nil || rd.Remaining() != 0 || !reflect.DeepEqual(got, spec) {
 		t.Fatalf("read back %+v (%v, %d bytes left), want %+v", got, rd.Err(), rd.Remaining(), spec)
 	}
+}
+
+// TestAllocatorIsFirstFit sends the allocation service a random sequence of
+// requests, with and without exclusions and some it cannot serve, and holds
+// every answer to a first-fit scan from node 0 kept here: starting the scan
+// at the first free node must pick the same nodes, and an excluded node
+// stays free for a later request.
+func TestAllocatorIsFirstFit(t *testing.T) {
+	const nodes = 40
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Install(cl, Profile{Allocator: "allocator", AllocPort: 7000}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := make([]bool, nodes)
+	for i := range free {
+		free[i] = true
+	}
+	reference := func(want int, exclude []string) ([]string, bool) {
+		var picked []string
+		var at []int
+		for i := 0; i < nodes && len(picked) < want; i++ {
+			name := cl.Node(i).Name()
+			if free[i] && !slices.Contains(exclude, name) {
+				picked, at = append(picked, name), append(at, i)
+			}
+		}
+		if len(picked) < want {
+			return nil, false
+		}
+		for _, i := range at {
+			free[i] = false
+		}
+		return picked, true
+	}
+	rng := rand.New(rand.NewSource(1))
+	sim.Go("client", func() {
+		sim.Sleep(time.Millisecond) // the allocator is listening
+		for req := 0; req < 40; req++ {
+			want := rng.Intn(5)
+			if req%10 == 9 {
+				want = nodes // more than is left
+			}
+			// Exclusions near the first free node, where a scan meets them.
+			lo := slices.Index(free, true)
+			var exclude []string
+			for k := rng.Intn(4); k > 0 && lo >= 0; k-- {
+				exclude = append(exclude, cl.Node(min(lo+rng.Intn(6), nodes-1)).Name())
+			}
+			ref, ok := reference(want, exclude)
+			got, err := s.allocate(cl.FrontEnd().Host(), want, exclude)
+			if (err == nil) != ok || !slices.Equal(got, ref) {
+				t.Errorf("request %d (%d nodes, excluding %v): got %v, %v; first fit picks %v", req, want, exclude, got, err, ref)
+			}
+		}
+	})
+	sim.Run()
 }

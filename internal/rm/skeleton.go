@@ -168,7 +168,9 @@ const opAlloc = 1
 
 // allocatorMain serves node allocations first-fit over the cluster's node
 // order. Nodes are never returned to the free list: reuse after a kill
-// would change later jobs' node lists and with them every pinned byte.
+// would change later jobs' node lists and with them every pinned byte. So
+// every node before the first free one stays allocated, and a request
+// scans from there.
 func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 	n := s.cl.NumNodes()
 	free := make(map[string]bool, n)
@@ -178,6 +180,7 @@ func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 		free[name] = true
 		order = append(order, name)
 	}
+	first := 0 // order[:first] is allocated
 	var mu sync.Mutex
 	Serve(p, s.prof.AllocPort, func(rd *lmonp.Reader, reply Reply) {
 		op, want, exclude := rd.Uint32(), int(rd.Uint32()), rd.StringList()
@@ -192,7 +195,7 @@ func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 		}
 		mu.Lock()
 		var picked []string
-		for _, name := range order {
+		for _, name := range order[first:] {
 			if len(picked) == want {
 				break
 			}
@@ -207,6 +210,9 @@ func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 		}
 		for _, name := range picked {
 			free[name] = false
+		}
+		for first < n && !free[order[first]] {
+			first++
 		}
 		mu.Unlock()
 		reply(lmonp.AppendStringList(nil, picked), nil)

@@ -232,6 +232,50 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
+// TestStringMapBytesChecksAsStringMap: the encoding StringMapBytes returns
+// for a later decode is accepted and refused exactly where StringMap would
+// be — at every truncation of every encoding, behind a failed read, and
+// under a count no payload could hold — and decodes to what StringMap reads.
+func TestStringMapBytesChecksAsStringMap(t *testing.T) {
+	for _, enc := range [][]byte{
+		AppendStringMap(nil, nil),
+		AppendStringMap(nil, [][2]string{{"", ""}}),
+		AppendStringMap(nil, [][2]string{{"LMON_NNODES", "4"}, {"k", ""}, {"", "v"}}),
+		append(AppendStringMap(nil, [][2]string{{"k", "v"}}), "trailing"...),
+		AppendUint32(nil, 1<<30),
+		AppendUint32(AppendUint32(nil, 1), 0),
+	} {
+		for cut := 0; cut <= len(enc); cut++ {
+			for _, failFirst := range []bool{false, true} {
+				want, got := NewReader(enc[:cut]), NewReader(enc[:cut])
+				if failFirst {
+					want.short()
+					got.short()
+				}
+				kv, b := want.StringMap(), got.StringMapBytes()
+				if (want.Err() == nil) != (got.Err() == nil) || want.Remaining() != got.Remaining() {
+					t.Fatalf("%x cut at %d (failed read first: %v): StringMap err %v with %d left, StringMapBytes err %v with %d left",
+						enc, cut, failFirst, want.Err(), want.Remaining(), got.Err(), got.Remaining())
+				}
+				if want.Err() != nil {
+					if want.Err().Error() != got.Err().Error() || b != nil {
+						t.Fatalf("%x cut at %d: StringMap failed with %v, StringMapBytes with %v and %d bytes",
+							enc, cut, want.Err(), got.Err(), len(b))
+					}
+					continue
+				}
+				if start := len(enc[:cut]) - len(b) - got.Remaining(); !bytes.Equal(b, enc[start:start+len(b)]) {
+					t.Fatalf("%x cut at %d: StringMapBytes returned %x, not the bytes it read", enc, cut, b)
+				}
+				r := NewReader(b)
+				if again := r.StringMap(); r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(again, kv) {
+					t.Fatalf("%x cut at %d: %x decodes to %v (%v, %d left), StringMap read %v", enc, cut, b, again, r.Err(), r.Remaining(), kv)
+				}
+			}
+		}
+	}
+}
+
 // TestReaderKeepsFirstError is the decode-error policy: a field whose
 // length prefix overruns the payload fails the Reader where it stands —
 // the fields behind it do not decode from the middle of it — and the

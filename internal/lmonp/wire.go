@@ -267,3 +267,18 @@ func (r *Reader) StringMap() [][2]string {
 	}
 	return out
 }
+
+// StringMapBytes reads what StringMap reads, checked the same way, and
+// returns its encoding (aliasing the input buffer) instead of building
+// strings: NewReader(b).StringMap() decodes it later, if at all.
+func (r *Reader) StringMapBytes() []byte {
+	start := r.off
+	for n := r.Count(8); n > 0; n-- {
+		r.Bytes()
+		r.Bytes()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[start:r.off]
+}

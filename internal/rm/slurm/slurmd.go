@@ -348,10 +348,10 @@ func encodeSpawn(jobid int, spec rm.DaemonSpec, nodelist []string) []byte {
 
 func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
 	// The daemon spec, field by field rather than through
-	// rm.ReadDaemonSpec: the environment stays a pair list here, because
-	// only the first node of the fabric to see this request makes a map of
-	// it (SpawnEnv below).
-	exe, args, kv := rd.String(), rd.StringList(), rd.StringMap()
+	// rm.ReadDaemonSpec: the environment stays wire bytes here, checked but
+	// not decoded, because only the first node of the fabric to see this
+	// request makes a map of it (SpawnEnv below).
+	exe, args, envList := rd.String(), rd.StringList(), rd.StringMapBytes()
 	if !d.open(st, rd, "spawn") {
 		return
 	}
@@ -372,6 +372,7 @@ func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *
 	// shared as the processes' base layer — one map for the whole fabric
 	// instead of one ~16-entry map per node.
 	base := d.m.SpawnEnv(st.jobid, raw[8:], func() map[string]string {
+		kv := lmonp.NewReader(envList).StringMap()
 		env := make(map[string]string, len(kv)+3)
 		for _, e := range kv {
 			env[e[0]] = e[1]

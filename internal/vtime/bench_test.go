@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -19,6 +20,40 @@ func BenchmarkTimer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.After(time.Duration(i%1024)*time.Microsecond, func() {})
 	}
+	sim.Run()
+}
+
+// BenchmarkTimerDeep: one push and one pop against 16 384 pending timers,
+// launch_wide's mean heap depth — where BenchmarkTimer's heap is b.N deep.
+func BenchmarkTimerDeep(b *testing.B) {
+	const depth = 16384
+	var h timerHeap
+	var ev Event = funcEvent(func() {})
+	var delays [1024]time.Duration
+	rng := rand.New(rand.NewSource(1))
+	for i := range delays {
+		delays[i] = time.Duration(1+rng.Intn(depth)) * time.Microsecond
+	}
+	var now time.Duration
+	var seq uint64
+	for ; seq < depth; seq++ {
+		h.push(timer{at: delays[seq%1024], seq: seq, ev: ev})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq++
+		h.push(timer{at: now + delays[i%1024], seq: seq, ev: ev})
+		now = h.pop().at
+	}
+}
+
+// BenchmarkSameInstant: a chain of zero-delay events, each scheduling the
+// next — the same-instant FIFO's path.
+func BenchmarkSameInstant(b *testing.B) {
+	b.ReportAllocs()
+	sim := New()
+	sim.AfterEvent(0, &ticker{s: sim, n: b.N})
 	sim.Run()
 }
 

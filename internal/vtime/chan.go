@@ -8,8 +8,7 @@ import "time"
 // usable; call NewChan, or Init on a Chan held by value.
 type Chan[T any] struct {
 	s      *Sim
-	q      []T      // q[head:] is queued; popped slots are reused, see pushLocked
-	head   int      // 0 whenever the queue is empty
+	q      queue[T]
 	wakers waitList // parked receivers
 
 	// Handler-mode state (see Handle): instead of parking a receiver
@@ -39,7 +38,7 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		return
 	}
-	c.pushLocked(v)
+	c.q.push(v)
 	if c.handler != nil {
 		c.pumpLocked()
 		return
@@ -47,18 +46,37 @@ func (c *Chan[T]) Send(v T) {
 	c.wakeOneLocked()
 }
 
-// pushLocked appends v. Together with popLocked it keeps the queue on one
-// backing array: a queue that drains starts again from the front, and one
-// that never drains slides back over its popped slots once they are most of
-// the array, so only a backlog that really grows makes the array grow.
-// Caller must hold s.mu.
-func (c *Chan[T]) pushLocked(v T) {
-	if n := len(c.q); n == cap(c.q) && c.head > n/2 {
-		live := copy(c.q, c.q[c.head:])
-		clear(c.q[live:])
-		c.q, c.head = c.q[:live], 0
+// queue is a FIFO on one backing array: a queue that drains starts again
+// from the front, and one that never drains slides back over its popped
+// slots once they are most of the array, so only a backlog that really grows
+// makes the array grow. A popped slot is zeroed: the array outlives the pop
+// and would otherwise keep the last few values of a long-lived queue (a
+// resident listener's accepted connections, a link's messages) reachable.
+type queue[T any] struct {
+	buf  []T // buf[head:] is queued
+	head int // 0 whenever the queue is empty
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if n := len(q.buf); n == cap(q.buf) && q.head > n/2 {
+		live := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:])
+		q.buf, q.head = q.buf[:live], 0
 	}
-	c.q = append(c.q, v)
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the head of the (non-empty) queue.
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // Handle switches the channel to event-driven delivery: each queued and
@@ -95,28 +113,13 @@ func (c *Chan[T]) Unhandle() {
 	c.handler = nil
 }
 
-// popLocked removes and returns the head of the (non-empty) queue. The
-// vacated slot is zeroed: the backing array outlives the pop and would
-// otherwise keep the last few values of a long-lived channel (a resident
-// listener's accepted connections, a link's messages) reachable for as long
-// as the channel. Caller must hold s.mu.
-func (c *Chan[T]) popLocked() T {
-	v := c.q[c.head]
-	var zero T
-	c.q[c.head] = zero
-	if c.head++; c.head == len(c.q) {
-		c.q, c.head = c.q[:0], 0
-	}
-	return v
-}
-
 // pumpLocked schedules the next handler delivery if one is due and none is
 // in flight. Caller must hold s.mu.
 func (c *Chan[T]) pumpLocked() {
 	if c.handler == nil || c.hPending || c.hDone {
 		return
 	}
-	if len(c.q) == 0 && !c.closed {
+	if c.q.len() == 0 && !c.closed {
 		return
 	}
 	c.hPending = true
@@ -127,25 +130,30 @@ func (c *Chan[T]) pumpLocked() {
 // itself under another name, which keeps Fire out of Chan's method set.
 type delivery[T any] Chan[T]
 
-// Fire runs on the scheduler goroutine: it pops one value (or the terminal
-// close) and invokes the handler outside the scheduler lock.
+// Fire is fireHeld under its own hold of s.mu; the scheduler calls
+// fireHeld.
 func (d *delivery[T]) Fire() {
+	d.s.mu.Lock()
+	d.fireHeld()
+	d.s.mu.Unlock()
+}
+
+// fireHeld runs on the scheduler goroutine with s.mu held: it pops one value
+// (or the terminal close) and invokes the handler with s.mu released.
+func (d *delivery[T]) fireHeld() {
 	c := (*Chan[T])(d)
-	c.s.mu.Lock()
 	fn := c.handler
 	if fn == nil { // Unhandled between scheduling and delivery
 		c.hPending = false
-		c.s.mu.Unlock()
 		return
 	}
-	if len(c.q) > 0 {
-		v := c.popLocked()
+	if c.q.len() > 0 {
+		v := c.q.pop()
 		c.s.mu.Unlock()
 		fn(v, true)
 		c.s.mu.Lock()
 		c.hPending = false
 		c.pumpLocked()
-		c.s.mu.Unlock()
 		return
 	}
 	c.hPending = false
@@ -154,9 +162,8 @@ func (d *delivery[T]) Fire() {
 		c.s.mu.Unlock()
 		var zero T
 		fn(zero, false)
-		return
+		c.s.mu.Lock()
 	}
-	c.s.mu.Unlock()
 }
 
 // wakeOneLocked wakes the longest-parked receiver, skipping any already
@@ -211,8 +218,8 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 	}
 	deadline := c.s.now + d
 	for {
-		if len(c.q) > 0 {
-			return c.popLocked(), true, false
+		if c.q.len() > 0 {
+			return c.q.pop(), true, false
 		}
 		if c.closed || c.s.stopped {
 			return v, false, false
@@ -229,6 +236,7 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 		if timed {
 			c.wakers.remove(p)
 		}
+		c.s.release(p)
 		if !woken {
 			return v, false, false
 		}
@@ -239,17 +247,17 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	if len(c.q) == 0 {
+	if c.q.len() == 0 {
 		return v, false
 	}
-	return c.popLocked(), true
+	return c.q.pop(), true
 }
 
 // Len returns the number of queued values.
 func (c *Chan[T]) Len() int {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	return len(c.q) - c.head
+	return c.q.len()
 }
 
 // Closed reports whether Close has been called.
@@ -297,7 +305,9 @@ func (w *WaitGroup) Wait() {
 		}
 		p := w.s.park()
 		w.wakers.push(p)
-		if !p.wait() {
+		ok := p.wait()
+		w.s.release(p)
+		if !ok {
 			return
 		}
 	}

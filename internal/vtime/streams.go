@@ -73,7 +73,7 @@ func (m *Streams[K, T]) Drop(k K) {
 func (c *Chan[T]) idle() bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	return len(c.q) == 0 && !c.closed && c.handler == nil && !c.hPending && c.wakers.head == nil
+	return c.q.len() == 0 && !c.closed && c.handler == nil && !c.hPending && c.wakers.head == nil
 }
 
 // Fail closes every queue, present and future, recording err as the cause

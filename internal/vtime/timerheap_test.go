@@ -98,8 +98,9 @@ func TestTimerOrderMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestTimerPushPopDoesNotAllocate pins what the typed heap is for: once the
-// backing array has grown, scheduling and firing a timer allocates nothing.
+// TestTimerPushPopDoesNotAllocate pins what the typed heap and the
+// same-instant FIFO are for: once the backing array has grown, scheduling and
+// firing a timer allocates nothing.
 func TestTimerPushPopDoesNotAllocate(t *testing.T) {
 	if size := unsafe.Sizeof(timer{}); size > 32 {
 		t.Errorf("a timer is %d bytes, want at most 32 (instant, seq, one two-word event)", size)
@@ -116,5 +117,30 @@ func TestTimerPushPopDoesNotAllocate(t *testing.T) {
 		h.pop()
 	}); n != 0 {
 		t.Errorf("push+pop allocates %v objects, want 0", n)
+	}
+	// The same-instant FIFO, once grown: a backlog that never drains and
+	// one that does.
+	var q queue[Event]
+	for i := 0; i < 64; i++ {
+		q.push(ev)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		q.push(ev)
+		q.pop()
+	}); n != 0 {
+		t.Errorf("FIFO push+pop under a backlog allocates %v objects, want 0", n)
+	}
+	for q.len() > 0 {
+		q.pop()
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 64; i++ {
+			q.push(ev)
+		}
+		for q.len() > 0 {
+			q.pop()
+		}
+	}); n != 0 {
+		t.Errorf("filling and draining the FIFO allocates %v objects, want 0", n)
 	}
 }

@@ -32,16 +32,30 @@ type Sim struct {
 	mu       sync.Mutex
 	schedule sync.Cond // signalled when runnable drops to zero
 	now      time.Duration
-	runnable int // simulated goroutines currently executing
-	timers   timerHeap
-	seq      uint64  // tie-break for deterministic ordering of equal timestamps
-	stopped  bool    // Run has returned; subsequent blocking ops abort
-	live     int     // simulated goroutines that have started and not finished
-	peakLive int     // high-water mark of live
-	parked   *parker // blocked goroutines, newest first, for teardown
-	parks    uint64  // times a simulated goroutine has blocked
+	runnable int          // simulated goroutines currently executing
+	timers   timerHeap    // events due after the instant they were scheduled at
+	ready    queue[Event] // events due at now, in seq order (see fireNext)
+	seq      uint64       // tie-break for deterministic ordering of equal timestamps
+	stopped  bool         // Run has returned; subsequent blocking ops abort
+	live     int          // simulated goroutines that have started and not finished
+	peakLive int          // high-water mark of live
+	parked   *parker      // blocked goroutines, newest first, for teardown
+	parks    uint64       // times a simulated goroutine has blocked
+	pool     []*parker    // released parkers for the next parks, at most poolSize
+	stats    Stats
 	panicked any
 	spawnObs func(name string) // test hook: observes every Go() by name
+}
+
+// poolSize bounds Sim.pool: enough for the parks of one busy instant, not for
+// a whole spawn wave's, which would stay live for the rest of the run.
+const poolSize = 256
+
+// Stats counts the scheduler's own work.
+type Stats struct {
+	Events      uint64 // events fired; a void deadline is dropped, not fired
+	SameInstant uint64 // of Events, those due at the instant they were scheduled at
+	PeakPending int    // high-water of events scheduled and not yet fired or dropped
 }
 
 // New returns a fresh simulation with the clock at zero.
@@ -83,6 +97,13 @@ func (s *Sim) Parks() uint64 {
 	return s.parks
 }
 
+// Stats returns the scheduler's counts so far.
+func (s *Sim) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
 // SetSpawnObserver installs a test hook invoked (with s.mu held, so it must
 // not call back into the Sim) for every Sim.Go with the goroutine's name.
 // Pass nil to remove it.
@@ -110,32 +131,36 @@ type timer struct {
 	ev  Event
 }
 
-// timerHeap is a binary min-heap of timers ordered by (at, seq) — a total
+func (t *timer) before(u *timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
+	}
+	return t.seq < u.seq
+}
+
+// timerHeap is a 4-ary min-heap of timers ordered by (at, seq) — a total
 // order, seq being unique, so the pop sequence is a function of what was
 // pushed alone. It is typed rather than a container/heap.Interface because
 // that interface moves every element through an `any`, which heap-allocates
-// the 32-byte timer once per push and once per pop.
+// the 32-byte timer once per push and once per pop. Four children a node
+// halve the depth a pop sifts through; both sifts move a hole, writing the
+// timer once where it lands.
 type timerHeap []timer
-
-func (h timerHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
 
 // push adds t, sifting it up to its place.
 func (h *timerHeap) push(t timer) {
 	*h = append(*h, t)
 	a := *h
-	for i := len(a) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !a.less(i, parent) {
+	i := len(a) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !t.before(&a[parent]) {
 			break
 		}
-		a[i], a[parent] = a[parent], a[i]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = t
 }
 
 // pop removes and returns the earliest timer; the heap must not be empty.
@@ -143,24 +168,29 @@ func (h *timerHeap) pop() timer {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
-	a[0] = a[n]
+	last := a[n]
 	a[n] = timer{} // drop the event reference
 	a = a[:n]
 	*h = a
-	for i := 0; ; {
-		least := i
-		if l := 2*i + 1; l < n && a.less(l, least) {
-			least = l
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		kids := a[c:min(c+4, n)]
+		least := 0
+		for j := 1; j < len(kids); j++ {
+			if kids[j].before(&kids[least]) {
+				least = j
+			}
 		}
-		if r := 2*i + 2; r < n && a.less(r, least) {
-			least = r
-		}
-		if least == i {
+		if !kids[least].before(&last) {
 			break
 		}
-		a[i], a[least] = a[least], a[i]
-		i = least
+		a[i] = kids[least]
+		i = c + least
 	}
+	a[i] = last
 	return top
 }
 
@@ -177,12 +207,21 @@ func (s *Sim) AfterEvent(d time.Duration, ev Event) {
 	s.afterLocked(d, ev)
 }
 
+// afterLocked takes ev's seq and queues it: on the same-instant FIFO when it
+// is due now, on the heap otherwise. A parker counts the timers that hold it.
 func (s *Sim) afterLocked(d time.Duration, ev Event) {
-	if d < 0 {
-		d = 0
-	}
 	s.seq++
-	s.timers.push(timer{at: s.now + d, seq: s.seq, ev: ev})
+	if p, ok := ev.(*parker); ok {
+		p.refs++
+	}
+	if d <= 0 {
+		s.ready.push(ev)
+	} else {
+		s.timers.push(timer{at: s.now + d, seq: s.seq, ev: ev})
+	}
+	if n := s.pending(); n > s.stats.PeakPending {
+		s.stats.PeakPending = n
+	}
 }
 
 // Go starts fn as a simulated goroutine. The name is used in panic
@@ -230,6 +269,7 @@ type parker struct {
 	cond       sync.Cond // on s.mu
 	prev, next *parker   // s.parked
 	link       *parker   // next in the waitList this parker is queued on
+	refs       int32     // its waiter and the queued timers that hold it: see release
 	fired      bool      // woken already: a timer that still holds it is void
 	aborted    bool      // woken by teardown
 }
@@ -262,11 +302,18 @@ func (p *parker) fire(aborted bool) {
 }
 
 // Fire is the parker as a timer: the end of a Sleep, or a receive deadline.
+// The scheduler calls fireHeld instead.
 func (p *parker) Fire() {
 	p.s.mu.Lock()
 	p.wake()
 	p.s.mu.Unlock()
 }
+
+func (p *parker) fireHeld() { p.wake() }
+
+// heldEvent is an Event of this package's own: fireNext calls fireHeld under
+// the hold of s.mu it already has, and fireHeld returns with s.mu held.
+type heldEvent interface{ fireHeld() }
 
 // wait blocks until wake or abort; it releases and reacquires s.mu and
 // returns false on teardown.
@@ -280,11 +327,30 @@ func (p *parker) wait() bool {
 // park marks the calling simulated goroutine blocked and returns a parker
 // to wait on. The caller must hold s.mu and have seen s.stopped false under
 // it: teardown aborts what is on s.parked once, and nothing may join later.
+// The parker comes from s.pool when there is one; its waiter hands it back
+// with release.
 func (s *Sim) park() *parker {
-	p := &parker{s: s}
-	p.cond.L = &s.mu
+	var p *parker
+	if n := len(s.pool); n > 0 {
+		p, s.pool[n-1], s.pool = s.pool[n-1], nil, s.pool[:n-1]
+	} else {
+		p = &parker{s: s}
+		p.cond.L = &s.mu
+	}
+	p.refs = 1 // the waiter's
 	s.parkOn(p)
 	return p
+}
+
+// release drops one reference to p: its waiter's, once the waiter has
+// returned from wait and taken p off every waitList, or a queued timer's,
+// when the timer pops. With the last one gone p goes back to s.pool — unless
+// teardown aborted it or the pool is full. A Waiter's parker is never
+// released. Caller holds s.mu.
+func (s *Sim) release(p *parker) {
+	if p.refs--; p.refs == 0 && !p.aborted && len(s.pool) < poolSize {
+		s.pool = append(s.pool, p)
+	}
 }
 
 // parkOn is park on a parker the caller owns (a Waiter's): one that is bound
@@ -359,6 +425,7 @@ func (s *Sim) Sleep(d time.Duration) {
 	p := s.park()
 	s.afterLocked(d, p)
 	p.wait()
+	s.release(p)
 	s.mu.Unlock()
 }
 
@@ -371,7 +438,7 @@ func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
 	for {
 		s.settle()
-		if len(s.timers) == 0 {
+		if s.pending() == 0 {
 			break
 		}
 		s.fireNext()
@@ -386,7 +453,7 @@ func (s *Sim) Run() time.Duration {
 		s.settle()
 		// A torn-down goroutine became runnable and may spawn nothing new;
 		// also drain any timers it scheduled during teardown.
-		if s.live > 0 && len(s.timers) > 0 {
+		if s.live > 0 && s.pending() > 0 {
 			s.fireNext()
 		}
 	}
@@ -409,21 +476,45 @@ func (s *Sim) settle() {
 	}
 }
 
-// fireNext pops the earliest timer, advances the clock to it and fires it
-// on the scheduler goroutine. Events take s.mu themselves, so it is
-// released around the call. A parker that something else woke first is a
-// void deadline: it is discarded without advancing the clock. Caller holds
-// s.mu.
+// pending counts the events scheduled and not yet fired. Caller holds s.mu.
+func (s *Sim) pending() int { return len(s.timers) + s.ready.len() }
+
+// fireNext fires the next event in (at, seq) order on the scheduler
+// goroutine. A heap timer due now was scheduled before the clock got here —
+// else it would be on the FIFO — so its seq is below every FIFO entry's: the
+// heap's earliest goes first if it is due now, then the FIFO in order, and
+// only then does the clock advance to the heap's earliest. A parker that
+// something else woke first is a void deadline: it is dropped without
+// advancing the clock. vtime's own events fire under the caller's hold of
+// s.mu; any other Event takes s.mu itself, so it is released around the
+// call. Caller holds s.mu.
 func (s *Sim) fireNext() {
-	t := s.timers.pop()
-	if p, ok := t.ev.(*parker); ok && p.fired {
+	var ev Event
+	at := s.now
+	same := s.ready.len() > 0 && (len(s.timers) == 0 || s.timers[0].at > s.now)
+	if same {
+		ev = s.ready.pop()
+	} else {
+		t := s.timers.pop()
+		ev, at = t.ev, t.at
+	}
+	if p, ok := ev.(*parker); ok {
+		s.release(p) // the timer's reference; the waiter holds its own
+		if p.fired {
+			return
+		}
+	}
+	s.now = at
+	s.stats.Events++
+	if same {
+		s.stats.SameInstant++
+	}
+	if h, ok := ev.(heldEvent); ok {
+		h.fireHeld()
 		return
 	}
-	if t.at > s.now {
-		s.now = t.at
-	}
 	s.mu.Unlock()
-	t.ev.Fire()
+	ev.Fire()
 	s.mu.Lock()
 }
 

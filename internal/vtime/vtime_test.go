@@ -513,3 +513,31 @@ func TestParksCountsBlockingCalls(t *testing.T) {
 		t.Errorf("Parks = %d, want 3", got)
 	}
 }
+
+// TestStatsCountsEvents pins the scheduler's own counts on a small script:
+// what fires counts once, from the heap or the same-instant FIFO, and a void
+// deadline not at all.
+func TestStatsCountsEvents(t *testing.T) {
+	s := New()
+	inbox := NewChan[int](s)
+	c := NewChan[int](s)
+	c.Handle(func(_ int, ok bool) {
+		if ok {
+			inbox.Send(0) // wakes the receiver before its deadline
+		}
+	})
+	s.After(0, func() {})                // 1: same-instant
+	s.After(time.Millisecond, func() {}) // 2
+	var timedOut bool
+	s.Go("a", func() {
+		s.Sleep(time.Millisecond) // 3: the third pending event, at its peak
+		c.Send(1)                 // 4: a delivery, same-instant
+		_, _, timedOut = inbox.RecvTimeout(time.Second)
+	})
+	if end := s.Run(); end != time.Millisecond || timedOut {
+		t.Errorf("Run ended at %v (timed out: %v), want 1ms with the receive woken early", end, timedOut)
+	}
+	if got, want := s.Stats(), (Stats{Events: 4, SameInstant: 2, PeakPending: 3}); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+}

@@ -281,25 +281,11 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 	payload := bytes.Repeat([]byte("launchmon-32KiB-"), 2<<10)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)) * planeTreeSize)
-	// The root's FE side: broadcast i arrives as the frames of lockstep tag i.
-	var pending []coll.Frame
-	down := func(tag uint32) (coll.Frame, error) {
-		if len(pending) == 0 {
-			pending = coll.RawFrames(coll.OpBroadcast, tag, "", payload, chunk)
-		}
-		f := pending[0]
-		pending = pending[1:]
-		return f, nil
-	}
 	cl := planeCluster(b)
 	var parks0 uint64
 	var m0, m1 runtime.MemStats
 	icclTree(b, cl, iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
-		var fe iccl.DownFn
-		if c.IsMaster() {
-			fe = down
-		}
-		pl := c.NewPlane(chunk, 0, nil, fe)
+		pl := c.NewPlane(chunk, 0, nil, nil)
 		if err := pl.Barrier(); err != nil {
 			return err
 		}
@@ -309,6 +295,12 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 			runtime.ReadMemStats(&m0)
 		}
 		for i := 0; i < b.N; i++ {
+			if c.IsMaster() {
+				// The root's front end: broadcast i is lockstep tag i+1.
+				for _, f := range coll.RawFrames(coll.OpBroadcast, uint32(i+1), "", payload, chunk) {
+					pl.PushFE(f)
+				}
+			}
 			got, err := pl.Broadcast()
 			if err != nil {
 				return err

@@ -98,14 +98,22 @@ const DefaultWindow = 32
 // collectives use tags below MinUserTag; concurrent tagged streams
 // allocated by Session.AllocTag live in [MinUserTag, MaxUserTag); tags
 // at or above MaxUserTag are reserved for tree-internal lockstep
-// sequences. The split lets the FE↔master readers (core.rxStreams) give
-// every user tag its own queue while all lockstep tags share one ordered
-// queue, which keeps the eager op/tag divergence check; on tree links
-// every tag has its own queue (iccl's link demux).
+// sequences.
 const (
 	MinUserTag uint32 = 1 << 16
 	MaxUserTag uint32 = 1 << 31
 )
+
+// FEStream keys tag's stream on the FE↔master hop, at both ends: a user tag
+// is its own stream, all lockstep tags share stream 0, so a frame of another
+// lockstep operation reaches the running one and fails its op/tag check
+// eagerly. On tree links every tag is its own stream.
+func FEStream(tag uint32) uint32 {
+	if tag >= MinUserTag {
+		return tag
+	}
+	return 0
+}
 
 // CreditFrame builds an OpCredit frame returning n credits for the
 // tagged stream. Credits ride in the header's Index field: the frame

@@ -8,16 +8,11 @@ import (
 	"launchmon/internal/lmonp"
 )
 
-// This file is the user-data collective plane (the successor of the flat
-// SendToBE/RecvFromBE pipe for bulk tool traffic): Session.Broadcast /
-// Scatter / Gather / Reduce on the front end, mirrored by the daemon-side
-// Collective handle on every back-end daemon — and, since the MW fabric
-// gained parity, Session.MWGather and the MW*Tag forms mirrored by
-// Middleware.Collective over the MW tree. Payloads ride the
-// fabric's ICCL k-ary tree as bounded-size chunk streams (codec
-// internal/coll, routing internal/iccl); interior daemons forward — and,
-// for Reduce, combine — instead of the master relaying every byte over
-// its single FE link.
+// This file is the front end's half of the collective tool-data plane:
+// Session.Broadcast / Scatter / Gather / Reduce and their tagged and MW
+// forms, mirrored by the daemons' Collective handle (an iccl.Plane) on the
+// fabric's tree, where payloads ride as bounded-size chunk streams (codec
+// internal/coll) that interior daemons forward — and, for Reduce, combine.
 //
 // Each plane is collective in the MPI sense: the front end and every
 // daemon of the fabric must issue matching operations in the same order.
@@ -38,7 +33,7 @@ type feFabric struct {
 	st     fabState
 	launch *seedRelay   // the launching call's sub-state; nil unless fabLaunching
 	conn   *lmonp.Conn  // the master connection, from the moment the mux hands it over
-	rx     *rxStreams   // its sorted receive side, fed by onMaster
+	rx     *rxStreams   // its sorted receive side, fed by onLink
 	infos  []DaemonInfo // the daemon set the master reported ready
 	seq    uint32       // lockstep collective sequence, FE side
 }
@@ -83,10 +78,9 @@ func (fab *feFabric) sendUsr(data []byte) error {
 	return conn.Send(&lmonp.Msg{Class: fab.prof.class, Type: lmonp.TypeUsrData, UsrData: data})
 }
 
-// recvUsr receives tool data from the fabric's master daemon (queued by
-// onMaster, which filters out status events and collective frames). On a
-// session a fault tore down, the error wraps the terminal fault detail
-// (see closedErr).
+// recvUsr receives tool data from the fabric's master daemon (sorted by
+// rxStreams). On a session a fault tore down, the error wraps the terminal
+// fault detail (see closedErr).
 func (fab *feFabric) recvUsr() ([]byte, error) {
 	if _, err := fab.live(); err != nil {
 		return nil, err
@@ -261,67 +255,12 @@ func (st feStream) scatter(parts [][]byte) error {
 	return st.send(coll.EntryFrames(coll.OpScatter, st.tag, entries, s.collChunk))
 }
 
-// recv waits for the stream's next frame from the master daemon,
-// surfacing a malformed frame's decode error or — if the session dies
-// mid-collective — the terminal fault detail, and checks that the frame
-// belongs to the running operation.
-func (st feStream) recv(op coll.Op) (coll.Frame, error) {
-	f, err := st.fab.rx.next(st.tag)
-	if err != nil {
-		return coll.Frame{}, err
-	}
-	s := st.fab.s
-	s.obsCounter("coll.fe.rx.frames").Inc()
-	s.obsCounter("coll.fe.rx.bytes").Add(uint64(len(f.Body)))
-	if f.H.Op != op || f.H.Tag != st.tag {
-		return coll.Frame{}, fmt.Errorf("core: %v frame tag %d during %v tag %d (collective order diverged)",
-			f.H.Op, f.H.Tag, op, st.tag)
-	}
-	return f, nil
-}
-
 func (st feStream) gather() ([][]byte, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	sp := st.fab.s.obsRec.Start("fe-gather", -1)
-	defer sp.End()
-	var asm coll.RankAssembler
-	for {
-		f, err := st.recv(coll.OpGather)
-		if err != nil {
-			return nil, err
-		}
-		if f.End {
-			return asm.Finish(f.H, f.Total, len(st.fab.infos))
-		}
-		if err := asm.Add(f.H, f.Body); err != nil {
-			return nil, err
-		}
-	}
+	c, err := st.run(coll.OpGather, "fe-gather")
+	return c.table, err
 }
 
 func (st feStream) reduce() ([]byte, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	s := st.fab.s
-	sp := s.obsRec.Start("fe-reduce", -1)
-	defer sp.End()
-	var asm coll.RawAssembler
-	for {
-		f, err := st.recv(coll.OpReduce)
-		if err != nil {
-			return nil, err
-		}
-		// The K-independence invariant of filtered reduction: bytes landing
-		// on the FE link are bounded by the combined result, not the fabric.
-		s.obsCounter("coll.reduce.fe.rx.bytes").Add(uint64(len(f.Body)))
-		if f.End {
-			return asm.Finish(f.H, f.Total)
-		}
-		if err := asm.Add(f.H, f.Body); err != nil {
-			return nil, err
-		}
-	}
+	c, err := st.run(coll.OpReduce, "fe-reduce")
+	return c.blob, err
 }

@@ -10,6 +10,7 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
@@ -221,65 +222,77 @@ func TestOversizedToolPayloadRejectedAtSend(t *testing.T) {
 
 // TestGatherSurfacesTeardownDetail is the KillNode-mid-gather regression:
 // a collective receive on a session the watchdog tears down must wrap the
-// terminal health event's detail (which daemon died), not return a bare
-// ErrSessionClosed.
+// terminal fault's detail (which daemon died), not return a bare
+// ErrSessionClosed — whether the lost daemon is one the gather waits on
+// or the master, the front end's end of the FE hop.
 func TestGatherSurfacesTeardownDetail(t *testing.T) {
 	const n = 6
-	sim, cl, _ := rig(t, n)
-	cl.Register("stuck_be", func(p *cluster.Proc) {
-		be, err := BEInit(p)
-		if err != nil {
-			return
-		}
-		if be.Rank() == 3 {
-			// Rank 3 never contributes: the gather stalls until its node is
-			// killed. Park; the node kill reaps us.
-			vtime.NewChan[int](p.Sim()).Recv()
-			return
-		}
-		// Everyone else contributes, then parks (errors expected once the
-		// session dies under them).
-		be.Collective().Gather([]byte("x"))
-		vtime.NewChan[int](p.Sim()).Recv()
-	})
-	runFE(t, sim, cl, func(p *cluster.Proc) {
-		sess, err := LaunchAndSpawn(p, Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: n, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "stuck_be"},
-			ICCLFanout: 2,
-			Health:     HealthOptions{Period: 200 * time.Millisecond, Miss: 2},
+	for _, tc := range []struct {
+		name   string
+		victim int    // the rank whose node is killed mid-gather
+		detail string // what the front end's error names
+	}{
+		{"stalled_rank", 3, "daemon rank 3 lost"},
+		{"master", 0, "master daemon connection severed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, cl, _ := rig(t, n)
+			cl.Register("stuck_be", func(p *cluster.Proc) {
+				be, err := BEInit(p)
+				if err != nil {
+					return
+				}
+				if be.Rank() == 3 {
+					// Rank 3 never contributes: the gather stalls until a node
+					// is killed. Park; the kill reaps us.
+					vtime.NewChan[int](p.Sim()).Recv()
+					return
+				}
+				// Everyone else contributes, then parks (errors expected once
+				// the session dies under them).
+				be.Collective().Gather([]byte("x"))
+				vtime.NewChan[int](p.Sim()).Recv()
+			})
+			runFE(t, sim, cl, func(p *cluster.Proc) {
+				sess, err := LaunchAndSpawn(p, Options{
+					Job:        rm.JobSpec{Exe: "app", Nodes: n, TasksPerNode: 1},
+					Daemon:     rm.DaemonSpec{Exe: "stuck_be"},
+					ICCLFanout: 2,
+					Health:     HealthOptions{Period: 200 * time.Millisecond, Miss: 2},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				victimHost := ""
+				for _, d := range sess.Daemons() {
+					if d.Rank == tc.victim {
+						victimHost = d.Host
+					}
+				}
+				p.Sim().Sleep(time.Second) // session reaches steady state
+				sim.Go("killer", func() {
+					p.Sim().Sleep(500 * time.Millisecond)
+					cl.KillNodeByName(victimHost)
+				})
+				_, err = sess.Gather() // stalls on rank 3, then dies with the session
+				if err == nil {
+					t.Error("gather on torn-down session succeeded")
+					return
+				}
+				if !errors.Is(err, ErrSessionClosed) {
+					t.Errorf("teardown error does not wrap ErrSessionClosed: %v", err)
+				}
+				if !strings.Contains(err.Error(), tc.detail) {
+					t.Errorf("teardown error does not name %q: %v", tc.detail, err)
+				}
+				// RecvFromBE after the fact reports the same cause.
+				if _, err := sess.RecvFromBE(); err == nil || !strings.Contains(err.Error(), tc.detail) {
+					t.Errorf("RecvFromBE after teardown: %v", err)
+				}
+			})
 		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		victimHost := ""
-		for _, d := range sess.Daemons() {
-			if d.Rank == 3 {
-				victimHost = d.Host
-			}
-		}
-		p.Sim().Sleep(time.Second) // session reaches steady state
-		sim.Go("killer", func() {
-			p.Sim().Sleep(500 * time.Millisecond)
-			cl.KillNodeByName(victimHost)
-		})
-		_, err = sess.Gather() // stalls on rank 3, then dies with the session
-		if err == nil {
-			t.Error("gather on torn-down session succeeded")
-			return
-		}
-		if !errors.Is(err, ErrSessionClosed) {
-			t.Errorf("teardown error does not wrap ErrSessionClosed: %v", err)
-		}
-		if !strings.Contains(err.Error(), "daemon rank 3 lost") {
-			t.Errorf("teardown error does not name the lost daemon: %v", err)
-		}
-		// RecvFromBE after the fact reports the same cause.
-		if _, err := sess.RecvFromBE(); err == nil || !strings.Contains(err.Error(), "daemon rank 3 lost") {
-			t.Errorf("RecvFromBE after teardown: %v", err)
-		}
-	})
+	}
 }
 
 // TestRecvFromBEPlainClosedAfterKill pins the contract that a
@@ -406,37 +419,90 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 
 // TestMalformedCollectiveFrameFailsCollectives pins the sorter's contract
 // at both ends of a master connection: a collective frame it cannot decode
-// names no trustworthy tag, so it must fail the pending lockstep gather
-// and every tagged stream — pending or opened later — with an error
-// naming the cause, not vanish and leave them waiting for an end marker
-// that never comes. Tool data keeps flowing.
+// names no trustworthy tag, so it must fail the running lockstep operation
+// and every tagged stream — running or started later — with an error naming
+// the cause, not vanish and leave them waiting for an end marker that never
+// comes. Tool data keeps flowing. At the front end the running operations
+// are a Gather and a ReduceTag; at the master, a Broadcast and a ScatterTag
+// of the root plane of a one-daemon tree, which its frames are pushed into.
 func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
-	sim := vtime.New()
+	for _, tc := range []struct {
+		name, peer string
+		start      func(t *testing.T, sim *vtime.Sim, e *malformedEnd)
+	}{
+		{"front_end", "master daemon", startFEEnd},
+		{"master", "front end", startMasterEnd},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			e := &malformedEnd{}
+			tc.start(t, sim, e)
+			var lateErr error
+			var usr []byte
+			sim.Go("inject", func() {
+				sim.Sleep(time.Second)
+				// What the connection's handler hands the sorter when its peer
+				// sends garbage.
+				if !e.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
+					t.Error("sorter disowned a collective chunk")
+				}
+				e.rx.sort(&lmonp.Msg{Type: lmonp.TypeUsrData, UsrData: []byte("still here")})
+				lateErr = e.late()
+				usr, _ = e.recvUsr()
+			})
+			sim.Run()
+			for name, err := range map[string]error{"running lockstep operation": e.lockstep, "running tagged operation": e.tagged, "late tagged operation": lateErr} {
+				if err == nil || !strings.Contains(err.Error(), "malformed collective frame from "+tc.peer) {
+					t.Errorf("%s after malformed frame: %v", name, err)
+				}
+			}
+			if string(usr) != "still here" {
+				t.Errorf("tool data after malformed frame: %q", usr)
+			}
+		})
+	}
+}
+
+// malformedEnd is one end of a master connection under
+// TestMalformedCollectiveFrameFailsCollectives: its sorter, what its running
+// operations returned, and how to start a late one and receive tool data.
+type malformedEnd struct {
+	rx               *rxStreams
+	lockstep, tagged error
+	late             func() error
+	recvUsr          func() ([]byte, error)
+}
+
+func startFEEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 	var buf bytes.Buffer
 	s := &Session{state: stReady}
-	s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: newRxStreams(sim, "master daemon")}
+	e.rx = newRxStreams(sim, "master daemon", nil)
+	s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: e.rx}
 	tag := s.AllocTag()
-	var gatherErr, tagErr, lateErr error
-	var usr []byte
-	sim.Go("fe-gather", func() { _, gatherErr = s.Gather() })
-	sim.Go("fe-reduce-tag", func() { _, tagErr = s.ReduceTag(tag) })
-	sim.Go("inject", func() {
-		sim.Sleep(time.Millisecond)
-		// What onMaster hands the sorter when the master sends garbage.
-		if !s.be.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
-			t.Error("sorter disowned a collective chunk")
-		}
-		s.be.rx.sort(&lmonp.Msg{Type: lmonp.TypeUsrData, UsrData: []byte("still here")})
-		_, lateErr = s.GatherTag(s.AllocTag())
-		usr, _ = s.RecvFromBE()
+	sim.Go("fe-gather", func() { _, e.lockstep = s.Gather() })
+	sim.Go("fe-reduce-tag", func() { _, e.tagged = s.ReduceTag(tag) })
+	e.late = func() error { _, err := s.GatherTag(s.AllocTag()); return err }
+	e.recvUsr = s.RecvFromBE
+}
+
+func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Go("boot", func() {
+		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+			comm, err := iccl.Bootstrap(p, iccl.Config{Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50021})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pl := comm.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
+			e.rx = newRxStreams(sim, "front end", pl)
+			sim.Go("root-broadcast", func() { _, e.lockstep = pl.Broadcast() })
+			sim.Go("root-scatter-tag", func() { _, e.tagged = pl.ScatterTag(coll.MinUserTag) })
+			e.late = func() error { _, err := pl.BroadcastTag(coll.MinUserTag + 1); return err }
+			e.recvUsr = e.rx.recvUsr
+		}})
 	})
-	sim.Run()
-	for name, err := range map[string]error{"gather": gatherErr, "tagged reduce": tagErr, "late tagged gather": lateErr} {
-		if err == nil || !strings.Contains(err.Error(), "malformed collective frame from master daemon") {
-			t.Errorf("%s after malformed frame: %v", name, err)
-		}
-	}
-	if string(usr) != "still here" {
-		t.Errorf("tool data after malformed frame: %q", usr)
-	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // rig boots a cluster with SLURM and LaunchMON installed.
-func rig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, rm.Manager) {
+func rig(t testing.TB, nodes int) (*vtime.Sim, *cluster.Cluster, rm.Manager) {
 	t.Helper()
 	sim := vtime.New()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: nodes})
@@ -32,7 +32,7 @@ func rig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, rm.Manager) {
 
 // runFE runs fn as a tool front-end process on the FE node and returns
 // after the simulation completes.
-func runFE(t *testing.T, sim *vtime.Sim, cl *cluster.Cluster, fn func(p *cluster.Proc)) {
+func runFE(t testing.TB, sim *vtime.Sim, cl *cluster.Cluster, fn func(p *cluster.Proc)) {
 	t.Helper()
 	sim.Go("tool-fe-boot", func() {
 		if _, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "tool_fe", Main: fn}); err != nil {

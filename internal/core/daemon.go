@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -69,10 +68,7 @@ type daemonSession struct {
 	feData []byte
 	tl     engine.Timeline
 
-	// The master's sorted FE connection (feStreams), nil until its first
-	// read-side use.
-	feRxOnce sync.Once
-	feRx     *rxStreams
+	feRx *rxStreams // the master's sorted FE connection (completeInit)
 
 	// obsReg is the daemon's observability registry (nil when LMON_OBS is
 	// off). Its snapshot is tree-folded to the master and rides the ready
@@ -136,7 +132,7 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 	if err != nil {
 		return err
 	}
-	d.setupCollective(comm, env)
+	d.adopt(comm)
 	if err := d.drainSeed(seed); err != nil {
 		return err
 	}
@@ -224,9 +220,9 @@ func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
 // one frame per relayed RPDTAB chunk, closed by the relay's end marker.
 // Frame 0 is its own zero-delay event, scheduled ahead of the connection's
 // first delivery; the handler detaches as the stream's last frame arrives,
-// leaving the connection to feStreams. Chunk sums are computed here (the LMONP
-// relay ships bare payloads); the end marker's digest arrives from the FE,
-// so the master's stream check covers the whole engine→FE→master path.
+// leaving the connection to completeInit. Chunk sums are computed here (the
+// LMONP relay ships bare payloads); the end marker's digest arrives from the
+// FE, so the master's stream check covers the whole engine→FE→master path.
 func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 	idx := uint32(0)
 	chunk := func(body []byte) (coll.Frame, error) {
@@ -256,8 +252,8 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 			}
 			// Detach before the frame that ends the stream is delivered: the
 			// End frame wakes the daemon's main, which goes on to install
-			// feStreams' handler on this connection — on a one-daemon tree with
-			// nothing to wait for first, while this callback is still running.
+			// completeInit's handler on this connection — on a one-daemon tree
+			// with nothing to wait for first, while this callback still runs.
 			last := err != nil || f.End
 			if last {
 				fe.Unhandle()
@@ -289,7 +285,7 @@ func (d *daemonSession) initStoreForward(env *bootEnv) error {
 	if err != nil {
 		return err
 	}
-	d.setupCollective(comm, env)
+	d.adopt(comm)
 
 	// Distribute RPDTAB + piggybacked FE data to every daemon.
 	if d.tab, d.feData, err = distributeSessionSeed(comm, masterTab, feData); err != nil {
@@ -300,29 +296,37 @@ func (d *daemonSession) initStoreForward(env *bootEnv) error {
 	return d.completeInit(env)
 }
 
-// setupCollective adopts the bootstrapped communicator — the master's
-// return from bootstrap is the fabric-setup completion mark — and
-// attaches the session's collective tool-data plane. At the master,
-// gather/reduce frames bridge onto the FE connection as
-// TypeCollChunk/TypeCollEnd messages and broadcast/scatter frames are
-// pulled from the sorted FE connection, so concurrent tagged collectives
-// share it. The FE hop itself carries no credits — it has exactly one
-// consumer draining into per-tag queues and no fan-in skew.
-func (d *daemonSession) setupCollective(comm *iccl.Comm, env *bootEnv) {
+// adopt takes the bootstrapped communicator; the master's return from
+// bootstrap is the fabric-setup completion mark.
+func (d *daemonSession) adopt(comm *iccl.Comm) {
 	d.comm = comm
-	var up iccl.UpFn
-	var down iccl.DownFn
 	if comm.IsMaster() {
 		d.tl.Mark(d.fab.markNetDone, d.p.Sim().Now())
-		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
-		down = func(tag uint32) (coll.Frame, error) { return d.feStreams().next(tag) }
 	}
-	d.coll = comm.NewPlane(env.collChunk, env.collWindow, up, down)
 }
 
-// completeInit is the shared tail of both seed pipelines: gather
-// per-daemon info for the ready message, then join the heartbeat tree.
+// completeInit is the shared tail of both seed pipelines: attach the
+// collective tool-data plane, whose root's FE hop is the FE connection init
+// has stopped reading (sorted by rxStreams from here on), gather per-daemon
+// info for the ready message, then join the heartbeat tree.
 func (d *daemonSession) completeInit(env *bootEnv) error {
+	var up iccl.UpFn
+	if d.comm.IsMaster() {
+		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
+	}
+	d.coll = d.comm.NewPlane(env.collChunk, env.collWindow, up, nil)
+	if d.comm.IsMaster() {
+		rx := newRxStreams(d.p.Sim(), "front end", d.coll)
+		d.feRx = rx
+		d.fe.Handle(func(msg *lmonp.Msg, err error) {
+			if err == nil && !rx.sort(msg) {
+				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
+			}
+			if err != nil {
+				rx.fail(err)
+			}
+		})
+	}
 	// Gather per-daemon info to the master; it rides the ready message.
 	mine := encodeDaemonInfo(DaemonInfo{
 		Rank:      d.comm.Rank(),
@@ -495,7 +499,7 @@ func (d *daemonSession) RecvFromFE() ([]byte, error) {
 	if !d.AmIMaster() {
 		return nil, ErrNotMaster
 	}
-	return d.feStreams().recvUsr()
+	return d.feRx.recvUsr()
 }
 
 // Finalize leaves the session: it synchronizes the fabric's daemons,

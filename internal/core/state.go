@@ -95,7 +95,7 @@ func (s *Session) step(in *input) error {
 		}
 		in.relay.in = vtime.NewChan[feIn](s.p.Sim())
 		fab.st, fab.launch = fabLaunching, in.relay
-		fab.rx = newRxStreams(s.p.Sim(), fab.pre()+"master daemon")
+		fab.rx = newRxStreams(s.p.Sim(), fab.pre()+"master daemon", nil)
 
 	case inConn:
 		relay := s.be.launch // the engine dials during the BE fabric's launch

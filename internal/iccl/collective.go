@@ -6,47 +6,30 @@ import (
 
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
-// This file implements the tool-data collective plane over the ICCL
-// tree: chunk streams (codec in internal/coll) routed hop by hop, with
-// interior daemons forwarding broadcast/scatter/gather traffic and
-// combining reduce contributions — instead of the master daemon relaying
-// every byte over the flat FE link. The master bridges the tree to the
-// front end through injected up/down frame hooks (internal/core wires
-// them to the FE's LMONP connection; tests wire them to in-memory
-// queues), so the routing logic is identical at every tree node.
+// This file implements the tool-data collective plane over the ICCL tree:
+// chunk streams (codec in internal/coll) routed hop by hop, interior daemons
+// forwarding broadcast/scatter/gather traffic and combining reduce
+// contributions. The front end is the root's parent link: FE-bound frames
+// leave through an up hook, FE-originated ones are pushed in (PushFE), so
+// every rank runs the same operations.
 //
-// Plane v2 adds two orthogonal mechanisms:
+// Each chunk on a tree link spends one credit of the per-(link, tag) window,
+// returned as the receiver takes it (opCredit), so interior depth is bounded
+// by window × chunk bytes; end markers and credits ride outside it. The FE
+// hop has no window: one sorted reader at either end and no fan-in skew.
 //
-//   - Flow control: each chunk on a tree link consumes one credit of the
-//     per-(link, tag) window; the receiver returns a credit as it
-//     takes the chunk (opCredit), so at most window chunks of one
-//     stream are ever queued at a receiver — interior depth is bounded
-//     by window × chunk bytes regardless of tree size or subtree skew.
-//     End markers and credits ride outside the window. Credits apply to
-//     tree links only: the FE↔master LMONP hop has exactly one consumer
-//     draining into per-tag queues and no fan-in skew, so a window there
-//     would serialize the FE against the slowest subtree for no bound
-//     it doesn't already have.
-//
-//   - Tagged streams: the per-link demux (demux.go) sorts frames by
-//     tag, so independent tagged collectives — each called from
-//     its own goroutine — multiplex one session tree concurrently. The
-//     legacy untagged API keeps the lockstep SPMD discipline on a
-//     per-plane sequence; *Tag variants take explicit tags from
-//     [coll.MinUserTag, coll.MaxUserTag), and tree-wide lockstep ops
-//     (Barrier/AllGather/AllReduce) sequence above coll.MaxUserTag.
-//
-// One caveat follows from tag demux: a frame whose tag matches no
-// running operation waits silently in its link's backlog instead of
-// failing the current operation, so a cross-tag SPMD divergence on a tree
-// link surfaces as the sender's own stream erroring (or a hang under
-// fault-free misuse), not as a mismatch error at the receiver. The root's
-// down hook is not demuxed by the plane, so FE-originated tag divergence
-// still errors eagerly (checkStream).
+// Each link's demux (demux.go) sorts frames by tag, so tagged collectives,
+// each from its own goroutine, share one tree; *Tag variants take tags from
+// [coll.MinUserTag, coll.MaxUserTag), the lockstep operations sequence below
+// it and Barrier/AllGather/AllReduce above it. A frame whose tag no running
+// operation has waits in its link's backlog, so a cross-tag divergence on a
+// tree link surfaces as the sender's stream erroring (or a hang), not at the
+// receiver. On the FE hop all lockstep tags share one record
+// (coll.FEStream), so a lockstep divergence there errors eagerly
+// (checkStream).
 
 // Tree link opcodes of the collective plane.
 const (
@@ -57,10 +40,6 @@ const (
 // UpFn emits one FE-bound frame from the tree root (gather and reduce
 // streams, restamped per link).
 type UpFn func(coll.Frame) error
-
-// DownFn yields the tagged stream's next FE-originated frame at the
-// tree root (broadcast and scatter streams).
-type DownFn func(tag uint32) (coll.Frame, error)
 
 // Plane is one daemon's handle on the session's collective tool-data
 // plane. The untagged operations follow the lockstep SPMD discipline
@@ -75,23 +54,36 @@ type Plane struct {
 	seq        uint32
 	treeSeq    uint32
 	up         UpFn
-	down       DownFn
+	fe         *linkDemux // at the root: the front end's link, fed by PushFE
 }
 
 // NewPlane attaches a collective plane to the communicator. chunkBytes
-// bounds one chunk body per link (<= 0 selects coll.DefaultChunkBytes);
-// window is the per-(link, tag) outstanding-chunk credit budget (<= 0
-// selects coll.DefaultWindow); up and down bridge the root to the front
-// end and must be non-nil at the root only.
-func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, down DownFn) *Plane {
+// bounds one chunk body per link (<= 0: coll.DefaultChunkBytes), window is
+// the per-(link, tag) outstanding-chunk credit budget (<= 0:
+// coll.DefaultWindow), up bridges the root to the front end (nil at every
+// other rank); the last argument is unused.
+func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, _ any) *Plane {
 	if chunkBytes <= 0 {
 		chunkBytes = coll.DefaultChunkBytes
 	}
 	if window <= 0 {
 		window = coll.DefaultWindow
 	}
-	return &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up, down: down}
+	pl := &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up}
+	if c.parent == nil {
+		pl.fe = c.newLinkDemux(nil)
+	}
+	return pl
 }
+
+// PushFE hands the root one frame off the front end's connection, from a
+// scheduler callback: the operation of its stream takes it where it
+// arrives, as on a tree link; a stream nobody has entered yet waits whole.
+func (pl *Plane) PushFE(f coll.Frame) { pl.fe.arrive(f) }
+
+// FailFE severs the root's front-end link: every root operation draining
+// it, running or later, ends with ErrSevered wrapping err.
+func (pl *Plane) FailFE(err error) { pl.fe.fail(err) }
 
 // Every public operation resolves its stream tag through one of the three
 // functions below, which is also where the link demux gets installed: at
@@ -184,7 +176,7 @@ func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 
 // Links are named by child slot, or by one of these.
 const (
-	above = -1 // the parent link; at the root, the front end's down hook
+	above = -1 // the parent link; at the root, the front end's
 	none  = -2 // no link: the operation is over once its sends are out
 )
 
@@ -235,42 +227,28 @@ func (o *planeOp) start(pl *Plane, steps opSteps, op coll.Op, tag uint32, err er
 
 // wait carries o to its end from the daemon's goroutine, which has started
 // it: what arrived before entry is handled here, then the goroutine waits
-// once while the demux carries the operation on. Only the root's down
-// phases pull: the front end's hook blocks, so the goroutine takes a
-// frame, steps it, and waits for it to clear the children before the next.
+// once while the demux carries the operation on.
 func (o *planeOp) wait() error {
 	o.pump()
 	for !o.done {
-		if !o.pullsFE() {
-			if !o.w.Wait() {
-				return fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, o.pl.c.rank, o.op, o.tag)
-			}
-		} else if o.pl.down == nil {
-			o.finish(fmt.Errorf("%w: root plane has no down hook", ErrProtocol))
-		} else if f, err := o.pl.down(o.tag); err != nil {
-			o.finish(err)
-		} else {
-			o.take(f)
-			o.pump()
+		if !o.w.Wait() {
+			return fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, o.pl.c.rank, o.op, o.tag)
 		}
 	}
 	return o.err
 }
 
-// pullsFE reports whether o is the root's down phase with nothing held
-// back: its goroutine takes the next frame from the front end.
-func (o *planeOp) pullsFE() bool {
-	return o.slot == above && o.src == nil && len(o.out) == 0 && !o.done
-}
-
-// link is the connection a link name stands for (nil for none, and for
-// above at the root).
-func (o *planeOp) link(slot int) *simnet.Conn {
-	if slot >= 0 {
-		return o.pl.c.children[slot]
-	}
-	if slot == above {
-		return o.pl.c.parent
+// link is the demux of the link a name stands for: a child's, the parent's
+// or at the root the front end's; nil for none.
+func (o *planeOp) link(slot int) *linkDemux {
+	c := o.pl.c
+	switch {
+	case slot >= 0:
+		return c.demuxFor(c.children[slot])
+	case slot == above && c.parent != nil:
+		return c.demuxFor(c.parent)
+	case slot == above:
+		return o.pl.fe
 	}
 	return nil
 }
@@ -280,8 +258,8 @@ func (o *planeOp) link(slot int) *simnet.Conn {
 // takes what the record already holds.
 func (o *planeOp) drain(slot int) {
 	o.slot, o.src = slot, nil
-	if conn := o.link(slot); conn != nil && !o.done {
-		o.src = o.pl.c.demuxFor(conn).consume(o)
+	if d := o.link(slot); d != nil && !o.done {
+		o.src = d.consume(o)
 	}
 }
 
@@ -310,14 +288,15 @@ func (o *planeOp) pump() {
 }
 
 // take runs one frame through the operation from the point it leaves the
-// drained link's side: a chunk's credit goes back to its sender, an end
-// marker releases the record, then the frame is checked and stepped.
+// drained link's side: a chunk's credit goes back to its sender (none to the
+// front end), an end marker releases the record, then the frame is checked
+// and stepped.
 func (o *planeOp) take(f coll.Frame) {
-	if s := o.src; s != nil {
-		if f.End {
-			o.src = nil
-			s.d.release(s, o)
-		} else if err := o.pl.c.sendCredit(o.link(o.slot), o.tag, 1); err != nil {
+	if s := o.src; s != nil && f.End {
+		o.src = nil
+		s.d.release(s, o)
+	} else if s != nil && s.d.conn != nil {
+		if err := o.pl.c.sendCredit(s.d.conn, o.tag, 1); err != nil {
 			o.sever(s.d, err)
 			return
 		}
@@ -340,24 +319,15 @@ func (o *planeOp) send(m outMsg) {
 }
 
 // flush sends what empty windows held back, oldest first, and reports
-// whether o may go on. The root's goroutine, waiting for its frame to
-// clear the children, is woken to pull the next, and from then on o is
-// its: the caller must not touch o again.
+// whether o may go on.
 func (o *planeOp) flush() bool {
-	if len(o.out) == 0 {
-		return !o.done
-	}
 	for len(o.out) > 0 {
 		if !o.put(&o.out[0]) {
 			return false
 		}
 		o.out = o.out[:copy(o.out, o.out[1:])]
 	}
-	if o.pullsFE() {
-		o.w.Wake()
-		return false
-	}
-	return true
+	return !o.done
 }
 
 // put sends m on its links from m.slot on; false when a window is empty
@@ -377,8 +347,7 @@ func (o *planeOp) put(m *outMsg) bool {
 // the window is empty, o then waiting on the link's record for the next
 // credit, or when the link has failed, which ends o.
 func (o *planeOp) sendOn(slot int, msg []byte) bool {
-	conn := o.link(slot)
-	d := o.pl.c.demuxFor(conn)
+	d := o.link(slot)
 	if err := d.failure(); err != nil {
 		o.sever(d, err)
 		return false
@@ -387,7 +356,7 @@ func (o *planeOp) sendOn(slot int, msg []byte) bool {
 	if !end && !d.takeCredit(o) {
 		return false
 	}
-	if err := o.pl.c.send(conn, msg); err != nil {
+	if err := o.pl.c.send(d.conn, msg); err != nil {
 		o.sever(d, err)
 		return false
 	}
@@ -419,8 +388,8 @@ func (o *planeOp) finish(err error) {
 	}
 	o.done, o.err, o.out, o.src = true, err, nil, nil
 	for slot := above; err != nil && slot < len(o.pl.c.children); slot++ {
-		if conn := o.link(slot); conn != nil {
-			o.pl.c.demuxFor(conn).abandon(o)
+		if d := o.link(slot); d != nil {
+			d.abandon(o)
 		}
 	}
 	o.w.Wake()

@@ -4,30 +4,52 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 )
 
 // Collective-plane tests. The root's FE bridge is replaced by in-memory
-// hooks: down() replays pre-built FE frames, up() records the FE-bound
-// stream for assembly — exactly the framing internal/core speaks over
-// the LMONP connection.
+// frames: push() hands the root pre-built FE frames, up() records the
+// FE-bound stream for assembly — exactly the framing internal/core speaks
+// over the LMONP connection.
 
 // feDriver is an in-memory front end for one collective op at the root.
 type feDriver struct {
 	send []coll.Frame // frames the "FE" ships down
 	sent int
 	recv []coll.Frame // frames the root ships up
+
+	pause  int           // with resume: the frames it ships before it pauses
+	resume time.Duration // when it ships the rest
 }
 
-func (d *feDriver) down(uint32) (coll.Frame, error) {
-	if d.sent >= len(d.send) {
-		return coll.Frame{}, fmt.Errorf("fe driver: out of frames")
+// plane attaches c's plane. The root's gets the driver's up hook, and the
+// frames the driver ships down wait whole on its front end's link for the
+// operation that takes them, as a front end's do that sent before the root
+// entered.
+func (d *feDriver) plane(c *Comm, chunkBytes, window int) *Plane {
+	if !c.IsMaster() {
+		return c.NewPlane(chunkBytes, window, nil, nil)
 	}
-	f := d.send[d.sent]
-	d.sent++
-	return f, nil
+	pl := c.NewPlane(chunkBytes, window, d.up, nil)
+	if d.resume == 0 {
+		d.push(pl, len(d.send))
+		return pl
+	}
+	d.push(pl, d.pause)
+	sim := c.p.Sim()
+	sim.After(d.resume-sim.Now(), func() { d.push(pl, len(d.send)) })
+	return pl
+}
+
+// push hands the root the next n frames the driver ships down.
+func (d *feDriver) push(pl *Plane, n int) {
+	for ; n > 0 && d.sent < len(d.send); n-- {
+		pl.PushFE(d.send[d.sent])
+		d.sent++
+	}
 }
 
 func (d *feDriver) up(f coll.Frame) error {
@@ -68,13 +90,7 @@ func (d *feDriver) reduceAtFE() ([]byte, error) {
 func planeRig(t *testing.T, n, fanout, chunkBytes int, driver *feDriver, fn func(pl *Plane, c *Comm) error) {
 	t.Helper()
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
-		var pl *Plane
-		if c.IsMaster() {
-			pl = c.NewPlane(chunkBytes, 0, driver.up, driver.down)
-		} else {
-			pl = c.NewPlane(chunkBytes, 0, nil, nil)
-		}
-		return fn(pl, c)
+		return fn(driver.plane(c, chunkBytes, 0), c)
 	})
 }
 

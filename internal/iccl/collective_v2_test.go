@@ -140,12 +140,7 @@ func TestPlaneTreeOpsInterleaveLockstepFEOps(t *testing.T) {
 	const n, fanout = 9, 2
 	d := &feDriver{}
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
-		var pl *Plane
-		if c.IsMaster() {
-			pl = c.NewPlane(64, 0, d.up, d.down)
-		} else {
-			pl = c.NewPlane(64, 0, nil, nil)
-		}
+		pl := d.plane(c, 64, 0)
 		if err := pl.Barrier(); err != nil {
 			return err
 		}
@@ -260,13 +255,7 @@ func TestPlaneTagMismatchNamesOpTagsAndRank(t *testing.T) {
 	d := &feDriver{send: coll.RawFrames(coll.OpGather, 9, "", []byte("divergent"), 0)}
 	var rootErr error
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
-		var pl *Plane
-		if c.IsMaster() {
-			pl = c.NewPlane(0, 0, d.up, d.down)
-		} else {
-			pl = c.NewPlane(0, 0, nil, nil)
-		}
-		_, err := pl.Broadcast() // lockstep tag 1 at every rank
+		_, err := d.plane(c, 0, 0).Broadcast() // lockstep tag 1 at every rank
 		if c.IsMaster() {
 			rootErr = err
 			return nil
@@ -334,13 +323,7 @@ func runFlowReduce(t *testing.T, window int) []uint64 {
 					return
 				}
 				defer c.Close()
-				var pl *Plane
-				if c.IsMaster() {
-					pl = c.NewPlane(chunk, window, d.up, d.down)
-				} else {
-					pl = c.NewPlane(chunk, window, nil, nil)
-				}
-				errs[i] = pl.Reduce(payload, "concat")
+				errs[i] = d.plane(c, chunk, window).Reduce(payload, "concat")
 			}}); err != nil {
 				t.Error(err)
 				return

@@ -31,9 +31,11 @@ import (
 // heartbeats, or the credits that would un-stall it.
 //
 // It is one allocation, queues and framer held by value: a parked daemon
-// holds one per tree link, so what it weighs is multiplied by the tree.
+// holds one per tree link, so what it weighs is multiplied by the tree. The
+// root's plane holds one more, conn-less and credit-less, for the front end.
 type linkDemux struct {
 	c    *Comm
+	conn *simnet.Conn       // nil on the front end's link
 	base vtime.Chan[[]byte] // non-plane tree frames
 	hb   vtime.Chan[[]byte] // heartbeat payloads (Link.Recv)
 	fr   SerialFramer       // the link's reader time
@@ -61,8 +63,8 @@ type tagLink struct {
 	head   int
 	bytes  uint64 // body bytes in the backlog
 	credit int    // window credits left to the stream being sent
-	tag    uint32
-	open   bool // a stream is being sent: credits count
+	tag    uint32 // the stream's key (linkDemux.key)
+	open   bool   // a stream is being sent: credits count
 }
 
 // demuxLinks idempotently hands the receive side of every tree connection
@@ -168,14 +170,17 @@ func (fr *SerialFramer) Behind(fn func()) {
 	}
 }
 
-// newLinkDemux registers the framer on conn. Heartbeats are not charged
-// here: the health layer charges them on consumption, at its own cheaper
-// per-message cost.
+// newLinkDemux registers the framer on conn (none for the front end's
+// link). Heartbeats are not charged here: the health layer charges them on
+// consumption, at its own cheaper per-message cost.
 func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 	sim := c.p.Sim()
-	d := &linkDemux{c: c}
+	d := &linkDemux{c: c, conn: conn}
 	d.base.Init(sim)
 	d.hb.Init(sim)
+	if conn == nil {
+		return d
+	}
 	d.fr = SerialFramer{Sim: sim, Cost: PerMsgCost, Deliver: d.deliver}
 	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
 	// payloads: a collective frame keeps the message it arrived in
@@ -241,17 +246,30 @@ func (d *linkDemux) deliver(msg []byte) {
 // queued body bytes. End markers ride outside the credit window (they
 // carry no payload and each stream has exactly one), so the depth gauge
 // excludes them and the flow-control invariant is exact: depth ≤ window.
+// The front end's link is not a tree link and is not gauged.
 func (d *linkDemux) gauge(f coll.Frame, depth int, bytes uint64) {
+	if d.conn == nil {
+		return
+	}
 	if !f.End {
 		d.c.collDepthMax.SetMax(uint64(depth))
 	}
 	d.c.collBytesMax.SetMax(bytes)
 }
 
+// key is the record tag's frames go to: its own on a tree link, its
+// coll.FEStream on the front end's.
+func (d *linkDemux) key(tag uint32) uint32 {
+	if d.conn == nil {
+		return coll.FEStream(tag)
+	}
+	return tag
+}
+
 // find returns tag's record, nil when the link has none. Caller holds mu.
 func (d *linkDemux) find(tag uint32) *tagLink {
-	s := d.streams
-	for s != nil && s.tag != tag {
+	s, k := d.streams, d.key(tag)
+	for s != nil && s.tag != k {
 		s = s.next
 	}
 	return s
@@ -268,7 +286,7 @@ func (d *linkDemux) stream(tag uint32) *tagLink {
 		s = &tagLink{d: d}
 	}
 	d.spare = nil
-	s.tag, s.next, d.streams = tag, d.streams, s
+	s.tag, s.next, d.streams = d.key(tag), d.streams, s
 	return s
 }
 
@@ -291,9 +309,13 @@ func (d *linkDemux) drop(s *tagLink) {
 
 // arrive hands one collective frame to its tag's record: to the operation
 // draining it when that one is ready and nothing of the stream waits ahead
-// of the frame, else to the backlog.
+// of the frame, else to the backlog. A failed link takes nothing more.
 func (d *linkDemux) arrive(f coll.Frame) {
 	d.mu.Lock()
+	if d.err != nil {
+		d.mu.Unlock()
+		return
+	}
 	s := d.stream(f.H.Tag)
 	o := s.op
 	if o != nil && o.src == s && len(s.q) == s.head && len(o.out) == 0 && !o.busy && !o.done {

@@ -11,7 +11,6 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
-	"launchmon/internal/simnet"
 )
 
 // Every Plane operation is one planeOp per rank, run where its frames and
@@ -146,8 +145,9 @@ var opsDone = map[string][2]time.Duration{
 // operation": every operation, lockstep and tagged, on 13 ranks of fanout
 // 3, entered by all of them at one instant. Each non-root rank waits for
 // something, so the counts below, one per rank that may wait, mean one
-// wait each: the root pulls the front end's frames without blocking (its
-// window fits the stream) and waits once for its children elsewhere; in a
+// wait each: the front end's frames are pushed into the root before it
+// enters and its window fits the stream, so it relays them all at entry
+// without waiting, and it waits once for its children elsewhere; in a
 // Gather the nine leaves' one-chunk streams have room in the window and
 // they do not wait at all. The combine charges stay where they were: the
 // last rank leaves at the instant it did with the goroutine loops.
@@ -192,11 +192,11 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 	var before, after uint64
 	r.sim.After(relayAt-time.Millisecond, func() { before = r.sim.Parks() })
 	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
-		w, up, down := window, UpFn(nil), DownFn(nil)
+		w := window
 		if c.IsMaster() {
-			w, up, down = 64, d.up, d.down
+			w = 64
 		}
-		pl := c.NewPlane(opChunk, w, up, down)
+		pl := d.plane(c, opChunk, w)
 		if err := pl.Barrier(); err != nil {
 			return err
 		}
@@ -230,14 +230,17 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 // and a scatter's front end pauses in between. Whichever way rank 1 finds
 // out, its operation ends once, with ErrSevered naming rank, op and tag;
 // every rank's call returns once; nothing of the stream is left at rank 1;
-// every goroutine ends.
+// every goroutine ends. The front end's link is the root's parent link: in
+// the fe_link rows it is the root's front end that is lost, during that
+// pause of a broadcast or a scatter, and the same holds at the root.
 func TestOpLinkDiesMidStream(t *testing.T) {
 	const window = 1
 	const killAt, resumeAt = relayAt + 20*time.Millisecond, relayAt + 40*time.Millisecond
 	type state struct {
-		hold  []int // the ranks that enter at resumeAt
-		pause bool  // the root's front end pauses until resumeAt
-		kill  int   // the node that dies at killAt
+		hold   []int // the ranks that enter at resumeAt
+		pause  bool  // the root's front end pauses until resumeAt
+		kill   int   // the node that dies at killAt
+		feDies bool  // instead, the root's front-end connection does
 	}
 	type states map[string]state
 	// An up phase waits for its children, and stalls on its parent's window
@@ -260,11 +263,13 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 		"parent_link/stalled": {hold: []int{1}, kill: 0},
 		"child_link/stalled":  {hold: []int{1}, kill: 4},
 	}
+	feLost := state{pause: true, feDies: true}
 	down := states{
 		"parent_link/waiting": {pause: true, kill: 0},
 		"parent_link/stalled": late["parent_link/stalled"],
 		"child_link/waiting":  {pause: true, kill: 4},
 		"child_link/stalled":  late["child_link/stalled"],
+		"fe_link/waiting":     feLost,
 	}
 	barrier := states{
 		"parent_link/waiting": {hold: []int{2}, kill: 0},
@@ -286,95 +291,106 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 		tagged bool
 		states states
 	}{
-		{planeOpCases[2], false, entries}, // Gather
-		{planeOpCases[3], true, raw},      // ReduceTag
-		{planeOpCases[1], false, down},    // Scatter
+		{planeOpCases[0], false, states{"fe_link/waiting": feLost}}, // Broadcast
+		{planeOpCases[2], false, entries},                           // Gather
+		{planeOpCases[3], true, raw},                                // ReduceTag
+		{planeOpCases[1], false, down},                              // Scatter
 		{planeOpCases[4], false, barrier},
 		{planeOpCases[5], false, allOf(entries)}, // AllGather
 		{planeOpCases[6], false, allOf(raw)},     // AllReduce
 	}
 	for _, k := range kinds {
-		for _, link := range []string{"parent_link", "child_link"} {
-			for _, how := range []string{"waiting", "stalled"} {
-				k, st := k, k.states[link+"/"+how]
-				name := k.oc.name
-				if k.tagged {
-					name += "Tag"
+		for _, key := range []string{"parent_link/waiting", "parent_link/stalled", "child_link/waiting", "child_link/stalled", "fe_link/waiting"} {
+			st, ok := k.states[key]
+			if !ok {
+				continue
+			}
+			k := k
+			name := k.oc.name
+			if k.tagged {
+				name += "Tag"
+			}
+			t.Run(name+"/"+key, func(t *testing.T) {
+				tag := opTag(k.oc, k.tagged)
+				r := newRelayRig(t, wireN)
+				d := &feDriver{}
+				if k.oc.fe != nil {
+					d.send = k.oc.fe(tag)
 				}
-				t.Run(name+"/"+link+"/"+how, func(t *testing.T) {
-					tag := opTag(k.oc, k.tagged)
-					r := newRelayRig(t, wireN)
-					d := &feDriver{}
-					if k.oc.fe != nil {
-						d.send = k.oc.fe(tag)
-					}
-					feDown := func(tag uint32) (coll.Frame, error) {
-						if st.pause && d.sent == 4 {
-							r.sim.Sleep(resumeAt - r.sim.Now())
-						}
-						return d.down(tag)
-					}
-					r.sim.After(killAt, func() { r.cl.KillNode(st.kill) })
-					live := -1
-					r.sim.After(relayAt+time.Second, func() { live = r.sim.Live() })
-					returns, left := make([]int, wireN), -1
-					r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
-						var up UpFn
-						var down DownFn
-						if c.IsMaster() {
-							up, down = d.up, feDown
-						}
-						pl := c.NewPlane(opChunk, window, up, down)
-						if err := pl.Barrier(); err != nil {
-							return err
-						}
-						at := relayAt
-						if slices.Contains(st.hold, c.Rank()) {
-							at = resumeAt
-						}
-						sim := p.Sim()
-						sim.Sleep(at - sim.Now())
-						callTag := uint32(0)
-						if k.tagged {
-							callTag = tag
-						}
-						err := k.oc.call(pl, callTag, c.Rank())
-						returns[c.Rank()]++
-						if c.Rank() == 1 {
-							left = backlogAt(c, tag)
-						}
-						return err
-					})
-					err := r.errs[1]
-					if !errors.Is(err, ErrSevered) {
-						t.Fatalf("rank 1 returned %v, want a wrapped ErrSevered", err)
-					}
-					for _, want := range []string{"rank 1:", strings.ToLower(k.oc.name), fmt.Sprintf("tag %d", tag)} {
-						if !strings.Contains(err.Error(), want) {
-							t.Errorf("rank 1's error %q does not name %q", err, want)
-						}
-					}
-					for rk, n := range returns {
-						if n != 1 {
-							t.Errorf("rank %d's call returned %d times, want once", rk, n)
-						}
-					}
-					if left != 0 {
-						t.Errorf("rank 1 left %d frames of the stream on its links", left)
-					}
-					if live != 0 {
-						t.Errorf("%d goroutines still alive a second after the operation began", live)
+				if st.pause {
+					d.pause, d.resume = 4, resumeAt
+				}
+				// The rank whose link dies: rank 1, or the root for its front end's.
+				lost, root := 1, (*Plane)(nil)
+				if st.feDies {
+					lost = 0
+				}
+				r.sim.After(killAt, func() {
+					if st.feDies {
+						root.FailFE(errors.New("front end connection lost"))
+					} else {
+						r.cl.KillNode(st.kill)
 					}
 				})
-			}
+				live := -1
+				r.sim.After(relayAt+time.Second, func() { live = r.sim.Live() })
+				returns, left := make([]int, wireN), -1
+				r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
+					pl := d.plane(c, opChunk, window)
+					if c.IsMaster() {
+						root = pl
+					}
+					if err := pl.Barrier(); err != nil {
+						return err
+					}
+					at := relayAt
+					if slices.Contains(st.hold, c.Rank()) {
+						at = resumeAt
+					}
+					sim := p.Sim()
+					sim.Sleep(at - sim.Now())
+					callTag := uint32(0)
+					if k.tagged {
+						callTag = tag
+					}
+					err := k.oc.call(pl, callTag, c.Rank())
+					returns[c.Rank()]++
+					if c.Rank() == lost {
+						left = backlogAt(pl, tag)
+					}
+					return err
+				})
+				err := r.errs[lost]
+				if !errors.Is(err, ErrSevered) {
+					t.Fatalf("rank %d returned %v, want a wrapped ErrSevered", lost, err)
+				}
+				for _, want := range []string{fmt.Sprintf("rank %d:", lost), strings.ToLower(k.oc.name), fmt.Sprintf("tag %d", tag)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("rank %d's error %q does not name %q", lost, err, want)
+					}
+				}
+				for rk, n := range returns {
+					if n != 1 {
+						t.Errorf("rank %d's call returned %d times, want once", rk, n)
+					}
+				}
+				if left != 0 {
+					t.Errorf("rank %d left %d frames of the stream on its links", lost, left)
+				}
+				if live != 0 {
+					t.Errorf("%d goroutines still alive a second after the operation began", live)
+				}
+			})
 		}
 	}
 }
 
-// backlogAt is how many frames of tag wait on c's links.
-func backlogAt(c *Comm, tag uint32) (n int) {
-	for _, conn := range append([]*simnet.Conn{c.parent}, c.children...) {
-		d := c.demuxFor(conn)
+// backlogAt is how many frames of tag wait on the links of pl's rank, the
+// root's front end's included.
+func backlogAt(pl *Plane, tag uint32) (n int) {
+	o := planeOp{pl: pl}
+	for slot := above; slot < len(pl.c.children); slot++ {
+		d := o.link(slot)
 		d.mu.Lock()
 		if s := d.find(tag); s != nil {
 			n += len(s.q) - s.head

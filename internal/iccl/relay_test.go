@@ -100,13 +100,10 @@ func relayPayload(chunks, chunk int) []byte {
 }
 
 // broadcastAt is the body the relay tests share: a plane with the given
-// window (the root's fed from frames), a barrier that installs the link
+// window (the root's fed by the driver), a barrier that installs the link
 // demuxes, then one BroadcastTag entered at the virtual instant at.
-func broadcastAt(c *Comm, p *cluster.Proc, chunk, window int, down DownFn, at time.Duration, want []byte) error {
-	if !c.IsMaster() {
-		down = nil
-	}
-	pl := c.NewPlane(chunk, window, nil, down)
+func broadcastAt(c *Comm, p *cluster.Proc, chunk, window int, d *feDriver, at time.Duration, want []byte) error {
+	pl := d.plane(c, chunk, window)
 	if err := pl.Barrier(); err != nil {
 		return err
 	}
@@ -127,8 +124,8 @@ func broadcastAt(c *Comm, p *cluster.Proc, chunk, window int, down DownFn, at ti
 // down a three-level tree blocks every non-root rank exactly once, leaf or
 // interior, whether the window lets the stream through or stalls the
 // interior ranks on every chunk. The root is given a window the stream fits
-// in and a front end that never blocks, so it does not park at all and the
-// simulation's park count over the operation is the other ranks' alone.
+// in and the whole stream before it enters, so it does not park at all and
+// the simulation's park count over the operation is the other ranks' alone.
 func TestBroadcastParksOncePerRank(t *testing.T) {
 	const chunk = 4 << 10
 	payload := relayPayload(8, chunk)
@@ -143,7 +140,7 @@ func TestBroadcastParksOncePerRank(t *testing.T) {
 				if c.IsMaster() {
 					w = 64
 				}
-				return broadcastAt(c, p, chunk, w, d.down, relayAt, payload)
+				return broadcastAt(c, p, chunk, w, d, relayAt, payload)
 			})
 			for i, err := range r.errs {
 				if err != nil {
@@ -192,7 +189,7 @@ func TestRelayFramesBeforeEntry(t *testing.T) {
 				}
 			})
 		}
-		err := broadcastAt(c, p, chunk, 0, d.down, at, payload)
+		err := broadcastAt(c, p, chunk, 0, d, at, payload)
 		done[c.Rank()] = p.Sim().Now() - relayAt
 		return err
 	})
@@ -263,7 +260,7 @@ func TestRelayStallsOnEmptyWindow(t *testing.T) {
 		if c.Rank() == slow {
 			at += late
 		}
-		return broadcastAt(c, p, chunk, window, d.down, at, payload)
+		return broadcastAt(c, p, chunk, window, d, at, payload)
 	})
 	for i, err := range r.errs {
 		if err != nil {
@@ -302,11 +299,8 @@ func TestRelayLinkDiesMidStream(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRelayRig(t, n)
 			d := &feDriver{send: coll.RawFrames(coll.OpBroadcast, relayTag, "", payload, chunk)}
-			down := func(tag uint32) (coll.Frame, error) {
-				if !tc.stalled && d.sent == 4 {
-					r.sim.Sleep(resumeAt - r.sim.Now())
-				}
-				return d.down(tag)
+			if !tc.stalled {
+				d.pause, d.resume = 4, resumeAt
 			}
 			r.sim.After(killAt, func() { r.cl.KillNode(tc.kill) })
 			live := -1
@@ -317,7 +311,7 @@ func TestRelayLinkDiesMidStream(t *testing.T) {
 				if tc.stalled && c.Rank() == 4 {
 					at = resumeAt + 20*time.Millisecond
 				}
-				err := broadcastAt(c, p, chunk, window, down, at, payload)
+				err := broadcastAt(c, p, chunk, window, d, at, payload)
 				if c.Rank() == 1 {
 					returns++
 					left = queuedOnParentLink(c)
@@ -397,22 +391,14 @@ func TestLeafBroadcastAllocsOnePerFrame(t *testing.T) {
 	payload := relayPayload(chunks, chunk)
 	frames := coll.RawFrames(coll.OpBroadcast, 0, "", payload, chunk)
 	run := func(ops int) {
-		var pending []coll.Frame
-		down := func(tag uint32) (coll.Frame, error) {
-			if len(pending) == 0 {
-				pending = frames
-			}
-			f := pending[0]
-			f.H.Tag, pending = tag, pending[1:]
-			return f, nil
-		}
 		rig(t, 2, 2, func(c *Comm, p *cluster.Proc) error {
-			var fe DownFn
-			if c.IsMaster() {
-				fe = down
-			}
-			pl := c.NewPlane(chunk, 0, nil, fe)
+			pl := c.NewPlane(chunk, 0, nil, nil)
 			for i := 0; i < ops; i++ {
+				for j := 0; c.IsMaster() && j < len(frames); j++ {
+					f := frames[j]
+					f.H.Tag = uint32(i + 1) // broadcast i's lockstep tag
+					pl.PushFE(f)
+				}
 				if got, err := pl.Broadcast(); err != nil || len(got) != len(payload) {
 					return fmt.Errorf("rank %d broadcast %d: %d bytes, %v", c.Rank(), i, len(got), err)
 				}

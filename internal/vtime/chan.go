@@ -260,13 +260,6 @@ func (c *Chan[T]) Len() int {
 	return c.q.len()
 }
 
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.closed
-}
-
 // WaitGroup is a virtual-time analogue of sync.WaitGroup.
 type WaitGroup struct {
 	s      *Sim

@@ -17,7 +17,7 @@
 //     Sim.Go (or is the caller of Sim.Run itself);
 //   - simulated goroutines never block on real synchronization primitives
 //     while counted as runnable — all blocking goes through Sleep, Chan,
-//     Streams or WaitGroup from this package.
+//     Waiter or WaitGroup from this package.
 package vtime
 
 import (

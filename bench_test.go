@@ -410,12 +410,15 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 // FEData, slurmd tree of the default fanout (two levels), ICCL fanout 4 so
 // the seed splitter re-packs the table on three tree levels. B/task is the
 // allocation of the LaunchAndSpawn call alone, the workload's timed section;
-// B/op also counts the rig.
+// B/op also counts the rig. live-B/task is the heap that call leaves live
+// (HeapAlloc after a forced GC, on its return minus before it), the
+// seconds-fast proxy for the workload's live_MB.
 func BenchmarkLaunchFat(b *testing.B) {
 	const nodes, tasks = 64, 256
 	feData := bytes.Repeat([]byte("launchmon-64KiB-"), 4<<10)
 	b.ReportAllocs()
 	var allocB, allocs uint64
+	var liveB int64
 	for i := 0; i < b.N; i++ {
 		_, err := bench.Scenario{
 			Nodes: nodes, Lean: true,
@@ -432,6 +435,7 @@ func BenchmarkLaunchFat(b *testing.B) {
 			},
 			FE: func(r *bench.Run) error {
 				var before, after runtime.MemStats
+				runtime.GC()
 				runtime.ReadMemStats(&before)
 				sess, err := core.LaunchAndSpawn(r.P, core.Options{
 					Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tasks},
@@ -442,9 +446,11 @@ func BenchmarkLaunchFat(b *testing.B) {
 				if err != nil {
 					return err
 				}
+				runtime.GC()
 				runtime.ReadMemStats(&after)
 				allocB += after.TotalAlloc - before.TotalAlloc
 				allocs += after.Mallocs - before.Mallocs
+				liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
 				if n := len(sess.Proctab()); n != nodes*tasks {
 					return fmt.Errorf("front-end table has %d entries", n)
 				}
@@ -461,4 +467,5 @@ func BenchmarkLaunchFat(b *testing.B) {
 	perTask := float64(b.N) * nodes * tasks
 	b.ReportMetric(float64(allocB)/perTask, "B/task")
 	b.ReportMetric(float64(allocs)/perTask, "allocs/task")
+	b.ReportMetric(float64(liveB)/perTask, "live-B/task")
 }

@@ -107,7 +107,7 @@ func (c *Cluster) newNode(name string) *Node {
 		cl:    c,
 		name:  name,
 		host:  c.net.Host(name),
-		procs: make(map[int]*Proc),
+		procs: make([]*Proc, 0, 8), // a daemon node's whole table, allocated at boot
 		pid:   100,
 	}
 }
@@ -162,8 +162,12 @@ type Node struct {
 	name string
 	host *simnet.Host
 
-	mu      sync.Mutex
-	procs   map[int]*Proc
+	mu sync.Mutex
+	// procs is the process table in pid order (pids only grow, so a spawn
+	// appends). An exited process stays as its own tombstone until half the
+	// entries are dead, so an exit costs O(1) amortized.
+	procs   []*Proc
+	dead    int // exited entries in procs
 	pid     int
 	cpuFree time.Duration // fork serialization point
 	down    bool          // node killed by Fail/KillNode
@@ -179,15 +183,18 @@ func (n *Node) Host() *simnet.Host { return n.host }
 func (n *Node) NumProcs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.procs)
+	return len(n.procs) - n.dead
 }
 
 // Proc looks up a live process by pid.
 func (n *Node) Proc(pid int) (*Proc, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p, ok := n.procs[pid]
-	return p, ok
+	i := sort.Search(len(n.procs), func(i int) bool { return int(n.procs[i].pid) >= pid })
+	if i == len(n.procs) || int(n.procs[i].pid) != pid || n.procs[i].state == StateExited {
+		return nil, false
+	}
+	return n.procs[i], true
 }
 
 // FindProcByExe returns the live process with the named executable and
@@ -196,13 +203,29 @@ func (n *Node) Proc(pid int) (*Proc, bool) {
 func (n *Node) FindProcByExe(exe string) *Proc {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var found *Proc
 	for _, p := range n.procs {
-		if p.exe == exe && (found == nil || p.pid < found.pid) {
-			found = p
+		if p.exe == exe && p.state != StateExited {
+			return p
 		}
 	}
-	return found
+	return nil
+}
+
+// reapLocked counts one more exited process and, once the dead are half the
+// table, drops them, keeping pid order: a node whose job has ended keeps no
+// tombstone. Caller holds n.mu.
+func (n *Node) reapLocked() {
+	if n.dead++; 2*n.dead < len(n.procs) {
+		return
+	}
+	live := n.procs[:0]
+	for _, p := range n.procs {
+		if p.state != StateExited {
+			live = append(live, p)
+		}
+	}
+	clear(n.procs[len(live):])
+	n.procs, n.dead = live, 0
 }
 
 // ErrProcLimit is returned by Spawn when the node's process table is full
@@ -224,14 +247,10 @@ func (n *Node) Fail() {
 		return
 	}
 	n.down = true
-	procs := make([]*Proc, 0, len(n.procs))
-	for _, p := range n.procs {
-		procs = append(procs, p)
-	}
+	// The table's pid order: which process dies first decides which of its
+	// connections' peers hears first. Kill reaps, so walk a copy.
+	procs := append([]*Proc(nil), n.procs...)
 	n.mu.Unlock()
-	// Pid order: which process dies first decides which of its connections'
-	// peers hears first, and that must not be the process table's map order.
-	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 
 	// Sever the interconnect first so no process "escapes" a final message
 	// after the instant of failure, then reap the process table.
@@ -352,34 +371,35 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
 	}
-	if len(n.procs) >= n.cl.opts.MaxProcs {
+	if len(n.procs)-n.dead >= n.cl.opts.MaxProcs {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w (node %s, %d procs)", ErrProcLimit, n.name, n.cl.opts.MaxProcs)
 	}
 	n.pid++
-	p := &Proc{
-		node:     n,
-		pid:      n.pid,
-		exe:      spec.Exe,
-		args:     append([]string(nil), spec.Args...),
-		env:      copyEnv(spec.Env),
-		envBase:  spec.EnvBase,
-		state:    StateRunning,
-		started:  n.cl.sim.Now(),
-		resident: spec.Resident,
+	var p *Proc
+	if main == nil && len(spec.Args) == 0 && len(spec.Env) == 0 && len(spec.EnvBase) == 0 {
+		p = new(Proc) // a passive task's whole cost, bar its table slot
+	} else {
+		pc := &procWithCold{cold: procCold{
+			args:    append([]string(nil), spec.Args...),
+			env:     copyEnv(spec.Env),
+			envBase: spec.EnvBase,
+		}}
+		if spec.Hold {
+			pc.cold.heldMain = main
+		}
+		p = &pc.Proc
+		p.cold, p.spec = &pc.cold, true
 	}
+	p.node, p.pid, p.exe, p.started, p.resident = n, int32(n.pid), spec.Exe, n.cl.sim.Now(), spec.Resident
 	if spec.Exe == "" && spec.Main == nil {
 		p.exe = "task"
 	}
-	n.procs[p.pid] = p
+	n.procs = append(n.procs, p)
 	n.mu.Unlock()
 
-	if main != nil {
-		if spec.Hold {
-			p.heldMain = main
-		} else {
-			p.run(main)
-		}
+	if main != nil && !spec.Hold {
+		p.run(main)
 	}
 	return p, nil
 }
@@ -396,9 +416,11 @@ func (p *Proc) run(main ProcMain) {
 // Start releases a process spawned with Spec.Hold. It is a no-op for
 // running or passive processes.
 func (p *Proc) Start() {
+	var main ProcMain
 	p.node.mu.Lock()
-	main := p.heldMain
-	p.heldMain = nil
+	if p.cold != nil {
+		main, p.cold.heldMain = p.cold.heldMain, nil
+	}
 	p.node.mu.Unlock()
 	if main != nil {
 		p.run(main)

@@ -346,37 +346,77 @@ func TestSnapshotDeterministicAndCharged(t *testing.T) {
 	sim.Run()
 }
 
-// Property: pids are unique per node across arbitrary spawn/exit patterns.
+// Property: pids are unique per node across arbitrary spawn/exit patterns,
+// and the pid-ordered table with its tombstones answers Proc, NumProcs and
+// FindProcByExe as a map of the live processes would, for live and exited
+// pids alike, after every operation. An op below 85 exits the live process
+// at position op % len(live), so exits hit every position, not only the
+// oldest; any other spawns one labelled by its low bit.
 func TestPropertyPidUniqueness(t *testing.T) {
-	f := func(ops []bool) bool {
-		if len(ops) > 60 {
-			ops = ops[:60]
+	exes := [2]string{"even", "odd"}
+	f := func(ops []uint8) bool {
+		if len(ops) > 120 {
+			ops = ops[:120]
 		}
 		sim := vtime.New()
 		c, err := New(sim, Options{Nodes: 1})
 		if err != nil {
 			return false
 		}
+		n := c.Node(0)
 		okRes := true
+		check := func(i int, format string, args ...any) {
+			t.Helper()
+			t.Errorf("op %d of %v: "+format, append([]any{i, ops}, args...)...)
+			okRes = false
+		}
 		sim.Go("boot", func() {
-			seen := map[int]bool{}
-			var live []*Proc
-			for _, spawn := range ops {
-				if spawn || len(live) == 0 {
-					p, err := c.Node(0).SpawnProc(Spec{})
-					if err != nil {
-						okRes = false
-						return
-					}
-					if seen[p.Pid()] {
-						okRes = false
-						return
-					}
-					seen[p.Pid()] = true
-					live = append(live, p)
+			live := map[int]*Proc{}
+			var spawned []*Proc // every process, in spawn order
+			var order []int     // live pids in spawn order
+			for i, op := range ops {
+				if op < 85 && len(order) > 0 {
+					j := int(op) % len(order)
+					live[order[j]].Exit(0)
+					delete(live, order[j])
+					order = append(order[:j], order[j+1:]...)
 				} else {
-					live[0].Exit(0)
-					live = live[1:]
+					p, err := n.SpawnProc(Spec{Exe: exes[op&1], Passive: true})
+					if err != nil {
+						check(i, "spawn: %v", err)
+						return
+					}
+					if _, dup := live[p.Pid()]; dup || len(spawned) > 0 && p.Pid() <= spawned[len(spawned)-1].Pid() {
+						check(i, "pid %d reused or out of order", p.Pid())
+						return
+					}
+					live[p.Pid()] = p
+					spawned = append(spawned, p)
+					order = append(order, p.Pid())
+				}
+				if got := n.NumProcs(); got != len(live) {
+					check(i, "NumProcs = %d, want %d", got, len(live))
+				}
+				for _, p := range spawned {
+					got, ok := n.Proc(p.Pid())
+					if want, wantOK := live[p.Pid()]; got != want || ok != wantOK {
+						check(i, "Proc(%d) = %p, %v, want %p, %v", p.Pid(), got, ok, want, wantOK)
+					}
+				}
+				if _, ok := n.Proc(0); ok {
+					check(i, "Proc(0) found a process")
+				}
+				for _, exe := range exes {
+					var want *Proc
+					for _, p := range spawned {
+						if live[p.Pid()] == p && p.Exe() == exe {
+							want = p
+							break
+						}
+					}
+					if got := n.FindProcByExe(exe); got != want {
+						check(i, "FindProcByExe(%q) = %p, want %p", exe, got, want)
+					}
 				}
 			}
 		})
@@ -385,6 +425,45 @@ func TestPropertyPidUniqueness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLazyColdPartIsRaceFree: a passive task gets its cold part on first
+// use, from a goroutine that attaches to it, publishes a symbol and waits on
+// it, while another reads its environment, arguments, snapshot and state
+// with no ordering between the two. Run it under -race.
+func TestLazyColdPartIsRaceFree(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		sim := vtime.New()
+		c := newCluster(t, sim, 1, Options{})
+		p, err := c.Node(0).SpawnSystemProc(Spec{Exe: "app", Passive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Go("tracer", func() {
+			if _, err := p.Attach(); err != nil {
+				t.Error(err)
+			}
+			p.SetSymbol("MPIR_being_debugged", Symbol{Value: 1, Size: 4})
+			if code, ok := p.Wait(); !ok || code != 137 {
+				t.Errorf("Wait = (%d,%v), want (137,true)", code, ok)
+			}
+		})
+		sim.Go("reader", func() {
+			for i := 0; i < 100; i++ {
+				if p.Env("LMON_RANK") != "" || len(p.Args()) != 0 || len(p.Environ()) != 0 {
+					t.Error("a passive task has an environment or arguments")
+				}
+				if s := p.State(); s != StateRunning {
+					t.Errorf("state %v, want running", s)
+				}
+			}
+			if s := p.Snapshot(); s.Pid != p.Pid() || s.Exe != "app" {
+				t.Errorf("snapshot %+v", s)
+			}
+			p.Kill()
+		})
+		sim.Run()
 	}
 }
 

@@ -40,30 +40,36 @@ type Symbol struct {
 	Size  int // bytes a debugger would transfer to read it
 }
 
-// Proc is a simulated process.
+// Proc is a simulated process. It holds what every process uses, a passive
+// MPI task included, in one 64 B size class; the rest is a procCold behind
+// one pointer (DESIGN.md "Simulator cost model").
 type Proc struct {
-	node     *Node
-	pid      int
-	exe      string
-	args     []string
-	env      map[string]string // per-process overlay; wins over envBase
-	envBase  map[string]string // shared immutable base (Spec.EnvBase), never copied
-	started  time.Duration
+	node    *Node
+	exe     string
+	started time.Duration
+	// cold is made at spawn for a process that runs code or has args or
+	// env (spec is then true), otherwise on first use under node.mu.
+	cold     *procCold
+	state    State // guarded by node.mu
+	exitCode int   // guarded by node.mu
+	pid      int32
 	resident bool // Main returning does not imply exit (Spec.Resident)
+	spec     bool
+}
 
-	// All mutable state below is guarded by node.mu.
-	state       State
-	exitCode    int
+// procCold is the part of a process that most processes never touch.
+// Everything after envBase is guarded by node.mu.
+type procCold struct {
+	args    []string
+	env     map[string]string // per-process overlay; wins over envBase
+	envBase map[string]string // shared immutable base (Spec.EnvBase), never copied
+
 	symbols     map[string]Symbol // lazy: nil until the first SetSymbol
 	tracer      *Tracer
-	heldMain    ProcMain // entry point pending Start (Spec.Hold)
-	inDebugStop bool     // blocked inside DebugEvent awaiting Continue
-
-	// Both chans are lazy: at a million nodes two eager allocations per
-	// process dominate heap, and almost no process is ever waited on or
-	// debug-stopped. Guarded by node.mu.
-	exited *vtime.Chan[int]      // closed-with-value on exit; created by the first Wait
-	resume *vtime.Chan[struct{}] // tracer Continue tokens; created by DebugEvent
+	heldMain    ProcMain              // entry point pending Start (Spec.Hold)
+	inDebugStop bool                  // blocked inside DebugEvent awaiting Continue
+	exited      *vtime.Chan[int]      // closed-with-value on exit; created by the first Wait
+	resume      *vtime.Chan[struct{}] // tracer Continue tokens; created by DebugEvent
 
 	// conns are network connections adopted via AdoptConn; Exit severs
 	// them so a killed process's peers observe ErrPeerDead rather than
@@ -71,14 +77,40 @@ type Proc struct {
 	conns []interface{ Sever() }
 }
 
+// procWithCold is a process spawned with its cold part: one allocation.
+type procWithCold struct {
+	Proc
+	cold procCold
+}
+
+// coldLocked returns the cold part, making it on first use. Caller holds
+// node.mu.
+func (p *Proc) coldLocked() *procCold {
+	if p.cold == nil {
+		p.cold = new(procCold)
+	}
+	return p.cold
+}
+
 // Pid returns the process id (unique per node).
-func (p *Proc) Pid() int { return p.pid }
+func (p *Proc) Pid() int { return int(p.pid) }
 
 // Exe returns the executable name.
 func (p *Proc) Exe() string { return p.exe }
 
 // Args returns the argument vector.
-func (p *Proc) Args() []string { return p.args }
+func (p *Proc) Args() []string { return p.spawned().args }
+
+// spawned returns the cold part made at spawn, or an empty one. Its args and
+// env never change, so reading them takes no lock.
+func (p *Proc) spawned() *procCold {
+	if p.spec {
+		return p.cold
+	}
+	return &noCold
+}
+
+var noCold procCold // what a process spawned without args or env reads
 
 // Node returns the node the process runs on.
 func (p *Proc) Node() *Node { return p.node }
@@ -92,19 +124,21 @@ func (p *Proc) Sim() *vtime.Sim { return p.node.cl.sim }
 
 // Env returns the value of an environment variable ("" when unset).
 func (p *Proc) Env(key string) string {
-	if v, ok := p.env[key]; ok {
+	c := p.spawned()
+	if v, ok := c.env[key]; ok {
 		return v
 	}
-	return p.envBase[key]
+	return c.envBase[key]
 }
 
 // Environ returns a copy of the whole environment.
 func (p *Proc) Environ() map[string]string {
-	out := make(map[string]string, len(p.envBase)+len(p.env))
-	for k, v := range p.envBase {
+	c := p.spawned()
+	out := make(map[string]string, len(c.envBase)+len(c.env))
+	for k, v := range c.envBase {
 		out[k] = v
 	}
-	for k, v := range p.env {
+	for k, v := range c.env {
 		out[k] = v
 	}
 	return out
@@ -141,7 +175,8 @@ func (p *Proc) AdoptConn(c interface{ Sever() }) {
 		c.Sever()
 		return
 	}
-	p.conns = append(p.conns, c)
+	cold := p.coldLocked()
+	cold.conns = append(cold.conns, c)
 	n.mu.Unlock()
 }
 
@@ -158,26 +193,26 @@ func (p *Proc) Exit(code int) {
 	}
 	p.state = StateExited
 	p.exitCode = code
-	delete(n.procs, p.pid)
-	tr := p.tracer
-	p.tracer = nil
-	conns := p.conns
-	p.conns = nil
-	exited, resume := p.exited, p.resume
+	n.reapLocked()
+	var c procCold // a process that never needed its cold part has nothing below
+	if p.cold != nil {
+		c = *p.cold
+		p.cold.tracer, p.cold.conns = nil, nil
+	}
 	n.mu.Unlock()
-	for _, c := range conns {
-		c.Sever()
+	for _, conn := range c.conns {
+		conn.Sever()
 	}
-	if tr != nil {
-		tr.events.Send(TraceEvent{Type: EventExit, Code: code})
-		tr.events.Close()
+	if c.tracer != nil {
+		c.tracer.events.Send(TraceEvent{Type: EventExit, Code: code})
+		c.tracer.events.Close()
 	}
-	if exited != nil {
-		exited.Send(code)
-		exited.Close()
+	if c.exited != nil {
+		c.exited.Send(code)
+		c.exited.Close()
 	}
-	if resume != nil {
-		resume.Close()
+	if c.resume != nil {
+		c.resume.Close()
 	}
 }
 
@@ -194,10 +229,11 @@ func (p *Proc) Wait() (code int, ok bool) {
 		n.mu.Unlock()
 		return code, true
 	}
-	if p.exited == nil {
-		p.exited = vtime.NewChan[int](n.cl.sim)
+	cold := p.coldLocked()
+	if cold.exited == nil {
+		cold.exited = vtime.NewChan[int](n.cl.sim)
 	}
-	ch := p.exited
+	ch := cold.exited
 	n.mu.Unlock()
 	return ch.Recv()
 }
@@ -207,10 +243,11 @@ func (p *Proc) Wait() (code int, ok bool) {
 func (p *Proc) SetSymbol(name string, sym Symbol) {
 	p.node.mu.Lock()
 	defer p.node.mu.Unlock()
-	if p.symbols == nil {
-		p.symbols = make(map[string]Symbol)
+	cold := p.coldLocked()
+	if cold.symbols == nil {
+		cold.symbols = make(map[string]Symbol)
 	}
-	p.symbols[name] = sym
+	cold.symbols[name] = sym
 }
 
 // --- Tracing (the substrate under the RM's APAI) ---
@@ -234,7 +271,8 @@ type TraceEvent struct {
 	Code   int
 }
 
-// Tracer is a debugger attachment to one process.
+// Tracer is a debugger attachment to one process. Its methods use the
+// tracee's cold part with no nil check: Attach made it.
 type Tracer struct {
 	proc   *Proc
 	events *vtime.Chan[TraceEvent]
@@ -256,11 +294,12 @@ func (p *Proc) Attach() (*Tracer, error) {
 	if p.state == StateExited {
 		return nil, ErrExited
 	}
-	if p.tracer != nil {
+	cold := p.coldLocked()
+	if cold.tracer != nil {
 		return nil, ErrAlreadyTraced
 	}
 	t := &Tracer{proc: p, events: vtime.NewChan[TraceEvent](n.cl.sim)}
-	p.tracer = t
+	cold.tracer = t
 	return t, nil
 }
 
@@ -274,7 +313,7 @@ func (t *Tracer) ReadSymbol(name string) (any, error) {
 	p := t.proc
 	n := p.node
 	n.mu.Lock()
-	sym, ok := p.symbols[name]
+	sym, ok := p.cold.symbols[name]
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("cluster: symbol %q not found in %s[%d]", name, p.exe, p.pid)
@@ -299,8 +338,8 @@ func (t *Tracer) Continue() error {
 		return ErrNotStopped
 	}
 	p.state = StateRunning
-	blocked := p.inDebugStop
-	resume := p.resume
+	blocked := p.cold.inDebugStop
+	resume := p.cold.resume
 	n.mu.Unlock()
 	if blocked {
 		resume.Send(struct{}{})
@@ -335,10 +374,10 @@ func (t *Tracer) Detach() {
 	n := p.node
 	n.mu.Lock()
 	stopped := p.state == StateStopped
-	blocked := p.inDebugStop
-	resume := p.resume
-	if p.tracer == t {
-		p.tracer = nil
+	blocked := p.cold.inDebugStop
+	resume := p.cold.resume
+	if p.cold.tracer == t {
+		p.cold.tracer = nil
 	}
 	if stopped {
 		p.state = StateRunning
@@ -357,21 +396,22 @@ func (t *Tracer) Detach() {
 func (p *Proc) DebugEvent(reason string) {
 	n := p.node
 	n.mu.Lock()
-	t := p.tracer
-	if t == nil || p.state == StateExited {
+	cold := p.cold // an untraced process may have none
+	if cold == nil || cold.tracer == nil || p.state == StateExited {
 		n.mu.Unlock()
 		return
 	}
+	t := cold.tracer
 	p.state = StateStopped
-	p.inDebugStop = true
-	if p.resume == nil {
-		p.resume = vtime.NewChan[struct{}](n.cl.sim)
+	cold.inDebugStop = true
+	if cold.resume == nil {
+		cold.resume = vtime.NewChan[struct{}](n.cl.sim)
 	}
-	resume := p.resume
+	resume := cold.resume
 	n.mu.Unlock()
 	t.events.Send(TraceEvent{Type: EventStop, Reason: reason})
 	resume.Recv() // parked until Continue/Detach (or teardown)
 	n.mu.Lock()
-	p.inDebugStop = false
+	cold.inDebugStop = false
 	n.mu.Unlock()
 }

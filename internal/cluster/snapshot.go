@@ -45,7 +45,7 @@ func (p *Proc) Snapshot() Snapshot {
 	// spends ~70% user, ~5% system of its wall time in this model.
 	seed := uint64(p.pid)*2654435761 + uint64(len(p.exe))
 	return Snapshot{
-		Pid:      p.pid,
+		Pid:      int(p.pid),
 		Exe:      p.exe,
 		State:    p.state.String(),
 		PC:       0x400000 + (seed^uint64(alive/time.Millisecond))%0x10000,

@@ -383,21 +383,14 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 			if cfg.Rank == 0 {
 				s = src
 			}
-			c, seed, err := iccl.BootstrapSeedRouted(p, cfg, s, nil)
+			c, seed, err := iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame) error {
+				if !f.End && len(f.Body) != len(feData) {
+					return fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			for {
-				f, err := seed.Next()
-				if err != nil {
-					return nil, err
-				}
-				if f.End {
-					break
-				}
-				if len(f.Body) != len(feData) {
-					return nil, fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
-				}
 			}
 			return c, seed.Wait()
 		}, func(*iccl.Comm, *cluster.Proc) error { return nil })

@@ -101,6 +101,15 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 		err = d.initCutThrough(env)
 	}
 	if err != nil {
+		// A rank that fails after bootstrap tears down what it formed, as a
+		// failed bootstrap does, so its parent's ready gather (and, at the
+		// master, the front end) sees the failure instead of waiting on it.
+		if d.comm != nil {
+			d.comm.Close()
+			if d.fe != nil {
+				d.fe.Close()
+			}
+		}
 		return nil, err
 	}
 	return d, nil
@@ -112,11 +121,11 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 // contributing to the ready gather, so the ready message at the front end
 // implies a validated slice at every daemon of the fabric.
 //
-// Setup (seedRouter, masterHandshake) and the drain loop (drainSeed)
-// each run in their own frame: this function's frame is the
-// one resident under the whole launch — every daemon goroutine parks
-// somewhere below it — so the router closures, handshake buffers, and
-// assembler state must not widen it (see iccl.bootstrap's stack note).
+// Setup (seedRouter, masterHandshake, seedSink) runs in frames of its own:
+// this function's frame is the one resident under the whole launch —
+// every daemon goroutine parks somewhere below it — so the router
+// closures, handshake buffers, and assembler state must not widen it (see
+// iccl.bootstrap's stack note).
 func (d *daemonSession) initCutThrough(env *bootEnv) error {
 	rt := d.seedRouter(env)
 	var src iccl.SeedSource
@@ -128,32 +137,51 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 		src = seedSourceFromFE(d.p.Sim(), d.fe, feData)
 	}
 
-	comm, seed, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt)
+	comm, seed, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt, d.seedSink())
 	if err != nil {
 		return err
 	}
 	d.adopt(comm)
-	if err := d.drainSeed(seed); err != nil {
-		return err
-	}
-	// All child forwards must drain before any other down-flowing traffic
-	// may use the tree links.
+	// The rank's share and every child forward must be done before any
+	// other down-flowing traffic may use the tree links. Forwards are
+	// zero-delay, so Wait returns at the later of bootstrap's return and
+	// the share's End: the instant the slice was validated.
 	if err := seed.Wait(); err != nil {
 		return err
 	}
+	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
 	return d.completeInit(env)
+}
+
+// seedSink takes this rank's share of the stream on the scheduler: frame 0
+// carries the piggybacked FEData, later frames the rank slice's RPDTAB
+// chunks, already validated chunk by chunk; the end marker's total
+// validates the reassembly.
+func (d *daemonSession) seedSink() func(coll.Frame) error {
+	var asm proctab.Assembler
+	return func(f coll.Frame) (err error) {
+		switch {
+		case f.End:
+			d.myTab, err = asm.FinishSlice(int(f.Total))
+		case f.H.Index == 0:
+			d.feData = append([]byte(nil), f.Body...)
+		default:
+			err = asm.Add(f.Body)
+		}
+		return err
+	}
 }
 
 // seedRouter attaches the session-shared segment and builds the
 // rank-sliced retention router: BE daemons route the seed so each keeps
 // only its own slice, consulting the session-shared host→rank map; MW
-// daemons receive an empty stream (their slice is empty by construction,
-// so they need no router) and read the table, when they need it, from the
-// same shared index.
+// daemons receive a table-less stream (their slice is empty by
+// construction) and read the table, when they need it, from the same
+// shared index.
 func (d *daemonSession) seedRouter(env *bootEnv) *iccl.SeedRouter {
 	d.seg = sharedSegFor(env.session)
 	if d.fab.mw {
-		return nil
+		return iccl.TablelessRoute
 	}
 	ranks := d.seg.hostRanks(env.tree.Nodelist)
 	return &iccl.SeedRouter{
@@ -183,36 +211,6 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 	}
 	d.tl.Mark(d.fab.markNetStart, d.p.Sim().Now())
 	return handshake.UsrData, nil
-}
-
-// drainSeed consumes the locally delivered stream: frame 0 carries the
-// piggybacked FEData, later frames the RPDTAB chunks; the end marker's
-// total validates the reassembly (the routed stream — and so the
-// assembled table — is just this daemon's rank slice, already validated
-// chunk by chunk).
-func (d *daemonSession) drainSeed(seed *iccl.Seed) error {
-	var asm proctab.Assembler
-	for {
-		f, err := seed.Next()
-		if err != nil {
-			return err
-		}
-		if f.End {
-			if d.myTab, err = asm.FinishSlice(int(f.Total)); err != nil {
-				return err
-			}
-			break
-		}
-		if f.H.Index == 0 {
-			d.feData = append([]byte(nil), f.Body...)
-			continue
-		}
-		if err := asm.Add(f.Body); err != nil {
-			return err
-		}
-	}
-	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
-	return nil
 }
 
 // seedSourceFromFE adapts the master's FE connection into the tree's

@@ -318,4 +318,52 @@ func TestFaultEndsInNamedState(t *testing.T) {
 			})
 		}
 	}
+	// The one cell whose launch fails: a leaf's node dies while the seed
+	// streams to it (rank 3, under rank 1, after rank 1's bootstrap has
+	// returned). Rank 1's Wait fails and rank 1 tears down what it formed,
+	// so the master's ready gather fails, the master closes its front-end
+	// connection, and the launch returns that. The 4 MiB FEData keeps the
+	// stream milliseconds a hop; a kill anywhere in +34 … +46 ms of the
+	// launch lands in this window on this rig, and before the teardown every
+	// one of them left the launch waiting until the simulation ended.
+	t.Run("leaf node killed/mid-seed", func(t *testing.T) {
+		const killAt = 40 * time.Millisecond
+		sim, cl, mgr := rig(t, jobNodes+2*mwNodes)
+		leaf := ""
+		cl.Register("seed_be", func(p *cluster.Proc) {
+			if p.Env(rm.EnvNodeID) == "3" {
+				leaf = p.Node().Name()
+			}
+			if _, err := BEInit(p); err == nil {
+				p.Wait()
+			}
+		})
+		runFE(t, sim, cl, func(p *cluster.Proc) {
+			if _, err := NewFrontEnd(p); err != nil {
+				t.Error(err)
+				return
+			}
+			pre := settledLive(sim)
+			killed := false
+			sim.After(killAt, func() { killed = cl.KillNodeByName(leaf) })
+			t0 := sim.Now()
+			_, err := LaunchAndSpawn(p, Options{
+				Job:        rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 1},
+				Daemon:     rm.DaemonSpec{Exe: "seed_be"},
+				ICCLFanout: 2,
+				FEData:     make([]byte, 4<<20),
+			})
+			if took := sim.Now() - t0 - killAt; !killed || err == nil ||
+				!strings.Contains(err.Error(), "awaiting BE master ready") || took > time.Second {
+				t.Errorf("killed %q: %v; launch returned %v after the kill with %v, want the master's ready wait failing within 1s",
+					leaf, killed, took, err)
+			}
+			if j, ok := mgr.FindJob(1); ok {
+				j.Kill()
+			}
+			if got := settledLive(sim); got != pre {
+				t.Errorf("Live() = %d after the launch, %d before it", got, pre)
+			}
+		})
+	})
 }

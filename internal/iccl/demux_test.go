@@ -11,6 +11,7 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
 
@@ -186,11 +187,33 @@ var seedScript = []time.Duration{
 	5000 * time.Microsecond, 5000 * time.Microsecond,
 }
 
+// seedScriptRoutes gives the script's table — two entries on node1 a chunk
+// — a route that re-packs it at the root two entries a chunk and at rank 1
+// one entry a chunk: every chunk rank 1 is handed makes its slice flush at
+// least one chunk to its sink, so the sink is called at every instant rank 1
+// is handed a frame, and at no other.
+func seedScriptRoutes() (frames []coll.Frame, root, rank1 *SeedRouter) {
+	var tab proctab.Table
+	for i := 0; i < 2*(len(seedScript)-2); i++ {
+		tab = append(tab, proctab.ProcDesc{Host: "node1", Exe: "app", Pid: 100 + i, Rank: i})
+	}
+	two, one := len(tab[:2].Encode()), len(tab[:1].Encode())
+	frames = seedFrames(append([][]byte{[]byte("fedata")}, tab.EncodeChunks(two)...))
+	frames[len(frames)-1].Total = uint64(len(tab))
+	rankOf := func(host string) (int, bool) {
+		var rk int
+		_, err := fmt.Sscanf(host, "node%d", &rk)
+		return rk, err == nil
+	}
+	return frames, &SeedRouter{RankOf: rankOf, ChunkBytes: two}, &SeedRouter{RankOf: rankOf, ChunkBytes: one}
+}
+
 // runSeedScript plays seedScript down a fanout-1 chain of n ranks and
 // returns the instants rank 1 was handed its seed frames: a leaf with n=2,
-// an interior rank with n=3. With reference set rank 1 is the serial
-// reader instead of the seed stream's framer — it block-reads its parent
-// link, charging each frame — and forwards nothing, so n must be 2.
+// an interior rank with n=3 — the instants its sink was called at. With
+// reference set rank 1 is the serial reader instead of the seed stream's
+// framer — it block-reads its parent link, charging each frame — and
+// forwards nothing, so n must be 2.
 func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 	t.Helper()
 	sim := vtime.New()
@@ -202,6 +225,7 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 	for i := range nodelist {
 		nodelist[i] = cl.Node(i).Name()
 	}
+	frames, rootRoute, route := seedScriptRoutes()
 	sim.Go("boot", func() {
 		for i := 0; i < n; i++ {
 			i := i
@@ -226,28 +250,27 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					return
 				}
 				var src SeedSource
+				rt := route
 				if i == 0 {
 					src = func(emit func(coll.Frame, error) bool) {
-						for k, f := range seedFrames(make([][]byte, len(seedScript)-1)) {
+						for k, f := range frames {
 							f := f
 							sim.After(scriptStart+seedScript[k]-sim.Now(), func() { emit(f, nil) })
 						}
 					}
+					rt = rootRoute
 				}
-				c, seed, err := BootstrapSeedRouted(p, cfg, src, nil)
+				c, seed, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame) error {
+					if now := sim.Now(); i == 1 && (len(at) == 0 || at[len(at)-1] != now) {
+						at = append(at, now)
+					}
+					return nil
+				})
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
 				}
 				defer c.Close()
-				if i == 1 {
-					seed.local.Handle(func(_ coll.Frame, ok bool) {
-						if ok {
-							at = append(at, sim.Now())
-						}
-					})
-				}
-				sim.Sleep(2*scriptStart - sim.Now())
 				if err := seed.Wait(); err != nil {
 					t.Errorf("rank %d: %v", i, err)
 				}

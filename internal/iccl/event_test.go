@@ -18,7 +18,8 @@ import (
 // a parked-forever accept.
 
 // seedFrames renders bodies (frame 0 is the FEData preamble) as the
-// root's stream, closed by a digest-carrying End.
+// root's stream, closed by a digest-carrying End whose total, the entry
+// count a router checks, is left to the caller: 0 fits a table-less stream.
 func seedFrames(bodies [][]byte) []coll.Frame {
 	digest := lmonp.SumInit
 	frames := make([]coll.Frame, 0, len(bodies)+1)
@@ -32,7 +33,7 @@ func seedFrames(bodies [][]byte) []coll.Frame {
 	}
 	return append(frames, coll.Frame{
 		H:   coll.Header{Op: coll.OpSeed, Index: uint32(len(bodies))},
-		End: true, Total: uint64(len(bodies)), Sum: digest,
+		End: true, Sum: digest,
 	})
 }
 
@@ -51,15 +52,17 @@ func scriptedSeed(sim *vtime.Sim, frames []coll.Frame) SeedSource {
 }
 
 // TestSeedSpawnsNoGoroutine: the seed stream is scheduler state at every
-// rank of a 3-level tree — the root's source, an interior rank's relay, a
-// leaf's drain, routed or verbatim — so nothing named iccl-* is ever
-// spawned: the daemon's main is the one goroutine it holds during launch.
+// rank of a 3-level tree — the root's source, an interior rank's routing,
+// a leaf's sink, with a table or without one — so nothing named iccl-* is
+// ever spawned: the daemon's main is the one goroutine it holds during
+// launch.
 func TestSeedSpawnsNoGoroutine(t *testing.T) {
 	frames, rt, _ := routedSeed(wireN, 2, 96)
 	for _, tc := range []struct {
-		name string
-		rt   *SeedRouter
-	}{{"verbatim", nil}, {"routed", rt}} {
+		name   string
+		frames []coll.Frame
+		rt     *SeedRouter
+	}{{"table-less", seedFrames([][]byte{[]byte("fedata")}), TablelessRoute}, {"routed", frames, rt}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := vtime.New()
 			spawns := 0
@@ -69,7 +72,7 @@ func TestSeedSpawnsNoGoroutine(t *testing.T) {
 				}
 				spawns++
 			})
-			seedRig(t, seedCluster(t, sim, wireN), wireFanout, frames, tc.rt, func(*Comm, []coll.Frame) error { return nil })
+			seedRig(t, seedCluster(t, sim, wireN), wireFanout, tc.frames, tc.rt, func(*Comm, []coll.Frame) error { return nil })
 			if spawns < wireN {
 				t.Fatalf("the spawn observer saw %d goroutines start, fewer than the %d daemons", spawns, wireN)
 			}

@@ -27,9 +27,9 @@ func seedCluster(tb testing.TB, sim *vtime.Sim, n int) *cluster.Cluster {
 }
 
 // seedRig bootstraps one daemon per node of cl with BootstrapSeedRouted —
-// the root fed by frames, every rank routing with rt (nil relays verbatim)
-// — has each drain its local stream and Wait, and runs fn on the formed
-// communicator with the frames the rank received, the End frame last.
+// the root fed by frames, every rank routing with rt — has each collect its
+// share with a sink and Wait, and runs fn on the formed communicator with
+// the frames the rank's sink was handed, the End frame last.
 func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame, rt *SeedRouter, fn func(c *Comm, got []coll.Frame) error) {
 	tb.Helper()
 	sim, n := cl.Sim(), cl.NumNodes()
@@ -43,21 +43,17 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 		if i == 0 {
 			src = scriptedSeed(sim, frames)
 		}
+		var got []coll.Frame
 		c, seed, err := BootstrapSeedRouted(p, Config{
 			Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
-		}, src, rt)
+		}, src, rt, func(f coll.Frame) error {
+			got = append(got, f)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		var got []coll.Frame
-		for len(got) == 0 || !got[len(got)-1].End {
-			f, err := seed.Next()
-			if err != nil {
-				return err
-			}
-			got = append(got, f)
-		}
 		if err := seed.Wait(); err != nil {
 			return err
 		}
@@ -104,26 +100,43 @@ func routedSeed(n, tasksPerNode, chunkBytes int) ([]coll.Frame, *SeedRouter, pro
 	}, tab
 }
 
-// TestSeedStreamDeliversEverywhere checks every rank receives the exact
-// frame sequence across tree shapes, and that the communicator is fully
-// usable afterwards (the seed must have drained off every link).
+// TestSeedStreamDeliversEverywhere checks every rank's sink is handed its
+// share across tree shapes — the FEData frame, chunks holding exactly the
+// rank's own entries, an End whose total counts them, indices contiguous —
+// and that the communicator is fully usable afterwards (the seed must have
+// drained off every link).
 func TestSeedStreamDeliversEverywhere(t *testing.T) {
-	bodies := [][]byte{[]byte("fedata"), []byte("chunk-0"), []byte("chunk-1"), {}, []byte("chunk-3")}
+	const perNode = 3
 	for _, tc := range []struct{ n, fanout int }{
 		{1, 2}, {2, 2}, {5, 4}, {7, 2}, {8, 0 /* flat */}, {13, 3},
 	} {
 		t.Run(fmt.Sprintf("n%d_f%d", tc.n, tc.fanout), func(t *testing.T) {
-			seedRig(t, seedCluster(t, vtime.New(), tc.n), tc.fanout, seedFrames(bodies), nil, func(c *Comm, got []coll.Frame) error {
-				if len(got) != len(bodies)+1 {
-					return fmt.Errorf("rank %d received %d frames, want %d and the End", c.Rank(), len(got), len(bodies))
+			frames, rt, _ := routedSeed(tc.n, perNode, 96)
+			seedRig(t, seedCluster(t, vtime.New(), tc.n), tc.fanout, frames, rt, func(c *Comm, got []coll.Frame) error {
+				if len(got) < 2 || !bytes.Equal(got[0].Body, []byte("fedata")) || !got[len(got)-1].End {
+					return fmt.Errorf("rank %d was handed %d frames, want FEData first and End last", c.Rank(), len(got))
 				}
-				for i := range bodies {
-					if !bytes.Equal(got[i].Body, bodies[i]) {
-						return fmt.Errorf("rank %d frame %d = %q, want %q", c.Rank(), i, got[i].Body, bodies[i])
+				host, entries := fmt.Sprintf("node%d", c.Rank()), 0
+				for i, f := range got {
+					if f.H.Index != uint32(i) {
+						return fmt.Errorf("rank %d frame %d has index %d", c.Rank(), i, f.H.Index)
 					}
+					if i == 0 || f.End {
+						continue
+					}
+					sub, err := proctab.Decode(f.Body)
+					if err != nil {
+						return err
+					}
+					for _, d := range sub {
+						if d.Host != host {
+							return fmt.Errorf("rank %d was handed an entry on %s", c.Rank(), d.Host)
+						}
+					}
+					entries += len(sub)
 				}
-				if end := got[len(bodies)]; end.Total != uint64(len(bodies)) {
-					return fmt.Errorf("rank %d end total %d, received %d frames", c.Rank(), end.Total, len(bodies))
+				if end := got[len(got)-1]; entries != perNode || end.Total != uint64(entries) {
+					return fmt.Errorf("rank %d was handed %d entries, end total %d, want %d", c.Rank(), entries, end.Total, perNode)
 				}
 				// The tree is immediately usable for collectives.
 				return c.Barrier()
@@ -132,18 +145,90 @@ func TestSeedStreamDeliversEverywhere(t *testing.T) {
 	}
 }
 
+// TestSeedParksOncePerRank: a daemon's main waits on its seed record once.
+// The stream — FEData, then several chunks of every rank's slice — starts
+// after every rank's bootstrap has returned and its main has gone into
+// Wait, so Wait covers all of it; a main woken per frame handed over, or
+// once more for the child forwards, parks several times a rank.
+func TestSeedParksOncePerRank(t *testing.T) {
+	const n, fanout = 13, 3
+	const census, enter, start, end = 400 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second
+	frames, rt, _ := routedSeed(n, 8, 96)
+	sim := vtime.New()
+	cl := seedCluster(t, sim, n)
+	nodelist := make([]string, n)
+	for i := range nodelist {
+		nodelist[i] = cl.Node(i).Name()
+	}
+	errs := make([]error, n)
+	handed := make([]int, n)
+	var parks uint64
+	sim.Go("boot", func() {
+		for i := 0; i < n; i++ {
+			i := i
+			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+				var src SeedSource
+				if i == 0 {
+					src = func(emit func(coll.Frame, error) bool) {
+						sim.After(start-sim.Now(), func() {
+							for _, f := range frames {
+								emit(f, nil)
+							}
+						})
+					}
+				}
+				c, seed, err := BootstrapSeedRouted(p, Config{
+					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
+				}, src, rt, func(coll.Frame) error { handed[i]++; return nil })
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer c.Close()
+				if sim.Now() >= census {
+					errs[i] = fmt.Errorf("bootstrap returned at %v, after the census", sim.Now())
+					return
+				}
+				sim.Sleep(enter - sim.Now())
+				errs[i] = seed.Wait()
+			}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		sim.Sleep(census - sim.Now())
+		parks = sim.Parks()
+		sim.Sleep(end - sim.Now()) // one park of its own
+		parks = sim.Parks() - parks - 1
+	})
+	sim.Run()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		if handed[i] < 4 {
+			t.Fatalf("rank %d's sink was handed %d frames, want FEData, several chunks and End", i, handed[i])
+		}
+	}
+	t.Logf("%d ranks parked %d times, handed %v frames", n, parks, handed)
+	if parks > n {
+		t.Errorf("%d ranks parked %d times between the census and the stream's end, want at most once a rank", n, parks)
+	}
+}
+
 // TestSeedMidStreamFaultAtForwardingRank breaks the stream a forwarding
 // rank is fed from after frame 1, before the End: an interior rank's
 // parent link (the root's node dies) and the root's own source (its FE
 // connection). Rank 4 starts late, so its parent, rank 1, is still
 // accepting children when the fault lands. A rank whose bootstrap had
-// completed reports the break from Next and again from Wait — which
-// returns, so the forwarders finished; rank 1's bootstrap surfaces the
-// broken tree when it reports ready up a dead link; its subtree sees the
-// link it closes; and every goroutine ends.
+// completed was handed the FEData frame, whose forward is not held back
+// by routing, and reports the break from Wait — which returns, so the
+// forwarders finished; rank 1's bootstrap surfaces the broken tree when
+// it reports ready up a dead link; its subtree sees the link it closes;
+// and every goroutine ends.
 func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 	const n, fanout = 7, 2 // 0 → 1, 2 → 3 … 6
-	frames := seedFrames([][]byte{[]byte("fedata"), []byte("chunk-0"), []byte("chunk-1")})
+	frames, rt, _ := routedSeed(n, 2, 96)
 	for _, tc := range []struct {
 		name     string
 		rootDies bool // the fault is the root's node dying, else its source breaking
@@ -159,8 +244,8 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 				nodelist[i] = cl.Node(i).Name()
 			}
 			type result struct {
-				got              int
-				boot, next, wait error
+				got        int
+				boot, wait error
 			}
 			res := make([]result, n)
 			spawn := func(i int) {
@@ -184,17 +269,12 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 					r := &res[i]
 					c, seed, err := BootstrapSeedRouted(p, Config{
 						Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50006,
-					}, src, nil)
+					}, src, rt, func(coll.Frame) error { r.got++; return nil })
 					if err != nil {
 						r.boot = err
 						return
 					}
 					defer c.Close()
-					for r.next == nil {
-						if _, r.next = seed.Next(); r.next == nil {
-							r.got++
-						}
-					}
 					r.wait = seed.Wait()
 				}}); err != nil {
 					t.Error(err)
@@ -223,11 +303,8 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 					}
 				default:
 					prefix := fmt.Sprintf("iccl: seed stream at rank %d: ", i)
-					if r.boot != nil || r.got != 2 || r.next == nil || !strings.HasPrefix(r.next.Error(), prefix) {
-						t.Errorf("rank %d: bootstrap %v, %d frames, then %v; want 2 frames, then %q…", i, r.boot, r.got, r.next, prefix)
-					}
-					if r.wait != r.next {
-						t.Errorf("rank %d: Wait reports %v, Next %v", i, r.wait, r.next)
+					if r.boot != nil || r.got != 1 || r.wait == nil || !strings.HasPrefix(r.wait.Error(), prefix) {
+						t.Errorf("rank %d: bootstrap %v, %d frames, then %v; want the FEData frame, then %q…", i, r.boot, r.got, r.wait, prefix)
 					}
 				}
 			}
@@ -235,8 +312,8 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 			if tc.rootDies {
 				witness, cause = 2, simnet.ErrPeerDead
 			}
-			if !errors.Is(res[witness].next, cause) {
-				t.Errorf("rank %d reports %v, which does not wrap %v", witness, res[witness].next, cause)
+			if !errors.Is(res[witness].wait, cause) {
+				t.Errorf("rank %d reports %v, which does not wrap %v", witness, res[witness].wait, cause)
 			}
 			if live != 0 {
 				t.Errorf("%d goroutines still alive a second after the last rank started", live)
@@ -256,12 +333,12 @@ func TestSeedSourceOnlyAtRoot(t *testing.T) {
 		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
 			if _, _, err := BootstrapSeedRouted(p, Config{
 				Rank: 0, Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50003,
-			}, nil, nil); err == nil {
+			}, nil, TablelessRoute, nil); err == nil {
 				t.Error("rank 0 without a seed source accepted")
 			}
 			if _, _, err := BootstrapSeedRouted(p, Config{
 				Rank: 1, Size: 2, Nodelist: []string{cl.Node(0).Name(), "x"}, Port: 50003,
-			}, func(func(coll.Frame, error) bool) {}, nil); err == nil {
+			}, func(func(coll.Frame, error) bool) {}, TablelessRoute, nil); err == nil {
 				t.Error("rank 1 with a seed source accepted")
 			}
 		}})

@@ -18,7 +18,7 @@ import (
 // the seed frame the splitter is handed.
 type splitterRig struct {
 	s       *seedSplitter
-	local   *vtime.Chan[coll.Frame]
+	local   int // chunk bytes handed to the local consumer since the last drain
 	outs    []*seedOutbox
 	lookups int
 	frames  []coll.Frame
@@ -27,7 +27,7 @@ type splitterRig struct {
 func newSplitterRig(hosts, perHost, inBytes, outBytes int) *splitterRig {
 	const size, fanout = 21, 4
 	sim := vtime.New()
-	r := &splitterRig{local: vtime.NewChan[coll.Frame](sim)}
+	r := &splitterRig{}
 	for range Children(0, size, fanout) {
 		r.outs = append(r.outs, vtime.NewChan[[]byte](sim))
 	}
@@ -41,23 +41,21 @@ func newSplitterRig(hosts, perHost, inBytes, outBytes int) *splitterRig {
 		_, err := fmt.Sscanf(host, "node%d", &rk)
 		return rk % size, err == nil
 	}}
-	r.s = newSeedSplitter(rt, Config{Rank: 0, Size: size, Fanout: fanout}, r.local, r.outs)
+	r.s = newSeedSplitter(rt, Config{Rank: 0, Size: size, Fanout: fanout}, func(f coll.Frame) error {
+		r.local += len(f.Body)
+		return nil
+	}, r.outs)
 	for i, body := range tab.EncodeChunks(inBytes) {
 		r.frames = append(r.frames, coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: uint32(i + 1)}, Body: body, Sum: lmonp.Sum64(body)})
 	}
 	return r
 }
 
-// drain empties the splitter's queues and returns the bytes of what it had
-// emitted: chunk bodies on the local stream, link messages on the others.
+// drain empties the splitter's outboxes and returns the bytes of what it
+// had emitted: chunk bodies on the local stream, link messages on the
+// others.
 func (r *splitterRig) drain() (local, links int) {
-	for {
-		f, ok := r.local.TryRecv()
-		if !ok {
-			break
-		}
-		local += len(f.Body)
-	}
+	local, r.local = r.local, 0
 	for _, out := range r.outs {
 		for {
 			msg, ok := out.TryRecv()
@@ -99,7 +97,8 @@ func TestSeedSplitterRoutesOncePerHost(t *testing.T) {
 		}
 		total += c.Len()
 	}
-	if err := r.s.finish(coll.Frame{End: true, Total: uint64(total)}); err != nil {
+	end := coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: uint32(len(r.frames) + 1)}, End: true, Total: uint64(total)}
+	if err := r.s.finish(end); err != nil {
 		t.Fatal(err)
 	}
 	if total != hosts*perHost || r.lookups >= total/8 {

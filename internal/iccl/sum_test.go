@@ -59,16 +59,21 @@ func TestChunkSumsOnTreeLinks(t *testing.T) {
 			}
 		}
 	})
-	// Every rank of a 3-level tree: what the verbatim stream delivers is
-	// the frame SeqCheck.AdmitFrame admitted.
+	// Every rank of a 3-level tree: the FEData frame a sink is handed is
+	// the one SeqCheck.AdmitFrame admitted, sum computed on arrival, and
+	// every chunk of the rank's slice (each longer than one 32-byte block)
+	// and the End carry the sums its stream would be checked with.
 	t.Run("seed", func(t *testing.T) {
-		frames := seedFrames([][]byte{[]byte("fedata"), []byte("chunk-0"), {}, []byte("chunk-2, longer than one 32-byte block")})
-		digest := frames[len(frames)-1].Sum
-		seedRig(t, seedCluster(t, vtime.New(), wireN), wireFanout, frames, nil, func(c *Comm, got []coll.Frame) error {
+		frames, rt, _ := routedSeed(wireN, 4, 96)
+		seedRig(t, seedCluster(t, vtime.New(), wireN), wireFanout, frames, rt, func(c *Comm, got []coll.Frame) error {
+			digest := lmonp.SumInit
 			for _, f := range got {
 				want := lmonp.Sum64(f.Body)
-				if f.End {
+				switch {
+				case f.End:
 					want = digest
+				case f.H.Index > 0:
+					digest = lmonp.FoldSum(digest, want)
 				}
 				if f.Sum != want {
 					return fmt.Errorf("rank %d: seed frame %d (end %v) has sum %#x, want %#x", c.Rank(), f.H.Index, f.End, f.Sum, want)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
@@ -189,51 +190,37 @@ func TestWireBytesPinnedCollectives(t *testing.T) {
 func TestWireBytesPinnedSeedStream(t *testing.T) {
 	// Two tasks per node, chunked small enough that every subtree stream
 	// re-packs into several chunks.
-	frames, rt, tab := routedSeed(wireN, 2, 96)
-	for _, tc := range []struct {
-		step wireStep
-		rt   *SeedRouter
-	}{
-		{wireStep{"bootstrap + verbatim seed", 156, 13884}, nil},
-		{wireStep{"bootstrap + routed seed", 66, 3223}, rt},
-	} {
-		got := wireRig(t, func(p *cluster.Proc, cfg Config) (*Comm, error) {
-			// cluster node names are the hosts the table must route by.
-			for rk, name := range cfg.Nodelist {
-				if name != fmt.Sprintf("node%d", rk) {
-					return nil, fmt.Errorf("rig names node %d %q", rk, name)
-				}
+	frames, rt, _ := routedSeed(wireN, 2, 96)
+	got := wireRig(t, func(p *cluster.Proc, cfg Config) (*Comm, error) {
+		// cluster node names are the hosts the table must route by.
+		for rk, name := range cfg.Nodelist {
+			if name != fmt.Sprintf("node%d", rk) {
+				return nil, fmt.Errorf("rig names node %d %q", rk, name)
 			}
-			var src SeedSource
-			if cfg.Rank == 0 {
-				src = scriptedSeed(p.Sim(), frames)
+		}
+		var src SeedSource
+		if cfg.Rank == 0 {
+			src = scriptedSeed(p.Sim(), frames)
+		}
+		entries := 0
+		c, seed, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame) error {
+			if f.End || f.H.Index == 0 {
+				return nil
 			}
-			c, seed, err := BootstrapSeedRouted(p, cfg, src, tc.rt)
-			if err != nil {
-				return nil, err
-			}
-			entries := 0
-			for {
-				f, err := seed.Next()
-				if err != nil {
-					return nil, err
-				}
-				if f.End {
-					break
-				}
-				if f.H.Index > 0 {
-					sub, err := proctab.Decode(f.Body)
-					if err != nil {
-						return nil, err
-					}
-					entries += len(sub)
-				}
-			}
-			if want := map[bool]int{false: len(tab), true: 2}[tc.rt != nil]; entries != want {
-				return nil, fmt.Errorf("rank %d received %d table entries, want %d", cfg.Rank, entries, want)
-			}
-			return c, seed.Wait()
-		}, nil)
-		checkWire(t, got, []wireStep{tc.step})
-	}
+			sub, err := proctab.Decode(f.Body)
+			entries += len(sub)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := seed.Wait(); err != nil {
+			return c, err
+		}
+		if entries != 2 {
+			return c, fmt.Errorf("rank %d received %d table entries, want 2", cfg.Rank, entries)
+		}
+		return c, nil
+	}, nil)
+	checkWire(t, got, []wireStep{{"bootstrap + routed seed", 66, 3223}})
 }

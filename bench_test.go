@@ -462,3 +462,58 @@ func BenchmarkLaunchFat(b *testing.B) {
 	b.ReportMetric(float64(allocs)/perTask, "allocs/task")
 	b.ReportMetric(float64(liveB)/perTask, "live-B/task")
 }
+
+// BenchmarkLaunchWide is the benchmark's launch_wide workload at 1/16 of its
+// daemons, measured like BenchmarkLaunchFat: 1024 daemons × 1 task, ICCL
+// fanout 64, daemons parked on a broadcast until the kill. The per-daemon
+// cost of the slurmd tree, the spawn and the ICCL bootstrap is nearly all
+// of it; B/daemon and allocs/daemon are the LaunchAndSpawn call's,
+// live-B/daemon what it leaves live.
+func BenchmarkLaunchWide(b *testing.B) {
+	const nodes = 1024
+	b.ReportAllocs()
+	var allocB, allocs uint64
+	var liveB int64
+	for i := 0; i < b.N; i++ {
+		_, err := bench.Scenario{
+			Nodes: nodes, Lean: true,
+			Boot: func(cl *cluster.Cluster) error {
+				cl.Register("wide_be", func(p *cluster.Proc) {
+					be, err := core.BEInit(p)
+					if err != nil {
+						return
+					}
+					be.Collective().Broadcast()
+					be.Finalize()
+				})
+				return nil
+			},
+			FE: func(r *bench.Run) error {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				sess, err := core.LaunchAndSpawn(r.P, core.Options{
+					Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
+					Daemon:     rm.DaemonSpec{Exe: "wide_be"},
+					ICCLFanout: 64,
+				})
+				if err != nil {
+					return err
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				allocB += after.TotalAlloc - before.TotalAlloc
+				allocs += after.Mallocs - before.Mallocs
+				liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
+				return sess.Kill()
+			},
+		}.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	perDaemon := float64(b.N) * nodes
+	b.ReportMetric(float64(allocB)/perDaemon, "B/daemon")
+	b.ReportMetric(float64(allocs)/perDaemon, "allocs/daemon")
+	b.ReportMetric(float64(liveB)/perDaemon, "live-B/daemon")
+}

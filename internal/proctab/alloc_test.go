@@ -36,12 +36,26 @@ func TestScanAllocatesForThePoolNotTheEntries(t *testing.T) {
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(50, scan(full)); n > 4 {
-		t.Errorf("Scan of a 16-host chunk allocates %v objects, want at most 4 (the pool, its backing string, the scratch behind both)", n)
+	if n := testing.AllocsPerRun(50, scan(full)); n > 2 {
+		t.Errorf("Scan of a 16-host chunk allocates %v objects, want at most 2 (the pool and its backing string)", n)
 	}
 	if a, b := allocBytes(t, 50, scan(full)), allocBytes(t, 50, scan(few)); a != b {
 		t.Errorf("Scan allocates %d B for %d entries and %d B for 16 over the same pool: %0.2f B per entry, want 0",
 			a, 16*255, b, float64(a-b)/float64(16*254))
+	}
+}
+
+// TestSmallPoolEncodeAllocatesNoIndex: a table of a few hosts — what a
+// slurmd or a seed router writes — is encoded with its pool searched in
+// order, so it costs the entry buffer, the pool's growth steps and the
+// rendered bytes, and no map.
+func TestSmallPoolEncodeAllocatesNoIndex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	tab := sampleTable(4, 8)
+	if n := testing.AllocsPerRun(50, func() { tab.Encode() }); n > 6 {
+		t.Errorf("encoding 4 hosts × 8 tasks allocates %v objects, want at most 6", n)
 	}
 }
 

@@ -47,12 +47,17 @@ func (t Table) Encode() []byte {
 // entries of a real table repeat their host and their executable, so the
 // string last looked up in each of the two places (role 0 the host, 1 the
 // executable) is remembered and answers the next lookup without hashing.
+// Past that, a pool of up to poolScan strings — a slurmd's reply, a seed
+// router's rank slice — is searched in order, and index is built from strs
+// only when the pool outgrows that.
 type pool struct {
 	strs  []string
-	index map[string]uint32
-	size  int // encoded bytes of strs: a 4-byte length prefix and the string, each
+	index map[string]uint32 // strs' positions, kept once len(strs) > poolScan
+	size  int               // encoded bytes of strs: a 4-byte length prefix and the string, each
 	last  [2]lookup
 }
+
+const poolScan = 16
 
 type lookup struct {
 	s  string
@@ -65,11 +70,25 @@ func (p *pool) find(role int, s string) (uint32, bool) {
 	if l := &p.last[role]; l.ok && l.s == s {
 		return l.i, true
 	}
-	i, ok := p.index[s]
+	i, ok := p.search(s)
 	if ok {
 		p.last[role] = lookup{s, i, true}
 	}
 	return i, ok
+}
+
+// search looks s up in strs: in order, or through index past poolScan.
+func (p *pool) search(s string) (uint32, bool) {
+	if len(p.strs) > poolScan {
+		i, ok := p.index[s]
+		return i, ok
+	}
+	for i, t := range p.strs {
+		if t == s {
+			return uint32(i), true
+		}
+	}
+	return 0, false
 }
 
 // intern returns the pool index of s, pooling it first if need be.
@@ -78,18 +97,23 @@ func (p *pool) intern(role int, s string) uint32 {
 	if ok {
 		return i
 	}
-	if p.index == nil {
-		p.index = make(map[string]uint32)
-	}
 	i = uint32(len(p.strs))
-	p.index[s] = i
 	p.strs = append(p.strs, s)
 	p.size += 4 + len(s)
 	p.last[role] = lookup{s, i, true}
+	if len(p.strs) > poolScan {
+		if p.index == nil {
+			p.index = make(map[string]uint32, cap(p.strs))
+		}
+		for j := len(p.index); j < len(p.strs); j++ { // index catches up with strs
+			p.index[p.strs[j]] = uint32(j)
+		}
+	}
 	return i
 }
 
-// reset empties the pool, keeping what it allocated.
+// reset empties the pool, keeping what it allocated (a map, once one has
+// been made).
 func (p *pool) reset() {
 	clear(p.strs)
 	clear(p.index)
@@ -129,27 +153,28 @@ type Chunk struct {
 // distinct host — hundreds of millions of GC-traceable objects when every
 // daemon of a 10^4-node job decodes the full RPDTAB — where one backing
 // object per table costs the collector nothing.
+//
+// The length prefixes are walked twice, to size the backing and to fill
+// it, so the pool and its backing are all a read allocates. A Builder never
+// changes what it has written, so each string is taken as soon as it is in;
+// sized up front, the Builder never moves them either.
 func readPool(r *lmonp.Reader) []string {
 	// Each entry needs at least its 4-byte length prefix.
 	n := r.Count(4)
-	raw := make([][]byte, 0, n)
-	total := 0
+	again, total := *r, 0
 	for i := 0; i < n; i++ {
-		s := r.Bytes()
-		raw = append(raw, s)
-		total += len(s)
+		total += len(r.Bytes())
+	}
+	if r.Err() != nil {
+		return nil
 	}
 	var b strings.Builder
 	b.Grow(total)
-	for _, s := range raw {
-		b.Write(s)
-	}
-	backing := b.String()
-	pool := make([]string, 0, n)
-	off := 0
-	for _, s := range raw {
-		pool = append(pool, backing[off:off+len(s)])
-		off += len(s)
+	pool := make([]string, n)
+	for i := range pool {
+		at := b.Len()
+		b.Write(again.Bytes())
+		pool[i] = b.String()[at:]
 	}
 	return pool
 }
@@ -269,12 +294,12 @@ func (c *Chunk) Grow(n int) { c.entries = slices.Grow(c.entries, n*entryBytes) }
 // are walked twice, to size the pool and to write, so dst grows once, by
 // exactly the encoding's size.
 func AppendMerged(dst []byte, chunks ...Chunk) []byte {
-	var p pool
 	strs, entries := 0, 0
 	for _, c := range chunks {
 		strs += len(c.pool)
 		entries += c.Len()
 	}
+	p := pool{strs: make([]string, 0, strs)}
 	// remap[k] is the merged pool index + 1 of string k, counting through
 	// the chunks' pools in order; 0 until an entry uses the string.
 	remap := make([]uint32, strs)

@@ -63,31 +63,35 @@ func corruptions(fields []field) []corruption {
 // served (the layouts here are the servers'; the allocator can only serve
 // it if no corruption was granted node0). A decoder that checks only the
 // last field's error takes a request whose exe prefix overruns the payload
-// for exe "", no args, no env, node list "node0" — and forks.
+// for exe "", no args, no env, node list "node0" — and forks. A slurmd
+// spawn is sent for a running job (job 1, on node0) that the well-formed
+// request has been served for once already, so every corruption meets the
+// job's spawn layer.
 func TestCorruptRequestsAreRefused(t *testing.T) {
 	env := pairs([2]string{"A", "1"}, [2]string{"B", "2"})
 	for _, srv := range []struct {
 		name   string
 		port   int
 		onNode bool // served on node0, else on the front end
+		job    bool // sent for job 1, running on node0, after the request itself
 		req    []field
 	}{
 		// op, self, jobid, tasksPerNode, exe, nodelist
-		{"slurmd launch", slurm.SlurmdPort, true, []field{u32(10), u32(0), u32(7), u32(1), str("app"), str("node0")}},
+		{"slurmd launch", slurm.SlurmdPort, true, false, []field{u32(10), u32(0), u32(7), u32(1), str("app"), str("node0")}},
 		// op, self, jobid, exe, args, env, nodelist
-		{"slurmd spawn", slurm.SlurmdPort, true, []field{u32(11), u32(0), u32(7), str("daemon"), list("-v"), env, str("node0")}},
+		{"slurmd spawn", slurm.SlurmdPort, true, true, []field{u32(11), u32(0), u32(1), str("daemon"), list("-v"), env, str("node0")}},
 		// op, self, jobid, nodelist
-		{"slurmd kill", slurm.SlurmdPort, true, []field{u32(12), u32(0), u32(7), str("node0")}},
+		{"slurmd kill", slurm.SlurmdPort, true, false, []field{u32(12), u32(0), u32(7), str("node0")}},
 		// op, n, exclude
-		{"slurmctld alloc", slurm.CtrlPort, false, []field{u32(1), u32(1), list("node1")}},
+		{"slurmctld alloc", slurm.CtrlPort, false, false, []field{u32(1), u32(1), list("node1")}},
 		// op, jobid, baseRank, count, exe
-		{"apinit launch", alps.ApinitPort, true, []field{u32(1), u32(7), u32(0), u32(1), str("app")}},
+		{"apinit launch", alps.ApinitPort, true, false, []field{u32(1), u32(7), u32(0), u32(1), str("app")}},
 		// op, jobid, exe, args, env
-		{"apinit spawn", alps.ApinitPort, true, []field{u32(2), u32(7), str("daemon"), list("-v"), env}},
+		{"apinit spawn", alps.ApinitPort, true, false, []field{u32(2), u32(7), str("daemon"), list("-v"), env}},
 		// op, jobid
-		{"apinit kill", alps.ApinitPort, true, []field{u32(3), u32(7)}},
+		{"apinit kill", alps.ApinitPort, true, false, []field{u32(3), u32(7)}},
 		// exe, args, env
-		{"sshd", rsh.Port, true, []field{str("daemon"), list("-v"), env}},
+		{"sshd", rsh.Port, true, false, []field{str("daemon"), list("-v"), env}},
 	} {
 		srv := srv
 		t.Run(srv.name, func(t *testing.T) {
@@ -96,7 +100,8 @@ func TestCorruptRequestsAreRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := slurm.Install(cl, slurm.Config{}); err != nil {
+			m, err := slurm.Install(cl, slurm.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := alps.Install(cl); err != nil {
@@ -114,6 +119,17 @@ func TestCorruptRequestsAreRefused(t *testing.T) {
 			sim.Go("client", func() {
 				sim.Sleep(time.Millisecond) // the servers are listening
 				from := cl.FrontEnd().Host()
+				if srv.job {
+					if _, err := m.StartJob(rm.JobSpec{Exe: "app", Nodes: 1, TasksPerNode: 1}); err != nil {
+						t.Error(err)
+						return
+					}
+					sim.Sleep(time.Second) // launched
+					if _, err := rm.Call(from, addr, join(srv.req)); err != nil {
+						t.Errorf("the well-formed request was refused: %v", err)
+						return
+					}
+				}
 				for _, c := range corruptions(srv.req) {
 					before := node.NumProcs()
 					_, err := rm.Call(from, addr, c.req)

@@ -33,10 +33,10 @@ type cmdResult struct {
 	err   error
 }
 
-// spawnEnv is one interned daemon-environment layer (Skeleton.SpawnEnv).
-type spawnEnv struct {
-	key []byte
-	env map[string]string
+// spawnLayer is one interned daemon spawn layer (Skeleton.SpawnEnv).
+type spawnLayer struct {
+	key  []byte
+	spec DaemonSpec
 }
 
 // job implements Job for every Skeleton-based manager.
@@ -50,7 +50,7 @@ type job struct {
 	mu      sync.Mutex
 	nodes   []string
 	mwNodes []string // AllocateAndSpawn allocations, reaped with the job
-	envs    []spawnEnv
+	layers  []spawnLayer
 	killed  bool
 }
 
@@ -126,7 +126,7 @@ func (j *job) send(c command) cmdResult {
 func (j *job) retire() {
 	j.mu.Lock()
 	j.killed = true
-	j.envs = nil
+	j.layers = nil
 	j.mu.Unlock()
 	j.cmds.Close()
 	j.s.forget(j.id)

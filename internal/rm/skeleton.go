@@ -137,28 +137,29 @@ func (s *Skeleton) forget(id int) {
 	s.mu.Unlock()
 }
 
-// SpawnEnv interns the environment layer the daemons of one spawn request
-// share: the node daemons of a fabric that carries one request body to
-// every node (slurmd) each present that body as key, the first builds the
-// layer and the rest reuse it — one decoded map for the whole fabric, the
-// simulated analogue of K nodes parsing the same request. The layer
-// belongs to the job and is dropped with it; the caller must not mutate
-// the result. A request for a job no longer registered shares nothing.
-func (s *Skeleton) SpawnEnv(id int, key []byte, build func() map[string]string) map[string]string {
+// SpawnEnv interns the spawn layer the daemons of one spawn request share —
+// exe, args and the environment: the node daemons of a fabric that carries
+// one request body to every node (slurmd) each present that body as key,
+// the first builds the layer and the rest reuse it — one decode for the
+// whole fabric, the simulated analogue of K nodes parsing the same request.
+// The layer belongs to the job and is dropped with it; the caller must not
+// mutate the result. A request for a job no longer registered shares
+// nothing.
+func (s *Skeleton) SpawnEnv(id int, key []byte, build func() DaemonSpec) DaemonSpec {
 	j := s.job(id)
 	if j == nil {
 		return build()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, e := range j.envs {
-		if bytes.Equal(e.key, key) {
-			return e.env
+	for _, l := range j.layers {
+		if bytes.Equal(l.key, key) {
+			return l.spec
 		}
 	}
-	env := build()
-	j.envs = append(j.envs, spawnEnv{key: key, env: env})
-	return env
+	spec := build()
+	j.layers = append(j.layers, spawnLayer{key: key, spec: spec})
+	return spec
 }
 
 // --- allocation service ---

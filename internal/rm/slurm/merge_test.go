@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
@@ -32,13 +33,21 @@ func childReply(enc []byte) []byte {
 	return lmonp.AppendBytes(lmonp.AppendString(nil, ""), enc)
 }
 
+// doneLaunch is a launch whose local tasks and children are done: the
+// given tasks, and children that answered with the given replies.
+func doneLaunch(local proctab.Table, replies [][]byte) *treeCall {
+	st := &treeCall{op: opLaunch, local: localChunk(local)}
+	for _, rep := range replies {
+		st.kids = append(st.kids, kidCall{rep: rep})
+	}
+	return st
+}
+
 // mergeReplies runs the reply half of a launch — local tasks plus the
 // given child replies — and returns the table bytes of the reply it sends.
 func mergeReplies(t testing.TB, local proctab.Table, replies [][]byte) ([]byte, error) {
 	t.Helper()
-	var sent []byte
-	st := &treeCall{replies: replies, errs: make([]error, len(replies)), reply: func(msg []byte) { sent = msg }}
-	st.replyLaunch(localChunk(local))
+	sent := doneLaunch(local, replies).result()
 	res, err := rm.OpenReply(sent[4:])
 	if err != nil {
 		return nil, err
@@ -154,7 +163,7 @@ func TestThreeLevelLaunchReplyMatchesReferenceMerge(t *testing.T) {
 		var reference func(k int) []byte
 		reference = func(k int) []byte {
 			var subs [][]byte
-			for _, c := range children(k, n, fanout) {
+			for _, c := range iccl.Children(k, n, fanout) {
 				subs = append(subs, reference(c))
 			}
 			enc, err := referenceMerge(local[k], subs)
@@ -189,13 +198,12 @@ func TestLaunchMergeAllocatesLittleBeyondTheReply(t *testing.T) {
 	if _, err := mergeReplies(t, local, replies); err != nil {
 		t.Fatal(err)
 	}
-	chunk := localChunk(local)
-	st := &treeCall{replies: replies, errs: make([]error, kids), reply: func([]byte) {}}
+	st := doneLaunch(local, replies)
 	const runs = 20
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
-		st.replyLaunch(chunk)
+		st.result()
 	}
 	runtime.ReadMemStats(&m1)
 	per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / ((kids + 1) * tpn)

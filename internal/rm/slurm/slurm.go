@@ -116,7 +116,7 @@ func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	m := &Manager{Skeleton: sk, cfg: cfg}
 	for i := 0; i < cl.NumNodes(); i++ {
 		node := cl.Node(i)
-		d := &slurmd{m: m, node: node, jobProcs: make(map[int][]*cluster.Proc)}
+		d := &slurmd{m: m, node: node}
 		if _, err := node.SpawnSystemProc(cluster.Spec{
 			Exe: cfg.Name + "d", Main: d.main, Resident: true,
 		}); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
@@ -373,15 +374,19 @@ func TestLaunchCostScalesWithTasks(t *testing.T) {
 	}
 }
 
-// Property: for any fanout and node count, the k-ary children sets
-// partition 1..n-1 exactly.
+// Property: for any fanout and node count, the k-ary children ranges
+// partition 1..n-1 exactly, and are ICCL's tree.
 func TestPropertyTreeChildrenPartition(t *testing.T) {
 	f := func(nRaw, fRaw uint8) bool {
 		n := int(nRaw%200) + 1
 		fanout := int(fRaw%8) + 1
 		seen := make([]int, n)
 		for self := 0; self < n; self++ {
-			for _, c := range children(self, n, fanout) {
+			first, end := kidRange(self, n, fanout)
+			if want := iccl.Children(self, n, fanout); end-first != len(want) || len(want) > 0 && want[0] != first {
+				return false
+			}
+			for c := first; c < end; c++ {
 				if c <= self || c >= n {
 					return false
 				}

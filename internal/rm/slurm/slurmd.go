@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
+	"strconv"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
@@ -26,18 +26,22 @@ const (
 //
 // It is fully event-driven: the listener, per-request processing, child
 // forwards and local forks all run as vtime scheduler callbacks, so an
-// idle slurmd parks no goroutine at all — at a million nodes the resident
-// RM fabric costs table slots, not stacks. Virtual-time behaviour is
-// identical to the previous goroutine-per-connection shape: the same
-// per-request PerMsgCost charge, the same dial/fork instants, and a reply
-// written at the same completion time (max of local work and the last
-// child reply).
+// idle slurmd parks no goroutine at all, and its state needs no lock. What
+// it keeps between requests is only its job table: nothing until the node's
+// first job, then one entry per job that has processes here, gone with the
+// kill — at a million nodes the resident RM fabric costs table slots, not
+// stacks or maps.
 type slurmd struct {
 	m    *Manager
 	node *cluster.Node
+	jobs []nodeJob
+}
 
-	mu       sync.Mutex
-	jobProcs map[int][]*cluster.Proc // processes started for each job id
+// nodeJob is the processes a node started for one job: its tasks, and the
+// tool daemons spawns on the job added.
+type nodeJob struct {
+	id    int
+	procs []*cluster.Proc
 }
 
 func (d *slurmd) main(p *cluster.Proc) {
@@ -49,86 +53,189 @@ func (d *slurmd) main(p *cluster.Proc) {
 		if err != nil {
 			return
 		}
-		d.serve(p, conn)
+		t := &treeCall{d: d, p: p, conn: conn}
+		lmonp.HandleFrames(conn, t.arrived)
 	})
 	// The process stays alive through Spec.Resident; there is no accept
 	// loop to park in.
 }
 
-// serve arms one accepted connection: the first frame is the request,
-// charged PerMsgCost of handling CPU and then dispatched. Anything after
-// it (stray frames, the requester's EOF) is ignored.
-func (d *slurmd) serve(p *cluster.Proc, conn *simnet.Conn) {
-	got := false
-	lmonp.HandleFrames(conn, func(req []byte, err error) {
-		if got {
-			return
+// job returns the node's entry for a job, adding it first if need be.
+func (d *slurmd) job(id int) *nodeJob {
+	for i := range d.jobs {
+		if d.jobs[i].id == id {
+			return &d.jobs[i]
 		}
-		got = true
-		if err != nil {
-			conn.Close()
-			return
+	}
+	d.jobs = append(d.jobs, nodeJob{id: id})
+	return &d.jobs[len(d.jobs)-1]
+}
+
+// drop removes a job's entry and returns its processes: the last entry
+// takes its place, and the slot that frees up is zeroed, so the table holds
+// no process of a killed job.
+func (d *slurmd) drop(id int) []*cluster.Proc {
+	for i := range d.jobs {
+		if d.jobs[i].id == id {
+			procs, last := d.jobs[i].procs, len(d.jobs)-1
+			d.jobs[i], d.jobs[last] = d.jobs[last], nodeJob{}
+			d.jobs = d.jobs[:last]
+			return procs
 		}
-		p.Sim().After(d.m.cfg.PerMsgCost, func() {
-			d.dispatch(p, conn, req)
-		})
-	})
-}
-
-// dispatch reads what every tree request starts with — op, self, jobid —
-// and hands the rest to the op's handler. No read is checked here: the
-// Reader keeps its first error, and every handler checks it in open, after
-// the request's last field.
-func (d *slurmd) dispatch(p *cluster.Proc, conn *simnet.Conn, req []byte) {
-	rd := lmonp.NewReader(req)
-	op := rd.Uint32()
-	st := &treeCall{self: int(rd.Uint32()), jobid: int(rd.Uint32()), reply: func(msg []byte) {
-		binary.BigEndian.PutUint32(msg, uint32(len(msg)-4))
-		lmonp.SendFrame(conn, msg)
-		conn.Close()
-	}}
-	switch op {
-	case opLaunch:
-		d.handleLaunch(p, req, rd, st)
-	case opSpawn:
-		d.handleSpawn(p, req, rd, st)
-	case opKill:
-		d.handleKill(p, req, rd, st)
-	default:
-		st.fail(fmt.Sprintf("slurmd: bad op %d", op))
 	}
+	return nil
 }
 
-// children returns the k-ary heap children indices of self within a node
-// list of the given length.
-func children(self, n, fanout int) []int {
-	var out []int
-	for c := self*fanout + 1; c <= self*fanout+fanout && c < n; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
-// treeCall tracks one in-flight tree request: every child forward plus
-// the node's local work counts toward pending, and when the last of them
-// completes the finish callback assembles and writes the reply — at
-// max(local done, slowest child reply), exactly when the old blocking
-// shape (serial local work, then wait for the forward fan-out) replied.
-// abort ends the call early with an error reply (the old "return on local
-// fork failure" path); late completions after an abort are dropped. All
-// state transitions happen on scheduler callbacks, so no lock is needed.
+// treeCall is one tree request at one slurmd, from the frame that carries it
+// to the reply: the PerMsgCost event that dispatches it (Fire), the Forked
+// its local forks report to, and the record of its children's forwards.
+// Every forward plus the node's local work counts toward pending, and when
+// the last of them completes the reply is written — at max(local done,
+// slowest child reply). A failure answers early with an error reply; late
+// completions after it are dropped. All of it runs on scheduler callbacks,
+// so no lock is needed.
 type treeCall struct {
-	self, jobid int      // this node's index in the node list; the job
-	nl          string   // the request's node list as it travelled
-	nodes       []string // and expanded
-	kids        []int    // this node's children in it
+	d    *slurmd
+	p    *cluster.Proc
+	conn *simnet.Conn
+	req  []byte // the request frame, once it has arrived
 
-	pending int
-	done    bool
-	replies [][]byte
-	errs    []error
-	reply   func(msg []byte) // sends a message newReply started
-	finish  func()
+	op          uint32
+	done        bool      // answered, or the request never came
+	self, jobid int       // this node's index in the node list; the job
+	kids        []kidCall // this node's children in the node list
+	pending     int
+
+	fork  cluster.Fork  // the local forks: a launch's tasks, or the daemon
+	tpn   int           // a launch's tasks per node,
+	local proctab.Chunk // and those forked so far, the way the reply carries them
+}
+
+// kidCall is one child's forward: the request rewritten for it, framed,
+// until it is sent; then the child's reply or the error the forward ended
+// with.
+type kidCall struct {
+	t        *treeCall
+	conn     *simnet.Conn
+	req, rep []byte
+	err      error
+}
+
+// arrived takes the connection's first frame as the request, to be
+// dispatched after PerMsgCost of handling CPU. Anything after it (stray
+// frames, the requester's EOF) is ignored.
+func (t *treeCall) arrived(req []byte, err error) {
+	if t.done || t.req != nil {
+		return
+	}
+	if err != nil {
+		t.done = true
+		t.conn.Close()
+		return
+	}
+	t.req = req
+	t.p.Sim().AfterEvent(t.d.m.cfg.PerMsgCost, t)
+}
+
+// Fire dispatches the request: it reads what every tree request starts
+// with — op, self, jobid — and hands the rest to the op's handler. No read
+// is checked here: the Reader keeps its first error, and every handler
+// checks it in open, after the request's last field.
+func (t *treeCall) Fire() {
+	rd := lmonp.NewReader(t.req)
+	t.op, t.self, t.jobid = rd.Uint32(), int(rd.Uint32()), int(rd.Uint32())
+	switch t.op {
+	case opLaunch:
+		t.launch(rd)
+	case opSpawn:
+		t.spawn(rd)
+	case opKill:
+		t.kill(rd)
+	default:
+		t.fail(fmt.Sprintf("slurmd: bad op %d", t.op))
+	}
+}
+
+// kidRange returns the children of self in a k-ary heap over n nodes as
+// the index range [first, end).
+func kidRange(self, n, fanout int) (first, end int) {
+	first = self*fanout + 1
+	return first, max(first, min(first+fanout, n))
+}
+
+// open reads the node list that ends every tree request — as it travels,
+// and expanded — and forwards the request to this node's children in it.
+// The whole request has been read by then, so this is where the Reader is
+// checked: a request that does not parse — truncated, or a length prefix
+// past its end — at any field is refused (not ok, error reply sent) before
+// anything is forwarded or forked.
+//
+// Each child gets the request with its self-index field (the uint32 right
+// after the opcode) rewritten, so forwarding works generically. It costs a
+// dial callback and a frame handler — no forwarding goroutine — and its
+// connection is closed as soon as its reply lands. Replies are uncharged.
+func (t *treeCall) open(rd *lmonp.Reader, what string) (nl string, nodes []string, ok bool) {
+	nl = rd.String()
+	if rd.Err() != nil {
+		t.fail("slurmd: bad " + what + " request")
+		return "", nil, false
+	}
+	nodes = splitNodes(nl)
+	first, end := kidRange(t.self, len(nodes), t.d.m.cfg.Fanout)
+	t.kids = make([]kidCall, end-first)
+	t.pending = len(t.kids) + 1 // +1 for the local work unit
+	for i := range t.kids {
+		k := &t.kids[i]
+		k.t = t
+		k.req = append(lmonp.NewFrame(len(t.req)), t.req...)
+		binary.BigEndian.PutUint32(k.req[8:], uint32(first+i))
+		t.p.Host().DialAsync(simnet.Addr{Host: nodes[first+i], Port: SlurmdPort}, k.dialed)
+	}
+	return nl, nodes, true
+}
+
+func (k *kidCall) dialed(conn *simnet.Conn, err error) {
+	if err == nil {
+		k.conn = conn
+		if err = lmonp.SendFrame(conn, k.req); err == nil {
+			k.req = nil
+			lmonp.HandleFrames(conn, k.replied)
+			return
+		}
+		conn.Close()
+	}
+	k.err = err
+	k.t.complete()
+}
+
+func (k *kidCall) replied(rep []byte, err error) {
+	if k.rep != nil || k.err != nil {
+		return
+	}
+	k.rep, k.err = rep, err
+	k.conn.Close()
+	k.t.complete()
+}
+
+func (t *treeCall) complete() {
+	t.pending--
+	if t.pending == 0 && !t.done {
+		t.answer(t.result())
+	}
+}
+
+// fail answers the call with an error reply, unless it has been answered.
+func (t *treeCall) fail(msg string) { t.answer(newReply(msg)) }
+
+// answer sends a reply newReply started, once.
+func (t *treeCall) answer(msg []byte) {
+	if t.done {
+		return
+	}
+	t.done = true
+	binary.BigEndian.PutUint32(msg, uint32(len(msg)-4))
+	lmonp.SendFrame(t.conn, msg)
+	t.conn.Close()
 }
 
 // newReply starts the reply to a tree request in the buffer that goes on
@@ -141,109 +248,79 @@ func newReply(emsg string) []byte {
 	return lmonp.AppendString(make([]byte, 4, 16+len(emsg)), emsg)
 }
 
-// open reads the node list that ends every tree request and sets the call
-// up over this node's children in it. The whole request has been read by
-// then, so this is where the Reader is checked: a request that does not
-// parse — truncated, or a length prefix past its end — at any field is
-// refused (false, error reply sent) before anything is forwarded or forked.
-func (d *slurmd) open(st *treeCall, rd *lmonp.Reader, what string) bool {
-	st.nl = rd.String()
-	if rd.Err() != nil {
-		st.fail("slurmd: bad " + what + " request")
-		return false
+// result is the reply once the local work and every child are done. A kill
+// succeeds whatever its children answered: an unreachable child's
+// processes died with its node. A launch or spawn folds in each child's
+// result, in child order, behind its own — unless a forward failed (the
+// first such error is the answer), a child answered with an error, or a
+// child's result does not parse.
+//
+// A launch answers with its tasks followed by its children's tables, merged
+// as bytes: every child reply is scanned — checked like a decode, nothing
+// materialized — and the reply is written once, at its exact size
+// (proctab.AppendMerged).
+func (t *treeCall) result() []byte {
+	if t.op == opKill {
+		return newReply("")
 	}
-	st.nodes = splitNodes(st.nl)
-	st.kids = children(st.self, len(st.nodes), d.m.cfg.Fanout)
-	st.pending = len(st.kids) + 1 // +1 for the local work unit
-	st.replies = make([][]byte, len(st.kids))
-	st.errs = make([]error, len(st.kids))
-	return true
+	for _, k := range t.kids {
+		if k.err != nil {
+			return newReply(k.err.Error())
+		}
+	}
+	what, count := "spawn", uint32(1)
+	var parts []proctab.Chunk
+	if t.op == opLaunch {
+		what, parts = "launch", append(make([]proctab.Chunk, 0, 1+len(t.kids)), t.local)
+	}
+	for _, k := range t.kids {
+		res, err := rm.OpenReply(k.rep)
+		if err != nil {
+			return newReply("slurmd: child " + what + " failed: " + err.Error())
+		}
+		rd := lmonp.NewReader(res)
+		if t.op == opSpawn {
+			count += rd.Uint32()
+		} else if enc := rd.Bytes(); rd.Err() == nil {
+			var sub proctab.Chunk
+			sub, err = proctab.Scan(enc)
+			parts = append(parts, sub)
+		}
+		if rd.Err() != nil {
+			err = rd.Err()
+		}
+		if err != nil {
+			return newReply(err.Error())
+		}
+	}
+	if t.op == opSpawn {
+		return lmonp.AppendUint32(newReply(""), count)
+	}
+	// lmonp.AppendBytes of a table that is rendered in place: the length
+	// prefix is filled in behind it.
+	b := newReply("")
+	at := len(b)
+	b = proctab.AppendMerged(append(b, 0, 0, 0, 0), parts...)
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
-func (t *treeCall) complete() {
-	t.pending--
-	if t.pending == 0 && !t.done {
-		t.done = true
-		t.finish()
-	}
-}
-
-// fail answers the call with an error reply.
-func (t *treeCall) fail(msg string) { t.reply(newReply(msg)) }
-
-func (t *treeCall) abort(msg string) {
-	if t.done {
+// Forked takes a local fork's process: a launch task joins the reply and
+// the next one is forked, a daemon is the spawn's local work done.
+func (t *treeCall) Forked(proc *cluster.Proc, err error) {
+	d := t.d
+	if err != nil {
+		t.fail(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
 		return
 	}
-	t.done = true
-	t.fail(msg)
-}
-
-// gather answers the call from its children's replies: merge folds in each
-// child's result, in child order, and result renders what follows the
-// empty error string of a success. The first forward error (the error the
-// old sequential check surfaced), failed child or merge error is the
-// answer instead.
-func (t *treeCall) gather(what string, merge func(res []byte) error, result func(b []byte) []byte) {
-	for _, err := range t.errs {
-		if err != nil {
-			t.fail(err.Error())
-			return
-		}
+	j := d.job(t.jobid)
+	j.procs = append(j.procs, proc)
+	if t.op == opSpawn {
+		t.complete()
+		return
 	}
-	for _, rep := range t.replies {
-		res, err := rm.OpenReply(rep)
-		if err != nil {
-			t.fail("slurmd: child " + what + " failed: " + err.Error())
-			return
-		}
-		if err := merge(res); err != nil {
-			t.fail(err.Error())
-			return
-		}
-	}
-	t.reply(result(newReply("")))
-}
-
-// forwardKids fans the raw request out to the children of self in
-// nodelist, rewriting the self-index field (the uint32 right after the
-// opcode, letting forwarding work generically), and records one reply
-// payload or error per child in st. Each child costs a dial callback and
-// a frame handler — no forwarding goroutine — and its connection is
-// closed as soon as its reply lands. Replies are uncharged, as before.
-func (d *slurmd) forwardKids(p *cluster.Proc, raw []byte, st *treeCall) {
-	for i, k := range st.kids {
-		i, k := i, k
-		req := make([]byte, len(raw))
-		copy(req, raw)
-		req[4] = byte(uint32(k) >> 24)
-		req[5] = byte(uint32(k) >> 16)
-		req[6] = byte(uint32(k) >> 8)
-		req[7] = byte(uint32(k))
-		p.Host().DialAsync(simnet.Addr{Host: st.nodes[k], Port: SlurmdPort}, func(conn *simnet.Conn, err error) {
-			if err != nil {
-				st.errs[i] = err
-				st.complete()
-				return
-			}
-			if err := lmonp.WriteFrame(conn, req); err != nil {
-				conn.Close()
-				st.errs[i] = err
-				st.complete()
-				return
-			}
-			answered := false
-			lmonp.HandleFrames(conn, func(rep []byte, err error) {
-				if answered {
-					return
-				}
-				answered = true
-				conn.Close()
-				st.replies[i], st.errs[i] = rep, err
-				st.complete()
-			})
-		})
-	}
+	t.local.Append(d.node.Name(), t.fork.Spec.Exe, uint32(proc.Pid()), uint32(t.self*t.tpn+t.local.Len()))
+	t.next()
 }
 
 // launch request layout: op, self, jobid, tasksPerNode, exe, nodelist.
@@ -257,83 +334,31 @@ func encodeLaunch(jobid, tasksPerNode int, exe string, nodelist []string) []byte
 	return b
 }
 
-func (d *slurmd) handleLaunch(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
+// launch forks the node's tasks (block rank distribution: node i owns ranks
+// i*tpn .. i*tpn+tpn-1) one after the other, so they serialize on this
+// node's fork window in request order, through the one Fork the call holds.
+// The children are forwarded to first, so subtrees overlap with local
+// forking.
+func (t *treeCall) launch(rd *lmonp.Reader) {
 	tpn, exe := int(rd.Uint32()), rd.String()
-	if !d.open(st, rd, "launch") {
+	if _, _, ok := t.open(rd, "launch"); !ok {
 		return
 	}
-	lc := &launchCall{d: d, st: st, tpn: tpn, fork: cluster.Fork{Spec: cluster.Spec{Exe: exe, Passive: true}}}
-	lc.fork.To = lc
-	lc.local.Grow(tpn)
-	d.mu.Lock()
+	t.tpn, t.fork = tpn, cluster.Fork{Spec: cluster.Spec{Exe: exe, Passive: true}, To: t}
+	t.local.Grow(tpn)
 	// The tasks, and the tool daemon a spawn on the job adds.
-	d.jobProcs[st.jobid] = slices.Grow(d.jobProcs[st.jobid], tpn+1)
-	d.mu.Unlock()
-	st.finish = func() { st.replyLaunch(lc.local) }
-
-	// Forward first so subtrees overlap with local forking.
-	d.forwardKids(p, raw, st)
-	lc.next()
-}
-
-// launchCall is the local half of one launch request: the node's tasks
-// (block rank distribution: node i owns ranks i*tpn .. i*tpn+tpn-1), forked
-// one after the other so they serialize on this node's fork window in
-// request order, as the old blocking loop did. It is the one Fork they all
-// use and the callback each reports to, and it keeps them the way the reply
-// carries them.
-type launchCall struct {
-	d     *slurmd
-	st    *treeCall
-	tpn   int
-	fork  cluster.Fork
-	local proctab.Chunk
+	j := t.d.job(t.jobid)
+	j.procs = slices.Grow(j.procs, tpn+1)
+	t.next()
 }
 
 // next forks the next task, or reports the local work done.
-func (lc *launchCall) next() {
-	if lc.local.Len() == lc.tpn {
-		lc.st.complete()
+func (t *treeCall) next() {
+	if t.local.Len() == t.tpn {
+		t.complete()
 		return
 	}
-	lc.d.node.SpawnProcEvent(&lc.fork)
-}
-
-func (lc *launchCall) Forked(proc *cluster.Proc, err error) {
-	d, st := lc.d, lc.st
-	if err != nil {
-		st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
-		return
-	}
-	d.track(st.jobid, proc)
-	lc.local.Append(d.node.Name(), lc.fork.Spec.Exe, uint32(proc.Pid()), uint32(st.self*lc.tpn+lc.local.Len()))
-	lc.next()
-}
-
-// replyLaunch answers a launch with this node's tasks followed by its
-// children's tables, in child order, merged as bytes: every child reply is
-// scanned — checked like a decode, nothing materialized — and the reply is
-// written once, at its exact size (proctab.AppendMerged).
-func (t *treeCall) replyLaunch(local proctab.Chunk) {
-	parts := make([]proctab.Chunk, 1, 1+len(t.replies))
-	parts[0] = local
-	t.gather("launch", func(res []byte) error {
-		rd := lmonp.NewReader(res)
-		enc := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		sub, err := proctab.Scan(enc)
-		parts = append(parts, sub)
-		return err
-	}, func(b []byte) []byte {
-		// lmonp.AppendBytes of a table that is rendered in place: the
-		// length prefix is filled in behind it.
-		at := len(b)
-		b = proctab.AppendMerged(append(b, 0, 0, 0, 0), parts...)
-		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-		return b
-	})
+	t.d.node.SpawnProcEvent(&t.fork)
 }
 
 // spawn request layout: op, self, jobid, daemon spec, nodelist.
@@ -346,51 +371,32 @@ func encodeSpawn(jobid int, spec rm.DaemonSpec, nodelist []string) []byte {
 	return b
 }
 
-func (d *slurmd) handleSpawn(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
-	// The daemon spec, field by field rather than through
-	// rm.ReadDaemonSpec: the environment stays wire bytes here, checked but
-	// not decoded, because only the first node of the fabric to see this
-	// request makes a map of it (SpawnEnv below).
-	exe, args, envList := rd.String(), rd.StringList(), rd.StringMapBytes()
-	if !d.open(st, rd, "spawn") {
+// spawn starts the node's tool daemon. The daemon spec — exe, args, env —
+// is checked field by field as rm.ReadDaemonSpec reads it but not decoded:
+// only the daemon's node index differs across the K nodes, so the spec is
+// decoded once per request body (identical at every node: the self-index
+// field is excluded) into the job's spawn layer, which every daemon shares
+// as its base environment.
+func (t *treeCall) spawn(rd *lmonp.Reader) {
+	rd.Bytes()
+	for n := rd.Count(4); n > 0; n-- {
+		rd.Bytes()
+	}
+	rd.StringMapBytes()
+	nl, nodes, ok := t.open(rd, "spawn")
+	if !ok {
 		return
 	}
-	st.finish = func() {
-		count := uint32(1)
-		st.gather("spawn", func(res []byte) error {
-			rd := lmonp.NewReader(res)
-			count += rd.Uint32()
-			return rd.Err()
-		}, func(b []byte) []byte { return lmonp.AppendUint32(b, count) })
-	}
-
-	d.forwardKids(p, raw, st)
-
-	// Only the node index differs across the K spawned daemons; the rest
-	// of the environment is interned once per request body (identical at
-	// every node: the self-index field is excluded) with the job, and
-	// shared as the processes' base layer — one map for the whole fabric
-	// instead of one ~16-entry map per node.
-	base := d.m.SpawnEnv(st.jobid, raw[8:], func() map[string]string {
-		kv := lmonp.NewReader(envList).StringMap()
-		env := make(map[string]string, len(kv)+3)
-		for _, e := range kv {
-			env[e[0]] = e[1]
-		}
-		env[rm.EnvNNodes] = fmt.Sprint(len(st.nodes))
-		env[rm.EnvNodeList] = st.nl
-		env[rm.EnvJobID] = fmt.Sprint(st.jobid)
-		return env
+	layer := t.d.m.SpawnEnv(t.jobid, t.req[8:], func() rm.DaemonSpec {
+		s := rm.ReadDaemonSpec(lmonp.NewReader(t.req[12:])) // behind op, self, jobid
+		s.Env[rm.EnvNNodes] = strconv.Itoa(len(nodes))
+		s.Env[rm.EnvNodeList] = nl
+		s.Env[rm.EnvJobID] = strconv.Itoa(t.jobid)
+		return s
 	})
-	overlay := map[string]string{rm.EnvNodeID: fmt.Sprint(st.self)}
-	d.node.SpawnProcAsync(cluster.Spec{Exe: exe, Args: args, Env: overlay, EnvBase: base}, func(proc *cluster.Proc, err error) {
-		if err != nil {
-			st.abort(fmt.Sprintf("slurmd %s: %v", d.node.Name(), err))
-			return
-		}
-		d.track(st.jobid, proc)
-		st.complete()
-	})
+	t.fork = cluster.Fork{To: t, Spec: cluster.Spec{Exe: layer.Exe, Args: layer.Args, EnvBase: layer.Env,
+		Env: map[string]string{rm.EnvNodeID: strconv.Itoa(t.self)}}}
+	t.d.node.SpawnProcEvent(&t.fork)
 }
 
 // kill request layout: op, self, jobid, nodelist.
@@ -402,28 +408,12 @@ func encodeKill(jobid int, nodelist []string) []byte {
 	return b
 }
 
-func (d *slurmd) handleKill(p *cluster.Proc, raw []byte, rd *lmonp.Reader, st *treeCall) {
-	if !d.open(st, rd, "kill") {
+func (t *treeCall) kill(rd *lmonp.Reader) {
+	if _, _, ok := t.open(rd, "kill"); !ok {
 		return
 	}
-	// Kill is tolerant: an unreachable child's processes died with its
-	// node, so forward errors are not failures.
-	st.finish = func() { st.reply(newReply("")) }
-
-	d.forwardKids(p, raw, st)
-
-	d.mu.Lock()
-	procs := d.jobProcs[st.jobid]
-	delete(d.jobProcs, st.jobid)
-	d.mu.Unlock()
-	for _, proc := range procs {
+	for _, proc := range t.d.drop(t.jobid) {
 		proc.Kill()
 	}
-	st.complete()
-}
-
-func (d *slurmd) track(jobid int, p *cluster.Proc) {
-	d.mu.Lock()
-	d.jobProcs[jobid] = append(d.jobProcs[jobid], p)
-	d.mu.Unlock()
+	t.complete()
 }

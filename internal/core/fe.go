@@ -314,11 +314,11 @@ func (s *Session) RegisterStatusCB(cb func(health.Event)) {
 // the full table from that index.
 func (s *Session) adoptTable(tab proctab.Table) error {
 	s.tab = tab
-	s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
 	idx, err := proctab.BuildIndex(tab)
 	if err != nil {
 		return fmt.Errorf("core: building shared RPDTAB index: %w", err)
 	}
+	s.obsGauge("fe.table.bytes").SetMax(uint64(idx.TableBytes()))
 	sharedSegFor(s.ID).publishIndex(idx)
 	return nil
 }

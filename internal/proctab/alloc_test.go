@@ -1,6 +1,7 @@
 package proctab
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -87,6 +88,51 @@ func TestWarmChunkWriterAllocatesOneObjectPerChunk(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, write); n != float64(per) {
 		t.Errorf("a warm writer allocates %v objects for %d chunks, want one each", n, per)
+	}
+}
+
+// TestRankOrderAllocatesOneSlice: checking a 65 536-entry chunk and ordering
+// it by rank — what the launcher does with the fabric's reply in place of
+// decoding, validating and sorting a table — allocates the rank-to-entry map
+// and nothing else, 4 B an entry.
+func TestRankOrderAllocatesOneSlice(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	tab := sampleTable(256, 256)
+	rand.New(rand.NewSource(1)).Shuffle(len(tab), func(i, j int) { tab[i], tab[j] = tab[j], tab[i] })
+	c, err := Scan(tab.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := func() {
+		if _, err := c.RankOrder(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, order); n != 1 {
+		t.Errorf("RankOrder allocates %v objects, want 1", n)
+	}
+	if b := allocBytes(t, 10, order); b/uint64(len(tab)) != 4 {
+		t.Errorf("RankOrder allocates %d B for %d entries, want 4 an entry", b, len(tab))
+	}
+}
+
+// TestBuildIndexAllocatesNoMoreObjects: the index of a 65 536-entry table
+// interns through the codec's pool and allocates no more objects than the 26
+// its own map took.
+func TestBuildIndexAllocatesNoMoreObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	tab := sampleTable(256, 256)
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := BuildIndex(tab); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 26 {
+		t.Errorf("BuildIndex of 256 hosts × 256 tasks allocates %v objects, want at most 26", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package proctab
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -96,6 +97,43 @@ func BenchmarkAssemble(b *testing.B) {
 		}
 		var err error
 		if sinkTable, err = a.Finish(benchEntries); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perEntry(b)
+}
+
+// BenchmarkRankOrder is the launcher's check of the fabric's reply, which
+// arrives in completion order: here one host's tasks at a time, hosts
+// shuffled.
+func BenchmarkRankOrder(b *testing.B) {
+	tab := sampleTable(benchEntries/benchPerHost, benchPerHost)
+	rand.New(rand.NewSource(1)).Shuffle(len(tab)/benchPerHost, func(i, j int) {
+		for k := 0; k < benchPerHost; k++ {
+			tab[i*benchPerHost+k], tab[j*benchPerHost+k] = tab[j*benchPerHost+k], tab[i*benchPerHost+k]
+		}
+	})
+	c, err := Scan(tab.Encode())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.RankOrder(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perEntry(b)
+}
+
+// BenchmarkIndex is the front end's shared index of the whole table.
+func BenchmarkIndex(b *testing.B) {
+	tab := sampleTable(benchEntries/benchPerHost, benchPerHost)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildIndex(tab); err != nil {
 			b.Fatal(err)
 		}
 	}

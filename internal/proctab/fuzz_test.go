@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"launchmon/internal/lmonp"
@@ -56,7 +57,9 @@ func FuzzProctabDecode(f *testing.F) {
 // fails with the same words; what it accepted materializes to the same
 // table; and passing it on as bytes — re-chunked by a ChunkWriter, or merged
 // — puts on the wire what decoding and re-encoding did, pool strings no
-// entry uses dropped and duplicated ones collapsed.
+// entry uses dropped and duplicated ones collapsed. RankOrder refuses what
+// Validate refuses of the decoded table, in the same words, and publishing
+// in its order emits the chunks of the rank-sorted table.
 func FuzzWireMatchesTable(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add(synthTable(0).Encode(), uint16(0))
@@ -69,6 +72,18 @@ func FuzzWireMatchesTable(f *testing.F) {
 	f.Add(hostile, uint16(40))
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 'h', 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2}, uint16(0))    // pool index out of range
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 'h', 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 1, 0, 0, 0, 2}, uint16(0)) // pid overflows
+	// Tables Scan accepts and Validate does not: entries as host, exe, pid, rank.
+	wire := func(pool []string, entries ...[4]uint32) []byte {
+		b := lmonp.AppendUint32(lmonp.AppendStringList(nil, pool), uint32(len(entries)))
+		for _, e := range entries {
+			b = appendEntry(b, e[0], e[1], e[2], e[3])
+		}
+		return b
+	}
+	f.Add(wire([]string{"h", "e"}, [4]uint32{0, 1, 7, 0}, [4]uint32{0, 1, 8, 5}), uint16(0))                         // rank out of range
+	f.Add(wire([]string{"h", "e"}, [4]uint32{0, 1, 7, 1}, [4]uint32{0, 1, 8, 0}, [4]uint32{0, 1, 9, 1}), uint16(40)) // entry 0's rank again
+	f.Add(wire([]string{"", "e"}, [4]uint32{0, 1, 7, 0}), uint16(0))                                                 // empty host
+	f.Add(wire([]string{"h", ""}, [4]uint32{0, 1, 7, 0}), uint16(0))                                                 // empty exe
 
 	f.Fuzz(func(t *testing.T, data []byte, bound uint16) {
 		want, wantErr := referenceDecode(data)
@@ -90,6 +105,30 @@ func FuzzWireMatchesTable(f *testing.F) {
 		}
 		writeChunks(t, int(bound), func(w *ChunkWriter) error { return w.AddChunk(c) }).
 			mustEqual(t, referenceChunks(want, int(bound)), "Scan + AddChunk against Decode + AddTable")
+
+		// The launcher's publication: RankOrder checks what Validate checks,
+		// and the entries written in its order are the rank-sorted table's.
+		order, err := c.RankOrder()
+		if verr := want.Validate(); (err == nil) != (verr == nil) || err != nil && err.Error() != verr.Error() {
+			t.Fatalf("RankOrder: %v; Validate: %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		got := writeChunks(t, int(bound), func(w *ChunkWriter) error {
+			for _, i := range order {
+				hi, ei, pid, rank := c.Entry(int(i))
+				if err := w.AddRaw(c.pool[hi], c.pool[ei], pid, rank); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		sorted := append(Table(nil), want...)
+		sorted.SortByRank()
+		if ref := sorted.EncodeChunks(int(bound)); !slices.EqualFunc(got.chunks, ref, bytes.Equal) {
+			t.Fatalf("AddRaw in RankOrder: %d chunks that differ from the %d of SortByRank + EncodeChunks", len(got.chunks), len(ref))
+		}
 	})
 }
 

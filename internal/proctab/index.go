@@ -28,30 +28,23 @@ type Index struct {
 
 // BuildIndex constructs the index from a validated, rank-sorted table
 // (entry i must carry rank i — what Table.SortByRank establishes).
+// Its strings are pooled as the wire encoding pools them.
 func BuildIndex(t Table) (*Index, error) {
 	x := &Index{
 		host: make([]uint32, len(t)),
 		exe:  make([]uint32, len(t)),
 		pid:  make([]uint32, len(t)),
 	}
-	index := make(map[string]uint32)
-	intern := func(s string) uint32 {
-		if i, ok := index[s]; ok {
-			return i
-		}
-		i := uint32(len(x.pool))
-		index[s] = i
-		x.pool = append(x.pool, s)
-		return i
-	}
+	var p pool
 	for i, d := range t {
 		if d.Rank != i {
 			return nil, fmt.Errorf("proctab: index needs rank-sorted table, entry %d has rank %d", i, d.Rank)
 		}
-		x.host[i] = intern(d.Host)
-		x.exe[i] = intern(d.Exe)
+		x.host[i] = p.intern(0, d.Host)
+		x.exe[i] = p.intern(1, d.Exe)
 		x.pid[i] = uint32(d.Pid)
 	}
+	x.pool = p.strs
 	return x, nil
 }
 
@@ -84,6 +77,16 @@ func (x *Index) MemBytes() int {
 	b := 12 * x.Len()
 	for _, s := range x.pool {
 		b += 16 + len(s)
+	}
+	return b
+}
+
+// TableBytes is Table.MemBytes of the table the index was built from: its
+// pool holds each distinct host and executable string once.
+func (x *Index) TableBytes() int {
+	b := 48 * x.Len()
+	for _, s := range x.pool {
+		b += len(s)
 	}
 	return b
 }

@@ -2,6 +2,7 @@ package proctab
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -25,6 +26,26 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	if x.MemBytes() <= 0 || x.MemBytes() >= tab.MemBytes() {
 		t.Fatalf("index MemBytes %d should be positive and below table MemBytes %d", x.MemBytes(), tab.MemBytes())
+	}
+}
+
+// TestIndexTableBytesIsMemBytes: the index's pool counts a string once
+// however many entries use it, as host or as executable or both — what
+// Table.MemBytes counts.
+func TestIndexTableBytesIsMemBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 5, 40, 300} {
+		tab := randomTable(rng, n)
+		for i := range tab {
+			tab[i].Rank = i
+		}
+		x, err := BuildIndex(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.TableBytes() != tab.MemBytes() {
+			t.Errorf("%d entries: TableBytes %d, MemBytes %d", n, x.TableBytes(), tab.MemBytes())
+		}
 	}
 }
 

@@ -245,6 +245,35 @@ func (c Chunk) Entry(i int) (host, exe, pid, rank uint32) {
 		binary.BigEndian.Uint32(e[8:]), binary.BigEndian.Uint32(e[12:])
 }
 
+// RankOrder checks a scanned chunk as Table.Validate checks the table it
+// decodes to — ranks 0..Len()-1 each exactly once, no empty host or
+// executable, with Validate's errors — and returns, for each rank, the
+// index of the entry that carries it.
+func (c Chunk) RankOrder() ([]uint32, error) {
+	n := c.Len()
+	order := make([]uint32, n)
+	// order[r] reads 0 both before rank r is seen and once entry 0 has
+	// claimed it, so a repeat of entry 0's rank is told by the rank.
+	var first uint32
+	if n > 0 {
+		_, _, _, first = c.Entry(0)
+	}
+	for i := 0; i < n; i++ {
+		hi, ei, _, rank := c.Entry(i)
+		if int(rank) >= n {
+			return nil, fmt.Errorf("proctab: entry %d: rank %d out of range [0,%d)", i, rank, n)
+		}
+		if order[rank] != 0 || i > 0 && rank == first {
+			return nil, fmt.Errorf("proctab: duplicate rank %d", rank)
+		}
+		order[rank] = uint32(i)
+		if c.pool[hi] == "" || c.pool[ei] == "" {
+			return nil, ProcDesc{Host: c.pool[hi], Exe: c.pool[ei]}.checkNames(i)
+		}
+	}
+	return order, nil
+}
+
 // AppendTo materializes the chunk's entries behind those of t.
 func (c Chunk) AppendTo(t Table) Table {
 	t, _ = c.appendTo(slices.Grow(t, c.Len()), false)

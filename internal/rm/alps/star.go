@@ -47,7 +47,7 @@ func starCall(from *simnet.Host, node string, req []byte) (*lmonp.Reader, error)
 
 // Launch submits the task launch to every node's apinit, pipelined: each
 // submission costs PerNodeSubmit at aprun, the remote forks overlap.
-func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (proctab.Table, error) {
+func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) ([]byte, error) {
 	tpn := spec.TasksPerNode
 	tab := make(proctab.Table, len(nodes)*tpn)
 	err := s.each(nodes, func() { p.Compute(PerNodeSubmit) }, func(i int, node string) error {
@@ -73,7 +73,7 @@ func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (
 	if err != nil {
 		return nil, err
 	}
-	return tab, nil
+	return tab.Encode(), nil
 }
 
 // Spawn places one tool daemon per node, pipelined like Launch, merging

@@ -1,8 +1,10 @@
 package rm_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -137,20 +139,29 @@ func (r *rig) running(t *testing.T, spec rm.JobSpec) (rm.Job, bool) {
 const residents = 1
 
 func proctabAtBreakpoint(t *testing.T, r *rig) {
-	j, tr, ok := r.toBreakpoint(t, rm.JobSpec{Exe: "app", Nodes: 8, TasksPerNode: 4})
+	// Enough tasks for the publication to take several chunks.
+	const tpn = 1024
+	j, tr, ok := r.toBreakpoint(t, rm.JobSpec{Exe: "app", Nodes: 8, TasksPerNode: tpn})
 	if !ok {
 		return
 	}
 	// The launcher is stopped at the breakpoint; read the APAI data while
 	// stopped (the MPIR contract).
 	tab, err := rm.ProctabFromLauncher(tr)
+	var chunks [][]byte
+	if err == nil {
+		err = rm.ReadProctabChunks(tr, func(chunk []byte, _, _ int) error {
+			chunks = append(chunks, chunk)
+			return nil
+		})
+	}
 	tr.Detach()
 	if err != nil {
 		t.Error(err)
 		return
 	}
 	nodes := j.Nodes()
-	if len(tab) != 32 || len(tab.Hosts()) != 8 || len(nodes) != 8 {
+	if len(tab) != 8*tpn || len(tab.Hosts()) != 8 || len(nodes) != 8 {
 		t.Errorf("proctab has %d entries on %d hosts, job spans %v", len(tab), len(tab.Hosts()), nodes)
 		return
 	}
@@ -158,10 +169,16 @@ func proctabAtBreakpoint(t *testing.T, r *rig) {
 		t.Error(err)
 	}
 	for i, d := range tab {
-		// Published in rank order, block distribution: rank r on node r/4.
-		if d.Rank != i || d.Host != nodes[i/4] || d.Exe != "app" {
-			t.Errorf("entry %d = %+v, want rank %d of app on %s", i, d, i, nodes[i/4])
+		// Published in rank order, block distribution: rank r on node r/tpn.
+		if d.Rank != i || d.Host != nodes[i/tpn] || d.Exe != "app" {
+			t.Errorf("entry %d = %+v, want rank %d of app on %s", i, d, i, nodes[i/tpn])
+			return
 		}
+	}
+	// Every RM publishes the chunks the rank-sorted table encodes to.
+	want := tab.EncodeChunks(rm.ProctabChunkBytes)
+	if len(want) < 2 || !slices.EqualFunc(chunks, want, bytes.Equal) {
+		t.Errorf("published %d chunks, want the %d of the rank-sorted table byte for byte", len(chunks), len(want))
 	}
 }
 

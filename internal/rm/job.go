@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
 
@@ -224,9 +225,16 @@ func (j *job) launcherMain(p *cluster.Proc) {
 	j.nodes = nodes
 	j.mu.Unlock()
 
-	tab, err := fabric.Launch(p, j.id, j.spec, nodes)
+	// The reply is checked in wire form, with the errors decoding and
+	// validating it would give.
+	var c proctab.Chunk
+	var order []uint32
+	enc, err := fabric.Launch(p, j.id, j.spec, nodes)
 	if err == nil {
-		err = tab.Validate()
+		c, err = proctab.Scan(enc)
+	}
+	if err == nil {
+		order, err = c.RankOrder()
 	}
 	if err != nil {
 		p.SetSymbol(SymDebugState, cluster.Symbol{Value: "launch-failed: " + err.Error(), Size: 64})
@@ -235,12 +243,20 @@ func (j *job) launcherMain(p *cluster.Proc) {
 
 	// Root-side per-task bookkeeping: stdio wiring, task records — the
 	// linear-in-tasks term of T(job).
-	p.Compute(time.Duration(len(tab)) * prof.PerTaskRootCost)
+	p.Compute(time.Duration(c.Len()) * prof.PerTaskRootCost)
 
 	// The fabric delivers tasks in its own completion order; the APAI
-	// contract (and chunked publication) wants rank order.
-	tab.SortByRank()
-	PublishProctab(p, tab)
+	// contract (and chunked publication) wants rank order: RankOrder's.
+	publish(p, c.Len(), func(w *proctab.ChunkWriter) error {
+		pool := c.Pool()
+		for _, i := range order {
+			hi, ei, pid, rank := c.Entry(int(i))
+			if err := w.AddRaw(pool[hi], pool[ei], pid, rank); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	p.SetSymbol(SymDebugState, cluster.Symbol{Value: "spawned", Size: 4})
 
 	// The APAI rendezvous: a traced launcher stops here and the debugger

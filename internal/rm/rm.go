@@ -164,6 +164,12 @@ type Manager interface {
 // chunk symbol at a time, so neither side ever materializes a second
 // full encoded table — the launcher-side half of the chunked harvest.
 func PublishProctab(p *cluster.Proc, tab proctab.Table) {
+	publish(p, len(tab), func(w *proctab.ChunkWriter) error { return w.AddTable(tab) })
+}
+
+// publish sets the three symbols of a publication; add feeds the chunk
+// writer the entries, that many, in rank order.
+func publish(p *cluster.Proc, entries int, add func(*proctab.ChunkWriter) error) {
 	n := 0
 	w := proctab.NewChunkWriter(ProctabChunkBytes, func(chunk []byte, sum uint64) error {
 		// SetSymbol keeps a reference, not a copy: the writer allocates
@@ -172,11 +178,11 @@ func PublishProctab(p *cluster.Proc, tab proctab.Table) {
 		n++
 		return nil
 	})
-	if err := w.AddTable(tab); err == nil {
+	if err := add(w); err == nil {
 		_ = w.Flush()
 	}
 	p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: n, Size: 4})
-	p.SetSymbol(SymProctabLen, cluster.Symbol{Value: len(tab), Size: 4})
+	p.SetSymbol(SymProctabLen, cluster.Symbol{Value: entries, Size: 4})
 }
 
 // ProctabFromLauncher reads and decodes the RPDTAB from a launcher process

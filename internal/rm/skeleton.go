@@ -9,7 +9,6 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
@@ -20,8 +19,9 @@ import (
 // from a host, because it must also work once the launcher is gone.
 type Fabric interface {
 	// Launch starts spec.TasksPerNode tasks of job id on each node and
-	// returns their descriptors, in any order.
-	Launch(p *cluster.Proc, id int, spec JobSpec, nodes []string) (proctab.Table, error)
+	// returns their descriptors, in any order, in wire form (the encoding
+	// proctab.Scan reads).
+	Launch(p *cluster.Proc, id int, spec JobSpec, nodes []string) ([]byte, error)
 	// Spawn starts one tool daemon per node, with the EnvNodeID, EnvNNodes,
 	// EnvNodeList and EnvJobID variables merged into spec.Env.
 	Spawn(p *cluster.Proc, id int, nodes []string, spec DaemonSpec) error

@@ -46,6 +46,34 @@ func TestTreeRequestsAllocateLittlePerNode(t *testing.T) {
 	}
 }
 
+// TestFatLaunchAllocatesNoTablePerTask is the allocation guard of the
+// launcher's publication: an untraced job of 64 nodes × 256 tasks allocates
+// at least 40 B a task less than the 256.6 B a task it read when the
+// launcher decoded the reply into a 48 B-an-entry table and sorted it
+// (256.6–258.3 over repeated runs; ≈ 211 since it publishes from the reply).
+func TestFatLaunchAllocatesNoTablePerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	const nodes, tpn = 64, 256
+	sim, _, m := testRig(t, nodes, Config{})
+	sim.Go("test", func() {
+		if _, err := m.StartJob(rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpn}); err != nil {
+			t.Error(err)
+		}
+	})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sim.Run()
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / (nodes * tpn)
+	t.Logf("%.1f B a task", per)
+	const decodedTable = 256.6
+	if per > decodedTable-40 {
+		t.Errorf("a 64 × 256 launch allocates %.1f B a task, want at most %.1f", per, decodedTable-40)
+	}
+}
+
 // TestKilledJobLeavesLittleHeapPerNode is the retention guard of a node's
 // job table: what a 4096-node job, launched and killed, leaves live above
 // the installed RM is at least 200 B a node below the 323 B a map per node

@@ -19,7 +19,6 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/hostlist"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/simnet"
 )
@@ -137,16 +136,12 @@ func treeRequest(h *simnet.Host, nodelist []string, raw []byte) (*lmonp.Reader, 
 	return rm.Call(h, simnet.Addr{Host: nodelist[0], Port: SlurmdPort}, raw)
 }
 
-func (tree) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (proctab.Table, error) {
+func (tree) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) ([]byte, error) {
 	rd, err := treeRequest(p.Host(), nodes, encodeLaunch(id, spec.TasksPerNode, spec.Exe, nodes))
 	if err != nil {
 		return nil, err
 	}
-	enc := rd.Bytes()
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	return proctab.Decode(enc)
+	return rd.Bytes(), rd.Err()
 }
 
 func (tree) Spawn(p *cluster.Proc, id int, nodes []string, spec rm.DaemonSpec) error {

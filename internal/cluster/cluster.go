@@ -41,8 +41,10 @@ type Options struct {
 	SymbolReadBandwidth float64
 }
 
+// DefaultForkCost is Options.ForkCost when left zero.
+const DefaultForkCost = 900 * time.Microsecond
+
 const (
-	defaultForkCost    = 900 * time.Microsecond
 	defaultMaxProcs    = 8192
 	defaultSymReadBase = 50 * time.Microsecond
 	defaultSymReadBW   = 40e6 // ptrace peeks are slow: ~40 MB/s
@@ -52,7 +54,7 @@ const (
 
 func (o Options) withDefaults() Options {
 	if o.ForkCost == 0 {
-		o.ForkCost = defaultForkCost
+		o.ForkCost = DefaultForkCost
 	}
 	if o.MaxProcs == 0 {
 		o.MaxProcs = defaultMaxProcs

@@ -70,11 +70,6 @@ const (
 	// EnvProctabChunk bounds re-packed RPDTAB chunk bodies on routed
 	// (rank-sliced) seed links (0 or unset selects the proctab default).
 	EnvProctabChunk = "LMON_PROCTAB_CHUNK"
-	// EnvJoinTimeout bounds (a Go duration string) how long a bootstrapping
-	// daemon waits for each successive child join and subtree-ready report
-	// before failing its bootstrap (Options.JoinTimeout). Unset or empty
-	// disables the deadline.
-	EnvJoinTimeout = "LMON_JOIN_TIMEOUT"
 	// EnvObs enables the session observability plane at every daemon
 	// ("on" = per-link metrics registries + tree-harvested snapshots;
 	// unset or any other value = off). Planted from Options.Obs.

@@ -102,13 +102,13 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 	}
 	if err != nil {
 		// A rank that fails after bootstrap tears down what it formed, as a
-		// failed bootstrap does, so its parent's ready gather (and, at the
-		// master, the front end) sees the failure instead of waiting on it.
+		// failed bootstrap does, so its parent's ready gather sees the
+		// failure instead of waiting on it; a failed master tells its FE.
 		if d.comm != nil {
 			d.comm.Close()
-			if d.fe != nil {
-				d.fe.Close()
-			}
+		}
+		if d.fe != nil {
+			d.fe.Close()
 		}
 		return nil, err
 	}
@@ -217,10 +217,11 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 // seed stream: a synthesized frame 0 with the handshake's FEData, then
 // one frame per relayed RPDTAB chunk, closed by the relay's end marker.
 // Frame 0 is its own zero-delay event, scheduled ahead of the connection's
-// first delivery; the handler detaches as the stream's last frame arrives,
-// leaving the connection to completeInit. Chunk sums are computed here (the
-// LMONP relay ships bare payloads); the end marker's digest arrives from the
-// FE, so the master's stream check covers the whole engine→FE→master path.
+// first delivery. The handler stays past the stream's last frame — the
+// connection's end still fails a forming tree — until completeInit takes
+// the connection over. Chunk sums are computed here (the LMONP relay ships
+// bare payloads); the end marker's digest arrives from the FE, so the
+// master's stream check covers the whole engine→FE→master path.
 func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSource {
 	idx := uint32(0)
 	chunk := func(body []byte) (coll.Frame, error) {
@@ -248,17 +249,9 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 			if err == nil {
 				f, err = frame(msg)
 			}
-			// Detach before the frame that ends the stream is delivered: the
-			// End frame wakes the daemon's main, which goes on to install
-			// completeInit's handler on this connection — on a one-daemon tree
-			// with nothing to wait for first, while this callback still runs.
-			last := err != nil || f.End
-			if last {
-				fe.Unhandle()
-			}
-			if emit(f, err) && !last {
-				fe.Unhandle()
-			}
+			// Last: the End frame may wake the daemon's main, which goes on
+			// to take the connection over while this callback still runs.
+			emit(f, err)
 		})
 	}
 }
@@ -279,7 +272,7 @@ func (d *daemonSession) initStoreForward(env *bootEnv) error {
 		}
 	}
 
-	comm, err := iccl.Bootstrap(d.p, env.tree)
+	comm, err := iccl.BootstrapUnder(d.p, env.tree, d.fe)
 	if err != nil {
 		return err
 	}
@@ -316,6 +309,7 @@ func (d *daemonSession) completeInit(env *bootEnv) error {
 	if d.comm.IsMaster() {
 		rx := newRxStreams(d.p.Sim(), "front end", d.coll)
 		d.feRx = rx
+		d.fe.Unhandle() // the cut-through seed source: the link's watch while the tree formed
 		d.fe.Handle(func(msg *lmonp.Msg, err error) {
 			if err == nil && !rx.sort(msg) {
 				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)

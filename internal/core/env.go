@@ -18,9 +18,9 @@ import (
 type bootEnv struct {
 	feAddr  string // the front end's mux listener, dialed by master daemons
 	session int
-	// tree is the daemon's ICCL configuration: the FE plants Port, Fanout
-	// and JoinTimeout; Rank, Size and Nodelist are the RM's own variables
-	// and only exist on the parse side.
+	// tree is the daemon's ICCL configuration: the FE plants Port and
+	// Fanout; Rank, Size and Nodelist are the RM's own variables and only
+	// exist on the parse side.
 	tree         iccl.Config
 	collChunk    int
 	collWindow   int
@@ -46,9 +46,6 @@ func (e bootEnv) plant(tool map[string]string, fab fabricProfile) map[string]str
 	env[EnvObs] = e.obs.String()
 	if !fab.mw {
 		env[EnvSeedMode] = e.seedMode.String()
-	}
-	if e.tree.JoinTimeout > 0 {
-		env[EnvJoinTimeout] = e.tree.JoinTimeout.String()
 	}
 	if e.health.Period > 0 {
 		env[EnvHealthPeriod] = e.health.Period.String()
@@ -98,7 +95,6 @@ func parseBootEnv(p *cluster.Proc) (*bootEnv, error) {
 	e.tree = iccl.Config{
 		Rank: num(rm.EnvNodeID, true), Size: num(rm.EnvNNodes, true),
 		Port: num(EnvICCLPort, true), Fanout: num(EnvICCLFanout, false),
-		JoinTimeout: dur(EnvJoinTimeout),
 	}
 	if p.Env(EnvSeedMode) == SeedStoreForward.String() {
 		e.seedMode = SeedStoreForward

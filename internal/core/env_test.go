@@ -36,7 +36,7 @@ func parseIn(t *testing.T, env map[string]string) (*bootEnv, error) {
 func TestBootEnvRoundTrip(t *testing.T) {
 	planted := bootEnv{
 		feAddr: "fe0:4242", session: 7,
-		tree:      iccl.Config{Port: 51014, Fanout: 4, JoinTimeout: 3 * time.Second},
+		tree:      iccl.Config{Port: 51014, Fanout: 4},
 		collChunk: 4096, collWindow: 8, proctabChunk: 256,
 		seedMode: SeedStoreForward, obs: ObsOn,
 		health: HealthOptions{Period: 500 * time.Millisecond, Miss: 3},
@@ -66,7 +66,7 @@ func TestBootEnvRoundTrip(t *testing.T) {
 
 		// Zero options plant nothing optional, and read back as zero.
 		minimal := bootEnv{feAddr: "fe0:1", session: 1, tree: iccl.Config{Port: 51002}}.plant(nil, fab)
-		for _, name := range []string{EnvJoinTimeout, EnvHealthPeriod, EnvHealthMiss} {
+		for _, name := range []string{EnvHealthPeriod, EnvHealthMiss} {
 			if _, ok := minimal[name]; ok {
 				t.Errorf("%s: %s planted for a zero option", fab.kind, name)
 			}
@@ -86,7 +86,7 @@ func TestBootEnvRejectsMalformedValuesByName(t *testing.T) {
 	for name, bad := range map[string]string{
 		EnvSession: "", EnvICCLPort: "", rm.EnvNodeID: "", // required
 		EnvICCLFanout: "wide", EnvCollChunk: "4k", EnvCollWindow: "x", EnvProctabChunk: "-",
-		EnvJoinTimeout: "soon", EnvHealthPeriod: "1", EnvHealthMiss: "many",
+		EnvHealthPeriod: "1", EnvHealthMiss: "many",
 		rm.EnvNNodes: "2", // disagrees with the one-entry node list
 	} {
 		env := good()
@@ -101,30 +101,4 @@ func TestBootEnvRejectsMalformedValuesByName(t *testing.T) {
 			t.Errorf("%s=%q: error %q does not name the variable", name, bad, err)
 		}
 	}
-}
-
-// TestJoinTimeoutOptionReachesDaemons: Options.JoinTimeout is the front
-// end's only way to bound a forming tree's wait for a child that never
-// dials; every daemon of the session must find it in its environment.
-func TestJoinTimeoutOptionReachesDaemons(t *testing.T) {
-	sim, cl, _ := rig(t, 4)
-	cl.Register("tool_be", func(p *cluster.Proc) {
-		if got := p.Env(EnvJoinTimeout); got != "7s" {
-			t.Errorf("%s: %s = %q, want 7s", p.Node().Name(), EnvJoinTimeout, got)
-		}
-		if be, err := BEInit(p); err != nil {
-			t.Errorf("BEInit on %s: %v", p.Node().Name(), err)
-		} else {
-			be.Finalize()
-		}
-	})
-	runFE(t, sim, cl, func(p *cluster.Proc) {
-		if _, err := LaunchAndSpawn(p, Options{
-			Job:         rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
-			Daemon:      rm.DaemonSpec{Exe: "tool_be"},
-			JoinTimeout: 7 * time.Second,
-		}); err != nil {
-			t.Error(err)
-		}
-	})
 }

@@ -12,30 +12,33 @@ import (
 // Failure-injection tests: sessions must fail with errors, not hangs,
 // when daemons misbehave.
 
+// TestDaemonCrashBeforeInitTimesOut: daemons that never dial in fail the
+// launch readyBound after the RM spawned the last of them.
 func TestDaemonCrashBeforeInitTimesOut(t *testing.T) {
 	sim, cl, _ := rig(t, 4)
+	var spawned time.Duration
 	cl.Register("crash_be", func(p *cluster.Proc) {
 		// Crashes immediately: never calls BEInit, never dials the FE.
+		spawned = max(spawned, p.Sim().Now())
 	})
 	var err error
-	var elapsed time.Duration
+	var ended time.Duration
 	runFE(t, sim, cl, func(p *cluster.Proc) {
-		start := p.Sim().Now()
 		_, err = LaunchAndSpawn(p, Options{
-			Job:     rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
-			Daemon:  rm.DaemonSpec{Exe: "crash_be"},
-			Timeout: 30 * time.Second,
+			Job:    rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "crash_be"},
 		})
-		elapsed = p.Sim().Now() - start
+		ended = p.Sim().Now()
 	})
 	if err == nil {
 		t.Fatal("session with crashing daemons succeeded")
 	}
-	if !strings.Contains(err.Error(), "master daemon did not connect") {
+	if !strings.Contains(err.Error(), "BE master daemon did not connect") || !strings.Contains(err.Error(), "K=4") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if elapsed > 40*time.Second {
-		t.Fatalf("timeout took %v of virtual time", elapsed)
+	bound := readyBound(4, 0, SeedCutThrough, 0)
+	if took := ended - spawned; took < bound || took > bound+10*time.Millisecond {
+		t.Fatalf("launch failed %v after the last daemon's spawn, want readyBound %v", took, bound)
 	}
 }
 
@@ -88,9 +91,8 @@ func TestMasterOnlyCrashStillTimesOut(t *testing.T) {
 	var err error
 	runFE(t, sim, cl, func(p *cluster.Proc) {
 		_, err = LaunchAndSpawn(p, Options{
-			Job:     rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
-			Daemon:  rm.DaemonSpec{Exe: "half_be"},
-			Timeout: 20 * time.Second,
+			Job:    rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "half_be"},
 		})
 	})
 	if err == nil {

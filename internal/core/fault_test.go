@@ -268,9 +268,8 @@ func TestDetachKillRaceAgainstFailedLaunch(t *testing.T) {
 	cl.Register("crash_be", func(p *cluster.Proc) {})
 	runFE(t, sim, cl, func(p *cluster.Proc) {
 		_, err := LaunchAndSpawn(p, Options{
-			Job:     rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
-			Daemon:  rm.DaemonSpec{Exe: "crash_be"},
-			Timeout: 10 * time.Second,
+			Job:    rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "crash_be"},
 		})
 		if err == nil {
 			t.Error("launch with crashing daemons succeeded")

@@ -60,20 +60,6 @@ type Options struct {
 	// session in a shared index; the serialized SeedStoreForward baseline
 	// retains the full table at every daemon. See the SeedMode constants.
 	SeedMode SeedMode
-	// Timeout bounds (in virtual time) how long the front end waits for
-	// the engine and the master daemon to connect; daemons that crash
-	// before dialing in surface as an error instead of a hang. Zero means
-	// the default of 10 minutes.
-	Timeout time.Duration
-	// JoinTimeout bounds (in virtual time) how long each bootstrapping
-	// daemon waits for any one child to join the ICCL tree and for its
-	// subtree's ready report: a daemon that dies before dialing its parent
-	// then surfaces as a subtree-failure error cascading to the front end
-	// instead of a hang. Zero (the default) disables the deadline — joins
-	// legitimately take a long wall of virtual time at large K, so the
-	// bound is opt-in and should comfortably exceed the expected spawn
-	// wave (Health.Period x Miss is a reasonable floor, not a default).
-	JoinTimeout time.Duration
 	// Health configures the session's failure-detection subsystem
 	// (internal/health). The zero value disables it: daemon loss then
 	// surfaces only through connection errors at the master.
@@ -98,8 +84,6 @@ type HealthOptions struct {
 	Miss int
 }
 
-const defaultSessionTimeout = 10 * time.Minute
-
 // Session binds one job and its daemon sets (paper §3.2): the handle all
 // other FE operations take. A session's exported methods are safe to call
 // from the goroutine that created it; distinct sessions of one front end
@@ -112,7 +96,6 @@ type Session struct {
 	ep *transport.Endpoint
 
 	tab        proctab.Table
-	timeout    time.Duration
 	chunkBytes int
 	collChunk  int // collective-plane chunk bound (0 = coll default)
 	collWindow int // collective-plane credit window (0 = coll default)
@@ -170,10 +153,6 @@ func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = defaultSessionTimeout
-	}
 	// Reject sizes the wire form cannot carry before they silently
 	// truncate through the request's uint32 (the engine enforces the same
 	// ceiling on its side).
@@ -193,7 +172,6 @@ func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) 
 		ID:         nextSessionID(),
 		p:          p,
 		fe:         fe,
-		timeout:    timeout,
 		chunkBytes: opts.ProctabChunkBytes,
 		collChunk:  opts.CollChunkBytes,
 		collWindow: opts.CollWindow,
@@ -241,23 +219,22 @@ func (s *Session) launch(opts Options, attach bool, relay *seedRelay) error {
 	}); err != nil {
 		return fmt.Errorf("core: spawning engine: %w", err)
 	}
-	s.ep.Handle(transport.RoleEngine, s.timeout, func(c *lmonp.Conn, err error) {
+	s.ep.Handle(transport.RoleEngine, func(c *lmonp.Conn, err error) {
 		s.step(&input{kind: inConn, conn: c, err: err})
 	})
-	in, err := relay.next()
-	if err == nil {
-		err = in.err
+	in, ok, late := relay.in.RecvTimeout(engineBound)
+	if late || !ok {
+		in.err = fmt.Errorf("no dial-back within %v", engineBound)
 	}
-	if err != nil {
-		return fmt.Errorf("core: engine did not connect: %w", err)
+	if in.err != nil {
+		s.ep.Unhandle(transport.RoleEngine)
+		return fmt.Errorf("core: engine did not connect: %w", in.err)
 	}
 
 	daemon := opts.Daemon
 	daemon.Env = bootEnv{
 		feAddr: feAddr, session: s.ID,
-		tree: iccl.Config{
-			Port: icclPortFor(s.ID, false), Fanout: opts.ICCLFanout, JoinTimeout: opts.JoinTimeout,
-		},
+		tree:      iccl.Config{Port: icclPortFor(s.ID, false), Fanout: opts.ICCLFanout},
 		collChunk: opts.CollChunkBytes, collWindow: opts.CollWindow, proctabChunk: opts.ProctabChunkBytes,
 		seedMode: opts.SeedMode, obs: opts.Obs, health: opts.Health,
 	}.plant(daemon.Env, beFabric)
@@ -374,10 +351,7 @@ func (s *Session) end(req lmonp.MsgType, verb, done string) error {
 	if err != nil {
 		return err
 	}
-	answer, ok, timedOut := in.reply.RecvTimeout(s.timeout)
-	if timedOut {
-		return s.engineErr("status timeout")
-	}
+	answer, ok := in.reply.Recv()
 	if !ok {
 		return s.engineErr("connection lost")
 	}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"time"
 
+	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
+	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
@@ -69,6 +73,10 @@ type seedRelay struct {
 	span   *obs.Span    // open from start to the master's ready, or the failure
 	conn   *lmonp.Conn  // the master, once the handshake went out
 	queued []*lmonp.Msg // accepted before that
+	seedB  int          // table bytes relayed so far
+
+	due, bound time.Duration // armed at the RM's spawn answer: when next gives up (0: never), and why
+	k          int           // the fabric's daemon count
 
 	markAccept, markFwd, markReady string
 
@@ -95,23 +103,72 @@ func (s *Session) launchFabric(fab *feFabric, relay *seedRelay, drive func() err
 func (r *seedRelay) start() {
 	s, fab := r.fab.s, r.fab
 	r.span = s.obsRec.Start("seed-relay-"+fab.prof.kind, -1)
-	s.ep.Handle(fab.prof.role, s.timeout, func(c *lmonp.Conn, err error) {
+	s.ep.Handle(fab.prof.role, func(c *lmonp.Conn, err error) {
 		s.step(&input{kind: inConn, fab: fab, conn: c, err: err})
 	})
 }
 
-// next blocks for the launching call's next input.
-func (r *seedRelay) next() (feIn, error) {
-	in, ok := r.in.Recv()
-	if !ok { // closed as a pending reply (step, inConnEnd)
+// arm starts the fabric's clock at the RM's spawn answer: all k daemons
+// exist, so the master has readyBound to connect and report ready.
+func (r *seedRelay) arm(k, fanout int, mode SeedMode) {
+	r.k, r.bound = k, readyBound(k, fanout, mode, r.seedB+len(r.feData))
+	r.due = r.fab.s.p.Sim().Now() + r.bound
+}
+
+// next blocks for the launching call's next input, until the armed
+// deadline at most.
+func (r *seedRelay) next() (in feIn, err error) {
+	var ok, late bool
+	if r.due == 0 {
+		in, ok = r.in.Recv()
+	} else {
+		in, ok, late = r.in.RecvTimeout(r.due - r.fab.s.p.Sim().Now())
+	}
+	switch {
+	case late:
+		phase := "did not report ready"
+		if r.conn == nil {
+			phase = "did not connect"
+		}
+		return in, fmt.Errorf("core: session %d: %s master daemon %s within %v of the spawn answer (K=%d)",
+			r.fab.s.ID, r.fab.prof.kind, phase, r.bound, r.k)
+	case !ok: // closed as a pending reply (step, inConnEnd)
 		return in, r.fab.s.engineErr("connection lost")
 	}
 	return in, nil
 }
 
+// engineBound bounds the engine's dial-back from its fork's return by the
+// FE node's own costs: twice a fork, engine.BaseCost and a loopback dial.
+var engineBound = 2 * (cluster.DefaultForkCost + engine.BaseCost + 4*simnet.DefaultOptions().LoopbackLatency)
+
+// readyBound is four times what forming a k-daemon tree costs once every
+// daemon exists: a level's redial, fork, two round trips and a parent's
+// join, ready and gather frame a child, plus the seed on the wire (once a
+// hop under store-forward, which relays it after the answer) and the ready
+// gather's ≤ 64 B a daemon. DESIGN.md "Deadlines" has its headroom table.
+func readyBound(k, fanout int, mode SeedMode, seedB int) time.Duration {
+	if fanout <= 0 || fanout > k {
+		fanout = max(k, 1) // flat
+	}
+	levels := 1
+	for n, w := 1, fanout; n < k; n, w = n+w, w*fanout {
+		levels++
+	}
+	hops := 1
+	if mode == SeedStoreForward {
+		hops = levels + 1
+	}
+	net := simnet.DefaultOptions()
+	level := iccl.DialRetry + cluster.DefaultForkCost + 4*net.Latency + time.Duration(3*fanout)*iccl.PerMsgCost
+	wire := time.Duration(float64(hops*seedB+levels*k*64) / net.Bandwidth * float64(time.Second))
+	return 4 * (time.Duration(levels)*level + wire)
+}
+
 // forward relays one message of the seed stream — when the master has
 // connected: until then it is queued.
 func (r *seedRelay) forward(typ lmonp.MsgType, payload []byte) error {
+	r.seedB += len(payload)
 	r.queued = append(r.queued, &lmonp.Msg{Class: r.fab.prof.class, Type: typ, Payload: payload})
 	return r.flush()
 }
@@ -256,6 +313,8 @@ func (s *Session) launchSeed(opts Options, relay *seedRelay) error {
 			}
 			engTL = tl
 			statusDone = true
+			// K: one daemon a node (attached, the task count bounds it).
+			relay.arm(len(s.tab)/max(opts.Job.TasksPerNode, 1), opts.ICCLFanout, opts.SeedMode)
 		default:
 			return fmt.Errorf("core: unexpected %v message during launch", msg.Type)
 		}

@@ -263,3 +263,73 @@ func TestSeedMidStreamFaultSurfaces(t *testing.T) {
 		}
 	})
 }
+
+// TestReadyBoundHeadroom: readyBound is at least four times what a pinned
+// launch takes from the RM's spawn answer to the master's ready — e6→e10,
+// or m6→m10 for a middleware fabric — so no deadline fires in a pinned
+// run. The shapes up to K=128 run here: the launch pipeline's (both seed
+// modes), the flat trees of the ablations, a middleware pipeline's. The
+// other pinned shapes enter as their measured virtual times, which are
+// deterministic (DESIGN.md "Deadlines"): every larger cut-through and
+// middleware one is ready before the answer, store-forward at K=1024
+// takes 26.117 ms, and the RPDTAB ablation's shared-file launch 19.142 ms.
+// The seed bytes are taken as zero, which only lowers the bound.
+func TestReadyBoundHeadroom(t *testing.T) {
+	type shape struct {
+		mode                    SeedMode
+		mw                      bool
+		k, fanout, tasksPerNode int
+	}
+	type row struct {
+		shape
+		d time.Duration
+	}
+	measured := []row{
+		{shape{SeedStoreForward, false, 1024, 32, 1}, 26116720 * time.Nanosecond},
+		{shape{SeedCutThrough, false, 64, 0, 8}, 19141962 * time.Nanosecond},
+	}
+	for _, sh := range []shape{
+		{SeedStoreForward, false, 8, 4, 1}, {SeedStoreForward, false, 32, 4, 1},
+		{SeedStoreForward, false, 64, 32, 1}, {SeedStoreForward, false, 64, 0, 1},
+		{SeedStoreForward, false, 128, 0, 1}, {SeedCutThrough, false, 8, 4, 1},
+		{SeedCutThrough, false, 64, 0, 8}, {SeedCutThrough, true, 8, 4, 4},
+		{SeedCutThrough, true, 64, 32, 16},
+	} {
+		jobNodes := sh.k
+		if sh.mw {
+			jobNodes = 4
+		}
+		sim, cl, _ := rig(t, jobNodes+sh.k)
+		registerMortal(cl, "hr_be", "hr_mw")
+		runFE(t, sim, cl, func(p *cluster.Proc) {
+			opts := Options{
+				Job:    rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: sh.tasksPerNode},
+				Daemon: rm.DaemonSpec{Exe: "hr_be"}, SeedMode: sh.mode,
+			}
+			if !sh.mw {
+				opts.ICCLFanout = sh.fanout
+			}
+			s, err := LaunchAndSpawn(p, opts)
+			if err == nil && sh.mw {
+				_, err = s.LaunchMW(MWOptions{Nodes: sh.k, Daemon: rm.DaemonSpec{Exe: "hr_mw"}, ICCLFanout: sh.fanout})
+			}
+			if err != nil {
+				t.Errorf("%+v: %v", sh, err)
+				return
+			}
+			from, to := engine.MarkE6, engine.MarkE10
+			if sh.mw {
+				from, to = engine.MarkMW6, engine.MarkMW10
+			}
+			answer, _ := s.Timeline.Get(from)
+			ready, _ := s.Timeline.Get(to)
+			measured = append(measured, row{sh, ready - answer})
+			s.Kill()
+		})
+	}
+	for _, r := range measured {
+		if bound := readyBound(r.k, r.fanout, r.mode, 0); bound < 4*r.d {
+			t.Errorf("%+v: readyBound %v, less than four times the %v from the answer to ready", r.shape, bound, r.d)
+		}
+	}
+}

@@ -88,9 +88,7 @@ func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 	}
 
 	// Ask the engine (and through it the RM) for the MW allocation and
-	// spawn. Its answer is due within the session timeout — a deadline
-	// that, as an input nobody may be left to take, holds on to no more
-	// than the Chan; the master's ready is due whenever the tree is.
+	// spawn; the master's connect and ready are due readyBound after it.
 	if err := s.request(&lmonp.Msg{
 		Class:   lmonp.ClassFEEngine,
 		Type:    lmonp.TypeSpawnReq,
@@ -98,8 +96,6 @@ func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 	}, relay.in); err != nil {
 		return nil, err
 	}
-	in, late := relay.in, s.engineErr("status timeout")
-	s.p.Sim().After(s.timeout, func() { in.Send(feIn{err: late}) })
 	var nodes []string
 	for spawned := false; !spawned || !relay.done; {
 		in, err := relay.next()
@@ -107,11 +103,12 @@ func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 		case err != nil:
 		case in.fab != nil:
 			err = relay.input(in)
-		case in.err == nil:
+		default:
 			spawned = true
-			nodes, err = decodeSpawned(in.msg.Payload)
-		case !spawned: // the deadline, and not behind the answer
-			err = in.err
+			if nodes, err = decodeSpawned(in.msg.Payload); err == nil {
+				relay.tl.Mark(engine.MarkMW6, s.p.Sim().Now())
+				relay.arm(opts.Nodes, opts.ICCLFanout, SeedCutThrough)
+			}
 		}
 		if err != nil {
 			return nil, err

@@ -232,10 +232,9 @@ func (s *Session) step(in *input) error {
 // faultLocked reacts to a fatal fault. The first one names the cause (note:
 // what receive paths report, see closedErr) and, on a ready session, starts
 // the teardown: a best-effort kill of job and daemons through the engine,
-// whose answer — or loss, or silence for the session timeout — ends the
-// session. A session the tool already ended has no fault to report: late
-// events from the dying daemons must not turn a clean Detach/Kill into a
-// "torn down" error.
+// whose answer — or loss — ends the session. A session the tool already
+// ended has no fault to report: late events from the dying daemons must not
+// turn a clean Detach/Kill into a "torn down" error.
 func (s *Session) faultLocked(note, detail string) {
 	if s.state >= stEnding {
 		return
@@ -256,10 +255,7 @@ func (s *Session) faultLocked(note, detail string) {
 	})
 	if s.requestLocked(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeKill}, wd) != nil {
 		wd.Close() // the engine is gone
-		return
 	}
-	// Closed, the slot stays in the reply queue and swallows a late answer.
-	s.p.Sim().After(s.timeout, wd.Close)
 }
 
 // endingLocked enters stEnding: from here the data plane reports the

@@ -11,7 +11,9 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/engine"
 	"launchmon/internal/health"
+	"launchmon/internal/iccl"
 	"launchmon/internal/rm"
+	"launchmon/internal/rm/slurm"
 	"launchmon/internal/vtime"
 )
 
@@ -44,14 +46,23 @@ func settledLive(sim *vtime.Sim) int {
 	return sim.Live()
 }
 
-// TestTimedOutExchangeDoesNotPoisonNext: a LaunchMW that gives up on the
-// engine's spawn status leaves that reply owed. It must not be handed to
-// the Kill that follows (which then failed to decode a node list as a
-// status): the abandoned slot stays in the reply queue and takes it.
+// TestTimedOutExchangeDoesNotPoisonNext: a LaunchMW that fails before the
+// engine's spawn answer — its master's node dies while the RM is still
+// spawning the master's siblings — leaves that reply owed. It must not be
+// handed to the Kill that follows (which then failed to decode a node list
+// as a status): the abandoned slot stays in the reply queue and takes it.
 func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 	const jobNodes, mwNodes = 4, 32
 	sim, cl, _ := rig(t, jobNodes+mwNodes)
-	registerMortal(cl, "poison_be", "poison_mw")
+	registerMortal(cl, "poison_be", "unused_mw")
+	cl.Register("poison_mw", func(p *cluster.Proc) {
+		if p.Env(rm.EnvNodeID) == "0" {
+			sim.After(time.Millisecond, func() { cl.KillNodeByName(p.Node().Name()) }) // it has dialed the FE
+		}
+		if _, err := MWInit(p); err == nil {
+			p.Wait()
+		}
+	})
 	torn := 0
 	runFE(t, sim, cl, func(p *cluster.Proc) {
 		if _, err := NewFrontEnd(p); err != nil { // the mux and its reaper are per process
@@ -60,9 +71,8 @@ func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 		}
 		pre := settledLive(sim)
 		s, err := LaunchAndSpawn(p, Options{
-			Job:     rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 1},
-			Daemon:  rm.DaemonSpec{Exe: "poison_be"},
-			Timeout: 40 * time.Millisecond,
+			Job:    rm.JobSpec{Exe: "app", Nodes: jobNodes, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "poison_be"},
 		})
 		if err != nil {
 			t.Error(err)
@@ -73,12 +83,18 @@ func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 				torn++
 			}
 		})
+		s.mu.Lock()
+		owed := len(s.replies)
+		s.mu.Unlock()
 		_, err = s.LaunchMW(MWOptions{Nodes: mwNodes, Daemon: rm.DaemonSpec{Exe: "poison_mw"}})
-		if err == nil || !strings.Contains(err.Error(), "timeout") {
-			t.Errorf("LaunchMW of %d nodes within 40ms: %v, want a timeout", mwNodes, err)
+		s.mu.Lock()
+		owed = len(s.replies) - owed
+		s.mu.Unlock()
+		if err == nil || !strings.Contains(err.Error(), "awaiting MW master ready") || owed != 1 {
+			t.Errorf("LaunchMW of %d nodes with its master lost: %v with %d answers owed, want the master's loss before the spawn answer", mwNodes, err, owed)
 		}
 		if err := s.Kill(); err != nil {
-			t.Errorf("Kill after the timed-out LaunchMW: %v", err)
+			t.Errorf("Kill after the failed LaunchMW: %v", err)
 		}
 		if got := settledLive(sim); got != pre {
 			t.Errorf("Live() = %d after the session, %d before it", got, pre)
@@ -149,9 +165,8 @@ func TestSessionSpawnsNoFEGoroutine(t *testing.T) {
 			}
 		}
 		if _, err := LaunchAndSpawn(p, Options{
-			Job:     rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
-			Daemon:  rm.DaemonSpec{Exe: "nog_crash"},
-			Timeout: time.Second,
+			Job:    rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "nog_crash"},
 		}); err == nil {
 			t.Error("launch with crashing daemons succeeded")
 		}
@@ -164,6 +179,179 @@ func TestSessionSpawnsNoFEGoroutine(t *testing.T) {
 			t.Errorf("the session spawned goroutine %q", name)
 		}
 	}
+}
+
+// launchCell is one launch-phase fault: a K-daemon fabric — BE, or MW
+// under a healthy BE session — whose launch breaks before its master
+// reports ready.
+type launchCell struct {
+	name   string
+	k      int
+	mw     bool
+	fanout int
+	mode   SeedMode
+	absent string // the rank whose daemon never starts ("" = none)
+	// killAt into the launch, the node of BE rank victim dies; the launch
+	// then fails within `within`, and the ranks in quit stop dialing
+	// within one DialRetry.
+	killAt, within time.Duration
+	victim         int
+	quit           []string
+	slurm          slurm.Config
+	want           string // in the launch's error; "" = the launch succeeds
+}
+
+// TestLaunchFaultEndsInNamedState: a launch whose daemon fabric cannot
+// form ends in an error that names it — never "engine connection lost" —
+// at the latest readyBound after the RM's spawn answer, or promptly after
+// a fault the fabric sees itself; and the simulator is back to the
+// goroutines it had before the launch 31 s of virtual time after the call
+// returns: the forming tree tore down, and a child redialing a parent that
+// never listened has run out its window.
+func TestLaunchFaultEndsInNamedState(t *testing.T) {
+	var cells []launchCell
+	for _, mw := range []bool{false, true} {
+		for _, c := range []launchCell{
+			{name: "leaf never starts/fanout 0", absent: "7"},
+			{name: "leaf never starts/fanout 2", fanout: 2, absent: "7"},
+			{name: "interior never starts/fanout 2", fanout: 2, absent: "1"},
+			{name: "master never connects", fanout: 2, absent: "0", want: "master daemon did not connect within"},
+			{name: "leaf never starts/store-forward", fanout: 2, absent: "7", mode: SeedStoreForward},
+			{name: "interior never starts/store-forward", fanout: 2, absent: "1", mode: SeedStoreForward},
+		} {
+			if mw && c.mode == SeedStoreForward {
+				continue // the MW fabric is always cut-through
+			}
+			c.k, c.mw = 8, mw
+			if c.want == "" {
+				c.want = "master daemon did not report ready within"
+			}
+			if mw {
+				c.name = "MW " + c.name
+			}
+			cells = append(cells, c)
+		}
+	}
+	cells = append(cells,
+		// Rank 1 has joined the master, and rank 3, its child, is held back
+		// past the kill: the master's own bootstrap fails reading rank 1's
+		// ready, and it tells the front end.
+		launchCell{name: "interior killed mid-join", k: 8, fanout: 2, victim: 1, killAt: 60 * time.Millisecond,
+			within: time.Millisecond, want: "awaiting BE master ready"},
+		// Ranks 5 and 6 are redialing rank 2, which is not listening yet;
+		// the RM reports the dead node.
+		launchCell{name: "parent node killed before it listens", k: 8, fanout: 2, victim: 2, killAt: 33 * time.Millisecond,
+			within: 20 * time.Millisecond, quit: []string{"5", "6"}, want: "peer host is dead"},
+		// The job launch alone takes 11 virtual minutes.
+		launchCell{name: "big job", k: 4, slurm: slurm.Config{PerTaskRootCost: 165 * time.Second}},
+	)
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) { runLaunchCell(t, c) })
+	}
+}
+
+// runLaunchCell runs one launchCell and checks what
+// TestLaunchFaultEndsInNamedState promises.
+func runLaunchCell(t *testing.T, c launchCell) {
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 2 * c.k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := slurm.Install(cl, c.slurm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Setup(cl, mgr)
+	var spawned time.Duration            // the last daemon's start: the RM answers after it
+	failed := map[string]time.Duration{} // rank → when its init failed
+	for exe, fab := range map[string]fabricProfile{"lf_be": beFabric, "lf_mw": mwFabric} {
+		fab := fab
+		cl.Register(exe, func(p *cluster.Proc) {
+			rank := p.Env(rm.EnvNodeID)
+			if fab.mw == c.mw {
+				spawned = max(spawned, sim.Now())
+				if rank == c.absent {
+					return
+				}
+				if c.victim == 1 && rank == "3" {
+					sim.Sleep(c.killAt)
+				}
+			}
+			if _, err := initDaemon(p, fab); err != nil {
+				failed[rank] = sim.Now()
+				return
+			}
+			p.Wait()
+		})
+	}
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		if _, err := NewFrontEnd(p); err != nil {
+			t.Error(err)
+			return
+		}
+		pre := settledLive(sim)
+		opts := Options{Job: rm.JobSpec{Exe: "app", Nodes: c.k, TasksPerNode: 1}, Daemon: rm.DaemonSpec{Exe: "lf_be"}, SeedMode: c.mode}
+		var s *Session
+		var err error
+		if c.mw {
+			if s, err = LaunchAndSpawn(p, opts); err != nil {
+				t.Error(err)
+				return
+			}
+		} else {
+			opts.ICCLFanout = c.fanout
+		}
+		t0 := sim.Now()
+		fault := t0 + c.killAt
+		if c.killAt > 0 {
+			sim.After(c.killAt, func() { cl.KillNode(c.victim) })
+		}
+		if c.mw {
+			_, err = s.LaunchMW(MWOptions{Nodes: c.k, Daemon: rm.DaemonSpec{Exe: "lf_mw"}, ICCLFanout: c.fanout})
+		} else {
+			s, err = LaunchAndSpawn(p, opts)
+		}
+		ended := sim.Now()
+		switch {
+		case c.want == "":
+			if err != nil || ended-t0 < 10*time.Minute {
+				t.Errorf("launch returned %v after %v, want a launch longer than the old 10-minute bound", err, ended-t0)
+			}
+		case err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "engine connection lost"):
+			t.Errorf("launch returned %v, want an error with %q", err, c.want)
+		case c.killAt > 0:
+			if ended-fault > c.within {
+				t.Errorf("launch failed %v after the kill, want within %v", ended-fault, c.within)
+			}
+		default:
+			// The clock started at the RM's answer, which follows the last
+			// spawn by the RM's acks (slurm: 1.8 ms a daemon), and ran
+			// readyBound — with the seed bytes the front end relayed.
+			msg := err.Error()
+			bound, _ := time.ParseDuration(strings.Fields(msg[strings.Index(msg, "within ")+len("within "):])[0])
+			if lag := ended - bound - spawned; lag < 0 || lag > time.Duration(c.k)*2*time.Millisecond ||
+				bound > readyBound(c.k, c.fanout, c.mode, 1<<20) || ended-t0 > time.Second {
+				t.Errorf("launch failed %v after its start and %v after the last spawn with %v, want readyBound(K=%d) of the RM's answer",
+					ended-t0, ended-spawned, err, c.k)
+			}
+		}
+		for _, r := range c.quit {
+			if at, ok := failed[r]; !ok || at < fault || at > fault+iccl.DialRetry {
+				t.Errorf("rank %s gave up at %v (%v), want within %v of the kill at %v", r, at, ok, iccl.DialRetry, fault)
+			}
+		}
+		if s != nil {
+			s.Kill()
+		} else if j, ok := mgr.FindJob(1); ok {
+			j.Kill()
+		}
+		sim.Sleep(31 * time.Second)
+		if got := sim.Live(); got != pre {
+			t.Errorf("Live() = %d 31 s after the launch returned, %d before it", got, pre)
+		}
+	})
 }
 
 // TestFaultEndsInNamedState: whatever is lost, and whatever the session

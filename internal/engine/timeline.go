@@ -54,8 +54,11 @@ const (
 // same session seed over the MW fabric, and its events form their own
 // monotone chain m7≤m8≤m9≤m10 — the MW analogue of the back-end
 // handshake chain e7≤e8≤e9≤e10, starting after e11 (the session must be
-// established before middleware daemons can be requested).
+// established before middleware daemons can be requested). m6, like e6,
+// stands outside it: the RM's spawn answer, from which the front end
+// bounds the MW master's connect and ready.
 const (
+	MarkMW6         = "m6_mw_spawn_done"      // FE received the RM's answer to the MW spawn request
 	MarkMW7         = "m7_mw_handshake_start" // FE accepted the MW master's dial, handshake begins
 	MarkMW8         = "m8_mw_netsetup_start"  // MW master consumed the handshake, starts ICCL fabric setup
 	MarkMW9         = "m9_mw_netsetup_done"   // MW tree fully connected

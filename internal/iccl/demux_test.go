@@ -239,7 +239,7 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					}
 					defer c.Close()
 					for op := uint32(opSeedChunk); op == opSeedChunk; {
-						raw, err := c.readCharged(c.parent, 0)
+						raw, err := c.readCharged(c.parent)
 						if err != nil {
 							t.Errorf("rank %d: %v", i, err)
 							return

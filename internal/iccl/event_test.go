@@ -13,9 +13,8 @@ import (
 )
 
 // Event-driven bootstrap regressions: the seed stream must spawn no
-// goroutine at any rank, and the join deadline must turn a child that dies
-// before dialing its parent into a prompt wrapped ErrBootstrap instead of
-// a parked-forever accept.
+// goroutine at any rank, and a daemon must stop dialing a parent it can no
+// longer reach.
 
 // seedFrames renders bodies (frame 0 is the FEData preamble) as the
 // root's stream, closed by a digest-carrying End whose total, the entry
@@ -80,64 +79,6 @@ func TestSeedSpawnsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestBootstrapJoinDeadlineSurfacesDeadSubtree kills a daemon before it
-// ever dials its parent (here: it simply never starts) and checks the
-// join deadline converts the would-be parked-forever accept into a
-// wrapped ErrBootstrap that cascades up the chain within the deadline
-// budget — the detection bound a health config of Period×Miss implies.
-func TestBootstrapJoinDeadlineSurfacesDeadSubtree(t *testing.T) {
-	const (
-		n           = 3 // fanout-1 chain: 0 → 1 → 2
-		joinTimeout = 60 * time.Millisecond
-	)
-	sim := vtime.New()
-	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodelist := make([]string, n)
-	for i := range nodelist {
-		nodelist[i] = cl.Node(i).Name()
-	}
-	errs := make([]error, n)
-	took := make([]time.Duration, n)
-	sim.Go("boot", func() {
-		for i := 0; i < n-1; i++ { // rank 2 is dead on arrival
-			i := i
-			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-				t0 := p.Sim().Now()
-				c, err := Bootstrap(p, Config{
-					Rank: i, Size: n, Fanout: 1, Nodelist: nodelist, Port: 50005,
-					JoinTimeout: joinTimeout,
-				})
-				took[i] = p.Sim().Now() - t0
-				if err == nil {
-					c.Close()
-				}
-				errs[i] = err
-			}}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
-	sim.Run()
-	for i := 0; i < n-1; i++ {
-		if errs[i] == nil {
-			t.Fatalf("rank %d bootstrap succeeded with a dead subtree", i)
-		}
-		if !errors.Is(errs[i], ErrBootstrap) {
-			t.Errorf("rank %d error does not wrap ErrBootstrap: %v", i, errs[i])
-		}
-		// Rank 1 times out its accept after one deadline; rank 0 sees the
-		// cascading link close almost immediately after. Twice the deadline
-		// bounds both with room for dial/fork costs.
-		if took[i] > 2*joinTimeout {
-			t.Errorf("rank %d took %v to fail, budget %v", i, took[i], 2*joinTimeout)
-		}
-	}
-}
-
 // TestKilledDaemonStopsRedialing: a daemon whose node is killed while its
 // parent is not yet listening leaves the dial loop at its next attempt —
 // within one DialRetry, with a wrapped ErrBootstrap — where its goroutine
@@ -171,5 +112,39 @@ func TestKilledDaemonStopsRedialing(t *testing.T) {
 	sim.Run()
 	if !errors.Is(bootErr, ErrBootstrap) {
 		t.Errorf("killed daemon's bootstrap returned %v, want a wrapped ErrBootstrap", bootErr)
+	}
+}
+
+// TestDeadParentStopsRedialing: a daemon whose parent's node dies while
+// the parent is not yet listening gives up at its next attempt — a dead
+// host stays dead — instead of redialing for the whole 30 s window; a
+// parent that is merely not listening yet is still retried.
+func TestDeadParentStopsRedialing(t *testing.T) {
+	sim := vtime.New()
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodelist := []string{cl.Node(0).Name(), cl.Node(1).Name()}
+	var bootErr error
+	var killed, gaveUp time.Duration
+	sim.Go("boot", func() {
+		if _, err := cl.Node(1).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+			_, bootErr = Bootstrap(p, Config{Rank: 1, Size: 2, Fanout: 1, Nodelist: nodelist, Port: 50008})
+			gaveUp = sim.Now()
+		}}); err != nil {
+			t.Error(err)
+			return
+		}
+		sim.Sleep(3*DialRetry + DialRetry/2) // refused three times
+		killed = sim.Now()
+		cl.KillNode(0)
+	})
+	sim.Run()
+	if !errors.Is(bootErr, ErrBootstrap) || !strings.Contains(bootErr.Error(), "dead") {
+		t.Errorf("bootstrap under a dead parent returned %v, want a wrapped ErrBootstrap naming the dead host", bootErr)
+	}
+	if took := gaveUp - killed; took < 0 || took > DialRetry {
+		t.Errorf("gave up %v after the parent's node died, want within one DialRetry (%v)", took, DialRetry)
 	}
 }

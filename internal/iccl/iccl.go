@@ -61,17 +61,6 @@ type Config struct {
 	Nodelist []string // node names indexed by rank
 	Port     int      // per-session TCP port each daemon listens on
 
-	// JoinTimeout bounds how long bootstrap waits for each successive
-	// child join (and subtree-ready report) once this daemon is accepting.
-	// Zero disables the deadline — the default, because under a healthy RM
-	// children may legitimately join minutes of virtual time apart while a
-	// large spawn wave sweeps the machine. Sessions running the failure
-	// detector plumb its Period×(Miss+1) bound here, so a child that dies
-	// before ever dialing its parent surfaces as a wrapped ErrBootstrap
-	// subtree error within the detector's own bound instead of hanging the
-	// forming tree.
-	JoinTimeout time.Duration
-
 	// Metrics receives link-level counters (iccl.tx/rx frames and bytes,
 	// dial retries) when set; nil disables instrumentation at zero cost.
 	Metrics *obs.Registry
@@ -91,9 +80,10 @@ type Comm struct {
 	rank int
 	size int
 
-	parent   *simnet.Conn   // nil at root
-	children []*simnet.Conn // indexed by child slot
-	childRk  []int          // rank of each child slot
+	parent   *simnet.Conn     // nil at root
+	children []*simnet.Conn   // indexed by child slot
+	childRk  []int            // rank of each child slot
+	l        *simnet.Listener // where children join; closed once bootstrap returns
 
 	dmMu  sync.Mutex
 	demux map[*simnet.Conn]*linkDemux // set by demuxLinks, nil before
@@ -197,15 +187,15 @@ func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
 		}
 		return raw, nil
 	}
-	return c.readCharged(conn, 0)
+	return c.readCharged(conn)
 }
 
-// readCharged reads one frame straight off a tree link — under a
-// virtual-time deadline when positive — charging the per-message handling
-// cost. Tree frames travel one per network message, so the delivered
-// message is taken whole and unwraps to exactly one frame, which aliases it.
-func (c *Comm) readCharged(conn *simnet.Conn, deadline time.Duration) ([]byte, error) {
-	msg, err := conn.RecvMessageTimeout(deadline)
+// readCharged reads one frame straight off a tree link, charging the
+// per-message handling cost. Tree frames travel one per network message, so
+// the delivered message is taken whole and unwraps to exactly one frame,
+// which aliases it.
+func (c *Comm) readCharged(conn *simnet.Conn) ([]byte, error) {
+	msg, err := conn.RecvMessage()
 	if err != nil {
 		return nil, err
 	}
@@ -225,8 +215,8 @@ func ctlFrame(op, v uint32) []byte {
 }
 
 // recvCtl reads and validates a child's bootstrap control frame.
-func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string, deadline time.Duration) (uint32, error) {
-	frame, err := c.readCharged(conn, deadline)
+func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, error) {
+	frame, err := c.readCharged(conn)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %s: %v", ErrBootstrap, what, err)
 	}
@@ -291,15 +281,22 @@ func subtreeSlot(self, fanout, n, r int) int {
 // The root's return therefore marks the fabric-setup completion (event e9
 // of the paper's critical path).
 func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
-	cfg = cfg.withDefaults()
-	return bootstrap(p, &cfg, nil, nil)
+	return BootstrapUnder(p, cfg, nil)
 }
 
-// bootstrap is the shared tree-formation engine. The hooks expose links as
-// soon as they carry traffic — onParent right after the join is sent,
-// onChild right after a child's join is validated — so BootstrapSeedRouted can
-// stream the session seed through the still-forming tree. Both may be nil.
-// cfg must already have its defaults applied.
+// BootstrapUnder is Bootstrap under a root whose parent link, while the
+// tree forms, is up — the master daemon's front-end connection; nil below.
+func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn) (*Comm, error) {
+	cfg = cfg.withDefaults()
+	return bootstrap(p, &cfg, nil, up)
+}
+
+// bootstrap is the shared tree-formation engine; cfg must already have its
+// defaults applied. A seed stream (s, BootstrapSeedRouted) gets each link
+// as soon as it carries traffic: the parent link once the join is sent, a
+// child's once its join is validated. A forming rank fails at once when its
+// parent link (up at the root) ends, tearing down what it formed; the seed
+// stream watches that link (Seed.bail), or else watchParent does.
 //
 // The phases live in separate methods (dialJoin, acceptChildren,
 // readyWave) on purpose: every daemon goroutine parks through this path,
@@ -309,7 +306,7 @@ func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
 // shallow here is what holds a parked daemon inside the runtime's initial
 // stack segments; at a million daemons each extra segment doubling is
 // gigabytes of simulator RSS.
-func bootstrap(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn), onChild func(slot int, conn *simnet.Conn)) (*Comm, error) {
+func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, error) {
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("%w: bad rank/size %d/%d", ErrBootstrap, cfg.Rank, cfg.Size)
 	}
@@ -320,33 +317,55 @@ func bootstrap(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn), onChil
 	c.bindMetrics()
 	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
 
-	var l *simnet.Listener
 	if len(kids) > 0 {
-		var err error
-		l, err = p.Host().Listen(cfg.Port)
+		l, err := p.Host().Listen(cfg.Port)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBootstrap, err)
 		}
+		c.l = l
 		defer l.Close()
+	}
+	if s != nil {
+		s.forming = c
 	}
 
 	if cfg.Rank > 0 {
-		if err := c.dialJoin(p, cfg, onParent); err != nil {
+		if err := c.dialJoin(p, cfg, s); err != nil {
 			return nil, err
 		}
 	}
-	if err := c.acceptChildren(cfg, l, kids, onChild); err != nil {
+	c.watchParent(s, up, true)
+	if err := c.acceptChildren(kids, s); err != nil {
 		return nil, err
 	}
 	if err := c.readyWave(cfg); err != nil {
 		return nil, err
 	}
+	c.watchParent(s, up, false)
 	return c, nil
 }
 
+// watchParent makes anything on the parent link of a rank without a seed
+// stream (up at the root) end the forming tree — nothing else comes down it
+// before the rank's ready goes up — or, formed, hands the link back.
+func (c *Comm) watchParent(s *Seed, up *lmonp.Conn, watch bool) {
+	switch {
+	case s != nil:
+	case c.parent != nil && watch:
+		c.parent.Handle(func([]byte, error) { c.Close() })
+	case c.parent != nil:
+		c.parent.Unhandle()
+	case up != nil && watch:
+		up.Handle(func(*lmonp.Msg, error) { c.Close() })
+	case up != nil:
+		up.Unhandle()
+	}
+}
+
 // dialJoin connects upward and announces this rank to its parent
-// (children race their parents coming up; retry).
-func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn)) error {
+// (children race their parents coming up; retry while the parent is not
+// listening yet).
+func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
 	parentRank := Parent(cfg.Rank, cfg.Fanout)
 	// Deterministic sub-microsecond dial skew: siblings spawned at the
 	// same virtual instant would otherwise tie their joins at the
@@ -371,7 +390,9 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 			return fmt.Errorf("%w: rank %d exited while dialing parent %d", ErrBootstrap, cfg.Rank, parentRank)
 		}
 		conn, err = p.Host().Dial(addr)
-		if err == nil {
+		// Under fail-stop a dead host stays dead: only a parent that is
+		// not listening yet is worth another attempt.
+		if err == nil || errors.Is(err, simnet.ErrPeerDead) {
 			break
 		}
 		retries.Inc()
@@ -384,28 +405,22 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, onParent func(*simnet.Conn
 	if err := c.send(conn, ctlFrame(opJoin, uint32(cfg.Rank))); err != nil {
 		return fmt.Errorf("%w: join: %v", ErrBootstrap, err)
 	}
-	if onParent != nil {
-		onParent(conn)
+	if s != nil {
+		s.onParent(conn)
 	}
 	return nil
 }
 
 // acceptChildren accepts and validates one join per expected child.
-func (c *Comm) acceptChildren(cfg *Config, l *simnet.Listener, kids []int, onChild func(slot int, conn *simnet.Conn)) error {
+func (c *Comm) acceptChildren(kids []int, s *Seed) error {
 	c.children = make([]*simnet.Conn, len(kids))
 	c.childRk = append([]int(nil), kids...)
 	for range kids {
-		var conn *simnet.Conn
-		var err error
-		if cfg.JoinTimeout > 0 {
-			conn, err = l.AcceptTimeout(cfg.JoinTimeout)
-		} else {
-			conn, err = l.Accept()
-		}
+		conn, err := c.l.Accept()
 		if err != nil {
 			return c.failBootstrap(fmt.Errorf("%w: accept: %v", ErrBootstrap, err))
 		}
-		rk32, err := c.recvCtl(conn, opJoin, "join", 0)
+		rk32, err := c.recvCtl(conn, opJoin, "join")
 		if err != nil {
 			return c.failBootstrap(err)
 		}
@@ -414,8 +429,8 @@ func (c *Comm) acceptChildren(cfg *Config, l *simnet.Listener, kids []int, onChi
 			return c.failBootstrap(fmt.Errorf("%w: unexpected child rank %d", ErrBootstrap, rk32))
 		}
 		c.children[slot] = conn
-		if onChild != nil {
-			onChild(slot, conn)
+		if s != nil {
+			s.onChild(slot, conn)
 		}
 	}
 	return nil
@@ -426,7 +441,7 @@ func (c *Comm) acceptChildren(cfg *Config, l *simnet.Listener, kids []int, onChi
 func (c *Comm) readyWave(cfg *Config) error {
 	total := 1
 	for _, conn := range c.children {
-		n32, err := c.recvCtl(conn, opReady, "ready", cfg.JoinTimeout)
+		n32, err := c.recvCtl(conn, opReady, "ready")
 		if err != nil {
 			return c.failBootstrap(err)
 		}
@@ -442,11 +457,9 @@ func (c *Comm) readyWave(cfg *Config) error {
 	return nil
 }
 
-// failBootstrap tears down whatever part of the tree this daemon already
-// formed — the parent link and any accepted children — so ranks blocked on
-// this subtree observe the failure (their reads end) instead of waiting
-// forever on a silently absent branch. It returns err unchanged for use in
-// bootstrap's error returns.
+// failBootstrap tears down what this daemon formed (Close), so ranks blocked
+// on its subtree see their reads end instead of waiting forever on a
+// silently absent branch. It returns err for bootstrap's error returns.
 func (c *Comm) failBootstrap(err error) error {
 	c.Close()
 	return err
@@ -462,8 +475,12 @@ func (c *Comm) Size() int { return c.size }
 func (c *Comm) IsMaster() bool { return c.rank == 0 }
 
 // Close tears down the tree links (those a failed bootstrap got as far as
-// forming).
+// forming) and the listener; from a scheduler callback it fails a forming
+// rank's bootstrap.
 func (c *Comm) Close() {
+	if c.l != nil {
+		c.l.Close()
+	}
 	if c.parent != nil {
 		c.parent.Close()
 	}

@@ -44,14 +44,16 @@ const (
 // the tree forms, and must not block: it arranges for emit to run on the
 // vtime scheduler — never on the caller's stack — once per frame, in
 // order, or once with the error that broke the stream. emit reports
-// whether the stream is finished (the End frame, or a failure), after
-// which the source stops delivering. Frames must carry coll.OpSeed with a
-// contiguous Index sequence, closed by an End frame; every chunk carries
-// Sum64 of its body and the End frame carries the rolling digest of the
-// RPDTAB chunk sums (frames from index 1 — index 0 is the FEData
-// preamble, excluded from the digest). Tree links carry only that digest:
-// every other rank's parent link computes each chunk's Sum64 on arrival,
-// so every rank's SeqCheck admits the same kind of frame the root does.
+// whether the stream is finished (the End frame, or a failure); frames
+// after that are dropped, an error still fails a forming tree: the
+// source's link is the root's parent link until Wait. Frames must carry
+// coll.OpSeed with a contiguous Index sequence, closed by an End frame;
+// every chunk carries Sum64 of its body and the End frame the rolling
+// digest of the RPDTAB chunk sums (frames from index 1 — index 0 is the
+// FEData preamble, excluded from the digest). Tree links carry only that
+// digest: every other rank's parent link computes each chunk's Sum64 on
+// arrival, so every rank's SeqCheck admits the same kind of frame the root
+// does.
 type SeedSource func(emit func(coll.Frame, error) (done bool))
 
 // SeedRouter drives rank-sliced seed delivery: instead of relaying every
@@ -267,6 +269,9 @@ type Seed struct {
 	// and the daemon's own main between parks (a failed bootstrap), which
 	// never overlap; main reads it after Wait, which the last write precedes.
 	err error
+
+	forming *Comm        // the rank's tree while bootstrap forms it, for bail to tear down
+	parent  *simnet.Conn // the parent link, once its End frame arrived while forming
 }
 
 // newSeed builds one rank's record and subscribes it to src at the root.
@@ -303,9 +308,13 @@ func newSeed(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink 
 // step admits one incoming frame, routing it to the sink and the child
 // outboxes, or fails the stream with the error that came in its place. It
 // returns true when the stream is finished — the End frame was processed,
-// or a failure aborted it; what comes after that is dropped.
+// or a failure aborted it; a frame after that is dropped, an error fails
+// what still waits on the stream.
 func (s *Seed) step(f coll.Frame, err error) bool {
 	if s.shared {
+		if err != nil {
+			s.bail(err)
+		}
 		return true
 	}
 	if err != nil {
@@ -343,7 +352,8 @@ func (s *Seed) step(f coll.Frame, err error) bool {
 }
 
 // bail fails the stream with err and reports it finished: the share is
-// over, and each child's forward ends once its outbox has drained.
+// over, and each child's forward ends once its outbox has drained. A rank
+// still forming tears its tree down: the stream watches its parent link.
 func (s *Seed) bail(err error) bool {
 	s.fail(err)
 	if !s.shared {
@@ -352,6 +362,10 @@ func (s *Seed) bail(err error) bool {
 			out.Close()
 		}
 		s.partDone()
+	}
+	if c := s.forming; c != nil {
+		s.forming = nil
+		c.Close() // last: it wakes the main, which owns the record from here
 	}
 	return true
 }
@@ -414,13 +428,14 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 // onParent makes the parent link every non-root rank's stream. A
 // SerialFramer owns the link while the seed is in flight, charging like
 // the serial reader it stands in for and detaching at the End frame's
-// arrival, so the bootstrap-era collective traffic that follows
-// block-reads the same conn. Decoding and admission run behind the
-// horizon, like that reader's. The framer takes whole messages: a frame
-// keeps the one it arrived in (coll.Frame.Wire) for the verbatim relay of
-// FEData. It is the one receive path that checks a tree stream, so a
-// chunk's sum, which the wire does not carry, is computed here for the
-// record's SeqCheck.
+// arrival — on a rank still forming, when bootstrap returns, so that the
+// link's end fails the tree until then — so the bootstrap-era collective
+// traffic that follows block-reads the same conn. Decoding and admission
+// run behind the horizon, like that reader's. The framer takes whole
+// messages: a frame keeps the one it arrived in (coll.Frame.Wire) for the
+// verbatim relay of FEData. It is the one receive path that checks a tree
+// stream, so a chunk's sum, which the wire does not carry, is computed
+// here for the record's SeqCheck.
 func (s *Seed) onParent(conn *simnet.Conn) {
 	fr := &SerialFramer{Sim: s.sim, Cost: PerMsgCost, Deliver: func(msg []byte) {
 		f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
@@ -441,10 +456,13 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 		}
 		// Peek the opcode at arrival: the End frame (or a
 		// protocol-violating opcode, which the deferred parse will
-		// turn into an error) is the framer's last — detach so later
-		// arrivals queue for blocking readers.
+		// turn into an error) is the framer's last.
 		if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
-			conn.Unhandle()
+			if s.forming != nil {
+				s.parent = conn
+			} else {
+				conn.Unhandle()
+			}
 		}
 		fr.Charge(msg)
 	})
@@ -472,8 +490,9 @@ func (s *Seed) Wait() error {
 // not block; an error it returns fails the stream. The caller must Wait
 // before using the communicator.
 //
-// On a bootstrap error the seed stream is aborted; on a mid-stream link
-// failure — a child's node dying while chunks are in flight — the affected
+// On a bootstrap error the seed stream is aborted (and a stream that fails
+// first fails the bootstrap with its error); on a mid-stream link failure
+// — a child's node dying while chunks are in flight — the affected
 // forwarder records the error for Wait while bootstrap itself surfaces the
 // broken tree.
 func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) (*Comm, *Seed, error) {
@@ -482,10 +501,18 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 		return nil, nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", ErrBootstrap, cfg.Rank)
 	}
 	s := newSeed(p, &cfg, src, rt, sink)
-	c, err := bootstrap(p, &cfg, s.onParent, s.onChild)
+	c, err := bootstrap(p, &cfg, s, nil)
+	s.forming = nil
 	if err != nil {
+		cause := s.err // the stream's, when its failure tore the tree down
 		s.bail(err)
+		if cause != nil {
+			err = fmt.Errorf("%w: %w", ErrBootstrap, cause)
+		}
 		return nil, nil, err
+	}
+	if s.parent != nil {
+		s.parent.Unhandle()
 	}
 	return c, s, nil
 }

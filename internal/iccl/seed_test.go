@@ -223,9 +223,11 @@ func TestSeedParksOncePerRank(t *testing.T) {
 // accepting children when the fault lands. A rank whose bootstrap had
 // completed was handed the FEData frame, whose forward is not held back
 // by routing, and reports the break from Wait — which returns, so the
-// forwarders finished; rank 1's bootstrap surfaces the broken tree when
-// it reports ready up a dead link; its subtree sees the link it closes;
-// and every goroutine ends.
+// forwarders finished. A rank still forming (rank 1, and the root when its
+// source breaks) fails its bootstrap at once with the stream's error and
+// tears down what it formed, so its subtree sees the link it closes, and
+// rank 4 finds no parent to join; every goroutine ends once rank 4's dial
+// window has run out.
 func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 	const n, fanout = 7, 2 // 0 → 1, 2 → 3 … 6
 	frames, rt, _ := routedSeed(n, 2, 96)
@@ -291,32 +293,36 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 				spawn(late)
 			})
 			live := -1
-			sim.After(3*time.Second, func() { live = sim.Live() })
+			sim.After(3*time.Second+DialAttempts*DialRetry, func() { live = sim.Live() })
 			sim.Run()
 
 			for i, r := range res {
+				prefix := fmt.Sprintf("iccl: seed stream at rank %d: ", i)
 				switch {
 				case tc.rootDies && i == 0: // died with its node
-				case tc.rootDies && i == 1:
+				case i == late:
 					if !errors.Is(r.boot, ErrBootstrap) {
-						t.Errorf("rank 1 bootstrap under a dead parent link: %v, want a wrapped ErrBootstrap", r.boot)
+						t.Errorf("rank %d bootstrap with its parent torn down: %v, want a wrapped ErrBootstrap", i, r.boot)
+					}
+				case i <= 1: // forming when the fault lands
+					if !errors.Is(r.boot, ErrBootstrap) || !strings.Contains(r.boot.Error(), prefix) {
+						t.Errorf("rank %d bootstrap across the fault: %v, want a wrapped ErrBootstrap naming %q", i, r.boot, prefix)
 					}
 				default:
-					prefix := fmt.Sprintf("iccl: seed stream at rank %d: ", i)
 					if r.boot != nil || r.got != 1 || r.wait == nil || !strings.HasPrefix(r.wait.Error(), prefix) {
 						t.Errorf("rank %d: bootstrap %v, %d frames, then %v; want the FEData frame, then %q…", i, r.boot, r.got, r.wait, prefix)
 					}
 				}
 			}
-			witness, cause := 0, io.ErrUnexpectedEOF // the rank the fault reached first
-			if tc.rootDies {
-				witness, cause = 2, simnet.ErrPeerDead
+			// The rank the fault reached first.
+			if got := res[0].boot; !tc.rootDies && !errors.Is(got, io.ErrUnexpectedEOF) {
+				t.Errorf("rank 0 reports %v, which does not wrap %v", got, io.ErrUnexpectedEOF)
 			}
-			if !errors.Is(res[witness].wait, cause) {
-				t.Errorf("rank %d reports %v, which does not wrap %v", witness, res[witness].wait, cause)
+			if got := res[2].wait; tc.rootDies && !errors.Is(got, simnet.ErrPeerDead) {
+				t.Errorf("rank 2 reports %v, which does not wrap %v", got, simnet.ErrPeerDead)
 			}
 			if live != 0 {
-				t.Errorf("%d goroutines still alive a second after the last rank started", live)
+				t.Errorf("%d goroutines still alive a second after rank %d's dial window closed", live, late)
 			}
 		})
 	}

@@ -281,9 +281,6 @@ var (
 	ErrPeerDead = errors.New("simnet: peer host is dead")
 	// ErrLinkDown is returned when dialing across a dropped link.
 	ErrLinkDown = errors.New("simnet: link is down")
-	// ErrReadTimeout is returned by RecvMessageTimeout when the deadline
-	// passes before a message arrives.
-	ErrReadTimeout = errors.New("simnet: read timeout")
 )
 
 // Listen opens a listener on the given port; port 0 selects an ephemeral
@@ -333,19 +330,6 @@ func (l *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
-// AcceptTimeout is Accept with a virtual-time deadline: an error naming
-// the listener when it passes with nothing to accept.
-func (l *Listener) AcceptTimeout(d time.Duration) (*Conn, error) {
-	c, ok, timedOut := l.incoming.RecvTimeout(d)
-	if timedOut {
-		return nil, fmt.Errorf("simnet: accept timeout on %s", l.addr)
-	}
-	if !ok {
-		return nil, ErrListenerClose
-	}
-	return c, nil
-}
-
 // Handle switches the listener to event-driven accept: fn runs on the
 // vtime scheduler for every incoming connection (queued ones first, in
 // arrival order), and once with ErrListenerClose after Close. It replaces a
@@ -361,15 +345,20 @@ func (l *Listener) Handle(fn func(*Conn, error)) {
 	})
 }
 
-// Close stops the listener; blocked Accept calls return ErrListenerClose.
+// Close stops the listener; blocked Accept calls return ErrListenerClose,
+// and connections never accepted are closed (severed, on a dead host).
 func (l *Listener) Close() {
 	l.host.net.mu.Lock()
 	if !l.closed {
 		l.closed = true
 		delete(l.host.listeners, l.addr.Port)
 	}
+	dead := l.host.dead // KillHost severs them with the rest
 	l.host.net.mu.Unlock()
 	l.incoming.Close()
+	for c, ok := l.incoming.TryRecv(); ok && !dead; c, ok = l.incoming.TryRecv() {
+		c.Close()
+	}
 }
 
 // Dial connects from h to addr, blocking for the connection handshake
@@ -608,24 +597,11 @@ func (c *Conn) Read(p []byte) (int, error) {
 // virtual time: io.EOF/ErrPeerDead per Read's contract once the connection
 // ends. It must be called on a message boundary (no partially consumed
 // arrival) — the caller is reading a message-per-frame protocol.
-func (c *Conn) RecvMessage() ([]byte, error) { return c.RecvMessageTimeout(0) }
-
-// RecvMessageTimeout is RecvMessage with a virtual-time deadline when d is
-// positive: ErrReadTimeout when it passes with nothing delivered.
-func (c *Conn) RecvMessageTimeout(d time.Duration) ([]byte, error) {
+func (c *Conn) RecvMessage() ([]byte, error) {
 	if len(c.rbuf) != 0 {
 		panic("simnet: RecvMessage with a partially read message")
 	}
-	var buf []byte
-	var ok, timedOut bool
-	if d > 0 {
-		buf, ok, timedOut = c.in.RecvTimeout(d)
-	} else {
-		buf, ok = c.in.Recv()
-	}
-	if timedOut {
-		return nil, fmt.Errorf("%w: no message from %s within %v", ErrReadTimeout, Addr{c.peer.host.name, c.peer.port}, d)
-	}
+	buf, ok := c.in.Recv()
 	if !ok {
 		return nil, c.endErr()
 	}

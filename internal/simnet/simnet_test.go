@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -308,21 +309,6 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 	}
 }
 
-func TestAcceptTimeout(t *testing.T) {
-	sim := vtime.New()
-	_, _, b := pair(t, sim, Options{})
-	l, _ := b.Listen(1)
-	var err error
-	sim.Go("srv", func() { _, err = l.AcceptTimeout(time.Second) })
-	end := sim.Run()
-	if err == nil {
-		t.Fatal("expected timeout error")
-	}
-	if end != time.Second {
-		t.Fatalf("sim ended at %v", end)
-	}
-}
-
 func TestStatsCount(t *testing.T) {
 	sim := vtime.New()
 	n := New(sim, Options{})
@@ -468,6 +454,41 @@ func TestParseAddrInvertsString(t *testing.T) {
 	for _, bad := range []string{"", "fe0", "fe0:abc", ":", "fe0:12x"} {
 		if _, err := ParseAddr(bad); err == nil {
 			t.Errorf("ParseAddr(%q) accepted", bad)
+		}
+	}
+}
+
+// TestListenerCloseEndsBacklog: a connection that arrived but was never
+// accepted ends with its listener — EOF at the dialer when the listener
+// closes, ErrPeerDead when its host dies — and not only when the
+// simulation is torn down.
+func TestListenerCloseEndsBacklog(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		sim := vtime.New()
+		n, a, b := pair(t, sim, Options{})
+		l, err := b.Listen(9000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var readErr error
+		torn := true
+		sim.Go("dialer", func() {
+			c, err := a.Dial(l.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if kill {
+				n.KillHost("b")
+			} else {
+				l.Close()
+			}
+			_, readErr = c.RecvMessage()
+			torn = sim.Stopped()
+		})
+		sim.Run()
+		if want := map[bool]error{false: io.EOF, true: ErrPeerDead}[kill]; torn || !errors.Is(readErr, want) {
+			t.Errorf("host killed %v: the dialer read %v (at teardown: %v), want %v", kill, readErr, torn, want)
 		}
 	}
 }

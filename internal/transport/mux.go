@@ -145,8 +145,6 @@ type Endpoint struct {
 	session int
 	queues  [4]*vtime.Chan[*simnet.Conn] // indexed by Role; slot 0 unused
 	closed  bool                         // guarded by mux.mu
-
-	handing [4]*handOff // the pending Handle per role, nil when none
 }
 
 // Session returns the endpoint's session ID.
@@ -161,7 +159,7 @@ func (e *Endpoint) Accept(role Role, timeout time.Duration) (*lmonp.Conn, error)
 	}
 	conn, ok, timedOut := e.queues[role].RecvTimeout(timeout)
 	if timedOut {
-		return nil, e.timeoutErr(role, timeout)
+		return nil, fmt.Errorf("%w: no %v connection for session %d within %v", ErrAcceptTimeout, role, e.session, timeout)
 	}
 	if !ok {
 		return nil, ErrEndpointClosed
@@ -169,59 +167,29 @@ func (e *Endpoint) Accept(role Role, timeout time.Duration) (*lmonp.Conn, error)
 	return lmonp.NewConn(conn), nil
 }
 
-// Handle is Accept without a blocked goroutine: fn runs once, on the vtime
-// scheduler, with the role's next connection (a queued one at once), or
-// with Accept's error when the timeout elapses or the endpoint closes
+// Handle is Accept without a blocked goroutine, and without a deadline:
+// fn runs once, on the vtime scheduler, with the role's next connection (a
+// queued one at once), or with ErrEndpointClosed when the endpoint closes
 // first. fn must not block. One Handle per role may be pending and it may
 // not be mixed with Accept; Unhandle withdraws it.
-func (e *Endpoint) Handle(role Role, timeout time.Duration, fn func(*lmonp.Conn, error)) {
-	h := &handOff{e: e, fn: fn}
-	e.handing[role] = h
-	e.mux.sim.After(timeout, func() {
-		if e := h.e; e != nil {
-			e.handOff(role, nil, e.timeoutErr(role, timeout))
-		}
-	})
+func (e *Endpoint) Handle(role Role, fn func(*lmonp.Conn, error)) {
 	e.queues[role].Handle(func(conn *simnet.Conn, ok bool) {
-		if ok {
-			e.handOff(role, lmonp.NewConn(conn), nil)
-		} else {
-			e.handOff(role, nil, ErrEndpointClosed)
+		e.Unhandle(role)
+		if !ok {
+			fn(nil, ErrEndpointClosed)
+			return
 		}
+		fn(lmonp.NewConn(conn), nil)
 	})
-}
-
-// handOff is one pending Handle. Its deadline stays in the timer heap when
-// the hand-off is over, holding on to this and nothing more: both fields
-// are cleared then.
-type handOff struct {
-	e  *Endpoint
-	fn func(*lmonp.Conn, error)
-}
-
-func (e *Endpoint) handOff(role Role, conn *lmonp.Conn, err error) {
-	fn := e.handing[role].fn
-	e.Unhandle(role)
-	fn(conn, err)
 }
 
 // Unhandle withdraws the role's pending Handle, if any: its fn will not
 // run, and connections arriving from now on stay queued.
-func (e *Endpoint) Unhandle(role Role) {
-	if h := e.handing[role]; h != nil {
-		h.e, h.fn, e.handing[role] = nil, nil, nil
-	}
-	e.queues[role].Unhandle()
-}
-
-func (e *Endpoint) timeoutErr(role Role, timeout time.Duration) error {
-	return fmt.Errorf("%w: no %v connection for session %d within %v",
-		ErrAcceptTimeout, role, e.session, timeout)
-}
+func (e *Endpoint) Unhandle(role Role) { e.queues[role].Unhandle() }
 
 // Drain closes and discards any queued, not-yet-accepted connections for
 // the given role, returning how many were dropped. Callers retrying a
-// daemon launch use it to shed a late dial left over from a timed-out
+// daemon launch use it to shed a late dial left over from a failed
 // previous attempt, so the retry cannot bind to the stale connection.
 func (e *Endpoint) Drain(role Role) int {
 	if !role.valid() {

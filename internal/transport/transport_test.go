@@ -323,7 +323,7 @@ func TestMuxSilentPeerBlocksNobody(t *testing.T) {
 		// Behind the silent peer and the rejects, a good dial is handed
 		// over without a goroutine waiting for it.
 		handed := vtime.NewChan[*lmonp.Conn](sim)
-		ep.Handle(RoleBE, 10*time.Second, func(c *lmonp.Conn, err error) {
+		ep.Handle(RoleBE, func(c *lmonp.Conn, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -342,8 +342,8 @@ func TestMuxSilentPeerBlocksNobody(t *testing.T) {
 				got = string(msg.Payload)
 			}
 		}
-		// A withdrawn hand-off never runs, and its deadline is void.
-		ep.Handle(RoleMW, time.Second, func(*lmonp.Conn, error) { t.Error("withdrawn hand-off ran") })
+		// A withdrawn hand-off never runs.
+		ep.Handle(RoleMW, func(*lmonp.Conn, error) { t.Error("withdrawn hand-off ran") })
 		ep.Unhandle(RoleMW)
 		sim.Sleep(2 * time.Second)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"launchmon/internal/coll"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 )
 
@@ -34,6 +35,7 @@ type feFabric struct {
 	launch *seedRelay   // the launching call's sub-state; nil unless fabLaunching
 	conn   *lmonp.Conn  // the master connection, from the moment the mux hands it over
 	rx     *rxStreams   // its sorted receive side, fed by onLink
+	pl     *iccl.Plane  // the front end's plane, above the root's: what rx feeds
 	infos  []DaemonInfo // the daemon set the master reported ready
 	seq    uint32       // lockstep collective sequence, FE side
 }
@@ -256,11 +258,11 @@ func (st feStream) scatter(parts [][]byte) error {
 }
 
 func (st feStream) gather() ([][]byte, error) {
-	c, err := st.run(coll.OpGather, "fe-gather")
-	return c.table, err
+	table, _, err := st.receive(coll.OpGather, "fe-gather")
+	return table, err
 }
 
 func (st feStream) reduce() ([]byte, error) {
-	c, err := st.run(coll.OpReduce, "fe-reduce")
-	return c.blob, err
+	_, blob, err := st.receive(coll.OpReduce, "fe-reduce")
+	return blob, err
 }

@@ -116,6 +116,77 @@ func TestCollectiveRoundTripAllOps(t *testing.T) {
 	}
 }
 
+// TestBEBarrierAndScatterOnDemuxedTree covers the daemon API's own
+// collectives (BackEnd.Barrier and Scatter, iccl.Comm's) at K = 7, fanout
+// 2, on both sides of the switch a plane operation makes: once while the
+// daemons still read their tree links directly, and again after a
+// Collective().Barrier has handed the links to their demuxes. Every rank
+// receives parts[rank], and the master refuses a part set of the wrong
+// size before anything goes down the tree.
+func TestBEBarrierAndScatterOnDemuxedTree(t *testing.T) {
+	const k = 7
+	sim, cl, _ := rig(t, k)
+	cl.Register("api_be", func(p *cluster.Proc) {
+		be, err := BEInit(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var failed []string
+		check := func(phase string) {
+			if err := be.Barrier(); err != nil {
+				failed = append(failed, fmt.Sprintf("%s barrier: %v", phase, err))
+				return
+			}
+			var parts [][]byte
+			if be.AmIMaster() {
+				if _, err := be.Scatter(make([][]byte, k-1)); err == nil {
+					failed = append(failed, phase+" scatter of 6 parts accepted")
+				}
+				for rk := 0; rk < k; rk++ {
+					parts = append(parts, []byte(fmt.Sprintf("%s part %d", phase, rk)))
+				}
+			}
+			part, err := be.Scatter(parts)
+			if want := fmt.Sprintf("%s part %d", phase, be.Rank()); err != nil || string(part) != want {
+				failed = append(failed, fmt.Sprintf("%s scatter: %q, %v; want %q", phase, part, err, want))
+			}
+		}
+		check("direct")
+		if err := be.Collective().Barrier(); err != nil {
+			t.Errorf("rank %d plane barrier: %v", be.Rank(), err)
+			return
+		}
+		check("demuxed")
+		if err := be.Collective().Gather([]byte(strings.Join(failed, "; "))); err != nil {
+			t.Errorf("rank %d gather: %v", be.Rank(), err)
+			return
+		}
+		be.Finalize()
+	})
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		sess, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: "api_be"},
+			ICCLFanout: 2,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		all, err := sess.Gather()
+		if err != nil {
+			t.Errorf("gather: %v", err)
+		}
+		for rk, blob := range all {
+			if len(blob) > 0 {
+				t.Errorf("rank %d: %s", rk, blob)
+			}
+		}
+		sess.Kill()
+	})
+}
+
 func TestCollectiveLargePayloadChunks(t *testing.T) {
 	// A gather whose per-daemon contribution exceeds the chunk size must
 	// still arrive intact (oversized single entries travel whole).
@@ -357,8 +428,10 @@ func TestCollectiveOrderDivergenceDetected(t *testing.T) {
 		// gather traffic on its down hook — the master errors out; the FE
 		// must observe the gather failing (daemons gathered, so frames of
 		// the wrong op/tag reach the FE queue).
-		if _, err := sess.Gather(); err == nil {
-			t.Error("diverged collective order went undetected")
+		_, err = sess.Gather()
+		if err == nil || !strings.Contains(err.Error(), "front end of the BE fabric") ||
+			!strings.Contains(err.Error(), "collective order diverged") {
+			t.Errorf("diverged collective order: %v, want an error naming the front end", err)
 		}
 		sess.Kill()
 	})
@@ -423,8 +496,10 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 // and every tagged stream — running or started later — with an error naming
 // the cause, not vanish and leave them waiting for an end marker that never
 // comes. Tool data keeps flowing. At the front end the running operations
-// are a Gather and a ReduceTag; at the master, a Broadcast and a ScatterTag
-// of the root plane of a one-daemon tree, which its frames are pushed into.
+// are a Gather and a ReduceTag of the front end's plane; at the master, a
+// Broadcast and a ScatterTag of the root plane of a one-daemon tree. The
+// garbage arrives as the connection's handler would hand it over: from a
+// scheduler callback.
 func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 	for _, tc := range []struct {
 		name, peer string
@@ -439,14 +514,16 @@ func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 			tc.start(t, sim, e)
 			var lateErr error
 			var usr []byte
-			sim.Go("inject", func() {
-				sim.Sleep(time.Second)
+			sim.After(time.Second, func() {
 				// What the connection's handler hands the sorter when its peer
 				// sends garbage.
 				if !e.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
 					t.Error("sorter disowned a collective chunk")
 				}
 				e.rx.sort(&lmonp.Msg{Type: lmonp.TypeUsrData, UsrData: []byte("still here")})
+			})
+			sim.Go("late", func() {
+				sim.Sleep(2 * time.Second)
 				lateErr = e.late()
 				usr, _ = e.recvUsr()
 			})
@@ -474,15 +551,24 @@ type malformedEnd struct {
 }
 
 func startFEEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
-	var buf bytes.Buffer
-	s := &Session{state: stReady}
-	e.rx = newRxStreams(sim, "master daemon", nil)
-	s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: e.rx}
-	tag := s.AllocTag()
-	sim.Go("fe-gather", func() { _, e.lockstep = s.Gather() })
-	sim.Go("fe-reduce-tag", func() { _, e.tagged = s.ReduceTag(tag) })
-	e.late = func() error { _, err := s.GatherTag(s.AllocTag()); return err }
-	e.recvUsr = s.RecvFromBE
+	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Go("boot", func() {
+		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
+			var buf bytes.Buffer
+			s := &Session{p: p, state: stReady}
+			pl := iccl.NewFrontEnd(p, "front end of the BE fabric")
+			e.rx = newRxStreams(sim, "master daemon", pl, nil)
+			s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: e.rx, pl: pl}
+			tag := s.AllocTag()
+			sim.Go("fe-gather", func() { _, e.lockstep = s.Gather() })
+			sim.Go("fe-reduce-tag", func() { _, e.tagged = s.ReduceTag(tag) })
+			e.late = func() error { _, err := s.GatherTag(s.AllocTag()); return err }
+			e.recvUsr = s.RecvFromBE
+		}})
+	})
 }
 
 func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
@@ -498,7 +584,7 @@ func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 				return
 			}
 			pl := comm.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-			e.rx = newRxStreams(sim, "front end", pl)
+			e.rx = newRxStreams(sim, "front end", pl, nil)
 			sim.Go("root-broadcast", func() { _, e.lockstep = pl.Broadcast() })
 			sim.Go("root-scatter-tag", func() { _, e.tagged = pl.ScatterTag(coll.MinUserTag) })
 			e.late = func() error { _, err := pl.BroadcastTag(coll.MinUserTag + 1); return err }

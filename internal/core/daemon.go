@@ -307,7 +307,7 @@ func (d *daemonSession) completeInit(env *bootEnv) error {
 	}
 	d.coll = d.comm.NewPlane(env.collChunk, env.collWindow, up, nil)
 	if d.comm.IsMaster() {
-		rx := newRxStreams(d.p.Sim(), "front end", d.coll)
+		rx := newRxStreams(d.p.Sim(), "front end", d.coll, nil)
 		d.feRx = rx
 		d.fe.Unhandle() // the cut-through seed source: the link's watch while the tree formed
 		d.fe.Handle(func(msg *lmonp.Msg, err error) {

@@ -138,24 +138,67 @@ func TestEndedSessionsRetainBoundedHeap(t *testing.T) {
 		}
 		p.Sim().Sleep(5 * time.Second) // let the teardown settle
 	}
-	heap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC() // a second cycle frees what the first one's finalizers released
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	runFE(t, sim, cl, func(p *cluster.Proc) {
 		session(p) // warm-up: what the first session adds for good is per FE process
-		before := heap()
+		before := liveHeap()
 		for i := 0; i < sessions; i++ {
 			session(p)
 		}
-		after := heap()
+		after := liveHeap()
 		per := (int64(after) - int64(before)) / sessions
 		t.Logf("%d B retained per ended session", per)
 		if per > bound {
 			t.Errorf("an ended session retains %d B, want at most %d", per, bound)
 		}
+	})
+}
+
+// liveHeap is the heap reachable now.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a second cycle frees what the first one's finalizers released
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestExitedFabricRetainsBoundedHeap bounds what a session that stays up
+// keeps of a daemon tree that has exited under it: K daemons demultiplex
+// their links (a plane Barrier) and finalize at once, and once every one
+// has exited the heap reachable per daemon stays under 2 KiB (≈ 1.6 KiB).
+// The session keeps its master connection, and through the connection's
+// peer the master's FE-connection handler, until it ends. That handler's
+// sorter drops the root plane when the connection ends; kept, the plane's
+// links hold the whole exited tree through their peers (≈ 3.5 KiB a
+// daemon).
+func TestExitedFabricRetainsBoundedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector retains memory on the test's behalf")
+	}
+	const k, fanout, bound = 512, 8, 2 << 10
+	sim, cl, _ := rig(t, k)
+	cl.Register("exit_be", func(p *cluster.Proc) {
+		if be, err := BEInit(p); err == nil && be.Collective().Barrier() == nil {
+			be.Finalize()
+		}
+	})
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		before := liveHeap()
+		s, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: "exit_be"},
+			ICCLFanout: fanout,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sim().Sleep(5 * time.Second) // every daemon exits
+		per := (int64(liveHeap()) - int64(before)) / k
+		t.Logf("%d B reachable per exited daemon", per)
+		if per > bound {
+			t.Errorf("a live session keeps %d B per exited daemon, want at most %d", per, bound)
+		}
+		s.Kill()
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"launchmon/internal/health"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
@@ -95,7 +96,8 @@ func (s *Session) step(in *input) error {
 		}
 		in.relay.in = vtime.NewChan[feIn](s.p.Sim())
 		fab.st, fab.launch = fabLaunching, in.relay
-		fab.rx = newRxStreams(s.p.Sim(), fab.pre()+"master daemon", nil)
+		fab.pl = iccl.NewFrontEnd(s.p, "front end of the "+fab.prof.kind+" fabric")
+		fab.rx = newRxStreams(s.p.Sim(), fab.pre()+"master daemon", fab.pl, s.obsReg)
 
 	case inConn:
 		relay := s.be.launch // the engine dials during the BE fabric's launch

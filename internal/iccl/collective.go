@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/vtime"
@@ -12,9 +13,10 @@ import (
 // This file implements the tool-data collective plane over the ICCL tree:
 // chunk streams (codec in internal/coll) routed hop by hop, interior daemons
 // forwarding broadcast/scatter/gather traffic and combining reduce
-// contributions. The front end is the root's parent link: FE-bound frames
-// leave through an up hook, FE-originated ones are pushed in (PushFE), so
-// every rank runs the same operations.
+// contributions. The front end is the root's parent on the plane: FE-bound
+// frames leave the root through an up hook, FE-originated ones are pushed
+// in (PushFE), so every rank runs the same operations, and the front end's
+// own plane (NewFrontEnd) is fed the same way and runs their down phase.
 //
 // Each chunk on a tree link spends one credit of the per-(link, tag) window,
 // returned as the receiver takes it (opCredit), so interior depth is bounded
@@ -54,7 +56,7 @@ type Plane struct {
 	seq        uint32
 	treeSeq    uint32
 	up         UpFn
-	fe         *linkDemux // at the root: the front end's link, fed by PushFE
+	fe         *linkDemux // at the root the front end's link, at the front end the root's; fed by PushFE
 }
 
 // NewPlane attaches a collective plane to the communicator. chunkBytes
@@ -76,14 +78,35 @@ func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, _ any) *Plane {
 	return pl
 }
 
-// PushFE hands the root one frame off the front end's connection, from a
+// NewFrontEnd makes the front end's plane above a fabric's root, called name
+// in its errors: its one link is fed by PushFE, and Receive runs on it.
+func NewFrontEnd(p *cluster.Proc, name string) *Plane {
+	return (&Comm{p: p, name: name}).NewPlane(0, 0, nil, nil)
+}
+
+// PushFE hands the plane one frame off the FE↔master connection, from a
 // scheduler callback: the operation of its stream takes it where it
 // arrives, as on a tree link; a stream nobody has entered yet waits whole.
 func (pl *Plane) PushFE(f coll.Frame) { pl.fe.arrive(f) }
 
-// FailFE severs the root's front-end link: every root operation draining
-// it, running or later, ends with ErrSevered wrapping err.
+// FailFE severs that link, from a scheduler callback: every operation
+// draining it, running or later, ends with ErrSevered.
 func (pl *Plane) FailFE(err error) { pl.fe.fail(err) }
+
+// Receive is the front end's side of an FE-bound Gather (a table of
+// daemons entries) or Reduce (the combined result) on tag: the down phase
+// every rank runs, with nothing below to relay to.
+func (pl *Plane) Receive(op coll.Op, tag uint32, daemons int) ([][]byte, []byte, error) {
+	if op != coll.OpGather {
+		blob, err := pl.broadcast(op, tag, nil)
+		return nil, blob, err
+	}
+	g := &gatherOp{n: daemons}
+	g.start(pl, g, op, tag, nil)
+	g.drain(above)
+	err := g.wait()
+	return g.table, nil, err
+}
 
 // Every public operation resolves its stream tag through one of the three
 // functions below, which is also where the link demux gets installed: at
@@ -168,8 +191,8 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 // checkStream validates that a frame belongs to the current operation.
 func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 	if f.H.Op != op || f.H.Tag != tag {
-		return fmt.Errorf("%w: rank %d: %v frame tag %d during %v tag %d (collective order diverged)",
-			ErrProtocol, pl.c.rank, f.H.Op, f.H.Tag, op, tag)
+		return fmt.Errorf("%w: %s: %v frame tag %d during %v tag %d (collective order diverged)",
+			ErrProtocol, pl.c.who(), f.H.Op, f.H.Tag, op, tag)
 	}
 	return nil
 }
@@ -232,7 +255,7 @@ func (o *planeOp) wait() error {
 	o.pump()
 	for !o.done {
 		if !o.w.Wait() {
-			return fmt.Errorf("%w: rank %d: simulation ended during %v tag %d", ErrSevered, o.pl.c.rank, o.op, o.tag)
+			return fmt.Errorf("%w: %s: simulation ended during %v tag %d", ErrSevered, o.pl.c.who(), o.op, o.tag)
 		}
 	}
 	return o.err
@@ -241,16 +264,13 @@ func (o *planeOp) wait() error {
 // link is the demux of the link a name stands for: a child's, the parent's
 // or at the root the front end's; nil for none.
 func (o *planeOp) link(slot int) *linkDemux {
-	c := o.pl.c
 	switch {
-	case slot >= 0:
-		return c.demuxFor(c.children[slot])
-	case slot == above && c.parent != nil:
-		return c.demuxFor(c.parent)
-	case slot == above:
+	case slot == none:
+		return nil
+	case slot == above && o.pl.c.parent == nil:
 		return o.pl.fe
 	}
-	return nil
+	return o.pl.c.demux(slot)
 }
 
 // drain makes slot the link o takes frames from next, registering o on the
@@ -371,13 +391,13 @@ func (o *planeOp) sendOn(slot int, msg []byte) bool {
 // sever is how a lost link ends an operation, however it found out —
 // waiting, stalled on credit, sending after a combine charge: ErrSevered
 // wrapping the link's recorded failure (the failed send's, before the demux
-// has seen it), naming rank, op and tag.
+// has seen it), naming the rank (who), op and tag.
 func (o *planeOp) sever(d *linkDemux, err error) {
 	cause := d.failure()
 	if cause == nil {
 		cause = fmt.Errorf("%w: %v", ErrSevered, err)
 	}
-	o.finish(fmt.Errorf("rank %d: %v tag %d: %w", o.pl.c.rank, o.op, o.tag, cause))
+	o.finish(fmt.Errorf("%s: %v tag %d: %w", o.pl.c.who(), o.op, o.tag, cause))
 }
 
 // finish ends o at this rank and wakes the daemon. A failed operation
@@ -457,22 +477,26 @@ func upOnly[T any](_ T, err error) error { return err }
 
 // Broadcast receives one FE-originated broadcast, forwarding every chunk
 // to the children as it arrives, and returns the reassembled payload.
-func (pl *Plane) Broadcast() ([]byte, error) { return pl.broadcast(pl.nextTag(), nil) }
+func (pl *Plane) Broadcast() ([]byte, error) {
+	return pl.broadcast(coll.OpBroadcast, pl.nextTag(), nil)
+}
 
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
-func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) { return pl.broadcast(tag, pl.userTag(tag)) }
+func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
+	return pl.broadcast(coll.OpBroadcast, tag, pl.userTag(tag))
+}
 
-// broadcastOp is a Broadcast at one rank: the whole of what a daemon
-// parked in one holds, its assembler by value.
+// broadcastOp is a Broadcast at one rank, or a Reduce at the front end: the
+// whole of what a daemon parked in one holds, its assembler by value.
 type broadcastOp struct {
 	planeOp
 	asm coll.RawAssembler
 	got []byte
 }
 
-func (pl *Plane) broadcast(tag uint32, err error) ([]byte, error) {
+func (pl *Plane) broadcast(op coll.Op, tag uint32, err error) ([]byte, error) {
 	b := new(broadcastOp)
-	if b.start(pl, b, coll.OpBroadcast, tag, err) {
+	if b.start(pl, b, op, tag, err) {
 		b.drain(above)
 	}
 	if err := b.wait(); err != nil {
@@ -585,25 +609,25 @@ func (pl *Plane) GatherTag(tag uint32, mine []byte) error {
 // gatherOp is a Gather or an AllGather at one rank: this subtree's
 // entries go up — its own first, then each child subtree's, drained in
 // slot order and validated for per-link sequencing and entry count — and
-// an AllGather's rank table comes back down (the root assembles it).
+// an AllGather's rank table comes back down (the root assembles it). At
+// the front end a Gather is that down phase alone.
 type gatherOp struct {
 	planeOp
 	pk    coll.Packer   // the entries going up
 	in    coll.SeqCheck // the child being drained
 	sub   uint64        // the entries it has sent
 	table [][]byte      // an AllGather's result; at the root, assembled here
-	have  int
+	n     int           // the ranks a table holds: the tree's, at the front end the fabric's
 	down  coll.RankAssembler
 }
 
 func (pl *Plane) gather(op coll.Op, tag uint32, err error, mine []byte) ([][]byte, error) {
-	g := new(gatherOp)
+	g := &gatherOp{n: pl.c.size}
 	if g.start(pl, g, op, tag, err) {
 		g.pk = coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: g.emitUp}
 		if op == coll.OpAllGather && pl.c.parent == nil {
-			g.table = make([][]byte, pl.c.size)
+			g.table = make([][]byte, g.n)
 			g.table[pl.c.rank] = append([]byte{}, mine...) // non-nil marks a slot filled
-			g.have = 1
 		} else {
 			g.pk.Add(coll.Entry{Rank: pl.c.rank, Blob: mine}) // the first entry never flushes
 		}
@@ -625,11 +649,11 @@ func (g *gatherOp) next(slot int) error {
 	case slot < len(g.pl.c.children):
 		g.drain(slot)
 	case g.table != nil:
-		if g.have != len(g.table) {
-			return fmt.Errorf("%w: allgather assembled %d of %d contributions", ErrProtocol, g.have, len(g.table))
-		}
 		entries := make([]coll.Entry, len(g.table))
 		for rk, blob := range g.table {
+			if blob == nil {
+				return fmt.Errorf("%w: allgather assembled no contribution of rank %d", ErrProtocol, rk)
+			}
 			entries[rk] = coll.Entry{Rank: rk, Blob: blob}
 		}
 		g.redistribute(coll.EntryFrames(coll.OpAllGather, g.tag, entries, g.pl.chunkBytes))
@@ -647,7 +671,7 @@ func (g *gatherOp) frame(f coll.Frame) error {
 	if g.slot == above {
 		end, err := g.relay(f, &g.down)
 		if end && err == nil {
-			g.table, err = g.down.Finish(f.H, f.Total, g.pl.c.size)
+			g.table, err = g.down.Finish(f.H, f.Total, g.n)
 		}
 		return err
 	}
@@ -657,7 +681,7 @@ func (g *gatherOp) frame(f coll.Frame) error {
 	if f.End {
 		if g.sub != f.Total {
 			return fmt.Errorf("%w: child %d forwarded %d %v entries, end marker says %d",
-				ErrProtocol, g.pl.c.childRk[g.slot], g.sub, g.op, f.Total)
+				ErrProtocol, g.pl.c.childRank(g.slot), g.sub, g.op, f.Total)
 		}
 		g.in, g.sub = coll.SeqCheck{}, 0
 		return g.next(g.slot + 1)
@@ -686,7 +710,6 @@ func (g *gatherOp) add(e coll.Entry) error {
 			ErrProtocol, e.Rank, len(g.table))
 	}
 	g.table[e.Rank] = append([]byte{}, e.Blob...)
-	g.have++
 	return nil
 }
 
@@ -772,7 +795,7 @@ func (r *reduceOp) frame(f coll.Frame) error {
 	}
 	if f.H.Filter != r.filter {
 		return fmt.Errorf("%w: child %d reduces with filter %q, this node with %q",
-			ErrProtocol, r.pl.c.childRk[r.slot], f.H.Filter, r.filter)
+			ErrProtocol, r.pl.c.childRank(r.slot), f.H.Filter, r.filter)
 	}
 	if !f.End {
 		return r.asm.Add(f.H, f.Body)

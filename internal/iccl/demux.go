@@ -78,24 +78,25 @@ type tagLink struct {
 func (c *Comm) demuxLinks() {
 	c.dmMu.Lock()
 	defer c.dmMu.Unlock()
-	if c.demux != nil {
+	if c.demuxes.Load() != nil {
 		return
 	}
-	c.demux = make(map[*simnet.Conn]*linkDemux, len(c.children)+1)
-	if c.parent != nil {
-		c.demux[c.parent] = c.newLinkDemux(c.parent)
+	ds := make([]*linkDemux, 1+len(c.children))
+	for i := range ds {
+		if conn := c.conn(i - 1); conn != nil {
+			ds[i] = c.newLinkDemux(conn)
+		}
 	}
-	for _, conn := range c.children {
-		c.demux[conn] = c.newLinkDemux(conn)
-	}
+	c.demuxes.Store(&ds)
 }
 
-// demuxFor returns the demux owning conn, or nil while the daemon still
-// reads its tree links directly.
-func (c *Comm) demuxFor(conn *simnet.Conn) *linkDemux {
-	c.dmMu.Lock()
-	defer c.dmMu.Unlock()
-	return c.demux[conn]
+// demux returns the demux of the link a slot names (above at the root: nil),
+// or nil while the daemon still reads its tree links directly.
+func (c *Comm) demux(slot int) *linkDemux {
+	if ds := c.demuxes.Load(); ds != nil {
+		return (*ds)[1+slot]
+	}
+	return nil
 }
 
 // SerialFramer charges the frames of one event-driven link the way a

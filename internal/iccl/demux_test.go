@@ -89,7 +89,7 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 					}
 				})
 			} else {
-				d := c.demuxFor(conn)
+				d := c.demux(0)
 				d.hb.Handle(func(_ []byte, ok bool) {
 					if ok {
 						got["hb"] = append(got["hb"], sim.Now())

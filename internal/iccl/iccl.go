@@ -18,7 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -79,14 +81,14 @@ type Comm struct {
 	cfg  Config
 	rank int
 	size int
+	name string // a front end's plane's: what its errors call it (who)
 
 	parent   *simnet.Conn     // nil at root
 	children []*simnet.Conn   // indexed by child slot
-	childRk  []int            // rank of each child slot
 	l        *simnet.Listener // where children join; closed once bootstrap returns
 
-	dmMu  sync.Mutex
-	demux map[*simnet.Conn]*linkDemux // set by demuxLinks, nil before
+	dmMu    sync.Mutex                   // serializes demuxLinks
+	demuxes atomic.Pointer[[]*linkDemux] // published once by demuxLinks: the parent's, then the children's in slot order
 
 	// Metric handles, interned once at bootstrap (nil = obs off; all
 	// methods on nil handles no-op).
@@ -155,39 +157,58 @@ type Link struct {
 // connections down.
 func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 	c.demuxLinks()
-	mklink := func(conn *simnet.Conn, rank int) *Link {
+	mklink := func(slot, rank int) *Link {
+		conn := c.conn(slot)
 		return &Link{
 			Rank: rank,
 			Send: func(payload []byte) error {
 				return lmonp.SendFrame(conn, append(newFrame(opHeartbeat, len(payload)), payload...))
 			},
-			Recv: &c.demuxFor(conn).hb,
+			Recv: &c.demux(slot).hb,
 		}
 	}
 	if c.parent != nil {
-		parent = mklink(c.parent, Parent(c.rank, c.cfg.Fanout))
+		parent = mklink(above, Parent(c.rank, c.cfg.Fanout))
 	}
 	children = make([]*Link, len(c.children))
-	for slot, conn := range c.children {
-		children[slot] = mklink(conn, c.childRk[slot])
+	for slot := range c.children {
+		children[slot] = mklink(slot, c.childRank(slot))
 	}
 	return parent, children
 }
 
-// recvRaw reads one raw non-plane frame from a tree connection: from the
-// link demux's base queue once it owns the connection (demuxLinks),
-// directly off the connection before. The ICCL per-message cost is
-// charged exactly once either way: here on the direct path, by the
-// demux's framer otherwise.
-func (c *Comm) recvRaw(conn *simnet.Conn) ([]byte, error) {
-	if d := c.demuxFor(conn); d != nil {
+// conn is the tree connection a slot names: a child's, or above the parent's.
+func (c *Comm) conn(slot int) *simnet.Conn {
+	if slot == above {
+		return c.parent
+	}
+	return c.children[slot]
+}
+
+// childRank is the rank of the child in slot, by the tree's heap layout.
+func (c *Comm) childRank(slot int) int { return c.rank*c.cfg.Fanout + 1 + slot }
+
+// who names this end of the plane in errors: its rank, or the front end.
+func (c *Comm) who() string {
+	if c.name != "" {
+		return c.name
+	}
+	return "rank " + strconv.Itoa(c.rank)
+}
+
+// recvRaw reads one raw non-plane frame from the tree link a slot names: from
+// its demux's base queue once that owns the connection (demuxLinks), directly
+// off it before. The ICCL per-message cost is charged exactly once either
+// way: here on the direct path, by the demux's framer otherwise.
+func (c *Comm) recvRaw(slot int) ([]byte, error) {
+	if d := c.demux(slot); d != nil {
 		raw, ok := d.base.Recv()
 		if !ok {
 			return nil, d.failure()
 		}
 		return raw, nil
 	}
-	return c.readCharged(conn)
+	return c.readCharged(c.conn(slot))
 }
 
 // readCharged reads one frame straight off a tree link, charging the
@@ -414,7 +435,6 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
 // acceptChildren accepts and validates one join per expected child.
 func (c *Comm) acceptChildren(kids []int, s *Seed) error {
 	c.children = make([]*simnet.Conn, len(kids))
-	c.childRk = append([]int(nil), kids...)
 	for range kids {
 		conn, err := c.l.Accept()
 		if err != nil {
@@ -491,10 +511,10 @@ func (c *Comm) Close() {
 	}
 }
 
-// recvOp reads one bootstrap-era collective frame from conn, checks its
-// opcode, and returns the body behind it.
-func (c *Comm) recvOp(conn *simnet.Conn, want uint32) ([]byte, error) {
-	frame, err := c.recvRaw(conn)
+// recvOp reads one bootstrap-era collective frame from the link a slot
+// names, checks its opcode, and returns the body behind it.
+func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
+	frame, err := c.recvRaw(slot)
 	if err != nil {
 		return nil, err
 	}
@@ -511,8 +531,8 @@ func (c *Comm) recvOp(conn *simnet.Conn, want uint32) ([]byte, error) {
 
 // Barrier blocks until every daemon has entered it.
 func (c *Comm) Barrier() error {
-	for _, conn := range c.children {
-		if _, err := c.recvOp(conn, opBarrier); err != nil {
+	for slot := range c.children {
+		if _, err := c.recvOp(slot, opBarrier); err != nil {
 			return err
 		}
 	}
@@ -520,7 +540,7 @@ func (c *Comm) Barrier() error {
 		if err := c.send(c.parent, newFrame(opBarrier, 0)); err != nil {
 			return err
 		}
-		if _, err := c.recvOp(c.parent, opRelease); err != nil {
+		if _, err := c.recvOp(above, opRelease); err != nil {
 			return err
 		}
 	}
@@ -540,7 +560,7 @@ func (c *Comm) Barrier() error {
 // sends that one buffer on every child link.
 func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 	if c.parent != nil {
-		body, err := c.recvOp(c.parent, opBcast)
+		body, err := c.recvOp(above, opBcast)
 		if err != nil {
 			return nil, err
 		}
@@ -601,8 +621,8 @@ func entriesFrame(op uint32, entries []coll.Entry) []byte {
 // plus every child subtree's entry list.
 func (c *Comm) gatherChildren(mine []byte) ([]coll.Entry, error) {
 	entries := []coll.Entry{{Rank: c.rank, Blob: mine}}
-	for _, conn := range c.children {
-		body, err := c.recvOp(conn, opGather)
+	for slot := range c.children {
+		body, err := c.recvOp(slot, opGather)
 		if err != nil {
 			return nil, err
 		}
@@ -630,8 +650,8 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	for _, conn := range c.children {
-		body, err := c.recvOp(conn, opFold)
+	for slot := range c.children {
+		body, err := c.recvOp(slot, opFold)
 		if err != nil {
 			return nil, err
 		}
@@ -663,7 +683,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 			entries[rk] = coll.Entry{Rank: rk, Blob: p}
 		}
 	} else {
-		body, err := c.recvOp(c.parent, opScatter)
+		body, err := c.recvOp(above, opScatter)
 		if err != nil {
 			return nil, err
 		}

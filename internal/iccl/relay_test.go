@@ -81,7 +81,7 @@ func (r *relayRig) run(t *testing.T, fanout int, body func(c *Comm, p *cluster.P
 // queuedOnParentLink is how many frames of the test's stream wait in c's
 // parent-link tag queue.
 func queuedOnParentLink(c *Comm) int {
-	d := c.demuxFor(c.parent)
+	d := c.demux(above)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if s := d.find(relayTag); s != nil {

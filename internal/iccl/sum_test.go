@@ -31,7 +31,7 @@ func TestChunkSumsOnTreeLinks(t *testing.T) {
 			switch c.Rank() {
 			case 0:
 				p.Sim().Sleep(time.Second)
-				d := c.demuxFor(c.children[0])
+				d := c.demux(0)
 				d.mu.Lock()
 				if s := d.find(tag); s != nil {
 					got = append(got, s.q[s.head:]...)

@@ -12,7 +12,8 @@
 //	benchdiff -baseline ci/bench_baseline.json -write BENCH_smoke_*.json  # regenerate
 //
 // Metrics are keyed <file-stem>[<row>].<Field> for every numeric field of
-// every row (sweep rows are emitted in deterministic order). The gate
+// every row (sweep rows are emitted in deterministic order), and
+// <file-stem>[<row>].<Field>.<Sub> inside a nested object. The gate
 // fails on: a metric drifting more than -tolerance in either direction
 // (an unexplained improvement is as much a behaviour change as a
 // regression) or a baseline metric missing from the current run. A metric
@@ -71,13 +72,22 @@ func extract(path string) (map[string]float64, error) {
 	stem = strings.TrimPrefix(stem, "BENCH_")
 	out := make(map[string]float64)
 	for i, row := range rows {
-		for field, v := range row {
-			if num, ok := v.(float64); ok {
-				out[fmt.Sprintf("%s[%d].%s", stem, i, field)] = num
-			}
-		}
+		flatten(out, fmt.Sprintf("%s[%d]", stem, i), row)
 	}
 	return out, nil
+}
+
+// flatten adds every numeric field of obj to out as <prefix>.<Field>, and
+// those of a nested object as <prefix>.<Field>.<Sub>.
+func flatten(out map[string]float64, prefix string, obj map[string]any) {
+	for field, v := range obj {
+		switch v := v.(type) {
+		case float64:
+			out[prefix+"."+field] = v
+		case map[string]any:
+			flatten(out, prefix+"."+field, v)
+		}
+	}
 }
 
 // stemsOf returns the set of file stems a metric map covers.

@@ -125,7 +125,7 @@ func TestMergeReplacesOnlyGivenStems(t *testing.T) {
 
 func TestExtractKeysNumericFieldsByStemAndRow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_smoke_x.json")
-	rows := `[{"Mode":"cut-through","Daemons":8,"OK":true},{"Mode":"cut-through","Daemons":32,"Ready":1.5}]`
+	rows := `[{"Mode":"cut-through","Daemons":8,"OK":true},{"Mode":"cut-through","Daemons":32,"Ready":1.5,"Measured":{"Job":2,"Name":"x"}}]`
 	if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,8 @@ func TestExtractKeysNumericFieldsByStemAndRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"smoke_x[0].Daemons": 8, "smoke_x[1].Daemons": 32, "smoke_x[1].Ready": 1.5}
+	want := map[string]float64{"smoke_x[0].Daemons": 8, "smoke_x[1].Daemons": 32, "smoke_x[1].Ready": 1.5,
+		"smoke_x[1].Measured.Job": 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("extract = %v, want %v", got, want)
 	}

@@ -25,10 +25,14 @@ type BGLRow struct {
 	Measured perfmodel.Breakdown
 }
 
+// decompose is how breakdown decomposes; a test wraps it to read the
+// timelines too.
+var decompose = perfmodel.Decompose
+
 // breakdown launches sc and decomposes the session's e0→e11 timeline.
 func breakdown(sc Scenario) (b perfmodel.Breakdown, err error) {
 	sc.FE = func(r *Run) error {
-		b, err = perfmodel.Decompose(r.Sess.Timeline)
+		b, err = decompose(r.Sess.Timeline)
 		return err
 	}
 	_, err = sc.Run()
@@ -79,10 +83,8 @@ func BGLAblation() ([]BGLRow, error) {
 
 // FanoutRow is one ICCL tree shape measurement.
 type FanoutRow struct {
-	Fanout     int // 0 = flat (1-deep)
-	Setup      time.Duration
-	Collective time.Duration
-	Total      time.Duration
+	Fanout   int // 0 = flat (1-deep)
+	Measured perfmodel.Breakdown
 }
 
 // AblationFanout measures launchAndSpawn at 128 daemons across ICCL tree
@@ -100,7 +102,7 @@ func AblationFanout() ([]FanoutRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fanout ablation (%d): %w", fanout, err)
 		}
-		rows = append(rows, FanoutRow{Fanout: fanout, Setup: b.Setup, Collective: b.Collective, Total: b.Total})
+		rows = append(rows, FanoutRow{Fanout: fanout, Measured: b})
 	}
 	return rows, nil
 }
@@ -218,20 +220,23 @@ func AblationDebugEvents() ([]DebugEventsRow, error) {
 // PrintBGL renders the RM cost-profile rows.
 func PrintBGL(w io.Writer, rows []BGLRow) {
 	fmt.Fprintln(w, "Ablation — RM cost profile (64 daemons, 8 tasks/daemon)")
-	fmt.Fprintln(w, "rm           T(job)    T(daemon) tracing   total")
+	fmt.Fprintln(w, "rm           T(job)    T(daemon) tracing   overlap   other     total     lmon%")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %8.3fs %8.3fs %8.3fs %8.3fs\n", r.RM,
-			r.Measured.Job.Seconds(), r.Measured.DaemonSpawn.Seconds(),
-			r.Measured.Tracing.Seconds(), r.Measured.Total.Seconds())
+		m := r.Measured
+		fmt.Fprintf(w, "%-12s %8.3fs %8.3fs %8.3fs %8.3fs %8.3fs %8.3fs %6.2f\n", r.RM,
+			m.Job.Seconds(), m.DaemonSpawn.Seconds(), m.Tracing.Seconds(),
+			m.Overlap.Seconds(), m.Other.Seconds(), m.Total.Seconds(), 100*m.LaunchMONShare())
 	}
 }
 
 // PrintFanout renders the ICCL fan-out rows.
 func PrintFanout(w io.Writer, rows []FanoutRow) {
 	fmt.Fprintln(w, "Ablation — ICCL fan-out (128 daemons)")
-	fmt.Fprintln(w, "fanout    setup     collective total")
+	fmt.Fprintln(w, "fanout    setup     collective overlap   other     total     lmon%")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-9s %8.3fs %8.3fs %8.3fs\n", fanoutName(r.Fanout), r.Setup.Seconds(), r.Collective.Seconds(), r.Total.Seconds())
+		m := r.Measured
+		fmt.Fprintf(w, "%-9s %8.3fs %8.3fs %8.3fs %8.3fs %8.3fs %6.2f\n", fanoutName(r.Fanout), m.Setup.Seconds(),
+			m.Collective.Seconds(), m.Overlap.Seconds(), m.Other.Seconds(), m.Total.Seconds(), 100*m.LaunchMONShare())
 	}
 }
 

@@ -3,12 +3,15 @@ package bench
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"launchmon/internal/core"
+	"launchmon/internal/engine"
 	"launchmon/internal/iccl"
+	"launchmon/internal/perfmodel"
 )
 
 // The unit tests here run the generators at reduced scale and assert the
@@ -173,14 +176,62 @@ func TestFanoutAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := rows[0]
-	if flat.Fanout != 0 {
+	flat := rows[0].Measured
+	if rows[0].Fanout != 0 {
 		t.Fatal("first row not flat")
 	}
-	for _, r := range rows[1:] {
-		if r.Setup >= flat.Setup {
-			t.Errorf("fanout %d setup %v not below flat %v", r.Fanout, r.Setup, flat.Setup)
+	for _, r := range rows {
+		m := r.Measured
+		if r.Fanout != 0 && m.Setup >= flat.Setup {
+			t.Errorf("fanout %d setup %v not below flat %v", r.Fanout, m.Setup, flat.Setup)
 		}
+		// Cut-through: at every fan-out the RM's spawn hides the whole
+		// handshake, so none of it is LaunchMON's exposed share.
+		if m.Overlap != m.Setup+m.Collective {
+			t.Errorf("fanout %d overlap %v, want setup+collective %v", r.Fanout, m.Overlap, m.Setup+m.Collective)
+		}
+		if math.Abs(m.LaunchMONShare()-flat.LaunchMONShare()) > 1e-8 {
+			t.Errorf("fanout %d LaunchMON share %.9f, flat %.9f", r.Fanout, m.LaunchMONShare(), flat.LaunchMONShare())
+		}
+	}
+}
+
+// TestOtherIsItsNamedGaps holds every timeline -fig 3 and -ablations
+// decompose to the tiling: Other is e0→e2, e3→e5 less the fetch, the wait
+// from the spawn answer to the handshake, and e11 after both chains end.
+func TestOtherIsItsNamedGaps(t *testing.T) {
+	n := 0
+	decompose = func(tl engine.Timeline) (perfmodel.Breakdown, error) {
+		b, err := perfmodel.Decompose(tl)
+		if err != nil {
+			t.Error(err)
+			return b, err
+		}
+		n++
+		at := func(mark string) time.Duration { d, _ := tl.Get(mark); return d }
+		e6, e10 := at(engine.MarkE6), at(engine.MarkE10)
+		gaps := at(engine.MarkE2) - at(engine.MarkE0) + at(engine.MarkE5) - at(engine.MarkE3) - b.Fetch +
+			max(0, at(engine.MarkE7)-e6) + at(engine.MarkE11) - max(e6, e10)
+		if b.Other != gaps {
+			t.Errorf("Other %v, named gaps %v", b.Other, gaps)
+		}
+		if sum := b.Job + b.Tracing + b.Fetch + b.DaemonSpawn + b.Setup + b.Collective - b.Overlap + b.Other; sum != b.Total {
+			t.Errorf("components tile %v, total %v", sum, b.Total)
+		}
+		return b, nil
+	}
+	defer func() { decompose = perfmodel.Decompose }()
+	if _, err := Figure3(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BGLAblation(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationFanout(); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(Figure3Scales) + 4 + 4; n != want {
+		t.Errorf("decomposed %d timelines, want %d", n, want)
 	}
 }
 

@@ -180,9 +180,10 @@ func sweepTable[R, O any](t Table, full, smoke O, run func(O, []int) ([]R, error
 	}, plain(print))
 }
 
-// fixedTable is a table with no scales, options or smoke form.
-func fixedTable[R any](stem string, run func() ([]R, error), print func(io.Writer, []R)) Table {
-	return table(Table{Stem: stem}, func(Params, []int) ([]R, error) { return run() }, plain(print))
+// fixedTable is a table with no scales or options: its smoke form, if it
+// has a SmokeStem, is the table itself.
+func fixedTable[R any](t Table, run func() ([]R, error), print func(io.Writer, []R)) Table {
+	return table(t, func(Params, []int) ([]R, error) { return run() }, plain(print))
 }
 
 // plain adapts a printer that has no riders and checks nothing.
@@ -278,21 +279,21 @@ var Experiments = []Experiment{
 		Help:   "run one obs-on launch at K=1024 (capped by -maxk) and write its Perfetto trace JSON to this file (+ .metrics.json)",
 		Tables: []Table{table(Table{Scales: []int{1024}}, runTrace, plain(printTrace))}},
 	{Name: "figure 3", Flag: "fig", Arg: "3", Help: "regenerate one figure (3, 5 or 6)",
-		Tables: []Table{fixedTable("figure3", Figure3, PrintFigure3)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure3", SmokeStem: "smoke_figure3"}, Figure3, PrintFigure3)}},
 	{Name: "figure 5", Flag: "fig", Arg: "5",
-		Tables: []Table{fixedTable("figure5", Figure5, PrintFigure5)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure5"}, Figure5, PrintFigure5)}},
 	{Name: "figure 6", Flag: "fig", Arg: "6",
-		Tables: []Table{fixedTable("figure6", Figure6, PrintFigure6)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure6"}, Figure6, PrintFigure6)}},
 	{Name: "table 1", Flag: "table", Arg: "1", Help: "regenerate one table (1)",
-		Tables: []Table{fixedTable("table1", Table1, PrintTable1)}},
+		Tables: []Table{fixedTable(Table{Stem: "table1"}, Table1, PrintTable1)}},
 	{Name: "ablations", Flag: "ablations", Arg: "true", Help: "run the ablation benches",
 		Tables: []Table{
-			fixedTable("ablation_bgl", BGLAblation, PrintBGL),
-			fixedTable("ablation_fanout", AblationFanout, PrintFanout),
-			fixedTable("ablation_piggyback", AblationPiggyback, PrintPiggyback),
-			fixedTable("ablation_debug_events", AblationDebugEvents, PrintDebugEvents),
-			fixedTable("ablation_proctab", AblationProctab, PrintProctabAblation),
-			fixedTable("ablation_jobsnap_tree", AblationJobsnapTree, PrintJobsnapTree),
+			fixedTable(Table{Stem: "ablation_bgl"}, BGLAblation, PrintBGL),
+			fixedTable(Table{Stem: "ablation_fanout", SmokeStem: "smoke_ablation_fanout"}, AblationFanout, PrintFanout),
+			fixedTable(Table{Stem: "ablation_piggyback"}, AblationPiggyback, PrintPiggyback),
+			fixedTable(Table{Stem: "ablation_debug_events"}, AblationDebugEvents, PrintDebugEvents),
+			fixedTable(Table{Stem: "ablation_proctab"}, AblationProctab, PrintProctabAblation),
+			fixedTable(Table{Stem: "ablation_jobsnap_tree"}, AblationJobsnapTree, PrintJobsnapTree),
 			sweepTable(Table{Stem: "ablation_concurrent", SmokeStem: "smoke_concurrent", Scales: ConcurrentScales, Smoke: []int{1, 4}},
 				ConcurrentSessionOpts{NodesEach: 16, TasksPerNode: 8}, ConcurrentSessionOpts{NodesEach: 4, TasksPerNode: 2},
 				ConcurrentSessions, PrintConcurrent),

@@ -35,11 +35,9 @@ func measureLaunchAndSpawn(daemons, tasksPerDaemon int) (perfmodel.Breakdown, er
 	return breakdown(Scenario{Nodes: daemons, Opts: core.Options{
 		Job:    rm.JobSpec{Exe: "app", Nodes: daemons, TasksPerNode: tasksPerDaemon},
 		Daemon: rm.DaemonSpec{Exe: "f3_be"},
-		// Figure 3 reproduces the paper's serialized pipeline: the §4
-		// model decomposes the Figure 2 event chain, whose components
-		// (T(daemon), T(setup), T(collective)) are disjoint only when
-		// the phases do not overlap. The cut-through pipeline is
-		// measured by its own ablation (launchpipe.go).
+		// Figure 3 reproduces the paper's serialized pipeline, where no
+		// handshake time overlaps the spawn (Breakdown.Overlap is 0);
+		// the fan-out ablation decomposes cut-through launches.
 		SeedMode: core.SeedStoreForward,
 	}})
 }

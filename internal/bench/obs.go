@@ -209,17 +209,11 @@ type traceEvent struct {
 	Dur  float64 `json:"dur"`
 }
 
-// launchChains are the monotone mark chains a BE-only launch must
-// reproduce as spans ("a..b" per adjacent pair) in the exported trace.
-var launchChains = [][]string{
-	{engine.MarkE0, engine.MarkE1, engine.MarkE2, engine.MarkE3, engine.MarkE4,
-		engine.MarkE5, engine.MarkE6, engine.MarkE11},
-	{engine.MarkE5, engine.MarkE7, engine.MarkE8, engine.MarkE9, engine.MarkE10, engine.MarkE11},
-}
-
 // verifyTrace parses an exported trace and checks it is a loadable
-// trace-event array whose chain spans exist, never run backward, and
-// tile: each span of a chain ends exactly where the next one begins.
+// trace-event array whose spans along a back-end launch's two chains
+// (engine.EngineChain, engine.HandshakeChain; "a..b" per adjacent pair)
+// exist, never run backward, and tile: each span of a chain ends exactly
+// where the next one begins.
 func verifyTrace(data []byte) (spans, instants int, err error) {
 	var events []traceEvent
 	if err := json.Unmarshal(data, &events); err != nil {
@@ -242,7 +236,7 @@ func verifyTrace(data []byte) (spans, instants int, err error) {
 		}
 	}
 	const eps = 1e-6 // µs; timestamps are exact virtual-time divisions
-	for _, chain := range launchChains {
+	for _, chain := range [][]string{engine.EngineChain, engine.HandshakeChain} {
 		var prev *traceEvent
 		for i := 0; i+1 < len(chain); i++ {
 			name := chain[i] + ".." + chain[i+1]

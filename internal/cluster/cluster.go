@@ -324,21 +324,8 @@ func (n *Node) SpawnSystemProc(spec Spec) (*Proc, error) {
 	return n.spawn(spec)
 }
 
-// SpawnProcAsync is SpawnProc for callers that must not block (event
-// handlers running on the scheduler): the node's fork window is reserved
-// immediately — so concurrent forks serialize exactly as with SpawnProc —
-// and cb fires at the instant the fork completes, with the process
-// spawned at that same instant.
-func (n *Node) SpawnProcAsync(spec Spec, cb func(*Proc, error)) {
-	n.SpawnProcEvent(&Fork{Spec: spec, To: forkFunc(cb)})
-}
-
 // Forked is told how an asynchronous fork ended.
 type Forked interface{ Forked(p *Proc, err error) }
-
-type forkFunc func(*Proc, error)
-
-func (cb forkFunc) Forked(p *Proc, err error) { cb(p, err) }
 
 // Fork is an asynchronous fork as the scheduler event it is (vtime:
 // events are objects). Its caller owns it and may start it again once it
@@ -353,7 +340,11 @@ type Fork struct {
 // Fire spawns the process at the instant its fork window ends.
 func (f *Fork) Fire() { f.To.Forked(f.node.spawn(f.Spec)) }
 
-// SpawnProcEvent is SpawnProcAsync for a caller that holds its Fork.
+// SpawnProcEvent is SpawnProc for callers that must not block (event
+// handlers running on the scheduler): the node's fork window is reserved
+// immediately — so concurrent forks serialize exactly as with SpawnProc —
+// and f fires at the instant the fork completes, spawning the process and
+// reporting it to f.To at that same instant.
 func (n *Node) SpawnProcEvent(f *Fork) {
 	f.node = n
 	n.cl.sim.AfterEvent(n.reserveFork(), f)

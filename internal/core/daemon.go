@@ -33,21 +33,15 @@ type fabricProfile struct {
 	class lmonp.MsgClass
 	role  transport.Role
 
-	markNetStart  string // master: handshake consumed, fabric setup begins
-	markNetDone   string // master: tree fully connected
-	markSeedValid string // every rank: reassembled seed validated
+	marks *engine.FabricMarks // by reference: every daemon's session holds a profile
 }
 
 var (
 	beFabric = fabricProfile{
-		kind: "BE", class: lmonp.ClassFEBE, role: transport.RoleBE,
-		markNetStart: engine.MarkE8, markNetDone: engine.MarkE9,
-		markSeedValid: engine.MarkSeedValid,
+		kind: "BE", class: lmonp.ClassFEBE, role: transport.RoleBE, marks: &engine.BEMarks,
 	}
 	mwFabric = fabricProfile{
-		kind: "MW", mw: true, class: lmonp.ClassFEMW, role: transport.RoleMW,
-		markNetStart: engine.MarkMW8, markNetDone: engine.MarkMW9,
-		markSeedValid: engine.MarkMWSeedValid,
+		kind: "MW", mw: true, class: lmonp.ClassFEMW, role: transport.RoleMW, marks: &engine.MWMarks,
 	}
 )
 
@@ -149,7 +143,7 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 	if err := seed.Wait(); err != nil {
 		return err
 	}
-	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
+	d.tl.Mark(d.fab.marks.SeedValid, d.p.Sim().Now())
 	return d.completeInit(env)
 }
 
@@ -209,7 +203,7 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.tl.Mark(d.fab.markNetStart, d.p.Sim().Now())
+	d.tl.Mark(d.fab.marks.NetStart, d.p.Sim().Now())
 	return handshake.UsrData, nil
 }
 
@@ -282,7 +276,7 @@ func (d *daemonSession) initStoreForward(env *bootEnv) error {
 	if d.tab, d.feData, err = distributeSessionSeed(comm, masterTab, feData); err != nil {
 		return err
 	}
-	d.tl.Mark(d.fab.markSeedValid, d.p.Sim().Now())
+	d.tl.Mark(d.fab.marks.SeedValid, d.p.Sim().Now())
 	d.myTab = d.tab.OnHost(d.p.Node().Name())
 	return d.completeInit(env)
 }
@@ -292,7 +286,7 @@ func (d *daemonSession) initStoreForward(env *bootEnv) error {
 func (d *daemonSession) adopt(comm *iccl.Comm) {
 	d.comm = comm
 	if comm.IsMaster() {
-		d.tl.Mark(d.fab.markNetDone, d.p.Sim().Now())
+		d.tl.Mark(d.fab.marks.NetDone, d.p.Sim().Now())
 	}
 }
 

@@ -190,8 +190,7 @@ func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) 
 	if s.ep, err = fe.mux.Open(s.ID); err != nil {
 		return nil, err
 	}
-	relay := &seedRelay{fab: &s.be, feData: opts.FEData,
-		markAccept: engine.MarkE7, markFwd: engine.MarkSeedFwd, markReady: engine.MarkE10}
+	relay := &seedRelay{fab: &s.be, feData: opts.FEData}
 	if err := s.launchFabric(&s.be, relay, func() error { return s.launch(opts, attach, relay) }); err != nil {
 		return nil, err
 	}

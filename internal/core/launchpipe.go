@@ -78,8 +78,6 @@ type seedRelay struct {
 	due, bound time.Duration // armed at the RM's spawn answer: when next gives up (0: never), and why
 	k          int           // the fabric's daemon count
 
-	markAccept, markFwd, markReady string
-
 	done  bool            // the master reported ready, with
 	infos []DaemonInfo    // its daemon set and
 	tl    engine.Timeline // its marks, merged with the relay's
@@ -177,9 +175,9 @@ func (r *seedRelay) flush() error {
 	if r.conn == nil || len(r.queued) == 0 {
 		return nil
 	}
-	s := r.fab.s
-	if _, marked := r.tl.Get(r.markFwd); !marked {
-		r.tl.Mark(r.markFwd, s.p.Sim().Now())
+	s, mark := r.fab.s, r.fab.prof.marks.SeedFwd
+	if _, marked := r.tl.Get(mark); !marked {
+		r.tl.Mark(mark, s.p.Sim().Now())
 	}
 	for _, m := range r.queued {
 		if m.Type == lmonp.TypeProctabChunk {
@@ -207,7 +205,7 @@ func (r *seedRelay) input(in feIn) error {
 	case in.err != nil:
 		return fmt.Errorf("core: awaiting %s master ready: %w", prof.kind, in.err)
 	case in.conn != nil:
-		r.tl.Mark(r.markAccept, s.p.Sim().Now())
+		r.tl.Mark(prof.marks.Accept, s.p.Sim().Now())
 		// FEData rides the handshake ahead of the proctab stream, so every
 		// daemon has its bootstrap data before the first table chunk lands.
 		if err := in.conn.Send(&lmonp.Msg{Class: prof.class, Type: lmonp.TypeHandshake, UsrData: r.feData}); err != nil {
@@ -218,7 +216,7 @@ func (r *seedRelay) input(in feIn) error {
 	case in.msg.Class != prof.class || in.msg.Type != lmonp.TypeReady:
 		return fmt.Errorf("core: awaiting %s master ready: got %v/%v", prof.kind, in.msg.Class, in.msg.Type)
 	default:
-		r.tl.Mark(r.markReady, s.p.Sim().Now())
+		r.tl.Mark(prof.marks.Ready, s.p.Sim().Now())
 		infos, masterTL, obsBlob, err := decodeReady(in.msg.Payload)
 		if err != nil {
 			return err

@@ -22,33 +22,11 @@ import (
 // every-rank-validates-before-DaemonsSpawned invariant, byte-identical
 // tables under both seed pipelines, and mid-stream fault surfacing.
 
-// launchChains is the documented partial order of the critical-path
-// marks (engine/timeline.go): the engine chain and the handshake chain
-// are each monotone in virtual time; under cut-through the two overlap
-// between e5 and e11 (e7–e9 may precede e6).
-var launchChains = [][]string{
-	{engine.MarkE0, engine.MarkE1, engine.MarkE2, engine.MarkE3,
-		engine.MarkE4, engine.MarkE5, engine.MarkE6, engine.MarkE11},
-	{engine.MarkE5, engine.MarkE7, engine.MarkE8, engine.MarkE9,
-		engine.MarkE10, engine.MarkE11},
-}
-
-// assertLaunchChains checks every chain's marks are present and monotone.
+// assertLaunchChains checks tl against the back-end launch's two chains.
 func assertLaunchChains(t *testing.T, label string, tl engine.Timeline) {
 	t.Helper()
-	for _, chain := range launchChains {
-		prev := time.Duration(-1)
-		for _, name := range chain {
-			at, ok := tl.Get(name)
-			if !ok {
-				t.Errorf("%s: mark %s missing", label, name)
-				continue
-			}
-			if at < prev {
-				t.Errorf("%s: mark %s at %v precedes previous %v", label, name, at, prev)
-			}
-			prev = at
-		}
+	if err := tl.CheckChains(engine.EngineChain, engine.HandshakeChain); err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
 }
 
@@ -317,12 +295,12 @@ func TestReadyBoundHeadroom(t *testing.T) {
 				t.Errorf("%+v: %v", sh, err)
 				return
 			}
-			from, to := engine.MarkE6, engine.MarkE10
+			marks := engine.BEMarks
 			if sh.mw {
-				from, to = engine.MarkMW6, engine.MarkMW10
+				marks = engine.MWMarks
 			}
-			answer, _ := s.Timeline.Get(from)
-			ready, _ := s.Timeline.Get(to)
+			answer, _ := s.Timeline.Get(marks.SpawnDone)
+			ready, _ := s.Timeline.Get(marks.Ready)
 			measured = append(measured, row{sh, ready - answer})
 			s.Kill()
 		})

@@ -46,8 +46,7 @@ type MWOptions struct {
 // validation; the MW marks form their own monotone chain m7≤m8≤m9≤m10 in
 // Session.Timeline.
 func (s *Session) LaunchMW(opts MWOptions) (nodes []string, err error) {
-	relay := &seedRelay{fab: &s.mw, feData: opts.FEData,
-		markAccept: engine.MarkMW7, markFwd: engine.MarkMWSeedFwd, markReady: engine.MarkMW10}
+	relay := &seedRelay{fab: &s.mw, feData: opts.FEData}
 	err = s.launchFabric(&s.mw, relay, func() error {
 		nodes, err = s.launchMW(opts, relay)
 		return err
@@ -106,7 +105,7 @@ func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 		default:
 			spawned = true
 			if nodes, err = decodeSpawned(in.msg.Payload); err == nil {
-				relay.tl.Mark(engine.MarkMW6, s.p.Sim().Now())
+				relay.tl.Mark(relay.fab.prof.marks.SpawnDone, s.p.Sim().Now())
 				relay.arm(opts.Nodes, opts.ICCLFanout, SeedCutThrough)
 			}
 		}

@@ -23,13 +23,6 @@ import (
 // mid-session) exactly like BE faults, and the MW collective plane must
 // report the terminal fault detail on a torn-down session.
 
-// mwChain is the documented monotone order of the MW seed marks
-// (engine/timeline.go): the chain starts after the session established
-// (e11) because middleware can only be requested on a live session.
-var mwChain = []string{
-	engine.MarkE11, engine.MarkMW7, engine.MarkMW8, engine.MarkMW9, engine.MarkMW10,
-}
-
 // seedHash fingerprints a daemon's reassembled seed (table + FEData).
 func seedHash(tab, feData []byte) []byte {
 	h := fnv.New64a()
@@ -110,17 +103,14 @@ func TestMWSeedByteIdenticalBothBEPipelines(t *testing.T) {
 				}
 				// The MW chain is monotone and the cut-through overlap mark
 				// is present.
-				prev := time.Duration(-1)
-				for _, name := range mwChain {
-					at, ok := s.Timeline.Get(name)
-					if !ok {
-						t.Errorf("mark %s missing", name)
-						continue
-					}
-					if at < prev {
-						t.Errorf("mark %s at %v precedes previous %v", name, at, prev)
-					}
-					prev = at
+				if err := s.Timeline.CheckChains(engine.MWChain); err != nil {
+					t.Error(err)
+				}
+				// The chain starts after the session established: middleware
+				// can only be requested on a live session.
+				e11, _ := s.Timeline.Get(engine.MarkE11)
+				if start, _ := s.Timeline.Get(engine.MWChain[0]); start < e11 {
+					t.Errorf("MW chain starts at %v, before e11 at %v", start, e11)
 				}
 				if _, ok := s.Timeline.Get(engine.MarkMWSeedValid); !ok {
 					t.Error("MW master mw_seed_validated mark missing from merged timeline")

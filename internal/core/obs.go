@@ -118,17 +118,6 @@ func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	return snap, nil
 }
 
-// traceChains are the monotone mark chains of the launch pipeline
-// (engine chain, handshake chain, MW chain — see internal/engine's mark
-// docs); WriteTrace synthesizes one span per adjacent mark pair, so the
-// exported trace reproduces the chains' partial order visually.
-var traceChains = [][]string{
-	{engine.MarkE0, engine.MarkE1, engine.MarkE2, engine.MarkE3, engine.MarkE4,
-		engine.MarkE5, engine.MarkE6, engine.MarkE11},
-	{engine.MarkE5, engine.MarkE7, engine.MarkE8, engine.MarkE9, engine.MarkE10, engine.MarkE11},
-	{engine.MarkMW7, engine.MarkMW8, engine.MarkMW9, engine.MarkMW10},
-}
-
 // durationMarks are duration-valued timeline entries (not timestamps);
 // they make no sense as trace instants and are skipped.
 var durationMarks = map[string]bool{
@@ -138,7 +127,8 @@ var durationMarks = map[string]bool{
 
 // WriteTrace exports the session as a Chrome/Perfetto trace-event JSON
 // array: the live FE spans (seed relay, collective operations), one
-// synthesized span per adjacent pair of each monotone mark chain, and
+// synthesized span per adjacent pair of each of engine.Chains, so the
+// trace shows the marks' partial order, and
 // every timestamp mark of the merged Timeline as an instant event. Load
 // the output in ui.perfetto.dev or chrome://tracing.
 func (s *Session) WriteTrace(w io.Writer) error {
@@ -157,7 +147,7 @@ func (s *Session) WriteTrace(w io.Writer) error {
 			rec.Instant(e.Name, -1, e.At)
 		}
 	}
-	for _, chain := range traceChains {
+	for _, chain := range engine.Chains {
 		for i := 0; i+1 < len(chain); i++ {
 			a, okA := s.Timeline.Get(chain[i])
 			b, okB := s.Timeline.Get(chain[i+1])

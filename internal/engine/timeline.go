@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -10,15 +11,7 @@ import (
 // The critical-path events of launchAndSpawn (paper §4, Figure 2). Marks
 // record the virtual time each event occurred; the perfmodel package turns
 // mark differences into the Region A/B/C component breakdown of Figure 3.
-//
-// Under the cut-through launch pipeline (the default; see DESIGN.md "Life
-// of a session") the marks form a partial order, not a single chain: the
-// engine chain e0≤e1≤…≤e6≤e11 and the handshake chain e5≤e7≤e8≤e9≤e10≤e11
-// each stay monotone, but e7–e9 may precede e6 — the master daemon dials
-// the front end, receives the handshake and starts forming the ICCL tree
-// while the RM is still spawning its sibling daemons. The store-and-forward
-// pipeline (core.SeedStoreForward, the paper's serialized Figure 2 shape)
-// keeps the full e0…e11 chain monotone.
+// They are partially ordered: Chains below lists what is monotone.
 const (
 	MarkE0  = "e0_fe_call"         // client calls the FE API
 	MarkE1  = "e1_engine_start"    // LaunchMON engine invoked
@@ -50,13 +43,9 @@ const (
 	MarkSeedValid = "seed_validated"     // daemon-side assembler validated the reassembled RPDTAB
 )
 
-// Middleware seed-chain marks (timestamps): LaunchMW distributes the
-// same session seed over the MW fabric, and its events form their own
-// monotone chain m7≤m8≤m9≤m10 — the MW analogue of the back-end
-// handshake chain e7≤e8≤e9≤e10, starting after e11 (the session must be
-// established before middleware daemons can be requested). m6, like e6,
-// stands outside it: the RM's spawn answer, from which the front end
-// bounds the MW master's connect and ready.
+// Middleware marks (timestamps): LaunchMW distributes the same session
+// seed over the MW fabric after e11, and its events are the back-end
+// fabric's from e6 on under an m prefix.
 const (
 	MarkMW6         = "m6_mw_spawn_done"      // FE received the RM's answer to the MW spawn request
 	MarkMW7         = "m7_mw_handshake_start" // FE accepted the MW master's dial, handshake begins
@@ -66,6 +55,50 @@ const (
 	MarkMWSeedFwd   = "mw_seed_first_forward" // FE relayed the first seed chunk to the MW master
 	MarkMWSeedValid = "mw_seed_validated"     // MW-daemon assembler validated the reassembled RPDTAB
 )
+
+// FabricMarks is one daemon fabric's set of marks: the RM's answer to its
+// spawn request, from which the front end bounds the master's connect and
+// ready, its handshake chain, and its seed stream's two.
+type FabricMarks struct {
+	SpawnDone, Accept, NetStart, NetDone, Ready string
+	SeedFwd, SeedValid                          string
+}
+
+// The back-end and middleware fabrics' mark sets.
+var (
+	BEMarks = FabricMarks{MarkE6, MarkE7, MarkE8, MarkE9, MarkE10, MarkSeedFwd, MarkSeedValid}
+	MWMarks = FabricMarks{MarkMW6, MarkMW7, MarkMW8, MarkMW9, MarkMW10, MarkMWSeedFwd, MarkMWSeedValid}
+)
+
+// The chains of the marks' partial order: each is monotone on every
+// launch, and nothing orders two marks that share no chain. The
+// store-and-forward pipeline (the paper's serialized Figure 2) also keeps
+// e6≤e7, but under cut-through, the default, the master dials, takes the
+// handshake and forms the tree while the RM still spawns its siblings, so
+// e7–e10 may precede e6. The MW chain starts after e11.
+var (
+	EngineChain    = []string{MarkE0, MarkE1, MarkE2, MarkE3, MarkE4, MarkE5, MarkE6, MarkE11}
+	HandshakeChain = []string{MarkE5, MarkE7, MarkE8, MarkE9, MarkE10, MarkE11}
+	MWChain        = []string{MarkMW7, MarkMW8, MarkMW9, MarkMW10}
+	Chains         = [][]string{EngineChain, HandshakeChain, MWChain}
+)
+
+// CheckChains reports the first mark of chains that is missing or that
+// precedes its predecessor in its chain, naming both.
+func (t *Timeline) CheckChains(chains ...[]string) error {
+	for _, chain := range chains {
+		for i, name := range chain {
+			at, ok := t.Get(name)
+			if !ok {
+				return fmt.Errorf("timeline missing mark %s", name)
+			}
+			if prev, _ := t.Get(chain[max(i-1, 0)]); at < prev {
+				return fmt.Errorf("mark %s at %v precedes %s at %v", name, at, chain[i-1], prev)
+			}
+		}
+	}
+	return nil
+}
 
 // MarkEntry is one named timestamp or duration on a Timeline.
 type MarkEntry struct {

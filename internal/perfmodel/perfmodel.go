@@ -18,8 +18,11 @@ import (
 // Region A (RM dominant): Job, DaemonSpawn, Setup, Collective, plus
 // LaunchMON's only contribution there, Tracing. Region B: Fetch (RPDTAB).
 // Region C: Collective/handshake costs at the front end. Other collects
-// the scale-independent local operations (T(e0,e2), T(e10,e11), engine
-// start).
+// the scale-independent gaps: e0→e2, e3→e5 less the fetch, any wait from
+// e6 to e7, and e11 after both chains end. The components tile e0→e11
+// under both launch pipelines:
+//
+//	Job + Tracing + Fetch + DaemonSpawn + Setup + Collective − Overlap + Other == Total
 type Breakdown struct {
 	Job         time.Duration // T(job): spawning the application tasks
 	DaemonSpawn time.Duration // T(daemon): RM spawning the tool daemons
@@ -27,79 +30,55 @@ type Breakdown struct {
 	Collective  time.Duration // T(collective): handshake bcast/gather share
 	Tracing     time.Duration // engine event-handler cost (Region A, LaunchMON)
 	Fetch       time.Duration // Region B: RPDTAB fetch
-	Other       time.Duration // all remaining scale-independent costs
-	Total       time.Duration // e0 → e11
-}
+	// Overlap is the handshake time the RM's spawn hid, |[e7,e10] ∩
+	// [e5,e6]|: 0 under store-forward, which JSON then omits.
+	Overlap time.Duration `json:",omitempty"`
+	Other   time.Duration // all remaining scale-independent costs
+	Total   time.Duration // e0 → e11
 
-// Components returns the named components in presentation order (matching
-// Figure 3's stacking).
-func (b Breakdown) Components() []struct {
-	Name string
-	D    time.Duration
-} {
-	return []struct {
-		Name string
-		D    time.Duration
-	}{
-		{"T(job)", b.Job},
-		{"T(daemon)+T(setup)", b.DaemonSpawn + b.Setup},
-		{"T(collective)", b.Collective},
-		{"tracing", b.Tracing},
-		{"rpdtab-fetch", b.Fetch},
-		{"other", b.Other},
-	}
+	hiddenCollective time.Duration // the part of Collective inside [e5,e6]
 }
 
 // LaunchMONShare returns the fraction of the total attributable to
-// LaunchMON itself (tracing + fetch + collective handshake + other) — the
+// LaunchMON itself and exposed on the critical path: tracing + fetch +
+// other + the collective handshake outside the RM's spawn window — the
 // paper reports ≈5.2% at 128 nodes.
 func (b Breakdown) LaunchMONShare() float64 {
 	if b.Total == 0 {
 		return 0
 	}
-	lm := b.Tracing + b.Fetch + b.Other + b.Collective
+	lm := b.Tracing + b.Fetch + b.Other + b.Collective - b.hiddenCollective
 	return float64(lm) / float64(b.Total)
 }
 
 // Decompose derives the component breakdown from a merged session
-// timeline.
+// timeline. A timeline off the marks' partial order (engine.EngineChain,
+// engine.HandshakeChain), or whose tracing or fetch outlasts its window,
+// is an error.
 func Decompose(tl engine.Timeline) (Breakdown, error) {
 	var b Breakdown
-	need := []string{engine.MarkE0, engine.MarkE2, engine.MarkE3, engine.MarkE5,
-		engine.MarkE6, engine.MarkE7, engine.MarkE10, engine.MarkE11}
-	for _, m := range need {
-		if _, ok := tl.Get(m); !ok {
-			return b, fmt.Errorf("perfmodel: timeline missing mark %s", m)
-		}
+	if err := tl.CheckChains(engine.EngineChain, engine.HandshakeChain); err != nil {
+		return b, fmt.Errorf("perfmodel: %w", err)
 	}
-	b.Total = tl.Between(engine.MarkE0, engine.MarkE11)
-	b.Tracing, _ = tl.Get(engine.MarkTracing)
-	b.Fetch, _ = tl.Get(engine.MarkFetch)
-	b.Job = tl.Between(engine.MarkE2, engine.MarkE3) - b.Tracing
-	if b.Job < 0 {
-		b.Job = 0
+	at := func(mark string) time.Duration { d, _ := tl.Get(mark); return d }
+	e0, e2, e3, e5, e6 := at(engine.MarkE0), at(engine.MarkE2), at(engine.MarkE3), at(engine.MarkE5), at(engine.MarkE6)
+	e7, e8, e9, e10, e11 := at(engine.MarkE7), at(engine.MarkE8), at(engine.MarkE9), at(engine.MarkE10), at(engine.MarkE11)
+	b.Tracing, b.Fetch = at(engine.MarkTracing), at(engine.MarkFetch)
+	if b.Tracing > e3-e2 || b.Fetch > e5-e3 {
+		return b, fmt.Errorf("perfmodel: tracing %v outlasts e2→e3 (%v) or fetch %v outlasts e3→e5 (%v)",
+			b.Tracing, e3-e2, b.Fetch, e5-e3)
 	}
-	b.DaemonSpawn = tl.Between(engine.MarkE5, engine.MarkE6)
-	b.Setup = tl.Between(engine.MarkE8, engine.MarkE9)
-	handshake := tl.Between(engine.MarkE7, engine.MarkE10)
-	if handshake > b.Setup {
-		b.Collective = handshake - b.Setup
-	}
-	accounted := b.Job + b.DaemonSpawn + b.Setup + b.Collective + b.Tracing + b.Fetch
-	if b.Total > accounted {
-		b.Other = b.Total - accounted
-	}
+	// hidden is how much of [from, to] lies inside the spawn window.
+	hidden := func(from, to time.Duration) time.Duration { return max(0, min(to, e6)-max(from, e5)) }
+	b.Total = e11 - e0
+	b.Job = e3 - e2 - b.Tracing
+	b.DaemonSpawn = e6 - e5
+	b.Setup = e9 - e8
+	b.Collective = e10 - e7 - b.Setup
+	b.Overlap = hidden(e7, e10)
+	b.hiddenCollective = hidden(e7, e8) + hidden(e9, e10)
+	b.Other = e2 - e0 + e5 - e3 - b.Fetch + max(0, e7-e6) + e11 - max(e6, e10)
 	return b, nil
-}
-
-// CriticalPath lists the e0..e11 mark names in order — the Figure 2
-// contract that tests assert against.
-func CriticalPath() []string {
-	return []string{
-		engine.MarkE0, engine.MarkE1, engine.MarkE2, engine.MarkE3,
-		engine.MarkE4, engine.MarkE5, engine.MarkE6, engine.MarkE7,
-		engine.MarkE8, engine.MarkE9, engine.MarkE10, engine.MarkE11,
-	}
 }
 
 // Point is one calibration measurement.

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,50 +10,107 @@ import (
 	"launchmon/internal/engine"
 )
 
-// synthTimeline builds a plausible launchAndSpawn timeline.
-func synthTimeline() engine.Timeline {
+// synthTimeline builds a plausible serialized launchAndSpawn timeline,
+// with the marks in moved at their given instants instead.
+func synthTimeline(moved ...engine.MarkEntry) engine.Timeline {
 	var tl engine.Timeline
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	tl.Mark(engine.MarkE0, 0)
-	tl.Mark(engine.MarkE1, ms(5))
-	tl.Mark(engine.MarkE2, ms(9))
-	tl.Mark(engine.MarkE3, ms(209)) // includes 18ms tracing
-	tl.Mark(engine.MarkE4, ms(214))
-	tl.Mark(engine.MarkE5, ms(215))
-	tl.Mark(engine.MarkE6, ms(315))
-	tl.Mark(engine.MarkE7, ms(317))
-	tl.Mark(engine.MarkE8, ms(318))
-	tl.Mark(engine.MarkE9, ms(340))
-	tl.Mark(engine.MarkE10, ms(352))
-	tl.Mark(engine.MarkE11, ms(360))
-	tl.Mark(engine.MarkTracing, ms(18))
-	tl.Mark(engine.MarkFetch, ms(5))
+	for _, e := range []mark{
+		{engine.MarkE0, 0}, {engine.MarkE1, ms(5)}, {engine.MarkE2, ms(9)},
+		{engine.MarkE3, ms(209)}, // includes 18ms tracing
+		{engine.MarkE4, ms(214)}, {engine.MarkE5, ms(215)}, {engine.MarkE6, ms(315)},
+		{engine.MarkE7, ms(317)}, {engine.MarkE8, ms(318)}, {engine.MarkE9, ms(340)},
+		{engine.MarkE10, ms(352)}, {engine.MarkE11, ms(360)},
+		{engine.MarkTracing, ms(18)}, {engine.MarkFetch, ms(5)},
+	} {
+		for _, m := range moved {
+			if m.Name == e.name {
+				e.at = m.At
+			}
+		}
+		tl.Mark(e.name, e.at)
+	}
 	return tl
 }
 
+type mark struct {
+	name string
+	at   time.Duration
+}
+
+func ms(v int) time.Duration { return time.Duration(v) * time.Millisecond }
+
+// flatCutThrough is the fan-out ablation's flat-tree launch (K=128, 8
+// tasks a daemon, cut-through) as Merge leaves it: the whole handshake,
+// e7 to e10, runs inside the RM's spawn window.
+func flatCutThrough() engine.Timeline {
+	var tl engine.Timeline
+	for _, e := range []mark{
+		{engine.MarkFetch, 542525}, {engine.MarkE0, 900000}, {engine.MarkE1, 5800000},
+		{engine.MarkE2, 9724076}, {engine.MarkTracing, 18000000}, {engine.MarkE3, 552247222},
+		{engine.MarkE4, 552789747}, {engine.MarkE5, 552789747}, {engine.MarkE7, 553989993},
+		{engine.MarkSeedFwd, 553989993}, {engine.MarkE8, 554020006}, {engine.MarkE9, 592300229},
+		{engine.MarkSeedValid, 592300229}, {engine.MarkE10, 611383966},
+		{engine.MarkE6, 784810485}, {engine.MarkE11, 788816547},
+	} {
+		tl.Mark(e.name, e.at)
+	}
+	return tl
+}
+
+// TestDecompose holds the components, the tiling identity and the exposed
+// share on a serialized launch, on a cut-through one whose handshake the
+// spawn hides, and on a partial overlap, and rejects a chain that runs
+// backwards by naming both marks.
 func TestDecompose(t *testing.T) {
-	b, err := Decompose(synthTimeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Total != 360*time.Millisecond {
-		t.Errorf("Total = %v", b.Total)
-	}
-	if b.Job != 182*time.Millisecond { // (209-9) - 18
-		t.Errorf("Job = %v", b.Job)
-	}
-	if b.DaemonSpawn != 100*time.Millisecond {
-		t.Errorf("DaemonSpawn = %v", b.DaemonSpawn)
-	}
-	if b.Setup != 22*time.Millisecond {
-		t.Errorf("Setup = %v", b.Setup)
-	}
-	if b.Collective != 13*time.Millisecond { // (352-317) - 22
-		t.Errorf("Collective = %v", b.Collective)
-	}
-	sum := b.Job + b.DaemonSpawn + b.Setup + b.Collective + b.Tracing + b.Fetch + b.Other
-	if sum != b.Total {
-		t.Errorf("components sum %v != total %v", sum, b.Total)
+	for _, tc := range []struct {
+		name    string
+		tl      engine.Timeline
+		want    Breakdown
+		exposed time.Duration // LaunchMON's share of Total
+		errs    []string      // what the error names, when one is due
+	}{
+		{name: "store_forward", tl: synthTimeline(),
+			// Job (209-9) - 18, Collective (352-317) - 22, Other 9+1+2+8.
+			want: Breakdown{Job: ms(182), DaemonSpawn: ms(100), Setup: ms(22), Collective: ms(13),
+				Tracing: ms(18), Fetch: ms(5), Other: ms(20), Total: ms(360)},
+			exposed: ms(18 + 5 + 20 + 13)},
+		{name: "cut_through_hidden", tl: flatCutThrough(),
+			want: Breakdown{Job: 524523146, DaemonSpawn: 232020738, Setup: 38280223, Collective: 19113750,
+				Tracing: 18000000, Fetch: 542525, Overlap: 57393973, Other: 12830138, Total: 787916547,
+				hiddenCollective: 19113750},
+			exposed: 18000000 + 542525 + 12830138},
+		{name: "partial_overlap", tl: synthTimeline(engine.MarkEntry{Name: engine.MarkE6, At: ms(345)}),
+			// e7 < e6 < e10: only the collective's tail after e6 shows.
+			want: Breakdown{Job: ms(182), DaemonSpawn: ms(130), Setup: ms(22), Collective: ms(13),
+				Tracing: ms(18), Fetch: ms(5), Overlap: ms(28), Other: ms(18), Total: ms(360),
+				hiddenCollective: ms(6)},
+			exposed: ms(18 + 5 + 18 + 352 - 345)},
+		{name: "handshake_backwards", tl: synthTimeline(engine.MarkEntry{Name: engine.MarkE9, At: ms(317)}),
+			errs: engine.HandshakeChain[2:4]}, // e8 and e9
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := Decompose(tc.tl)
+			if tc.errs != nil {
+				for _, mark := range tc.errs {
+					if err == nil || !strings.Contains(err.Error(), mark) {
+						t.Errorf("error %v does not name %s", err, mark)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b != tc.want {
+				t.Errorf("got  %+v\nwant %+v", b, tc.want)
+			}
+			if sum := b.Job + b.Tracing + b.Fetch + b.DaemonSpawn + b.Setup + b.Collective - b.Overlap + b.Other; sum != b.Total {
+				t.Errorf("components tile %v, total %v", sum, b.Total)
+			}
+			if share, want := b.LaunchMONShare(), float64(tc.exposed)/float64(b.Total); share != want {
+				t.Errorf("share %f, want %f", share, want)
+			}
+		})
 	}
 }
 
@@ -124,16 +182,6 @@ func TestErrorPct(t *testing.T) {
 	}
 }
 
-func TestCriticalPathOrder(t *testing.T) {
-	cp := CriticalPath()
-	if len(cp) != 12 {
-		t.Fatalf("critical path has %d events, want 12 (e0..e11)", len(cp))
-	}
-	if cp[0] != engine.MarkE0 || cp[11] != engine.MarkE11 {
-		t.Fatalf("endpoints wrong: %v", cp)
-	}
-}
-
 // Property: linfit recovers exact affine relations.
 func TestPropertyLinfitExact(t *testing.T) {
 	f := func(a8, b8 int8, xs []uint8) bool {
@@ -175,8 +223,8 @@ func TestPropertyPredictNonNegative(t *testing.T) {
 			Tracing: float64(coef[6]) / 10,
 		}
 		b := m.Predict(int(nodes), int(nodes)*8)
-		for _, c := range b.Components() {
-			if c.D < 0 {
+		for _, d := range []time.Duration{b.Job, b.Fetch, b.DaemonSpawn, b.Setup, b.Collective, b.Tracing, b.Other} {
+			if d < 0 {
 				return false
 			}
 		}

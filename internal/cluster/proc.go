@@ -161,12 +161,13 @@ func (p *Proc) Spawn(spec Spec) (*Proc, error) {
 }
 
 // AdoptConn hands a network connection to the process for lifecycle
-// management: when the process exits (or is killed), the connection is
-// severed so remote peers observe ErrPeerDead — the same signal a node
-// loss produces — instead of blocking forever on a conn nobody reads.
-// Long-lived components (the engine, master daemons) adopt their FE
-// connections right after dialing. Adopting on an already-exited process
-// severs immediately.
+// management: when the process is killed, the connection is severed so
+// remote peers observe ErrPeerDead — the same signal a node loss produces —
+// instead of blocking forever on a conn nobody reads. A process that exits
+// on its own closes what it means to close. Long-lived components (the
+// engine and its tracer, a daemon's tree links, a master daemon's FE
+// connection) adopt theirs as they get them. Adopting on an already-exited
+// process severs immediately.
 func (p *Proc) AdoptConn(c interface{ Sever() }) {
 	n := p.node
 	n.mu.Lock()
@@ -181,10 +182,16 @@ func (p *Proc) AdoptConn(c interface{ Sever() }) {
 }
 
 // Exit terminates the process. Safe to call more than once; only the first
-// call takes effect. Adopted connections (AdoptConn) are severed: the
-// process's protocol peers see the loss as ErrPeerDead, which is what
-// drives failure detection for killed-process (vs killed-node) faults.
-func (p *Proc) Exit(code int) {
+// call takes effect.
+func (p *Proc) Exit(code int) { p.exit(code, false) }
+
+// Kill force-terminates the process with exit code 137 (SIGKILL-like).
+// Adopted connections (AdoptConn) are severed: the process's protocol peers
+// see the loss as ErrPeerDead, which is what drives failure detection for
+// killed-process (vs killed-node) faults.
+func (p *Proc) Kill() { p.exit(137, true) }
+
+func (p *Proc) exit(code int, killed bool) {
 	n := p.node
 	n.mu.Lock()
 	if p.state == StateExited {
@@ -200,8 +207,10 @@ func (p *Proc) Exit(code int) {
 		p.cold.tracer, p.cold.conns = nil, nil
 	}
 	n.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Sever()
+	if killed {
+		for _, conn := range c.conns {
+			conn.Sever()
+		}
 	}
 	if c.tracer != nil {
 		c.tracer.events.Send(TraceEvent{Type: EventExit, Code: code})
@@ -215,9 +224,6 @@ func (p *Proc) Exit(code int) {
 		c.resume.Close()
 	}
 }
-
-// Kill force-terminates the process with exit code 137 (SIGKILL-like).
-func (p *Proc) Kill() { p.Exit(137) }
 
 // Wait blocks until the process exits and returns its exit code; ok is
 // false when the simulation tore down first.
@@ -368,17 +374,20 @@ func (t *Tracer) Interrupt() error {
 	return nil
 }
 
-// Detach removes the tracer; a stopped tracee is resumed first.
+// Detach removes the tracer; a stopped tracee is resumed first. Detaching
+// again, or from a tracee that has exited, does nothing.
 func (t *Tracer) Detach() {
 	p := t.proc
 	n := p.node
 	n.mu.Lock()
+	if p.cold.tracer != t {
+		n.mu.Unlock()
+		return
+	}
 	stopped := p.state == StateStopped
 	blocked := p.cold.inDebugStop
 	resume := p.cold.resume
-	if p.cold.tracer == t {
-		p.cold.tracer = nil
-	}
+	p.cold.tracer = nil
 	if stopped {
 		p.state = StateRunning
 	}
@@ -388,6 +397,10 @@ func (t *Tracer) Detach() {
 	}
 	t.events.Close()
 }
+
+// Sever detaches the tracer as its process dies: a killed debugger
+// releases its tracee, as ptrace does (Proc.AdoptConn).
+func (t *Tracer) Sever() { t.Detach() }
 
 // DebugEvent raises a debugger stop with the given reason if the process is
 // traced: the process blocks until the tracer calls Continue. Untraced

@@ -97,11 +97,12 @@ func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
 	if err != nil {
 		// A rank that fails after bootstrap tears down what it formed, as a
 		// failed bootstrap does, so its parent's ready gather sees the
-		// failure instead of waiting on it; a failed master tells its FE.
+		// failure instead of waiting on it; a failed master tells its FE why.
 		if d.comm != nil {
 			d.comm.Close()
 		}
 		if d.fe != nil {
+			d.fe.Send(&lmonp.Msg{Class: d.fab.class, Type: lmonp.TypeStatus, Payload: lmonp.AppendString(nil, err.Error())})
 			d.fe.Close()
 		}
 		return nil, err
@@ -199,6 +200,7 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 	if d.fe, err = transport.Dial(d.p.Host(), feAddr, env.session, d.fab.role); err != nil {
 		return nil, fmt.Errorf("core: %s master dialing FE: %w", d.fab.kind, err)
 	}
+	d.p.AdoptConn(d.fe)
 	handshake, err := d.fe.Expect(d.fab.class, lmonp.TypeHandshake)
 	if err != nil {
 		return nil, err

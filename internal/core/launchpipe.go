@@ -213,6 +213,8 @@ func (r *seedRelay) input(in feIn) error {
 		}
 		r.conn = in.conn
 		return r.flush()
+	case in.msg.Type == lmonp.TypeStatus: // the master's own init failed
+		return fmt.Errorf("core: %s master daemon: %s", prof.kind, lmonp.NewReader(in.msg.Payload).String())
 	case in.msg.Class != prof.class || in.msg.Type != lmonp.TypeReady:
 		return fmt.Errorf("core: awaiting %s master ready: got %v/%v", prof.kind, in.msg.Class, in.msg.Type)
 	default:

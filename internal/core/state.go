@@ -320,7 +320,7 @@ func (s *Session) requestLocked(m *lmonp.Msg, reply *vtime.Chan[feIn]) error {
 		return s.engineErr("connection lost")
 	}
 	if err := s.eng.Send(m); err != nil {
-		return err
+		return s.engineErr("connection lost")
 	}
 	s.replies = append(s.replies, reply)
 	return nil
@@ -346,7 +346,11 @@ func (s *Session) onLink(fab *feFabric, conn *lmonp.Conn, rx *rxStreams, in *vti
 	return func(msg *lmonp.Msg, err error) {
 		switch {
 		case err != nil:
-			in.Send(feIn{fab: fab, err: err})
+			lost := err
+			if fab == nil {
+				lost = s.engineErr("connection lost")
+			}
+			in.Send(feIn{fab: fab, err: lost})
 			s.step(&input{kind: inConnEnd, fab: fab, conn: conn, err: err})
 		case rx != nil && rx.sort(msg): // tool data, collective frames
 		case fab == nil && msg.Type == lmonp.TypeStatus:

@@ -235,9 +235,9 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 	cells = append(cells,
 		// Rank 1 has joined the master, and rank 3, its child, is held back
 		// past the kill: the master's own bootstrap fails reading rank 1's
-		// ready, and it tells the front end.
+		// ready, and it tells the front end which node it lost.
 		launchCell{name: "interior killed mid-join", k: 8, fanout: 2, victim: 1, killAt: 60 * time.Millisecond,
-			within: time.Millisecond, want: "awaiting BE master ready"},
+			within: time.Millisecond, want: "BE master daemon: iccl: bootstrap failed: ready from node1"},
 		// Ranks 5 and 6 are redialing rank 2, which is not listening yet;
 		// the RM reports the dead node.
 		launchCell{name: "parent node killed before it listens", k: 8, fanout: 2, victim: 2, killAt: 33 * time.Millisecond,
@@ -509,8 +509,8 @@ func TestFaultEndsInNamedState(t *testing.T) {
 	// The one cell whose launch fails: a leaf's node dies while the seed
 	// streams to it (rank 3, under rank 1, after rank 1's bootstrap has
 	// returned). Rank 1's Wait fails and rank 1 tears down what it formed,
-	// so the master's ready gather fails, the master closes its front-end
-	// connection, and the launch returns that. The 4 MiB FEData keeps the
+	// so the master's ready gather fails, the master tells its front end
+	// that it lost rank 1, and the launch returns that. The 4 MiB FEData keeps the
 	// stream milliseconds a hop; a kill anywhere in +34 … +46 ms of the
 	// launch lands in this window on this rig, and before the teardown every
 	// one of them left the launch waiting until the simulation ended.
@@ -542,7 +542,7 @@ func TestFaultEndsInNamedState(t *testing.T) {
 				FEData:     make([]byte, 4<<20),
 			})
 			if took := sim.Now() - t0 - killAt; !killed || err == nil ||
-				!strings.Contains(err.Error(), "awaiting BE master ready") || took > time.Second {
+				!strings.Contains(err.Error(), "BE master daemon: rank 1") || took > time.Second {
 				t.Errorf("killed %q: %v; launch returned %v after the kill with %v, want the master's ready wait failing within 1s",
 					leaf, killed, took, err)
 			}

@@ -165,7 +165,8 @@ func (e *Engine) serveLaunch(req *lmonp.Msg) error {
 		})
 		drv.Handle(EvBreakpoint, func(Event) (bool, error) { return true, nil })
 		drv.Handle(EvLauncherExit, func(ev Event) (bool, error) {
-			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint", ev.Code)
+			why, _ := tr.ReadSymbol(rm.SymDebugState)
+			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint (%v)", ev.Code, why)
 		})
 		job.Start()
 		return nil
@@ -196,13 +197,19 @@ func (e *Engine) serveAttach(req *lmonp.Msg) error {
 // acquire is what both modes share (e2..e6): attach to the job's launcher,
 // let arm install the mode's handlers and set the launcher going toward
 // its stop, run the event pipeline to it, then harvest and spawn.
-func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *Driver) error) error {
+func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *Driver) error) (err error) {
+	defer func() {
+		if errors.Is(err, cluster.ErrExited) {
+			err = fmt.Errorf("engine: job launcher: %w", err)
+		}
+	}()
 	e.job, e.chunkBytes = job, chunkBytes
 	tr, err := job.LauncherProc().Attach()
 	if err != nil {
 		return err
 	}
 	e.tr = tr
+	e.proc.AdoptConn(tr) // a killed engine releases the launcher
 	drv := NewDriver(e.proc, NewEventManager(tr), NewEventDecoder(rm.BPName), HandlerCost)
 	if err := arm(tr, drv); err != nil {
 		return err

@@ -239,7 +239,7 @@ func ctlFrame(op, v uint32) []byte {
 func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, error) {
 	frame, err := c.readCharged(conn)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s: %v", ErrBootstrap, what, err)
+		return 0, fmt.Errorf("%w: %s from %s: %v", ErrBootstrap, what, conn.Peer(), err)
 	}
 	rd := lmonp.NewReader(frame)
 	op, v := rd.Uint32(), rd.Uint32()
@@ -336,6 +336,7 @@ func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, er
 	}
 	c := &Comm{p: p, cfg: *cfg, rank: cfg.Rank, size: cfg.Size}
 	c.bindMetrics()
+	p.AdoptConn(c) // a killed daemon's links die with it
 	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
 
 	if len(kids) > 0 {
@@ -497,15 +498,22 @@ func (c *Comm) IsMaster() bool { return c.rank == 0 }
 // Close tears down the tree links (those a failed bootstrap got as far as
 // forming) and the listener; from a scheduler callback it fails a forming
 // rank's bootstrap.
-func (c *Comm) Close() {
+func (c *Comm) Close() { c.shut(false) }
+
+// Sever ends them as the rank's host dying would: its process was killed,
+// and its peers see ErrPeerDead.
+func (c *Comm) Sever() { c.shut(true) }
+
+func (c *Comm) shut(sever bool) {
 	if c.l != nil {
 		c.l.Close()
 	}
-	if c.parent != nil {
-		c.parent.Close()
-	}
-	for _, conn := range c.children {
-		if conn != nil {
+	for slot := above; slot < len(c.children); slot++ {
+		switch conn := c.conn(slot); {
+		case conn == nil:
+		case sever:
+			conn.Sever()
+		default:
 			conn.Close()
 		}
 	}
@@ -575,9 +583,9 @@ func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 		return buf, nil
 	}
 	msg := lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf)
-	for _, conn := range c.children {
+	for slot, conn := range c.children {
 		if err := c.send(conn, msg); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rank %d: %w", c.childRank(slot), err)
 		}
 	}
 	return buf, nil
@@ -624,7 +632,7 @@ func (c *Comm) gatherChildren(mine []byte) ([]coll.Entry, error) {
 	for slot := range c.children {
 		body, err := c.recvOp(slot, opGather)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rank %d: %w", c.childRank(slot), err)
 		}
 		sub, err := coll.DecodeEntries(body)
 		if err != nil {

@@ -385,6 +385,94 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 	}
 }
 
+// TestPlaneFaultSweep is the plane's fault sweep (DESIGN.md "Fault sweep"):
+// each kind of operation at window 1, ReduceTag tagged and the rest
+// lockstep, entered by every rank of the 13-rank fan-out 3 tree at relayAt,
+// counts the scheduler events from there until the last rank leaves it, and
+// a replay per event loses the node of rank 0, 1, 4 or 12 — the root, an
+// interior rank, a leaf under it, the last leaf — or the root's front end,
+// before that event fires. Every rank's call returns once; a rank that
+// fails does so with ErrSevered naming its rank, the operation and the tag;
+// no rank keeps frames of the tag on its links; and no goroutine is left a
+// second after the operation began. Every event in tier-1, every 37th
+// under the race detector.
+func TestPlaneFaultSweep(t *testing.T) {
+	stride := uint64(1)
+	if raceEnabled {
+		stride = 37
+	}
+	for _, oc := range planeOpCases {
+		oc, tagged := oc, oc.name == "Reduce"
+		t.Run(oc.name, func(t *testing.T) {
+			t.Parallel()
+			_, events := sweepPlaneOp(t, oc, tagged, ^uint64(0), -1)
+			for at := uint64(0); at <= events; at += stride {
+				for _, victim := range []int{0, 1, 4, 12, -1} {
+					if bad, _ := sweepPlaneOp(t, oc, tagged, at, victim); bad != "" {
+						t.Fatalf("node of rank %d (-1: the root's front end) lost before event %d of %d: %s", victim, at, events, bad)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sweepPlaneOp runs oc on every rank with victim's node lost (-1: the root's
+// front end) before event at, counted from relayAt, and returns what broke
+// the sweep's oracle ("" for nothing) and how many events the operation took.
+func sweepPlaneOp(t *testing.T, oc planeOpCase, tagged bool, at uint64, victim int) (bad string, events uint64) {
+	tag, callTag := opTag(oc, tagged), uint32(0)
+	if tagged {
+		callTag = tag
+	}
+	r, d, root, base := newRelayRig(t, wireN), &feDriver{}, (*Plane)(nil), uint64(0)
+	if oc.fe != nil {
+		d.send = oc.fe(tag)
+	}
+	r.sim.After(relayAt, func() {
+		base = r.sim.Stats().Events
+		r.sim.AtEvent(base+at, func() {
+			if victim < 0 {
+				root.FailFE(errors.New("front end connection lost"))
+			} else {
+				r.cl.KillNode(victim)
+			}
+		})
+	})
+	live := -1
+	r.sim.After(relayAt+time.Second, func() { live = r.sim.Live() })
+	returns, left := make([]int, wireN), make([]int, wireN)
+	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
+		pl := d.plane(c, opChunk, 1)
+		if c.IsMaster() {
+			root = pl
+		}
+		if err := pl.Barrier(); err != nil {
+			return err
+		}
+		p.Sim().Sleep(relayAt - p.Sim().Now())
+		err := oc.call(pl, callTag, c.Rank())
+		returns[c.Rank()]++
+		left[c.Rank()] = backlogAt(pl, tag)
+		events = max(events, p.Sim().Stats().Events-base)
+		return err
+	})
+	for rk, err := range r.errs {
+		if returns[rk] != 1 || left[rk] != 0 {
+			return fmt.Sprintf("rank %d's call returned %d times, leaving %d frames of tag %d", rk, returns[rk], left[rk], tag), events
+		}
+		for _, want := range []string{fmt.Sprintf("rank %d:", rk), strings.ToLower(oc.name), fmt.Sprintf("tag %d", tag)} {
+			if err != nil && (!errors.Is(err, ErrSevered) || !strings.Contains(err.Error(), want)) {
+				return fmt.Sprintf("rank %d returned %v, want ErrSevered naming %q", rk, err, want), events
+			}
+		}
+	}
+	if live != 0 {
+		return fmt.Sprintf("%d goroutines alive a second after the operation began", live), events
+	}
+	return "", events
+}
+
 // backlogAt is how many frames of tag wait on the links of pl's rank, the
 // root's front end's included.
 func backlogAt(pl *Plane, tag uint32) (n int) {

@@ -59,7 +59,11 @@ func Call(from *simnet.Host, addr simnet.Addr, req []byte) (*lmonp.Reader, error
 		return nil, fmt.Errorf("rm: %s unreachable: %w", addr, err)
 	}
 	defer conn.Close()
-	return Exchange(conn, req)
+	rd, err := Exchange(conn, req)
+	if _, remote := err.(RemoteError); err != nil && !remote {
+		err = fmt.Errorf("rm: %s: %w", addr, err)
+	}
+	return rd, err
 }
 
 // Reply answers the request a Serve handler was given: the result that

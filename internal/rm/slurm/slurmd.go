@@ -203,14 +203,23 @@ func (k *kidCall) dialed(conn *simnet.Conn, err error) {
 			return
 		}
 		conn.Close()
+		err = k.lost(err)
 	}
 	k.err = err
 	k.t.complete()
 }
 
+// lost names the child whose forward failed on its connection.
+func (k *kidCall) lost(err error) error {
+	return fmt.Errorf("slurmd: %s lost: %w", k.conn.Peer(), err)
+}
+
 func (k *kidCall) replied(rep []byte, err error) {
 	if k.rep != nil || k.err != nil {
 		return
+	}
+	if err != nil {
+		err = k.lost(err)
 	}
 	k.rep, k.err = rep, err
 	k.conn.Close()

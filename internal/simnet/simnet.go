@@ -652,6 +652,9 @@ func (c *Conn) Handle(fn func(msg []byte, err error)) {
 // handler itself (on the scheduler goroutine) at a message boundary.
 func (c *Conn) Unhandle() { c.in.Unhandle() }
 
+// Peer names the host at the connection's other end.
+func (c *Conn) Peer() string { return c.peer.host.name }
+
 // Sever force-severs the connection as if this endpoint's host died:
 // local reads/writes fail at once with ErrPeerDead, and the remote peer
 // observes ErrPeerDead after in-flight data (and one link latency)

@@ -45,6 +45,8 @@ type Sim struct {
 	stats    Stats
 	panicked any
 	spawnObs func(name string) // test hook: observes every Go() by name
+	hook     func()            // AtEvent's: runs once hookAt events have fired
+	hookAt   uint64
 }
 
 // poolSize bounds Sim.pool: enough for the parks of one busy instant, not for
@@ -111,6 +113,17 @@ func (s *Sim) SetSpawnObserver(fn func(name string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.spawnObs = fn
+}
+
+// AtEvent arms fn to run once n events have fired (Stats().Events == n),
+// before the next one: a fault injected at an event boundary. fn runs on the
+// scheduler goroutine without s.mu held, in a turn of its own that Stats
+// does not count: the scheduler settles whatever it woke before it fires
+// the next event. One hook is pending at a time; a later call replaces it.
+func (s *Sim) AtEvent(n uint64, fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hook, s.hookAt = fn, n
 }
 
 // Event is something the scheduler fires at a virtual instant. Fire runs on
@@ -487,8 +500,16 @@ func (s *Sim) pending() int { return len(s.timers) + s.ready.len() }
 // something else woke first is a void deadline: it is dropped without
 // advancing the clock. vtime's own events fire under the caller's hold of
 // s.mu; any other Event takes s.mu itself, so it is released around the
-// call. Caller holds s.mu.
+// call. An armed AtEvent hook due now runs instead, alone. Caller holds s.mu.
 func (s *Sim) fireNext() {
+	if s.hook != nil && s.stats.Events == s.hookAt {
+		fn := s.hook
+		s.hook = nil
+		s.mu.Unlock()
+		fn()
+		s.mu.Lock()
+		return
+	}
 	var ev Event
 	at := s.now
 	same := s.ready.len() > 0 && (len(s.timers) == 0 || s.timers[0].at > s.now)

@@ -1,9 +1,11 @@
 package vtime
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -539,5 +541,36 @@ func TestStatsCountsEvents(t *testing.T) {
 	}
 	if got, want := s.Stats(), (Stats{Events: 4, SameInstant: 2, PeakPending: 3}); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestAtEventRunsBetweenEvents: the hook runs once, after exactly n events
+// and before the next, with whatever it woke settled first — a receiver it
+// wakes schedules its own timer ahead of the next pending event's firing —
+// and a later AtEvent replaces an armed one.
+func TestAtEventRunsBetweenEvents(t *testing.T) {
+	s := New()
+	c := NewChan[int](s)
+	var log []string
+	for i := 1; i <= 3; i++ {
+		i := i
+		s.After(time.Duration(i)*time.Millisecond, func() { log = append(log, fmt.Sprint("t", i)) })
+	}
+	s.Go("r", func() {
+		if _, ok := c.Recv(); ok {
+			log = append(log, "woken")
+			s.Sleep(time.Millisecond) // due at 2ms, after t2's seq: fires after it
+			log = append(log, "slept")
+		}
+	})
+	s.AtEvent(0, func() { t.Error("a replaced hook ran") })
+	s.AtEvent(1, func() {
+		log = append(log, fmt.Sprint("hook@", s.Stats().Events))
+		c.Send(0)
+	})
+	s.Run()
+	want := "t1 hook@1 woken t2 slept t3"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("ran %q, want %q", got, want)
 	}
 }

@@ -1,0 +1,618 @@
+package launchmon_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// srcFile is one parsed Go file of the module or of benchmark/.
+type srcFile struct {
+	path    string            // slash-separated, from the repository root
+	pkg     string            // import path of its package
+	test    bool              // a _test.go file
+	imports map[string]string // name in the file → import path
+	file    *ast.File
+}
+
+// sourceTree parses every Go file under internal/, cmd/, examples/ and
+// benchmark/, and this package's tests, once for all the tests of this
+// package that read code.
+var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
+	fset := token.NewFileSet()
+	var files []*srcFile
+	for _, root := range []string{".", "internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && root == "." && path != "." {
+				return fs.SkipDir
+			}
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			path = filepath.ToSlash(path)
+			// Both modules root their packages at "launchmon"; an
+			// external test package is a package of its own.
+			pkg := "launchmon"
+			if i := strings.LastIndexByte(path, '/'); i >= 0 {
+				pkg += "/" + path[:i]
+			}
+			if strings.HasSuffix(file.Name.Name, "_test") {
+				pkg += "_test"
+			}
+			f := &srcFile{path: path, pkg: pkg, test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{}, file: file}
+			for _, imp := range file.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				name := p[strings.LastIndexByte(p, '/')+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				f.imports[name] = p
+			}
+			files = append(files, f)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+})
+
+func parsedTree(t *testing.T) []*srcFile {
+	t.Helper()
+	files, err := sourceTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestArchitecture holds, as code, the design rules DESIGN.md states
+// ("Substrate ledger", Held by a test). Each subtest reads the parsed
+// source tree only; none builds or runs a package. When one fails, the
+// message names the site and the list to change: a new entry needs the
+// reason the rule does not apply to it.
+func TestArchitecture(t *testing.T) {
+	files := parsedTree(t)
+	t.Run("goroutines", func(t *testing.T) { checkGoroutines(t, files) })
+	t.Run("scheduler_records", func(t *testing.T) { checkSchedulerRecords(t, files) })
+	t.Run("imports", func(t *testing.T) { checkImports(t, files) })
+	t.Run("exported", func(t *testing.T) { checkExported(t, files) })
+	t.Run("knobs", TestEveryKnobHasASetter)
+}
+
+// goroutineSites lists every place the program starts a goroutine — a go
+// statement or a vtime.Sim.Go call — by file and enclosing function, with
+// its owner and why it is one: the daemon and session state machines run
+// on the scheduler, so a new simulated thread per daemon, link or
+// operation moves -million's goroutines-peak and is a design change.
+var goroutineSites = []struct{ site, why string }{
+	{"internal/vtime/vtime.go (*Sim).Go", "the one go statement: every simulated thread is a goroutine that the scheduler hands the run token"},
+	{"internal/cluster/cluster.go (*Proc).run", "a simulated process's main; one a daemon"},
+	{"internal/rm/rpc.go Serve", "an RM server's handler of one accepted request connection, ended by the connection"},
+	{"internal/rm/job.go (*job).directKill", "the kill of one node when the launcher is lost, joined by the caller's WaitGroup"},
+	{"internal/rm/skeleton.go (*Skeleton).startJob", "a job's reaper, which serves control once its launcher dies"},
+	{"internal/rm/alps/star.go star.each", "aprun's concurrent request to one node, answered on the caller's channel"},
+	{"internal/engine/engine.go (*engine).main", "the engine's watch on the traced launcher, beside its command loop"},
+	{"internal/core/core.go newFrontEnd", "the reaper of a tool process's session mux, one a front-end process"},
+	{"internal/bench/scenario.go Scenario.Run", "the rig's front-end boot; launch_million pins the goroutine peak it adds"},
+	{"internal/bench/concurrent.go measureConcurrent", "one concurrent tool session of the sweep"},
+	{"internal/bench/contention.go measureContention", "one tool's daemon side of the contention sweep"},
+	{"internal/bench/contention.go contentionFE", "one tool's front-end side of the contention sweep"},
+	{"cmd/jobsnap/main.go main", "the command's boot"},
+	{"cmd/statlaunch/main.go main", "the command's boot"},
+	{"examples/middleware/main.go main", "the example's boot"},
+	{"examples/quickstart/main.go main", "the example's boot"},
+}
+
+func checkGoroutines(t *testing.T, files []*srcFile) {
+	listed := map[string]int{}
+	for _, g := range goroutineSites {
+		listed[g.site]++
+	}
+	found := map[string]int{}
+	for _, f := range programFiles(files) {
+		for _, d := range f.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := f.path + " " + funcName(fn)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					found[site]++
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" && len(n.Args) == 2 {
+						found[site]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	for site, n := range found {
+		if n > listed[site] {
+			t.Errorf("%s starts %d goroutine(s), %d listed: add it to goroutineSites with its owner and reason, or run it on the scheduler", site, n, listed[site])
+		}
+	}
+	for site, n := range listed {
+		if found[site] < n {
+			t.Errorf("goroutineSites lists %d at %s, found %d: remove the entry", n, site, found[site])
+		}
+	}
+}
+
+// schedulerRecords are the types whose methods run as scheduler callbacks
+// (DESIGN.md "Events are objects"): a plane operation and its link demux,
+// the seed stream, and the front end's session step and connection
+// handlers. A blocking call there hangs or serializes the simulation, so
+// none may call one, apart from the one wait each record's owner makes.
+var schedulerRecords = map[string]bool{
+	"launchmon/internal/iccl.planeOp":        true, // and every op type that embeds it
+	"launchmon/internal/iccl.linkDemux":      true,
+	"launchmon/internal/iccl.tagLink":        true,
+	"launchmon/internal/iccl.SerialFramer":   true,
+	"launchmon/internal/iccl.Seed":           true,
+	"launchmon/internal/iccl.seedSplitter":   true,
+	"launchmon/internal/core.rxStreams":      true,
+	"launchmon/internal/core.Session.step":   true,
+	"launchmon/internal/core.Session.onLink": true,
+}
+
+// ownerWaits are the methods where a record's owner waits for it, once.
+var ownerWaits = map[string]bool{
+	"launchmon/internal/iccl.planeOp.wait":      true,
+	"launchmon/internal/iccl.Seed.Wait":         true,
+	"launchmon/internal/core.rxStreams.recvUsr": true,
+}
+
+// blockingCalls are the methods that park the calling goroutine.
+var blockingCalls = map[string]bool{
+	"Recv": true, "RecvTimeout": true, "RecvMessage": true, "Wait": true, "Sleep": true,
+	"Accept": true, "Compute": true, "Expect": true, "Dial": true,
+}
+
+func checkSchedulerRecords(t *testing.T, files []*srcFile) {
+	records := map[string]bool{}
+	for k := range schedulerRecords {
+		records[k] = true
+	}
+	declared := map[string]bool{} // types and methods, to find a stale entry
+	// An op type is a record when it embeds planeOp.
+	for _, f := range programFiles(files) {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			declared[f.pkg+"."+ts.Name.Name] = true
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					if id, ok := fld.Type.(*ast.Ident); ok && len(fld.Names) == 0 && records[f.pkg+"."+id.Name] {
+						records[f.pkg+"."+ts.Name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range programFiles(files) {
+		for _, d := range f.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Body == nil {
+				continue
+			}
+			typ := f.pkg + "." + recvName(fn)
+			method := typ + "." + fn.Name.Name
+			declared[method] = true
+			if !records[typ] && !records[method] || ownerWaits[method] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && blockingCalls[sel.Sel.Name] {
+						t.Errorf("%s: %s.%s calls %s, which blocks: a scheduler record must not wait", f.path, recvName(fn), fn.Name.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, list := range []map[string]bool{schedulerRecords, ownerWaits} {
+		for k := range list {
+			if !declared[k] {
+				t.Errorf("%s is not declared: update schedulerRecords and ownerWaits", k)
+			}
+		}
+	}
+}
+
+// importGraph pins every edge between the module's internal packages
+// (non-test files). The stack is layered: the simulator (vtime, simnet,
+// cluster) and the codecs (lmonp, proctab, coll, obs) sit under iccl,
+// transport, rm and engine, which sit under core; tools and bench are on
+// top. A new edge is a design change: add it here with the reason in the
+// commit, unless it breaks a rule of layerRules.
+var importGraph = map[string]string{
+	"bench":         "cluster coll core dpcl engine health iccl lmonp obs perfmodel proctab rm rm/alps rm/bgl rm/slurm rsh simnet tools/jobsnap tools/oss tools/stat vtime",
+	"cluster":       "simnet vtime",
+	"coll":          "lmonp",
+	"core":          "cluster coll engine health hostlist iccl lmonp obs proctab rm simnet transport vtime",
+	"dpcl":          "cluster lmonp rm simnet",
+	"engine":        "cluster health lmonp proctab rm simnet transport",
+	"health":        "cluster iccl lmonp obs vtime",
+	"hostlist":      "",
+	"iccl":          "cluster coll lmonp obs proctab simnet vtime",
+	"lmonp":         "",
+	"obs":           "",
+	"perfmodel":     "engine",
+	"proctab":       "lmonp",
+	"rm":            "cluster lmonp proctab simnet vtime",
+	"rm/alps":       "cluster hostlist lmonp proctab rm simnet vtime",
+	"rm/bgl":        "cluster rm rm/slurm",
+	"rm/slurm":      "cluster hostlist lmonp proctab rm simnet",
+	"rsh":           "cluster lmonp rm simnet vtime",
+	"simnet":        "vtime",
+	"tbon":          "cluster lmonp rsh simnet",
+	"tools":         "",
+	"tools/jobsnap": "cluster core lmonp rm",
+	"tools/oss":     "cluster core dpcl lmonp proctab rm",
+	"tools/stat":    "cluster coll core lmonp rm rsh tbon",
+	"transport":     "lmonp obs simnet vtime",
+	"vtime":         "",
+}
+
+// layerRules are the edges no update of importGraph may add: the virtual
+// clock, the wire codec and the metrics registry depend on nothing of the
+// module, and the daemon collectives know nothing of the session above
+// them.
+var layerRules = []struct{ from, to, why string }{
+	{"vtime", "*", "the scheduler is the bottom layer"},
+	{"lmonp", "*", "the wire codec is shared by every layer"},
+	{"obs", "*", "the metrics registry is shared by every layer"},
+	{"iccl", "core", "the ICCL is the minimal layer under the BE API"},
+}
+
+func checkImports(t *testing.T, files []*srcFile) {
+	const internal = "launchmon/internal/"
+	got := map[string]map[string]bool{}
+	for _, f := range programFiles(files) {
+		if !strings.HasPrefix(f.pkg, internal) {
+			continue
+		}
+		from := strings.TrimPrefix(f.pkg, internal)
+		if got[from] == nil {
+			got[from] = map[string]bool{}
+		}
+		for _, p := range f.imports {
+			if strings.HasPrefix(p, internal) {
+				got[from][strings.TrimPrefix(p, internal)] = true
+			}
+		}
+	}
+	for from, tos := range got {
+		want, ok := importGraph[from]
+		if !ok {
+			t.Errorf("package %s is not in importGraph: add it with its imports", from)
+			continue
+		}
+		pinned := map[string]bool{}
+		for _, to := range strings.Fields(want) {
+			pinned[to] = true
+		}
+		for to := range tos {
+			for _, r := range layerRules {
+				if r.from == from && (r.to == "*" || r.to == to) {
+					t.Errorf("%s imports %s: %s", from, to, r.why)
+				}
+			}
+			if !pinned[to] {
+				t.Errorf("%s imports %s, an edge importGraph does not pin", from, to)
+			}
+		}
+		for to := range pinned {
+			if !tos[to] {
+				t.Errorf("importGraph pins %s -> %s, which no file imports: remove it", from, to)
+			}
+		}
+	}
+	for from := range importGraph {
+		if got[from] == nil {
+			t.Errorf("importGraph names %s, which has no non-test file: remove it", from)
+		}
+	}
+}
+
+// programFiles are the non-test files of internal/, cmd/ and examples/.
+func programFiles(files []*srcFile) []*srcFile {
+	var out []*srcFile
+	for _, f := range files {
+		if !f.test && !strings.HasPrefix(f.path, "benchmark/") {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// funcName is a declaration's name as Go prints a method: "(*T).M", "T.M".
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	if _, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+		return "(*" + recvName(fn) + ")." + fn.Name.Name
+	}
+	return recvName(fn) + "." + fn.Name.Name
+}
+
+// exportedReasons lists the exported names of internal/ that no program
+// file (non-test, in internal/, cmd/ or examples/) outside their package
+// uses, each with why it stays exported; any other such name is
+// unexported or deleted, as the simplicity guide counts neither tests nor
+// examples as callers. The list may only shrink: an entry whose name is
+// gone or now has a user fails the test. A reason is one of:
+const (
+	paperAPI       = "paper API"       // the FE/BE/MW API a tool programs against
+	testHook       = "test hook"       // another package's tests use it (checked)
+	faultInjection = "fault injection" // DESIGN.md "Injection"
+	benchmarkName  = "benchmark"       // benchmark/ names it (checked)
+)
+
+var exportedReasons = map[string]string{
+	"internal/bench.CollectiveRow":         testHook,
+	"internal/bench.ConcurrentRow":         testHook,
+	"internal/bench.ConcurrentScales":      testHook,
+	"internal/bench.FailureRow":            testHook,
+	"internal/bench.Fig3Row":               testHook,
+	"internal/bench.Fig5Row":               testHook,
+	"internal/bench.Fig6Row":               testHook,
+	"internal/bench.Figure3Scales":         testHook,
+	"internal/bench.Figure5Scales":         testHook,
+	"internal/bench.LaunchPipeRow":         testHook,
+	"internal/bench.MWPipeRow":             testHook,
+	"internal/bench.OverheadRow":           testHook,
+	"internal/bench.Scenario":              testHook,
+	"internal/bench.SweepScales":           testHook,
+	"internal/bench.T1Row":                 testHook,
+	"internal/bench.Table1Scales":          testHook,
+	"internal/cluster.Cluster.KillNode":    faultInjection,
+	"internal/cluster.Cluster.NodeByName":  testHook,
+	"internal/cluster.ErrProcLimit":        testHook,
+	"internal/cluster.Node.Fail":           faultInjection,
+	"internal/cluster.Node.FindProcByExe":  testHook,
+	"internal/cluster.Proc.Environ":        testHook,
+	"internal/coll.DecodeSample":           testHook,
+	"internal/coll.EncodeSample":           testHook,
+	"internal/coll.Frame.EncodeMsg":        benchmarkName,
+	"internal/core.ErrNotMaster":           paperAPI,
+	"internal/core.ErrObsDisabled":         paperAPI,
+	"internal/core.ErrSessionClosed":       paperAPI,
+	"internal/core.ObsDefault":             benchmarkName,
+	"internal/core.Session.AllocTag":       benchmarkName,
+	"internal/core.Session.MWBroadcastTag": paperAPI,
+	"internal/core.Session.MWDaemons":      paperAPI,
+	"internal/core.Session.MWGatherTag":    paperAPI,
+	"internal/core.Session.MWReduceTag":    paperAPI,
+	"internal/core.Session.MWScatterTag":   paperAPI,
+	"internal/core.Session.RecvFromMW":     paperAPI,
+	"internal/core.Session.ReduceTag":      benchmarkName,
+	"internal/core.Session.Scatter":        paperAPI,
+	"internal/core.Session.ScatterTag":     paperAPI,
+	"internal/core.Session.SendToMW":       paperAPI,
+	"internal/core.daemonSession.Scatter":  paperAPI,
+	"internal/engine.MWChain":              testHook,
+	"internal/engine.MarkE1":               benchmarkName,
+	"internal/engine.MarkE4":               benchmarkName,
+	"internal/engine.MarkMW6":              testHook,
+	"internal/engine.MarkMWSeedFwd":        testHook,
+	"internal/engine.MarkMWSeedValid":      testHook,
+	"internal/engine.MarkSeedFwd":          benchmarkName,
+	"internal/engine.MarkSeedValid":        benchmarkName,
+	"internal/iccl.Bootstrap":              benchmarkName,
+	"internal/iccl.Parent":                 testHook,
+	"internal/iccl.Plane.AllGather":        benchmarkName,
+	"internal/iccl.Plane.AllReduce":        benchmarkName,
+	"internal/iccl.Plane.ReduceTag":        benchmarkName,
+	"internal/iccl.Plane.ScatterTag":       testHook,
+	"internal/lmonp.ErrTooLarge":           testHook,
+	"internal/lmonp.Read":                  benchmarkName,
+	"internal/lmonp.Write":                 benchmarkName,
+	"internal/proctab.Table.Validate":      benchmarkName,
+	"internal/rm.ErrInsufficient":          testHook,
+	"internal/rm.PublishProctab":           testHook,
+	"internal/rm.RemoteError":              testHook,
+	"internal/rm/alps.ApinitPort":          testHook,
+	"internal/rm/slurm.CtrlPort":           testHook,
+	"internal/rm/slurm.SlurmdPort":         testHook,
+	"internal/rsh.Port":                    testHook,
+	"internal/transport.Hello":             benchmarkName,
+	"internal/transport.ReadHello":         benchmarkName,
+	"internal/transport.WriteHello":        benchmarkName,
+	"internal/vtime.Sim.AtEvent":           testHook,
+	"internal/vtime.Sim.Live":              benchmarkName,
+	"internal/vtime.Sim.Parks":             testHook,
+	"internal/vtime.Sim.SetSpawnObserver":  testHook,
+	"internal/vtime.Sim.Stopped":           testHook,
+}
+
+// checkExported finds each exported package-level name and method of
+// internal/ and where it is selected (pkg.Name, or .Method on any value: a
+// method is matched by name alone, so a same-named method elsewhere counts
+// as a use). A type a used name's signature mentions is used, and an
+// interface method needs no caller of its own.
+func checkExported(t *testing.T, files []*srcFile) {
+	type decl struct {
+		file string
+		refs []string // the names its signature mentions
+	}
+	declared := map[string]*decl{} // "pkg.Name" or "pkg.Type.Method"
+	// Interface methods: the standard library's for errors and Stringers,
+	// and every method an interface of internal/ declares.
+	ifaceMethods := map[string]bool{"Error": true, "String": true, "Is": true, "Unwrap": true}
+	for _, f := range programFiles(files) {
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		sig := func(n ast.Expr) []string {
+			var refs []string
+			if n == nil {
+				return nil
+			}
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := n.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
+						refs = append(refs, f.imports[id.Name]+"."+n.Sel.Name)
+					}
+					return false
+				case *ast.Ident:
+					refs = append(refs, f.pkg+"."+n.Name)
+				}
+				return true
+			})
+			return refs
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						ifaceMethods[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		for _, d := range f.file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				key := f.pkg + "." + d.Name.Name
+				if d.Recv != nil {
+					key = f.pkg + "." + recvName(d) + "." + d.Name.Name
+				}
+				declared[key] = &decl{f.path, sig(d.Type)}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							declared[f.pkg+"."+s.Name.Name] = &decl{f.path, sig(s.Type)}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								declared[f.pkg+"."+n.Name] = &decl{f.path, sig(s.Type)}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	members := map[string][]string{} // method name → its declared keys
+	for k := range declared {
+		if parts := strings.Split(k, "."); len(parts) == 3 {
+			members[parts[2]] = append(members[parts[2]], k)
+		}
+	}
+	// used maps each name to the kinds of file outside its package that
+	// select it: "program", "test" or "benchmark".
+	used := map[string]map[string]bool{}
+	for _, f := range files {
+		kind := "program"
+		switch {
+		case strings.HasPrefix(f.path, "benchmark/"):
+			kind = "benchmark"
+		case f.test:
+			kind = "test"
+		}
+		mark := func(k string) {
+			if declared[k] == nil || strings.HasPrefix(k, f.pkg+".") {
+				return
+			}
+			if used[k] == nil {
+				used[k] = map[string]bool{}
+			}
+			used[k][kind] = true
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
+				mark(f.imports[id.Name] + "." + sel.Sel.Name)
+				return true
+			}
+			for _, k := range members[sel.Sel.Name] {
+				mark(k)
+			}
+			return true
+		})
+	}
+	live := map[string]bool{}
+	var visit func(k string)
+	visit = func(k string) {
+		if live[k] || declared[k] == nil {
+			return
+		}
+		live[k] = true
+		for _, r := range declared[k].refs {
+			visit(r)
+		}
+	}
+	for k := range declared {
+		if used[k]["program"] {
+			visit(k)
+		}
+	}
+	for k, d := range declared {
+		name := strings.TrimPrefix(k, "launchmon/")
+		parts := strings.Split(k, ".")
+		if live[k] || len(parts) == 3 && ifaceMethods[parts[2]] {
+			continue
+		}
+		switch why, ok := exportedReasons[name]; {
+		case !ok:
+			t.Errorf("%s (%s) has no user outside its package: unexport or delete it", name, d.file)
+		case why == testHook && !used[k]["test"]:
+			t.Errorf("%s is listed as a %s, but no other package's test uses it: unexport it and remove the entry", name, why)
+		case why == benchmarkName && !used[k]["benchmark"]:
+			t.Errorf("%s is listed as named by benchmark/, which does not name it: unexport it and remove the entry", name)
+		}
+	}
+	for name := range exportedReasons {
+		if k := "launchmon/" + name; declared[k] == nil || live[k] {
+			t.Errorf("exportedReasons lists %s, which is gone or now has a user: remove the entry", name)
+		}
+	}
+}
+
+func recvName(d *ast.FuncDecl) string {
+	typ := d.Recv.List[0].Type
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ = s.X
+	}
+	switch x := typ.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.IndexExpr:
+		return x.X.(*ast.Ident).Name
+	case *ast.IndexListExpr:
+		return x.X.(*ast.Ident).Name
+	}
+	return "?"
+}

@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	svc, err := rsh.Install(cl, rsh.Config{})
+	svc, err := rsh.Install(cl)
 	if err != nil {
 		fatal(err)
 	}

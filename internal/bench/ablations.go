@@ -19,8 +19,8 @@ import (
 // observation), ICCL tree fan-out, user-data piggybacking, RPDTAB
 // distribution mechanism, and RM debug-event scaling.
 
-// BGLRow compares launchAndSpawn across RM cost profiles.
-type BGLRow struct {
+// bglRow compares launchAndSpawn across RM cost profiles.
+type bglRow struct {
 	RM       string
 	Measured perfmodel.Breakdown
 }
@@ -39,7 +39,7 @@ func breakdown(sc Scenario) (b perfmodel.Breakdown, err error) {
 	return b, err
 }
 
-// BGLAblation measures launchAndSpawn at 64 nodes across the three RM
+// bglAblation measures launchAndSpawn at 64 nodes across the three RM
 // implementations, reproducing the paper's note that BG/L's
 // T(job)/T(daemon) dominate while LaunchMON's own costs stay put — and
 // extending it with the ALPS-like star launcher and with a tree-acked
@@ -47,7 +47,7 @@ func breakdown(sc Scenario) (b perfmodel.Breakdown, err error) {
 // of one per node: both serialized root costs scaled by Fanout/K. That
 // profile bounds what an RM fix could give back, and with it the share of
 // time-to-ready that is LaunchMON's to move (EXPERIMENTS.md).
-func BGLAblation() ([]BGLRow, error) {
+func bglAblation() ([]bglRow, error) {
 	const nodes, tpd = 64, 8
 	// slurm.Config's defaults: launch-tree fanout 32, 1.8 ms per node
 	// spawned, 500 µs per task.
@@ -64,7 +64,7 @@ func BGLAblation() ([]BGLRow, error) {
 			PerTaskRootCost:      perTask * fanout / nodes,
 		}}},
 	}
-	var rows []BGLRow
+	var rows []bglRow
 	for _, pr := range profiles {
 		sc := pr.sc
 		sc.Nodes, sc.Lean = nodes, true // the launch path alone, whatever the RM
@@ -76,23 +76,23 @@ func BGLAblation() ([]BGLRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rm ablation (%s): %w", pr.name, err)
 		}
-		rows = append(rows, BGLRow{RM: pr.name, Measured: b})
+		rows = append(rows, bglRow{RM: pr.name, Measured: b})
 	}
 	return rows, nil
 }
 
-// FanoutRow is one ICCL tree shape measurement.
-type FanoutRow struct {
+// fanoutRow is one ICCL tree shape measurement.
+type fanoutRow struct {
 	Fanout   int // 0 = flat (1-deep)
 	Measured perfmodel.Breakdown
 }
 
-// AblationFanout measures launchAndSpawn at 128 daemons across ICCL tree
+// ablationFanout measures launchAndSpawn at 128 daemons across ICCL tree
 // fan-outs: flat trees concentrate the handshake at the master daemon,
 // k-ary trees distribute it.
-func AblationFanout() ([]FanoutRow, error) {
+func ablationFanout() ([]fanoutRow, error) {
 	const nodes, tpd = 128, 8
-	var rows []FanoutRow
+	var rows []fanoutRow
 	for _, fanout := range []int{0, 4, 16, 32} {
 		b, err := breakdown(Scenario{Nodes: nodes, Opts: core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd},
@@ -102,22 +102,22 @@ func AblationFanout() ([]FanoutRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fanout ablation (%d): %w", fanout, err)
 		}
-		rows = append(rows, FanoutRow{Fanout: fanout, Measured: b})
+		rows = append(rows, fanoutRow{Fanout: fanout, Measured: b})
 	}
 	return rows, nil
 }
 
-// PiggybackRow compares delivering tool bootstrap data piggybacked on the
+// piggybackRow compares delivering tool bootstrap data piggybacked on the
 // handshake versus as a separate post-ready exchange.
-type PiggybackRow struct {
+type piggybackRow struct {
 	Mode  string
 	Total time.Duration
 }
 
-// AblationPiggyback quantifies the startup saving of piggybacking tool
+// ablationPiggyback quantifies the startup saving of piggybacking tool
 // data on LaunchMON's handshake (paper §3.2's pack/unpack design) against
 // a separate FE→master→broadcast round after ready.
-func AblationPiggyback() ([]PiggybackRow, error) {
+func ablationPiggyback() ([]piggybackRow, error) {
 	const nodes, tpd = 128, 8
 	payload := make([]byte, 4096)
 	job := rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tpd}
@@ -162,7 +162,7 @@ func AblationPiggyback() ([]PiggybackRow, error) {
 			be.Finalize()
 		},
 		FE: func(r *Run) (err error) {
-			exchange, _, err = r.Timed(func() error {
+			exchange, _, err = r.timed(func() error {
 				if err := r.Sess.SendToBE(payload); err != nil {
 					return err
 				}
@@ -175,25 +175,25 @@ func AblationPiggyback() ([]PiggybackRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("separate-exchange ablation: %w", err)
 	}
-	return []PiggybackRow{
+	return []piggybackRow{
 		{Mode: "piggybacked", Total: pig.Ready},
 		{Mode: "separate", Total: sep.Ready + exchange},
 	}, nil
 }
 
-// DebugEventsRow shows engine tracing cost under different RM debug-event
+// debugEventsRow shows engine tracing cost under different RM debug-event
 // behaviours.
-type DebugEventsRow struct {
+type debugEventsRow struct {
 	Mode    string
 	Daemons int
 	Tracing time.Duration
 }
 
-// AblationDebugEvents contrasts a fixed-event RM (SLURM after the fix the
+// ablationDebugEvents contrasts a fixed-event RM (SLURM after the fix the
 // paper describes) with a hypothetical RM whose debug events grow with
 // scale — the pathology the LaunchMON work got fixed in SLURM.
-func AblationDebugEvents() ([]DebugEventsRow, error) {
-	var rows []DebugEventsRow
+func ablationDebugEvents() ([]debugEventsRow, error) {
+	var rows []debugEventsRow
 	for _, scale := range []int{16, 64, 128} {
 		for _, mode := range []string{"fixed", "scaling"} {
 			events := 11
@@ -211,14 +211,14 @@ func AblationDebugEvents() ([]DebugEventsRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("debug-events ablation: %w", err)
 			}
-			rows = append(rows, DebugEventsRow{Mode: mode, Daemons: scale, Tracing: b.Tracing})
+			rows = append(rows, debugEventsRow{Mode: mode, Daemons: scale, Tracing: b.Tracing})
 		}
 	}
 	return rows, nil
 }
 
-// PrintBGL renders the RM cost-profile rows.
-func PrintBGL(w io.Writer, rows []BGLRow) {
+// printBGL renders the RM cost-profile rows.
+func printBGL(w io.Writer, rows []bglRow) {
 	fmt.Fprintln(w, "Ablation — RM cost profile (64 daemons, 8 tasks/daemon)")
 	fmt.Fprintln(w, "rm           T(job)    T(daemon) tracing   overlap   other     total     lmon%")
 	for _, r := range rows {
@@ -229,8 +229,8 @@ func PrintBGL(w io.Writer, rows []BGLRow) {
 	}
 }
 
-// PrintFanout renders the ICCL fan-out rows.
-func PrintFanout(w io.Writer, rows []FanoutRow) {
+// printFanout renders the ICCL fan-out rows.
+func printFanout(w io.Writer, rows []fanoutRow) {
 	fmt.Fprintln(w, "Ablation — ICCL fan-out (128 daemons)")
 	fmt.Fprintln(w, "fanout    setup     collective overlap   other     total     lmon%")
 	for _, r := range rows {
@@ -248,16 +248,16 @@ func fanoutName(fanout int) string {
 	return fmt.Sprint(fanout)
 }
 
-// PrintPiggyback renders the piggybacking rows.
-func PrintPiggyback(w io.Writer, rows []PiggybackRow) {
+// printPiggyback renders the piggybacking rows.
+func printPiggyback(w io.Writer, rows []piggybackRow) {
 	fmt.Fprintln(w, "Ablation — tool data piggybacking (128 daemons, 4 KiB payload)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %8.3fs\n", r.Mode, r.Total.Seconds())
 	}
 }
 
-// PrintDebugEvents renders the debug-event scaling rows.
-func PrintDebugEvents(w io.Writer, rows []DebugEventsRow) {
+// printDebugEvents renders the debug-event scaling rows.
+func printDebugEvents(w io.Writer, rows []debugEventsRow) {
 	fmt.Fprintln(w, "Ablation — RM debug-event scaling (engine tracing cost)")
 	fmt.Fprintln(w, "mode     daemons  tracing")
 	for _, r := range rows {

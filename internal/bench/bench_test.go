@@ -20,7 +20,7 @@ import (
 // cmd/lmonbench.
 
 func TestFigure3ShapeAndModel(t *testing.T) {
-	rows, err := Figure3()
+	rows, err := figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFigure6ShapeSmall(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1()
+	rows, err := table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestBGLAblationShape(t *testing.T) {
-	rows, err := BGLAblation()
+	rows, err := bglAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestBGLAblationShape(t *testing.T) {
 }
 
 func TestFanoutAblationShape(t *testing.T) {
-	rows, err := AblationFanout()
+	rows, err := ablationFanout()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +221,13 @@ func TestOtherIsItsNamedGaps(t *testing.T) {
 		return b, nil
 	}
 	defer func() { decompose = perfmodel.Decompose }()
-	if _, err := Figure3(); err != nil {
+	if _, err := figure3(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BGLAblation(); err != nil {
+	if _, err := bglAblation(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AblationFanout(); err != nil {
+	if _, err := ablationFanout(); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(Figure3Scales) + 4 + 4; n != want {
@@ -236,7 +236,7 @@ func TestOtherIsItsNamedGaps(t *testing.T) {
 }
 
 func TestPiggybackAblationShape(t *testing.T) {
-	rows, err := AblationPiggyback()
+	rows, err := ablationPiggyback()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPiggybackAblationShape(t *testing.T) {
 }
 
 func TestProctabAblationShape(t *testing.T) {
-	rows, err := AblationProctab()
+	rows, err := ablationProctab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestProctabAblationShape(t *testing.T) {
 }
 
 func TestJobsnapTreeAblationShape(t *testing.T) {
-	rows, err := AblationJobsnapTree()
+	rows, err := ablationJobsnapTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestJobsnapTreeAblationShape(t *testing.T) {
 
 func TestConcurrentSessionsShape(t *testing.T) {
 	// Reduced scale: 4 nodes per session keeps the rigs small.
-	rows, err := ConcurrentSessions(ConcurrentSessionOpts{NodesEach: 4, TasksPerNode: 4}, []int{1, 4, 8})
+	rows, err := concurrentSessions(concurrentSessionOpts{NodesEach: 4, TasksPerNode: 4}, []int{1, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestConcurrentSessionsShape(t *testing.T) {
 }
 
 func TestContentionShapeSmall(t *testing.T) {
-	rows, err := ContentionAblation(ContentionOpts{Tools: 4, PayloadB: 128, Fanout: 4}, []int{8, 32})
+	rows, err := contentionAblation(contentionOpts{Tools: 4, PayloadB: 128, Fanout: 4}, []int{8, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestContentionShapeSmall(t *testing.T) {
 }
 
 func TestDebugEventsAblationShape(t *testing.T) {
-	rows, err := AblationDebugEvents()
+	rows, err := ablationDebugEvents()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestDebugEventsAblationShape(t *testing.T) {
 func TestFailureDetectionShapeSmall(t *testing.T) {
 	period := 100 * time.Millisecond
 	const miss = 3
-	rows, err := FailureDetection(FailureOpts{Period: period, Miss: miss, Fanout: 4, Silent: true}, []int{8, 32})
+	rows, err := failureDetection(failureOpts{Period: period, Miss: miss, Fanout: 4, Silent: true}, []int{8, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestFailureDetectionShapeSmall(t *testing.T) {
 }
 
 func TestHeartbeatOverheadScalesWithPeriod(t *testing.T) {
-	rows, err := HeartbeatOverhead(16, []time.Duration{400 * time.Millisecond, 100 * time.Millisecond}, 4*time.Second)
+	rows, err := heartbeatOverhead(16, []time.Duration{400 * time.Millisecond, 100 * time.Millisecond}, 4*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,12 +416,12 @@ func TestHeartbeatOverheadScalesWithPeriod(t *testing.T) {
 // (obs.harvests 1 or 2, iccl.tx.frames doubled or not), and carried the
 // host's goroutine count besides: ten launches, one Metrics.
 func TestTraceLaunchMetricsAreOneSnapshot(t *testing.T) {
-	first, err := TraceLaunch(64, 32, io.Discard)
+	first, err := traceLaunch(64, 32, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 1; run < 10; run++ {
-		res, err := TraceLaunch(64, 32, io.Discard)
+		res, err := traceLaunch(64, 32, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,17 +434,17 @@ func TestTraceLaunchMetricsAreOneSnapshot(t *testing.T) {
 func TestPrinters(t *testing.T) {
 	// Smoke-test every printer against tiny inputs.
 	var buf bytes.Buffer
-	PrintFigure3(&buf, []Fig3Row{{Daemons: 1, Tasks: 8}})
-	PrintFigure5(&buf, []Fig5Row{{Daemons: 1, Tasks: 8}})
-	PrintFigure6(&buf, []Fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
-	PrintTable1(&buf, []T1Row{{Nodes: 2}})
-	PrintBGL(&buf, []BGLRow{{RM: "x"}})
-	PrintFanout(&buf, []FanoutRow{{}})
-	PrintPiggyback(&buf, []PiggybackRow{{Mode: "m"}})
-	PrintDebugEvents(&buf, []DebugEventsRow{{Mode: "f"}})
-	PrintProctabAblation(&buf, []ProctabRow{{Mode: "m"}})
-	PrintFailure(&buf, []FailureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
-	PrintOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})
+	printFigure3(&buf, []Fig3Row{{Daemons: 1, Tasks: 8}})
+	printFigure5(&buf, []Fig5Row{{Daemons: 1, Tasks: 8}})
+	printFigure6(&buf, []Fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
+	printTable1(&buf, []T1Row{{Nodes: 2}})
+	printBGL(&buf, []bglRow{{RM: "x"}})
+	printFanout(&buf, []fanoutRow{{}})
+	printPiggyback(&buf, []piggybackRow{{Mode: "m"}})
+	printDebugEvents(&buf, []debugEventsRow{{Mode: "f"}})
+	printProctabAblation(&buf, []proctabRow{{Mode: "m"}})
+	printFailure(&buf, []FailureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
+	printOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})
 	if buf.Len() == 0 {
 		t.Fatal("printers produced nothing")
 	}
@@ -456,7 +456,7 @@ func TestPrinters(t *testing.T) {
 // one a nanosecond past it either way fails.
 func TestObsDriftBoundIsTheRootsFolds(t *testing.T) {
 	const fanout, ready = 32, 213308587 * time.Nanosecond
-	bound := ObsDriftBound(fanout)
+	bound := obsDriftBound(fanout)
 	if want := fanout*iccl.PerMsgCost + 3413*time.Nanosecond; bound != want {
 		t.Fatalf("ObsDriftBound(%d) = %v, want %v", fanout, bound, want)
 	}
@@ -473,7 +473,7 @@ func TestObsDriftBoundIsTheRootsFolds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			row := LaunchPipeRow{Mode: core.SeedStoreForward.String(), Table: "full", Daemons: 64,
 				Ready: ready, ObsReady: ready + tc.drift, ReduceFEB: 8}
-			if err := CheckObsInvariants([]LaunchPipeRow{row}, fanout); (err == nil) != tc.ok {
+			if err := checkObsInvariants([]LaunchPipeRow{row}, fanout); (err == nil) != tc.ok {
 				t.Errorf("drift %v: CheckObsInvariants = %v, want ok=%v", tc.drift, err, tc.ok)
 			}
 		})

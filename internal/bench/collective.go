@@ -45,14 +45,14 @@ type CollectiveRow struct {
 	TreeMasterLinks int // inbound tree links at the master: min(fanout, K-1)
 }
 
-// CollectiveOpts parameterize the ablation.
-type CollectiveOpts struct {
+// collectiveOpts parameterize the ablation.
+type collectiveOpts struct {
 	PayloadB int // per-daemon contribution
 	Fanout   int // tree fanout
 }
 
-// CollectiveAblation measures all three phases at each scale.
-func CollectiveAblation(o CollectiveOpts, scales []int) ([]CollectiveRow, error) {
+// collectiveAblation measures all three phases at each scale.
+func collectiveAblation(o collectiveOpts, scales []int) ([]CollectiveRow, error) {
 	return sweep("collective ablation", scales, func(k int) (CollectiveRow, error) {
 		row := CollectiveRow{
 			Daemons: k, PayloadB: o.PayloadB, Fanout: o.Fanout,
@@ -96,7 +96,7 @@ func collectivePhase(k, fanout int, exe string, be func(*cluster.Proc, *core.Bac
 		},
 		BE: be,
 		FE: func(r *Run) (err error) {
-			elapsed, net, err = r.Timed(func() error { return fe(r.Sess) })
+			elapsed, net, err = r.timed(func() error { return fe(r.Sess) })
 			return err
 		},
 	}.Run()
@@ -196,8 +196,8 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 	})
 }
 
-// PrintCollective renders the rows.
-func PrintCollective(w io.Writer, rows []CollectiveRow) {
+// printCollective renders the rows.
+func printCollective(w io.Writer, rows []CollectiveRow) {
 	fmt.Fprintln(w, "Ablation — collective tool-data plane (flat master relay vs tree routing)")
 	fmt.Fprintln(w, "daemons  payload fanout  flat-gather tree-gather reduce-sum  master-links(flat/tree)")
 	for _, r := range rows {

@@ -30,20 +30,20 @@ type ConcurrentRow struct {
 // ConcurrentScales are the session counts of the ablation.
 var ConcurrentScales = []int{1, 4, 8}
 
-// ConcurrentSessionOpts sizes one session of the ablation.
-type ConcurrentSessionOpts struct {
+// concurrentSessionOpts sizes one session of the ablation.
+type concurrentSessionOpts struct {
 	NodesEach    int
 	TasksPerNode int
 }
 
-// ConcurrentSessions measures aggregate launchAndSpawn throughput for
+// concurrentSessions measures aggregate launchAndSpawn throughput for
 // each K in scales: K sessions launched from parallel goroutines of one
 // FE process on a fresh rig sized to hold all K jobs.
-func ConcurrentSessions(o ConcurrentSessionOpts, scales []int) ([]ConcurrentRow, error) {
+func concurrentSessions(o concurrentSessionOpts, scales []int) ([]ConcurrentRow, error) {
 	return sweep("concurrent sessions", scales, func(k int) (ConcurrentRow, error) { return measureConcurrent(k, o) })
 }
 
-func measureConcurrent(k int, o ConcurrentSessionOpts) (ConcurrentRow, error) {
+func measureConcurrent(k int, o concurrentSessionOpts) (ConcurrentRow, error) {
 	row := ConcurrentRow{Sessions: k, NodesEach: o.NodesEach}
 	_, err := Scenario{
 		Nodes: k * o.NodesEach,
@@ -56,7 +56,7 @@ func measureConcurrent(k int, o ConcurrentSessionOpts) (ConcurrentRow, error) {
 			durs := make([]time.Duration, k)
 			wg := vtime.NewWaitGroup(r.Sim)
 			wg.Add(k)
-			row.Wall, _, _ = r.Timed(func() error {
+			row.Wall, _, _ = r.timed(func() error {
 				for i := 0; i < k; i++ {
 					i := i
 					r.Sim.Go(fmt.Sprintf("cc-session-%d", i), func() {
@@ -90,8 +90,8 @@ func measureConcurrent(k int, o ConcurrentSessionOpts) (ConcurrentRow, error) {
 	return row, err
 }
 
-// PrintConcurrent renders the concurrent-session rows.
-func PrintConcurrent(w io.Writer, rows []ConcurrentRow) {
+// printConcurrent renders the concurrent-session rows.
+func printConcurrent(w io.Writer, rows []ConcurrentRow) {
 	fmt.Fprintln(w, "Ablation — concurrent sessions per FE process (one transport mux)")
 	fmt.Fprintln(w, "sessions  nodes/sess  wall      slowest   sessions/s")
 	for _, r := range rows {

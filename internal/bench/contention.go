@@ -33,8 +33,8 @@ import (
 //     BroadcastTag/GatherTag round trip, daemons running the mirror
 //     goroutines.
 
-// ContentionRow is one scale's measurements.
-type ContentionRow struct {
+// contentionRow is one scale's measurements.
+type contentionRow struct {
 	Daemons  int
 	Tools    int // concurrent tool components on the one session
 	PayloadB int // per-daemon gather contribution bytes
@@ -50,17 +50,17 @@ type ContentionRow struct {
 	Speedup float64 // Serialized / Concurrent
 }
 
-// ContentionOpts parameterize the ablation.
-type ContentionOpts struct {
+// contentionOpts parameterize the ablation.
+type contentionOpts struct {
 	Tools    int // concurrent tool components
 	PayloadB int // per-daemon gather contribution
 	Fanout   int // tree fanout
 }
 
-// ContentionAblation measures both phases at each scale.
-func ContentionAblation(o ContentionOpts, scales []int) ([]ContentionRow, error) {
-	return sweep("contention ablation", scales, func(k int) (ContentionRow, error) {
-		row := ContentionRow{
+// contentionAblation measures both phases at each scale.
+func contentionAblation(o contentionOpts, scales []int) ([]contentionRow, error) {
+	return sweep("contention ablation", scales, func(k int) (contentionRow, error) {
+		row := contentionRow{
 			Daemons: k, Tools: o.Tools, PayloadB: o.PayloadB, Fanout: o.Fanout,
 		}
 		var err error
@@ -91,7 +91,7 @@ var contentionQuery = []byte("query: report status")
 // measureContention runs one phase: every tool performs one
 // query-broadcast / response-gather round trip, serialized over the
 // lockstep plane or concurrently over tagged streams.
-func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int64, error) {
+func measureContention(k int, o contentionOpts, tagged bool) (time.Duration, int64, error) {
 	exe := "cont_serial_be"
 	if tagged {
 		exe = "cont_tagged_be"
@@ -138,7 +138,7 @@ func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int
 			be.Finalize()
 		},
 		FE: func(r *Run) (err error) {
-			elapsed, net, err = r.Timed(func() error { return contentionFE(r, k, o.Tools, tagged) })
+			elapsed, net, err = r.timed(func() error { return contentionFE(r, k, o.Tools, tagged) })
 			return err
 		},
 	}.Run()
@@ -191,8 +191,8 @@ func contentionFE(r *Run, k, tools int, tagged bool) error {
 	return nil
 }
 
-// PrintContention renders the rows.
-func PrintContention(w io.Writer, rows []ContentionRow) {
+// printContention renders the rows.
+func printContention(w io.Writer, rows []contentionRow) {
 	fmt.Fprintln(w, "Ablation — collective contention (lockstep serialization vs concurrent tagged streams)")
 	fmt.Fprintln(w, "daemons  tools payload fanout window  serialized concurrent speedup")
 	for _, r := range rows {

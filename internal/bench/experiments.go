@@ -200,12 +200,12 @@ var SweepScales = []int{64, 1024, 16384}
 // kSweep is the shape those sweeps share: capped by -maxk and by the
 // simulator's footprint under the sweep label, {8, 32} in the smoke sweep.
 func kSweep(stem, sweep string) Table {
-	return Table{Stem: stem, SmokeStem: "smoke_" + stem, Sweep: sweep, Scales: SweepScales, Smoke: []int{8, 32}, Predict: SimFootprint}
+	return Table{Stem: stem, SmokeStem: "smoke_" + stem, Sweep: sweep, Scales: SweepScales, Smoke: []int{8, 32}, Predict: simFootprint}
 }
 
 // launchOpts are the launch-pipeline sweep's options; its smoke fanout is 4.
-func launchOpts(p Params) LaunchPipeOpts {
-	o := LaunchPipeOpts{TasksPerNode: 1, Fanout: 32, Obs: p.Obs}
+func launchOpts(p Params) launchPipeOpts {
+	o := launchPipeOpts{TasksPerNode: 1, Fanout: 32, Obs: p.Obs}
 	if p.Smoke {
 		o.Fanout = 4
 	}
@@ -218,24 +218,24 @@ func runLaunch(p Params, scales []int) ([]LaunchPipeRow, error) {
 	fullScales := scales
 	if !p.Smoke {
 		fullScales = p.capScales("launch store-forward/full", scales, func(k int) int64 {
-			return SimFootprint(k) + FullTableFootprint(k, 1)
+			return simFootprint(k) + fullTableFootprint(k, 1)
 		})
 	}
-	return LaunchPipeline(launchOpts(p), scales, fullScales)
+	return launchPipeline(launchOpts(p), scales, fullScales)
 }
 
 // printLaunch renders a launch sweep with the riders p asks for, and
 // holds the obs rider's rows to its invariants.
 func printLaunch(w io.Writer, rows []LaunchPipeRow, p Params) error {
-	PrintLaunchPipeline(w, rows)
+	printLaunchPipeline(w, rows)
 	if p.Mem {
 		fmt.Fprintln(w)
-		PrintLaunchMem(w, rows)
+		printLaunchMem(w, rows)
 	}
 	if p.Obs {
 		fmt.Fprintln(w)
-		PrintLaunchObs(w, rows)
-		return CheckObsInvariants(rows, launchOpts(p).Fanout)
+		printLaunchObs(w, rows)
+		return checkObsInvariants(rows, launchOpts(p).Fanout)
 	}
 	return nil
 }
@@ -243,32 +243,32 @@ func printLaunch(w io.Writer, rows []LaunchPipeRow, p Params) error {
 // runMillion is the million sweep: one point, lowered by -maxk, on a lean
 // rig at fanout 64 (4 in the smoke sweep, which also leaves the GC alone).
 func runMillion(p Params, scales []int) ([]LaunchPipeRow, error) {
-	o := LaunchPipeOpts{TasksPerNode: 1, Fanout: 4}
+	o := launchPipeOpts{TasksPerNode: 1, Fanout: 4}
 	if !p.Smoke {
 		o.Fanout = 64
 		defer boundMillionHeap()()
 	}
-	return LaunchMillion(o, p.lowerScales(scales))
+	return launchMillion(o, p.lowerScales(scales))
 }
 
 func printMillion(w io.Writer, rows []LaunchPipeRow, p Params) error {
-	PrintLaunchPipeline(w, rows)
+	printLaunchPipeline(w, rows)
 	// The smoke sweep has never printed this table's -mem rider, and its
 	// stdout is diffed like its JSON.
 	if p.Mem && !p.Smoke {
 		fmt.Fprintln(w)
-		PrintLaunchMem(w, rows)
+		printLaunchMem(w, rows)
 	}
 	fmt.Fprintln(w)
-	PrintMillionCost(w, rows)
+	printMillionCost(w, rows)
 	return nil
 }
 
 func runOverhead(p Params, _ []int) ([]OverheadRow, error) {
 	if p.Smoke {
-		return HeartbeatOverhead(8, []time.Duration{500 * time.Millisecond}, 5*time.Second)
+		return heartbeatOverhead(8, []time.Duration{500 * time.Millisecond}, 5*time.Second)
 	}
-	return HeartbeatOverhead(256, OverheadPeriods, 30*time.Second)
+	return heartbeatOverhead(256, overheadPeriods, 30*time.Second)
 }
 
 // Experiments is every experiment lmonbench can run, in output order; the
@@ -279,66 +279,66 @@ var Experiments = []Experiment{
 		Help:   "run one obs-on launch at K=1024 (capped by -maxk) and write its Perfetto trace JSON to this file (+ .metrics.json)",
 		Tables: []Table{table(Table{Scales: []int{1024}}, runTrace, plain(printTrace))}},
 	{Name: "figure 3", Flag: "fig", Arg: "3", Help: "regenerate one figure (3, 5 or 6)",
-		Tables: []Table{fixedTable(Table{Stem: "figure3", SmokeStem: "smoke_figure3"}, Figure3, PrintFigure3)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure3", SmokeStem: "smoke_figure3"}, figure3, printFigure3)}},
 	{Name: "figure 5", Flag: "fig", Arg: "5",
-		Tables: []Table{fixedTable(Table{Stem: "figure5"}, Figure5, PrintFigure5)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure5"}, figure5, printFigure5)}},
 	{Name: "figure 6", Flag: "fig", Arg: "6",
-		Tables: []Table{fixedTable(Table{Stem: "figure6"}, Figure6, PrintFigure6)}},
+		Tables: []Table{fixedTable(Table{Stem: "figure6"}, figure6, printFigure6)}},
 	{Name: "table 1", Flag: "table", Arg: "1", Help: "regenerate one table (1)",
-		Tables: []Table{fixedTable(Table{Stem: "table1"}, Table1, PrintTable1)}},
+		Tables: []Table{fixedTable(Table{Stem: "table1"}, table1, printTable1)}},
 	{Name: "ablations", Flag: "ablations", Arg: "true", Help: "run the ablation benches",
 		Tables: []Table{
-			fixedTable(Table{Stem: "ablation_bgl"}, BGLAblation, PrintBGL),
-			fixedTable(Table{Stem: "ablation_fanout", SmokeStem: "smoke_ablation_fanout"}, AblationFanout, PrintFanout),
-			fixedTable(Table{Stem: "ablation_piggyback"}, AblationPiggyback, PrintPiggyback),
-			fixedTable(Table{Stem: "ablation_debug_events"}, AblationDebugEvents, PrintDebugEvents),
-			fixedTable(Table{Stem: "ablation_proctab"}, AblationProctab, PrintProctabAblation),
-			fixedTable(Table{Stem: "ablation_jobsnap_tree"}, AblationJobsnapTree, PrintJobsnapTree),
+			fixedTable(Table{Stem: "ablation_bgl"}, bglAblation, printBGL),
+			fixedTable(Table{Stem: "ablation_fanout", SmokeStem: "smoke_ablation_fanout"}, ablationFanout, printFanout),
+			fixedTable(Table{Stem: "ablation_piggyback"}, ablationPiggyback, printPiggyback),
+			fixedTable(Table{Stem: "ablation_debug_events"}, ablationDebugEvents, printDebugEvents),
+			fixedTable(Table{Stem: "ablation_proctab"}, ablationProctab, printProctabAblation),
+			fixedTable(Table{Stem: "ablation_jobsnap_tree"}, ablationJobsnapTree, printJobsnapTree),
 			sweepTable(Table{Stem: "ablation_concurrent", SmokeStem: "smoke_concurrent", Scales: ConcurrentScales, Smoke: []int{1, 4}},
-				ConcurrentSessionOpts{NodesEach: 16, TasksPerNode: 8}, ConcurrentSessionOpts{NodesEach: 4, TasksPerNode: 2},
-				ConcurrentSessions, PrintConcurrent),
+				concurrentSessionOpts{NodesEach: 16, TasksPerNode: 8}, concurrentSessionOpts{NodesEach: 4, TasksPerNode: 2},
+				concurrentSessions, printConcurrent),
 		}},
 	{Name: "failure detection", Flag: "failure", Arg: "true", Help: "run the failure-detection ablation (K up to 16384)",
 		Tables: []Table{sweepTable(kSweep("failure_detection", "failure"),
-			FailureOpts{Period: 500 * time.Millisecond, Miss: 3, Fanout: 32, Silent: true},
-			FailureOpts{Period: 100 * time.Millisecond, Miss: 3, Fanout: 4, Silent: true},
-			FailureDetection, PrintFailure)}},
+			failureOpts{Period: 500 * time.Millisecond, Miss: 3, Fanout: 32, Silent: true},
+			failureOpts{Period: 100 * time.Millisecond, Miss: 3, Fanout: 4, Silent: true},
+			failureDetection, printFailure)}},
 	{Name: "heartbeat overhead", Flag: "failure", Arg: "true",
-		Tables: []Table{table(Table{Stem: "heartbeat_overhead", SmokeStem: "smoke_heartbeat_overhead"}, runOverhead, plain(PrintOverhead))}},
+		Tables: []Table{table(Table{Stem: "heartbeat_overhead", SmokeStem: "smoke_heartbeat_overhead"}, runOverhead, plain(printOverhead))}},
 	{Name: "collective", Flag: "collective", Arg: "true",
 		Help: "run the collective tool-data-plane ablation (flat vs tree, K up to 16384)",
 		Tables: []Table{sweepTable(kSweep("collective", "collective"),
-			CollectiveOpts{PayloadB: 256, Fanout: 32}, CollectiveOpts{PayloadB: 128, Fanout: 4},
-			CollectiveAblation, PrintCollective)}},
+			collectiveOpts{PayloadB: 256, Fanout: 32}, collectiveOpts{PayloadB: 128, Fanout: 4},
+			collectiveAblation, printCollective)}},
 	{Name: "contention", Flag: "contention", Arg: "true",
 		Help: "run the collective contention ablation (lockstep serialization vs concurrent tagged streams, K up to 16384)",
 		Tables: []Table{sweepTable(kSweep("contention", "contention"),
-			ContentionOpts{Tools: 4, PayloadB: 256, Fanout: 32}, ContentionOpts{Tools: 4, PayloadB: 128, Fanout: 4},
-			ContentionAblation, PrintContention)}},
+			contentionOpts{Tools: 4, PayloadB: 256, Fanout: 32}, contentionOpts{Tools: 4, PayloadB: 128, Fanout: 4},
+			contentionAblation, printContention)}},
 	{Name: "launch pipeline", Flag: "launch", Arg: "true",
 		Help:   "run the launch-pipeline ablation (store-and-forward/full-retention vs cut-through/rank-sliced seed, K up to 16384)",
 		Tables: []Table{table(kSweep("launchpipe", "launch cut-through/sliced"), runLaunch, printLaunch)}},
 	{Name: "million launch", Flag: "million", Arg: "true", OwnFlagOnly: true,
 		Help: "run the million-daemon launch sweep (rank-sliced cut-through on a lean rig, K=2^20)",
-		Tables: []Table{table(Table{Stem: "launch_million", SmokeStem: "smoke_launch_million", Scales: MillionScales, Smoke: []int{64}},
+		Tables: []Table{table(Table{Stem: "launch_million", SmokeStem: "smoke_launch_million", Scales: millionScales, Smoke: []int{64}},
 			runMillion, printMillion)}},
 	{Name: "mw pipeline", Flag: "mw", Arg: "true",
 		Help: "run the middleware launch-pipeline sweep (cut-through MW seed, K up to 16384)",
 		Tables: []Table{sweepTable(kSweep("mwpipe", "mw"),
-			MWPipeOpts{JobNodes: 64, TasksPerNode: 16, Fanout: 32, ChunkBytes: 4 << 10},
-			MWPipeOpts{JobNodes: 4, TasksPerNode: 4, Fanout: 4, ChunkBytes: 256},
-			MWPipeline, PrintMWPipeline)}},
+			mwPipeOpts{JobNodes: 64, TasksPerNode: 16, Fanout: 32, ChunkBytes: 4 << 10},
+			mwPipeOpts{JobNodes: 4, TasksPerNode: 4, Fanout: 4, ChunkBytes: 256},
+			mwPipeline, printMWPipeline)}},
 }
 
 // runTrace exports one obs-on launch as a Perfetto trace at p.Arg (verified
 // to reproduce the monotone launch mark chains before it is written) plus
 // the session's harvested metrics snapshot beside it.
-func runTrace(p Params, scales []int) ([]TraceResult, error) {
+func runTrace(p Params, scales []int) ([]traceResult, error) {
 	f, err := os.Create(p.Arg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := TraceLaunch(p.lowerScales(scales)[0], 32, f)
+	res, err := traceLaunch(p.lowerScales(scales)[0], 32, f)
 	res.Path = p.Arg
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -350,5 +350,5 @@ func runTrace(p Params, scales []int) ([]TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []TraceResult{res}, os.WriteFile(p.Arg+".metrics.json", append(metrics, '\n'), 0o644)
+	return []traceResult{res}, os.WriteFile(p.Arg+".metrics.json", append(metrics, '\n'), 0o644)
 }

@@ -80,10 +80,10 @@ func handAssembled(k, fanout int, lean bool) (bracket, error) {
 		return b, err
 	}
 	if !lean {
-		if _, err := rsh.Install(cl, rsh.Config{}); err != nil {
+		if _, err := rsh.Install(cl); err != nil {
 			return b, err
 		}
-		if _, err := dpcl.Install(cl, dpcl.Config{}); err != nil {
+		if _, err := dpcl.Install(cl); err != nil {
 			return b, err
 		}
 	}
@@ -142,7 +142,7 @@ func TestScenarioMatchesHandAssembledRig(t *testing.T) {
 			r, err := Scenario{
 				Nodes: k, Lean: lean, Opts: gatherOpts(k, fanout), BE: gatherBE,
 				FE: func(r *Run) (err error) {
-					got.Elapsed, got.Net, err = r.Timed(func() error { return gatherFE(r.Sess, k) })
+					got.Elapsed, got.Net, err = r.timed(func() error { return gatherFE(r.Sess, k) })
 					return err
 				},
 			}.Run()

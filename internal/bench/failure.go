@@ -43,21 +43,21 @@ type OverheadRow struct {
 	MsgsPerSec float64
 }
 
-// OverheadPeriods are the heartbeat periods of the overhead sweep.
-var OverheadPeriods = []time.Duration{
+// overheadPeriods are the heartbeat periods of the overhead sweep.
+var overheadPeriods = []time.Duration{
 	2 * time.Second, time.Second, 500 * time.Millisecond, 200 * time.Millisecond,
 }
 
-// FailureOpts parameterize the failure ablation.
-type FailureOpts struct {
+// failureOpts parameterize the failure ablation.
+type failureOpts struct {
 	Period time.Duration // heartbeat period
 	Miss   int           // miss threshold
 	Fanout int           // ICCL/heartbeat tree fanout
 	Silent bool          // also measure the silent link-drop path (slower: one extra rig per scale)
 }
 
-// FailureDetection measures detection and teardown latency for each scale.
-func FailureDetection(o FailureOpts, scales []int) ([]FailureRow, error) {
+// failureDetection measures detection and teardown latency for each scale.
+func failureDetection(o failureOpts, scales []int) ([]FailureRow, error) {
 	return sweep("failure detection", scales, func(k int) (FailureRow, error) {
 		row, err := measureFailure(k, o, false)
 		if err == nil && o.Silent {
@@ -79,7 +79,7 @@ func residentBE(p *cluster.Proc, _ *core.BackEnd) {
 
 // measureFailure kills (or, silent, partitions) the node of the
 // deepest-ranked daemon and times the FE-side callbacks.
-func measureFailure(k int, o FailureOpts, silent bool) (FailureRow, error) {
+func measureFailure(k int, o failureOpts, silent bool) (FailureRow, error) {
 	row := FailureRow{Nodes: k, Period: o.Period, Miss: o.Miss}
 	_, err := Scenario{
 		Nodes: k,
@@ -149,9 +149,9 @@ func measureFailure(k int, o FailureOpts, silent bool) (FailureRow, error) {
 	return row, err
 }
 
-// HeartbeatOverhead measures heartbeat wire traffic during an idle window
+// heartbeatOverhead measures heartbeat wire traffic during an idle window
 // at each period.
-func HeartbeatOverhead(nodes int, periods []time.Duration, window time.Duration) ([]OverheadRow, error) {
+func heartbeatOverhead(nodes int, periods []time.Duration, window time.Duration) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, 0, len(periods))
 	for _, period := range periods {
 		row, err := measureOverhead(nodes, period, window)
@@ -176,7 +176,7 @@ func measureOverhead(nodes int, period, window time.Duration) (OverheadRow, erro
 		BE: residentBE,
 		FE: func(r *Run) error {
 			r.Sim.Sleep(2 * period) // settle past the priming beats
-			_, net, _ := r.Timed(func() error {
+			_, net, _ := r.timed(func() error {
 				r.Sim.Sleep(window)
 				return nil
 			})
@@ -188,8 +188,8 @@ func measureOverhead(nodes int, period, window time.Duration) (OverheadRow, erro
 	return row, err
 }
 
-// PrintFailure renders the detection-latency rows.
-func PrintFailure(w io.Writer, rows []FailureRow) {
+// printFailure renders the detection-latency rows.
+func printFailure(w io.Writer, rows []FailureRow) {
 	fmt.Fprintln(w, "Ablation — failure detection latency (kill deepest-ranked daemon's node)")
 	fmt.Fprintln(w, "daemons   period   miss  detect(sever)  detect(silent)  teardown")
 	for _, r := range rows {
@@ -202,8 +202,8 @@ func PrintFailure(w io.Writer, rows []FailureRow) {
 	}
 }
 
-// PrintOverhead renders the heartbeat-overhead rows.
-func PrintOverhead(w io.Writer, rows []OverheadRow) {
+// printOverhead renders the heartbeat-overhead rows.
+func printOverhead(w io.Writer, rows []OverheadRow) {
 	fmt.Fprintln(w, "Ablation — heartbeat overhead vs period (idle session window)")
 	fmt.Fprintln(w, "daemons   period   window    msgs      bytes     msgs/vsec")
 	for _, r := range rows {

@@ -24,10 +24,10 @@ type Fig3Row struct {
 // one daemon per node, 16..128 step 16).
 var Figure3Scales = []int{16, 32, 48, 64, 80, 96, 112, 128}
 
-// Figure3CalibrationScales are the small scales the model is fitted on;
+// figure3CalibrationScales are the small scales the model is fitted on;
 // the remaining scales are pure prediction (the paper fits T(op) "at small
 // scales and then fit models for them").
-var Figure3CalibrationScales = []int{16, 32, 48}
+var figure3CalibrationScales = []int{16, 32, 48}
 
 // measureLaunchAndSpawn runs one launchAndSpawn at the given scale and
 // decomposes its timeline.
@@ -42,10 +42,10 @@ func measureLaunchAndSpawn(daemons, tasksPerDaemon int) (perfmodel.Breakdown, er
 	}})
 }
 
-// Figure3 regenerates the modeled-vs-measured launchAndSpawn comparison:
+// figure3 regenerates the modeled-vs-measured launchAndSpawn comparison:
 // it measures every scale, fits the analytic model on the calibration
 // scales only, and reports predictions alongside measurements.
-func Figure3() ([]Fig3Row, error) {
+func figure3() ([]Fig3Row, error) {
 	const tasksPerDaemon = 8
 	measured := make(map[int]perfmodel.Breakdown, len(Figure3Scales))
 	for _, n := range Figure3Scales {
@@ -56,7 +56,7 @@ func Figure3() ([]Fig3Row, error) {
 		measured[n] = b
 	}
 	var pts []perfmodel.Point
-	for _, n := range Figure3CalibrationScales {
+	for _, n := range figure3CalibrationScales {
 		pts = append(pts, perfmodel.Point{Nodes: n, Tasks: n * tasksPerDaemon, B: measured[n]})
 	}
 	model, err := perfmodel.Fit(pts)
@@ -77,9 +77,9 @@ func Figure3() ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// PrintFigure3 renders the rows like the paper's stacked chart, one line
+// printFigure3 renders the rows like the paper's stacked chart, one line
 // per scale with the component columns.
-func PrintFigure3(w io.Writer, rows []Fig3Row) {
+func printFigure3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintln(w, "Figure 3 — launchAndSpawn: modeled vs measured (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks  T(job)   T(dmn+setup) T(coll)  tracing  fetch    other    measured  model    err%   lmon%")
 	for _, r := range rows {

@@ -22,8 +22,8 @@ type Fig5Row struct {
 // (8 tasks per daemon; the paper sweeps to 1024 daemons / 8192 tasks).
 var Figure5Scales = []int{64, 128, 256, 512, 768, 1024}
 
-// Figure5 regenerates the Jobsnap performance series.
-func Figure5() ([]Fig5Row, error) {
+// figure5 regenerates the Jobsnap performance series.
+func figure5() ([]Fig5Row, error) {
 	return figure5At(Figure5Scales)
 }
 
@@ -62,8 +62,8 @@ func measureJobsnap(daemons, tasksPerDaemon, fanout int) (jobsnap.Result, error)
 	return res, err
 }
 
-// PrintFigure5 renders the two series of the paper's chart.
-func PrintFigure5(w io.Writer, rows []Fig5Row) {
+// printFigure5 renders the two series of the paper's chart.
+func printFigure5(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintln(w, "Figure 5 — Jobsnap performance (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks   total      init→attachAndSpawn")
 	for _, r := range rows {

@@ -20,18 +20,18 @@ type Fig6Row struct {
 	LaunchMON     time.Duration
 }
 
-// Figure6Scales are the daemon counts of the STAT start-up experiment
+// figure6Scales are the daemon counts of the STAT start-up experiment
 // (8 tasks per daemon; the rsh path fails at 512 on a 512-process front
 // end, as on Atlas).
-var Figure6Scales = []int{4, 16, 64, 128, 256, 512}
+var figure6Scales = []int{4, 16, 64, 128, 256, 512}
 
 // figure6FrontEndProcLimit models Atlas's per-user process limit on the
 // front-end node: the resident rsh clients exhaust it at 512 daemons.
 const figure6FrontEndProcLimit = 512
 
-// Figure6 regenerates the STAT start-up comparison.
-func Figure6() ([]Fig6Row, error) {
-	return figure6At(Figure6Scales, figure6FrontEndProcLimit)
+// figure6 regenerates the STAT start-up comparison.
+func figure6() ([]Fig6Row, error) {
+	return figure6At(figure6Scales, figure6FrontEndProcLimit)
 }
 
 func figure6At(scales []int, feLimit int) ([]Fig6Row, error) {
@@ -125,8 +125,8 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 	return startup, failed, err
 }
 
-// PrintFigure6 renders the comparison like the paper's chart.
-func PrintFigure6(w io.Writer, rows []Fig6Row) {
+// printFigure6 renders the comparison like the paper's chart.
+func printFigure6(w io.Writer, rows []Fig6Row) {
 	fmt.Fprintln(w, "Figure 6 — STAT start-up: MRNet(rsh) vs LaunchMON, 1-deep (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks   MRNet-rsh        LaunchMON")
 	for _, r := range rows {

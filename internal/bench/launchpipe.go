@@ -47,7 +47,7 @@ type LaunchPipeRow struct {
 	MemInterior int // max over daemons with ICCL children (0 when the tree is flat)
 	MemLeaf     int // max over childless daemons
 
-	// Observability rider (LaunchPipeOpts.Obs): a second identical launch
+	// Observability rider (launchPipeOpts.Obs): a second identical launch
 	// with Options.Obs = ObsOn, plus one sum reduction as the
 	// K-independence probe. Zero when the rider is off.
 	ObsReady     time.Duration `json:",omitempty"` // obs-on time-to-ready
@@ -56,7 +56,7 @@ type LaunchPipeRow struct {
 	SeedLinkMaxB uint64        `json:",omitempty"` // seed.link.bytes.max: busiest seed link, fabric-wide
 	ReduceFEB    uint64        `json:",omitempty"` // coll.reduce.fe.rx.bytes: reduce bytes landing on the FE link
 
-	// Simulator host-cost columns (LaunchMillion only): the event-driven
+	// Simulator host-cost columns (launchMillion only): the event-driven
 	// simnet budget that lets K=2^20 fit a 16 GB runner. GoroutinesPeak is
 	// vtime.Sim.PeakLive over the whole run — every simulated process main
 	// plus every transient helper the fabric ever parked at once;
@@ -68,8 +68,8 @@ type LaunchPipeRow struct {
 	RSSPeakB          uint64  `json:",omitempty"`
 }
 
-// LaunchPipeOpts parameterize the launch sweeps.
-type LaunchPipeOpts struct {
+// launchPipeOpts parameterize the launch sweeps.
+type launchPipeOpts struct {
 	// TasksPerNode sizes the RPDTAB (1 in every sweep, like the other
 	// 16384-scale sweeps: table memory at the FE bounds task count, not
 	// virtual time).
@@ -77,7 +77,7 @@ type LaunchPipeOpts struct {
 	Fanout       int // ICCL tree fanout
 	// Obs adds the observability rider: every row is measured a second
 	// time with Options.Obs = ObsOn, populating the Obs*/Seed*/Reduce*
-	// columns (checked by CheckObsInvariants).
+	// columns (checked by checkObsInvariants).
 	Obs bool
 }
 
@@ -94,11 +94,11 @@ func retentionOf(mode core.SeedMode) string {
 	return "sliced"
 }
 
-// LaunchPipeline measures the cut-through pipeline at each scale and the
+// launchPipeline measures the cut-through pipeline at each scale and the
 // store-forward baseline at those of them that are also in fullScales:
 // its K private full-table copies outgrow a runner long before the
-// simulator does (FullTableFootprint), so callers cap it separately.
-func LaunchPipeline(o LaunchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
+// simulator does (fullTableFootprint), so callers cap it separately.
+func launchPipeline(o launchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
 	rows := make([]LaunchPipeRow, 0, len(launchPipeModes)*len(scales))
 	for _, k := range scales {
 		for _, mode := range launchPipeModes {
@@ -187,7 +187,7 @@ func roleMem(row *LaunchPipeRow, infos []core.DaemonInfo, fanout int) {
 // and daemons that finalize at once — at that scale the full rig's two
 // parked system processes per node cost more host memory than LaunchMON
 // itself, and there is no full retention to verify slices against.
-func launchPipeScenario(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) Scenario {
+func launchPipeScenario(k int, mode core.SeedMode, o launchPipeOpts, lean bool) Scenario {
 	sc := Scenario{Nodes: k, Lean: lean, BE: launchPipeBE, Opts: core.Options{
 		Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
 		Daemon:     rm.DaemonSpec{Exe: "lp_be"},
@@ -200,7 +200,7 @@ func launchPipeScenario(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) 
 	return sc
 }
 
-func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) (LaunchPipeRow, error) {
+func measureLaunchPipe(k int, mode core.SeedMode, o launchPipeOpts, lean bool) (LaunchPipeRow, error) {
 	row := LaunchPipeRow{
 		Mode:    mode.String(),
 		Table:   retentionOf(mode),
@@ -253,8 +253,8 @@ func measureLaunchPipe(k int, mode core.SeedMode, o LaunchPipeOpts, lean bool) (
 	return row, err
 }
 
-// PrintLaunchPipeline renders the comparison.
-func PrintLaunchPipeline(w io.Writer, rows []LaunchPipeRow) {
+// printLaunchPipeline renders the comparison.
+func printLaunchPipeline(w io.Writer, rows []LaunchPipeRow) {
 	fmt.Fprintln(w, "Ablation — launch pipeline (time to DaemonsSpawned, slice union byte-identical at the FE)")
 	fmt.Fprintln(w, "mode           table   daemons    tasks   ready      master-B  interior-B  leaf-B  tables")
 	for _, r := range rows {
@@ -267,9 +267,9 @@ func PrintLaunchPipeline(w io.Writer, rows []LaunchPipeRow) {
 	}
 }
 
-// PrintLaunchMem renders the full per-role peak-memory breakdown of a
+// printLaunchMem renders the full per-role peak-memory breakdown of a
 // launch sweep (lmonbench -mem).
-func PrintLaunchMem(w io.Writer, rows []LaunchPipeRow) {
+func printLaunchMem(w io.Writer, rows []LaunchPipeRow) {
 	fmt.Fprintln(w, "Peak RPDTAB bytes per role (index is session-shared, counted once)")
 	fmt.Fprintln(w, "mode           table   daemons  engine-B      fe-B   index-B  master-B  interior-B  leaf-B")
 	for _, r := range rows {

@@ -20,12 +20,12 @@ const simBytesPerNode = 96 << 10
 // over 16384 entries at K=16384), rounded up.
 const tableBytesPerEntry = 57
 
-// SimFootprint predicts the host bytes a sweep row over the given number
+// simFootprint predicts the host bytes a sweep row over the given number
 // of simulated nodes keeps live.
-func SimFootprint(nodes int) int64 { return int64(nodes) * simBytesPerNode }
+func simFootprint(nodes int) int64 { return int64(nodes) * simBytesPerNode }
 
-// FullTableFootprint predicts the host bytes of the K private full-table
+// fullTableFootprint predicts the host bytes of the K private full-table
 // copies a store-forward launch of k daemons holds at once.
-func FullTableFootprint(k, tasksPerNode int) int64 {
+func fullTableFootprint(k, tasksPerNode int) int64 {
 	return int64(k) * int64(k*tasksPerNode) * tableBytesPerEntry
 }

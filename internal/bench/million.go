@@ -19,16 +19,16 @@ import (
 // node, which at this scale costs more host memory than LaunchMON
 // itself) with health detection off, one task per node, and no
 // post-launch verification gather (the slice-union byte check runs in
-// LaunchPipeline at K≤16384, where full retention exists to compare
+// launchPipeline at K≤16384, where full retention exists to compare
 // against).
 
-// MillionScales are the daemon counts of the million sweep.
-var MillionScales = []int{1 << 20}
+// millionScales are the daemon counts of the million sweep.
+var millionScales = []int{1 << 20}
 
-// LaunchMillion measures the rank-sliced cut-through launch at each
-// scale, reporting the same row shape as LaunchPipeline plus the
+// launchMillion measures the rank-sliced cut-through launch at each
+// scale, reporting the same row shape as launchPipeline plus the
 // simulator host-cost columns.
-func LaunchMillion(o LaunchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
+func launchMillion(o launchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
 	return sweep("million launch sweep", scales, func(k int) (LaunchPipeRow, error) {
 		return measureLaunchPipe(k, core.SeedCutThrough, o, true)
 	})
@@ -90,10 +90,10 @@ func hostRSSPeak() uint64 {
 	return 0
 }
 
-// PrintMillionCost renders the simulator host-cost columns of a million
+// printMillionCost renders the simulator host-cost columns of a million
 // sweep: the per-node goroutine budget is the deterministic, pinnable
 // figure; peak RSS depends on the host Go runtime and is informational.
-func PrintMillionCost(w io.Writer, rows []LaunchPipeRow) {
+func printMillionCost(w io.Writer, rows []LaunchPipeRow) {
 	fmt.Fprintln(w, "Simulator host cost (goroutines are virtual-time-deterministic; RSS is host-dependent)")
 	fmt.Fprintln(w, "daemons   goroutines-peak  goroutines/node  rss-peak-MB")
 	for _, r := range rows {

@@ -43,7 +43,7 @@ func TestIdleRigParksConstantGoroutines(t *testing.T) {
 // reproduces exactly.
 func TestMillionGoroutineBudgetAtSmallScale(t *testing.T) {
 	const k = 256
-	rows, err := LaunchMillion(LaunchPipeOpts{TasksPerNode: 1, Fanout: 8}, []int{k})
+	rows, err := launchMillion(launchPipeOpts{TasksPerNode: 1, Fanout: 8}, []int{k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,26 +27,27 @@ type MWPipeRow struct {
 	TableOK bool          // every MW rank's RPDTAB byte-identical to the FE's
 }
 
-// MWPipeOpts parameterize the ablation.
-type MWPipeOpts struct {
+// mwPipeOpts parameterize the ablation.
+type mwPipeOpts struct {
 	// JobNodes × TasksPerNode sizes the application job the middleware
-	// observes (64 × 16 at full scale: a ~1k-entry RPDTAB, so the MW seed
-	// transfer is meaningfully multi-chunk without the K=16384 point
-	// holding gigabytes per host).
+	// observes (64 × 16 at full scale: a ~1k-entry RPDTAB at the front
+	// end, which the MW seed does not carry).
 	JobNodes     int
 	TasksPerNode int
 	Fanout       int // MW ICCL tree fanout
-	// ChunkBytes bounds one RPDTAB chunk (4 KiB at full scale so the
-	// sweep's seed streams are multi-chunk at every K).
+	// ChunkBytes is the session's ProctabChunkBytes. The MW seed carries
+	// no table, so it cannot make the MW streams multi-chunk: it reaches
+	// the rows only through the LMON_PROCTAB_CHUNK bytes of the daemon
+	// environment (left zero, each Ready moves by 5–10 ns).
 	ChunkBytes int
 }
 
-// MWPipeline measures the MW seed pipeline at each scale.
-func MWPipeline(o MWPipeOpts, scales []int) ([]MWPipeRow, error) {
+// mwPipeline measures the MW seed pipeline at each scale.
+func mwPipeline(o mwPipeOpts, scales []int) ([]MWPipeRow, error) {
 	return sweep("mw pipeline", scales, func(k int) (MWPipeRow, error) { return measureMWPipe(k, o) })
 }
 
-func measureMWPipe(k int, o MWPipeOpts) (MWPipeRow, error) {
+func measureMWPipe(k int, o mwPipeOpts) (MWPipeRow, error) {
 	row := MWPipeRow{Mode: core.SeedCutThrough.String(), Daemons: k, Tasks: o.JobNodes * o.TasksPerNode}
 	_, err := Scenario{
 		Nodes: o.JobNodes + k,
@@ -65,7 +66,7 @@ func measureMWPipe(k int, o MWPipeOpts) (MWPipeRow, error) {
 			mw.Finalize()
 		},
 		FE: func(r *Run) (err error) {
-			row.Ready, _, err = r.Timed(func() error {
+			row.Ready, _, err = r.timed(func() error {
 				_, err := r.Sess.LaunchMW(core.MWOptions{
 					Nodes:      k,
 					Daemon:     rm.DaemonSpec{Exe: "mwp_mw"},
@@ -93,8 +94,8 @@ func measureMWPipe(k int, o MWPipeOpts) (MWPipeRow, error) {
 	return row, err
 }
 
-// PrintMWPipeline renders the sweep.
-func PrintMWPipeline(w io.Writer, rows []MWPipeRow) {
+// printMWPipeline renders the sweep.
+func printMWPipeline(w io.Writer, rows []MWPipeRow) {
 	fmt.Fprintln(w, "MW launch pipeline (LaunchMW time to ready, byte-identical RPDTAB at every MW rank)")
 	fmt.Fprintln(w, "mode           mw-daemons    tasks   ready      tables")
 	for _, r := range rows {

@@ -19,12 +19,12 @@ import (
 )
 
 // Observability ablation riders of the launch-pipeline sweep
-// (LaunchPipeOpts.Obs): every pipeline row gets a second
+// (launchPipeOpts.Obs): every pipeline row gets a second
 // identical launch with Options.Obs = ObsOn, and the harvested metrics
 // feed two wire-byte invariants plus the virtual-time drift bound —
 // enabling the plane must never change what flows over the seed links,
 // and its only time cost (the harvest folds) must stay within what the
-// root's share of them costs (ObsDriftBound).
+// root's share of them costs (obsDriftBound).
 
 // launchPipeObsBE is the obs pass's back-end daemon: after init it
 // contributes one 8-byte word to a sum reduction (the K-independence
@@ -41,7 +41,7 @@ func launchPipeObsBE(p *cluster.Proc, be *core.BackEnd) {
 // measureLaunchPipeObs reruns one sweep row's scenario with
 // observability on and fills the row's Obs* fields from the session's
 // harvested metrics.
-func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o LaunchPipeOpts) error {
+func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o launchPipeOpts) error {
 	sc := launchPipeScenario(k, mode, o, false)
 	sc.Opts.Obs, sc.Opts.Daemon.Exe, sc.BE = core.ObsOn, "lp_obs_be", launchPipeObsBE
 	sc.FE = func(r *Run) error {
@@ -65,8 +65,8 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o Launc
 	return err
 }
 
-// CheckObsInvariants enforces the observability acceptance bounds over an
-// obs-enabled launch-pipeline sweep (LaunchPipeOpts.Obs):
+// checkObsInvariants enforces the observability acceptance bounds over an
+// obs-enabled launch-pipeline sweep (launchPipeOpts.Obs):
 //
 //  1. Per-link seed bytes under rank-sliced routing: the busiest seed
 //     link carries O(table/K · subtree) — at most the root slice divided
@@ -74,10 +74,10 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o Launc
 //  2. Filtered-reduce FE bytes are K-independent: the bytes landing on
 //     the FE link for a sum reduction are identical at every scale.
 //  3. Virtual-time drift: enabling the plane moves time-to-ready by at
-//     most ObsDriftBound(fanout) — the harvest folds are its only
+//     most obsDriftBound(fanout) — the harvest folds are its only
 //     virtual-time cost.
-func CheckObsInvariants(rows []LaunchPipeRow, fanout int) error {
-	maxDrift := ObsDriftBound(fanout)
+func checkObsInvariants(rows []LaunchPipeRow, fanout int) error {
+	maxDrift := obsDriftBound(fanout)
 	var reduceSeen bool
 	var reduceFEB uint64
 	for _, r := range rows {
@@ -114,36 +114,36 @@ func CheckObsInvariants(rows []LaunchPipeRow, fanout int) error {
 	return nil
 }
 
-// obsFoldSlackBytes is the byte slack of ObsDriftBound: what the fold frames
+// obsFoldSlackBytes is the byte slack of obsDriftBound: what the fold frames
 // on the root's ready path may add in transmission time, beyond their
 // handling charge. The measured store-forward K=64 row spends 260 ns of it
-// (≈ 312 B at simnet's default bandwidth).
+// (≈ 312 B at simnet.Bandwidth).
 const obsFoldSlackBytes = 4 << 10
 
-// ObsDriftBound is how far the observability plane may move time-to-ready
+// obsDriftBound is how far the observability plane may move time-to-ready
 // on a tree of the given fanout. The harvest's only virtual-time cost on
 // the ready path is the root's: it charges iccl.PerMsgCost for each of its
 // children's FoldUp frames, serialized behind the ready gather where the
 // master's ready is on the critical path (store-forward), plus the time
-// obsFoldSlackBytes take on a link at simnet's default bandwidth.
-func ObsDriftBound(fanout int) time.Duration {
-	slack := float64(obsFoldSlackBytes) / simnet.DefaultOptions().Bandwidth
+// obsFoldSlackBytes take on a link at simnet.Bandwidth.
+func obsDriftBound(fanout int) time.Duration {
+	slack := float64(obsFoldSlackBytes) / simnet.Bandwidth
 	return time.Duration(fanout)*iccl.PerMsgCost + time.Duration(slack*float64(time.Second))
 }
 
-// PrintLaunchObs renders the observability rider columns of an
+// printLaunchObs renders the observability rider columns of an
 // obs-enabled launch-pipeline sweep.
-func PrintLaunchObs(w io.Writer, rows []LaunchPipeRow) {
+func printLaunchObs(w io.Writer, rows []LaunchPipeRow) {
 	fmt.Fprintln(w, "Observability rider (obs-on second pass per row; wire-byte invariants + drift bound)")
-	fmt.Fprintln(w, "mode           table   daemons  ready-obs  drift%%  seed-src-B  link-max-B  reduce-fe-B")
+	fmt.Fprintln(w, "mode           table   daemons  ready-obs  drift%  seed-src-B  link-max-B  reduce-fe-B")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %-7s %7d %9.3fs %6.2f %11d %11d %12d\n",
 			r.Mode, r.Table, r.Daemons, r.ObsReady.Seconds(), r.ObsDriftPct, r.SeedSrcB, r.SeedLinkMaxB, r.ReduceFEB)
 	}
 }
 
-// TraceResult summarizes one traced launch (lmonbench -trace).
-type TraceResult struct {
+// traceResult summarizes one traced launch (lmonbench -trace).
+type traceResult struct {
 	Path       string // the trace file; the metrics snapshot is Path.metrics.json
 	Daemons    int
 	Spans      int
@@ -152,19 +152,19 @@ type TraceResult struct {
 	Metrics    obs.Snapshot
 }
 
-func printTrace(w io.Writer, rows []TraceResult) {
+func printTrace(w io.Writer, rows []traceResult) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "wrote %s (K=%d, %d spans, %d instants, %d B) and %s.metrics.json\n",
 			r.Path, r.Daemons, r.Spans, r.Instants, r.TraceBytes, r.Path)
 	}
 }
 
-// TraceLaunch runs one obs-on launch at K daemons on a lean rig, writes
+// traceLaunch runs one obs-on launch at K daemons on a lean rig, writes
 // the session's Chrome/Perfetto trace-event JSON to w, and verifies —
 // before writing — that the exported spans reproduce the monotone launch
 // mark chains (engine chain e0…e6,e11 and handshake chain e5,e7…e11).
-func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
-	res := TraceResult{Daemons: k}
+func traceLaunch(k, fanout int, w io.Writer) (traceResult, error) {
+	res := traceResult{Daemons: k}
 	_, err := Scenario{
 		Nodes: k, Lean: true,
 		Opts: core.Options{

@@ -12,30 +12,30 @@ import (
 	"launchmon/internal/simnet"
 )
 
-// ProctabRow compares RPDTAB distribution mechanisms.
-type ProctabRow struct {
+// proctabRow compares RPDTAB distribution mechanisms.
+type proctabRow struct {
 	Mode     string
 	Daemons  int
 	Duration time.Duration
 }
 
-// AblationProctab contrasts LaunchMON's RPDTAB broadcast over the ICCL
+// ablationProctab contrasts LaunchMON's RPDTAB broadcast over the ICCL
 // tree against the mechanism STAT used before the integration (paper
 // §5.2): every daemon independently reading the table from a single
 // shared file on the front end, which serializes at the file server.
-func AblationProctab() ([]ProctabRow, error) {
-	var rows []ProctabRow
+func ablationProctab() ([]proctabRow, error) {
+	var rows []proctabRow
 	for _, n := range []int{64, 256} {
 		bcast, err := measureProctabBroadcast(n)
 		if err != nil {
 			return nil, fmt.Errorf("proctab ablation bcast at %d: %w", n, err)
 		}
-		rows = append(rows, ProctabRow{Mode: "iccl-broadcast", Daemons: n, Duration: bcast})
+		rows = append(rows, proctabRow{Mode: "iccl-broadcast", Daemons: n, Duration: bcast})
 		file, err := measureProctabSharedFile(n)
 		if err != nil {
 			return nil, fmt.Errorf("proctab ablation file at %d: %w", n, err)
 		}
-		rows = append(rows, ProctabRow{Mode: "shared-file", Daemons: n, Duration: file})
+		rows = append(rows, proctabRow{Mode: "shared-file", Daemons: n, Duration: file})
 	}
 	return rows, nil
 }
@@ -133,8 +133,8 @@ func measureProctabSharedFile(n int) (time.Duration, error) {
 	})
 }
 
-// PrintProctabAblation renders the comparison.
-func PrintProctabAblation(w io.Writer, rows []ProctabRow) {
+// printProctabAblation renders the comparison.
+func printProctabAblation(w io.Writer, rows []proctabRow) {
 	fmt.Fprintln(w, "Ablation — RPDTAB distribution (8 tasks/daemon)")
 	fmt.Fprintln(w, "mode            daemons  time")
 	for _, r := range rows {

@@ -33,7 +33,7 @@ type Scenario struct {
 	// services the launch path does not need (sshd, dpcld) and without the
 	// tool registrations. The full rig spawns two parked system processes
 	// per node, which dominates host memory at the million-node scale of
-	// LaunchMillion; Run.Rsh and Run.Dpc are nil on a lean rig.
+	// launchMillion; Run.Rsh and Run.Dpc are nil on a lean rig.
 	Lean bool
 	// Install replaces the SLURM-like RM (configured by Slurm) with another
 	// resource manager.
@@ -89,10 +89,10 @@ func (sc Scenario) boot() (*Run, error) {
 		return nil, err
 	}
 	if !sc.Lean {
-		if r.Rsh, err = rsh.Install(cl, rsh.Config{}); err != nil {
+		if r.Rsh, err = rsh.Install(cl); err != nil {
 			return nil, err
 		}
-		if r.Dpc, err = dpcl.Install(cl, dpcl.Config{}); err != nil {
+		if r.Dpc, err = dpcl.Install(cl); err != nil {
 			return nil, err
 		}
 	}
@@ -167,9 +167,9 @@ func (sc Scenario) Run() (*Run, error) {
 	return r, err
 }
 
-// Timed runs fn and returns the virtual time it took and the network
+// timed runs fn and returns the virtual time it took and the network
 // traffic it caused.
-func (r *Run) Timed(fn func() error) (time.Duration, simnet.Stats, error) {
+func (r *Run) timed(fn func() error) (time.Duration, simnet.Stats, error) {
 	t0, before := r.Sim.Now(), r.Cl.Net().Stats()
 	err := fn()
 	after := r.Cl.Net().Stats()

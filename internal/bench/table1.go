@@ -18,10 +18,10 @@ type T1Row struct {
 // Table1Scales are the paper's node counts.
 var Table1Scales = []int{2, 4, 8, 16, 32}
 
-// Table1 regenerates the O|SS APAI access-time comparison: the DPCL path
+// table1 regenerates the O|SS APAI access-time comparison: the DPCL path
 // (persistent root daemons + full binary parse of the RM launcher) versus
 // the LaunchMON integration.
-func Table1() ([]T1Row, error) {
+func table1() ([]T1Row, error) {
 	rows := make([]T1Row, 0, len(Table1Scales))
 	for _, n := range Table1Scales {
 		d, err := measureOSS(n, "dpcl")
@@ -61,8 +61,8 @@ func measureOSS(nodes int, which string) (time.Duration, error) {
 	return elapsed, err
 }
 
-// PrintTable1 renders the table in the paper's layout.
-func PrintTable1(w io.Writer, rows []T1Row) {
+// printTable1 renders the table in the paper's layout.
+func printTable1(w io.Writer, rows []T1Row) {
 	fmt.Fprintln(w, "Table 1 — O|SS APAI access times")
 	fmt.Fprint(w, "Number of Nodes ")
 	for _, r := range rows {

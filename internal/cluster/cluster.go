@@ -23,47 +23,36 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// Options configure cluster construction. Zero cost fields take defaults.
+// Options configure cluster construction.
 type Options struct {
 	// Nodes is the number of compute nodes (required, > 0).
 	Nodes int
-	// Net configures the interconnect cost model.
+	// Net configures fault injection on the interconnect.
 	Net simnet.Options
-	// ForkCost is the CPU time to fork+exec one process; forks on one node
-	// serialize.
-	ForkCost time.Duration
 	// MaxProcs caps the per-node process table; Spawn fails beyond it
-	// (models fork: Resource temporarily unavailable).
+	// (models fork: Resource temporarily unavailable). Zero means 8192.
 	MaxProcs int
-	// SymbolReadBase is the fixed ptrace overhead of one symbol read.
-	SymbolReadBase time.Duration
-	// SymbolReadBandwidth is the bytes/second rate for tracer memory reads.
-	SymbolReadBandwidth float64
 }
 
-// DefaultForkCost is Options.ForkCost when left zero.
-const DefaultForkCost = 900 * time.Microsecond
+// The process cost model: ForkCost is the CPU time to fork+exec one
+// process (forks on one node serialize); a tracer's symbol read costs
+// symbolReadBase of ptrace overhead plus its size at symbolReadBandwidth
+// bytes/second (ptrace peeks are slow).
+const (
+	ForkCost            = 900 * time.Microsecond
+	symbolReadBase      = 50 * time.Microsecond
+	symbolReadBandwidth = 40e6
+)
 
 const (
-	defaultMaxProcs    = 8192
-	defaultSymReadBase = 50 * time.Microsecond
-	defaultSymReadBW   = 40e6 // ptrace peeks are slow: ~40 MB/s
-	frontEndName       = "fe0"
-	computeNamePrefix  = "node"
+	defaultMaxProcs   = 8192
+	frontEndName      = "fe0"
+	computeNamePrefix = "node"
 )
 
 func (o Options) withDefaults() Options {
-	if o.ForkCost == 0 {
-		o.ForkCost = DefaultForkCost
-	}
 	if o.MaxProcs == 0 {
 		o.MaxProcs = defaultMaxProcs
-	}
-	if o.SymbolReadBase == 0 {
-		o.SymbolReadBase = defaultSymReadBase
-	}
-	if o.SymbolReadBandwidth == 0 {
-		o.SymbolReadBandwidth = defaultSymReadBW
 	}
 	return o
 }
@@ -234,12 +223,12 @@ func (n *Node) reapLocked() {
 // (the simulated analogue of fork failing with EAGAIN).
 var ErrProcLimit = errors.New("cluster: fork: resource temporarily unavailable")
 
-// ErrNodeDown is returned by Spawn on a killed node.
-var ErrNodeDown = errors.New("cluster: node is down")
+// errNodeDown is returned by Spawn on a killed node.
+var errNodeDown = errors.New("cluster: node is down")
 
 // Fail kills the node: its network host is severed (peers observe
 // ErrPeerDead once in-flight data drains) and every process on it is
-// force-terminated, lowest pid first. Further spawns fail with ErrNodeDown.
+// force-terminated, lowest pid first. Further spawns fail with errNodeDown.
 // This is the fault-injection entry point for node-loss scenarios; it is
 // idempotent.
 func (n *Node) Fail() {
@@ -362,7 +351,7 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 	n.mu.Lock()
 	if n.down {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNodeDown, n.name)
+		return nil, fmt.Errorf("%w: %s", errNodeDown, n.name)
 	}
 	if len(n.procs)-n.dead >= n.cl.opts.MaxProcs {
 		n.mu.Unlock()
@@ -401,7 +390,7 @@ func (p *Proc) run(main ProcMain) {
 	p.node.cl.sim.Go(fmt.Sprintf("%s/%s[%d]", p.node.name, p.exe, p.pid), func() {
 		main(p)
 		if !p.resident {
-			p.Exit(0)
+			p.exit(0, false)
 		}
 	})
 }
@@ -429,7 +418,7 @@ func (n *Node) reserveFork() time.Duration {
 	if n.cpuFree < now {
 		n.cpuFree = now
 	}
-	n.cpuFree += n.cl.opts.ForkCost
+	n.cpuFree += ForkCost
 	return n.cpuFree - now
 }
 

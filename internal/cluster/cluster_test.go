@@ -75,8 +75,8 @@ func TestSpawnRunsMain(t *testing.T) {
 
 func TestForkCostSerializes(t *testing.T) {
 	sim := vtime.New()
-	fork := time.Millisecond
-	c := newCluster(t, sim, 1, Options{ForkCost: fork})
+	fork := ForkCost
+	c := newCluster(t, sim, 1, Options{})
 	var done time.Duration
 	sim.Go("boot", func() {
 		// Two concurrent spawners on the same node must serialize.
@@ -162,7 +162,7 @@ func TestExitRemovesFromTable(t *testing.T) {
 		if c.Node(0).NumProcs() != 1 {
 			t.Errorf("NumProcs = %d before exit", c.Node(0).NumProcs())
 		}
-		p.Exit(3)
+		p.exit(3, false)
 		if c.Node(0).NumProcs() != 0 {
 			t.Errorf("NumProcs = %d after exit", c.Node(0).NumProcs())
 		}
@@ -170,7 +170,7 @@ func TestExitRemovesFromTable(t *testing.T) {
 			t.Errorf("Wait = (%d,%v), want (3,true)", code, ok)
 		}
 		// Exit is idempotent.
-		p.Exit(9)
+		p.exit(9, false)
 		if p.State() != StateExited {
 			t.Error("state not exited")
 		}
@@ -205,7 +205,7 @@ func TestTracerBreakpointFlow(t *testing.T) {
 			switch ev.Type {
 			case EventStop:
 				seen = append(seen, "stop:"+ev.Reason)
-				if p.State() != StateStopped {
+				if p.State() != stateStopped {
 					t.Error("tracee not stopped at stop event")
 				}
 				if err := tr.Continue(); err != nil {
@@ -247,7 +247,7 @@ func TestDoubleAttachFails(t *testing.T) {
 		if _, err := p.Attach(); err != nil {
 			t.Error(err)
 		}
-		if _, err := p.Attach(); !errors.Is(err, ErrAlreadyTraced) {
+		if _, err := p.Attach(); !errors.Is(err, errAlreadyTraced) {
 			t.Errorf("second attach: %v", err)
 		}
 	})
@@ -256,14 +256,14 @@ func TestDoubleAttachFails(t *testing.T) {
 
 func TestReadSymbolCostScalesWithSize(t *testing.T) {
 	sim := vtime.New()
-	base := 100 * time.Microsecond
-	bw := 1e6 // 1 MB/s
-	c := newCluster(t, sim, 1, Options{SymbolReadBase: base, SymbolReadBandwidth: bw})
+	base := symbolReadBase
+	size := int(symbolReadBandwidth / 1000) // a millisecond's worth
+	c := newCluster(t, sim, 1, Options{})
 	var smallCost, bigCost time.Duration
 	sim.Go("boot", func() {
 		p, _ := c.Node(0).SpawnProc(Spec{})
-		p.SetSymbol("small", Symbol{Value: 1, Size: 1000})
-		p.SetSymbol("big", Symbol{Value: 2, Size: 100000})
+		p.SetSymbol("small", Symbol{Value: 1, Size: size})
+		p.SetSymbol("big", Symbol{Value: 2, Size: 100 * size})
 		tr, _ := p.Attach()
 		t0 := sim.Now()
 		if _, err := tr.ReadSymbol("small"); err != nil {
@@ -332,8 +332,8 @@ func TestSnapshotDeterministicAndCharged(t *testing.T) {
 		p, _ := c.Node(0).SpawnProc(Spec{})
 		t0 := sim.Now()
 		s1 := p.Snapshot()
-		if cost := sim.Now() - t0; cost != SnapshotReadCost {
-			t.Errorf("snapshot cost %v, want %v", cost, SnapshotReadCost)
+		if cost := sim.Now() - t0; cost != snapshotReadCost {
+			t.Errorf("snapshot cost %v, want %v", cost, snapshotReadCost)
 		}
 		s2 := p.Snapshot()
 		if s1.Pid != s2.Pid || s1.VmHWMKB != s2.VmHWMKB || s1.Threads != s2.Threads {
@@ -377,7 +377,7 @@ func TestPropertyPidUniqueness(t *testing.T) {
 			for i, op := range ops {
 				if op < 85 && len(order) > 0 {
 					j := int(op) % len(order)
-					live[order[j]].Exit(0)
+					live[order[j]].exit(0, false)
 					delete(live, order[j])
 					order = append(order[:j], order[j+1:]...)
 				} else {
@@ -454,7 +454,7 @@ func TestLazyColdPartIsRaceFree(t *testing.T) {
 				if p.Env("LMON_RANK") != "" || len(p.Args()) != 0 || len(p.Environ()) != 0 {
 					t.Error("a passive task has an environment or arguments")
 				}
-				if s := p.State(); s != StateRunning {
+				if s := p.State(); s != stateRunning {
 					t.Errorf("state %v, want running", s)
 				}
 			}

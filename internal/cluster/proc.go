@@ -14,17 +14,17 @@ type State int
 
 // Process lifecycle states.
 const (
-	StateRunning State = iota
-	StateStopped       // stopped by the tracer (debug stop)
+	stateRunning State = iota
+	stateStopped       // stopped by the tracer (debug stop)
 	StateExited
 )
 
 // String renders the state like /proc status letters.
 func (s State) String() string {
 	switch s {
-	case StateRunning:
+	case stateRunning:
 		return "R"
-	case StateStopped:
+	case stateStopped:
 		return "T"
 	case StateExited:
 		return "Z"
@@ -181,10 +181,6 @@ func (p *Proc) AdoptConn(c interface{ Sever() }) {
 	n.mu.Unlock()
 }
 
-// Exit terminates the process. Safe to call more than once; only the first
-// call takes effect.
-func (p *Proc) Exit(code int) { p.exit(code, false) }
-
 // Kill force-terminates the process with exit code 137 (SIGKILL-like).
 // Adopted connections (AdoptConn) are severed: the process's protocol peers
 // see the loss as ErrPeerDead, which is what drives failure detection for
@@ -286,7 +282,7 @@ type Tracer struct {
 
 // Errors from the tracing interface.
 var (
-	ErrAlreadyTraced = errors.New("cluster: process already traced")
+	errAlreadyTraced = errors.New("cluster: process already traced")
 	ErrNotStopped    = errors.New("cluster: tracee is not stopped")
 	ErrExited        = errors.New("cluster: process has exited")
 )
@@ -302,7 +298,7 @@ func (p *Proc) Attach() (*Tracer, error) {
 	}
 	cold := p.coldLocked()
 	if cold.tracer != nil {
-		return nil, ErrAlreadyTraced
+		return nil, errAlreadyTraced
 	}
 	t := &Tracer{proc: p, events: vtime.NewChan[TraceEvent](n.cl.sim)}
 	cold.tracer = t
@@ -324,8 +320,7 @@ func (t *Tracer) ReadSymbol(name string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: symbol %q not found in %s[%d]", name, p.exe, p.pid)
 	}
-	o := n.cl.opts
-	cost := o.SymbolReadBase + time.Duration(float64(sym.Size)/o.SymbolReadBandwidth*float64(time.Second))
+	cost := symbolReadBase + time.Duration(float64(sym.Size)/symbolReadBandwidth*float64(time.Second))
 	n.cl.sim.Sleep(cost)
 	return sym.Value, nil
 }
@@ -339,11 +334,11 @@ func (t *Tracer) Continue() error {
 		n.mu.Unlock()
 		return ErrExited
 	}
-	if p.state != StateStopped {
+	if p.state != stateStopped {
 		n.mu.Unlock()
 		return ErrNotStopped
 	}
-	p.state = StateRunning
+	p.state = stateRunning
 	blocked := p.cold.inDebugStop
 	resume := p.cold.resume
 	n.mu.Unlock()
@@ -364,11 +359,11 @@ func (t *Tracer) Interrupt() error {
 		n.mu.Unlock()
 		return ErrExited
 	}
-	if p.state == StateStopped {
+	if p.state == stateStopped {
 		n.mu.Unlock()
 		return nil
 	}
-	p.state = StateStopped
+	p.state = stateStopped
 	n.mu.Unlock()
 	t.events.Send(TraceEvent{Type: EventStop, Reason: "interrupt"})
 	return nil
@@ -384,12 +379,12 @@ func (t *Tracer) Detach() {
 		n.mu.Unlock()
 		return
 	}
-	stopped := p.state == StateStopped
+	stopped := p.state == stateStopped
 	blocked := p.cold.inDebugStop
 	resume := p.cold.resume
 	p.cold.tracer = nil
 	if stopped {
-		p.state = StateRunning
+		p.state = stateRunning
 	}
 	n.mu.Unlock()
 	if stopped && blocked {
@@ -415,7 +410,7 @@ func (p *Proc) DebugEvent(reason string) {
 		return
 	}
 	t := cold.tracer
-	p.state = StateStopped
+	p.state = stateStopped
 	cold.inDebugStop = true
 	if cold.resume == nil {
 		cold.resume = vtime.NewChan[struct{}](n.cl.sim)

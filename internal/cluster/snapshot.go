@@ -25,14 +25,14 @@ type Snapshot struct {
 	MajFault int64 // major page faults
 }
 
-// SnapshotReadCost is the per-process cost of collecting a /proc snapshot
+// snapshotReadCost is the per-process cost of collecting a /proc snapshot
 // (several small file reads), charged to the caller of Snapshot.
-const SnapshotReadCost = 150 * time.Microsecond
+const snapshotReadCost = 150 * time.Microsecond
 
-// Snapshot collects the process's /proc view, charging SnapshotReadCost of
+// Snapshot collects the process's /proc view, charging snapshotReadCost of
 // virtual time to the calling simulated goroutine.
 func (p *Proc) Snapshot() Snapshot {
-	p.node.cl.sim.Sleep(SnapshotReadCost)
+	p.node.cl.sim.Sleep(snapshotReadCost)
 	now := p.node.cl.sim.Now()
 	alive := now - p.started
 	if alive < 0 {

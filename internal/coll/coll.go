@@ -150,8 +150,8 @@ func (h Header) AppendTo(b []byte) []byte {
 // Encode renders the header.
 func (h Header) Encode() []byte { return h.AppendTo(make([]byte, 0, h.EncodedSize())) }
 
-// ErrBadHeader reports an undecodable or inconsistent collective header.
-var ErrBadHeader = errors.New("coll: bad header")
+// errBadHeader reports an undecodable or inconsistent collective header.
+var errBadHeader = errors.New("coll: bad header")
 
 // DecodeHeader consumes one encoded header from rd.
 func DecodeHeader(rd *lmonp.Reader) (Header, error) {
@@ -160,7 +160,7 @@ func DecodeHeader(rd *lmonp.Reader) (Header, error) {
 		return Header{}, err
 	}
 	if h.Op < OpBroadcast || h.Op > OpCredit {
-		return Header{}, fmt.Errorf("%w: op %d", ErrBadHeader, h.Op)
+		return Header{}, fmt.Errorf("%w: op %d", errBadHeader, h.Op)
 	}
 	return h, nil
 }
@@ -238,7 +238,7 @@ func DecodeMsg(end bool, payload, usr []byte) (Frame, error) {
 	}
 	f.Sum = rd.Uint64()
 	if err := rd.Err(); err != nil {
-		return Frame{}, fmt.Errorf("%w: total and checksum: %v", ErrBadHeader, err)
+		return Frame{}, fmt.Errorf("%w: total and checksum: %v", errBadHeader, err)
 	}
 	return f, nil
 }
@@ -283,10 +283,10 @@ func DecodeEntries(b []byte) ([]Entry, error) {
 	return out, nil
 }
 
-// SplitRaw splits data into chunk bodies of at most maxBytes each
+// splitRaw splits data into chunk bodies of at most maxBytes each
 // (maxBytes <= 0 selects DefaultChunkBytes). Empty data yields a single
 // empty chunk, mirroring proctab.EncodeChunks.
-func SplitRaw(data []byte, maxBytes int) [][]byte {
+func splitRaw(data []byte, maxBytes int) [][]byte {
 	if maxBytes <= 0 {
 		maxBytes = DefaultChunkBytes
 	}
@@ -308,7 +308,7 @@ func SplitRaw(data []byte, maxBytes int) [][]byte {
 // RawFrames renders a raw byte stream (broadcast payloads, reduce
 // results) as its chunk frames plus the end marker (Total = byte count).
 func RawFrames(op Op, tag uint32, filter string, data []byte, maxBytes int) []Frame {
-	chunks := SplitRaw(data, maxBytes)
+	chunks := splitRaw(data, maxBytes)
 	out := make([]Frame, 0, len(chunks)+1)
 	digest := lmonp.SumInit
 	for i, ch := range chunks {
@@ -437,10 +437,10 @@ func EntryFrames(op Op, tag uint32, entries []Entry, maxBytes int) []Frame {
 // the duplicate/out-of-order distinction matters to tests and fuzzing —
 // links are FIFO, so either means a corrupted or hostile peer).
 var (
-	ErrChunkDup   = errors.New("coll: duplicate or out-of-order chunk")
-	ErrChunkGap   = errors.New("coll: chunk gap")
-	ErrStreamMix  = errors.New("coll: mixed streams")
-	ErrShortTotal = errors.New("coll: reassembly total mismatch")
+	errChunkDup   = errors.New("coll: duplicate or out-of-order chunk")
+	errChunkGap   = errors.New("coll: chunk gap")
+	errStreamMix  = errors.New("coll: mixed streams")
+	errShortTotal = errors.New("coll: reassembly total mismatch")
 )
 
 // stream pins the op/tag/filter of a chunk stream and validates the chunk
@@ -456,13 +456,13 @@ func (s *stream) admit(h Header) error {
 		s.started, s.h = true, h
 	} else if h.Op != s.h.Op || h.Tag != s.h.Tag || h.Filter != s.h.Filter {
 		return fmt.Errorf("%w: %v/tag %d/filter %q in %v/tag %d/filter %q stream",
-			ErrStreamMix, h.Op, h.Tag, h.Filter, s.h.Op, s.h.Tag, s.h.Filter)
+			errStreamMix, h.Op, h.Tag, h.Filter, s.h.Op, s.h.Tag, s.h.Filter)
 	}
 	switch {
 	case h.Index < s.next:
-		return fmt.Errorf("%w: chunk %d after %d", ErrChunkDup, h.Index, s.next)
+		return fmt.Errorf("%w: chunk %d after %d", errChunkDup, h.Index, s.next)
 	case h.Index > s.next:
-		return fmt.Errorf("%w: chunk %d, expected %d", ErrChunkGap, h.Index, s.next)
+		return fmt.Errorf("%w: chunk %d, expected %d", errChunkGap, h.Index, s.next)
 	}
 	s.next++
 	return nil
@@ -558,7 +558,7 @@ func (a *RawAssembler) Finish(h Header, total uint64) ([]byte, error) {
 		return nil, err
 	}
 	if a.size != total {
-		return nil, fmt.Errorf("%w: reassembled %d bytes, end marker says %d", ErrShortTotal, a.size, total)
+		return nil, fmt.Errorf("%w: reassembled %d bytes, end marker says %d", errShortTotal, a.size, total)
 	}
 	if total == 0 {
 		return nil, nil
@@ -608,7 +608,7 @@ func (a *RankAssembler) Finish(h Header, total uint64, size int) ([][]byte, erro
 	}
 	if total != uint64(len(a.byRank)) || len(a.byRank) != size {
 		return nil, fmt.Errorf("%w: %d contributions, end marker says %d, expected %d",
-			ErrShortTotal, len(a.byRank), total, size)
+			errShortTotal, len(a.byRank), total, size)
 	}
 	out := make([][]byte, size)
 	for rk, blob := range a.byRank {

@@ -80,7 +80,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 
 func TestSplitRawBounds(t *testing.T) {
 	data := bytes.Repeat([]byte{1}, 1000)
-	chunks := SplitRaw(data, 256)
+	chunks := splitRaw(data, 256)
 	if len(chunks) != 4 {
 		t.Fatalf("%d chunks", len(chunks))
 	}
@@ -94,7 +94,7 @@ func TestSplitRawBounds(t *testing.T) {
 	if !bytes.Equal(joined, data) {
 		t.Fatal("chunks do not rejoin")
 	}
-	if got := SplitRaw(nil, 256); len(got) != 1 || len(got[0]) != 0 {
+	if got := splitRaw(nil, 256); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty data: %v", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestRawAssemblerRejectsDuplicateChunk(t *testing.T) {
 	if err := asm.Add(frames[0].H, frames[0].Body); err != nil {
 		t.Fatal(err)
 	}
-	if err := asm.Add(frames[0].H, frames[0].Body); !errors.Is(err, ErrChunkDup) {
+	if err := asm.Add(frames[0].H, frames[0].Body); !errors.Is(err, errChunkDup) {
 		t.Fatalf("duplicate chunk: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestRawAssemblerRejectsDuplicateChunk(t *testing.T) {
 func TestRawAssemblerRejectsOutOfOrderChunk(t *testing.T) {
 	frames := RawFrames(OpBroadcast, 5, "", bytes.Repeat([]byte{9}, 700), 256)
 	var asm RawAssembler
-	if err := asm.Add(frames[1].H, frames[1].Body); !errors.Is(err, ErrChunkGap) {
+	if err := asm.Add(frames[1].H, frames[1].Body); !errors.Is(err, errChunkGap) {
 		t.Fatalf("chunk 1 first: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestRawAssemblerRejectsMixedStreams(t *testing.T) {
 	if err := asm.Add(Header{Op: OpBroadcast, Tag: 1}, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := asm.Add(Header{Op: OpBroadcast, Tag: 2, Index: 1}, []byte("y")); !errors.Is(err, ErrStreamMix) {
+	if err := asm.Add(Header{Op: OpBroadcast, Tag: 2, Index: 1}, []byte("y")); !errors.Is(err, errStreamMix) {
 		t.Fatalf("tag switch: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestRawAssemblerRejectsShortTotal(t *testing.T) {
 	if err := asm.Add(Header{Op: OpBroadcast, Tag: 1}, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := asm.Finish(Header{Op: OpBroadcast, Tag: 1, Index: 1}, 99); !errors.Is(err, ErrShortTotal) {
+	if _, err := asm.Finish(Header{Op: OpBroadcast, Tag: 1, Index: 1}, 99); !errors.Is(err, errShortTotal) {
 		t.Fatalf("bad total: %v", err)
 	}
 }

@@ -267,7 +267,7 @@ func FuzzMultiTagSeqCheck(f *testing.F) {
 				}
 				if i == target {
 					err := admit(bad, fr)
-					if !errors.Is(err, ErrChunkDup) {
+					if !errors.Is(err, errChunkDup) {
 						t.Fatalf("replayed frame (tag %d index %d): got %v, want ErrChunkDup", fr.H.Tag, fr.H.Index, err)
 					}
 					return
@@ -287,7 +287,7 @@ func FuzzMultiTagSeqCheck(f *testing.F) {
 				}
 				err := admit(bad, fr)
 				if fr.H.Tag == victim.H.Tag && fr.H.Index > victim.H.Index {
-					if !errors.Is(err, ErrChunkGap) {
+					if !errors.Is(err, errChunkGap) {
 						t.Fatalf("frame after dropped chunk (tag %d): got %v, want ErrChunkGap", fr.H.Tag, err)
 					}
 					return
@@ -319,7 +319,7 @@ func FuzzMultiTagSeqCheck(f *testing.F) {
 				}
 				if i == target {
 					err := bad[other].AdmitFrame(victim)
-					if !errors.Is(err, ErrStreamMix) {
+					if !errors.Is(err, errStreamMix) {
 						t.Fatalf("misrouted frame (tag %d into %d): got %v, want ErrStreamMix", victim.H.Tag, other, err)
 					}
 					return

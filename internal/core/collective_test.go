@@ -592,3 +592,66 @@ func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 		}})
 	})
 }
+
+// TestTreeReadChargeRule pins where a Comm collective's reader time is
+// charged (DESIGN.md "Simulator cost model"): until the first plane
+// operation demultiplexes a daemon's tree links, Comm.recvRaw charges
+// iccl.PerMsgCost on the daemon's own goroutine, one reader a daemon, so
+// the master of a flat fabric reads its children's barrier frames one
+// after another; after it, each link's SerialFramer charges its own
+// frames, one reader a link, and the children's frames are charged side
+// by side. The ready gather, Figure 3's flat-tree rows and the BE API's
+// Comm collectives run under the first rule; a change that moves any of
+// them to the second moves these instants.
+func TestTreeReadChargeRule(t *testing.T) {
+	for _, c := range []struct {
+		fanout        int
+		before, after time.Duration
+	}{
+		{0, 5010012, 360012}, // flat: 32 children's frames one after another, then side by side
+		{4, 2430036, 1080036},
+	} {
+		sim, cl, _ := rig(t, 33)
+		var before, after time.Duration
+		cl.Register("tool_be", func(p *cluster.Proc) {
+			be, err := BEInit(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer be.Finalize()
+			// The second of two barriers, so every daemon enters it as the
+			// first one's release reaches it.
+			barrier := func() time.Duration {
+				var t0 time.Duration
+				for i := 0; i < 2; i++ {
+					t0 = p.Sim().Now()
+					if err := be.Barrier(); err != nil {
+						t.Error(err)
+					}
+				}
+				return p.Sim().Now() - t0
+			}
+			d := barrier()
+			if err := be.Collective().Barrier(); err != nil {
+				t.Error(err)
+			}
+			if d2 := barrier(); be.AmIMaster() {
+				before, after = d, d2
+			}
+		})
+		runFE(t, sim, cl, func(p *cluster.Proc) {
+			if _, err := LaunchAndSpawn(p, Options{
+				Job:        rm.JobSpec{Exe: "app", Nodes: 33, TasksPerNode: 1},
+				Daemon:     rm.DaemonSpec{Exe: "tool_be"},
+				ICCLFanout: c.fanout,
+			}); err != nil {
+				t.Error(err)
+			}
+		})
+		if before != c.before || after != c.after {
+			t.Errorf("fanout %d: the master's barrier takes %v before the first plane operation and %v after, want %v and %v",
+				c.fanout, before, after, c.before, c.after)
+		}
+	}
+}

@@ -58,11 +58,11 @@ func TestConcurrentSessionsOverOneMux(t *testing.T) {
 	runFE(t, sim, cl, func(p *cluster.Proc) {
 		sessions := launchConcurrent(t, p, k, nodesEach, tpn)
 
-		fe, err := NewFrontEnd(p)
+		fe, err := newFrontEnd(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fe.Mux().Sessions(); got != k {
+		if got := fe.mux.Sessions(); got != k {
 			t.Errorf("mux tracks %d sessions, want %d", got, k)
 		}
 
@@ -154,11 +154,11 @@ func TestConcurrentSessionsIndependentTeardown(t *testing.T) {
 			}
 		}
 		// Mux endpoints deregistered with their sessions.
-		fe, err := NewFrontEnd(p)
+		fe, err := newFrontEnd(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fe.Mux().Sessions(); got != 0 {
+		if got := fe.mux.Sessions(); got != 0 {
 			t.Errorf("mux still tracks %d sessions after teardown", got)
 		}
 	})
@@ -214,18 +214,18 @@ func TestConcurrentDetachKillRacesAcrossSessions(t *testing.T) {
 			}
 		}
 
-		fe, err := NewFrontEnd(p)
+		fe, err := newFrontEnd(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fe.Mux().Sessions(); got != 0 {
+		if got := fe.mux.Sessions(); got != 0 {
 			t.Errorf("mux still tracks %d sessions after teardown", got)
 		}
 
 		// A dial announcing a closed session's ID is shed by the mux: the
 		// dialer observes EOF (not a hang) — the queue-drain contract.
 		for _, s := range sessions {
-			conn, err := p.Host().Dial(fe.Mux().Addr())
+			conn, err := p.Host().Dial(fe.mux.Addr())
 			if err != nil {
 				t.Fatalf("dial mux: %v", err)
 			}

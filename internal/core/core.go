@@ -41,39 +41,39 @@ import (
 // Environment variables the FE plants in daemon environments (in addition
 // to the rm.Env* variables the RM itself provides).
 const (
-	// EnvFEAddr is the front end's listener, dialed by master daemons.
-	EnvFEAddr = "LMON_FE_ADDR"
-	// EnvSession is the session identifier.
-	EnvSession = "LMON_SESSION"
-	// EnvICCLPort is the per-session TCP port of the ICCL tree.
-	EnvICCLPort = "LMON_ICCL_PORT"
-	// EnvICCLFanout is the ICCL tree fanout (0 = flat 1-deep).
-	EnvICCLFanout = "LMON_ICCL_FANOUT"
-	// EnvCollChunk bounds one collective-plane chunk body in bytes
+	// envFEAddr is the front end's listener, dialed by master daemons.
+	envFEAddr = "LMON_FE_ADDR"
+	// envSession is the session identifier.
+	envSession = "LMON_SESSION"
+	// envICCLPort is the per-session TCP port of the ICCL tree.
+	envICCLPort = "LMON_ICCL_PORT"
+	// envICCLFanout is the ICCL tree fanout (0 = flat 1-deep).
+	envICCLFanout = "LMON_ICCL_FANOUT"
+	// envCollChunk bounds one collective-plane chunk body in bytes
 	// (0 or unset selects coll.DefaultChunkBytes).
-	EnvCollChunk = "LMON_COLL_CHUNK"
-	// EnvCollWindow is the per-(link, tag) outstanding-chunk credit
+	envCollChunk = "LMON_COLL_CHUNK"
+	// envCollWindow is the per-(link, tag) outstanding-chunk credit
 	// window of the collective plane's flow control (0 or unset selects
 	// coll.DefaultWindow). Planted from Options.CollWindow.
-	EnvCollWindow = "LMON_COLL_WINDOW"
+	envCollWindow = "LMON_COLL_WINDOW"
 	// EnvSeedMode selects the session-seed (RPDTAB + FEData) distribution
 	// pipeline the BE daemons must match: "cut-through" (or unset) streams
 	// rank-sliced chunks through the forming ICCL tree, "store-forward" is
 	// the serialized full-table baseline (Options.SeedMode). The MW fabric
 	// is always cut-through and never sees this variable.
 	EnvSeedMode = "LMON_SEED_MODE"
-	// EnvHealthPeriod is the heartbeat period of the session's failure
+	// envHealthPeriod is the heartbeat period of the session's failure
 	// detector (a Go duration string); unset or empty disables it.
-	EnvHealthPeriod = "LMON_HEALTH_PERIOD"
-	// EnvHealthMiss is the missed-heartbeat threshold.
-	EnvHealthMiss = "LMON_HEALTH_MISS"
-	// EnvProctabChunk bounds re-packed RPDTAB chunk bodies on routed
+	envHealthPeriod = "LMON_HEALTH_PERIOD"
+	// envHealthMiss is the missed-heartbeat threshold.
+	envHealthMiss = "LMON_HEALTH_MISS"
+	// envProctabChunk bounds re-packed RPDTAB chunk bodies on routed
 	// (rank-sliced) seed links (0 or unset selects the proctab default).
-	EnvProctabChunk = "LMON_PROCTAB_CHUNK"
-	// EnvObs enables the session observability plane at every daemon
+	envProctabChunk = "LMON_PROCTAB_CHUNK"
+	// envObs enables the session observability plane at every daemon
 	// ("on" = per-link metrics registries + tree-harvested snapshots;
 	// unset or any other value = off). Planted from Options.Obs.
-	EnvObs = "LMON_OBS"
+	envObs = "LMON_OBS"
 )
 
 // Cost model constants for the FE-local bookkeeping; together with the
@@ -128,9 +128,9 @@ var (
 	feReg   = make(map[*cluster.Proc]*FrontEnd)
 )
 
-// NewFrontEnd returns the process-wide front-end handle for p, creating
+// newFrontEnd returns the process-wide front-end handle for p, creating
 // its transport mux on first use.
-func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
+func newFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
 	feRegMu.Lock()
 	defer feRegMu.Unlock()
 	if fe, ok := feReg[p]; ok {
@@ -153,9 +153,6 @@ func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
 	})
 	return fe, nil
 }
-
-// Mux exposes the front end's transport mux (tests and diagnostics).
-func (fe *FrontEnd) Mux() *transport.Mux { return fe.mux }
 
 // sessionShared models one session's node-local shared memory segment:
 // the immutable columnar RPDTAB index published by the front end once the

@@ -36,20 +36,20 @@ func (e bootEnv) plant(tool map[string]string, fab fabricProfile) map[string]str
 	for k, v := range tool {
 		env[k] = v
 	}
-	env[EnvFEAddr] = e.feAddr
-	env[EnvSession] = encodeSessionID(e.session)
-	env[EnvICCLPort] = fmt.Sprint(e.tree.Port)
-	env[EnvICCLFanout] = fmt.Sprint(e.tree.Fanout)
-	env[EnvCollChunk] = fmt.Sprint(e.collChunk)
-	env[EnvCollWindow] = fmt.Sprint(e.collWindow)
-	env[EnvProctabChunk] = fmt.Sprint(e.proctabChunk)
-	env[EnvObs] = e.obs.String()
+	env[envFEAddr] = e.feAddr
+	env[envSession] = encodeSessionID(e.session)
+	env[envICCLPort] = fmt.Sprint(e.tree.Port)
+	env[envICCLFanout] = fmt.Sprint(e.tree.Fanout)
+	env[envCollChunk] = fmt.Sprint(e.collChunk)
+	env[envCollWindow] = fmt.Sprint(e.collWindow)
+	env[envProctabChunk] = fmt.Sprint(e.proctabChunk)
+	env[envObs] = e.obs.String()
 	if !fab.mw {
 		env[EnvSeedMode] = e.seedMode.String()
 	}
 	if e.health.Period > 0 {
-		env[EnvHealthPeriod] = e.health.Period.String()
-		env[EnvHealthMiss] = fmt.Sprint(e.health.Miss)
+		env[envHealthPeriod] = e.health.Period.String()
+		env[envHealthMiss] = fmt.Sprint(e.health.Miss)
 	}
 	return env
 }
@@ -85,21 +85,21 @@ func parseBootEnv(p *cluster.Proc) (*bootEnv, error) {
 		return d
 	}
 	e := &bootEnv{
-		feAddr:       p.Env(EnvFEAddr),
-		session:      num(EnvSession, true),
-		collChunk:    num(EnvCollChunk, false),
-		collWindow:   num(EnvCollWindow, false),
-		proctabChunk: num(EnvProctabChunk, false),
-		health:       HealthOptions{Period: dur(EnvHealthPeriod), Miss: num(EnvHealthMiss, false)},
+		feAddr:       p.Env(envFEAddr),
+		session:      num(envSession, true),
+		collChunk:    num(envCollChunk, false),
+		collWindow:   num(envCollWindow, false),
+		proctabChunk: num(envProctabChunk, false),
+		health:       HealthOptions{Period: dur(envHealthPeriod), Miss: num(envHealthMiss, false)},
 	}
 	e.tree = iccl.Config{
 		Rank: num(rm.EnvNodeID, true), Size: num(rm.EnvNNodes, true),
-		Port: num(EnvICCLPort, true), Fanout: num(EnvICCLFanout, false),
+		Port: num(envICCLPort, true), Fanout: num(envICCLFanout, false),
 	}
 	if p.Env(EnvSeedMode) == SeedStoreForward.String() {
 		e.seedMode = SeedStoreForward
 	}
-	if p.Env(EnvObs) == ObsOn.String() {
+	if p.Env(envObs) == ObsOn.String() {
 		e.obs = ObsOn
 	}
 	if err != nil {

@@ -66,7 +66,7 @@ func TestBootEnvRoundTrip(t *testing.T) {
 
 		// Zero options plant nothing optional, and read back as zero.
 		minimal := bootEnv{feAddr: "fe0:1", session: 1, tree: iccl.Config{Port: 51002}}.plant(nil, fab)
-		for _, name := range []string{EnvHealthPeriod, EnvHealthMiss} {
+		for _, name := range []string{envHealthPeriod, envHealthMiss} {
 			if _, ok := minimal[name]; ok {
 				t.Errorf("%s: %s planted for a zero option", fab.kind, name)
 			}
@@ -84,15 +84,15 @@ func TestBootEnvRejectsMalformedValuesByName(t *testing.T) {
 		t.Fatalf("well-formed environment rejected: %v", err)
 	}
 	for name, bad := range map[string]string{
-		EnvSession: "", EnvICCLPort: "", rm.EnvNodeID: "", // required
-		EnvICCLFanout: "wide", EnvCollChunk: "4k", EnvCollWindow: "x", EnvProctabChunk: "-",
-		EnvHealthPeriod: "1", EnvHealthMiss: "many",
+		envSession: "", envICCLPort: "", rm.EnvNodeID: "", // required
+		envICCLFanout: "wide", envCollChunk: "4k", envCollWindow: "x", envProctabChunk: "-",
+		envHealthPeriod: "1", envHealthMiss: "many",
 		rm.EnvNNodes: "2", // disagrees with the one-entry node list
 	} {
 		env := good()
 		env[name] = bad
-		if name == EnvHealthMiss {
-			env[EnvHealthPeriod] = "1s"
+		if name == envHealthMiss {
+			env[envHealthPeriod] = "1s"
 		}
 		_, err := parseIn(t, env)
 		if err == nil {

@@ -149,7 +149,7 @@ func AttachAndSpawn(p *cluster.Proc, opts Options) (*Session, error) {
 }
 
 func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) {
-	fe, err := NewFrontEnd(p)
+	fe, err := newFrontEnd(p)
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,7 @@ func (r *seedRelay) next() (in feIn, err error) {
 
 // engineBound bounds the engine's dial-back from its fork's return by the
 // FE node's own costs: twice a fork, engine.BaseCost and a loopback dial.
-var engineBound = 2 * (cluster.DefaultForkCost + engine.BaseCost + 4*simnet.DefaultOptions().LoopbackLatency)
+var engineBound = 2 * (cluster.ForkCost + engine.BaseCost + 4*simnet.LoopbackLatency)
 
 // readyBound is four times what forming a k-daemon tree costs once every
 // daemon exists: a level's redial, fork, two round trips and a parent's
@@ -157,9 +157,8 @@ func readyBound(k, fanout int, mode SeedMode, seedB int) time.Duration {
 	if mode == SeedStoreForward {
 		hops = levels + 1
 	}
-	net := simnet.DefaultOptions()
-	level := iccl.DialRetry + cluster.DefaultForkCost + 4*net.Latency + time.Duration(3*fanout)*iccl.PerMsgCost
-	wire := time.Duration(float64(hops*seedB+levels*k*64) / net.Bandwidth * float64(time.Second))
+	level := iccl.DialRetry + cluster.ForkCost + 4*simnet.Latency + time.Duration(3*fanout)*iccl.PerMsgCost
+	wire := time.Duration(float64(hops*seedB+levels*k*64) / simnet.Bandwidth * float64(time.Second))
 	return 4 * (time.Duration(levels)*level + wire)
 }
 

@@ -85,8 +85,8 @@ func TestObsDisabledAccessors(t *testing.T) {
 			return
 		}
 		// The plane is off: the FE must not have planted the obs env.
-		if v := p.Env(EnvObs); v != ObsDefault.String() {
-			t.Errorf("daemon sees %s=%q with obs off", EnvObs, v)
+		if v := p.Env(envObs); v != ObsDefault.String() {
+			t.Errorf("daemon sees %s=%q with obs off", envObs, v)
 		}
 		be.Finalize()
 	})

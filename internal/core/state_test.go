@@ -65,7 +65,7 @@ func TestTimedOutExchangeDoesNotPoisonNext(t *testing.T) {
 	})
 	torn := 0
 	runFE(t, sim, cl, func(p *cluster.Proc) {
-		if _, err := NewFrontEnd(p); err != nil { // the mux and its reaper are per process
+		if _, err := newFrontEnd(p); err != nil { // the mux and its reaper are per process
 			t.Error(err)
 			return
 		}
@@ -287,7 +287,7 @@ func runLaunchCell(t *testing.T, c launchCell) {
 		})
 	}
 	runFE(t, sim, cl, func(p *cluster.Proc) {
-		if _, err := NewFrontEnd(p); err != nil {
+		if _, err := newFrontEnd(p); err != nil {
 			t.Error(err)
 			return
 		}
@@ -402,7 +402,7 @@ func TestFaultEndsInNamedState(t *testing.T) {
 				registerMortal(cl, "named_be", "named_mw")
 				var torn []health.Event
 				runFE(t, sim, cl, func(p *cluster.Proc) {
-					if _, err := NewFrontEnd(p); err != nil {
+					if _, err := newFrontEnd(p); err != nil {
 						t.Error(err)
 						return
 					}
@@ -527,7 +527,7 @@ func TestFaultEndsInNamedState(t *testing.T) {
 			}
 		})
 		runFE(t, sim, cl, func(p *cluster.Proc) {
-			if _, err := NewFrontEnd(p); err != nil {
+			if _, err := newFrontEnd(p); err != nil {
 				t.Error(err)
 				return
 			}

@@ -169,7 +169,7 @@ func (r *sweepRun) call(name string, fn func() error) bool {
 // refused; and the simulator has the goroutines it had before the launch.
 func (r *sweepRun) fe(p *cluster.Proc) {
 	sim := r.sim
-	if _, err := NewFrontEnd(p); err != nil {
+	if _, err := newFrontEnd(p); err != nil {
 		r.problem("front end: %v", err)
 		return
 	}

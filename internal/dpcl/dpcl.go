@@ -23,45 +23,32 @@ import (
 	"launchmon/internal/simnet"
 )
 
-// Port of the persistent dpcld super daemon.
-const Port = 7878
+// port of the persistent dpcld super daemon.
+const port = 7878
 
-// AttachCost is the ptrace attach + bootstrap of the instrumentation
+// attachCost is the ptrace attach + bootstrap of the instrumentation
 // runtime in the target.
-const AttachCost = 150 * time.Millisecond
+const attachCost = 150 * time.Millisecond
 
-// Config models DPCL's cost profile.
-type Config struct {
-	// BinaryParseCost is the full parse of a target binary before any
-	// instrumentation (default 33.5s for the RM launcher — the Table 1
-	// constant).
-	BinaryParseCost time.Duration
-	// PerNodeSessionCost is the per-node daemon session setup the client
-	// pays when widening an experiment (default 28ms — Table 1's slight
-	// growth from 33.77s at 2 nodes to 34.66s at 32).
-	PerNodeSessionCost time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.BinaryParseCost == 0 {
-		c.BinaryParseCost = 33500 * time.Millisecond
-	}
-	if c.PerNodeSessionCost == 0 {
-		c.PerNodeSessionCost = 28 * time.Millisecond
-	}
-	return c
-}
+// The costs of DPCL's instrumentation path: binaryParseCost is the full
+// parse of a target binary before any instrumentation (33.5 s for the RM
+// launcher — the Table 1 constant), perNodeSessionCost the per-node daemon
+// session setup the client pays when widening an experiment (Table 1's
+// slight growth from 33.77 s at 2 nodes to 34.66 s at 32).
+const (
+	binaryParseCost    = 33500 * time.Millisecond
+	perNodeSessionCost = 28 * time.Millisecond
+)
 
 // Service is an installed DPCL infrastructure.
 type Service struct {
-	cl  *cluster.Cluster
-	cfg Config
+	cl *cluster.Cluster
 }
 
 // Install boots a persistent dpcld on the front end and on every compute
 // node (the root-daemon deployment model).
-func Install(cl *cluster.Cluster, cfg Config) (*Service, error) {
-	s := &Service{cl: cl, cfg: cfg.withDefaults()}
+func Install(cl *cluster.Cluster) (*Service, error) {
+	s := &Service{cl: cl}
 	nodes := []*cluster.Node{cl.FrontEnd()}
 	for i := 0; i < cl.NumNodes(); i++ {
 		nodes = append(nodes, cl.Node(i))
@@ -83,7 +70,7 @@ const (
 
 func (s *Service) dpcldMain(node *cluster.Node) cluster.ProcMain {
 	return func(p *cluster.Proc) {
-		rm.Serve(p, Port, func(rd *lmonp.Reader, reply rm.Reply) {
+		rm.Serve(p, port, func(rd *lmonp.Reader, reply rm.Reply) {
 			reply(s.handle(p, node, rd))
 		})
 	}
@@ -107,15 +94,15 @@ func (s *Service) handle(p *cluster.Proc, node *cluster.Node, rd *lmonp.Reader) 
 		defer tr.Detach()
 		// DPCL's general-purpose path: attach, then parse the target
 		// binary in full before touching any symbol.
-		p.Compute(AttachCost)
-		p.Compute(s.cfg.BinaryParseCost)
+		p.Compute(attachCost)
+		p.Compute(binaryParseCost)
 		tab, err := rm.ProctabFromLauncher(tr)
 		if err != nil {
 			return nil, err
 		}
 		return lmonp.AppendBytes(nil, tab.Encode()), nil
 	case opSession:
-		p.Compute(s.cfg.PerNodeSessionCost)
+		p.Compute(perNodeSessionCost)
 		return nil, nil
 	default:
 		return nil, errors.New("bad op")
@@ -123,13 +110,13 @@ func (s *Service) handle(p *cluster.Proc, node *cluster.Node, rd *lmonp.Reader) 
 }
 
 // Client errors.
-var ErrDPCL = errors.New("dpcl: request failed")
+var errDPCL = errors.New("dpcl: request failed")
 
 // call performs one dpcld request from p against node's daemon.
 func call(p *cluster.Proc, node string, req []byte) (*lmonp.Reader, error) {
-	rd, err := rm.Call(p.Host(), simnet.Addr{Host: node, Port: Port}, req)
+	rd, err := rm.Call(p.Host(), simnet.Addr{Host: node, Port: port}, req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDPCL, err)
+		return nil, fmt.Errorf("%w: %v", errDPCL, err)
 	}
 	return rd, nil
 }

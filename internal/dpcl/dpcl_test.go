@@ -10,14 +10,14 @@ import (
 	"launchmon/internal/vtime"
 )
 
-func rig(t *testing.T, nodes int, cfg Config) (*vtime.Sim, *cluster.Cluster, *Service) {
+func rig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, *Service) {
 	t.Helper()
 	sim := vtime.New()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := Install(cl, cfg)
+	svc, err := Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func rig(t *testing.T, nodes int, cfg Config) (*vtime.Sim, *cluster.Cluster, *Se
 }
 
 func TestAPAIViaDPCLReadsProctab(t *testing.T) {
-	sim, cl, svc := rig(t, 2, Config{BinaryParseCost: 50 * time.Millisecond})
+	sim, cl, svc := rig(t, 2)
 	want := proctab.Table{{Host: "node0", Exe: "app", Pid: 7, Rank: 0}}
 	sim.Go("test", func() {
 		// A fake launcher exposing the MPIR symbols.
@@ -56,8 +56,8 @@ func TestAPAIViaDPCLReadsProctab(t *testing.T) {
 }
 
 func TestAPAICostDominatedByParse(t *testing.T) {
-	parse := 500 * time.Millisecond
-	sim, cl, svc := rig(t, 1, Config{BinaryParseCost: parse})
+	parse := binaryParseCost
+	sim, cl, svc := rig(t, 1)
 	var cost time.Duration
 	sim.Go("test", func() {
 		launcher, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "srun", Passive: true})
@@ -82,7 +82,7 @@ func TestAPAICostDominatedByParse(t *testing.T) {
 }
 
 func TestAPAIMissingProcess(t *testing.T) {
-	sim, cl, svc := rig(t, 1, Config{BinaryParseCost: time.Millisecond})
+	sim, cl, svc := rig(t, 1)
 	sim.Go("test", func() {
 		client, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "oss", Main: func(p *cluster.Proc) {
 			if _, err := svc.APAIViaDPCL(p, "fe0", 424242); err == nil {
@@ -95,7 +95,7 @@ func TestAPAIMissingProcess(t *testing.T) {
 }
 
 func TestAPAIUnknownHost(t *testing.T) {
-	sim, cl, svc := rig(t, 1, Config{BinaryParseCost: time.Millisecond})
+	sim, cl, svc := rig(t, 1)
 	sim.Go("test", func() {
 		client, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "oss", Main: func(p *cluster.Proc) {
 			if _, err := svc.APAIViaDPCL(p, "ghost-node", 1); err == nil {
@@ -108,8 +108,8 @@ func TestAPAIUnknownHost(t *testing.T) {
 }
 
 func TestNodeSessionsCharged(t *testing.T) {
-	per := 10 * time.Millisecond
-	sim, cl, svc := rig(t, 4, Config{PerNodeSessionCost: per, BinaryParseCost: time.Millisecond})
+	per := perNodeSessionCost
+	sim, cl, svc := rig(t, 4)
 	var cost time.Duration
 	sim.Go("test", func() {
 		client, _ := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "oss", Main: func(p *cluster.Proc) {
@@ -131,7 +131,7 @@ func TestNodeSessionsCharged(t *testing.T) {
 }
 
 func TestPersistentDaemonsPreinstalled(t *testing.T) {
-	_, cl, _ := rig(t, 3, Config{})
+	_, cl, _ := rig(t, 3)
 	// The root-daemon model: dpcld occupies a slot on every node (and the
 	// front end) before any tool runs — the deployment burden §2 criticizes.
 	if got := cl.FrontEnd().NumProcs(); got != 1 {

@@ -53,8 +53,8 @@ func EncodeLaunchReq(r LaunchReq) []byte {
 	return lmonp.AppendUint32(b, uint32(r.ChunkBytes))
 }
 
-// DecodeLaunchReq parses a LaunchReq payload.
-func DecodeLaunchReq(b []byte) (LaunchReq, error) {
+// decodeLaunchReq parses a LaunchReq payload.
+func decodeLaunchReq(b []byte) (LaunchReq, error) {
 	rd := lmonp.NewReader(b)
 	r := LaunchReq{Job: readJobSpec(rd), Daemon: rm.ReadDaemonSpec(rd)}
 	var err error
@@ -69,8 +69,8 @@ func EncodeAttachReq(r AttachReq) []byte {
 	return lmonp.AppendUint32(b, uint32(r.ChunkBytes))
 }
 
-// DecodeAttachReq parses an AttachReq payload.
-func DecodeAttachReq(b []byte) (AttachReq, error) {
+// decodeAttachReq parses an AttachReq payload.
+func decodeAttachReq(b []byte) (AttachReq, error) {
 	rd := lmonp.NewReader(b)
 	r := AttachReq{JobID: int(rd.Uint32()), Daemon: rm.ReadDaemonSpec(rd)}
 	var err error
@@ -98,8 +98,8 @@ func EncodeSpawnReq(r SpawnReq) []byte {
 	return rm.AppendDaemonSpec(b, r.Daemon)
 }
 
-// DecodeSpawnReq parses a SpawnReq payload.
-func DecodeSpawnReq(b []byte) (SpawnReq, error) {
+// decodeSpawnReq parses a SpawnReq payload.
+func decodeSpawnReq(b []byte) (SpawnReq, error) {
 	rd := lmonp.NewReader(b)
 	return SpawnReq{Nodes: int(rd.Uint32()), Daemon: rm.ReadDaemonSpec(rd)}, rd.Err()
 }

@@ -20,64 +20,64 @@ type EventKind int
 
 // LaunchMON event kinds.
 const (
-	// EvLauncherStop: the launcher stopped on an ordinary debug event.
-	EvLauncherStop EventKind = iota
-	// EvBreakpoint: the launcher reached MPIR_Breakpoint (job ready).
-	EvBreakpoint
-	// EvAttachStop: the launcher stopped due to a tracer interrupt.
-	EvAttachStop
-	// EvLauncherExit: the launcher exited.
-	EvLauncherExit
+	// evLauncherStop: the launcher stopped on an ordinary debug event.
+	evLauncherStop EventKind = iota
+	// evBreakpoint: the launcher reached MPIR_Breakpoint (job ready).
+	evBreakpoint
+	// evAttachStop: the launcher stopped due to a tracer interrupt.
+	evAttachStop
+	// evLauncherExit: the launcher exited.
+	evLauncherExit
 )
 
 // Event is a decoded LaunchMON event.
 type Event struct {
 	Kind   EventKind
 	Reason string
-	Code   int // exit code for EvLauncherExit
+	Code   int // exit code for evLauncherExit
 }
 
-// EventManager polls the target RM process for native trace events.
-type EventManager struct {
+// eventManager polls the target RM process for native trace events.
+type eventManager struct {
 	tr *cluster.Tracer
 }
 
-// NewEventManager wraps an attached tracer.
-func NewEventManager(tr *cluster.Tracer) *EventManager { return &EventManager{tr: tr} }
+// newEventManager wraps an attached tracer.
+func newEventManager(tr *cluster.Tracer) *eventManager { return &eventManager{tr: tr} }
 
-// Poll blocks for the next native event; ok is false when the event stream
+// poll blocks for the next native event; ok is false when the event stream
 // has closed (tracee exited or tracer detached).
-func (em *EventManager) Poll() (cluster.TraceEvent, bool) {
+func (em *eventManager) poll() (cluster.TraceEvent, bool) {
 	return em.tr.Events().Recv()
 }
 
-// EventDecoder converts native trace events into LaunchMON events.
-type EventDecoder struct {
+// eventDecoder converts native trace events into LaunchMON events.
+type eventDecoder struct {
 	breakpointName string
 }
 
-// NewEventDecoder builds a decoder recognizing the platform's APAI
+// newEventDecoder builds a decoder recognizing the platform's APAI
 // breakpoint symbol.
-func NewEventDecoder(breakpointName string) *EventDecoder {
-	return &EventDecoder{breakpointName: breakpointName}
+func newEventDecoder(breakpointName string) *eventDecoder {
+	return &eventDecoder{breakpointName: breakpointName}
 }
 
-// Decode lifts a native event.
-func (d *EventDecoder) Decode(ev cluster.TraceEvent) Event {
+// decode lifts a native event.
+func (d *eventDecoder) decode(ev cluster.TraceEvent) Event {
 	switch ev.Type {
 	case cluster.EventExit:
-		return Event{Kind: EvLauncherExit, Code: ev.Code}
+		return Event{Kind: evLauncherExit, Code: ev.Code}
 	case cluster.EventStop:
 		switch ev.Reason {
 		case d.breakpointName:
-			return Event{Kind: EvBreakpoint, Reason: ev.Reason}
+			return Event{Kind: evBreakpoint, Reason: ev.Reason}
 		case "interrupt":
-			return Event{Kind: EvAttachStop, Reason: ev.Reason}
+			return Event{Kind: evAttachStop, Reason: ev.Reason}
 		default:
-			return Event{Kind: EvLauncherStop, Reason: ev.Reason}
+			return Event{Kind: evLauncherStop, Reason: ev.Reason}
 		}
 	default:
-		return Event{Kind: EvLauncherStop, Reason: ev.Reason}
+		return Event{Kind: evLauncherStop, Reason: ev.Reason}
 	}
 }
 
@@ -85,11 +85,11 @@ func (d *EventDecoder) Decode(ev cluster.TraceEvent) Event {
 // driver loop (with the event as the loop's result).
 type Handler func(Event) (stop bool, err error)
 
-// Driver owns the poll→decode→dispatch loop.
-type Driver struct {
+// driver owns the poll→decode→dispatch loop.
+type driver struct {
 	proc        *cluster.Proc // the engine process (charged handler cost)
-	em          *EventManager
-	dec         *EventDecoder
+	em          *eventManager
+	dec         *eventDecoder
 	handlers    map[EventKind]Handler
 	handlerCost time.Duration
 
@@ -100,11 +100,11 @@ type Driver struct {
 	EventsSeen int
 }
 
-// NewDriver assembles the pipeline. handlerCost is charged per dispatched
+// newDriver assembles the pipeline. handlerCost is charged per dispatched
 // event (the paper's measured per-event handler cost; 18 ms total for
 // SLURM's 12 events at the 1.5 ms default).
-func NewDriver(proc *cluster.Proc, em *EventManager, dec *EventDecoder, handlerCost time.Duration) *Driver {
-	return &Driver{
+func newDriver(proc *cluster.Proc, em *eventManager, dec *eventDecoder, handlerCost time.Duration) *driver {
+	return &driver{
 		proc:        proc,
 		em:          em,
 		dec:         dec,
@@ -114,17 +114,17 @@ func NewDriver(proc *cluster.Proc, em *EventManager, dec *EventDecoder, handlerC
 }
 
 // Handle registers the handler for an event kind.
-func (d *Driver) Handle(kind EventKind, h Handler) { d.handlers[kind] = h }
+func (d *driver) Handle(kind EventKind, h Handler) { d.handlers[kind] = h }
 
 // Run polls, decodes and dispatches until a handler stops the loop or the
 // event stream ends. It returns the stopping event.
-func (d *Driver) Run() (Event, error) {
+func (d *driver) Run() (Event, error) {
 	for {
-		native, ok := d.em.Poll()
+		native, ok := d.em.poll()
 		if !ok {
-			return Event{Kind: EvLauncherExit, Code: -1}, fmt.Errorf("engine: event stream closed")
+			return Event{Kind: evLauncherExit, Code: -1}, fmt.Errorf("engine: event stream closed")
 		}
-		ev := d.dec.Decode(native)
+		ev := d.dec.decode(native)
 		d.proc.Compute(d.handlerCost)
 		d.TracingCost += d.handlerCost
 		d.EventsSeen++

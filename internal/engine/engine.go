@@ -9,7 +9,7 @@
 //
 // The engine is the only LaunchMON component with platform dependencies;
 // they are confined to the rm.Manager it is constructed with (the
-// "platform-specific adaptation" layer of Figure 1) and the EventDecoder
+// "platform-specific adaptation" layer of Figure 1) and the eventDecoder
 // parameterization.
 package engine
 
@@ -40,11 +40,11 @@ const EnvFEAddr = "LMON_ENGINE_FE_ADDR"
 // the connection to the owning session.
 const EnvSession = "LMON_ENGINE_SESSION"
 
-// The engine's cost model: HandlerCost is its CPU time per dispatched
+// The engine's cost model: handlerCost is its CPU time per dispatched
 // trace event (12 SLURM events → the paper's 18 ms tracing cost), BaseCost
 // its fixed startup bookkeeping.
 const (
-	HandlerCost = 1500 * time.Microsecond
+	handlerCost = 1500 * time.Microsecond
 	BaseCost    = 3 * time.Millisecond
 )
 
@@ -53,13 +53,13 @@ const (
 // front-end node once per session.
 func Install(cl *cluster.Cluster, mgr rm.Manager) {
 	cl.Register(ExeName, func(p *cluster.Proc) {
-		e := &Engine{proc: p, mgr: mgr}
+		e := &engine{proc: p, mgr: mgr}
 		e.main()
 	})
 }
 
-// Engine is one session's engine instance.
-type Engine struct {
+// engine is one session's engine instance.
+type engine struct {
 	proc *cluster.Proc
 	mgr  rm.Manager
 
@@ -72,7 +72,7 @@ type Engine struct {
 	tl  Timeline
 }
 
-func (e *Engine) main() {
+func (e *engine) main() {
 	start := e.proc.Sim().Now()
 	e.tl.Mark(MarkE1, start)
 	e.proc.Compute(BaseCost)
@@ -118,7 +118,7 @@ func (e *Engine) main() {
 	e.commandLoop()
 }
 
-func (e *Engine) sendStatus(s string) {
+func (e *engine) sendStatus(s string) {
 	payload := lmonp.AppendString(nil, s)
 	payload = lmonp.AppendBytes(payload, e.tl.Encode())
 	e.fe.Send(&lmonp.Msg{Class: lmonp.ClassFEEngine, Type: lmonp.TypeStatus, Payload: payload})
@@ -128,7 +128,7 @@ func (e *Engine) sendStatus(s string) {
 // is forwarded to the front end as an asynchronous JobExited status event
 // (the FE's watchdog reacts by tearing the session down). The stream
 // closes when the engine detaches, ending the watch.
-func (e *Engine) watchJob() {
+func (e *engine) watchJob() {
 	for {
 		ev, ok := e.tr.Events().Recv()
 		if !ok {
@@ -149,8 +149,8 @@ func (e *Engine) watchJob() {
 }
 
 // serveLaunch implements launchAndSpawn's engine half: events e1..e6.
-func (e *Engine) serveLaunch(req *lmonp.Msg) error {
-	lr, err := DecodeLaunchReq(req.Payload)
+func (e *engine) serveLaunch(req *lmonp.Msg) error {
+	lr, err := decodeLaunchReq(req.Payload)
 	if err != nil {
 		return err
 	}
@@ -159,12 +159,12 @@ func (e *Engine) serveLaunch(req *lmonp.Msg) error {
 		return err
 	}
 	// Drive the launcher to MPIR_Breakpoint through the event pipeline.
-	return e.acquire(job, lr.Daemon, lr.ChunkBytes, func(tr *cluster.Tracer, drv *Driver) error {
-		drv.Handle(EvLauncherStop, func(Event) (bool, error) {
+	return e.acquire(job, lr.Daemon, lr.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
+		drv.Handle(evLauncherStop, func(Event) (bool, error) {
 			return false, tr.Continue()
 		})
-		drv.Handle(EvBreakpoint, func(Event) (bool, error) { return true, nil })
-		drv.Handle(EvLauncherExit, func(ev Event) (bool, error) {
+		drv.Handle(evBreakpoint, func(Event) (bool, error) { return true, nil })
+		drv.Handle(evLauncherExit, func(ev Event) (bool, error) {
 			why, _ := tr.ReadSymbol(rm.SymDebugState)
 			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint (%v)", ev.Code, why)
 		})
@@ -174,8 +174,8 @@ func (e *Engine) serveLaunch(req *lmonp.Msg) error {
 }
 
 // serveAttach implements attachAndSpawn's engine half for a running job.
-func (e *Engine) serveAttach(req *lmonp.Msg) error {
-	ar, err := DecodeAttachReq(req.Payload)
+func (e *engine) serveAttach(req *lmonp.Msg) error {
+	ar, err := decodeAttachReq(req.Payload)
 	if err != nil {
 		return err
 	}
@@ -185,9 +185,9 @@ func (e *Engine) serveAttach(req *lmonp.Msg) error {
 	}
 	// Interrupt the running launcher, consume the stop, and proceed as in
 	// launch mode from the breakpoint-equivalent state.
-	return e.acquire(job, ar.Daemon, ar.ChunkBytes, func(tr *cluster.Tracer, drv *Driver) error {
-		drv.Handle(EvAttachStop, func(Event) (bool, error) { return true, nil })
-		drv.Handle(EvLauncherExit, func(Event) (bool, error) {
+	return e.acquire(job, ar.Daemon, ar.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
+		drv.Handle(evAttachStop, func(Event) (bool, error) { return true, nil })
+		drv.Handle(evLauncherExit, func(Event) (bool, error) {
 			return true, errors.New("engine: launcher exited during attach")
 		})
 		return tr.Interrupt()
@@ -197,7 +197,7 @@ func (e *Engine) serveAttach(req *lmonp.Msg) error {
 // acquire is what both modes share (e2..e6): attach to the job's launcher,
 // let arm install the mode's handlers and set the launcher going toward
 // its stop, run the event pipeline to it, then harvest and spawn.
-func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *Driver) error) (err error) {
+func (e *engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *driver) error) (err error) {
 	defer func() {
 		if errors.Is(err, cluster.ErrExited) {
 			err = fmt.Errorf("engine: job launcher: %w", err)
@@ -210,7 +210,7 @@ func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm f
 	}
 	e.tr = tr
 	e.proc.AdoptConn(tr) // a killed engine releases the launcher
-	drv := NewDriver(e.proc, NewEventManager(tr), NewEventDecoder(rm.BPName), HandlerCost)
+	drv := newDriver(e.proc, newEventManager(tr), newEventDecoder(rm.BPName), handlerCost)
 	if err := arm(tr, drv); err != nil {
 		return err
 	}
@@ -225,7 +225,7 @@ func (e *Engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm f
 
 // harvestAndSpawn fetches the RPDTAB (Region B), ships it to the FE, and
 // has the RM co-locate the tool daemons (e5..e6).
-func (e *Engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
+func (e *engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
 	fetchStart := e.proc.Sim().Now()
 	// Stream the harvest: each launcher-published chunk symbol is read,
 	// scanned, and immediately re-chunked onto the engine→FE stream at the
@@ -267,7 +267,7 @@ func (e *Engine) harvestAndSpawn(spec rm.DaemonSpec, tr *cluster.Tracer) error {
 }
 
 // commandLoop services FE control requests for the rest of the session.
-func (e *Engine) commandLoop() {
+func (e *engine) commandLoop() {
 	for {
 		msg, err := e.fe.Recv()
 		if err != nil {
@@ -275,7 +275,7 @@ func (e *Engine) commandLoop() {
 		}
 		switch msg.Type {
 		case lmonp.TypeSpawnReq:
-			sr, err := DecodeSpawnReq(msg.Payload)
+			sr, err := decodeSpawnReq(msg.Payload)
 			if err != nil {
 				e.sendStatus("error: " + err.Error())
 				continue

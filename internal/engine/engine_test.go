@@ -88,7 +88,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		Job:    rm.JobSpec{Name: "j", Exe: "app", Nodes: 7, TasksPerNode: 3},
 		Daemon: rm.DaemonSpec{Exe: "d", Args: []string{"-v"}, Env: map[string]string{"A": "1", "B": "2"}},
 	}
-	gotLR, err := DecodeLaunchReq(EncodeLaunchReq(lr))
+	gotLR, err := decodeLaunchReq(EncodeLaunchReq(lr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 
 	ar := AttachReq{JobID: 42, Daemon: rm.DaemonSpec{Exe: "d", Env: map[string]string{}}}
-	gotAR, err := DecodeAttachReq(EncodeAttachReq(ar))
+	gotAR, err := decodeAttachReq(EncodeAttachReq(ar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 
 	sr := SpawnReq{Nodes: 5, Daemon: rm.DaemonSpec{Exe: "mw", Env: map[string]string{}}}
-	gotSR, err := DecodeSpawnReq(EncodeSpawnReq(sr))
+	gotSR, err := decodeSpawnReq(EncodeSpawnReq(sr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRequestsCarryTheSharedDaemonSpecRecord(t *testing.T) {
 func TestCodecTruncation(t *testing.T) {
 	enc := EncodeLaunchReq(LaunchReq{Job: rm.JobSpec{Exe: "x", Nodes: 1, TasksPerNode: 1}, Daemon: rm.DaemonSpec{Exe: "d"}})
 	for _, cut := range []int{0, 3, len(enc) / 2} {
-		if _, err := DecodeLaunchReq(enc[:cut]); err == nil {
+		if _, err := decodeLaunchReq(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -177,12 +177,12 @@ func TestDriverPipeline(t *testing.T) {
 		}
 		tracee.Start()
 		eng, _ := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
-			drv := NewDriver(p, NewEventManager(tr), NewEventDecoder(rm.BPName), time.Millisecond)
-			drv.Handle(EvLauncherStop, func(ev Event) (bool, error) {
+			drv := newDriver(p, newEventManager(tr), newEventDecoder(rm.BPName), time.Millisecond)
+			drv.Handle(evLauncherStop, func(ev Event) (bool, error) {
 				seen = append(seen, ev.Kind)
 				return false, tr.Continue()
 			})
-			drv.Handle(EvBreakpoint, func(ev Event) (bool, error) {
+			drv.Handle(evBreakpoint, func(ev Event) (bool, error) {
 				seen = append(seen, ev.Kind)
 				return true, nil
 			})
@@ -195,7 +195,7 @@ func TestDriverPipeline(t *testing.T) {
 		eng.Wait()
 	})
 	sim.Run()
-	want := []EventKind{EvLauncherStop, EvLauncherStop, EvBreakpoint}
+	want := []EventKind{evLauncherStop, evLauncherStop, evBreakpoint}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("event sequence = %v, want %v", seen, want)
 	}
@@ -205,18 +205,18 @@ func TestDriverPipeline(t *testing.T) {
 }
 
 func TestDecoderClassification(t *testing.T) {
-	d := NewEventDecoder(rm.BPName)
+	d := newEventDecoder(rm.BPName)
 	cases := []struct {
 		in   cluster.TraceEvent
 		want EventKind
 	}{
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: rm.BPName}, EvBreakpoint},
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "interrupt"}, EvAttachStop},
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "dlopen"}, EvLauncherStop},
-		{cluster.TraceEvent{Type: cluster.EventExit, Code: 3}, EvLauncherExit},
+		{cluster.TraceEvent{Type: cluster.EventStop, Reason: rm.BPName}, evBreakpoint},
+		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "interrupt"}, evAttachStop},
+		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "dlopen"}, evLauncherStop},
+		{cluster.TraceEvent{Type: cluster.EventExit, Code: 3}, evLauncherExit},
 	}
 	for i, c := range cases {
-		if got := d.Decode(c.in); got.Kind != c.want {
+		if got := d.decode(c.in); got.Kind != c.want {
 			t.Errorf("case %d: kind %v, want %v", i, got.Kind, c.want)
 		}
 	}

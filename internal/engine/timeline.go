@@ -48,10 +48,10 @@ const (
 // fabric's from e6 on under an m prefix.
 const (
 	MarkMW6         = "m6_mw_spawn_done"      // FE received the RM's answer to the MW spawn request
-	MarkMW7         = "m7_mw_handshake_start" // FE accepted the MW master's dial, handshake begins
-	MarkMW8         = "m8_mw_netsetup_start"  // MW master consumed the handshake, starts ICCL fabric setup
-	MarkMW9         = "m9_mw_netsetup_done"   // MW tree fully connected
-	MarkMW10        = "m10_mw_ready"          // FE received the MW master's ready message
+	markMW7         = "m7_mw_handshake_start" // FE accepted the MW master's dial, handshake begins
+	markMW8         = "m8_mw_netsetup_start"  // MW master consumed the handshake, starts ICCL fabric setup
+	markMW9         = "m9_mw_netsetup_done"   // MW tree fully connected
+	markMW10        = "m10_mw_ready"          // FE received the MW master's ready message
 	MarkMWSeedFwd   = "mw_seed_first_forward" // FE relayed the first seed chunk to the MW master
 	MarkMWSeedValid = "mw_seed_validated"     // MW-daemon assembler validated the reassembled RPDTAB
 )
@@ -67,7 +67,7 @@ type FabricMarks struct {
 // The back-end and middleware fabrics' mark sets.
 var (
 	BEMarks = FabricMarks{MarkE6, MarkE7, MarkE8, MarkE9, MarkE10, MarkSeedFwd, MarkSeedValid}
-	MWMarks = FabricMarks{MarkMW6, MarkMW7, MarkMW8, MarkMW9, MarkMW10, MarkMWSeedFwd, MarkMWSeedValid}
+	MWMarks = FabricMarks{MarkMW6, markMW7, markMW8, markMW9, markMW10, MarkMWSeedFwd, MarkMWSeedValid}
 )
 
 // The chains of the marks' partial order: each is monotone on every
@@ -79,7 +79,7 @@ var (
 var (
 	EngineChain    = []string{MarkE0, MarkE1, MarkE2, MarkE3, MarkE4, MarkE5, MarkE6, MarkE11}
 	HandshakeChain = []string{MarkE5, MarkE7, MarkE8, MarkE9, MarkE10, MarkE11}
-	MWChain        = []string{MarkMW7, MarkMW8, MarkMW9, MarkMW10}
+	MWChain        = []string{markMW7, markMW8, markMW9, markMW10}
 	Chains         = [][]string{EngineChain, HandshakeChain, MWChain}
 )
 

@@ -38,9 +38,9 @@ const (
 	hbDead = 3 // child → parent: failure report batch
 )
 
-// PerMsgCost is the CPU charge for handling one tree message (heartbeats
+// perMsgCost is the CPU charge for handling one tree message (heartbeats
 // are cheap compared to collectives).
-const PerMsgCost = 20 * time.Microsecond
+const perMsgCost = 20 * time.Microsecond
 
 // Config describes one daemon's place in the heartbeat tree. Rank, Size
 // and Fanout mirror the daemon's iccl.Config — the heartbeat tree is the
@@ -81,8 +81,8 @@ type Report struct {
 	Detail string // "connection severed", "heartbeat timeout", "unreachable"
 }
 
-// ErrMonitor wraps heartbeat-tree bootstrap failures.
-var ErrMonitor = errors.New("health: monitor bootstrap failed")
+// errMonitor wraps heartbeat-tree bootstrap failures.
+var errMonitor = errors.New("health: monitor bootstrap failed")
 
 // Monitor is one daemon's view of the heartbeat tree: a state machine on
 // the vtime scheduler. It parks no goroutine and takes no lock — its tick
@@ -111,7 +111,7 @@ type child struct {
 	rank int
 	last time.Duration // last beat handled (virtual)
 	// fr charges the link's frames like the blocking reader it stands in
-	// for: each is handled PerMsgCost after the later of its arrival and
+	// for: each is handled perMsgCost after the later of its arrival and
 	// the previous frame's handling, and the link's close waits behind them.
 	fr iccl.SerialFramer
 }
@@ -131,10 +131,10 @@ var beatFrame = lmonp.AppendUint32(nil, hbBeat)
 func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*iccl.Link) (*Monitor, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("%w: bad rank/size %d/%d", ErrMonitor, cfg.Rank, cfg.Size)
+		return nil, fmt.Errorf("%w: bad rank/size %d/%d", errMonitor, cfg.Rank, cfg.Size)
 	}
 	if (cfg.Rank == 0) != (parent == nil) {
-		return nil, fmt.Errorf("%w: parent link must be nil at rank 0 only (rank %d)", ErrMonitor, cfg.Rank)
+		return nil, fmt.Errorf("%w: parent link must be nil at rank 0 only (rank %d)", errMonitor, cfg.Rank)
 	}
 	sim := p.Sim()
 	m := &Monitor{
@@ -155,7 +155,7 @@ func StartOnLinks(p *cluster.Proc, cfg Config, parent *iccl.Link, children []*ic
 	for slot, lk := range children {
 		k := &m.kids[slot]
 		*k = child{rank: lk.Rank, last: now, fr: iccl.SerialFramer{
-			Sim: sim, Cost: PerMsgCost,
+			Sim: sim, Cost: perMsgCost,
 			Deliver: func(payload []byte) { m.onChildBeat(k, payload) },
 		}}
 		lk.Recv.Handle(func(payload []byte, ok bool) { m.onChildFrame(k, payload, ok) })
@@ -244,7 +244,7 @@ func (m *Monitor) arm() {
 // upward, then the tick re-arms. It is an order because the two are a tie
 // — a failure report and a beat leave on one parent link at one virtual
 // instant, and the parent's serial reader charges whichever comes second
-// PerMsgCost more; report first is what detection latency is quoted at.
+// perMsgCost more; report first is what detection latency is quoted at.
 func (m *Monitor) Fire() {
 	if m.halted() {
 		return

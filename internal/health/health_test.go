@@ -310,7 +310,7 @@ func TestSimultaneousTimeoutsReportInRankOrder(t *testing.T) {
 // TestReportPrecedesSameInstantBeat pins the order of the tick. Rank 2
 // declares its silent child 6 dead in the same tick that sends its own
 // beat, so a report and a beat leave on one link at one instant and the
-// root's serial reader charges whichever is second PerMsgCost more. The
+// root's serial reader charges whichever is second perMsgCost more. The
 // report goes first: every run sees one detection latency, and when the
 // root hears of the loss rank 2's beat of that tick is still behind the
 // report — the last one handled is a whole period old. (When the two were

@@ -132,7 +132,7 @@ func (pl *Plane) nextTreeTag() uint32 {
 // userTag validates an explicitly allocated stream tag.
 func (pl *Plane) userTag(tag uint32) error {
 	if tag < coll.MinUserTag || tag >= coll.MaxUserTag {
-		return fmt.Errorf("%w: user tag %d outside [%d, %d)", ErrProtocol, tag, coll.MinUserTag, coll.MaxUserTag)
+		return fmt.Errorf("%w: user tag %d outside [%d, %d)", errProtocol, tag, coll.MinUserTag, coll.MaxUserTag)
 	}
 	pl.c.demuxLinks()
 	return nil
@@ -170,7 +170,7 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 		return coll.Frame{}, err
 	}
 	if op != chunkOp && op != endOp {
-		return coll.Frame{}, fmt.Errorf("%w: got op %d, want %d or %d", ErrProtocol, op, chunkOp, endOp)
+		return coll.Frame{}, fmt.Errorf("%w: got op %d, want %d or %d", errProtocol, op, chunkOp, endOp)
 	}
 	h, err := coll.DecodeHeader(lmonp.NewReader(hraw))
 	if err != nil {
@@ -192,7 +192,7 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 	if f.H.Op != op || f.H.Tag != tag {
 		return fmt.Errorf("%w: %s: %v frame tag %d during %v tag %d (collective order diverged)",
-			ErrProtocol, pl.c.who(), f.H.Op, f.H.Tag, op, tag)
+			errProtocol, pl.c.who(), f.H.Op, f.H.Tag, op, tag)
 	}
 	return nil
 }
@@ -423,7 +423,7 @@ func (o *planeOp) emitUp(f coll.Frame) error {
 		return nil
 	}
 	if o.pl.up == nil {
-		return fmt.Errorf("%w: root plane has no up hook", ErrProtocol)
+		return fmt.Errorf("%w: root plane has no up hook", errProtocol)
 	}
 	return o.pl.up(f)
 }
@@ -549,7 +549,7 @@ func (pl *Plane) scatter(tag uint32, err error) ([]byte, error) {
 		return nil, err
 	}
 	if !s.have {
-		return nil, fmt.Errorf("%w: no scatter part for rank %d", ErrProtocol, pl.c.rank)
+		return nil, fmt.Errorf("%w: no scatter part for rank %d", errProtocol, pl.c.rank)
 	}
 	return s.mine, nil
 }
@@ -575,14 +575,14 @@ func (s *scatterOp) frame(f coll.Frame) error {
 	for _, e := range entries {
 		if e.Rank == c.rank {
 			if s.have {
-				return fmt.Errorf("%w: duplicate scatter part for rank %d", ErrProtocol, e.Rank)
+				return fmt.Errorf("%w: duplicate scatter part for rank %d", errProtocol, e.Rank)
 			}
 			s.mine, s.have = append([]byte(nil), e.Blob...), true
 			continue
 		}
 		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(s.packers), e.Rank)
 		if slot < 0 {
-			return fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", ErrProtocol, e.Rank, c.rank)
+			return fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
 		}
 		if err := s.packers[slot].Add(e); err != nil {
 			return err
@@ -652,7 +652,7 @@ func (g *gatherOp) next(slot int) error {
 		entries := make([]coll.Entry, len(g.table))
 		for rk, blob := range g.table {
 			if blob == nil {
-				return fmt.Errorf("%w: allgather assembled no contribution of rank %d", ErrProtocol, rk)
+				return fmt.Errorf("%w: allgather assembled no contribution of rank %d", errProtocol, rk)
 			}
 			entries[rk] = coll.Entry{Rank: rk, Blob: blob}
 		}
@@ -681,7 +681,7 @@ func (g *gatherOp) frame(f coll.Frame) error {
 	if f.End {
 		if g.sub != f.Total {
 			return fmt.Errorf("%w: child %d forwarded %d %v entries, end marker says %d",
-				ErrProtocol, g.pl.c.childRank(g.slot), g.sub, g.op, f.Total)
+				errProtocol, g.pl.c.childRank(g.slot), g.sub, g.op, f.Total)
 		}
 		g.in, g.sub = coll.SeqCheck{}, 0
 		return g.next(g.slot + 1)
@@ -707,7 +707,7 @@ func (g *gatherOp) add(e coll.Entry) error {
 	}
 	if e.Rank >= len(g.table) || g.table[e.Rank] != nil {
 		return fmt.Errorf("%w: rank %d contributed twice to (or is outside) a %d-daemon allgather",
-			ErrProtocol, e.Rank, len(g.table))
+			errProtocol, e.Rank, len(g.table))
 	}
 	g.table[e.Rank] = append([]byte{}, e.Blob...)
 	return nil
@@ -795,7 +795,7 @@ func (r *reduceOp) frame(f coll.Frame) error {
 	}
 	if f.H.Filter != r.filter {
 		return fmt.Errorf("%w: child %d reduces with filter %q, this node with %q",
-			ErrProtocol, r.pl.c.childRank(r.slot), f.H.Filter, r.filter)
+			errProtocol, r.pl.c.childRank(r.slot), f.H.Filter, r.filter)
 	}
 	if !f.End {
 		return r.asm.Add(f.H, f.Body)
@@ -827,8 +827,8 @@ func (r *reduceOp) Fire() {
 // the tree-lockstep sequence shared with AllGather/AllReduce.
 func (pl *Plane) Barrier() error { return pl.barrier(pl.nextTreeTag(), nil) }
 
-// BarrierTag is Barrier on an explicitly tagged concurrent stream.
-func (pl *Plane) BarrierTag(tag uint32) error { return pl.barrier(tag, pl.userTag(tag)) }
+// barrierTag is Barrier on an explicitly tagged concurrent stream.
+func (pl *Plane) barrierTag(tag uint32) error { return pl.barrier(tag, pl.userTag(tag)) }
 
 // barrierOp is a Barrier at one rank; both of its waves are end markers.
 type barrierOp struct{ planeOp }
@@ -859,7 +859,7 @@ func (b *barrierOp) next(slot int) {
 
 func (b *barrierOp) frame(f coll.Frame) error {
 	if !f.End {
-		return fmt.Errorf("%w: rank %d: barrier stream carries a chunk", ErrProtocol, b.pl.c.rank)
+		return fmt.Errorf("%w: rank %d: barrier stream carries a chunk", errProtocol, b.pl.c.rank)
 	}
 	if b.slot == above {
 		b.relay(f, nil) // the release wave
@@ -876,8 +876,8 @@ func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
 	return pl.gather(coll.OpAllGather, pl.nextTreeTag(), nil, mine)
 }
 
-// AllGatherTag is AllGather on an explicitly tagged concurrent stream.
-func (pl *Plane) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
+// allGatherTag is AllGather on an explicitly tagged concurrent stream.
+func (pl *Plane) allGatherTag(tag uint32, mine []byte) ([][]byte, error) {
 	return pl.gather(coll.OpAllGather, tag, pl.userTag(tag), mine)
 }
 
@@ -889,7 +889,7 @@ func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
 	return pl.reduce(coll.OpAllReduce, pl.nextTreeTag(), nil, mine, filter)
 }
 
-// AllReduceTag is AllReduce on an explicitly tagged concurrent stream.
-func (pl *Plane) AllReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
+// allReduceTag is AllReduce on an explicitly tagged concurrent stream.
+func (pl *Plane) allReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
 	return pl.reduce(coll.OpAllReduce, tag, pl.userTag(tag), mine, filter)
 }

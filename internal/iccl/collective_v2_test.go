@@ -187,7 +187,7 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 		tag := func(i uint32) uint32 { return coll.MinUserTag + i }
 
 		sim.Go(fmt.Sprintf("ag-%d", rank), func() {
-			all, err := pl.AllGatherTag(tag(0), []byte{byte(rank)})
+			all, err := pl.allGatherTag(tag(0), []byte{byte(rank)})
 			if err == nil && len(all) != n {
 				err = fmt.Errorf("allgather %d of %d", len(all), n)
 			}
@@ -202,17 +202,17 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 			done.Send(err)
 		})
 		sim.Go(fmt.Sprintf("ar-%d", rank), func() {
-			out, err := pl.AllReduceTag(tag(1), encU64(uint64(rank+1)), "sum")
+			out, err := pl.allReduceTag(tag(1), encU64(uint64(rank+1)), "sum")
 			if err == nil && binary.BigEndian.Uint64(out) != uint64(n)*uint64(n+1)/2 {
 				err = fmt.Errorf("sum %d", binary.BigEndian.Uint64(out))
 			}
 			done.Send(err)
 		})
 		sim.Go(fmt.Sprintf("bar-%d", rank), func() {
-			done.Send(pl.BarrierTag(tag(2)))
+			done.Send(pl.barrierTag(tag(2)))
 		})
 		sim.Go(fmt.Sprintf("cc-%d", rank), func() {
-			out, err := pl.AllReduceTag(tag(3), []byte{byte(rank)}, "concat")
+			out, err := pl.allReduceTag(tag(3), []byte{byte(rank)}, "concat")
 			if err == nil && len(out) != n {
 				err = fmt.Errorf("concat %d bytes", len(out))
 			}
@@ -234,13 +234,13 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 func TestPlaneUserTagRangeEnforced(t *testing.T) {
 	rig(t, 1, 2, func(c *Comm, p *cluster.Proc) error {
 		pl := c.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-		if err := pl.BarrierTag(coll.MinUserTag - 1); err == nil {
+		if err := pl.barrierTag(coll.MinUserTag - 1); err == nil {
 			return fmt.Errorf("lockstep-space tag accepted")
 		}
-		if _, err := pl.AllGatherTag(coll.MaxUserTag, nil); err == nil {
+		if _, err := pl.allGatherTag(coll.MaxUserTag, nil); err == nil {
 			return fmt.Errorf("tree-space tag accepted")
 		}
-		if _, err := pl.AllReduceTag(0, nil, "sum"); err == nil {
+		if _, err := pl.allReduceTag(0, nil, "sum"); err == nil {
 			return fmt.Errorf("zero tag accepted")
 		}
 		return nil
@@ -270,7 +270,7 @@ func TestPlaneTagMismatchNamesOpTagsAndRank(t *testing.T) {
 	if rootErr == nil {
 		t.Fatal("diverged stream accepted at the root")
 	}
-	if !errors.Is(rootErr, ErrProtocol) {
+	if !errors.Is(rootErr, errProtocol) {
 		t.Fatalf("divergence error %v does not wrap ErrProtocol", rootErr)
 	}
 	for _, want := range []string{"gather", "broadcast", "tag 9", "tag 1", "rank 0", "diverged"} {

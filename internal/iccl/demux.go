@@ -204,8 +204,9 @@ func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
 }
 
 // deliver sorts one charged message: collective-plane frames and credit
-// frames to their tag's record, everything else to the base queue. A frame
-// that does not parse fails the link.
+// frames to their tag's record, the Comm collectives' frames to the base
+// queue. A frame that does not parse, or whose opcode no reader of the
+// link takes, fails the link.
 //
 // A collective is handled where it arrives: the operation a frame or a
 // credit belongs to is called here, on the scheduler, in place of a queue
@@ -235,9 +236,21 @@ func (d *linkDemux) deliver(msg []byte) {
 			return
 		}
 		d.credit(f.H.Tag, f.Credits())
-	default:
+	case opBarrier, opRelease, opBcast, opGather, opScatter, opFold:
 		d.base.Send(raw)
+	default:
+		d.fail(fmt.Errorf("%w: opcode %d from rank %d", errProtocol, op, d.peer()))
 	}
+}
+
+// peer is the rank at the link's other end.
+func (d *linkDemux) peer() int {
+	for i, conn := range d.c.children {
+		if conn == d.conn {
+			return d.c.childRank(i)
+		}
+	}
+	return Parent(d.c.rank, d.c.cfg.Fanout)
 }
 
 // gauge maintains the interior-depth observability gauges for one frame
@@ -442,7 +455,7 @@ func (d *linkDemux) failure() error {
 func (d *linkDemux) fail(err error) {
 	d.mu.Lock()
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %v", ErrSevered, err)
+		d.err = severedError{err}
 	}
 	var ops []*planeOp
 	for s := d.streams; s != nil; s = s.next {
@@ -458,6 +471,15 @@ func (d *linkDemux) fail(err error) {
 	}
 }
 
+// severedError is a failed link's error: ErrSevered, caused by err. It is
+// one allocation where an fmt.Errorf wrapping both would be three, on
+// every link of every daemon that ends.
+type severedError struct{ err error }
+
+func (e severedError) Error() string        { return ErrSevered.Error() + ": " + e.err.Error() }
+func (e severedError) Is(target error) bool { return target == ErrSevered }
+func (e severedError) Unwrap() error        { return e.err }
+
 // parseCredit decodes one opCredit tree frame: the opcode and the
 // encoded coll header whose Index field carries the credit count.
 func parseCredit(raw []byte) (coll.Frame, error) {
@@ -472,7 +494,7 @@ func parseCredit(raw []byte) (coll.Frame, error) {
 		return coll.Frame{}, err
 	}
 	if h.Op != coll.OpCredit {
-		return coll.Frame{}, fmt.Errorf("%w: op %v in a credit frame", ErrProtocol, h.Op)
+		return coll.Frame{}, fmt.Errorf("%w: op %v in a credit frame", errProtocol, h.Op)
 	}
 	return coll.Frame{H: h}, nil
 }

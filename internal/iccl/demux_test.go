@@ -2,6 +2,7 @@ package iccl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -302,5 +303,38 @@ func seedFramerMatchesReader(t *testing.T, n int) {
 	}
 	if !queued || !idle {
 		t.Errorf("script exercises queued=%v idle=%v deliveries: %v (cost %v)", queued, idle, framer, PerMsgCost)
+	}
+}
+
+// TestUnknownOpcodeFailsTheLink injects a frame whose opcode no reader of a
+// demuxed link takes: it must fail the link at once, naming the opcode and
+// the peer's rank, rather than wait in the base queue for a Comm collective
+// that never reads it, and the next plane operation over the link must end
+// with ErrSevered wrapping that failure.
+func TestUnknownOpcodeFailsTheLink(t *testing.T) {
+	sim := vtime.New()
+	var linkErr, opErr error
+	rigOn(t, sim, 2, 2, func(c *Comm, p *cluster.Proc) error {
+		pl := c.NewPlane(0, 0, nil, nil)
+		if err := pl.Barrier(); err != nil { // installs the demux
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := lmonp.WriteFrame(c.parent, lmonp.AppendUint32(nil, 99)); err != nil {
+				return err
+			}
+			sim.Sleep(2 * time.Second) // the link stays up
+			return nil
+		}
+		sim.Sleep(time.Second)
+		linkErr = c.demux(0).failure()
+		opErr = pl.Barrier()
+		return nil
+	})
+	if !errors.Is(linkErr, errProtocol) || !strings.Contains(fmt.Sprint(linkErr), "opcode 99 from rank 1") {
+		t.Fatalf("link after opcode 99: %v, want a protocol error naming the opcode and rank 1", linkErr)
+	}
+	if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) {
+		t.Fatalf("barrier over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
 	}
 }

@@ -81,7 +81,7 @@ func TestSeedSpawnsNoGoroutine(t *testing.T) {
 
 // TestKilledDaemonStopsRedialing: a daemon whose node is killed while its
 // parent is not yet listening leaves the dial loop at its next attempt —
-// within one DialRetry, with a wrapped ErrBootstrap — where its goroutine
+// within one DialRetry, with a wrapped errBootstrap — where its goroutine
 // used to retry for the rest of the 30 s window.
 func TestKilledDaemonStopsRedialing(t *testing.T) {
 	sim := vtime.New()
@@ -110,7 +110,7 @@ func TestKilledDaemonStopsRedialing(t *testing.T) {
 		}
 	})
 	sim.Run()
-	if !errors.Is(bootErr, ErrBootstrap) {
+	if !errors.Is(bootErr, errBootstrap) {
 		t.Errorf("killed daemon's bootstrap returned %v, want a wrapped ErrBootstrap", bootErr)
 	}
 }
@@ -141,7 +141,7 @@ func TestDeadParentStopsRedialing(t *testing.T) {
 		cl.KillNode(0)
 	})
 	sim.Run()
-	if !errors.Is(bootErr, ErrBootstrap) || !strings.Contains(bootErr.Error(), "dead") {
+	if !errors.Is(bootErr, errBootstrap) || !strings.Contains(bootErr.Error(), "dead") {
 		t.Errorf("bootstrap under a dead parent returned %v, want a wrapped ErrBootstrap naming the dead host", bootErr)
 	}
 	if took := gaveUp - killed; took < 0 || took > DialRetry {

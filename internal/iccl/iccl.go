@@ -46,13 +46,13 @@ const (
 )
 
 // The tree's cost model. PerMsgCost is the CPU charge for handling one
-// tree message. DialRetry and DialAttempts bound the child→parent connect
+// tree message. DialRetry and dialAttempts bound the child→parent connect
 // loop: children may come up long before their parent when the RM is still
 // spawning thousands of sibling daemons, so the window is 30 s.
 const (
 	PerMsgCost   = 150 * time.Microsecond
 	DialRetry    = 5 * time.Millisecond
-	DialAttempts = 6000
+	dialAttempts = 6000
 )
 
 // Config describes one daemon's place in the ICCL tree.
@@ -133,8 +133,8 @@ func (c *Comm) send(conn *simnet.Conn, msg []byte) error {
 
 // Errors from the collective layer.
 var (
-	ErrBootstrap = errors.New("iccl: bootstrap failed")
-	ErrProtocol  = errors.New("iccl: protocol violation")
+	errBootstrap = errors.New("iccl: bootstrap failed")
+	errProtocol  = errors.New("iccl: protocol violation")
 	// ErrSevered reports a demultiplexed tree link whose peer died (or
 	// delivered garbage): the link demux failed every queue of the link.
 	ErrSevered = errors.New("iccl: link severed")
@@ -239,12 +239,12 @@ func ctlFrame(op, v uint32) []byte {
 func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, error) {
 	frame, err := c.readCharged(conn)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s from %s: %v", ErrBootstrap, what, conn.Peer(), err)
+		return 0, fmt.Errorf("%w: %s from %s: %v", errBootstrap, what, conn.Peer(), err)
 	}
 	rd := lmonp.NewReader(frame)
 	op, v := rd.Uint32(), rd.Uint32()
 	if rd.Err() != nil || op != want {
-		return 0, fmt.Errorf("%w: bad %s", ErrBootstrap, what)
+		return 0, fmt.Errorf("%w: bad %s", errBootstrap, what)
 	}
 	return v, nil
 }
@@ -329,10 +329,10 @@ func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn) (*Comm, error) 
 // gigabytes of simulator RSS.
 func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, error) {
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("%w: bad rank/size %d/%d", ErrBootstrap, cfg.Rank, cfg.Size)
+		return nil, fmt.Errorf("%w: bad rank/size %d/%d", errBootstrap, cfg.Rank, cfg.Size)
 	}
 	if len(cfg.Nodelist) != cfg.Size {
-		return nil, fmt.Errorf("%w: nodelist has %d entries for size %d", ErrBootstrap, len(cfg.Nodelist), cfg.Size)
+		return nil, fmt.Errorf("%w: nodelist has %d entries for size %d", errBootstrap, len(cfg.Nodelist), cfg.Size)
 	}
 	c := &Comm{p: p, cfg: *cfg, rank: cfg.Rank, size: cfg.Size}
 	c.bindMetrics()
@@ -342,7 +342,7 @@ func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, er
 	if len(kids) > 0 {
 		l, err := p.Host().Listen(cfg.Port)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBootstrap, err)
+			return nil, fmt.Errorf("%w: %v", errBootstrap, err)
 		}
 		c.l = l
 		defer l.Close()
@@ -405,11 +405,11 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
 	retries := cfg.Metrics.Counter("iccl.dial.retries")
 	var conn *simnet.Conn
 	var err error
-	for attempt := 0; attempt < DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		// A killed process's goroutine runs on: without this it would
 		// keep dialing a parent that may never come for the whole window.
 		if p.State() == cluster.StateExited {
-			return fmt.Errorf("%w: rank %d exited while dialing parent %d", ErrBootstrap, cfg.Rank, parentRank)
+			return fmt.Errorf("%w: rank %d exited while dialing parent %d", errBootstrap, cfg.Rank, parentRank)
 		}
 		conn, err = p.Host().Dial(addr)
 		// Under fail-stop a dead host stays dead: only a parent that is
@@ -421,11 +421,11 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
 		p.Sim().Sleep(DialRetry)
 	}
 	if err != nil {
-		return fmt.Errorf("%w: dialing parent %d: %v", ErrBootstrap, parentRank, err)
+		return fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parentRank, err)
 	}
 	c.parent = conn
 	if err := c.send(conn, ctlFrame(opJoin, uint32(cfg.Rank))); err != nil {
-		return fmt.Errorf("%w: join: %v", ErrBootstrap, err)
+		return fmt.Errorf("%w: join: %v", errBootstrap, err)
 	}
 	if s != nil {
 		s.onParent(conn)
@@ -439,7 +439,7 @@ func (c *Comm) acceptChildren(kids []int, s *Seed) error {
 	for range kids {
 		conn, err := c.l.Accept()
 		if err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: accept: %v", ErrBootstrap, err))
+			return c.failBootstrap(fmt.Errorf("%w: accept: %v", errBootstrap, err))
 		}
 		rk32, err := c.recvCtl(conn, opJoin, "join")
 		if err != nil {
@@ -447,7 +447,7 @@ func (c *Comm) acceptChildren(kids []int, s *Seed) error {
 		}
 		slot := int(rk32) - kids[0] // direct children are consecutive ranks
 		if slot < 0 || slot >= len(kids) || c.children[slot] != nil {
-			return c.failBootstrap(fmt.Errorf("%w: unexpected child rank %d", ErrBootstrap, rk32))
+			return c.failBootstrap(fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32))
 		}
 		c.children[slot] = conn
 		if s != nil {
@@ -470,10 +470,10 @@ func (c *Comm) readyWave(cfg *Config) error {
 	}
 	if c.parent != nil {
 		if err := c.send(c.parent, ctlFrame(opReady, uint32(total))); err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: ready up: %v", ErrBootstrap, err))
+			return c.failBootstrap(fmt.Errorf("%w: ready up: %v", errBootstrap, err))
 		}
 	} else if total != cfg.Size {
-		return c.failBootstrap(fmt.Errorf("%w: connected %d of %d daemons", ErrBootstrap, total, cfg.Size))
+		return c.failBootstrap(fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, total, cfg.Size))
 	}
 	return nil
 }
@@ -532,7 +532,7 @@ func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 		return nil, err
 	}
 	if op != want {
-		return nil, fmt.Errorf("%w: got op %d want %d", ErrProtocol, op, want)
+		return nil, fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
 	}
 	return frame[4:], nil
 }
@@ -607,12 +607,12 @@ func (c *Comm) Gather(mine []byte) ([][]byte, error) {
 		return nil, c.send(c.parent, entriesFrame(opGather, entries))
 	}
 	if len(entries) != c.size {
-		return nil, fmt.Errorf("%w: gathered %d of %d contributions", ErrProtocol, len(entries), c.size)
+		return nil, fmt.Errorf("%w: gathered %d of %d contributions", errProtocol, len(entries), c.size)
 	}
 	out := make([][]byte, c.size)
 	for i, e := range entries {
 		if e.Rank != i {
-			return nil, fmt.Errorf("%w: gathered rank %d where rank %d belongs", ErrProtocol, e.Rank, i)
+			return nil, fmt.Errorf("%w: gathered rank %d where rank %d belongs", errProtocol, e.Rank, i)
 		}
 		out[i] = e.Blob
 	}
@@ -684,7 +684,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 	var entries []coll.Entry
 	if c.parent == nil {
 		if len(parts) != c.size {
-			return nil, fmt.Errorf("%w: scatter needs %d parts, got %d", ErrProtocol, c.size, len(parts))
+			return nil, fmt.Errorf("%w: scatter needs %d parts, got %d", errProtocol, c.size, len(parts))
 		}
 		entries = make([]coll.Entry, len(parts))
 		for rk, p := range parts {
@@ -711,7 +711,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 		}
 		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(subs), e.Rank)
 		if slot < 0 {
-			return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", ErrProtocol, e.Rank, c.rank)
+			return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
 		}
 		subs[slot] = append(subs[slot], e)
 	}
@@ -721,7 +721,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 		}
 	}
 	if !have {
-		return nil, fmt.Errorf("%w: no scatter part for rank %d", ErrProtocol, c.rank)
+		return nil, fmt.Errorf("%w: no scatter part for rank %d", errProtocol, c.rank)
 	}
 	return mine, nil
 }

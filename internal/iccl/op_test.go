@@ -85,14 +85,14 @@ var planeOpCases = []planeOpCase{
 		if tag == 0 {
 			return pl.Barrier()
 		}
-		return pl.BarrierTag(tag)
+		return pl.barrierTag(tag)
 	}},
 	{"AllGather", nil, func(pl *Plane, tag uint32, rank int) (err error) {
 		var all [][]byte
 		if tag == 0 {
 			all, err = pl.AllGather(opPart(rank))
 		} else {
-			all, err = pl.AllGatherTag(tag, opPart(rank))
+			all, err = pl.allGatherTag(tag, opPart(rank))
 		}
 		for rk := 0; err == nil && rk < wireN; rk++ {
 			if len(all) != wireN || !bytes.Equal(all[rk], opPart(rk)) {
@@ -106,7 +106,7 @@ var planeOpCases = []planeOpCase{
 		if tag == 0 {
 			got, err = pl.AllReduce(opPayload, "sum")
 		} else {
-			got, err = pl.AllReduceTag(tag, opPayload, "sum")
+			got, err = pl.allReduceTag(tag, opPayload, "sum")
 		}
 		if err == nil && len(got) != len(opPayload) {
 			err = fmt.Errorf("allreduce returned %d bytes", len(got))

@@ -194,14 +194,14 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 func (s *seedSplitter) streamOf(host string) (int, error) {
 	rk, ok := s.rt.RankOf(host)
 	if !ok {
-		return 0, fmt.Errorf("%w: no daemon rank for host %q in seed route", ErrProtocol, host)
+		return 0, fmt.Errorf("%w: no daemon rank for host %q in seed route", errProtocol, host)
 	}
 	if rk == s.rank {
 		return 0, nil
 	}
 	slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
 	if slot < 0 {
-		return 0, fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", ErrProtocol, rk, s.rank)
+		return 0, fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", errProtocol, rk, s.rank)
 	}
 	return 1 + slot, nil
 }
@@ -223,7 +223,7 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 	}
 	if routed != f.Total {
 		return fmt.Errorf("%w: routed %d seed entries at rank %d, end marker says %d",
-			ErrProtocol, routed, s.rank, f.Total)
+			errProtocol, routed, s.rank, f.Total)
 	}
 	// The End markers go to the children in slot order and to the local
 	// consumer last — streams 1 … n, then 0, whose error is the one
@@ -329,7 +329,7 @@ func (s *Seed) step(f coll.Frame, err error) bool {
 		}
 	}
 	if f.H.Op != coll.OpSeed {
-		return s.bail(fmt.Errorf("%w: %v frame in seed stream", ErrProtocol, f.H.Op))
+		return s.bail(fmt.Errorf("%w: %v frame in seed stream", errProtocol, f.H.Op))
 	}
 	// Streaming validation: per-chunk sums and, at End, the rolling
 	// digest — every rank verifies the stream it saw without retaining it.
@@ -474,7 +474,7 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 // communicator's links carry no more seed traffic.
 func (s *Seed) Wait() error {
 	if !s.w.Wait() && s.err == nil {
-		return fmt.Errorf("%w: seed stream aborted", ErrBootstrap)
+		return fmt.Errorf("%w: seed stream aborted", errBootstrap)
 	}
 	return s.err
 }
@@ -498,7 +498,7 @@ func (s *Seed) Wait() error {
 func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) (*Comm, *Seed, error) {
 	cfg = cfg.withDefaults()
 	if (cfg.Rank == 0) != (src != nil) {
-		return nil, nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", ErrBootstrap, cfg.Rank)
+		return nil, nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)
 	}
 	s := newSeed(p, &cfg, src, rt, sink)
 	c, err := bootstrap(p, &cfg, s, nil)
@@ -507,7 +507,7 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 		cause := s.err // the stream's, when its failure tore the tree down
 		s.bail(err)
 		if cause != nil {
-			err = fmt.Errorf("%w: %w", ErrBootstrap, cause)
+			err = fmt.Errorf("%w: %w", errBootstrap, cause)
 		}
 		return nil, nil, err
 	}

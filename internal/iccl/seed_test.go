@@ -293,7 +293,7 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 				spawn(late)
 			})
 			live := -1
-			sim.After(3*time.Second+DialAttempts*DialRetry, func() { live = sim.Live() })
+			sim.After(3*time.Second+dialAttempts*DialRetry, func() { live = sim.Live() })
 			sim.Run()
 
 			for i, r := range res {
@@ -301,11 +301,11 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 				switch {
 				case tc.rootDies && i == 0: // died with its node
 				case i == late:
-					if !errors.Is(r.boot, ErrBootstrap) {
+					if !errors.Is(r.boot, errBootstrap) {
 						t.Errorf("rank %d bootstrap with its parent torn down: %v, want a wrapped ErrBootstrap", i, r.boot)
 					}
 				case i <= 1: // forming when the fault lands
-					if !errors.Is(r.boot, ErrBootstrap) || !strings.Contains(r.boot.Error(), prefix) {
+					if !errors.Is(r.boot, errBootstrap) || !strings.Contains(r.boot.Error(), prefix) {
 						t.Errorf("rank %d bootstrap across the fault: %v, want a wrapped ErrBootstrap naming %q", i, r.boot, prefix)
 					}
 				default:

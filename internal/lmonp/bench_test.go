@@ -18,7 +18,7 @@ func benchMsg(size int) *Msg {
 func benchWrite(b *testing.B, size int) {
 	m := benchMsg(size)
 	b.ReportAllocs()
-	b.SetBytes(int64(m.WireSize()))
+	b.SetBytes(int64(m.wireSize()))
 	for i := 0; i < b.N; i++ {
 		if err := Write(io.Discard, m); err != nil {
 			b.Fatal(err)

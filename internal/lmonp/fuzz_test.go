@@ -102,16 +102,16 @@ func TestLengthGuardBoundaries(t *testing.T) {
 func FuzzMsgRead(f *testing.F) {
 	ok, _ := (&Msg{Class: ClassFEBE, Type: TypeHandshake, Payload: []byte("p"), UsrData: []byte("u")}).Encode()
 	f.Add(ok)
-	f.Add(ok[:HeaderSize-1])
-	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize))
+	f.Add(ok[:headerSize-1])
+	f.Add(bytes.Repeat([]byte{0xff}, headerSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if m.WireSize() > len(data) {
-			t.Fatalf("decoded %d wire bytes from %d input bytes", m.WireSize(), len(data))
+		if m.wireSize() > len(data) {
+			t.Fatalf("decoded %d wire bytes from %d input bytes", m.wireSize(), len(data))
 		}
 		enc, err := m.Encode()
 		if err != nil {

@@ -29,11 +29,11 @@ import (
 	"sync"
 )
 
-// Version is the protocol version carried in every header.
-const Version = 1
+// version is the protocol version carried in every header.
+const version = 1
 
-// HeaderSize is the fixed LMONP header size in bytes.
-const HeaderSize = 16
+// headerSize is the fixed LMONP header size in bytes.
+const headerSize = 16
 
 // MaxPayload bounds each payload section, protecting receivers from
 // corrupt or hostile length fields.
@@ -148,13 +148,13 @@ type Msg struct {
 
 // Errors returned by the codec.
 var (
-	ErrBadVersion  = errors.New("lmonp: bad protocol version")
+	errBadVersion  = errors.New("lmonp: bad protocol version")
 	ErrTooLarge    = errors.New("lmonp: payload exceeds MaxPayload")
-	ErrShortHeader = errors.New("lmonp: short header")
+	errShortHeader = errors.New("lmonp: short header")
 )
 
-// WireSize returns the total encoded size of the message in bytes.
-func (m *Msg) WireSize() int { return HeaderSize + len(m.Payload) + len(m.UsrData) }
+// wireSize returns the total encoded size of the message in bytes.
+func (m *Msg) wireSize() int { return headerSize + len(m.Payload) + len(m.UsrData) }
 
 // Begin starts a message's wire encoding in one buffer of exactly its wire
 // size: the header (sequence number zero), behind which the caller appends
@@ -170,8 +170,8 @@ func Begin(class MsgClass, typ MsgType, plen, ulen int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload %d + usrdata %d bytes (cap %d)",
 			ErrTooLarge, plen, ulen, MaxPayload)
 	}
-	buf := make([]byte, HeaderSize, HeaderSize+plen+ulen)
-	buf[0] = byte(class&0x7)<<5 | Version&0x1f
+	buf := make([]byte, headerSize, headerSize+plen+ulen)
+	buf[0] = byte(class&0x7)<<5 | version&0x1f
 	buf[1] = byte(typ)
 	binary.BigEndian.PutUint32(buf[4:8], uint32(plen))
 	binary.BigEndian.PutUint32(buf[8:12], uint32(ulen))
@@ -212,15 +212,15 @@ func Write(w io.Writer, m *Msg) error {
 
 // Read reads exactly one message from r.
 func Read(r io.Reader) (*Msg, error) {
-	var hdr [HeaderSize]byte
+	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrShortHeader
+			return nil, errShortHeader
 		}
 		return nil, err
 	}
-	if v := hdr[0] & 0x1f; v != Version {
-		return nil, fmt.Errorf("%w: got %d want %d", ErrBadVersion, v, Version)
+	if v := hdr[0] & 0x1f; v != version {
+		return nil, fmt.Errorf("%w: got %d want %d", errBadVersion, v, version)
 	}
 	m := &Msg{
 		Class: MsgClass(hdr[0] >> 5),

@@ -61,7 +61,7 @@ func TestBadVersionRejected(t *testing.T) {
 	m := &Msg{Class: ClassFEBE, Type: TypeReady}
 	buf, _ := m.Encode()
 	buf[0] = (buf[0] &^ 0x1f) | 9 // corrupt version bits
-	if _, err := Read(bytes.NewReader(buf)); !errors.Is(err, ErrBadVersion) {
+	if _, err := Read(bytes.NewReader(buf)); !errors.Is(err, errBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestOversizedLengthRejected(t *testing.T) {
 }
 
 func TestShortHeader(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte{1, 2, 3})); !errors.Is(err, ErrShortHeader) {
+	if _, err := Read(bytes.NewReader([]byte{1, 2, 3})); !errors.Is(err, errShortHeader) {
 		t.Fatalf("err = %v, want ErrShortHeader", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestReaderTruncation(t *testing.T) {
 	full := AppendString(nil, "hello")
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
-		if s := r.String(); s != "" || !errors.Is(r.Err(), ErrTruncated) {
+		if s := r.String(); s != "" || !errors.Is(r.Err(), errTruncated) {
 			t.Fatalf("truncation at %d accepted: %v", cut, r.Err())
 		}
 	}
@@ -292,7 +292,7 @@ func TestReaderKeepsFirstError(t *testing.T) {
 	if exe != "" || args != nil || kv != nil || nl != "" {
 		t.Fatalf("fields decoded past a failed read: %q %v %v %q", exe, args, kv, nl)
 	}
-	if err := r.Err(); !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "1000") {
+	if err := r.Err(); !errors.Is(err, errTruncated) || !strings.Contains(err.Error(), "1000") {
 		t.Fatalf("Err = %v, want the first failure (the 1000-byte field)", err)
 	}
 }
@@ -360,7 +360,7 @@ func TestConnHandleDecodesOneMessagePerDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream.deliver(wire, nil)
-	stream.deliver(wire[:HeaderSize+2], nil) // a delivery cut short
+	stream.deliver(wire[:headerSize+2], nil) // a delivery cut short
 	stream.deliver(nil, io.EOF)
 	if len(got) != 3 || !reflect.DeepEqual(got[0], want) || errs[0] != nil {
 		t.Fatalf("first delivery decoded to %+v, %v", got[0], errs[0])

@@ -14,8 +14,8 @@ import (
 // sizes grow linearly with job scale), so the encodings must be faithful
 // to what a C implementation would ship.
 
-// ErrTruncated reports a payload shorter than its own length fields claim.
-var ErrTruncated = errors.New("lmonp: truncated field")
+// errTruncated reports a payload shorter than its own length fields claim.
+var errTruncated = errors.New("lmonp: truncated field")
 
 // NewFrame starts a frame message — a 32-bit length prefix and the payload
 // behind it, the request/response framing of RM-internal and ICCL traffic
@@ -169,7 +169,7 @@ func (r *Reader) Err() error { return r.err }
 // short fails a fixed-width read: the first failure is kept.
 func (r *Reader) short() {
 	if r.err == nil {
-		r.err = ErrTruncated
+		r.err = errTruncated
 	}
 }
 
@@ -209,7 +209,7 @@ func (r *Reader) Uint64() uint64 {
 // overrun fails a read whose prefix claims more than the buffer holds.
 func (r *Reader) overrun(what string, n uint64) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s of %d bytes, %d remain", ErrTruncated, what, n, r.Remaining())
+		r.err = fmt.Errorf("%w: %s of %d bytes, %d remain", errTruncated, what, n, r.Remaining())
 	}
 }
 

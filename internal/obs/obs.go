@@ -46,8 +46,8 @@ func (c *Counter) Load() uint64 {
 // fold unchanged.
 type Gauge struct{ v atomic.Uint64 }
 
-// Set stores n. No-op on a nil gauge.
-func (g *Gauge) Set(n uint64) {
+// set stores n. No-op on a nil gauge.
+func (g *Gauge) set(n uint64) {
 	if g != nil {
 		g.v.Store(n)
 	}

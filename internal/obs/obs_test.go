@@ -21,7 +21,7 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 		t.Error("counter handle not interned")
 	}
 	g := r.Gauge("peak")
-	g.Set(5)
+	g.set(5)
 	g.SetMax(3) // lower: no-op
 	g.SetMax(9)
 	if got := g.Load(); got != 9 {
@@ -48,7 +48,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Error("nil counter accumulated")
 	}
 	g := r.Gauge("y")
-	g.Set(1)
+	g.set(1)
 	g.SetMax(2)
 	if g.Load() != 0 {
 		t.Error("nil gauge accumulated")
@@ -121,7 +121,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Errorf("empty decode = %+v, %v", empty, err)
 	}
 	for _, bad := range [][]byte{{1, 2, 3}, append([]byte(nil), enc[:6]...), append(enc, 0)} {
-		if _, err := DecodeSnapshot(bad); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := DecodeSnapshot(bad); !errors.Is(err, errBadSnapshot) {
 			t.Errorf("DecodeSnapshot(%v) = %v, want ErrBadSnapshot", bad, err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestMergeEncodedFoldShape(t *testing.T) {
 	if got.Counters["n"] != 7 || got.Gauges["p"] != 30 {
 		t.Errorf("fold = %+v", got)
 	}
-	if _, err := MergeEncoded(acc, []byte("junk")); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := MergeEncoded(acc, []byte("junk")); !errors.Is(err, errBadSnapshot) {
 		t.Errorf("merging junk: %v", err)
 	}
 }

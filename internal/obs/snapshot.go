@@ -17,8 +17,8 @@ import (
 // bytes and harvest message sizes are deterministic run to run.
 const snapMagic = 0x4f425331 // "OBS1"
 
-// ErrBadSnapshot is returned when decoding malformed snapshot bytes.
-var ErrBadSnapshot = errors.New("obs: bad snapshot encoding")
+// errBadSnapshot is returned when decoding malformed snapshot bytes.
+var errBadSnapshot = errors.New("obs: bad snapshot encoding")
 
 // Encode renders the snapshot into the wire format.
 func (s Snapshot) Encode() []byte {
@@ -54,7 +54,7 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 		return s, nil
 	}
 	if len(b) < 4 || binary.BigEndian.Uint32(b) != snapMagic {
-		return s, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+		return s, fmt.Errorf("%w: bad magic", errBadSnapshot)
 	}
 	rest, err := decodeSection(b[4:], s.Counters)
 	if err != nil {
@@ -65,25 +65,25 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 		return s, err
 	}
 	if len(rest) != 0 {
-		return s, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(rest))
+		return s, fmt.Errorf("%w: %d trailing bytes", errBadSnapshot, len(rest))
 	}
 	return s, nil
 }
 
 func decodeSection(b []byte, m map[string]uint64) ([]byte, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: short section header", ErrBadSnapshot)
+		return nil, fmt.Errorf("%w: short section header", errBadSnapshot)
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 2 {
-			return nil, fmt.Errorf("%w: short name length", ErrBadSnapshot)
+			return nil, fmt.Errorf("%w: short name length", errBadSnapshot)
 		}
 		nl := int(binary.BigEndian.Uint16(b))
 		b = b[2:]
 		if len(b) < nl+8 {
-			return nil, fmt.Errorf("%w: short entry", ErrBadSnapshot)
+			return nil, fmt.Errorf("%w: short entry", errBadSnapshot)
 		}
 		name := string(b[:nl])
 		m[name] = binary.BigEndian.Uint64(b[nl:])

@@ -232,7 +232,7 @@ func TestValidateSlice(t *testing.T) {
 		{"empty exe", Table{{Host: "a", Exe: "", Rank: 0}}, false},
 	}
 	for _, c := range cases {
-		if err := c.tab.ValidateSlice(); (err == nil) != c.ok {
+		if err := c.tab.validateSlice(); (err == nil) != c.ok {
 			t.Errorf("%s: ValidateSlice = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}

@@ -414,13 +414,13 @@ func (t Table) Validate() error {
 	return nil
 }
 
-// ValidateSlice checks the invariants of a rank slice of a larger table
+// validateSlice checks the invariants of a rank slice of a larger table
 // (rank-sliced seed delivery): the entries keep their global ranks, so
 // instead of Validate's dense-rank requirement it demands strictly
 // increasing non-negative ranks — which a stream routed in global rank
 // order preserves, and which still rules out duplicates — plus non-empty
 // host and executable names.
-func (t Table) ValidateSlice() error {
+func (t Table) validateSlice() error {
 	prev := -1
 	for i, d := range t {
 		if d.Rank < 0 {

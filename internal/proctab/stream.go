@@ -233,7 +233,7 @@ func (a *Assembler) Finish(total int) (Table, error) {
 // Validate's dense-rank check it requires strictly increasing ranks —
 // the order the routed stream preserves — and non-empty names.
 func (a *Assembler) FinishSlice(total int) (Table, error) {
-	return a.finish(total, "slice", Table.ValidateSlice)
+	return a.finish(total, "slice", Table.validateSlice)
 }
 
 func (a *Assembler) finish(total int, what string, validate func(Table) error) (Table, error) {
@@ -284,15 +284,6 @@ func StreamTo(c *lmonp.Conn, class lmonp.MsgClass, maxBytes int) (w *ChunkWriter
 			Payload: EncodeEndMarker(uint64(w.Count()), w.Digest()),
 		})
 	}
-}
-
-// SendStream writes the table to c as a chunk stream (StreamTo).
-func SendStream(c *lmonp.Conn, class lmonp.MsgClass, t Table, maxBytes int) error {
-	w, end := StreamTo(c, class, maxBytes)
-	if err := w.AddTable(t); err != nil {
-		return err
-	}
-	return end()
 }
 
 // RecvStream consumes a chunk stream from c until the end marker and

@@ -140,7 +140,11 @@ func TestSendRecvStream(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := SendStream(lmonp.NewConn(raw), lmonp.ClassFEBE, tab, 256); err != nil {
+		w, end := StreamTo(lmonp.NewConn(raw), lmonp.ClassFEBE, 256)
+		if err := w.AddTable(tab); err != nil {
+			t.Error(err)
+		}
+		if err := end(); err != nil {
 			t.Error(err)
 		}
 	})

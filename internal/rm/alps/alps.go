@@ -24,24 +24,24 @@ import (
 
 // Service ports.
 const (
-	ApschedPort = 601 // allocation service on the front end
+	apschedPort = 601 // allocation service on the front end
 	ApinitPort  = 602 // per-node launch daemon
 )
 
 // The RM's cost model.
 const (
-	// DebugEvents raised by aprun before MPIR_Breakpoint
+	// debugEvents raised by aprun before MPIR_Breakpoint
 	// (scale-independent, like fixed SLURM).
-	DebugEvents = 14
-	// PerNodeSubmit is aprun's serial cost to submit one node's launch
+	debugEvents = 14
+	// perNodeSubmit is aprun's serial cost to submit one node's launch
 	// (the star's linear term).
-	PerNodeSubmit = 350 * time.Microsecond
-	// PerTaskRootCost is aprun's per-task bookkeeping.
-	PerTaskRootCost = 550 * time.Microsecond
-	// ApinitPerMsg is apinit's request-handling cost.
-	ApinitPerMsg = 150 * time.Microsecond
-	// AllocBase is apsched's allocation cost.
-	AllocBase = 4 * time.Millisecond
+	perNodeSubmit = 350 * time.Microsecond
+	// perTaskRootCost is aprun's per-task bookkeeping.
+	perTaskRootCost = 550 * time.Microsecond
+	// apinitPerMsg is apinit's request-handling cost.
+	apinitPerMsg = 150 * time.Microsecond
+	// allocBase is apsched's allocation cost.
+	allocBase = 4 * time.Millisecond
 )
 
 // Manager is the ALPS-like rm.Manager: the shared skeleton (registry, job
@@ -59,12 +59,12 @@ func Install(cl *cluster.Cluster) (*Manager, error) {
 			return []string{fmt.Sprintf("-n%d", spec.Tasks()), fmt.Sprintf("-N%d", spec.TasksPerNode), spec.Exe}
 		},
 		Allocator:       "apsched",
-		AllocPort:       ApschedPort,
-		DebugEvents:     DebugEvents,
-		AllocBase:       AllocBase,
-		PerTaskRootCost: PerTaskRootCost,
+		AllocPort:       apschedPort,
+		DebugEvents:     debugEvents,
+		AllocBase:       allocBase,
+		PerTaskRootCost: perTaskRootCost,
 		// No per-node terms: apsched's claim is one lookup, and aprun pays
-		// for a spawn at submission (PerNodeSubmit, in the star fabric).
+		// for a spawn at submission (perNodeSubmit, in the star fabric).
 	}, star{sim: cl.Sim()})
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ type apinit struct {
 
 func (a *apinit) main(p *cluster.Proc) {
 	rm.Serve(p, ApinitPort, func(rd *lmonp.Reader, reply rm.Reply) {
-		p.Compute(ApinitPerMsg)
+		p.Compute(apinitPerMsg)
 		reply(a.handle(rd))
 	})
 }

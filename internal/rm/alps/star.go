@@ -46,11 +46,11 @@ func starCall(from *simnet.Host, node string, req []byte) (*lmonp.Reader, error)
 }
 
 // Launch submits the task launch to every node's apinit, pipelined: each
-// submission costs PerNodeSubmit at aprun, the remote forks overlap.
+// submission costs perNodeSubmit at aprun, the remote forks overlap.
 func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) ([]byte, error) {
 	tpn := spec.TasksPerNode
 	tab := make(proctab.Table, len(nodes)*tpn)
-	err := s.each(nodes, func() { p.Compute(PerNodeSubmit) }, func(i int, node string) error {
+	err := s.each(nodes, func() { p.Compute(perNodeSubmit) }, func(i int, node string) error {
 		req := lmonp.AppendUint32(nil, opLaunchTasks)
 		req = lmonp.AppendUint32(req, uint32(id))
 		req = lmonp.AppendUint32(req, uint32(i*tpn))
@@ -80,7 +80,7 @@ func (s star) Launch(p *cluster.Proc, id int, spec rm.JobSpec, nodes []string) (
 // the RM-provided environment (the same contract slurmd honours).
 func (s star) Spawn(p *cluster.Proc, id int, nodes []string, spec rm.DaemonSpec) error {
 	nidList := joinNIDs(nodes)
-	return s.each(nodes, func() { p.Compute(PerNodeSubmit) }, func(i int, node string) error {
+	return s.each(nodes, func() { p.Compute(perNodeSubmit) }, func(i int, node string) error {
 		perNode := rm.DaemonSpec{Exe: spec.Exe, Args: spec.Args, Env: make(map[string]string, len(spec.Env)+4)}
 		for k, v := range spec.Env {
 			perNode.Env[k] = v

@@ -20,13 +20,13 @@ import (
 
 // Install boots the BG/L-like mpirun RM onto the cluster.
 func Install(cl *cluster.Cluster) (rm.Manager, error) {
-	return slurm.Install(cl, Config())
+	return slurm.Install(cl, config())
 }
 
-// Config returns the BG/L mpirun cost profile: ~5x the per-task launcher
+// config returns the BG/L mpirun cost profile: ~5x the per-task launcher
 // cost and ~4x the per-node daemon spawn cost of the SLURM profile, plus a
 // shallower (flat) service-node fan-out.
-func Config() slurm.Config {
+func config() slurm.Config {
 	return slurm.Config{
 		Name:                 "bgl-mpirun",
 		Fanout:               8,

@@ -11,6 +11,7 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/hostlist"
+	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/rm/alps"
 	"launchmon/internal/rm/bgl"
@@ -176,7 +177,7 @@ func proctabAtBreakpoint(t *testing.T, r *rig) {
 		}
 	}
 	// Every RM publishes the chunks the rank-sorted table encodes to.
-	want := tab.EncodeChunks(rm.ProctabChunkBytes)
+	want := tab.EncodeChunks(proctab.DefaultChunkBytes)
 	if len(want) < 2 || !slices.EqualFunc(chunks, want, bytes.Equal) {
 		t.Errorf("published %d chunks, want the %d of the rank-sorted table byte for byte", len(chunks), len(want))
 	}

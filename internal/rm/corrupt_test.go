@@ -107,7 +107,7 @@ func TestCorruptRequestsAreRefused(t *testing.T) {
 			if _, err := alps.Install(cl); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rsh.Install(cl, rsh.Config{}); err != nil {
+			if _, err := rsh.Install(cl); err != nil {
 				t.Fatal(err)
 			}
 			cl.Register("daemon", func(*cluster.Proc) {})

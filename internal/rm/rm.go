@@ -44,20 +44,20 @@ const (
 
 // MPIR symbol names exposed by launcher processes (the APAI contract).
 const (
-	SymProctabLen    = "MPIR_proctable_size"   // entry count
-	SymProctabChunks = "MPIR_proctable_chunks" // chunk count (chunked publication)
+	symProctabLen    = "MPIR_proctable_size"   // entry count
+	symProctabChunks = "MPIR_proctable_chunks" // chunk count (chunked publication)
 	SymDebugState    = "MPIR_debug_state"      // launch progress indicator
 	BPName           = "MPIR_Breakpoint"       // debug-event reason at launch-done
 )
 
-// SymProctabChunk names the i-th chunk symbol of a chunked RPDTAB
+// symProctabChunk names the i-th chunk symbol of a chunked RPDTAB
 // publication (rank-sorted bounded chunks, see PublishProctab).
-func SymProctabChunk(i int) string { return fmt.Sprintf("MPIR_proctable_chunk_%d", i) }
+func symProctabChunk(i int) string { return fmt.Sprintf("MPIR_proctable_chunk_%d", i) }
 
-// ProctabChunkBytes bounds one published proctab chunk. It mirrors the
+// proctabChunkBytes bounds one published proctab chunk. It mirrors the
 // chunk granularity of the rest of the launch pipeline, so the engine's
 // per-read transient stays O(chunk) no matter the job scale.
-const ProctabChunkBytes = proctab.DefaultChunkBytes
+const proctabChunkBytes = proctab.DefaultChunkBytes
 
 // JobSpec describes a parallel application launch.
 type JobSpec struct {
@@ -159,8 +159,8 @@ type Manager interface {
 
 // PublishProctab publishes a launcher's RPDTAB through the APAI symbols
 // in chunked form: the rank-sorted table is split into bounded chunks
-// (SymProctabChunk(i), ProctabChunkBytes each) with SymProctabChunks
-// carrying the count, alongside SymProctabLen. The engine reads one
+// (symProctabChunk(i), proctabChunkBytes each) with symProctabChunks
+// carrying the count, alongside symProctabLen. The engine reads one
 // chunk symbol at a time, so neither side ever materializes a second
 // full encoded table — the launcher-side half of the chunked harvest.
 func PublishProctab(p *cluster.Proc, tab proctab.Table) {
@@ -171,18 +171,18 @@ func PublishProctab(p *cluster.Proc, tab proctab.Table) {
 // writer the entries, that many, in rank order.
 func publish(p *cluster.Proc, entries int, add func(*proctab.ChunkWriter) error) {
 	n := 0
-	w := proctab.NewChunkWriter(ProctabChunkBytes, func(chunk []byte, sum uint64) error {
+	w := proctab.NewChunkWriter(proctabChunkBytes, func(chunk []byte, sum uint64) error {
 		// SetSymbol keeps a reference, not a copy: the writer allocates
 		// every chunk afresh and is done with it once emitted.
-		p.SetSymbol(SymProctabChunk(n), cluster.Symbol{Value: chunk, Size: len(chunk)})
+		p.SetSymbol(symProctabChunk(n), cluster.Symbol{Value: chunk, Size: len(chunk)})
 		n++
 		return nil
 	})
 	if err := add(w); err == nil {
 		_ = w.Flush()
 	}
-	p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: n, Size: 4})
-	p.SetSymbol(SymProctabLen, cluster.Symbol{Value: entries, Size: 4})
+	p.SetSymbol(symProctabChunks, cluster.Symbol{Value: n, Size: 4})
+	p.SetSymbol(symProctabLen, cluster.Symbol{Value: entries, Size: 4})
 }
 
 // ProctabFromLauncher reads and decodes the RPDTAB from a launcher process
@@ -223,7 +223,7 @@ func ReadProctab(launcher *cluster.Proc) (proctab.Table, error) {
 // count) right after its symbol read, so a caller re-streaming the table
 // holds O(chunk) bytes at a time.
 func ReadProctabChunks(tr *cluster.Tracer, fn func(chunk []byte, i, total int) error) error {
-	raw, err := tr.ReadSymbol(SymProctabChunks)
+	raw, err := tr.ReadSymbol(symProctabChunks)
 	if err != nil {
 		return err
 	}
@@ -232,13 +232,13 @@ func ReadProctabChunks(tr *cluster.Tracer, fn func(chunk []byte, i, total int) e
 		return errors.New("rm: MPIR_proctable_chunks symbol has unexpected type")
 	}
 	for i := 0; i < n; i++ {
-		craw, err := tr.ReadSymbol(SymProctabChunk(i))
+		craw, err := tr.ReadSymbol(symProctabChunk(i))
 		if err != nil {
 			return err
 		}
 		chunk, ok := craw.([]byte)
 		if !ok {
-			return fmt.Errorf("rm: %s symbol has unexpected type", SymProctabChunk(i))
+			return fmt.Errorf("rm: %s symbol has unexpected type", symProctabChunk(i))
 		}
 		if err := fn(chunk, i, n); err != nil {
 			return err

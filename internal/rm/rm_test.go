@@ -54,7 +54,7 @@ func synthTable(n int) proctab.Table {
 
 func TestPublishProctabRoundTrip(t *testing.T) {
 	// 0 and 1 entries publish one chunk; 20000 entries on 2500 hosts
-	// encode to well over one ProctabChunkBytes.
+	// encode to well over one proctabChunkBytes.
 	for _, n := range []int{0, 1, 20000} {
 		tab := synthTable(n)
 		withLauncher(t, func(p *cluster.Proc) { PublishProctab(p, tab) }, func(tr *cluster.Tracer) {
@@ -63,8 +63,8 @@ func TestPublishProctabRoundTrip(t *testing.T) {
 				if i != chunks {
 					t.Errorf("n=%d: chunk index %d delivered at position %d", n, i, chunks)
 				}
-				if len(chunk) > ProctabChunkBytes {
-					t.Errorf("n=%d: chunk %d is %d bytes, bound %d", n, i, len(chunk), ProctabChunkBytes)
+				if len(chunk) > proctabChunkBytes {
+					t.Errorf("n=%d: chunk %d is %d bytes, bound %d", n, i, len(chunk), proctabChunkBytes)
 				}
 				sub, err := proctab.Decode(chunk)
 				chunks, entries = chunks+1, entries+len(sub)
@@ -79,8 +79,8 @@ func TestPublishProctabRoundTrip(t *testing.T) {
 			if multi := n == 20000; (chunks > 1) != multi || chunks == 0 {
 				t.Errorf("n=%d: published as %d chunks", n, chunks)
 			}
-			if size, err := tr.ReadSymbol(SymProctabLen); err != nil || size != n {
-				t.Errorf("n=%d: %s = %v, %v", n, SymProctabLen, size, err)
+			if size, err := tr.ReadSymbol(symProctabLen); err != nil || size != n {
+				t.Errorf("n=%d: %s = %v, %v", n, symProctabLen, size, err)
 			}
 			got, err := ProctabFromLauncher(tr)
 			if err != nil {
@@ -95,12 +95,12 @@ func TestPublishProctabRoundTrip(t *testing.T) {
 
 func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 	for name, publish := range map[string]func(p *cluster.Proc){
-		SymProctabChunks: func(p *cluster.Proc) {
-			p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: "2", Size: 4})
+		symProctabChunks: func(p *cluster.Proc) {
+			p.SetSymbol(symProctabChunks, cluster.Symbol{Value: "2", Size: 4})
 		},
-		SymProctabChunk(1): func(p *cluster.Proc) {
+		symProctabChunk(1): func(p *cluster.Proc) {
 			PublishProctab(p, synthTable(20000))
-			p.SetSymbol(SymProctabChunk(1), cluster.Symbol{Value: 7, Size: 4})
+			p.SetSymbol(symProctabChunk(1), cluster.Symbol{Value: 7, Size: 4})
 		},
 	} {
 		withLauncher(t, publish, func(tr *cluster.Tracer) {
@@ -114,7 +114,7 @@ func TestWrongTypedProctabSymbolsAreErrors(t *testing.T) {
 	// the missing symbol rather than returning a short table.
 	withLauncher(t, func(p *cluster.Proc) {
 		PublishProctab(p, synthTable(8))
-		p.SetSymbol(SymProctabChunks, cluster.Symbol{Value: 2, Size: 4})
+		p.SetSymbol(symProctabChunks, cluster.Symbol{Value: 2, Size: 4})
 	}, func(tr *cluster.Tracer) {
 		if _, err := ProctabFromLauncher(tr); err == nil {
 			t.Error("short publication accepted")

@@ -30,38 +30,25 @@ import (
 // Port of the per-node remote shell daemon (sshd-like).
 const Port = 22
 
-// The fixed costs of one remote shell invocation: ClientForkCost is the
+// The fixed costs of one remote shell invocation: clientForkCost is the
 // front-end fork+exec of the rsh client binary (rsh clients are fat),
-// RemoteForkCost the remote daemon exec.
+// authCost connection setup + authentication + shell startup on the remote
+// side (matching the paper's ≈0.24 s/node ad hoc launch slope),
+// remoteForkCost the remote daemon exec.
 const (
-	ClientForkCost = 6 * time.Millisecond
-	RemoteForkCost = 4 * time.Millisecond
+	clientForkCost = 6 * time.Millisecond
+	authCost       = 225 * time.Millisecond
+	remoteForkCost = 4 * time.Millisecond
 )
-
-// Config models the cost of one remote shell invocation.
-type Config struct {
-	// AuthCost is connection setup + authentication + shell startup on the
-	// remote side (default 225ms, matching the paper's ≈0.24 s/node ad hoc
-	// launch slope).
-	AuthCost time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.AuthCost == 0 {
-		c.AuthCost = 225 * time.Millisecond
-	}
-	return c
-}
 
 // Service is an installed remote-shell infrastructure.
 type Service struct {
-	cl  *cluster.Cluster
-	cfg Config
+	cl *cluster.Cluster
 }
 
 // Install boots an sshd-like daemon on every compute node.
-func Install(cl *cluster.Cluster, cfg Config) (*Service, error) {
-	s := &Service{cl: cl, cfg: cfg.withDefaults()}
+func Install(cl *cluster.Cluster) (*Service, error) {
+	s := &Service{cl: cl}
 	for i := 0; i < cl.NumNodes(); i++ {
 		node := cl.Node(i)
 		if _, err := node.SpawnSystemProc(cluster.Spec{Exe: "sshd", Main: s.sshdMain(node)}); err != nil {
@@ -77,13 +64,13 @@ func (s *Service) sshdMain(node *cluster.Node) cluster.ProcMain {
 		rm.Serve(p, Port, func(rd *lmonp.Reader, reply rm.Reply) {
 			// Authentication and shell startup happen on the remote side
 			// of the connection.
-			p.Compute(s.cfg.AuthCost)
+			p.Compute(authCost)
 			spec := rm.ReadDaemonSpec(rd)
 			if rd.Err() != nil {
 				reply(nil, errors.New("bad request"))
 				return
 			}
-			p.Compute(RemoteForkCost)
+			p.Compute(remoteForkCost)
 			proc, err := node.SpawnProc(cluster.Spec{Exe: spec.Exe, Args: spec.Args, Env: spec.Env})
 			if err != nil {
 				reply(nil, err)
@@ -97,8 +84,8 @@ func (s *Service) sshdMain(node *cluster.Node) cluster.ProcMain {
 	}
 }
 
-// ErrSpawn wraps remote daemon spawn failures.
-var ErrSpawn = errors.New("rsh: remote spawn failed")
+// errSpawn wraps remote daemon spawn failures.
+var errSpawn = errors.New("rsh: remote spawn failed")
 
 // Spawn launches one daemon on each target node sequentially from the
 // calling front-end process, the way pre-LaunchMON MRNet/STAT did. Each
@@ -108,7 +95,7 @@ var ErrSpawn = errors.New("rsh: remote spawn failed")
 func (s *Service) Spawn(p *cluster.Proc, nodes []string, exe string, args []string, env []map[string]string) error {
 	for i, node := range nodes {
 		if err := s.spawnOne(p, node, exe, args, env[i]); err != nil {
-			return fmt.Errorf("%w: node %s (%d of %d): %v", ErrSpawn, node, i+1, len(nodes), err)
+			return fmt.Errorf("%w: node %s (%d of %d): %v", errSpawn, node, i+1, len(nodes), err)
 		}
 	}
 	return nil
@@ -121,7 +108,7 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 	// channel, so the process stays in the table until the daemon dies.
 	done := vtime.NewChan[error](p.Sim())
 	_, err := p.Spawn(cluster.Spec{Exe: "rsh", Main: func(client *cluster.Proc) {
-		client.Compute(ClientForkCost)
+		client.Compute(clientForkCost)
 		// Not rm.Call: the connection outlives the reply, as the daemon's
 		// control channel.
 		conn, err := client.Host().Dial(simnet.Addr{Host: node, Port: Port})

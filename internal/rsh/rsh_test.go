@@ -14,7 +14,7 @@ import (
 	"launchmon/internal/vtime"
 )
 
-func rig(t *testing.T, nodes int, clOpts cluster.Options, cfg Config) (*vtime.Sim, *cluster.Cluster, *Service) {
+func rig(t *testing.T, nodes int, clOpts cluster.Options) (*vtime.Sim, *cluster.Cluster, *Service) {
 	t.Helper()
 	sim := vtime.New()
 	clOpts.Nodes = nodes
@@ -22,7 +22,7 @@ func rig(t *testing.T, nodes int, clOpts cluster.Options, cfg Config) (*vtime.Si
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := Install(cl, cfg)
+	svc, err := Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func rig(t *testing.T, nodes int, clOpts cluster.Options, cfg Config) (*vtime.Si
 }
 
 func TestSpawnPlacesDaemonsWithEnv(t *testing.T) {
-	sim, cl, svc := rig(t, 4, cluster.Options{}, Config{})
+	sim, cl, svc := rig(t, 4, cluster.Options{})
 	var hosts []string
 	var ids []string
 	cl.Register("mydaemon", func(p *cluster.Proc) {
@@ -67,7 +67,7 @@ func TestSpawnPlacesDaemonsWithEnv(t *testing.T) {
 
 func TestSequentialLinearCost(t *testing.T) {
 	timeFor := func(n int) time.Duration {
-		sim, cl, svc := rig(t, n, cluster.Options{}, Config{})
+		sim, cl, svc := rig(t, n, cluster.Options{})
 		cl.Register("d", func(p *cluster.Proc) { vtime.NewChan[int](p.Sim()).Recv() })
 		var dur time.Duration
 		sim.Go("fe", func() {
@@ -108,7 +108,7 @@ func TestFrontEndProcessLimitFailure(t *testing.T) {
 	// With a front-end process table capped at 40, a 64-node rsh launch
 	// must fail partway: the resident rsh clients exhaust the table (the
 	// paper's consistent failure at 512 nodes, scaled down).
-	sim, cl, svc := rig(t, 64, cluster.Options{MaxProcs: 40}, Config{AuthCost: time.Millisecond})
+	sim, cl, svc := rig(t, 64, cluster.Options{MaxProcs: 40})
 	cl.Register("d", func(p *cluster.Proc) { vtime.NewChan[int](p.Sim()).Recv() })
 	var spawnErr error
 	sim.Go("fe", func() {
@@ -125,7 +125,7 @@ func TestFrontEndProcessLimitFailure(t *testing.T) {
 	if spawnErr == nil {
 		t.Fatal("64-node rsh launch with a 40-proc front end succeeded")
 	}
-	if !errors.Is(spawnErr, ErrSpawn) {
+	if !errors.Is(spawnErr, errSpawn) {
 		t.Fatalf("error = %v, want ErrSpawn wrap", spawnErr)
 	}
 	if !errors.Is(spawnErr, cluster.ErrProcLimit) && !strings.Contains(spawnErr.Error(), "resource temporarily unavailable") {
@@ -134,7 +134,7 @@ func TestFrontEndProcessLimitFailure(t *testing.T) {
 }
 
 func TestClientsLingerUntilDaemonExit(t *testing.T) {
-	sim, cl, svc := rig(t, 2, cluster.Options{}, Config{AuthCost: time.Millisecond})
+	sim, cl, svc := rig(t, 2, cluster.Options{})
 	var daemons []*cluster.Proc
 	cl.Register("d", func(p *cluster.Proc) {
 		daemons = append(daemons, p)
@@ -197,7 +197,7 @@ func TestSpawnRequestEnvTravelsInKeyOrder(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	svc := &Service{cl: cl, cfg: Config{AuthCost: time.Millisecond}}
+	svc := &Service{cl: cl}
 	sim.Go("fe", func() {
 		sim.Sleep(time.Millisecond) // the stand-in is listening
 		p, err := cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "tool", Passive: true})

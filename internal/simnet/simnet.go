@@ -30,49 +30,23 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// Options configure the network cost model. Zero fields take defaults.
-type Options struct {
-	// Latency is the one-way latency between distinct hosts.
-	Latency time.Duration
-	// LoopbackLatency is the one-way latency within one host.
-	LoopbackLatency time.Duration
-	// Bandwidth is the per-connection bandwidth in bytes/second between
-	// distinct hosts.
-	Bandwidth float64
+// The interconnect cost model: a 2008-era Infiniband cluster (4x DDR),
+// ~30 µs MPI-level latency, ~1.2 GB/s per stream, and fast local loopback.
+// Latency is one way; Bandwidth is bytes/second on one connection.
+const (
+	Latency           = 30 * time.Microsecond // between distinct hosts
+	Bandwidth         = 1.2e9
+	LoopbackLatency   = 6 * time.Microsecond // within one host
+	loopbackBandwidth = 4e9
+)
 
+// Options configure fault injection on the network.
+type Options struct {
 	// SlowHosts maps host names to a slowdown factor (> 1): connections
 	// touching a slow host see their latency multiplied and bandwidth
 	// divided by the factor (the fault model's slow-node knob). The larger
 	// factor wins when both endpoints are slow.
 	SlowHosts map[string]float64
-}
-
-// LoopbackBandwidth is the per-connection bandwidth within one host.
-const LoopbackBandwidth = 4e9
-
-// DefaultOptions models a 2008-era Infiniband cluster interconnect
-// (4x DDR): ~30us MPI-level latency, ~1.2 GB/s per stream, and fast local
-// loopback.
-func DefaultOptions() Options {
-	return Options{
-		Latency:         30 * time.Microsecond,
-		LoopbackLatency: 6 * time.Microsecond,
-		Bandwidth:       1.2e9,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.Latency == 0 {
-		o.Latency = d.Latency
-	}
-	if o.LoopbackLatency == 0 {
-		o.LoopbackLatency = d.LoopbackLatency
-	}
-	if o.Bandwidth == 0 {
-		o.Bandwidth = d.Bandwidth
-	}
-	return o
 }
 
 // Addr identifies a network endpoint.
@@ -117,7 +91,7 @@ type Network struct {
 func New(sim *vtime.Sim, opts Options) *Network {
 	return &Network{
 		sim:       sim,
-		opts:      opts.withDefaults(),
+		opts:      opts,
 		hosts:     make(map[string]*Host),
 		downLinks: make(map[[2]string]bool),
 	}
@@ -191,7 +165,7 @@ func (n *Network) KillHost(name string) {
 // DropLink severs the link between hosts a and b: in-flight and future
 // messages between them are silently discarded (neither side learns — the
 // failure-detection layer's heartbeat-miss case) and new dials across the
-// link fail with ErrLinkDown.
+// link fail with errLinkDown.
 func (n *Network) DropLink(a, b string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -271,16 +245,16 @@ type Host struct {
 
 // Errors returned by the network layer.
 var (
-	ErrPortInUse     = errors.New("simnet: port already in use")
-	ErrConnRefused   = errors.New("simnet: connection refused")
-	ErrClosed        = errors.New("simnet: use of closed connection")
-	ErrListenerClose = errors.New("simnet: listener closed")
+	errPortInUse     = errors.New("simnet: port already in use")
+	errConnRefused   = errors.New("simnet: connection refused")
+	errClosed        = errors.New("simnet: use of closed connection")
+	errListenerClose = errors.New("simnet: listener closed")
 	// ErrPeerDead is returned by reads and writes on connections whose
 	// remote (or local) host has been killed, once any in-flight data has
 	// drained — the simulated analogue of ECONNRESET after a node loss.
 	ErrPeerDead = errors.New("simnet: peer host is dead")
-	// ErrLinkDown is returned when dialing across a dropped link.
-	ErrLinkDown = errors.New("simnet: link is down")
+	// errLinkDown is returned when dialing across a dropped link.
+	errLinkDown = errors.New("simnet: link is down")
 )
 
 // Listen opens a listener on the given port; port 0 selects an ephemeral
@@ -299,7 +273,7 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		h.nextPort++
 	}
 	if h.listeners[port] != nil {
-		return nil, fmt.Errorf("%w: %s:%d", ErrPortInUse, h.name, port)
+		return nil, fmt.Errorf("%w: %s:%d", errPortInUse, h.name, port)
 	}
 	l := &Listener{
 		host:     h,
@@ -325,27 +299,27 @@ func (l *Listener) Addr() Addr { return l.addr }
 func (l *Listener) Accept() (*Conn, error) {
 	c, ok := l.incoming.Recv()
 	if !ok {
-		return nil, ErrListenerClose
+		return nil, errListenerClose
 	}
 	return c, nil
 }
 
 // Handle switches the listener to event-driven accept: fn runs on the
 // vtime scheduler for every incoming connection (queued ones first, in
-// arrival order), and once with ErrListenerClose after Close. It replaces a
+// arrival order), and once with errListenerClose after Close. It replaces a
 // parked accept-loop goroutine; fn must not block. Handle may not be mixed
 // with Accept and may be installed once.
 func (l *Listener) Handle(fn func(*Conn, error)) {
 	l.incoming.Handle(func(c *Conn, ok bool) {
 		if !ok {
-			fn(nil, ErrListenerClose)
+			fn(nil, errListenerClose)
 			return
 		}
 		fn(c, nil)
 	})
 }
 
-// Close stops the listener; blocked Accept calls return ErrListenerClose,
+// Close stops the listener; blocked Accept calls return errListenerClose,
 // and connections never accepted are closed (severed, on a dead host).
 func (l *Listener) Close() {
 	l.host.net.mu.Lock()
@@ -403,21 +377,21 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 	}
 	if n.downLinks[linkKey(h.name, addr.Host)] {
 		n.mu.Unlock()
-		return nil, nil, nil, 0, fmt.Errorf("%w: %s <-> %s", ErrLinkDown, h.name, addr.Host)
+		return nil, nil, nil, 0, fmt.Errorf("%w: %s <-> %s", errLinkDown, h.name, addr.Host)
 	}
 	if dst == nil {
 		n.mu.Unlock()
-		return nil, nil, nil, 0, fmt.Errorf("%w: no host %q", ErrConnRefused, addr.Host)
+		return nil, nil, nil, 0, fmt.Errorf("%w: no host %q", errConnRefused, addr.Host)
 	}
 	l := dst.listeners[addr.Port]
 	if l == nil || l.closed {
 		n.mu.Unlock()
-		return nil, nil, nil, 0, fmt.Errorf("%w: %s", ErrConnRefused, addr)
+		return nil, nil, nil, 0, fmt.Errorf("%w: %s", errConnRefused, addr)
 	}
-	lat = n.opts.Latency
-	bw := n.opts.Bandwidth
+	lat = Latency
+	bw := Bandwidth
 	if addr.Host == h.name {
-		lat, bw = n.opts.LoopbackLatency, LoopbackBandwidth
+		lat, bw = LoopbackLatency, loopbackBandwidth
 	}
 	if f := n.opts.slowFactor(h.name, addr.Host); f > 1 {
 		lat = time.Duration(float64(lat) * f)
@@ -499,7 +473,7 @@ func (c *Conn) Send(msg []byte) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	if c.peerDead {
 		c.mu.Unlock()

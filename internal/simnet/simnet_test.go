@@ -68,8 +68,8 @@ func TestDialAndEcho(t *testing.T) {
 
 func TestDialLatencyCost(t *testing.T) {
 	sim := vtime.New()
-	lat := time.Millisecond
-	_, a, b := pair(t, sim, Options{Latency: lat})
+	lat := Latency
+	_, a, b := pair(t, sim, Options{})
 	l, _ := b.Listen(1)
 	var dialDone, acceptAt time.Duration
 	sim.Go("srv", func() {
@@ -120,11 +120,10 @@ func TestDialUnknownHost(t *testing.T) {
 
 func TestMessageLatencyAndBandwidth(t *testing.T) {
 	sim := vtime.New()
-	lat := time.Millisecond
-	bw := 1e6 // 1 MB/s
-	_, a, b := pair(t, sim, Options{Latency: lat, Bandwidth: bw})
+	lat := Latency
+	_, a, b := pair(t, sim, Options{})
 	l, _ := b.Listen(1)
-	size := 10000 // 10 ms of transmission at 1 MB/s
+	size := int(Bandwidth / 1e5) // 10 µs of transmission
 	var recvAt time.Duration
 	sim.Go("srv", func() {
 		c, err := l.Accept()
@@ -146,8 +145,8 @@ func TestMessageLatencyAndBandwidth(t *testing.T) {
 		c.Write(make([]byte, size))
 	})
 	sim.Run()
-	// dial completes at 2ms; tx takes 10ms; arrival +1ms latency = 13ms.
-	want := 2*lat + 10*time.Millisecond + lat
+	// The dial completes after a round trip, then transmission and latency.
+	want := 2*lat + 10*time.Microsecond + lat
 	if recvAt != want {
 		t.Fatalf("large message arrived at %v, want %v", recvAt, want)
 	}
@@ -155,12 +154,11 @@ func TestMessageLatencyAndBandwidth(t *testing.T) {
 
 func TestBackToBackWritesSerialize(t *testing.T) {
 	sim := vtime.New()
-	lat := time.Millisecond
-	bw := 1e6
-	_, a, b := pair(t, sim, Options{Latency: lat, Bandwidth: bw})
+	lat := Latency
+	_, a, b := pair(t, sim, Options{})
 	l, _ := b.Listen(1)
 	var lastAt time.Duration
-	const msgs, size = 5, 1000 // each 1ms of tx
+	const msgs, size = 5, int(Bandwidth / 1e6) // each 1 µs of tx
 	sim.Go("srv", func() {
 		c, err := l.Accept()
 		if err != nil {
@@ -183,7 +181,7 @@ func TestBackToBackWritesSerialize(t *testing.T) {
 		}
 	})
 	sim.Run()
-	want := 2*lat + msgs*time.Millisecond + lat
+	want := 2*lat + msgs*time.Microsecond + lat
 	if lastAt != want {
 		t.Fatalf("last byte at %v, want %v", lastAt, want)
 	}
@@ -191,7 +189,7 @@ func TestBackToBackWritesSerialize(t *testing.T) {
 
 func TestLoopbackIsFaster(t *testing.T) {
 	sim := vtime.New()
-	n := New(sim, Options{Latency: time.Millisecond, LoopbackLatency: time.Microsecond})
+	n := New(sim, Options{})
 	a := n.Host("a")
 	l, _ := a.Listen(5)
 	var dialDone time.Duration
@@ -204,8 +202,8 @@ func TestLoopbackIsFaster(t *testing.T) {
 		dialDone = sim.Now()
 	})
 	sim.Run()
-	if dialDone != 2*time.Microsecond {
-		t.Fatalf("loopback dial took %v, want 2us", dialDone)
+	if dialDone != 2*LoopbackLatency || LoopbackLatency >= Latency {
+		t.Fatalf("loopback dial took %v, want %v", dialDone, 2*LoopbackLatency)
 	}
 }
 
@@ -394,7 +392,7 @@ func TestPropertyFIFODelivery(t *testing.T) {
 			sizes = sizes[:30]
 		}
 		sim := vtime.New()
-		n := New(sim, Options{Latency: 100 * time.Microsecond, Bandwidth: 1e7})
+		n := New(sim, Options{})
 		a, b := n.Host("a"), n.Host("b")
 		l, _ := b.Listen(1)
 		var arrivals []time.Duration

@@ -6,11 +6,11 @@ import (
 	"launchmon/internal/simnet"
 )
 
-// CommNode is an internal communication process: it relays downstream
+// commNode is an internal communication process: it relays downstream
 // multicasts to its children and merges the upstream response wave with
 // the packet's filter before forwarding it — where a TBŌN earns its
 // scalability (distributed reduction instead of a root hot spot).
-type CommNode struct {
+type commNode struct {
 	p        *cluster.Proc
 	rank     int
 	expect   int
@@ -20,17 +20,17 @@ type CommNode struct {
 	leaves   int
 }
 
-// StartCommNodeDeferredHello dials the parent and opens the child-facing
+// startCommNodeDeferredHello dials the parent and opens the child-facing
 // listener, but defers the upward hello until FinishHandshakeAndServe has
 // accepted the whole subtree — so the root's AcceptChildren accounts for
 // complete subtrees. The comm node's Addr is available (for distributing
 // to its leaves) as soon as this returns.
-func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expectChildren int) (*CommNode, error) {
+func startCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expectChildren int) (*commNode, error) {
 	l, err := p.Host().Listen(0)
 	if err != nil {
 		return nil, err
 	}
-	cn := &CommNode{p: p, rank: rank, expect: expectChildren, listener: l}
+	cn := &commNode{p: p, rank: rank, expect: expectChildren, listener: l}
 
 	conn, err := dialParent(p, parentAddr)
 	if err != nil {
@@ -41,11 +41,11 @@ func StartCommNodeDeferredHello(p *cluster.Proc, parentAddr string, rank, expect
 }
 
 // Addr returns the comm node's child-facing listen address.
-func (cn *CommNode) Addr() string { return cn.listener.Addr().String() }
+func (cn *commNode) Addr() string { return cn.listener.Addr().String() }
 
-// FinishHandshakeAndServe accepts the expected children, sends the upward
+// finishHandshakeAndServe accepts the expected children, sends the upward
 // hello, and enters the relay loop.
-func (cn *CommNode) FinishHandshakeAndServe() error {
+func (cn *commNode) finishHandshakeAndServe() error {
 	var err error
 	cn.children, cn.leaves, err = acceptChildren(cn.p, cn.listener, cn.expect)
 	if err != nil {
@@ -56,13 +56,13 @@ func (cn *CommNode) FinishHandshakeAndServe() error {
 	if err := lmonp.WriteFrame(cn.parent, hello); err != nil {
 		return err
 	}
-	return cn.Serve()
+	return cn.serve()
 }
 
-// Serve relays request/response waves until the parent closes the link:
+// serve relays request/response waves until the parent closes the link:
 // forward each downstream packet to all children, collect one response per
 // child, merge with the packet's filter, and send the reduction upstream.
-func (cn *CommNode) Serve() error {
+func (cn *commNode) serve() error {
 	for {
 		raw, err := lmonp.ReadFrame(cn.parent)
 		if err != nil {
@@ -94,7 +94,7 @@ func (cn *CommNode) Serve() error {
 	}
 }
 
-func (cn *CommNode) close() {
+func (cn *commNode) close() {
 	for _, c := range cn.children {
 		c.conn.Close()
 	}

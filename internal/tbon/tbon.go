@@ -88,14 +88,14 @@ func init() {
 	RegisterFilter("concat", func(a, b []byte) []byte { return append(a, b...) })
 }
 
-// The overlay's cost model. PerChildAcceptCost is the root/internal-node
+// The overlay's cost model. perChildAcceptCost is the root/internal-node
 // CPU cost to accept and set up one child connection (thread spin-up, fd
-// bookkeeping — MRNet's dominant serial term at the root); HandshakeCost is
+// bookkeeping — MRNet's dominant serial term at the root); handshakeCost is
 // the per-child protocol handshake processing (≈0.77 s at 256 children,
 // the paper's measured MRNet handshake share).
 const (
-	PerChildAcceptCost = 4 * time.Millisecond
-	HandshakeCost      = 3 * time.Millisecond
+	perChildAcceptCost = 4 * time.Millisecond
+	handshakeCost      = 3 * time.Millisecond
 )
 
 // child is one downstream connection at the front end or a comm node.
@@ -137,13 +137,13 @@ func acceptChildren(p *cluster.Proc, l *simnet.Listener, n int) ([]child, int, e
 		if err != nil {
 			return kids, leaves, err
 		}
-		p.Compute(PerChildAcceptCost)
+		p.Compute(perChildAcceptCost)
 		hello, err := lmonp.ReadFrame(conn)
 		if err != nil {
 			conn.Close()
 			return kids, leaves, err
 		}
-		p.Compute(HandshakeCost)
+		p.Compute(handshakeCost)
 		rd := lmonp.NewReader(hello)
 		kid := child{conn: conn, rank: int(rd.Uint32()), leaves: int(rd.Uint32())}
 		if err := rd.Err(); err != nil {
@@ -166,12 +166,8 @@ func (fe *FrontEnd) AcceptChildren(n int) error {
 	return err
 }
 
-// Leaves returns the number of leaf back-ends connected (directly or
-// through comm nodes).
-func (fe *FrontEnd) Leaves() int { return fe.leaves }
-
-// Multicast sends pkt down the whole tree.
-func (fe *FrontEnd) Multicast(pkt Packet) error {
+// multicast sends pkt down the whole tree.
+func (fe *FrontEnd) multicast(pkt Packet) error {
 	raw := encodePacket(pkt)
 	for _, c := range fe.children {
 		if err := lmonp.WriteFrame(c.conn, raw); err != nil {
@@ -196,25 +192,25 @@ func gatherMerged(p *cluster.Proc, children []child, filter string) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		p.Compute(HandshakeCost / 3) // per-packet processing
+		p.Compute(handshakeCost / 3) // per-packet processing
 		acc = f(acc, pkt.Data)
 	}
 	return acc, nil
 }
 
-// GatherMerged reads one (possibly pre-merged) response per direct child
+// gatherMerged reads one (possibly pre-merged) response per direct child
 // and merges them with the named filter, returning the reduced payload.
-func (fe *FrontEnd) GatherMerged(filter string) ([]byte, error) {
+func (fe *FrontEnd) gatherMerged(filter string) ([]byte, error) {
 	return gatherMerged(fe.p, fe.children, filter)
 }
 
 // Request multicasts a request and returns the filter-merged responses —
 // the round-trip STAT uses per stack-sample wave.
 func (fe *FrontEnd) Request(pkt Packet) ([]byte, error) {
-	if err := fe.Multicast(pkt); err != nil {
+	if err := fe.multicast(pkt); err != nil {
 		return nil, err
 	}
-	return fe.GatherMerged(pkt.Filter)
+	return fe.gatherMerged(pkt.Filter)
 }
 
 // Close shuts the overlay down (children observe EOF).
@@ -230,15 +226,15 @@ type Leaf struct {
 	conn *simnet.Conn
 }
 
-// ErrNoParent reports a missing/invalid parent address.
-var ErrNoParent = errors.New("tbon: no parent address")
+// errNoParent reports a missing/invalid parent address.
+var errNoParent = errors.New("tbon: no parent address")
 
 // dialParent dials a parent's listen address, retrying while the parent is
 // still coming up.
 func dialParent(p *cluster.Proc, parentAddr string) (*simnet.Conn, error) {
 	addr, err := simnet.ParseAddr(parentAddr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoParent, parentAddr)
+		return nil, fmt.Errorf("%w: %q", errNoParent, parentAddr)
 	}
 	var conn *simnet.Conn
 	for attempt := 0; attempt < 2000; attempt++ {

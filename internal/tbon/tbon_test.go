@@ -79,8 +79,8 @@ func TestFlatRequestReduce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if fe.Leaves() != 8 {
-				t.Errorf("leaves = %d", fe.Leaves())
+			if fe.leaves != 8 {
+				t.Errorf("leaves = %d", fe.leaves)
 			}
 			out, err := fe.Request(Packet{Stream: 1, Tag: 7, Filter: "sum-test", Data: []byte("go")})
 			if err != nil {
@@ -149,13 +149,13 @@ func TestTwoLevelTreeWithCommNodes(t *testing.T) {
 			for ci := 0; ci < 2; ci++ {
 				ci := ci
 				cl.Node(6 + ci).SpawnProc(cluster.Spec{Exe: "comm", Main: func(p *cluster.Proc) {
-					cn, err := StartCommNodeDeferredHello(p, fe.Addr(), 100+ci, 3)
+					cn, err := startCommNodeDeferredHello(p, fe.Addr(), 100+ci, 3)
 					if err != nil {
 						t.Errorf("comm %d: %v", ci, err)
 						return
 					}
 					commAddr.Send([2]string{fmt.Sprint(ci), cn.Addr()})
-					if err := cn.FinishHandshakeAndServe(); err != nil {
+					if err := cn.finishHandshakeAndServe(); err != nil {
 						t.Errorf("comm %d serve: %v", ci, err)
 					}
 				}})
@@ -195,7 +195,7 @@ func TestTwoLevelTreeWithCommNodes(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			gotLeaves = fe.Leaves()
+			gotLeaves = fe.leaves
 			out, err := fe.Request(Packet{Stream: 1, Filter: "concat"})
 			if err != nil {
 				t.Error(err)
@@ -217,7 +217,7 @@ func TestTwoLevelTreeWithCommNodes(t *testing.T) {
 
 func TestNativeLaunchViaRsh(t *testing.T) {
 	sim, cl := rig(t, 4)
-	svc, err := rsh.Install(cl, rsh.Config{AuthCost: 2 * time.Millisecond})
+	svc, err := rsh.Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestNativeLaunchViaRsh(t *testing.T) {
 				return
 			}
 			defer fe.Close()
-			leaves = fe.Leaves()
+			leaves = fe.leaves
 			if _, err := fe.Request(Packet{Stream: 1, Filter: "concat"}); err != nil {
 				t.Error(err)
 			}

@@ -28,16 +28,16 @@ import (
 	"launchmon/internal/rm"
 )
 
-// BEExe is the registered executable name of the Jobsnap back-end daemon.
-const BEExe = "jobsnap_be"
+// beExe is the registered executable name of the Jobsnap back-end daemon.
+const beExe = "jobsnap_be"
 
 // Install registers the Jobsnap back-end executable on the cluster.
 func Install(cl *cluster.Cluster) {
-	cl.Register(BEExe, beMain)
+	cl.Register(beExe, beMain)
 }
 
-// Line is one task's snapshot, merged at the master.
-type Line struct {
+// taskLine is one task's snapshot, merged at the master.
+type taskLine struct {
 	Rank    int
 	Host    string
 	Exe     string
@@ -52,17 +52,17 @@ type Line struct {
 	MajFlt  int64
 }
 
-// Format renders the line in Jobsnap's column layout.
-func (l Line) Format() string {
+// format renders the line in Jobsnap's column layout.
+func (l taskLine) format() string {
 	return fmt.Sprintf("%6d %-10s %-12s %7d %2s %#x %3d %8dkB %5dkB %8dms %7dms %6d",
 		l.Rank, l.Host, l.Exe, l.Pid, l.State, l.PC, l.Threads,
 		l.VmHWMKB, l.VmLckKB, l.UtimeMS, l.StimeMS, l.MajFlt)
 }
 
-// Header is the report's column header.
-const Header = "  rank host       exe              pid st pc        thr    vmhwm    vmlck     utime    stime majflt"
+// header is the report's column header.
+const header = "  rank host       exe              pid st pc        thr    vmhwm    vmlck     utime    stime majflt"
 
-func encodeLine(l Line) []byte {
+func encodeLine(l taskLine) []byte {
 	b := lmonp.AppendUint32(nil, uint32(l.Rank))
 	b = lmonp.AppendString(b, l.Host)
 	b = lmonp.AppendString(b, l.Exe)
@@ -78,8 +78,8 @@ func encodeLine(l Line) []byte {
 	return b
 }
 
-func decodeLine(rd *lmonp.Reader) (Line, error) {
-	l := Line{
+func decodeLine(rd *lmonp.Reader) (taskLine, error) {
+	l := taskLine{
 		Rank: int(rd.Uint32()), Host: rd.String(), Exe: rd.String(), Pid: int(rd.Uint32()),
 		State: rd.String(), PC: rd.Uint64(), Threads: int(rd.Uint32()),
 		VmHWMKB: int64(rd.Uint64()), VmLckKB: int64(rd.Uint64()),
@@ -100,17 +100,17 @@ func beMain(p *cluster.Proc) {
 	// Collect a snapshot per local task.
 	mine := lmonp.AppendUint32(nil, uint32(len(be.MyProctab())))
 	for _, d := range be.MyProctab() {
-		var line Line
+		var line taskLine
 		if proc, ok := p.Node().Proc(d.Pid); ok {
 			snap := proc.Snapshot()
-			line = Line{
+			line = taskLine{
 				Rank: d.Rank, Host: d.Host, Exe: d.Exe, Pid: d.Pid,
 				State: snap.State, PC: snap.PC, Threads: snap.Threads,
 				VmHWMKB: snap.VmHWMKB, VmLckKB: snap.VmLckKB,
 				UtimeMS: snap.UtimeMS, StimeMS: snap.StimeMS, MajFlt: snap.MajFault,
 			}
 		} else {
-			line = Line{Rank: d.Rank, Host: d.Host, Exe: d.Exe, Pid: d.Pid, State: "?"}
+			line = taskLine{Rank: d.Rank, Host: d.Host, Exe: d.Exe, Pid: d.Pid, State: "?"}
 		}
 		mine = lmonp.AppendBytes(mine, encodeLine(line))
 	}
@@ -120,10 +120,10 @@ func beMain(p *cluster.Proc) {
 	be.Finalize()
 }
 
-// MergeReport merges the per-daemon snapshot blobs of a Session.Gather
+// mergeReport merges the per-daemon snapshot blobs of a Session.Gather
 // into the final rank-sorted report.
-func MergeReport(blobs [][]byte) (string, error) {
-	lines := make([]Line, 0, 64)
+func mergeReport(blobs [][]byte) (string, error) {
+	lines := make([]taskLine, 0, 64)
 	for _, blob := range blobs {
 		rd := lmonp.NewReader(blob)
 		// Each line travels as a length-prefixed record.
@@ -140,10 +140,10 @@ func MergeReport(blobs [][]byte) (string, error) {
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i].Rank < lines[j].Rank })
 	var sb strings.Builder
-	sb.WriteString(Header)
+	sb.WriteString(header)
 	sb.WriteByte('\n')
 	for _, l := range lines {
-		sb.WriteString(l.Format())
+		sb.WriteString(l.format())
 		sb.WriteByte('\n')
 	}
 	return sb.String(), nil
@@ -181,7 +181,7 @@ func RunWithOptions(p *cluster.Proc, jobID int, opts RunOptions) (Result, error)
 	start := p.Sim().Now()
 	sess, err := core.AttachAndSpawn(p, core.Options{
 		JobID:      jobID,
-		Daemon:     rm.DaemonSpec{Exe: BEExe},
+		Daemon:     rm.DaemonSpec{Exe: beExe},
 		ICCLFanout: opts.Fanout,
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func RunWithOptions(p *cluster.Proc, jobID int, opts RunOptions) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	report, err := MergeReport(blobs)
+	report, err := mergeReport(blobs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -34,7 +34,7 @@ func TestFigure4OperationSequence(t *testing.T) {
 			// and the RPDTAB known — before any work-done arrives.
 			sess, err := core.AttachAndSpawn(p, core.Options{
 				JobID:  job.ID(),
-				Daemon: rm.DaemonSpec{Exe: BEExe},
+				Daemon: rm.DaemonSpec{Exe: beExe},
 			})
 			if err != nil {
 				t.Error(err)
@@ -63,7 +63,7 @@ func TestFigure4OperationSequence(t *testing.T) {
 			if len(blobs) != 4 {
 				t.Errorf("gathered %d contributions, want 4", len(blobs))
 			}
-			report, err := MergeReport(blobs)
+			report, err := mergeReport(blobs)
 			if err != nil {
 				t.Error(err)
 				return

@@ -26,21 +26,21 @@ import (
 	"launchmon/internal/rm"
 )
 
-// BEExe is the registered executable of the LaunchMON-started O|SS daemon.
-const BEExe = "ossd"
+// beExe is the registered executable of the LaunchMON-started O|SS daemon.
+const beExe = "ossd"
 
-// DaemonInitCost models the O|SS daemon runtime bootstrap (DPCL runtime
+// daemonInitCost models the O|SS daemon runtime bootstrap (DPCL runtime
 // library init inside the daemon), paid in parallel across nodes.
-const DaemonInitCost = 450 * time.Millisecond
+const daemonInitCost = 450 * time.Millisecond
 
 // Install registers the O|SS daemon executable.
 func Install(cl *cluster.Cluster) {
-	cl.Register(BEExe, func(p *cluster.Proc) {
+	cl.Register(beExe, func(p *cluster.Proc) {
 		be, err := core.BEInit(p)
 		if err != nil {
 			return
 		}
-		p.Compute(DaemonInitCost)
+		p.Compute(daemonInitCost)
 		// Every daemon signals readiness through a sum-reduction on the
 		// collective plane: the front end's Reduce completes only when the
 		// whole tree has bootstrapped its DPCL runtime — a stronger
@@ -111,7 +111,7 @@ func (l *LaunchMONInstrumentor) AcquireAPAI(p *cluster.Proc, job rm.Job) (Result
 	start := p.Sim().Now()
 	sess, err := core.AttachAndSpawn(p, core.Options{
 		JobID:  job.ID(),
-		Daemon: rm.DaemonSpec{Exe: BEExe},
+		Daemon: rm.DaemonSpec{Exe: beExe},
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("oss/launchmon: %w", err)

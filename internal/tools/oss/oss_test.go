@@ -23,7 +23,7 @@ func measure(t *testing.T, nodes int, which string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := dpcl.Install(cl, dpcl.Config{})
+	svc, err := dpcl.Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,26 +30,26 @@ import (
 
 // Registered executable names.
 const (
-	BEExe       = "stat_be"      // LaunchMON-launched daemon (TBŌN overlay)
-	NativeBEExe = "stat_be_rsh"  // rsh-launched daemon (native MRNet path)
-	CollBEExe   = "stat_be_coll" // daemon sampling over the collective plane
-	FilterName  = "stat-merge"   // prefix-tree merge (TBŌN and coll registries)
+	beExe       = "stat_be"      // LaunchMON-launched daemon (TBŌN overlay)
+	nativeBEExe = "stat_be_rsh"  // rsh-launched daemon (native MRNet path)
+	collBEExe   = "stat_be_coll" // daemon sampling over the collective plane
+	filterName  = "stat-merge"   // prefix-tree merge (TBŌN and coll registries)
 )
 
-// SampleCost is the daemon-side cost of walking one task's stack.
-const SampleCost = 400 * time.Microsecond
+// sampleCost is the daemon-side cost of walking one task's stack.
+const sampleCost = 400 * time.Microsecond
 
-// DaemonInitCost models the stack-sampling daemon's startup (loading the
+// daemonInitCost models the stack-sampling daemon's startup (loading the
 // stackwalker runtime, attaching to local tasks), paid in parallel across
 // nodes before the daemon joins the overlay.
-const DaemonInitCost = 300 * time.Millisecond
+const daemonInitCost = 300 * time.Millisecond
 
 // Install registers STAT's daemons and the prefix-tree merge filter —
 // with both overlays: the MRNet-like TBŌN and the session's own
 // collective plane, where interior ICCL daemons run the merge.
 func Install(cl *cluster.Cluster) {
-	tbon.RegisterFilter(FilterName, mergeFilter)
-	coll.RegisterFilter(FilterName, func(string) (coll.Combine, error) {
+	tbon.RegisterFilter(filterName, mergeFilter)
+	coll.RegisterFilter(filterName, func(string) (coll.Combine, error) {
 		return func(acc, next []byte) ([]byte, error) {
 			if acc == nil {
 				return append([]byte(nil), next...), nil
@@ -57,9 +57,9 @@ func Install(cl *cluster.Cluster) {
 			return mergeFilter(acc, next), nil
 		}, nil
 	})
-	cl.Register(BEExe, func(p *cluster.Proc) { beMainLaunchMON(p) })
-	cl.Register(NativeBEExe, func(p *cluster.Proc) { beMainNative(p) })
-	cl.Register(CollBEExe, func(p *cluster.Proc) { beMainCollective(p) })
+	cl.Register(beExe, func(p *cluster.Proc) { beMainLaunchMON(p) })
+	cl.Register(nativeBEExe, func(p *cluster.Proc) { beMainNative(p) })
+	cl.Register(collBEExe, func(p *cluster.Proc) { beMainCollective(p) })
 }
 
 // mergeFilter merges two encoded prefix trees.
@@ -67,8 +67,8 @@ func mergeFilter(a, b []byte) []byte {
 	if a == nil {
 		return b
 	}
-	ta, errA := DecodeTree(a)
-	tb, errB := DecodeTree(b)
+	ta, errA := decodeTree(a)
+	tb, errB := decodeTree(b)
 	if errA != nil || errB != nil {
 		return a
 	}
@@ -76,10 +76,10 @@ func mergeFilter(a, b []byte) []byte {
 	return ta.Encode()
 }
 
-// StackFor synthesizes the call stack of a task: a deterministic profile
+// stackFor synthesizes the call stack of a task: a deterministic profile
 // with a handful of behaviour classes (the shape STAT's intro motivates —
 // most tasks wait in MPI while a few diverge).
-func StackFor(rank int) []string {
+func stackFor(rank int) []string {
 	base := []string{"main", "solver_loop"}
 	switch {
 	case rank%17 == 3:
@@ -94,10 +94,10 @@ func StackFor(rank int) []string {
 // sampleLocal walks the stack of each of the daemon's tasks and returns
 // their encoded prefix tree: one daemon's contribution to a sample wave.
 func sampleLocal(p *cluster.Proc, ranks []int) []byte {
-	local := NewTree()
+	local := newTree()
 	for _, r := range ranks {
-		p.Compute(SampleCost)
-		local.AddStack(r, StackFor(r))
+		p.Compute(sampleCost)
+		local.addStack(r, stackFor(r))
 	}
 	return local.Encode()
 }
@@ -133,7 +133,7 @@ func beMainLaunchMON(p *cluster.Proc) {
 	if err != nil {
 		return
 	}
-	p.Compute(DaemonInitCost)
+	p.Compute(daemonInitCost)
 	parentAddr := string(be.FEData())
 	leaf, err := tbon.ConnectLeaf(p, parentAddr, be.Rank())
 	if err != nil {
@@ -152,7 +152,7 @@ func beMainCollective(p *cluster.Proc) {
 	if err != nil {
 		return
 	}
-	p.Compute(DaemonInitCost)
+	p.Compute(daemonInitCost)
 	ranks := localRanks(be)
 	for {
 		req, err := be.Collective().Broadcast()
@@ -160,7 +160,7 @@ func beMainCollective(p *cluster.Proc) {
 			be.Finalize()
 			return
 		}
-		if err := be.Collective().Reduce(sampleLocal(p, ranks), FilterName); err != nil {
+		if err := be.Collective().Reduce(sampleLocal(p, ranks), filterName); err != nil {
 			return
 		}
 	}
@@ -174,7 +174,7 @@ func beMainNative(p *cluster.Proc) {
 	if err != nil {
 		return
 	}
-	p.Compute(DaemonInitCost)
+	p.Compute(daemonInitCost)
 	leaf, err := tbon.ConnectLeaf(p, p.Env(tbon.EnvParent), rank)
 	if err != nil {
 		return
@@ -211,7 +211,7 @@ func LaunchWithLaunchMON(p *cluster.Proc, jobID int) (*Instance, error) {
 	}
 	sess, err := core.AttachAndSpawn(p, core.Options{
 		JobID:  jobID,
-		Daemon: rm.DaemonSpec{Exe: BEExe},
+		Daemon: rm.DaemonSpec{Exe: beExe},
 		FEData: []byte(fe.Addr()),
 	})
 	if err != nil {
@@ -226,17 +226,17 @@ func LaunchWithLaunchMON(p *cluster.Proc, jobID int) (*Instance, error) {
 	return &Instance{p: p, fe: fe, sess: sess, StartupTime: p.Sim().Now() - start}, nil
 }
 
-// LaunchCollective attaches STAT to a running job with no overlay
+// launchCollective attaches STAT to a running job with no overlay
 // network at all: sampling waves ride the session's collective plane
 // (broadcast request, stat-merge tree reduction), merged at interior
 // ICCL daemons exactly as an MRNet filter would — the paper's "MRNet on
 // LaunchMON" layering collapsed into LaunchMON itself. fanout shapes the
 // merge tree (0 = flat).
-func LaunchCollective(p *cluster.Proc, jobID, fanout int) (*Instance, error) {
+func launchCollective(p *cluster.Proc, jobID, fanout int) (*Instance, error) {
 	start := p.Sim().Now()
 	sess, err := core.AttachAndSpawn(p, core.Options{
 		JobID:      jobID,
-		Daemon:     rm.DaemonSpec{Exe: CollBEExe},
+		Daemon:     rm.DaemonSpec{Exe: collBEExe},
 		ICCLFanout: fanout,
 	})
 	if err != nil {
@@ -251,7 +251,7 @@ func LaunchCollective(p *cluster.Proc, jobID, fanout int) (*Instance, error) {
 // command lines).
 func LaunchWithRsh(p *cluster.Proc, svc *rsh.Service, nodes []string, ranksPerNode map[string][]int) (*Instance, error) {
 	start := p.Sim().Now()
-	fe, err := tbon.LaunchNativeFlat(p, svc, nodes, NativeBEExe, func(_ int, node string) map[string]string {
+	fe, err := tbon.LaunchNativeFlat(p, svc, nodes, nativeBEExe, func(_ int, node string) map[string]string {
 		csv := make([]string, len(ranksPerNode[node]))
 		for j, r := range ranksPerNode[node] {
 			csv[j] = strconv.Itoa(r)
@@ -276,13 +276,13 @@ func (in *Instance) Sample() (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		return DecodeTree(raw)
+		return decodeTree(raw)
 	}
-	raw, err := in.fe.Request(tbon.Packet{Stream: 1, Tag: 1, Filter: FilterName})
+	raw, err := in.fe.Request(tbon.Packet{Stream: 1, Tag: 1, Filter: filterName})
 	if err != nil {
 		return nil, err
 	}
-	return DecodeTree(raw)
+	return decodeTree(raw)
 }
 
 // Close shuts the session down (daemons observe EOF — or, in collective

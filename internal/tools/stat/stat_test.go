@@ -24,7 +24,7 @@ func rig(t *testing.T, nodes int) (*vtime.Sim, *cluster.Cluster, rm.Manager, *rs
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := rsh.Install(cl, rsh.Config{})
+	svc, err := rsh.Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRshModeFailsAtFrontEndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := rsh.Install(cl, rsh.Config{AuthCost: time.Millisecond})
+	svc, err := rsh.Install(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCollectiveModeIdenticalToTBON(t *testing.T) {
 				p.Sim().Sleep(2 * time.Second)
 				var inst *Instance
 				if collective {
-					inst, err = LaunchCollective(p, j.ID(), fanout)
+					inst, err = launchCollective(p, j.ID(), fanout)
 				} else {
 					inst, err = LaunchWithLaunchMON(p, j.ID())
 				}
@@ -282,7 +282,7 @@ func TestCollectiveModeRepeatedWaves(t *testing.T) {
 				return
 			}
 			p.Sim().Sleep(time.Second)
-			inst, err := LaunchCollective(p, j.ID(), 2)
+			inst, err := launchCollective(p, j.ID(), 2)
 			if err != nil {
 				t.Error(err)
 				return

@@ -19,13 +19,13 @@ type Tree struct {
 	Children map[string]*Tree // keyed by child frame name
 }
 
-// NewTree returns an empty root.
-func NewTree() *Tree {
+// newTree returns an empty root.
+func newTree() *Tree {
 	return &Tree{Children: make(map[string]*Tree)}
 }
 
-// AddStack inserts one task's stack trace (outermost frame first).
-func (t *Tree) AddStack(rank int, frames []string) {
+// addStack inserts one task's stack trace (outermost frame first).
+func (t *Tree) addStack(rank int, frames []string) {
 	node := t
 	node.Ranks = insertRank(node.Ranks, rank)
 	for _, f := range frames {
@@ -107,9 +107,9 @@ type Class struct {
 	Ranks []int
 }
 
-// Representative returns the lowest rank of the class — the task a full
+// representative returns the lowest rank of the class — the task a full
 // debugger would attach to.
-func (c Class) Representative() int {
+func (c Class) representative() int {
 	if len(c.Ranks) == 0 {
 		return -1
 	}
@@ -118,7 +118,7 @@ func (c Class) Representative() int {
 
 // String renders the class compactly.
 func (c Class) String() string {
-	return fmt.Sprintf("%4d tasks  rep=%-5d  %s", len(c.Ranks), c.Representative(), c.Path)
+	return fmt.Sprintf("%4d tasks  rep=%-5d  %s", len(c.Ranks), c.representative(), c.Path)
 }
 
 // Encode renders the tree for TBŌN transport.
@@ -141,24 +141,24 @@ func (t *Tree) Encode() []byte {
 	return b
 }
 
-// DecodeTree parses an encoded tree.
-func DecodeTree(raw []byte) (*Tree, error) {
-	t, err := decodeTree(lmonp.NewReader(raw))
+// decodeTree parses an encoded tree.
+func decodeTree(raw []byte) (*Tree, error) {
+	t, err := readTree(lmonp.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("stat: decode tree: %w", err)
 	}
 	return t, nil
 }
 
-func decodeTree(rd *lmonp.Reader) (*Tree, error) {
-	t := NewTree()
+func readTree(rd *lmonp.Reader) (*Tree, error) {
+	t := newTree()
 	t.Frame = rd.String()
 	for i, n := 0, rd.Count(4); i < n; i++ {
 		t.Ranks = append(t.Ranks, int(rd.Uint32()))
 	}
 	// Each child travels as a length-prefixed encoded tree.
 	for i, n := 0, rd.Count(4); i < n; i++ {
-		child, err := decodeTree(lmonp.NewReader(rd.Bytes()))
+		child, err := readTree(lmonp.NewReader(rd.Bytes()))
 		if err != nil {
 			return nil, err
 		}

@@ -7,10 +7,10 @@ import (
 )
 
 func TestAddStackAndClasses(t *testing.T) {
-	tr := NewTree()
-	tr.AddStack(0, []string{"main", "a", "x"})
-	tr.AddStack(1, []string{"main", "a", "x"})
-	tr.AddStack(2, []string{"main", "b"})
+	tr := newTree()
+	tr.addStack(0, []string{"main", "a", "x"})
+	tr.addStack(1, []string{"main", "a", "x"})
+	tr.addStack(2, []string{"main", "b"})
 	classes := tr.EquivalenceClasses()
 	if len(classes) != 2 {
 		t.Fatalf("classes = %d, want 2", len(classes))
@@ -18,13 +18,13 @@ func TestAddStackAndClasses(t *testing.T) {
 	if classes[0].Path != "main>a>x" || len(classes[0].Ranks) != 2 {
 		t.Fatalf("largest class = %+v", classes[0])
 	}
-	if classes[1].Path != "main>b" || classes[1].Representative() != 2 {
+	if classes[1].Path != "main>b" || classes[1].representative() != 2 {
 		t.Fatalf("second class = %+v", classes[1])
 	}
 }
 
 func TestMergeEquivalentToCombinedInsert(t *testing.T) {
-	a, b, both := NewTree(), NewTree(), NewTree()
+	a, b, both := newTree(), newTree(), newTree()
 	stacks := map[int][]string{
 		0: {"main", "compute"},
 		1: {"main", "compute"},
@@ -32,11 +32,11 @@ func TestMergeEquivalentToCombinedInsert(t *testing.T) {
 		3: {"main", "io", "read"},
 	}
 	for r, s := range stacks {
-		both.AddStack(r, s)
+		both.addStack(r, s)
 		if r%2 == 0 {
-			a.AddStack(r, s)
+			a.addStack(r, s)
 		} else {
-			b.AddStack(r, s)
+			b.addStack(r, s)
 		}
 	}
 	a.Merge(b)
@@ -46,11 +46,11 @@ func TestMergeEquivalentToCombinedInsert(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := NewTree()
+	tr := newTree()
 	for r := 0; r < 20; r++ {
-		tr.AddStack(r, StackFor(r))
+		tr.addStack(r, stackFor(r))
 	}
-	out, err := DecodeTree(tr.Encode())
+	out, err := decodeTree(tr.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	tr := NewTree()
-	tr.AddStack(0, []string{"main"})
+	tr := newTree()
+	tr.addStack(0, []string{"main"})
 	enc := tr.Encode()
 	for _, cut := range []int{1, len(enc) / 2, len(enc) - 1} {
-		if _, err := DecodeTree(enc[:cut]); err == nil {
+		if _, err := decodeTree(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -75,9 +75,9 @@ func TestDecodeCorrupt(t *testing.T) {
 
 func TestStackForDeterministicClasses(t *testing.T) {
 	// The synthetic profile has exactly three behaviours.
-	tr := NewTree()
+	tr := newTree()
 	for r := 0; r < 1000; r++ {
-		tr.AddStack(r, StackFor(r))
+		tr.addStack(r, stackFor(r))
 	}
 	classes := tr.EquivalenceClasses()
 	if len(classes) != 3 {
@@ -106,18 +106,18 @@ func TestPropertyMergeAssociative(t *testing.T) {
 		if len(split) > 200 {
 			split = split[:200]
 		}
-		a, b, both := NewTree(), NewTree(), NewTree()
+		a, b, both := newTree(), newTree(), newTree()
 		for r, left := range split {
-			s := StackFor(r)
-			both.AddStack(r, s)
+			s := stackFor(r)
+			both.addStack(r, s)
 			if left {
-				a.AddStack(r, s)
+				a.addStack(r, s)
 			} else {
-				b.AddStack(r, s)
+				b.addStack(r, s)
 			}
 		}
 		merged := mergeFilter(mergeFilter(nil, a.Encode()), b.Encode())
-		tr, err := DecodeTree(merged)
+		tr, err := decodeTree(merged)
 		if err != nil {
 			return false
 		}

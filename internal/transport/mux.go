@@ -72,7 +72,7 @@ func (m *Mux) admit(conn *simnet.Conn, err error) {
 func (m *Mux) route(conn *simnet.Conn, msg []byte, err error) {
 	var h Hello
 	if err == nil && len(msg) != helloSize {
-		err = ErrBadHello
+		err = errBadHello
 	}
 	if err == nil {
 		h, err = ReadHello(bytes.NewReader(msg))
@@ -99,10 +99,10 @@ func (m *Mux) Open(session int) (*Endpoint, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrMuxClosed
+		return nil, errMuxClosed
 	}
 	if m.sessions[session] != nil {
-		return nil, fmt.Errorf("%w: id %d", ErrSessionExists, session)
+		return nil, fmt.Errorf("%w: id %d", errSessionExists, session)
 	}
 	ep := &Endpoint{mux: m, session: session}
 	for _, r := range []Role{RoleEngine, RoleBE, RoleMW} {
@@ -147,9 +147,6 @@ type Endpoint struct {
 	closed  bool                         // guarded by mux.mu
 }
 
-// Session returns the endpoint's session ID.
-func (e *Endpoint) Session() int { return e.session }
-
 // Accept blocks in virtual time until a connection for the given role
 // arrives, the timeout elapses, or the endpoint closes. The returned
 // connection is framed for LMONP.
@@ -159,24 +156,24 @@ func (e *Endpoint) Accept(role Role, timeout time.Duration) (*lmonp.Conn, error)
 	}
 	conn, ok, timedOut := e.queues[role].RecvTimeout(timeout)
 	if timedOut {
-		return nil, fmt.Errorf("%w: no %v connection for session %d within %v", ErrAcceptTimeout, role, e.session, timeout)
+		return nil, fmt.Errorf("%w: no %v connection for session %d within %v", errAcceptTimeout, role, e.session, timeout)
 	}
 	if !ok {
-		return nil, ErrEndpointClosed
+		return nil, errEndpointClosed
 	}
 	return lmonp.NewConn(conn), nil
 }
 
 // Handle is Accept without a blocked goroutine, and without a deadline:
 // fn runs once, on the vtime scheduler, with the role's next connection (a
-// queued one at once), or with ErrEndpointClosed when the endpoint closes
+// queued one at once), or with errEndpointClosed when the endpoint closes
 // first. fn must not block. One Handle per role may be pending and it may
 // not be mixed with Accept; Unhandle withdraws it.
 func (e *Endpoint) Handle(role Role, fn func(*lmonp.Conn, error)) {
 	e.queues[role].Handle(func(conn *simnet.Conn, ok bool) {
 		e.Unhandle(role)
 		if !ok {
-			fn(nil, ErrEndpointClosed)
+			fn(nil, errEndpointClosed)
 			return
 		}
 		fn(lmonp.NewConn(conn), nil)

@@ -69,20 +69,20 @@ const (
 
 // Errors returned by the hello codec and the mux.
 var (
-	ErrBadHello       = errors.New("transport: bad hello frame")
-	ErrMuxClosed      = errors.New("transport: mux closed")
-	ErrSessionExists  = errors.New("transport: session already registered")
-	ErrEndpointClosed = errors.New("transport: endpoint closed")
-	ErrAcceptTimeout  = errors.New("transport: accept timeout")
+	errBadHello       = errors.New("transport: bad hello frame")
+	errMuxClosed      = errors.New("transport: mux closed")
+	errSessionExists  = errors.New("transport: session already registered")
+	errEndpointClosed = errors.New("transport: endpoint closed")
+	errAcceptTimeout  = errors.New("transport: accept timeout")
 )
 
-// EncodeHello renders the hello frame.
-func EncodeHello(h Hello) ([]byte, error) {
+// encodeHello renders the hello frame.
+func encodeHello(h Hello) ([]byte, error) {
 	if !h.Role.valid() {
-		return nil, fmt.Errorf("%w: invalid role %d", ErrBadHello, h.Role)
+		return nil, fmt.Errorf("%w: invalid role %d", errBadHello, h.Role)
 	}
 	if h.Session < 0 || int64(h.Session) > int64(^uint32(0)) {
-		return nil, fmt.Errorf("%w: session %d out of range", ErrBadHello, h.Session)
+		return nil, fmt.Errorf("%w: session %d out of range", errBadHello, h.Session)
 	}
 	buf := make([]byte, helloSize)
 	binary.BigEndian.PutUint32(buf[0:4], helloMagic)
@@ -94,7 +94,7 @@ func EncodeHello(h Hello) ([]byte, error) {
 
 // WriteHello puts the hello frame on w as one simulated network message.
 func WriteHello(w io.Writer, h Hello) error {
-	buf, err := EncodeHello(h)
+	buf, err := encodeHello(h)
 	if err != nil {
 		return err
 	}
@@ -105,17 +105,17 @@ func WriteHello(w io.Writer, h Hello) error {
 func ReadHello(r io.Reader) (Hello, error) {
 	var buf [helloSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return Hello{}, fmt.Errorf("%w: %v", ErrBadHello, err)
+		return Hello{}, fmt.Errorf("%w: %v", errBadHello, err)
 	}
 	if binary.BigEndian.Uint32(buf[0:4]) != helloMagic {
-		return Hello{}, fmt.Errorf("%w: bad magic", ErrBadHello)
+		return Hello{}, fmt.Errorf("%w: bad magic", errBadHello)
 	}
 	if buf[4] != helloVersion {
-		return Hello{}, fmt.Errorf("%w: version %d, want %d", ErrBadHello, buf[4], helloVersion)
+		return Hello{}, fmt.Errorf("%w: version %d, want %d", errBadHello, buf[4], helloVersion)
 	}
 	h := Hello{Session: int(binary.BigEndian.Uint32(buf[8:12])), Role: Role(buf[5])}
 	if !h.Role.valid() {
-		return Hello{}, fmt.Errorf("%w: invalid role %d", ErrBadHello, buf[5])
+		return Hello{}, fmt.Errorf("%w: invalid role %d", errBadHello, buf[5])
 	}
 	return h, nil
 }

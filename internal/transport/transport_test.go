@@ -19,7 +19,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		{Session: 7, Role: RoleBE},
 		{Session: 1 << 20, Role: RoleMW},
 	} {
-		buf, err := EncodeHello(h)
+		buf, err := encodeHello(h)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", h, err)
 		}
@@ -34,13 +34,13 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloRejectsGarbage(t *testing.T) {
-	if _, err := EncodeHello(Hello{Session: 1, Role: 9}); err == nil {
+	if _, err := encodeHello(Hello{Session: 1, Role: 9}); err == nil {
 		t.Error("invalid role encoded")
 	}
-	if _, err := EncodeHello(Hello{Session: -1, Role: RoleBE}); err == nil {
+	if _, err := encodeHello(Hello{Session: -1, Role: RoleBE}); err == nil {
 		t.Error("negative session encoded")
 	}
-	good, _ := EncodeHello(Hello{Session: 1, Role: RoleBE})
+	good, _ := encodeHello(Hello{Session: 1, Role: RoleBE})
 	cases := map[string][]byte{
 		"short":       good[:6],
 		"bad magic":   append([]byte{0, 0, 0, 0}, good[4:]...),
@@ -87,15 +87,15 @@ func TestMuxRoutesBySessionAndRole(t *testing.T) {
 		sim.Go("accept", func() {
 			c, err := ep.Accept(role, 10*time.Second)
 			if err != nil {
-				t.Errorf("accept session %d role %v: %v", ep.Session(), role, err)
+				t.Errorf("accept session %d role %v: %v", ep.session, role, err)
 				return
 			}
 			msg, err := c.Recv()
 			if err != nil {
-				t.Errorf("recv session %d role %v: %v", ep.Session(), role, err)
+				t.Errorf("recv session %d role %v: %v", ep.session, role, err)
 				return
 			}
-			results <- got{ep.Session(), role, string(msg.Payload)}
+			results <- got{ep.session, role, string(msg.Payload)}
 		})
 	}
 	accept(ep1, RoleEngine)
@@ -177,7 +177,7 @@ func TestMuxAcceptTimeout(t *testing.T) {
 		elapsed = sim.Now() - start
 	})
 	sim.Run()
-	if !errors.Is(acceptErr, ErrAcceptTimeout) {
+	if !errors.Is(acceptErr, errAcceptTimeout) {
 		t.Fatalf("accept error = %v, want ErrAcceptTimeout", acceptErr)
 	}
 	if elapsed != 3*time.Second {
@@ -190,7 +190,7 @@ func TestMuxDuplicateSessionRejected(t *testing.T) {
 	if _, err := mux.Open(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mux.Open(5); !errors.Is(err, ErrSessionExists) {
+	if _, err := mux.Open(5); !errors.Is(err, errSessionExists) {
 		t.Fatalf("duplicate open = %v", err)
 	}
 	if mux.Sessions() != 1 {
@@ -273,7 +273,7 @@ func TestEndpointCloseDeregistersAndDrains(t *testing.T) {
 		if _, err := mux.Open(1); err != nil {
 			t.Errorf("reopen after close: %v", err)
 		}
-		if _, err := ep.Accept(RoleBE, time.Second); !errors.Is(err, ErrEndpointClosed) {
+		if _, err := ep.Accept(RoleBE, time.Second); !errors.Is(err, errEndpointClosed) {
 			t.Errorf("accept on closed endpoint: %v", err)
 		}
 	})
@@ -360,7 +360,7 @@ func TestMuxSilentPeerBlocksNobody(t *testing.T) {
 
 func mustHello(t *testing.T, h Hello) []byte {
 	t.Helper()
-	buf, err := EncodeHello(h)
+	buf, err := encodeHello(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,23 +2,21 @@ package launchmon_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestEveryKnobHasASetter keeps DESIGN.md's "Substrate ledger" closed: an
 // exported field of an option struct (a type named Config, Options,
-// *Options or *Opts) that no file but the declaring one ever sets is not
-// an option, it is a constant with plumbing — every such field must be set
-// somewhere in internal/, cmd/, examples/ or benchmark/, tests included,
-// by a composite-literal key or a selector assignment. Literal keys are
+// *Options or *Opts) that no program sets is not an option, it is a
+// constant with plumbing. Every such field must be set by a non-test file
+// in internal/, cmd/ or benchmark/ other than the declaring one — tests
+// and examples are not setters, except of core's paper-API options
+// (Options, MWOptions, HealthOptions), which a tool sets — by a
+// composite-literal key or a selector assignment. Literal keys are
 // matched to the struct they build (through the file's imports), and so
 // is an assignment through a variable whose declaration spells its type
 // (a parameter, a receiver, a var, a := of a literal); any other selector
@@ -27,119 +25,100 @@ import (
 // one it imports).
 func TestEveryKnobHasASetter(t *testing.T) {
 	optionType := regexp.MustCompile(`^(Config|Options|\w+Options|\w+Opts)$`)
-	fset := token.NewFileSet()
+	paperAPI := map[string]bool{"launchmon/internal/core.Options": true, "launchmon/internal/core.MWOptions": true, "launchmon/internal/core.HealthOptions": true}
+	// Fault injection (DESIGN.md "Injection") is set by the tests that
+	// inject the fault.
+	injection := map[string]bool{"internal/simnet.Options.SlowHosts": true, "internal/cluster.Options.Net": true}
 
 	type knob struct{ typ, field string } // typ is "import/path.Type"
 	declared := map[knob]string{}         // knob → declaring file
 	type use struct {
 		knob
-		file string
+		file    string
+		program bool // neither a test nor an example
 	}
 	var literalKeys []use // T{Field: v}
 	var assigned []use    // x.Field = v: typ is a package the file sees
 
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return err
-			}
-			file, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			// Import path of this file's package, and of each package it
-			// names: both modules root their packages at "launchmon".
-			self := "launchmon/" + filepath.ToSlash(filepath.Dir(path))
-			imports := map[string]string{}
-			for _, imp := range file.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				name := p[strings.LastIndexByte(p, '/')+1:]
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = p
-			}
-			typeOf := func(e ast.Expr) string {
-				switch e := e.(type) {
-				case *ast.Ident:
-					return self + "." + e.Name
-				case *ast.SelectorExpr:
-					if pkg, ok := e.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-						return imports[pkg.Name] + "." + e.Sel.Name
-					}
-				}
-				return ""
-			}
-			var literal func(lit *ast.CompositeLit, typ ast.Expr)
-			literal = func(lit *ast.CompositeLit, typ ast.Expr) {
-				if lit.Type != nil {
-					typ = lit.Type
-				}
-				var elem ast.Expr // what an untyped element literal builds
-				switch tt := typ.(type) {
-				case *ast.ArrayType:
-					elem = tt.Elt
-				case *ast.MapType:
-					elem = tt.Value
-				}
-				if star, ok := elem.(*ast.StarExpr); ok {
-					elem = star.X
-				}
-				name := typeOf(typ)
-				for _, el := range lit.Elts {
-					v := el
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						v = kv.Value
-						if id, ok := kv.Key.(*ast.Ident); ok && name != "" {
-							literalKeys = append(literalKeys, use{knob{name, id.Name}, path})
-						}
-					}
-					if inner, ok := v.(*ast.CompositeLit); ok && inner.Type == nil {
-						literal(inner, elem)
-					}
+	for _, f := range parsedTree(t) {
+		path, self, imports := f.path, f.pkg, f.imports
+		program := !f.test && !strings.HasPrefix(path, "examples/")
+		typeOf := func(e ast.Expr) string {
+			switch e := e.(type) {
+			case *ast.Ident:
+				return self + "." + e.Name
+			case *ast.SelectorExpr:
+				if pkg, ok := e.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					return imports[pkg.Name] + "." + e.Sel.Name
 				}
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					st, ok := n.Type.(*ast.StructType)
-					if !ok || !optionType.MatchString(n.Name.Name) || strings.HasSuffix(path, "_test.go") {
-						return true
-					}
-					for _, f := range st.Fields.List {
-						for _, id := range f.Names {
-							if id.IsExported() {
-								declared[knob{self + "." + n.Name.Name, id.Name}] = path
-							}
-						}
-					}
-				case *ast.CompositeLit:
-					if n.Type != nil {
-						literal(n, nil)
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						sel, ok := lhs.(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						if name := typeOf(declaredType(sel.X)); name != "" {
-							literalKeys = append(literalKeys, use{knob{name, sel.Sel.Name}, path})
-							continue
-						}
-						assigned = append(assigned, use{knob{self, sel.Sel.Name}, path})
-						for _, pkg := range imports {
-							assigned = append(assigned, use{knob{pkg, sel.Sel.Name}, path})
-						}
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			return ""
 		}
+		var literal func(lit *ast.CompositeLit, typ ast.Expr)
+		literal = func(lit *ast.CompositeLit, typ ast.Expr) {
+			if lit.Type != nil {
+				typ = lit.Type
+			}
+			var elem ast.Expr // what an untyped element literal builds
+			switch tt := typ.(type) {
+			case *ast.ArrayType:
+				elem = tt.Elt
+			case *ast.MapType:
+				elem = tt.Value
+			}
+			if star, ok := elem.(*ast.StarExpr); ok {
+				elem = star.X
+			}
+			name := typeOf(typ)
+			for _, el := range lit.Elts {
+				v := el
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					v = kv.Value
+					if id, ok := kv.Key.(*ast.Ident); ok && name != "" {
+						literalKeys = append(literalKeys, use{knob{name, id.Name}, path, program})
+					}
+				}
+				if inner, ok := v.(*ast.CompositeLit); ok && inner.Type == nil {
+					literal(inner, elem)
+				}
+			}
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !optionType.MatchString(n.Name.Name) || f.test {
+					return true
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							declared[knob{self + "." + n.Name.Name, id.Name}] = path
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					literal(n, nil)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					if name := typeOf(declaredType(sel.X)); name != "" {
+						literalKeys = append(literalKeys, use{knob{name, sel.Sel.Name}, path, program})
+						continue
+					}
+					assigned = append(assigned, use{knob{self, sel.Sel.Name}, path, program})
+					for _, pkg := range imports {
+						assigned = append(assigned, use{knob{pkg, sel.Sel.Name}, path, program})
+					}
+				}
+			}
+			return true
+		})
 	}
 	if len(declared) == 0 {
 		t.Fatal("found no option structs")
@@ -147,26 +126,26 @@ func TestEveryKnobHasASetter(t *testing.T) {
 
 	set := map[knob]bool{}
 	for _, u := range literalKeys {
-		if file, ok := declared[u.knob]; ok && file != u.file {
+		if file, ok := declared[u.knob]; ok && file != u.file && (u.program || paperAPI[u.typ]) {
 			set[u.knob] = true
 		}
 	}
 	for _, u := range assigned {
 		for k, file := range declared {
-			if k.field == u.field && file != u.file && strings.HasPrefix(k.typ, u.typ+".") {
+			if k.field == u.field && file != u.file && strings.HasPrefix(k.typ, u.typ+".") && (u.program || paperAPI[k.typ]) {
 				set[k] = true
 			}
 		}
 	}
 	var unset []string
 	for k, file := range declared {
-		if !set[k] {
-			unset = append(unset, strings.TrimPrefix(k.typ, "launchmon/")+"."+k.field+" ("+file+")")
+		if name := strings.TrimPrefix(k.typ, "launchmon/") + "." + k.field; !set[k] && !injection[name] {
+			unset = append(unset, name+" ("+file+")")
 		}
 	}
 	sort.Strings(unset)
 	for _, u := range unset {
-		t.Errorf("%s is set by no file but the one declaring it: make it a constant", u)
+		t.Errorf("%s is set by no program but the file declaring it: make it a constant", u)
 	}
 }
 

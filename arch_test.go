@@ -78,7 +78,7 @@ func parsedTree(t *testing.T) []*srcFile {
 }
 
 // TestArchitecture holds, as code, the design rules DESIGN.md states
-// ("Substrate ledger", Held by a test). Each subtest reads the parsed
+// (DESIGN.md "Rules held by tests"). Each subtest reads the parsed
 // source tree only; none builds or runs a package. When one fails, the
 // message names the site and the list to change: a new entry needs the
 // reason the rule does not apply to it.

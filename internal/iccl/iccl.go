@@ -157,10 +157,10 @@ type Link struct {
 // connections down.
 func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 	c.demuxLinks()
-	mklink := func(slot, rank int) *Link {
+	mklink := func(slot int) *Link {
 		conn := c.conn(slot)
 		return &Link{
-			Rank: rank,
+			Rank: c.peerRank(slot),
 			Send: func(payload []byte) error {
 				return lmonp.SendFrame(conn, append(newFrame(opHeartbeat, len(payload)), payload...))
 			},
@@ -168,11 +168,11 @@ func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 		}
 	}
 	if c.parent != nil {
-		parent = mklink(above, Parent(c.rank, c.cfg.Fanout))
+		parent = mklink(above)
 	}
 	children = make([]*Link, len(c.children))
 	for slot := range c.children {
-		children[slot] = mklink(slot, c.childRank(slot))
+		children[slot] = mklink(slot)
 	}
 	return parent, children
 }
@@ -244,7 +244,7 @@ func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, err
 	rd := lmonp.NewReader(frame)
 	op, v := rd.Uint32(), rd.Uint32()
 	if rd.Err() != nil || op != want {
-		return 0, fmt.Errorf("%w: bad %s", errBootstrap, what)
+		return 0, fmt.Errorf("%w: bad %s from %s: opcode %d", errBootstrap, what, conn.Peer(), op)
 	}
 	return v, nil
 }
@@ -520,21 +520,30 @@ func (c *Comm) shut(sever bool) {
 }
 
 // recvOp reads one bootstrap-era collective frame from the link a slot
-// names, checks its opcode, and returns the body behind it.
+// names, checks its opcode, and returns the body behind it. Its errors name
+// the peer's rank, so every blocking collective says which link failed.
 func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 	frame, err := c.recvRaw(slot)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		rd := lmonp.NewReader(frame)
+		switch op := rd.Uint32(); {
+		case rd.Err() != nil:
+			err = rd.Err()
+		case op != want:
+			err = fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
+		default:
+			return frame[4:], nil
+		}
 	}
-	rd := lmonp.NewReader(frame)
-	op := rd.Uint32()
-	if err := rd.Err(); err != nil {
-		return nil, err
+	return nil, fmt.Errorf("rank %d: %w", c.peerRank(slot), err)
+}
+
+// peerRank is the rank at the other end of the link a slot names.
+func (c *Comm) peerRank(slot int) int {
+	if slot == above {
+		return Parent(c.rank, c.cfg.Fanout)
 	}
-	if op != want {
-		return nil, fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
-	}
-	return frame[4:], nil
+	return c.childRank(slot)
 }
 
 // Barrier blocks until every daemon has entered it.
@@ -632,7 +641,7 @@ func (c *Comm) gatherChildren(mine []byte) ([]coll.Entry, error) {
 	for slot := range c.children {
 		body, err := c.recvOp(slot, opGather)
 		if err != nil {
-			return nil, fmt.Errorf("rank %d: %w", c.childRank(slot), err)
+			return nil, err
 		}
 		sub, err := coll.DecodeEntries(body)
 		if err != nil {

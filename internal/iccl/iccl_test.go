@@ -2,12 +2,15 @@ package iccl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
@@ -210,6 +213,57 @@ func TestCollectiveSequenceMixed(t *testing.T) {
 		}
 		return c.Barrier()
 	})
+}
+
+// TestCommCollectivesNameTheLostPeer kills, before each of Comm's five
+// blocking collectives, the peer that rank 1 reads from first in it — its
+// child, rank 3, for the up phases of Barrier, Gather and FoldUp, its
+// parent, rank 0, for the down phases of Broadcast and Scatter — on links
+// read directly and on demultiplexed ones. Rank 1's error must lead with
+// the lost peer's rank and wrap the link's failure, and the simulation must
+// end with nothing left running.
+func TestCommCollectivesNameTheLostPeer(t *testing.T) {
+	const n, fanout, observer = 4, 2, 1 // 0 → {1, 2}, 1 → {3}
+	const killAt = 10 * time.Second
+	concat := func(acc, next []byte) ([]byte, error) { return append(acc, next...), nil }
+	for _, tc := range []struct {
+		name   string
+		victim int
+		op     func(c *Comm) error
+	}{
+		{"Barrier", 3, func(c *Comm) error { return c.Barrier() }},
+		{"Gather", 3, func(c *Comm) error { _, err := c.Gather([]byte{1}); return err }},
+		{"FoldUp", 3, func(c *Comm) error { _, err := c.FoldUp([]byte{1}, concat); return err }},
+		{"Broadcast", 0, func(c *Comm) error { _, err := c.Broadcast([]byte{1}); return err }},
+		{"Scatter", 0, func(c *Comm) error { _, err := c.Scatter(make([][]byte, n)); return err }},
+	} {
+		for _, demuxed := range []bool{false, true} {
+			name := tc.name + "/direct"
+			if demuxed {
+				name = tc.name + "/demuxed"
+			}
+			t.Run(name, func(t *testing.T) {
+				r := newRelayRig(t, n)
+				r.sim.After(killAt, func() { r.cl.KillNode(tc.victim) })
+				r.run(t, fanout, func(c *Comm, p *cluster.Proc) error {
+					if demuxed {
+						c.demuxLinks()
+					}
+					p.Sim().Sleep(killAt + time.Second - p.Sim().Now())
+					return tc.op(c)
+				})
+				err := r.errs[observer]
+				want := fmt.Sprintf("rank %d: ", tc.victim)
+				if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, simnet.ErrPeerDead) {
+					t.Errorf("rank %d's %s with rank %d dead returned %v, want %q leading a wrapped ErrPeerDead",
+						observer, tc.name, tc.victim, err, want)
+				}
+				if live := r.sim.Live(); live != 0 {
+					t.Errorf("%d goroutines still alive after the run", live)
+				}
+			})
+		}
+	}
 }
 
 func TestScatterWrongPartsCount(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestEveryKnobHasASetter keeps DESIGN.md's "Substrate ledger" closed: an
-// exported field of an option struct (a type named Config, Options,
+// TestEveryKnobHasASetter holds the knob rule of DESIGN.md "Rules held by
+// tests": an exported field of an option struct (a type named Config, Options,
 // *Options or *Opts) that no program sets is not an option, it is a
 // constant with plumbing. Every such field must be set by a non-test file
 // in internal/, cmd/ or benchmark/ other than the declaring one — tests

@@ -1,11 +1,13 @@
 package launchmon_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,28 +37,9 @@ var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
 			}
-			file, err := parser.ParseFile(fset, path, nil, 0)
+			f, err := parseSrc(fset, filepath.ToSlash(path), nil)
 			if err != nil {
 				return err
-			}
-			path = filepath.ToSlash(path)
-			// Both modules root their packages at "launchmon"; an
-			// external test package is a package of its own.
-			pkg := "launchmon"
-			if i := strings.LastIndexByte(path, '/'); i >= 0 {
-				pkg += "/" + path[:i]
-			}
-			if strings.HasSuffix(file.Name.Name, "_test") {
-				pkg += "_test"
-			}
-			f := &srcFile{path: path, pkg: pkg, test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{}, file: file}
-			for _, imp := range file.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				name := p[strings.LastIndexByte(p, '/')+1:]
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				f.imports[name] = p
 			}
 			files = append(files, f)
 			return nil
@@ -67,6 +50,34 @@ var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
 	}
 	return files, nil
 })
+
+// parseSrc parses one file, read from path when src is nil, into a
+// srcFile; path is slash-separated from the repository root.
+func parseSrc(fset *token.FileSet, path string, src any) (*srcFile, error) {
+	file, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Both modules root their packages at "launchmon"; an external test
+	// package is a package of its own.
+	pkg := "launchmon"
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		pkg += "/" + path[:i]
+	}
+	if strings.HasSuffix(file.Name.Name, "_test") {
+		pkg += "_test"
+	}
+	f := &srcFile{path: path, pkg: pkg, test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{}, file: file}
+	for _, imp := range file.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := p[strings.LastIndexByte(p, '/')+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		f.imports[name] = p
+	}
+	return f, nil
+}
 
 func parsedTree(t *testing.T) []*srcFile {
 	t.Helper()
@@ -88,6 +99,11 @@ func TestArchitecture(t *testing.T) {
 	t.Run("scheduler_records", func(t *testing.T) { checkSchedulerRecords(t, files) })
 	t.Run("imports", func(t *testing.T) { checkImports(t, files) })
 	t.Run("exported", func(t *testing.T) { checkExported(t, files) })
+	t.Run("reachable", func(t *testing.T) {
+		for _, msg := range unreached(files, unreachedReasons) {
+			t.Error(msg)
+		}
+	})
 	t.Run("knobs", TestEveryKnobHasASetter)
 }
 
@@ -268,7 +284,7 @@ var importGraph = map[string]string{
 	"tools":         "",
 	"tools/jobsnap": "cluster core lmonp rm",
 	"tools/oss":     "cluster core dpcl lmonp proctab rm",
-	"tools/stat":    "cluster coll core lmonp rm rsh tbon",
+	"tools/stat":    "cluster core lmonp rm rsh tbon",
 	"transport":     "lmonp obs simnet vtime",
 	"vtime":         "",
 }
@@ -457,9 +473,12 @@ func checkExported(t *testing.T, files []*srcFile) {
 		refs []string // the names its signature mentions
 	}
 	declared := map[string]*decl{} // "pkg.Name" or "pkg.Type.Method"
-	// Interface methods: the standard library's for errors and Stringers,
-	// and every method an interface of internal/ declares.
-	ifaceMethods := map[string]bool{"Error": true, "String": true, "Is": true, "Unwrap": true}
+	// Interface methods: the standard library's, and every method an
+	// interface of internal/ declares.
+	ifaceMethods := map[string]bool{}
+	for _, m := range stdlibMethods {
+		ifaceMethods[m] = true
+	}
 	for _, f := range programFiles(files) {
 		if !strings.HasPrefix(f.path, "internal/") {
 			continue
@@ -597,6 +616,213 @@ func checkExported(t *testing.T, files []*srcFile) {
 	for name := range exportedReasons {
 		if k := "launchmon/" + name; declared[k] == nil || live[k] {
 			t.Errorf("exportedReasons lists %s, which is gone or now has a user: remove the entry", name)
+		}
+	}
+}
+
+// stdlibMethods are the methods the standard library calls through its
+// interfaces for errors and Stringers; a declaration of one is used.
+var stdlibMethods = []string{"Error", "String", "Is", "Unwrap"}
+
+// unreachedReasons lists the functions and methods of internal/, cmd/ and
+// examples/ that no program reaches (unreached), each with why it stays;
+// any other such function is deleted. Like exportedReasons the list may
+// only shrink: an entry that is gone or now reached fails the test, and a
+// test hook must be reached from a test. The reasons are paperAPI,
+// testHook and faultInjection.
+var unreachedReasons = map[string]string{
+	"internal/cluster.Cluster.KillNode":    faultInjection,
+	"internal/cluster.Node.FindProcByExe":  testHook,
+	"internal/cluster.Proc.Environ":        testHook,
+	"internal/core.Session.MWBroadcastTag": paperAPI,
+	"internal/core.Session.MWDaemons":      paperAPI,
+	"internal/core.Session.MWGatherTag":    paperAPI,
+	"internal/core.Session.MWReduceTag":    paperAPI,
+	"internal/core.Session.MWScatterTag":   paperAPI,
+	"internal/core.Session.RecvFromMW":     paperAPI,
+	"internal/core.Session.Scatter":        paperAPI,
+	"internal/core.Session.ScatterTag":     paperAPI,
+	"internal/core.Session.SendToMW":       paperAPI,
+	"internal/core.daemonSession.Scatter":  paperAPI,
+	"internal/core.feStream.scatter":       paperAPI,
+	"internal/iccl.Comm.Scatter":           paperAPI,
+	"internal/iccl.Plane.Scatter":          paperAPI,
+	"internal/iccl.Plane.ScatterTag":       testHook,
+	"internal/iccl.Plane.allGatherTag":     testHook,
+	"internal/iccl.Plane.allReduceTag":     testHook,
+	"internal/iccl.Plane.barrierTag":       testHook,
+	"internal/iccl.Plane.scatter":          paperAPI,
+	"internal/lmonp.Msg.wireSize":          testHook,
+	"internal/obs.Gauge.set":               testHook,
+	"internal/rm.PublishProctab":           testHook,
+	"internal/rm.Skeleton.DebugEventCount": testHook,
+	"internal/vtime.Sim.AtEvent":           testHook,
+	"internal/vtime.Sim.Parks":             testHook,
+	"internal/vtime.Sim.SetSpawnObserver":  testHook,
+	"internal/vtime.Sim.Stopped":           testHook,
+}
+
+// reach walks the call graph by name. It starts from every init, every
+// main under cmd/, examples/ and benchmark/, every package-level
+// declaration other than a function, every stdlibMethods method and, with
+// tests, every declaration of a test file. An identifier reaches its own
+// package's function of that name, pkg.Name that package's function, and
+// .Name every method of that name, so a method is live when any same-named
+// one is called. It returns every other function of the non-test files,
+// keyed "pkg.Name" or "pkg.Type.Method", and whether the walk reached it.
+func reach(files []*srcFile, tests bool) map[string]bool {
+	type decl struct {
+		f  *srcFile
+		fn *ast.FuncDecl
+	}
+	funcs := map[string]decl{}
+	methods := map[string][]string{} // method name → its keys
+	type node struct {
+		f *srcFile
+		n ast.Node
+	}
+	var work []node
+	for _, f := range files {
+		if f.test && !tests {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || f.test {
+				work = append(work, node{f, d})
+				continue
+			}
+			if fn.Recv == nil && (fn.Name.Name == "init" || fn.Name.Name == "main" && !strings.HasPrefix(f.path, "internal/")) ||
+				fn.Recv != nil && slices.Contains(stdlibMethods, fn.Name.Name) {
+				work = append(work, node{f, fn})
+				continue
+			}
+			k := f.pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				k = f.pkg + "." + recvName(fn) + "." + fn.Name.Name
+				methods[fn.Name.Name] = append(methods[fn.Name.Name], k)
+			}
+			funcs[k] = decl{f, fn}
+		}
+	}
+	reached := make(map[string]bool, len(funcs))
+	for k := range funcs {
+		reached[k] = false
+	}
+	mark := func(k string) {
+		if d, ok := funcs[k]; ok && !reached[k] {
+			reached[k] = true
+			work = append(work, node{d.f, d.fn})
+		}
+	}
+	for len(work) > 0 {
+		nd := work[len(work)-1]
+		work = work[:len(work)-1]
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && nd.f.imports[id.Name] != "" {
+					mark(nd.f.imports[id.Name] + "." + n.Sel.Name)
+					return false
+				}
+				for _, k := range methods[n.Sel.Name] {
+					mark(k)
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				mark(nd.f.pkg + "." + n.Name)
+			}
+			return true
+		}
+		ast.Inspect(nd.n, visit)
+	}
+	return reached
+}
+
+// unreached reports each function or method of internal/, cmd/ and
+// examples/ that reach does not reach from a program and reasons does not
+// list, and each entry of reasons that is stale or has a reason the list
+// does not allow.
+func unreached(files []*srcFile, reasons map[string]string) []string {
+	var msgs []string
+	program, withTests := reach(files, false), reach(files, true)
+	for k, ok := range program {
+		name := strings.TrimPrefix(k, "launchmon/")
+		checked := strings.HasPrefix(name, "internal/") || strings.HasPrefix(name, "cmd/") || strings.HasPrefix(name, "examples/")
+		if _, listed := reasons[name]; !ok && !listed && checked {
+			msgs = append(msgs, fmt.Sprintf("%s is reached from no program: delete it, or list it in unreachedReasons with its reason", name))
+		}
+	}
+	for name, why := range reasons {
+		k := "launchmon/" + name
+		reachedByProgram, declared := program[k]
+		switch {
+		case !declared || reachedByProgram:
+			msgs = append(msgs, fmt.Sprintf("unreachedReasons lists %s, which is gone or now reached: remove the entry", name))
+		case why != paperAPI && why != testHook && why != faultInjection:
+			msgs = append(msgs, fmt.Sprintf("unreachedReasons gives %s the reason %q: only %q, %q or %q may keep an unreached function", name, why, paperAPI, testHook, faultInjection))
+		case why == testHook && !withTests[k]:
+			msgs = append(msgs, fmt.Sprintf("unreachedReasons lists %s as a %s, but no test reaches it: delete it and the entry", name, why))
+		}
+	}
+	slices.Sort(msgs)
+	return msgs
+}
+
+// TestArchitectureReachableSeeded runs the reachable rule on a small
+// synthetic tree: clean with its two unreached functions listed, and
+// failing on an unlisted one, on an entry that is reached or gone, on a
+// test hook no test reaches and on a reason the list does not allow.
+func TestArchitectureReachableSeeded(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*srcFile
+	for path, src := range map[string]string{
+		"cmd/tool/main.go": `package main
+import "launchmon/internal/lib"
+var t lib.T
+func main() { lib.Used(); t.M() }`,
+		"internal/lib/lib.go": `package lib
+type T struct{}
+func (T) M() { helper() }
+func Used() {}
+func helper() {}
+func Dead() {}
+func Hook() {}`,
+		"internal/lib/lib_test.go": `package lib
+import "testing"
+func TestHook(t *testing.T) { Hook() }`,
+	} {
+		f, err := parseSrc(fset, path, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	listed := func(extra map[string]string) map[string]string {
+		reasons := map[string]string{"internal/lib.Dead": paperAPI, "internal/lib.Hook": testHook}
+		for k, v := range extra {
+			if v == "" {
+				delete(reasons, k)
+			} else {
+				reasons[k] = v
+			}
+		}
+		return reasons
+	}
+	if msgs := unreached(files, listed(nil)); len(msgs) != 0 {
+		t.Fatalf("clean tree fails: %q", msgs)
+	}
+	for name, extra := range map[string]map[string]string{
+		"unreached and unlisted": {"internal/lib.Dead": ""},
+		"listed but reached":     {"internal/lib.helper": paperAPI},
+		"listed but gone":        {"internal/lib.Gone": paperAPI},
+		"hook no test reaches":   {"internal/lib.Dead": testHook},
+		"reason not allowed":     {"internal/lib.Dead": benchmarkName},
+	} {
+		if msgs := unreached(files, listed(extra)); len(msgs) != 1 {
+			t.Errorf("%s: got %q, want one failure", name, msgs)
 		}
 	}
 }

@@ -538,6 +538,15 @@ func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 	return nil, fmt.Errorf("rank %d: %w", c.peerRank(slot), err)
 }
 
+// sendOp puts one bootstrap-era collective frame on the link a slot names.
+// Like recvOp's, its errors name the peer's rank.
+func (c *Comm) sendOp(slot int, msg []byte) error {
+	if err := c.send(c.conn(slot), msg); err != nil {
+		return fmt.Errorf("rank %d: %w", c.peerRank(slot), err)
+	}
+	return nil
+}
+
 // peerRank is the rank at the other end of the link a slot names.
 func (c *Comm) peerRank(slot int) int {
 	if slot == above {
@@ -554,7 +563,7 @@ func (c *Comm) Barrier() error {
 		}
 	}
 	if c.parent != nil {
-		if err := c.send(c.parent, newFrame(opBarrier, 0)); err != nil {
+		if err := c.sendOp(above, newFrame(opBarrier, 0)); err != nil {
 			return err
 		}
 		if _, err := c.recvOp(above, opRelease); err != nil {
@@ -562,8 +571,8 @@ func (c *Comm) Barrier() error {
 		}
 	}
 	rel := newFrame(opRelease, 0)
-	for _, conn := range c.children {
-		if err := c.send(conn, rel); err != nil {
+	for slot := range c.children {
+		if err := c.sendOp(slot, rel); err != nil {
 			return err
 		}
 	}
@@ -592,9 +601,9 @@ func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 		return buf, nil
 	}
 	msg := lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf)
-	for slot, conn := range c.children {
-		if err := c.send(conn, msg); err != nil {
-			return nil, fmt.Errorf("rank %d: %w", c.childRank(slot), err)
+	for slot := range c.children {
+		if err := c.sendOp(slot, msg); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
@@ -613,7 +622,7 @@ func (c *Comm) Gather(mine []byte) ([][]byte, error) {
 		return nil, err
 	}
 	if c.parent != nil {
-		return nil, c.send(c.parent, entriesFrame(opGather, entries))
+		return nil, c.sendOp(above, entriesFrame(opGather, entries))
 	}
 	if len(entries) != c.size {
 		return nil, fmt.Errorf("%w: gathered %d of %d contributions", errProtocol, len(entries), c.size)
@@ -682,7 +691,7 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 		}
 	}
 	if c.parent != nil {
-		return nil, c.send(c.parent, lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc))
+		return nil, c.sendOp(above, lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc))
 	}
 	return acc, nil
 }
@@ -724,8 +733,8 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 		}
 		subs[slot] = append(subs[slot], e)
 	}
-	for slot, conn := range c.children {
-		if err := c.send(conn, entriesFrame(opScatter, subs[slot])); err != nil {
+	for slot := range c.children {
+		if err := c.sendOp(slot, entriesFrame(opScatter, subs[slot])); err != nil {
 			return nil, err
 		}
 	}

@@ -216,26 +216,39 @@ func TestCollectiveSequenceMixed(t *testing.T) {
 }
 
 // TestCommCollectivesNameTheLostPeer kills, before each of Comm's five
-// blocking collectives, the peer that rank 1 reads from first in it — its
-// child, rank 3, for the up phases of Barrier, Gather and FoldUp, its
-// parent, rank 0, for the down phases of Broadcast and Scatter — on links
-// read directly and on demultiplexed ones. Rank 1's error must lead with
-// the lost peer's rank and wrap the link's failure, and the simulation must
-// end with nothing left running.
+// blocking collectives, a peer of the observing rank, on links read
+// directly and on demultiplexed ones. On the receive side rank 1 observes
+// the peer it reads from first: its child, rank 3, for the up phases of
+// Barrier, Gather and FoldUp, its parent, rank 0, for the down phases of
+// Broadcast and Scatter. On the send side the observer first writes to the
+// dead peer: leaf rank 3 to its parent, rank 1, in the up phases, and rank
+// 1 to its child, rank 3, in the down phases. The observer's error must
+// lead with the lost peer's rank and wrap the link's failure, and the
+// simulation must end with nothing left running.
 func TestCommCollectivesNameTheLostPeer(t *testing.T) {
-	const n, fanout, observer = 4, 2, 1 // 0 → {1, 2}, 1 → {3}
+	const n, fanout = 4, 2 // 0 → {1, 2}, 1 → {3}
 	const killAt = 10 * time.Second
 	concat := func(acc, next []byte) ([]byte, error) { return append(acc, next...), nil }
+	barrier := func(c *Comm) error { return c.Barrier() }
+	gather := func(c *Comm) error { _, err := c.Gather([]byte{1}); return err }
+	foldUp := func(c *Comm) error { _, err := c.FoldUp([]byte{1}, concat); return err }
+	broadcast := func(c *Comm) error { _, err := c.Broadcast([]byte{1}); return err }
+	scatter := func(c *Comm) error { _, err := c.Scatter(make([][]byte, n)); return err }
 	for _, tc := range []struct {
-		name   string
-		victim int
-		op     func(c *Comm) error
+		name             string
+		observer, victim int
+		op               func(c *Comm) error
 	}{
-		{"Barrier", 3, func(c *Comm) error { return c.Barrier() }},
-		{"Gather", 3, func(c *Comm) error { _, err := c.Gather([]byte{1}); return err }},
-		{"FoldUp", 3, func(c *Comm) error { _, err := c.FoldUp([]byte{1}, concat); return err }},
-		{"Broadcast", 0, func(c *Comm) error { _, err := c.Broadcast([]byte{1}); return err }},
-		{"Scatter", 0, func(c *Comm) error { _, err := c.Scatter(make([][]byte, n)); return err }},
+		{"Barrier", 1, 3, barrier},
+		{"Gather", 1, 3, gather},
+		{"FoldUp", 1, 3, foldUp},
+		{"Broadcast", 1, 0, broadcast},
+		{"Scatter", 1, 0, scatter},
+		{"Barrier/send", 3, 1, barrier},
+		{"Gather/send", 3, 1, gather},
+		{"FoldUp/send", 3, 1, foldUp},
+		{"Broadcast/send", 1, 3, broadcast},
+		{"Scatter/send", 1, 3, scatter},
 	} {
 		for _, demuxed := range []bool{false, true} {
 			name := tc.name + "/direct"
@@ -252,11 +265,11 @@ func TestCommCollectivesNameTheLostPeer(t *testing.T) {
 					p.Sim().Sleep(killAt + time.Second - p.Sim().Now())
 					return tc.op(c)
 				})
-				err := r.errs[observer]
+				err := r.errs[tc.observer]
 				want := fmt.Sprintf("rank %d: ", tc.victim)
 				if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, simnet.ErrPeerDead) {
 					t.Errorf("rank %d's %s with rank %d dead returned %v, want %q leading a wrapped ErrPeerDead",
-						observer, tc.name, tc.victim, err, want)
+						tc.observer, tc.name, tc.victim, err, want)
 				}
 				if live := r.sim.Live(); live != 0 {
 					t.Errorf("%d goroutines still alive after the run", live)

@@ -1,7 +1,7 @@
 // Package tbon implements an MRNet-like Tree-Based Overlay Network
-// (TBŌN): a front end, optional internal communication-process layer, and
-// leaf back-ends, carrying multicast requests downstream and
-// filter-reduced responses upstream (Roth, Arnold & Miller, SC'03 — the
+// (TBŌN) one level deep, as STAT runs it in Figure 6: a front end and leaf
+// back-ends, carrying multicast requests downstream and filter-reduced
+// responses upstream (Roth, Arnold & Miller, SC'03 — the
 // infrastructure STAT builds on, paper §5.2).
 //
 // Two bootstrap paths exist, matching the paper's Figure 6 comparison:
@@ -34,8 +34,8 @@ const (
 	EnvRank   = "TBON_RANK"   // leaf rank
 )
 
-// Packet is one TBŌN message. Downstream packets carry the stream's filter
-// name so internal nodes know how to merge the reply wave.
+// Packet is one TBŌN message. A request carries the stream's filter name,
+// with which the front end merges the reply wave.
 type Packet struct {
 	Stream uint32
 	Tag    uint32
@@ -66,8 +66,8 @@ var (
 	filterReg = map[string]Filter{}
 )
 
-// RegisterFilter installs a named merge filter; internal nodes and the
-// front end resolve filters by the name carried in downstream packets.
+// RegisterFilter installs a named merge filter; the front end resolves
+// filters by the name a request carries.
 func RegisterFilter(name string, f Filter) {
 	filterMu.Lock()
 	defer filterMu.Unlock()
@@ -88,29 +88,21 @@ func init() {
 	RegisterFilter("concat", func(a, b []byte) []byte { return append(a, b...) })
 }
 
-// The overlay's cost model. perChildAcceptCost is the root/internal-node
-// CPU cost to accept and set up one child connection (thread spin-up, fd
-// bookkeeping — MRNet's dominant serial term at the root); handshakeCost is
-// the per-child protocol handshake processing (≈0.77 s at 256 children,
+// The overlay's cost model. perChildAcceptCost is the root's CPU cost to
+// accept and set up one child connection (thread spin-up, fd bookkeeping —
+// MRNet's dominant serial term at the root); handshakeCost is the
+// per-child protocol handshake processing (≈0.77 s at 256 children,
 // the paper's measured MRNet handshake share).
 const (
 	perChildAcceptCost = 4 * time.Millisecond
 	handshakeCost      = 3 * time.Millisecond
 )
 
-// child is one downstream connection at the front end or a comm node.
-type child struct {
-	conn   *simnet.Conn
-	rank   int
-	leaves int // leaf back-ends in this child's subtree
-}
-
 // FrontEnd is the overlay root, owned by the tool's front-end process.
 type FrontEnd struct {
 	p        *cluster.Proc
 	listener *simnet.Listener
-	children []child
-	leaves   int
+	children []*simnet.Conn
 }
 
 // NewFrontEnd opens the overlay root on an ephemeral port.
@@ -125,83 +117,44 @@ func NewFrontEnd(p *cluster.Proc) (*FrontEnd, error) {
 // Addr returns the root's listen address (host:port) for daemons to dial.
 func (fe *FrontEnd) Addr() string { return fe.listener.Addr().String() }
 
-// acceptChildren accepts exactly n children on l for the process p,
-// charging it the per-child accept and handshake costs, and returns them
-// with the leaf total of their subtrees. On an error the children accepted
-// so far are still returned, for the caller to close.
-func acceptChildren(p *cluster.Proc, l *simnet.Listener, n int) ([]child, int, error) {
-	var kids []child
-	leaves := 0
+// AcceptChildren accepts exactly n direct children, charging the per-child
+// accept and handshake costs — the connection-establishment phase whose
+// serial root cost dominates MRNet's 1-deep startup. A leaf's hello is its
+// rank and the leaf count of its subtree, 1; the root checks its form only.
+func (fe *FrontEnd) AcceptChildren(n int) error {
 	for i := 0; i < n; i++ {
-		conn, err := l.Accept()
+		conn, err := fe.listener.Accept()
 		if err != nil {
-			return kids, leaves, err
+			return err
 		}
-		p.Compute(perChildAcceptCost)
+		fe.p.Compute(perChildAcceptCost)
 		hello, err := lmonp.ReadFrame(conn)
 		if err != nil {
 			conn.Close()
-			return kids, leaves, err
+			return err
 		}
-		p.Compute(handshakeCost)
+		fe.p.Compute(handshakeCost)
 		rd := lmonp.NewReader(hello)
-		kid := child{conn: conn, rank: int(rd.Uint32()), leaves: int(rd.Uint32())}
+		rd.Uint32()
+		rd.Uint32()
 		if err := rd.Err(); err != nil {
 			conn.Close()
-			return kids, leaves, fmt.Errorf("tbon: bad hello: %w", err)
+			return fmt.Errorf("tbon: bad hello: %w", err)
 		}
-		kids = append(kids, kid)
-		leaves += kid.leaves
+		fe.children = append(fe.children, conn)
 	}
-	return kids, leaves, nil
-}
-
-// AcceptChildren accepts exactly n direct children, charging the per-child
-// accept and handshake costs — the connection-establishment phase whose
-// serial root cost dominates MRNet's 1-deep startup.
-func (fe *FrontEnd) AcceptChildren(n int) error {
-	kids, leaves, err := acceptChildren(fe.p, fe.listener, n)
-	fe.children = append(fe.children, kids...)
-	fe.leaves += leaves
-	return err
+	return nil
 }
 
 // multicast sends pkt down the whole tree.
 func (fe *FrontEnd) multicast(pkt Packet) error {
 	raw := encodePacket(pkt)
 	for _, c := range fe.children {
-		if err := lmonp.WriteFrame(c.conn, raw); err != nil {
+		if err := lmonp.WriteFrame(c, raw); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// gatherMerged reads one (possibly pre-merged) response per child and
-// merges them with the named filter on the process p, returning the
-// reduced payload.
-func gatherMerged(p *cluster.Proc, children []child, filter string) ([]byte, error) {
-	f := lookupFilter(filter)
-	var acc []byte
-	for _, c := range children {
-		raw, err := lmonp.ReadFrame(c.conn)
-		if err != nil {
-			return nil, err
-		}
-		pkt, err := decodePacket(raw)
-		if err != nil {
-			return nil, err
-		}
-		p.Compute(handshakeCost / 3) // per-packet processing
-		acc = f(acc, pkt.Data)
-	}
-	return acc, nil
-}
-
-// gatherMerged reads one (possibly pre-merged) response per direct child
-// and merges them with the named filter, returning the reduced payload.
-func (fe *FrontEnd) gatherMerged(filter string) ([]byte, error) {
-	return gatherMerged(fe.p, fe.children, filter)
 }
 
 // Request multicasts a request and returns the filter-merged responses —
@@ -210,13 +163,27 @@ func (fe *FrontEnd) Request(pkt Packet) ([]byte, error) {
 	if err := fe.multicast(pkt); err != nil {
 		return nil, err
 	}
-	return fe.gatherMerged(pkt.Filter)
+	f := lookupFilter(pkt.Filter)
+	var acc []byte
+	for _, c := range fe.children {
+		raw, err := lmonp.ReadFrame(c)
+		if err != nil {
+			return nil, err
+		}
+		reply, err := decodePacket(raw)
+		if err != nil {
+			return nil, err
+		}
+		fe.p.Compute(handshakeCost / 3) // per-packet processing
+		acc = f(acc, reply.Data)
+	}
+	return acc, nil
 }
 
 // Close shuts the overlay down (children observe EOF).
 func (fe *FrontEnd) Close() {
 	for _, c := range fe.children {
-		c.conn.Close()
+		c.Close()
 	}
 	fe.listener.Close()
 }
@@ -229,30 +196,22 @@ type Leaf struct {
 // errNoParent reports a missing/invalid parent address.
 var errNoParent = errors.New("tbon: no parent address")
 
-// dialParent dials a parent's listen address, retrying while the parent is
-// still coming up.
-func dialParent(p *cluster.Proc, parentAddr string) (*simnet.Conn, error) {
+// ConnectLeaf dials the parent, retrying while it is still coming up, and
+// sends the hello. rank identifies the leaf.
+func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
 	addr, err := simnet.ParseAddr(parentAddr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", errNoParent, parentAddr)
 	}
 	var conn *simnet.Conn
 	for attempt := 0; attempt < 2000; attempt++ {
-		conn, err = p.Host().Dial(addr)
-		if err == nil {
-			return conn, nil
+		if conn, err = p.Host().Dial(addr); err == nil {
+			break
 		}
 		p.Sim().Sleep(5 * time.Millisecond)
 	}
-	return nil, fmt.Errorf("tbon: dialing parent %s: %w", parentAddr, err)
-}
-
-// ConnectLeaf dials the parent and sends the hello. rank identifies the
-// leaf.
-func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
-	conn, err := dialParent(p, parentAddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tbon: dialing parent %s: %w", parentAddr, err)
 	}
 	hello := lmonp.AppendUint32(nil, uint32(rank))
 	hello = lmonp.AppendUint32(hello, 1)

@@ -2,7 +2,6 @@ package tbon
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,8 +78,8 @@ func TestFlatRequestReduce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if fe.leaves != 8 {
-				t.Errorf("leaves = %d", fe.leaves)
+			if len(fe.children) != 8 {
+				t.Errorf("children = %d", len(fe.children))
 			}
 			out, err := fe.Request(Packet{Stream: 1, Tag: 7, Filter: "sum-test", Data: []byte("go")})
 			if err != nil {
@@ -130,91 +129,6 @@ func TestConcatDefaultFilterCollectsAll(t *testing.T) {
 	}
 }
 
-func TestTwoLevelTreeWithCommNodes(t *testing.T) {
-	// 2 comm nodes, each with 3 leaves: the root sees 2 children covering
-	// 6 leaves, and upstream merging happens at the comm nodes.
-	sim, cl := rig(t, 9)
-	var gotLeaves int
-	var merged string
-	sim.Go("root", func() {
-		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			fe, err := NewFrontEnd(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer fe.Close()
-			// Comm nodes on nodes 6,7; leaves on nodes 0..5.
-			commAddr := vtime.NewChan[[2]string](p.Sim())
-			for ci := 0; ci < 2; ci++ {
-				ci := ci
-				cl.Node(6 + ci).SpawnProc(cluster.Spec{Exe: "comm", Main: func(p *cluster.Proc) {
-					cn, err := startCommNodeDeferredHello(p, fe.Addr(), 100+ci, 3)
-					if err != nil {
-						t.Errorf("comm %d: %v", ci, err)
-						return
-					}
-					commAddr.Send([2]string{fmt.Sprint(ci), cn.Addr()})
-					if err := cn.finishHandshakeAndServe(); err != nil {
-						t.Errorf("comm %d serve: %v", ci, err)
-					}
-				}})
-			}
-			addrs := map[string]string{}
-			for i := 0; i < 2; i++ {
-				kv, ok := commAddr.Recv()
-				if !ok {
-					t.Error("comm nodes did not come up")
-					return
-				}
-				addrs[kv[0]] = kv[1]
-			}
-			for li := 0; li < 6; li++ {
-				li := li
-				parent := addrs[fmt.Sprint(li/3)]
-				cl.Node(li).SpawnProc(cluster.Spec{Exe: "leaf", Main: func(p *cluster.Proc) {
-					l, err := ConnectLeaf(p, parent, li)
-					if err != nil {
-						t.Errorf("leaf %d: %v", li, err)
-						return
-					}
-					defer l.Close()
-					for {
-						pkt, err := l.Recv()
-						if err != nil {
-							return
-						}
-						pkt.Data = []byte(fmt.Sprintf("%d,", li))
-						if err := l.Send(pkt); err != nil {
-							return
-						}
-					}
-				}})
-			}
-			if err := fe.AcceptChildren(2); err != nil {
-				t.Error(err)
-				return
-			}
-			gotLeaves = fe.leaves
-			out, err := fe.Request(Packet{Stream: 1, Filter: "concat"})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			merged = string(out)
-		}})
-	})
-	sim.Run()
-	if gotLeaves != 6 {
-		t.Fatalf("root sees %d leaves, want 6", gotLeaves)
-	}
-	parts := strings.Split(strings.TrimSuffix(merged, ","), ",")
-	sort.Strings(parts)
-	if len(parts) != 6 {
-		t.Fatalf("merged %q has %d parts", merged, len(parts))
-	}
-}
-
 func TestNativeLaunchViaRsh(t *testing.T) {
 	sim, cl := rig(t, 4)
 	svc, err := rsh.Install(cl)
@@ -249,7 +163,7 @@ func TestNativeLaunchViaRsh(t *testing.T) {
 				return
 			}
 			defer fe.Close()
-			leaves = fe.leaves
+			leaves = len(fe.children)
 			if _, err := fe.Request(Packet{Stream: 1, Filter: "concat"}); err != nil {
 				t.Error(err)
 			}

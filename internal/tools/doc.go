@@ -5,9 +5,7 @@
 //   - tools/jobsnap — Jobsnap (§5.1): per-task /proc-style snapshots of a
 //     running MPI job, gathered over the collective tool-data plane;
 //   - tools/stat — the Stack Trace Analysis Tool (§5.2): stack sampling
-//     with prefix-tree merging over an MRNet-like TBŌN, plus the
-//     collective-plane variant that registers the merge as a reduction
-//     filter; and
+//     with prefix-tree merging over an MRNet-like TBŌN; and
 //   - tools/oss — Open|SpeedShop (§5.3): the DPCL-vs-LaunchMON APAI
 //     acquisition comparison of Table 1.
 //

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
-	"launchmon/internal/coll"
 	"launchmon/internal/core"
 	"launchmon/internal/rm"
 	"launchmon/internal/rsh"
@@ -30,10 +29,9 @@ import (
 
 // Registered executable names.
 const (
-	beExe       = "stat_be"      // LaunchMON-launched daemon (TBŌN overlay)
-	nativeBEExe = "stat_be_rsh"  // rsh-launched daemon (native MRNet path)
-	collBEExe   = "stat_be_coll" // daemon sampling over the collective plane
-	filterName  = "stat-merge"   // prefix-tree merge (TBŌN and coll registries)
+	beExe       = "stat_be"     // LaunchMON-launched daemon (TBŌN overlay)
+	nativeBEExe = "stat_be_rsh" // rsh-launched daemon (native MRNet path)
+	filterName  = "stat-merge"  // prefix-tree merge of the TBŌN's replies
 )
 
 // sampleCost is the daemon-side cost of walking one task's stack.
@@ -44,22 +42,12 @@ const sampleCost = 400 * time.Microsecond
 // nodes before the daemon joins the overlay.
 const daemonInitCost = 300 * time.Millisecond
 
-// Install registers STAT's daemons and the prefix-tree merge filter —
-// with both overlays: the MRNet-like TBŌN and the session's own
-// collective plane, where interior ICCL daemons run the merge.
+// Install registers STAT's daemons and its prefix-tree merge filter with
+// the MRNet-like TBŌN.
 func Install(cl *cluster.Cluster) {
 	tbon.RegisterFilter(filterName, mergeFilter)
-	coll.RegisterFilter(filterName, func(string) (coll.Combine, error) {
-		return func(acc, next []byte) ([]byte, error) {
-			if acc == nil {
-				return append([]byte(nil), next...), nil
-			}
-			return mergeFilter(acc, next), nil
-		}, nil
-	})
 	cl.Register(beExe, func(p *cluster.Proc) { beMainLaunchMON(p) })
 	cl.Register(nativeBEExe, func(p *cluster.Proc) { beMainNative(p) })
-	cl.Register(collBEExe, func(p *cluster.Proc) { beMainCollective(p) })
 }
 
 // mergeFilter merges two encoded prefix trees.
@@ -143,29 +131,6 @@ func beMainLaunchMON(p *cluster.Proc) {
 	serveSampling(p, leaf, localRanks(be))
 }
 
-// beMainCollective is the STAT daemon of the collective-plane mode: no
-// separate overlay at all — sample requests arrive as session broadcasts
-// and the prefix trees merge inside the ICCL tree via the stat-merge
-// reduction filter, so STAT needs nothing beyond LaunchMON itself.
-func beMainCollective(p *cluster.Proc) {
-	be, err := core.BEInit(p)
-	if err != nil {
-		return
-	}
-	p.Compute(daemonInitCost)
-	ranks := localRanks(be)
-	for {
-		req, err := be.Collective().Broadcast()
-		if err != nil || string(req) == "quit" {
-			be.Finalize()
-			return
-		}
-		if err := be.Collective().Reduce(sampleLocal(p, ranks), filterName); err != nil {
-			return
-		}
-	}
-}
-
 // beMainNative is the rsh-launched daemon: everything arrives through the
 // environment (the old mechanism the paper replaces), including the task
 // ranks via STAT_RANKS.
@@ -191,10 +156,8 @@ func beMainNative(p *cluster.Proc) {
 
 // Instance is a running STAT session.
 type Instance struct {
-	p          *cluster.Proc
-	fe         *tbon.FrontEnd // nil in collective mode
-	sess       *core.Session  // nil in native mode
-	collective bool           // sampling rides the session's collective plane
+	fe   *tbon.FrontEnd
+	sess *core.Session // nil in native mode
 
 	// StartupTime is the launch+connect duration (Figure 6's metric).
 	StartupTime time.Duration
@@ -223,26 +186,7 @@ func LaunchWithLaunchMON(p *cluster.Proc, jobID int) (*Instance, error) {
 		fe.Close()
 		return nil, err
 	}
-	return &Instance{p: p, fe: fe, sess: sess, StartupTime: p.Sim().Now() - start}, nil
-}
-
-// launchCollective attaches STAT to a running job with no overlay
-// network at all: sampling waves ride the session's collective plane
-// (broadcast request, stat-merge tree reduction), merged at interior
-// ICCL daemons exactly as an MRNet filter would — the paper's "MRNet on
-// LaunchMON" layering collapsed into LaunchMON itself. fanout shapes the
-// merge tree (0 = flat).
-func launchCollective(p *cluster.Proc, jobID, fanout int) (*Instance, error) {
-	start := p.Sim().Now()
-	sess, err := core.AttachAndSpawn(p, core.Options{
-		JobID:      jobID,
-		Daemon:     rm.DaemonSpec{Exe: collBEExe},
-		ICCLFanout: fanout,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("stat: %w", err)
-	}
-	return &Instance{p: p, sess: sess, collective: true, StartupTime: p.Sim().Now() - start}, nil
+	return &Instance{fe: fe, sess: sess, StartupTime: p.Sim().Now() - start}, nil
 }
 
 // LaunchWithRsh starts STAT the pre-LaunchMON way: sequential rsh daemon
@@ -261,23 +205,12 @@ func LaunchWithRsh(p *cluster.Proc, svc *rsh.Service, nodes []string, ranksPerNo
 	if err != nil {
 		return nil, fmt.Errorf("stat: native launch: %w", err)
 	}
-	return &Instance{p: p, fe: fe, StartupTime: p.Sim().Now() - start}, nil
+	return &Instance{fe: fe, StartupTime: p.Sim().Now() - start}, nil
 }
 
-// Sample performs one stack-sample wave and returns the merged call-graph
-// prefix tree — over the TBŌN in overlay modes, over the session's
-// collective plane in collective mode.
+// Sample performs one stack-sample wave over the TBŌN and returns the
+// merged call-graph prefix tree.
 func (in *Instance) Sample() (*Tree, error) {
-	if in.collective {
-		if err := in.sess.Broadcast([]byte("sample")); err != nil {
-			return nil, err
-		}
-		raw, err := in.sess.Reduce()
-		if err != nil {
-			return nil, err
-		}
-		return decodeTree(raw)
-	}
 	raw, err := in.fe.Request(tbon.Packet{Stream: 1, Tag: 1, Filter: filterName})
 	if err != nil {
 		return nil, err
@@ -285,14 +218,8 @@ func (in *Instance) Sample() (*Tree, error) {
 	return decodeTree(raw)
 }
 
-// Close shuts the session down (daemons observe EOF — or, in collective
-// mode, the quit broadcast — and exit).
+// Close shuts the session down (daemons observe EOF and exit).
 func (in *Instance) Close() {
-	if in.collective {
-		in.sess.Broadcast([]byte("quit")) // best effort
-		in.sess.Detach()
-		return
-	}
 	in.fe.Close()
 	if in.sess != nil {
 		in.sess.Detach()

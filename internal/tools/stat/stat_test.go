@@ -211,94 +211,3 @@ func TestRshModeFailsAtFrontEndLimit(t *testing.T) {
 		t.Fatal("rsh STAT startup beyond the front-end process limit succeeded")
 	}
 }
-
-// TestCollectiveModeIdenticalToTBON runs the same sampling wave over the
-// MRNet-like TBŌN and over the session's collective plane (stat-merge
-// reduction at interior ICCL daemons) and requires identical equivalence
-// classes — the port off the hand-rolled overlay must not change outputs.
-func TestCollectiveModeIdenticalToTBON(t *testing.T) {
-	sample := func(collective bool, fanout int) []Class {
-		t.Helper()
-		sim, cl, mgr, _ := rig(t, 8)
-		var classes []Class
-		sim.Go("boot", func() {
-			cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "stat_fe", Main: func(p *cluster.Proc) {
-				j, err := mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: 8, TasksPerNode: 4})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				p.Sim().Sleep(2 * time.Second)
-				var inst *Instance
-				if collective {
-					inst, err = launchCollective(p, j.ID(), fanout)
-				} else {
-					inst, err = LaunchWithLaunchMON(p, j.ID())
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer inst.Close()
-				tree, err := inst.Sample()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				classes = tree.EquivalenceClasses()
-			}})
-		})
-		sim.Run()
-		return classes
-	}
-	want := sample(false, 0)
-	for _, fanout := range []int{0, 2, 3} {
-		got := sample(true, fanout)
-		if len(got) != len(want) {
-			t.Fatalf("fanout %d: %d classes vs %d over TBON", fanout, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Path != want[i].Path || len(got[i].Ranks) != len(want[i].Ranks) {
-				t.Fatalf("fanout %d class %d: %+v vs %+v", fanout, i, got[i], want[i])
-			}
-			for j := range want[i].Ranks {
-				if got[i].Ranks[j] != want[i].Ranks[j] {
-					t.Fatalf("fanout %d class %d rank set diverges", fanout, i)
-				}
-			}
-		}
-	}
-}
-
-// TestCollectiveModeRepeatedWaves drives several sampling waves over one
-// collective-mode instance (each wave is one broadcast + one reduction).
-func TestCollectiveModeRepeatedWaves(t *testing.T) {
-	sim, cl, mgr, _ := rig(t, 4)
-	sim.Go("boot", func() {
-		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "stat_fe", Main: func(p *cluster.Proc) {
-			j, err := mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 2})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			p.Sim().Sleep(time.Second)
-			inst, err := launchCollective(p, j.ID(), 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer inst.Close()
-			for wave := 0; wave < 3; wave++ {
-				tree, err := inst.Sample()
-				if err != nil {
-					t.Errorf("wave %d: %v", wave, err)
-					return
-				}
-				if tree.Tasks() != 8 {
-					t.Errorf("wave %d sampled %d tasks", wave, tree.Tasks())
-				}
-			}
-		}})
-	})
-	sim.Run()
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"launchmon/internal/bench"
@@ -397,6 +398,78 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 	}
 }
 
+// launchMeter brackets a benchmark's LaunchAndSpawn calls, each between two
+// forced collections, and sums what they allocated (B, allocs), what they
+// left live (HeapAlloc), and what the collector has to do about it: the
+// scannable heap and the objects they left (runtime/metrics
+// /gc/scan/heap:bytes, /gc/heap/objects:objects) and the share of CPU the
+// collector took while they ran, the closing forced collection included
+// (/cpu/classes/gc/total:cpu-seconds over /cpu/classes/total:cpu-seconds,
+// which the runtime brings up to date at the end of each collection).
+type launchMeter struct {
+	allocB, allocs uint64
+	liveB, scanB   int64
+	objects        int64
+	gcCPU, cpu     float64
+}
+
+// gcSamples are what launchMeter reads from runtime/metrics, in this order.
+var gcSamples = []string{
+	"/gc/scan/heap:bytes",
+	"/gc/heap/objects:objects",
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/cpu/classes/total:cpu-seconds",
+}
+
+// gcReading returns samples for gcSamples, named and not yet read.
+func gcReading() []metrics.Sample {
+	s := make([]metrics.Sample, len(gcSamples))
+	for i, name := range gcSamples {
+		s[i].Name = name
+	}
+	return s
+}
+
+// settle forces a collection and reads the heap and the collector's
+// metrics into s.
+func settle(m *runtime.MemStats, s []metrics.Sample) {
+	runtime.GC()
+	runtime.ReadMemStats(m)
+	metrics.Read(s)
+}
+
+// measure runs launch, the timed call, between two settles; the samples
+// are made before either, so the reading allocates nothing it counts.
+func (lm *launchMeter) measure(launch func() error) error {
+	var before, after runtime.MemStats
+	s0, s1 := gcReading(), gcReading()
+	settle(&before, s0)
+	if err := launch(); err != nil {
+		return err
+	}
+	settle(&after, s1)
+	lm.allocB += after.TotalAlloc - before.TotalAlloc
+	lm.allocs += after.Mallocs - before.Mallocs
+	lm.liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	lm.scanB += int64(s1[0].Value.Uint64()) - int64(s0[0].Value.Uint64())
+	lm.objects += int64(s1[1].Value.Uint64()) - int64(s0[1].Value.Uint64())
+	lm.gcCPU += s1[2].Value.Float64() - s0[2].Value.Float64()
+	lm.cpu += s1[3].Value.Float64() - s0[3].Value.Float64()
+	return nil
+}
+
+// report puts the sums per unit of work: a daemon, a task.
+func (lm *launchMeter) report(b *testing.B, units float64, unit string) {
+	b.ReportMetric(float64(lm.allocB)/units, "B/"+unit)
+	b.ReportMetric(float64(lm.allocs)/units, "allocs/"+unit)
+	b.ReportMetric(float64(lm.liveB)/units, "live-B/"+unit)
+	b.ReportMetric(float64(lm.scanB)/units, "scan-B/"+unit)
+	b.ReportMetric(float64(lm.objects)/units, "objects/"+unit)
+	if lm.cpu > 0 {
+		b.ReportMetric(100*lm.gcCPU/lm.cpu, "gc-cpu-%")
+	}
+}
+
 // BenchmarkLaunchFat is the benchmark's launch_fat workload at 1/32 of its
 // daemons with profile flags in reach (`go test -run '^$' -bench LaunchFat
 // -memprofile F .`; benchmark/ has none): 64 daemons × 256 tasks, 64 KiB
@@ -405,13 +478,13 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 // allocation of the LaunchAndSpawn call alone, the workload's timed section;
 // B/op also counts the rig. live-B/task is the heap that call leaves live
 // (HeapAlloc after a forced GC, on its return minus before it), the
-// seconds-fast proxy for the workload's live_MB.
+// seconds-fast proxy for the workload's live_MB; scan-B/task, objects/task
+// and gc-cpu-% are the rest of launchMeter's reading.
 func BenchmarkLaunchFat(b *testing.B) {
 	const nodes, tasks = 64, 256
 	feData := bytes.Repeat([]byte("launchmon-64KiB-"), 4<<10)
 	b.ReportAllocs()
-	var allocB, allocs uint64
-	var liveB int64
+	var lm launchMeter
 	for i := 0; i < b.N; i++ {
 		_, err := bench.Scenario{
 			Nodes: nodes, Lean: true,
@@ -427,23 +500,18 @@ func BenchmarkLaunchFat(b *testing.B) {
 				return nil
 			},
 			FE: func(r *bench.Run) error {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				sess, err := core.LaunchAndSpawn(r.P, core.Options{
-					Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tasks},
-					Daemon:     rm.DaemonSpec{Exe: "fat_be"},
-					ICCLFanout: 4,
-					FEData:     feData,
-				})
-				if err != nil {
+				var sess *core.Session
+				if err := lm.measure(func() (err error) {
+					sess, err = core.LaunchAndSpawn(r.P, core.Options{
+						Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tasks},
+						Daemon:     rm.DaemonSpec{Exe: "fat_be"},
+						ICCLFanout: 4,
+						FEData:     feData,
+					})
+					return err
+				}); err != nil {
 					return err
 				}
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				allocB += after.TotalAlloc - before.TotalAlloc
-				allocs += after.Mallocs - before.Mallocs
-				liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
 				if n := len(sess.Proctab()); n != nodes*tasks {
 					return fmt.Errorf("front-end table has %d entries", n)
 				}
@@ -457,10 +525,7 @@ func BenchmarkLaunchFat(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	perTask := float64(b.N) * nodes * tasks
-	b.ReportMetric(float64(allocB)/perTask, "B/task")
-	b.ReportMetric(float64(allocs)/perTask, "allocs/task")
-	b.ReportMetric(float64(liveB)/perTask, "live-B/task")
+	lm.report(b, float64(b.N)*nodes*tasks, "task")
 }
 
 // BenchmarkLaunchWide is the benchmark's launch_wide workload at 1/16 of its
@@ -468,12 +533,11 @@ func BenchmarkLaunchFat(b *testing.B) {
 // fanout 64, daemons parked on a broadcast until the kill. The per-daemon
 // cost of the slurmd tree, the spawn and the ICCL bootstrap is nearly all
 // of it; B/daemon and allocs/daemon are the LaunchAndSpawn call's,
-// live-B/daemon what it leaves live.
+// live-B/daemon, scan-B/daemon and objects/daemon what it leaves live.
 func BenchmarkLaunchWide(b *testing.B) {
 	const nodes = 1024
 	b.ReportAllocs()
-	var allocB, allocs uint64
-	var liveB int64
+	var lm launchMeter
 	for i := 0; i < b.N; i++ {
 		_, err := bench.Scenario{
 			Nodes: nodes, Lean: true,
@@ -489,22 +553,17 @@ func BenchmarkLaunchWide(b *testing.B) {
 				return nil
 			},
 			FE: func(r *bench.Run) error {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				sess, err := core.LaunchAndSpawn(r.P, core.Options{
-					Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
-					Daemon:     rm.DaemonSpec{Exe: "wide_be"},
-					ICCLFanout: 64,
-				})
-				if err != nil {
+				var sess *core.Session
+				if err := lm.measure(func() (err error) {
+					sess, err = core.LaunchAndSpawn(r.P, core.Options{
+						Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
+						Daemon:     rm.DaemonSpec{Exe: "wide_be"},
+						ICCLFanout: 64,
+					})
+					return err
+				}); err != nil {
 					return err
 				}
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				allocB += after.TotalAlloc - before.TotalAlloc
-				allocs += after.Mallocs - before.Mallocs
-				liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
 				return sess.Kill()
 			},
 		}.Run()
@@ -512,8 +571,5 @@ func BenchmarkLaunchWide(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	perDaemon := float64(b.N) * nodes
-	b.ReportMetric(float64(allocB)/perDaemon, "B/daemon")
-	b.ReportMetric(float64(allocs)/perDaemon, "allocs/daemon")
-	b.ReportMetric(float64(liveB)/perDaemon, "live-B/daemon")
+	lm.report(b, float64(b.N)*nodes, "daemon")
 }

@@ -65,6 +65,10 @@ func TestSpawnAllocPerProcess(t *testing.T) {
 	if size := unsafe.Sizeof(Proc{}); size > 64 {
 		t.Errorf("Proc is %d B, want at most 64 (one size class)", size)
 	}
+	// A daemon's process with its cold part is one 176 B object.
+	if size := unsafe.Sizeof(procCold{}); size > 112 {
+		t.Errorf("procCold is %d B, want at most 112 (Proc and it in the 176 B size class)", size)
+	}
 	// The table doubles five times on the way from its presized 8 slots
 	// to 256; everything else is one object a task.
 	const doublings = 5

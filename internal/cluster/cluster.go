@@ -288,7 +288,9 @@ type Spec struct {
 	// returning implies Exit(0).
 	Resident bool
 	Args     []string
-	Env      map[string]string
+	// Env is the process's own environment, over EnvBase. As with execve,
+	// a key holds no '=' or NUL and a value no NUL, or the spawn fails.
+	Env map[string]string
 	// EnvBase is a shared immutable environment layer under Env: the
 	// process keeps the map pointer itself (no copy), so spawners that
 	// start many processes with a common environment — an RM daemon
@@ -348,6 +350,10 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 		}
 		main = m
 	}
+	env, err := envBlock(spec.Env)
+	if err != nil {
+		return nil, err
+	}
 	n.mu.Lock()
 	if n.down {
 		n.mu.Unlock()
@@ -364,7 +370,7 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 	} else {
 		pc := &procWithCold{cold: procCold{
 			args:    append([]string(nil), spec.Args...),
-			env:     copyEnv(spec.Env),
+			env:     env,
 			envBase: spec.EnvBase,
 		}}
 		if spec.Hold {
@@ -420,15 +426,4 @@ func (n *Node) reserveFork() time.Duration {
 	}
 	n.cpuFree += ForkCost
 	return n.cpuFree - now
-}
-
-func copyEnv(env map[string]string) map[string]string {
-	if len(env) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }

@@ -467,6 +467,46 @@ func TestLazyColdPartIsRaceFree(t *testing.T) {
 	}
 }
 
+// TestProcEnvOverlay: a process's own environment (Spec.Env) is kept as an
+// environment block over the shared base (Spec.EnvBase). It shadows the
+// base, a key in neither reads "", Environ merges the two layers, and the
+// block is in key order — whatever order the spawner's map iterates in —
+// with no entry that could not end where the block says it does.
+func TestProcEnvOverlay(t *testing.T) {
+	sim := vtime.New()
+	c := newCluster(t, sim, 1, Options{})
+	base := map[string]string{"LMON_FE_ADDR": "fe0:7000", "LMON_NODEID": "base", "PATH": "/bin"}
+	own := map[string]string{"LMON_NODEID": "12", "B": "x=y", "A": "", "Z": "last"}
+	p, err := c.Node(0).SpawnSystemProc(Spec{Exe: "be", Passive: true, Env: own, EnvBase: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"LMON_NODEID":  "12", // the overlay shadows the base
+		"B":            "x=y",
+		"A":            "",
+		"PATH":         "/bin", // the base shows through
+		"LMON_FE_ADDR": "fe0:7000",
+		"MISSING":      "",
+	} {
+		if got := p.Env(key); got != want {
+			t.Errorf("Env(%q) = %q, want %q", key, got, want)
+		}
+	}
+	want := map[string]string{"LMON_FE_ADDR": "fe0:7000", "LMON_NODEID": "12", "PATH": "/bin", "A": "", "B": "x=y", "Z": "last"}
+	if got := p.Environ(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Environ() = %v, want %v", got, want)
+	}
+	if got, want := p.cold.env, "A=\x00B=x=y\x00LMON_NODEID=12\x00Z=last\x00"; got != want {
+		t.Errorf("the overlay is stored as %q, want %q (key order)", got, want)
+	}
+	for _, bad := range []map[string]string{{"K=V": "1"}, {"K\x00": "1"}, {"K": "a\x00b"}} {
+		if _, err := c.Node(0).SpawnSystemProc(Spec{Exe: "be", Passive: true, Env: bad}); err == nil {
+			t.Errorf("spawn with environment %q succeeded, want refused", bad)
+		}
+	}
+}
+
 func TestExitSeversAdoptedConns(t *testing.T) {
 	sim := vtime.New()
 	c := newCluster(t, sim, 2, Options{})

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"launchmon/internal/simnet"
@@ -49,27 +51,31 @@ type Proc struct {
 	started time.Duration
 	// cold is made at spawn for a process that runs code or has args or
 	// env (spec is then true), otherwise on first use under node.mu.
-	cold     *procCold
-	state    State // guarded by node.mu
-	exitCode int   // guarded by node.mu
-	pid      int32
-	resident bool // Main returning does not imply exit (Spec.Resident)
-	spec     bool
+	cold        *procCold
+	state       State // guarded by node.mu
+	exitCode    int   // guarded by node.mu
+	pid         int32
+	resident    bool // Main returning does not imply exit (Spec.Resident)
+	spec        bool
+	inDebugStop bool // blocked inside DebugEvent awaiting Continue; guarded by node.mu
 }
 
 // procCold is the part of a process that most processes never touch.
 // Everything after envBase is guarded by node.mu.
 type procCold struct {
-	args    []string
-	env     map[string]string // per-process overlay; wins over envBase
+	args []string
+	// env is the per-process overlay (Spec.Env), which wins over envBase,
+	// as one environment block: "key=value\x00" entries in key order. A
+	// daemon's overlay is an entry or two, which a map would hold in over
+	// ten times the bytes for as long as the process lives.
+	env     string
 	envBase map[string]string // shared immutable base (Spec.EnvBase), never copied
 
-	symbols     map[string]Symbol // lazy: nil until the first SetSymbol
-	tracer      *Tracer
-	heldMain    ProcMain              // entry point pending Start (Spec.Hold)
-	inDebugStop bool                  // blocked inside DebugEvent awaiting Continue
-	exited      *vtime.Chan[int]      // closed-with-value on exit; created by the first Wait
-	resume      *vtime.Chan[struct{}] // tracer Continue tokens; created by DebugEvent
+	symbols  map[string]Symbol // lazy: nil until the first SetSymbol
+	tracer   *Tracer
+	heldMain ProcMain              // entry point pending Start (Spec.Hold)
+	exited   *vtime.Chan[int]      // closed-with-value on exit; created by the first Wait
+	resume   *vtime.Chan[struct{}] // tracer Continue tokens; created by DebugEvent
 
 	// conns are network connections adopted via AdoptConn; Exit severs
 	// them so a killed process's peers observe ErrPeerDead rather than
@@ -125,8 +131,12 @@ func (p *Proc) Sim() *vtime.Sim { return p.node.cl.sim }
 // Env returns the value of an environment variable ("" when unset).
 func (p *Proc) Env(key string) string {
 	c := p.spawned()
-	if v, ok := c.env[key]; ok {
-		return v
+	for block := c.env; block != ""; {
+		var k, v string
+		k, v, block = nextEnv(block)
+		if k == key {
+			return v
+		}
 	}
 	return c.envBase[key]
 }
@@ -134,14 +144,52 @@ func (p *Proc) Env(key string) string {
 // Environ returns a copy of the whole environment.
 func (p *Proc) Environ() map[string]string {
 	c := p.spawned()
-	out := make(map[string]string, len(c.envBase)+len(c.env))
+	out := make(map[string]string, len(c.envBase)+strings.Count(c.env, "\x00"))
 	for k, v := range c.envBase {
 		out[k] = v
 	}
-	for k, v := range c.env {
+	for block := c.env; block != ""; {
+		var k, v string
+		k, v, block = nextEnv(block)
 		out[k] = v
 	}
 	return out
+}
+
+// nextEnv splits the first entry off a non-empty environment block.
+func nextEnv(block string) (key, value, rest string) {
+	entry, rest, _ := strings.Cut(block, "\x00")
+	key, value, _ = strings.Cut(entry, "=")
+	return key, value, rest
+}
+
+// envBlock renders a process's overlay as its environment block, one
+// allocation of exactly its size. Like execve, it refuses a key that holds
+// '=' or NUL and a value that holds NUL: the block could not say where
+// such an entry ends.
+func envBlock(env map[string]string) (string, error) {
+	if len(env) == 0 {
+		return "", nil
+	}
+	var small [8]string
+	keys, n := small[:0], 0
+	for k, v := range env {
+		if strings.ContainsAny(k, "=\x00") || strings.IndexByte(v, 0) >= 0 {
+			return "", fmt.Errorf("cluster: exec: bad environment entry %q", k)
+		}
+		keys = append(keys, k)
+		n += len(k) + len(v) + 2
+	}
+	slices.Sort(keys)
+	var b strings.Builder
+	b.Grow(n)
+	for _, k := range keys {
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(env[k])
+		b.WriteByte(0)
+	}
+	return b.String(), nil
 }
 
 // State returns the current lifecycle state.
@@ -339,7 +387,7 @@ func (t *Tracer) Continue() error {
 		return ErrNotStopped
 	}
 	p.state = stateRunning
-	blocked := p.cold.inDebugStop
+	blocked := p.inDebugStop
 	resume := p.cold.resume
 	n.mu.Unlock()
 	if blocked {
@@ -380,7 +428,7 @@ func (t *Tracer) Detach() {
 		return
 	}
 	stopped := p.state == stateStopped
-	blocked := p.cold.inDebugStop
+	blocked := p.inDebugStop
 	resume := p.cold.resume
 	p.cold.tracer = nil
 	if stopped {
@@ -411,7 +459,7 @@ func (p *Proc) DebugEvent(reason string) {
 	}
 	t := cold.tracer
 	p.state = stateStopped
-	cold.inDebugStop = true
+	p.inDebugStop = true
 	if cold.resume == nil {
 		cold.resume = vtime.NewChan[struct{}](n.cl.sim)
 	}
@@ -420,6 +468,6 @@ func (p *Proc) DebugEvent(reason string) {
 	t.events.Send(TraceEvent{Type: EventStop, Reason: reason})
 	resume.Recv() // parked until Continue/Detach (or teardown)
 	n.mu.Lock()
-	cold.inDebugStop = false
+	p.inDebugStop = false
 	n.mu.Unlock()
 }

@@ -31,7 +31,7 @@ var ErrNotMaster = errors.New("core: operation restricted to the master daemon")
 // (Options.SeedMode) buffers it at the master and broadcasts after
 // bootstrap.
 func BEInit(p *cluster.Proc) (*BackEnd, error) {
-	d, err := initDaemon(p, beFabric)
+	d, err := initDaemon(p, &beFabric)
 	if err != nil {
 		return nil, err
 	}

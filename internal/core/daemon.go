@@ -50,7 +50,7 @@ var (
 // fabrics.
 type daemonSession struct {
 	p    *cluster.Proc
-	fab  fabricProfile
+	fab  *fabricProfile // beFabric or mwFabric
 	comm *iccl.Comm
 	fe   *lmonp.Conn     // non-nil at the master only
 	mon  *health.Monitor // nil when the session has no failure detection
@@ -80,7 +80,7 @@ type daemonSession struct {
 // (iccl.BootstrapSeedRouted); the BE store-forward baseline (selected by
 // LMON_SEED_MODE) buffers it at the master and broadcasts after
 // bootstrap.
-func initDaemon(p *cluster.Proc, fab fabricProfile) (*daemonSession, error) {
+func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 	env, err := parseBootEnv(p)
 	if err != nil {
 		return nil, err

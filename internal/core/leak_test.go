@@ -202,3 +202,65 @@ func TestExitedFabricRetainsBoundedHeap(t *testing.T) {
 		s.Kill()
 	})
 }
+
+// TestDaemonHeapFootprint holds what a parked daemon keeps, per daemon, on
+// the shape of the benchmark's launch_wide: a lean K=1024, fan-out 64
+// launch whose daemons wait in a plane broadcast, its heap read after a
+// forced collection on each side of LaunchAndSpawn. A warm-up launch of the
+// same shape goes first, so what the process keeps for good (the goroutine
+// descriptors its ended daemons leave for reuse, the transport mux) is not
+// counted, whichever tests ran before. The figures are the ones this layout
+// measures (DESIGN.md "Simulator cost model"); both must stay within 3 %:
+// above, something per daemon grew; below, record the saving here.
+func TestDaemonHeapFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the test's behalf")
+	}
+	const k, fanout = 1024, 64
+	const wantBytes, wantObjects = 2405.0, 29.25 // per daemon
+	sim, cl, _ := rig(t, 2*k)
+	cl.Register("park_be", func(p *cluster.Proc) {
+		if be, err := BEInit(p); err == nil {
+			be.Collective().Broadcast()
+			be.Finalize()
+		}
+	})
+	launch := func(p *cluster.Proc) *Session {
+		s, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: "park_be"},
+			ICCLFanout: fanout,
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return s
+	}
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		if s := launch(p); s != nil {
+			s.Kill()
+		}
+		p.Sim().Sleep(5 * time.Second) // let the teardown settle
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := launch(p)
+		if s == nil {
+			return
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / k
+		objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / k
+		t.Logf("%.1f B and %.2f objects live per parked daemon", bytes, objects)
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{{"bytes", bytes, wantBytes}, {"objects", objects, wantObjects}} {
+			if c.got > 1.03*c.want || c.got < 0.97*c.want {
+				t.Errorf("a parked daemon keeps %.2f %s, want within 3 %% of %.2f", c.got, c.what, c.want)
+			}
+		}
+		s.Kill()
+	})
+}

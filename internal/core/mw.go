@@ -154,7 +154,7 @@ type Middleware struct {
 // data + empty rank slice), and the ready gather reports the daemon set
 // to the front end.
 func MWInit(p *cluster.Proc) (*Middleware, error) {
-	d, err := initDaemon(p, mwFabric)
+	d, err := initDaemon(p, &mwFabric)
 	if err != nil {
 		return nil, err
 	}

@@ -266,7 +266,7 @@ func runLaunchCell(t *testing.T, c launchCell) {
 	Setup(cl, mgr)
 	var spawned time.Duration            // the last daemon's start: the RM answers after it
 	failed := map[string]time.Duration{} // rank → when its init failed
-	for exe, fab := range map[string]fabricProfile{"lf_be": beFabric, "lf_mw": mwFabric} {
+	for exe, fab := range map[string]*fabricProfile{"lf_be": &beFabric, "lf_mw": &mwFabric} {
 		fab := fab
 		cl.Register(exe, func(p *cluster.Proc) {
 			rank := p.Env(rm.EnvNodeID)

@@ -380,8 +380,10 @@ func (o *planeOp) sendOn(slot int, msg []byte) bool {
 		o.sever(d, err)
 		return false
 	}
-	o.pl.c.collTxFrames.Inc()
-	o.pl.c.collTxBytes.Add(uint64(len(msg) - 4))
+	if m := o.pl.c.obs; m != nil {
+		m.collTxFrames.Inc()
+		m.collTxBytes.Add(uint64(len(msg) - 4))
+	}
 	if end {
 		d.closeSend(o)
 	}
@@ -580,7 +582,7 @@ func (s *scatterOp) frame(f coll.Frame) error {
 			s.mine, s.have = append([]byte(nil), e.Blob...), true
 			continue
 		}
-		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(s.packers), e.Rank)
+		slot := subtreeSlot(c.rank, c.fanout, len(s.packers), e.Rank)
 		if slot < 0 {
 			return fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
 		}

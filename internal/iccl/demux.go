@@ -30,24 +30,43 @@ import (
 // cannot head-of-line-block another tag, the base collectives, the
 // heartbeats, or the credits that would un-stall it.
 //
-// It is one allocation, queues and framer held by value: a parked daemon
-// holds one per tree link, so what it weighs is multiplied by the tree. The
-// root's plane holds one more, conn-less and credit-less, for the front end.
+// It is one allocation that holds only what every link uses: a parked
+// daemon holds one per tree link, so what it weighs is multiplied by the
+// tree. The two queues are made by their first use — the base queue by a
+// Comm collective after demuxing, the heartbeat queue by ShareLinks (or by
+// a heartbeat that arrives first) — and the demux is itself the event its
+// framer fires, so installing it allocates nothing but it and the
+// connection's handler. The root's plane holds one more, conn-less and
+// credit-less, for the front end.
 type linkDemux struct {
 	c    *Comm
-	conn *simnet.Conn       // nil on the front end's link
-	base vtime.Chan[[]byte] // non-plane tree frames
-	hb   vtime.Chan[[]byte] // heartbeat payloads (Link.Recv)
-	fr   SerialFramer       // the link's reader time
+	conn *simnet.Conn // nil on the front end's link
+	fr   framer       // the link's reader time; its deliveries fire the demux
 
 	// Per-tag state, one record per stream the link carries in either
 	// direction. A link carries a stream or two at a time, so the records
 	// are a short list searched by tag — a map would outweigh what it holds,
 	// on every link, for as long as the daemon lives.
 	mu      sync.Mutex
+	base    *vtime.Chan[[]byte] // non-plane tree frames (queue)
+	hb      *vtime.Chan[[]byte] // heartbeat payloads (queue, Link.Recv)
 	streams *tagLink
 	spare   *tagLink // the last record retired, backlog array and all
 	err     error    // the link's failure, once it has failed
+}
+
+// queue returns the queue *q, making it on first use: closed when the link
+// has already failed, so a receiver sees the failure and not a wait.
+func (d *linkDemux) queue(q **vtime.Chan[[]byte]) *vtime.Chan[[]byte] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if *q == nil {
+		*q = vtime.NewChan[[]byte](d.c.p.Sim())
+		if d.err != nil {
+			(*q).Close()
+		}
+	}
+	return *q
 }
 
 // tagLink is one tagged stream on one link, both directions in one place:
@@ -105,22 +124,27 @@ func (c *Comm) demux(slot int) *linkDemux {
 // heartbeat, the link's death — still waits its turn behind a frame that
 // is cooking: a serial reader only observes it after charging every frame
 // before it, so in-flight deliveries are never dropped or overtaken. It is
-// only touched from scheduler callbacks, which never overlap. The link
-// demux and the leaf seed charge PerMsgCost with it; the health layer, on
-// the heartbeat queue the demux feeds it, its own cheaper cost.
-//
-// The framer is the event it schedules (vtime.Event) and keeps the frames
-// it has charged itself, in a ring: charged instants never decrease and the
-// scheduler breaks ties in scheduling order, so the n-th firing finds the
-// n-th frame. The ring is made by the first frame, grows to the deepest
-// burst the link has seen — the sender's window, on a collective stream —
-// and is kept, so charging allocates nothing once a link has seen its
-// traffic, and a link that has seen none holds no ring.
+// only touched from scheduler callbacks, which never overlap. The leaf seed
+// charges PerMsgCost with it; the health layer, on the heartbeat queue the
+// demux feeds it, its own cheaper cost. The link demux keeps the same
+// framer state without the three fields it knows already, and is the event
+// itself.
 type SerialFramer struct {
 	Sim     *vtime.Sim
 	Cost    time.Duration    // reader time per charged frame
 	Deliver func(msg []byte) // is handed each charged frame when its time is up
 
+	fr framer
+}
+
+// framer is a serial reader's clock and the frames it has charged, in a
+// ring: charged instants never decrease and the scheduler breaks ties in
+// scheduling order, so the n-th firing of the event charge schedules finds
+// the n-th frame. The ring is made by the first frame, grows to the deepest
+// burst the link has seen — the sender's window, on a collective stream —
+// and is kept, so charging allocates nothing once a link has seen its
+// traffic, and a link that has seen none holds no ring.
+type framer struct {
 	busyUntil time.Duration
 	rd, wr    *chargedMsg // the ring: the oldest frame in it (or where wr comes next), the newest
 }
@@ -134,7 +158,18 @@ type chargedMsg struct {
 
 // Charge hands Deliver msg after one frame's worth of reader time from now
 // on.
-func (fr *SerialFramer) Charge(msg []byte) {
+func (fr *SerialFramer) Charge(msg []byte) { fr.fr.charge(fr.Sim, fr.Cost, msg, fr) }
+
+// Fire is the framer as the event Charge schedules: the oldest charged
+// frame's time is up.
+func (fr *SerialFramer) Fire() { fr.Deliver(fr.fr.next()) }
+
+// Behind runs fn uncharged once every frame charged so far is delivered.
+func (fr *SerialFramer) Behind(fn func()) { fr.fr.behind(fr.Sim, fn) }
+
+// charge queues msg and schedules ev — which takes it with next — cost of
+// reader time after the later of now and the last charged frame.
+func (fr *framer) charge(sim *vtime.Sim, cost time.Duration, msg []byte, ev vtime.Event) {
 	if msg == nil {
 		msg = []byte{} // nil marks a free slot
 	}
@@ -148,60 +183,76 @@ func (fr *SerialFramer) Charge(msg []byte) {
 		wr.next = &chargedMsg{msg: msg, next: wr.next}
 		fr.wr = wr.next
 	}
-	now := fr.Sim.Now()
-	fr.busyUntil = max(now, fr.busyUntil) + fr.Cost
-	fr.Sim.AfterEvent(fr.busyUntil-now, fr)
+	now := sim.Now()
+	fr.busyUntil = max(now, fr.busyUntil) + cost
+	sim.AfterEvent(fr.busyUntil-now, ev)
 }
 
-// Fire is the framer as the event Charge schedules: the oldest charged
-// frame's time is up.
-func (fr *SerialFramer) Fire() {
+// next takes the oldest charged frame, whose time is up.
+func (fr *framer) next() []byte {
 	rd := fr.rd
 	msg := rd.msg
 	rd.msg, fr.rd = nil, rd.next
-	fr.Deliver(msg)
+	return msg
 }
 
-// Behind runs fn uncharged once every frame charged so far is delivered.
-func (fr *SerialFramer) Behind(fn func()) {
-	if now := fr.Sim.Now(); fr.busyUntil > now {
-		fr.Sim.After(fr.busyUntil-now, fn)
+// behind runs fn uncharged once every frame charged so far is delivered.
+func (fr *framer) behind(sim *vtime.Sim, fn func()) {
+	if now := sim.Now(); fr.busyUntil > now {
+		sim.After(fr.busyUntil-now, fn)
 	} else {
 		fn()
 	}
 }
 
-// newLinkDemux registers the framer on conn (none for the front end's
+// newLinkDemux registers the demux on conn (none for the front end's
 // link). Heartbeats are not charged here: the health layer charges them on
 // consumption, at its own cheaper per-message cost.
 func (c *Comm) newLinkDemux(conn *simnet.Conn) *linkDemux {
-	sim := c.p.Sim()
 	d := &linkDemux{c: c, conn: conn}
-	d.base.Init(sim)
-	d.hb.Init(sim)
-	if conn == nil {
-		return d
+	if conn != nil {
+		conn.HandleQueue(d.receive)
 	}
-	d.fr = SerialFramer{Sim: sim, Cost: PerMsgCost, Deliver: d.deliver}
-	// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
-	// payloads: a collective frame keeps the message it arrived in
-	// (coll.Frame.Wire), length prefix included, for planeOp.relay.
-	conn.Handle(func(msg []byte, err error) {
-		var raw []byte
-		if err == nil {
-			raw, err = lmonp.FrameFromMessage(msg)
-		}
-		switch {
-		case err != nil:
-			d.fr.Behind(func() { d.fail(err) })
-		case len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat:
-			d.fr.Behind(func() { d.hb.Send(raw[4:]) })
-		default:
-			d.fr.Charge(msg)
-		}
-	})
 	return d
 }
+
+// receive takes one message off the connection, or its end (ok false).
+// The framer takes whole messages, not lmonp.HandleFrames' unwrapped
+// payloads: a collective frame keeps the message it arrived in
+// (coll.Frame.Wire), length prefix included, for planeOp.relay.
+func (d *linkDemux) receive(msg []byte, ok bool) {
+	var raw []byte
+	var err error
+	if ok {
+		raw, err = lmonp.FrameFromMessage(msg)
+	} else {
+		err = d.conn.EndErr()
+	}
+	sim := d.c.p.Sim()
+	switch {
+	case err != nil:
+		d.fr.behind(sim, func() { d.fail(err) })
+	case len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat:
+		d.fr.behind(sim, func() { d.queue(&d.hb).Send(raw[4:]) })
+	default:
+		d.fr.charge(sim, PerMsgCost, msg, d)
+	}
+}
+
+// Fire is the demux as the event its framer schedules: the oldest charged
+// frame's time is up.
+func (d *linkDemux) Fire() {
+	msg := d.fr.next()
+	if sortHook != nil {
+		sortHook(d, msg)
+	}
+	d.deliver(msg)
+}
+
+// sortHook, when set, sees every charged frame at the instant a demux sorts
+// it: the test hook TestLinkDemuxChargesLikeASerialReader times tagged
+// frames and credits with.
+var sortHook func(d *linkDemux, msg []byte)
 
 // deliver sorts one charged message: collective-plane frames and credit
 // frames to their tag's record, the Comm collectives' frames to the base
@@ -237,7 +288,7 @@ func (d *linkDemux) deliver(msg []byte) {
 		}
 		d.credit(f.H.Tag, f.Credits())
 	case opBarrier, opRelease, opBcast, opGather, opScatter, opFold:
-		d.base.Send(raw)
+		d.queue(&d.base).Send(raw)
 	default:
 		d.fail(fmt.Errorf("%w: opcode %d from rank %d", errProtocol, op, d.peer()))
 	}
@@ -250,7 +301,7 @@ func (d *linkDemux) peer() int {
 			return d.c.childRank(i)
 		}
 	}
-	return Parent(d.c.rank, d.c.cfg.Fanout)
+	return Parent(d.c.rank, d.c.fanout)
 }
 
 // gauge maintains the interior-depth observability gauges for one frame
@@ -262,13 +313,14 @@ func (d *linkDemux) peer() int {
 // excludes them and the flow-control invariant is exact: depth ≤ window.
 // The front end's link is not a tree link and is not gauged.
 func (d *linkDemux) gauge(f coll.Frame, depth int, bytes uint64) {
-	if d.conn == nil {
+	m := d.c.obs
+	if d.conn == nil || m == nil {
 		return
 	}
 	if !f.End {
-		d.c.collDepthMax.SetMax(uint64(depth))
+		m.collDepthMax.SetMax(uint64(depth))
 	}
-	d.c.collBytesMax.SetMax(bytes)
+	m.collBytesMax.SetMax(bytes)
 }
 
 // key is the record tag's frames go to: its own on a tree link, its
@@ -463,9 +515,14 @@ func (d *linkDemux) fail(err error) {
 			ops = append(ops, s.op)
 		}
 	}
+	base, hb := d.base, d.hb
 	d.mu.Unlock()
-	d.base.Close()
-	d.hb.Close()
+	if base != nil {
+		base.Close()
+	}
+	if hb != nil {
+		hb.Close()
+	}
 	for _, o := range ops {
 		o.pump()
 	}
@@ -508,6 +565,8 @@ func (c *Comm) sendCredit(conn *simnet.Conn, tag uint32, n uint32) error {
 	h := coll.CreditFrame(tag, n).H
 	hn := h.EncodedSize()
 	msg := lmonp.AppendUint32(newFrame(opCredit, 4+hn), uint32(hn))
-	c.creditTxFrames.Inc()
+	if m := c.obs; m != nil {
+		m.creditTxFrames.Inc()
+	}
 	return c.send(conn, h.AppendTo(msg))
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -91,28 +92,30 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 				})
 			} else {
 				d := c.demux(0)
-				d.hb.Handle(func(_ []byte, ok bool) {
+				d.queue(&d.hb).Handle(func(_ []byte, ok bool) {
 					if ok {
 						got["hb"] = append(got["hb"], sim.Now())
 					}
 				})
-				d.base.Handle(func(_ []byte, ok bool) {
+				d.queue(&d.base).Handle(func(_ []byte, ok bool) {
 					if ok {
 						got["base"] = append(got["base"], sim.Now())
 					}
 				})
 				// Tagged frames and credits are handed to their record the
 				// instant the framer delivers them.
-				deliver := d.fr.Deliver
-				d.fr.Deliver = func(msg []byte) {
+				sortHook = func(at *linkDemux, msg []byte) {
+					if at != d {
+						return
+					}
 					switch binary.BigEndian.Uint32(msg[4:]) {
 					case opCollChunk, opCollEnd:
 						got["tag"] = append(got["tag"], sim.Now())
 					case opCredit:
 						got["credit"] = append(got["credit"], sim.Now())
 					}
-					deliver(msg)
 				}
+				defer func() { sortHook = nil }()
 			}
 			sim.Sleep(2 * scriptStart)
 		case 1:
@@ -336,5 +339,21 @@ func TestUnknownOpcodeFailsTheLink(t *testing.T) {
 	}
 	if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) {
 		t.Fatalf("barrier over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
+	}
+}
+
+// TestLinkStateSizeClasses pins what a daemon keeps per tree link and per
+// communicator for the life of its session to their size classes.
+func TestLinkStateSizeClasses(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"linkDemux", unsafe.Sizeof(linkDemux{}), 96},
+		{"Comm", unsafe.Sizeof(Comm{}), 112},
+	} {
+		if c.size > c.want {
+			t.Errorf("%s is %d B, want at most %d (one size class)", c.name, c.size, c.want)
+		}
 	}
 }

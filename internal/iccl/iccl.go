@@ -75,13 +75,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Comm is a bootstrapped ICCL communicator.
+// Comm is a bootstrapped ICCL communicator. Every daemon holds one for the
+// life of its session, so it keeps of its Config only the fanout, and its
+// metric handles behind one pointer that is nil while obs is off.
 type Comm struct {
-	p    *cluster.Proc
-	cfg  Config
-	rank int
-	size int
-	name string // a front end's plane's: what its errors call it (who)
+	p      *cluster.Proc
+	rank   int
+	size   int
+	fanout int
+	name   string // a front end's plane's: what its errors call it (who)
 
 	parent   *simnet.Conn     // nil at root
 	children []*simnet.Conn   // indexed by child slot
@@ -90,26 +92,34 @@ type Comm struct {
 	dmMu    sync.Mutex                   // serializes demuxLinks
 	demuxes atomic.Pointer[[]*linkDemux] // published once by demuxLinks: the parent's, then the children's in slot order
 
-	// Metric handles, interned once at bootstrap (nil = obs off; all
-	// methods on nil handles no-op).
+	obs *commObs // nil = obs off
+}
+
+// commObs is a communicator's metric handles, interned once at bootstrap.
+type commObs struct {
 	txFrames, txBytes, rxFrames, rxBytes *obs.Counter
 	collTxFrames, collTxBytes            *obs.Counter
 	creditTxFrames                       *obs.Counter
 	collDepthMax, collBytesMax           *obs.Gauge
 }
 
-// bindMetrics interns the communicator's counter handles from cfg.Metrics.
-func (c *Comm) bindMetrics() {
-	reg := c.cfg.Metrics
-	c.txFrames = reg.Counter("iccl.tx.frames")
-	c.txBytes = reg.Counter("iccl.tx.bytes")
-	c.rxFrames = reg.Counter("iccl.rx.frames")
-	c.rxBytes = reg.Counter("iccl.rx.bytes")
-	c.collTxFrames = reg.Counter("coll.tx.frames")
-	c.collTxBytes = reg.Counter("coll.tx.bytes")
-	c.creditTxFrames = reg.Counter("coll.credit.tx.frames")
-	c.collDepthMax = reg.Gauge("coll.queue.depth.max")
-	c.collBytesMax = reg.Gauge("coll.link.bytes.max")
+// bindMetrics interns the communicator's counter handles from reg, when
+// there is one.
+func (c *Comm) bindMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	c.obs = &commObs{
+		txFrames:       reg.Counter("iccl.tx.frames"),
+		txBytes:        reg.Counter("iccl.tx.bytes"),
+		rxFrames:       reg.Counter("iccl.rx.frames"),
+		rxBytes:        reg.Counter("iccl.rx.bytes"),
+		collTxFrames:   reg.Counter("coll.tx.frames"),
+		collTxBytes:    reg.Counter("coll.tx.bytes"),
+		creditTxFrames: reg.Counter("coll.credit.tx.frames"),
+		collDepthMax:   reg.Gauge("coll.queue.depth.max"),
+		collBytesMax:   reg.Gauge("coll.link.bytes.max"),
+	}
 }
 
 // newFrame starts a tree-link message in one buffer of exactly its wire
@@ -126,8 +136,10 @@ func newFrame(op uint32, n int) []byte {
 // planeOp.sendOn so wire-byte invariants (bench assertions on O(K) claims)
 // observe every frame.
 func (c *Comm) send(conn *simnet.Conn, msg []byte) error {
-	c.txFrames.Inc()
-	c.txBytes.Add(uint64(len(msg) - 4))
+	if m := c.obs; m != nil {
+		m.txFrames.Inc()
+		m.txBytes.Add(uint64(len(msg) - 4))
+	}
 	return lmonp.SendFrame(conn, msg)
 }
 
@@ -158,13 +170,13 @@ type Link struct {
 func (c *Comm) ShareLinks() (parent *Link, children []*Link) {
 	c.demuxLinks()
 	mklink := func(slot int) *Link {
-		conn := c.conn(slot)
+		conn, d := c.conn(slot), c.demux(slot)
 		return &Link{
 			Rank: c.peerRank(slot),
 			Send: func(payload []byte) error {
 				return lmonp.SendFrame(conn, append(newFrame(opHeartbeat, len(payload)), payload...))
 			},
-			Recv: &c.demux(slot).hb,
+			Recv: d.queue(&d.hb),
 		}
 	}
 	if c.parent != nil {
@@ -186,7 +198,7 @@ func (c *Comm) conn(slot int) *simnet.Conn {
 }
 
 // childRank is the rank of the child in slot, by the tree's heap layout.
-func (c *Comm) childRank(slot int) int { return c.rank*c.cfg.Fanout + 1 + slot }
+func (c *Comm) childRank(slot int) int { return c.rank*c.fanout + 1 + slot }
 
 // who names this end of the plane in errors: its rank, or the front end.
 func (c *Comm) who() string {
@@ -202,7 +214,7 @@ func (c *Comm) who() string {
 // way: here on the direct path, by the demux's framer otherwise.
 func (c *Comm) recvRaw(slot int) ([]byte, error) {
 	if d := c.demux(slot); d != nil {
-		raw, ok := d.base.Recv()
+		raw, ok := d.queue(&d.base).Recv()
 		if !ok {
 			return nil, d.failure()
 		}
@@ -251,8 +263,10 @@ func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, err
 
 // countRx tallies one received tree frame (both recvRaw modes).
 func (c *Comm) countRx(raw []byte) {
-	c.rxFrames.Inc()
-	c.rxBytes.Add(uint64(len(raw)))
+	if m := c.obs; m != nil {
+		m.rxFrames.Inc()
+		m.rxBytes.Add(uint64(len(raw)))
+	}
 }
 
 // Parent returns the parent rank of r in a k-ary tree (r>0).
@@ -334,8 +348,8 @@ func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, er
 	if len(cfg.Nodelist) != cfg.Size {
 		return nil, fmt.Errorf("%w: nodelist has %d entries for size %d", errBootstrap, len(cfg.Nodelist), cfg.Size)
 	}
-	c := &Comm{p: p, cfg: *cfg, rank: cfg.Rank, size: cfg.Size}
-	c.bindMetrics()
+	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
+	c.bindMetrics(cfg.Metrics)
 	p.AdoptConn(c) // a killed daemon's links die with it
 	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
 
@@ -550,7 +564,7 @@ func (c *Comm) sendOp(slot int, msg []byte) error {
 // peerRank is the rank at the other end of the link a slot names.
 func (c *Comm) peerRank(slot int) int {
 	if slot == above {
-		return Parent(c.rank, c.cfg.Fanout)
+		return Parent(c.rank, c.fanout)
 	}
 	return c.childRank(slot)
 }
@@ -727,7 +741,7 @@ func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
 			mine, have = e.Blob, true
 			continue
 		}
-		slot := subtreeSlot(c.rank, c.cfg.Fanout, len(subs), e.Rank)
+		slot := subtreeSlot(c.rank, c.fanout, len(subs), e.Rank)
 		if slot < 0 {
 			return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
 		}

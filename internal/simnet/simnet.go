@@ -184,8 +184,8 @@ func (n *Network) RestoreLink(a, b string) {
 // its host's list, the index fault injection walks. Caller holds n.mu
 // (registration must be atomic with the dead-host check in Dial, or a racing
 // KillHost misses the new conn).
-func (c *Conn) openLocked(h *Host, port int, lat time.Duration, bw float64, peer *Conn) {
-	c.host, c.port, c.lat, c.bw, c.peer = h, port, lat, bw, peer
+func (c *Conn) openLocked(h *Host, peer *Conn) {
+	c.host, c.peer = h, peer
 	c.in.Init(h.net.sim)
 	c.listed = true
 	if c.prev = h.lastConn; c.prev != nil {
@@ -217,6 +217,23 @@ func (c *Conn) unregister() {
 		h.lastConn = c.prev
 	}
 	c.prev, c.next = nil, nil
+}
+
+// link is the cost model of a connection between hosts a and b: the
+// interconnect's latency and bandwidth, or the loopback's within one host,
+// scaled by the slower end's factor. A connection's two endpoints read it
+// from their hosts on each send rather than hold it: a parked daemon keeps
+// its links for the life of a session.
+func (o Options) link(a, b string) (lat time.Duration, bw float64) {
+	lat, bw = Latency, Bandwidth
+	if a == b {
+		lat, bw = LoopbackLatency, loopbackBandwidth
+	}
+	if f := o.slowFactor(a, b); f > 1 {
+		lat = time.Duration(float64(lat) * f)
+		bw /= f
+	}
+	return lat, bw
 }
 
 // slowFactor returns the effective slowdown for a conn between two hosts
@@ -388,45 +405,42 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: %s", errConnRefused, addr)
 	}
-	lat = Latency
-	bw := Bandwidth
-	if addr.Host == h.name {
-		lat, bw = LoopbackLatency, loopbackBandwidth
-	}
-	if f := n.opts.slowFactor(h.name, addr.Host); f > 1 {
-		lat = time.Duration(float64(lat) * f)
-		bw /= f
-	}
+	lat, _ = n.opts.link(h.name, addr.Host)
 	// One allocation is the whole connection: both endpoints, with their
 	// inbound queues and what they have on the wire by value.
 	pair := new([2]Conn)
 	a, b = &pair[0], &pair[1]
-	a.openLocked(h, -1, lat, bw, b) // anonymous client port
-	b.openLocked(dst, addr.Port, lat, bw, a)
+	a.openLocked(h, b)
+	b.openLocked(dst, a)
 	n.stats.Dials++
 	n.mu.Unlock()
 	return a, b, l.incoming, lat, nil
 }
 
-// Conn is one direction-pair stream connection endpoint.
+// Conn is one direction-pair stream connection endpoint. Both endpoints
+// are one allocation, so what one weighs is paid twice on every link of
+// every daemon for the life of a session; its cost model is its hosts'
+// (Options.link), not a copy of its own.
 type Conn struct {
 	host *Host // the local end; the remote one is peer.host
-	port int
-	lat  time.Duration
-	bw   float64
 
 	in   vtime.Chan[[]byte] // arriving payloads
 	rbuf []byte             // partially consumed arrival
 
 	peer       *Conn
 	prev, next *Conn // host.conns; guarded by net.mu, as is listed
-	listed     bool
 
 	mu       sync.Mutex
 	sendDone time.Duration // virtual time the previous Send finishes on the wire
 	wire     wire          // sent, not yet arrived at peer
 	closed   bool
 	peerDead bool // the other endpoint's host was killed (reads/writes fail)
+	listed   bool
+}
+
+// link is the connection's latency and bandwidth.
+func (c *Conn) link() (time.Duration, float64) {
+	return c.host.net.opts.link(c.host.name, c.peer.host.name)
 }
 
 // wire is what one direction has in flight, oldest first. Arrival instants
@@ -485,10 +499,11 @@ func (c *Conn) Send(msg []byte) error {
 	if c.sendDone > start {
 		start = c.sendDone
 	}
-	tx := time.Duration(float64(len(msg)) / c.bw * float64(time.Second))
+	lat, bw := c.link()
+	tx := time.Duration(float64(len(msg)) / bw * float64(time.Second))
 	c.sendDone = start + tx
 	c.wire.push(msg)
-	sim.AfterEvent(c.sendDone+c.lat-now, (*arrival)(c))
+	sim.AfterEvent(c.sendDone+lat-now, (*arrival)(c))
 	c.mu.Unlock()
 	return nil
 }
@@ -557,7 +572,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	for len(c.rbuf) == 0 {
 		buf, ok := c.in.Recv()
 		if !ok {
-			return 0, c.endErr()
+			return 0, c.EndErr()
 		}
 		c.rbuf = buf
 	}
@@ -577,15 +592,15 @@ func (c *Conn) RecvMessage() ([]byte, error) {
 	}
 	buf, ok := c.in.Recv()
 	if !ok {
-		return nil, c.endErr()
+		return nil, c.EndErr()
 	}
 	return buf, nil
 }
 
-// endErr is what the receive side reports once the inbound queue has
+// EndErr is what the receive side reports once the inbound queue has
 // closed and drained: ErrPeerDead on a severed connection, io.EOF after a
 // clean close.
-func (c *Conn) endErr() error {
+func (c *Conn) EndErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.peerDead {
@@ -613,11 +628,22 @@ func (c *Conn) Handle(fn func(msg []byte, err error)) {
 	}
 	c.in.Handle(func(buf []byte, ok bool) {
 		if !ok {
-			fn(nil, c.endErr())
+			fn(nil, c.EndErr())
 			return
 		}
 		fn(buf, nil)
 	})
+}
+
+// HandleQueue is Handle with the inbound queue's own callback: fn(msg,
+// true) once per delivered message, then fn(nil, false) once the stream
+// has ended, EndErr saying why. Handle wraps its fn in one object more; a
+// handler installed on every tree link of a parked daemon does without it.
+func (c *Conn) HandleQueue(fn func(msg []byte, ok bool)) {
+	if len(c.rbuf) != 0 {
+		panic("simnet: Conn.HandleQueue with a partially read message")
+	}
+	c.in.Handle(fn)
 }
 
 // Unhandle detaches the message handler installed by Handle and returns
@@ -680,7 +706,8 @@ func (c *Conn) shutLocked(atPeer vtime.Event) {
 	c.mu.Unlock()
 	c.in.Close()
 	c.unregister()
-	sim.AfterEvent(end+c.lat-now, atPeer)
+	lat, _ := c.link()
+	sim.AfterEvent(end+lat-now, atPeer)
 }
 
 var _ io.ReadWriteCloser = (*Conn)(nil)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"launchmon/internal/vtime"
 )
@@ -282,5 +283,14 @@ func TestDialAndCloseAllocs(t *testing.T) {
 	})
 	if per > want+0.01 {
 		t.Errorf("a Dial and the Close of both ends allocate %.2f objects, want %d", per, want)
+	}
+}
+
+// TestConnPairSizeClass pins a connection — both endpoints, one allocation
+// — to the 416 B size class: a parked daemon keeps one per tree link for the
+// life of its session.
+func TestConnPairSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof([2]Conn{}); size > 416 {
+		t.Errorf("a connection is %d B, want at most 416 (one size class)", size)
 	}
 }

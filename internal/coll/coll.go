@@ -13,6 +13,7 @@
 package coll
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -175,11 +176,15 @@ func DecodeHeader(rd *lmonp.Reader) (Header, error) {
 // tree link has Sum 0 — the tree wire carries only the End digest — unless
 // its receiver checks the stream and computes it, as the seed stream does.
 type Frame struct {
-	H     Header
-	Body  []byte
-	End   bool
-	Total uint64
-	Sum   uint64
+	H    Header
+	Body []byte
+	End  bool
+	// Last marks a stream's last chunk carrying its end marker (withEnd),
+	// whose Total and Digest it holds, and the marker split off it.
+	Last   bool
+	Total  uint64
+	Sum    uint64
+	Digest uint64
 
 	// Wire is the tree-link message a received frame was parsed from (Body
 	// aliases it); nil for a frame built locally. A node that relays the
@@ -189,16 +194,42 @@ type Frame struct {
 	Wire []byte
 }
 
+// withEnd returns chunk carrying end, the end marker that follows it.
+func withEnd(chunk, end Frame) Frame {
+	chunk.Last, chunk.Total, chunk.Digest = true, end.Total, end.Sum
+	return chunk
+}
+
+// Merged returns a stream's frames as they travel: its last chunk carries
+// the end marker (withEnd), unless it has no chunk.
+func Merged(frames []Frame) []Frame {
+	if n := len(frames); n > 1 {
+		frames[n-2] = withEnd(frames[n-2], frames[n-1])
+		return frames[:n-1]
+	}
+	return frames
+}
+
+// EndMarker returns the end marker a Last chunk carries.
+func (f Frame) EndMarker() Frame {
+	h := Header{Op: f.H.Op, Tag: f.H.Tag, Index: f.H.Index + 1, Filter: f.H.Filter}
+	return Frame{H: h, End: true, Last: true, Total: f.Total, Sum: f.Digest}
+}
+
 // A frame travels between the front end and a master daemon as one
-// TypeCollChunk (chunks) or TypeCollEnd (end markers) LMONP message: the
-// header — plus the total, for end markers — and the checksum in the
-// LaunchMON section, the chunk body as piggybacked tool data.
+// TypeCollChunk (chunks) or TypeCollEnd (end markers, Last chunks) LMONP
+// message: the header — plus the total, for end markers — the checksum and
+// a Last chunk's total and digest in the LaunchMON section, the chunk body
+// as piggybacked tool data.
 
 // PayloadSize returns the size of the LaunchMON section of the frame's
 // LMONP message.
 func (f Frame) PayloadSize() int {
-	if f.End {
+	switch {
+	case f.End:
 		return f.H.EncodedSize() + 16
+	case f.Last:
+		return f.H.EncodedSize() + 24
 	}
 	return f.H.EncodedSize() + 8
 }
@@ -209,7 +240,11 @@ func (f Frame) AppendPayload(b []byte) []byte {
 	if f.End {
 		b = lmonp.AppendUint64(b, f.Total)
 	}
-	return lmonp.AppendUint64(b, f.Sum)
+	b = lmonp.AppendUint64(b, f.Sum)
+	if f.Last && !f.End {
+		b = lmonp.AppendUint64(lmonp.AppendUint64(b, f.Total), f.Digest)
+	}
+	return b
 }
 
 // EncodeMsg renders the frame as the two payload sections of its LMONP
@@ -223,22 +258,30 @@ func (f Frame) EncodeMsg() (payload, usr []byte) {
 }
 
 // DecodeMsg parses the payload sections of a collective LMONP message
-// (end selects the TypeCollEnd layout).
+// (end selects the TypeCollEnd layout, a Last chunk when it is longer than
+// an end marker's).
 func DecodeMsg(end bool, payload, usr []byte) (Frame, error) {
 	rd := lmonp.NewReader(payload)
 	h, err := DecodeHeader(rd)
 	if err != nil {
 		return Frame{}, err
 	}
-	f := Frame{H: h, End: end}
-	if end {
+	f := Frame{H: h, End: end && rd.Remaining() <= 16}
+	f.Last = end && !f.End
+	if f.End {
 		f.Total = rd.Uint64()
 	} else {
 		f.Body = usr
 	}
 	f.Sum = rd.Uint64()
+	if f.Last {
+		f.Total, f.Digest = rd.Uint64(), rd.Uint64()
+	}
 	if err := rd.Err(); err != nil {
 		return Frame{}, fmt.Errorf("%w: total and checksum: %v", errBadHeader, err)
+	}
+	if n := rd.Remaining(); n != 0 {
+		return Frame{}, fmt.Errorf("%w: %d bytes after the checksum", errBadHeader, n)
 	}
 	return f, nil
 }
@@ -342,6 +385,7 @@ type Packer struct {
 	Tag        uint32
 	ChunkBytes int
 	Emit       func(Frame) error
+	Merge      bool // End emits the last chunk carrying the end marker (withEnd)
 
 	pend   []Entry
 	size   int
@@ -377,6 +421,11 @@ func (p *Packer) flush() error {
 	if len(p.pend) == 0 {
 		return nil
 	}
+	return p.Emit(p.chunk())
+}
+
+// chunk renders the pending entries as the stream's next chunk frame.
+func (p *Packer) chunk() Frame {
 	lo, hi := uint32(p.pend[0].Rank), uint32(p.pend[0].Rank)+1
 	for _, e := range p.pend[1:] {
 		if uint32(e.Rank) < lo {
@@ -399,23 +448,27 @@ func (p *Packer) flush() error {
 	}
 	p.pend, p.size = p.pend[:0], 0
 	p.index++
-	return p.Emit(f)
+	return f
 }
 
-// End flushes the final partial chunk and emits the end marker.
+// End flushes the final partial chunk and emits the end marker — one frame,
+// the chunk carrying the marker, under Merge.
 func (p *Packer) End() error {
+	if p.Merge && len(p.pend) > 0 {
+		return p.Emit(withEnd(p.chunk(), p.end()))
+	}
 	if err := p.flush(); err != nil {
 		return err
 	}
+	return p.Emit(p.end())
+}
+
+// end renders the stream's end marker, behind every chunk rendered.
+func (p *Packer) end() Frame {
 	if p.index == 0 {
 		p.digest = lmonp.SumInit
 	}
-	return p.Emit(Frame{
-		H:     Header{Op: p.Op, Tag: p.Tag, Index: p.index},
-		End:   true,
-		Total: p.total,
-		Sum:   p.digest,
-	})
+	return Frame{H: Header{Op: p.Op, Tag: p.Tag, Index: p.index}, End: true, Total: p.total, Sum: p.digest}
 }
 
 // EntryFrames packs rank-tagged entries into chunk frames of roughly
@@ -563,10 +616,7 @@ func (a *RawAssembler) Finish(h Header, total uint64) ([]byte, error) {
 	if total == 0 {
 		return nil, nil
 	}
-	data := make([]byte, 0, total)
-	for _, ch := range a.chunks {
-		data = append(data, ch...)
-	}
+	data := bytes.Join(a.chunks, nil) // allocated without zeroing
 	a.chunks = nil
 	return data, nil
 }

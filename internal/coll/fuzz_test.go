@@ -13,7 +13,10 @@ import (
 // FuzzCollChunkDecode hardens the collective chunk decoders against
 // corrupt or hostile frames: header + entry-list + end-marker parsing and
 // the reassembly validators must reject garbage without panicking, and
-// anything that decodes must re-encode to an equivalent wire form.
+// anything that decodes must re-encode to an equivalent wire form. Its
+// corpus holds the front-end hop's layouts, a stream's last chunk carrying
+// its end marker (Frame.Last) among them, whole and cut short; the tree
+// hop's are iccl's FuzzTreeChunkDecode.
 func FuzzCollChunkDecode(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false)
 	chunk := Frame{H: Header{Op: OpGather, Tag: 3, Index: 1, Lo: 4, Hi: 9}, Body: []byte("body")}
@@ -40,6 +43,13 @@ func FuzzCollChunkDecode(f *testing.F) {
 	f.Add(p, u, false)
 	p, u = ar[len(ar)-1].EncodeMsg()
 	f.Add(p, u, true)
+	// Last chunks: a gather's one chunk, a reduce's with its filter, an
+	// empty payload's; each also with its end marker's digest cut short.
+	for _, last := range [][]Frame{Merged(ag), Merged(ar), Merged(RawFrames(OpBroadcast, 1, "", nil, 0))} {
+		p, u = last[len(last)-1].EncodeMsg()
+		f.Add(p, u, true)
+		f.Add(p[:len(p)-3], u, true)
+	}
 
 	f.Fuzz(func(t *testing.T, payload, usr []byte, isEnd bool) {
 		fr, err := DecodeMsg(isEnd, payload, usr)
@@ -47,23 +57,30 @@ func FuzzCollChunkDecode(f *testing.F) {
 			// Round trip: re-encoding a decoded frame reproduces the header
 			// section and preserves the body.
 			p2, u2 := fr.EncodeMsg()
-			fr2, err := DecodeMsg(fr.End, p2, u2)
+			fr2, err := DecodeMsg(fr.End || fr.Last, p2, u2)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if fr2.H != fr.H || fr2.End != fr.End || fr2.Total != fr.Total || !bytes.Equal(fr2.Body, fr.Body) {
+			if fr2.H != fr.H || fr2.End != fr.End || fr2.Last != fr.Last || fr2.Total != fr.Total ||
+				fr2.Digest != fr.Digest || !bytes.Equal(fr2.Body, fr.Body) {
 				t.Fatalf("round trip diverged: %+v vs %+v", fr, fr2)
 			}
-			// Feeding the frame to the assemblers must never panic.
+			if fr.Last && !isEnd {
+				t.Fatal("a chunk message decoded as a Last chunk")
+			}
+			// Feeding the frame to the assemblers — a Last chunk, then the
+			// end marker it carries — must never panic.
 			var raw RawAssembler
+			var rank RankAssembler
 			if fr.End {
 				raw.Finish(fr.H, fr.Total)
 			} else {
 				raw.Add(fr.H, fr.Body)
-			}
-			var rank RankAssembler
-			if !fr.End {
 				rank.Add(fr.H, fr.Body)
+			}
+			if end := fr.EndMarker(); fr.Last {
+				raw.Finish(end.H, end.Total)
+				rank.Finish(end.H, end.Total, 1)
 			}
 		}
 		// Entry decoding on arbitrary bytes must not panic; whatever

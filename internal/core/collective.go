@@ -143,6 +143,8 @@ func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
 	typ, body := lmonp.TypeCollChunk, f.Body
 	if f.End {
 		typ, body = lmonp.TypeCollEnd, nil
+	} else if f.Last {
+		typ = lmonp.TypeCollEnd
 	}
 	buf, err := lmonp.Begin(class, typ, f.PayloadSize(), len(body))
 	if err != nil {
@@ -217,10 +219,11 @@ func (s *Session) ReduceTag(tag uint32) ([]byte, error) { return s.be.tagged(tag
 // MWReduceTag is ReduceTag over the MW fabric.
 func (s *Session) MWReduceTag(tag uint32) ([]byte, error) { return s.mw.tagged(tag).reduce() }
 
-// send ships the frames of one FE-originated stream to the master daemon.
+// send ships the frames of one FE-originated stream to the master daemon,
+// the last chunk carrying the end marker.
 func (st feStream) send(frames []coll.Frame) error {
 	s := st.fab.s
-	for _, f := range frames {
+	for _, f := range coll.Merged(frames) {
 		if err := sendFrameOn(st.conn, st.fab.prof.class, f); err != nil {
 			return err
 		}

@@ -498,15 +498,21 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 // comes. Tool data keeps flowing. At the front end the running operations
 // are a Gather and a ReduceTag of the front end's plane; at the master, a
 // Broadcast and a ScatterTag of the root plane of a one-daemon tree. The
-// garbage arrives as the connection's handler would hand it over: from a
-// scheduler callback.
+// garbage — an undecodable chunk, or a stream's last chunk cut short in the
+// end marker it carries or followed by a stray byte — arrives as the connection's handler would hand it
+// over: from a scheduler callback.
 func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
+	payload, body := coll.Merged(coll.RawFrames(coll.OpBroadcast, 1, "", []byte("x"), 0))[0].EncodeMsg()
 	for _, tc := range []struct {
 		name, peer string
 		start      func(t *testing.T, sim *vtime.Sim, e *malformedEnd)
+		garbage    lmonp.Msg
 	}{
-		{"front_end", "master daemon", startFEEnd},
-		{"master", "front end", startMasterEnd},
+		{"front_end", "master daemon", startFEEnd, lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}},
+		{"master", "front end", startMasterEnd, lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}},
+		{"front_end/last_chunk", "master daemon", startFEEnd, lmonp.Msg{Type: lmonp.TypeCollEnd, Payload: payload[:len(payload)-1], UsrData: body}},
+		{"master/last_chunk", "front end", startMasterEnd, lmonp.Msg{Type: lmonp.TypeCollEnd, Payload: payload[:len(payload)-1], UsrData: body}},
+		{"front_end/long_last_chunk", "master daemon", startFEEnd, lmonp.Msg{Type: lmonp.TypeCollEnd, Payload: append(payload[:len(payload):len(payload)], 0), UsrData: body}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := vtime.New()
@@ -517,8 +523,8 @@ func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
 			sim.After(time.Second, func() {
 				// What the connection's handler hands the sorter when its peer
 				// sends garbage.
-				if !e.rx.sort(&lmonp.Msg{Type: lmonp.TypeCollChunk, Payload: []byte{0xff}}) {
-					t.Error("sorter disowned a collective chunk")
+				if !e.rx.sort(&tc.garbage) {
+					t.Error("sorter disowned a collective frame")
 				}
 				e.rx.sort(&lmonp.Msg{Type: lmonp.TypeUsrData, UsrData: []byte("still here")})
 			})

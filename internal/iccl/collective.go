@@ -18,10 +18,12 @@ import (
 // in (PushFE), so every rank runs the same operations, and the front end's
 // own plane (NewFrontEnd) is fed the same way and runs their down phase.
 //
-// Each chunk on a tree link spends one credit of the per-(link, tag) window,
-// returned as the receiver takes it (opCredit), so interior depth is bounded
-// by window × chunk bytes; end markers and credits ride outside it. The FE
-// hop has no window: one sorted reader at either end and no fan-in skew.
+// Each message of a stream on a tree link spends one credit of the
+// per-(link, tag) window, returned as the receiver takes it (opCredit), so
+// interior depth is bounded by window × chunk bytes. The last carries the
+// end marker (coll.Frame.Last, or a chunkless stream's bare End) and gets
+// none back. The FE hop has no window: one sorted reader at either end and
+// no fan-in skew.
 //
 // Each link's demux (demux.go) sorts frames by tag, so tagged collectives,
 // each from its own goroutine, share one tree; *Tag variants take tags from
@@ -141,11 +143,12 @@ func (pl *Plane) userTag(tag uint32) error {
 // encodeFrameOp renders f as a tree-link message under the given chunk/end
 // opcode pair, in one buffer of exactly its wire size — the single
 // coll.Frame↔link-frame mapping, shared by the collective plane and the
-// session-seed stream. Only the End frame carries a checksum on the wire:
-// the rolling digest of the stream's per-chunk sums. A chunk's Sum is not
+// session-seed stream. Only the End carries a checksum on the wire: the
+// rolling digest of the stream's per-chunk sums. A chunk's Sum is not
 // sent — on a deep tree 8 bytes a frame would ride every hop of every
 // link — so a receiver that checks the stream computes each chunk's sum
 // from the body and folds it (the seed's parent link, for coll.SeqCheck).
+// A Last chunk goes under endOp, the End's total and digest after the body.
 func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 	hn := f.H.EncodedSize()
 	if f.End {
@@ -154,15 +157,23 @@ func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 		b = lmonp.AppendUint64(b, f.Total)
 		return lmonp.AppendUint64(b, f.Sum)
 	}
-	b := lmonp.AppendUint32(newFrame(chunkOp, 4+hn+4+len(f.Body)), uint32(hn))
-	b = f.H.AppendTo(b)
-	return lmonp.AppendBytes(b, f.Body)
+	op, n := chunkOp, 4+hn+4+len(f.Body)
+	if f.Last {
+		op, n = endOp, n+16
+	}
+	b := lmonp.AppendUint32(newFrame(op, n), uint32(hn))
+	b = lmonp.AppendBytes(f.H.AppendTo(b), f.Body)
+	if f.Last {
+		b = lmonp.AppendUint64(lmonp.AppendUint64(b, f.Total), f.Digest)
+	}
+	return b
 }
 
 // parseFrameOp decodes one raw tree frame (the message encodeFrameOp
 // renders, behind its length prefix); the frame's body aliases raw. An End
 // frame has the wire digest as its Sum; a chunk has none (Sum 0), since
-// no collective operation checks one — a caller that does computes it.
+// no collective operation checks one — a caller that does computes it. An
+// end message longer than an End is a Last chunk, on the plane's links.
 func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 	rd := lmonp.NewReader(raw)
 	op, hraw := rd.Uint32(), rd.Bytes()
@@ -177,13 +188,20 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 		return coll.Frame{}, err
 	}
 	f := coll.Frame{H: h, End: op == endOp}
-	if f.End {
+	f.Last = f.End && chunkOp == opCollChunk && rd.Remaining() > 16
+	if f.End && !f.Last {
 		f.Total, f.Sum = rd.Uint64(), rd.Uint64()
 	} else {
 		f.Body = rd.Bytes()
 	}
+	if f.Last {
+		f.End, f.Total, f.Digest = false, rd.Uint64(), rd.Uint64()
+	}
 	if err := rd.Err(); err != nil {
 		return coll.Frame{}, err
+	}
+	if n := rd.Remaining(); n != 0 {
+		return coll.Frame{}, fmt.Errorf("%v frame followed by %d bytes", f.H.Op, n)
 	}
 	return f, nil
 }
@@ -309,10 +327,10 @@ func (o *planeOp) pump() {
 
 // take runs one frame through the operation from the point it leaves the
 // drained link's side: a chunk's credit goes back to its sender (none to the
-// front end), an end marker releases the record, then the frame is checked
-// and stepped.
+// front end), an end marker (or a Last chunk) releases the record, then the
+// frame is checked and stepped — a Last chunk's end marker after it.
 func (o *planeOp) take(f coll.Frame) {
-	if s := o.src; s != nil && f.End {
+	if s := o.src; s != nil && (f.End || f.Last) {
 		o.src = nil
 		s.d.release(s, o)
 	} else if s != nil && s.d.conn != nil {
@@ -324,6 +342,9 @@ func (o *planeOp) take(f coll.Frame) {
 	err := o.pl.checkStream(f, o.op, o.tag)
 	if err == nil {
 		err = o.steps.frame(f)
+	}
+	if err == nil && f.Last && !o.done {
+		err = o.steps.frame(f.EndMarker())
 	}
 	if err != nil {
 		o.finish(err)
@@ -362,10 +383,10 @@ func (o *planeOp) put(m *outMsg) bool {
 }
 
 // sendOn puts one encoded frame on a link as is — one buffer may go out on
-// every child link — spending a window credit per chunk (end markers ride
-// outside the window and close the stream's send side). It is false when
-// the window is empty, o then waiting on the link's record for the next
-// credit, or when the link has failed, which ends o.
+// every child link — spending a window credit; an end message closes the
+// stream's send side. It is false when the window is empty, o then waiting
+// on the link's record for the next credit, or when the link has failed,
+// which ends o.
 func (o *planeOp) sendOn(slot int, msg []byte) bool {
 	d := o.link(slot)
 	if err := d.failure(); err != nil {
@@ -373,7 +394,7 @@ func (o *planeOp) sendOn(slot int, msg []byte) bool {
 		return false
 	}
 	end := binary.BigEndian.Uint32(msg[4:]) == opCollEnd
-	if !end && !d.takeCredit(o) {
+	if !d.takeCredit(o) {
 		return false
 	}
 	if err := o.pl.c.send(d.conn, msg); err != nil {
@@ -437,15 +458,16 @@ type chunkSink interface {
 
 // relay is the down phase of Broadcast, AllGather and AllReduce: a frame
 // from above is assembled in sink and forwarded to the children — the very
-// message it arrived in, or at the root one encoding for all of them. It
-// reports the end marker, for the caller to finish its assembler on.
+// message it arrived in, or at the root one encoding for all of them (a
+// Last chunk's end marker goes with it). It reports the end marker, for the
+// caller to finish its assembler on.
 func (o *planeOp) relay(f coll.Frame, sink chunkSink) (end bool, err error) {
 	if !f.End {
 		if err := sink.Add(f.H, f.Body); err != nil {
 			return false, err
 		}
 	}
-	if n := len(o.pl.c.children); n > 0 {
+	if n := len(o.pl.c.children); n > 0 && !(f.End && f.Last) {
 		msg := f.Wire
 		if msg == nil {
 			msg = encodeFrameOp(opCollChunk, opCollEnd, f)
@@ -462,6 +484,7 @@ func (o *planeOp) relay(f coll.Frame, sink chunkSink) (end bool, err error) {
 // from the result it holds: every child is sent the whole stream,
 // child-major, each frame encoded once for all of them.
 func (o *planeOp) redistribute(frames []coll.Frame) {
+	frames = coll.Merged(frames)
 	msgs := make([][]byte, len(frames))
 	for i, f := range frames {
 		msgs[i] = encodeFrameOp(opCollChunk, opCollEnd, f)
@@ -540,7 +563,7 @@ func (pl *Plane) scatter(tag uint32, err error) ([]byte, error) {
 		s.packers = make([]*coll.Packer, len(pl.c.children))
 		for slot := range s.packers {
 			slot := slot
-			s.packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: func(f coll.Frame) error {
+			s.packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Merge: true, Emit: func(f coll.Frame) error {
 				s.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, f), slot: slot, to: slot + 1})
 				return nil
 			}}
@@ -626,7 +649,7 @@ type gatherOp struct {
 func (pl *Plane) gather(op coll.Op, tag uint32, err error, mine []byte) ([][]byte, error) {
 	g := &gatherOp{n: pl.c.size}
 	if g.start(pl, g, op, tag, err) {
-		g.pk = coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Emit: g.emitUp}
+		g.pk = coll.Packer{Op: op, Tag: tag, ChunkBytes: pl.chunkBytes, Merge: true, Emit: g.emitUp}
 		if op == coll.OpAllGather && pl.c.parent == nil {
 			g.table = make([][]byte, g.n)
 			g.table[pl.c.rank] = append([]byte{}, mine...) // non-nil marks a slot filled
@@ -779,7 +802,7 @@ func (r *reduceOp) next(slot int) error {
 	} else {
 		r.drain(none)
 	}
-	for _, f := range frames {
+	for _, f := range coll.Merged(frames) {
 		if err := r.emitUp(f); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package iccl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -257,7 +258,7 @@ var sortHook func(d *linkDemux, msg []byte)
 // deliver sorts one charged message: collective-plane frames and credit
 // frames to their tag's record, the Comm collectives' frames to the base
 // queue. A frame that does not parse, or whose opcode no reader of the
-// link takes, fails the link.
+// link takes, fails the link, naming the peer.
 //
 // A collective is handled where it arrives: the operation a frame or a
 // credit belongs to is called here, on the scheduler, in place of a queue
@@ -271,26 +272,25 @@ func (d *linkDemux) deliver(msg []byte) {
 	if len(raw) >= 4 {
 		op = binary.BigEndian.Uint32(raw)
 	}
+	var f coll.Frame
+	var err error
 	switch op {
 	case opCollChunk, opCollEnd:
-		f, err := parseFrameOp(raw, opCollChunk, opCollEnd)
-		if err != nil {
-			d.fail(err)
-			return
+		if f, err = parseFrameOp(raw, opCollChunk, opCollEnd); err == nil {
+			f.Wire = msg
+			d.arrive(f)
 		}
-		f.Wire = msg
-		d.arrive(f)
 	case opCredit:
-		f, err := parseCredit(raw)
-		if err != nil {
-			d.fail(err)
-			return
+		if f, err = parseCredit(raw); err == nil {
+			d.credit(f.H.Tag, f.Credits())
 		}
-		d.credit(f.H.Tag, f.Credits())
 	case opBarrier, opRelease, opBcast, opGather, opScatter, opFold:
 		d.queue(&d.base).Send(raw)
 	default:
-		d.fail(fmt.Errorf("%w: opcode %d from rank %d", errProtocol, op, d.peer()))
+		err = errors.New("no reader of the link takes it")
+	}
+	if err != nil {
+		d.fail(fmt.Errorf("%w: opcode %d from rank %d: %v", errProtocol, op, d.peer(), err))
 	}
 }
 
@@ -308,10 +308,10 @@ func (d *linkDemux) peer() int {
 // entering a backlog that then holds depth frames and bytes body bytes:
 // coll.queue.depth.max is the high-water data-chunk count of any one
 // (link, tag) backlog at this daemon, coll.link.bytes.max the high-water
-// queued body bytes. End markers ride outside the credit window (they
-// carry no payload and each stream has exactly one), so the depth gauge
-// excludes them and the flow-control invariant is exact: depth ≤ window.
-// The front end's link is not a tree link and is not gauged.
+// queued body bytes. A bare End carries no payload and is its stream's only
+// message, so the depth gauge excludes it; a Last chunk counts like any
+// chunk, so the flow-control invariant is exact: depth ≤ window. The front
+// end's link is not a tree link and is not gauged.
 func (d *linkDemux) gauge(f coll.Frame, depth int, bytes uint64) {
 	m := d.c.obs
 	if d.conn == nil || m == nil {
@@ -451,7 +451,7 @@ func (d *linkDemux) takeCredit(o *planeOp) bool {
 	return true
 }
 
-// closeSend retires the send side of o's stream once its End frame is on
+// closeSend retires the send side of o's stream once its end message is on
 // the wire; credits still in flight for it are dropped on arrival.
 func (d *linkDemux) closeSend(o *planeOp) {
 	d.mu.Lock()

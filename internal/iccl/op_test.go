@@ -128,17 +128,19 @@ func opTag(oc planeOpCase, tagged bool) uint32 {
 }
 
 // opsDone is when the last rank of TestPlaneOpsParkOncePerRank left each
-// operation, from relayAt, under windows 4 and 1 — recorded from the same
-// runs at commit a66c233, where every up phase was a goroutine loop and
-// every combine charge a Compute.
+// operation, from relayAt, under windows 4 and 1: the instants of commit
+// a66c233's goroutine loops (every up phase a loop, every combine charge a
+// Compute), less the end-marker charges (150 µs each) that a last chunk
+// carrying its End takes off every operation but Barrier, whose streams
+// have no chunk.
 var opsDone = map[string][2]time.Duration{
-	"Broadcast": {1560168, 3030945},
-	"Scatter":   {1110188, 1110188},
-	"Gather":    {960188, 4051277},
-	"Reduce":    {18300642, 43213402},
+	"Broadcast": {1410181, 2880958},
+	"Scatter":   {810201, 810201},
+	"Gather":    {810201, 3601329},
+	"Reduce":    {17400694, 42313480},
 	"Barrier":   {720160, 720160},
-	"AllGather": {3870309, 8882917},
-	"AllReduce": {9150624, 20315881},
+	"AllGather": {3420335, 8282982},
+	"AllReduce": {8100680, 19265979},
 }
 
 // TestPlaneOpsParkOncePerRank is the guard of "a daemon waits once per
@@ -150,7 +152,7 @@ var opsDone = map[string][2]time.Duration{
 // without waiting, and it waits once for its children elsewhere; in a
 // Gather the nine leaves' one-chunk streams have room in the window and
 // they do not wait at all. The combine charges stay where they were: the
-// last rank leaves at the instant it did with the goroutine loops.
+// last rank leaves at the instant opsDone pins.
 func TestPlaneOpsParkOncePerRank(t *testing.T) {
 	for _, oc := range planeOpCases {
 		for _, tagged := range []bool{false, true} {
@@ -172,7 +174,7 @@ func TestPlaneOpsParkOncePerRank(t *testing.T) {
 						t.Errorf("%d parks, want %d: one per rank that waits", parks, want)
 					}
 					if want := opsDone[oc.name][wi]; last != want {
-						t.Errorf("the last rank left %v after the start, %v with the goroutine loops", last, want)
+						t.Errorf("the last rank left %v after the start, pinned %v", last, want)
 					}
 				})
 			}
@@ -225,8 +227,8 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 // link. Stalled: a stream of the operation at rank 1 sits behind an empty
 // window when the link dies — rank 1's own, the parent's held back by rank
 // 1 not yet in the operation, or a child's rank 1 has not reached; a
-// barrier's end markers ride outside the window, so for it only the second
-// applies. Held ranks enter 40 ms after the others, the link dies at 20 ms,
+// barrier's bare end markers, each its stream's one message, always find
+// their credit, so for it only the second applies. Held ranks enter 40 ms after the others, the link dies at 20 ms,
 // and a scatter's front end pauses in between. Whichever way rank 1 finds
 // out, its operation ends once, with ErrSevered naming rank, op and tag;
 // every rank's call returns once; nothing of the stream is left at rank 1;

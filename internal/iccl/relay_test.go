@@ -158,9 +158,7 @@ func TestBroadcastParksOncePerRank(t *testing.T) {
 // broadcast long after the whole stream has arrived on its parent link, so
 // the relay finds every frame in the tag queue and drains them on the
 // daemon's goroutine at entry. Its children must be handed the same payload
-// at the same instants as when a goroutine read that queue — the values
-// below were recorded from this test at commit 1fbdc3c, the last with the
-// blocking loop.
+// at the same instants as when a goroutine read that queue (relayBeforeEntryDone).
 func TestRelayFramesBeforeEntry(t *testing.T) {
 	const n, fanout, chunk, chunks, late = 7, 2, 64, 5, 10 * time.Millisecond
 	payload := relayPayload(chunks, chunk)
@@ -178,9 +176,9 @@ func TestRelayFramesBeforeEntry(t *testing.T) {
 				// in its queue, and nothing has reached its children.
 				queued := queuedOnParentLink(c)
 				switch c.Rank() {
-				case 1:
-					if queued != chunks+1 {
-						t.Errorf("rank 1 holds %d of the stream's %d frames before it enters", queued, chunks+1)
+				case 1: // the last chunk carries the end marker
+					if queued != chunks {
+						t.Errorf("rank 1 holds %d of the stream's %d frames before it enters", queued, chunks)
 					}
 				case 3, 4:
 					if queued != 0 {
@@ -200,19 +198,22 @@ func TestRelayFramesBeforeEntry(t *testing.T) {
 	}
 	for rk, want := range relayBeforeEntryDone {
 		if done[rk] != want {
-			t.Errorf("rank %d left the broadcast %v after its start, %v with the blocking loop", rk, done[rk], want)
+			t.Errorf("rank %d left the broadcast %v after its start, pinned %v", rk, done[rk], want)
 		}
 	}
 }
 
 // relayBeforeEntryDone is when each rank of TestRelayFramesBeforeEntry
-// left the broadcast, from relayAt, at commit 1fbdc3c: late rank 1 the
-// instant it entered, its children 3 and 4 behind it, the punctual
-// subtree of rank 2 long before.
+// left the broadcast, from relayAt: late rank 1 the instant it entered, its
+// children 3 and 4 behind it, the punctual subtree of rank 2 long before.
+// These are commit 1fbdc3c's blocking-loop instants less the end marker's
+// reader charge (150 µs) at every rank but 0 and 1, which a last chunk
+// carrying its End saves, plus 13 ns at leaves 5 and 6, whose idle
+// readers see the 16 bytes it adds.
 var relayBeforeEntryDone = [7]time.Duration{
-	0, 10 * time.Millisecond, 930084 * time.Nanosecond,
-	10930084 * time.Nanosecond, 10930084 * time.Nanosecond,
-	1110168 * time.Nanosecond, 1110168 * time.Nanosecond,
+	0, 10 * time.Millisecond, 780084 * time.Nanosecond,
+	10780084 * time.Nanosecond, 10780084 * time.Nanosecond,
+	960181 * time.Nanosecond, 960181 * time.Nanosecond,
 }
 
 // TestRelayStallsOnEmptyWindow: rank 5 — the middle child of interior rank

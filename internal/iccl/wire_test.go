@@ -182,8 +182,11 @@ func TestWireBytesPinnedCollectives(t *testing.T) {
 		{"Comm.Scatter", 12, 672},
 		{"Comm.FoldUp", 12, 240},
 		{"Plane.Barrier", 24, 1176},
-		{"Plane.AllGather", 198, 11886},
-		{"Plane.AllReduce", 72, 3192},
+		// Each stream's last chunk carries its end marker: per link and
+		// direction one End (49 B, 52 B with the "sum" filter) and one
+		// credit (33 B) fewer, and the Last chunk 16 B longer.
+		{"Plane.AllGather", 150, 10302},
+		{"Plane.AllReduce", 24, 1536},
 	})
 }
 

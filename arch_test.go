@@ -1,11 +1,16 @@
 package launchmon_test
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -19,15 +24,19 @@ type srcFile struct {
 	path    string            // slash-separated, from the repository root
 	pkg     string            // import path of its package
 	test    bool              // a _test.go file
+	built   bool              // the default build context compiles it (race_on_test.go is not)
 	imports map[string]string // name in the file → import path
 	file    *ast.File
 }
+
+// srcFset holds every file these tests parse and every standard-library
+// file the type checker reads, so a position names one declaration.
+var srcFset = token.NewFileSet()
 
 // sourceTree parses every Go file under internal/, cmd/, examples/ and
 // benchmark/, and this package's tests, once for all the tests of this
 // package that read code.
 var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
-	fset := token.NewFileSet()
 	var files []*srcFile
 	for _, root := range []string{".", "internal", "cmd", "examples", "benchmark"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -37,7 +46,7 @@ var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
 			}
-			f, err := parseSrc(fset, filepath.ToSlash(path), nil)
+			f, err := parseSrc(filepath.ToSlash(path), nil)
 			if err != nil {
 				return err
 			}
@@ -53,10 +62,16 @@ var sourceTree = sync.OnceValues(func() ([]*srcFile, error) {
 
 // parseSrc parses one file, read from path when src is nil, into a
 // srcFile; path is slash-separated from the repository root.
-func parseSrc(fset *token.FileSet, path string, src any) (*srcFile, error) {
-	file, err := parser.ParseFile(fset, path, src, 0)
+func parseSrc(path string, src any) (*srcFile, error) {
+	file, err := parser.ParseFile(srcFset, path, src, 0)
 	if err != nil {
 		return nil, err
+	}
+	built := true
+	if src == nil {
+		if built, err = build.Default.MatchFile(filepath.Split(path)); err != nil {
+			return nil, err
+		}
 	}
 	// Both modules root their packages at "launchmon"; an external test
 	// package is a package of its own.
@@ -67,7 +82,7 @@ func parseSrc(fset *token.FileSet, path string, src any) (*srcFile, error) {
 	if strings.HasSuffix(file.Name.Name, "_test") {
 		pkg += "_test"
 	}
-	f := &srcFile{path: path, pkg: pkg, test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{}, file: file}
+	f := &srcFile{path: path, pkg: pkg, test: strings.HasSuffix(path, "_test.go"), built: built, imports: map[string]string{}, file: file}
 	for _, imp := range file.Imports {
 		p, _ := strconv.Unquote(imp.Path.Value)
 		name := p[strings.LastIndexByte(p, '/')+1:]
@@ -88,9 +103,182 @@ func parsedTree(t *testing.T) []*srcFile {
 	return files
 }
 
+// typeInfo is what go/types resolves in a parsed tree: the object each
+// identifier uses and the declaration each object is.
+type typeInfo struct {
+	uses  map[*ast.Ident]types.Object
+	decls map[token.Pos]string   // a declared name's position → its key, "pkg.Name" or "pkg.Type.Method"
+	named []*types.TypeName      // the named types of non-test files, whose methods an interface call reaches
+	impls map[*types.Func][]impl // implementations, memoized
+}
+
+// impl is a named type of the tree, keyed like a declaration, and the
+// method an interface method resolves to on it.
+type impl struct{ typ, method string }
+
+// typedTree is sourceTree type-checked, once for the tests that resolve
+// uses by type.
+var typedTree = sync.OnceValues(func() (*typeInfo, error) {
+	files, err := sourceTree()
+	if err != nil {
+		return nil, err
+	}
+	return typeCheck(files)
+})
+
+func typedInfo(t *testing.T) *typeInfo {
+	t.Helper()
+	ti, err := typedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ti
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// stdImporter reads the standard library from source, once for every
+// tree these tests type-check.
+var stdImporter = sync.OnceValue(func() types.Importer { return importer.ForCompiler(srcFset, "source", nil) })
+
+// typeCheck type-checks every package of files that the default build
+// context compiles: a package together with its in-package tests (which
+// only add declarations, so every importer can see that one form), an
+// external test package on its own. A file of an external test package
+// that imports no package of the module can name nothing the rules
+// resolve, and is left out (this package's own rule tests, which would
+// pull go/types into the check). The first type error fails it.
+func typeCheck(files []*srcFile) (*typeInfo, error) {
+	ti := &typeInfo{uses: map[*ast.Ident]types.Object{}, decls: map[token.Pos]string{}, impls: map[*types.Func][]impl{}}
+	byPkg := map[string][]*ast.File{}
+	for _, f := range files {
+		if !f.built || strings.HasSuffix(f.pkg, "_test") && !importsModule(f) {
+			continue
+		}
+		byPkg[f.pkg] = append(byPkg[f.pkg], f.file)
+		for _, d := range f.file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				ti.decls[d.Name.Pos()] = declKey(f, d)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						ti.decls[s.Name.Pos()] = f.pkg + "." + s.Name.Name
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							ti.decls[n.Pos()] = f.pkg + "." + n.Name
+						}
+					}
+				}
+			}
+		}
+	}
+	std := stdImporter()
+	checked := map[string]*types.Package{}
+	var firstErr error
+	conf := types.Config{Error: func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}}
+	info := &types.Info{Uses: ti.uses}
+	conf.Importer = importerFunc(func(path string) (*types.Package, error) {
+		if byPkg[path] == nil {
+			return std.Import(path)
+		}
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		pkg, _ := conf.Check(path, srcFset, byPkg[path], info)
+		checked[path] = pkg
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !strings.HasSuffix(srcFset.File(tn.Pos()).Name(), "_test.go") {
+				ti.named = append(ti.named, tn)
+			}
+		}
+		return pkg, nil
+	})
+	paths := make([]string, 0, len(byPkg))
+	for path := range byPkg {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	for _, path := range paths {
+		if _, err := conf.Importer.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return ti, firstErr
+}
+
+// implementations returns, for an interface method, that method of every
+// named type of the tree that implements the interface, itself or through
+// its pointer; nil for any other function.
+func (ti *typeInfo) implementations(fn *types.Func) []impl {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || !types.IsInterface(recv.Type()) {
+		return nil
+	}
+	if impls, ok := ti.impls[fn]; ok {
+		return impls
+	}
+	iface := recv.Type().Underlying().(*types.Interface)
+	impls := []impl{}
+	for _, tn := range ti.named {
+		for _, typ := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			if types.IsInterface(typ) || !types.Implements(typ, iface) {
+				continue
+			}
+			impls = append(impls, impl{ti.key(tn), ti.key(types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()).Obj())})
+			break
+		}
+	}
+	ti.impls[fn] = impls
+	return impls
+}
+
+// importsModule reports whether f imports a package of the module.
+func importsModule(f *srcFile) bool {
+	for _, p := range f.imports {
+		if strings.HasPrefix(p, "launchmon/") {
+			return true
+		}
+	}
+	return false
+}
+
+// reaches returns the keys of the declarations a use of fn names: its
+// own, or the generic one an instance comes from; for an interface method,
+// its implementations.
+func (ti *typeInfo) reaches(fn *types.Func) []string {
+	impls := ti.implementations(fn)
+	if impls == nil {
+		return []string{ti.key(fn)}
+	}
+	keys := make([]string, len(impls))
+	for i, im := range impls {
+		keys[i] = im.method
+	}
+	return keys
+}
+
+// key returns the key of the declaration a use of obj names, "" when the
+// tree does not declare it.
+func (ti *typeInfo) key(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		obj = fn.Origin()
+	}
+	return ti.decls[obj.Pos()]
+}
+
 // TestArchitecture holds, as code, the design rules DESIGN.md states
-// (DESIGN.md "Rules held by tests"). Each subtest reads the parsed
-// source tree only; none builds or runs a package. When one fails, the
+// (DESIGN.md "Rules held by tests"). Each subtest reads the source tree,
+// parsed and, for exported and reachable, type-checked; none builds or
+// runs a package. When one fails, the
 // message names the site and the list to change: a new entry needs the
 // reason the rule does not apply to it.
 func TestArchitecture(t *testing.T) {
@@ -98,9 +286,13 @@ func TestArchitecture(t *testing.T) {
 	t.Run("goroutines", func(t *testing.T) { checkGoroutines(t, files) })
 	t.Run("scheduler_records", func(t *testing.T) { checkSchedulerRecords(t, files) })
 	t.Run("imports", func(t *testing.T) { checkImports(t, files) })
-	t.Run("exported", func(t *testing.T) { checkExported(t, files) })
+	t.Run("exported", func(t *testing.T) {
+		for _, msg := range unexported(files, typedInfo(t), exportedReasons) {
+			t.Error(msg)
+		}
+	})
 	t.Run("reachable", func(t *testing.T) {
-		for _, msg := range unreached(files, unreachedReasons) {
+		for _, msg := range unreached(files, typedInfo(t), unreachedReasons) {
 			t.Error(msg)
 		}
 	})
@@ -386,143 +578,118 @@ const (
 )
 
 var exportedReasons = map[string]string{
-	"internal/bench.CollectiveRow":         testHook,
-	"internal/bench.ConcurrentRow":         testHook,
-	"internal/bench.ConcurrentScales":      testHook,
-	"internal/bench.FailureRow":            testHook,
-	"internal/bench.Fig3Row":               testHook,
-	"internal/bench.Fig5Row":               testHook,
-	"internal/bench.Fig6Row":               testHook,
-	"internal/bench.Figure3Scales":         testHook,
-	"internal/bench.Figure5Scales":         testHook,
-	"internal/bench.LaunchPipeRow":         testHook,
-	"internal/bench.MWPipeRow":             testHook,
-	"internal/bench.OverheadRow":           testHook,
-	"internal/bench.Scenario":              testHook,
-	"internal/bench.SweepScales":           testHook,
-	"internal/bench.T1Row":                 testHook,
-	"internal/bench.Table1Scales":          testHook,
-	"internal/cluster.Cluster.KillNode":    faultInjection,
-	"internal/cluster.Cluster.NodeByName":  testHook,
-	"internal/cluster.ErrProcLimit":        testHook,
-	"internal/cluster.Node.Fail":           faultInjection,
-	"internal/cluster.Node.FindProcByExe":  testHook,
-	"internal/cluster.Proc.Environ":        testHook,
-	"internal/coll.DecodeSample":           testHook,
-	"internal/coll.EncodeSample":           testHook,
-	"internal/coll.Frame.EncodeMsg":        benchmarkName,
-	"internal/core.ErrNotMaster":           paperAPI,
-	"internal/core.ErrObsDisabled":         paperAPI,
-	"internal/core.ErrSessionClosed":       paperAPI,
-	"internal/core.ObsDefault":             benchmarkName,
-	"internal/core.Session.AllocTag":       benchmarkName,
-	"internal/core.Session.MWBroadcastTag": paperAPI,
-	"internal/core.Session.MWDaemons":      paperAPI,
-	"internal/core.Session.MWGatherTag":    paperAPI,
-	"internal/core.Session.MWReduceTag":    paperAPI,
-	"internal/core.Session.MWScatterTag":   paperAPI,
-	"internal/core.Session.RecvFromMW":     paperAPI,
-	"internal/core.Session.ReduceTag":      benchmarkName,
-	"internal/core.Session.Scatter":        paperAPI,
-	"internal/core.Session.ScatterTag":     paperAPI,
-	"internal/core.Session.SendToMW":       paperAPI,
-	"internal/core.daemonSession.Scatter":  paperAPI,
-	"internal/engine.MWChain":              testHook,
-	"internal/engine.MarkE1":               benchmarkName,
-	"internal/engine.MarkE4":               benchmarkName,
-	"internal/engine.MarkMW6":              testHook,
-	"internal/engine.MarkMWSeedFwd":        testHook,
-	"internal/engine.MarkMWSeedValid":      testHook,
-	"internal/engine.MarkSeedFwd":          benchmarkName,
-	"internal/engine.MarkSeedValid":        benchmarkName,
-	"internal/iccl.Bootstrap":              benchmarkName,
-	"internal/iccl.Parent":                 testHook,
-	"internal/iccl.Plane.AllGather":        benchmarkName,
-	"internal/iccl.Plane.AllReduce":        benchmarkName,
-	"internal/iccl.Plane.ReduceTag":        benchmarkName,
-	"internal/iccl.Plane.ScatterTag":       testHook,
-	"internal/lmonp.ErrTooLarge":           testHook,
-	"internal/lmonp.Read":                  benchmarkName,
-	"internal/lmonp.Write":                 benchmarkName,
-	"internal/proctab.Table.Validate":      benchmarkName,
-	"internal/rm.ErrInsufficient":          testHook,
-	"internal/rm.PublishProctab":           testHook,
-	"internal/rm.RemoteError":              testHook,
-	"internal/rm/alps.ApinitPort":          testHook,
-	"internal/rm/slurm.CtrlPort":           testHook,
-	"internal/rm/slurm.SlurmdPort":         testHook,
-	"internal/rsh.Port":                    testHook,
-	"internal/transport.Hello":             benchmarkName,
-	"internal/transport.ReadHello":         benchmarkName,
-	"internal/transport.WriteHello":        benchmarkName,
-	"internal/vtime.Sim.AtEvent":           testHook,
-	"internal/vtime.Sim.Live":              benchmarkName,
-	"internal/vtime.Sim.Parks":             testHook,
-	"internal/vtime.Sim.SetSpawnObserver":  testHook,
-	"internal/vtime.Sim.Stopped":           testHook,
+	"internal/bench.Run":                  testHook,
+	"internal/bench.Scenario":             testHook,
+	"internal/bench.Scenario.Run":         testHook,
+	"internal/cluster.Cluster.KillNode":   faultInjection,
+	"internal/cluster.Cluster.NodeByName": testHook,
+	"internal/cluster.ErrProcLimit":       testHook,
+	"internal/cluster.Node.Fail":          faultInjection,
+	"internal/cluster.Node.FindProcByExe": testHook,
+	"internal/cluster.Proc.Environ":       testHook,
+	"internal/coll.DecodeSample":          testHook,
+	"internal/coll.EncodeSample":          testHook,
+	"internal/coll.Frame.EncodeMsg":       benchmarkName,
+	"internal/core.ErrNotMaster":          paperAPI,
+	"internal/core.ErrSessionClosed":      paperAPI,
+	"internal/core.ObsDefault":            benchmarkName,
+	"internal/core.Session.AllocTag":      benchmarkName,
+	"internal/core.Session.MWDaemons":     paperAPI,
+	"internal/core.Session.RecvFromMW":    paperAPI,
+	"internal/core.Session.ReduceTag":     benchmarkName,
+	"internal/core.Session.SendToMW":      paperAPI,
+	"internal/core.daemonSession.Scatter": paperAPI,
+	"internal/core.daemonSession.Size":    paperAPI,
+	"internal/engine.MWChain":             testHook,
+	"internal/engine.MarkE1":              benchmarkName,
+	"internal/engine.MarkE4":              benchmarkName,
+	"internal/engine.MarkMW6":             testHook,
+	"internal/engine.MarkMWSeedFwd":       testHook,
+	"internal/engine.MarkMWSeedValid":     testHook,
+	"internal/engine.MarkSeedFwd":         benchmarkName,
+	"internal/engine.MarkSeedValid":       benchmarkName,
+	"internal/iccl.Bootstrap":             benchmarkName,
+	"internal/iccl.Parent":                testHook,
+	"internal/iccl.Plane.AllGather":       benchmarkName,
+	"internal/iccl.Plane.AllReduce":       benchmarkName,
+	"internal/iccl.Plane.Barrier":         testHook,
+	"internal/iccl.Plane.ReduceTag":       benchmarkName,
+	"internal/lmonp.ErrTooLarge":          testHook,
+	"internal/lmonp.Msg.Encode":           benchmarkName,
+	"internal/lmonp.Read":                 benchmarkName,
+	"internal/lmonp.Write":                benchmarkName,
+	"internal/proctab.Assembler.Finish":   benchmarkName,
+	"internal/proctab.Table.Validate":     benchmarkName,
+	"internal/rm.ErrInsufficient":         testHook,
+	"internal/rm.PublishProctab":          testHook,
+	"internal/rm.RemoteError":             testHook,
+	"internal/rm/alps.ApinitPort":         testHook,
+	"internal/rm/slurm.CtrlPort":          testHook,
+	"internal/rm/slurm.SlurmdPort":        testHook,
+	"internal/rsh.Port":                   testHook,
+	"internal/transport.Endpoint.Accept":  benchmarkName,
+	"internal/transport.Hello":            benchmarkName,
+	"internal/transport.Mux.Sessions":     testHook,
+	"internal/transport.ReadHello":        benchmarkName,
+	"internal/transport.WriteHello":       benchmarkName,
+	"internal/vtime.Sim.AtEvent":          testHook,
+	"internal/vtime.Sim.Live":             benchmarkName,
+	"internal/vtime.Sim.Parks":            testHook,
+	"internal/vtime.Sim.SetSpawnObserver": testHook,
+	"internal/vtime.Sim.Stats":            testHook,
+	"internal/vtime.Sim.Stopped":          testHook,
 }
 
-// checkExported finds each exported package-level name and method of
-// internal/ and where it is selected (pkg.Name, or .Method on any value: a
-// method is matched by name alone, so a same-named method elsewhere counts
-// as a use). A type a used name's signature mentions is used, and an
-// interface method needs no caller of its own.
-func checkExported(t *testing.T, files []*srcFile) {
+// unexported finds each exported package-level name and method of
+// internal/ and where it is used, resolved by type: pkg.Name, and a
+// selector's field or method of the operand's type, so a same-named method
+// elsewhere is no use. A type a used name's signature mentions is used. A
+// method needs no caller of its own when its type implements an interface
+// of the tree that declares it, or it is a stdlibMethods method. It reports
+// each name neither used by a program file (non-test, in internal/, cmd/
+// or examples/) outside its package nor listed in reasons, and each entry
+// of reasons that is stale or whose reason does not hold.
+func unexported(files []*srcFile, ti *typeInfo, reasons map[string]string) []string {
 	type decl struct {
 		file string
 		refs []string // the names its signature mentions
 	}
 	declared := map[string]*decl{} // "pkg.Name" or "pkg.Type.Method"
-	// Interface methods: the standard library's, and every method an
-	// interface of internal/ declares.
-	ifaceMethods := map[string]bool{}
-	for _, m := range stdlibMethods {
-		ifaceMethods[m] = true
+	// An interface's methods: those a type of the tree implements need no
+	// caller.
+	implements := map[string]bool{}
+	for _, tn := range ti.named {
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				for _, k := range ti.reaches(iface.Method(i)) {
+					implements[k] = true
+				}
+			}
+		}
 	}
 	for _, f := range programFiles(files) {
 		if !strings.HasPrefix(f.path, "internal/") {
 			continue
 		}
-		sig := func(n ast.Expr) []string {
+		sig := func(n ast.Node) []string {
 			var refs []string
 			if n == nil {
 				return nil
 			}
 			ast.Inspect(n, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if id, ok := n.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
-						refs = append(refs, f.imports[id.Name]+"."+n.Sel.Name)
-					}
-					return false
-				case *ast.Ident:
-					refs = append(refs, f.pkg+"."+n.Name)
+				if id, ok := n.(*ast.Ident); ok && ti.uses[id] != nil {
+					refs = append(refs, ti.key(ti.uses[id]))
 				}
 				return true
 			})
 			return refs
 		}
-		ast.Inspect(f.file, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, m := range it.Methods.List {
-					for _, id := range m.Names {
-						ifaceMethods[id.Name] = true
-					}
-				}
-			}
-			return true
-		})
 		for _, d := range f.file.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
+				if d.Name.IsExported() {
+					declared[declKey(f, d)] = &decl{f.path, sig(d.Type)}
 				}
-				key := f.pkg + "." + d.Name.Name
-				if d.Recv != nil {
-					key = f.pkg + "." + recvName(d) + "." + d.Name.Name
-				}
-				declared[key] = &decl{f.path, sig(d.Type)}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
@@ -541,14 +708,8 @@ func checkExported(t *testing.T, files []*srcFile) {
 			}
 		}
 	}
-	members := map[string][]string{} // method name → its declared keys
-	for k := range declared {
-		if parts := strings.Split(k, "."); len(parts) == 3 {
-			members[parts[2]] = append(members[parts[2]], k)
-		}
-	}
 	// used maps each name to the kinds of file outside its package that
-	// select it: "program", "test" or "benchmark".
+	// use it: "program", "test" or "benchmark".
 	used := map[string]map[string]bool{}
 	for _, f := range files {
 		kind := "program"
@@ -568,16 +729,16 @@ func checkExported(t *testing.T, files []*srcFile) {
 			used[k][kind] = true
 		}
 		ast.Inspect(f.file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+			id, ok := n.(*ast.Ident)
+			if !ok || ti.uses[id] == nil {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok && f.imports[id.Name] != "" {
-				mark(f.imports[id.Name] + "." + sel.Sel.Name)
-				return true
-			}
-			for _, k := range members[sel.Sel.Name] {
-				mark(k)
+			if fn, ok := ti.uses[id].(*types.Func); ok {
+				for _, k := range ti.reaches(fn) {
+					mark(k)
+				}
+			} else {
+				mark(ti.key(ti.uses[id]))
 			}
 			return true
 		})
@@ -598,26 +759,29 @@ func checkExported(t *testing.T, files []*srcFile) {
 			visit(k)
 		}
 	}
+	var msgs []string
 	for k, d := range declared {
 		name := strings.TrimPrefix(k, "launchmon/")
 		parts := strings.Split(k, ".")
-		if live[k] || len(parts) == 3 && ifaceMethods[parts[2]] {
+		if live[k] || implements[k] || len(parts) == 3 && slices.Contains(stdlibMethods, parts[2]) {
 			continue
 		}
-		switch why, ok := exportedReasons[name]; {
+		switch why, ok := reasons[name]; {
 		case !ok:
-			t.Errorf("%s (%s) has no user outside its package: unexport or delete it", name, d.file)
+			msgs = append(msgs, fmt.Sprintf("%s (%s) has no user outside its package: unexport or delete it", name, d.file))
 		case why == testHook && !used[k]["test"]:
-			t.Errorf("%s is listed as a %s, but no other package's test uses it: unexport it and remove the entry", name, why)
+			msgs = append(msgs, fmt.Sprintf("%s is listed as a %s, but no other package's test uses it: unexport it and remove the entry", name, why))
 		case why == benchmarkName && !used[k]["benchmark"]:
-			t.Errorf("%s is listed as named by benchmark/, which does not name it: unexport it and remove the entry", name)
+			msgs = append(msgs, fmt.Sprintf("%s is listed as named by benchmark/, which does not name it: unexport it and remove the entry", name))
 		}
 	}
-	for name := range exportedReasons {
+	for name := range reasons {
 		if k := "launchmon/" + name; declared[k] == nil || live[k] {
-			t.Errorf("exportedReasons lists %s, which is gone or now has a user: remove the entry", name)
+			msgs = append(msgs, fmt.Sprintf("exportedReasons lists %s, which is gone or now has a user: remove the entry", name))
 		}
 	}
+	slices.Sort(msgs)
+	return msgs
 }
 
 // stdlibMethods are the methods the standard library calls through its
@@ -634,75 +798,71 @@ var unreachedReasons = map[string]string{
 	"internal/cluster.Cluster.KillNode":    faultInjection,
 	"internal/cluster.Node.FindProcByExe":  testHook,
 	"internal/cluster.Proc.Environ":        testHook,
-	"internal/core.Session.MWBroadcastTag": paperAPI,
+	"internal/cluster.Proc.args":           testHook,
 	"internal/core.Session.MWDaemons":      paperAPI,
-	"internal/core.Session.MWGatherTag":    paperAPI,
-	"internal/core.Session.MWReduceTag":    paperAPI,
-	"internal/core.Session.MWScatterTag":   paperAPI,
 	"internal/core.Session.RecvFromMW":     paperAPI,
-	"internal/core.Session.Scatter":        paperAPI,
-	"internal/core.Session.ScatterTag":     paperAPI,
 	"internal/core.Session.SendToMW":       paperAPI,
 	"internal/core.daemonSession.Scatter":  paperAPI,
-	"internal/core.feStream.scatter":       paperAPI,
+	"internal/core.daemonSession.Size":     paperAPI,
+	"internal/core.daemonSession.timeline": testHook,
 	"internal/iccl.Comm.Scatter":           paperAPI,
-	"internal/iccl.Plane.Scatter":          paperAPI,
-	"internal/iccl.Plane.ScatterTag":       testHook,
-	"internal/iccl.Plane.allGatherTag":     testHook,
-	"internal/iccl.Plane.allReduceTag":     testHook,
-	"internal/iccl.Plane.barrierTag":       testHook,
-	"internal/iccl.Plane.scatter":          paperAPI,
+	"internal/iccl.Plane.Barrier":          testHook, // the plane tests' warm-up; ROADMAP D(3) moves Finalize onto it
+	"internal/iccl.barrierOp.frame":        testHook,
+	"internal/iccl.barrierOp.next":         testHook,
 	"internal/lmonp.Msg.wireSize":          testHook,
 	"internal/obs.Gauge.set":               testHook,
 	"internal/rm.PublishProctab":           testHook,
 	"internal/rm.Skeleton.DebugEventCount": testHook,
+	"internal/rm.job.Nodes":                testHook,
+	"internal/transport.Mux.Sessions":      testHook,
 	"internal/vtime.Sim.AtEvent":           testHook,
 	"internal/vtime.Sim.Parks":             testHook,
 	"internal/vtime.Sim.SetSpawnObserver":  testHook,
+	"internal/vtime.Sim.Stats":             testHook,
 	"internal/vtime.Sim.Stopped":           testHook,
 }
 
-// reach walks the call graph by name. It starts from every init, every
-// main under cmd/, examples/ and benchmark/, every package-level
-// declaration other than a function, every stdlibMethods method and, with
-// tests, every declaration of a test file. An identifier reaches its own
-// package's function of that name, pkg.Name that package's function, and
-// .Name every method of that name, so a method is live when any same-named
-// one is called. It returns every other function of the non-test files,
-// keyed "pkg.Name" or "pkg.Type.Method", and whether the walk reached it.
-func reach(files []*srcFile, tests bool) map[string]bool {
-	type decl struct {
-		f  *srcFile
-		fn *ast.FuncDecl
-	}
-	funcs := map[string]decl{}
-	methods := map[string][]string{} // method name → its keys
-	type node struct {
-		f *srcFile
-		n ast.Node
-	}
-	var work []node
+// reach walks the call graph by type. It starts from every init, every
+// main under cmd/, examples/ and benchmark/, every package-level var and
+// const, every stdlibMethods method and, with tests, every declaration of
+// a test file. An identifier reaches what it resolves to: a function or a
+// method — for a selector, the method of the operand's type, so a
+// same-named method of another type is not reached — the generic
+// declaration of an instance, and a named type, whose declaration is
+// walked in turn. An interface method reaches its implementations
+// (ti.implementations) on the types the walk has named, as the linker
+// keeps a method only of a type some reached code converts. It returns
+// every other function of the non-test files, keyed "pkg.Name" or
+// "pkg.Type.Method", and whether the walk reached it.
+func reach(files []*srcFile, ti *typeInfo, tests bool) map[string]bool {
+	funcs := map[string]*ast.FuncDecl{}
+	typeDecls := map[string]*ast.TypeSpec{}
+	var work []ast.Node
 	for _, f := range files {
-		if f.test && !tests {
+		if !f.built || f.test && !tests {
 			continue
 		}
 		for _, d := range f.file.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || f.test {
-				work = append(work, node{f, d})
-				continue
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE || f.test {
+					work = append(work, d)
+					continue
+				}
+				for _, s := range d.Specs {
+					ts := s.(*ast.TypeSpec)
+					typeDecls[f.pkg+"."+ts.Name.Name] = ts
+				}
+			case *ast.FuncDecl:
+				switch {
+				case f.test,
+					d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && !strings.HasPrefix(f.path, "internal/")),
+					d.Recv != nil && slices.Contains(stdlibMethods, d.Name.Name):
+					work = append(work, d)
+				default:
+					funcs[declKey(f, d)] = d
+				}
 			}
-			if fn.Recv == nil && (fn.Name.Name == "init" || fn.Name.Name == "main" && !strings.HasPrefix(f.path, "internal/")) ||
-				fn.Recv != nil && slices.Contains(stdlibMethods, fn.Name.Name) {
-				work = append(work, node{f, fn})
-				continue
-			}
-			k := f.pkg + "." + fn.Name.Name
-			if fn.Recv != nil {
-				k = f.pkg + "." + recvName(fn) + "." + fn.Name.Name
-				methods[fn.Name.Name] = append(methods[fn.Name.Name], k)
-			}
-			funcs[k] = decl{f, fn}
 		}
 	}
 	reached := make(map[string]bool, len(funcs))
@@ -712,42 +872,66 @@ func reach(files []*srcFile, tests bool) map[string]bool {
 	mark := func(k string) {
 		if d, ok := funcs[k]; ok && !reached[k] {
 			reached[k] = true
-			work = append(work, node{d.f, d.fn})
+			work = append(work, d)
 		}
 	}
+	named := map[string]bool{}
+	pending := map[string][]string{} // a type not yet named → interface methods called on it
+	called := map[*types.Func]bool{}
 	for len(work) > 0 {
-		nd := work[len(work)-1]
+		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && nd.f.imports[id.Name] != "" {
-					mark(nd.f.imports[id.Name] + "." + n.Sel.Name)
-					return false
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch obj := ti.uses[id].(type) {
+			case *types.TypeName:
+				if k := ti.key(obj); typeDecls[k] != nil && !named[k] {
+					named[k] = true
+					work = append(work, typeDecls[k])
+					for _, m := range pending[k] {
+						mark(m)
+					}
 				}
-				for _, k := range methods[n.Sel.Name] {
-					mark(k)
+			case *types.Func:
+				obj = obj.Origin()
+				impls := ti.implementations(obj)
+				if impls == nil {
+					mark(ti.key(obj))
+				} else if !called[obj] {
+					called[obj] = true
+					for _, im := range impls {
+						if named[im.typ] {
+							mark(im.method)
+						} else {
+							pending[im.typ] = append(pending[im.typ], im.method)
+						}
+					}
 				}
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				mark(nd.f.pkg + "." + n.Name)
 			}
 			return true
-		}
-		ast.Inspect(nd.n, visit)
+		})
 	}
 	return reached
+}
+
+// declKey is a function's key, "pkg.Name" or "pkg.Type.Method".
+func declKey(f *srcFile, fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return f.pkg + "." + fn.Name.Name
+	}
+	return f.pkg + "." + recvName(fn) + "." + fn.Name.Name
 }
 
 // unreached reports each function or method of internal/, cmd/ and
 // examples/ that reach does not reach from a program and reasons does not
 // list, and each entry of reasons that is stale or has a reason the list
 // does not allow.
-func unreached(files []*srcFile, reasons map[string]string) []string {
+func unreached(files []*srcFile, ti *typeInfo, reasons map[string]string) []string {
 	var msgs []string
-	program, withTests := reach(files, false), reach(files, true)
+	program, withTests := reach(files, ti, false), reach(files, ti, true)
 	for k, ok := range program {
 		name := strings.TrimPrefix(k, "launchmon/")
 		checked := strings.HasPrefix(name, "internal/") || strings.HasPrefix(name, "cmd/") || strings.HasPrefix(name, "examples/")
@@ -772,20 +956,32 @@ func unreached(files []*srcFile, reasons map[string]string) []string {
 }
 
 // TestArchitectureReachableSeeded runs the reachable rule on a small
-// synthetic tree: clean with its two unreached functions listed, and
-// failing on an unlisted one, on an entry that is reached or gone, on a
-// test hook no test reaches and on a reason the list does not allow.
+// synthetic tree: clean with its three unreached functions listed, and
+// failing on an unlisted one — among them a method whose only call is of a
+// same-named method of another type — on an entry that is reached or gone
+// — among them a method reached only through an interface and a generic
+// function reached only through an instance — on a test hook no test
+// reaches and on a reason the list does not allow. The exported rule runs
+// on the same tree: clean with the same-named method listed, failing
+// without it.
 func TestArchitectureReachableSeeded(t *testing.T) {
-	fset := token.NewFileSet()
 	var files []*srcFile
 	for path, src := range map[string]string{
 		"cmd/tool/main.go": `package main
 import "launchmon/internal/lib"
 var t lib.T
-func main() { lib.Used(); t.M() }`,
+var i lib.I = lib.W{}
+var v lib.V
+func main() { lib.Used(); t.M(); i.N(); lib.G(1) }`,
 		"internal/lib/lib.go": `package lib
 type T struct{}
 func (T) M() { helper() }
+type V struct{}
+func (V) M() {}
+type I interface{ N() }
+type W struct{}
+func (W) N() {}
+func G[E any](E) {}
 func Used() {}
 func helper() {}
 func Dead() {}
@@ -794,14 +990,18 @@ func Hook() {}`,
 import "testing"
 func TestHook(t *testing.T) { Hook() }`,
 	} {
-		f, err := parseSrc(fset, path, src)
+		f, err := parseSrc(path, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
 	}
+	ti, err := typeCheck(files)
+	if err != nil {
+		t.Fatal(err)
+	}
 	listed := func(extra map[string]string) map[string]string {
-		reasons := map[string]string{"internal/lib.Dead": paperAPI, "internal/lib.Hook": testHook}
+		reasons := map[string]string{"internal/lib.Dead": paperAPI, "internal/lib.Hook": testHook, "internal/lib.V.M": paperAPI}
 		for k, v := range extra {
 			if v == "" {
 				delete(reasons, k)
@@ -811,20 +1011,97 @@ func TestHook(t *testing.T) { Hook() }`,
 		}
 		return reasons
 	}
-	if msgs := unreached(files, listed(nil)); len(msgs) != 0 {
+	if msgs := unreached(files, ti, listed(nil)); len(msgs) != 0 {
 		t.Fatalf("clean tree fails: %q", msgs)
 	}
 	for name, extra := range map[string]map[string]string{
-		"unreached and unlisted": {"internal/lib.Dead": ""},
-		"listed but reached":     {"internal/lib.helper": paperAPI},
-		"listed but gone":        {"internal/lib.Gone": paperAPI},
-		"hook no test reaches":   {"internal/lib.Dead": testHook},
-		"reason not allowed":     {"internal/lib.Dead": benchmarkName},
+		"unreached and unlisted":             {"internal/lib.Dead": ""},
+		"called only by a same-named method": {"internal/lib.V.M": ""},
+		"listed but reached":                 {"internal/lib.helper": paperAPI},
+		"listed but reached by an interface": {"internal/lib.W.N": paperAPI},
+		"listed but reached by an instance":  {"internal/lib.G": paperAPI},
+		"listed but gone":                    {"internal/lib.Gone": paperAPI},
+		"hook no test reaches":               {"internal/lib.Dead": testHook},
+		"reason not allowed":                 {"internal/lib.Dead": benchmarkName},
 	} {
-		if msgs := unreached(files, listed(extra)); len(msgs) != 1 {
+		if msgs := unreached(files, ti, listed(extra)); len(msgs) != 1 {
 			t.Errorf("%s: got %q, want one failure", name, msgs)
 		}
 	}
+	exported := map[string]string{"internal/lib.Dead": paperAPI, "internal/lib.Hook": paperAPI, "internal/lib.V.M": paperAPI}
+	if msgs := unexported(files, ti, exported); len(msgs) != 0 {
+		t.Fatalf("exported rule fails on the clean tree: %q", msgs)
+	}
+	delete(exported, "internal/lib.V.M")
+	if msgs := unexported(files, ti, exported); len(msgs) != 1 || !strings.Contains(msgs[0], "lib.V.M") {
+		t.Errorf("a method used only through a same-named one: got %q, want V.M to fail", msgs)
+	}
+}
+
+// TestReachableMatchesLinker holds the reachable rule to the linker's
+// dead-code pass. Its arguments are the -dumpdep output of every program
+// of cmd/, examples/ and benchmark/, built with inlining off (CI's
+// "Reachability matches the linker" step): each function of internal/
+// that no program links must be in unreachedReasons, and none that one
+// links may be. A generic function is skipped: the linker names only its
+// shape instances. Without arguments it skips.
+func TestReachableMatchesLinker(t *testing.T) {
+	if flag.NArg() == 0 {
+		t.Skip("no -dumpdep output given; see CI's \"Reachability matches the linker\" step")
+	}
+	linked := map[string]bool{}
+	for _, path := range flag.Args() {
+		out, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if from, to, ok := strings.Cut(line, " -> "); ok {
+				linked[linkerKey(from)], linked[linkerKey(to)] = true, true
+			}
+		}
+	}
+	for _, f := range programFiles(parsedTree(t)) {
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Type.TypeParams != nil || fn.Recv != nil && recvGeneric(fn) {
+				continue
+			}
+			k := declKey(f, fn)
+			name := strings.TrimPrefix(k, "launchmon/")
+			_, listed := unreachedReasons[name]
+			switch {
+			case linked[k] && listed:
+				t.Errorf("unreachedReasons lists %s, which a program links", name)
+			case !linked[k] && !listed && fn.Name.Name != "init":
+				t.Errorf("%s is linked into no program and not in unreachedReasons", name)
+			}
+		}
+	}
+}
+
+// linkerKey turns a linker symbol into a declaration key:
+// "launchmon/internal/iccl.(*Plane).Receive" is
+// "launchmon/internal/iccl.Plane.Receive". Other symbols match no key.
+func linkerKey(sym string) string {
+	sym = strings.Replace(sym, "(*", "", 1)
+	return strings.Replace(sym, ").", ".", 1)
+}
+
+// recvGeneric reports whether a method's receiver type has type parameters.
+func recvGeneric(fn *ast.FuncDecl) bool {
+	typ := fn.Recv.List[0].Type
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ = s.X
+	}
+	switch typ.(type) {
+	case *ast.IndexExpr, *ast.IndexListExpr:
+		return true
+	}
+	return false
 }
 
 func recvName(d *ast.FuncDecl) string {

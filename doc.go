@@ -30,10 +30,10 @@
 // fabrics alike), and internal/health provides per-session failure
 // detection with status callbacks over either fabric's topology.
 //
-// The benchmarks in bench_test.go and the cmd/lmonbench binary regenerate
-// every table and figure of the paper's evaluation, with the canonical
-// virtual-time results recorded in EXPERIMENTS.md; see README.md for the
-// system inventory and DESIGN.md for the architecture, including the
+// BenchmarkExperiments (internal/bench) and the cmd/lmonbench binary
+// regenerate every table and figure of the paper's evaluation, with the
+// canonical virtual-time results recorded in EXPERIMENTS.md; see README.md
+// for the system inventory and DESIGN.md for the architecture, including the
 // transport layer, the launch pipeline, the tool data plane and the fault
 // model.
 package launchmon

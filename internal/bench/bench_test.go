@@ -16,15 +16,15 @@ import (
 
 // The unit tests here run the generators at reduced scale and assert the
 // qualitative claims (shapes, winners, crossovers) the paper makes; the
-// full-scale regenerators run in the repository-root benchmarks and
-// cmd/lmonbench.
+// full-scale regenerators run in BenchmarkExperiments
+// (experiments_bench_test.go) and cmd/lmonbench.
 
 func TestFigure3ShapeAndModel(t *testing.T) {
 	rows, err := figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(Figure3Scales) {
+	if len(rows) != len(figure3Scales) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for i, r := range rows {
@@ -230,7 +230,7 @@ func TestOtherIsItsNamedGaps(t *testing.T) {
 	if _, err := ablationFanout(); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(Figure3Scales) + 4 + 4; n != want {
+	if want := len(figure3Scales) + 4 + 4; n != want {
 		t.Errorf("decomposed %d timelines, want %d", n, want)
 	}
 }
@@ -434,17 +434,17 @@ func TestTraceLaunchMetricsAreOneSnapshot(t *testing.T) {
 func TestPrinters(t *testing.T) {
 	// Smoke-test every printer against tiny inputs.
 	var buf bytes.Buffer
-	printFigure3(&buf, []Fig3Row{{Daemons: 1, Tasks: 8}})
-	printFigure5(&buf, []Fig5Row{{Daemons: 1, Tasks: 8}})
-	printFigure6(&buf, []Fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
-	printTable1(&buf, []T1Row{{Nodes: 2}})
+	printFigure3(&buf, []fig3Row{{Daemons: 1, Tasks: 8}})
+	printFigure5(&buf, []fig5Row{{Daemons: 1, Tasks: 8}})
+	printFigure6(&buf, []fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
+	printTable1(&buf, []t1Row{{Nodes: 2}})
 	printBGL(&buf, []bglRow{{RM: "x"}})
 	printFanout(&buf, []fanoutRow{{}})
 	printPiggyback(&buf, []piggybackRow{{Mode: "m"}})
 	printDebugEvents(&buf, []debugEventsRow{{Mode: "f"}})
 	printProctabAblation(&buf, []proctabRow{{Mode: "m"}})
-	printFailure(&buf, []FailureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
-	printOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})
+	printFailure(&buf, []failureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
+	printOverhead(&buf, []overheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})
 	if buf.Len() == 0 {
 		t.Fatal("printers produced nothing")
 	}
@@ -471,9 +471,9 @@ func TestObsDriftBoundIsTheRootsFolds(t *testing.T) {
 		{"early_past_the_bound", -bound - 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			row := LaunchPipeRow{Mode: core.SeedStoreForward.String(), Table: "full", Daemons: 64,
+			row := launchPipeRow{Mode: core.SeedStoreForward.String(), Table: "full", Daemons: 64,
 				Ready: ready, ObsReady: ready + tc.drift, ReduceFEB: 8}
-			if err := checkObsInvariants([]LaunchPipeRow{row}, fanout); (err == nil) != tc.ok {
+			if err := checkObsInvariants([]launchPipeRow{row}, fanout); (err == nil) != tc.ok {
 				t.Errorf("drift %v: CheckObsInvariants = %v, want ok=%v", tc.drift, err, tc.ok)
 			}
 		})

@@ -27,8 +27,8 @@ import (
 //   - reduce: Session.Reduce with the sum filter — the root-bound bytes
 //     are independent of K entirely.
 
-// CollectiveRow is one scale's measurements.
-type CollectiveRow struct {
+// collectiveRow is one scale's measurements.
+type collectiveRow struct {
 	Daemons  int
 	PayloadB int // per-daemon contribution bytes (gather phases)
 	Fanout   int // tree fanout of the tree/reduce phases
@@ -52,9 +52,9 @@ type collectiveOpts struct {
 }
 
 // collectiveAblation measures all three phases at each scale.
-func collectiveAblation(o collectiveOpts, scales []int) ([]CollectiveRow, error) {
-	return sweep("collective ablation", scales, func(k int) (CollectiveRow, error) {
-		row := CollectiveRow{
+func collectiveAblation(o collectiveOpts, scales []int) ([]collectiveRow, error) {
+	return sweep("collective ablation", scales, func(k int) (collectiveRow, error) {
+		row := collectiveRow{
 			Daemons: k, PayloadB: o.PayloadB, Fanout: o.Fanout,
 			FlatMasterLinks: k - 1,
 			TreeMasterLinks: min(o.Fanout, k-1),
@@ -197,7 +197,7 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 }
 
 // printCollective renders the rows.
-func printCollective(w io.Writer, rows []CollectiveRow) {
+func printCollective(w io.Writer, rows []collectiveRow) {
 	fmt.Fprintln(w, "Ablation — collective tool-data plane (flat master relay vs tree routing)")
 	fmt.Fprintln(w, "daemons  payload fanout  flat-gather tree-gather reduce-sum  master-links(flat/tree)")
 	for _, r := range rows {

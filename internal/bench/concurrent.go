@@ -18,8 +18,8 @@ import (
 // the per-node work of the K sessions overlaps almost entirely and
 // aggregate session-setup throughput should rise with K.
 
-// ConcurrentRow is one K-sessions measurement.
-type ConcurrentRow struct {
+// concurrentRow is one K-sessions measurement.
+type concurrentRow struct {
 	Sessions   int           // K concurrent sessions
 	NodesEach  int           // nodes (daemons) per session
 	Wall       time.Duration // first launch call → last session ready (virtual)
@@ -27,8 +27,8 @@ type ConcurrentRow struct {
 	Throughput float64       // sessions per virtual second (aggregate)
 }
 
-// ConcurrentScales are the session counts of the ablation.
-var ConcurrentScales = []int{1, 4, 8}
+// concurrentScales are the session counts of the ablation.
+var concurrentScales = []int{1, 4, 8}
 
 // concurrentSessionOpts sizes one session of the ablation.
 type concurrentSessionOpts struct {
@@ -39,12 +39,12 @@ type concurrentSessionOpts struct {
 // concurrentSessions measures aggregate launchAndSpawn throughput for
 // each K in scales: K sessions launched from parallel goroutines of one
 // FE process on a fresh rig sized to hold all K jobs.
-func concurrentSessions(o concurrentSessionOpts, scales []int) ([]ConcurrentRow, error) {
-	return sweep("concurrent sessions", scales, func(k int) (ConcurrentRow, error) { return measureConcurrent(k, o) })
+func concurrentSessions(o concurrentSessionOpts, scales []int) ([]concurrentRow, error) {
+	return sweep("concurrent sessions", scales, func(k int) (concurrentRow, error) { return measureConcurrent(k, o) })
 }
 
-func measureConcurrent(k int, o concurrentSessionOpts) (ConcurrentRow, error) {
-	row := ConcurrentRow{Sessions: k, NodesEach: o.NodesEach}
+func measureConcurrent(k int, o concurrentSessionOpts) (concurrentRow, error) {
+	row := concurrentRow{Sessions: k, NodesEach: o.NodesEach}
 	_, err := Scenario{
 		Nodes: k * o.NodesEach,
 		Boot: func(cl *cluster.Cluster) error {
@@ -91,7 +91,7 @@ func measureConcurrent(k int, o concurrentSessionOpts) (ConcurrentRow, error) {
 }
 
 // printConcurrent renders the concurrent-session rows.
-func printConcurrent(w io.Writer, rows []ConcurrentRow) {
+func printConcurrent(w io.Writer, rows []concurrentRow) {
 	fmt.Fprintln(w, "Ablation — concurrent sessions per FE process (one transport mux)")
 	fmt.Fprintln(w, "sessions  nodes/sess  wall      slowest   sessions/s")
 	for _, r := range rows {

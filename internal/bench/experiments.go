@@ -53,16 +53,16 @@ type Table struct {
 	print func(w io.Writer, rows any, p Params) error
 }
 
-// Result is one table's rows as run.
-type Result struct {
+// result is one table's rows as run.
+type result struct {
 	Stem string
 	Rows any // a slice of the table's row type
 	N    int // len(Rows)
 }
 
-// Run measures the table at the scales p selects.
-func (t Table) Run(p Params) (Result, error) {
-	res, scales := Result{Stem: t.Stem}, t.Scales
+// measure runs the table at the scales p selects.
+func (t Table) measure(p Params) (result, error) {
+	res, scales := result{Stem: t.Stem}, t.Scales
 	if p.Smoke {
 		res.Stem, scales = t.SmokeStem, t.Smoke
 	} else if t.Predict != nil {
@@ -76,12 +76,12 @@ func (t Table) Run(p Params) (Result, error) {
 // Run regenerates the experiment: every table is measured and printed,
 // blank-line separated, then each is handed to emit.
 func (e Experiment) Run(p Params, emit func(stem string, rows any) error) error {
-	var done []Result
+	var done []result
 	for _, t := range e.Tables {
 		if p.Smoke && t.SmokeStem == "" {
 			continue
 		}
-		res, err := t.Run(p)
+		res, err := t.measure(p)
 		if err != nil {
 			return err
 		}
@@ -194,13 +194,13 @@ func plain[R any](print func(io.Writer, []R)) func(io.Writer, []R, Params) error
 	}
 }
 
-// SweepScales are the daemon counts of the K-scaled sweeps.
-var SweepScales = []int{64, 1024, 16384}
+// sweepScales are the daemon counts of the K-scaled sweeps.
+var sweepScales = []int{64, 1024, 16384}
 
 // kSweep is the shape those sweeps share: capped by -maxk and by the
 // simulator's footprint under the sweep label, {8, 32} in the smoke sweep.
 func kSweep(stem, sweep string) Table {
-	return Table{Stem: stem, SmokeStem: "smoke_" + stem, Sweep: sweep, Scales: SweepScales, Smoke: []int{8, 32}, Predict: simFootprint}
+	return Table{Stem: stem, SmokeStem: "smoke_" + stem, Sweep: sweep, Scales: sweepScales, Smoke: []int{8, 32}, Predict: simFootprint}
 }
 
 // launchOpts are the launch-pipeline sweep's options; its smoke fanout is 4.
@@ -214,7 +214,7 @@ func launchOpts(p Params) launchPipeOpts {
 
 // runLaunch is the launch-pipeline sweep: the store-forward rows are capped
 // a second time, by their K private full-table copies.
-func runLaunch(p Params, scales []int) ([]LaunchPipeRow, error) {
+func runLaunch(p Params, scales []int) ([]launchPipeRow, error) {
 	fullScales := scales
 	if !p.Smoke {
 		fullScales = p.capScales("launch store-forward/full", scales, func(k int) int64 {
@@ -226,7 +226,7 @@ func runLaunch(p Params, scales []int) ([]LaunchPipeRow, error) {
 
 // printLaunch renders a launch sweep with the riders p asks for, and
 // holds the obs rider's rows to its invariants.
-func printLaunch(w io.Writer, rows []LaunchPipeRow, p Params) error {
+func printLaunch(w io.Writer, rows []launchPipeRow, p Params) error {
 	printLaunchPipeline(w, rows)
 	if p.Mem {
 		fmt.Fprintln(w)
@@ -242,7 +242,7 @@ func printLaunch(w io.Writer, rows []LaunchPipeRow, p Params) error {
 
 // runMillion is the million sweep: one point, lowered by -maxk, on a lean
 // rig at fanout 64 (4 in the smoke sweep, which also leaves the GC alone).
-func runMillion(p Params, scales []int) ([]LaunchPipeRow, error) {
+func runMillion(p Params, scales []int) ([]launchPipeRow, error) {
 	o := launchPipeOpts{TasksPerNode: 1, Fanout: 4}
 	if !p.Smoke {
 		o.Fanout = 64
@@ -251,7 +251,7 @@ func runMillion(p Params, scales []int) ([]LaunchPipeRow, error) {
 	return launchMillion(o, p.lowerScales(scales))
 }
 
-func printMillion(w io.Writer, rows []LaunchPipeRow, p Params) error {
+func printMillion(w io.Writer, rows []launchPipeRow, p Params) error {
 	printLaunchPipeline(w, rows)
 	// The smoke sweep has never printed this table's -mem rider, and its
 	// stdout is diffed like its JSON.
@@ -264,7 +264,7 @@ func printMillion(w io.Writer, rows []LaunchPipeRow, p Params) error {
 	return nil
 }
 
-func runOverhead(p Params, _ []int) ([]OverheadRow, error) {
+func runOverhead(p Params, _ []int) ([]overheadRow, error) {
 	if p.Smoke {
 		return heartbeatOverhead(8, []time.Duration{500 * time.Millisecond}, 5*time.Second)
 	}
@@ -294,7 +294,7 @@ var Experiments = []Experiment{
 			fixedTable(Table{Stem: "ablation_debug_events"}, ablationDebugEvents, printDebugEvents),
 			fixedTable(Table{Stem: "ablation_proctab"}, ablationProctab, printProctabAblation),
 			fixedTable(Table{Stem: "ablation_jobsnap_tree"}, ablationJobsnapTree, printJobsnapTree),
-			sweepTable(Table{Stem: "ablation_concurrent", SmokeStem: "smoke_concurrent", Scales: ConcurrentScales, Smoke: []int{1, 4}},
+			sweepTable(Table{Stem: "ablation_concurrent", SmokeStem: "smoke_concurrent", Scales: concurrentScales, Smoke: []int{1, 4}},
 				concurrentSessionOpts{NodesEach: 16, TasksPerNode: 8}, concurrentSessionOpts{NodesEach: 4, TasksPerNode: 2},
 				concurrentSessions, printConcurrent),
 		}},

@@ -23,8 +23,8 @@ import (
 //   - heartbeat overhead vs period (messages/bytes on the wire during an
 //     otherwise idle session window).
 
-// FailureRow is one detection-latency measurement at a node count.
-type FailureRow struct {
+// failureRow is one detection-latency measurement at a node count.
+type failureRow struct {
 	Nodes        int
 	Period       time.Duration
 	Miss         int
@@ -33,8 +33,8 @@ type FailureRow struct {
 	Teardown     time.Duration // node killed → SessionTornDown at the FE
 }
 
-// OverheadRow is one heartbeat-cost measurement at a period.
-type OverheadRow struct {
+// overheadRow is one heartbeat-cost measurement at a period.
+type overheadRow struct {
 	Nodes      int
 	Period     time.Duration
 	Window     time.Duration
@@ -57,11 +57,11 @@ type failureOpts struct {
 }
 
 // failureDetection measures detection and teardown latency for each scale.
-func failureDetection(o failureOpts, scales []int) ([]FailureRow, error) {
-	return sweep("failure detection", scales, func(k int) (FailureRow, error) {
+func failureDetection(o failureOpts, scales []int) ([]failureRow, error) {
+	return sweep("failure detection", scales, func(k int) (failureRow, error) {
 		row, err := measureFailure(k, o, false)
 		if err == nil && o.Silent {
-			var silent FailureRow
+			var silent failureRow
 			if silent, err = measureFailure(k, o, true); err != nil {
 				err = fmt.Errorf("silent: %w", err)
 			}
@@ -79,8 +79,8 @@ func residentBE(p *cluster.Proc, _ *core.BackEnd) {
 
 // measureFailure kills (or, silent, partitions) the node of the
 // deepest-ranked daemon and times the FE-side callbacks.
-func measureFailure(k int, o failureOpts, silent bool) (FailureRow, error) {
-	row := FailureRow{Nodes: k, Period: o.Period, Miss: o.Miss}
+func measureFailure(k int, o failureOpts, silent bool) (failureRow, error) {
+	row := failureRow{Nodes: k, Period: o.Period, Miss: o.Miss}
 	_, err := Scenario{
 		Nodes: k,
 		Opts: core.Options{
@@ -151,8 +151,8 @@ func measureFailure(k int, o failureOpts, silent bool) (FailureRow, error) {
 
 // heartbeatOverhead measures heartbeat wire traffic during an idle window
 // at each period.
-func heartbeatOverhead(nodes int, periods []time.Duration, window time.Duration) ([]OverheadRow, error) {
-	rows := make([]OverheadRow, 0, len(periods))
+func heartbeatOverhead(nodes int, periods []time.Duration, window time.Duration) ([]overheadRow, error) {
+	rows := make([]overheadRow, 0, len(periods))
 	for _, period := range periods {
 		row, err := measureOverhead(nodes, period, window)
 		if err != nil {
@@ -163,8 +163,8 @@ func heartbeatOverhead(nodes int, periods []time.Duration, window time.Duration)
 	return rows, nil
 }
 
-func measureOverhead(nodes int, period, window time.Duration) (OverheadRow, error) {
-	row := OverheadRow{Nodes: nodes, Period: period, Window: window}
+func measureOverhead(nodes int, period, window time.Duration) (overheadRow, error) {
+	row := overheadRow{Nodes: nodes, Period: period, Window: window}
 	_, err := Scenario{
 		Nodes: nodes,
 		Opts: core.Options{
@@ -189,7 +189,7 @@ func measureOverhead(nodes int, period, window time.Duration) (OverheadRow, erro
 }
 
 // printFailure renders the detection-latency rows.
-func printFailure(w io.Writer, rows []FailureRow) {
+func printFailure(w io.Writer, rows []failureRow) {
 	fmt.Fprintln(w, "Ablation — failure detection latency (kill deepest-ranked daemon's node)")
 	fmt.Fprintln(w, "daemons   period   miss  detect(sever)  detect(silent)  teardown")
 	for _, r := range rows {
@@ -203,7 +203,7 @@ func printFailure(w io.Writer, rows []FailureRow) {
 }
 
 // printOverhead renders the heartbeat-overhead rows.
-func printOverhead(w io.Writer, rows []OverheadRow) {
+func printOverhead(w io.Writer, rows []overheadRow) {
 	fmt.Fprintln(w, "Ablation — heartbeat overhead vs period (idle session window)")
 	fmt.Fprintln(w, "daemons   period   window    msgs      bytes     msgs/vsec")
 	for _, r := range rows {

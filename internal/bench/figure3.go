@@ -9,10 +9,10 @@ import (
 	"launchmon/internal/rm"
 )
 
-// Fig3Row is one scale point of the Figure 3 reproduction: the measured
+// fig3Row is one scale point of the Figure 3 reproduction: the measured
 // launchAndSpawn breakdown, the analytic model's prediction, and the
 // relative error of the modeled total.
-type Fig3Row struct {
+type fig3Row struct {
 	Daemons  int
 	Tasks    int
 	Measured perfmodel.Breakdown
@@ -20,9 +20,9 @@ type Fig3Row struct {
 	ErrPct   float64
 }
 
-// Figure3Scales are the paper's daemon counts (8 MPI tasks per daemon,
+// figure3Scales are the paper's daemon counts (8 MPI tasks per daemon,
 // one daemon per node, 16..128 step 16).
-var Figure3Scales = []int{16, 32, 48, 64, 80, 96, 112, 128}
+var figure3Scales = []int{16, 32, 48, 64, 80, 96, 112, 128}
 
 // figure3CalibrationScales are the small scales the model is fitted on;
 // the remaining scales are pure prediction (the paper fits T(op) "at small
@@ -45,10 +45,10 @@ func measureLaunchAndSpawn(daemons, tasksPerDaemon int) (perfmodel.Breakdown, er
 // figure3 regenerates the modeled-vs-measured launchAndSpawn comparison:
 // it measures every scale, fits the analytic model on the calibration
 // scales only, and reports predictions alongside measurements.
-func figure3() ([]Fig3Row, error) {
+func figure3() ([]fig3Row, error) {
 	const tasksPerDaemon = 8
-	measured := make(map[int]perfmodel.Breakdown, len(Figure3Scales))
-	for _, n := range Figure3Scales {
+	measured := make(map[int]perfmodel.Breakdown, len(figure3Scales))
+	for _, n := range figure3Scales {
 		b, err := measureLaunchAndSpawn(n, tasksPerDaemon)
 		if err != nil {
 			return nil, fmt.Errorf("figure3 at %d daemons: %w", n, err)
@@ -63,10 +63,10 @@ func figure3() ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig3Row, 0, len(Figure3Scales))
-	for _, n := range Figure3Scales {
+	rows := make([]fig3Row, 0, len(figure3Scales))
+	for _, n := range figure3Scales {
 		pred := model.Predict(n, n*tasksPerDaemon)
-		rows = append(rows, Fig3Row{
+		rows = append(rows, fig3Row{
 			Daemons:  n,
 			Tasks:    n * tasksPerDaemon,
 			Measured: measured[n],
@@ -79,7 +79,7 @@ func figure3() ([]Fig3Row, error) {
 
 // printFigure3 renders the rows like the paper's stacked chart, one line
 // per scale with the component columns.
-func printFigure3(w io.Writer, rows []Fig3Row) {
+func printFigure3(w io.Writer, rows []fig3Row) {
 	fmt.Fprintln(w, "Figure 3 — launchAndSpawn: modeled vs measured (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks  T(job)   T(dmn+setup) T(coll)  tracing  fetch    other    measured  model    err%   lmon%")
 	for _, r := range rows {

@@ -8,9 +8,9 @@ import (
 	"launchmon/internal/tools/jobsnap"
 )
 
-// Fig5Row is one Jobsnap measurement: total operation time and the
+// fig5Row is one Jobsnap measurement: total operation time and the
 // init→attachAndSpawn (LaunchMON) share, per the paper's two series.
-type Fig5Row struct {
+type fig5Row struct {
 	Daemons int
 	Tasks   int
 	Total   time.Duration
@@ -18,24 +18,24 @@ type Fig5Row struct {
 	Lines   int
 }
 
-// Figure5Scales are the daemon counts of the Jobsnap experiment
+// figure5Scales are the daemon counts of the Jobsnap experiment
 // (8 tasks per daemon; the paper sweeps to 1024 daemons / 8192 tasks).
-var Figure5Scales = []int{64, 128, 256, 512, 768, 1024}
+var figure5Scales = []int{64, 128, 256, 512, 768, 1024}
 
 // figure5 regenerates the Jobsnap performance series.
-func figure5() ([]Fig5Row, error) {
-	return figure5At(Figure5Scales)
+func figure5() ([]fig5Row, error) {
+	return figure5At(figure5Scales)
 }
 
-func figure5At(scales []int) ([]Fig5Row, error) {
+func figure5At(scales []int) ([]fig5Row, error) {
 	const tasksPerDaemon = 8
-	rows := make([]Fig5Row, 0, len(scales))
+	rows := make([]fig5Row, 0, len(scales))
 	for _, n := range scales {
 		res, err := measureJobsnap(n, tasksPerDaemon, 0)
 		if err != nil {
 			return nil, fmt.Errorf("figure5 at %d daemons: %w", n, err)
 		}
-		rows = append(rows, Fig5Row{
+		rows = append(rows, fig5Row{
 			Daemons: n, Tasks: n * tasksPerDaemon,
 			Total: res.Total, Launch: res.LaunchTime, Lines: res.Lines,
 		})
@@ -49,7 +49,7 @@ func figure5At(scales []int) ([]Fig5Row, error) {
 func measureJobsnap(daemons, tasksPerDaemon, fanout int) (jobsnap.Result, error) {
 	var res jobsnap.Result
 	_, err := Scenario{Nodes: daemons, FE: func(r *Run) error {
-		j, err := r.StartJob("mpiapp", daemons, tasksPerDaemon, 5*time.Second)
+		j, err := r.startJob("mpiapp", daemons, tasksPerDaemon, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -63,7 +63,7 @@ func measureJobsnap(daemons, tasksPerDaemon, fanout int) (jobsnap.Result, error)
 }
 
 // printFigure5 renders the two series of the paper's chart.
-func printFigure5(w io.Writer, rows []Fig5Row) {
+func printFigure5(w io.Writer, rows []fig5Row) {
 	fmt.Fprintln(w, "Figure 5 — Jobsnap performance (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks   total      init→attachAndSpawn")
 	for _, r := range rows {

@@ -9,9 +9,9 @@ import (
 	"launchmon/internal/tools/stat"
 )
 
-// Fig6Row is one STAT start-up measurement: MRNet's native rsh launch
+// fig6Row is one STAT start-up measurement: MRNet's native rsh launch
 // versus the LaunchMON integration, 1-deep topology.
-type Fig6Row struct {
+type fig6Row struct {
 	Daemons       int
 	Tasks         int
 	MRNet         time.Duration // native rsh launch+connect; 0 when failed
@@ -30,16 +30,16 @@ var figure6Scales = []int{4, 16, 64, 128, 256, 512}
 const figure6FrontEndProcLimit = 512
 
 // figure6 regenerates the STAT start-up comparison.
-func figure6() ([]Fig6Row, error) {
+func figure6() ([]fig6Row, error) {
 	return figure6At(figure6Scales, figure6FrontEndProcLimit)
 }
 
-func figure6At(scales []int, feLimit int) ([]Fig6Row, error) {
+func figure6At(scales []int, feLimit int) ([]fig6Row, error) {
 	const tasksPerDaemon = 8
-	rows := make([]Fig6Row, 0, len(scales))
+	rows := make([]fig6Row, 0, len(scales))
 	var slope float64 // seconds per daemon from successful rsh runs
 	for _, n := range scales {
-		row := Fig6Row{Daemons: n, Tasks: n * tasksPerDaemon}
+		row := fig6Row{Daemons: n, Tasks: n * tasksPerDaemon}
 
 		// LaunchMON path.
 		lm, err := measureSTATLaunchMON(n, tasksPerDaemon)
@@ -69,7 +69,7 @@ func figure6At(scales []int, feLimit int) ([]Fig6Row, error) {
 func measureSTATLaunchMON(daemons, tasksPerDaemon int) (time.Duration, error) {
 	var startup time.Duration
 	_, err := Scenario{Nodes: daemons, FE: func(r *Run) error {
-		j, err := r.StartJob("app", daemons, tasksPerDaemon, 5*time.Second)
+		j, err := r.startJob("app", daemons, tasksPerDaemon, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 	var startup time.Duration
 	failed := false
 	_, err := Scenario{Nodes: daemons, MaxProcs: feLimit, FE: func(r *Run) error {
-		j, err := r.StartJob("app", daemons, tasksPerDaemon, 5*time.Second)
+		j, err := r.startJob("app", daemons, tasksPerDaemon, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -126,7 +126,7 @@ func measureSTATNative(daemons, tasksPerDaemon, feLimit int) (time.Duration, boo
 }
 
 // printFigure6 renders the comparison like the paper's chart.
-func printFigure6(w io.Writer, rows []Fig6Row) {
+func printFigure6(w io.Writer, rows []fig6Row) {
 	fmt.Fprintln(w, "Figure 6 — STAT start-up: MRNet(rsh) vs LaunchMON, 1-deep (8 tasks/daemon)")
 	fmt.Fprintln(w, "daemons  tasks   MRNet-rsh        LaunchMON")
 	for _, r := range rows {

@@ -27,8 +27,8 @@ import (
 // slices is byte-identical to the FE's table — the pipeline must never
 // trade correctness for overlap, and slicing must never lose an entry.
 
-// LaunchPipeRow is one pipeline × scale measurement.
-type LaunchPipeRow struct {
+// launchPipeRow is one pipeline × scale measurement.
+type launchPipeRow struct {
 	Mode    string        // seed pipeline: "cut-through" or "store-forward"
 	Table   string        // RPDTAB retention the pipeline implies: "full" (store-forward) or "sliced" (cut-through)
 	Daemons int           // K daemons (one per node)
@@ -98,8 +98,8 @@ func retentionOf(mode core.SeedMode) string {
 // store-forward baseline at those of them that are also in fullScales:
 // its K private full-table copies outgrow a runner long before the
 // simulator does (fullTableFootprint), so callers cap it separately.
-func launchPipeline(o launchPipeOpts, scales, fullScales []int) ([]LaunchPipeRow, error) {
-	rows := make([]LaunchPipeRow, 0, len(launchPipeModes)*len(scales))
+func launchPipeline(o launchPipeOpts, scales, fullScales []int) ([]launchPipeRow, error) {
+	rows := make([]launchPipeRow, 0, len(launchPipeModes)*len(scales))
 	for _, k := range scales {
 		for _, mode := range launchPipeModes {
 			if mode == core.SeedStoreForward && !slices.Contains(fullScales, k) {
@@ -164,7 +164,7 @@ func checkLaunchTables(contribs [][]byte, feTab proctab.Table, fullCopies bool) 
 }
 
 // roleMem splits the gathered per-daemon table footprints by tree role.
-func roleMem(row *LaunchPipeRow, infos []core.DaemonInfo, fanout int) {
+func roleMem(row *launchPipeRow, infos []core.DaemonInfo, fanout int) {
 	size := len(infos)
 	eff := fanout
 	if eff <= 0 {
@@ -200,8 +200,8 @@ func launchPipeScenario(k int, mode core.SeedMode, o launchPipeOpts, lean bool) 
 	return sc
 }
 
-func measureLaunchPipe(k int, mode core.SeedMode, o launchPipeOpts, lean bool) (LaunchPipeRow, error) {
-	row := LaunchPipeRow{
+func measureLaunchPipe(k int, mode core.SeedMode, o launchPipeOpts, lean bool) (launchPipeRow, error) {
+	row := launchPipeRow{
 		Mode:    mode.String(),
 		Table:   retentionOf(mode),
 		Daemons: k,
@@ -254,7 +254,7 @@ func measureLaunchPipe(k int, mode core.SeedMode, o launchPipeOpts, lean bool) (
 }
 
 // printLaunchPipeline renders the comparison.
-func printLaunchPipeline(w io.Writer, rows []LaunchPipeRow) {
+func printLaunchPipeline(w io.Writer, rows []launchPipeRow) {
 	fmt.Fprintln(w, "Ablation — launch pipeline (time to DaemonsSpawned, slice union byte-identical at the FE)")
 	fmt.Fprintln(w, "mode           table   daemons    tasks   ready      master-B  interior-B  leaf-B  tables")
 	for _, r := range rows {
@@ -269,7 +269,7 @@ func printLaunchPipeline(w io.Writer, rows []LaunchPipeRow) {
 
 // printLaunchMem renders the full per-role peak-memory breakdown of a
 // launch sweep (lmonbench -mem).
-func printLaunchMem(w io.Writer, rows []LaunchPipeRow) {
+func printLaunchMem(w io.Writer, rows []launchPipeRow) {
 	fmt.Fprintln(w, "Peak RPDTAB bytes per role (index is session-shared, counted once)")
 	fmt.Fprintln(w, "mode           table   daemons  engine-B      fe-B   index-B  master-B  interior-B  leaf-B")
 	for _, r := range rows {

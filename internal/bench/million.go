@@ -28,8 +28,8 @@ var millionScales = []int{1 << 20}
 // launchMillion measures the rank-sliced cut-through launch at each
 // scale, reporting the same row shape as launchPipeline plus the
 // simulator host-cost columns.
-func launchMillion(o launchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
-	return sweep("million launch sweep", scales, func(k int) (LaunchPipeRow, error) {
+func launchMillion(o launchPipeOpts, scales []int) ([]launchPipeRow, error) {
+	return sweep("million launch sweep", scales, func(k int) (launchPipeRow, error) {
 		return measureLaunchPipe(k, core.SeedCutThrough, o, true)
 	})
 }
@@ -93,7 +93,7 @@ func hostRSSPeak() uint64 {
 // printMillionCost renders the simulator host-cost columns of a million
 // sweep: the per-node goroutine budget is the deterministic, pinnable
 // figure; peak RSS depends on the host Go runtime and is informational.
-func printMillionCost(w io.Writer, rows []LaunchPipeRow) {
+func printMillionCost(w io.Writer, rows []launchPipeRow) {
 	fmt.Fprintln(w, "Simulator host cost (goroutines are virtual-time-deterministic; RSS is host-dependent)")
 	fmt.Fprintln(w, "daemons   goroutines-peak  goroutines/node  rss-peak-MB")
 	for _, r := range rows {

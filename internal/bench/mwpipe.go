@@ -18,8 +18,8 @@ import (
 // the same never-trade-correctness-for-overlap check as the BE
 // launch-pipeline ablation.
 
-// MWPipeRow is one scale's measurement.
-type MWPipeRow struct {
+// mwPipeRow is one scale's measurement.
+type mwPipeRow struct {
 	Mode    string        // "cut-through" (the only MW seed pipeline)
 	Daemons int           // K middleware daemons (one per fresh node)
 	Tasks   int           // application tasks (sizes the seed)
@@ -43,12 +43,12 @@ type mwPipeOpts struct {
 }
 
 // mwPipeline measures the MW seed pipeline at each scale.
-func mwPipeline(o mwPipeOpts, scales []int) ([]MWPipeRow, error) {
-	return sweep("mw pipeline", scales, func(k int) (MWPipeRow, error) { return measureMWPipe(k, o) })
+func mwPipeline(o mwPipeOpts, scales []int) ([]mwPipeRow, error) {
+	return sweep("mw pipeline", scales, func(k int) (mwPipeRow, error) { return measureMWPipe(k, o) })
 }
 
-func measureMWPipe(k int, o mwPipeOpts) (MWPipeRow, error) {
-	row := MWPipeRow{Mode: core.SeedCutThrough.String(), Daemons: k, Tasks: o.JobNodes * o.TasksPerNode}
+func measureMWPipe(k int, o mwPipeOpts) (mwPipeRow, error) {
+	row := mwPipeRow{Mode: core.SeedCutThrough.String(), Daemons: k, Tasks: o.JobNodes * o.TasksPerNode}
 	_, err := Scenario{
 		Nodes: o.JobNodes + k,
 		Opts: core.Options{
@@ -95,7 +95,7 @@ func measureMWPipe(k int, o mwPipeOpts) (MWPipeRow, error) {
 }
 
 // printMWPipeline renders the sweep.
-func printMWPipeline(w io.Writer, rows []MWPipeRow) {
+func printMWPipeline(w io.Writer, rows []mwPipeRow) {
 	fmt.Fprintln(w, "MW launch pipeline (LaunchMW time to ready, byte-identical RPDTAB at every MW rank)")
 	fmt.Fprintln(w, "mode           mw-daemons    tasks   ready      tables")
 	for _, r := range rows {

@@ -41,7 +41,7 @@ func launchPipeObsBE(p *cluster.Proc, be *core.BackEnd) {
 // measureLaunchPipeObs reruns one sweep row's scenario with
 // observability on and fills the row's Obs* fields from the session's
 // harvested metrics.
-func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o launchPipeOpts) error {
+func measureLaunchPipeObs(row *launchPipeRow, k int, mode core.SeedMode, o launchPipeOpts) error {
 	sc := launchPipeScenario(k, mode, o, false)
 	sc.Opts.Obs, sc.Opts.Daemon.Exe, sc.BE = core.ObsOn, "lp_obs_be", launchPipeObsBE
 	sc.FE = func(r *Run) error {
@@ -76,7 +76,7 @@ func measureLaunchPipeObs(row *LaunchPipeRow, k int, mode core.SeedMode, o launc
 //  3. Virtual-time drift: enabling the plane moves time-to-ready by at
 //     most obsDriftBound(fanout) — the harvest folds are its only
 //     virtual-time cost.
-func checkObsInvariants(rows []LaunchPipeRow, fanout int) error {
+func checkObsInvariants(rows []launchPipeRow, fanout int) error {
 	maxDrift := obsDriftBound(fanout)
 	var reduceSeen bool
 	var reduceFEB uint64
@@ -133,7 +133,7 @@ func obsDriftBound(fanout int) time.Duration {
 
 // printLaunchObs renders the observability rider columns of an
 // obs-enabled launch-pipeline sweep.
-func printLaunchObs(w io.Writer, rows []LaunchPipeRow) {
+func printLaunchObs(w io.Writer, rows []launchPipeRow) {
 	fmt.Fprintln(w, "Observability rider (obs-on second pass per row; wire-byte invariants + drift bound)")
 	fmt.Fprintln(w, "mode           table   daemons  ready-obs  drift%  seed-src-B  link-max-B  reduce-fe-B")
 	for _, r := range rows {

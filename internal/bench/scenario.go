@@ -180,9 +180,9 @@ func (r *Run) timed(fn func() error) (time.Duration, simnet.Stats, error) {
 	}, err
 }
 
-// StartJob starts an application job through the RM and lets it run for
+// startJob starts an application job through the RM and lets it run for
 // settle, the state an attach-mode tool finds.
-func (r *Run) StartJob(exe string, nodes, tasksPerNode int, settle time.Duration) (rm.Job, error) {
+func (r *Run) startJob(exe string, nodes, tasksPerNode int, settle time.Duration) (rm.Job, error) {
 	j, err := r.Mgr.StartJob(rm.JobSpec{Exe: exe, Nodes: nodes, TasksPerNode: tasksPerNode})
 	if err != nil {
 		return nil, err

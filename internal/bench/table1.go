@@ -8,22 +8,22 @@ import (
 	"launchmon/internal/tools/oss"
 )
 
-// T1Row is one O|SS APAI-access measurement pair.
-type T1Row struct {
+// t1Row is one O|SS APAI-access measurement pair.
+type t1Row struct {
 	Nodes     int
 	DPCL      time.Duration
 	LaunchMON time.Duration
 }
 
-// Table1Scales are the paper's node counts.
-var Table1Scales = []int{2, 4, 8, 16, 32}
+// table1Scales are the paper's node counts.
+var table1Scales = []int{2, 4, 8, 16, 32}
 
 // table1 regenerates the O|SS APAI access-time comparison: the DPCL path
 // (persistent root daemons + full binary parse of the RM launcher) versus
 // the LaunchMON integration.
-func table1() ([]T1Row, error) {
-	rows := make([]T1Row, 0, len(Table1Scales))
-	for _, n := range Table1Scales {
+func table1() ([]t1Row, error) {
+	rows := make([]t1Row, 0, len(table1Scales))
+	for _, n := range table1Scales {
 		d, err := measureOSS(n, "dpcl")
 		if err != nil {
 			return nil, fmt.Errorf("table1 dpcl at %d: %w", n, err)
@@ -32,7 +32,7 @@ func table1() ([]T1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 launchmon at %d: %w", n, err)
 		}
-		rows = append(rows, T1Row{Nodes: n, DPCL: d, LaunchMON: l})
+		rows = append(rows, t1Row{Nodes: n, DPCL: d, LaunchMON: l})
 	}
 	return rows, nil
 }
@@ -44,7 +44,7 @@ func measureOSS(nodes int, which string) (time.Duration, error) {
 		if which == "dpcl" {
 			inst = &oss.DPCLInstrumentor{Svc: r.Dpc}
 		}
-		j, err := r.StartJob("app", nodes, 8, 3*time.Second)
+		j, err := r.startJob("app", nodes, 8, 3*time.Second)
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,7 @@ func measureOSS(nodes int, which string) (time.Duration, error) {
 }
 
 // printTable1 renders the table in the paper's layout.
-func printTable1(w io.Writer, rows []T1Row) {
+func printTable1(w io.Writer, rows []t1Row) {
 	fmt.Fprintln(w, "Table 1 — O|SS APAI access times")
 	fmt.Fprint(w, "Number of Nodes ")
 	for _, r := range rows {

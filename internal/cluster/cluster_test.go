@@ -55,7 +55,7 @@ func TestSpawnRunsMain(t *testing.T) {
 			if p.Env("KEY") != "VAL" {
 				t.Error("env not propagated")
 			}
-			if len(p.Args()) != 2 || p.Args()[1] != "b" {
+			if len(p.args()) != 2 || p.args()[1] != "b" {
 				t.Error("args not propagated")
 			}
 		}, Args: []string{"a", "b"}, Env: map[string]string{"KEY": "VAL"}})
@@ -451,7 +451,7 @@ func TestLazyColdPartIsRaceFree(t *testing.T) {
 		})
 		sim.Go("reader", func() {
 			for i := 0; i < 100; i++ {
-				if p.Env("LMON_RANK") != "" || len(p.Args()) != 0 || len(p.Environ()) != 0 {
+				if p.Env("LMON_RANK") != "" || len(p.args()) != 0 || len(p.Environ()) != 0 {
 					t.Error("a passive task has an environment or arguments")
 				}
 				if s := p.State(); s != stateRunning {

@@ -104,8 +104,8 @@ func (p *Proc) Pid() int { return int(p.pid) }
 // Exe returns the executable name.
 func (p *Proc) Exe() string { return p.exe }
 
-// Args returns the argument vector.
-func (p *Proc) Args() []string { return p.spawned().args }
+// args returns the argument vector.
+func (p *Proc) args() []string { return p.spawned().args }
 
 // spawned returns the cold part made at spawn, or an empty one. Its args and
 // env never change, so reading them takes no lock.

@@ -23,11 +23,11 @@ import (
 // Op identifies the collective operation a chunk belongs to.
 type Op uint8
 
-// The four collectives of the tool-data plane, plus the launch-time
+// The three collectives of the tool-data plane, plus the launch-time
 // session-seed stream.
 const (
 	OpBroadcast Op = iota + 1 // FE → every daemon: raw byte stream
-	OpScatter                 // FE → per-rank parts: rank-tagged entries
+	_                         // 2, a retired FE scatter: the ops after it keep their wire values
 	OpGather                  // every daemon → FE: rank-tagged entries
 	OpReduce                  // every daemon → FE: combined at interior nodes
 
@@ -63,8 +63,6 @@ func (o Op) String() string {
 	switch o {
 	case OpBroadcast:
 		return "broadcast"
-	case OpScatter:
-		return "scatter"
 	case OpGather:
 		return "gather"
 	case OpReduce:
@@ -147,9 +145,6 @@ func (h Header) AppendTo(b []byte) []byte {
 	b = lmonp.AppendUint32(b, h.Hi)
 	return lmonp.AppendString(b, h.Filter)
 }
-
-// Encode renders the header.
-func (h Header) Encode() []byte { return h.AppendTo(make([]byte, 0, h.EncodedSize())) }
 
 // errBadHeader reports an undecodable or inconsistent collective header.
 var errBadHeader = errors.New("coll: bad header")
@@ -286,7 +281,7 @@ func DecodeMsg(end bool, payload, usr []byte) (Frame, error) {
 	return f, nil
 }
 
-// Entry is one rank-tagged blob inside a scatter or gather chunk.
+// Entry is one rank-tagged blob inside a gather chunk.
 type Entry struct {
 	Rank int
 	Blob []byte
@@ -375,11 +370,10 @@ func RawFrames(op Op, tag uint32, filter string, data []byte, maxBytes int) []Fr
 // Packer coalesces rank-tagged entries into chunk frames of at most
 // ChunkBytes each on one outgoing stream, emitting them through Emit as
 // they fill, closed by an end marker carrying the entry total. It is the
-// single implementation of the entry-packing invariant, shared by the
-// FE-originated scatter framing and the interior re-bucketing /
-// gather-coalescing hops. A single entry larger than ChunkBytes travels
-// as one oversized chunk rather than an error, like an oversized proctab
-// entry.
+// single implementation of the entry-packing invariant, shared by
+// EntryFrames and the gather-coalescing hops. A single entry larger than
+// ChunkBytes travels as one oversized chunk rather than an error, like an
+// oversized proctab entry.
 type Packer struct {
 	Op         Op
 	Tag        uint32
@@ -562,15 +556,6 @@ func (c *SeqCheck) AdmitFrame(f Frame) error {
 		c.digest = lmonp.FoldSum(c.digest, f.Sum)
 	}
 	return nil
-}
-
-// Digest returns the rolling digest over the chunk frames admitted so
-// far (SumInit before any).
-func (c *SeqCheck) Digest() uint64 {
-	if !c.rolled {
-		return lmonp.SumInit
-	}
-	return c.digest
 }
 
 // RawAssembler reassembles a raw chunk stream (broadcast payloads,

@@ -13,12 +13,12 @@ import (
 func TestHeaderRoundTrip(t *testing.T) {
 	for _, h := range []Header{
 		{Op: OpBroadcast, Tag: 1},
-		{Op: OpScatter, Tag: 7, Index: 3, Lo: 10, Hi: 20},
+		{Op: OpAllGather, Tag: 7, Index: 3, Lo: 10, Hi: 20},
 		{Op: OpGather, Tag: 1 << 30, Index: 0xffffffff, Lo: 0, Hi: 1},
 		{Op: OpReduce, Tag: 2, Filter: "topk:8"},
 		{Op: OpSeed, Index: 5},
 	} {
-		got, err := DecodeHeader(lmonp.NewReader(h.Encode()))
+		got, err := DecodeHeader(lmonp.NewReader(h.AppendTo(nil)))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
 		}
@@ -30,7 +30,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestDecodeHeaderRejectsBadOp(t *testing.T) {
 	h := Header{Op: OpBroadcast, Tag: 1}
-	enc := h.Encode()
+	enc := h.AppendTo(nil)
 	enc[0] = 99
 	if _, err := DecodeHeader(lmonp.NewReader(enc)); err == nil {
 		t.Fatal("op 99 accepted")

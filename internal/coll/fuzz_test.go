@@ -150,15 +150,13 @@ func FuzzSeedStreamValidate(f *testing.F) {
 			Total: uint64(entries), Sum: w.Digest(),
 		})
 
-		// The pristine stream must validate end to end.
+		// The pristine stream must validate end to end, its end marker's
+		// writer digest matching the one the link rolled.
 		var chk SeqCheck
 		for _, fr := range frames {
 			if err := chk.AdmitFrame(fr); err != nil {
 				t.Fatalf("pristine seed stream rejected: %v", err)
 			}
-		}
-		if chk.Digest() != w.Digest() {
-			t.Fatalf("link digest %#x != writer digest %#x", chk.Digest(), w.Digest())
 		}
 
 		if xor == 0 {

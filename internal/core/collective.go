@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the front end's half of the collective tool-data plane:
-// Session.Broadcast / Scatter / Gather / Reduce and their tagged and MW
-// forms, mirrored by the daemons' Collective handle (an iccl.Plane) on the
+// Session.Broadcast / Gather / Reduce, their tagged forms and MWGather,
+// mirrored by the daemons' Collective handle (an iccl.Plane) on the
 // fabric's tree, where payloads ride as bounded-size chunk streams (codec
 // internal/coll) that interior daemons forward — and, for Reduce, combine.
 //
@@ -123,9 +123,8 @@ func (fab *feFabric) tagged(tag uint32) feStream {
 
 // AllocTag allocates a session-unique user stream tag from
 // [coll.MinUserTag, coll.MaxUserTag) for the tagged collective operations
-// (BroadcastTag/ScatterTag/GatherTag/ReduceTag and the MW mirrors, paired
-// with the daemon-side *Tag operations under the same tag). Safe to call
-// from any goroutine.
+// (BroadcastTag/GatherTag/ReduceTag, paired with the daemon-side *Tag
+// operations under the same tag). Safe to call from any goroutine.
 func (s *Session) AllocTag() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,12 +152,12 @@ func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
 	return c.SendEncoded(append(f.AppendPayload(buf), body...))
 }
 
-// The thirteen operations below are the four collectives over the two
-// fabrics in a lockstep and a tagged form (the middleware fabric's one
-// lockstep form is MWGather). The tagged forms run on
-// an explicitly allocated stream (AllocTag) paired with the daemon-side
-// *Tag operation under the same tag; any number may be in flight on a
-// session at once, each driven by its own goroutine.
+// The seven operations below are the three collectives over the back-end
+// fabric in a lockstep and a tagged form, and the middleware fabric's one,
+// MWGather. The tagged forms run on an explicitly allocated stream
+// (AllocTag) paired with the daemon-side *Tag operation under the same
+// tag; any number may be in flight on a session at once, each driven by
+// its own goroutine.
 
 // Broadcast ships data to every back-end daemon over the ICCL tree. Every
 // daemon receives it from Collective().Broadcast.
@@ -167,27 +166,6 @@ func (s *Session) Broadcast(data []byte) error { return s.be.lockstep().broadcas
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
 func (s *Session) BroadcastTag(tag uint32, data []byte) error {
 	return s.be.tagged(tag).broadcast(data)
-}
-
-// MWBroadcastTag is BroadcastTag over the MW fabric.
-func (s *Session) MWBroadcastTag(tag uint32, data []byte) error {
-	return s.mw.tagged(tag).broadcast(data)
-}
-
-// Scatter delivers parts[rank] to each back-end daemon (one part per
-// daemon, in rank order). Daemons receive their part from
-// Collective().Scatter; interior tree nodes route each part toward its
-// rank's subtree, so no single link ever carries the whole part set.
-func (s *Session) Scatter(parts [][]byte) error { return s.be.lockstep().scatter(parts) }
-
-// ScatterTag is Scatter on an explicitly tagged concurrent stream.
-func (s *Session) ScatterTag(tag uint32, parts [][]byte) error {
-	return s.be.tagged(tag).scatter(parts)
-}
-
-// MWScatterTag is ScatterTag over the MW fabric.
-func (s *Session) MWScatterTag(tag uint32, parts [][]byte) error {
-	return s.mw.tagged(tag).scatter(parts)
 }
 
 // Gather collects one byte slice from every back-end daemon
@@ -203,9 +181,6 @@ func (s *Session) MWGather() ([][]byte, error) { return s.mw.lockstep().gather()
 // GatherTag is Gather on an explicitly tagged concurrent stream.
 func (s *Session) GatherTag(tag uint32) ([][]byte, error) { return s.be.tagged(tag).gather() }
 
-// MWGatherTag is GatherTag over the MW fabric.
-func (s *Session) MWGatherTag(tag uint32) ([][]byte, error) { return s.mw.tagged(tag).gather() }
-
 // Reduce receives the tree-combined reduction of every daemon's
 // Collective().Reduce contribution. The filter is chosen daemon-side and
 // applied at every interior node, so per-link bytes are bounded by the
@@ -215,9 +190,6 @@ func (s *Session) Reduce() ([]byte, error) { return s.be.lockstep().reduce() }
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream.
 func (s *Session) ReduceTag(tag uint32) ([]byte, error) { return s.be.tagged(tag).reduce() }
-
-// MWReduceTag is ReduceTag over the MW fabric.
-func (s *Session) MWReduceTag(tag uint32) ([]byte, error) { return s.mw.tagged(tag).reduce() }
 
 // send ships the frames of one FE-originated stream to the master daemon,
 // the last chunk carrying the end marker.
@@ -241,23 +213,6 @@ func (st feStream) broadcast(data []byte) error {
 	sp := s.obsRec.Start("fe-broadcast", -1)
 	defer sp.End()
 	return st.send(coll.RawFrames(coll.OpBroadcast, st.tag, "", data, s.collChunk))
-}
-
-func (st feStream) scatter(parts [][]byte) error {
-	if st.err != nil {
-		return st.err
-	}
-	if len(parts) != len(st.fab.infos) {
-		return fmt.Errorf("core: scatter needs %d parts (one per daemon), got %d", len(st.fab.infos), len(parts))
-	}
-	s := st.fab.s
-	sp := s.obsRec.Start("fe-scatter", -1)
-	defer sp.End()
-	entries := make([]coll.Entry, len(parts))
-	for rk, p := range parts {
-		entries[rk] = coll.Entry{Rank: rk, Blob: p}
-	}
-	return st.send(coll.EntryFrames(coll.OpScatter, st.tag, entries, s.collChunk))
 }
 
 func (st feStream) gather() ([][]byte, error) {

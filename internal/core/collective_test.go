@@ -17,7 +17,7 @@ import (
 )
 
 // End-to-end tests of the collective tool-data plane: FE-side
-// Session.Broadcast/Scatter/Gather/Reduce against the mirrored
+// Session.Broadcast/Gather/Reduce against the mirrored
 // BE.Collective handle, over real sessions.
 
 func TestCollectiveRoundTripAllOps(t *testing.T) {
@@ -47,16 +47,6 @@ func TestCollectiveRoundTripAllOps(t *testing.T) {
 					t.Errorf("rank %d broadcast got %d bytes", be.Rank(), len(got))
 					return
 				}
-				part, err := c.Scatter()
-				if err != nil {
-					t.Errorf("rank %d scatter: %v", be.Rank(), err)
-					return
-				}
-				want := fmt.Sprintf("part-for-%d", be.Rank())
-				if string(part) != want {
-					t.Errorf("rank %d scatter got %q", be.Rank(), part)
-					return
-				}
 				if err := c.Gather([]byte(fmt.Sprintf("from-%d", be.Rank()))); err != nil {
 					t.Errorf("rank %d gather: %v", be.Rank(), err)
 					return
@@ -81,14 +71,6 @@ func TestCollectiveRoundTripAllOps(t *testing.T) {
 				}
 				if err := sess.Broadcast(bcast); err != nil {
 					t.Errorf("broadcast: %v", err)
-					return
-				}
-				parts := make([][]byte, n)
-				for rk := range parts {
-					parts[rk] = []byte(fmt.Sprintf("part-for-%d", rk))
-				}
-				if err := sess.Scatter(parts); err != nil {
-					t.Errorf("scatter: %v", err)
 					return
 				}
 				all, err := sess.Gather()
@@ -227,6 +209,9 @@ func TestCollectiveLargePayloadChunks(t *testing.T) {
 	})
 }
 
+// TestScatterWrongPartCountRejected: the master daemon's BackEnd.Scatter
+// refuses a part set that is not one part per daemon before anything goes
+// down the tree, and the scatter that follows delivers every rank its part.
 func TestScatterWrongPartCountRejected(t *testing.T) {
 	sim, cl, _ := rig(t, 2)
 	cl.Register("sc_be", func(p *cluster.Proc) {
@@ -234,7 +219,18 @@ func TestScatterWrongPartCountRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := be.Collective().Scatter(); err != nil {
+		var parts [][]byte
+		report := ""
+		if be.AmIMaster() {
+			if _, err := be.Scatter([][]byte{[]byte("only-one")}); err == nil {
+				report = "scatter with one part for two daemons accepted; "
+			}
+			parts = [][]byte{{1}, {2}}
+		}
+		if part, err := be.Scatter(parts); err != nil || len(part) != 1 || part[0] != byte(be.Rank()+1) {
+			report += fmt.Sprintf("rank %d got part %v, %v", be.Rank(), part, err)
+		}
+		if err := be.Collective().Gather([]byte(report)); err != nil {
 			return
 		}
 		be.Finalize()
@@ -248,12 +244,14 @@ func TestScatterWrongPartCountRejected(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := sess.Scatter([][]byte{[]byte("only-one")}); err == nil {
-			t.Error("scatter with one part for two daemons accepted")
-		}
-		// Recover so the daemons' pending Scatter completes, then end.
-		if err := sess.Scatter([][]byte{{1}, {2}}); err != nil {
+		all, err := sess.Gather()
+		if err != nil {
 			t.Error(err)
+		}
+		for _, report := range all {
+			if len(report) > 0 {
+				t.Error(string(report))
+			}
 		}
 		sess.Kill()
 	})
@@ -497,7 +495,7 @@ func TestReduceCustomFilterAcrossSession(t *testing.T) {
 // the cause, not vanish and leave them waiting for an end marker that never
 // comes. Tool data keeps flowing. At the front end the running operations
 // are a Gather and a ReduceTag of the front end's plane; at the master, a
-// Broadcast and a ScatterTag of the root plane of a one-daemon tree. The
+// Broadcast and a BroadcastTag of the root plane of a one-daemon tree. The
 // garbage — an undecodable chunk, or a stream's last chunk cut short in the
 // end marker it carries or followed by a stray byte — arrives as the connection's handler would hand it
 // over: from a scheduler callback.
@@ -592,7 +590,7 @@ func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 			pl := comm.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
 			e.rx = newRxStreams(sim, "front end", pl, nil)
 			sim.Go("root-broadcast", func() { _, e.lockstep = pl.Broadcast() })
-			sim.Go("root-scatter-tag", func() { _, e.tagged = pl.ScatterTag(coll.MinUserTag) })
+			sim.Go("root-broadcast-tag", func() { _, e.tagged = pl.BroadcastTag(coll.MinUserTag) })
 			e.late = func() error { _, err := pl.BroadcastTag(coll.MinUserTag + 1); return err }
 			e.recvUsr = e.rx.recvUsr
 		}})

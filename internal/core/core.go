@@ -17,14 +17,14 @@
 // their MRNet connection information without extra startup round trips.
 //
 // Bulk tool traffic rides the collective data plane instead of the flat
-// master pipe: Session.Broadcast/Scatter/Gather/Reduce, mirrored by the
+// master pipe: Session.Broadcast/Gather/Reduce, mirrored by the
 // BackEnd.Collective handle, stream chunked payloads over the ICCL
 // k-ary tree with interior forwarding and filtered reduction (see
 // internal/coll and DESIGN.md "Tool data plane"). The middleware fabric
-// has the same plane: Session.MWGather and the MW*Tag operations pair
-// with Middleware.Collective over the MW tree, the MW session seed
-// streams cut-through during LaunchMW, and MWOptions.Health runs the
-// failure detector over the MW topology.
+// has the same plane: Session.MWGather pairs with Middleware.Collective
+// over the MW tree, the MW session seed streams cut-through during
+// LaunchMW, and MWOptions.Health runs the failure detector over the MW
+// topology.
 package core
 
 import (

@@ -447,10 +447,10 @@ func (d *daemonSession) Proctab() proctab.Table {
 // FEData returns the tool data the front end piggybacked on the handshake.
 func (d *daemonSession) FEData() []byte { return d.feData }
 
-// Timeline returns the daemon's launch marks (net-setup marks at the
+// timeline returns the daemon's launch marks (net-setup marks at the
 // master, seed-validated at every rank). The master's copy also rides the
 // ready message into the front end's merged Session.Timeline.
-func (d *daemonSession) Timeline() engine.Timeline { return d.tl }
+func (d *daemonSession) timeline() engine.Timeline { return d.tl }
 
 // Barrier is the ICCL barrier over all daemons of this fabric.
 func (d *daemonSession) Barrier() error { return d.comm.Barrier() }
@@ -466,10 +466,10 @@ func (d *daemonSession) Scatter(parts [][]byte) ([]byte, error) { return d.comm.
 
 // Collective returns the daemon's handle on its fabric's collective
 // tool-data plane, mirroring the Session methods: what the FE broadcasts
-// or scatters every daemon of the fabric receives here, and what every
-// daemon gathers or reduces arrives at the FE (Session.Broadcast/... for
-// back-end daemons, Session.MWGather and MW*Tag for middleware daemons);
-// Barrier, AllGather and AllReduce stay inside the tree.
+// every daemon of the fabric receives here, and what every daemon gathers
+// or reduces arrives at the FE (Session.Broadcast/... for back-end
+// daemons, Session.MWGather for middleware daemons); Barrier, AllGather
+// and AllReduce stay inside the tree.
 func (d *daemonSession) Collective() *iccl.Plane { return d.coll }
 
 // SendToFE ships tool data to the front end (master only).

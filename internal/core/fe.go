@@ -43,8 +43,8 @@ type Options struct {
 	// 0 selects proctab.DefaultChunkBytes.
 	ProctabChunkBytes int
 	// CollChunkBytes bounds one chunk body on every link of the session's
-	// collective tool-data plane (Session.Broadcast/Scatter/Gather/Reduce
-	// and the BE.Collective mirror); 0 selects coll.DefaultChunkBytes.
+	// collective tool-data plane (Session.Broadcast/Gather/Reduce and the
+	// BE.Collective mirror); 0 selects coll.DefaultChunkBytes.
 	CollChunkBytes int
 	// CollWindow is the per-(link, tag) outstanding-chunk credit window of
 	// the collective plane's flow control: a sender holds at most CollWindow

@@ -88,7 +88,7 @@ func TestDaemonsSpawnedAfterEveryRankValidates(t *testing.T) {
 					t.Errorf("BEInit: %v", err)
 					return
 				}
-				tl := be.Timeline()
+				tl := be.timeline()
 				at, ok := tl.Get(engine.MarkSeedValid)
 				if !ok {
 					t.Errorf("rank %d: no seed_validated mark", be.Rank())

@@ -57,7 +57,7 @@ func TestMWSeedByteIdenticalBothBEPipelines(t *testing.T) {
 				if v := p.Env(EnvSeedMode); v != "" {
 					t.Errorf("MW daemon environment carries %s=%q; the MW fabric has one seed pipeline", EnvSeedMode, v)
 				}
-				tl := mw.Timeline()
+				tl := mw.timeline()
 				if _, ok := tl.Get(engine.MarkMWSeedValid); !ok {
 					t.Errorf("MW rank %d: no mw_seed_validated mark", mw.Rank())
 				}

@@ -45,9 +45,9 @@ func (m ObsMode) String() string {
 // enabled reports whether the mode turns the plane on.
 func (m ObsMode) enabled() bool { return m == ObsOn }
 
-// ErrObsDisabled is returned by observability accessors on a session
+// errObsDisabled is returned by observability accessors on a session
 // launched without Options.Obs = ObsOn.
-var ErrObsDisabled = errors.New("core: session observability disabled (set Options.Obs)")
+var errObsDisabled = errors.New("core: session observability disabled (set Options.Obs)")
 
 func init() {
 	// obs/merge folds encoded metric snapshots at every tree node
@@ -104,7 +104,7 @@ func (s *Session) stashObsHarvest(fabric string, blob []byte) {
 // the watchdog tore down it returns the wrapped terminal fault instead.
 func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	if s.obsReg == nil {
-		return obs.Snapshot{}, ErrObsDisabled
+		return obs.Snapshot{}, errObsDisabled
 	}
 	if err := s.closedErr(); err != ErrSessionClosed {
 		return obs.Snapshot{}, err
@@ -133,7 +133,7 @@ var durationMarks = map[string]bool{
 // the output in ui.perfetto.dev or chrome://tracing.
 func (s *Session) WriteTrace(w io.Writer) error {
 	if s.obsRec == nil {
-		return ErrObsDisabled
+		return errObsDisabled
 	}
 	rec := obs.NewRecorder(s.p.Sim().Now)
 	for _, sp := range s.obsRec.Spans() {

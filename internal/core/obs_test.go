@@ -98,10 +98,10 @@ func TestObsDisabledAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.MetricsSnapshot(); !errors.Is(err, ErrObsDisabled) {
+		if _, err := s.MetricsSnapshot(); !errors.Is(err, errObsDisabled) {
 			t.Errorf("MetricsSnapshot with obs off: %v", err)
 		}
-		if err := s.WriteTrace(&bytes.Buffer{}); !errors.Is(err, ErrObsDisabled) {
+		if err := s.WriteTrace(&bytes.Buffer{}); !errors.Is(err, errObsDisabled) {
 			t.Errorf("WriteTrace with obs off: %v", err)
 		}
 	})

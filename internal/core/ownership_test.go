@@ -12,7 +12,7 @@ import (
 )
 
 // TestFECallerMayScribbleOnWhatItSent pins the front-end edge of the
-// buffer-ownership rule: Session.BroadcastTag and Session.Scatter copy the
+// buffer-ownership rule: Session.BroadcastTag and Session.Broadcast copy the
 // caller's data exactly once, into the messages they send, so it is the
 // caller's again the instant the call returns — long before the chunks
 // have crossed the FE link, let alone the tree. The caller overwrites it at
@@ -24,10 +24,10 @@ func TestFECallerMayScribbleOnWhatItSent(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 11)
 	}
-	part := func(rk int) []byte { return bytes.Repeat([]byte{byte(rk)}, 100+rk) }
-	echo := func(bcast, mine []byte) []byte {
-		b := binary.BigEndian.AppendUint64(nil, lmonp.Sum64(bcast))
-		return binary.BigEndian.AppendUint64(b, lmonp.Sum64(mine))
+	second := bytes.Repeat([]byte{0x5A}, 1000)
+	echo := func(tagged, lockstep []byte) []byte {
+		b := binary.BigEndian.AppendUint64(nil, lmonp.Sum64(tagged))
+		return binary.BigEndian.AppendUint64(b, lmonp.Sum64(lockstep))
 	}
 	tag := coll.MinUserTag // what AllocTag hands out first
 
@@ -43,12 +43,12 @@ func TestFECallerMayScribbleOnWhatItSent(t *testing.T) {
 			t.Errorf("rank %d: BroadcastTag: %v", be.Rank(), err)
 			return
 		}
-		mine, err := dc.Scatter()
+		next, err := dc.Broadcast()
 		if err != nil {
-			t.Errorf("rank %d: Scatter: %v", be.Rank(), err)
+			t.Errorf("rank %d: Broadcast: %v", be.Rank(), err)
 			return
 		}
-		if err := dc.Gather(echo(got, mine)); err != nil {
+		if err := dc.Gather(echo(got, next)); err != nil {
 			t.Errorf("rank %d: Gather: %v", be.Rank(), err)
 		}
 		be.Finalize()
@@ -80,24 +80,19 @@ func TestFECallerMayScribbleOnWhatItSent(t *testing.T) {
 			return
 		}
 		scribble(sent)
-		parts := make([][]byte, nodes)
-		for rk := range parts {
-			parts[rk] = part(rk)
-		}
-		if err := s.Scatter(parts); err != nil {
+		sent = append([]byte(nil), second...)
+		if err := s.Broadcast(sent); err != nil {
 			t.Error(err)
 			return
 		}
-		for _, pt := range parts {
-			scribble(pt)
-		}
+		scribble(sent)
 		all, err := s.Gather()
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		for rk, got := range all {
-			if !bytes.Equal(got, echo(data, part(rk))) {
+			if !bytes.Equal(got, echo(data, second)) {
 				t.Errorf("rank %d read something the FE caller wrote after its send returned", rk)
 			}
 		}

@@ -15,13 +15,13 @@ import (
 // different EventManager/Decoder parameterization while the Driver and
 // handlers stay fixed.
 
-// EventKind classifies decoded LaunchMON events.
-type EventKind int
+// eventKind classifies decoded LaunchMON events.
+type eventKind int
 
 // LaunchMON event kinds.
 const (
 	// evLauncherStop: the launcher stopped on an ordinary debug event.
-	evLauncherStop EventKind = iota
+	evLauncherStop eventKind = iota
 	// evBreakpoint: the launcher reached MPIR_Breakpoint (job ready).
 	evBreakpoint
 	// evAttachStop: the launcher stopped due to a tracer interrupt.
@@ -30,9 +30,9 @@ const (
 	evLauncherExit
 )
 
-// Event is a decoded LaunchMON event.
-type Event struct {
-	Kind   EventKind
+// event is a decoded LaunchMON event.
+type event struct {
+	Kind   eventKind
 	Reason string
 	Code   int // exit code for evLauncherExit
 }
@@ -63,34 +63,34 @@ func newEventDecoder(breakpointName string) *eventDecoder {
 }
 
 // decode lifts a native event.
-func (d *eventDecoder) decode(ev cluster.TraceEvent) Event {
+func (d *eventDecoder) decode(ev cluster.TraceEvent) event {
 	switch ev.Type {
 	case cluster.EventExit:
-		return Event{Kind: evLauncherExit, Code: ev.Code}
+		return event{Kind: evLauncherExit, Code: ev.Code}
 	case cluster.EventStop:
 		switch ev.Reason {
 		case d.breakpointName:
-			return Event{Kind: evBreakpoint, Reason: ev.Reason}
+			return event{Kind: evBreakpoint, Reason: ev.Reason}
 		case "interrupt":
-			return Event{Kind: evAttachStop, Reason: ev.Reason}
+			return event{Kind: evAttachStop, Reason: ev.Reason}
 		default:
-			return Event{Kind: evLauncherStop, Reason: ev.Reason}
+			return event{Kind: evLauncherStop, Reason: ev.Reason}
 		}
 	default:
-		return Event{Kind: evLauncherStop, Reason: ev.Reason}
+		return event{Kind: evLauncherStop, Reason: ev.Reason}
 	}
 }
 
-// Handler reacts to one LaunchMON event. Returning stop=true ends the
+// handler reacts to one LaunchMON event. Returning stop=true ends the
 // driver loop (with the event as the loop's result).
-type Handler func(Event) (stop bool, err error)
+type handler func(event) (stop bool, err error)
 
 // driver owns the poll→decode→dispatch loop.
 type driver struct {
 	proc        *cluster.Proc // the engine process (charged handler cost)
 	em          *eventManager
 	dec         *eventDecoder
-	handlers    map[EventKind]Handler
+	handlers    map[eventKind]handler
 	handlerCost time.Duration
 
 	// TracingCost accumulates the engine CPU time spent handling events —
@@ -108,21 +108,21 @@ func newDriver(proc *cluster.Proc, em *eventManager, dec *eventDecoder, handlerC
 		proc:        proc,
 		em:          em,
 		dec:         dec,
-		handlers:    make(map[EventKind]Handler),
+		handlers:    make(map[eventKind]handler),
 		handlerCost: handlerCost,
 	}
 }
 
-// Handle registers the handler for an event kind.
-func (d *driver) Handle(kind EventKind, h Handler) { d.handlers[kind] = h }
+// handle registers the handler for an event kind.
+func (d *driver) handle(kind eventKind, h handler) { d.handlers[kind] = h }
 
-// Run polls, decodes and dispatches until a handler stops the loop or the
+// run polls, decodes and dispatches until a handler stops the loop or the
 // event stream ends. It returns the stopping event.
-func (d *driver) Run() (Event, error) {
+func (d *driver) run() (event, error) {
 	for {
 		native, ok := d.em.poll()
 		if !ok {
-			return Event{Kind: evLauncherExit, Code: -1}, fmt.Errorf("engine: event stream closed")
+			return event{Kind: evLauncherExit, Code: -1}, fmt.Errorf("engine: event stream closed")
 		}
 		ev := d.dec.decode(native)
 		d.proc.Compute(d.handlerCost)

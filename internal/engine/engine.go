@@ -160,11 +160,11 @@ func (e *engine) serveLaunch(req *lmonp.Msg) error {
 	}
 	// Drive the launcher to MPIR_Breakpoint through the event pipeline.
 	return e.acquire(job, lr.Daemon, lr.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
-		drv.Handle(evLauncherStop, func(Event) (bool, error) {
+		drv.handle(evLauncherStop, func(event) (bool, error) {
 			return false, tr.Continue()
 		})
-		drv.Handle(evBreakpoint, func(Event) (bool, error) { return true, nil })
-		drv.Handle(evLauncherExit, func(ev Event) (bool, error) {
+		drv.handle(evBreakpoint, func(event) (bool, error) { return true, nil })
+		drv.handle(evLauncherExit, func(ev event) (bool, error) {
 			why, _ := tr.ReadSymbol(rm.SymDebugState)
 			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint (%v)", ev.Code, why)
 		})
@@ -186,8 +186,8 @@ func (e *engine) serveAttach(req *lmonp.Msg) error {
 	// Interrupt the running launcher, consume the stop, and proceed as in
 	// launch mode from the breakpoint-equivalent state.
 	return e.acquire(job, ar.Daemon, ar.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
-		drv.Handle(evAttachStop, func(Event) (bool, error) { return true, nil })
-		drv.Handle(evLauncherExit, func(Event) (bool, error) {
+		drv.handle(evAttachStop, func(event) (bool, error) { return true, nil })
+		drv.handle(evLauncherExit, func(event) (bool, error) {
 			return true, errors.New("engine: launcher exited during attach")
 		})
 		return tr.Interrupt()
@@ -215,7 +215,7 @@ func (e *engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm f
 		return err
 	}
 	e.tl.Mark(MarkE2, e.proc.Sim().Now())
-	if _, err := drv.Run(); err != nil {
+	if _, err := drv.run(); err != nil {
 		return err
 	}
 	e.tl.Mark(MarkE3, e.proc.Sim().Now())

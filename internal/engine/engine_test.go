@@ -158,7 +158,7 @@ func TestDriverPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []EventKind
+	var seen []eventKind
 	var tracing time.Duration
 	sim.Go("test", func() {
 		tracee, err := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
@@ -178,15 +178,15 @@ func TestDriverPipeline(t *testing.T) {
 		tracee.Start()
 		eng, _ := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
 			drv := newDriver(p, newEventManager(tr), newEventDecoder(rm.BPName), time.Millisecond)
-			drv.Handle(evLauncherStop, func(ev Event) (bool, error) {
+			drv.handle(evLauncherStop, func(ev event) (bool, error) {
 				seen = append(seen, ev.Kind)
 				return false, tr.Continue()
 			})
-			drv.Handle(evBreakpoint, func(ev Event) (bool, error) {
+			drv.handle(evBreakpoint, func(ev event) (bool, error) {
 				seen = append(seen, ev.Kind)
 				return true, nil
 			})
-			if _, err := drv.Run(); err != nil {
+			if _, err := drv.run(); err != nil {
 				t.Error(err)
 			}
 			tracing = drv.TracingCost
@@ -195,7 +195,7 @@ func TestDriverPipeline(t *testing.T) {
 		eng.Wait()
 	})
 	sim.Run()
-	want := []EventKind{evLauncherStop, evLauncherStop, evBreakpoint}
+	want := []eventKind{evLauncherStop, evLauncherStop, evBreakpoint}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("event sequence = %v, want %v", seen, want)
 	}
@@ -208,7 +208,7 @@ func TestDecoderClassification(t *testing.T) {
 	d := newEventDecoder(rm.BPName)
 	cases := []struct {
 		in   cluster.TraceEvent
-		want EventKind
+		want eventKind
 	}{
 		{cluster.TraceEvent{Type: cluster.EventStop, Reason: rm.BPName}, evBreakpoint},
 		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "interrupt"}, evAttachStop},

@@ -12,7 +12,7 @@ import (
 
 // This file implements the tool-data collective plane over the ICCL tree:
 // chunk streams (codec in internal/coll) routed hop by hop, interior daemons
-// forwarding broadcast/scatter/gather traffic and combining reduce
+// forwarding broadcast and gather traffic and combining reduce
 // contributions. The front end is the root's parent on the plane: FE-bound
 // frames leave the root through an up hook, FE-originated ones are pushed
 // in (PushFE), so every rank runs the same operations, and the front end's
@@ -538,84 +538,6 @@ func (b *broadcastOp) frame(f coll.Frame) error {
 	return err
 }
 
-// Scatter receives one FE-originated scatter and returns this rank's
-// part. Interior nodes re-bucket the incoming rank-tagged entries by
-// child subtree and stream them onward in bounded-size chunks
-// (coll.Packer — the shared coalescing implementation).
-func (pl *Plane) Scatter() ([]byte, error) { return pl.scatter(pl.nextTag(), nil) }
-
-// ScatterTag is Scatter on an explicitly tagged concurrent stream.
-func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) { return pl.scatter(tag, pl.userTag(tag)) }
-
-// scatterOp is a Scatter at one rank: one packer per child, and this
-// rank's own part.
-type scatterOp struct {
-	planeOp
-	in      coll.SeqCheck // validates the incoming chunk index sequence
-	packers []*coll.Packer
-	mine    []byte
-	have    bool
-}
-
-func (pl *Plane) scatter(tag uint32, err error) ([]byte, error) {
-	s := new(scatterOp)
-	if s.start(pl, s, coll.OpScatter, tag, err) {
-		s.packers = make([]*coll.Packer, len(pl.c.children))
-		for slot := range s.packers {
-			slot := slot
-			s.packers[slot] = &coll.Packer{Op: coll.OpScatter, Tag: tag, ChunkBytes: pl.chunkBytes, Merge: true, Emit: func(f coll.Frame) error {
-				s.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, f), slot: slot, to: slot + 1})
-				return nil
-			}}
-		}
-		s.drain(above)
-	}
-	if err := s.wait(); err != nil {
-		return nil, err
-	}
-	if !s.have {
-		return nil, fmt.Errorf("%w: no scatter part for rank %d", errProtocol, pl.c.rank)
-	}
-	return s.mine, nil
-}
-
-func (s *scatterOp) frame(f coll.Frame) error {
-	if err := s.in.Admit(f.H); err != nil {
-		return err
-	}
-	if f.End {
-		for _, pk := range s.packers {
-			if err := pk.End(); err != nil {
-				return err
-			}
-		}
-		s.drain(none)
-		return nil
-	}
-	entries, err := coll.DecodeEntries(f.Body)
-	if err != nil {
-		return err
-	}
-	c := s.pl.c
-	for _, e := range entries {
-		if e.Rank == c.rank {
-			if s.have {
-				return fmt.Errorf("%w: duplicate scatter part for rank %d", errProtocol, e.Rank)
-			}
-			s.mine, s.have = append([]byte(nil), e.Blob...), true
-			continue
-		}
-		slot := subtreeSlot(c.rank, c.fanout, len(s.packers), e.Rank)
-		if slot < 0 {
-			return fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
-		}
-		if err := s.packers[slot].Add(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Gather contributes mine to an FE-bound gather. Interior nodes stream
 // their own entry first, then drain each child subtree's chunks as they
 // arrive, re-coalescing the entries into bounded-size frames — so the
@@ -850,21 +772,16 @@ func (r *reduceOp) Fire() {
 // flows back down (the DAOS crt_barrier two-phase shape). The FE is not
 // involved — the root turns the barrier around. Barrier participates in
 // the tree-lockstep sequence shared with AllGather/AllReduce.
-func (pl *Plane) Barrier() error { return pl.barrier(pl.nextTreeTag(), nil) }
-
-// barrierTag is Barrier on an explicitly tagged concurrent stream.
-func (pl *Plane) barrierTag(tag uint32) error { return pl.barrier(tag, pl.userTag(tag)) }
-
-// barrierOp is a Barrier at one rank; both of its waves are end markers.
-type barrierOp struct{ planeOp }
-
-func (pl *Plane) barrier(tag uint32, err error) error {
+func (pl *Plane) Barrier() error {
 	b := new(barrierOp)
-	if b.start(pl, b, coll.OpBarrier, tag, err) {
+	if b.start(pl, b, coll.OpBarrier, pl.nextTreeTag(), nil) {
 		b.next(0)
 	}
 	return b.wait()
 }
+
+// barrierOp is a Barrier at one rank; both of its waves are end markers.
+type barrierOp struct{ planeOp }
 
 // next waits for child slot's end marker; past the last child this
 // subtree's entry goes up and the release is awaited, or at the root sent
@@ -901,20 +818,10 @@ func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
 	return pl.gather(coll.OpAllGather, pl.nextTreeTag(), nil, mine)
 }
 
-// allGatherTag is AllGather on an explicitly tagged concurrent stream.
-func (pl *Plane) allGatherTag(tag uint32, mine []byte) ([][]byte, error) {
-	return pl.gather(coll.OpAllGather, tag, pl.userTag(tag), mine)
-}
-
 // AllReduce contributes mine to a reduction with the named filter and
 // returns the combined result on every daemon: the Reduce up-phase
 // folds into the root, whose final accumulator is redistributed down
 // the tree (down-phase reuse of the up-phase combine).
 func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
 	return pl.reduce(coll.OpAllReduce, pl.nextTreeTag(), nil, mine, filter)
-}
-
-// allReduceTag is AllReduce on an explicitly tagged concurrent stream.
-func (pl *Plane) allReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
-	return pl.reduce(coll.OpAllReduce, tag, pl.userTag(tag), mine, filter)
 }

@@ -158,32 +158,6 @@ func TestPlaneGatherShapes(t *testing.T) {
 	}
 }
 
-func TestPlaneScatterShapes(t *testing.T) {
-	for _, tc := range treeShapes {
-		t.Run(fmt.Sprintf("n%d_f%d", tc.n, tc.fanout), func(t *testing.T) {
-			entries := make([]coll.Entry, tc.n)
-			for rk := range entries {
-				entries[rk] = coll.Entry{Rank: rk, Blob: bytes.Repeat([]byte{byte(rk + 1)}, 5+rk*13%40)}
-			}
-			d := &feDriver{send: coll.EntryFrames(coll.OpScatter, 1, entries, 64)}
-			got := make([][]byte, tc.n)
-			planeRig(t, tc.n, tc.fanout, 64, d, func(pl *Plane, c *Comm) error {
-				mine, err := pl.Scatter()
-				if err != nil {
-					return err
-				}
-				got[c.Rank()] = mine
-				return nil
-			})
-			for rk, blob := range got {
-				if !bytes.Equal(blob, entries[rk].Blob) {
-					t.Fatalf("rank %d got %d bytes, want %d", rk, len(blob), len(entries[rk].Blob))
-				}
-			}
-		})
-	}
-}
-
 func TestPlaneBroadcastChunkedShapes(t *testing.T) {
 	payload := bytes.Repeat([]byte("broadcast-data-"), 40) // 600 bytes, chunked at 64
 	for _, tc := range treeShapes {
@@ -274,18 +248,14 @@ func TestPlaneReduceTopKBoundsRootPayload(t *testing.T) {
 }
 
 func TestPlaneSequenceMixedOps(t *testing.T) {
-	// broadcast → gather → scatter → reduce in one session: the lockstep
+	// broadcast → gather → broadcast → reduce in one session: the lockstep
 	// tag must keep the streams apart.
 	const n, fanout = 9, 2
-	bcast := []byte("seed")
-	entries := make([]coll.Entry, n)
-	for rk := range entries {
-		entries[rk] = coll.Entry{Rank: rk, Blob: []byte{byte(rk * 2)}}
-	}
+	bcast, second := []byte("seed"), []byte("second")
 	d := &feDriver{}
 	d.send = append(d.send, coll.RawFrames(coll.OpBroadcast, 1, "", bcast, 0)...)
-	d.send = append(d.send, coll.EntryFrames(coll.OpScatter, 3, entries, 0)...)
-	gotScatter := make([][]byte, n)
+	d.send = append(d.send, coll.RawFrames(coll.OpBroadcast, 3, "", second, 0)...)
+	gotSecond := make([][]byte, n)
 	planeRig(t, n, fanout, 0, d, func(pl *Plane, c *Comm) error {
 		b, err := pl.Broadcast() // tag 1
 		if err != nil {
@@ -294,11 +264,9 @@ func TestPlaneSequenceMixedOps(t *testing.T) {
 		if err := pl.Gather(append(b, byte(c.Rank()))); err != nil { // tag 2
 			return err
 		}
-		mine, err := pl.Scatter() // tag 3
-		if err != nil {
+		if gotSecond[c.Rank()], err = pl.Broadcast(); err != nil { // tag 3
 			return err
 		}
-		gotScatter[c.Rank()] = mine
 		return pl.Reduce([]byte{1}, "concat") // tag 4
 	})
 	// Split the up-stream by tag: gather frames (tag 2) then reduce (tag 4).
@@ -319,9 +287,9 @@ func TestPlaneSequenceMixedOps(t *testing.T) {
 			t.Fatalf("rank %d gathered %q", rk, blob)
 		}
 	}
-	for rk, blob := range gotScatter {
-		if len(blob) != 1 || blob[0] != byte(rk*2) {
-			t.Fatalf("rank %d scatter part %v", rk, blob)
+	for rk, blob := range gotSecond {
+		if !bytes.Equal(blob, second) {
+			t.Fatalf("rank %d second broadcast %q", rk, blob)
 		}
 	}
 	red, err := dReduce.reduceAtFE()

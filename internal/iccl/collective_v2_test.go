@@ -179,44 +179,30 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 	// own goroutine on one shared session tree: the per-connection router
 	// must keep the streams apart.
 	const n, fanout = 13, 3
+	tag := func(i uint32) uint32 { return coll.MinUserTag + i }
+	payload := bytes.Repeat([]byte("tagged-"), 30)
+	d := &feDriver{send: coll.RawFrames(coll.OpBroadcast, tag(0), "", payload, 64)}
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
-		pl := c.NewPlane(64, 0, nil, nil)
+		pl := d.plane(c, 64, 0)
 		sim := p.Sim()
 		rank := c.Rank()
 		done := vtime.NewChan[error](sim)
-		tag := func(i uint32) uint32 { return coll.MinUserTag + i }
 
-		sim.Go(fmt.Sprintf("ag-%d", rank), func() {
-			all, err := pl.allGatherTag(tag(0), []byte{byte(rank)})
-			if err == nil && len(all) != n {
-				err = fmt.Errorf("allgather %d of %d", len(all), n)
-			}
-			if err == nil {
-				for src, b := range all {
-					if len(b) != 1 || b[0] != byte(src) {
-						err = fmt.Errorf("slot %d holds %v", src, b)
-						break
-					}
-				}
+		sim.Go(fmt.Sprintf("bc-%d", rank), func() {
+			got, err := pl.BroadcastTag(tag(0))
+			if err == nil && !bytes.Equal(got, payload) {
+				err = fmt.Errorf("broadcast delivered %d bytes", len(got))
 			}
 			done.Send(err)
 		})
-		sim.Go(fmt.Sprintf("ar-%d", rank), func() {
-			out, err := pl.allReduceTag(tag(1), encU64(uint64(rank+1)), "sum")
-			if err == nil && binary.BigEndian.Uint64(out) != uint64(n)*uint64(n+1)/2 {
-				err = fmt.Errorf("sum %d", binary.BigEndian.Uint64(out))
-			}
-			done.Send(err)
+		sim.Go(fmt.Sprintf("g-%d", rank), func() {
+			done.Send(pl.GatherTag(tag(1), []byte{byte(rank)}))
 		})
-		sim.Go(fmt.Sprintf("bar-%d", rank), func() {
-			done.Send(pl.barrierTag(tag(2)))
+		sim.Go(fmt.Sprintf("sum-%d", rank), func() {
+			done.Send(pl.ReduceTag(tag(2), encU64(uint64(rank+1)), "sum"))
 		})
 		sim.Go(fmt.Sprintf("cc-%d", rank), func() {
-			out, err := pl.allReduceTag(tag(3), []byte{byte(rank)}, "concat")
-			if err == nil && len(out) != n {
-				err = fmt.Errorf("concat %d bytes", len(out))
-			}
-			done.Send(err)
+			done.Send(pl.ReduceTag(tag(3), []byte{byte(rank)}, "concat"))
 		})
 		for i := 0; i < 4; i++ {
 			err, ok := done.Recv()
@@ -229,18 +215,38 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 		}
 		return nil
 	})
+	byTag := map[uint32]*feDriver{tag(1): {}, tag(2): {}, tag(3): {}}
+	for _, f := range d.recv {
+		byTag[f.H.Tag].recv = append(byTag[f.H.Tag].recv, f)
+	}
+	all, err := byTag[tag(1)].gatherAtFE(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src, b := range all {
+		if len(b) != 1 || b[0] != byte(src) {
+			t.Fatalf("gather slot %d holds %v", src, b)
+		}
+	}
+	sum, err := byTag[tag(2)].reduceAtFE()
+	if err != nil || binary.BigEndian.Uint64(sum) != uint64(n)*uint64(n+1)/2 {
+		t.Fatalf("sum %x, %v", sum, err)
+	}
+	if cc, err := byTag[tag(3)].reduceAtFE(); err != nil || len(cc) != n {
+		t.Fatalf("concat %d bytes, %v", len(cc), err)
+	}
 }
 
 func TestPlaneUserTagRangeEnforced(t *testing.T) {
 	rig(t, 1, 2, func(c *Comm, p *cluster.Proc) error {
 		pl := c.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-		if err := pl.barrierTag(coll.MinUserTag - 1); err == nil {
+		if _, err := pl.BroadcastTag(coll.MinUserTag - 1); err == nil {
 			return fmt.Errorf("lockstep-space tag accepted")
 		}
-		if _, err := pl.allGatherTag(coll.MaxUserTag, nil); err == nil {
+		if err := pl.GatherTag(coll.MaxUserTag, nil); err == nil {
 			return fmt.Errorf("tree-space tag accepted")
 		}
-		if _, err := pl.allReduceTag(0, nil, "sum"); err == nil {
+		if err := pl.ReduceTag(0, nil, "sum"); err == nil {
 			return fmt.Errorf("zero tag accepted")
 		}
 		return nil
@@ -350,7 +356,7 @@ func runFlowReduce(t *testing.T, window int) []uint64 {
 	}
 	depths := make([]uint64, n)
 	for i, reg := range regs {
-		depths[i] = reg.Gauge("coll.queue.depth.max").Load()
+		depths[i] = reg.Snapshot().Gauges["coll.queue.depth.max"]
 	}
 	return depths
 }

@@ -18,7 +18,7 @@ import (
 type linkCount struct{ chunks, lasts, ends, credits int }
 
 // TestLinkMessagesPerStream counts, link by link on the 13-rank wire tree,
-// what one tagged stream puts on it: n messages, the last a chunk carrying
+// what one stream puts on it: n messages, the last a chunk carrying
 // the end marker (coll.Frame.Last), and n−1 credits back; no end marker of
 // its own, and no credit for the last chunk. Every operation that streams
 // data is run with one-chunk and with n-chunk streams. A barrier's streams
@@ -59,11 +59,15 @@ func TestLinkMessagesPerStream(t *testing.T) {
 			return pl.ReduceTag(relayTag, opPayload, "sum")
 		}},
 		{"barrier", opChunk, nil, false, func(int) int { return 0 }, func(pl *Plane, _ int) error {
-			return pl.barrierTag(relayTag)
+			return pl.Barrier()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := countLinkMessages(t, tc.chunk, tc.fe, tc.call)
+			tag := relayTag
+			if tc.name == "barrier" {
+				tag = coll.MaxUserTag + 2 // the tree sequence's, behind the warm-up barrier
+			}
+			got := countLinkMessages(t, tc.chunk, tc.fe, tag, tc.call)
 			for child := 1; child < wireN; child++ {
 				parent := Parent(child, wireFanout)
 				rx, tx := [2]int{parent, child}, [2]int{child, parent} // [receiver, sender]
@@ -86,8 +90,8 @@ func TestLinkMessagesPerStream(t *testing.T) {
 
 // countLinkMessages runs call on every rank of the wire tree, the root's
 // front end sending fe, and counts what each link end is handed of the
-// relayTag stream, keyed [receiving rank, sending rank].
-func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, call func(pl *Plane, rank int) error) map[[2]int]linkCount {
+// stream of tag, keyed [receiving rank, sending rank].
+func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, call func(pl *Plane, rank int) error) map[[2]int]linkCount {
 	t.Helper()
 	got := map[[2]int]linkCount{}
 	sortHook = func(d *linkDemux, msg []byte) {
@@ -97,7 +101,7 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, call func(pl *P
 		switch binary.BigEndian.Uint32(raw) {
 		case opCollChunk, opCollEnd:
 			f, err := parseFrameOp(raw, opCollChunk, opCollEnd)
-			if err != nil || f.H.Tag != relayTag {
+			if err != nil || f.H.Tag != tag {
 				return
 			}
 			switch {
@@ -110,7 +114,7 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, call func(pl *P
 			}
 		case opCredit:
 			f, err := parseCredit(raw)
-			if err != nil || f.H.Tag != relayTag {
+			if err != nil || f.H.Tag != tag {
 				return
 			}
 			c.credits += int(f.Credits())

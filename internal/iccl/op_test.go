@@ -24,16 +24,19 @@ const opChunk = 64
 // opPayload is eight chunks: every raw stream outlasts a window of 4.
 var opPayload = relayPayload(8, opChunk)
 
-// opPart is rank rk's scatter part and gather contribution: one chunk.
+// opPart is rank rk's gather contribution: one chunk.
 func opPart(rk int) []byte { return bytes.Repeat([]byte{byte(rk + 1)}, opChunk) }
 
 // planeOpCase is one Plane operation as every rank of a 13-rank tree runs
 // it: fe is what the root's front end sends down (nil for none), call the
 // operation — lockstep for tag 0, else tagged — checking what it returns.
+// A tree operation (Barrier, AllGather, AllReduce) is lockstep only, in
+// the tree's own sequence.
 type planeOpCase struct {
 	name string
 	fe   func(tag uint32) []coll.Frame
 	call func(pl *Plane, tag uint32, rank int) error
+	tree bool
 }
 
 var planeOpCases = []planeOpCase{
@@ -50,69 +53,36 @@ var planeOpCases = []planeOpCase{
 			err = fmt.Errorf("broadcast delivered another payload")
 		}
 		return err
-	}},
-	{"Scatter", func(tag uint32) []coll.Frame {
-		parts := make([]coll.Entry, wireN)
-		for rk := range parts {
-			parts[rk] = coll.Entry{Rank: rk, Blob: opPart(rk)}
-		}
-		return coll.EntryFrames(coll.OpScatter, tag, parts, opChunk)
-	}, func(pl *Plane, tag uint32, rank int) (err error) {
-		var got []byte
-		if tag == 0 {
-			got, err = pl.Scatter()
-		} else {
-			got, err = pl.ScatterTag(tag)
-		}
-		if err == nil && !bytes.Equal(got, opPart(rank)) {
-			err = fmt.Errorf("scatter delivered another part")
-		}
-		return err
-	}},
+	}, false},
 	{"Gather", nil, func(pl *Plane, tag uint32, rank int) error {
 		if tag == 0 {
 			return pl.Gather(opPart(rank))
 		}
 		return pl.GatherTag(tag, opPart(rank))
-	}},
+	}, false},
 	{"Reduce", nil, func(pl *Plane, tag uint32, _ int) error {
 		if tag == 0 {
 			return pl.Reduce(opPayload, "concat")
 		}
 		return pl.ReduceTag(tag, opPayload, "concat")
-	}},
-	{"Barrier", nil, func(pl *Plane, tag uint32, _ int) error {
-		if tag == 0 {
-			return pl.Barrier()
-		}
-		return pl.barrierTag(tag)
-	}},
-	{"AllGather", nil, func(pl *Plane, tag uint32, rank int) (err error) {
-		var all [][]byte
-		if tag == 0 {
-			all, err = pl.AllGather(opPart(rank))
-		} else {
-			all, err = pl.allGatherTag(tag, opPart(rank))
-		}
+	}, false},
+	{"Barrier", nil, func(pl *Plane, _ uint32, _ int) error { return pl.Barrier() }, true},
+	{"AllGather", nil, func(pl *Plane, _ uint32, rank int) error {
+		all, err := pl.AllGather(opPart(rank))
 		for rk := 0; err == nil && rk < wireN; rk++ {
 			if len(all) != wireN || !bytes.Equal(all[rk], opPart(rk)) {
 				err = fmt.Errorf("allgather table wrong at rank %d", rk)
 			}
 		}
 		return err
-	}},
-	{"AllReduce", nil, func(pl *Plane, tag uint32, _ int) (err error) {
-		var got []byte
-		if tag == 0 {
-			got, err = pl.AllReduce(opPayload, "sum")
-		} else {
-			got, err = pl.allReduceTag(tag, opPayload, "sum")
-		}
+	}, true},
+	{"AllReduce", nil, func(pl *Plane, _ uint32, _ int) error {
+		got, err := pl.AllReduce(opPayload, "sum")
 		if err == nil && len(got) != len(opPayload) {
 			err = fmt.Errorf("allreduce returned %d bytes", len(got))
 		}
 		return err
-	}},
+	}, true},
 }
 
 // opTag is the stream tag of oc at every rank: tagged, relayTag; lockstep,
@@ -121,10 +91,10 @@ func opTag(oc planeOpCase, tagged bool) uint32 {
 	switch {
 	case tagged:
 		return relayTag
-	case oc.fe != nil || oc.name == "Gather" || oc.name == "Reduce":
-		return 1
+	case oc.tree:
+		return coll.MaxUserTag + 2
 	}
-	return coll.MaxUserTag + 2
+	return 1
 }
 
 // opsDone is when the last rank of TestPlaneOpsParkOncePerRank left each
@@ -135,7 +105,6 @@ func opTag(oc planeOpCase, tagged bool) uint32 {
 // have no chunk.
 var opsDone = map[string][2]time.Duration{
 	"Broadcast": {1410181, 2880958},
-	"Scatter":   {810201, 810201},
 	"Gather":    {810201, 3601329},
 	"Reduce":    {17400694, 42313480},
 	"Barrier":   {720160, 720160},
@@ -144,7 +113,8 @@ var opsDone = map[string][2]time.Duration{
 }
 
 // TestPlaneOpsParkOncePerRank is the guard of "a daemon waits once per
-// operation": every operation, lockstep and tagged, on 13 ranks of fanout
+// operation": every operation, lockstep and (but for a tree operation)
+// tagged, on 13 ranks of fanout
 // 3, entered by all of them at one instant. Each non-root rank waits for
 // something, so the counts below, one per rank that may wait, mean one
 // wait each: the front end's frames are pushed into the root before it
@@ -156,6 +126,9 @@ var opsDone = map[string][2]time.Duration{
 func TestPlaneOpsParkOncePerRank(t *testing.T) {
 	for _, oc := range planeOpCases {
 		for _, tagged := range []bool{false, true} {
+			if tagged && oc.tree {
+				continue
+			}
 			for wi, window := range []int{4, 1} {
 				name := oc.name
 				if tagged {
@@ -228,13 +201,14 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 // window when the link dies — rank 1's own, the parent's held back by rank
 // 1 not yet in the operation, or a child's rank 1 has not reached; a
 // barrier's bare end markers, each its stream's one message, always find
-// their credit, so for it only the second applies. Held ranks enter 40 ms after the others, the link dies at 20 ms,
-// and a scatter's front end pauses in between. Whichever way rank 1 finds
+// their credit, so for it only the second applies. Held ranks enter 40 ms
+// after the others, the link dies at 20 ms, and a broadcast's front end
+// pauses in between. Whichever way rank 1 finds
 // out, its operation ends once, with ErrSevered naming rank, op and tag;
 // every rank's call returns once; nothing of the stream is left at rank 1;
 // every goroutine ends. The front end's link is the root's parent link: in
 // the fe_link rows it is the root's front end that is lost, during that
-// pause of a broadcast or a scatter, and the same holds at the root.
+// pause of a broadcast, and the same holds at the root.
 func TestOpLinkDiesMidStream(t *testing.T) {
 	const window = 1
 	const killAt, resumeAt = relayAt + 20*time.Millisecond, relayAt + 40*time.Millisecond
@@ -293,13 +267,12 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 		tagged bool
 		states states
 	}{
-		{planeOpCases[0], false, states{"fe_link/waiting": feLost}}, // Broadcast
-		{planeOpCases[2], false, entries},                           // Gather
-		{planeOpCases[3], true, raw},                                // ReduceTag
-		{planeOpCases[1], false, down},                              // Scatter
-		{planeOpCases[4], false, barrier},
-		{planeOpCases[5], false, allOf(entries)}, // AllGather
-		{planeOpCases[6], false, allOf(raw)},     // AllReduce
+		{planeOpCases[0], false, down},           // Broadcast
+		{planeOpCases[1], false, entries},        // Gather
+		{planeOpCases[2], true, raw},             // ReduceTag
+		{planeOpCases[3], false, barrier},        // Barrier
+		{planeOpCases[4], false, allOf(entries)}, // AllGather
+		{planeOpCases[5], false, allOf(raw)},     // AllReduce
 	}
 	for _, k := range kinds {
 		for _, key := range []string{"parent_link/waiting", "parent_link/stalled", "child_link/waiting", "child_link/stalled", "fe_link/waiting"} {

@@ -229,7 +229,7 @@ func TestRelayStallsOnEmptyWindow(t *testing.T) {
 	payload := relayPayload(chunks, chunk)
 	r := newRelayRig(t, wireN)
 	d := &feDriver{send: coll.RawFrames(coll.OpBroadcast, relayTag, "", payload, chunk)}
-	rx := func(rk int) uint64 { return r.regs[rk].Counter("iccl.rx.frames").Load() }
+	rx := func(rk int) uint64 { return r.regs[rk].Snapshot().Counters["iccl.rx.frames"] }
 	var rx0 [wireN]uint64
 	r.sim.After(relayAt-time.Millisecond, func() {
 		for rk := range rx0 {
@@ -269,7 +269,7 @@ func TestRelayStallsOnEmptyWindow(t *testing.T) {
 		}
 	}
 	for rk, reg := range r.regs {
-		if depth := reg.Gauge("coll.queue.depth.max").Load(); depth > window {
+		if depth := reg.Snapshot().Gauges["coll.queue.depth.max"]; depth > window {
 			t.Errorf("rank %d queue depth high-water %d exceeds window %d", rk, depth, window)
 		}
 	}

@@ -33,8 +33,8 @@ func (c *Counter) Add(n uint64) {
 // Inc increments the counter by one. No-op on a nil counter.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Load returns the current value (0 on a nil counter).
-func (c *Counter) Load() uint64 {
+// load returns the current value (0 on a nil counter).
+func (c *Counter) load() uint64 {
 	if c == nil {
 		return 0
 	}
@@ -66,8 +66,8 @@ func (g *Gauge) SetMax(n uint64) {
 	}
 }
 
-// Load returns the current value (0 on a nil gauge).
-func (g *Gauge) Load() uint64 {
+// load returns the current value (0 on a nil gauge).
+func (g *Gauge) load() uint64 {
 	if g == nil {
 		return 0
 	}
@@ -134,10 +134,10 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
-		s.Counters[name] = c.Load()
+		s.Counters[name] = c.load()
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
+		s.Gauges[name] = g.load()
 	}
 	return s
 }

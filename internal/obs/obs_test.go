@@ -14,7 +14,7 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	c := r.Counter("tx.bytes")
 	c.Add(10)
 	c.Inc()
-	if got := c.Load(); got != 11 {
+	if got := c.load(); got != 11 {
 		t.Errorf("counter = %d, want 11", got)
 	}
 	if r.Counter("tx.bytes") != c {
@@ -24,7 +24,7 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	g.set(5)
 	g.SetMax(3) // lower: no-op
 	g.SetMax(9)
-	if got := g.Load(); got != 9 {
+	if got := g.load(); got != 9 {
 		t.Errorf("gauge = %d, want 9", got)
 	}
 
@@ -44,13 +44,13 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	c := r.Counter("x")
 	c.Add(5)
 	c.Inc()
-	if c.Load() != 0 {
+	if c.load() != 0 {
 		t.Error("nil counter accumulated")
 	}
 	g := r.Gauge("y")
 	g.set(1)
 	g.SetMax(2)
-	if g.Load() != 0 {
+	if g.load() != 0 {
 		t.Error("nil gauge accumulated")
 	}
 	snap := r.Snapshot()
@@ -73,10 +73,10 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared").Load(); got != 8000 {
+	if got := r.Counter("shared").load(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("peak").Load(); got != 999 {
+	if got := r.Gauge("peak").load(); got != 999 {
 		t.Errorf("concurrent gauge = %d, want 999", got)
 	}
 }

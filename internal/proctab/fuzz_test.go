@@ -209,7 +209,7 @@ func FuzzSeedStreamValidate(f *testing.F) {
 				break
 			}
 		}
-		digestOK := addErr == nil && asm.Digest() == w.Digest()
+		digestOK := addErr == nil && asm.streamDigest() == w.Digest()
 		var tab Table
 		var finErr error
 		if addErr == nil {
@@ -221,7 +221,7 @@ func FuzzSeedStreamValidate(f *testing.F) {
 				t.Fatalf("clean stream rejected by Add: %v", addErr)
 			}
 			if !digestOK {
-				t.Fatalf("clean stream digest mismatch: writer %#x, assembler %#x", w.Digest(), asm.Digest())
+				t.Fatalf("clean stream digest mismatch: writer %#x, assembler %#x", w.Digest(), asm.streamDigest())
 			}
 			if finErr != nil {
 				t.Fatalf("clean stream rejected by FinishSlice: %v", finErr)

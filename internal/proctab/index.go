@@ -48,11 +48,11 @@ func BuildIndex(t Table) (*Index, error) {
 	return x, nil
 }
 
-// Len returns the number of ranks.
-func (x *Index) Len() int { return len(x.host) }
+// ranks returns the number of ranks.
+func (x *Index) ranks() int { return len(x.host) }
 
-// Entry returns the descriptor of one rank.
-func (x *Index) Entry(rank int) ProcDesc {
+// entry returns the descriptor of one rank.
+func (x *Index) entry(rank int) ProcDesc {
 	return ProcDesc{
 		Host: x.pool[x.host[rank]],
 		Exe:  x.pool[x.exe[rank]],
@@ -64,9 +64,9 @@ func (x *Index) Entry(rank int) ProcDesc {
 // Table materializes the full table from the index. Callers own the
 // result; the index itself stays immutable.
 func (x *Index) Table() Table {
-	t := make(Table, x.Len())
+	t := make(Table, x.ranks())
 	for i := range t {
-		t[i] = x.Entry(i)
+		t[i] = x.entry(i)
 	}
 	return t
 }
@@ -74,7 +74,7 @@ func (x *Index) Table() Table {
 // MemBytes models the index's resident size: 12 bytes of columns per
 // rank plus the pooled strings (16 bytes string-header overhead each).
 func (x *Index) MemBytes() int {
-	b := 12 * x.Len()
+	b := 12 * x.ranks()
 	for _, s := range x.pool {
 		b += 16 + len(s)
 	}
@@ -84,7 +84,7 @@ func (x *Index) MemBytes() int {
 // TableBytes is Table.MemBytes of the table the index was built from: its
 // pool holds each distinct host and executable string once.
 func (x *Index) TableBytes() int {
-	b := 48 * x.Len()
+	b := 48 * x.ranks()
 	for _, s := range x.pool {
 		b += len(s)
 	}

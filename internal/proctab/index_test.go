@@ -15,13 +15,13 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Len() != 100 {
-		t.Fatalf("Len = %d", x.Len())
+	if x.ranks() != 100 {
+		t.Fatalf("Len = %d", x.ranks())
 	}
 	if !reflect.DeepEqual(x.Table(), tab) {
 		t.Fatal("Index.Table() does not round-trip")
 	}
-	if got, want := x.Entry(42), tab[42]; got != want {
+	if got, want := x.entry(42), tab[42]; got != want {
 		t.Fatalf("Entry(42) = %+v, want %+v", got, want)
 	}
 	if x.MemBytes() <= 0 || x.MemBytes() >= tab.MemBytes() {
@@ -98,8 +98,8 @@ func TestChunkWriterMatchesEncodeChunks(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if asm.Digest() != w.Digest() {
-				t.Fatalf("digest mismatch: writer %#x, assembler %#x", w.Digest(), asm.Digest())
+			if asm.streamDigest() != w.Digest() {
+				t.Fatalf("digest mismatch: writer %#x, assembler %#x", w.Digest(), asm.streamDigest())
 			}
 		}
 	}
@@ -248,8 +248,8 @@ func TestRecvStreamRejectsCorruptDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	total, digest, err := DecodeEndMarker(EncodeEndMarker(32, asm.Digest()))
-	if err != nil || total != 32 || digest != asm.Digest() {
+	total, digest, err := DecodeEndMarker(EncodeEndMarker(32, asm.streamDigest()))
+	if err != nil || total != 32 || digest != asm.streamDigest() {
 		t.Fatalf("end marker round-trip broken: %d %#x %v", total, digest, err)
 	}
 }

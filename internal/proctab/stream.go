@@ -87,15 +87,15 @@ func (w *ChunkWriter) AddRaw(host, exe string, pid, rank uint32) error {
 	return nil
 }
 
-// Add appends one entry of a materialized table.
-func (w *ChunkWriter) Add(d ProcDesc) error {
+// add appends one entry of a materialized table.
+func (w *ChunkWriter) add(d ProcDesc) error {
 	return w.AddRaw(d.Host, d.Exe, uint32(d.Pid), uint32(d.Rank))
 }
 
 // AddTable appends every entry of t.
 func (w *ChunkWriter) AddTable(t Table) error {
 	for _, d := range t {
-		if err := w.Add(d); err != nil {
+		if err := w.add(d); err != nil {
 			return err
 		}
 	}
@@ -206,15 +206,15 @@ func (a *Assembler) Add(chunk []byte) error {
 	if err != nil {
 		return fmt.Errorf("proctab: chunk %d: %w", len(a.parts), err)
 	}
-	a.digest = lmonp.FoldSum(a.Digest(), lmonp.Sum64(chunk))
+	a.digest = lmonp.FoldSum(a.streamDigest(), lmonp.Sum64(chunk))
 	a.parts = append(a.parts, c)
 	a.entries += c.Len()
 	return nil
 }
 
-// Digest returns the rolling digest over the chunks added so far, for
+// streamDigest returns the rolling digest over the chunks added so far, for
 // comparison against the sender's end marker.
-func (a *Assembler) Digest() uint64 {
+func (a *Assembler) streamDigest() uint64 {
 	if len(a.parts) == 0 {
 		return lmonp.SumInit
 	}
@@ -257,8 +257,8 @@ func (a *Assembler) FinishMarker(payload []byte) (Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if digest != a.Digest() {
-		return nil, fmt.Errorf("proctab: stream digest mismatch: sender %#x, received %#x", digest, a.Digest())
+	if digest != a.streamDigest() {
+		return nil, fmt.Errorf("proctab: stream digest mismatch: sender %#x, received %#x", digest, a.streamDigest())
 	}
 	if total > uint64(a.entries) {
 		return nil, fmt.Errorf("proctab: end marker claims %d entries, received %d", total, a.entries)

@@ -53,7 +53,6 @@ var _ rm.Manager = (*Manager)(nil)
 // Install boots apsched on the front end and apinit on every compute node.
 func Install(cl *cluster.Cluster) (*Manager, error) {
 	sk, err := rm.Install(cl, rm.Profile{
-		Name:     "alps",
 		Launcher: "aprun",
 		LauncherArgs: func(spec rm.JobSpec) []string {
 			return []string{fmt.Sprintf("-n%d", spec.Tasks()), fmt.Sprintf("-N%d", spec.TasksPerNode), spec.Exe}

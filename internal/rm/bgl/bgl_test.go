@@ -20,9 +20,6 @@ func TestInstallAndLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Name() != "bgl-mpirun" {
-		t.Fatalf("name = %q", mgr.Name())
-	}
 	var tab int
 	sim.Go("test", func() {
 		j, err := mgr.StartJob(rm.JobSpec{Exe: "app", Nodes: 4, TasksPerNode: 2})

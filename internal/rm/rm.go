@@ -140,8 +140,6 @@ type Job interface {
 
 // Manager abstracts one resource-manager installation on a cluster.
 type Manager interface {
-	// Name identifies the RM ("slurm", "bgl-mpirun").
-	Name() string
 	// StartJobHeld creates the job-launcher process on the front-end node
 	// in the held state and registers the job. The caller attaches a tracer
 	// and then calls Job.Start.

@@ -33,7 +33,6 @@ type Fabric interface {
 // another: what its processes are called and what the launcher and the
 // allocation service charge in virtual time.
 type Profile struct {
-	Name         string                 // Manager.Name
 	Launcher     string                 // launcher executable ("srun")
 	LauncherArgs func(JobSpec) []string // its command line
 	Allocator    string                 // allocation service executable
@@ -74,9 +73,6 @@ func Install(cl *cluster.Cluster, prof Profile, fabric Fabric) (*Skeleton, error
 	}
 	return s, nil
 }
-
-// Name implements Manager.
-func (s *Skeleton) Name() string { return s.prof.Name }
 
 // DebugEventCount implements Manager; every profile's count is scale-free.
 func (s *Skeleton) DebugEventCount(JobSpec) int { return s.prof.DebugEvents }

@@ -31,7 +31,8 @@ const (
 
 // Config tunes the RM's behaviour and cost model. Zero fields default.
 type Config struct {
-	// Name overrides the manager name (default "slurm").
+	// Name names the installation: its allocation service runs as Name +
+	// "ctld" (default "slurm").
 	Name string
 	// Fanout of the slurmd launch tree (default 32).
 	Fanout int
@@ -96,7 +97,6 @@ var _ rm.Manager = (*Manager)(nil)
 func Install(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	sk, err := rm.Install(cl, rm.Profile{
-		Name:     cfg.Name,
 		Launcher: "srun",
 		LauncherArgs: func(spec rm.JobSpec) []string {
 			return []string{fmt.Sprintf("-N%d", spec.Nodes), fmt.Sprintf("--ntasks-per-node=%d", spec.TasksPerNode), spec.Exe}

@@ -105,9 +105,6 @@ func linkKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// Sim returns the simulation the network runs on.
-func (n *Network) Sim() *vtime.Sim { return n.sim }
-
 // Stats returns a snapshot of the traffic counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()

@@ -130,7 +130,7 @@ func TestMessageCrossingADroppedLinkVanishes(t *testing.T) {
 	// flight. It must vanish uncounted — and take its own place in the FIFO
 	// with it, so the third is delivered as the third.
 	events, stats := handledRig(t, func(n *Network, c *Conn) {
-		sim := n.Sim()
+		sim := n.sim
 		send := func(size int) {
 			if err := c.Send(make([]byte, size)); err != nil {
 				t.Error(err)

@@ -61,7 +61,6 @@ type Result struct {
 
 // Instrumentor acquires APAI information for a running job.
 type Instrumentor interface {
-	Name() string
 	// AcquireAPAI returns the job's proctable and the elapsed virtual time
 	// between experiment initiation and APAI availability.
 	AcquireAPAI(p *cluster.Proc, job rm.Job) (Result, error)
@@ -71,9 +70,6 @@ type Instrumentor interface {
 type DPCLInstrumentor struct {
 	Svc *dpcl.Service
 }
-
-// Name implements Instrumentor.
-func (d *DPCLInstrumentor) Name() string { return "dpcl" }
 
 // AcquireAPAI implements Instrumentor: full binary parse of the RM
 // launcher, proctable read, then per-node daemon sessions.
@@ -102,9 +98,6 @@ func (d *DPCLInstrumentor) AcquireAPAI(p *cluster.Proc, job rm.Job) (Result, err
 // LaunchMON (the paper's integration): attachAndSpawn acquires the RPDTAB
 // and starts the augmented DPCL daemons directly.
 type LaunchMONInstrumentor struct{}
-
-// Name implements Instrumentor.
-func (l *LaunchMONInstrumentor) Name() string { return "launchmon" }
 
 // AcquireAPAI implements Instrumentor via attachAndSpawn.
 func (l *LaunchMONInstrumentor) AcquireAPAI(p *cluster.Proc, job rm.Job) (Result, error) {

@@ -60,8 +60,8 @@ func mergeFilter(a, b []byte) []byte {
 	if errA != nil || errB != nil {
 		return a
 	}
-	ta.Merge(tb)
-	return ta.Encode()
+	ta.merge(tb)
+	return ta.encode()
 }
 
 // stackFor synthesizes the call stack of a task: a deterministic profile
@@ -87,7 +87,7 @@ func sampleLocal(p *cluster.Proc, ranks []int) []byte {
 		p.Compute(sampleCost)
 		local.addStack(r, stackFor(r))
 	}
-	return local.Encode()
+	return local.encode()
 }
 
 // localRanks returns the ranks of the tasks a LaunchMON-launched daemon

@@ -50,8 +50,8 @@ func insertRank(ranks []int, r int) []int {
 	return ranks
 }
 
-// Merge folds other into t (associative, commutative up to rank order).
-func (t *Tree) Merge(other *Tree) {
+// merge folds other into t (associative, commutative up to rank order).
+func (t *Tree) merge(other *Tree) {
 	for _, r := range other.Ranks {
 		t.Ranks = insertRank(t.Ranks, r)
 	}
@@ -61,7 +61,7 @@ func (t *Tree) Merge(other *Tree) {
 			t.Children[name] = oc
 			continue
 		}
-		tc.Merge(oc)
+		tc.merge(oc)
 	}
 }
 
@@ -121,8 +121,8 @@ func (c Class) String() string {
 	return fmt.Sprintf("%4d tasks  rep=%-5d  %s", len(c.Ranks), c.representative(), c.Path)
 }
 
-// Encode renders the tree for TBŌN transport.
-func (t *Tree) Encode() []byte {
+// encode renders the tree for TBŌN transport.
+func (t *Tree) encode() []byte {
 	var b []byte
 	b = lmonp.AppendString(b, t.Frame)
 	b = lmonp.AppendUint32(b, uint32(len(t.Ranks)))
@@ -136,7 +136,7 @@ func (t *Tree) Encode() []byte {
 	sort.Strings(names)
 	b = lmonp.AppendUint32(b, uint32(len(names)))
 	for _, name := range names {
-		b = lmonp.AppendBytes(b, t.Children[name].Encode())
+		b = lmonp.AppendBytes(b, t.Children[name].encode())
 	}
 	return b
 }

@@ -39,7 +39,7 @@ func TestMergeEquivalentToCombinedInsert(t *testing.T) {
 			b.addStack(r, s)
 		}
 	}
-	a.Merge(b)
+	a.merge(b)
 	if !reflect.DeepEqual(a.EquivalenceClasses(), both.EquivalenceClasses()) {
 		t.Fatalf("merged classes differ:\n%v\n%v", a.EquivalenceClasses(), both.EquivalenceClasses())
 	}
@@ -50,7 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		tr.addStack(r, stackFor(r))
 	}
-	out, err := decodeTree(tr.Encode())
+	out, err := decodeTree(tr.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeCorrupt(t *testing.T) {
 	tr := newTree()
 	tr.addStack(0, []string{"main"})
-	enc := tr.Encode()
+	enc := tr.encode()
 	for _, cut := range []int{1, len(enc) / 2, len(enc) - 1} {
 		if _, err := decodeTree(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -116,7 +116,7 @@ func TestPropertyMergeAssociative(t *testing.T) {
 				b.addStack(r, s)
 			}
 		}
-		merged := mergeFilter(mergeFilter(nil, a.Encode()), b.Encode())
+		merged := mergeFilter(mergeFilter(nil, a.encode()), b.encode())
 		tr, err := decodeTree(merged)
 		if err != nil {
 			return false

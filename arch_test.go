@@ -587,8 +587,6 @@ var exportedReasons = map[string]string{
 	"internal/cluster.Node.Fail":          faultInjection,
 	"internal/cluster.Node.FindProcByExe": testHook,
 	"internal/cluster.Proc.Environ":       testHook,
-	"internal/coll.DecodeSample":          testHook,
-	"internal/coll.EncodeSample":          testHook,
 	"internal/coll.Frame.EncodeMsg":       benchmarkName,
 	"internal/core.ErrNotMaster":          paperAPI,
 	"internal/core.ErrSessionClosed":      paperAPI,

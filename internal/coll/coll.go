@@ -1,6 +1,6 @@
 // Package coll is the wire codec of the collective tool-data plane: the
-// chunk framing, rank-tagged entry encoding, stream reassembly and
-// pluggable reduction filters shared by the FE-side Session collectives
+// chunk framing, rank-tagged entry encoding, stream reassembly and the
+// reduction filters shared by the FE-side Session collectives
 // (internal/core), the ICCL tree routing (internal/iccl) and the tools.
 //
 // A collective payload travels as a stream of bounded-size chunks — the
@@ -9,7 +9,7 @@
 // Every chunk is preceded by a Header naming the operation, the
 // session-wide collective tag, the chunk's index within its stream, and
 // the rank range its entries cover; reduce streams additionally carry the
-// filter spec so every tree node combines with the same function.
+// filter name so every tree node combines with the same function.
 package coll
 
 import (
@@ -27,7 +27,7 @@ type Op uint8
 // session-seed stream.
 const (
 	OpBroadcast Op = iota + 1 // FE → every daemon: raw byte stream
-	_                         // 2, a retired FE scatter: the ops after it keep their wire values
+	opRetired                 // 2, a retired FE scatter: the ops after it keep their wire values
 	OpGather                  // every daemon → FE: rank-tagged entries
 	OpReduce                  // every daemon → FE: combined at interior nodes
 
@@ -130,7 +130,7 @@ type Header struct {
 	Tag    uint32 // session-wide collective sequence number
 	Index  uint32 // chunk index within its per-link stream, from 0
 	Lo, Hi uint32 // rank range [Lo, Hi) covered by this chunk's entries
-	Filter string // reduction filter spec (OpReduce streams only)
+	Filter string // reduction filter name (OpReduce streams only)
 }
 
 // EncodedSize returns the size of the encoded header in bytes.
@@ -155,7 +155,7 @@ func DecodeHeader(rd *lmonp.Reader) (Header, error) {
 	if err := rd.Err(); err != nil {
 		return Header{}, err
 	}
-	if h.Op < OpBroadcast || h.Op > OpCredit {
+	if h.Op < OpBroadcast || h.Op > OpCredit || h.Op == opRetired {
 		return Header{}, fmt.Errorf("%w: op %d", errBadHeader, h.Op)
 	}
 	return h, nil

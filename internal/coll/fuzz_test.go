@@ -25,6 +25,9 @@ func FuzzCollChunkDecode(f *testing.F) {
 	end := Frame{H: Header{Op: OpReduce, Tag: 7, Index: 2, Filter: "topk:4"}, End: true, Total: 99}
 	p, u = end.EncodeMsg()
 	f.Add(p, u, true)
+	retired := Frame{H: Header{Op: opRetired, Tag: 1}, Body: []byte("x")} // a bad header
+	p, u = retired.EncodeMsg()
+	f.Add(p, u, false)
 	f.Add(AppendEntries(nil, []Entry{{Rank: 1, Blob: []byte("x")}}), []byte{0, 0, 0, 1}, false)
 	// The v2 plane's frames: flow-control credits (count rides Index),
 	// the body-less two-phase barrier markers, and the all-variants whose
@@ -93,12 +96,6 @@ func FuzzCollChunkDecode(f *testing.F) {
 		}
 		// Header decode directly over the raw payload.
 		DecodeHeader(lmonp.NewReader(payload))
-		// Sample lists feed the topk filter from untrusted peers.
-		if items, err := DecodeSample(usr); err == nil {
-			if _, err := DecodeSample(EncodeSample(items)); err != nil {
-				t.Fatalf("sample re-decode: %v", err)
-			}
-		}
 	})
 }
 

@@ -436,58 +436,6 @@ func TestCollectiveOrderDivergenceDetected(t *testing.T) {
 	close(beErr)
 }
 
-func TestReduceCustomFilterAcrossSession(t *testing.T) {
-	coll.RegisterFilter("test-min-u64", func(string) (coll.Combine, error) {
-		return func(acc, next []byte) ([]byte, error) {
-			if acc == nil {
-				return append([]byte(nil), next...), nil
-			}
-			a := lmonp.NewReader(acc).Uint64()
-			rd := lmonp.NewReader(next)
-			b := rd.Uint64()
-			if rd.Err() != nil {
-				return nil, rd.Err()
-			}
-			if b < a {
-				return append([]byte(nil), next...), nil
-			}
-			return acc, nil
-		}, nil
-	})
-	sim, cl, _ := rig(t, 5)
-	cl.Register("min_be", func(p *cluster.Proc) {
-		be, err := BEInit(p)
-		if err != nil {
-			return
-		}
-		v := lmonp.AppendUint64(nil, uint64(100+be.Rank()*10))
-		if err := be.Collective().Reduce(v, "test-min-u64"); err != nil {
-			t.Errorf("rank %d: %v", be.Rank(), err)
-		}
-		be.Finalize()
-	})
-	runFE(t, sim, cl, func(p *cluster.Proc) {
-		sess, err := LaunchAndSpawn(p, Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: 5, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "min_be"},
-			ICCLFanout: 2,
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		out, err := sess.Reduce()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if v := lmonp.NewReader(out).Uint64(); v != 100 {
-			t.Errorf("min = %d, want 100", v)
-		}
-		sess.Kill()
-	})
-}
-
 // TestMalformedCollectiveFrameFailsCollectives pins the sorter's contract
 // at both ends of a master connection: a collective frame it cannot decode
 // names no trustworthy tag, so it must fail the running lockstep operation

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"launchmon/internal/coll"
 	"launchmon/internal/engine"
 	"launchmon/internal/obs"
 )
@@ -49,17 +48,6 @@ func (m ObsMode) enabled() bool { return m == ObsOn }
 // launched without Options.Obs = ObsOn.
 var errObsDisabled = errors.New("core: session observability disabled (set Options.Obs)")
 
-func init() {
-	// obs/merge folds encoded metric snapshots at every tree node
-	// (counters sum, gauges max) — the filter behind live, tool-driven
-	// metric harvests over the collective plane: every daemon contributes
-	// Collective().Reduce(snapshot, "obs/merge") and the FE's Reduce
-	// returns one fabric-wide snapshot at a K-independent size.
-	coll.RegisterFilter("obs/merge", func(arg string) (coll.Combine, error) {
-		return obs.MergeEncoded, nil
-	})
-}
-
 // obsCounter returns the named FE-side counter (nil/no-op when obs off).
 func (s *Session) obsCounter(name string) *obs.Counter { return s.obsReg.Counter(name) }
 
@@ -98,10 +86,10 @@ func (s *Session) stashObsHarvest(fabric string, blob []byte) {
 
 // MetricsSnapshot returns the session's merged metrics: the FE-local
 // registry plus the most recent tree-harvested snapshot of each fabric
-// (delivered with the ready message, refreshed at daemon finalize, or
-// pulled live by tools reducing with the "obs/merge" filter). Counters
-// sum across daemons; gauges keep the fabric-wide maximum. On a session
-// the watchdog tore down it returns the wrapped terminal fault instead.
+// (the iccl.Comm.FoldUp fold delivered with the ready message, refreshed at
+// daemon finalize). Counters sum across daemons; gauges keep the
+// fabric-wide maximum. On a session the watchdog tore down it returns the
+// wrapped terminal fault instead.
 func (s *Session) MetricsSnapshot() (obs.Snapshot, error) {
 	if s.obsReg == nil {
 		return obs.Snapshot{}, errObsDisabled

@@ -662,10 +662,9 @@ func (g *gatherOp) add(e coll.Entry) error {
 
 // Reduce contributes mine to an FE-bound reduction: every node folds its
 // children's subtree results into its own contribution with the named
-// filter ("concat", "sum", "topk:N", or any coll.RegisterFilter
-// registration — all daemons must name the same one) and ships one
-// combined stream upward, so per-link bytes are bounded by the combined
-// result, not the subtree size.
+// filter ("sum" or "concat", coll.LookupFilter — all daemons must name the
+// same one) and ships one combined stream upward, so per-link bytes are
+// bounded by the combined result, not the subtree size.
 func (pl *Plane) Reduce(mine []byte, filter string) error {
 	return upOnly(pl.reduce(coll.OpReduce, pl.nextTag(), nil, mine, filter))
 }

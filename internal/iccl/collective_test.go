@@ -2,7 +2,9 @@ package iccl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,26 +229,6 @@ func TestPlaneReduceConcatAndSum(t *testing.T) {
 	}
 }
 
-func TestPlaneReduceTopKBoundsRootPayload(t *testing.T) {
-	const n, k = 17, 4
-	d := &feDriver{}
-	planeRig(t, n, 3, 0, d, func(pl *Plane, c *Comm) error {
-		item := []byte(fmt.Sprintf("sample-from-rank-%d", c.Rank()))
-		return pl.Reduce(coll.EncodeSample([][]byte{item}), fmt.Sprintf("topk:%d", k))
-	})
-	out, err := d.reduceAtFE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := coll.DecodeSample(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != k {
-		t.Fatalf("root sample has %d items, want %d", len(items), k)
-	}
-}
-
 func TestPlaneSequenceMixedOps(t *testing.T) {
 	// broadcast → gather → broadcast → reduce in one session: the lockstep
 	// tag must keep the streams apart.
@@ -338,12 +320,41 @@ func TestPlaneGatherCoalescesSmallEntries(t *testing.T) {
 	}
 }
 
+// TestPlaneUnknownReduceFilter: a Reduce naming a filter the plane does not
+// keep fails at every rank with an error naming it, and puts no frame of
+// its tag on any link: the next Reduce's stream is the only one the tree
+// and the front end see.
 func TestPlaneUnknownReduceFilter(t *testing.T) {
-	rig(t, 1, 2, func(c *Comm, p *cluster.Proc) error {
-		pl := c.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-		if err := pl.Reduce([]byte{1}, "definitely-not-registered"); err == nil {
-			return fmt.Errorf("unknown filter accepted")
+	const n, fanout, bad = 13, 3, "topk:4"
+	tags := map[uint32]bool{}
+	sortHook = func(_ *linkDemux, msg []byte) {
+		raw := msg[4:]
+		switch binary.BigEndian.Uint32(raw) {
+		case opCollChunk, opCollEnd:
+			if f, err := parseFrameOp(raw, opCollChunk, opCollEnd); err == nil {
+				tags[f.H.Tag] = true
+			}
+		case opCredit:
+			if f, err := parseCredit(raw); err == nil {
+				tags[f.H.Tag] = true
+			}
 		}
-		return nil
+	}
+	defer func() { sortHook = nil }()
+	d := &feDriver{}
+	planeRig(t, n, fanout, 0, d, func(pl *Plane, c *Comm) error {
+		if err := pl.Reduce([]byte{1}, bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			return fmt.Errorf("reduce with %q: %v, want an error naming it", bad, err)
+		}
+		return pl.Reduce(make([]byte, 8), "sum")
 	})
+	for _, f := range d.recv {
+		tags[f.H.Tag] = true
+	}
+	if len(tags) != 1 {
+		t.Fatalf("frames of tags %v on the links, want only the sum's", tags)
+	}
+	if out, err := d.reduceAtFE(); err != nil || len(out) != 8 {
+		t.Fatalf("sum after the failed reduce: %x, %v", out, err)
+	}
 }

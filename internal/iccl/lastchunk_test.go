@@ -147,11 +147,13 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, cal
 }
 
 // TestMalformedLastChunkFailsTheLink sends rank 0 a gather's last chunk,
-// carrying its end marker, cut short at every byte and with its body length
-// lying by one either way. Each must fail the link with a protocol error
-// naming rank 1, and end the gather draining it with ErrSevered rather than
-// leave it waiting for an end marker. The one cut that leaves a bare End's
-// 16 bytes after the header is a well-formed End, and is not sent.
+// carrying its end marker, cut short at every byte, with its body length
+// lying by one either way, and with its header naming op 2, the retired
+// scatter. Each must fail the link with a protocol error naming rank 1, and
+// end the gather draining it with ErrSevered rather than leave it waiting
+// for an end marker; op 2 fails there as a bad header. The one cut that
+// leaves a bare End's 16 bytes after the header is a well-formed End, and
+// is not sent.
 func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 	stream := coll.EntryFrames(coll.OpGather, relayTag, []coll.Entry{{Rank: 1, Blob: []byte("mine")}}, 0)
 	good := encodeFrameOp(opCollChunk, opCollEnd, coll.Merged(stream)[0])[4:]
@@ -168,6 +170,9 @@ func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 		binary.BigEndian.PutUint32(at, uint32(int(binary.BigEndian.Uint32(at))+by))
 		bad = append(bad, b)
 	}
+	retired := bytes.Clone(good)
+	retired[8] = 2 // the header's op byte, behind the opcode and the header length
+	bad = append(bad, retired)
 	for i, msg := range bad {
 		var opErr error
 		rig(t, 2, 2, func(c *Comm, p *cluster.Proc) error {
@@ -188,6 +193,9 @@ func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 		if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) || !strings.Contains(opErr.Error(), "from rank 1") {
 			t.Errorf("message %d (%d of %d bytes): gather ended with %v, want ErrSevered wrapping a protocol error naming rank 1",
 				i, len(msg), len(good), opErr)
+		}
+		if i == len(bad)-1 && (opErr == nil || !strings.Contains(opErr.Error(), "bad header: op 2")) {
+			t.Errorf("op 2: gather ended with %v, want a bad header naming op 2", opErr)
 		}
 	}
 }

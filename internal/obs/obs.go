@@ -4,9 +4,9 @@
 // for the simulator's rules: nothing in this package calls Compute or
 // Sleep, so enabling observability never charges virtual time directly —
 // the only virtual-time cost of the plane is the real wire messages of the
-// metrics harvest (the tree fold in internal/iccl and the obs/merge
-// collective filter), which the launch-pipeline bench bounds by the root's
-// fold charges (bench.ObsDriftBound).
+// metrics harvest (the tree fold in internal/iccl), which the
+// launch-pipeline bench bounds by the root's fold charges
+// (bench.ObsDriftBound).
 //
 // Everything is nil-safe: a nil *Registry hands out nil *Counter/*Gauge,
 // and nil receivers no-op, so instrumented hot paths cost one predictable

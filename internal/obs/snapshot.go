@@ -6,8 +6,8 @@ import (
 	"fmt"
 )
 
-// Snapshot wire format (big endian), self-contained so the tree fold and
-// the coll "obs/merge" filter can merge blobs without a schema exchange:
+// Snapshot wire format (big endian), self-contained so the tree fold can
+// merge blobs without a schema exchange:
 //
 //	uint32 magic "OBS1"
 //	uint32 counter count, then per counter: uint16 name len, name, uint64
@@ -92,10 +92,9 @@ func decodeSection(b []byte, m map[string]uint64) ([]byte, error) {
 	return b, nil
 }
 
-// MergeEncoded merges two wire-format snapshots into one, shaped like a
-// coll.Combine (acc nil on the first call) so the same function serves
-// both the iccl tree fold and the registered "obs/merge" collective
-// filter. It is associative and commutative: counters sum, gauges max.
+// MergeEncoded merges two wire-format snapshots into one: the combine the
+// metrics harvest's tree fold (iccl.Comm.FoldUp) folds with, acc nil on the
+// first call. It is associative and commutative: counters sum, gauges max.
 func MergeEncoded(acc, next []byte) ([]byte, error) {
 	if acc == nil {
 		a, err := DecodeSnapshot(next)

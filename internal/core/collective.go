@@ -210,7 +210,7 @@ func (st feStream) broadcast(data []byte) error {
 		return st.err
 	}
 	s := st.fab.s
-	sp := s.obsRec.Start("fe-broadcast", -1)
+	sp := s.obsRec.Start("fe-broadcast")
 	defer sp.End()
 	return st.send(coll.RawFrames(coll.OpBroadcast, st.tag, "", data, s.collChunk))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"launchmon/internal/cluster"
@@ -95,11 +96,11 @@ func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 		err = d.initCutThrough(env)
 	}
 	if err != nil {
-		// A rank that fails after bootstrap tears down what it formed, as a
-		// failed bootstrap does, so its parent's ready gather sees the
-		// failure instead of waiting on it; a failed master tells its FE why.
+		// A rank that fails after bootstrap tells its parent why and tears down
+		// what it formed, as a failed bootstrap does, so its parent's ready
+		// gather fails with that cause; a failed master tells its FE why.
 		if d.comm != nil {
-			d.comm.Close()
+			d.comm.Abort(err)
 		}
 		if d.fe != nil {
 			d.fe.Send(&lmonp.Msg{Class: d.fab.class, Type: lmonp.TypeStatus, Payload: lmonp.AppendString(nil, err.Error())})
@@ -234,6 +235,8 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 				return coll.Frame{}, fmt.Errorf("core: seed end marker: %w", err)
 			}
 			return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx}, End: true, Total: total, Sum: digest}, nil
+		case lmonp.TypeStatus: // readyGrace short of readyBound: end the tree, naming whom it waits on
+			return coll.Frame{}, errors.New("ended by the front end")
 		default:
 			return coll.Frame{}, fmt.Errorf("core: unexpected %v message in session-seed stream", msg.Type)
 		}
@@ -307,7 +310,7 @@ func (d *daemonSession) completeInit(env *bootEnv) error {
 		d.feRx = rx
 		d.fe.Unhandle() // the cut-through seed source: the link's watch while the tree formed
 		d.fe.Handle(func(msg *lmonp.Msg, err error) {
-			if err == nil && !rx.sort(msg) {
+			if err == nil && !rx.sort(msg) && msg.Type != lmonp.TypeStatus { // an ask that found the tree formed: dropped
 				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
 			}
 			if err != nil {

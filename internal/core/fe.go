@@ -202,7 +202,7 @@ func startSession(p *cluster.Proc, opts Options, attach bool) (*Session, error) 
 // the request once it has dialed in, and distribute the session seed.
 func (s *Session) launch(opts Options, attach bool, relay *seedRelay) error {
 	p, sim := s.p, s.p.Sim()
-	launchSpan := s.obsRec.Start("launch-and-spawn", -1)
+	launchSpan := s.obsRec.Start("launch-and-spawn")
 	s.Timeline.Mark(engine.MarkE0, sim.Now())
 	p.Compute(feStartCost)
 	feAddr := s.fe.mux.Addr().String()

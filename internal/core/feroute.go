@@ -97,7 +97,7 @@ func (st feStream) receive(op coll.Op, span string) ([][]byte, []byte, error) {
 	if st.err != nil {
 		return nil, nil, st.err
 	}
-	sp := st.fab.s.obsRec.Start(span, -1)
+	sp := st.fab.s.obsRec.Start(span)
 	defer sp.End()
 	table, blob, err := st.fab.pl.Receive(op, st.tag, len(st.fab.infos))
 	if errors.Is(err, iccl.ErrSevered) {

@@ -77,6 +77,7 @@ type seedRelay struct {
 
 	due, bound time.Duration // armed at the RM's spawn answer: when next gives up (0: never), and why
 	k          int           // the fabric's daemon count
+	asked      bool          // the master was asked readyGrace before the bound whom it waits on
 
 	done  bool            // the master reported ready, with
 	infos []DaemonInfo    // its daemon set and
@@ -100,17 +101,17 @@ func (s *Session) launchFabric(fab *feFabric, relay *seedRelay, drive func() err
 // connection over as soon as it has dialed in — at once if it already has.
 func (r *seedRelay) start() {
 	s, fab := r.fab.s, r.fab
-	r.span = s.obsRec.Start("seed-relay-"+fab.prof.kind, -1)
+	r.span = s.obsRec.Start("seed-relay-" + fab.prof.kind)
 	s.ep.Handle(fab.prof.role, func(c *lmonp.Conn, err error) {
 		s.step(&input{kind: inConn, fab: fab, conn: c, err: err})
 	})
 }
 
 // arm starts the fabric's clock at the RM's spawn answer: all k daemons
-// exist, so the master has readyBound to connect and report ready.
+// exist, so the master has readyBound (in two steps) to connect and report ready.
 func (r *seedRelay) arm(k, fanout int, mode SeedMode) {
 	r.k, r.bound = k, readyBound(k, fanout, mode, r.seedB+len(r.feData))
-	r.due = r.fab.s.p.Sim().Now() + r.bound
+	r.due = r.fab.s.p.Sim().Now() + r.bound - readyGrace
 }
 
 // next blocks for the launching call's next input, until the armed
@@ -123,22 +124,37 @@ func (r *seedRelay) next() (in feIn, err error) {
 		in, ok, late = r.in.RecvTimeout(r.due - r.fab.s.p.Sim().Now())
 	}
 	switch {
-	case late:
-		phase := "did not report ready"
-		if r.conn == nil {
-			phase = "did not connect"
+	case late && !r.asked: // a connected master is told to end its bootstrap, naming whom it waits on
+		r.asked, r.due = true, r.due+readyGrace
+		if r.conn != nil {
+			r.conn.Send(&lmonp.Msg{Class: r.fab.prof.class, Type: lmonp.TypeStatus})
 		}
-		return in, fmt.Errorf("core: session %d: %s master daemon %s within %v of the spawn answer (K=%d)",
-			r.fab.s.ID, r.fab.prof.kind, phase, r.bound, r.k)
+		return r.next()
+	case late:
+		return in, r.expired()
 	case !ok: // closed as a pending reply (step, inConnEnd)
 		return in, r.fab.s.engineErr("connection lost")
 	}
 	return in, nil
 }
 
+// expired is the error of a master that did not connect or report ready in time.
+func (r *seedRelay) expired() error {
+	phase := "did not report ready"
+	if r.conn == nil {
+		phase = "did not connect"
+	}
+	return fmt.Errorf("core: session %d: %s master daemon %s within %v of the spawn answer (K=%d)",
+		r.fab.s.ID, r.fab.prof.kind, phase, r.bound, r.k)
+}
+
 // engineBound bounds the engine's dial-back from its fork's return by the
 // FE node's own costs: twice a fork, engine.BaseCost and a loopback dial.
 var engineBound = 2 * (cluster.ForkCost + engine.BaseCost + 4*simnet.LoopbackLatency)
+
+// readyGrace is how long before readyBound the front end asks a master whom it
+// waits on: a round trip with a tree message's handling at each end.
+const readyGrace = 2 * (simnet.Latency + iccl.PerMsgCost)
 
 // readyBound is four times what forming a k-daemon tree costs once every
 // daemon exists: a level's redial, fork, two round trips and a parent's
@@ -212,6 +228,8 @@ func (r *seedRelay) input(in feIn) error {
 		}
 		r.conn = in.conn
 		return r.flush()
+	case in.msg.Type == lmonp.TypeStatus && r.asked: // the master's answer: whom it still waits on
+		return fmt.Errorf("%w: %s", r.expired(), lmonp.NewReader(in.msg.Payload).String())
 	case in.msg.Type == lmonp.TypeStatus: // the master's own init failed
 		return fmt.Errorf("core: %s master daemon: %s", prof.kind, lmonp.NewReader(in.msg.Payload).String())
 	case in.msg.Class != prof.class || in.msg.Type != lmonp.TypeReady:

@@ -57,7 +57,7 @@ func (s *Session) LaunchMW(opts MWOptions) (nodes []string, err error) {
 // launchMW drives the MW fabric through fabLaunching on the caller's
 // goroutine, blocked on relay.in between inputs.
 func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
-	sp := s.obsRec.Start("launch-mw", -1)
+	sp := s.obsRec.Start("launch-mw")
 	defer sp.End()
 
 	daemon := opts.Daemon

@@ -57,7 +57,7 @@ func (s *Session) obsGauge(name string) *obs.Gauge { return s.obsReg.Gauge(name)
 // obsInstant records a point event on the front-end track at the current
 // virtual time (no-op when obs off).
 func (s *Session) obsInstant(name string) {
-	s.obsRec.Instant(name, -1, s.p.Sim().Now())
+	s.obsRec.Instant(name, s.p.Sim().Now())
 }
 
 // stashObsHarvest installs one fabric's harvested snapshot. Each harvest
@@ -125,14 +125,14 @@ func (s *Session) WriteTrace(w io.Writer) error {
 	}
 	rec := obs.NewRecorder(s.p.Sim().Now)
 	for _, sp := range s.obsRec.Spans() {
-		rec.AddSpan(sp.Name, sp.Rank, sp.Begin, sp.Dur)
+		rec.AddSpan(sp.Name, sp.Begin, sp.Dur)
 	}
 	for _, in := range s.obsRec.Instants() {
-		rec.Instant(in.Name, in.Rank, in.At)
+		rec.Instant(in.Name, in.At)
 	}
 	for _, e := range s.Timeline.Entries {
 		if !durationMarks[e.Name] {
-			rec.Instant(e.Name, -1, e.At)
+			rec.Instant(e.Name, e.At)
 		}
 	}
 	for _, chain := range engine.Chains {
@@ -140,7 +140,7 @@ func (s *Session) WriteTrace(w io.Writer) error {
 			a, okA := s.Timeline.Get(chain[i])
 			b, okB := s.Timeline.Get(chain[i+1])
 			if okA && okB && b >= a {
-				rec.AddSpan(chain[i]+".."+chain[i+1], -1, a, b-a)
+				rec.AddSpan(chain[i]+".."+chain[i+1], a, b-a)
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -191,20 +193,26 @@ type launchCell struct {
 	fanout int
 	mode   SeedMode
 	absent string // the rank whose daemon never starts ("" = none)
-	// killAt into the launch, the node of BE rank victim dies; the launch
-	// then fails within `within`, and the ranks in quit stop dialing
+	held   string // the rank whose daemon starts killAt late ("" = none)
+	// killAt into the launch, the node of BE rank victim dies — its daemon,
+	// when daemon is set; the launch then fails within `within` (0: at
+	// readyBound of the RM's answer), and the ranks in quit stop dialing
 	// within one DialRetry.
 	killAt, within time.Duration
 	victim         int
+	daemon         bool
 	quit           []string
 	slurm          slurm.Config
 	want           string // in the launch's error; "" = the launch succeeds
+	waits          string // a rank the master's answer names among those it waits on
 }
 
 // TestLaunchFaultEndsInNamedState: a launch whose daemon fabric cannot
 // form ends in an error that names it — never "engine connection lost" —
 // at the latest readyBound after the RM's spawn answer, or promptly after
-// a fault the fabric sees itself; and the simulator is back to the
+// a fault the fabric sees itself. A master that connected but never
+// reported ready answers the front end's ask readyGrace before the bound
+// with the ranks it still waits on, the absent one among them. The simulator is back to the
 // goroutines it had before the launch 31 s of virtual time after the call
 // returns: the forming tree tore down, and a child redialing a parent that
 // never listened has run out its window.
@@ -224,7 +232,7 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 			}
 			c.k, c.mw = 8, mw
 			if c.want == "" {
-				c.want = "master daemon did not report ready within"
+				c.want, c.waits = "master daemon did not report ready within", c.absent
 			}
 			if mw {
 				c.name = "MW " + c.name
@@ -236,8 +244,23 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 		// Rank 1 has joined the master, and rank 3, its child, is held back
 		// past the kill: the master's own bootstrap fails reading rank 1's
 		// ready, and it tells the front end which node it lost.
-		launchCell{name: "interior killed mid-join", k: 8, fanout: 2, victim: 1, killAt: 60 * time.Millisecond,
+		launchCell{name: "interior killed mid-join", k: 8, fanout: 2, victim: 1, held: "3", killAt: 60 * time.Millisecond,
 			within: time.Millisecond, want: "BE master daemon: iccl: bootstrap failed: ready from node1"},
+		// Leaf rank 3's node dies with its join on the way: rank 1's accept
+		// pins the dead link on rank 3 by its host and sends the master a
+		// status frame saying so, which the master passes to its front end.
+		launchCell{name: "leaf lost in the ready wave", k: 7, fanout: 2, victim: 3, killAt: 35320 * time.Microsecond,
+			within: time.Millisecond, want: "BE master daemon: iccl: bootstrap failed: rank 3 (join): simnet: peer host is dead"},
+		// The same node dies after rank 1's bootstrap, in the ready gather.
+		launchCell{name: "leaf lost in the ready gather", k: 7, fanout: 2, victim: 3, killAt: 36150 * time.Microsecond,
+			within: time.Millisecond, want: "BE master daemon: rank 3 (gather): simnet: peer host is dead"},
+		// Under store-forward rank 1 redials the master until it listens,
+		// after the RM's answer; rank 1's node, or its daemon, is lost first.
+		// The master answers the front end's ask with rank 1's subtree.
+		launchCell{name: "interior host lost before it joins/store-forward", k: 7, fanout: 2, mode: SeedStoreForward,
+			victim: 1, killAt: 40 * time.Millisecond, want: "BE master daemon did not report ready within", waits: "1"},
+		launchCell{name: "interior daemon lost before it joins/store-forward", k: 7, fanout: 2, mode: SeedStoreForward,
+			victim: 1, daemon: true, killAt: 40 * time.Millisecond, want: "BE master daemon did not report ready within", waits: "1"},
 		// Ranks 5 and 6 are redialing rank 2, which is not listening yet;
 		// the RM reports the dead node.
 		launchCell{name: "parent node killed before it listens", k: 8, fanout: 2, victim: 2, killAt: 33 * time.Millisecond,
@@ -264,7 +287,8 @@ func runLaunchCell(t *testing.T, c launchCell) {
 		t.Fatal(err)
 	}
 	Setup(cl, mgr)
-	var spawned time.Duration            // the last daemon's start: the RM answers after it
+	var spawned time.Duration // the last daemon's start: the RM answers after it
+	var victim *cluster.Proc
 	failed := map[string]time.Duration{} // rank → when its init failed
 	for exe, fab := range map[string]*fabricProfile{"lf_be": &beFabric, "lf_mw": &mwFabric} {
 		fab := fab
@@ -275,7 +299,10 @@ func runLaunchCell(t *testing.T, c launchCell) {
 				if rank == c.absent {
 					return
 				}
-				if c.victim == 1 && rank == "3" {
+				if rank == strconv.Itoa(c.victim) {
+					victim = p
+				}
+				if rank == c.held {
 					sim.Sleep(c.killAt)
 				}
 			}
@@ -306,7 +333,13 @@ func runLaunchCell(t *testing.T, c launchCell) {
 		t0 := sim.Now()
 		fault := t0 + c.killAt
 		if c.killAt > 0 {
-			sim.After(c.killAt, func() { cl.KillNode(c.victim) })
+			sim.After(c.killAt, func() {
+				if c.daemon {
+					victim.Kill()
+				} else {
+					cl.KillNode(c.victim)
+				}
+			})
 		}
 		if c.mw {
 			_, err = s.LaunchMW(MWOptions{Nodes: c.k, Daemon: rm.DaemonSpec{Exe: "lf_mw"}, ICCLFanout: c.fanout})
@@ -321,15 +354,19 @@ func runLaunchCell(t *testing.T, c launchCell) {
 			}
 		case err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "engine connection lost"):
 			t.Errorf("launch returned %v, want an error with %q", err, c.want)
-		case c.killAt > 0:
+		case c.within > 0:
 			if ended-fault > c.within {
 				t.Errorf("launch failed %v after the kill, want within %v", ended-fault, c.within)
 			}
 		default:
 			// The clock started at the RM's answer, which follows the last
 			// spawn by the RM's acks (slurm: 1.8 ms a daemon), and ran
-			// readyBound — with the seed bytes the front end relayed.
+			// readyBound — with the seed bytes the front end relayed — less
+			// readyGrace, which the master's answer takes back in part.
 			msg := err.Error()
+			if c.waits != "" && !regexp.MustCompile(`waiting on rank (\d+, )*`+c.waits+`\b`).MatchString(msg) {
+				t.Errorf("launch returned %v, want the ranks the master waits on, rank %s among them", err, c.waits)
+			}
 			bound, _ := time.ParseDuration(strings.Fields(msg[strings.Index(msg, "within ")+len("within "):])[0])
 			if lag := ended - bound - spawned; lag < 0 || lag > time.Duration(c.k)*2*time.Millisecond ||
 				bound > readyBound(c.k, c.fanout, c.mode, 1<<20) || ended-t0 > time.Second {
@@ -508,9 +545,10 @@ func TestFaultEndsInNamedState(t *testing.T) {
 	}
 	// The one cell whose launch fails: a leaf's node dies while the seed
 	// streams to it (rank 3, under rank 1, after rank 1's bootstrap has
-	// returned). Rank 1's Wait fails and rank 1 tears down what it formed,
-	// so the master's ready gather fails, the master tells its front end
-	// that it lost rank 1, and the launch returns that. The 4 MiB FEData keeps the
+	// returned). Rank 1's Wait fails, and rank 1 sends its parent a status
+	// frame pinning the failure on rank 3's seed forward and tears down what
+	// it formed, so the master's ready gather fails with that cause, the
+	// master tells its front end it lost rank 3, and the launch returns that. The 4 MiB FEData keeps the
 	// stream milliseconds a hop; a kill anywhere in +34 … +46 ms of the
 	// launch lands in this window on this rig, and before the teardown every
 	// one of them left the launch waiting until the simulation ended.
@@ -542,7 +580,7 @@ func TestFaultEndsInNamedState(t *testing.T) {
 				FEData:     make([]byte, 4<<20),
 			})
 			if took := sim.Now() - t0 - killAt; !killed || err == nil ||
-				!strings.Contains(err.Error(), "BE master daemon: rank 1") || took > time.Second {
+				!strings.Contains(err.Error(), "BE master daemon: rank 3 (seed)") || took > time.Second {
 				t.Errorf("killed %q: %v; launch returned %v after the kill with %v, want the master's ready wait failing within 1s",
 					leaf, killed, took, err)
 			}

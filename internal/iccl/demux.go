@@ -286,6 +286,11 @@ func (d *linkDemux) deliver(msg []byte) {
 		}
 	case opBarrier, opRelease, opBcast, opGather, opScatter, opFold:
 		d.queue(&d.base).Send(raw)
+	case opStatus: // the peer's failure, relayed: what the link fails with
+		var st *peerError
+		if st, err = d.c.parseStatus(raw); err == nil {
+			d.fail(st)
+		}
 	default:
 		err = errors.New("no reader of the link takes it")
 	}

@@ -310,35 +310,75 @@ func seedFramerMatchesReader(t *testing.T, n int) {
 }
 
 // TestUnknownOpcodeFailsTheLink injects a frame whose opcode no reader of a
-// demuxed link takes: it must fail the link at once, naming the opcode and
-// the peer's rank, rather than wait in the base queue for a Comm collective
-// that never reads it, and the next plane operation over the link must end
-// with ErrSevered wrapping that failure.
+// demuxed link takes, or a malformed status frame — truncated, its cause
+// over maxStatus, or naming a rank outside the tree: it must fail the link
+// at once, naming the opcode and the peer's rank, rather than wait in the
+// base queue for a Comm collective that never reads it, and the next plane
+// operation over the link must end with ErrSevered wrapping that failure.
 func TestUnknownOpcodeFailsTheLink(t *testing.T) {
+	status := func(rank uint32, phase, cause string) []byte {
+		return lmonp.AppendString(lmonp.AppendString(lmonp.AppendUint32(lmonp.AppendUint32(nil, opStatus), rank), phase), cause)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		op    uint32
+	}{
+		{"opcode 99", lmonp.AppendUint32(nil, 99), 99},
+		{"truncated status", status(1, "ready", "EOF")[:14], opStatus},
+		{"status cause over its bound", status(1, "ready", strings.Repeat("x", maxStatus+1)), opStatus},
+		{"status names a rank outside the tree", status(2, "ready", "EOF"), opStatus},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			var linkErr, opErr error
+			rigOn(t, sim, 2, 2, func(c *Comm, p *cluster.Proc) error {
+				pl := c.NewPlane(0, 0, nil, nil)
+				if err := pl.Barrier(); err != nil { // installs the demux
+					return err
+				}
+				if c.Rank() == 1 {
+					if err := lmonp.WriteFrame(c.parent, tc.frame); err != nil {
+						return err
+					}
+					sim.Sleep(2 * time.Second) // the link stays up
+					return nil
+				}
+				sim.Sleep(time.Second)
+				linkErr = c.demux(0).failure()
+				opErr = pl.Barrier()
+				return nil
+			})
+			if want := fmt.Sprintf("opcode %d from rank 1", tc.op); !errors.Is(linkErr, errProtocol) || !strings.Contains(fmt.Sprint(linkErr), want) {
+				t.Fatalf("link after the frame: %v, want a protocol error with %q", linkErr, want)
+			}
+			if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) {
+				t.Fatalf("barrier over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
+			}
+		})
+	}
+}
+
+// TestStatusFrameFailsTheLinkWithItsCause: a rank that aborts sends its
+// parent one status frame before its link ends; on a demuxed link it fails
+// the link with the failure it relays, so a Comm collective over the link
+// returns that — the rank, the phase and the cause — and not its own EOF.
+func TestStatusFrameFailsTheLinkWithItsCause(t *testing.T) {
 	sim := vtime.New()
-	var linkErr, opErr error
+	var opErr error
 	rigOn(t, sim, 2, 2, func(c *Comm, p *cluster.Proc) error {
-		pl := c.NewPlane(0, 0, nil, nil)
-		if err := pl.Barrier(); err != nil { // installs the demux
+		if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil { // installs the demux
 			return err
 		}
 		if c.Rank() == 1 {
-			if err := lmonp.WriteFrame(c.parent, lmonp.AppendUint32(nil, 99)); err != nil {
-				return err
-			}
-			sim.Sleep(2 * time.Second) // the link stays up
+			c.Abort(errors.New("seed check failed"))
 			return nil
 		}
-		sim.Sleep(time.Second)
-		linkErr = c.demux(0).failure()
-		opErr = pl.Barrier()
+		opErr = c.Barrier()
 		return nil
 	})
-	if !errors.Is(linkErr, errProtocol) || !strings.Contains(fmt.Sprint(linkErr), "opcode 99 from rank 1") {
-		t.Fatalf("link after opcode 99: %v, want a protocol error naming the opcode and rank 1", linkErr)
-	}
-	if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) {
-		t.Fatalf("barrier over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
+	if want := "rank 1 (init): seed check failed"; !errors.Is(opErr, ErrSevered) || !strings.HasSuffix(fmt.Sprint(opErr), want) {
+		t.Fatalf("barrier over an aborted child's link: %v, want ErrSevered ending in %q", opErr, want)
 	}
 }
 

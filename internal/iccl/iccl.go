@@ -15,10 +15,12 @@
 package iccl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +45,14 @@ const (
 	opHeartbeat = 12 // child → parent: health beat piggybacked on the tree link
 	opFold      = 13 // child → parent: combined blob of a FoldUp tree reduction
 	opCredit    = 14 // receiver → sender: flow-control credits for a tagged stream
+	opStatus    = 15 // child → parent, on failure only: the rank lost, the phase, the cause
 )
+
+// phases names what a rank awaits each opcode for, in errors and status frames.
+var phases = [...]string{opJoin: "join", opReady: "ready", opBarrier: "barrier", opRelease: "barrier",
+	opBcast: "broadcast", opGather: "gather", opScatter: "scatter", opFold: "fold"}
+
+const maxStatus = 256 // the bound on a status frame's phase and cause, in bytes
 
 // The tree's cost model. PerMsgCost is the CPU charge for handling one
 // tree message. DialRetry and dialAttempts bound the child→parent connect
@@ -152,6 +161,24 @@ var (
 	ErrSevered = errors.New("iccl: link severed")
 )
 
+// peerError pins a failure on a rank: the peer whose link failed in a phase,
+// or — up, from a status frame — the rank a rank below lost, named in its text.
+type peerError struct {
+	rank  int
+	phase string
+	err   error
+	up    bool
+}
+
+func (e *peerError) Error() string {
+	if e.up {
+		return fmt.Sprintf("rank %d (%s): %v", e.rank, e.phase, e.err)
+	}
+	return e.err.Error()
+}
+
+func (e *peerError) Unwrap() error { return e.err }
+
 // Link is one shared tree connection exposed for heartbeat piggybacking
 // (health link reuse): Send ships one heartbeat payload to the peer, and
 // Recv yields heartbeat payloads from the peer, closing when the
@@ -247,18 +274,46 @@ func ctlFrame(op, v uint32) []byte {
 	return lmonp.AppendUint32(newFrame(op, 4), v)
 }
 
-// recvCtl reads and validates a child's bootstrap control frame.
-func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, what string) (uint32, error) {
+// recvCtl reads and validates a child's bootstrap control frame. A failed
+// read is pinned on the child, found by its host in nodes; a status frame
+// fails it with the failure the child relays.
+func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, nodes []string) (uint32, error) {
+	what := phases[want]
 	frame, err := c.readCharged(conn)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s from %s: %v", errBootstrap, what, conn.Peer(), err)
+		if rank := slices.Index(nodes, conn.Peer()); rank >= 0 {
+			err = &peerError{rank: rank, phase: what, err: err}
+		}
+		return 0, fmt.Errorf("%w: %s from %s: %w", errBootstrap, what, conn.Peer(), err)
 	}
 	rd := lmonp.NewReader(frame)
 	op, v := rd.Uint32(), rd.Uint32()
+	if op == opStatus {
+		if st, err := c.parseStatus(frame); err == nil {
+			return 0, fmt.Errorf("%w: %w", errBootstrap, st)
+		}
+	}
 	if rd.Err() != nil || op != want {
 		return 0, fmt.Errorf("%w: bad %s from %s: opcode %d", errBootstrap, what, conn.Peer(), op)
 	}
 	return v, nil
+}
+
+// parseStatus decodes a status frame, opcode first, into the failure it
+// relays: a rank of the tree, and phase and cause within maxStatus bytes.
+func (c *Comm) parseStatus(raw []byte) (*peerError, error) {
+	rd := lmonp.NewReader(raw)
+	rd.Uint32() // the opcode, which the caller dispatched on
+	rank, phase, cause := rd.Uint32(), rd.String(), rd.String()
+	switch {
+	case rd.Err() != nil:
+		return nil, rd.Err()
+	case len(phase) > maxStatus || len(cause) > maxStatus:
+		return nil, fmt.Errorf("%w: status text of %d and %d B, over %d", errProtocol, len(phase), len(cause), maxStatus)
+	case int64(rank) >= int64(c.size):
+		return nil, fmt.Errorf("%w: status names rank %d of %d", errProtocol, rank, c.size)
+	}
+	return &peerError{rank: int(rank), phase: phase, err: errors.New(cause), up: true}, nil
 }
 
 // countRx tallies one received tree frame (both recvRaw modes).
@@ -371,11 +426,11 @@ func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, er
 		}
 	}
 	c.watchParent(s, up, true)
-	if err := c.acceptChildren(kids, s); err != nil {
-		return nil, err
+	if err := c.acceptChildren(cfg.Nodelist, kids, s); err != nil {
+		return nil, c.failBootstrap(err, len(kids), s)
 	}
-	if err := c.readyWave(cfg); err != nil {
-		return nil, err
+	if slot, err := c.readyWave(cfg); err != nil {
+		return nil, c.failBootstrap(err, slot, s)
 	}
 	c.watchParent(s, up, false)
 	return c, nil
@@ -448,20 +503,20 @@ func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
 }
 
 // acceptChildren accepts and validates one join per expected child.
-func (c *Comm) acceptChildren(kids []int, s *Seed) error {
+func (c *Comm) acceptChildren(nodes []string, kids []int, s *Seed) error {
 	c.children = make([]*simnet.Conn, len(kids))
 	for range kids {
 		conn, err := c.l.Accept()
 		if err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: accept: %v", errBootstrap, err))
+			return fmt.Errorf("%w: accept: %v", errBootstrap, err)
 		}
-		rk32, err := c.recvCtl(conn, opJoin, "join")
+		rk32, err := c.recvCtl(conn, opJoin, nodes)
 		if err != nil {
-			return c.failBootstrap(err)
+			return err
 		}
 		slot := int(rk32) - kids[0] // direct children are consecutive ranks
 		if slot < 0 || slot >= len(kids) || c.children[slot] != nil {
-			return c.failBootstrap(fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32))
+			return fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32)
 		}
 		c.children[slot] = conn
 		if s != nil {
@@ -472,32 +527,64 @@ func (c *Comm) acceptChildren(kids []int, s *Seed) error {
 }
 
 // readyWave waits for all children to report their subtree connected,
-// then reports upward (the root instead checks the full count).
-func (c *Comm) readyWave(cfg *Config) error {
+// then reports upward (the root instead checks the full count); a failure
+// comes with the first child slot whose ready it has not read.
+func (c *Comm) readyWave(cfg *Config) (int, error) {
 	total := 1
-	for _, conn := range c.children {
-		n32, err := c.recvCtl(conn, opReady, "ready")
+	for slot, conn := range c.children {
+		n32, err := c.recvCtl(conn, opReady, cfg.Nodelist)
 		if err != nil {
-			return c.failBootstrap(err)
+			return slot, err
 		}
 		total += int(n32)
 	}
 	if c.parent != nil {
 		if err := c.send(c.parent, ctlFrame(opReady, uint32(total))); err != nil {
-			return c.failBootstrap(fmt.Errorf("%w: ready up: %v", errBootstrap, err))
+			return len(c.children), fmt.Errorf("%w: ready up: %v", errBootstrap, err)
 		}
 	} else if total != cfg.Size {
-		return c.failBootstrap(fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, total, cfg.Size))
+		return len(c.children), fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, total, cfg.Size)
 	}
-	return nil
+	return 0, nil
 }
 
-// failBootstrap tears down what this daemon formed (Close), so ranks blocked
-// on its subtree see their reads end instead of waiting forever on a
-// silently absent branch. It returns err for bootstrap's error returns.
-func (c *Comm) failBootstrap(err error) error {
-	c.Close()
+// failBootstrap ends a forming rank whose bootstrap failed with err, or with
+// the seed stream's error when that tore the tree down first, naming the
+// child subtrees it still waits on — no join, or from slot from on no ready
+// read — by their first 8 ranks and a count; Abort tells the parent.
+func (c *Comm) failBootstrap(err error, from int, s *Seed) error {
+	if s != nil && s.err != nil {
+		err = fmt.Errorf("%w: %w", errBootstrap, s.err)
+	}
+	var ranks []int
+	for slot, conn := range c.children {
+		if slot >= from || conn == nil {
+			ranks = append(ranks, SubtreeRanks(c.childRank(slot), c.size, c.fanout)...)
+		}
+	}
+	if len(ranks) > 0 {
+		slices.Sort(ranks)
+		names := strings.Trim(strings.ReplaceAll(fmt.Sprint(ranks[:min(8, len(ranks))]), " ", ", "), "[]")
+		err = fmt.Errorf("%w; waiting on rank %s (%d of %d ranks)", err, names, len(ranks), c.size)
+	}
+	c.Abort(err)
 	return err
+}
+
+// Abort ends a rank whose bootstrap or ready gather failed with err: it sends
+// its parent one status frame — a failure relayed from below verbatim, else
+// the peer err pins it on, else itself, with phase and cause — and tears
+// down what it formed (Close), so ranks blocked on its subtree see why.
+func (c *Comm) Abort(err error) {
+	if c.parent != nil {
+		pe := &peerError{rank: c.rank, phase: "init", err: err}
+		errors.As(err, &pe)
+		cause := pe.err.Error()
+		cause = cause[:min(len(cause), maxStatus)]
+		msg := lmonp.AppendUint32(newFrame(opStatus, 12+len(pe.phase)+len(cause)), uint32(pe.rank))
+		c.send(c.parent, lmonp.AppendString(lmonp.AppendString(msg, pe.phase), cause))
+	}
+	c.Close()
 }
 
 // Rank returns this daemon's rank (0 is the master).
@@ -535,7 +622,8 @@ func (c *Comm) shut(sever bool) {
 
 // recvOp reads one bootstrap-era collective frame from the link a slot
 // names, checks its opcode, and returns the body behind it. Its errors name
-// the peer's rank, so every blocking collective says which link failed.
+// the peer's rank, so every blocking collective says which link failed —
+// or a failure relayed from below, the deepest cause, as it came.
 func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 	frame, err := c.recvRaw(slot)
 	if err == nil {
@@ -543,20 +631,30 @@ func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 		switch op := rd.Uint32(); {
 		case rd.Err() != nil:
 			err = rd.Err()
+		case op == opStatus:
+			var st *peerError
+			if st, err = c.parseStatus(frame); err == nil {
+				return nil, st
+			}
 		case op != want:
 			err = fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
 		default:
 			return frame[4:], nil
 		}
 	}
-	return nil, fmt.Errorf("rank %d: %w", c.peerRank(slot), err)
+	if pe := (*peerError)(nil); errors.As(err, &pe) && pe.up {
+		return nil, err // relayed from below: the deepest cause
+	}
+	rank := c.peerRank(slot)
+	return nil, fmt.Errorf("rank %d: %w", rank, &peerError{rank: rank, phase: phases[want], err: err})
 }
 
 // sendOp puts one bootstrap-era collective frame on the link a slot names.
 // Like recvOp's, its errors name the peer's rank.
 func (c *Comm) sendOp(slot int, msg []byte) error {
 	if err := c.send(c.conn(slot), msg); err != nil {
-		return fmt.Errorf("rank %d: %w", c.peerRank(slot), err)
+		rank := c.peerRank(slot)
+		return fmt.Errorf("rank %d: %w", rank, &peerError{rank: rank, phase: phases[binary.BigEndian.Uint32(msg[4:])], err: err})
 	}
 	return nil
 }

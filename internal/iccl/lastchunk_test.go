@@ -218,7 +218,15 @@ func FuzzTreeChunkDecode(f *testing.F) {
 		f.Add(msg[:len(msg)-1], false)
 	}
 	f.Add(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{Body: []byte("fedata")})[4:], true)
+	status := lmonp.AppendUint32(lmonp.AppendUint32(nil, opStatus), 3)
+	f.Add(lmonp.AppendString(lmonp.AppendString(status, "ready"), "simnet: peer host is dead"), false)
 	f.Fuzz(func(t *testing.T, raw []byte, seed bool) {
+		// A status frame parses into the failure it relays, or fails
+		// naming why: never a panic, and never a rank outside the tree or
+		// text over its bound.
+		if st, err := (&Comm{size: 7}).parseStatus(raw); err == nil && (st.rank >= 7 || len(st.phase) > maxStatus || len(st.err.Error()) > maxStatus) {
+			t.Fatalf("status frame parsed out of bounds: %+v", st)
+		}
 		chunkOp, endOp := uint32(opCollChunk), uint32(opCollEnd)
 		if seed {
 			chunkOp, endOp = opSeedChunk, opSeedEnd

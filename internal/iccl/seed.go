@@ -411,7 +411,7 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 		}
 		s.queueMax.SetMax(uint64(s.outs[i].Len()))
 		if err := lmonp.SendFrame(conn, msg); err != nil {
-			s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", s.kids[i], err))
+			s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", s.kids[i], &peerError{rank: s.kids[i], phase: "seed", err: err}))
 			finish()
 			return
 		}
@@ -504,11 +504,7 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 	c, err := bootstrap(p, &cfg, s, nil)
 	s.forming = nil
 	if err != nil {
-		cause := s.err // the stream's, when its failure tore the tree down
 		s.bail(err)
-		if cause != nil {
-			err = fmt.Errorf("%w: %w", errBootstrap, cause)
-		}
 		return nil, nil, err
 	}
 	if s.parent != nil {

@@ -157,17 +157,17 @@ func TestMergeEncodedFoldShape(t *testing.T) {
 func TestRecorderSpansAndInstants(t *testing.T) {
 	now := time.Duration(0)
 	rec := NewRecorder(func() time.Duration { return now })
-	sp := rec.Start("phase", 3)
+	sp := rec.Start("phase")
 	now = 5 * time.Millisecond
 	sp.End()
-	rec.Instant("mark", -1, 2*time.Millisecond)
-	rec.AddSpan("pre", -1, time.Millisecond, 2*time.Millisecond)
+	rec.Instant("mark", 2*time.Millisecond)
+	rec.AddSpan("pre", time.Millisecond, 2*time.Millisecond)
 
 	spans := rec.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
 	}
-	if spans[0].Name != "phase" || spans[0].Rank != 3 || spans[0].Dur != 5*time.Millisecond {
+	if spans[0].Name != "phase" || spans[0].Dur != 5*time.Millisecond {
 		t.Errorf("span = %+v", spans[0])
 	}
 	if ins := rec.Instants(); len(ins) != 1 || ins[0].At != 2*time.Millisecond {
@@ -176,9 +176,9 @@ func TestRecorderSpansAndInstants(t *testing.T) {
 
 	// Nil recorder and nil span are silent no-ops.
 	var nilRec *Recorder
-	nilRec.Start("x", 0).End()
-	nilRec.Instant("y", 0, 0)
-	nilRec.AddSpan("z", 0, 0, 0)
+	nilRec.Start("x").End()
+	nilRec.Instant("y", 0)
+	nilRec.AddSpan("z", 0, 0)
 	if nilRec.Spans() != nil || nilRec.Instants() != nil {
 		t.Error("nil recorder returned events")
 	}
@@ -187,9 +187,9 @@ func TestRecorderSpansAndInstants(t *testing.T) {
 func TestWriteChromeTraceShape(t *testing.T) {
 	now := time.Duration(0)
 	rec := NewRecorder(func() time.Duration { return now })
-	rec.AddSpan("b-span", 0, 2*time.Microsecond, 3*time.Microsecond)
-	rec.AddSpan("a-span", -1, 2*time.Microsecond, time.Microsecond)
-	rec.Instant("tick", 1, time.Microsecond)
+	rec.AddSpan("b-span", 2*time.Microsecond, 3*time.Microsecond)
+	rec.AddSpan("a-span", 2*time.Microsecond, time.Microsecond)
+	rec.Instant("tick", time.Microsecond)
 
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf, 7, "sess"); err != nil {
@@ -199,8 +199,8 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace is not a JSON array: %v", err)
 	}
-	// Metadata first: process name, then one thread_name per track
-	// (front-end tid 1, rank-0 tid 2, rank-1 tid 3).
+	// Metadata first: process name, then the one thread_name, the front
+	// end's track (tid 1), which every event is on.
 	if events[0]["ph"] != "M" || events[0]["name"] != "process_name" {
 		t.Errorf("first event = %v", events[0])
 	}
@@ -215,9 +215,12 @@ func TestWriteChromeTraceShape(t *testing.T) {
 		}
 		payload = append(payload, ev)
 	}
-	for _, want := range []string{"sess", "front-end", "rank-0", "rank-1"} {
-		if !names[want] {
-			t.Errorf("missing track name %q in %v", want, names)
+	if len(names) != 2 || !names["sess"] || !names["front-end"] {
+		t.Errorf("track names %v, want the process sess and the track front-end", names)
+	}
+	for _, ev := range payload {
+		if ev["tid"] != float64(1) {
+			t.Errorf("event %v off the front end's track", ev)
 		}
 	}
 	// Payload sorted by (ts, name): tick@1, then a-span before b-span @2.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -28,10 +27,9 @@ func NewRecorder(now func() time.Duration) *Recorder {
 	return &Recorder{now: now}
 }
 
-// SpanEvent is one completed span: a named interval on a rank's track.
+// SpanEvent is one completed span: a named interval of the front end's.
 type SpanEvent struct {
 	Name  string
-	Rank  int // -1 = the front end / no specific rank
 	Begin time.Duration
 	Dur   time.Duration
 }
@@ -39,7 +37,6 @@ type SpanEvent struct {
 // InstantEvent is one point event (Timeline marks fold in as these).
 type InstantEvent struct {
 	Name string
-	Rank int
 	At   time.Duration
 }
 
@@ -48,17 +45,16 @@ type InstantEvent struct {
 type Span struct {
 	rec   *Recorder
 	name  string
-	rank  int
 	begin time.Duration
 }
 
-// Start opens a span on the given rank's track (rank -1 for the front
-// end). Nil-safe: a nil recorder returns a nil span whose End no-ops.
-func (r *Recorder) Start(name string, rank int) *Span {
+// Start opens a span. Nil-safe: a nil recorder returns a nil span whose End
+// no-ops.
+func (r *Recorder) Start(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{rec: r, name: name, rank: rank, begin: r.now()}
+	return &Span{rec: r, name: name, begin: r.now()}
 }
 
 // End closes the span at the current virtual time and records it.
@@ -69,28 +65,28 @@ func (s *Span) End() {
 	r := s.rec
 	end := r.now()
 	r.mu.Lock()
-	r.spans = append(r.spans, SpanEvent{Name: s.name, Rank: s.rank, Begin: s.begin, Dur: end - s.begin})
+	r.spans = append(r.spans, SpanEvent{Name: s.name, Begin: s.begin, Dur: end - s.begin})
 	r.mu.Unlock()
 }
 
 // AddSpan records a pre-computed complete span (how Timeline mark chains
 // become spans at export time).
-func (r *Recorder) AddSpan(name string, rank int, begin, dur time.Duration) {
+func (r *Recorder) AddSpan(name string, begin, dur time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.spans = append(r.spans, SpanEvent{Name: name, Rank: rank, Begin: begin, Dur: dur})
+	r.spans = append(r.spans, SpanEvent{Name: name, Begin: begin, Dur: dur})
 	r.mu.Unlock()
 }
 
 // Instant records a point event.
-func (r *Recorder) Instant(name string, rank int, at time.Duration) {
+func (r *Recorder) Instant(name string, at time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.instants = append(r.instants, InstantEvent{Name: name, Rank: rank, At: at})
+	r.instants = append(r.instants, InstantEvent{Name: name, At: at})
 	r.mu.Unlock()
 }
 
@@ -129,27 +125,27 @@ type chromeEvent struct {
 
 // WriteChromeTrace renders the recorder's spans and instants as a
 // Chrome/Perfetto trace-event JSON array: one process (pid = the session
-// ID, named process), one thread track per rank (tid = rank+2, so the
-// front-end track rank -1 lands on tid 1). Events are emitted sorted by
-// (ts, name) so equal traces produce equal bytes.
+// ID, named process) with one thread track, the front end's (tid 1).
+// Events are emitted sorted by (ts, name) so equal traces produce equal
+// bytes.
 func (r *Recorder) WriteChromeTrace(w io.Writer, pid int, process string) error {
 	spans := r.Spans()
 	instants := r.Instants()
 
-	tid := func(rank int) int { return rank + 2 }
+	const tid = 1
 	events := make([]chromeEvent, 0, len(spans)+len(instants)+8)
 	for _, s := range spans {
 		events = append(events, chromeEvent{
 			Name: s.Name, Ph: "X",
 			Ts: float64(s.Begin) / 1e3, Dur: float64(s.Dur) / 1e3,
-			Pid: pid, Tid: tid(s.Rank),
+			Pid: pid, Tid: tid,
 		})
 	}
 	for _, i := range instants {
 		events = append(events, chromeEvent{
 			Name: i.Name, Ph: "i", S: "t",
 			Ts:  float64(i.At) / 1e3,
-			Pid: pid, Tid: tid(i.Rank),
+			Pid: pid, Tid: tid,
 		})
 	}
 	sort.SliceStable(events, func(a, b int) bool {
@@ -160,30 +156,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, pid int, process string) error 
 	})
 
 	// Track-naming metadata first, then the sorted payload events.
-	ranks := map[int]bool{}
-	for _, s := range spans {
-		ranks[s.Rank] = true
-	}
-	for _, i := range instants {
-		ranks[i.Rank] = true
-	}
-	sortedRanks := make([]int, 0, len(ranks))
-	for rk := range ranks {
-		sortedRanks = append(sortedRanks, rk)
-	}
-	sort.Ints(sortedRanks)
 	meta := []chromeEvent{{
 		Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 		Args: map[string]any{"name": process},
 	}}
-	for _, rk := range sortedRanks {
-		name := "front-end"
-		if rk >= 0 {
-			name = trackName(rk)
-		}
+	if len(events) > 0 {
 		meta = append(meta, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid(rk),
-			Args: map[string]any{"name": name},
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]any{"name": "front-end"},
 		})
 	}
 
@@ -191,6 +171,3 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, pid int, process string) error 
 	all := append(meta, events...)
 	return enc.Encode(all)
 }
-
-// trackName names a daemon rank's thread track.
-func trackName(rank int) string { return "rank-" + strconv.Itoa(rank) }

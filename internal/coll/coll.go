@@ -93,6 +93,18 @@ const DefaultChunkBytes = 64 << 10
 // window × chunk bytes regardless of tree size or subtree skew.
 const DefaultWindow = 32
 
+// Window resolves a session's window setting: 0 (or less) selects
+// DefaultWindow. It is the one place the window is resolved, for every rank's
+// plane and for the front end that marks its broadcast's tail: a tree has
+// one window, since a relay whose window were smaller than its stream's
+// origin's would wait for credits that the Tail rule never sends.
+func Window(w int) int {
+	if w <= 0 {
+		return DefaultWindow
+	}
+	return w
+}
+
 // Tag spaces of the collective plane. Lockstep (SPMD-ordered) session
 // collectives use tags below MinUserTag; concurrent tagged streams
 // allocated by Session.AllocTag live in [MinUserTag, MaxUserTag); tags
@@ -126,19 +138,31 @@ func (f Frame) Credits() uint32 { return f.H.Index }
 
 // Header precedes every collective chunk and end marker.
 type Header struct {
-	Op     Op
+	Op Op
+	// Tail marks one of a stream's last window messages, set by an origin
+	// that knows the stream's length (Merged): its receiver returns no
+	// credit for it, since its sender has no message left to spend one on.
+	// It rides the encoded op byte (tailBit).
+	Tail   bool
 	Tag    uint32 // session-wide collective sequence number
 	Index  uint32 // chunk index within its per-link stream, from 0
 	Lo, Hi uint32 // rank range [Lo, Hi) covered by this chunk's entries
 	Filter string // reduction filter name (OpReduce streams only)
 }
 
+// tailBit is Header.Tail in the encoded op byte.
+const tailBit = 0x80
+
 // EncodedSize returns the size of the encoded header in bytes.
 func (h Header) EncodedSize() int { return 1 + 4*4 + 4 + len(h.Filter) }
 
 // AppendTo appends the encoded header (EncodedSize bytes) to b.
 func (h Header) AppendTo(b []byte) []byte {
-	b = append(b, byte(h.Op))
+	op := byte(h.Op)
+	if h.Tail {
+		op |= tailBit
+	}
+	b = append(b, op)
 	b = lmonp.AppendUint32(b, h.Tag)
 	b = lmonp.AppendUint32(b, h.Index)
 	b = lmonp.AppendUint32(b, h.Lo)
@@ -149,14 +173,16 @@ func (h Header) AppendTo(b []byte) []byte {
 // errBadHeader reports an undecodable or inconsistent collective header.
 var errBadHeader = errors.New("coll: bad header")
 
-// DecodeHeader consumes one encoded header from rd.
+// DecodeHeader consumes one encoded header from rd. A credit is never a
+// Tail: its op byte with the Tail bit set is a bad header.
 func DecodeHeader(rd *lmonp.Reader) (Header, error) {
-	h := Header{Op: Op(rd.Byte()), Tag: rd.Uint32(), Index: rd.Uint32(), Lo: rd.Uint32(), Hi: rd.Uint32(), Filter: rd.String()}
+	b := rd.Byte()
+	h := Header{Op: Op(b &^ tailBit), Tail: b&tailBit != 0, Tag: rd.Uint32(), Index: rd.Uint32(), Lo: rd.Uint32(), Hi: rd.Uint32(), Filter: rd.String()}
 	if err := rd.Err(); err != nil {
 		return Header{}, err
 	}
-	if h.Op < OpBroadcast || h.Op > OpCredit || h.Op == opRetired {
-		return Header{}, fmt.Errorf("%w: op %d", errBadHeader, h.Op)
+	if h.Op < OpBroadcast || h.Op > OpCredit || h.Op == opRetired || h.Tail && h.Op == OpCredit {
+		return Header{}, fmt.Errorf("%w: op %d", errBadHeader, b)
 	}
 	return h, nil
 }
@@ -195,12 +221,18 @@ func withEnd(chunk, end Frame) Frame {
 	return chunk
 }
 
-// Merged returns a stream's frames as they travel: its last chunk carries
-// the end marker (withEnd), unless it has no chunk.
-func Merged(frames []Frame) []Frame {
+// Merged returns a stream's frames as they travel on a tree of the given
+// window: its last chunk carries the end marker (withEnd), unless it has no
+// chunk, and its last window messages are its Tail. A sender spends a
+// credit a message and starts with window of them, so only the credits of
+// the messages before the Tail are ones it can spend.
+func Merged(frames []Frame, window int) []Frame {
 	if n := len(frames); n > 1 {
 		frames[n-2] = withEnd(frames[n-2], frames[n-1])
-		return frames[:n-1]
+		frames = frames[:n-1]
+	}
+	for i := max(0, len(frames)-window); i < len(frames); i++ {
+		frames[i].H.Tail = true
 	}
 	return frames
 }

@@ -33,8 +33,11 @@ func TestHeaderRoundTrip(t *testing.T) {
 // header where it is decoded, op 2 (the retired scatter) too, though it lies
 // inside their range: it must not get as far as a stream, to fail there as
 // a diverged collective.
+//
+// The Tail bit does not make a bad op good: ops 0 and 2 with it are bad, and
+// so is a credit, which is never a Tail.
 func TestDecodeHeaderRejectsBadOp(t *testing.T) {
-	for _, op := range []byte{0, 2, byte(OpCredit) + 1, 99} {
+	for _, op := range []byte{0, 2, byte(OpCredit) + 1, 99, tailBit | 0, tailBit | 2, tailBit | byte(OpCredit), 0xff} {
 		want := fmt.Sprintf("op %d", op)
 		enc := Header{Op: OpBroadcast, Tag: 1}.AppendTo(nil)
 		enc[0] = op
@@ -54,6 +57,30 @@ func TestDecodeHeaderRejectsBadOp(t *testing.T) {
 	}
 	if _, err := DecodeHeader(lmonp.NewReader(nil)); err == nil {
 		t.Fatal("empty header accepted")
+	}
+}
+
+// TestTailRoundTrips: Header.Tail rides the op byte on the front-end hop —
+// a chunk, a Last chunk and a bare End keep it through EncodeMsg and
+// DecodeMsg, in as many bytes as without it.
+func TestTailRoundTrips(t *testing.T) {
+	raw := RawFrames(OpBroadcast, MinUserTag, "", []byte("twelve bytes"), 8)
+	for _, f := range []Frame{
+		raw[0],
+		Merged(raw, 2)[1],
+		{H: Header{Op: OpReduce, Tag: 3, Index: 1, Filter: "sum"}, End: true, Total: 8},
+	} {
+		f.H.Tail = false
+		plain, _ := f.EncodeMsg()
+		f.H.Tail = true
+		payload, usr := f.EncodeMsg()
+		got, err := DecodeMsg(f.End || f.Last, payload, usr)
+		if err != nil || got.H != f.H || got.End != f.End || got.Last != f.Last || !bytes.Equal(got.Body, f.Body) {
+			t.Fatalf("%+v: decoded %+v, %v", f, got, err)
+		}
+		if len(payload) != len(plain) {
+			t.Errorf("%+v: %d bytes with the Tail bit, %d without", f.H, len(payload), len(plain))
+		}
 	}
 }
 

@@ -48,7 +48,12 @@ func FuzzCollChunkDecode(f *testing.F) {
 	f.Add(p, u, true)
 	// Last chunks: a gather's one chunk, a reduce's with its filter, an
 	// empty payload's; each also with its end marker's digest cut short.
-	for _, last := range [][]Frame{Merged(ag), Merged(ar), Merged(RawFrames(OpBroadcast, 1, "", nil, 0))} {
+	// The reduce's and the empty payload's are a Tail, as is the chunk
+	// before the reduce's last.
+	tail := Merged(RawFrames(OpAllReduce, 9, "sum", []byte{1, 2, 3, 4, 5, 6, 7, 8}, 4), 2)
+	p, u = tail[0].EncodeMsg()
+	f.Add(p, u, false)
+	for _, last := range [][]Frame{Merged(ag, 0), tail, Merged(RawFrames(OpBroadcast, 1, "", nil, 0), DefaultWindow)} {
 		p, u = last[len(last)-1].EncodeMsg()
 		f.Add(p, u, true)
 		f.Add(p[:len(p)-3], u, true)

@@ -192,10 +192,11 @@ func (s *Session) Reduce() ([]byte, error) { return s.be.lockstep().reduce() }
 func (s *Session) ReduceTag(tag uint32) ([]byte, error) { return s.be.tagged(tag).reduce() }
 
 // send ships the frames of one FE-originated stream to the master daemon,
-// the last chunk carrying the end marker.
+// the last chunk carrying the end marker and the last window its Tail, for
+// the tree the master relays them down.
 func (st feStream) send(frames []coll.Frame) error {
 	s := st.fab.s
-	for _, f := range coll.Merged(frames) {
+	for _, f := range coll.Merged(frames, coll.Window(s.collWindow)) {
 		if err := sendFrameOn(st.conn, st.fab.prof.class, f); err != nil {
 			return err
 		}

@@ -448,7 +448,7 @@ func TestCollectiveOrderDivergenceDetected(t *testing.T) {
 // end marker it carries or followed by a stray byte — arrives as the connection's handler would hand it
 // over: from a scheduler callback.
 func TestMalformedCollectiveFrameFailsCollectives(t *testing.T) {
-	payload, body := coll.Merged(coll.RawFrames(coll.OpBroadcast, 1, "", []byte("x"), 0))[0].EncodeMsg()
+	payload, body := coll.Merged(coll.RawFrames(coll.OpBroadcast, 1, "", []byte("x"), 0), coll.DefaultWindow)[0].EncodeMsg()
 	for _, tc := range []struct {
 		name, peer string
 		start      func(t *testing.T, sim *vtime.Sim, e *malformedEnd)

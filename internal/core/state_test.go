@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -203,8 +204,9 @@ type launchCell struct {
 	daemon         bool
 	quit           []string
 	slurm          slurm.Config
-	want           string // in the launch's error; "" = the launch succeeds
-	waits          string // a rank the master's answer names among those it waits on
+	want           string   // in the launch's error; "" = the launch succeeds
+	waits          string   // a rank the master's answer names among those it waits on
+	ready          []string // ranks whose ready the master holds, which its answer must not name
 }
 
 // TestLaunchFaultEndsInNamedState: a launch whose daemon fabric cannot
@@ -221,7 +223,9 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 	for _, mw := range []bool{false, true} {
 		for _, c := range []launchCell{
 			{name: "leaf never starts/fanout 0", absent: "7"},
-			{name: "leaf never starts/fanout 2", fanout: 2, absent: "7"},
+			// Rank 7 is rank 3's child, under the master's slot 0 (rank 1);
+			// slot 1's subtree, ranks 2, 5 and 6, has reported ready.
+			{name: "leaf never starts/fanout 2", fanout: 2, absent: "7", ready: []string{"2", "5", "6"}},
 			{name: "interior never starts/fanout 2", fanout: 2, absent: "1"},
 			{name: "master never connects", fanout: 2, absent: "0", want: "master daemon did not connect within"},
 			{name: "leaf never starts/store-forward", fanout: 2, absent: "7", mode: SeedStoreForward},
@@ -366,6 +370,13 @@ func runLaunchCell(t *testing.T, c launchCell) {
 			msg := err.Error()
 			if c.waits != "" && !regexp.MustCompile(`waiting on rank (\d+, )*`+c.waits+`\b`).MatchString(msg) {
 				t.Errorf("launch returned %v, want the ranks the master waits on, rank %s among them", err, c.waits)
+			}
+			if m := regexp.MustCompile(`waiting on rank ([\d, ]+)`).FindStringSubmatch(msg); m != nil {
+				for _, r := range strings.Split(m[1], ", ") {
+					if slices.Contains(c.ready, r) {
+						t.Errorf("launch returned %v, naming rank %s, whose ready the master holds", err, r)
+					}
+				}
 			}
 			bound, _ := time.ParseDuration(strings.Fields(msg[strings.Index(msg, "within ")+len("within "):])[0])
 			if lag := ended - bound - spawned; lag < 0 || lag > time.Duration(c.k)*2*time.Millisecond ||

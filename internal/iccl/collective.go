@@ -20,10 +20,12 @@ import (
 //
 // Each message of a stream on a tree link spends one credit of the
 // per-(link, tag) window, returned as the receiver takes it (opCredit), so
-// interior depth is bounded by window × chunk bytes. The last carries the
-// end marker (coll.Frame.Last, or a chunkless stream's bare End) and gets
-// none back. The FE hop has no window: one sorted reader at either end and
-// no fan-in skew.
+// interior depth is bounded by window × chunk bytes. A credit goes back only
+// when its sender can spend it: not for the last message, which carries the
+// end marker (coll.Frame.Last, or a chunkless stream's bare End), and not
+// for a Tail, one of the last window messages of a stream whose origin knew
+// its length (coll.Merged). The FE hop has no window: one sorted reader at
+// either end and no fan-in skew.
 //
 // Each link's demux (demux.go) sorts frames by tag, so tagged collectives,
 // each from its own goroutine, share one tree; *Tag variants take tags from
@@ -70,10 +72,7 @@ func (c *Comm) NewPlane(chunkBytes, window int, up UpFn, _ any) *Plane {
 	if chunkBytes <= 0 {
 		chunkBytes = coll.DefaultChunkBytes
 	}
-	if window <= 0 {
-		window = coll.DefaultWindow
-	}
-	pl := &Plane{c: c, chunkBytes: chunkBytes, window: window, up: up}
+	pl := &Plane{c: c, chunkBytes: chunkBytes, window: coll.Window(window), up: up}
 	if c.parent == nil {
 		pl.fe = c.newLinkDemux(nil)
 	}
@@ -232,17 +231,18 @@ const (
 // goroutine blocked in a send had them. Its callers never overlap:
 // scheduler callbacks, and the daemon's goroutine while it is runnable.
 type planeOp struct {
-	pl    *Plane
-	steps opSteps  // what the operation does with each frame
-	src   *tagLink // the record of the link being drained, nil when none is
-	out   []outMsg // sends an empty window holds back, oldest first
-	err   error
-	slot  int // the link being drained: a child slot, above or none
-	tag   uint32
-	op    coll.Op
-	busy  bool // a combine charge is running
-	done  bool
-	w     vtime.Waiter // the daemon's goroutine
+	pl     *Plane
+	steps  opSteps          // what the operation does with each frame
+	src    *tagLink         // the record of the link being drained, nil when none is
+	out    []outMsg         // sends an empty window holds back, oldest first
+	credit *[creditLen]byte // the stream's credit message, built at its first credit
+	err    error
+	slot   int // the link being drained: a child slot, above or none
+	tag    uint32
+	op     coll.Op
+	busy   bool // a combine charge is running
+	done   bool
+	w      vtime.Waiter // the daemon's goroutine
 }
 
 // opSteps is one kind of operation: what it does with each checked frame of
@@ -326,15 +326,16 @@ func (o *planeOp) pump() {
 }
 
 // take runs one frame through the operation from the point it leaves the
-// drained link's side: a chunk's credit goes back to its sender (none to the
-// front end), an end marker (or a Last chunk) releases the record, then the
-// frame is checked and stepped — a Last chunk's end marker after it.
+// drained link's side: a chunk's credit goes back to its sender unless it is
+// a Tail (none to the front end), an end marker (or a Last chunk) releases
+// the record, then the frame is checked and stepped — a Last chunk's end
+// marker after it.
 func (o *planeOp) take(f coll.Frame) {
 	if s := o.src; s != nil && (f.End || f.Last) {
 		o.src = nil
 		s.d.release(s, o)
-	} else if s != nil && s.d.conn != nil {
-		if err := o.pl.c.sendCredit(s.d.conn, o.tag, 1); err != nil {
+	} else if s != nil && s.d.conn != nil && !f.H.Tail {
+		if err := o.sendCredit(s.d.conn); err != nil {
 			o.sever(s.d, err)
 			return
 		}
@@ -484,7 +485,7 @@ func (o *planeOp) relay(f coll.Frame, sink chunkSink) (end bool, err error) {
 // from the result it holds: every child is sent the whole stream,
 // child-major, each frame encoded once for all of them.
 func (o *planeOp) redistribute(frames []coll.Frame) {
-	frames = coll.Merged(frames)
+	frames = coll.Merged(frames, o.pl.window)
 	msgs := make([][]byte, len(frames))
 	for i, f := range frames {
 		msgs[i] = encodeFrameOp(opCollChunk, opCollEnd, f)
@@ -723,7 +724,7 @@ func (r *reduceOp) next(slot int) error {
 	} else {
 		r.drain(none)
 	}
-	for _, f := range coll.Merged(frames) {
+	for _, f := range coll.Merged(frames, r.pl.window) {
 		if err := r.emitUp(f); err != nil {
 			return err
 		}

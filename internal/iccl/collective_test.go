@@ -36,7 +36,7 @@ func (d *feDriver) plane(c *Comm, chunkBytes, window int) *Plane {
 		return c.NewPlane(chunkBytes, window, nil, nil)
 	}
 	pl := c.NewPlane(chunkBytes, window, d.up, nil)
-	d.send = wireFrames(d.send)
+	d.send = wireFrames(d.send, pl.window)
 	if d.resume == 0 {
 		d.push(pl, len(d.send))
 		return pl
@@ -60,18 +60,19 @@ func (d *feDriver) up(f coll.Frame) error {
 	return nil
 }
 
-// wireFrames is frames as a front end sends them: each stream's last chunk
-// carries the end marker after it (coll.Merged). It keeps frames that are
-// already so.
-func wireFrames(frames []coll.Frame) []coll.Frame {
+// wireFrames is frames as a front end sends them down a tree of the given
+// window: each stream's last chunk carries the end marker after it, and its
+// last window messages are its Tail (coll.Merged). It takes frames that are
+// already so too.
+func wireFrames(frames []coll.Frame, window int) []coll.Frame {
 	var out []coll.Frame
-	for i := 0; i < len(frames); i++ {
-		f := frames[i]
-		if !f.End && !f.Last && i+1 < len(frames) && frames[i+1].End {
-			f = coll.Merged([]coll.Frame{f, frames[i+1]})[0]
-			i++
+	for len(frames) > 0 {
+		n := 1
+		for n < len(frames) && !frames[n-1].End && !frames[n-1].Last {
+			n++
 		}
-		out = append(out, f)
+		out = append(out, coll.Merged(split(frames[:n]), window)...)
+		frames = frames[n:]
 	}
 	return out
 }

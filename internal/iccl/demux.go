@@ -561,17 +561,25 @@ func parseCredit(raw []byte) (coll.Frame, error) {
 	return coll.Frame{H: h}, nil
 }
 
-// sendCredit returns n credits for a tagged stream to the peer on conn.
-// Credit frames ride the generic tree-frame path (counted in the iccl
-// tx metrics plus a dedicated credit counter) but deliberately not the
-// coll.tx data counters, so wire-byte invariants on collective payload
-// still hold with flow control on.
-func (c *Comm) sendCredit(conn *simnet.Conn, tag uint32, n uint32) error {
-	h := coll.CreditFrame(tag, n).H
-	hn := h.EncodedSize()
-	msg := lmonp.AppendUint32(newFrame(opCredit, 4+hn), uint32(hn))
-	if m := c.obs; m != nil {
+// creditLen is a credit message's size: length prefix, opcode, header
+// length and a filterless header.
+const creditLen = 4 + 4 + 4 + 21
+
+// sendCredit returns one credit of o's stream to the peer on conn. Every
+// credit of a stream is the same (tag, 1) message, so o builds it at its
+// first credit and sends that buffer every time after — a sent message is
+// immutable (DESIGN.md "Buffer ownership"). Credit frames ride the generic
+// tree-frame path (counted in the iccl tx metrics plus a dedicated credit
+// counter) but deliberately not the coll.tx data counters, so wire-byte
+// invariants on collective payload still hold with flow control on.
+func (o *planeOp) sendCredit(conn *simnet.Conn) error {
+	if o.credit == nil {
+		h := coll.CreditFrame(o.tag, 1).H
+		hn := h.EncodedSize()
+		o.credit = (*[creditLen]byte)(h.AppendTo(lmonp.AppendUint32(newFrame(opCredit, 4+hn), uint32(hn))))
+	}
+	if m := o.pl.c.obs; m != nil {
 		m.creditTxFrames.Inc()
 	}
-	return c.send(conn, h.AppendTo(msg))
+	return o.pl.c.send(conn, o.credit[:])
 }

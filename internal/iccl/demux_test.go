@@ -136,7 +136,7 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 					idx++
 					_, err = writeFrameOp(c.parent, opCollChunk, opCollEnd, f)
 				case frCredit:
-					err = c.sendCredit(c.parent, scriptTag, 1)
+					err = (&planeOp{pl: &Plane{c: c}, tag: scriptTag}).sendCredit(c.parent)
 				}
 				if err != nil {
 					return err
@@ -383,7 +383,10 @@ func TestStatusFrameFailsTheLinkWithItsCause(t *testing.T) {
 }
 
 // TestLinkStateSizeClasses pins what a daemon keeps per tree link and per
-// communicator for the life of its session to their size classes.
+// communicator for the life of its session to their size classes, and what
+// it keeps parked in a broadcast: the operation record, whose collective
+// header (in a frame of every backlog too) holds the Tail bit in its padding.
+// TestDaemonHeapFootprint's 3 % cannot see a size class a daemon.
 func TestLinkStateSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -391,6 +394,8 @@ func TestLinkStateSizeClasses(t *testing.T) {
 	}{
 		{"linkDemux", unsafe.Sizeof(linkDemux{}), 96},
 		{"Comm", unsafe.Sizeof(Comm{}), 112},
+		{"coll.Header", unsafe.Sizeof(coll.Header{}), 40},
+		{"broadcastOp", unsafe.Sizeof(broadcastOp{}), 320},
 	} {
 		if c.size > c.want {
 			t.Errorf("%s is %d B, want at most %d (one size class)", c.name, c.size, c.want)

@@ -551,14 +551,14 @@ func (c *Comm) readyWave(cfg *Config) (int, error) {
 // failBootstrap ends a forming rank whose bootstrap failed with err, or with
 // the seed stream's error when that tore the tree down first, naming the
 // child subtrees it still waits on — no join, or from slot from on no ready
-// read — by their first 8 ranks and a count; Abort tells the parent.
+// delivered — by their first 8 ranks and a count; Abort tells the parent.
 func (c *Comm) failBootstrap(err error, from int, s *Seed) error {
 	if s != nil && s.err != nil {
 		err = fmt.Errorf("%w: %w", errBootstrap, s.err)
 	}
 	var ranks []int
 	for slot, conn := range c.children {
-		if slot >= from || conn == nil {
+		if conn == nil || slot >= from && !readyDelivered(conn) {
 			ranks = append(ranks, SubtreeRanks(c.childRank(slot), c.size, c.fanout)...)
 		}
 	}
@@ -569,6 +569,17 @@ func (c *Comm) failBootstrap(err error, from int, s *Seed) error {
 	}
 	c.Abort(err)
 	return err
+}
+
+// readyDelivered reports whether a child's ready waits unread on its link,
+// taking it: the failing rank reads the link no more.
+func readyDelivered(conn *simnet.Conn) bool {
+	msg, ok := conn.TryRecvMessage()
+	if !ok {
+		return false
+	}
+	raw, err := lmonp.FrameFromMessage(msg)
+	return err == nil && len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opReady
 }
 
 // Abort ends a rank whose bootstrap or ready gather failed with err: it sends

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,48 +18,53 @@ import (
 // linkCount is what one end of a tree link was handed of the test's stream.
 type linkCount struct{ chunks, lasts, ends, credits int }
 
-// TestLinkMessagesPerStream counts, link by link on the 13-rank wire tree,
-// what one stream puts on it: n messages, the last a chunk carrying
-// the end marker (coll.Frame.Last), and n−1 credits back; no end marker of
-// its own, and no credit for the last chunk. Every operation that streams
-// data is run with one-chunk and with n-chunk streams. A barrier's streams
-// have no chunk, so each of its two waves is one bare End a link and no
-// credit.
+// TestLinkMessagesPerStream counts, link by link on the 13-rank wire tree
+// under window 4, what one stream puts on it: n messages, the last a chunk
+// carrying the end marker (coll.Frame.Last), and no end marker of its own.
+// A gather's stream, whose length its packer does not know, earns n−1
+// credits back, none for the last chunk; a broadcast's or a reduce's, whose
+// origin knows it, max(0, n−4): none for its Tail, the last window messages
+// (TestCreditsOnlyWhatTheSenderCanSpend has the rule). Every operation that
+// streams data is run with one-chunk and with n-chunk streams. A barrier's
+// streams have no chunk, so each of its two waves is one bare End a link and
+// no credit.
 func TestLinkMessagesPerStream(t *testing.T) {
+	const window = 4
 	one := func(int) int { return 1 }
 	subtree := func(child int) int { return len(SubtreeRanks(child, wireN, wireFanout)) }
 	raw := func(data []byte) []coll.Frame {
 		return coll.RawFrames(coll.OpBroadcast, relayTag, "", data, opChunk)
 	}
 	for _, tc := range []struct {
-		name  string
-		chunk int
-		fe    []coll.Frame
-		down  bool          // the stream flows parent → child
-		n     func(int) int // the stream's messages on a child's link
-		call  func(pl *Plane, rank int) error
+		name   string
+		chunk  int
+		fe     []coll.Frame
+		down   bool          // the stream flows parent → child
+		packed bool          // a packer's stream, of a length its origin does not know
+		n      func(int) int // the stream's messages on a child's link
+		call   func(pl *Plane, rank int) error
 	}{
-		{"broadcast/1", opChunk, raw(opPart(0)), true, one, func(pl *Plane, _ int) error {
+		{"broadcast/1", opChunk, raw(opPart(0)), true, false, one, func(pl *Plane, _ int) error {
 			_, err := pl.BroadcastTag(relayTag)
 			return err
 		}},
-		{"broadcast/8", opChunk, raw(opPayload), true, func(int) int { return 8 }, func(pl *Plane, _ int) error {
+		{"broadcast/8", opChunk, raw(opPayload), true, false, func(int) int { return 8 }, func(pl *Plane, _ int) error {
 			_, err := pl.BroadcastTag(relayTag)
 			return err
 		}},
-		{"gather/1", 4096, nil, false, one, func(pl *Plane, rank int) error {
+		{"gather/1", 4096, nil, false, true, one, func(pl *Plane, rank int) error {
 			return pl.GatherTag(relayTag, opPart(rank))
 		}},
-		{"gather/subtree", opChunk, nil, false, subtree, func(pl *Plane, rank int) error {
+		{"gather/subtree", opChunk, nil, false, true, subtree, func(pl *Plane, rank int) error {
 			return pl.GatherTag(relayTag, opPart(rank)) // an entry a chunk
 		}},
-		{"reduce/1", opChunk, nil, false, one, func(pl *Plane, _ int) error {
+		{"reduce/1", opChunk, nil, false, false, one, func(pl *Plane, _ int) error {
 			return pl.ReduceTag(relayTag, u64(1), "sum")
 		}},
-		{"reduce/8", opChunk, nil, false, func(int) int { return 8 }, func(pl *Plane, _ int) error {
+		{"reduce/8", opChunk, nil, false, false, func(int) int { return 8 }, func(pl *Plane, _ int) error {
 			return pl.ReduceTag(relayTag, opPayload, "sum")
 		}},
-		{"barrier", opChunk, nil, false, func(int) int { return 0 }, func(pl *Plane, _ int) error {
+		{"barrier", opChunk, nil, false, false, func(int) int { return 0 }, func(pl *Plane, _ int) error {
 			return pl.Barrier()
 		}},
 	} {
@@ -67,7 +73,7 @@ func TestLinkMessagesPerStream(t *testing.T) {
 			if tc.name == "barrier" {
 				tag = coll.MaxUserTag + 2 // the tree sequence's, behind the warm-up barrier
 			}
-			got := countLinkMessages(t, tc.chunk, tc.fe, tag, tc.call)
+			got, _ := countLinkMessages(t, tc.chunk, window, tc.fe, tag, tc.call)
 			for child := 1; child < wireN; child++ {
 				parent := Parent(child, wireFanout)
 				rx, tx := [2]int{parent, child}, [2]int{child, parent} // [receiver, sender]
@@ -75,7 +81,7 @@ func TestLinkMessagesPerStream(t *testing.T) {
 					rx, tx = tx, rx
 				}
 				n := tc.n(child)
-				want, back := linkCount{chunks: n - 1, lasts: 1}, linkCount{credits: n - 1}
+				want, back := linkCount{chunks: n - 1, lasts: 1}, linkCount{credits: creditsFor(n, window, tc.packed)}
 				if n == 0 { // one bare End each way
 					want, back = linkCount{ends: 1}, linkCount{ends: 1}
 				}
@@ -88,12 +94,134 @@ func TestLinkMessagesPerStream(t *testing.T) {
 	}
 }
 
-// countLinkMessages runs call on every rank of the wire tree, the root's
-// front end sending fe, and counts what each link end is handed of the
-// stream of tag, keyed [receiving rank, sending rank].
-func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, call func(pl *Plane, rank int) error) map[[2]int]linkCount {
+// TestCreditsOnlyWhatTheSenderCanSpend holds the credit rule on the 13-rank
+// fanout-3 tree for windows 1, 4 and 32 and streams of n = 1, w−1, w, w+1
+// and 2w+1 messages a link: a Broadcast from the front end, a Reduce, and
+// both phases of an AllReduce and an AllGather. Every operation completes
+// with its result, no rank ever queues more than w chunks of one stream on
+// one link (coll.queue.depth.max), and each link carries back, for a stream
+// of n messages whose origin knew its length, max(0, n−w) credits — a
+// sender starting with w can spend no more — and for a packer's stream (an
+// AllGather's up phase), n−1. An AllGather's table of 13 n-byte entries
+// travels in however many chunks it packs into, counted from the stream
+// itself.
+func TestCreditsOnlyWhatTheSenderCanSpend(t *testing.T) {
+	const treeTag = coll.MaxUserTag + 2 // the tree sequence's, behind the warm-up barrier
+	type stream struct {
+		n      int // the messages it puts on a link; 0 for a count taken from the stream
+		packed bool
+	}
+	for _, w := range []int{1, 4, 32} {
+		var ns []int
+		for _, n := range []int{1, w - 1, w, w + 1, 2*w + 1} {
+			if n >= 1 && !slices.Contains(ns, n) {
+				ns = append(ns, n)
+			}
+		}
+		for _, n := range ns {
+			payload := relayPayload(n, opChunk) // n chunks
+			blob := func(rk int) []byte { return bytes.Repeat([]byte{byte(rk + 1)}, n) }
+			table := make([]coll.Entry, wireN)
+			for rk := range table {
+				table[rk] = coll.Entry{Rank: rk, Blob: blob(rk)}
+			}
+			tableMsgs := len(coll.Merged(coll.EntryFrames(coll.OpAllGather, treeTag, table, opChunk), w))
+			for _, tc := range []struct {
+				name     string
+				tag      uint32
+				fe       []coll.Frame
+				up, down stream
+				call     func(pl *Plane, rank int) error
+			}{
+				{"Broadcast", relayTag, coll.RawFrames(coll.OpBroadcast, relayTag, "", payload, opChunk),
+					stream{}, stream{n: n}, func(pl *Plane, _ int) error {
+						got, err := pl.BroadcastTag(relayTag)
+						if err == nil && !bytes.Equal(got, payload) {
+							err = errors.New("broadcast delivered another payload")
+						}
+						return err
+					}},
+				{"Reduce", relayTag, nil, stream{n: n}, stream{}, func(pl *Plane, _ int) error {
+					return pl.ReduceTag(relayTag, payload, "sum")
+				}},
+				{"AllReduce", treeTag, nil, stream{n: n}, stream{n: n}, func(pl *Plane, _ int) error {
+					got, err := pl.AllReduce(payload, "sum")
+					if err == nil && len(got) != len(payload) {
+						err = fmt.Errorf("allreduce returned %d bytes", len(got))
+					}
+					return err
+				}},
+				{"AllGather", treeTag, nil, stream{packed: true}, stream{n: tableMsgs}, func(pl *Plane, rank int) error {
+					all, err := pl.AllGather(blob(rank))
+					for rk := 0; err == nil && rk < wireN; rk++ {
+						if len(all) != wireN || !bytes.Equal(all[rk], blob(rk)) {
+							err = fmt.Errorf("allgather table wrong at rank %d", rk)
+						}
+					}
+					return err
+				}},
+			} {
+				t.Run(fmt.Sprintf("window%d/n%d/%s", w, n, tc.name), func(t *testing.T) {
+					got, r := countLinkMessages(t, opChunk, w, tc.fe, tc.tag, tc.call)
+					// check holds one direction of a link: what the receiver
+					// was handed of the stream, and the credits its sender was
+					// handed back.
+					check := func(dir string, rx, tx [2]int, s stream, goes bool) {
+						msgs := got[rx].chunks + got[rx].lasts + got[rx].ends
+						switch {
+						case !goes:
+							msgs = 0
+						case s.n > 0 && msgs != s.n:
+							t.Errorf("link %d–%d %s: %d messages, want %d", rx[0], rx[1], dir, msgs, s.n)
+						case msgs == 0:
+							t.Errorf("link %d–%d %s: no message", rx[0], rx[1], dir)
+						}
+						if want := creditsFor(msgs, w, s.packed); goes && got[tx].credits != want || !goes && got[tx].credits != 0 {
+							t.Errorf("link %d–%d %s: %d messages earned %d credits, want %d",
+								rx[0], rx[1], dir, msgs, got[tx].credits, creditsFor(msgs, w, s.packed))
+						}
+					}
+					for child := 1; child < wireN; child++ {
+						parent := Parent(child, wireFanout)
+						check("up", [2]int{parent, child}, [2]int{child, parent}, tc.up, tc.up != stream{})
+						check("down", [2]int{child, parent}, [2]int{parent, child}, tc.down, tc.down != stream{})
+					}
+					var depth uint64
+					for rk, reg := range r.regs {
+						d := reg.Snapshot().Gauges["coll.queue.depth.max"]
+						if d > uint64(w) {
+							t.Errorf("rank %d queued %d chunks of one stream on one link, window %d", rk, d, w)
+						}
+						depth = max(depth, d)
+					}
+					if depth == 0 {
+						t.Error("no rank queued a chunk: the depth gauge is not read")
+					}
+				})
+			}
+		}
+	}
+}
+
+// creditsFor is what a stream of n messages on a link earns back under the
+// window: the credits of the messages before its Tail, or of every message
+// but its last when it is a packer's, whose length nobody knew.
+func creditsFor(n, window int, packed bool) int {
+	if packed {
+		return n - 1
+	}
+	return max(0, n-window)
+}
+
+// countLinkMessages runs call on every rank of the wire tree under the
+// window, the root's front end sending fe, and counts what each link end is
+// handed of the stream of tag, keyed [receiving rank, sending rank]; the
+// rig's registries hold each rank's gauges. Every credit a rank sends for
+// the stream must be the one message its operation built.
+func countLinkMessages(t *testing.T, chunk, window int, fe []coll.Frame, tag uint32, call func(pl *Plane, rank int) error) (map[[2]int]linkCount, *relayRig) {
 	t.Helper()
 	got := map[[2]int]linkCount{}
+	creditMsg := map[int]*byte{} // by sending rank
 	sortHook = func(d *linkDemux, msg []byte) {
 		raw := msg[4:]
 		key := [2]int{d.c.rank, d.peer()}
@@ -118,6 +246,10 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, cal
 				return
 			}
 			c.credits += int(f.Credits())
+			if m, ok := creditMsg[key[1]]; ok && m != &msg[0] {
+				t.Errorf("rank %d sent a credit of tag %d in a second message", key[1], tag)
+			}
+			creditMsg[key[1]] = &msg[0]
 		default:
 			return
 		}
@@ -127,7 +259,7 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, cal
 	r := newRelayRig(t, wireN)
 	d := &feDriver{send: fe}
 	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
-		pl := d.plane(c, chunk, 64)
+		pl := d.plane(c, chunk, window)
 		if err := pl.Barrier(); err != nil {
 			return err
 		}
@@ -143,7 +275,31 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, cal
 			t.Fatalf("daemon %d: %v", i, err)
 		}
 	}
-	return got
+	return got, r
+}
+
+// TestTailRoundTripsOnTreeLinks: Header.Tail rides the op byte on a tree
+// link — a chunk, a Last chunk and a bare End keep it through encodeFrameOp
+// and parseFrameOp, in as many bytes as without it.
+func TestTailRoundTripsOnTreeLinks(t *testing.T) {
+	raw := coll.RawFrames(coll.OpBroadcast, relayTag, "", []byte("twelve bytes"), 8)
+	for _, f := range []coll.Frame{
+		raw[0],
+		coll.Merged(raw, 2)[1],
+		{H: coll.Header{Op: coll.OpReduce, Tag: relayTag, Index: 1, Filter: "sum"}, End: true, Total: 8},
+	} {
+		f.H.Tail = false
+		plain := encodeFrameOp(opCollChunk, opCollEnd, f)
+		f.H.Tail = true
+		msg := encodeFrameOp(opCollChunk, opCollEnd, f)
+		got, err := parseFrameOp(msg[4:], opCollChunk, opCollEnd)
+		if err != nil || got.H != f.H || got.End != f.End || got.Last != f.Last || !bytes.Equal(got.Body, f.Body) {
+			t.Fatalf("%+v: parsed %+v, %v", f, got, err)
+		}
+		if len(msg) != len(plain) {
+			t.Errorf("%+v: %d bytes with the Tail bit, %d without", f.H, len(msg), len(plain))
+		}
+	}
 }
 
 // TestMalformedLastChunkFailsTheLink sends rank 0 a gather's last chunk,
@@ -156,7 +312,7 @@ func countLinkMessages(t *testing.T, chunk int, fe []coll.Frame, tag uint32, cal
 // is not sent.
 func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 	stream := coll.EntryFrames(coll.OpGather, relayTag, []coll.Entry{{Rank: 1, Blob: []byte("mine")}}, 0)
-	good := encodeFrameOp(opCollChunk, opCollEnd, coll.Merged(stream)[0])[4:]
+	good := encodeFrameOp(opCollChunk, opCollEnd, coll.Merged(stream, 0)[0])[4:]
 	hn := int(binary.BigEndian.Uint32(good[4:]))
 	var bad [][]byte
 	for n := 0; n < len(good); n++ {
@@ -203,15 +359,16 @@ func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 // FuzzTreeChunkDecode is FuzzCollChunkDecode's tree-hop half: the tree-link
 // codec (encodeFrameOp, parseFrameOp) over arbitrary messages, its corpus
 // the plane's chunks, end markers and last chunks carrying their end marker,
-// and the seed stream's frames. Nothing may panic, whatever parses must
-// re-encode to a message that parses to the same frame, and the seed
-// stream's opcodes never parse to a Last chunk.
+// Tail or not, and the seed stream's frames. Nothing may panic, whatever
+// parses must re-encode to a message that parses to the same frame, and the
+// seed stream's opcodes never parse to a Last chunk.
 func FuzzTreeChunkDecode(f *testing.F) {
-	reduce := coll.RawFrames(coll.OpReduce, 9, "sum", make([]byte, 24), 8)
-	frames := append([]coll.Frame{}, reduce...) // chunks and a bare End
-	frames = append(frames, coll.Merged(reduce)...)
-	frames = append(frames, coll.Merged(coll.EntryFrames(coll.OpGather, relayTag, []coll.Entry{{Rank: 1, Blob: []byte("mine")}}, 0))...)
-	frames = append(frames, coll.Merged(coll.RawFrames(coll.OpBroadcast, 1, "", nil, 0))...) // an empty payload
+	reduce := func() []coll.Frame { return coll.RawFrames(coll.OpReduce, 9, "sum", make([]byte, 24), 8) }
+	frames := reduce() // chunks and a bare End
+	frames = append(frames, coll.Merged(reduce(), 0)...)
+	frames = append(frames, coll.Merged(reduce(), 2)...) // the last two a Tail
+	frames = append(frames, coll.Merged(coll.EntryFrames(coll.OpGather, relayTag, []coll.Entry{{Rank: 1, Blob: []byte("mine")}}, 0), 0)...)
+	frames = append(frames, coll.Merged(coll.RawFrames(coll.OpBroadcast, 1, "", nil, 0), 1)...) // an empty payload
 	for _, fr := range frames {
 		msg := encodeFrameOp(opCollChunk, opCollEnd, fr)[4:]
 		f.Add(msg, false)

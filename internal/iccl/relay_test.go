@@ -121,11 +121,11 @@ func broadcastAt(c *Comm, p *cluster.Proc, chunk, window int, d *feDriver, at ti
 
 // TestBroadcastParksOncePerRank is the guard of "a daemon wakes once per
 // down-phase collective, not once per frame": an eight-chunk BroadcastTag
-// down a three-level tree blocks every non-root rank exactly once, leaf or
-// interior, whether the window lets the stream through or stalls the
-// interior ranks on every chunk. The root is given a window the stream fits
-// in and the whole stream before it enters, so it does not park at all and
-// the simulation's park count over the operation is the other ranks' alone.
+// down a three-level tree blocks every rank exactly once, root, leaf or
+// interior, whether the window lets the stream through or stalls the ranks
+// that relay on every chunk. The root is given the whole stream before it
+// enters, so it waits only for its children's credits; every rank has the
+// one window of the tree (coll.Window).
 func TestBroadcastParksOncePerRank(t *testing.T) {
 	const chunk = 4 << 10
 	payload := relayPayload(8, chunk)
@@ -136,19 +136,15 @@ func TestBroadcastParksOncePerRank(t *testing.T) {
 			var before uint64
 			r.sim.After(relayAt-time.Millisecond, func() { before = r.sim.Parks() })
 			r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
-				w := window
-				if c.IsMaster() {
-					w = 64
-				}
-				return broadcastAt(c, p, chunk, w, d, relayAt, payload)
+				return broadcastAt(c, p, chunk, window, d, relayAt, payload)
 			})
 			for i, err := range r.errs {
 				if err != nil {
 					t.Fatalf("daemon %d: %v", i, err)
 				}
 			}
-			if parks := r.sim.Parks() - before; parks != wireN-1 {
-				t.Errorf("%d parks for one broadcast on %d ranks, want one per non-root rank (%d)", parks, wireN, wireN-1)
+			if parks := r.sim.Parks() - before; parks != wireN {
+				t.Errorf("%d parks for one broadcast on %d ranks, want one per rank", parks, wireN)
 			}
 		})
 	}
@@ -377,8 +373,8 @@ func TestFramerChargeDoesNotAllocate(t *testing.T) {
 }
 
 // TestLeafBroadcastAllocsOnePerFrame holds what a daemon allocates for an
-// eight-chunk broadcast: on a two-rank tree one more broadcast costs the 17
-// messages on the wire (9 frames down, 8 credits back), the payload once at
+// eight-chunk broadcast: on a two-rank tree one more broadcast costs the 10
+// messages it builds (9 frames down, one credit frame sent back 8 times), the payload once at
 // each rank, and beyond that less than one object per frame at each rank —
 // relay, assembler and chunk list at both, the root's gate, the parker of
 // its pause between operations, simnet's in-flight list growing under the
@@ -416,7 +412,7 @@ func TestLeafBroadcastAllocsOnePerFrame(t *testing.T) {
 	two := testing.AllocsPerRun(2, func() { run(2 * n) })
 	one := testing.AllocsPerRun(2, func() { run(n) })
 	per := (two - one) / n
-	const messages, payloads, frameCount = 2*chunks + 1, 2, chunks + 1
+	const messages, payloads, frameCount = chunks + 2, 2, chunks + 1
 	t.Logf("one more 2-rank broadcast of %d frames allocates %.1f objects (%d of them messages)", frameCount, per, messages)
 	if per > messages+payloads+2*frameCount {
 		t.Errorf("a 2-rank broadcast allocates %.1f objects, want at most %d messages + %d payloads + one per frame and rank (%d)",

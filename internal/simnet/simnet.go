@@ -594,6 +594,15 @@ func (c *Conn) RecvMessage() ([]byte, error) {
 	return buf, nil
 }
 
+// TryRecvMessage is RecvMessage without the wait: ok is false when no
+// message has been delivered unread, whether or not the connection ended.
+func (c *Conn) TryRecvMessage() (msg []byte, ok bool) {
+	if len(c.rbuf) != 0 {
+		panic("simnet: TryRecvMessage with a partially read message")
+	}
+	return c.in.TryRecv()
+}
+
 // EndErr is what the receive side reports once the inbound queue has
 // closed and drained: ErrPeerDead on a severed connection, io.EOF after a
 // clean close.

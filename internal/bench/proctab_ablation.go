@@ -127,7 +127,7 @@ func measureProctabSharedFile(n int) (time.Duration, error) {
 		if err != nil {
 			return err
 		}
-		_, err = lmonp.ReadFrame(conn)
+		_, err = lmonp.RecvFrame(conn)
 		conn.Close()
 		return err
 	})

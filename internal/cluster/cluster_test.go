@@ -535,7 +535,7 @@ func TestExitSeversAdoptedConns(t *testing.T) {
 		// Killing the process — not its node — severs the adopted
 		// connection: the peer's read surfaces ErrPeerDead, not EOF.
 		p.Kill()
-		if _, err := peer.Read(make([]byte, 1)); !errors.Is(err, simnet.ErrPeerDead) {
+		if _, err := peer.RecvMessage(); !errors.Is(err, simnet.ErrPeerDead) {
 			t.Errorf("peer read after proc kill: %v, want ErrPeerDead", err)
 		}
 		if code, ok := p.Wait(); !ok || code != 137 {
@@ -554,7 +554,7 @@ func TestExitSeversAdoptedConns(t *testing.T) {
 			return
 		}
 		p.AdoptConn(conn2)
-		if _, err := peer2.Read(make([]byte, 1)); !errors.Is(err, simnet.ErrPeerDead) {
+		if _, err := peer2.RecvMessage(); !errors.Is(err, simnet.ErrPeerDead) {
 			t.Errorf("peer read after adopt-into-dead: %v, want ErrPeerDead", err)
 		}
 	})

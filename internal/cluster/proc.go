@@ -80,8 +80,12 @@ type procCold struct {
 	// conns are network connections adopted via AdoptConn; Exit severs
 	// them so a killed process's peers observe ErrPeerDead rather than
 	// hanging on a conn whose owner no longer runs.
-	conns []interface{ Sever() }
+	conns []adopted
 }
+
+// adopted is what a process holds for its life (AdoptConn): a connection,
+// or a tracer, that its death severs.
+type adopted interface{ Sever() }
 
 // procWithCold is a process spawned with its cold part: one allocation.
 type procWithCold struct {
@@ -216,7 +220,7 @@ func (p *Proc) Spawn(spec Spec) (*Proc, error) {
 // engine and its tracer, a daemon's tree links, a master daemon's FE
 // connection) adopt theirs as they get them. Adopting on an already-exited
 // process severs immediately.
-func (p *Proc) AdoptConn(c interface{ Sever() }) {
+func (p *Proc) AdoptConn(c adopted) {
 	n := p.node
 	n.mu.Lock()
 	if p.state == StateExited {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -509,11 +510,10 @@ func startFEEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 	}
 	sim.Go("boot", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
-			var buf bytes.Buffer
 			s := &Session{p: p, state: stReady}
 			pl := iccl.NewFrontEnd(p, "front end of the BE fabric")
 			e.rx = newRxStreams(sim, "master daemon", pl, nil)
-			s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(&buf), rx: e.rx, pl: pl}
+			s.be = feFabric{s: s, prof: beFabric, st: fabUp, conn: lmonp.NewConn(sink{}), rx: e.rx, pl: pl}
 			tag := s.AllocTag()
 			sim.Go("fe-gather", func() { _, e.lockstep = s.Gather() })
 			sim.Go("fe-reduce-tag", func() { _, e.tagged = s.ReduceTag(tag) })
@@ -522,6 +522,16 @@ func startFEEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 		}})
 	})
 }
+
+// sink is an lmonp endpoint that takes what is sent and delivers nothing.
+type sink struct{}
+
+func (sink) Send([]byte) error                  { return nil }
+func (sink) RecvMessage() ([]byte, error)       { return nil, io.EOF }
+func (sink) Handle(func(msg []byte, err error)) {}
+func (sink) Unhandle()                          {}
+func (sink) Close() error                       { return nil }
+func (sink) Sever()                             {}
 
 func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})

@@ -232,8 +232,7 @@ func TestConcurrentDetachKillRacesAcrossSessions(t *testing.T) {
 			if err := transport.WriteHello(conn, transport.Hello{Session: s.ID, Role: transport.RoleBE}); err != nil {
 				t.Fatalf("hello: %v", err)
 			}
-			var buf [1]byte
-			if _, err := conn.Read(buf[:]); err != io.EOF {
+			if _, err := conn.RecvMessage(); err != io.EOF {
 				t.Errorf("stale dial for session %d: read err %v, want EOF", s.ID, err)
 			}
 			conn.Close()

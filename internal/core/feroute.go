@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -81,12 +82,14 @@ func (r *rxStreams) failStreams(err error) {
 }
 
 // recvUsr yields the next tool-data payload, or the cause fail was given.
+// The payload aliases the message it arrived in; what a tool receives is
+// its own copy (DESIGN.md "Buffer ownership").
 func (r *rxStreams) recvUsr() ([]byte, error) {
 	data, ok := r.usr.Recv()
 	if !ok {
 		return nil, r.err
 	}
-	return data, nil
+	return bytes.Clone(data), nil
 }
 
 // receive runs one FE-bound operation on st's stream at the front end's

@@ -7,8 +7,10 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
+	"launchmon/internal/vtime"
 )
 
 // TestFECallerMayScribbleOnWhatItSent pins the front-end edge of the
@@ -98,3 +100,80 @@ func TestFECallerMayScribbleOnWhatItSent(t *testing.T) {
 		}
 	})
 }
+
+// TestToolOwnsTheToolDataItReceives pins the receiving edge of the
+// buffer-ownership rule for point-to-point tool data: Session.RecvFromBE
+// and BackEnd.RecvFromFE — and Session.RecvFromMW, which shares their
+// rxStreams.recvUsr — return the tool's own copy, not the section of the
+// LMONP message the data arrived in, so the tool may write over it and keep
+// it. Each end's sorted receive side is fed one message through an
+// lmonp.Conn handler, as its connection's handler feeds it; the tool
+// scribbles over what it received, and the message must still read as sent.
+func TestToolOwnsTheToolDataItReceives(t *testing.T) {
+	data := []byte("tool data")
+	for _, end := range []struct {
+		name string
+		open func(p *cluster.Proc) (*rxStreams, func() ([]byte, error))
+	}{
+		{"Session.RecvFromBE", func(p *cluster.Proc) (*rxStreams, func() ([]byte, error)) {
+			s := &Session{p: p, state: stReady}
+			rx := newRxStreams(p.Sim(), "master daemon", nil, nil)
+			s.be = feFabric{s: s, prof: beFabric, st: fabUp, rx: rx}
+			return rx, s.RecvFromBE
+		}},
+		{"BackEnd.RecvFromFE", func(p *cluster.Proc) (*rxStreams, func() ([]byte, error)) {
+			comm, err := iccl.Bootstrap(p, iccl.Config{Size: 1, Nodelist: []string{p.Node().Name()}, Port: 50021})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := newRxStreams(p.Sim(), "front end", nil, nil)
+			be := &BackEnd{&daemonSession{p: p, comm: comm, feRx: rx}}
+			return rx, be.RecvFromFE
+		}},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			sim := vtime.New()
+			cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := (&lmonp.Msg{Class: lmonp.ClassFEBE, Type: lmonp.TypeUsrData, UsrData: data}).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := bytes.Clone(wire)
+			sim.Go("boot", func() {
+				cl.Node(0).SpawnProc(cluster.Spec{Exe: "tool", Main: func(p *cluster.Proc) {
+					rx, recv := end.open(p)
+					var ep handedOver
+					lmonp.NewConn(&ep).Handle(func(m *lmonp.Msg, err error) {
+						if err == nil {
+							rx.sort(m)
+						}
+					})
+					sim.After(0, func() { ep.deliver(wire, nil) })
+					got, err := recv()
+					if err != nil || !bytes.Equal(got, data) {
+						t.Errorf("received %q, %v; want %q", got, err, data)
+						return
+					}
+					for i := range got {
+						got[i] = 0xEE
+					}
+					if !bytes.Equal(wire, sent) {
+						t.Errorf("the tool's write reached the message its data arrived in: %q", wire)
+					}
+				}})
+			})
+			sim.Run()
+		})
+	}
+}
+
+// handedOver is an lmonp endpoint whose deliveries a test makes itself.
+type handedOver struct {
+	sink
+	deliver func(msg []byte, err error)
+}
+
+func (h *handedOver) Handle(fn func(msg []byte, err error)) { h.deliver = fn }

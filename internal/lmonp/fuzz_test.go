@@ -2,6 +2,7 @@ package lmonp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -97,32 +98,31 @@ func TestLengthGuardBoundaries(t *testing.T) {
 	}
 }
 
-// FuzzMsgRead feeds arbitrary bytes to the LMONP message decoder and
-// round-trips whatever decodes cleanly.
+// FuzzMsgRead feeds arbitrary bytes to the LMONP decoder as one whole
+// message. Whatever it accepts must be exactly the encoding of what it
+// decoded — no byte is dropped, added or read as another field — and Read
+// must decode the same message off a stream.
 func FuzzMsgRead(f *testing.F) {
 	ok, _ := (&Msg{Class: ClassFEBE, Type: TypeHandshake, Payload: []byte("p"), UsrData: []byte("u")}).Encode()
 	f.Add(ok)
 	f.Add(ok[:headerSize-1])
 	f.Add(bytes.Repeat([]byte{0xff}, headerSize))
+	f.Add(append(ok[:len(ok):len(ok)], 0)) // a byte its header does not announce
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(bytes.NewReader(data))
+		m, err := decode(data)
 		if err != nil {
 			return
-		}
-		if m.wireSize() > len(data) {
-			t.Fatalf("decoded %d wire bytes from %d input bytes", m.wireSize(), len(data))
 		}
 		enc, err := m.Encode()
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
 		}
-		back, err := Read(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("%x decoded to a message that encodes as %x", data, enc)
 		}
-		if back.Class != m.Class || back.Type != m.Type || !bytes.Equal(back.Payload, m.Payload) {
-			t.Fatal("roundtrip mismatch")
+		if back, err := Read(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("Read decodes %x to %+v, %v; decode to %+v", data, back, err, m)
 		}
 	})
 }

@@ -21,7 +21,6 @@
 package lmonp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,6 +150,7 @@ var (
 	errBadVersion  = errors.New("lmonp: bad protocol version")
 	ErrTooLarge    = errors.New("lmonp: payload exceeds MaxPayload")
 	errShortHeader = errors.New("lmonp: short header")
+	errLength      = errors.New("lmonp: message length disagrees with its header")
 )
 
 // wireSize returns the total encoded size of the message in bytes.
@@ -210,7 +210,8 @@ func Write(w io.Writer, m *Msg) error {
 	return SendMessage(w, buf)
 }
 
-// Read reads exactly one message from r.
+// Read reads exactly one message from r: its header, then the sections
+// the header announces, into one buffer that decode takes in place.
 func Read(r io.Reader) (*Msg, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -219,88 +220,139 @@ func Read(r io.Reader) (*Msg, error) {
 		}
 		return nil, err
 	}
-	if v := hdr[0] & 0x1f; v != version {
-		return nil, fmt.Errorf("%w: got %d want %d", errBadVersion, v, version)
+	n, err := sectionsLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	m := &Msg{
-		Class: MsgClass(hdr[0] >> 5),
-		Type:  MsgType(hdr[1]),
-		Flags: binary.BigEndian.Uint16(hdr[2:4]),
-		Seq:   binary.BigEndian.Uint32(hdr[12:16]),
+	buf := make([]byte, headerSize+n)
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
+		return nil, fmt.Errorf("lmonp: truncated message: %w", err)
+	}
+	return decode(buf)
+}
+
+// sectionsLen checks a header's version and section lengths and returns
+// how many bytes of sections follow it.
+func sectionsLen(hdr []byte) (int, error) {
+	if v := hdr[0] & 0x1f; v != version {
+		return 0, fmt.Errorf("%w: got %d want %d", errBadVersion, v, version)
 	}
 	plen := binary.BigEndian.Uint32(hdr[4:8])
 	ulen := binary.BigEndian.Uint32(hdr[8:12])
 	if plen > MaxPayload || ulen > MaxPayload || uint64(plen)+uint64(ulen) > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d + usrdata %d bytes (cap %d)",
+		return 0, fmt.Errorf("%w: payload %d + usrdata %d bytes (cap %d)",
 			ErrTooLarge, plen, ulen, MaxPayload)
 	}
-	if plen > 0 {
-		m.Payload = make([]byte, plen)
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
-			return nil, fmt.Errorf("lmonp: truncated payload: %w", err)
-		}
+	return int(plen + ulen), nil
+}
+
+// decode takes one whole LMONP message where it lies: Payload and UsrData
+// alias msg (nil when empty), and a message longer or shorter than its
+// header says is refused rather than read into its neighbour.
+func decode(msg []byte) (*Msg, error) {
+	if len(msg) < headerSize {
+		return nil, errShortHeader
 	}
-	if ulen > 0 {
-		m.UsrData = make([]byte, ulen)
-		if _, err := io.ReadFull(r, m.UsrData); err != nil {
-			return nil, fmt.Errorf("lmonp: truncated usr payload: %w", err)
-		}
+	n, err := sectionsLen(msg)
+	if err != nil {
+		return nil, err
+	}
+	if len(msg) != headerSize+n {
+		return nil, fmt.Errorf("%w: %d bytes, its header says %d", errLength, len(msg), headerSize+n)
+	}
+	m := &Msg{
+		Class: MsgClass(msg[0] >> 5),
+		Type:  MsgType(msg[1]),
+		Flags: binary.BigEndian.Uint16(msg[2:4]),
+		Seq:   binary.BigEndian.Uint32(msg[12:16]),
+	}
+	split := headerSize + int(binary.BigEndian.Uint32(msg[4:8]))
+	if split > headerSize {
+		m.Payload = msg[headerSize:split:split]
+	}
+	if len(msg) > split {
+		m.UsrData = msg[split:]
 	}
 	return m, nil
 }
 
-// Conn wraps a stream with LMONP message framing and per-connection
-// sequence numbering. Send is safe for concurrent use (sessions running
-// in parallel goroutines may share helpers that write); Recv assumes a
-// single reader per connection, which is the LMONP ownership model —
-// every connection has exactly one component representative reading it.
+// Endpoint is the message transport a Conn runs over (simnet.Conn is
+// one): each Send arrives as one whole message, taken by RecvMessage or,
+// while a handler is installed, delivered to it.
+type Endpoint interface {
+	Send(msg []byte) error
+	RecvMessage() ([]byte, error)
+	Handle(fn func(msg []byte, err error))
+	Unhandle()
+	Close() error
+	Sever()
+}
+
+// Conn is an LMONP connection: one message per network message, with
+// per-connection sequence numbering. Send is safe for concurrent use
+// (sessions running in parallel goroutines may share helpers that write);
+// Recv assumes a single reader per connection, which is the LMONP
+// ownership model — every connection has exactly one component
+// representative reading it. A received message's sections alias the
+// delivered buffer and must not be written to.
 type Conn struct {
-	rw io.ReadWriter
+	ep Endpoint
 
 	sendMu sync.Mutex
 	seq    uint32
 }
 
-// NewConn wraps rw.
-func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+// NewConn frames ep for LMONP.
+func NewConn(ep Endpoint) *Conn { return &Conn{ep: ep} }
 
-// Send writes a message, stamping the connection's next sequence number.
+// Send encodes a message, stamping the connection's next sequence number,
+// and sends it.
 func (c *Conn) Send(m *Msg) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.seq++
 	m.Seq = c.seq
-	return Write(c.rw, m)
+	buf, err := m.Encode()
+	if err != nil {
+		return err
+	}
+	return c.ep.Send(buf)
 }
 
 // SendEncoded is Send for a message rendered with Begin (and filled to its
 // wire size): it stamps the next sequence number into the buffer and hands
-// the buffer itself to the stream.
+// the buffer itself to the endpoint.
 func (c *Conn) SendEncoded(buf []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.seq++
 	binary.BigEndian.PutUint32(buf[12:16], c.seq)
-	return SendMessage(c.rw, buf)
+	return c.ep.Send(buf)
 }
 
-// Recv reads the next message.
-func (c *Conn) Recv() (*Msg, error) { return Read(c.rw) }
+// Recv receives the next message. One that does not decode is refused
+// alone: the message after it is read as its own.
+func (c *Conn) Recv() (*Msg, error) {
+	msg, err := c.ep.RecvMessage()
+	if err != nil {
+		return nil, err
+	}
+	return decode(msg)
+}
 
 // Handle switches the connection's read side to event-driven delivery:
 // fn runs on the vtime scheduler once per message, in arrival order, and
 // with the error that ended the stream (io.EOF after a clean close) or made
 // a delivery undecodable. It replaces a goroutine parked in Recv and must
-// not block. The stream must be a MessageConn at a message boundary — every
-// sender puts a message on the wire with one SendMessage — and Recv may not
-// be called again before Unhandle.
+// not block; Recv may not be called again before Unhandle.
 func (c *Conn) Handle(fn func(*Msg, error)) {
-	c.rw.(MessageConn).Handle(func(buf []byte, err error) {
+	c.ep.Handle(func(buf []byte, err error) {
 		if err != nil {
 			fn(nil, err)
 			return
 		}
-		fn(Read(bytes.NewReader(buf)))
+		fn(decode(buf))
 	})
 }
 
@@ -308,7 +360,7 @@ func (c *Conn) Handle(fn func(*Msg, error)) {
 // later Handle; messages not yet delivered stay queued. A handler that owns
 // one phase of the connection's life calls it, from itself, at that phase's
 // last message (simnet.Conn.Unhandle).
-func (c *Conn) Unhandle() { c.rw.(interface{ Unhandle() }).Unhandle() }
+func (c *Conn) Unhandle() { c.ep.Unhandle() }
 
 // Expect reads the next message and verifies its class and type.
 func (c *Conn) Expect(class MsgClass, typ MsgType) (*Msg, error) {
@@ -322,21 +374,11 @@ func (c *Conn) Expect(class MsgClass, typ MsgType) (*Msg, error) {
 	return m, nil
 }
 
-// Close closes the underlying stream when it is closable.
-func (c *Conn) Close() error {
-	if cl, ok := c.rw.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
-}
+// Close closes the endpoint.
+func (c *Conn) Close() error { return c.ep.Close() }
 
-// Sever force-severs the underlying stream when it supports it (simnet
-// connections do): the peer observes ErrPeerDead instead of a clean EOF.
-// This is how cluster.Proc.Kill tears down a killed process's open
-// connections — the conn is adopted by the owning proc, and teardown
-// must look like a node loss, not a graceful close.
-func (c *Conn) Sever() {
-	if s, ok := c.rw.(interface{ Sever() }); ok {
-		s.Sever()
-	}
-}
+// Sever force-severs the endpoint: the peer observes simnet.ErrPeerDead
+// instead of a clean EOF. This is how cluster.Proc.Kill tears down a
+// killed process's open connections — the conn is adopted by the owning
+// proc, and teardown must look like a node loss, not a graceful close.
+func (c *Conn) Sever() { c.ep.Sever() }

@@ -95,15 +95,38 @@ func TestEOFOnEmptyStream(t *testing.T) {
 	}
 }
 
+// queue is an Endpoint in memory: what is sent is received, in order, and
+// a test delivers to the installed handler itself.
+type queue struct {
+	msgs    [][]byte
+	deliver func(msg []byte, err error)
+}
+
+func (q *queue) Send(msg []byte) error { q.msgs = append(q.msgs, msg); return nil }
+
+func (q *queue) RecvMessage() ([]byte, error) {
+	if len(q.msgs) == 0 {
+		return nil, io.EOF
+	}
+	msg := q.msgs[0]
+	q.msgs = q.msgs[1:]
+	return msg, nil
+}
+
+func (q *queue) Handle(fn func(msg []byte, err error)) { q.deliver = fn }
+func (q *queue) Unhandle()                             { q.deliver = nil }
+func (q *queue) Close() error                          { return nil }
+func (q *queue) Sever()                                {}
+
 func TestConnSequenceNumbers(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
+	var q queue
+	c := NewConn(&q)
 	for i := 1; i <= 3; i++ {
 		if err := c.Send(&Msg{Class: ClassFEBE, Type: TypeReady}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := NewConn(&buf)
+	r := NewConn(&q)
 	for i := 1; i <= 3; i++ {
 		m, err := r.Recv()
 		if err != nil {
@@ -116,10 +139,10 @@ func TestConnSequenceNumbers(t *testing.T) {
 }
 
 func TestExpect(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
+	var q queue
+	c := NewConn(&q)
 	c.Send(&Msg{Class: ClassFEMW, Type: TypeHandshake})
-	r := NewConn(&buf)
+	r := NewConn(&q)
 	if _, err := r.Expect(ClassFEMW, TypeHandshake); err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +362,8 @@ func TestMsgTypeWireValues(t *testing.T) {
 	}
 }
 
-// handledStream is a MessageConn whose deliveries the test makes itself.
-type handledStream struct {
-	bytes.Buffer
-	deliver func(msg []byte, err error)
-}
-
-func (h *handledStream) Handle(fn func(msg []byte, err error)) { h.deliver = fn }
-
 func TestConnHandleDecodesOneMessagePerDelivery(t *testing.T) {
-	var stream handledStream
+	var stream queue
 	var got []*Msg
 	var errs []error
 	NewConn(&stream).Handle(func(m *Msg, err error) {

@@ -44,7 +44,8 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // MessageConn is the event-driven face of a message-preserving transport
 // (simnet.Conn implements it): fn is invoked once per delivered message and
 // once more with a terminal error. It is what lets frame consumers become
-// scheduler-driven state machines instead of goroutines parked in Read.
+// scheduler-driven state machines instead of goroutines parked in
+// RecvMessage.
 type MessageConn interface {
 	Handle(fn func(msg []byte, err error))
 }
@@ -83,21 +84,14 @@ func FrameFromMessage(msg []byte) ([]byte, error) {
 	return msg[4:], nil
 }
 
-// ReadFrame reads one length-prefixed payload written by WriteFrame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// RecvFrame receives the next message on c and unwraps the one frame it
+// carries (FrameFromMessage: aliasing the message).
+func RecvFrame(c interface{ RecvMessage() ([]byte, error) }) ([]byte, error) {
+	msg, err := c.RecvMessage()
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxPayload {
-		return nil, ErrTooLarge
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("lmonp: truncated frame: %w", err)
-	}
-	return buf, nil
+	return FrameFromMessage(msg)
 }
 
 // AppendUint32 appends v big-endian.

@@ -40,7 +40,7 @@ func Exchange(conn *simnet.Conn, req []byte) (*lmonp.Reader, error) {
 	if err := lmonp.WriteFrame(conn, req); err != nil {
 		return nil, err
 	}
-	resp, err := lmonp.ReadFrame(conn)
+	resp, err := lmonp.RecvFrame(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func Serve(p *cluster.Proc, port int, handle func(req *lmonp.Reader, reply Reply
 		}
 		p.Sim().Go(p.Exe()+"-conn", func() {
 			defer conn.Close()
-			req, err := lmonp.ReadFrame(conn)
+			req, err := lmonp.RecvFrame(conn)
 			if err != nil {
 				return
 			}

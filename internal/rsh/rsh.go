@@ -125,9 +125,8 @@ func (s *Service) spawnOne(p *cluster.Proc, node, exe string, args []string, env
 		done.Send(nil)
 		// Linger as the daemon's control channel: block until the remote
 		// side closes (daemon exit), then terminate.
-		buf := make([]byte, 1)
 		for {
-			if _, err := conn.Read(buf); err != nil {
+			if _, err := conn.RecvMessage(); err != nil {
 				return
 			}
 		}

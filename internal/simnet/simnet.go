@@ -1,9 +1,9 @@
 // Package simnet provides a simulated TCP-like network running in virtual
 // time (internal/vtime). Hosts own listeners; Dial establishes a bidirected
-// stream connection whose Read/Write implement io.Reader/io.Writer, so the
-// LaunchMON protocol stack runs over simnet exactly as it would over real
-// sockets while every transfer is charged latency + size/bandwidth in
-// virtual time.
+// connection that carries whole messages: one Send (or Write) on one end is
+// one RecvMessage or Handle delivery on the other, which is how every
+// LaunchMON protocol frames its traffic, and every transfer is charged
+// latency + size/bandwidth in virtual time.
 //
 // The cost model per message (one Send or Write call) is:
 //
@@ -421,8 +421,7 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 type Conn struct {
 	host *Host // the local end; the remote one is peer.host
 
-	in   vtime.Chan[[]byte] // arriving payloads
-	rbuf []byte             // partially consumed arrival
+	in vtime.Chan[[]byte] // arriving messages
 
 	peer       *Conn
 	prev, next *Conn // host.conns; guarded by net.mu, as is listed
@@ -473,10 +472,10 @@ func (w *wire) pop() []byte {
 }
 
 // Send hands msg to the peer as one network message, taking ownership of
-// it: the very slice is what the peer's Read, RecvMessage or Handle
-// delivers, so the caller must not write to it afterwards (it may send the
-// same buffer on any number of connections, and receivers may alias it but
-// never write to it either). Send returns immediately (socket-buffer
+// it: the very slice is what the peer's RecvMessage or Handle delivers, so
+// the caller must not write to it afterwards (it may send the same buffer
+// on any number of connections, and receivers may alias it but never write
+// to it either). Send returns immediately (socket-buffer
 // semantics); delivery is charged serialization + latency in virtual time.
 // Messages crossing a dropped link are silently discarded at delivery
 // time; sends on a severed (dead-host) connection fail with ErrPeerDead.
@@ -561,32 +560,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Read fills p with received bytes, blocking in virtual time until data is
-// available. It returns io.EOF after the peer closes and all data is
-// consumed, or ErrPeerDead once a severed connection's in-flight data has
-// drained.
-func (c *Conn) Read(p []byte) (int, error) {
-	for len(c.rbuf) == 0 {
-		buf, ok := c.in.Recv()
-		if !ok {
-			return 0, c.EndErr()
-		}
-		c.rbuf = buf
-	}
-	n := copy(p, c.rbuf)
-	c.rbuf = c.rbuf[n:]
-	return n, nil
-}
-
 // RecvMessage returns the next delivered message (one peer Send) whole —
 // the sender's own buffer, to be read and never written — blocking in
-// virtual time: io.EOF/ErrPeerDead per Read's contract once the connection
-// ends. It must be called on a message boundary (no partially consumed
-// arrival) — the caller is reading a message-per-frame protocol.
+// virtual time. Once the connection has ended and what arrived before has
+// been taken, it returns EndErr: io.EOF after the peer closes, ErrPeerDead
+// on a severed connection.
 func (c *Conn) RecvMessage() ([]byte, error) {
-	if len(c.rbuf) != 0 {
-		panic("simnet: RecvMessage with a partially read message")
-	}
 	buf, ok := c.in.Recv()
 	if !ok {
 		return nil, c.EndErr()
@@ -597,9 +576,6 @@ func (c *Conn) RecvMessage() ([]byte, error) {
 // TryRecvMessage is RecvMessage without the wait: ok is false when no
 // message has been delivered unread, whether or not the connection ended.
 func (c *Conn) TryRecvMessage() (msg []byte, ok bool) {
-	if len(c.rbuf) != 0 {
-		panic("simnet: TryRecvMessage with a partially read message")
-	}
 	return c.in.TryRecv()
 }
 
@@ -617,21 +593,15 @@ func (c *Conn) EndErr() error {
 
 // Handle switches the connection's receive side to event-driven delivery:
 // fn runs on the vtime scheduler once per delivered message (one Send or
-// Write call on the peer = one callback, so framed protocols that send one
-// frame per call receive exactly one complete frame per event), in arrival order
-// under the scheduler's deterministic (time, seq) tie-break. After the peer
-// closes (or the link severs) and queued messages drain, fn fires once with
-// err — io.EOF for a clean close, ErrPeerDead for a severed connection.
-// It replaces a goroutine parked in Read; fn must not block. Handle may not
-// be mixed with Read while installed and must be installed on a message
-// boundary (no partially consumed arrival). Unhandle hands the receive side
-// back to blocking Read — a framer that owns only one phase of the
-// connection's life (e.g. a bootstrap-time stream) detaches at its final
-// frame, leaving later arrivals queued for whoever reads next.
+// Write call on the peer = one callback), in arrival order under the
+// scheduler's deterministic (time, seq) tie-break. After the peer closes
+// (or the link severs) and queued messages drain, fn fires once with err —
+// io.EOF for a clean close, ErrPeerDead for a severed connection. It
+// replaces a goroutine parked in RecvMessage; fn must not block. Unhandle
+// hands the receive side back to RecvMessage — a framer that owns only one
+// phase of the connection's life (e.g. a bootstrap-time stream) detaches at
+// its final frame, leaving later arrivals queued for whoever reads next.
 func (c *Conn) Handle(fn func(msg []byte, err error)) {
-	if len(c.rbuf) != 0 {
-		panic("simnet: Conn.Handle with a partially read message")
-	}
 	c.in.Handle(func(buf []byte, ok bool) {
 		if !ok {
 			fn(nil, c.EndErr())
@@ -645,17 +615,12 @@ func (c *Conn) Handle(fn func(msg []byte, err error)) {
 // true) once per delivered message, then fn(nil, false) once the stream
 // has ended, EndErr saying why. Handle wraps its fn in one object more; a
 // handler installed on every tree link of a parked daemon does without it.
-func (c *Conn) HandleQueue(fn func(msg []byte, ok bool)) {
-	if len(c.rbuf) != 0 {
-		panic("simnet: Conn.HandleQueue with a partially read message")
-	}
-	c.in.Handle(fn)
-}
+func (c *Conn) HandleQueue(fn func(msg []byte, ok bool)) { c.in.Handle(fn) }
 
 // Unhandle detaches the message handler installed by Handle and returns
-// the connection to blocking-Read delivery. Messages that arrived but were
-// not yet delivered to the handler stay queued for Read. Call it from the
-// handler itself (on the scheduler goroutine) at a message boundary.
+// the connection to RecvMessage delivery. Messages that arrived but were
+// not yet delivered to the handler stay queued. Call it from the handler
+// itself (on the scheduler goroutine).
 func (c *Conn) Unhandle() { c.in.Unhandle() }
 
 // Peer names the host at the connection's other end.
@@ -715,5 +680,3 @@ func (c *Conn) shutLocked(atPeer vtime.Event) {
 	lat, _ := c.link()
 	sim.AfterEvent(end+lat-now, atPeer)
 }
-
-var _ io.ReadWriteCloser = (*Conn)(nil)

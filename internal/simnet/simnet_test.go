@@ -18,6 +18,22 @@ func pair(t *testing.T, sim *vtime.Sim, opts Options) (*Network, *Host, *Host) {
 	return n, n.Host("a"), n.Host("b")
 }
 
+// recvAll receives messages until the connection ends and returns them
+// joined, with nil for a clean end (io.ReadAll's contract over messages).
+func recvAll(c *Conn) ([]byte, error) {
+	var all []byte
+	for {
+		msg, err := c.RecvMessage()
+		if err == io.EOF {
+			return all, nil
+		}
+		if err != nil {
+			return all, err
+		}
+		all = append(all, msg...)
+	}
+}
+
 func TestDialAndEcho(t *testing.T) {
 	sim := vtime.New()
 	_, a, b := pair(t, sim, Options{})
@@ -32,13 +48,12 @@ func TestDialAndEcho(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		buf := make([]byte, 16)
-		n, err := c.Read(buf)
+		msg, err := c.RecvMessage()
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := c.Write(buf[:n]); err != nil {
+		if _, err := c.Write(msg); err != nil {
 			t.Error(err)
 		}
 	})
@@ -52,13 +67,9 @@ func TestDialAndEcho(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		buf := make([]byte, 16)
-		n, err := c.Read(buf)
-		if err != nil {
+		if got, err = c.RecvMessage(); err != nil {
 			t.Error(err)
-			return
 		}
-		got = buf[:n]
 	})
 	sim.Run()
 	if string(got) != "hello" {
@@ -130,8 +141,8 @@ func TestMessageLatencyAndBandwidth(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := io.ReadFull(c, make([]byte, size)); err != nil {
-			t.Error(err)
+		if msg, err := c.RecvMessage(); err != nil || len(msg) != size {
+			t.Errorf("received %d bytes, %v; want %d", len(msg), err, size)
 			return
 		}
 		recvAt = sim.Now()
@@ -164,9 +175,11 @@ func TestBackToBackWritesSerialize(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, err := io.ReadFull(c, make([]byte, msgs*size)); err != nil {
-			t.Error(err)
-			return
+		for i := 0; i < msgs; i++ {
+			if _, err := c.RecvMessage(); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		lastAt = sim.Now()
 	})
@@ -218,7 +231,7 @@ func TestCloseDeliversEOFAfterData(t *testing.T) {
 		if err != nil {
 			return
 		}
-		got, readErr = io.ReadAll(c)
+		got, readErr = recvAll(c)
 	})
 	sim.Go("cli", func() {
 		c, err := a.Dial(l.Addr())
@@ -317,7 +330,7 @@ func TestStatsCount(t *testing.T) {
 		if err != nil {
 			return
 		}
-		io.ReadAll(c)
+		recvAll(c)
 	})
 	sim.Go("cli", func() {
 		c, err := a.Dial(l.Addr())
@@ -358,7 +371,7 @@ func TestPropertyStreamIntegrity(t *testing.T) {
 			if err != nil {
 				return
 			}
-			got, _ = io.ReadAll(c)
+			got, _ = recvAll(c)
 		})
 		sim.Go("cli", func() {
 			c, err := a.Dial(l.Addr())
@@ -403,8 +416,8 @@ func TestPropertyFIFODelivery(t *testing.T) {
 				return
 			}
 			for i := range sizes {
-				buf := make([]byte, int(sizes[i])+4)
-				if _, err := io.ReadFull(c, buf); err != nil {
+				buf, err := c.RecvMessage()
+				if err != nil || len(buf) != int(sizes[i])+4 {
 					return
 				}
 				arrivals = append(arrivals, sim.Now())

@@ -287,10 +287,10 @@ func TestDialAndCloseAllocs(t *testing.T) {
 }
 
 // TestConnPairSizeClass pins a connection — both endpoints, one allocation
-// — to the 416 B size class: a parked daemon keeps one per tree link for the
+// — to the 384 B size class: a parked daemon keeps one per tree link for the
 // life of its session.
 func TestConnPairSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof([2]Conn{}); size > 416 {
-		t.Errorf("a connection is %d B, want at most 416 (one size class)", size)
+	if size := unsafe.Sizeof([2]Conn{}); size > 384 {
+		t.Errorf("a connection is %d B, want at most 384 (one size class)", size)
 	}
 }

@@ -19,7 +19,6 @@ package tbon
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -34,12 +33,13 @@ const (
 	EnvRank   = "TBON_RANK"   // leaf rank
 )
 
-// Packet is one TBŌN message. A request carries the stream's filter name,
-// with which the front end merges the reply wave.
+// Packet is one TBŌN message. A request names the filter its reply wave
+// is merged with, as MRNet's stream set-up does; the front end merges with
+// the function its caller passes.
 type Packet struct {
 	Stream uint32
 	Tag    uint32
-	Filter string // merge filter for the response wave ("" = concat)
+	Filter string // the reply wave's merge filter, by name
 	Data   []byte
 }
 
@@ -55,37 +55,6 @@ func decodePacket(raw []byte) (Packet, error) {
 	p := Packet{Stream: rd.Uint32(), Tag: rd.Uint32(), Filter: rd.String()}
 	p.Data = append([]byte(nil), rd.Bytes()...)
 	return p, rd.Err()
-}
-
-// Filter merges two upstream payloads; it must be associative. A nil
-// accumulator (first contribution) is passed as a==nil.
-type Filter func(a, b []byte) []byte
-
-var (
-	filterMu  sync.Mutex
-	filterReg = map[string]Filter{}
-)
-
-// RegisterFilter installs a named merge filter; the front end resolves
-// filters by the name a request carries.
-func RegisterFilter(name string, f Filter) {
-	filterMu.Lock()
-	defer filterMu.Unlock()
-	filterReg[name] = f
-}
-
-func lookupFilter(name string) Filter {
-	filterMu.Lock()
-	defer filterMu.Unlock()
-	if f, ok := filterReg[name]; ok {
-		return f
-	}
-	// Default: concatenation.
-	return func(a, b []byte) []byte { return append(a, b...) }
-}
-
-func init() {
-	RegisterFilter("concat", func(a, b []byte) []byte { return append(a, b...) })
 }
 
 // The overlay's cost model. perChildAcceptCost is the root's CPU cost to
@@ -128,7 +97,7 @@ func (fe *FrontEnd) AcceptChildren(n int) error {
 			return err
 		}
 		fe.p.Compute(perChildAcceptCost)
-		hello, err := lmonp.ReadFrame(conn)
+		hello, err := lmonp.RecvFrame(conn)
 		if err != nil {
 			conn.Close()
 			return err
@@ -157,16 +126,16 @@ func (fe *FrontEnd) multicast(pkt Packet) error {
 	return nil
 }
 
-// Request multicasts a request and returns the filter-merged responses —
-// the round-trip STAT uses per stack-sample wave.
-func (fe *FrontEnd) Request(pkt Packet) ([]byte, error) {
+// Request multicasts a request and returns the responses folded with
+// merge — the round-trip STAT uses per stack-sample wave. merge must be
+// associative; it is passed a nil accumulator with the first response.
+func (fe *FrontEnd) Request(pkt Packet, merge func(acc, reply []byte) []byte) ([]byte, error) {
 	if err := fe.multicast(pkt); err != nil {
 		return nil, err
 	}
-	f := lookupFilter(pkt.Filter)
 	var acc []byte
 	for _, c := range fe.children {
-		raw, err := lmonp.ReadFrame(c)
+		raw, err := lmonp.RecvFrame(c)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +144,7 @@ func (fe *FrontEnd) Request(pkt Packet) ([]byte, error) {
 			return nil, err
 		}
 		fe.p.Compute(handshakeCost / 3) // per-packet processing
-		acc = f(acc, reply.Data)
+		acc = merge(acc, reply.Data)
 	}
 	return acc, nil
 }
@@ -223,7 +192,7 @@ func ConnectLeaf(p *cluster.Proc, parentAddr string, rank int) (*Leaf, error) {
 
 // Recv blocks for the next downstream packet.
 func (l *Leaf) Recv() (Packet, error) {
-	raw, err := lmonp.ReadFrame(l.conn)
+	raw, err := lmonp.RecvFrame(l.conn)
 	if err != nil {
 		return Packet{}, err
 	}

@@ -54,14 +54,14 @@ func spawnLeaves(t *testing.T, cl *cluster.Cluster, n int, parentAddr string, fn
 
 func TestFlatRequestReduce(t *testing.T) {
 	sim, cl := rig(t, 8)
-	RegisterFilter("sum-test", func(a, b []byte) []byte {
+	sum := func(a, b []byte) []byte {
 		if a == nil {
 			return b
 		}
 		x, _ := strconv.Atoi(string(a))
 		y, _ := strconv.Atoi(string(b))
 		return []byte(strconv.Itoa(x + y))
-	})
+	}
 	var got string
 	sim.Go("root", func() {
 		cl.FrontEnd().SpawnProc(cluster.Spec{Exe: "fe", Main: func(p *cluster.Proc) {
@@ -81,7 +81,7 @@ func TestFlatRequestReduce(t *testing.T) {
 			if len(fe.children) != 8 {
 				t.Errorf("children = %d", len(fe.children))
 			}
-			out, err := fe.Request(Packet{Stream: 1, Tag: 7, Filter: "sum-test", Data: []byte("go")})
+			out, err := fe.Request(Packet{Stream: 1, Tag: 7, Filter: "sum-test", Data: []byte("go")}, sum)
 			if err != nil {
 				t.Error(err)
 				return
@@ -95,7 +95,10 @@ func TestFlatRequestReduce(t *testing.T) {
 	}
 }
 
-func TestConcatDefaultFilterCollectsAll(t *testing.T) {
+// concat is the merge that keeps every reply, in child order.
+func concat(acc, reply []byte) []byte { return append(acc, reply...) }
+
+func TestConcatFilterCollectsAll(t *testing.T) {
 	sim, cl := rig(t, 5)
 	var got string
 	sim.Go("root", func() {
@@ -113,7 +116,7 @@ func TestConcatDefaultFilterCollectsAll(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			out, err := fe.Request(Packet{Stream: 1, Filter: "concat"})
+			out, err := fe.Request(Packet{Stream: 1, Filter: "concat"}, concat)
 			if err != nil {
 				t.Error(err)
 				return
@@ -164,7 +167,7 @@ func TestNativeLaunchViaRsh(t *testing.T) {
 			}
 			defer fe.Close()
 			leaves = len(fe.children)
-			if _, err := fe.Request(Packet{Stream: 1, Filter: "concat"}); err != nil {
+			if _, err := fe.Request(Packet{Stream: 1, Filter: "concat"}, concat); err != nil {
 				t.Error(err)
 			}
 		}})

@@ -42,10 +42,8 @@ const sampleCost = 400 * time.Microsecond
 // nodes before the daemon joins the overlay.
 const daemonInitCost = 300 * time.Millisecond
 
-// Install registers STAT's daemons and its prefix-tree merge filter with
-// the MRNet-like TBŌN.
+// Install registers STAT's daemons.
 func Install(cl *cluster.Cluster) {
-	tbon.RegisterFilter(filterName, mergeFilter)
 	cl.Register(beExe, func(p *cluster.Proc) { beMainLaunchMON(p) })
 	cl.Register(nativeBEExe, func(p *cluster.Proc) { beMainNative(p) })
 }
@@ -211,7 +209,7 @@ func LaunchWithRsh(p *cluster.Proc, svc *rsh.Service, nodes []string, ranksPerNo
 // Sample performs one stack-sample wave over the TBŌN and returns the
 // merged call-graph prefix tree.
 func (in *Instance) Sample() (*Tree, error) {
-	raw, err := in.fe.Request(tbon.Packet{Stream: 1, Tag: 1, Filter: filterName})
+	raw, err := in.fe.Request(tbon.Packet{Stream: 1, Tag: 1, Filter: filterName}, mergeFilter)
 	if err != nil {
 		return nil, err
 	}

@@ -154,8 +154,7 @@ func TestMuxUnknownSessionGetsEOF(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var b [1]byte
-		_, readErr = raw.Read(b[:])
+		_, readErr = raw.RecvMessage()
 	})
 	sim.Run()
 	if readErr != io.EOF {
@@ -219,8 +218,7 @@ func TestEndpointDrainShedsStaleDials(t *testing.T) {
 		if n := ep.Drain(RoleMW); n != 1 {
 			t.Errorf("drained %d connections, want 1", n)
 		}
-		var b [1]byte
-		if _, err := stale.Read(b[:]); err != io.EOF {
+		if _, err := stale.RecvMessage(); err != io.EOF {
 			t.Errorf("stale dialer read = %v, want EOF", err)
 		}
 		// The retry's fresh dial is the one Accept returns.
@@ -267,8 +265,7 @@ func TestEndpointCloseDeregistersAndDrains(t *testing.T) {
 		sim.Sleep(time.Second) // let the mux route it
 		ep.Close()
 		// ... closing the endpoint must close the queued connection.
-		var b [1]byte
-		_, readErr = raw.Read(b[:])
+		_, readErr = raw.RecvMessage()
 		// And the ID becomes reusable.
 		if _, err := mux.Open(1); err != nil {
 			t.Errorf("reopen after close: %v", err)
@@ -315,8 +312,7 @@ func TestMuxSilentPeerBlocksNobody(t *testing.T) {
 			if err := lmonp.SendMessage(raw, hello); err != nil {
 				t.Error(err)
 			}
-			var b [1]byte
-			if _, err := raw.Read(b[:]); err != io.EOF {
+			if _, err := raw.RecvMessage(); err != io.EOF {
 				t.Errorf("%s hello: read = %v, want EOF", name, err)
 			}
 		}

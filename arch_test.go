@@ -363,8 +363,8 @@ func checkGoroutines(t *testing.T, files []*srcFile) {
 
 // schedulerRecords are the types whose methods run as scheduler callbacks
 // (DESIGN.md "Events are objects"): a plane operation and its link demux,
-// the seed stream, and the front end's session step and connection
-// handlers. A blocking call there hangs or serializes the simulation, so
+// a forming rank with its seed stream and its owner's steps, and the front
+// end's session step and connection handlers. A blocking call there hangs or serializes the simulation, so
 // none may call one, apart from the one wait each record's owner makes.
 var schedulerRecords = map[string]bool{
 	"launchmon/internal/iccl.planeOp":        true, // and every op type that embeds it
@@ -372,8 +372,10 @@ var schedulerRecords = map[string]bool{
 	"launchmon/internal/iccl.tagLink":        true,
 	"launchmon/internal/iccl.SerialFramer":   true,
 	"launchmon/internal/iccl.Seed":           true,
+	"launchmon/internal/iccl.Forming":        true,
 	"launchmon/internal/iccl.seedSplitter":   true,
 	"launchmon/internal/core.rxStreams":      true,
+	"launchmon/internal/core.readying":       true,
 	"launchmon/internal/core.Session.step":   true,
 	"launchmon/internal/core.Session.onLink": true,
 }
@@ -381,7 +383,7 @@ var schedulerRecords = map[string]bool{
 // ownerWaits are the methods where a record's owner waits for it, once.
 var ownerWaits = map[string]bool{
 	"launchmon/internal/iccl.planeOp.wait":      true,
-	"launchmon/internal/iccl.Seed.Wait":         true,
+	"launchmon/internal/iccl.Forming.wait":      true,
 	"launchmon/internal/core.rxStreams.recvUsr": true,
 }
 

@@ -188,16 +188,12 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 			if cfg.Rank == 0 {
 				s = src
 			}
-			c, seed, err := iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame) error {
+			return iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame) error {
 				if !f.End && len(f.Body) != len(feData) {
 					return fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
 				}
 				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			return c, seed.Wait()
+			}, nil)
 		}, func(*iccl.Comm, *cluster.Proc) error { return nil })
 	}
 }
@@ -209,11 +205,15 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 // /gc/scan/heap:bytes, /gc/heap/objects:objects) and the share of CPU the
 // collector took while they ran, the closing forced collection included
 // (/cpu/classes/gc/total:cpu-seconds over /cpu/classes/total:cpu-seconds,
-// which the runtime brings up to date at the end of each collection).
+// which the runtime brings up to date at the end of each collection). It
+// also sums the simulation's parks (Sim.Parks) and the goroutine stacks the
+// calls left in use (MemStats.StackInuse), reported a daemon.
 type launchMeter struct {
 	allocB, allocs uint64
 	liveB, scanB   int64
 	objects        int64
+	stackB         int64
+	parks          uint64
 	gcCPU, cpu     float64
 }
 
@@ -242,16 +242,20 @@ func settle(m *runtime.MemStats, s []metrics.Sample) {
 	metrics.Read(s)
 }
 
-// measure runs launch, the timed call, between two settles; the samples
-// are made before either, so the reading allocates nothing it counts.
-func (lm *launchMeter) measure(launch func() error) error {
+// measure runs launch, the timed call on sim, between two settles; the
+// samples are made before either, so the reading allocates nothing it
+// counts.
+func (lm *launchMeter) measure(sim *vtime.Sim, launch func() error) error {
 	var before, after runtime.MemStats
 	s0, s1 := gcReading(), gcReading()
 	settle(&before, s0)
+	parks := sim.Parks()
 	if err := launch(); err != nil {
 		return err
 	}
+	lm.parks += sim.Parks() - parks
 	settle(&after, s1)
+	lm.stackB += int64(after.StackInuse) - int64(before.StackInuse)
 	lm.allocB += after.TotalAlloc - before.TotalAlloc
 	lm.allocs += after.Mallocs - before.Mallocs
 	lm.liveB += int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -262,8 +266,11 @@ func (lm *launchMeter) measure(launch func() error) error {
 	return nil
 }
 
-// report puts the sums per unit of work: a daemon, a task.
-func (lm *launchMeter) report(b *testing.B, units float64, unit string) {
+// report puts the sums per unit of work — a daemon, a task — and the parks
+// and stack bytes per daemon.
+func (lm *launchMeter) report(b *testing.B, units float64, unit string, daemons float64) {
+	b.ReportMetric(float64(lm.parks)/daemons, "parks/daemon")
+	b.ReportMetric(float64(lm.stackB)/daemons, "stack-B/daemon")
 	b.ReportMetric(float64(lm.allocB)/units, "B/"+unit)
 	b.ReportMetric(float64(lm.allocs)/units, "allocs/"+unit)
 	b.ReportMetric(float64(lm.liveB)/units, "live-B/"+unit)
@@ -282,8 +289,9 @@ func (lm *launchMeter) report(b *testing.B, units float64, unit string) {
 // allocation of the LaunchAndSpawn call alone, the workload's timed section;
 // B/op also counts the rig. live-B/task is the heap that call leaves live
 // (HeapAlloc after a forced GC, on its return minus before it), the
-// seconds-fast proxy for the workload's live_MB; scan-B/task, objects/task
-// and gc-cpu-% are the rest of launchMeter's reading.
+// seconds-fast proxy for the workload's live_MB; scan-B/task, objects/task,
+// gc-cpu-%, parks/daemon and stack-B/daemon are the rest of launchMeter's
+// reading.
 func BenchmarkLaunchFat(b *testing.B) {
 	const nodes, tasks = 64, 256
 	feData := bytes.Repeat([]byte("launchmon-64KiB-"), 4<<10)
@@ -305,7 +313,7 @@ func BenchmarkLaunchFat(b *testing.B) {
 			},
 			FE: func(r *bench.Run) error {
 				var sess *core.Session
-				if err := lm.measure(func() (err error) {
+				if err := lm.measure(r.P.Sim(), func() (err error) {
 					sess, err = core.LaunchAndSpawn(r.P, core.Options{
 						Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: tasks},
 						Daemon:     rm.DaemonSpec{Exe: "fat_be"},
@@ -329,15 +337,16 @@ func BenchmarkLaunchFat(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	lm.report(b, float64(b.N)*nodes*tasks, "task")
+	lm.report(b, float64(b.N)*nodes*tasks, "task", float64(b.N)*nodes)
 }
 
 // BenchmarkLaunchWide is the benchmark's launch_wide workload at 1/16 of its
 // daemons, measured like BenchmarkLaunchFat: 1024 daemons × 1 task, ICCL
 // fanout 64, daemons parked on a broadcast until the kill. The per-daemon
 // cost of the slurmd tree, the spawn and the ICCL bootstrap is nearly all
-// of it; B/daemon and allocs/daemon are the LaunchAndSpawn call's,
-// live-B/daemon, scan-B/daemon and objects/daemon what it leaves live.
+// of it; B/daemon, allocs/daemon and parks/daemon are the LaunchAndSpawn
+// call's, live-B/daemon, scan-B/daemon, objects/daemon and stack-B/daemon
+// (the daemons' goroutine stacks) what it leaves live.
 func BenchmarkLaunchWide(b *testing.B) {
 	const nodes = 1024
 	b.ReportAllocs()
@@ -358,7 +367,7 @@ func BenchmarkLaunchWide(b *testing.B) {
 			},
 			FE: func(r *bench.Run) error {
 				var sess *core.Session
-				if err := lm.measure(func() (err error) {
+				if err := lm.measure(r.P.Sim(), func() (err error) {
 					sess, err = core.LaunchAndSpawn(r.P, core.Options{
 						Job:        rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1},
 						Daemon:     rm.DaemonSpec{Exe: "wide_be"},
@@ -375,5 +384,5 @@ func BenchmarkLaunchWide(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	lm.report(b, float64(b.N)*nodes, "daemon")
+	lm.report(b, float64(b.N)*nodes, "daemon", float64(b.N)*nodes)
 }

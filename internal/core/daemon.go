@@ -63,7 +63,7 @@ type daemonSession struct {
 	feData []byte
 	tl     engine.Timeline
 
-	feRx *rxStreams // the master's sorted FE connection (completeInit)
+	feRx *rxStreams // the master's sorted FE connection (readying.Seeded)
 
 	// obsReg is the daemon's observability registry (nil when LMON_OBS is
 	// off). Its snapshot is tree-folded to the master and rides the ready
@@ -80,7 +80,10 @@ type daemonSession struct {
 // cut-through pipeline the seed streams through the forming tree
 // (iccl.BootstrapSeedRouted); the BE store-forward baseline (selected by
 // LMON_SEED_MODE) buffers it at the master and broadcasts after
-// bootstrap.
+// bootstrap. From its join to its ready the daemon is one iccl.Forming
+// record on the scheduler, which readying carries through the seed and the
+// ready gather; the daemon's goroutine waits on it once, then joins the
+// heartbeat tree.
 func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 	env, err := parseBootEnv(p)
 	if err != nil {
@@ -95,13 +98,17 @@ func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 	} else {
 		err = d.initCutThrough(env)
 	}
-	if err != nil {
-		// A rank that fails after bootstrap tells its parent why and tears down
-		// what it formed, as a failed bootstrap does, so its parent's ready
-		// gather fails with that cause; a failed master tells its FE why.
-		if d.comm != nil {
-			d.comm.Abort(err)
+	if err == nil {
+		// Join the fabric's heartbeat tree when the front end enabled
+		// failure detection; the master forwards failure reports upstream
+		// as LMONP status events. Started after the ready message so the
+		// launch critical path is not charged for it.
+		if err = d.startHealth(env); err != nil {
+			d.comm.Abort(err) // as the record does for a failure before ready
 		}
+	}
+	if err != nil {
+		// A failed master tells its FE why.
 		if d.fe != nil {
 			d.fe.Send(&lmonp.Msg{Class: d.fab.class, Type: lmonp.TypeStatus, Payload: lmonp.AppendString(nil, err.Error())})
 			d.fe.Close()
@@ -116,12 +123,6 @@ func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 // slice with a proctab.Assembler and validates it (FinishSlice) before
 // contributing to the ready gather, so the ready message at the front end
 // implies a validated slice at every daemon of the fabric.
-//
-// Setup (seedRouter, masterHandshake, seedSink) runs in frames of its own:
-// this function's frame is the one resident under the whole launch —
-// every daemon goroutine parks somewhere below it — so the router
-// closures, handshake buffers, and assembler state must not widen it (see
-// iccl.bootstrap's stack note).
 func (d *daemonSession) initCutThrough(env *bootEnv) error {
 	rt := d.seedRouter(env)
 	var src iccl.SeedSource
@@ -132,21 +133,8 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 		}
 		src = seedSourceFromFE(d.p.Sim(), d.fe, feData)
 	}
-
-	comm, seed, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt, d.seedSink())
-	if err != nil {
-		return err
-	}
-	d.adopt(comm)
-	// The rank's share and every child forward must be done before any
-	// other down-flowing traffic may use the tree links. Forwards are
-	// zero-delay, so Wait returns at the later of bootstrap's return and
-	// the share's End: the instant the slice was validated.
-	if err := seed.Wait(); err != nil {
-		return err
-	}
-	d.tl.Mark(d.fab.marks.SeedValid, d.p.Sim().Now())
-	return d.completeInit(env)
+	_, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt, d.seedSink(), &readying{d: d, env: env})
+	return err
 }
 
 // seedSink takes this rank's share of the stream on the scheduler: frame 0
@@ -215,7 +203,7 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 // one frame per relayed RPDTAB chunk, closed by the relay's end marker.
 // Frame 0 is its own zero-delay event, scheduled ahead of the connection's
 // first delivery. The handler stays past the stream's last frame — the
-// connection's end still fails a forming tree — until completeInit takes
+// connection's end still fails a forming tree — until readying.Seeded takes
 // the connection over. Chunk sums are computed here (the LMONP relay ships
 // bare payloads); the end marker's digest arrives from the FE, so the
 // master's stream check covers the whole engine→FE→master path.
@@ -248,8 +236,9 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 			if err == nil {
 				f, err = frame(msg)
 			}
-			// Last: the End frame may wake the daemon's main, which goes on
-			// to take the connection over while this callback still runs.
+			// Last: the End frame may carry the rank's Forming record on to
+			// readying.Seeded, which takes the connection over while this
+			// callback still runs.
 			emit(f, err)
 		})
 	}
@@ -257,33 +246,24 @@ func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSo
 
 // initStoreForward is the serialized baseline: the master buffers the
 // full chunk-streamed RPDTAB from the FE, the tree bootstraps, and the
-// seed goes out as one monolithic ICCL broadcast.
+// seed goes out as one monolithic ICCL broadcast — the shape the paper's
+// broadcast-vs-shared-file ablation measures. The master keeps its
+// already-decoded table instead of decoding its own broadcast.
 func (d *daemonSession) initStoreForward(env *bootEnv) error {
-	var masterTab proctab.Table
-	var feData []byte
+	var seed []byte
 	if env.tree.Rank == 0 {
-		var err error
-		if feData, err = d.masterHandshake(env); err != nil {
+		feData, err := d.masterHandshake(env)
+		if err != nil {
 			return err
 		}
-		if masterTab, err = proctab.RecvStream(d.fe, d.fab.class); err != nil {
+		if d.tab, err = proctab.RecvStream(d.fe, d.fab.class); err != nil {
 			return err
 		}
+		d.feData = append([]byte(nil), feData...)
+		seed = lmonp.AppendBytes(lmonp.AppendBytes(nil, d.tab.Encode()), feData)
 	}
-
-	comm, err := iccl.BootstrapUnder(d.p, env.tree, d.fe)
-	if err != nil {
-		return err
-	}
-	d.adopt(comm)
-
-	// Distribute RPDTAB + piggybacked FE data to every daemon.
-	if d.tab, d.feData, err = distributeSessionSeed(comm, masterTab, feData); err != nil {
-		return err
-	}
-	d.tl.Mark(d.fab.marks.SeedValid, d.p.Sim().Now())
-	d.myTab = d.tab.OnHost(d.p.Node().Name())
-	return d.completeInit(env)
+	_, err := iccl.BootstrapUnder(d.p, env.tree, d.fe, seed, &readying{d: d, env: env})
+	return err
 }
 
 // adopt takes the bootstrapped communicator; the master's return from
@@ -295,22 +275,57 @@ func (d *daemonSession) adopt(comm *iccl.Comm) {
 	}
 }
 
-// completeInit is the shared tail of both seed pipelines: attach the
-// collective tool-data plane, whose root's FE hop is the FE connection init
-// has stopped reading (sorted by rxStreams from here on), gather per-daemon
-// info for the ready message, then join the heartbeat tree.
-func (d *daemonSession) completeInit(env *bootEnv) error {
+// readying carries a daemon from its join to its ready: the iccl.Ready its
+// Forming record calls on the scheduler. It takes the formed tree, the
+// validated seed — where it attaches the collective tool-data plane, whose
+// root's FE hop is the FE connection init has stopped reading (sorted by
+// rxStreams from there on) — then gathers per-daemon info for the ready
+// message and folds the metrics snapshots up behind it. It dies with the
+// record, at ready.
+type readying struct {
+	d   *daemonSession
+	env *bootEnv
+	all [][]byte // the master's ready gather
+}
+
+func (r *readying) Formed(c *iccl.Comm) { r.d.adopt(c) }
+
+func (r *readying) Seeded(f *iccl.Forming, blob []byte) ([]byte, error) {
+	d := r.d
+	if r.env.seedMode == SeedStoreForward && !d.comm.IsMaster() {
+		rd := lmonp.NewReader(blob)
+		tabEnc, data := rd.Bytes(), rd.Bytes()
+		if err := rd.Err(); err != nil {
+			return nil, err
+		}
+		tab, err := proctab.Decode(tabEnc)
+		if err != nil {
+			return nil, err
+		}
+		d.tab, d.feData = tab, append([]byte(nil), data...)
+	}
+	d.tl.Mark(d.fab.marks.SeedValid, d.p.Sim().Now())
+	if r.env.seedMode == SeedStoreForward {
+		d.myTab = d.tab.OnHost(d.p.Node().Name())
+	}
 	var up iccl.UpFn
 	if d.comm.IsMaster() {
 		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
 	}
-	d.coll = d.comm.NewPlane(env.collChunk, env.collWindow, up, nil)
+	d.coll = d.comm.NewPlane(r.env.collChunk, r.env.collWindow, up, nil)
 	if d.comm.IsMaster() {
 		rx := newRxStreams(d.p.Sim(), "front end", d.coll, nil)
+		rx.forming = f
 		d.feRx = rx
 		d.fe.Unhandle() // the cut-through seed source: the link's watch while the tree formed
 		d.fe.Handle(func(msg *lmonp.Msg, err error) {
-			if err == nil && !rx.sort(msg) && msg.Type != lmonp.TypeStatus { // an ask that found the tree formed: dropped
+			switch {
+			case err != nil:
+			case msg.Type == lmonp.TypeStatus: // readyGrace short of readyBound: end the ready gather, naming whom it waits on
+				if f := rx.forming; f != nil {
+					f.End(errors.New("ended by the front end"))
+				}
+			case !rx.sort(msg):
 				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
 			}
 			if err != nil {
@@ -319,41 +334,36 @@ func (d *daemonSession) completeInit(env *bootEnv) error {
 		})
 	}
 	// Gather per-daemon info to the master; it rides the ready message.
-	mine := encodeDaemonInfo(DaemonInfo{
+	return encodeDaemonInfo(DaemonInfo{
 		Rank:      d.comm.Rank(),
 		Host:      d.p.Node().Name(),
 		Pid:       d.p.Pid(),
 		Tasks:     len(d.myTab),
 		PeakBytes: d.peakTableBytes(),
-	})
-	all, err := d.comm.Gather(mine)
-	if err != nil {
-		return err
-	}
-	// Fold every daemon's metrics snapshot up the same tree links the
-	// gather just used (per-link FIFO keeps the two in order): O(chunk)
-	// per link, merged pairwise on the way up. The aggregate rides the
-	// ready message so the FE has a fabric-wide launch-time snapshot
-	// without any extra round trip.
-	obsBlob, err := d.harvestObs()
-	if err != nil {
-		return err
-	}
-	if d.comm.IsMaster() {
-		if err := d.fe.Send(&lmonp.Msg{
-			Class:   d.fab.class,
-			Type:    lmonp.TypeReady,
-			Payload: encodeReady(all, d.tl, obsBlob),
-		}); err != nil {
-			return err
-		}
-	}
+	}), nil
+}
 
-	// Join the fabric's heartbeat tree when the front end enabled failure
-	// detection; the master forwards failure reports upstream as LMONP
-	// status events. Started after the ready message so the launch critical
-	// path is not charged for it.
-	return d.startHealth(env)
+// Gathered keeps the master's gather and returns this rank's metrics
+// snapshot, which folds up the same tree links the gather just used
+// (per-link FIFO keeps the two in order): O(chunk) per link, merged
+// pairwise on the way up, so the aggregate rides the ready message without
+// any extra round trip. With obs off there is no fold.
+func (r *readying) Gathered(all [][]byte) ([]byte, error) {
+	r.all = all
+	return r.d.obsSnapshot(), nil
+}
+
+func (r *readying) Combine(acc, next []byte) ([]byte, error) { return obs.MergeEncoded(acc, next) }
+
+// Folded sends the master's ready message: the gather, its marks and the
+// fabric's metrics aggregate.
+func (r *readying) Folded(obsBlob []byte) error {
+	d := r.d
+	if !d.comm.IsMaster() {
+		return nil
+	}
+	d.feRx.forming = nil // an ask that finds the tree ready is dropped
+	return d.fe.Send(&lmonp.Msg{Class: d.fab.class, Type: lmonp.TypeReady, Payload: encodeReady(r.all, d.tl, obsBlob)})
 }
 
 // harvestObs folds this fabric's per-daemon metrics snapshots up the
@@ -363,11 +373,21 @@ func (d *daemonSession) completeInit(env *bootEnv) error {
 // Nil registry (obs off) short-circuits to no traffic at all. Every rank
 // must call it at the same point in the collective sequence.
 func (d *daemonSession) harvestObs() ([]byte, error) {
-	if d.obsReg == nil {
+	mine := d.obsSnapshot()
+	if mine == nil {
 		return nil, nil
 	}
+	return d.comm.FoldUp(mine, obs.MergeEncoded)
+}
+
+// obsSnapshot is this daemon's encoded metrics snapshot, nil when obs is
+// off.
+func (d *daemonSession) obsSnapshot() []byte {
+	if d.obsReg == nil {
+		return nil
+	}
 	d.obsReg.Gauge("daemon.table.bytes.max").SetMax(uint64(d.peakTableBytes()))
-	return d.comm.FoldUp(d.obsReg.Snapshot().Encode(), obs.MergeEncoded)
+	return d.obsReg.Snapshot().Encode()
 }
 
 // peakTableBytes models the daemon's peak private RPDTAB memory for the
@@ -518,35 +538,4 @@ func (d *daemonSession) Finalize() error {
 		d.fe.Close()
 	}
 	return err
-}
-
-// distributeSessionSeed broadcasts the RPDTAB and the piggybacked tool
-// data from the master over the ICCL fabric as one monolithic frame —
-// the store-forward baseline of the BE seed ablation, and the shape the
-// paper's broadcast-vs-shared-file ablation measures. The
-// master keeps its already-decoded table instead of re-decoding its own
-// broadcast.
-func distributeSessionSeed(comm *iccl.Comm, masterTab proctab.Table, feData []byte) (proctab.Table, []byte, error) {
-	var seed []byte
-	if comm.IsMaster() {
-		seed = lmonp.AppendBytes(nil, masterTab.Encode())
-		seed = lmonp.AppendBytes(seed, feData)
-	}
-	blob, err := comm.Broadcast(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if comm.IsMaster() {
-		return masterTab, append([]byte(nil), feData...), nil
-	}
-	rd := lmonp.NewReader(blob)
-	tabEnc, data := rd.Bytes(), rd.Bytes()
-	if err := rd.Err(); err != nil {
-		return nil, nil, err
-	}
-	tab, err := proctab.Decode(tabEnc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tab, append([]byte(nil), data...), nil
 }

@@ -55,9 +55,7 @@ func (e bootEnv) plant(tool map[string]string, fab fabricProfile) map[string]str
 }
 
 // parseBootEnv reads the bootstrap environment the RM and the FE planted
-// for daemon p. It returns a pointer so init hands one word down its
-// phases instead of widening their resident frames (see iccl.bootstrap's
-// stack note).
+// for daemon p.
 func parseBootEnv(p *cluster.Proc) (*bootEnv, error) {
 	var err error
 	// num and dur parse one variable each; an unset optional variable

@@ -25,6 +25,8 @@ type rxStreams struct {
 	pl   *iccl.Plane         // the plane its collective frames go to; nil once failed
 	reg  *obs.Registry       // at the front end, where its collective frames are counted
 	err  error               // why the collective streams failed, once they have
+
+	forming *iccl.Forming // the master's record until its ready: what the front end's ask ends
 }
 
 func newRxStreams(sim *vtime.Sim, peer string, pl *iccl.Plane, reg *obs.Registry) *rxStreams {

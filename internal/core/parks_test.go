@@ -117,3 +117,59 @@ func TestSessionCollectivesParkOnce(t *testing.T) {
 		t.Errorf("the master daemon parked %d times in a %d-chunk BroadcastTag, want once", masterParks, len(payload)/chunk)
 	}
 }
+
+// TestLaunchParksPerDaemon is the launch's park guard: from the first
+// daemon's spawn to the front end's ready, a 1024-daemon fanout-64 BE launch
+// — and an MW launch of as many daemons behind it — parks at most 1.05
+// times a daemon, every goroutine of the simulation counted: a daemon waits
+// once on its Forming record from its join to its ready (the master's
+// front-end handshake, and the front end's own waits, are the rest). The
+// daemons return from init at once, so no tool body's wait is counted.
+func TestLaunchParksPerDaemon(t *testing.T) {
+	const k, fanout, bound = 1024, 64, 1.05
+	sim, cl, _ := rig(t, 2*k)
+	var spawned uint64 // Sim.Parks() at the fabric's first daemon spawn
+	for _, exe := range []string{"lp_be", "lp_mw"} {
+		mw := exe == "lp_mw"
+		cl.Register(exe, func(p *cluster.Proc) {
+			if spawned == 0 {
+				spawned = sim.Parks()
+			}
+			var err error
+			if mw {
+				_, err = MWInit(p)
+			} else {
+				_, err = BEInit(p)
+			}
+			if err != nil {
+				t.Errorf("%s init: %v", exe, err)
+			}
+		})
+	}
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		check := func(fabric string) {
+			if per := float64(sim.Parks()-spawned) / k; per > bound {
+				t.Errorf("%s launch of %d daemons parked %.3f times a daemon from spawn to ready, want at most %.2f", fabric, k, per, bound)
+			} else {
+				t.Logf("%s launch: %.3f parks a daemon from spawn to ready", fabric, per)
+			}
+			spawned = 0
+		}
+		s, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: "lp_be"},
+			ICCLFanout: fanout,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Kill()
+		check("BE")
+		if _, err := s.LaunchMW(MWOptions{Nodes: k, Daemon: rm.DaemonSpec{Exe: "lp_mw"}, ICCLFanout: fanout}); err != nil {
+			t.Error(err)
+			return
+		}
+		check("MW")
+	})
+}

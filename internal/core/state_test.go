@@ -202,6 +202,7 @@ type launchCell struct {
 	killAt, within time.Duration
 	victim         int
 	daemon         bool
+	cut            int // with killAt: the link between the nodes of ranks victim and cut goes down instead
 	quit           []string
 	slurm          slurm.Config
 	want           string   // in the launch's error; "" = the launch succeeds
@@ -214,7 +215,8 @@ type launchCell struct {
 // at the latest readyBound after the RM's spawn answer, or promptly after
 // a fault the fabric sees itself. A master that connected but never
 // reported ready answers the front end's ask readyGrace before the bound
-// with the ranks it still waits on, the absent one among them. The simulator is back to the
+// — from its bootstrap or its ready gather — with the ranks it still waits
+// on, the absent one among them. The simulator is back to the
 // goroutines it had before the launch 31 s of virtual time after the call
 // returns: the forming tree tore down, and a child redialing a parent that
 // never listened has run out its window.
@@ -265,6 +267,14 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 			victim: 1, killAt: 40 * time.Millisecond, want: "BE master daemon did not report ready within", waits: "1"},
 		launchCell{name: "interior daemon lost before it joins/store-forward", k: 7, fanout: 2, mode: SeedStoreForward,
 			victim: 1, daemon: true, killAt: 40 * time.Millisecond, want: "BE master daemon did not report ready within", waits: "1"},
+		// Under store-forward the link between ranks 1 and 3 goes down once
+		// the tree has formed: rank 3 never gets the seed broadcast, rank 1's
+		// ready gather waits on it and the master's on rank 1. The master
+		// answers the front end's ask from its ready gather with rank 1's
+		// subtree; rank 2's gather has reached it.
+		launchCell{name: "link lost before the ready gather/store-forward", k: 7, fanout: 2, mode: SeedStoreForward,
+			victim: 1, cut: 3, killAt: 45 * time.Millisecond, want: "BE master daemon did not report ready within",
+			waits: "1", ready: []string{"2", "5", "6"}},
 		// Ranks 5 and 6 are redialing rank 2, which is not listening yet;
 		// the RM reports the dead node.
 		launchCell{name: "parent node killed before it listens", k: 8, fanout: 2, victim: 2, killAt: 33 * time.Millisecond,
@@ -338,9 +348,12 @@ func runLaunchCell(t *testing.T, c launchCell) {
 		fault := t0 + c.killAt
 		if c.killAt > 0 {
 			sim.After(c.killAt, func() {
-				if c.daemon {
+				switch {
+				case c.cut > 0:
+					cl.Net().DropLink(cl.Node(c.victim).Name(), cl.Node(c.cut).Name())
+				case c.daemon:
 					victim.Kill()
-				} else {
+				default:
 					cl.KillNode(c.victim)
 				}
 			})

@@ -264,20 +264,17 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					}
 					rt = rootRoute
 				}
-				c, seed, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame) error {
+				c, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame) error {
 					if now := sim.Now(); i == 1 && (len(at) == 0 || at[len(at)-1] != now) {
 						at = append(at, now)
 					}
 					return nil
-				})
+				}, nil)
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
 				}
-				defer c.Close()
-				if err := seed.Wait(); err != nil {
-					t.Errorf("rank %d: %v", i, err)
-				}
+				c.Close()
 			}}); err != nil {
 				t.Error(err)
 				return

@@ -1,0 +1,487 @@
+package iccl
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"launchmon/internal/cluster"
+	"launchmon/internal/coll"
+	"launchmon/internal/lmonp"
+	"launchmon/internal/obs"
+	"launchmon/internal/simnet"
+	"launchmon/internal/vtime"
+)
+
+// This file is a forming rank's record: everything a daemon does from its
+// join to its ready — the dial and join, the child accepts, the ready wave,
+// the seed (the cut-through stream's end, or store-forward's broadcast), the
+// ready gather and the fold behind it — carried on the scheduler, the way
+// planeOp carries a collective and Seed the stream. Its timers are the
+// goroutine's sleeps and charges; a link it reads wakes it where a goroutine
+// parked on the link would have run (vtime.Chan.Await), inside the arrival's
+// turn. So a launch fires the events it fired with a goroutine blocked in
+// each phase, in the same (at, seq) order, while the daemon's goroutine
+// waits once, from its join to its ready. The reader is the serial
+// PerMsgCost-charged one it replaces: one frame at a time, in accept order,
+// then in child-slot order (DESIGN.md "A tree read is charged per reader").
+
+// Ready is a forming rank's owner. The record calls it on the scheduler (or
+// on the rank's goroutine before it waits), in this order, as the rank goes
+// from its join to its ready; an error it returns fails the rank.
+type Ready interface {
+	// Formed: the tree below the rank has formed (at the root, e9).
+	Formed(c *Comm)
+	// Seeded: the rank's seed is in — its share of the stream validated,
+	// or store-forward's broadcast (blob) received. It returns the rank's
+	// contribution to the ready gather.
+	Seeded(f *Forming, blob []byte) (mine []byte, err error)
+	// Gathered is handed the ready gather — every rank's contribution by
+	// rank at the root, nil elsewhere — and returns the rank's contribution
+	// to a fold up the same links, nil for none.
+	Gathered(all [][]byte) (fold []byte, err error)
+	// Combine folds next into acc (nil on the first call), as FoldUp's.
+	Combine(acc, next []byte) ([]byte, error)
+	// Folded is handed the fold (the root's; nil elsewhere, or without
+	// one): the rank is ready.
+	Folded(acc []byte) error
+}
+
+// phase is what a forming rank does next.
+type phase uint8
+
+const (
+	phSkew     phase = iota // rank > 0: the sibling's dial skew
+	phDial                  // a dial attempt; slot counts them
+	phJoin                  // the parent link is up: the join goes out
+	phAccept                // child slot's connection
+	phJoinRead              // its join
+	phReady                 // child slot's ready
+	phSeed                  // the seed: the stream's end, or store-forward's broadcast
+	phGather                // child slot's ready-gather frame
+	phFold                  // child slot's fold frame
+)
+
+// Forming is one rank's record from its join to its ready. Scheduler
+// callbacks carry it on — its own timers, the wakes of the link it reads,
+// the seed stream's last part — and never overlap; the rank's goroutine
+// starts it, waits on it once (wait), and takes the communicator or the
+// error. The record is dropped at ready.
+type Forming struct {
+	c     *Comm
+	nodes []string      // Config.Nodelist
+	port  int           // Config.Port
+	reg   *obs.Registry // Config.Metrics
+	r     Ready         // nil: the rank stops at formed, or with a seed stream at its end
+	up    *lmonp.Conn   // the root's parent link while the tree forms (store-forward)
+	seed  Seed          // the cut-through stream, when seeded
+
+	phase   phase
+	seeded  bool // the seed streams through the forming tree
+	done    bool
+	slot    int          // the child slot the phase is at; the dial's attempts
+	total   int          // ranks the ready wave has counted
+	conn    *simnet.Conn // the link being dialed; an accepted child's, join unread
+	charged []byte       // a frame taken off a link while its PerMsgCost runs
+	buf     []byte       // store-forward's seed broadcast (the root's to send), then the fold's accumulator
+	entries []coll.Entry // the ready gather's
+
+	err    error        // the record's end; while dialing, the last refused dial's
+	resume vtime.Resume // a link's wake
+	w      vtime.Waiter // the rank's goroutine
+}
+
+// form starts the record of rank cfg.Rank (defaults applied) with f's plan
+// on the rank's goroutine and waits for its ready.
+func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
+	f.nodes, f.port, f.reg = cfg.Nodelist, cfg.Port, cfg.Metrics
+	f.resume.Init(f)
+	f.w.Init(p.Sim())
+	var err error
+	switch {
+	case cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size:
+		err = fmt.Errorf("%w: bad rank/size %d/%d", errBootstrap, cfg.Rank, cfg.Size)
+	case len(cfg.Nodelist) != cfg.Size:
+		err = fmt.Errorf("%w: nodelist has %d entries for size %d", errBootstrap, len(cfg.Nodelist), cfg.Size)
+	}
+	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
+	f.c = c
+	if err == nil {
+		c.bindMetrics(cfg.Metrics)
+		p.AdoptConn(c) // a killed daemon's links die with it
+		if childCount(cfg.Rank, cfg.Size, cfg.Fanout) > 0 {
+			if c.l, err = p.Host().Listen(cfg.Port); err != nil {
+				err = fmt.Errorf("%w: %v", errBootstrap, err)
+			}
+		}
+	}
+	if err != nil {
+		f.bootFailed(err)
+	} else {
+		f.seed.forming = f.seeded
+		if c.rank == 0 {
+			f.accept() // the root joins no parent
+		}
+		f.Fire()
+	}
+	return f.wait()
+}
+
+// wait is where the rank's goroutine waits for its record, once.
+func (f *Forming) wait() (*Comm, error) {
+	if !f.w.Wait() {
+		return nil, fmt.Errorf("%w: simulation ended while rank %d formed", errBootstrap, f.c.rank)
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return f.c, nil
+}
+
+// Fire goes on from a timer — the sibling skew, a redial, the handshake, a
+// frame's charge — or a link's wake, until the record waits again or ends.
+func (f *Forming) Fire() {
+	for !f.done && f.step() {
+	}
+}
+
+// step takes the phase one step; false when the record waits (or ended).
+func (f *Forming) step() bool {
+	c := f.c
+	switch f.phase {
+	case phSkew:
+		// Deterministic sub-microsecond dial skew: siblings spawned at the
+		// same virtual instant would otherwise tie their joins at the
+		// parent's listener, and since the parent's per-join handling cost
+		// ladders whatever follows a join (the seed catch-up in particular),
+		// the accept order of tied joins would leak into virtual time. One
+		// nanosecond per sibling slot breaks ties in rank order (≤ fanout ns).
+		f.phase = phDial
+		f.reg.Counter("iccl.dial.retries") // every dialing rank's snapshot names it
+		parent := Parent(c.rank, c.fanout)
+		if slot := c.rank - (parent*c.fanout + 1); slot > 0 {
+			f.after(time.Duration(slot))
+			return false
+		}
+	case phDial:
+		return f.dial()
+	case phJoin:
+		c.parent, f.conn = f.conn, nil
+		if err := c.send(c.parent, ctlFrame(opJoin, uint32(c.rank))); err != nil {
+			return f.bootFailed(fmt.Errorf("%w: join: %v", errBootstrap, err))
+		}
+		if f.seeded {
+			f.seed.onParent(c.parent)
+		}
+		f.accept()
+	case phAccept:
+		if f.slot == len(c.children) {
+			f.phase, f.slot, f.total = phReady, 0, 1
+			return true
+		}
+		conn, wait, err := c.l.AwaitAccept(&f.resume)
+		switch {
+		case wait:
+			return false
+		case err != nil:
+			return f.failBoot(fmt.Errorf("%w: accept: %v", errBootstrap, err), len(c.children))
+		}
+		f.conn, f.phase = conn, phJoinRead
+	case phJoinRead:
+		frame, ok, err := f.read(f.conn)
+		if !ok {
+			return false
+		}
+		rk32, err := c.ctl(f.conn, frame, err, opJoin, f.nodes)
+		if err != nil {
+			return f.failBoot(err, len(c.children))
+		}
+		first := c.childRank(0) // direct children are consecutive ranks
+		slot := int(rk32) - first
+		if slot < 0 || slot >= len(c.children) || c.children[slot] != nil {
+			return f.failBoot(fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32), len(c.children))
+		}
+		c.children[slot], f.conn = f.conn, nil
+		if f.seeded {
+			f.seed.onChild(slot, c.children[slot])
+		}
+		f.phase = phAccept
+		f.slot++
+	case phReady:
+		if f.slot < len(c.children) {
+			frame, ok, err := f.read(c.children[f.slot])
+			if !ok {
+				return false
+			}
+			n32, err := c.ctl(c.children[f.slot], frame, err, opReady, f.nodes)
+			if err != nil {
+				return f.failBoot(err, f.slot)
+			}
+			f.total += int(n32)
+			f.slot++
+			return true
+		}
+		if c.parent != nil {
+			if err := c.send(c.parent, ctlFrame(opReady, uint32(f.total))); err != nil {
+				return f.failBoot(fmt.Errorf("%w: ready up: %v", errBootstrap, err), len(c.children))
+			}
+		} else if f.total != c.size {
+			return f.failBoot(fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, f.total, c.size), len(c.children))
+		}
+		return f.formed()
+	case phSeed:
+		return f.seedIn()
+	case phGather:
+		if f.slot < len(c.children) {
+			frame, ok, err := f.read(c.children[f.slot])
+			if !ok {
+				return false
+			}
+			body, err := c.opBody(f.slot, opGather, frame, err)
+			var sub []coll.Entry
+			if err == nil {
+				sub, err = coll.DecodeEntries(body)
+			}
+			if err != nil {
+				return f.finish(err)
+			}
+			f.entries = append(f.entries, sub...)
+			f.slot++
+			return true
+		}
+		all, err := c.gathered(f.entries)
+		f.entries = nil
+		var mine []byte
+		if err == nil {
+			mine, err = f.r.Gathered(all)
+		}
+		if err != nil || mine == nil {
+			return f.ready(nil, err)
+		}
+		if f.buf, err = f.r.Combine(nil, mine); err != nil {
+			return f.finish(err)
+		}
+		f.phase, f.slot = phFold, 0
+	case phFold:
+		if f.slot < len(c.children) {
+			frame, ok, err := f.read(c.children[f.slot])
+			if !ok {
+				return false
+			}
+			body, err := c.opBody(f.slot, opFold, frame, err)
+			if err == nil {
+				f.buf, err = foldStep(f.buf, body, f.r.Combine)
+			}
+			if err != nil {
+				return f.finish(err)
+			}
+			f.slot++
+			return true
+		}
+		if c.parent != nil {
+			return f.ready(nil, c.sendOp(above, foldFrame(f.buf)))
+		}
+		return f.ready(f.buf, nil)
+	}
+	return true
+}
+
+// dial makes one attempt to connect upward; children race their parents
+// coming up, so a parent not listening yet is redialed after DialRetry, for
+// dialAttempts. Under fail-stop a dead host stays dead: that fails at once.
+func (f *Forming) dial() bool {
+	c := f.c
+	parent := Parent(c.rank, c.fanout)
+	if f.slot == dialAttempts {
+		return f.bootFailed(fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parent, f.err))
+	}
+	// A killed process's record would otherwise keep dialing a parent that
+	// may never come for the whole window.
+	if c.p.State() == cluster.StateExited {
+		return f.bootFailed(fmt.Errorf("%w: rank %d exited while dialing parent %d", errBootstrap, c.rank, parent))
+	}
+	conn, err := c.p.Host().DialAsync(simnet.Addr{Host: f.nodes[parent], Port: f.port}, f)
+	switch {
+	case err == nil:
+		f.conn, f.phase = conn, phJoin
+	case errors.Is(err, simnet.ErrPeerDead):
+		return f.bootFailed(fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parent, err))
+	default:
+		f.reg.Counter("iccl.dial.retries").Inc()
+		f.slot++
+		f.err = err
+		f.after(DialRetry)
+	}
+	return false
+}
+
+// accept makes the rank's parent link — up at the root — end the forming
+// tree, and turns to the children's joins.
+func (f *Forming) accept() {
+	c := f.c
+	c.watchParent(f.stream(), f.up, true)
+	c.children = make([]*simnet.Conn, childCount(c.rank, c.size, c.fanout))
+	f.phase, f.slot = phAccept, 0
+}
+
+// stream is the rank's seed stream, nil when it has none.
+func (f *Forming) stream() *Seed {
+	if f.seeded {
+		return &f.seed
+	}
+	return nil
+}
+
+// formed ends the bootstrap of a rank whose subtree is connected: its
+// parent link is handed back, its listener closed, and the seed is next.
+func (f *Forming) formed() bool {
+	c := f.c
+	c.watchParent(f.stream(), f.up, false)
+	if c.l != nil {
+		c.l.Close()
+	}
+	if s := f.stream(); s != nil {
+		s.forming = false
+		if s.parent != nil {
+			s.parent.Unhandle()
+		}
+	}
+	f.phase = phSeed
+	if f.r == nil && !f.seeded {
+		return f.finish(nil)
+	}
+	if f.r != nil {
+		f.r.Formed(c)
+	}
+	return true
+}
+
+// seedIn takes the rank's seed: it waits for the stream's last part (which
+// calls Fire), or under store-forward receives the broadcast from the
+// parent and relays it to the children. Then the ready gather begins.
+func (f *Forming) seedIn() bool {
+	c := f.c
+	switch {
+	case f.seeded && f.seed.parts > 0:
+		return false
+	case f.seeded && f.seed.err != nil:
+		return f.finish(f.seed.err)
+	case !f.seeded && c.parent != nil:
+		frame, ok, err := f.read(c.parent)
+		if !ok {
+			return false
+		}
+		body, err := c.opBody(above, opBcast, frame, err)
+		if err == nil {
+			f.buf, err = bcastBody(body)
+		}
+		if err != nil {
+			return f.finish(err)
+		}
+	}
+	if f.r == nil {
+		return f.finish(nil)
+	}
+	if !f.seeded {
+		if err := c.bcastDown(f.buf); err != nil {
+			return f.finish(err)
+		}
+	}
+	mine, err := f.r.Seeded(f, f.buf)
+	f.buf = nil
+	if err != nil {
+		return f.finish(err)
+	}
+	f.entries = append(f.entries, coll.Entry{Rank: c.rank, Blob: mine})
+	f.phase, f.slot = phGather, 0
+	return true
+}
+
+// read takes the next frame off conn as the serial reader does: a message
+// delivered unread (or the link's end) is taken at once and charged
+// PerMsgCost of reader time, after which the frame is the phase's. ok is
+// false while the record waits for the message or the charge; a message
+// that is no frame fails at once, uncharged.
+func (f *Forming) read(conn *simnet.Conn) (frame []byte, ok bool, err error) {
+	if f.charged != nil {
+		frame, f.charged = f.charged, nil
+		f.c.countRx(frame)
+		return frame, true, nil
+	}
+	msg, wait, err := conn.AwaitMessage(&f.resume)
+	if wait {
+		return nil, false, nil
+	}
+	if err == nil {
+		frame, err = lmonp.FrameFromMessage(msg)
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	f.charged = frame // never nil: a frame is a message's tail
+	f.after(PerMsgCost)
+	return nil, false, nil
+}
+
+// after wakes the record d from now.
+func (f *Forming) after(d time.Duration) { f.c.p.Sim().AfterEvent(d, f) }
+
+// failBoot fails a forming rank's bootstrap (failBootstrap), waiting on its
+// child subtrees from slot from on.
+func (f *Forming) failBoot(err error, from int) bool {
+	return f.bootFailed(f.c.failBootstrap(err, from, f.stream()))
+}
+
+// bootFailed ends a rank whose bootstrap failed: its listener is closed and
+// its seed stream aborted.
+func (f *Forming) bootFailed(err error) bool {
+	if l := f.c.l; l != nil {
+		l.Close()
+	}
+	if s := f.stream(); s != nil {
+		s.forming = false
+		s.bail(err)
+	}
+	return f.finish(err)
+}
+
+// ready is the rank's last step: its owner's Folded, unless err came first.
+func (f *Forming) ready(acc []byte, err error) bool {
+	if err == nil {
+		err = f.r.Folded(acc)
+	}
+	return f.finish(err)
+}
+
+// finish ends the record and wakes the rank's goroutine, which owns it from
+// here: nothing touches it after the wake but a late wake or timer, which
+// finds it done. A formed rank that fails tells its parent why and tears
+// down what it formed (Abort), as a failed bootstrap does, so its parent's
+// ready gather fails with that cause.
+func (f *Forming) finish(err error) bool {
+	if err != nil && f.phase >= phSeed {
+		f.c.Abort(err)
+	}
+	f.done, f.err = true, err
+	f.entries, f.buf, f.charged = nil, nil, nil
+	f.w.Wake()
+	return false
+}
+
+// End ends a rank in its ready gather or fold with err, naming the child
+// subtrees whose frame it has not taken — the front end's ask, at the
+// master. A rank past its ready ignores it. Call it from a scheduler
+// callback.
+func (f *Forming) End(err error) {
+	if f.done || f.phase < phGather {
+		return
+	}
+	op, from := uint32(opGather), f.slot
+	if f.phase == phFold {
+		op = opFold
+	}
+	if f.charged != nil {
+		from++ // taken: its charge runs
+	}
+	f.finish(f.c.waitingOn(fmt.Errorf("iccl: %s at rank %d: %w", phases[op], f.c.rank, err), from, op))
+}

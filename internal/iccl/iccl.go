@@ -274,12 +274,11 @@ func ctlFrame(op, v uint32) []byte {
 	return lmonp.AppendUint32(newFrame(op, 4), v)
 }
 
-// recvCtl reads and validates a child's bootstrap control frame. A failed
-// read is pinned on the child, found by its host in nodes; a status frame
-// fails it with the failure the child relays.
-func (c *Comm) recvCtl(conn *simnet.Conn, want uint32, nodes []string) (uint32, error) {
+// ctl validates a child's bootstrap control frame, read off conn with err. A
+// failed read is pinned on the child, found by its host in nodes; a status
+// frame fails it with the failure the child relays.
+func (c *Comm) ctl(conn *simnet.Conn, frame []byte, err error, want uint32, nodes []string) (uint32, error) {
 	what := phases[want]
-	frame, err := c.readCharged(conn)
 	if err != nil {
 		if rank := slices.Index(nodes, conn.Peer()); rank >= 0 {
 			err = &peerError{rank: rank, phase: what, err: err}
@@ -327,6 +326,11 @@ func (c *Comm) countRx(raw []byte) {
 // Parent returns the parent rank of r in a k-ary tree (r>0).
 func Parent(r, fanout int) int { return (r - 1) / fanout }
 
+// childCount is len(Children(r, size, fanout)), without the list.
+func childCount(r, size, fanout int) int {
+	return max(0, min(r*fanout+fanout, size-1)-r*fanout)
+}
+
 // Children returns the child ranks of r in a k-ary tree of the given size.
 func Children(r, size, fanout int) []int {
 	var out []int
@@ -366,74 +370,23 @@ func subtreeSlot(self, fanout, n, r int) int {
 	return -1
 }
 
-// Bootstrap connects the calling daemon into the tree and blocks until the
+// Bootstrap connects the calling daemon into the tree and returns once the
 // entire subtree below it (and, at the root, the whole tree) is connected.
 // The root's return therefore marks the fabric-setup completion (event e9
-// of the paper's critical path).
+// of the paper's critical path). The rank is one Forming record on the
+// scheduler, and the caller waits on it once.
 func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
-	return BootstrapUnder(p, cfg, nil)
+	return BootstrapUnder(p, cfg, nil, nil, nil)
 }
 
 // BootstrapUnder is Bootstrap under a root whose parent link, while the
-// tree forms, is up — the master daemon's front-end connection; nil below.
-func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn) (*Comm, error) {
+// tree forms, is up — the master daemon's front-end connection; nil below —
+// carried on to ready with r: once the tree has formed, the root broadcasts
+// seed, which every rank's r is handed, and the ready gather and fold follow
+// (the store-forward launch). It returns once r reports the rank ready.
+func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn, seed []byte, r Ready) (*Comm, error) {
 	cfg = cfg.withDefaults()
-	return bootstrap(p, &cfg, nil, up)
-}
-
-// bootstrap is the shared tree-formation engine; cfg must already have its
-// defaults applied. A seed stream (s, BootstrapSeedRouted) gets each link
-// as soon as it carries traffic: the parent link once the join is sent, a
-// child's once its join is validated. A forming rank fails at once when its
-// parent link (up at the root) ends, tearing down what it formed; the seed
-// stream watches that link (Seed.bail), or else watchParent does.
-//
-// The phases live in separate methods (dialJoin, acceptChildren,
-// readyWave) on purpose: every daemon goroutine parks through this path,
-// and each phase's working set — dial address, join/ready frames, reader
-// state — dies with its frame instead of widening one long-lived frame
-// under which the whole launch then runs. Keeping the resident chain
-// shallow here is what holds a parked daemon inside the runtime's initial
-// stack segments; at a million daemons each extra segment doubling is
-// gigabytes of simulator RSS.
-func bootstrap(p *cluster.Proc, cfg *Config, s *Seed, up *lmonp.Conn) (*Comm, error) {
-	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("%w: bad rank/size %d/%d", errBootstrap, cfg.Rank, cfg.Size)
-	}
-	if len(cfg.Nodelist) != cfg.Size {
-		return nil, fmt.Errorf("%w: nodelist has %d entries for size %d", errBootstrap, len(cfg.Nodelist), cfg.Size)
-	}
-	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
-	c.bindMetrics(cfg.Metrics)
-	p.AdoptConn(c) // a killed daemon's links die with it
-	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
-
-	if len(kids) > 0 {
-		l, err := p.Host().Listen(cfg.Port)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errBootstrap, err)
-		}
-		c.l = l
-		defer l.Close()
-	}
-	if s != nil {
-		s.forming = c
-	}
-
-	if cfg.Rank > 0 {
-		if err := c.dialJoin(p, cfg, s); err != nil {
-			return nil, err
-		}
-	}
-	c.watchParent(s, up, true)
-	if err := c.acceptChildren(cfg.Nodelist, kids, s); err != nil {
-		return nil, c.failBootstrap(err, len(kids), s)
-	}
-	if slot, err := c.readyWave(cfg); err != nil {
-		return nil, c.failBootstrap(err, slot, s)
-	}
-	c.watchParent(s, up, false)
-	return c, nil
+	return form(p, &cfg, &Forming{up: up, buf: seed, r: r})
 }
 
 // watchParent makes anything on the parent link of a rank without a seed
@@ -453,133 +406,46 @@ func (c *Comm) watchParent(s *Seed, up *lmonp.Conn, watch bool) {
 	}
 }
 
-// dialJoin connects upward and announces this rank to its parent
-// (children race their parents coming up; retry while the parent is not
-// listening yet).
-func (c *Comm) dialJoin(p *cluster.Proc, cfg *Config, s *Seed) error {
-	parentRank := Parent(cfg.Rank, cfg.Fanout)
-	// Deterministic sub-microsecond dial skew: siblings spawned at the
-	// same virtual instant would otherwise tie their joins at the
-	// parent's listener, and the accept order of tied joins is a host
-	// race. Since the parent's per-join handling cost ladders whatever
-	// follows a join (the seed catch-up of BootstrapSeedRouted in particular),
-	// that race would leak host scheduling into virtual time. One
-	// nanosecond per sibling slot breaks ties in rank order at no
-	// measurable cost (≤ fanout ns).
-	slot := cfg.Rank - (parentRank*cfg.Fanout + 1)
-	if slot > 0 {
-		p.Sim().Sleep(time.Duration(slot))
-	}
-	addr := simnet.Addr{Host: cfg.Nodelist[parentRank], Port: cfg.Port}
-	retries := cfg.Metrics.Counter("iccl.dial.retries")
-	var conn *simnet.Conn
-	var err error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
-		// A killed process's goroutine runs on: without this it would
-		// keep dialing a parent that may never come for the whole window.
-		if p.State() == cluster.StateExited {
-			return fmt.Errorf("%w: rank %d exited while dialing parent %d", errBootstrap, cfg.Rank, parentRank)
-		}
-		conn, err = p.Host().Dial(addr)
-		// Under fail-stop a dead host stays dead: only a parent that is
-		// not listening yet is worth another attempt.
-		if err == nil || errors.Is(err, simnet.ErrPeerDead) {
-			break
-		}
-		retries.Inc()
-		p.Sim().Sleep(DialRetry)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parentRank, err)
-	}
-	c.parent = conn
-	if err := c.send(conn, ctlFrame(opJoin, uint32(cfg.Rank))); err != nil {
-		return fmt.Errorf("%w: join: %v", errBootstrap, err)
-	}
-	if s != nil {
-		s.onParent(conn)
-	}
-	return nil
-}
-
-// acceptChildren accepts and validates one join per expected child.
-func (c *Comm) acceptChildren(nodes []string, kids []int, s *Seed) error {
-	c.children = make([]*simnet.Conn, len(kids))
-	for range kids {
-		conn, err := c.l.Accept()
-		if err != nil {
-			return fmt.Errorf("%w: accept: %v", errBootstrap, err)
-		}
-		rk32, err := c.recvCtl(conn, opJoin, nodes)
-		if err != nil {
-			return err
-		}
-		slot := int(rk32) - kids[0] // direct children are consecutive ranks
-		if slot < 0 || slot >= len(kids) || c.children[slot] != nil {
-			return fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32)
-		}
-		c.children[slot] = conn
-		if s != nil {
-			s.onChild(slot, conn)
-		}
-	}
-	return nil
-}
-
-// readyWave waits for all children to report their subtree connected,
-// then reports upward (the root instead checks the full count); a failure
-// comes with the first child slot whose ready it has not read.
-func (c *Comm) readyWave(cfg *Config) (int, error) {
-	total := 1
-	for slot, conn := range c.children {
-		n32, err := c.recvCtl(conn, opReady, cfg.Nodelist)
-		if err != nil {
-			return slot, err
-		}
-		total += int(n32)
-	}
-	if c.parent != nil {
-		if err := c.send(c.parent, ctlFrame(opReady, uint32(total))); err != nil {
-			return len(c.children), fmt.Errorf("%w: ready up: %v", errBootstrap, err)
-		}
-	} else if total != cfg.Size {
-		return len(c.children), fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, total, cfg.Size)
-	}
-	return 0, nil
-}
-
 // failBootstrap ends a forming rank whose bootstrap failed with err, or with
 // the seed stream's error when that tore the tree down first, naming the
 // child subtrees it still waits on — no join, or from slot from on no ready
-// delivered — by their first 8 ranks and a count; Abort tells the parent.
+// delivered; Abort tells the parent.
 func (c *Comm) failBootstrap(err error, from int, s *Seed) error {
 	if s != nil && s.err != nil {
 		err = fmt.Errorf("%w: %w", errBootstrap, s.err)
 	}
-	var ranks []int
-	for slot, conn := range c.children {
-		if conn == nil || slot >= from && !readyDelivered(conn) {
-			ranks = append(ranks, SubtreeRanks(c.childRank(slot), c.size, c.fanout)...)
-		}
-	}
-	if len(ranks) > 0 {
-		slices.Sort(ranks)
-		names := strings.Trim(strings.ReplaceAll(fmt.Sprint(ranks[:min(8, len(ranks))]), " ", ", "), "[]")
-		err = fmt.Errorf("%w; waiting on rank %s (%d of %d ranks)", err, names, len(ranks), c.size)
-	}
+	err = c.waitingOn(err, from, opReady)
 	c.Abort(err)
 	return err
 }
 
-// readyDelivered reports whether a child's ready waits unread on its link,
+// waitingOn names in err the child subtrees a rank still waits on — no
+// join, or from slot from on no op frame delivered — by their first 8 ranks
+// and a count.
+func (c *Comm) waitingOn(err error, from int, op uint32) error {
+	var ranks []int
+	for slot, conn := range c.children {
+		if conn == nil || slot >= from && !delivered(conn, op) {
+			ranks = append(ranks, SubtreeRanks(c.childRank(slot), c.size, c.fanout)...)
+		}
+	}
+	if len(ranks) == 0 {
+		return err
+	}
+	slices.Sort(ranks)
+	names := strings.Trim(strings.ReplaceAll(fmt.Sprint(ranks[:min(8, len(ranks))]), " ", ", "), "[]")
+	return fmt.Errorf("%w; waiting on rank %s (%d of %d ranks)", err, names, len(ranks), c.size)
+}
+
+// delivered reports whether a child's op frame waits unread on its link,
 // taking it: the failing rank reads the link no more.
-func readyDelivered(conn *simnet.Conn) bool {
+func delivered(conn *simnet.Conn, op uint32) bool {
 	msg, ok := conn.TryRecvMessage()
 	if !ok {
 		return false
 	}
 	raw, err := lmonp.FrameFromMessage(msg)
-	return err == nil && len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opReady
+	return err == nil && len(raw) >= 4 && binary.BigEndian.Uint32(raw) == op
 }
 
 // Abort ends a rank whose bootstrap or ready gather failed with err: it sends
@@ -632,11 +498,17 @@ func (c *Comm) shut(sever bool) {
 }
 
 // recvOp reads one bootstrap-era collective frame from the link a slot
-// names, checks its opcode, and returns the body behind it. Its errors name
-// the peer's rank, so every blocking collective says which link failed —
-// or a failure relayed from below, the deepest cause, as it came.
+// names, checks its opcode, and returns the body behind it (opBody).
 func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
 	frame, err := c.recvRaw(slot)
+	return c.opBody(slot, want, frame, err)
+}
+
+// opBody checks a bootstrap-era collective frame read off the link a slot
+// names with err. Its errors name the peer's rank, so every collective says
+// which link failed — or a failure relayed from below, the deepest cause, as
+// it came.
+func (c *Comm) opBody(slot int, want uint32, frame []byte, err error) ([]byte, error) {
 	if err == nil {
 		rd := lmonp.NewReader(frame)
 		switch op := rd.Uint32(); {
@@ -705,45 +577,73 @@ func (c *Comm) Barrier() error {
 // Broadcast distributes buf from the master to every daemon; every caller
 // returns the broadcast bytes — the master buf unchanged, every other
 // daemon a copy of its own (the message it arrived in is shared with the
-// sender's other children). Each node builds the onward message once and
-// sends that one buffer on every child link.
+// sender's other children).
 func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
 	if c.parent != nil {
 		body, err := c.recvOp(above, opBcast)
+		if err == nil {
+			buf, err = bcastBody(body)
+		}
 		if err != nil {
 			return nil, err
 		}
-		rd := lmonp.NewReader(body)
-		got := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		buf = append([]byte(nil), got...)
 	}
+	if err := c.bcastDown(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// bcastBody is a copy of the bytes a broadcast frame's body carries.
+func bcastBody(body []byte) ([]byte, error) {
+	rd := lmonp.NewReader(body)
+	got := rd.Bytes()
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), got...), nil
+}
+
+// bcastDown sends buf on to every child: the onward message is built once
+// and that one buffer goes out on every child link.
+func (c *Comm) bcastDown(buf []byte) error {
 	if len(c.children) == 0 {
-		return buf, nil
+		return nil
 	}
 	msg := lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf)
 	for slot := range c.children {
 		if err := c.sendOp(slot, msg); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return buf, nil
+	return nil
 }
 
 // Gather collects one byte slice from every daemon; the master receives
 // them indexed by rank, other daemons receive nil. Gather and Scatter
 // frames are the opcode plus a coll entry list in rank order; decoded
-// blobs alias the frame they arrived in. The receive phase sits in its own
-// frame (gatherChildren) so its decode state is gone from the stack while
-// the daemon parks under the collective — the same shallow-resident-frame
-// rule bootstrap follows.
+// blobs alias the frame they arrived in.
 func (c *Comm) Gather(mine []byte) ([][]byte, error) {
-	entries, err := c.gatherChildren(mine)
-	if err != nil {
-		return nil, err
+	entries := []coll.Entry{{Rank: c.rank, Blob: mine}}
+	for slot := range c.children {
+		body, err := c.recvOp(slot, opGather)
+		var sub []coll.Entry
+		if err == nil {
+			sub, err = coll.DecodeEntries(body)
+		}
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, sub...)
 	}
+	return c.gathered(entries)
+}
+
+// gathered ends a gather with this subtree's contributions — this rank's
+// and its child subtrees' entry lists: sorted into rank order, they go up
+// to the parent, or at the root become every rank's blob by rank.
+func (c *Comm) gathered(entries []coll.Entry) ([][]byte, error) {
+	slices.SortFunc(entries, func(a, b coll.Entry) int { return a.Rank - b.Rank })
 	if c.parent != nil {
 		return nil, c.sendOp(above, entriesFrame(opGather, entries))
 	}
@@ -766,25 +666,6 @@ func entriesFrame(op uint32, entries []coll.Entry) []byte {
 	return coll.AppendEntries(newFrame(op, coll.EntriesSize(entries)), entries)
 }
 
-// gatherChildren returns this subtree's contributions in rank order: mine
-// plus every child subtree's entry list.
-func (c *Comm) gatherChildren(mine []byte) ([]coll.Entry, error) {
-	entries := []coll.Entry{{Rank: c.rank, Blob: mine}}
-	for slot := range c.children {
-		body, err := c.recvOp(slot, opGather)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := coll.DecodeEntries(body)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, sub...)
-	}
-	slices.SortFunc(entries, func(a, b coll.Entry) int { return a.Rank - b.Rank })
-	return entries, nil
-}
-
 // FoldUp reduces one byte blob per daemon toward the root with the given
 // combine function (acc is nil on the first call; combine must be
 // associative and commutative — children fold in connection order, which
@@ -801,23 +682,31 @@ func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error
 	}
 	for slot := range c.children {
 		body, err := c.recvOp(slot, opFold)
+		if err == nil {
+			acc, err = foldStep(acc, body, combine)
+		}
 		if err != nil {
-			return nil, err
-		}
-		rd := lmonp.NewReader(body)
-		blob := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		if acc, err = combine(acc, blob); err != nil {
 			return nil, err
 		}
 	}
 	if c.parent != nil {
-		return nil, c.sendOp(above, lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc))
+		return nil, c.sendOp(above, foldFrame(acc))
 	}
 	return acc, nil
 }
+
+// foldStep combines the blob a fold frame's body carries into acc.
+func foldStep(acc, body []byte, combine func(acc, next []byte) ([]byte, error)) ([]byte, error) {
+	rd := lmonp.NewReader(body)
+	blob := rd.Bytes()
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	return combine(acc, blob)
+}
+
+// foldFrame renders a fold message: the opcode plus the combined blob.
+func foldFrame(acc []byte) []byte { return lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc) }
 
 // Scatter delivers parts[rank] to each daemon; only the master's parts
 // argument is used, and it must have exactly Size entries.

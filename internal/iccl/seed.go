@@ -26,11 +26,11 @@ import (
 //
 // Goroutine budget: none. The stream is one record a rank (Seed) that
 // scheduler callbacks carry on — the root's source and every other rank's
-// parent link deliver frames into it, which keeps routing while the
-// daemon's own bootstrap blocks in its accept loop; child forwarders are
-// outbox callbacks armed when the child joins and finished once its End
-// frame is on the wire. The daemon's main is the one goroutine it holds,
-// during launch as after it, and it waits on the record once.
+// parent link deliver frames into it, which keeps routing while the rank's
+// Forming record waits in its accept loop; child forwarders are outbox
+// callbacks armed when the child joins and finished once its End frame is
+// on the wire. The stream lives in the rank's Forming record, which goes on
+// to the ready gather once the stream's last part is done.
 
 // Seed-stream opcodes on tree links (the frame layout is the shared
 // coll.Frame codec, see encodeFrameOp).
@@ -240,61 +240,55 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 	return err
 }
 
-// Seed is one rank's record of the session-seed stream, built before the
-// tree forms. Scheduler callbacks carry it on — the root's source or the
-// parent link's framer step it with each frame, which it validates and
-// routes to the caller's sink and the child outboxes, and each child's
-// outbox callback forwards down that child's link — and they never
-// overlap. The daemon's main waits on it once (Wait).
+// Seed is one rank's record of the session-seed stream, part of the rank's
+// Forming record and built before the tree forms. Scheduler callbacks carry
+// it on — the root's source or the parent link's framer step it with each
+// frame, which it validates and routes to the caller's sink and the child
+// outboxes, and each child's outbox callback forwards down that child's
+// link — and they never overlap. Its last part to finish hands the rank on
+// to its ready gather.
 type Seed struct {
-	sim   *vtime.Sim
-	rank  int
+	f     *Forming
 	split *seedSplitter
 	outs  []*seedOutbox
-	kids  []int
+	reg   *obs.Registry // where the stream's counters and gauges go (nil: nowhere)
 	chk   coll.SeqCheck
 
-	entered                     uint64 // seed bytes that entered the tree here (the root)
-	fwdChunks, fwdBytes         *obs.Counter
-	linkMax, queueMax, srcBytes *obs.Gauge
+	entered uint64 // seed bytes that entered the tree here (the root)
 
 	// parts counts what is not finished — this rank's share and each
-	// child's forward — and the last to finish wakes w. shared marks the
-	// share finished: its End handed to the sink, or the stream failed.
+	// child's forward — and the last to finish goes on with the Forming
+	// record, if that waits for it. shared marks the share finished: its
+	// End handed to the sink, or the stream failed.
 	parts  int
 	shared bool
-	w      vtime.Waiter
+
+	// forming is set while bootstrap forms the rank's tree, for bail to
+	// tear down.
+	forming bool
 
 	// err is the stream's first error. Its writers are scheduler callbacks
-	// and the daemon's own main between parks (a failed bootstrap), which
-	// never overlap; main reads it after Wait, which the last write precedes.
+	// and the Forming record (a failed bootstrap), which never overlap.
 	err error
 
-	forming *Comm        // the rank's tree while bootstrap forms it, for bail to tear down
-	parent  *simnet.Conn // the parent link, once its End frame arrived while forming
+	parent *simnet.Conn // the parent link, once its End frame arrived while forming
 }
 
-// newSeed builds one rank's record and subscribes it to src at the root.
-// It lives in its own function — not inline in BootstrapSeedRouted — so
-// the frame that builds the record pops before bootstrap's dial/accept
-// machinery runs below it; the daemon's parked stack keeps only the thin
-// caller chain (see bootstrap's stack note).
-func newSeed(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) *Seed {
+// init builds rank cfg.Rank's stream in f and subscribes it to src at the
+// root. Observability goes to cfg.Metrics (nil: nowhere): seed.link.bytes.max
+// is the peak per-link forwarded byte count across the whole tree once
+// harvested — the measured quantity behind the O(table/K · subtree)
+// per-link claim of rank-sliced routing.
+func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) {
 	sim := p.Sim()
-	kids := Children(cfg.Rank, cfg.Size, cfg.Fanout)
-	// Observability handles (nil registry → all no-ops). seed.link.bytes.max
-	// is the peak per-link forwarded byte count across the whole tree once
-	// harvested — the measured quantity behind the O(table/K · subtree)
-	// per-link claim of rank-sliced routing.
-	reg := cfg.Metrics
-	s := &Seed{
-		sim: sim, rank: cfg.Rank, kids: kids, parts: 1 + len(kids),
-		outs:      make([]*seedOutbox, len(kids)),
-		fwdChunks: reg.Counter("seed.fwd.chunks"), fwdBytes: reg.Counter("seed.fwd.bytes"),
-		linkMax: reg.Gauge("seed.link.bytes.max"), queueMax: reg.Gauge("seed.queue.depth.max"),
-		srcBytes: reg.Gauge("seed.src.bytes"),
+	kids := childCount(cfg.Rank, cfg.Size, cfg.Fanout)
+	*s = Seed{f: f, parts: 1 + kids, outs: make([]*seedOutbox, kids), reg: cfg.Metrics}
+	for _, name := range [...]string{"seed.fwd.chunks", "seed.fwd.bytes"} {
+		s.reg.Counter(name) // every rank's snapshot names them
 	}
-	s.w.Init(sim)
+	for _, name := range [...]string{"seed.link.bytes.max", "seed.queue.depth.max", "seed.src.bytes"} {
+		s.reg.Gauge(name)
+	}
 	for i := range s.outs {
 		s.outs[i] = vtime.NewChan[[]byte](sim)
 	}
@@ -302,7 +296,6 @@ func newSeed(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink 
 	if src != nil {
 		src(s.step)
 	}
-	return s
 }
 
 // step admits one incoming frame, routing it to the sink and the child
@@ -318,14 +311,14 @@ func (s *Seed) step(f coll.Frame, err error) bool {
 		return true
 	}
 	if err != nil {
-		return s.bail(fmt.Errorf("iccl: seed stream at rank %d: %w", s.rank, err))
+		return s.bail(fmt.Errorf("iccl: seed stream at rank %d: %w", s.f.c.rank, err))
 	}
-	if s.rank == 0 {
+	if s.f.c.rank == 0 {
 		// Total seed bytes entering the tree at the root: the
 		// denominator of the per-link wire-byte invariants.
 		s.entered += uint64(len(f.Body))
 		if f.End {
-			s.srcBytes.SetMax(s.entered)
+			s.reg.Gauge("seed.src.bytes").SetMax(s.entered)
 		}
 	}
 	if f.H.Op != coll.OpSeed {
@@ -363,9 +356,9 @@ func (s *Seed) bail(err error) bool {
 		}
 		s.partDone()
 	}
-	if c := s.forming; c != nil {
-		s.forming = nil
-		c.Close() // last: it wakes the main, which owns the record from here
+	if s.forming {
+		s.forming = false
+		s.f.c.Close() // last: it wakes the Forming record's wait on a link
 	}
 	return true
 }
@@ -377,11 +370,12 @@ func (s *Seed) fail(err error) {
 	}
 }
 
-// partDone finishes one part; the last wakes the daemon's main. Nothing
-// may touch the record after that wake.
+// partDone finishes one part; the last goes on with the Forming record
+// when that waits for the stream (phSeed), inline: this is where the rank's
+// goroutine woke from its wait on the stream.
 func (s *Seed) partDone() {
-	if s.parts--; s.parts == 0 {
-		s.w.Wake()
+	if s.parts--; s.parts == 0 && s.f.phase == phSeed {
+		s.f.Fire()
 	}
 }
 
@@ -398,7 +392,7 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 	done := false
 	finish := func() {
 		done = true
-		s.linkMax.SetMax(linkBytes)
+		s.reg.Gauge("seed.link.bytes.max").SetMax(linkBytes)
 		s.partDone()
 	}
 	s.outs[i].Handle(func(msg []byte, ok bool) {
@@ -409,15 +403,16 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 			finish()
 			return
 		}
-		s.queueMax.SetMax(uint64(s.outs[i].Len()))
+		s.reg.Gauge("seed.queue.depth.max").SetMax(uint64(s.outs[i].Len()))
 		if err := lmonp.SendFrame(conn, msg); err != nil {
-			s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", s.kids[i], &peerError{rank: s.kids[i], phase: "seed", err: err}))
+			rank := s.f.c.childRank(i)
+			s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", rank, &peerError{rank: rank, phase: "seed", err: err}))
 			finish()
 			return
 		}
 		n := uint64(len(msg) - 4)
-		s.fwdChunks.Inc()
-		s.fwdBytes.Add(n)
+		s.reg.Counter("seed.fwd.chunks").Inc()
+		s.reg.Counter("seed.fwd.bytes").Add(n)
 		linkBytes += n
 		if binary.BigEndian.Uint32(msg[4:]) == opSeedEnd {
 			finish()
@@ -437,7 +432,7 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 // stream, so a chunk's sum, which the wire does not carry, is computed
 // here for the record's SeqCheck.
 func (s *Seed) onParent(conn *simnet.Conn) {
-	fr := &SerialFramer{Sim: s.sim, Cost: PerMsgCost, Deliver: func(msg []byte) {
+	fr := &SerialFramer{Sim: s.f.c.p.Sim(), Cost: PerMsgCost, Deliver: func(msg []byte) {
 		f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
 		if err == nil && !f.End {
 			f.Sum = lmonp.Sum64(f.Body)
@@ -458,7 +453,7 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 		// protocol-violating opcode, which the deferred parse will
 		// turn into an error) is the framer's last.
 		if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
-			if s.forming != nil {
+			if s.forming {
 				s.parent = conn
 			} else {
 				conn.Unhandle()
@@ -468,47 +463,32 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 	})
 }
 
-// Wait blocks until this rank's share has reached the sink, End included,
-// and every child forward has finished, and returns the stream's first
-// error. The daemon's main parks here at most once. After a nil Wait the
-// communicator's links carry no more seed traffic.
-func (s *Seed) Wait() error {
-	if !s.w.Wait() && s.err == nil {
-		return fmt.Errorf("%w: seed stream aborted", errBootstrap)
-	}
-	return s.err
-}
-
 // BootstrapSeedRouted is Bootstrap with the cut-through session-seed
-// stream layered over the forming tree. src must be non-nil exactly at the
-// root (rank 0); every other rank receives the stream from its parent.
-// Every rank routes it with rt: sink is handed this rank's share — the
-// FEData frame, the chunks of its slice of the RPDTAB, then the End frame
-// whose Total is the slice's entry count — on the scheduler as each is
-// routed, and children receive freshly packed streams covering exactly
-// their subtrees. A table-less stream's router need own no host. sink must
-// not block; an error it returns fails the stream. The caller must Wait
-// before using the communicator.
+// stream layered over the forming tree, carried on to ready with r. src
+// must be non-nil exactly at the root (rank 0); every other rank receives
+// the stream from its parent. Every rank routes it with rt: sink is handed
+// this rank's share — the FEData frame, the chunks of its slice of the
+// RPDTAB, then the End frame whose Total is the slice's entry count — on the
+// scheduler as each is routed, and children receive freshly packed streams
+// covering exactly their subtrees. A table-less stream's router need own no
+// host. sink must not block; an error it returns fails the stream.
+//
+// Once the rank's tree has formed, its share has reached the sink and every
+// child forward has finished, r is handed the rank's seed and the ready
+// gather and fold follow; BootstrapSeedRouted returns once r reports the
+// rank ready — without r, at that point. After a nil return the
+// communicator's links carry no more seed traffic.
 //
 // On a bootstrap error the seed stream is aborted (and a stream that fails
 // first fails the bootstrap with its error); on a mid-stream link failure
 // — a child's node dying while chunks are in flight — the affected
-// forwarder records the error for Wait while bootstrap itself surfaces the
-// broken tree.
-func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) (*Comm, *Seed, error) {
+// forwarder records the stream's error, which the rank returns.
+func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error, r Ready) (*Comm, error) {
 	cfg = cfg.withDefaults()
 	if (cfg.Rank == 0) != (src != nil) {
-		return nil, nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)
+		return nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)
 	}
-	s := newSeed(p, &cfg, src, rt, sink)
-	c, err := bootstrap(p, &cfg, s, nil)
-	s.forming = nil
-	if err != nil {
-		s.bail(err)
-		return nil, nil, err
-	}
-	if s.parent != nil {
-		s.parent.Unhandle()
-	}
-	return c, s, nil
+	f := &Forming{r: r, seeded: true}
+	f.seed.init(f, p, &cfg, src, rt, sink)
+	return form(p, &cfg, f)
 }

@@ -44,19 +44,16 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 			src = scriptedSeed(sim, frames)
 		}
 		var got []coll.Frame
-		c, seed, err := BootstrapSeedRouted(p, Config{
+		c, err := BootstrapSeedRouted(p, Config{
 			Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
 		}, src, rt, func(f coll.Frame) error {
 			got = append(got, f)
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		if err := seed.Wait(); err != nil {
-			return err
-		}
 		return fn(c, got)
 	}
 	sim.Go("boot", func() {
@@ -147,12 +144,13 @@ func TestSeedStreamDeliversEverywhere(t *testing.T) {
 
 // TestSeedParksOncePerRank: a daemon's main waits on its seed record once.
 // The stream — FEData, then several chunks of every rank's slice — starts
-// after every rank's bootstrap has returned and its main has gone into
-// Wait, so Wait covers all of it; a main woken per frame handed over, or
-// once more for the child forwards, parks several times a rank.
+// after every rank's tree has formed, while its main waits in
+// BootstrapSeedRouted, which returns only after the stream's end; a main
+// woken per frame handed over, or once more for the child forwards, parks
+// again between the census and the stream's end.
 func TestSeedParksOncePerRank(t *testing.T) {
 	const n, fanout = 13, 3
-	const census, enter, start, end = 400 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second
+	const census, start, end = 400 * time.Millisecond, time.Second, 2 * time.Second
 	frames, rt, _ := routedSeed(n, 8, 96)
 	sim := vtime.New()
 	cl := seedCluster(t, sim, n)
@@ -177,20 +175,17 @@ func TestSeedParksOncePerRank(t *testing.T) {
 						})
 					}
 				}
-				c, seed, err := BootstrapSeedRouted(p, Config{
+				c, err := BootstrapSeedRouted(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src, rt, func(coll.Frame) error { handed[i]++; return nil })
+				}, src, rt, func(coll.Frame) error { handed[i]++; return nil }, nil)
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				defer c.Close()
-				if sim.Now() >= census {
-					errs[i] = fmt.Errorf("bootstrap returned at %v, after the census", sim.Now())
-					return
+				if sim.Now() < start {
+					errs[i] = fmt.Errorf("returned at %v, before its stream", sim.Now())
 				}
-				sim.Sleep(enter - sim.Now())
-				errs[i] = seed.Wait()
 			}}); err != nil {
 				t.Error(err)
 				return
@@ -211,8 +206,8 @@ func TestSeedParksOncePerRank(t *testing.T) {
 		}
 	}
 	t.Logf("%d ranks parked %d times, handed %v frames", n, parks, handed)
-	if parks > n {
-		t.Errorf("%d ranks parked %d times between the census and the stream's end, want at most once a rank", n, parks)
+	if parks != 0 {
+		t.Errorf("%d ranks parked %d times between the census and the stream's end, want none: each waits once, from before the census", n, parks)
 	}
 }
 
@@ -269,15 +264,19 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 						}
 					}
 					r := &res[i]
-					c, seed, err := BootstrapSeedRouted(p, Config{
+					// A rank formed before the fault reports the stream's
+					// error; one still forming, its bootstrap's.
+					c, err := BootstrapSeedRouted(p, Config{
 						Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50006,
-					}, src, rt, func(coll.Frame) error { r.got++; return nil })
-					if err != nil {
+					}, src, rt, func(coll.Frame) error { r.got++; return nil }, nil)
+					switch {
+					case errors.Is(err, errBootstrap):
 						r.boot = err
-						return
+					case err != nil:
+						r.wait = err
+					default:
+						c.Close()
 					}
-					defer c.Close()
-					r.wait = seed.Wait()
 				}}); err != nil {
 					t.Error(err)
 				}
@@ -337,14 +336,14 @@ func TestSeedSourceOnlyAtRoot(t *testing.T) {
 	}
 	sim.Go("boot", func() {
 		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-			if _, _, err := BootstrapSeedRouted(p, Config{
+			if _, err := BootstrapSeedRouted(p, Config{
 				Rank: 0, Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50003,
-			}, nil, TablelessRoute, nil); err == nil {
+			}, nil, TablelessRoute, nil, nil); err == nil {
 				t.Error("rank 0 without a seed source accepted")
 			}
-			if _, _, err := BootstrapSeedRouted(p, Config{
+			if _, err := BootstrapSeedRouted(p, Config{
 				Rank: 1, Size: 2, Nodelist: []string{cl.Node(0).Name(), "x"}, Port: 50003,
-			}, func(func(coll.Frame, error) bool) {}, TablelessRoute, nil); err == nil {
+			}, func(func(coll.Frame, error) bool) {}, TablelessRoute, nil, nil); err == nil {
 				t.Error("rank 1 with a seed source accepted")
 			}
 		}})

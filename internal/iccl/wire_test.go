@@ -208,19 +208,16 @@ func TestWireBytesPinnedSeedStream(t *testing.T) {
 			src = scriptedSeed(p.Sim(), frames)
 		}
 		entries := 0
-		c, seed, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame) error {
+		c, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame) error {
 			if f.End || f.H.Index == 0 {
 				return nil
 			}
 			sub, err := proctab.Decode(f.Body)
 			entries += len(sub)
 			return err
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
-		}
-		if err := seed.Wait(); err != nil {
-			return c, err
 		}
 		if entries != 2 {
 			return c, fmt.Errorf("rank %d received %d table entries, want 2", cfg.Rank, entries)

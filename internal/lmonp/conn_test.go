@@ -27,15 +27,18 @@ func connect(t *testing.T, serve func(sim *vtime.Sim, raw *simnet.Conn, c *Conn)
 			serve(sim, raw, NewConn(raw))
 		}
 	})
-	net.Host("a").DialAsync(l.Addr(), func(raw *simnet.Conn, err error) {
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		send(raw)
-	})
+	var raw *simnet.Conn
+	raw, err = net.Host("a").DialAsync(l.Addr(), eventFunc(func() { send(raw) }))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim.Run()
 }
+
+// eventFunc adapts a func to the vtime.Event DialAsync fires.
+type eventFunc func()
+
+func (f eventFunc) Fire() { f() }
 
 // TestMessageLongerThanItsHeaderIsRefused: a network message that carries
 // a byte its header does not announce is refused on its own, by a blocking

@@ -172,7 +172,7 @@ func kidRange(self, n, fanout int) (first, end int) {
 //
 // Each child gets the request with its self-index field (the uint32 right
 // after the opcode) rewritten, so forwarding works generically. It costs a
-// dial callback and a frame handler — no forwarding goroutine — and its
+// dial event and a frame handler — no forwarding goroutine — and its
 // connection is closed as soon as its reply lands. Replies are uncharged.
 func (t *treeCall) open(rd *lmonp.Reader, what string) (nl string, nodes []string, ok bool) {
 	nl = rd.String()
@@ -189,23 +189,25 @@ func (t *treeCall) open(rd *lmonp.Reader, what string) (nl string, nodes []strin
 		k.t = t
 		k.req = append(lmonp.NewFrame(len(t.req)), t.req...)
 		binary.BigEndian.PutUint32(k.req[8:], uint32(first+i))
-		t.p.Host().DialAsync(simnet.Addr{Host: nodes[first+i], Port: SlurmdPort}, k.dialed)
+		if k.conn, k.err = t.p.Host().DialAsync(simnet.Addr{Host: nodes[first+i], Port: SlurmdPort}, k); k.err != nil {
+			t.p.Sim().AfterEvent(0, k)
+		}
 	}
 	return nl, nodes, true
 }
 
-func (k *kidCall) dialed(conn *simnet.Conn, err error) {
-	if err == nil {
-		k.conn = conn
-		if err = lmonp.SendFrame(conn, k.req); err == nil {
+// Fire is the child's connection up after its handshake, or a turn after a
+// dial that failed at once: the forward goes out, or ends with its error.
+func (k *kidCall) Fire() {
+	if k.err == nil {
+		if k.err = lmonp.SendFrame(k.conn, k.req); k.err == nil {
 			k.req = nil
-			lmonp.HandleFrames(conn, k.replied)
+			lmonp.HandleFrames(k.conn, k.replied)
 			return
 		}
-		conn.Close()
-		err = k.lost(err)
+		k.conn.Close()
+		k.err = k.lost(k.err)
 	}
-	k.err = err
 	k.t.complete()
 }
 

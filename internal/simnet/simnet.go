@@ -318,6 +318,18 @@ func (l *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
+// AwaitAccept is Accept for a record that no goroutine carries
+// (vtime.Chan.Await): the next incoming connection, or errListenerClose once
+// the listener has closed; when neither has come, wait is true and r's event
+// fires once one has.
+func (l *Listener) AwaitAccept(r *vtime.Resume) (c *Conn, wait bool, err error) {
+	c, ok, wait := l.incoming.Await(r)
+	if !ok && !wait {
+		return nil, false, errListenerClose
+	}
+	return c, wait, nil
+}
+
 // Handle switches the listener to event-driven accept: fn runs on the
 // vtime scheduler for every incoming connection (queued ones first, in
 // arrival order), and once with errListenerClose after Close. It replaces a
@@ -364,18 +376,18 @@ func (h *Host) Dial(addr Addr) (*Conn, error) {
 	return a, nil
 }
 
-// DialAsync is Dial without a blocked goroutine: cb fires on the vtime
-// scheduler with the established connection after the same one-round-trip
-// handshake (or with Dial's error, still as a scheduled event so callers
-// get a uniform asynchronous contract). cb must not block.
-func (h *Host) DialAsync(addr Addr, cb func(*Conn, error)) {
+// DialAsync is Dial without a blocked goroutine: it fails at once where Dial
+// does, or returns the connection, which its caller uses once done fires on
+// the vtime scheduler after the same one-round-trip handshake. done must not
+// block.
+func (h *Host) DialAsync(addr Addr, done vtime.Event) (*Conn, error) {
 	a, b, incoming, lat, err := h.dialSetup(addr)
 	if err != nil {
-		h.net.sim.After(0, func() { cb(nil, err) })
-		return
+		return nil, err
 	}
 	h.net.sim.After(lat, func() { incoming.Send(b) })
-	h.net.sim.After(2*lat, func() { cb(a, nil) })
+	h.net.sim.AfterEvent(2*lat, done)
+	return a, nil
 }
 
 // dialSetup performs the synchronous half of a dial — error checks, conn
@@ -571,6 +583,18 @@ func (c *Conn) RecvMessage() ([]byte, error) {
 		return nil, c.EndErr()
 	}
 	return buf, nil
+}
+
+// AwaitMessage is RecvMessage for a record that no goroutine carries
+// (vtime.Chan.Await): the next message delivered unread, or the connection's
+// end (EndErr); when neither has come, wait is true and r's event fires once
+// one has.
+func (c *Conn) AwaitMessage(r *vtime.Resume) (msg []byte, wait bool, err error) {
+	msg, ok, wait := c.in.Await(r)
+	if !ok && !wait {
+		return nil, false, c.EndErr()
+	}
+	return msg, wait, nil
 }
 
 // TryRecvMessage is RecvMessage without the wait: ok is false when no

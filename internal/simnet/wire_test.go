@@ -237,14 +237,14 @@ func TestSendToHandlerAllocsNothing(t *testing.T) {
 				bounce(c)
 			}
 		})
-		a.DialAsync(l.Addr(), func(c *Conn, err error) {
-			if err != nil {
-				t.Error(err)
-				return
-			}
+		var c *Conn
+		c, err = a.DialAsync(l.Addr(), eventFunc(func() {
 			bounce(c)
 			c.Send(make([]byte, 64))
-		})
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		sim.Run()
 	})
 	if per > 0.01 {
@@ -294,3 +294,8 @@ func TestConnPairSizeClass(t *testing.T) {
 		t.Errorf("a connection is %d B, want at most 384 (one size class)", size)
 	}
 }
+
+// eventFunc adapts a func to the vtime.Event DialAsync fires.
+type eventFunc func()
+
+func (f eventFunc) Fire() { f() }

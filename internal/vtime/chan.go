@@ -243,6 +243,37 @@ func (c *Chan[T]) recv(d time.Duration, timed bool) (v T, ok, timedOut bool) {
 	}
 }
 
+// Resume is how a record that no goroutine carries waits on a Chan (Await):
+// a wake fires the record's event where a receiver parked on the channel
+// would have run — behind the event or goroutine whose Send or Close woke
+// it, before the next event, taking no seq of its own — so a record that
+// carries what a goroutine did fires the events it fired, in their order.
+// It is held by value in the record; Init binds it to the record's event.
+type Resume struct{ ev Event }
+
+// Init binds r to ev.
+func (r *Resume) Init(ev Event) { r.ev = ev }
+
+// Await is Recv for a record: it takes the value queued now (ok), or reports
+// the channel closed and drained (neither ok nor wait); otherwise wait is
+// true and r's event fires once a Send or Close comes, after which the
+// record calls Await again. It blocks nothing and counts no park.
+func (c *Chan[T]) Await(r *Resume) (v T, ok, wait bool) {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	if c.handler != nil {
+		panic("vtime: Await on a handled Chan")
+	}
+	if c.q.len() > 0 {
+		return c.q.pop(), true, false
+	}
+	if c.closed || c.s.stopped {
+		return v, false, false
+	}
+	c.wakers.push(c.s.hookFor(r))
+	return v, false, true
+}
+
 // TryRecv receives without blocking. ok is false when no value is queued.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	c.s.mu.Lock()

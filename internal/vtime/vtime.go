@@ -35,6 +35,7 @@ type Sim struct {
 	runnable int          // simulated goroutines currently executing
 	timers   timerHeap    // events due after the instant they were scheduled at
 	ready    queue[Event] // events due at now, in seq order (see fireNext)
+	resumed  queue[Event] // records a Send or Close woke (Chan.Await), in wake order
 	seq      uint64       // tie-break for deterministic ordering of equal timestamps
 	stopped  bool         // Run has returned; subsequent blocking ops abort
 	live     int          // simulated goroutines that have started and not finished
@@ -282,6 +283,7 @@ type parker struct {
 	cond       sync.Cond // on s.mu
 	prev, next *parker   // s.parked
 	link       *parker   // next in the waitList this parker is queued on
+	resume     *Resume   // set: a record waits on it (Chan.Await), not a goroutine
 	refs       int32     // its waiter and the queued timers that hold it: see release
 	fired      bool      // woken already: a timer that still holds it is void
 	aborted    bool      // woken by teardown
@@ -299,6 +301,14 @@ func (p *parker) fire(aborted bool) {
 		return
 	}
 	p.fired, p.aborted = true, aborted
+	if r := p.resume; r != nil {
+		p.resume = nil
+		if !p.s.stopped {
+			p.s.resumed.push(r.ev)
+		}
+		p.s.release(p)
+		return
+	}
 	// Unlink from s.parked, keeping no pointer to a neighbour: a void
 	// deadline stays in the timer heap until its instant comes up.
 	if p.prev != nil {
@@ -364,6 +374,22 @@ func (s *Sim) release(p *parker) {
 	if p.refs--; p.refs == 0 && !p.aborted && len(s.pool) < poolSize {
 		s.pool = append(s.pool, p)
 	}
+}
+
+// hookFor is park for a record: a parker that, woken, queues r's event on
+// s.resumed instead of releasing a goroutine. It parks nothing, so it neither
+// counts as a park nor leaves runnable; its one reference is the wake's.
+// Caller holds s.mu.
+func (s *Sim) hookFor(r *Resume) *parker {
+	var p *parker
+	if n := len(s.pool); n > 0 {
+		p, s.pool[n-1], s.pool = s.pool[n-1], nil, s.pool[:n-1]
+	} else {
+		p = &parker{s: s}
+		p.cond.L = &s.mu
+	}
+	p.refs, p.fired, p.aborted, p.resume = 1, false, false, r
+	return p
 }
 
 // parkOn is park on a parker the caller owns (a Waiter's): one that is bound
@@ -445,12 +471,21 @@ func (s *Sim) Sleep(d time.Duration) {
 // Run drives the simulation until every simulated goroutine has either
 // finished or parked with no pending timers, then tears down any still
 // parked goroutines (their blocking calls return "closed"/false) and
-// returns the final virtual time. Run panics if a simulated goroutine
-// panicked.
+// returns the final virtual time. A record that a Send or Close woke
+// (Chan.Await) goes on where a woken goroutine would: once whatever is
+// runnable has parked, before the next event fires. Run panics if a
+// simulated goroutine panicked.
 func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
 	for {
 		s.settle()
+		if s.resumed.len() > 0 {
+			ev := s.resumed.pop()
+			s.mu.Unlock()
+			ev.Fire()
+			s.mu.Lock()
+			continue
+		}
 		if s.pending() == 0 {
 			break
 		}

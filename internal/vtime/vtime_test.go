@@ -574,3 +574,51 @@ func TestAtEventRunsBetweenEvents(t *testing.T) {
 		t.Errorf("ran %q, want %q", got, want)
 	}
 }
+
+// awaitRecord is a record that reads a Chan with Await: it logs what it
+// takes, and the channel's end.
+type awaitRecord struct {
+	c   *Chan[int]
+	r   Resume
+	log *[]string
+}
+
+func (a *awaitRecord) Fire() {
+	for {
+		v, ok, wait := a.c.Await(&a.r)
+		switch {
+		case wait:
+			return
+		case !ok:
+			*a.log = append(*a.log, "closed")
+			return
+		}
+		*a.log = append(*a.log, fmt.Sprint("took ", v))
+	}
+}
+
+// TestAwaitRunsWhereTheWokenGoroutineRan: a record woken by a Send goes on
+// behind the event that sent — before the next event due at that instant —
+// and neither fires an event of its own nor counts a park; a Close wakes it
+// the same way, and so does a Send from a goroutine, once it has parked.
+func TestAwaitRunsWhereTheWokenGoroutineRan(t *testing.T) {
+	s := New()
+	var log []string
+	a := &awaitRecord{c: NewChan[int](s), log: &log}
+	a.r.Init(a)
+	a.Fire() // nothing queued: it waits
+	s.After(time.Millisecond, func() { a.c.Send(1); log = append(log, "sent") })
+	s.After(time.Millisecond, func() { log = append(log, "next") })
+	s.After(2*time.Millisecond, func() {
+		s.Go("sender", func() { a.c.Send(2); log = append(log, "goroutine sent") })
+	})
+	s.After(3*time.Millisecond, func() { a.c.Close() })
+	s.Run()
+	want := "sent,took 1,next,goroutine sent,took 2,closed"
+	if got := strings.Join(log, ","); got != want {
+		t.Errorf("order %s, want %s", got, want)
+	}
+	if st := s.Stats(); st.Events != 4 || s.Parks() != 0 {
+		t.Errorf("%d events and %d parks, want the 4 scheduled and none", st.Events, s.Parks())
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"launchmon/internal/core"
 	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/proctab"
 	"launchmon/internal/rm"
 	"launchmon/internal/vtime"
 )
@@ -188,7 +189,7 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 			if cfg.Rank == 0 {
 				s = src
 			}
-			return iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame) error {
+			return iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame, _ proctab.Chunk) error {
 				if !f.End && len(f.Body) != len(feData) {
 					return fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
 				}

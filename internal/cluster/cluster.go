@@ -393,7 +393,7 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 }
 
 func (p *Proc) run(main ProcMain) {
-	p.node.cl.sim.Go(fmt.Sprintf("%s/%s[%d]", p.node.name, p.exe, p.pid), func() {
+	p.node.cl.sim.Go(p, func() {
 		main(p)
 		if !p.resident {
 			p.exit(0, false)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -601,4 +602,29 @@ func TestNodeFailKillsInPidOrder(t *testing.T) {
 			t.Fatalf("run %d: exit events arrived as pids %v, first run %v", i, got, first)
 		}
 	}
+}
+
+// TestProcGoroutineName: a running process's goroutine is named
+// node/exe[pid], formatted only when asked, in what the spawn observer sees
+// and in the panic a crashing main raises out of Run.
+func TestProcGoroutineName(t *testing.T) {
+	sim := vtime.New()
+	c := newCluster(t, sim, 1, Options{})
+	var seen []string
+	var p *Proc
+	sim.Go("boot", func() {
+		sim.SetSpawnObserver(func(name string) { seen = append(seen, name) })
+		var err error
+		if p, err = c.Node(0).SpawnProc(Spec{Exe: "crash", Main: func(*Proc) { panic("boom") }}); err != nil {
+			t.Error(err)
+		}
+	})
+	defer func() {
+		r := recover()
+		name := c.Node(0).Name() + "/crash[" + strconv.Itoa(p.Pid()) + "]"
+		if len(seen) != 1 || seen[0] != name || r != `vtime goroutine "`+name+`" panicked: boom` {
+			t.Errorf("the observer saw %q and Run raised %v; want [%s] and its panic", seen, r, name)
+		}
+	}()
+	sim.Run()
 }

@@ -108,6 +108,9 @@ func (p *Proc) Pid() int { return int(p.pid) }
 // Exe returns the executable name.
 func (p *Proc) Exe() string { return p.exe }
 
+// String names the process, node/exe[pid], as its goroutine is named.
+func (p *Proc) String() string { return fmt.Sprintf("%s/%s[%d]", p.node.name, p.exe, p.pid) }
+
 // args returns the argument vector.
 func (p *Proc) args() []string { return p.spawned().args }
 

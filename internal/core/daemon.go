@@ -139,18 +139,18 @@ func (d *daemonSession) initCutThrough(env *bootEnv) error {
 
 // seedSink takes this rank's share of the stream on the scheduler: frame 0
 // carries the piggybacked FEData, later frames the rank slice's RPDTAB
-// chunks, already validated chunk by chunk; the end marker's total
-// validates the reassembly.
-func (d *daemonSession) seedSink() func(coll.Frame) error {
+// chunks, already validated and scanned chunk by chunk, which the assembler
+// keeps as they are; the end marker's total validates the reassembly.
+func (d *daemonSession) seedSink() func(coll.Frame, proctab.Chunk) error {
 	var asm proctab.Assembler
-	return func(f coll.Frame) (err error) {
+	return func(f coll.Frame, c proctab.Chunk) (err error) {
 		switch {
 		case f.End:
 			d.myTab, err = asm.FinishSlice(int(f.Total))
 		case f.H.Index == 0:
 			d.feData = append([]byte(nil), f.Body...)
 		default:
-			err = asm.Add(f.Body)
+			asm.AddScanned(c, f.Sum)
 		}
 		return err
 	}

@@ -217,7 +217,7 @@ func TestDaemonHeapFootprint(t *testing.T) {
 		t.Skip("the race detector allocates on the test's behalf")
 	}
 	const k, fanout = 1024, 64
-	const wantBytes, wantObjects = 2370.0, 29.25 // per daemon
+	const wantBytes, wantObjects = 2340.0, 28.2 // per daemon
 	sim, cl, _ := rig(t, 2*k)
 	cl.Register("park_be", func(p *cluster.Proc) {
 		if be, err := BEInit(p); err == nil {

@@ -168,6 +168,20 @@ func encodeFrameOp(chunkOp, endOp uint32, f coll.Frame) []byte {
 	return b
 }
 
+// seedChunkHead is what encodeFrameOp renders before a seed chunk's body:
+// length prefix, opcode, header length, the header and the body's length.
+var seedChunkHead = 4 + 4 + 4 + coll.Header{Op: coll.OpSeed}.EncodedSize() + 4
+
+// putSeedChunkHead fills in msg's first seedChunkHead bytes so that msg,
+// a chunk rendered behind them (proctab.NewChunkWriterBehind), is the link
+// message encodeFrameOp renders for that chunk under h.
+func putSeedChunkHead(msg []byte, h coll.Header) []byte {
+	b := lmonp.AppendUint32(msg[:0], uint32(len(msg)-4))
+	b = lmonp.AppendUint32(lmonp.AppendUint32(b, opSeedChunk), uint32(h.EncodedSize()))
+	lmonp.AppendUint32(h.AppendTo(b), uint32(len(msg)-seedChunkHead))
+	return msg
+}
+
 // parseFrameOp decodes one raw tree frame (the message encodeFrameOp
 // renders, behind its length prefix); the frame's body aliases raw. An End
 // frame has the wire digest as its Sum; a chunk has none (Sum 0), since

@@ -264,7 +264,7 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					}
 					rt = rootRoute
 				}
-				c, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame) error {
+				c, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame, proctab.Chunk) error {
 					if now := sim.Now(); i == 1 && (len(at) == 0 || at[len(at)-1] != now) {
 						at = append(at, now)
 					}

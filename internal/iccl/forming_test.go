@@ -6,6 +6,7 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
 
@@ -66,7 +67,7 @@ func formationParks(t *testing.T, n, fanout int, seeded, form bool) uint64 {
 					if i == 0 {
 						src = scriptedSeed(sim, frames)
 					}
-					c, err = BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame) error { return nil }, nil)
+					c, err = BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
 				} else {
 					c, err = Bootstrap(p, cfg)
 				}

@@ -61,8 +61,10 @@ type SeedSource func(emit func(coll.Frame, error) (done bool))
 // table), every node scans the chunks it receives, keeps only the
 // entries whose host maps to its own daemon rank, and re-packs the rest
 // into fresh bounded chunk streams — one per child subtree, each with its
-// own index sequence, per-chunk sums, and digest-bearing end marker. No
-// daemon ever materializes more than O(chunk + own slice) table bytes.
+// own index sequence, per-chunk sums, and digest-bearing end marker. A
+// leaf, all of whose entries are its own, keeps its chunks as they
+// arrived. No daemon ever materializes more than O(chunk + own slice)
+// table bytes.
 type SeedRouter struct {
 	// RankOf maps an RPDTAB host name to the daemon rank that owns it.
 	// The map behind it is shared across the session (modeling a
@@ -77,64 +79,161 @@ type SeedRouter struct {
 // the MW fabric's: it owns no host.
 var TablelessRoute = &SeedRouter{RankOf: func(string) (int, bool) { return 0, false }}
 
-// seedOutbox queues one child link's seed stream as encoded link messages
-// (encodeFrameOp), ready for the child's forwarder to send as they are.
-// Its zero-delay deliveries are where each forward takes its scheduler seq.
+// seedOutbox queues one child link's seed stream as link messages — a
+// chunk rendered into its frame (seedSplitter), an End or the FEData
+// preamble as encodeFrameOp renders them — for the child's forwarder to
+// send as they are. Its zero-delay deliveries are where each forward takes
+// its scheduler seq.
 type seedOutbox = vtime.Chan[[]byte]
 
-// seedSplitter is the per-node routing state: one stream per destination
-// — stream 0 the locally retained slice, stream 1+slot a child subtree —
-// each a ChunkWriter whose frames carry a fresh contiguous index sequence
-// (FEData stays frame 0 on every link, chunks start at 1).
-type seedSplitter struct {
+// seedSink is handed a rank's share of the stream: the FEData frame, each
+// RPDTAB chunk with the chunk scanned (its entries the rank's own) and its
+// Sum set, and the End frame whose Total counts the share's entries.
+type seedSink = func(f coll.Frame, c proctab.Chunk) error
+
+// seedRoute is a rank's routing of the admitted stream: a seedSplitter
+// where the rank has children, a seedLeaf where it has none.
+type seedRoute interface {
+	chunk(f coll.Frame) error
+	finish(f coll.Frame) error
+}
+
+// seedHosts resolves the hosts of a scanned chunk to a rank's streams —
+// stream 0 the rank's own share, stream 1+slot child slot's subtree — once
+// per host of the chunk, not once per entry, and counts each stream's share.
+type seedHosts struct {
 	rt     *SeedRouter
 	rank   int
 	fanout int
-	local  func(coll.Frame) error
-	outs   []*seedOutbox
+	kids   int
 
-	w  []*proctab.ChunkWriter // by stream
-	ix []uint32               // last index emitted, by stream
-
-	// Scratch of chunk, kept between calls: the stream of each pooled
+	// Scratch of resolve, kept between chunks: the stream of each pooled
 	// string of the chunk in hand (-1 until an entry names it as its host),
 	// and how many of the chunk's entries go to each stream.
 	route []int
 	share []int
 }
 
-func newSeedSplitter(rt *SeedRouter, cfg Config, local func(coll.Frame) error, outs []*seedOutbox) *seedSplitter {
+func (h *seedHosts) init(rt *SeedRouter, cfg Config, kids int) {
+	*h = seedHosts{rt: rt, rank: cfg.Rank, fanout: cfg.Fanout, kids: kids, share: make([]int, 1+kids)}
+}
+
+// resolve routes every host an entry of c names and adds c's entries to
+// the shares of their streams.
+func (h *seedHosts) resolve(c proctab.Chunk) (err error) {
+	pool := c.Pool()
+	h.route = h.route[:0]
+	for range pool {
+		h.route = append(h.route, -1)
+	}
+	for i, n := 0, c.Len(); i < n; i++ {
+		host, _, _, _ := c.Entry(i)
+		if h.route[host] < 0 {
+			if h.route[host], err = h.streamOf(pool[host]); err != nil {
+				return err
+			}
+		}
+		h.share[h.route[host]]++
+	}
+	return nil
+}
+
+// streamOf returns the stream the entries on host belong to.
+func (h *seedHosts) streamOf(host string) (int, error) {
+	rk, ok := h.rt.RankOf(host)
+	if !ok {
+		return 0, fmt.Errorf("%w: no daemon rank for host %q in seed route", errProtocol, host)
+	}
+	if rk == h.rank {
+		return 0, nil
+	}
+	slot := subtreeSlot(h.rank, h.fanout, h.kids, rk)
+	if slot < 0 {
+		return 0, fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", errProtocol, rk, h.rank)
+	}
+	return 1 + slot, nil
+}
+
+// seedLeaf is a childless rank's route. Every entry it receives is its own,
+// so it keeps the stream as it arrived: each chunk scanned once, its hosts
+// checked as a splitter checks them (share[0] counts them), and handed to
+// the sink with the sum its link computed; the End as it came, once the
+// entries kept add up to its total. It renders nothing.
+type seedLeaf struct {
+	seedHosts
+	sink seedSink
+}
+
+func (l *seedLeaf) chunk(f coll.Frame) error {
+	if f.H.Index == 0 {
+		return l.sink(f, proctab.Chunk{})
+	}
+	c, err := proctab.Scan(f.Body)
+	if err != nil {
+		return err
+	}
+	if err := l.resolve(c); err != nil {
+		return err
+	}
+	return l.sink(f, c)
+}
+
+func (l *seedLeaf) finish(f coll.Frame) error {
+	if kept := uint64(l.share[0]); kept != f.Total {
+		return fmt.Errorf("%w: routed %d seed entries at rank %d, end marker says %d",
+			errProtocol, kept, l.rank, f.Total)
+	}
+	return l.sink(f, proctab.Chunk{})
+}
+
+// seedSplitter is a rank with children's route: one stream per destination
+// — stream 0 the locally retained slice, stream 1+slot a child subtree —
+// each a ChunkWriter whose frames carry a fresh contiguous index sequence
+// (FEData stays frame 0 on every link, chunks start at 1). A child stream's
+// writer renders each chunk into the link message it travels in, behind
+// seedChunkHead bytes the splitter fills in; the local stream's chunk is
+// scanned once for the sink.
+type seedSplitter struct {
+	seedHosts
+	local seedSink
+	outs  []*seedOutbox
+
+	w  []*proctab.ChunkWriter // by stream
+	ix []uint32               // last index emitted, by stream
+}
+
+func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, outs []*seedOutbox) *seedSplitter {
 	cb := rt.ChunkBytes
 	if cb <= 0 {
 		cb = coll.DefaultChunkBytes
 	}
 	s := &seedSplitter{
-		rt: rt, rank: cfg.Rank, fanout: cfg.Fanout,
 		local: local, outs: outs,
-		w:     make([]*proctab.ChunkWriter, 1+len(outs)),
-		ix:    make([]uint32, 1+len(outs)),
-		share: make([]int, 1+len(outs)),
+		w:  make([]*proctab.ChunkWriter, 1+len(outs)),
+		ix: make([]uint32, 1+len(outs)),
 	}
-	for i := range s.w {
+	s.init(rt, cfg, len(outs))
+	s.w[0] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
+		c, err := proctab.Scan(chunk)
+		if err != nil {
+			return err
+		}
+		return s.local(coll.Frame{H: s.next(0), Body: chunk, Sum: sum}, c)
+	})
+	for i := 1; i < len(s.w); i++ {
 		i := i
-		s.w[i] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
-			return s.emit(i, coll.Frame{Body: chunk, Sum: sum})
+		s.w[i] = proctab.NewChunkWriterBehind(seedChunkHead, cb, func(msg []byte, _ uint64) error {
+			s.outs[i-1].Send(putSeedChunkHead(msg, s.next(i)))
+			return nil
 		})
 	}
 	return s
 }
 
-// emit numbers f as stream i's next frame and hands it on: as it is to the
-// local consumer, whose error it returns, as a link message to a child's
-// outbox.
-func (s *seedSplitter) emit(i int, f coll.Frame) error {
+// next numbers stream i's next frame.
+func (s *seedSplitter) next(i int) coll.Header {
 	s.ix[i]++
-	f.H = coll.Header{Op: coll.OpSeed, Index: s.ix[i]}
-	if i == 0 {
-		return s.local(f)
-	}
-	s.outs[i-1].Send(encodeFrameOp(opSeedChunk, opSeedEnd, f))
-	return nil
+	return coll.Header{Op: coll.OpSeed, Index: s.ix[i]}
 }
 
 // chunk routes one admitted seed frame. FEData (frame 0) goes unchanged
@@ -142,16 +241,15 @@ func (s *seedSplitter) emit(i int, f coll.Frame) error {
 // arrived in when there is one (an interior rank relays it verbatim), else
 // one encoding shared by all of them. An RPDTAB chunk is scanned and its
 // entries — still the records they arrived as — are split between the
-// local slice and the owning child subtrees. A host is resolved to its
-// stream once per chunk, not once per entry, and every stream is told how
-// many entries are coming before the first is added.
+// local slice and the owning child subtrees; every stream is told how many
+// entries are coming before the first is added.
 func (s *seedSplitter) chunk(f coll.Frame) error {
 	if f.H.Index == 0 {
-		if err := s.local(f); err != nil {
+		if err := s.local(f, proctab.Chunk{}); err != nil {
 			return err
 		}
 		msg := f.Wire
-		if msg == nil && len(s.outs) > 0 {
+		if msg == nil {
 			msg = encodeFrameOp(opSeedChunk, opSeedEnd, f)
 		}
 		for _, out := range s.outs {
@@ -163,24 +261,14 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 	if err != nil {
 		return err
 	}
-	pool := c.Pool()
-	s.route = s.route[:0]
-	for range pool {
-		s.route = append(s.route, -1)
-	}
-	for i, n := 0, c.Len(); i < n; i++ {
-		host, _, _, _ := c.Entry(i)
-		if s.route[host] < 0 {
-			if s.route[host], err = s.streamOf(pool[host]); err != nil {
-				return err
-			}
-		}
-		s.share[s.route[host]]++
+	if err := s.resolve(c); err != nil {
+		return err
 	}
 	for i, n := range s.share {
 		s.w[i].Grow(n)
 		s.share[i] = 0
 	}
+	pool := c.Pool()
 	for i, n := 0, c.Len(); i < n; i++ {
 		host, exe, pid, rank := c.Entry(i)
 		if err := s.w[s.route[host]].AddRaw(pool[host], pool[exe], pid, rank); err != nil {
@@ -188,22 +276,6 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 		}
 	}
 	return nil
-}
-
-// streamOf returns the stream the entries on host belong to.
-func (s *seedSplitter) streamOf(host string) (int, error) {
-	rk, ok := s.rt.RankOf(host)
-	if !ok {
-		return 0, fmt.Errorf("%w: no daemon rank for host %q in seed route", errProtocol, host)
-	}
-	if rk == s.rank {
-		return 0, nil
-	}
-	slot := subtreeSlot(s.rank, s.fanout, len(s.outs), rk)
-	if slot < 0 {
-		return 0, fmt.Errorf("%w: seed entry for rank %d outside rank %d's subtree", errProtocol, rk, s.rank)
-	}
-	return 1 + slot, nil
 }
 
 // finish flushes every stream on the incoming End frame — the local one
@@ -226,18 +298,17 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 			errProtocol, routed, s.rank, f.Total)
 	}
 	// The End markers go to the children in slot order and to the local
-	// consumer last — streams 1 … n, then 0, whose error is the one
-	// returned. Same-instant sends to different queues take their scheduler
-	// sequence numbers in this order, which is the one every pin was taken
-	// with.
-	var err error
-	for k := range s.w {
-		i := (k + 1) % len(s.w)
-		err = s.emit(i, coll.Frame{End: true, Total: uint64(s.w[i].Count()), Sum: s.w[i].Digest()})
+	// consumer last, whose error is the one returned. Same-instant sends to
+	// different queues take their scheduler sequence numbers in this order,
+	// which is the one every pin was taken with.
+	for i, out := range s.outs {
+		w := s.w[1+i]
+		out.Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{H: s.next(1 + i), End: true, Total: uint64(w.Count()), Sum: w.Digest()}))
 	}
+	end := coll.Frame{H: s.next(0), End: true, Total: uint64(s.w[0].Count()), Sum: s.w[0].Digest()}
 	// The writers keep their buffers between chunks; the stream is over.
 	s.w, s.route = nil, nil
-	return err
+	return s.local(end, proctab.Chunk{})
 }
 
 // Seed is one rank's record of the session-seed stream, part of the rank's
@@ -248,11 +319,11 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 // link — and they never overlap. Its last part to finish hands the rank on
 // to its ready gather.
 type Seed struct {
-	f     *Forming
-	split *seedSplitter
-	outs  []*seedOutbox
-	reg   *obs.Registry // where the stream's counters and gauges go (nil: nowhere)
-	chk   coll.SeqCheck
+	f      *Forming
+	router seedRoute
+	outs   []*seedOutbox
+	reg    *obs.Registry // where the stream's counters and gauges go (nil: nowhere)
+	chk    coll.SeqCheck
 
 	entered uint64 // seed bytes that entered the tree here (the root)
 
@@ -279,7 +350,7 @@ type Seed struct {
 // is the peak per-link forwarded byte count across the whole tree once
 // harvested — the measured quantity behind the O(table/K · subtree)
 // per-link claim of rank-sliced routing.
-func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error) {
+func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink seedSink) {
 	sim := p.Sim()
 	kids := childCount(cfg.Rank, cfg.Size, cfg.Fanout)
 	*s = Seed{f: f, parts: 1 + kids, outs: make([]*seedOutbox, kids), reg: cfg.Metrics}
@@ -292,7 +363,13 @@ func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt
 	for i := range s.outs {
 		s.outs[i] = vtime.NewChan[[]byte](sim)
 	}
-	s.split = newSeedSplitter(rt, *cfg, sink, s.outs)
+	if kids > 0 {
+		s.router = newSeedSplitter(rt, *cfg, sink, s.outs)
+	} else {
+		leaf := &seedLeaf{sink: sink}
+		leaf.init(rt, *cfg, 0)
+		s.router = leaf
+	}
 	if src != nil {
 		src(s.step)
 	}
@@ -330,9 +407,9 @@ func (s *Seed) step(f coll.Frame, err error) bool {
 		return s.bail(err)
 	}
 	if f.End {
-		err = s.split.finish(f)
+		err = s.router.finish(f)
 	} else {
-		err = s.split.chunk(f)
+		err = s.router.chunk(f)
 	}
 	if err != nil {
 		return s.bail(err)
@@ -468,8 +545,9 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 // must be non-nil exactly at the root (rank 0); every other rank receives
 // the stream from its parent. Every rank routes it with rt: sink is handed
 // this rank's share — the FEData frame, the chunks of its slice of the
-// RPDTAB, then the End frame whose Total is the slice's entry count — on the
-// scheduler as each is routed, and children receive freshly packed streams
+// RPDTAB, each with c its scan, then the End frame whose Total is the
+// slice's entry count — on the scheduler as each is routed (a childless
+// rank's as it arrived), and children receive freshly packed streams
 // covering exactly their subtrees. A table-less stream's router need own no
 // host. sink must not block; an error it returns fails the stream.
 //
@@ -483,7 +561,7 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 // first fails the bootstrap with its error); on a mid-stream link failure
 // — a child's node dying while chunks are in flight — the affected
 // forwarder records the stream's error, which the rank returns.
-func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(coll.Frame) error, r Ready) (*Comm, error) {
+func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(f coll.Frame, c proctab.Chunk) error, r Ready) (*Comm, error) {
 	cfg = cfg.withDefaults()
 	if (cfg.Rank == 0) != (src != nil) {
 		return nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)

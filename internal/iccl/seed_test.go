@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
@@ -38,6 +40,12 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 		nodelist[i] = cl.Node(i).Name()
 	}
 	errs := make([]error, n)
+	// A test also checks what the sink is handed beside each frame; a
+	// benchmark does not, so that its B/op is the stream's alone.
+	check := func(coll.Frame, proctab.Chunk) error { return nil }
+	if _, ok := tb.(*testing.T); ok {
+		check = sinkContract
+	}
 	main := func(i int, p *cluster.Proc) error {
 		var src SeedSource
 		if i == 0 {
@@ -46,9 +54,9 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 		var got []coll.Frame
 		c, err := BootstrapSeedRouted(p, Config{
 			Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
-		}, src, rt, func(f coll.Frame) error {
+		}, src, rt, func(f coll.Frame, c proctab.Chunk) error {
 			got = append(got, f)
-			return nil
+			return check(f, c)
 		}, nil)
 		if err != nil {
 			return err
@@ -73,6 +81,23 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 			tb.Fatalf("daemon %d: %v", i, err)
 		}
 	}
+}
+
+// sinkContract checks what a seed sink is handed besides the frame: an
+// RPDTAB chunk's scan of its body, and the body's sum.
+func sinkContract(f coll.Frame, c proctab.Chunk) error {
+	if f.End || f.H.Index == 0 {
+		return nil
+	}
+	want, err := proctab.Decode(f.Body)
+	if err != nil {
+		return err
+	}
+	if got := c.AppendTo(nil); !slices.Equal(got, want) || f.Sum != lmonp.Sum64(f.Body) {
+		return fmt.Errorf("chunk %d handed over as %d entries, sum %#x; its body holds %d, sum %#x",
+			f.H.Index, len(got), f.Sum, len(want), lmonp.Sum64(f.Body))
+	}
+	return nil
 }
 
 // routedSeed builds the root's stream for a table of tasksPerNode tasks on
@@ -177,7 +202,7 @@ func TestSeedParksOncePerRank(t *testing.T) {
 				}
 				c, err := BootstrapSeedRouted(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src, rt, func(coll.Frame) error { handed[i]++; return nil }, nil)
+				}, src, rt, func(coll.Frame, proctab.Chunk) error { handed[i]++; return nil }, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -268,7 +293,7 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 					// error; one still forming, its bootstrap's.
 					c, err := BootstrapSeedRouted(p, Config{
 						Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50006,
-					}, src, rt, func(coll.Frame) error { r.got++; return nil }, nil)
+					}, src, rt, func(coll.Frame, proctab.Chunk) error { r.got++; return nil }, nil)
 					switch {
 					case errors.Is(err, errBootstrap):
 						r.boot = err
@@ -322,6 +347,72 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 			}
 			if live != 0 {
 				t.Errorf("%d goroutines still alive a second after rank %d's dial window closed", live, late)
+			}
+		})
+	}
+}
+
+// TestSeedMisrouteFailsTheRank: a rank handed an entry it cannot route
+// fails its seed with the router's protocol error, naming the host or the
+// rank — a leaf (rank 3 of 0 → 1, 2 → 3 … 6), which keeps its chunks as they
+// arrive, exactly as an interior rank (rank 1) that re-packs them. Every
+// other rank routes the table by its hosts; the misrouting rank's router
+// moves one host to a rank outside its subtree, or does not know it.
+func TestSeedMisrouteFailsTheRank(t *testing.T) {
+	const n, fanout = 7, 2
+	frames, rt, _ := routedSeed(n, 2, 96)
+	for _, tc := range []struct {
+		name string
+		at   int    // the misrouting rank
+		host string // the host it routes wrongly
+		to   int    // where it routes it; -1: nowhere
+		want string
+	}{
+		{"leaf_other_rank", 3, "node3", 4, "seed entry for rank 4 outside rank 3's subtree"},
+		{"leaf_unknown_host", 3, "node3", -1, `no daemon rank for host "node3" in seed route`},
+		{"interior_other_rank", 1, "node1", 5, "seed entry for rank 5 outside rank 1's subtree"},
+		{"interior_unknown_host", 1, "node4", -1, `no daemon rank for host "node4" in seed route`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			cl := seedCluster(t, sim, n)
+			nodelist := make([]string, n)
+			for i := range nodelist {
+				nodelist[i] = cl.Node(i).Name()
+			}
+			bad := &SeedRouter{ChunkBytes: rt.ChunkBytes, RankOf: func(host string) (int, bool) {
+				if host == tc.host {
+					return tc.to, tc.to >= 0
+				}
+				return rt.RankOf(host)
+			}}
+			errs := make([]error, n)
+			sim.Go("boot", func() {
+				for i := 0; i < n; i++ {
+					i := i
+					var src SeedSource
+					if i == 0 {
+						src = scriptedSeed(sim, frames)
+					}
+					route := rt
+					if i == tc.at {
+						route = bad
+					}
+					if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+						c, err := BootstrapSeedRouted(p, Config{
+							Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50007,
+						}, src, route, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+						if errs[i] = err; err == nil {
+							c.Close()
+						}
+					}}); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			sim.Run()
+			if err := errs[tc.at]; !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("rank %d: %v, want a protocol error naming %q", tc.at, err, tc.want)
 			}
 		})
 	}

@@ -208,13 +208,9 @@ func TestWireBytesPinnedSeedStream(t *testing.T) {
 			src = scriptedSeed(p.Sim(), frames)
 		}
 		entries := 0
-		c, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame) error {
-			if f.End || f.H.Index == 0 {
-				return nil
-			}
-			sub, err := proctab.Decode(f.Body)
-			entries += len(sub)
-			return err
+		c, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame, c proctab.Chunk) error {
+			entries += c.Len()
+			return nil
 		}, nil)
 		if err != nil {
 			return nil, err

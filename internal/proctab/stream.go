@@ -31,13 +31,15 @@ const chunkOverhead, entryBytes = 8, 16
 // each, handing every finished chunk (and its lmonp.Sum64) to emit. The
 // pending chunk is held the way it will travel — its pool, and its entries
 // as 16-byte records in a buffer the writer keeps across chunks — and is
-// rendered in one allocation of exactly its size. Chunk boundaries depend
-// on entry order and bound alone, so a sender that never materializes the
-// table — the engine re-chunking the launcher's harvest, an interior seed
-// router re-packing a rank slice — emits the chunks EncodeChunks cuts from
-// the table itself.
+// rendered in one allocation of exactly its size, behind the head a framing
+// hop asked for (NewChunkWriterBehind). Chunk boundaries depend on entry
+// order and bound alone, so a sender that never materializes the table —
+// the engine re-chunking the launcher's harvest, an interior seed router
+// re-packing a rank slice — emits the chunks EncodeChunks cuts from the
+// table itself.
 type ChunkWriter struct {
 	maxBytes int
+	head     int
 	emit     func(chunk []byte, sum uint64) error
 
 	pool    pool
@@ -54,6 +56,16 @@ func NewChunkWriter(maxBytes int, emit func(chunk []byte, sum uint64) error) *Ch
 		maxBytes = DefaultChunkBytes
 	}
 	return &ChunkWriter{maxBytes: maxBytes, emit: emit, digest: lmonp.SumInit}
+}
+
+// NewChunkWriterBehind is NewChunkWriter for a hop that frames each chunk:
+// emit is handed the chunk behind head zero bytes, for the caller to fill
+// in with the frame's head, so the chunk is rendered once, into the message
+// it travels in. The bound and the sum cover the chunk alone.
+func NewChunkWriterBehind(head, maxBytes int, emit func(msg []byte, sum uint64) error) *ChunkWriter {
+	w := NewChunkWriter(maxBytes, emit)
+	w.head = head
+	return w
 }
 
 // AddRaw appends one entry, emitting the pending chunk first when the
@@ -124,15 +136,16 @@ func (w *ChunkWriter) Grow(n int) {
 	}
 }
 
-// render returns the pending chunk, in one allocation of its size.
+// render returns the pending chunk behind the writer's head, in one
+// allocation of their size.
 func (w *ChunkWriter) render() []byte {
-	chunk := make([]byte, 0, chunkOverhead+w.pool.size+len(w.entries))
+	chunk := make([]byte, w.head, w.head+chunkOverhead+w.pool.size+len(w.entries))
 	return append(w.pool.appendHeader(chunk, len(w.entries)/entryBytes), w.entries...)
 }
 
 func (w *ChunkWriter) flush() error {
 	chunk := w.render()
-	sum := lmonp.Sum64(chunk)
+	sum := lmonp.Sum64(chunk[w.head:])
 	w.digest = lmonp.FoldSum(w.digest, sum)
 	w.chunks++
 	w.entries = w.entries[:0]
@@ -206,10 +219,17 @@ func (a *Assembler) Add(chunk []byte) error {
 	if err != nil {
 		return fmt.Errorf("proctab: chunk %d: %w", len(a.parts), err)
 	}
-	a.digest = lmonp.FoldSum(a.streamDigest(), lmonp.Sum64(chunk))
+	a.AddScanned(c, lmonp.Sum64(chunk))
+	return nil
+}
+
+// AddScanned queues the entries of a chunk its caller has scanned already,
+// whose sum it has too (a seed rank's share: scanned where it was routed,
+// summed where it arrived), so the chunk is read once.
+func (a *Assembler) AddScanned(c Chunk, sum uint64) {
+	a.digest = lmonp.FoldSum(a.streamDigest(), sum)
 	a.parts = append(a.parts, c)
 	a.entries += c.Len()
-	return nil
 }
 
 // streamDigest returns the rolling digest over the chunks added so far, for

@@ -70,6 +70,12 @@ func Call(from *simnet.Host, addr simnet.Addr, req []byte) (*lmonp.Reader, error
 // follows the empty error string, or the error whose text replaces it.
 type Reply func(result []byte, err error)
 
+// connName names a Serve connection's goroutine, exe-conn, formatted only
+// when asked (vtime.Sim.Go).
+type connName struct{ p *cluster.Proc }
+
+func (n connName) String() string { return n.p.Exe() + "-conn" }
+
 // Serve is the accept loop of a blocking service: the process p listens on
 // port and answers each connection on a goroutine of its own, which reads
 // the request frame and runs handle. handle calls reply once; the
@@ -86,7 +92,7 @@ func Serve(p *cluster.Proc, port int, handle func(req *lmonp.Reader, reply Reply
 		if err != nil {
 			return
 		}
-		p.Sim().Go(p.Exe()+"-conn", func() {
+		p.Sim().Go(connName{p}, func() {
 			defer conn.Close()
 			req, err := lmonp.RecvFrame(conn)
 			if err != nil {

@@ -238,10 +238,12 @@ func (s *Sim) afterLocked(d time.Duration, ev Event) {
 	}
 }
 
-// Go starts fn as a simulated goroutine. The name is used in panic
-// diagnostics only. Go may be called before Run or from inside any
-// simulated goroutine.
-func (s *Sim) Go(name string, fn func()) {
+// Go starts fn as a simulated goroutine. Its name is read by panic
+// diagnostics and the spawn observer only: a string, or any value fmt
+// prints — a fmt.Stringer such as a process — formatted only when one of
+// them asks. Go may be called before Run or from inside any simulated
+// goroutine.
+func (s *Sim) Go(name any, fn func()) {
 	s.mu.Lock()
 	s.runnable++
 	s.live++
@@ -249,7 +251,7 @@ func (s *Sim) Go(name string, fn func()) {
 		s.peakLive = s.live
 	}
 	if s.spawnObs != nil {
-		s.spawnObs(name)
+		s.spawnObs(fmt.Sprint(name))
 	}
 	s.mu.Unlock()
 	go func() {
@@ -257,7 +259,7 @@ func (s *Sim) Go(name string, fn func()) {
 			if r := recover(); r != nil {
 				s.mu.Lock()
 				if s.panicked == nil {
-					s.panicked = fmt.Sprintf("vtime goroutine %q panicked: %v", name, r)
+					s.panicked = fmt.Sprintf("vtime goroutine %q panicked: %v", fmt.Sprint(name), r)
 				}
 				s.mu.Unlock()
 			}

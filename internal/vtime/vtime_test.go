@@ -622,3 +622,31 @@ func TestAwaitRunsWhereTheWokenGoroutineRan(t *testing.T) {
 		t.Errorf("%d events and %d parks, want the 4 scheduled and none", st.Events, s.Parks())
 	}
 }
+
+// countingName is a goroutine name that counts how often it is formatted.
+type countingName struct{ n *int }
+
+func (c countingName) String() string { *c.n++; return "lazy" }
+
+// TestGoFormatsANameOnlyWhenAsked: a name that is not a string is
+// formatted only for the spawn observer and a panic's message, which see
+// it as they would the string.
+func TestGoFormatsANameOnlyWhenAsked(t *testing.T) {
+	sim := New()
+	formatted := 0
+	sim.Go(countingName{&formatted}, func() {})
+	sim.Run()
+	if formatted != 0 {
+		t.Fatalf("a name nobody asked for was formatted %d times", formatted)
+	}
+	var seen []string
+	sim.SetSpawnObserver(func(name string) { seen = append(seen, name) })
+	sim.Go(countingName{&formatted}, func() { panic("boom") })
+	defer func() {
+		want := `vtime goroutine "lazy" panicked: boom`
+		if r := recover(); fmt.Sprint(r) != want || formatted != 2 || len(seen) != 1 || seen[0] != "lazy" {
+			t.Errorf("Run raised %v after %d formats, the observer saw %q; want %q, 2 and [lazy]", r, formatted, seen, want)
+		}
+	}()
+	sim.Run()
+}

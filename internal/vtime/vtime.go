@@ -22,6 +22,7 @@ package vtime
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -32,17 +33,18 @@ type Sim struct {
 	mu       sync.Mutex
 	schedule sync.Cond // signalled when runnable drops to zero
 	now      time.Duration
-	runnable int          // simulated goroutines currently executing
-	timers   timerHeap    // events due after the instant they were scheduled at
-	ready    queue[Event] // events due at now, in seq order (see fireNext)
-	resumed  queue[Event] // records a Send or Close woke (Chan.Await), in wake order
-	seq      uint64       // tie-break for deterministic ordering of equal timestamps
-	stopped  bool         // Run has returned; subsequent blocking ops abort
-	live     int          // simulated goroutines that have started and not finished
-	peakLive int          // high-water mark of live
-	parked   *parker      // blocked goroutines, newest first, for teardown
-	parks    uint64       // times a simulated goroutine has blocked
-	pool     []*parker    // released parkers for the next parks, at most poolSize
+	runnable int           // simulated goroutines currently executing
+	timers   timerHeap     // events due after the instant they were scheduled at
+	ready    queue[Event]  // events due at now, in seq order (see fireNext)
+	readySeq queue[uint32] // beside ready, the low 32 bits of each one's seq
+	resumed  queue[Event]  // records a Send or Close woke (Chan.Await), in wake order
+	seq      uint64        // tie-break for deterministic ordering of equal timestamps
+	stopped  bool          // Run has returned; subsequent blocking ops abort
+	live     int           // simulated goroutines that have started and not finished
+	peakLive int           // high-water mark of live
+	parked   *parker       // blocked goroutines, newest first, for teardown
+	parks    uint64        // times a simulated goroutine has blocked
+	pool     []*parker     // released parkers for the next parks, at most poolSize
 	stats    Stats
 	panicked any
 	spawnObs func(name string) // test hook: observes every Go() by name
@@ -59,6 +61,7 @@ type Stats struct {
 	Events      uint64 // events fired; a void deadline is dropped, not fired
 	SameInstant uint64 // of Events, those due at the instant they were scheduled at
 	PeakPending int    // high-water of events scheduled and not yet fired or dropped
+	Digest      uint64 // a running mix of every fired event's (at, seq), in firing order
 }
 
 // New returns a fresh simulation with the clock at zero.
@@ -230,6 +233,7 @@ func (s *Sim) afterLocked(d time.Duration, ev Event) {
 	}
 	if d <= 0 {
 		s.ready.push(ev)
+		s.readySeq.push(uint32(s.seq))
 	} else {
 		s.timers.push(timer{at: s.now + d, seq: s.seq, ev: ev})
 	}
@@ -547,23 +551,24 @@ func (s *Sim) fireNext() {
 		s.mu.Lock()
 		return
 	}
-	var ev Event
-	at := s.now
+	var t timer
 	same := s.ready.len() > 0 && (len(s.timers) == 0 || s.timers[0].at > s.now)
 	if same {
-		ev = s.ready.pop()
+		// Fewer than 2^32 events are scheduled while one waits its turn.
+		t = timer{at: s.now, seq: s.seq - uint64(uint32(s.seq)-s.readySeq.pop()), ev: s.ready.pop()}
 	} else {
-		t := s.timers.pop()
-		ev, at = t.ev, t.at
+		t = s.timers.pop()
 	}
+	ev := t.ev
 	if p, ok := ev.(*parker); ok {
 		s.release(p) // the timer's reference; the waiter holds its own
 		if p.fired {
 			return
 		}
 	}
-	s.now = at
+	s.now = t.at
 	s.stats.Events++
+	s.stats.Digest = mixEvent(s.stats.Digest, t)
 	if same {
 		s.stats.SameInstant++
 	}
@@ -574,6 +579,14 @@ func (s *Sim) fireNext() {
 	s.mu.Unlock()
 	ev.Fire()
 	s.mu.Lock()
+}
+
+// mixEvent folds a fired event's (at, seq) into the digest d. Each step
+// multiplies by an odd constant and rotates, so the digest depends on the
+// order of what it folds, not only on the set.
+func mixEvent(d uint64, t timer) uint64 {
+	d = bits.RotateLeft64((d^uint64(t.at))*0x9e3779b97f4a7c15, 31)
+	return bits.RotateLeft64((d^t.seq)*0xbf58476d1ce4e5b9, 27)
 }
 
 // Stopped reports whether Run has completed and the simulation is torn down.

@@ -539,7 +539,13 @@ func TestStatsCountsEvents(t *testing.T) {
 	if end := s.Run(); end != time.Millisecond || timedOut {
 		t.Errorf("Run ended at %v (timed out: %v), want 1ms with the receive woken early", end, timedOut)
 	}
-	if got, want := s.Stats(), (Stats{Events: 4, SameInstant: 2, PeakPending: 3}); got != want {
+	// The digest folds the four fired events' (at, seq) in firing order; the
+	// void deadline took seq 5 and is not among them.
+	var digest uint64
+	for _, ev := range []timer{{0, 1, nil}, {time.Millisecond, 2, nil}, {time.Millisecond, 3, nil}, {time.Millisecond, 4, nil}} {
+		digest = mixEvent(digest, ev)
+	}
+	if got, want := s.Stats(), (Stats{Events: 4, SameInstant: 2, PeakPending: 3, Digest: digest}); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
 }
@@ -649,4 +655,38 @@ func TestGoFormatsANameOnlyWhenAsked(t *testing.T) {
 		}
 	}()
 	sim.Run()
+}
+
+// TestDigestNamesTheFiringOrder: Stats().Digest folds every fired event's
+// (at, seq). The same program run twice reads the same digest; two events
+// scheduled for one instant in the other order — each of which schedules a
+// follow-up of its own delay — fire the same count of events at the same
+// instants, but the follow-ups take the other seqs, and the digest differs.
+func TestDigestNamesTheFiringOrder(t *testing.T) {
+	run := func(swap bool) Stats {
+		s := New()
+		a := func() { s.After(time.Millisecond, func() {}) }
+		b := func() { s.After(2*time.Millisecond, func() {}) }
+		if swap {
+			a, b = b, a
+		}
+		s.After(time.Second, a)
+		s.After(time.Second, b)
+		s.Go("w", func() {
+			s.Sleep(time.Millisecond)
+			s.After(0, func() {})
+		})
+		s.Run()
+		return s.Stats()
+	}
+	first, again, swapped := run(false), run(false), run(true)
+	if first != again {
+		t.Errorf("one program ran twice: %+v, then %+v", first, again)
+	}
+	if first.Events != 6 || swapped.Events != first.Events {
+		t.Errorf("events %d and %d swapped, want 6 each", first.Events, swapped.Events)
+	}
+	if swapped.Digest == first.Digest {
+		t.Errorf("same-instant events scheduled in the other order read the same digest %#x", first.Digest)
+	}
 }

@@ -550,8 +550,8 @@ func (s *stream) admit(h Header) error {
 // SeqCheck validates a per-link chunk stream — op/tag/filter consistency
 // and in-order, duplicate-free indices — without retaining data, for
 // interior nodes that forward frames verbatim. AdmitFrame additionally
-// verifies per-chunk checksums and rolls the stream digest, so every
-// rank of a seed stream validates its link's bytes at O(chunk) memory.
+// rolls the chunks' sums into the stream digest, so every rank of a seed
+// stream validates its link's bytes at O(chunk) memory.
 type SeqCheck struct {
 	s      stream
 	digest uint64
@@ -562,11 +562,13 @@ type SeqCheck struct {
 func (c *SeqCheck) Admit(h Header) error { return c.s.admit(h) }
 
 // AdmitFrame validates the next frame of a checksummed stream: header
-// sequencing, the chunk body against its Sum, and — for the end marker —
-// the sender's digest against the locally rolled one. Seed streams carry
-// the piggybacked FEData as frame 0; it is checksummed like any chunk
-// but excluded from the payload digest, so the link digest equals the
-// digest of the RPDTAB chunk stream alone.
+// sequencing and — for the end marker — the sender's digest against the
+// locally rolled one. A chunk's Sum is its receiver's Sum64 of the body it
+// got (no link carries one), computed once, before AdmitFrame folds it into
+// the digest, so a chunk changed on its way fails the stream at its End.
+// Seed streams carry the piggybacked FEData as frame 0; it is excluded from
+// the payload digest, so the link digest equals the digest of the RPDTAB
+// chunk stream alone.
 func (c *SeqCheck) AdmitFrame(f Frame) error {
 	if err := c.s.admit(f.H); err != nil {
 		return err
@@ -580,9 +582,6 @@ func (c *SeqCheck) AdmitFrame(f Frame) error {
 			return fmt.Errorf("coll: %v stream digest mismatch: end marker %#x, rolled %#x", f.H.Op, f.Sum, c.digest)
 		}
 		return nil
-	}
-	if sum := lmonp.Sum64(f.Body); f.Sum != sum {
-		return fmt.Errorf("coll: %v chunk %d checksum mismatch: frame %#x, body %#x", f.H.Op, f.H.Index, f.Sum, sum)
 	}
 	if f.H.Op != OpSeed || f.H.Index >= 1 {
 		c.digest = lmonp.FoldSum(c.digest, f.Sum)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"launchmon/internal/lmonp"
@@ -107,8 +108,11 @@ func FuzzCollChunkDecode(f *testing.F) {
 // FuzzSeedStreamValidate exercises the streaming seed-validation path
 // (SeqCheck.AdmitFrame over the rolling-checksum contract): a pristine
 // seed stream — FEData frame 0, RPDTAB chunks from 1, digest-bearing end
-// marker — must always validate, and flipping any single body byte must
-// be rejected before the stream is accepted.
+// marker — must always validate, and flipping any single byte of an RPDTAB
+// chunk must fail the stream at its end marker: no link carries a chunk's
+// sum, so the receiver sums what arrived, as a tree link does, and the
+// rolled digest no longer matches the writer's. (FEData is outside the
+// digest.)
 func FuzzSeedStreamValidate(f *testing.F) {
 	f.Add(0, 64, uint16(0), byte(0))
 	f.Add(3, 64, uint16(2), byte(1))
@@ -164,9 +168,11 @@ func FuzzSeedStreamValidate(f *testing.F) {
 		if xor == 0 {
 			return
 		}
-		// Flip one body byte somewhere in the stream: validation must fail.
+		// Flip one RPDTAB body byte somewhere in the stream: the end marker
+		// must fail the stream, and nothing before it.
+		chunks := frames[1 : len(frames)-1]
 		bodyBytes := 0
-		for _, fr := range frames {
+		for _, fr := range chunks {
 			bodyBytes += len(fr.Body)
 		}
 		if bodyBytes == 0 {
@@ -174,23 +180,23 @@ func FuzzSeedStreamValidate(f *testing.F) {
 		}
 		target := int(corruptAt) % bodyBytes
 		var bad SeqCheck
-		failed := false
-		for _, fr := range frames {
-			if !fr.End && target >= 0 && target < len(fr.Body) {
+		for i, fr := range frames {
+			if i > 0 && !fr.End && target >= 0 && target < len(fr.Body) {
 				mut := append([]byte(nil), fr.Body...)
 				mut[target] ^= xor
 				fr.Body = mut
 			}
-			if !fr.End {
+			if i > 0 && !fr.End {
 				target -= len(fr.Body)
+				fr.Sum = lmonp.Sum64(fr.Body) // the receiver's
 			}
-			if err := bad.AdmitFrame(fr); err != nil {
-				failed = true
-				break
+			err := bad.AdmitFrame(fr)
+			switch {
+			case !fr.End && err != nil:
+				t.Fatalf("corrupted seed stream failed at frame %d, before its end: %v", i, err)
+			case fr.End && (err == nil || !strings.Contains(err.Error(), "digest mismatch")):
+				t.Fatalf("corrupted seed stream ended with %v, want a digest mismatch", err)
 			}
-		}
-		if !failed {
-			t.Fatal("corrupted seed stream validated")
 		}
 	})
 }

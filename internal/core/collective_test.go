@@ -557,8 +557,8 @@ func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 
 // TestTreeReadChargeRule pins where a Comm collective's reader time is
 // charged (DESIGN.md "Simulator cost model"): until the first plane
-// operation demultiplexes a daemon's tree links, Comm.recvRaw charges
-// iccl.PerMsgCost on the daemon's own goroutine, one reader a daemon, so
+// operation demultiplexes a daemon's tree links, a collective's walk charges
+// iccl.PerMsgCost as it reads, one reader a daemon, so
 // the master of a flat fabric reads its children's barrier frames one
 // after another; after it, each link's SerialFramer charges its own
 // frames, one reader a link, and the children's frames are charged side

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,8 +125,13 @@ func TestSessionCollectivesParkOnce(t *testing.T) {
 // times a daemon, every goroutine of the simulation counted: a daemon waits
 // once on its Forming record from its join to its ready (the master's
 // front-end handshake, and the front end's own waits, are the rest). The
-// daemons return from init at once, so no tool body's wait is counted.
+// daemons return from init at once, so no tool body's wait is counted. A
+// third launch of BE daemons that call Finalize once ready, with no plane
+// operation, parks at most 2.05 times a daemon from the first spawn to the
+// last daemon's Finalize return: its barrier is one walk the daemon waits
+// on once.
 func TestLaunchParksPerDaemon(t *testing.T) {
+	t.Run("Finalize", testFinalizeParksPerDaemon)
 	const k, fanout, bound = 1024, 64, 1.05
 	sim, cl, _ := rig(t, 2*k)
 	var spawned uint64 // Sim.Parks() at the fabric's first daemon spawn
@@ -172,4 +178,48 @@ func TestLaunchParksPerDaemon(t *testing.T) {
 		}
 		check("MW")
 	})
+}
+
+// testFinalizeParksPerDaemon is TestLaunchParksPerDaemon's Finalize cell.
+func testFinalizeParksPerDaemon(t *testing.T) {
+	const k, fanout, bound = 1024, 64, 2.05
+	sim, cl, _ := rig(t, k)
+	var spawned, finalized uint64 // Sim.Parks() at the first daemon's spawn, at the last one's Finalize return
+	var done atomic.Int32
+	cl.Register("lp_fin", func(p *cluster.Proc) {
+		if done.Add(1) == 1 {
+			spawned = sim.Parks()
+		}
+		be, err := BEInit(p)
+		if err == nil {
+			err = be.Finalize()
+		}
+		if err != nil {
+			t.Errorf("rank on %s: %v", p.Node().Name(), err)
+		}
+		if done.Add(1) == 2*k {
+			finalized = sim.Parks()
+		}
+	})
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		s, err := LaunchAndSpawn(p, Options{
+			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
+			Daemon:     rm.DaemonSpec{Exe: "lp_fin"},
+			ICCLFanout: fanout,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sim.Sleep(10 * time.Second) // every daemon has finalized
+		s.Kill()
+	})
+	if finalized == 0 {
+		t.Fatalf("%d of %d daemons returned from Finalize", int(done.Load())-k, k)
+	}
+	if per := float64(finalized-spawned) / k; per > bound {
+		t.Errorf("%d daemons parked %.3f times a daemon from spawn to Finalize, want at most %.2f", k, per, bound)
+	} else {
+		t.Logf("%.3f parks a daemon from spawn to Finalize", per)
+	}
 }

@@ -19,8 +19,8 @@ import (
 // tree connection owns the receive side and sorts frames into the
 // heartbeat queue, the per-tag stream records of the collective plane
 // (frames and credits both, handed to the operation they belong to), and
-// the base queue (barrier/fold/bcast of the bootstrap-era Comm
-// collectives). No goroutine is parked per link: the framer is a state
+// the base queue (the walks of Comm's collectives, walk.go). No goroutine
+// is parked per link: the framer is a state
 // machine on the vtime scheduler. It is installed lazily, never at
 // bootstrap, so the session-seed stream (which flows through the same
 // connections while the tree forms) and the million-daemon noop profile
@@ -89,12 +89,12 @@ type tagLink struct {
 
 // demuxLinks idempotently hands the receive side of every tree connection
 // to a linkDemux. From then on all receives are served from the demux
-// (recvRaw, the plane's operations, Link.Recv) in any interleaving. The one
-// constraint is on the switch itself: no goroutine of this daemon may be
-// parked in a direct-mode read on a tree link while it happens (vtime
-// panics on a handler installed under a parked reader), which holds for
-// the session lifecycle — the daemon's init goroutine runs the init-time
-// gathers and ShareLinks back to back, before any tool code.
+// (walks, the plane's operations, Link.Recv) in any interleaving. The one
+// constraint is on the switch itself: no walk of this daemon may be
+// mid-read on a tree link while it happens (vtime panics on a handler
+// installed under a waiting reader), which holds for the session
+// lifecycle: the daemon's goroutine waits each walk out, and the init-time
+// ones end before ShareLinks and any tool code.
 func (c *Comm) demuxLinks() {
 	c.dmMu.Lock()
 	defer c.dmMu.Unlock()

@@ -24,8 +24,8 @@ import (
 // of ShareLinks / the first plane operation installed the demux. The same
 // framer (SerialFramer) owns every rank's parent link while the seed is in
 // flight; there the reader it stands in for is written out below
-// (runSeedScript) over Comm.readCharged, and the two must deliver at the
-// same instants.
+// (runSeedScript) as a goroutine that block-reads the link and charges each
+// frame, and the two must deliver at the same instants.
 
 type linkFrame int
 
@@ -243,11 +243,16 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					}
 					defer c.Close()
 					for op := uint32(opSeedChunk); op == opSeedChunk; {
-						raw, err := c.readCharged(c.parent)
+						msg, err := c.parent.RecvMessage()
+						var raw []byte
+						if err == nil {
+							raw, err = lmonp.FrameFromMessage(msg)
+						}
 						if err != nil {
 							t.Errorf("rank %d: %v", i, err)
 							return
 						}
+						p.Compute(PerMsgCost)
 						at = append(at, sim.Now())
 						op = binary.BigEndian.Uint32(raw)
 					}

@@ -10,7 +10,6 @@ import (
 	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
 	"launchmon/internal/simnet"
-	"launchmon/internal/vtime"
 )
 
 // This file is a forming rank's record: everything a daemon does from its
@@ -18,13 +17,11 @@ import (
 // the seed (the cut-through stream's end, or store-forward's broadcast), the
 // ready gather and the fold behind it — carried on the scheduler, the way
 // planeOp carries a collective and Seed the stream. Its timers are the
-// goroutine's sleeps and charges; a link it reads wakes it where a goroutine
-// parked on the link would have run (vtime.Chan.Await), inside the arrival's
-// turn. So a launch fires the events it fired with a goroutine blocked in
-// each phase, in the same (at, seq) order, while the daemon's goroutine
-// waits once, from its join to its ready. The reader is the serial
-// PerMsgCost-charged one it replaces: one frame at a time, in accept order,
-// then in child-slot order (DESIGN.md "A tree read is charged per reader").
+// goroutine's sleeps and charges, and a link it reads wakes it where a
+// goroutine parked on the link would have run (vtime.Chan.Await), so a launch
+// fires the events a goroutine blocked in each phase fired, in the same (at,
+// seq) order, while the daemon's goroutine waits once. Its reader, and the
+// broadcast, gather and fold, are its walk's (walk.go).
 
 // Ready is a forming rank's owner. The record calls it on the scheduler (or
 // on the rank's goroutine before it waits), in this order, as the rank goes
@@ -57,9 +54,8 @@ const (
 	phAccept                // child slot's connection
 	phJoinRead              // its join
 	phReady                 // child slot's ready
-	phSeed                  // the seed: the stream's end, or store-forward's broadcast
-	phGather                // child slot's ready-gather frame
-	phFold                  // child slot's fold frame
+	phSeed                  // the seed stream's end
+	phWalk                  // its walk: store-forward's broadcast, the ready gather, the fold
 )
 
 // Forming is one rank's record from its join to its ready. Scheduler
@@ -68,7 +64,7 @@ const (
 // starts it, waits on it once (wait), and takes the communicator or the
 // error. The record is dropped at ready.
 type Forming struct {
-	c     *Comm
+	walk
 	nodes []string      // Config.Nodelist
 	port  int           // Config.Port
 	reg   *obs.Registry // Config.Metrics
@@ -76,27 +72,17 @@ type Forming struct {
 	up    *lmonp.Conn   // the root's parent link while the tree forms (store-forward)
 	seed  Seed          // the cut-through stream, when seeded
 
-	phase   phase
-	seeded  bool // the seed streams through the forming tree
-	done    bool
-	slot    int          // the child slot the phase is at; the dial's attempts
-	total   int          // ranks the ready wave has counted
-	conn    *simnet.Conn // the link being dialed; an accepted child's, join unread
-	charged []byte       // a frame taken off a link while its PerMsgCost runs
-	buf     []byte       // store-forward's seed broadcast (the root's to send), then the fold's accumulator
-	entries []coll.Entry // the ready gather's
-
-	err    error        // the record's end; while dialing, the last refused dial's
-	resume vtime.Resume // a link's wake
-	w      vtime.Waiter // the rank's goroutine
+	phase  phase
+	seeded bool // the seed streams through the forming tree
+	done   bool
+	total  int          // ranks the ready wave has counted
+	conn   *simnet.Conn // the link being dialed; an accepted child's, join unread
 }
 
 // form starts the record of rank cfg.Rank (defaults applied) with f's plan
 // on the rank's goroutine and waits for its ready.
 func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
 	f.nodes, f.port, f.reg = cfg.Nodelist, cfg.Port, cfg.Metrics
-	f.resume.Init(f)
-	f.w.Init(p.Sim())
 	var err error
 	switch {
 	case cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size:
@@ -106,6 +92,7 @@ func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
 	}
 	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
 	f.c = c
+	f.bind(f)
 	if err == nil {
 		c.bindMetrics(cfg.Metrics)
 		p.AdoptConn(c) // a killed daemon's links die with it
@@ -231,57 +218,8 @@ func (f *Forming) step() bool {
 		return f.formed()
 	case phSeed:
 		return f.seedIn()
-	case phGather:
-		if f.slot < len(c.children) {
-			frame, ok, err := f.read(c.children[f.slot])
-			if !ok {
-				return false
-			}
-			body, err := c.opBody(f.slot, opGather, frame, err)
-			var sub []coll.Entry
-			if err == nil {
-				sub, err = coll.DecodeEntries(body)
-			}
-			if err != nil {
-				return f.finish(err)
-			}
-			f.entries = append(f.entries, sub...)
-			f.slot++
-			return true
-		}
-		all, err := c.gathered(f.entries)
-		f.entries = nil
-		var mine []byte
-		if err == nil {
-			mine, err = f.r.Gathered(all)
-		}
-		if err != nil || mine == nil {
-			return f.ready(nil, err)
-		}
-		if f.buf, err = f.r.Combine(nil, mine); err != nil {
-			return f.finish(err)
-		}
-		f.phase, f.slot = phFold, 0
-	case phFold:
-		if f.slot < len(c.children) {
-			frame, ok, err := f.read(c.children[f.slot])
-			if !ok {
-				return false
-			}
-			body, err := c.opBody(f.slot, opFold, frame, err)
-			if err == nil {
-				f.buf, err = foldStep(f.buf, body, f.r.Combine)
-			}
-			if err != nil {
-				return f.finish(err)
-			}
-			f.slot++
-			return true
-		}
-		if c.parent != nil {
-			return f.ready(nil, c.sendOp(above, foldFrame(f.buf)))
-		}
-		return f.ready(f.buf, nil)
+	case phWalk:
+		return f.walk.step()
 	}
 	return true
 }
@@ -347,9 +285,6 @@ func (f *Forming) formed() bool {
 		}
 	}
 	f.phase = phSeed
-	if f.r == nil && !f.seeded {
-		return f.finish(nil)
-	}
 	if f.r != nil {
 		f.r.Formed(c)
 	}
@@ -357,74 +292,50 @@ func (f *Forming) formed() bool {
 }
 
 // seedIn takes the rank's seed: it waits for the stream's last part (which
-// calls Fire), or under store-forward receives the broadcast from the
-// parent and relays it to the children. Then the ready gather begins.
+// calls Fire), or under store-forward walks the broadcast down from the
+// parent (the root's buf) to the children. A rank with an owner gathers next.
 func (f *Forming) seedIn() bool {
-	c := f.c
 	switch {
-	case f.seeded && f.seed.parts > 0:
+	case f.seed.parts > 0:
 		return false
-	case f.seeded && f.seed.err != nil:
+	case f.seed.err != nil:
 		return f.finish(f.seed.err)
-	case !f.seeded && c.parent != nil:
-		frame, ok, err := f.read(c.parent)
-		if !ok {
-			return false
-		}
-		body, err := c.opBody(above, opBcast, frame, err)
-		if err == nil {
-			f.buf, err = bcastBody(body)
-		}
-		if err != nil {
-			return f.finish(err)
-		}
-	}
-	if f.r == nil {
+	case f.r == nil:
 		return f.finish(nil)
+	case !f.seeded:
+		f.phase, f.op = phWalk, opBcast
+		return true
 	}
-	if !f.seeded {
-		if err := c.bcastDown(f.buf); err != nil {
-			return f.finish(err)
+	return f.walked(opBcast, nil)
+}
+
+// walked goes on from each walk of the rank's last phase: the seed is in,
+// and the rank's contribution starts the ready gather; the ready gather is
+// in, and the rank's fold contribution, if it has one, starts the fold; the
+// fold is in — the root's accumulator, nil elsewhere — and the rank is ready.
+func (f *Forming) walked(op uint32, err error) bool {
+	var mine []byte
+	switch {
+	case err != nil:
+	case op == opBcast:
+		mine, err = f.r.Seeded(f, f.buf)
+		f.entries, f.buf = append(f.entries, coll.Entry{Rank: f.c.rank, Blob: mine}), nil
+		f.phase, f.op, f.slot = phWalk, opGather, 0
+	case op == opGather:
+		if mine, err = f.r.Gathered(f.all); err == nil && mine != nil {
+			f.buf, err = f.r.Combine(nil, mine)
+			f.op, f.slot, f.combine = opFold, 0, f.r.Combine
 		}
+		f.all = nil
 	}
-	mine, err := f.r.Seeded(f, f.buf)
-	f.buf = nil
-	if err != nil {
+	switch {
+	case err != nil:
 		return f.finish(err)
+	case f.op != 0:
+		return true
 	}
-	f.entries = append(f.entries, coll.Entry{Rank: c.rank, Blob: mine})
-	f.phase, f.slot = phGather, 0
-	return true
+	return f.finish(f.r.Folded(f.buf))
 }
-
-// read takes the next frame off conn as the serial reader does: a message
-// delivered unread (or the link's end) is taken at once and charged
-// PerMsgCost of reader time, after which the frame is the phase's. ok is
-// false while the record waits for the message or the charge; a message
-// that is no frame fails at once, uncharged.
-func (f *Forming) read(conn *simnet.Conn) (frame []byte, ok bool, err error) {
-	if f.charged != nil {
-		frame, f.charged = f.charged, nil
-		f.c.countRx(frame)
-		return frame, true, nil
-	}
-	msg, wait, err := conn.AwaitMessage(&f.resume)
-	if wait {
-		return nil, false, nil
-	}
-	if err == nil {
-		frame, err = lmonp.FrameFromMessage(msg)
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	f.charged = frame // never nil: a frame is a message's tail
-	f.after(PerMsgCost)
-	return nil, false, nil
-}
-
-// after wakes the record d from now.
-func (f *Forming) after(d time.Duration) { f.c.p.Sim().AfterEvent(d, f) }
 
 // failBoot fails a forming rank's bootstrap (failBootstrap), waiting on its
 // child subtrees from slot from on.
@@ -445,14 +356,6 @@ func (f *Forming) bootFailed(err error) bool {
 	return f.finish(err)
 }
 
-// ready is the rank's last step: its owner's Folded, unless err came first.
-func (f *Forming) ready(acc []byte, err error) bool {
-	if err == nil {
-		err = f.r.Folded(acc)
-	}
-	return f.finish(err)
-}
-
 // finish ends the record and wakes the rank's goroutine, which owns it from
 // here: nothing touches it after the wake but a late wake or timer, which
 // finds it done. A formed rank that fails tells its parent why and tears
@@ -463,7 +366,7 @@ func (f *Forming) finish(err error) bool {
 		f.c.Abort(err)
 	}
 	f.done, f.err = true, err
-	f.entries, f.buf, f.charged = nil, nil, nil
+	f.entries, f.buf, f.charged, f.combine = nil, nil, nil, nil
 	f.w.Wake()
 	return false
 }
@@ -473,13 +376,10 @@ func (f *Forming) finish(err error) bool {
 // master. A rank past its ready ignores it. Call it from a scheduler
 // callback.
 func (f *Forming) End(err error) {
-	if f.done || f.phase < phGather {
+	if f.done || f.op != opGather && f.op != opFold {
 		return
 	}
-	op, from := uint32(opGather), f.slot
-	if f.phase == phFold {
-		op = opFold
-	}
+	op, from := f.op, f.slot
 	if f.charged != nil {
 		from++ // taken: its charge runs
 	}

@@ -235,39 +235,6 @@ func (c *Comm) who() string {
 	return "rank " + strconv.Itoa(c.rank)
 }
 
-// recvRaw reads one raw non-plane frame from the tree link a slot names: from
-// its demux's base queue once that owns the connection (demuxLinks), directly
-// off it before. The ICCL per-message cost is charged exactly once either
-// way: here on the direct path, by the demux's framer otherwise.
-func (c *Comm) recvRaw(slot int) ([]byte, error) {
-	if d := c.demux(slot); d != nil {
-		raw, ok := d.queue(&d.base).Recv()
-		if !ok {
-			return nil, d.failure()
-		}
-		return raw, nil
-	}
-	return c.readCharged(c.conn(slot))
-}
-
-// readCharged reads one frame straight off a tree link, charging the
-// per-message handling cost. Tree frames travel one per network message, so
-// the delivered message is taken whole and unwraps to exactly one frame,
-// which aliases it.
-func (c *Comm) readCharged(conn *simnet.Conn) ([]byte, error) {
-	msg, err := conn.RecvMessage()
-	if err != nil {
-		return nil, err
-	}
-	raw, err := lmonp.FrameFromMessage(msg)
-	if err != nil {
-		return nil, err
-	}
-	c.p.Compute(PerMsgCost)
-	c.countRx(raw)
-	return raw, nil
-}
-
 // ctlFrame renders a bootstrap control message (join, ready): the opcode
 // plus one value.
 func ctlFrame(op, v uint32) []byte {
@@ -315,7 +282,7 @@ func (c *Comm) parseStatus(raw []byte) (*peerError, error) {
 	return &peerError{rank: int(rank), phase: phase, err: errors.New(cause), up: true}, nil
 }
 
-// countRx tallies one received tree frame (both recvRaw modes).
+// countRx tallies one received tree frame (both of a walk's read modes).
 func (c *Comm) countRx(raw []byte) {
 	if m := c.obs; m != nil {
 		m.rxFrames.Inc()
@@ -386,7 +353,9 @@ func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
 // (the store-forward launch). It returns once r reports the rank ready.
 func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn, seed []byte, r Ready) (*Comm, error) {
 	cfg = cfg.withDefaults()
-	return form(p, &cfg, &Forming{up: up, buf: seed, r: r})
+	f := &Forming{up: up, r: r}
+	f.buf = seed
+	return form(p, &cfg, f)
 }
 
 // watchParent makes anything on the parent link of a rank without a seed
@@ -497,13 +466,6 @@ func (c *Comm) shut(sever bool) {
 	}
 }
 
-// recvOp reads one bootstrap-era collective frame from the link a slot
-// names, checks its opcode, and returns the body behind it (opBody).
-func (c *Comm) recvOp(slot int, want uint32) ([]byte, error) {
-	frame, err := c.recvRaw(slot)
-	return c.opBody(slot, want, frame, err)
-}
-
 // opBody checks a bootstrap-era collective frame read off the link a slot
 // names with err. Its errors name the peer's rank, so every collective says
 // which link failed — or a failure relayed from below, the deepest cause, as
@@ -533,7 +495,7 @@ func (c *Comm) opBody(slot int, want uint32, frame []byte, err error) ([]byte, e
 }
 
 // sendOp puts one bootstrap-era collective frame on the link a slot names.
-// Like recvOp's, its errors name the peer's rank.
+// Like opBody's, its errors name the peer's rank.
 func (c *Comm) sendOp(slot int, msg []byte) error {
 	if err := c.send(c.conn(slot), msg); err != nil {
 		rank := c.peerRank(slot)
@@ -550,59 +512,19 @@ func (c *Comm) peerRank(slot int) int {
 	return c.childRank(slot)
 }
 
-// Barrier blocks until every daemon has entered it.
+// Barrier blocks until every daemon has entered it: an empty gather up, then
+// a release down. Each of Comm's collectives is one walk (walk.go) the
+// caller's goroutine starts and waits on once, on links read directly or
+// demultiplexed.
 func (c *Comm) Barrier() error {
-	for slot := range c.children {
-		if _, err := c.recvOp(slot, opBarrier); err != nil {
-			return err
-		}
-	}
-	if c.parent != nil {
-		if err := c.sendOp(above, newFrame(opBarrier, 0)); err != nil {
-			return err
-		}
-		if _, err := c.recvOp(above, opRelease); err != nil {
-			return err
-		}
-	}
-	rel := newFrame(opRelease, 0)
-	for slot := range c.children {
-		if err := c.sendOp(slot, rel); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := c.newWalk(opBarrier, nil).wait()
+	return err
 }
 
 // Broadcast distributes buf from the master to every daemon; every caller
 // returns the broadcast bytes — the master buf unchanged, every other
-// daemon a copy of its own (the message it arrived in is shared with the
-// sender's other children).
-func (c *Comm) Broadcast(buf []byte) ([]byte, error) {
-	if c.parent != nil {
-		body, err := c.recvOp(above, opBcast)
-		if err == nil {
-			buf, err = bcastBody(body)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := c.bcastDown(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// bcastBody is a copy of the bytes a broadcast frame's body carries.
-func bcastBody(body []byte) ([]byte, error) {
-	rd := lmonp.NewReader(body)
-	got := rd.Bytes()
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), got...), nil
-}
+// daemon a copy of its own.
+func (c *Comm) Broadcast(buf []byte) ([]byte, error) { return c.newWalk(opBcast, buf).wait() }
 
 // bcastDown sends buf on to every child: the onward message is built once
 // and that one buffer goes out on every child link.
@@ -610,7 +532,11 @@ func (c *Comm) bcastDown(buf []byte) error {
 	if len(c.children) == 0 {
 		return nil
 	}
-	msg := lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf)
+	return c.sendDown(lmonp.AppendBytes(newFrame(opBcast, 4+len(buf)), buf))
+}
+
+// sendDown puts msg on every child link, in slot order.
+func (c *Comm) sendDown(msg []byte) error {
 	for slot := range c.children {
 		if err := c.sendOp(slot, msg); err != nil {
 			return err
@@ -624,19 +550,10 @@ func (c *Comm) bcastDown(buf []byte) error {
 // frames are the opcode plus a coll entry list in rank order; decoded
 // blobs alias the frame they arrived in.
 func (c *Comm) Gather(mine []byte) ([][]byte, error) {
-	entries := []coll.Entry{{Rank: c.rank, Blob: mine}}
-	for slot := range c.children {
-		body, err := c.recvOp(slot, opGather)
-		var sub []coll.Entry
-		if err == nil {
-			sub, err = coll.DecodeEntries(body)
-		}
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, sub...)
-	}
-	return c.gathered(entries)
+	w := c.newWalk(opGather, nil)
+	w.entries = []coll.Entry{{Rank: c.rank, Blob: mine}}
+	_, err := w.wait()
+	return w.all, err
 }
 
 // gathered ends a gather with this subtree's contributions — this rank's
@@ -673,26 +590,15 @@ func entriesFrame(op uint32, entries []coll.Entry) []byte {
 // combined blob per link, so the reduction stays O(blob) per link at any
 // tree size — this is how the observability plane harvests per-daemon
 // metric snapshots without building an O(K) concatenation anywhere. The
-// root returns the full fold; every other daemon returns nil. Works both
-// before and after the links are demultiplexed (recvRaw).
+// root returns the full fold; every other daemon returns nil.
 func (c *Comm) FoldUp(mine []byte, combine func(acc, next []byte) ([]byte, error)) ([]byte, error) {
 	acc, err := combine(nil, mine)
 	if err != nil {
 		return nil, err
 	}
-	for slot := range c.children {
-		body, err := c.recvOp(slot, opFold)
-		if err == nil {
-			acc, err = foldStep(acc, body, combine)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if c.parent != nil {
-		return nil, c.sendOp(above, foldFrame(acc))
-	}
-	return acc, nil
+	w := c.newWalk(opFold, acc)
+	w.combine = combine
+	return w.wait()
 }
 
 // foldStep combines the blob a fold frame's body carries into acc.
@@ -705,53 +611,18 @@ func foldStep(acc, body []byte, combine func(acc, next []byte) ([]byte, error)) 
 	return combine(acc, blob)
 }
 
-// foldFrame renders a fold message: the opcode plus the combined blob.
-func foldFrame(acc []byte) []byte { return lmonp.AppendBytes(newFrame(opFold, 4+len(acc)), acc) }
-
 // Scatter delivers parts[rank] to each daemon; only the master's parts
 // argument is used, and it must have exactly Size entries.
 func (c *Comm) Scatter(parts [][]byte) ([]byte, error) {
-	var entries []coll.Entry
+	w := c.newWalk(opScatter, nil)
 	if c.parent == nil {
 		if len(parts) != c.size {
 			return nil, fmt.Errorf("%w: scatter needs %d parts, got %d", errProtocol, c.size, len(parts))
 		}
-		entries = make([]coll.Entry, len(parts))
+		w.entries = make([]coll.Entry, len(parts))
 		for rk, p := range parts {
-			entries[rk] = coll.Entry{Rank: rk, Blob: p}
-		}
-	} else {
-		body, err := c.recvOp(above, opScatter)
-		if err != nil {
-			return nil, err
-		}
-		if entries, err = coll.DecodeEntries(body); err != nil {
-			return nil, err
+			w.entries[rk] = coll.Entry{Rank: rk, Blob: p}
 		}
 	}
-	// Entries arrive in rank order, so splitting them by child subtree
-	// leaves every onward list in rank order too.
-	subs := make([][]coll.Entry, len(c.children))
-	var mine []byte
-	have := false
-	for _, e := range entries {
-		if e.Rank == c.rank {
-			mine, have = e.Blob, true
-			continue
-		}
-		slot := subtreeSlot(c.rank, c.fanout, len(subs), e.Rank)
-		if slot < 0 {
-			return nil, fmt.Errorf("%w: scatter part for rank %d outside rank %d's subtree", errProtocol, e.Rank, c.rank)
-		}
-		subs[slot] = append(subs[slot], e)
-	}
-	for slot := range c.children {
-		if err := c.sendOp(slot, entriesFrame(opScatter, subs[slot])); err != nil {
-			return nil, err
-		}
-	}
-	if !have {
-		return nil, fmt.Errorf("%w: no scatter part for rank %d", errProtocol, c.rank)
-	}
-	return mine, nil
+	return w.wait()
 }

@@ -268,7 +268,7 @@ func TestSeedLeafAllocatesOnlyItsScan(t *testing.T) {
 	})
 	sim.Run()
 	cfg := Config{Rank: rank, Size: rigSize, Fanout: rigFanout}
-	f := &Forming{c: &Comm{rank: rank, size: rigSize, fanout: rigFanout}}
+	f := &Forming{walk: walk{c: &Comm{rank: rank, size: rigSize, fanout: rigFanout}}}
 	var asm proctab.Assembler
 	var tabOut proctab.Table
 	f.seed.init(f, p, &cfg, nil, &SeedRouter{RankOf: rigRankOf, ChunkBytes: len(bodies[1])}, func(f coll.Frame, c proctab.Chunk) (err error) {

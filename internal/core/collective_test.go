@@ -558,13 +558,12 @@ func startMasterEnd(t *testing.T, sim *vtime.Sim, e *malformedEnd) {
 // TestTreeReadChargeRule pins where a Comm collective's reader time is
 // charged (DESIGN.md "Simulator cost model"): until the first plane
 // operation demultiplexes a daemon's tree links, a collective's walk charges
-// iccl.PerMsgCost as it reads, one reader a daemon, so
-// the master of a flat fabric reads its children's barrier frames one
-// after another; after it, each link's SerialFramer charges its own
-// frames, one reader a link, and the children's frames are charged side
-// by side. The ready gather, Figure 3's flat-tree rows and the BE API's
-// Comm collectives run under the first rule; a change that moves any of
-// them to the second moves these instants.
+// iccl.PerMsgCost as it reads, one reader a daemon, so the master of a flat
+// fabric reads its children's barrier frames one after another; after it,
+// each link's SerialFramer charges its own frames, one reader a link, and
+// the children's frames are charged side by side. The ready gather, Figure
+// 3's flat-tree rows and the BE API's Comm collectives run under the first
+// rule; a change that moves any of them to the second moves these instants.
 func TestTreeReadChargeRule(t *testing.T) {
 	for _, c := range []struct {
 		fanout        int

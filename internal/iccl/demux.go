@@ -15,16 +15,16 @@ import (
 
 // This file is the per-link demultiplexer: once a daemon shares its tree
 // links with the health layer (ShareLinks) or runs its first collective-
-// plane operation — whichever comes first — one event-driven framer per
-// tree connection owns the receive side and sorts frames into the
-// heartbeat queue, the per-tag stream records of the collective plane
-// (frames and credits both, handed to the operation they belong to), and
-// the base queue (the walks of Comm's collectives, walk.go). No goroutine
-// is parked per link: the framer is a state
-// machine on the vtime scheduler. It is installed lazily, never at
-// bootstrap, so the session-seed stream (which flows through the same
-// connections while the tree forms) and the million-daemon noop profile
-// (whose daemons do neither, and hold nothing per link) are untouched.
+// plane operation — whichever comes first — one event-driven framer per tree
+// connection owns the receive side and sorts frames into the heartbeat
+// queue, the per-tag stream records of the collective plane (frames and
+// credits both, handed to the operation they belong to), and the base queue
+// (the walks of Comm's collectives, walk.go). No goroutine is parked per
+// link: the framer is a state machine on the vtime scheduler. It is
+// installed lazily, never at bootstrap, so the session-seed stream (which
+// flows through the same connections while the tree forms) and the
+// million-daemon noop profile (whose daemons do neither, and hold nothing
+// per link) are untouched.
 
 // linkDemux is the demultiplexed receive side of one tree connection.
 // Every queue and backlog is unbounded, so one stalled tagged stream

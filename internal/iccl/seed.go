@@ -498,15 +498,15 @@ func (s *Seed) onChild(i int, conn *simnet.Conn) {
 }
 
 // onParent makes the parent link every non-root rank's stream. A
-// SerialFramer owns the link while the seed is in flight, charging like
-// the serial reader it stands in for and detaching at the End frame's
-// arrival — on a rank still forming, when bootstrap returns, so that the
-// link's end fails the tree until then — so the walks that follow read the
-// same conn. Decoding and admission run behind the horizon, like that
-// reader's. The framer takes whole messages: a frame keeps the one it
-// arrived in (coll.Frame.Wire) for the verbatim relay of FEData. It is the one receive path that checks a tree
-// stream, so a chunk's sum, which the wire does not carry, is computed
-// here, once, for the record's SeqCheck to fold and the sink to keep.
+// SerialFramer owns the link while the seed is in flight, charging like the
+// serial reader it stands in for and detaching at the End frame's arrival —
+// on a rank still forming, when bootstrap returns, so that the link's end
+// fails the tree until then — so the walks that follow read the same conn.
+// Decoding and admission run behind the horizon, like that reader's. The
+// framer takes whole messages: a frame keeps the one it arrived in
+// (coll.Frame.Wire) for the verbatim relay of FEData. It is the one receive
+// path that checks a tree stream: it sums each chunk, which the wire does
+// not, once, for the SeqCheck and the sink.
 func (s *Seed) onParent(conn *simnet.Conn) {
 	fr := &SerialFramer{Sim: s.f.c.p.Sim(), Cost: PerMsgCost, Deliver: func(msg []byte) {
 		f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)

@@ -90,8 +90,9 @@ func (w *walk) end(err error) bool {
 	return w.owner.walked(op, err)
 }
 
-// step takes the walk one frame on; false while it waits, or when its
-// owner stops at its end.
+// step takes the walk one frame on: an up op reads the children's frames in
+// slot order, then sends its subtree's up; a down op reads the parent's, then
+// sends on to the children. False while it waits, or when its owner stops.
 func (w *walk) step() bool {
 	c := w.c
 	up := w.op == opBarrier || w.op == opGather || w.op == opFold

@@ -249,9 +249,9 @@ func TestLaunchFaultEndsInNamedState(t *testing.T) {
 	cells = append(cells,
 		// Rank 1 has joined the master, and rank 3, its child, is held back
 		// past the kill: the master's own bootstrap fails reading rank 1's
-		// ready, and it tells the front end which node it lost.
+		// ready, and it tells the front end which rank it lost.
 		launchCell{name: "interior killed mid-join", k: 8, fanout: 2, victim: 1, held: "3", killAt: 60 * time.Millisecond,
-			within: time.Millisecond, want: "BE master daemon: iccl: bootstrap failed: ready from node1"},
+			within: time.Millisecond, want: "BE master daemon: iccl: bootstrap failed: rank 1: simnet: peer host is dead"},
 		// Leaf rank 3's node dies with its join on the way: rank 1's accept
 		// pins the dead link on rank 3 by its host and sends the master a
 		// status frame saying so, which the master passes to its front end.

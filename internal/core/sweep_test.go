@@ -83,6 +83,7 @@ type sweepRun struct {
 	dropped, hit, finished bool
 	fault                  time.Duration
 	events                 uint64 // the reference's, launch to Detach
+	digest                 uint64 // the reference's Stats().Digest once the simulation ends
 	calls                  []sweepCall
 	mu                     sync.Mutex // daemons and the front end find problems
 	problems               []string
@@ -127,6 +128,7 @@ func (r *sweepRun) run(t *testing.T) []string {
 		}
 	})
 	runFE(t, r.sim, r.cl, r.fe)
+	r.digest = r.sim.Stats().Digest
 	if !r.finished {
 		return append(r.problems, "a front-end call was still waiting when the simulation ended")
 	}
@@ -287,9 +289,15 @@ func (r *sweepRun) check() {
 }
 
 // sweepEvents is what each reference session fires from its launch to its
-// Detach: a timer or a frame that a failure path adds to a clean run moves
-// it.
-var sweepEvents = map[SeedMode]uint64{SeedCutThrough: 682, SeedStoreForward: 369}
+// Detach, and the digest of every event its simulation fires, teardown
+// included (vtime's Stats().Digest of each fired event's instant and seq): a
+// timer or a frame that a failure path adds to a clean run moves the count,
+// and a read, charge or send that moves an event's instant or seq moves the
+// digest.
+var sweepEvents = map[SeedMode]struct{ events, digest uint64 }{
+	SeedCutThrough:   {682, 0x24219b110eeec944},
+	SeedStoreForward: {369, 0xa08aa850a41c9ca0},
+}
 
 var digits = regexp.MustCompile(`[0-9][0-9.]*(µs|ms|ns|s)?`)
 
@@ -310,8 +318,9 @@ func TestFaultSweep(t *testing.T) {
 			if p := ref.run(t); len(p) > 0 {
 				t.Fatalf("%v reference: %v", mode, p)
 			}
-			if ref.events != sweepEvents[mode] {
-				t.Errorf("%v reference: %d events from launch to Detach, want %d", mode, ref.events, sweepEvents[mode])
+			if want := sweepEvents[mode]; ref.events != want.events || ref.digest != want.digest {
+				t.Errorf("%v reference: %d events from launch to Detach, digest %#x at the end; want %d, %#x",
+					mode, ref.events, ref.digest, want.events, want.digest)
 			}
 			for i := range sweepTargets {
 				tg := &sweepTargets[i]

@@ -388,7 +388,10 @@ func TestStatusFrameFailsTheLinkWithItsCause(t *testing.T) {
 // communicator for the life of its session to their size classes, and what
 // it keeps parked in a broadcast: the operation record, whose collective
 // header (in a frame of every backlog too) holds the Tail bit in its padding.
-// TestDaemonHeapFootprint's 3 % cannot see a size class a daemon.
+// It also pins the records a rank makes once a call or a launch: a Comm
+// call's walk, whose ready-wave count rides in the padding after its op, and
+// a forming rank's record, which embeds one. TestDaemonHeapFootprint's 3 %
+// cannot see a size class a daemon.
 func TestLinkStateSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -398,6 +401,8 @@ func TestLinkStateSizeClasses(t *testing.T) {
 		{"Comm", unsafe.Sizeof(Comm{}), 112},
 		{"coll.Header", unsafe.Sizeof(coll.Header{}), 40},
 		{"broadcastOp", unsafe.Sizeof(broadcastOp{}), 320},
+		{"walk", unsafe.Sizeof(walk{}), 288},
+		{"Forming", unsafe.Sizeof(Forming{}), 576},
 	} {
 		if c.size > c.want {
 			t.Errorf("%s is %d B, want at most %d (one size class)", c.name, c.size, c.want)

@@ -1,8 +1,10 @@
 package iccl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"launchmon/internal/cluster"
@@ -20,8 +22,8 @@ import (
 // goroutine's sleeps and charges, and a link it reads wakes it where a
 // goroutine parked on the link would have run (vtime.Chan.Await), so a launch
 // fires the events a goroutine blocked in each phase fired, in the same (at,
-// seq) order, while the daemon's goroutine waits once. Its reader, and the
-// broadcast, gather and fold, are its walk's (walk.go).
+// seq) order, while the daemon's goroutine waits once. Its tree reader, and
+// the ready wave, broadcast, gather and fold, are its walk's (walk.go).
 
 // Ready is a forming rank's owner. The record calls it on the scheduler (or
 // on the rank's goroutine before it waits), in this order, as the rank goes
@@ -53,7 +55,7 @@ const (
 	phJoin                  // the parent link is up: the join goes out
 	phAccept                // child slot's connection
 	phJoinRead              // its join
-	phReady                 // child slot's ready
+	phReady                 // its walk: the ready wave
 	phSeed                  // the seed stream's end
 	phWalk                  // its walk: store-forward's broadcast, the ready gather, the fold
 )
@@ -75,7 +77,6 @@ type Forming struct {
 	phase  phase
 	seeded bool // the seed streams through the forming tree
 	done   bool
-	total  int          // ranks the ready wave has counted
 	conn   *simnet.Conn // the link being dialed; an accepted child's, join unread
 }
 
@@ -86,9 +87,9 @@ func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
 	var err error
 	switch {
 	case cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size:
-		err = fmt.Errorf("%w: bad rank/size %d/%d", errBootstrap, cfg.Rank, cfg.Size)
+		err = fmt.Errorf("bad rank/size %d/%d", cfg.Rank, cfg.Size)
 	case len(cfg.Nodelist) != cfg.Size:
-		err = fmt.Errorf("%w: nodelist has %d entries for size %d", errBootstrap, len(cfg.Nodelist), cfg.Size)
+		err = fmt.Errorf("nodelist has %d entries for size %d", len(cfg.Nodelist), cfg.Size)
 	}
 	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
 	f.c = c
@@ -97,13 +98,11 @@ func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
 		c.bindMetrics(cfg.Metrics)
 		p.AdoptConn(c) // a killed daemon's links die with it
 		if childCount(cfg.Rank, cfg.Size, cfg.Fanout) > 0 {
-			if c.l, err = p.Host().Listen(cfg.Port); err != nil {
-				err = fmt.Errorf("%w: %v", errBootstrap, err)
-			}
+			c.l, err = p.Host().Listen(cfg.Port)
 		}
 	}
 	if err != nil {
-		f.bootFailed(err)
+		f.failBoot(err, 0)
 	} else {
 		f.seed.forming = f.seeded
 		if c.rank == 0 {
@@ -153,17 +152,17 @@ func (f *Forming) step() bool {
 	case phDial:
 		return f.dial()
 	case phJoin:
-		c.parent, f.conn = f.conn, nil
-		if err := c.send(c.parent, ctlFrame(opJoin, uint32(c.rank))); err != nil {
-			return f.bootFailed(fmt.Errorf("%w: join: %v", errBootstrap, err))
+		if err := c.send(f.conn, ctlFrame(opJoin, uint32(c.rank))); err != nil {
+			return f.failBoot(fmt.Errorf("join: %v", err), 0)
 		}
+		c.parent, f.conn = f.conn, nil
 		if f.seeded {
 			f.seed.onParent(c.parent)
 		}
 		f.accept()
 	case phAccept:
 		if f.slot == len(c.children) {
-			f.phase, f.slot, f.total = phReady, 0, 1
+			f.phase, f.op, f.slot, f.n = phReady, opReady, 0, 1
 			return true
 		}
 		conn, wait, err := c.l.AwaitAccept(&f.resume)
@@ -171,7 +170,7 @@ func (f *Forming) step() bool {
 		case wait:
 			return false
 		case err != nil:
-			return f.failBoot(fmt.Errorf("%w: accept: %v", errBootstrap, err), len(c.children))
+			return f.failBoot(fmt.Errorf("accept: %v", err), len(c.children))
 		}
 		f.conn, f.phase = conn, phJoinRead
 	case phJoinRead:
@@ -179,14 +178,14 @@ func (f *Forming) step() bool {
 		if !ok {
 			return false
 		}
-		rk32, err := c.ctl(f.conn, frame, err, opJoin, f.nodes)
-		if err != nil {
-			return f.failBoot(err, len(c.children))
+		body, err := c.opBody(opJoin, frame, err)
+		if err != nil { // pinned on the child, found by its host
+			return f.failBoot(pinOn(slices.Index(f.nodes, f.conn.Peer()), opJoin, err), len(c.children))
 		}
-		first := c.childRank(0) // direct children are consecutive ranks
-		slot := int(rk32) - first
+		rk := int(binary.BigEndian.Uint32(body))
+		slot := rk - c.childRank(0) // direct children are consecutive ranks
 		if slot < 0 || slot >= len(c.children) || c.children[slot] != nil {
-			return f.failBoot(fmt.Errorf("%w: unexpected child rank %d", errBootstrap, rk32), len(c.children))
+			return f.failBoot(fmt.Errorf("unexpected child rank %d", rk), len(c.children))
 		}
 		c.children[slot], f.conn = f.conn, nil
 		if f.seeded {
@@ -194,31 +193,9 @@ func (f *Forming) step() bool {
 		}
 		f.phase = phAccept
 		f.slot++
-	case phReady:
-		if f.slot < len(c.children) {
-			frame, ok, err := f.read(c.children[f.slot])
-			if !ok {
-				return false
-			}
-			n32, err := c.ctl(c.children[f.slot], frame, err, opReady, f.nodes)
-			if err != nil {
-				return f.failBoot(err, f.slot)
-			}
-			f.total += int(n32)
-			f.slot++
-			return true
-		}
-		if c.parent != nil {
-			if err := c.send(c.parent, ctlFrame(opReady, uint32(f.total))); err != nil {
-				return f.failBoot(fmt.Errorf("%w: ready up: %v", errBootstrap, err), len(c.children))
-			}
-		} else if f.total != c.size {
-			return f.failBoot(fmt.Errorf("%w: connected %d of %d daemons", errBootstrap, f.total, c.size), len(c.children))
-		}
-		return f.formed()
 	case phSeed:
 		return f.seedIn()
-	case phWalk:
+	case phReady, phWalk:
 		return f.walk.step()
 	}
 	return true
@@ -231,19 +208,19 @@ func (f *Forming) dial() bool {
 	c := f.c
 	parent := Parent(c.rank, c.fanout)
 	if f.slot == dialAttempts {
-		return f.bootFailed(fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parent, f.err))
+		return f.failBoot(fmt.Errorf("dialing parent %d: %v", parent, f.err), 0)
 	}
 	// A killed process's record would otherwise keep dialing a parent that
 	// may never come for the whole window.
 	if c.p.State() == cluster.StateExited {
-		return f.bootFailed(fmt.Errorf("%w: rank %d exited while dialing parent %d", errBootstrap, c.rank, parent))
+		return f.failBoot(fmt.Errorf("rank %d exited while dialing parent %d", c.rank, parent), 0)
 	}
 	conn, err := c.p.Host().DialAsync(simnet.Addr{Host: f.nodes[parent], Port: f.port}, f)
 	switch {
 	case err == nil:
 		f.conn, f.phase = conn, phJoin
 	case errors.Is(err, simnet.ErrPeerDead):
-		return f.bootFailed(fmt.Errorf("%w: dialing parent %d: %v", errBootstrap, parent, err))
+		return f.failBoot(fmt.Errorf("dialing parent %d: %v", parent, err), 0)
 	default:
 		f.reg.Counter("iccl.dial.retries").Inc()
 		f.slot++
@@ -309,13 +286,19 @@ func (f *Forming) seedIn() bool {
 	return f.walked(opBcast, nil)
 }
 
-// walked goes on from each walk of the rank's last phase: the seed is in,
-// and the rank's contribution starts the ready gather; the ready gather is
-// in, and the rank's fold contribution, if it has one, starts the fold; the
-// fold is in — the root's accumulator, nil elsewhere — and the rank is ready.
+// walked goes on from each of the rank's walks: the ready wave is in, and
+// the rank has formed, or its bootstrap failed at the child slot the wave
+// ended on; the seed is in, and the rank's contribution starts the ready
+// gather; the ready gather is in, and the rank's fold contribution, if it has
+// one, starts the fold; the fold is in — the root's accumulator, nil
+// elsewhere — and the rank is ready.
 func (f *Forming) walked(op uint32, err error) bool {
 	var mine []byte
 	switch {
+	case op == opReady && err == nil:
+		return f.formed()
+	case op == opReady:
+		return f.failBoot(err, f.slot)
 	case err != nil:
 	case op == opBcast:
 		mine, err = f.r.Seeded(f, f.buf)
@@ -337,19 +320,19 @@ func (f *Forming) walked(op uint32, err error) bool {
 	return f.finish(f.r.Folded(f.buf))
 }
 
-// failBoot fails a forming rank's bootstrap (failBootstrap), waiting on its
-// child subtrees from slot from on.
+// failBoot ends a rank whose bootstrap failed with err, or with the seed
+// stream's error when that tore the tree down first, naming the child
+// subtrees it still waits on — no join, or from slot from on no ready
+// delivered: it tells its parent, if it has joined one, and tears down what
+// it formed (Abort), and its seed stream is aborted.
 func (f *Forming) failBoot(err error, from int) bool {
-	return f.bootFailed(f.c.failBootstrap(err, from, f.stream()))
-}
-
-// bootFailed ends a rank whose bootstrap failed: its listener is closed and
-// its seed stream aborted.
-func (f *Forming) bootFailed(err error) bool {
-	if l := f.c.l; l != nil {
-		l.Close()
+	s := f.stream()
+	if s != nil && s.err != nil {
+		err = s.err
 	}
-	if s := f.stream(); s != nil {
+	err = f.c.waitingOn(fmt.Errorf("%w: %w", errBootstrap, err), from, opReady)
+	f.c.Abort(err)
+	if s != nil {
 		s.forming = false
 		s.bail(err)
 	}

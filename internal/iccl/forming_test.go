@@ -1,12 +1,17 @@
 package iccl
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
+	"launchmon/internal/simnet"
 	"launchmon/internal/vtime"
 )
 
@@ -87,4 +92,78 @@ func formationParks(t *testing.T, n, fanout int, seeded, form bool) uint64 {
 	})
 	sim.Run()
 	return sim.Parks()
+}
+
+// TestMalformedBootstrapFrameFailsTheParent: a child whose join or ready is
+// not one — another opcode, a frame shorter than its value, or a status
+// frame — fails its parent's bootstrap. The parent is the root of a
+// three-rank flat tree; rank 1 is a daemon, and rank 2 speaks raw frames and
+// keeps its link up. A malformed frame is pinned on rank 2, a status frame's
+// failure comes through as it was relayed.
+func TestMalformedBootstrapFrameFailsTheParent(t *testing.T) {
+	const port = 50010
+	join := lmonp.AppendUint32(lmonp.AppendUint32(nil, opJoin), 2)
+	status := lmonp.AppendString(lmonp.AppendString(lmonp.AppendUint32(lmonp.AppendUint32(nil, opStatus), 2), "init"), "seed check failed")
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte // rank 2's, in order
+		want   string   // what the root's error reads behind errBootstrap's text
+	}{
+		{"join of another opcode", [][]byte{lmonp.AppendUint32(lmonp.AppendUint32(nil, opReady), 1)}, "rank 2: iccl: protocol violation: got op 2 want 1"},
+		{"join without its rank", [][]byte{lmonp.AppendUint32(nil, opJoin)}, "rank 2: iccl: protocol violation: join frame of 4 B"},
+		{"status for a join", [][]byte{status}, "rank 2 (init): seed check failed"},
+		{"ready of another opcode", [][]byte{join, join}, "rank 2: iccl: protocol violation: got op 1 want 2"},
+		{"ready without its count", [][]byte{join, lmonp.AppendUint32(nil, opReady)}, "rank 2: iccl: protocol violation: ready frame of 4 B"},
+		{"status for a ready", [][]byte{join, status}, "rank 2 (init): seed check failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vtime.New()
+			cl, err := cluster.New(sim, cluster.Options{Nodes: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodelist := []string{cl.Node(0).Name(), cl.Node(1).Name(), cl.Node(2).Name()}
+			var rootErr, childErr error
+			sim.Go("boot", func() {
+				for rank := 0; rank < 2; rank++ {
+					rank := rank
+					if _, err := cl.Node(rank).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+						c, err := Bootstrap(p, Config{Rank: rank, Size: 3, Nodelist: nodelist, Port: port})
+						if rank == 0 {
+							rootErr = err
+						} else if childErr = err; err == nil {
+							c.Close()
+						}
+					}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, err := cl.Node(2).SpawnProc(cluster.Spec{Exe: "raw", Main: func(p *cluster.Proc) {
+					sim.Sleep(time.Millisecond) // the root listens
+					conn, err := p.Host().Dial(simnet.Addr{Host: nodelist[0], Port: port})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, frame := range tc.frames {
+						if err := lmonp.WriteFrame(conn, frame); err != nil {
+							t.Error(err)
+						}
+					}
+					sim.Sleep(time.Second) // the link stays up
+					conn.Close()
+				}}); err != nil {
+					t.Error(err)
+				}
+			})
+			sim.Run()
+			if want := "iccl: bootstrap failed: " + tc.want; !errors.Is(rootErr, errBootstrap) || !strings.HasPrefix(fmt.Sprint(rootErr), want) {
+				t.Errorf("root's bootstrap returned %v, want a wrapped errBootstrap reading %q", rootErr, want)
+			}
+			if childErr != nil {
+				t.Errorf("rank 1's bootstrap returned %v", childErr)
+			}
+		})
+	}
 }

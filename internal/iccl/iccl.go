@@ -241,30 +241,6 @@ func ctlFrame(op, v uint32) []byte {
 	return lmonp.AppendUint32(newFrame(op, 4), v)
 }
 
-// ctl validates a child's bootstrap control frame, read off conn with err. A
-// failed read is pinned on the child, found by its host in nodes; a status
-// frame fails it with the failure the child relays.
-func (c *Comm) ctl(conn *simnet.Conn, frame []byte, err error, want uint32, nodes []string) (uint32, error) {
-	what := phases[want]
-	if err != nil {
-		if rank := slices.Index(nodes, conn.Peer()); rank >= 0 {
-			err = &peerError{rank: rank, phase: what, err: err}
-		}
-		return 0, fmt.Errorf("%w: %s from %s: %w", errBootstrap, what, conn.Peer(), err)
-	}
-	rd := lmonp.NewReader(frame)
-	op, v := rd.Uint32(), rd.Uint32()
-	if op == opStatus {
-		if st, err := c.parseStatus(frame); err == nil {
-			return 0, fmt.Errorf("%w: %w", errBootstrap, st)
-		}
-	}
-	if rd.Err() != nil || op != want {
-		return 0, fmt.Errorf("%w: bad %s from %s: opcode %d", errBootstrap, what, conn.Peer(), op)
-	}
-	return v, nil
-}
-
 // parseStatus decodes a status frame, opcode first, into the failure it
 // relays: a rank of the tree, and phase and cause within maxStatus bytes.
 func (c *Comm) parseStatus(raw []byte) (*peerError, error) {
@@ -375,19 +351,6 @@ func (c *Comm) watchParent(s *Seed, up *lmonp.Conn, watch bool) {
 	}
 }
 
-// failBootstrap ends a forming rank whose bootstrap failed with err, or with
-// the seed stream's error when that tore the tree down first, naming the
-// child subtrees it still waits on — no join, or from slot from on no ready
-// delivered; Abort tells the parent.
-func (c *Comm) failBootstrap(err error, from int, s *Seed) error {
-	if s != nil && s.err != nil {
-		err = fmt.Errorf("%w: %w", errBootstrap, s.err)
-	}
-	err = c.waitingOn(err, from, opReady)
-	c.Abort(err)
-	return err
-}
-
 // waitingOn names in err the child subtrees a rank still waits on — no
 // join, or from slot from on no op frame delivered — by their first 8 ranks
 // and a count.
@@ -466,40 +429,46 @@ func (c *Comm) shut(sever bool) {
 	}
 }
 
-// opBody checks a bootstrap-era collective frame read off the link a slot
-// names with err. Its errors name the peer's rank, so every collective says
-// which link failed — or a failure relayed from below, the deepest cause, as
-// it came.
-func (c *Comm) opBody(slot int, want uint32, frame []byte, err error) ([]byte, error) {
-	if err == nil {
-		rd := lmonp.NewReader(frame)
-		switch op := rd.Uint32(); {
-		case rd.Err() != nil:
-			err = rd.Err()
-		case op == opStatus:
-			var st *peerError
-			if st, err = c.parseStatus(frame); err == nil {
-				return nil, st
-			}
-		case op != want:
-			err = fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
-		default:
-			return frame[4:], nil
+// opBody checks a bootstrap-era tree frame read with err: its body — at
+// least a join's or ready's one value — or the error, which the reader pins
+// on the peer (pinOn): a failure relayed from below comes back as it came.
+func (c *Comm) opBody(want uint32, frame []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	rd := lmonp.NewReader(frame)
+	switch op := rd.Uint32(); {
+	case rd.Err() != nil:
+		return nil, rd.Err()
+	case op == opStatus:
+		st, err := c.parseStatus(frame)
+		if err != nil {
+			return nil, err
 		}
+		return nil, st
+	case op != want:
+		return nil, fmt.Errorf("%w: got op %d want %d", errProtocol, op, want)
+	case (want == opJoin || want == opReady) && len(frame) < 8:
+		return nil, fmt.Errorf("%w: %s frame of %d B", errProtocol, phases[want], len(frame))
 	}
-	if pe := (*peerError)(nil); errors.As(err, &pe) && pe.up {
-		return nil, err // relayed from below: the deepest cause
-	}
-	rank := c.peerRank(slot)
-	return nil, fmt.Errorf("rank %d: %w", rank, &peerError{rank: rank, phase: phases[want], err: err})
+	return frame[4:], nil
 }
 
-// sendOp puts one bootstrap-era collective frame on the link a slot names.
-// Like opBody's, its errors name the peer's rank.
+// pinOn names the peer rank in err, met on its link in op's phase, so every
+// collective and bootstrap says which link failed — unless err is a failure
+// relayed from below, the deepest cause, which goes on as it came.
+func pinOn(rank int, op uint32, err error) error {
+	if pe := (*peerError)(nil); errors.As(err, &pe) && pe.up {
+		return err
+	}
+	return fmt.Errorf("rank %d: %w", rank, &peerError{rank: rank, phase: phases[op], err: err})
+}
+
+// sendOp puts one bootstrap-era collective frame on the link a slot names,
+// its errors pinned on the peer.
 func (c *Comm) sendOp(slot int, msg []byte) error {
 	if err := c.send(c.conn(slot), msg); err != nil {
-		rank := c.peerRank(slot)
-		return fmt.Errorf("rank %d: %w", rank, &peerError{rank: rank, phase: phases[binary.BigEndian.Uint32(msg[4:])], err: err})
+		return pinOn(c.peerRank(slot), binary.BigEndian.Uint32(msg[4:]), err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package iccl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -10,13 +11,15 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// This file is the one walk of the ICCL frame opcodes: Comm's five
-// collectives, and a forming rank's store-forward broadcast, ready gather and
-// fold. A walk is a scheduler record, as Forming and planeOp are: the
-// goroutine that starts it carries it as far as it goes and waits once, while
-// its charges and link wakes carry it on. It reads one frame at a time, in
-// child-slot order up, with one reader a rank (DESIGN.md "A tree read is
-// charged per reader"): read before demuxLinks, the base queue after.
+// This file is the one walk of the seven ICCL frame opcodes a tree wave
+// reads — barrier and release, broadcast, gather, scatter, fold and ready —
+// that runs Comm's five collectives and a forming rank's ready wave,
+// store-forward broadcast, ready gather and fold. A walk is a scheduler
+// record, as Forming and planeOp are: the goroutine that starts it carries it
+// as far as it goes and waits once, while its charges and link wakes carry it
+// on. It reads one frame at a time, in child-slot order up, with one reader a
+// rank (DESIGN.md "A tree read is charged per reader"): read before
+// demuxLinks, the base queue after.
 
 // walker owns a walk: the walk's charges and link wakes fire it, and each
 // op the walk ends is handed to walked, which goes on, or stops (false).
@@ -25,13 +28,14 @@ type walker interface {
 	walked(op uint32, err error) bool
 }
 
-// walk is one walk record. op is what it reads next — opBarrier, opGather
-// or opFold up from the children, opRelease, opBcast or opScatter down from
-// the parent — and 0 once it has ended.
+// walk is one walk record. op is what it reads next — opBarrier, opGather,
+// opFold or opReady up from the children, opRelease, opBcast or opScatter
+// down from the parent — and 0 once it has ended.
 type walk struct {
 	c       *Comm
 	owner   walker
 	op      uint32
+	n       uint32       // the ready wave's count of the subtree's ranks
 	slot    int          // the child slot an up op reads next; a forming rank's dial attempts and accepts
 	charged []byte       // a frame taken off a link while its PerMsgCost runs
 	entries []coll.Entry // a gather's, then a scatter's
@@ -93,9 +97,10 @@ func (w *walk) end(err error) bool {
 // step takes the walk one frame on: an up op reads the children's frames in
 // slot order, then sends its subtree's up; a down op reads the parent's, then
 // sends on to the children. False while it waits, or when its owner stops.
+// A failed read ends the walk with slot at the child it failed on.
 func (w *walk) step() bool {
 	c := w.c
-	up := w.op == opBarrier || w.op == opGather || w.op == opFold
+	up := w.op == opBarrier || w.op == opGather || w.op == opFold || w.op == opReady
 	if up && w.slot < len(c.children) {
 		body, ok, err := w.take(w.slot)
 		if !ok {
@@ -104,11 +109,14 @@ func (w *walk) step() bool {
 		var sub []coll.Entry
 		switch {
 		case err != nil:
+			return w.end(err)
 		case w.op == opGather:
 			sub, err = coll.DecodeEntries(body)
 			w.entries = append(w.entries, sub...)
 		case w.op == opFold:
 			w.buf, err = foldStep(w.buf, body, w.combine)
+		case w.op == opReady:
+			w.n += binary.BigEndian.Uint32(body)
 		}
 		w.slot++
 		return err == nil || w.end(err)
@@ -119,10 +127,14 @@ func (w *walk) step() bool {
 		w.all, err = c.gathered(w.entries)
 		w.entries = nil
 		return w.end(err)
+	case w.op == opReady && c.parent == nil && int(w.n) != c.size:
+		return w.end(fmt.Errorf("connected %d of %d daemons", w.n, c.size))
 	case up && c.parent == nil:
 	case w.op == opFold:
 		err = c.sendOp(above, lmonp.AppendBytes(newFrame(opFold, 4+len(w.buf)), w.buf))
 		w.buf = nil
+	case w.op == opReady:
+		err = c.sendOp(above, ctlFrame(opReady, w.n))
 	case up:
 		err = c.sendOp(above, newFrame(opBarrier, 0))
 	case c.parent != nil: // down: the parent's frame first
@@ -141,7 +153,7 @@ func (w *walk) step() bool {
 		}
 	}
 	switch {
-	case err != nil || w.op == opFold:
+	case err != nil || w.op == opFold || w.op == opReady:
 		return w.end(err)
 	case w.op == opBarrier:
 		w.op = opRelease // the release comes down
@@ -184,7 +196,8 @@ func (w *walk) scatter() error {
 }
 
 // take reads the walk's next frame off the link a slot names and checks it
-// (opBody); ok is false while the walk waits for it.
+// (opBody), pinning a failure on the peer; ok is false while the walk waits
+// for it.
 func (w *walk) take(slot int) (body []byte, ok bool, err error) {
 	var frame []byte
 	var wait bool
@@ -197,7 +210,9 @@ func (w *walk) take(slot int) (body []byte, ok bool, err error) {
 	if wait {
 		return nil, false, nil
 	}
-	body, err = w.c.opBody(slot, w.op, frame, err)
+	if body, err = w.c.opBody(w.op, frame, err); err != nil {
+		err = pinOn(w.c.peerRank(slot), w.op, err)
+	}
 	return body, true, err
 }
 

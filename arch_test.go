@@ -305,7 +305,7 @@ func TestArchitecture(t *testing.T) {
 // on the scheduler, so a new simulated thread per daemon, link or
 // operation moves -million's goroutines-peak and is a design change.
 var goroutineSites = []struct{ site, why string }{
-	{"internal/vtime/vtime.go (*Sim).Go", "the one go statement: every simulated thread is a goroutine that the scheduler hands the run token"},
+	{"internal/vtime/vtime.go (*Sim).start", "the one go statement: every simulated thread is a goroutine that the scheduler hands the run token"},
 	{"internal/cluster/cluster.go (*Proc).run", "a simulated process's main; one a daemon"},
 	{"internal/rm/rpc.go Serve", "an RM server's handler of one accepted request connection, ended by the connection"},
 	{"internal/rm/job.go (*job).directKill", "the kill of one node when the launcher is lost, joined by the caller's WaitGroup"},

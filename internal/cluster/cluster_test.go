@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -627,4 +628,38 @@ func TestProcGoroutineName(t *testing.T) {
 		}
 	}()
 	sim.Run()
+}
+
+// forkWatch is a fork's caller that holds the scheduler a few real
+// milliseconds in Forked, then records whether the process's main had
+// already run.
+type forkWatch struct {
+	ran, early atomic.Bool
+	told       bool
+}
+
+func (w *forkWatch) Forked(p *Proc, err error) {
+	w.told = err == nil && p != nil
+	time.Sleep(5 * time.Millisecond)
+	w.early.Store(w.ran.Load())
+}
+
+// TestForkTellsItsCallerBeforeMainRuns: an asynchronous fork reports the
+// process to its caller before the process's goroutine starts (vtime's Go
+// starts it once the fork's event has returned). A main started first runs
+// beside the caller's Forked on the host, and the first event either
+// schedules takes the next seq: the order would be the host's.
+func TestForkTellsItsCallerBeforeMainRuns(t *testing.T) {
+	sim := vtime.New()
+	c := newCluster(t, sim, 1, Options{})
+	w := &forkWatch{}
+	f := &Fork{Spec: Spec{Exe: "d", Main: func(*Proc) { w.ran.Store(true) }}, To: w}
+	sim.After(0, func() { c.Node(0).SpawnProcEvent(f) })
+	sim.Run()
+	switch {
+	case !w.told || !w.ran.Load():
+		t.Fatalf("Forked told of the process: %v; main ran: %v", w.told, w.ran.Load())
+	case w.early.Load():
+		t.Error("the process's main ran while its fork's Forked still ran")
+	}
 }

@@ -189,7 +189,7 @@ func (f *Forming) step() bool {
 		}
 		c.children[slot], f.conn = f.conn, nil
 		if f.seeded {
-			f.seed.onChild(slot, c.children[slot])
+			f.seed.onChild(slot)
 		}
 		f.phase = phAccept
 		f.slot++
@@ -231,36 +231,28 @@ func (f *Forming) dial() bool {
 }
 
 // accept makes the rank's parent link — up at the root — end the forming
-// tree, and turns to the children's joins.
+// tree, and turns to the children's joins. A seed stream watches its own
+// parent link (Seed.onParent).
 func (f *Forming) accept() {
 	c := f.c
-	c.watchParent(f.stream(), f.up, true)
+	if !f.seeded {
+		c.watchParent(f.up, true)
+	}
 	c.children = make([]*simnet.Conn, childCount(c.rank, c.size, c.fanout))
 	f.phase, f.slot = phAccept, 0
-}
-
-// stream is the rank's seed stream, nil when it has none.
-func (f *Forming) stream() *Seed {
-	if f.seeded {
-		return &f.seed
-	}
-	return nil
 }
 
 // formed ends the bootstrap of a rank whose subtree is connected: its
 // parent link is handed back, its listener closed, and the seed is next.
 func (f *Forming) formed() bool {
 	c := f.c
-	c.watchParent(f.stream(), f.up, false)
+	if !f.seeded || f.seed.watched {
+		c.watchParent(f.up, false)
+	}
 	if c.l != nil {
 		c.l.Close()
 	}
-	if s := f.stream(); s != nil {
-		s.forming = false
-		if s.parent != nil {
-			s.parent.Unhandle()
-		}
-	}
+	f.seed.forming = false
 	f.phase = phSeed
 	if f.r != nil {
 		f.r.Formed(c)
@@ -268,12 +260,12 @@ func (f *Forming) formed() bool {
 	return true
 }
 
-// seedIn takes the rank's seed: it waits for the stream's last part (which
+// seedIn takes the rank's seed: it waits for the stream's share (which
 // calls Fire), or under store-forward walks the broadcast down from the
 // parent (the root's buf) to the children. A rank with an owner gathers next.
 func (f *Forming) seedIn() bool {
 	switch {
-	case f.seed.parts > 0:
+	case f.seeded && !f.seed.shared:
 		return false
 	case f.seed.err != nil:
 		return f.finish(f.seed.err)
@@ -326,15 +318,14 @@ func (f *Forming) walked(op uint32, err error) bool {
 // delivered: it tells its parent, if it has joined one, and tears down what
 // it formed (Abort), and its seed stream is aborted.
 func (f *Forming) failBoot(err error, from int) bool {
-	s := f.stream()
-	if s != nil && s.err != nil {
-		err = s.err
+	if f.seed.err != nil {
+		err = f.seed.err
 	}
 	err = f.c.waitingOn(fmt.Errorf("%w: %w", errBootstrap, err), from, opReady)
 	f.c.Abort(err)
-	if s != nil {
-		s.forming = false
-		s.bail(err)
+	if f.seeded {
+		f.seed.forming = false
+		f.seed.bail(err)
 	}
 	return f.finish(err)
 }

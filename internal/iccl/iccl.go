@@ -334,12 +334,11 @@ func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn, seed []byte, r 
 	return form(p, &cfg, f)
 }
 
-// watchParent makes anything on the parent link of a rank without a seed
-// stream (up at the root) end the forming tree — nothing else comes down it
-// before the rank's ready goes up — or, formed, hands the link back.
-func (c *Comm) watchParent(s *Seed, up *lmonp.Conn, watch bool) {
+// watchParent makes anything on the parent link (up at the root) end the
+// forming tree — nothing else comes down it before the rank's ready goes up
+// — or, formed, hands the link back.
+func (c *Comm) watchParent(up *lmonp.Conn, watch bool) {
 	switch {
-	case s != nil:
 	case c.parent != nil && watch:
 		c.parent.Handle(func([]byte, error) { c.Close() })
 	case c.parent != nil:

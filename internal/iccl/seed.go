@@ -10,7 +10,6 @@ import (
 	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
-	"launchmon/internal/vtime"
 )
 
 // This file implements the cut-through session-seed stream of the launch
@@ -27,10 +26,11 @@ import (
 // Goroutine budget: none. The stream is one record a rank (Seed) that
 // scheduler callbacks carry on — the root's source and every other rank's
 // parent link deliver frames into it, which keeps routing while the rank's
-// Forming record waits in its accept loop; child forwarders are outbox
-// callbacks armed when the child joins and finished once its End frame is
-// on the wire. The stream lives in the rank's Forming record, which goes on
-// to the ready gather once the stream's last part is done.
+// Forming record waits in its accept loop. A routed message is written to
+// its child's link as it is routed, or held until the child's join is
+// accepted. The stream lives in the rank's Forming record, which goes on to
+// the ready gather once the rank's share is done: every child's End is
+// written by then.
 
 // Seed-stream opcodes on tree links (the frame layout is the shared
 // coll.Frame codec, see encodeFrameOp).
@@ -78,13 +78,6 @@ type SeedRouter struct {
 // TablelessRoute routes a stream that carries no table — FEData, then End,
 // the MW fabric's: it owns no host.
 var TablelessRoute = &SeedRouter{RankOf: func(string) (int, bool) { return 0, false }}
-
-// seedOutbox queues one child link's seed stream as link messages — a
-// chunk rendered into its frame (seedSplitter), an End or the FEData
-// preamble as encodeFrameOp renders them — for the child's forwarder to
-// send as they are. Its zero-delay deliveries are where each forward takes
-// its scheduler seq.
-type seedOutbox = vtime.Chan[[]byte]
 
 // seedSink is handed a rank's share of the stream: the FEData frame, each
 // RPDTAB chunk with the chunk scanned (its entries the rank's own) and its
@@ -196,23 +189,24 @@ func (l *seedLeaf) finish(f coll.Frame) error {
 type seedSplitter struct {
 	seedHosts
 	local seedSink
-	outs  []*seedOutbox
+	seed  *Seed // where child streams go (Seed.forward)
 
 	w  []*proctab.ChunkWriter // by stream
 	ix []uint32               // last index emitted, by stream
 }
 
-func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, outs []*seedOutbox) *seedSplitter {
+func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, seed *Seed) *seedSplitter {
 	cb := rt.ChunkBytes
 	if cb <= 0 {
 		cb = coll.DefaultChunkBytes
 	}
+	kids := len(seed.held)
 	s := &seedSplitter{
-		local: local, outs: outs,
-		w:  make([]*proctab.ChunkWriter, 1+len(outs)),
-		ix: make([]uint32, 1+len(outs)),
+		local: local, seed: seed,
+		w:  make([]*proctab.ChunkWriter, 1+kids),
+		ix: make([]uint32, 1+kids),
 	}
-	s.init(rt, cfg, len(outs))
+	s.init(rt, cfg, kids)
 	s.w[0] = proctab.NewChunkWriter(cb, func(chunk []byte, sum uint64) error {
 		c, err := proctab.Scan(chunk)
 		if err != nil {
@@ -223,7 +217,7 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, outs []*seedOut
 	for i := 1; i < len(s.w); i++ {
 		i := i
 		s.w[i] = proctab.NewChunkWriterBehind(seedChunkHead, cb, func(msg []byte, _ uint64) error {
-			s.outs[i-1].Send(putSeedChunkHead(msg, s.next(i)))
+			s.seed.forward(i-1, putSeedChunkHead(msg, s.next(i)))
 			return nil
 		})
 	}
@@ -237,9 +231,9 @@ func (s *seedSplitter) next(i int) coll.Header {
 }
 
 // chunk routes one admitted seed frame. FEData (frame 0) goes unchanged
-// everywhere, local consumer first: on every child outbox the message it
-// arrived in when there is one (an interior rank relays it verbatim), else
-// one encoding shared by all of them. An RPDTAB chunk is scanned and its
+// everywhere, local consumer first: to every child the message it arrived
+// in when there is one (an interior rank relays it verbatim), else one
+// encoding shared by all of them. An RPDTAB chunk is scanned and its
 // entries — still the records they arrived as — are split between the
 // local slice and the owning child subtrees; every stream is told how many
 // entries are coming before the first is added.
@@ -252,8 +246,8 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 		if msg == nil {
 			msg = encodeFrameOp(opSeedChunk, opSeedEnd, f)
 		}
-		for _, out := range s.outs {
-			out.Send(msg)
+		for i := 0; i < s.kids; i++ {
+			s.seed.forward(i, msg)
 		}
 		return nil
 	}
@@ -298,12 +292,12 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 			errProtocol, routed, s.rank, f.Total)
 	}
 	// The End markers go to the children in slot order and to the local
-	// consumer last, whose error is the one returned. Same-instant sends to
-	// different queues take their scheduler sequence numbers in this order,
-	// which is the one every pin was taken with.
-	for i, out := range s.outs {
-		w := s.w[1+i]
-		out.Send(encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{H: s.next(1 + i), End: true, Total: uint64(w.Count()), Sum: w.Digest()}))
+	// consumer last, whose error is the one returned: once the share is
+	// done, so is every child's stream. Same-instant sends on different
+	// links take their scheduler sequence numbers in this order, which is
+	// the one every pin was taken with.
+	for i, w := range s.w[1:] {
+		s.seed.forward(i, encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{H: s.next(1 + i), End: true, Total: uint64(w.Count()), Sum: w.Digest()}))
 	}
 	end := coll.Frame{H: s.next(0), End: true, Total: uint64(s.w[0].Count()), Sum: s.w[0].Digest()}
 	// The writers keep their buffers between chunks; the stream is over.
@@ -315,23 +309,24 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 // Forming record and built before the tree forms. Scheduler callbacks carry
 // it on — the root's source or the parent link's framer step it with each
 // frame, which it validates and routes to the caller's sink and the child
-// outboxes, and each child's outbox callback forwards down that child's
-// link — and they never overlap. Its last part to finish hands the rank on
-// to its ready gather.
+// links — and they never overlap. The end of the rank's share hands the
+// rank on to its ready gather.
 type Seed struct {
 	f      *Forming
 	router seedRoute
-	outs   []*seedOutbox
 	reg    *obs.Registry // where the stream's counters and gauges go (nil: nowhere)
 	chk    coll.SeqCheck
 
 	entered uint64 // seed bytes that entered the tree here (the root)
 
-	// parts counts what is not finished — this rank's share and each
-	// child's forward — and the last to finish goes on with the Forming
-	// record, if that waits for it. shared marks the share finished: its
-	// End handed to the sink, or the stream failed.
-	parts  int
+	// held keeps each child's messages, routed before its join was
+	// accepted, for onChild to write; sent counts the bytes written to each
+	// child's link.
+	held [][][]byte
+	sent []uint64
+
+	// shared marks the rank's share finished: its End handed to the sink
+	// (every child's End is written before it), or the stream failed.
 	shared bool
 
 	// forming is set while bootstrap forms the rank's tree, for bail to
@@ -342,7 +337,9 @@ type Seed struct {
 	// and the Forming record (a failed bootstrap), which never overlap.
 	err error
 
-	parent *simnet.Conn // the parent link, once its End frame arrived while forming
+	// watched marks the parent link handed back, its end watched for, when
+	// the End frame arrived while the rank formed.
+	watched bool
 }
 
 // init builds rank cfg.Rank's stream in f and subscribes it to src at the
@@ -350,21 +347,17 @@ type Seed struct {
 // is the peak per-link forwarded byte count across the whole tree once
 // harvested — the measured quantity behind the O(table/K · subtree)
 // per-link claim of rank-sliced routing.
-func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRouter, sink seedSink) {
-	sim := p.Sim()
+func (s *Seed) init(f *Forming, cfg *Config, src SeedSource, rt *SeedRouter, sink seedSink) {
 	kids := childCount(cfg.Rank, cfg.Size, cfg.Fanout)
-	*s = Seed{f: f, parts: 1 + kids, outs: make([]*seedOutbox, kids), reg: cfg.Metrics}
+	*s = Seed{f: f, held: make([][][]byte, kids), sent: make([]uint64, kids), reg: cfg.Metrics}
 	for _, name := range [...]string{"seed.fwd.chunks", "seed.fwd.bytes"} {
 		s.reg.Counter(name) // every rank's snapshot names them
 	}
 	for _, name := range [...]string{"seed.link.bytes.max", "seed.queue.depth.max", "seed.src.bytes"} {
 		s.reg.Gauge(name)
 	}
-	for i := range s.outs {
-		s.outs[i] = vtime.NewChan[[]byte](sim)
-	}
 	if kids > 0 {
-		s.router = newSeedSplitter(rt, *cfg, sink, s.outs)
+		s.router = newSeedSplitter(rt, *cfg, sink, s)
 	} else {
 		leaf := &seedLeaf{sink: sink}
 		leaf.init(rt, *cfg, 0)
@@ -376,7 +369,7 @@ func (s *Seed) init(f *Forming, p *cluster.Proc, cfg *Config, src SeedSource, rt
 }
 
 // step admits one incoming frame, routing it to the sink and the child
-// outboxes, or fails the stream with the error that came in its place. It
+// links, or fails the stream with the error that came in its place. It
 // returns true when the stream is finished — the End frame was processed,
 // or a failure aborted it; a frame after that is dropped, an error fails
 // what still waits on the stream.
@@ -415,23 +408,17 @@ func (s *Seed) step(f coll.Frame, err error) bool {
 		return s.bail(err)
 	}
 	if f.End {
-		s.shared = true
-		s.partDone()
+		s.shareDone()
 	}
 	return f.End
 }
 
 // bail fails the stream with err and reports it finished: the share is
-// over, and each child's forward ends once its outbox has drained. A rank
-// still forming tears its tree down: the stream watches its parent link.
+// over. A rank still forming tears its tree down.
 func (s *Seed) bail(err error) bool {
 	s.fail(err)
 	if !s.shared {
-		s.shared = true
-		for _, out := range s.outs {
-			out.Close()
-		}
-		s.partDone()
+		s.shareDone()
 	}
 	if s.forming {
 		s.forming = false
@@ -447,61 +434,53 @@ func (s *Seed) fail(err error) {
 	}
 }
 
-// partDone finishes one part; the last goes on with the Forming record
-// when that waits for the stream (phSeed), inline: this is where the rank's
-// goroutine woke from its wait on the stream.
-func (s *Seed) partDone() {
-	if s.parts--; s.parts == 0 && s.f.phase == phSeed {
+// shareDone finishes the rank's share, and with it the rank's stream; the
+// Forming record goes on when it waits for the stream (phSeed), inline:
+// this is where the rank's goroutine woke from its wait on the stream.
+func (s *Seed) shareDone() {
+	if s.shared = true; s.f.phase == phSeed {
 		s.f.Fire()
 	}
 }
 
-// onChild arms child slot i's forwarder as its join is accepted: a
-// callback on the child's outbox, not a goroutine — link writes never
-// block in virtual time, so a million-daemon tree forwards its whole seed
-// without parking a stack on a child link. It sends the queued messages as
-// they are (a frame that is the same for every child, the FEData preamble,
-// is one buffer on all the outboxes) and finishes after relaying the
-// subtree's End frame, or when the stream aborts or the link dies
-// mid-stream.
-func (s *Seed) onChild(i int, conn *simnet.Conn) {
-	var linkBytes uint64
-	done := false
-	finish := func() {
-		done = true
-		s.reg.Gauge("seed.link.bytes.max").SetMax(linkBytes)
-		s.partDone()
+// forward writes msg, the next message of child slot's stream, to the
+// child's link, or holds it until the child's join is accepted (onChild).
+// A link write never blocks in virtual time: nothing parks on a child link.
+func (s *Seed) forward(slot int, msg []byte) {
+	conn := s.f.c.children[slot]
+	if conn == nil {
+		s.held[slot] = append(s.held[slot], msg)
+		s.reg.Gauge("seed.queue.depth.max").SetMax(uint64(len(s.held[slot])))
+		return
 	}
-	s.outs[i].Handle(func(msg []byte, ok bool) {
-		if done {
-			return // stream already finished or failed; drop stragglers
-		}
-		if !ok {
-			finish()
-			return
-		}
-		s.reg.Gauge("seed.queue.depth.max").SetMax(uint64(s.outs[i].Len()))
-		if err := lmonp.SendFrame(conn, msg); err != nil {
-			rank := s.f.c.childRank(i)
-			s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", rank, &peerError{rank: rank, phase: "seed", err: err}))
-			finish()
-			return
-		}
-		n := uint64(len(msg) - 4)
-		s.reg.Counter("seed.fwd.chunks").Inc()
-		s.reg.Counter("seed.fwd.bytes").Add(n)
-		linkBytes += n
-		if binary.BigEndian.Uint32(msg[4:]) == opSeedEnd {
-			finish()
-		}
-	})
+	if err := lmonp.SendFrame(conn, msg); err != nil {
+		rank := s.f.c.childRank(slot)
+		s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", rank, &peerError{rank: rank, phase: "seed", err: err}))
+		return
+	}
+	n := uint64(len(msg) - 4)
+	s.reg.Counter("seed.fwd.chunks").Inc()
+	s.reg.Counter("seed.fwd.bytes").Add(n)
+	s.sent[slot] += n
+	s.reg.Gauge("seed.link.bytes.max").SetMax(s.sent[slot])
+}
+
+// onChild writes what was held for child slot, whose join was just
+// accepted.
+func (s *Seed) onChild(slot int) {
+	held := s.held[slot]
+	s.held[slot] = nil
+	for _, msg := range held {
+		s.forward(slot, msg)
+	}
 }
 
 // onParent makes the parent link every non-root rank's stream. A
 // SerialFramer owns the link while the seed is in flight, charging like the
-// serial reader it stands in for and detaching at the End frame's arrival —
-// on a rank still forming, when bootstrap returns, so that the link's end
-// fails the tree until then — so the walks that follow read the same conn.
+// serial reader it stands in for and detaching at the End frame's arrival,
+// so the walks that follow read the same conn. A rank still forming then
+// watches the link as a rank without a stream does (Comm.watchParent): its
+// end fails the tree at once, not behind the End's charge.
 // Decoding and admission run behind the horizon, like that reader's. The
 // framer takes whole messages: a frame keeps the one it arrived in
 // (coll.Frame.Wire) for the verbatim relay of FEData. It is the one receive
@@ -529,10 +508,10 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 		// protocol-violating opcode, which the deferred parse will
 		// turn into an error) is the framer's last.
 		if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
+			conn.Unhandle()
 			if s.forming {
-				s.parent = conn
-			} else {
-				conn.Unhandle()
+				s.watched = true
+				s.f.c.watchParent(nil, true)
 			}
 		}
 		fr.Charge(msg)
@@ -566,6 +545,6 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 		return nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)
 	}
 	f := &Forming{r: r, seeded: true}
-	f.seed.init(f, p, &cfg, src, rt, sink)
+	f.seed.init(f, &cfg, src, rt, sink)
 	return form(p, &cfg, f)
 }

@@ -441,3 +441,110 @@ func TestSeedSourceOnlyAtRoot(t *testing.T) {
 	})
 	sim.Run()
 }
+
+// parentEndRun is one run of TestSeedParentEndBehindEndWhileForming: rank
+// 1's bootstrap and barrier errors, the instant each rank's bootstrap
+// returned, and how many goroutines were alive once every dial window had
+// closed.
+type parentEndRun struct {
+	boot, barrier error
+	booted        [4]time.Duration
+	live          int
+}
+
+// runParentEnd launches 0 → 1, 2; 1 → 3, rank 3 spawned at join, with the
+// root's whole stream emitted at at, followed by its source's failure when
+// fail: the root, while it forms, tears its tree down, and rank 1's parent
+// link ends right behind the End. A rank that bootstraps runs a barrier on
+// its demultiplexed links.
+func runParentEnd(t *testing.T, join, at time.Duration, fail bool) parentEndRun {
+	const n, fanout, late = 4, 2, 3
+	frames, rt, _ := routedSeed(n, 2, 96)
+	sim := vtime.New()
+	cl := seedCluster(t, sim, n)
+	nodelist := make([]string, n)
+	for i := range nodelist {
+		nodelist[i] = cl.Node(i).Name()
+	}
+	var r parentEndRun
+	spawn := func(i int) {
+		if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+			var src SeedSource
+			if i == 0 {
+				src = func(emit func(coll.Frame, error) bool) {
+					sim.After(at-sim.Now(), func() {
+						for _, f := range frames {
+							emit(f, nil)
+						}
+						if fail {
+							emit(coll.Frame{}, io.ErrUnexpectedEOF)
+						}
+					})
+				}
+			}
+			c, err := BootstrapSeedRouted(p, Config{
+				Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50008,
+			}, src, rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+			r.booted[i] = sim.Now()
+			if i == 1 {
+				r.boot = err
+			}
+			if err != nil {
+				return
+			}
+			c.demuxLinks()
+			if err := c.Barrier(); i == 1 {
+				r.barrier = err
+			}
+			c.Close()
+		}}); err != nil {
+			t.Error(err)
+		}
+	}
+	sim.Go("boot", func() {
+		for i := 0; i < n; i++ {
+			if i != late {
+				spawn(i)
+			}
+		}
+		sim.Sleep(join - sim.Now())
+		spawn(late)
+	})
+	r.live = -1
+	sim.After(join+time.Second+dialAttempts*DialRetry, func() { r.live = sim.Live() })
+	sim.Run()
+	return r
+}
+
+// TestSeedParentEndBehindEndWhileForming ends a forming rank's parent link
+// right behind its seed's End, the End's charge still running: rank 1 forms
+// once its late child, rank 3, has joined and sent its ready, and the root
+// sends its stream and tears its tree down at every 5 µs from two charges
+// before rank 1 forms in a clean run until the root forms. The link's end
+// fails a rank still forming at once, and a formed rank reads it on the link
+// it hands back: rank 1's bootstrap fails, or its barrier does, and no
+// goroutine stays parked.
+func TestSeedParentEndBehindEndWhileForming(t *testing.T) {
+	const join = time.Second
+	clean := runParentEnd(t, join, 0, false)
+	if clean.boot != nil || clean.barrier != nil || clean.live != 0 {
+		t.Fatalf("clean run: rank 1's bootstrap %v, barrier %v, %d goroutines left", clean.boot, clean.barrier, clean.live)
+	}
+	boots, runs := 0, 0
+	for at := clean.booted[1] - 2*PerMsgCost; at < clean.booted[0]; at += 5 * time.Microsecond {
+		r := runParentEnd(t, join, at, true)
+		runs++
+		switch {
+		case r.live != 0:
+			t.Errorf("stream and teardown at %v: %d goroutines alive after the dial windows (rank 1: bootstrap %v, barrier %v)", at, r.live, r.boot, r.barrier)
+		case r.boot == nil && r.barrier == nil:
+			t.Errorf("stream and teardown at %v: rank 1 bootstrapped and ran a barrier under a root that tore its tree down", at)
+		case r.boot != nil:
+			boots++
+		}
+	}
+	t.Logf("rank 1 formed at %v, the root at %v; of %d faults, %d failed rank 1's bootstrap", clean.booted[1], clean.booted[0], runs, boots)
+	if boots == 0 || boots == runs {
+		t.Errorf("%d of %d faults failed rank 1's bootstrap: the sweep must land both while it forms and after", boots, runs)
+	}
+}

@@ -8,11 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
 	"launchmon/internal/proctab"
-	"launchmon/internal/vtime"
+	"launchmon/internal/simnet"
 )
 
 // splitterRig is a seedSplitter on its own — rank 0 of a 21-rank tree of
@@ -22,8 +21,8 @@ import (
 // the seed frame the splitter is handed.
 type splitterRig struct {
 	s       *seedSplitter
-	local   int // chunk bytes handed to the local consumer since the last drain
-	outs    []*seedOutbox
+	seed    *Seed // whose children have not joined: it holds what it is forwarded
+	local   int   // chunk bytes handed to the local consumer since the last drain
 	lookups int
 	frames  []coll.Frame
 }
@@ -47,39 +46,34 @@ func rigRankOf(host string) (int, bool) {
 }
 
 func newSplitterRig(hosts, perHost, inBytes, outBytes int) *splitterRig {
-	sim := vtime.New()
 	r := &splitterRig{}
-	for range Children(0, rigSize, rigFanout) {
-		r.outs = append(r.outs, vtime.NewChan[[]byte](sim))
-	}
 	tab := rigTable(hosts, perHost)
 	rt := &SeedRouter{ChunkBytes: outBytes, RankOf: func(host string) (int, bool) {
 		r.lookups++
 		return rigRankOf(host)
 	}}
-	r.s = newSeedSplitter(rt, Config{Rank: 0, Size: rigSize, Fanout: rigFanout}, func(f coll.Frame, _ proctab.Chunk) error {
+	f := &Forming{walk: walk{c: &Comm{size: rigSize, fanout: rigFanout, children: make([]*simnet.Conn, rigFanout)}}}
+	f.seed.init(f, &Config{Rank: 0, Size: rigSize, Fanout: rigFanout}, nil, rt, func(f coll.Frame, _ proctab.Chunk) error {
 		r.local += len(f.Body)
 		return nil
-	}, r.outs)
+	})
+	r.seed, r.s = &f.seed, f.seed.router.(*seedSplitter)
 	for i, body := range tab.EncodeChunks(inBytes) {
 		r.frames = append(r.frames, coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: uint32(i + 1)}, Body: body, Sum: lmonp.Sum64(body)})
 	}
 	return r
 }
 
-// drain empties the splitter's outboxes and returns the bytes of what it
-// had emitted: chunk bodies on the local stream, link messages on the
-// others.
+// drain empties what the seed holds for the children and returns the bytes
+// of what the splitter had emitted: chunk bodies on the local stream, link
+// messages on the others.
 func (r *splitterRig) drain() (local, links int) {
 	local, r.local = r.local, 0
-	for _, out := range r.outs {
-		for {
-			msg, ok := out.TryRecv()
-			if !ok {
-				break
-			}
+	for slot, held := range r.seed.held {
+		for _, msg := range held {
 			links += len(msg)
 		}
+		r.seed.held[slot] = held[:0]
 	}
 	return local, links
 }
@@ -172,11 +166,11 @@ func TestSeedSplitterAllocatesLittleBeyondItsChunks(t *testing.T) {
 }
 
 // TestSeedLinkMessagesAreEncodeFrameOp: a child's chunk is rendered into its
-// link message, and every message a splitter puts on an outbox — the
+// link message, and every message a splitter forwards to a child — the
 // FEData preamble, each re-packed chunk, the End — is byte for byte the one
 // encodeFrameOp renders for the frame it parses to, child slot 0's first
-// chunk exactly at the bound; each outbox's stream passes the SeqCheck its child
-// runs, so a chunk's sum still covers its body alone.
+// chunk exactly at the bound; each child's stream passes the SeqCheck the
+// child runs, so a chunk's sum still covers its body alone.
 func TestSeedLinkMessagesAreEncodeFrameOp(t *testing.T) {
 	const hosts, perHost = 42, 64
 	// The bound is the size of the first 100 entries of child slot 0's
@@ -202,14 +196,10 @@ func TestSeedLinkMessagesAreEncodeFrameOp(t *testing.T) {
 	if err := r.s.finish(end); err != nil {
 		t.Fatal(err)
 	}
-	for slot, out := range r.outs {
+	for slot, held := range r.seed.held {
 		var chk coll.SeqCheck
 		n := 0
-		for {
-			msg, ok := out.TryRecv()
-			if !ok {
-				break
-			}
+		for _, msg := range held {
 			n++
 			f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
 			if err != nil {
@@ -257,21 +247,11 @@ func TestSeedLeafAllocatesOnlyItsScan(t *testing.T) {
 	frames := seedFrames(bodies)
 	frames[len(frames)-1].Total = chunks * perChunk
 
-	sim := vtime.New()
-	cl := seedCluster(t, sim, 1)
-	var p *cluster.Proc
-	sim.Go("spawn", func() {
-		var err error
-		if p, err = cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(*cluster.Proc) {}}); err != nil {
-			t.Error(err)
-		}
-	})
-	sim.Run()
 	cfg := Config{Rank: rank, Size: rigSize, Fanout: rigFanout}
 	f := &Forming{walk: walk{c: &Comm{rank: rank, size: rigSize, fanout: rigFanout}}}
 	var asm proctab.Assembler
 	var tabOut proctab.Table
-	f.seed.init(f, p, &cfg, nil, &SeedRouter{RankOf: rigRankOf, ChunkBytes: len(bodies[1])}, func(f coll.Frame, c proctab.Chunk) (err error) {
+	f.seed.init(f, &cfg, nil, &SeedRouter{RankOf: rigRankOf, ChunkBytes: len(bodies[1])}, func(f coll.Frame, c proctab.Chunk) (err error) {
 		switch {
 		case f.End:
 			tabOut, err = asm.FinishSlice(int(f.Total))

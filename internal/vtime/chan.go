@@ -284,13 +284,6 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	return c.q.pop(), true
 }
 
-// Len returns the number of queued values.
-func (c *Chan[T]) Len() int {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.q.len()
-}
-
 // WaitGroup is a virtual-time analogue of sync.WaitGroup.
 type WaitGroup struct {
 	s      *Sim

@@ -170,7 +170,9 @@ func (r *orderScript) work(inbox *Chan[int]) {
 			}
 			continue
 		}
-		parks := inbox.Len() == 0 && d > 0
+		r.s.mu.Lock()
+		parks := inbox.q.len() == 0 && d > 0
+		r.s.mu.Unlock()
 		_, ok, timedOut := inbox.RecvTimeout(d)
 		switch {
 		case timedOut && d > 0:

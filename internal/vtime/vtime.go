@@ -40,6 +40,7 @@ type Sim struct {
 	resumed  queue[Event]  // records a Send or Close woke (Chan.Await), in wake order
 	seq      uint64        // tie-break for deterministic ordering of equal timestamps
 	stopped  bool          // Run has returned; subsequent blocking ops abort
+	running  bool          // Run has started: a goroutine made runnable waits on runq
 	live     int           // simulated goroutines that have started and not finished
 	peakLive int           // high-water mark of live
 	parked   *parker       // blocked goroutines, newest first, for teardown
@@ -50,6 +51,11 @@ type Sim struct {
 	spawnObs func(name string) // test hook: observes every Go() by name
 	hook     func()            // AtEvent's: runs once hookAt events have fired
 	hookAt   uint64
+
+	// runq holds, once Run runs, the goroutines a wake or Go made runnable
+	// until the runnable have parked: one runs at a time, never beside the
+	// code that made it runnable, so host order picks no seq.
+	runq queue[runItem]
 }
 
 // poolSize bounds Sim.pool: enough for the parks of one busy instant, not for
@@ -246,10 +252,9 @@ func (s *Sim) afterLocked(d time.Duration, ev Event) {
 // diagnostics and the spawn observer only: a string, or any value fmt
 // prints — a fmt.Stringer such as a process — formatted only when one of
 // them asks. Go may be called before Run or from inside any simulated
-// goroutine.
+// goroutine. Once Run has started, the goroutine waits its turn (Sim.runq).
 func (s *Sim) Go(name any, fn func()) {
 	s.mu.Lock()
-	s.runnable++
 	s.live++
 	if s.live > s.peakLive {
 		s.peakLive = s.live
@@ -257,7 +262,25 @@ func (s *Sim) Go(name any, fn func()) {
 	if s.spawnObs != nil {
 		s.spawnObs(fmt.Sprint(name))
 	}
+	if s.running && !s.stopped {
+		s.runq.push(runItem{name: name, fn: fn})
+	} else {
+		s.start(name, fn)
+	}
 	s.mu.Unlock()
+}
+
+// runItem is a goroutine waiting on Sim.runq for its turn: one parked on p,
+// woken, or one Go made (p nil).
+type runItem struct {
+	p    *parker
+	name any
+	fn   func()
+}
+
+// start runs fn as a simulated goroutine. Caller holds s.mu.
+func (s *Sim) start(name any, fn func()) {
+	s.runnable++
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -326,6 +349,10 @@ func (p *parker) fire(aborted bool) {
 		p.next.prev = p.prev
 	}
 	p.prev, p.next = nil, nil
+	if p.s.running && !p.s.stopped {
+		p.s.runq.push(runItem{p: p})
+		return
+	}
 	p.s.runnable++
 	p.cond.Signal()
 }
@@ -483,8 +510,18 @@ func (s *Sim) Sleep(d time.Duration) {
 // simulated goroutine panicked.
 func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
+	s.running = true
 	for {
 		s.settle()
+		if s.runq.len() > 0 {
+			if g := s.runq.pop(); g.p != nil {
+				s.runnable++
+				g.p.cond.Signal()
+			} else {
+				s.start(g.name, g.fn)
+			}
+			continue
+		}
 		if s.resumed.len() > 0 {
 			ev := s.resumed.pop()
 			s.mu.Unlock()

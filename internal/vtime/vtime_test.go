@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -159,7 +160,7 @@ func TestChanSendAfterCloseDropped(t *testing.T) {
 	c := NewChan[int](s)
 	c.Close()
 	c.Send(1)
-	if c.Len() != 0 {
+	if c.q.len() != 0 {
 		t.Fatal("send after close enqueued a value")
 	}
 }
@@ -688,5 +689,29 @@ func TestDigestNamesTheFiringOrder(t *testing.T) {
 	}
 	if swapped.Digest == first.Digest {
 		t.Errorf("same-instant events scheduled in the other order read the same digest %#x", first.Digest)
+	}
+}
+
+// TestWokenGoroutineWaitsItsTurn: a goroutine a callback wakes runs once the
+// callback has returned, never beside it — here a callback that holds the
+// scheduler a few real milliseconds after its Send — so the events either
+// schedules take their seqs in one order whatever the host does.
+func TestWokenGoroutineWaitsItsTurn(t *testing.T) {
+	s := New()
+	c := NewChan[int](s)
+	var ran atomic.Bool
+	early := false
+	s.Go("receiver", func() {
+		c.Recv()
+		ran.Store(true)
+	})
+	s.After(time.Second, func() {
+		c.Send(1)
+		time.Sleep(5 * time.Millisecond)
+		early = ran.Load()
+	})
+	s.Run()
+	if !ran.Load() || early {
+		t.Errorf("receiver ran: %v; ran while the callback that woke it still ran: %v", ran.Load(), early)
 	}
 }

@@ -310,7 +310,8 @@ func (n *Node) SpawnProc(spec Spec) (*Proc, error) {
 
 // SpawnSystemProc creates a process without charging the fork cost. It is
 // for machine boot (RM node daemons, persistent system services) and may
-// be called from outside the simulation, before Run.
+// be called from outside the simulation, before Run; the process's main
+// runs in its turn once Run starts (vtime.Sim.Go).
 func (n *Node) SpawnSystemProc(spec Spec) (*Proc, error) {
 	return n.spawn(spec)
 }

@@ -136,12 +136,12 @@ func (f *Forming) step() bool {
 	c := f.c
 	switch f.phase {
 	case phSkew:
-		// Deterministic sub-microsecond dial skew: siblings spawned at the
-		// same virtual instant would otherwise tie their joins at the
-		// parent's listener, and since the parent's per-join handling cost
-		// ladders whatever follows a join (the seed catch-up in particular),
-		// the accept order of tied joins would leak into virtual time. One
-		// nanosecond per sibling slot breaks ties in rank order (≤ fanout ns).
+		// Sub-microsecond dial skew: siblings spawned at the same virtual
+		// instant would otherwise tie their joins at the parent's listener,
+		// served in seq order, and the parent's per-join handling cost
+		// ladders whatever follows a join (the seed catch-up in particular).
+		// One nanosecond per sibling slot serves them in rank order
+		// (≤ fanout ns), the order every pin was taken with.
 		f.phase = phDial
 		f.reg.Counter("iccl.dial.retries") // every dialing rank's snapshot names it
 		parent := Parent(c.rank, c.fanout)

@@ -520,20 +520,27 @@ func runParentEnd(t *testing.T, join, at time.Duration, fail bool) parentEndRun 
 // right behind its seed's End, the End's charge still running: rank 1 forms
 // once its late child, rank 3, has joined and sent its ready, and the root
 // sends its stream and tears its tree down at every 5 µs from two charges
-// before rank 1 forms in a clean run until the root forms. The link's end
-// fails a rank still forming at once, and a formed rank reads it on the link
-// it hands back: rank 1's bootstrap fails, or its barrier does, and no
-// goroutine stays parked.
+// before rank 1 forms in a clean run until the root forms, and across rank
+// 3's dial to rank 1 (its SYN reaching a listener that has just closed).
+// The link's end fails a rank still forming at once, and a formed rank
+// reads it on the link it hands back: rank 1's bootstrap fails, or its
+// barrier does, and no goroutine stays parked.
 func TestSeedParentEndBehindEndWhileForming(t *testing.T) {
 	const join = time.Second
 	clean := runParentEnd(t, join, 0, false)
 	if clean.boot != nil || clean.barrier != nil || clean.live != 0 {
 		t.Fatalf("clean run: rank 1's bootstrap %v, barrier %v, %d goroutines left", clean.boot, clean.barrier, clean.live)
 	}
-	boots, runs := 0, 0
+	var ats []time.Duration
 	for at := clean.booted[1] - 2*PerMsgCost; at < clean.booted[0]; at += 5 * time.Microsecond {
+		ats = append(ats, at)
+	}
+	for at := join + 850*time.Microsecond; at <= join+910*time.Microsecond; at += 5 * time.Microsecond {
+		ats = append(ats, at)
+	}
+	boots := 0
+	for _, at := range ats {
 		r := runParentEnd(t, join, at, true)
-		runs++
 		switch {
 		case r.live != 0:
 			t.Errorf("stream and teardown at %v: %d goroutines alive after the dial windows (rank 1: bootstrap %v, barrier %v)", at, r.live, r.boot, r.barrier)
@@ -543,8 +550,8 @@ func TestSeedParentEndBehindEndWhileForming(t *testing.T) {
 			boots++
 		}
 	}
-	t.Logf("rank 1 formed at %v, the root at %v; of %d faults, %d failed rank 1's bootstrap", clean.booted[1], clean.booted[0], runs, boots)
-	if boots == 0 || boots == runs {
-		t.Errorf("%d of %d faults failed rank 1's bootstrap: the sweep must land both while it forms and after", boots, runs)
+	t.Logf("rank 1 formed at %v, the root at %v; of %d faults, %d failed rank 1's bootstrap", clean.booted[1], clean.booted[0], len(ats), boots)
+	if boots == 0 || boots == len(ats) {
+		t.Errorf("%d of %d faults failed rank 1's bootstrap: the sweep must land both while it forms and after", boots, len(ats))
 	}
 }

@@ -92,8 +92,11 @@ func TestKilledJobLeavesLittleHeapPerNode(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	installed := live()
+	// The baseline is read in the test goroutine's turn, behind the slurmd
+	// mains machine boot queued: the installed RM is what they left.
+	var installed int64
 	sim.Go("test", func() {
+		installed = live()
 		j, err := m.StartJob(rm.JobSpec{Exe: "app", Nodes: nodes, TasksPerNode: 1})
 		if err != nil {
 			t.Error(err)

@@ -361,17 +361,32 @@ func (l *Listener) Close() {
 	}
 }
 
+// syn is a dialed connection's far end reaching the listener: queued for
+// Accept, or closed, as Close closes one it never accepted, when the
+// listener has closed since the dial, so the dialer's end ends too.
+func (l *Listener) syn(b *Conn) {
+	l.host.net.mu.Lock()
+	closed, dead := l.closed, l.host.dead
+	l.host.net.mu.Unlock()
+	switch {
+	case !closed:
+		l.incoming.Send(b)
+	case !dead: // KillHost severs it with the rest
+		b.Close()
+	}
+}
+
 // Dial connects from h to addr, blocking for the connection handshake
 // (one round trip). It fails immediately when no listener exists, when
 // either host is dead, or when the link between them is down.
 func (h *Host) Dial(addr Addr) (*Conn, error) {
-	a, b, incoming, lat, err := h.dialSetup(addr)
+	a, b, l, lat, err := h.dialSetup(addr)
 	if err != nil {
 		return nil, err
 	}
 	// SYN reaches the listener after one latency; the dialer's connect
 	// completes after a full round trip.
-	h.net.sim.After(lat, func() { incoming.Send(b) })
+	h.net.sim.After(lat, func() { l.syn(b) })
 	h.net.sim.Sleep(2 * lat)
 	return a, nil
 }
@@ -381,11 +396,11 @@ func (h *Host) Dial(addr Addr) (*Conn, error) {
 // the vtime scheduler after the same one-round-trip handshake. done must not
 // block.
 func (h *Host) DialAsync(addr Addr, done vtime.Event) (*Conn, error) {
-	a, b, incoming, lat, err := h.dialSetup(addr)
+	a, b, l, lat, err := h.dialSetup(addr)
 	if err != nil {
 		return nil, err
 	}
-	h.net.sim.After(lat, func() { incoming.Send(b) })
+	h.net.sim.After(lat, func() { l.syn(b) })
 	h.net.sim.AfterEvent(2*lat, done)
 	return a, nil
 }
@@ -393,7 +408,7 @@ func (h *Host) DialAsync(addr Addr, done vtime.Event) (*Conn, error) {
 // dialSetup performs the synchronous half of a dial — error checks, conn
 // pair creation, registration — and returns the pieces both Dial flavors
 // schedule from.
-func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], lat time.Duration, err error) {
+func (h *Host) dialSetup(addr Addr) (a, b *Conn, l *Listener, lat time.Duration, err error) {
 	n := h.net
 	n.mu.Lock()
 	dst := n.hosts[addr.Host]
@@ -409,7 +424,7 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: no host %q", errConnRefused, addr.Host)
 	}
-	l := dst.listeners[addr.Port]
+	l = dst.listeners[addr.Port]
 	if l == nil || l.closed {
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: %s", errConnRefused, addr)
@@ -423,7 +438,7 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, incoming *vtime.Chan[*Conn], la
 	b.openLocked(dst, a)
 	n.stats.Dials++
 	n.mu.Unlock()
-	return a, b, l.incoming, lat, nil
+	return a, b, l, lat, nil
 }
 
 // Conn is one direction-pair stream connection endpoint. Both endpoints

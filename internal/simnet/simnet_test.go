@@ -503,3 +503,31 @@ func TestListenerCloseEndsBacklog(t *testing.T) {
 		}
 	}
 }
+
+// TestSynAfterListenerCloseEndsTheDial: a SYN that reaches a listener closed
+// since the dial ends the dialed connection as Close ends one it never
+// accepted — the dialer reads EOF — and not only at teardown.
+func TestSynAfterListenerCloseEndsTheDial(t *testing.T) {
+	sim := vtime.New()
+	_, a, b := pair(t, sim, Options{})
+	l, err := b.Listen(9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readErr error
+	torn := true
+	sim.Go("dialer", func() {
+		c, err := a.Dial(l.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, readErr = c.RecvMessage()
+		torn = sim.Stopped()
+	})
+	sim.After(Latency/2, l.Close)
+	sim.Run()
+	if torn || readErr != io.EOF {
+		t.Errorf("the dialer read %v (at teardown: %v), want %v before it", readErr, torn, io.EOF)
+	}
+}

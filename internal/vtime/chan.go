@@ -270,7 +270,7 @@ func (c *Chan[T]) Await(r *Resume) (v T, ok, wait bool) {
 	if c.closed || c.s.stopped {
 		return v, false, false
 	}
-	c.wakers.push(c.s.hookFor(r))
+	c.wakers.push(c.s.parker(r))
 	return v, false, true
 }
 

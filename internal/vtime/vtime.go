@@ -17,7 +17,11 @@
 //     Sim.Go (or is the caller of Sim.Run itself);
 //   - simulated goroutines never block on real synchronization primitives
 //     while counted as runnable — all blocking goes through Sleep, Chan,
-//     Waiter or WaitGroup from this package.
+//     Waiter or WaitGroup from this package;
+//   - one simulated goroutine runs at a time: a goroutine Go makes, one a
+//     wake or teardown releases and a record a wake resumes all wait their
+//     turn on one FIFO (Sim.turns), taken once the runnable have parked, so
+//     host order decides no seq — before Run, inside it and in teardown.
 package vtime
 
 import (
@@ -37,11 +41,10 @@ type Sim struct {
 	timers   timerHeap     // events due after the instant they were scheduled at
 	ready    queue[Event]  // events due at now, in seq order (see fireNext)
 	readySeq queue[uint32] // beside ready, the low 32 bits of each one's seq
-	resumed  queue[Event]  // records a Send or Close woke (Chan.Await), in wake order
+	turns    queue[turn]   // what waits to run, in the order it was made runnable
 	seq      uint64        // tie-break for deterministic ordering of equal timestamps
-	stopped  bool          // Run has returned; subsequent blocking ops abort
-	running  bool          // Run has started: a goroutine made runnable waits on runq
-	live     int           // simulated goroutines that have started and not finished
+	stopped  bool          // Run has torn down; subsequent blocking ops abort
+	live     int           // simulated goroutines made by Go and not finished
 	peakLive int           // high-water mark of live
 	parked   *parker       // blocked goroutines, newest first, for teardown
 	parks    uint64        // times a simulated goroutine has blocked
@@ -51,12 +54,22 @@ type Sim struct {
 	spawnObs func(name string) // test hook: observes every Go() by name
 	hook     func()            // AtEvent's: runs once hookAt events have fired
 	hookAt   uint64
-
-	// runq holds, once Run runs, the goroutines a wake or Go made runnable
-	// until the runnable have parked: one runs at a time, never beside the
-	// code that made it runnable, so host order picks no seq.
-	runq queue[runItem]
 }
+
+// turn is one entry of Sim.turns, by its event: a goroutine Go made (a
+// goFunc, named name), a parked one a wake or teardown released (its
+// parker), or any other event, which fires on the scheduler goroutine (a
+// record Chan.Await resumes, the AtEvent hook).
+type turn struct {
+	ev   Event
+	name any
+}
+
+// goFunc is a goroutine's body as a turn's event: take starts it on a
+// goroutine of its own, where Fire would run it on the caller's.
+type goFunc func()
+
+func (f goFunc) Fire() { f() }
 
 // poolSize bounds Sim.pool: enough for the parks of one busy instant, not for
 // a whole spawn wave's, which would stay live for the rest of the run.
@@ -248,11 +261,12 @@ func (s *Sim) afterLocked(d time.Duration, ev Event) {
 	}
 }
 
-// Go starts fn as a simulated goroutine. Its name is read by panic
+// Go makes fn a simulated goroutine. Its name is read by panic
 // diagnostics and the spawn observer only: a string, or any value fmt
 // prints — a fmt.Stringer such as a process — formatted only when one of
 // them asks. Go may be called before Run or from inside any simulated
-// goroutine. Once Run has started, the goroutine waits its turn (Sim.runq).
+// goroutine; fn runs in its turn (Sim.turns) once Run takes it, so a Go
+// after Run has returned never runs unless Run is called again.
 func (s *Sim) Go(name any, fn func()) {
 	s.mu.Lock()
 	s.live++
@@ -262,20 +276,8 @@ func (s *Sim) Go(name any, fn func()) {
 	if s.spawnObs != nil {
 		s.spawnObs(fmt.Sprint(name))
 	}
-	if s.running && !s.stopped {
-		s.runq.push(runItem{name: name, fn: fn})
-	} else {
-		s.start(name, fn)
-	}
+	s.turns.push(turn{goFunc(fn), name})
 	s.mu.Unlock()
-}
-
-// runItem is a goroutine waiting on Sim.runq for its turn: one parked on p,
-// woken, or one Go made (p nil).
-type runItem struct {
-	p    *parker
-	name any
-	fn   func()
 }
 
 // start runs fn as a simulated goroutine. Caller holds s.mu.
@@ -333,7 +335,7 @@ func (p *parker) fire(aborted bool) {
 	if r := p.resume; r != nil {
 		p.resume = nil
 		if !p.s.stopped {
-			p.s.resumed.push(r.ev)
+			p.s.turns.push(turn{ev: r.ev})
 		}
 		p.s.release(p)
 		return
@@ -349,12 +351,7 @@ func (p *parker) fire(aborted bool) {
 		p.next.prev = p.prev
 	}
 	p.prev, p.next = nil, nil
-	if p.s.running && !p.s.stopped {
-		p.s.runq.push(runItem{p: p})
-		return
-	}
-	p.s.runnable++
-	p.cond.Signal()
+	p.s.turns.push(turn{ev: p})
 }
 
 // Fire is the parker as a timer: the end of a Sleep, or a receive deadline.
@@ -383,9 +380,19 @@ func (p *parker) wait() bool {
 // park marks the calling simulated goroutine blocked and returns a parker
 // to wait on. The caller must hold s.mu and have seen s.stopped false under
 // it: teardown aborts what is on s.parked once, and nothing may join later.
-// The parker comes from s.pool when there is one; its waiter hands it back
-// with release.
+// Its waiter hands the parker back with release.
 func (s *Sim) park() *parker {
+	p := s.parker(nil)
+	s.parkOn(p)
+	return p
+}
+
+// parker returns an unfired parker from s.pool, or a new one, holding one
+// reference: its waiter's, or for a record (r set; Chan.Await) the wake's —
+// woken, it queues r's event as a turn instead of releasing a goroutine, and
+// as it parks nothing it neither counts as a park nor leaves runnable.
+// Caller holds s.mu.
+func (s *Sim) parker(r *Resume) *parker {
 	var p *parker
 	if n := len(s.pool); n > 0 {
 		p, s.pool[n-1], s.pool = s.pool[n-1], nil, s.pool[:n-1]
@@ -393,8 +400,7 @@ func (s *Sim) park() *parker {
 		p = &parker{s: s}
 		p.cond.L = &s.mu
 	}
-	p.refs = 1 // the waiter's
-	s.parkOn(p)
+	p.refs, p.fired, p.aborted, p.resume = 1, false, false, r
 	return p
 }
 
@@ -407,22 +413,6 @@ func (s *Sim) release(p *parker) {
 	if p.refs--; p.refs == 0 && !p.aborted && len(s.pool) < poolSize {
 		s.pool = append(s.pool, p)
 	}
-}
-
-// hookFor is park for a record: a parker that, woken, queues r's event on
-// s.resumed instead of releasing a goroutine. It parks nothing, so it neither
-// counts as a park nor leaves runnable; its one reference is the wake's.
-// Caller holds s.mu.
-func (s *Sim) hookFor(r *Resume) *parker {
-	var p *parker
-	if n := len(s.pool); n > 0 {
-		p, s.pool[n-1], s.pool = s.pool[n-1], nil, s.pool[:n-1]
-	} else {
-		p = &parker{s: s}
-		p.cond.L = &s.mu
-	}
-	p.refs, p.fired, p.aborted, p.resume = 1, false, false, r
-	return p
 }
 
 // parkOn is park on a parker the caller owns (a Waiter's): one that is bound
@@ -504,54 +494,58 @@ func (s *Sim) Sleep(d time.Duration) {
 // Run drives the simulation until every simulated goroutine has either
 // finished or parked with no pending timers, then tears down any still
 // parked goroutines (their blocking calls return "closed"/false) and
-// returns the final virtual time. A record that a Send or Close woke
-// (Chan.Await) goes on where a woken goroutine would: once whatever is
-// runnable has parked, before the next event fires. Run panics if a
-// simulated goroutine panicked.
+// returns the final virtual time. It is one loop: once the runnable
+// goroutines have parked it takes the next turn, or else fires the next
+// event, or at quiescence stops the simulation and aborts what is parked
+// onto the turns; teardown fires a timer only while a goroutine is live.
+// Run panics if a simulated goroutine panicked.
 func (s *Sim) Run() time.Duration {
 	s.mu.Lock()
-	s.running = true
 	for {
 		s.settle()
-		if s.runq.len() > 0 {
-			if g := s.runq.pop(); g.p != nil {
-				s.runnable++
-				g.p.cond.Signal()
+		switch {
+		case s.turns.len() > 0:
+			s.take()
+		case s.pending() > 0 && (!s.stopped || s.live > 0):
+			if s.hook != nil && s.stats.Events == s.hookAt {
+				s.turns.push(turn{ev: funcEvent(s.hook)})
+				s.hook = nil
 			} else {
-				s.start(g.name, g.fn)
+				s.fireNext()
 			}
-			continue
-		}
-		if s.resumed.len() > 0 {
-			ev := s.resumed.pop()
+		case !s.stopped:
+			s.stopped = true
+			for s.parked != nil {
+				s.parked.abort()
+			}
+		default:
+			end := s.now
 			s.mu.Unlock()
-			ev.Fire()
-			s.mu.Lock()
-			continue
-		}
-		if s.pending() == 0 {
-			break
-		}
-		s.fireNext()
-	}
-	// Quiescent: no timers, nothing runnable. Abort parked goroutines so
-	// their goroutines can exit and tests do not leak.
-	s.stopped = true
-	for s.parked != nil {
-		s.parked.abort()
-	}
-	for s.live > 0 {
-		s.settle()
-		// A torn-down goroutine became runnable and may spawn nothing new;
-		// also drain any timers it scheduled during teardown.
-		if s.live > 0 && s.pending() > 0 {
-			s.fireNext()
+			return end
 		}
 	}
-	s.settle()
-	end := s.now
-	s.mu.Unlock()
-	return end
+}
+
+// take runs the next turn: it starts or releases a goroutine, which runs
+// until it parks or ends, or fires an event with s.mu released. A drained
+// queue that grew past poolSize (machine boot queues a turn a node) drops
+// its array. Caller holds s.mu.
+func (s *Sim) take() {
+	t := s.turns.pop()
+	if s.turns.len() == 0 && cap(s.turns.buf) > poolSize {
+		s.turns.buf = nil
+	}
+	switch ev := t.ev.(type) {
+	case *parker:
+		s.runnable++
+		ev.cond.Signal()
+	case goFunc:
+		s.start(t.name, ev)
+	default:
+		s.mu.Unlock()
+		ev.Fire()
+		s.mu.Lock()
+	}
 }
 
 // settle waits until no simulated goroutine is runnable, then re-raises
@@ -578,16 +572,8 @@ func (s *Sim) pending() int { return len(s.timers) + s.ready.len() }
 // something else woke first is a void deadline: it is dropped without
 // advancing the clock. vtime's own events fire under the caller's hold of
 // s.mu; any other Event takes s.mu itself, so it is released around the
-// call. An armed AtEvent hook due now runs instead, alone. Caller holds s.mu.
+// call. Caller holds s.mu.
 func (s *Sim) fireNext() {
-	if s.hook != nil && s.stats.Events == s.hookAt {
-		fn := s.hook
-		s.hook = nil
-		s.mu.Unlock()
-		fn()
-		s.mu.Lock()
-		return
-	}
 	var t timer
 	same := s.ready.len() > 0 && (len(s.timers) == 0 || s.timers[0].at > s.now)
 	if same {

@@ -692,26 +692,110 @@ func TestDigestNamesTheFiringOrder(t *testing.T) {
 	}
 }
 
-// TestWokenGoroutineWaitsItsTurn: a goroutine a callback wakes runs once the
-// callback has returned, never beside it — here a callback that holds the
-// scheduler a few real milliseconds after its Send — so the events either
-// schedules take their seqs in one order whatever the host does.
+// overlapGuard counts the simulated goroutines inside a stretch of real
+// time: hold keeps its caller in for a real millisecond, and max is the most
+// that were ever in at once.
+type overlapGuard struct{ in, max, held atomic.Int32 }
+
+func (g *overlapGuard) hold() {
+	n := g.in.Add(1)
+	for m := g.max.Load(); n > m && !g.max.CompareAndSwap(m, n); m = g.max.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	g.in.Add(-1)
+	g.held.Add(1)
+}
+
+// TestWokenGoroutineWaitsItsTurn: whatever makes a goroutine runnable — a
+// callback's wake, a Go before Run, teardown's abort — it runs in its turn,
+// never beside the code that made it runnable nor beside another goroutine,
+// so the events they schedule take their seqs in one order whatever the host
+// does; and the AtEvent hook runs alone, before the next event.
 func TestWokenGoroutineWaitsItsTurn(t *testing.T) {
-	s := New()
-	c := NewChan[int](s)
-	var ran atomic.Bool
-	early := false
-	s.Go("receiver", func() {
-		c.Recv()
-		ran.Store(true)
-	})
-	s.After(time.Second, func() {
-		c.Send(1)
-		time.Sleep(5 * time.Millisecond)
-		early = ran.Load()
-	})
-	s.Run()
-	if !ran.Load() || early {
-		t.Errorf("receiver ran: %v; ran while the callback that woke it still ran: %v", ran.Load(), early)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *Sim)
+	}{
+		{"callback wake", func(t *testing.T, s *Sim) {
+			c := NewChan[int](s)
+			var ran atomic.Bool
+			early := false
+			s.Go("receiver", func() {
+				c.Recv()
+				ran.Store(true)
+			})
+			s.After(time.Second, func() {
+				c.Send(1)
+				time.Sleep(5 * time.Millisecond)
+				early = ran.Load()
+			})
+			s.Run()
+			if !ran.Load() || early {
+				t.Errorf("receiver ran: %v; ran while the callback that woke it still ran: %v", ran.Load(), early)
+			}
+		}},
+		{"Go before Run", func(t *testing.T, s *Sim) {
+			var ran atomic.Bool
+			s.Go("early", func() { ran.Store(true) })
+			time.Sleep(5 * time.Millisecond)
+			early := ran.Load()
+			s.Run()
+			if early || !ran.Load() {
+				t.Errorf("ran before Run: %v; ran at all: %v", early, ran.Load())
+			}
+		}},
+		{"Go before Run, one at a time in Go order", func(t *testing.T, s *Sim) {
+			var g overlapGuard
+			var mu sync.Mutex
+			var order []int
+			for i := 0; i < 4; i++ {
+				i := i
+				s.Go(fmt.Sprint("g", i), func() {
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+					g.hold()
+				})
+			}
+			s.Run()
+			if g.max.Load() != 1 || fmt.Sprint(order) != "[0 1 2 3]" {
+				t.Errorf("%d ran at once, in the order %v; want 1 at a time, [0 1 2 3]", g.max.Load(), order)
+			}
+		}},
+		{"teardown aborts one at a time", func(t *testing.T, s *Sim) {
+			var g overlapGuard
+			c := NewChan[int](s)
+			for i := 0; i < 2; i++ {
+				s.Go(fmt.Sprint("parked", i), func() {
+					if _, ok := c.Recv(); !ok {
+						g.hold()
+					}
+				})
+			}
+			s.Run()
+			if g.held.Load() != 2 || g.max.Load() != 1 {
+				t.Errorf("%d of 2 aborted goroutines ran on, %d at once; want 2, one at a time", g.held.Load(), g.max.Load())
+			}
+		}},
+		{"AtEvent hook alone", func(t *testing.T, s *Sim) {
+			var g overlapGuard
+			for i := 0; i < 2; i++ {
+				s.Go(fmt.Sprint("sleeper", i), func() {
+					s.Sleep(time.Millisecond)
+					g.hold()
+				})
+			}
+			events := uint64(0)
+			s.AtEvent(1, func() {
+				events = s.Stats().Events
+				g.hold()
+			})
+			s.Run()
+			if events != 1 || g.held.Load() != 3 || g.max.Load() != 1 {
+				t.Errorf("hook ran after %d events; %d of 3 held, %d at once; want 1, 3, one at a time", events, g.held.Load(), g.max.Load())
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, New()) })
 	}
 }

@@ -623,7 +623,6 @@ var exportedReasons = map[string]string{
 	"internal/iccl.Parent":                testHook,
 	"internal/iccl.Plane.AllGather":       benchmarkName,
 	"internal/iccl.Plane.AllReduce":       benchmarkName,
-	"internal/iccl.Plane.Barrier":         testHook,
 	"internal/iccl.Plane.ReduceTag":       benchmarkName,
 	"internal/lmonp.ErrTooLarge":          testHook,
 	"internal/lmonp.Msg.Encode":           benchmarkName,
@@ -817,9 +816,6 @@ var unreachedReasons = map[string]string{
 	"internal/core.daemonSession.Size":     paperAPI,
 	"internal/core.daemonSession.timeline": testHook,
 	"internal/iccl.Comm.Scatter":           paperAPI,
-	"internal/iccl.Plane.Barrier":          testHook, // the plane tests' warm-up; ROADMAP D(3) moves Finalize onto it
-	"internal/iccl.barrierOp.frame":        testHook,
-	"internal/iccl.barrierOp.next":         testHook,
 	"internal/lmonp.Msg.wireSize":          testHook,
 	"internal/obs.Gauge.set":               testHook,
 	"internal/rm.PublishProctab":           testHook,

@@ -92,7 +92,7 @@ func BenchmarkPlaneBroadcast32K(b *testing.B) {
 	var m0, m1 runtime.MemStats
 	icclTree(b, cl, iccl.Bootstrap, func(c *iccl.Comm, p *cluster.Proc) error {
 		pl := c.NewPlane(chunk, 0, nil, nil)
-		if err := pl.Barrier(); err != nil {
+		if _, err := pl.AllGather(nil); err != nil {
 			return err
 		}
 		if c.IsMaster() {
@@ -143,7 +143,7 @@ func BenchmarkPlaneGatherReduce(b *testing.B) {
 			up = func(coll.Frame) error { return nil }
 		}
 		pl := c.NewPlane(chunk, window, up, nil)
-		if err := pl.Barrier(); err != nil {
+		if _, err := pl.AllGather(nil); err != nil {
 			return err
 		}
 		if c.IsMaster() {

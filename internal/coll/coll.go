@@ -23,8 +23,8 @@ import (
 // Op identifies the collective operation a chunk belongs to.
 type Op uint8
 
-// The three collectives of the tool-data plane, plus the launch-time
-// session-seed stream.
+// The three collectives of the tool-data plane, their two tree-wide
+// variants, the launch-time session-seed stream and the credit frame.
 const (
 	OpBroadcast Op = iota + 1 // FE → every daemon: raw byte stream
 	opRetired                 // 2, a retired FE scatter: the ops after it keep their wire values
@@ -39,10 +39,8 @@ const (
 	// needs no tag discipline; Tag is always 0.
 	OpSeed
 
-	// OpBarrier is the two-phase tree barrier (DAOS crt_barrier model):
-	// an up-phase of End markers gathering at the root, then a release
-	// wave of End markers back down. Barrier streams carry no chunks.
-	OpBarrier
+	opRetiredBarrier // 6, a retired tree barrier (iccl.Comm.Barrier is the one): the ops after it keep their wire values
+
 	// OpAllGather is a gather whose reassembled rank table is then
 	// redistributed down the tree, so every daemon ends with all K
 	// contributions.
@@ -69,8 +67,6 @@ func (o Op) String() string {
 		return "reduce"
 	case OpSeed:
 		return "seed"
-	case OpBarrier:
-		return "barrier"
 	case OpAllGather:
 		return "allgather"
 	case OpAllReduce:
@@ -108,8 +104,8 @@ func Window(w int) int {
 // Tag spaces of the collective plane. Lockstep (SPMD-ordered) session
 // collectives use tags below MinUserTag; concurrent tagged streams
 // allocated by Session.AllocTag live in [MinUserTag, MaxUserTag); tags
-// at or above MaxUserTag are reserved for tree-internal lockstep
-// sequences.
+// above MaxUserTag number the lockstep sequence of the tree-wide
+// operations (iccl's Plane.AllGather and AllReduce).
 const (
 	MinUserTag uint32 = 1 << 16
 	MaxUserTag uint32 = 1 << 31
@@ -181,7 +177,7 @@ func DecodeHeader(rd *lmonp.Reader) (Header, error) {
 	if err := rd.Err(); err != nil {
 		return Header{}, err
 	}
-	if h.Op < OpBroadcast || h.Op > OpCredit || h.Op == opRetired || h.Tail && h.Op == OpCredit {
+	if h.Op < OpBroadcast || h.Op > OpCredit || h.Op == opRetired || h.Op == opRetiredBarrier || h.Tail && h.Op == OpCredit {
 		return Header{}, fmt.Errorf("%w: op %d", errBadHeader, b)
 	}
 	return h, nil

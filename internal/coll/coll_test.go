@@ -30,14 +30,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 // TestDecodeHeaderRejectsBadOp: an op outside the live ones is a bad
-// header where it is decoded, op 2 (the retired scatter) too, though it lies
-// inside their range: it must not get as far as a stream, to fail there as
-// a diverged collective.
+// header where it is decoded, ops 2 and 6 (the retired scatter and barrier)
+// too, though they lie inside their range: it must not get as far as a
+// stream, to fail there as a diverged collective.
 //
-// The Tail bit does not make a bad op good: ops 0 and 2 with it are bad, and
-// so is a credit, which is never a Tail.
+// The Tail bit does not make a bad op good: ops 0, 2 and 6 with it are bad,
+// and so is a credit, which is never a Tail.
 func TestDecodeHeaderRejectsBadOp(t *testing.T) {
-	for _, op := range []byte{0, 2, byte(OpCredit) + 1, 99, tailBit | 0, tailBit | 2, tailBit | byte(OpCredit), 0xff} {
+	for _, op := range []byte{0, 2, 6, byte(OpCredit) + 1, 99, tailBit | 0, tailBit | 2, tailBit | 6, tailBit | byte(OpCredit), 0xff} {
 		want := fmt.Sprintf("op %d", op)
 		enc := Header{Op: OpBroadcast, Tag: 1}.AppendTo(nil)
 		enc[0] = op

@@ -30,13 +30,13 @@ func FuzzCollChunkDecode(f *testing.F) {
 	p, u = retired.EncodeMsg()
 	f.Add(p, u, false)
 	f.Add(AppendEntries(nil, []Entry{{Rank: 1, Blob: []byte("x")}}), []byte{0, 0, 0, 1}, false)
-	// The v2 plane's frames: flow-control credits (count rides Index),
-	// the body-less two-phase barrier markers, and the all-variants whose
-	// down-phase reuses the entry/raw stream layouts.
+	// The v2 plane's frames: flow-control credits (count rides Index), a
+	// retired barrier's body-less end marker (a bad header), and the
+	// all-variants whose down-phase reuses the entry/raw stream layouts.
 	cr := CreditFrame(MinUserTag+2, 5)
 	p, u = cr.EncodeMsg()
 	f.Add(p, u, false)
-	bar := Frame{H: Header{Op: OpBarrier, Tag: MaxUserTag + 1}, End: true, Total: 0, Sum: lmonp.SumInit}
+	bar := Frame{H: Header{Op: opRetiredBarrier, Tag: MaxUserTag + 1}, End: true, Total: 0, Sum: lmonp.SumInit}
 	p, u = bar.EncodeMsg()
 	f.Add(p, u, true)
 	ag := EntryFrames(OpAllGather, MinUserTag, []Entry{{Rank: 0, Blob: []byte("a")}, {Rank: 2, Blob: []byte("bb")}}, 64)

@@ -103,7 +103,7 @@ func TestCollectiveRoundTripAllOps(t *testing.T) {
 // collectives (BackEnd.Barrier and Scatter, iccl.Comm's) at K = 7, fanout
 // 2, on both sides of the switch a plane operation makes: once while the
 // daemons still read their tree links directly, and again after a
-// Collective().Barrier has handed the links to their demuxes. Every rank
+// Collective().AllGather has handed the links to their demuxes. Every rank
 // receives parts[rank], and the master refuses a part set of the wrong
 // size before anything goes down the tree.
 func TestBEBarrierAndScatterOnDemuxedTree(t *testing.T) {
@@ -136,8 +136,8 @@ func TestBEBarrierAndScatterOnDemuxedTree(t *testing.T) {
 			}
 		}
 		check("direct")
-		if err := be.Collective().Barrier(); err != nil {
-			t.Errorf("rank %d plane barrier: %v", be.Rank(), err)
+		if _, err := be.Collective().AllGather(nil); err != nil {
+			t.Errorf("rank %d plane allgather: %v", be.Rank(), err)
 			return
 		}
 		check("demuxed")
@@ -594,7 +594,7 @@ func TestTreeReadChargeRule(t *testing.T) {
 				return p.Sim().Now() - t0
 			}
 			d := barrier()
-			if err := be.Collective().Barrier(); err != nil {
+			if _, err := be.Collective().AllGather(nil); err != nil {
 				t.Error(err)
 			}
 			if d2 := barrier(); be.AmIMaster() {

@@ -153,8 +153,8 @@ func TestConcurrentTaggedCollectivesBothFabrics(t *testing.T) {
 	})
 }
 
-// TestDaemonTreePrimitivesBothFabrics exercises Barrier, AllGather, and
-// AllReduce — the plane-v2 primitives that never involve the front end —
+// TestDaemonTreePrimitivesBothFabrics exercises AllGather and AllReduce —
+// the plane-v2 primitives that never involve the front end —
 // on the BE and MW fabrics of one session, then reports each daemon's
 // verdict through a plain gather.
 func TestDaemonTreePrimitivesBothFabrics(t *testing.T) {
@@ -162,9 +162,6 @@ func TestDaemonTreePrimitivesBothFabrics(t *testing.T) {
 	sim, cl, _ := rig(t, beNodes+mwNodes)
 
 	primitives := func(dc *iccl.Plane, rank, size int) error {
-		if err := dc.Barrier(); err != nil {
-			return fmt.Errorf("barrier: %w", err)
-		}
 		all, err := dc.AllGather([]byte{byte(rank)})
 		if err != nil {
 			return fmt.Errorf("allgather: %w", err)
@@ -184,7 +181,7 @@ func TestDaemonTreePrimitivesBothFabrics(t *testing.T) {
 		if want := uint64(size) * uint64(size+1) / 2; binary.BigEndian.Uint64(out) != want {
 			return fmt.Errorf("allreduce sum %d, want %d", binary.BigEndian.Uint64(out), want)
 		}
-		return dc.Barrier()
+		return nil
 	}
 	cl.Register("prim_be", func(p *cluster.Proc) {
 		be, err := BEInit(p)

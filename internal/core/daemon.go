@@ -150,7 +150,7 @@ func (d *daemonSession) seedSink() func(coll.Frame, proctab.Chunk) error {
 		case f.H.Index == 0:
 			d.feData = append([]byte(nil), f.Body...)
 		default:
-			asm.AddScanned(c, f.Sum)
+			asm.AddScanned(c)
 		}
 		return err
 	}

@@ -164,7 +164,7 @@ func liveHeap() uint64 {
 
 // TestExitedFabricRetainsBoundedHeap bounds what a session that stays up
 // keeps of a daemon tree that has exited under it: K daemons demultiplex
-// their links (a plane Barrier) and finalize at once, and once every one
+// their links (a plane AllGather) and finalize at once, and once every one
 // has exited the heap reachable per daemon stays under 2 KiB (≈ 1.6 KiB).
 // The session keeps its master connection, and through the connection's
 // peer the master's FE-connection handler, until it ends. That handler's
@@ -178,8 +178,10 @@ func TestExitedFabricRetainsBoundedHeap(t *testing.T) {
 	const k, fanout, bound = 512, 8, 2 << 10
 	sim, cl, _ := rig(t, k)
 	cl.Register("exit_be", func(p *cluster.Proc) {
-		if be, err := BEInit(p); err == nil && be.Collective().Barrier() == nil {
-			be.Finalize()
+		if be, err := BEInit(p); err == nil {
+			if _, err := be.Collective().AllGather(nil); err == nil {
+				be.Finalize()
+			}
 		}
 	})
 	runFE(t, sim, cl, func(p *cluster.Proc) {

@@ -9,8 +9,7 @@
 //
 // The engine is the only LaunchMON component with platform dependencies;
 // they are confined to the rm.Manager it is constructed with (the
-// "platform-specific adaptation" layer of Figure 1) and the eventDecoder
-// parameterization.
+// "platform-specific adaptation" layer of Figure 1).
 package engine
 
 import (
@@ -40,7 +39,7 @@ const EnvFEAddr = "LMON_ENGINE_FE_ADDR"
 // the connection to the owning session.
 const EnvSession = "LMON_ENGINE_SESSION"
 
-// The engine's cost model: handlerCost is its CPU time per dispatched
+// The engine's cost model: handlerCost is its CPU time per native
 // trace event (12 SLURM events → the paper's 18 ms tracing cost), BaseCost
 // its fixed startup bookkeeping.
 const (
@@ -158,19 +157,7 @@ func (e *engine) serveLaunch(req *lmonp.Msg) error {
 	if err != nil {
 		return err
 	}
-	// Drive the launcher to MPIR_Breakpoint through the event pipeline.
-	return e.acquire(job, lr.Daemon, lr.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
-		drv.handle(evLauncherStop, func(event) (bool, error) {
-			return false, tr.Continue()
-		})
-		drv.handle(evBreakpoint, func(event) (bool, error) { return true, nil })
-		drv.handle(evLauncherExit, func(ev event) (bool, error) {
-			why, _ := tr.ReadSymbol(rm.SymDebugState)
-			return true, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint (%v)", ev.Code, why)
-		})
-		job.Start()
-		return nil
-	})
+	return e.acquire(job, lr.Daemon, lr.ChunkBytes, rm.BPName)
 }
 
 // serveAttach implements attachAndSpawn's engine half for a running job.
@@ -185,19 +172,14 @@ func (e *engine) serveAttach(req *lmonp.Msg) error {
 	}
 	// Interrupt the running launcher, consume the stop, and proceed as in
 	// launch mode from the breakpoint-equivalent state.
-	return e.acquire(job, ar.Daemon, ar.ChunkBytes, func(tr *cluster.Tracer, drv *driver) error {
-		drv.handle(evAttachStop, func(event) (bool, error) { return true, nil })
-		drv.handle(evLauncherExit, func(event) (bool, error) {
-			return true, errors.New("engine: launcher exited during attach")
-		})
-		return tr.Interrupt()
-	})
+	return e.acquire(job, ar.Daemon, ar.ChunkBytes, "interrupt")
 }
 
 // acquire is what both modes share (e2..e6): attach to the job's launcher,
-// let arm install the mode's handlers and set the launcher going toward
-// its stop, run the event pipeline to it, then harvest and spawn.
-func (e *engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm func(*cluster.Tracer, *driver) error) (err error) {
+// set it going toward the stop its mode waits for — rm.BPName when the
+// engine launched the job, "interrupt" when it attaches to a running one
+// — trace it there, then harvest and spawn.
+func (e *engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, stop string) (err error) {
 	defer func() {
 		if errors.Is(err, cluster.ErrExited) {
 			err = fmt.Errorf("engine: job launcher: %w", err)
@@ -210,17 +192,52 @@ func (e *engine) acquire(job rm.Job, daemon rm.DaemonSpec, chunkBytes int, arm f
 	}
 	e.tr = tr
 	e.proc.AdoptConn(tr) // a killed engine releases the launcher
-	drv := newDriver(e.proc, newEventManager(tr), newEventDecoder(rm.BPName), handlerCost)
-	if err := arm(tr, drv); err != nil {
+	if stop == rm.BPName {
+		job.Start()
+	} else if err := tr.Interrupt(); err != nil {
 		return err
 	}
 	e.tl.Mark(MarkE2, e.proc.Sim().Now())
-	if _, err := drv.run(); err != nil {
+	tracing, err := e.trace(tr, stop)
+	if err != nil {
 		return err
 	}
 	e.tl.Mark(MarkE3, e.proc.Sim().Now())
-	e.tl.Mark(MarkTracing, drv.TracingCost)
+	e.tl.Mark(MarkTracing, tracing)
 	return e.harvestAndSpawn(daemon, tr)
+}
+
+// trace reads the launcher's native trace events until it stops for
+// stop, charging the engine handlerCost for each (paper §3.1's event
+// handling; their sum is the tracing cost it returns). On the way to
+// MPIR_Breakpoint every other stop is continued; in attach mode they are
+// left alone. A launcher exit, or the stream closing, is an error.
+func (e *engine) trace(tr *cluster.Tracer, stop string) (time.Duration, error) {
+	var cost time.Duration
+	launch := stop == rm.BPName
+	for {
+		ev, ok := tr.Events().Recv()
+		if !ok {
+			return cost, errors.New("engine: event stream closed")
+		}
+		e.proc.Compute(handlerCost)
+		cost += handlerCost
+		switch {
+		case ev.Type == cluster.EventStop && ev.Reason == stop:
+			return cost, nil
+		case ev.Type == cluster.EventStop:
+			if launch {
+				if err := tr.Continue(); err != nil {
+					return cost, err
+				}
+			}
+		case launch:
+			why, _ := tr.ReadSymbol(rm.SymDebugState)
+			return cost, fmt.Errorf("engine: launcher exited with code %d before MPIR_Breakpoint (%v)", ev.Code, why)
+		default:
+			return cost, errors.New("engine: launcher exited during attach")
+		}
+	}
 }
 
 // harvestAndSpawn fetches the RPDTAB (Region B), ships it to the FE, and

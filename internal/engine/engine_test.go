@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,72 +153,75 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-func TestDriverPipeline(t *testing.T) {
-	sim := vtime.New()
-	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []eventKind
-	var tracing time.Duration
-	sim.Go("test", func() {
-		tracee, err := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
+// TestTraceLoop runs the engine's one trace loop on a held, traced
+// process in each mode: on the way to MPIR_Breakpoint it continues every
+// other stop, in attach mode the interrupt ends it, and an exit or a
+// closed stream fails it. Every native event it reads costs handlerCost.
+func TestTraceLoop(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		tracee func(p *cluster.Proc)
+		stop   string
+		before func(p *cluster.Proc, tr *cluster.Tracer) error // the mode's start, and what the cell adds
+		events int
+		err    string
+	}{
+		{"launch", func(p *cluster.Proc) {
 			p.DebugEvent("load")
 			p.DebugEvent("load")
 			p.DebugEvent(rm.BPName)
-		}, Hold: true})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tr, err := tracee.Attach()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tracee.Start()
-		eng, _ := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
-			drv := newDriver(p, newEventManager(tr), newEventDecoder(rm.BPName), time.Millisecond)
-			drv.handle(evLauncherStop, func(ev event) (bool, error) {
-				seen = append(seen, ev.Kind)
-				return false, tr.Continue()
-			})
-			drv.handle(evBreakpoint, func(ev event) (bool, error) {
-				seen = append(seen, ev.Kind)
-				return true, nil
-			})
-			if _, err := drv.run(); err != nil {
-				t.Error(err)
+		}, rm.BPName, nil, 3, ""},
+		{"launch_exit", func(p *cluster.Proc) { p.DebugEvent("load") }, rm.BPName, nil, 2, "before MPIR_Breakpoint"},
+		{"attach", func(p *cluster.Proc) { p.Sim().Sleep(time.Second) }, "interrupt",
+			func(_ *cluster.Proc, tr *cluster.Tracer) error { return tr.Interrupt() }, 1, ""},
+		{"attach_exit", func(*cluster.Proc) {}, "interrupt", nil, 1, "during attach"},
+		{"detached", func(p *cluster.Proc) { p.DebugEvent("load") }, "interrupt",
+			func(p *cluster.Proc, tr *cluster.Tracer) error {
+				p.Sim().Sleep(time.Millisecond) // the tracee stops on "load" first
+				tr.Detach()
+				return nil
+			}, 1, "event stream closed"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := vtime.New()
+			cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			tracing = drv.TracingCost
-			tr.Continue()
-		}})
-		eng.Wait()
-	})
-	sim.Run()
-	want := []eventKind{evLauncherStop, evLauncherStop, evBreakpoint}
-	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("event sequence = %v, want %v", seen, want)
-	}
-	if tracing != 3*time.Millisecond {
-		t.Fatalf("tracing cost = %v, want 3ms", tracing)
-	}
-}
-
-func TestDecoderClassification(t *testing.T) {
-	d := newEventDecoder(rm.BPName)
-	cases := []struct {
-		in   cluster.TraceEvent
-		want eventKind
-	}{
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: rm.BPName}, evBreakpoint},
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "interrupt"}, evAttachStop},
-		{cluster.TraceEvent{Type: cluster.EventStop, Reason: "dlopen"}, evLauncherStop},
-		{cluster.TraceEvent{Type: cluster.EventExit, Code: 3}, evLauncherExit},
-	}
-	for i, c := range cases {
-		if got := d.decode(c.in); got.Kind != c.want {
-			t.Errorf("case %d: kind %v, want %v", i, got.Kind, c.want)
-		}
+			var cost time.Duration
+			var traceErr error
+			sim.Go("test", func() {
+				tracee, err := cl.Node(0).SpawnProc(cluster.Spec{Main: c.tracee, Hold: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tr, err := tracee.Attach()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tracee.Start()
+				eng, _ := cl.Node(0).SpawnProc(cluster.Spec{Main: func(p *cluster.Proc) {
+					if c.before != nil {
+						if err := c.before(p, tr); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					e := &engine{proc: p}
+					cost, traceErr = e.trace(tr, c.stop)
+					tr.Detach()
+				}})
+				eng.Wait()
+			})
+			sim.Run()
+			if c.err == "" && traceErr != nil || c.err != "" && (traceErr == nil || !strings.Contains(traceErr.Error(), c.err)) {
+				t.Fatalf("trace: %v, want an error saying %q", traceErr, c.err)
+			}
+			if want := time.Duration(c.events) * handlerCost; cost != want {
+				t.Fatalf("tracing cost = %v, want %d events × %v", cost, c.events, handlerCost)
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ import (
 // Each link's demux (demux.go) sorts frames by tag, so tagged collectives,
 // each from its own goroutine, share one tree; *Tag variants take tags from
 // [coll.MinUserTag, coll.MaxUserTag), the lockstep operations sequence below
-// it and Barrier/AllGather/AllReduce above it. A frame whose tag no running
+// it and AllGather/AllReduce above it. A frame whose tag no running
 // operation has waits in its link's backlog, so a cross-tag divergence on a
 // tree link surfaces as the sender's stream erroring (or a hang), not at the
 // receiver. On the FE hop all lockstep tags share one record
@@ -122,7 +122,7 @@ func (pl *Plane) nextTag() uint32 {
 }
 
 // nextTreeTag advances the lockstep sequence of the tree-internal
-// collectives (Barrier/AllGather/AllReduce without explicit tags),
+// collectives (AllGather/AllReduce without explicit tags),
 // in the reserved space above the user tags.
 func (pl *Plane) nextTreeTag() uint32 {
 	pl.c.demuxLinks()
@@ -779,50 +779,6 @@ func (r *reduceOp) Fire() {
 		r.finish(err)
 	}
 	r.pump()
-}
-
-// Barrier blocks until every daemon of the tree has entered it: an
-// up-phase of end markers gathers at the root, then a release wave
-// flows back down (the DAOS crt_barrier two-phase shape). The FE is not
-// involved — the root turns the barrier around. Barrier participates in
-// the tree-lockstep sequence shared with AllGather/AllReduce.
-func (pl *Plane) Barrier() error {
-	b := new(barrierOp)
-	if b.start(pl, b, coll.OpBarrier, pl.nextTreeTag(), nil) {
-		b.next(0)
-	}
-	return b.wait()
-}
-
-// barrierOp is a Barrier at one rank; both of its waves are end markers.
-type barrierOp struct{ planeOp }
-
-// next waits for child slot's end marker; past the last child this
-// subtree's entry goes up and the release is awaited, or at the root sent
-// down.
-func (b *barrierOp) next(slot int) {
-	end := coll.Frame{H: coll.Header{Op: coll.OpBarrier, Tag: b.tag}, End: true, Sum: lmonp.SumInit}
-	switch {
-	case slot < len(b.pl.c.children):
-		b.drain(slot)
-	case b.pl.c.parent != nil:
-		b.send(outMsg{msg: encodeFrameOp(opCollChunk, opCollEnd, end), slot: above, to: above + 1})
-		b.drain(above)
-	default:
-		b.relay(end, nil)
-	}
-}
-
-func (b *barrierOp) frame(f coll.Frame) error {
-	if !f.End {
-		return fmt.Errorf("%w: rank %d: barrier stream carries a chunk", errProtocol, b.pl.c.rank)
-	}
-	if b.slot == above {
-		b.relay(f, nil) // the release wave
-	} else {
-		b.next(b.slot + 1)
-	}
-	return nil
 }
 
 // AllGather contributes mine and returns every daemon's contribution

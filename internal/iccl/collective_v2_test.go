@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -16,44 +15,14 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// Plane v2 tests: the tree-internal collectives (Barrier/AllGather/
-// AllReduce), concurrent tagged streams, the flow-control window's
+// Plane v2 tests: the tree-internal collectives (AllGather/AllReduce),
+// concurrent tagged streams, the flow-control window's
 // interior-depth bound, and the tag-divergence error contract.
 
 func encU64(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.BigEndian.PutUint64(b, v)
 	return b
-}
-
-func TestPlaneBarrierReleasesAfterLastEntry(t *testing.T) {
-	for _, tc := range treeShapes {
-		t.Run(fmt.Sprintf("n%d_f%d", tc.n, tc.fanout), func(t *testing.T) {
-			enter := make([]time.Duration, tc.n)
-			exit := make([]time.Duration, tc.n)
-			rig(t, tc.n, tc.fanout, func(c *Comm, p *cluster.Proc) error {
-				pl := c.NewPlane(64, 0, nil, nil) // no FE bridge: the root turns the barrier around
-				p.Compute(time.Duration(c.Rank()) * time.Millisecond)
-				enter[c.Rank()] = p.Sim().Now()
-				if err := pl.Barrier(); err != nil {
-					return err
-				}
-				exit[c.Rank()] = p.Sim().Now()
-				return nil
-			})
-			var last time.Duration
-			for _, e := range enter {
-				if e > last {
-					last = e
-				}
-			}
-			for rk, x := range exit {
-				if x < last {
-					t.Fatalf("rank %d left the barrier at %v, before the last entry at %v", rk, x, last)
-				}
-			}
-		})
-	}
 }
 
 func TestPlaneAllGatherShapes(t *testing.T) {
@@ -135,13 +104,14 @@ func TestPlaneAllReduceShapes(t *testing.T) {
 
 func TestPlaneTreeOpsInterleaveLockstepFEOps(t *testing.T) {
 	// Tree-lockstep collectives sequence above coll.MaxUserTag, so an FE
-	// gather (lockstep tag 1) in the middle of barrier/allgather/allreduce
-	// must keep its stream apart.
+	// gather (lockstep tag 1) between an allgather and an allreduce must
+	// keep its stream apart, and the tree's barrier (the walk's opcodes)
+	// around them passes over the same demuxed links.
 	const n, fanout = 9, 2
 	d := &feDriver{}
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
 		pl := d.plane(c, 64, 0)
-		if err := pl.Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		all, err := pl.AllGather([]byte{byte(c.Rank())})
@@ -161,7 +131,7 @@ func TestPlaneTreeOpsInterleaveLockstepFEOps(t *testing.T) {
 		if binary.BigEndian.Uint64(out) != n {
 			return fmt.Errorf("allreduce sum %d", binary.BigEndian.Uint64(out))
 		}
-		return pl.Barrier()
+		return c.Barrier()
 	})
 	all, err := d.gatherAtFE(n)
 	if err != nil {

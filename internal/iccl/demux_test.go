@@ -58,8 +58,7 @@ const (
 )
 
 // runDemuxScript bootstraps a 3-rank tree, installs the demux (ShareLinks
-// first when share is set, else by the plane operation alone), runs one
-// tree barrier, and has rank 1 play demuxScript at rank 0, closing its
+// first when share is set, else warmUp alone), runs one tree barrier, and has rank 1 play demuxScript at rank 0, closing its
 // link right behind the last frame. With probe set, rank 0 swaps the
 // demux's framer for a recorder of raw arrival instants and the result is
 // those; otherwise it is the delivery instants per queue.
@@ -76,7 +75,7 @@ func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, 
 		if share {
 			c.ShareLinks()
 		}
-		if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		switch c.Rank() {
@@ -336,7 +335,7 @@ func TestUnknownOpcodeFailsTheLink(t *testing.T) {
 			var linkErr, opErr error
 			rigOn(t, sim, 2, 2, func(c *Comm, p *cluster.Proc) error {
 				pl := c.NewPlane(0, 0, nil, nil)
-				if err := pl.Barrier(); err != nil { // installs the demux
+				if err := warmUp(c); err != nil {
 					return err
 				}
 				if c.Rank() == 1 {
@@ -348,14 +347,14 @@ func TestUnknownOpcodeFailsTheLink(t *testing.T) {
 				}
 				sim.Sleep(time.Second)
 				linkErr = c.demux(0).failure()
-				opErr = pl.Barrier()
+				_, opErr = pl.AllGather(nil)
 				return nil
 			})
 			if want := fmt.Sprintf("opcode %d from rank 1", tc.op); !errors.Is(linkErr, errProtocol) || !strings.Contains(fmt.Sprint(linkErr), want) {
 				t.Fatalf("link after the frame: %v, want a protocol error with %q", linkErr, want)
 			}
 			if !errors.Is(opErr, ErrSevered) || !errors.Is(opErr, errProtocol) {
-				t.Fatalf("barrier over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
+				t.Fatalf("allgather over the failed link: %v, want ErrSevered wrapping the protocol error", opErr)
 			}
 		})
 	}
@@ -369,7 +368,7 @@ func TestStatusFrameFailsTheLinkWithItsCause(t *testing.T) {
 	sim := vtime.New()
 	var opErr error
 	rigOn(t, sim, 2, 2, func(c *Comm, p *cluster.Proc) error {
-		if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil { // installs the demux
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		if c.Rank() == 1 {

@@ -25,9 +25,7 @@ type linkCount struct{ chunks, lasts, ends, credits int }
 // credits back, none for the last chunk; a broadcast's or a reduce's, whose
 // origin knows it, max(0, n−4): none for its Tail, the last window messages
 // (TestCreditsOnlyWhatTheSenderCanSpend has the rule). Every operation that
-// streams data is run with one-chunk and with n-chunk streams. A barrier's
-// streams have no chunk, so each of its two waves is one bare End a link and
-// no credit.
+// streams data is run with one-chunk and with n-chunk streams.
 func TestLinkMessagesPerStream(t *testing.T) {
 	const window = 4
 	one := func(int) int { return 1 }
@@ -64,16 +62,9 @@ func TestLinkMessagesPerStream(t *testing.T) {
 		{"reduce/8", opChunk, nil, false, false, func(int) int { return 8 }, func(pl *Plane, _ int) error {
 			return pl.ReduceTag(relayTag, opPayload, "sum")
 		}},
-		{"barrier", opChunk, nil, false, false, func(int) int { return 0 }, func(pl *Plane, _ int) error {
-			return pl.Barrier()
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tag := relayTag
-			if tc.name == "barrier" {
-				tag = coll.MaxUserTag + 2 // the tree sequence's, behind the warm-up barrier
-			}
-			got, _ := countLinkMessages(t, tc.chunk, window, tc.fe, tag, tc.call)
+			got, _ := countLinkMessages(t, tc.chunk, window, tc.fe, relayTag, tc.call)
 			for child := 1; child < wireN; child++ {
 				parent := Parent(child, wireFanout)
 				rx, tx := [2]int{parent, child}, [2]int{child, parent} // [receiver, sender]
@@ -82,9 +73,6 @@ func TestLinkMessagesPerStream(t *testing.T) {
 				}
 				n := tc.n(child)
 				want, back := linkCount{chunks: n - 1, lasts: 1}, linkCount{credits: creditsFor(n, window, tc.packed)}
-				if n == 0 { // one bare End each way
-					want, back = linkCount{ends: 1}, linkCount{ends: 1}
-				}
 				if got[rx] != want || got[tx] != back {
 					t.Errorf("link %d–%d: data side %+v, want %+v; credit side %+v, want %+v",
 						parent, child, got[rx], want, got[tx], back)
@@ -106,7 +94,7 @@ func TestLinkMessagesPerStream(t *testing.T) {
 // travels in however many chunks it packs into, counted from the stream
 // itself.
 func TestCreditsOnlyWhatTheSenderCanSpend(t *testing.T) {
-	const treeTag = coll.MaxUserTag + 2 // the tree sequence's, behind the warm-up barrier
+	const treeTag = coll.MaxUserTag + 1 // the first of the tree sequence
 	type stream struct {
 		n      int // the messages it puts on a link; 0 for a count taken from the stream
 		packed bool
@@ -260,7 +248,7 @@ func countLinkMessages(t *testing.T, chunk, window int, fe []coll.Frame, tag uin
 	d := &feDriver{send: fe}
 	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
 		pl := d.plane(c, chunk, window)
-		if err := pl.Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		p.Sim().Sleep(relayAt - p.Sim().Now())
@@ -333,7 +321,7 @@ func TestMalformedLastChunkFailsTheLink(t *testing.T) {
 		var opErr error
 		rig(t, 2, 2, func(c *Comm, p *cluster.Proc) error {
 			pl := c.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-			if err := pl.Barrier(); err != nil { // installs the demux
+			if err := warmUp(c); err != nil {
 				return err
 			}
 			if c.Rank() == 1 {

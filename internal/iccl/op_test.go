@@ -30,8 +30,8 @@ func opPart(rk int) []byte { return bytes.Repeat([]byte{byte(rk + 1)}, opChunk) 
 // planeOpCase is one Plane operation as every rank of a 13-rank tree runs
 // it: fe is what the root's front end sends down (nil for none), call the
 // operation — lockstep for tag 0, else tagged — checking what it returns.
-// A tree operation (Barrier, AllGather, AllReduce) is lockstep only, in
-// the tree's own sequence.
+// A tree operation (AllGather, AllReduce) is lockstep only, in the tree's
+// own sequence.
 type planeOpCase struct {
 	name string
 	fe   func(tag uint32) []coll.Frame
@@ -66,7 +66,6 @@ var planeOpCases = []planeOpCase{
 		}
 		return pl.ReduceTag(tag, opPayload, "concat")
 	}, false},
-	{"Barrier", nil, func(pl *Plane, _ uint32, _ int) error { return pl.Barrier() }, true},
 	{"AllGather", nil, func(pl *Plane, _ uint32, rank int) error {
 		all, err := pl.AllGather(opPart(rank))
 		for rk := 0; err == nil && rk < wireN; rk++ {
@@ -86,13 +85,13 @@ var planeOpCases = []planeOpCase{
 }
 
 // opTag is the stream tag of oc at every rank: tagged, relayTag; lockstep,
-// the first of its sequence behind the warm-up barrier.
+// the first of its sequence.
 func opTag(oc planeOpCase, tagged bool) uint32 {
 	switch {
 	case tagged:
 		return relayTag
 	case oc.tree:
-		return coll.MaxUserTag + 2
+		return coll.MaxUserTag + 1
 	}
 	return 1
 }
@@ -102,14 +101,13 @@ func opTag(oc planeOpCase, tagged bool) uint32 {
 // of goroutine loops (every up phase a loop, every combine charge a Compute)
 // with the root waiting on its window like every rank, less the end-marker
 // charges (150 µs each) that a last chunk carrying its End takes off every
-// operation but Barrier. The credit a Tail does not earn would have reached
+// operation. The credit a Tail does not earn would have reached
 // a sender with nothing left to send, ahead of no frame its link still
 // charges, so the Tail rule moves none of them.
 var opsDone = map[string][2]time.Duration{
 	"Broadcast": {1410181, 2880971},
 	"Gather":    {810201, 3601329},
 	"Reduce":    {17400694, 42313480},
-	"Barrier":   {720160, 720160},
 	"AllGather": {6090644, 16925899},
 	"AllReduce": {9631092, 24307575},
 }
@@ -166,7 +164,7 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 	r.sim.After(relayAt-time.Millisecond, func() { before = r.sim.Parks() })
 	r.run(t, wireFanout, func(c *Comm, p *cluster.Proc) error {
 		pl := d.plane(c, opChunk, window)
-		if err := pl.Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		sim := p.Sim()
@@ -193,9 +191,8 @@ func runPlaneOp(t *testing.T, oc planeOpCase, tag uint32, tagged bool, window in
 // frame — from the link that dies, or from elsewhere before it needs that
 // link. Stalled: a stream of the operation at rank 1 sits behind an empty
 // window when the link dies — rank 1's own, the parent's held back by rank
-// 1 not yet in the operation, or a child's rank 1 has not reached; a
-// barrier's bare end markers, each its stream's one message, always find
-// their credit, so for it only the second applies. Held ranks enter 40 ms
+// 1 not yet in the operation, or a child's rank 1 has not reached. Held
+// ranks enter 40 ms
 // after the others, the link dies at 20 ms, and a broadcast's front end
 // pauses in between. Whichever way rank 1 finds
 // out, its operation ends once, with ErrSevered naming rank, op and tag;
@@ -241,16 +238,10 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 		"child_link/stalled":  late["child_link/stalled"],
 		"fe_link/waiting":     feLost,
 	}
-	barrier := states{
-		"parent_link/waiting": {hold: []int{2}, kill: 0},
-		"parent_link/stalled": late["parent_link/stalled"],
-		"child_link/waiting":  raw["child_link/waiting"],
-		"child_link/stalled":  late["child_link/stalled"],
-	}
 	// AllGather and AllReduce wait for the table or result from above while
 	// another subtree holds the root up.
 	allOf := func(up states) states {
-		s := states{"parent_link/waiting": barrier["parent_link/waiting"]}
+		s := states{"parent_link/waiting": {hold: []int{2}, kill: 0}}
 		for _, k := range []string{"parent_link/stalled", "child_link/waiting", "child_link/stalled"} {
 			s[k] = up[k]
 		}
@@ -264,9 +255,8 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 		{planeOpCases[0], false, down},           // Broadcast
 		{planeOpCases[1], false, entries},        // Gather
 		{planeOpCases[2], true, raw},             // ReduceTag
-		{planeOpCases[3], false, barrier},        // Barrier
-		{planeOpCases[4], false, allOf(entries)}, // AllGather
-		{planeOpCases[5], false, allOf(raw)},     // AllReduce
+		{planeOpCases[3], false, allOf(entries)}, // AllGather
+		{planeOpCases[4], false, allOf(raw)},     // AllReduce
 	}
 	for _, k := range kinds {
 		for _, key := range []string{"parent_link/waiting", "parent_link/stalled", "child_link/waiting", "child_link/stalled", "fe_link/waiting"} {
@@ -309,7 +299,7 @@ func TestOpLinkDiesMidStream(t *testing.T) {
 					if c.IsMaster() {
 						root = pl
 					}
-					if err := pl.Barrier(); err != nil {
+					if err := warmUp(c); err != nil {
 						return err
 					}
 					at := relayAt
@@ -416,7 +406,7 @@ func sweepPlaneOp(t *testing.T, oc planeOpCase, tagged bool, at uint64, victim i
 		if c.IsMaster() {
 			root = pl
 		}
-		if err := pl.Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		p.Sim().Sleep(relayAt - p.Sim().Now())

@@ -142,7 +142,7 @@ func broadcastAllocPerDaemon(t *testing.T, n, fanout int) (perDaemon uint64, pay
 	})
 	rigOn(t, sim, n, fanout, func(c *Comm, p *cluster.Proc) error {
 		pl := d.plane(c, chunk, 0)
-		if err := pl.Barrier(); err != nil {
+		if err := warmUp(c); err != nil {
 			return err
 		}
 		if sim.Now() >= opAt-time.Second {

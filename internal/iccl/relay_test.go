@@ -99,12 +99,19 @@ func relayPayload(chunks, chunk int) []byte {
 	return b
 }
 
+// warmUp installs c's link demuxes and runs the tree's barrier over them,
+// so that every rank enters what follows with its links demultiplexed.
+func warmUp(c *Comm) error {
+	c.demuxLinks()
+	return c.Barrier()
+}
+
 // broadcastAt is the body the relay tests share: a plane with the given
-// window (the root's fed by the driver), a barrier that installs the link
+// window (the root's fed by the driver), a barrier over the installed link
 // demuxes, then one BroadcastTag entered at the virtual instant at.
 func broadcastAt(c *Comm, p *cluster.Proc, chunk, window int, d *feDriver, at time.Duration, want []byte) error {
 	pl := d.plane(c, chunk, window)
-	if err := pl.Barrier(); err != nil {
+	if err := warmUp(c); err != nil {
 		return err
 	}
 	sim := p.Sim()

@@ -256,7 +256,7 @@ func TestSeedLeafAllocatesOnlyItsScan(t *testing.T) {
 		case f.End:
 			tabOut, err = asm.FinishSlice(int(f.Total))
 		case f.H.Index > 0:
-			asm.AddScanned(c, f.Sum)
+			asm.AddScanned(c)
 		}
 		return err
 	})

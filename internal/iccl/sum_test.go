@@ -25,7 +25,7 @@ func TestChunkSumsOnTreeLinks(t *testing.T) {
 		frames := coll.RawFrames(coll.OpBroadcast, tag, "", []byte("a stream of three chunks"), 10)
 		var got []coll.Frame
 		rigOn(t, vtime.New(), 2, 2, func(c *Comm, p *cluster.Proc) error {
-			if err := c.NewPlane(0, 0, nil, nil).Barrier(); err != nil {
+			if err := warmUp(c); err != nil {
 				return err
 			}
 			switch c.Rank() {

@@ -156,7 +156,6 @@ func TestWireBytesPinnedCollectives(t *testing.T) {
 			}
 			return err
 		},
-		func(c *Comm) error { return plane(c).Barrier() },
 		func(c *Comm) error {
 			all, err := plane(c).AllGather(blob(c.Rank()))
 			for rk := range all {
@@ -181,7 +180,6 @@ func TestWireBytesPinnedCollectives(t *testing.T) {
 		{"Comm.Gather", 12, 672},
 		{"Comm.Scatter", 12, 672},
 		{"Comm.FoldUp", 12, 240},
-		{"Plane.Barrier", 24, 1176},
 		// Each stream's last chunk carries its end marker: per link and
 		// direction one End (49 B, 52 B with the "sum" filter) and one
 		// credit (33 B) fewer, and the Last chunk 16 B longer. The

@@ -219,15 +219,17 @@ func (a *Assembler) Add(chunk []byte) error {
 	if err != nil {
 		return fmt.Errorf("proctab: chunk %d: %w", len(a.parts), err)
 	}
-	a.AddScanned(c, lmonp.Sum64(chunk))
+	a.digest = lmonp.FoldSum(a.streamDigest(), lmonp.Sum64(chunk))
+	a.AddScanned(c)
 	return nil
 }
 
-// AddScanned queues the entries of a chunk its caller has scanned already,
-// whose sum it has too (a seed rank's share: scanned where it was routed,
-// summed where it arrived), so the chunk is read once.
-func (a *Assembler) AddScanned(c Chunk, sum uint64) {
-	a.digest = lmonp.FoldSum(a.streamDigest(), sum)
+// AddScanned queues the entries of a chunk its caller has scanned already
+// and whose stream it checks itself (a seed rank's share: scanned where it
+// was routed, its sequence checked by the link's coll.SeqCheck), so the
+// chunk is read once. It folds no digest: such a stream ends with Finish or
+// FinishSlice, not FinishMarker.
+func (a *Assembler) AddScanned(c Chunk) {
 	a.parts = append(a.parts, c)
 	a.entries += c.Len()
 }

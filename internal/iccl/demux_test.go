@@ -57,9 +57,9 @@ const (
 	scriptTag   = coll.MinUserTag + 7
 )
 
-// runDemuxScript bootstraps a 3-rank tree, installs the demux (ShareLinks
-// first when share is set, else warmUp alone), runs one tree barrier, and has rank 1 play demuxScript at rank 0, closing its
-// link right behind the last frame. With probe set, rank 0 swaps the
+// runDemuxScript bootstraps a 3-rank tree, installs the demux and runs one
+// tree barrier (warmUp; ShareLinks first when share is set), and has rank 1
+// play demuxScript at rank 0, closing its link right behind the last frame. With probe set, rank 0 swaps the
 // demux's framer for a recorder of raw arrival instants and the result is
 // those; otherwise it is the delivery instants per queue.
 func runDemuxScript(t *testing.T, share, probe bool) (arrivals []time.Duration, got map[string][]time.Duration, cost time.Duration) {

@@ -56,8 +56,9 @@ func spawnCost(t testing.TB, batch int, spec Spec, use func(*Proc)) (objs, bytes
 }
 
 // TestSpawnAllocPerProcess is the allocation guard of a simulated process:
-// a passive MPI task is one 64 B object plus its table slot, and a daemon's
-// cold part rides in its Proc's allocation.
+// a passive MPI task is one 64 B object plus its table slot, a daemon's
+// cold part rides in its Proc's allocation, and a resident one with only an
+// entry point makes its cold part on first use.
 func TestSpawnAllocPerProcess(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the test's behalf")
@@ -103,7 +104,23 @@ func TestSpawnAllocPerProcess(t *testing.T) {
 			t.Error("a process spawned with only an entry point has no cold part")
 		}
 	})
+	// A resident one is an RM node daemon, on every node for the whole run,
+	// that may never use its cold part: it is made on first use.
+	spawnCost(t, 1, Spec{Exe: "slurmd", Main: func(*Proc) {}, Resident: true}, func(p *Proc) {
+		if p.cold != nil {
+			t.Error("a resident process spawned with only an entry point has a cold part at spawn")
+		}
+		p.AdoptConn(nopSever{})
+		if p.cold == nil || len(p.cold.conns) != 1 {
+			t.Error("a resident process's first AdoptConn did not make its cold part")
+		}
+	})
 }
+
+// nopSever is something a process can adopt whose severing does nothing.
+type nopSever struct{}
+
+func (nopSever) Sever() {}
 
 // BenchmarkSpawnPassive spawns a node's worth of passive tasks a
 // iteration on a fresh node: B/proc is what one MPI task costs, its

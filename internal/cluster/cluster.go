@@ -366,8 +366,11 @@ func (n *Node) spawn(spec Spec) (*Proc, error) {
 	}
 	n.pid++
 	var p *Proc
-	if main == nil && len(spec.Args) == 0 && len(spec.Env) == 0 && len(spec.EnvBase) == 0 {
-		p = new(Proc) // a passive task's whole cost, bar its table slot
+	// A passive task, or a resident daemon that only sets up handlers (an RM
+	// node daemon), may never use its cold part: its whole cost, bar its
+	// table slot, is the Proc.
+	if (main == nil || spec.Resident && !spec.Hold) && len(spec.Args) == 0 && len(spec.Env) == 0 && len(spec.EnvBase) == 0 {
+		p = new(Proc)
 	} else {
 		pc := &procWithCold{cold: procCold{
 			args:    append([]string(nil), spec.Args...),

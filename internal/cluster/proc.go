@@ -49,8 +49,9 @@ type Proc struct {
 	node    *Node
 	exe     string
 	started time.Duration
-	// cold is made at spawn for a process that runs code or has args or
-	// env (spec is then true), otherwise on first use under node.mu.
+	// cold is made at spawn for a process that has args or env, is held,
+	// or runs code and is not resident (spec is then true), otherwise on
+	// first use under node.mu.
 	cold        *procCold
 	state       State // guarded by node.mu
 	exitCode    int   // guarded by node.mu

@@ -164,20 +164,14 @@ func (s *Skeleton) SpawnEnv(id int, key []byte, build func() DaemonSpec) DaemonS
 const opAlloc = 1
 
 // allocatorMain serves node allocations first-fit over the cluster's node
-// order. Nodes are never returned to the free list: reuse after a kill
-// would change later jobs' node lists and with them every pinned byte. So
-// every node before the first free one stays allocated, and a request
-// scans from there.
+// order, marking taken nodes by index. Nodes are never returned to the free
+// list: reuse after a kill would change later jobs' node lists and with them
+// every pinned byte. So every node before the first free one stays
+// allocated, and a request scans from there; a refused request takes none.
 func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 	n := s.cl.NumNodes()
-	free := make(map[string]bool, n)
-	order := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		name := s.cl.Node(i).Name()
-		free[name] = true
-		order = append(order, name)
-	}
-	first := 0 // order[:first] is allocated
+	taken := make([]bool, n)
+	first := 0 // nodes [0, first) are taken
 	var mu sync.Mutex
 	Serve(p, s.prof.AllocPort, func(rd *lmonp.Reader, reply Reply) {
 		op, want, exclude := rd.Uint32(), int(rd.Uint32()), rd.StringList()
@@ -190,25 +184,29 @@ func (s *Skeleton) allocatorMain(p *cluster.Proc) {
 		for _, e := range exclude {
 			ex[e] = true
 		}
+		free := func(i int) bool { return !taken[i] && !ex[s.cl.Node(i).Name()] }
 		mu.Lock()
-		var picked []string
-		for _, name := range order[first:] {
-			if len(picked) == want {
-				break
-			}
-			if free[name] && !ex[name] {
-				picked = append(picked, name)
+		// The first want free nodes lie in [first, end): count them before
+		// taking any.
+		end, got := first, 0
+		for ; got < want && end < n; end++ {
+			if free(end) {
+				got++
 			}
 		}
-		if len(picked) < want {
+		if got < want {
 			mu.Unlock()
 			reply(nil, errors.New("insufficient nodes"))
 			return
 		}
-		for _, name := range picked {
-			free[name] = false
+		picked := make([]string, 0, want)
+		for i := first; i < end; i++ {
+			if free(i) {
+				taken[i] = true
+				picked = append(picked, s.cl.Node(i).Name())
+			}
 		}
-		for first < n && !free[order[first]] {
+		for first < n && taken[first] {
 			first++
 		}
 		mu.Unlock()

@@ -73,13 +73,15 @@ func (d *slurmd) job(id int) *nodeJob {
 
 // drop removes a job's entry and returns its processes: the last entry
 // takes its place, and the slot that frees up is zeroed, so the table holds
-// no process of a killed job.
+// no process of a killed job. The node's last job takes the table with it.
 func (d *slurmd) drop(id int) []*cluster.Proc {
 	for i := range d.jobs {
 		if d.jobs[i].id == id {
 			procs, last := d.jobs[i].procs, len(d.jobs)-1
 			d.jobs[i], d.jobs[last] = d.jobs[last], nodeJob{}
-			d.jobs = d.jobs[:last]
+			if d.jobs = d.jobs[:last]; last == 0 {
+				d.jobs = nil
+			}
 			return procs
 		}
 	}

@@ -21,7 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,7 +118,7 @@ func (n *Network) Host(name string) *Host {
 	defer n.mu.Unlock()
 	h, ok := n.hosts[name]
 	if !ok {
-		h = &Host{net: n, name: name, listeners: make(map[int]*Listener), nextPort: 40000}
+		h = &Host{net: n, name: name, nextPort: 40000}
 		n.hosts[name] = h
 	}
 	return h
@@ -140,11 +140,7 @@ func (n *Network) KillHost(name string) {
 		return
 	}
 	h.dead = true
-	listeners := make([]*Listener, 0, len(h.listeners))
-	for _, l := range h.listeners {
-		listeners = append(listeners, l)
-	}
-	sort.Slice(listeners, func(i, j int) bool { return listeners[i].addr.Port < listeners[j].addr.Port })
+	listeners := append([]*Listener(nil), h.listeners...)
 	var conns []*Conn
 	for c := h.conns; c != nil; c = c.next {
 		conns = append(conns, c)
@@ -246,15 +242,27 @@ func (o Options) slowFactor(a, b string) float64 {
 	return f
 }
 
-// Host is a network endpoint that can listen and dial.
+// Host is a network endpoint that can listen and dial. Every node keeps
+// one for the life of the simulation, so it holds its open listeners in a
+// port-ordered slice, not a map: a node listens on a port or two.
 type Host struct {
 	net       *Network
 	name      string
-	listeners map[int]*Listener
-	nextPort  int
-	dead      bool  // killed by KillHost
-	conns     *Conn // live conn endpoints, oldest first, linked through Conn.next
+	listeners []*Listener // open, in port order; guarded by net.mu
+	conns     *Conn       // live conn endpoints, oldest first, linked through Conn.next
 	lastConn  *Conn
+	nextPort  int32
+	dead      bool // killed by KillHost
+}
+
+// listenerLocked returns the open listener on port, nil when there is none,
+// and the index in h.listeners where it is or would go. Caller holds net.mu.
+func (h *Host) listenerLocked(port int) (*Listener, int) {
+	i, found := slices.BinarySearchFunc(h.listeners, port, func(l *Listener, port int) int { return l.addr.Port - port })
+	if !found {
+		return nil, i
+	}
+	return h.listeners[i], i
 }
 
 // Errors returned by the network layer.
@@ -280,13 +288,14 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		return nil, fmt.Errorf("%w: %s", ErrPeerDead, h.name)
 	}
 	if port == 0 {
-		for h.listeners[h.nextPort] != nil {
-			h.nextPort++
+		port = int(h.nextPort)
+		for l, _ := h.listenerLocked(port); l != nil; l, _ = h.listenerLocked(port) {
+			port++
 		}
-		port = h.nextPort
-		h.nextPort++
+		h.nextPort = int32(port + 1)
 	}
-	if h.listeners[port] != nil {
+	old, i := h.listenerLocked(port)
+	if old != nil {
 		return nil, fmt.Errorf("%w: %s:%d", errPortInUse, h.name, port)
 	}
 	l := &Listener{
@@ -294,7 +303,11 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		addr:     Addr{Host: h.name, Port: port},
 		incoming: vtime.NewChan[*Conn](h.net.sim),
 	}
-	h.listeners[port] = l
+	if h.listeners == nil {
+		// Room for a tool daemon's port beside the RM daemon's.
+		h.listeners = make([]*Listener, 0, 2)
+	}
+	h.listeners = slices.Insert(h.listeners, i, l)
 	return l, nil
 }
 
@@ -351,7 +364,9 @@ func (l *Listener) Close() {
 	l.host.net.mu.Lock()
 	if !l.closed {
 		l.closed = true
-		delete(l.host.listeners, l.addr.Port)
+		h := l.host
+		_, i := h.listenerLocked(l.addr.Port)
+		h.listeners = slices.Delete(h.listeners, i, i+1)
 	}
 	dead := l.host.dead // KillHost severs them with the rest
 	l.host.net.mu.Unlock()
@@ -424,8 +439,8 @@ func (h *Host) dialSetup(addr Addr) (a, b *Conn, l *Listener, lat time.Duration,
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: no host %q", errConnRefused, addr.Host)
 	}
-	l = dst.listeners[addr.Port]
-	if l == nil || l.closed {
+	l, _ = dst.listenerLocked(addr.Port)
+	if l == nil {
 		n.mu.Unlock()
 		return nil, nil, nil, 0, fmt.Errorf("%w: %s", errConnRefused, addr)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,22 +289,6 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
-func TestPortReuseAfterClose(t *testing.T) {
-	sim := vtime.New()
-	_, _, b := pair(t, sim, Options{})
-	l, err := b.Listen(1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Listen(1234); err == nil {
-		t.Fatal("double listen succeeded")
-	}
-	l.Close()
-	if _, err := b.Listen(1234); err != nil {
-		t.Fatalf("listen after close: %v", err)
-	}
-}
-
 func TestEphemeralPortsDistinct(t *testing.T) {
 	sim := vtime.New()
 	_, _, b := pair(t, sim, Options{})
@@ -317,6 +302,84 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 			t.Fatalf("duplicate ephemeral port %d", l.Addr().Port)
 		}
 		seen[l.Addr().Port] = true
+	}
+}
+
+// TestListenerTable holds a host's open listeners, kept in port order: each
+// cell runs on a fresh two-host network inside a simulated goroutine.
+func TestListenerTable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T, n *Network, h *Host)
+	}{
+		{"ephemeral port skips an occupied one", func(t *testing.T, _ *Network, h *Host) {
+			taken, err := h.Listen(int(h.nextPort))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := h.Listen(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := l.Addr().Port, taken.Addr().Port+1; got != want {
+				t.Errorf("Listen(0) took port %d, want %d", got, want)
+			}
+		}},
+		{"open port is in use", func(t *testing.T, _ *Network, h *Host) {
+			if _, err := h.Listen(7000); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Listen(7000); !errors.Is(err, errPortInUse) {
+				t.Errorf("second Listen(7000) = %v, want %v", err, errPortInUse)
+			}
+		}},
+		{"closed port can be listened on again", func(t *testing.T, _ *Network, h *Host) {
+			l, err := h.Listen(7000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			if _, err := h.Listen(7000); err != nil {
+				t.Errorf("Listen(7000) after Close = %v", err)
+			}
+		}},
+		{"dial to a closed port is refused", func(t *testing.T, n *Network, h *Host) {
+			l, err := h.Listen(7000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			if _, err := n.Host("a").Dial(l.Addr()); !errors.Is(err, errConnRefused) {
+				t.Errorf("dial to a closed port = %v, want %v", err, errConnRefused)
+			}
+		}},
+		{"KillHost closes listeners in port order", func(t *testing.T, n *Network, h *Host) {
+			var closed []int
+			for _, port := range []int{7000, 5000, 6000} {
+				port := port
+				l, err := h.Listen(port)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.Handle(func(_ *Conn, err error) {
+					if err != nil {
+						closed = append(closed, port)
+					}
+				})
+			}
+			n.KillHost(h.name)
+			n.sim.Sleep(time.Millisecond) // the close callbacks run
+			if want := []int{5000, 6000, 7000}; !slices.Equal(closed, want) {
+				t.Errorf("KillHost closed ports %v, want %v", closed, want)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := vtime.New()
+			n, _, b := pair(t, sim, Options{})
+			sim.Go("cell", func() { c.run(t, n, b) })
+			sim.Run()
+		})
 	}
 }
 

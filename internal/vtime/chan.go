@@ -68,6 +68,12 @@ func (q *queue[T]) push(v T) {
 	q.buf = append(q.buf, v)
 }
 
+// shed moves what is queued to an array of its own size, nil when the
+// queue is empty, letting go of the one it grew to.
+func (q *queue[T]) shed() {
+	q.buf, q.head = append([]T(nil), q.buf[q.head:]...), 0
+}
+
 // pop removes and returns the head of the (non-empty) queue.
 func (q *queue[T]) pop() T {
 	v := q.buf[q.head]

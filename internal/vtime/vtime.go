@@ -519,11 +519,23 @@ func (s *Sim) Run() time.Duration {
 				s.parked.abort()
 			}
 		default:
+			s.shed()
 			end := s.now
 			s.mu.Unlock()
 			return end
 		}
 	}
+}
+
+// shed drops the arrays the heap and the same-instant FIFO grew to in their
+// bursts, keeping only what is still pending (teardown fires no timer once
+// no goroutine lives): a Sim outlives its Run wherever a rig is read after
+// it. Inside Run they stay, since the next burst would grow them again.
+// Caller holds s.mu.
+func (s *Sim) shed() {
+	s.timers = append(timerHeap(nil), s.timers...)
+	s.ready.shed()
+	s.readySeq.shed()
 }
 
 // take runs the next turn: it starts or releases a goroutine, which runs

@@ -372,7 +372,6 @@ var schedulerRecords = map[string]bool{
 	"launchmon/internal/iccl.linkDemux":      true,
 	"launchmon/internal/iccl.tagLink":        true,
 	"launchmon/internal/iccl.SerialFramer":   true,
-	"launchmon/internal/iccl.Seed":           true,
 	"launchmon/internal/iccl.walk":           true,
 	"launchmon/internal/iccl.Forming":        true,
 	"launchmon/internal/iccl.seedSplitter":   true,

@@ -177,24 +177,21 @@ func BenchmarkSeedFEData64K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cl := planeCluster(b)
-		src := func(emit func(coll.Frame, error) bool) {
-			cl.Sim().After(0, func() {
-				emit(coll.Frame{H: coll.Header{Op: coll.OpSeed}, Body: feData, Sum: lmonp.Sum64(feData)}, nil)
-				emit(coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: 1}, End: true, Sum: lmonp.SumInit}, nil)
-			})
-		}
 		b.StartTimer()
 		icclTree(b, cl, func(p *cluster.Proc, cfg iccl.Config) (*iccl.Comm, error) {
-			var s iccl.SeedSource
-			if cfg.Rank == 0 {
-				s = src
-			}
-			return iccl.BootstrapSeedRouted(p, cfg, s, iccl.TablelessRoute, func(f coll.Frame, _ proctab.Chunk) error {
+			f := iccl.NewForming(p, cfg, iccl.TablelessRoute, func(f coll.Frame, _ proctab.Chunk) error {
 				if !f.End && len(f.Body) != len(feData) {
 					return fmt.Errorf("rank %d: FEData frame of %d bytes", cfg.Rank, len(f.Body))
 				}
 				return nil
 			}, nil)
+			if cfg.Rank == 0 {
+				cl.Sim().After(0, func() {
+					f.Feed(coll.Frame{H: coll.Header{Op: coll.OpSeed}, Body: feData, Sum: lmonp.Sum64(feData)})
+					f.Feed(coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: 1}, End: true, Sum: lmonp.SumInit})
+				})
+			}
+			return f.Run(nil)
 		}, func(*iccl.Comm, *cluster.Proc) error { return nil })
 	}
 }

@@ -32,7 +32,7 @@ const (
 	OpReduce                  // every daemon → FE: combined at interior nodes
 
 	// OpSeed is the cut-through session-seed stream of the launch pipeline
-	// (iccl.BootstrapSeedRouted): frame 0 carries the piggybacked FEData, later
+	// (iccl.Forming.Feed): frame 0 carries the piggybacked FEData, later
 	// frames carry RPDTAB chunks, and the end marker's Total is the table's
 	// entry count. It never shares a link direction with the tool-data
 	// collectives — the seed completes before the plane is usable — so it

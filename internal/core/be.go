@@ -27,7 +27,7 @@ var ErrNotMaster = errors.New("core: operation restricted to the master daemon")
 // validated at every daemon, and per-daemon info is gathered to the
 // master for the ready message (events e7..e10 of the launch critical
 // path). Under the default cut-through pipeline the seed streams through
-// the forming tree (iccl.BootstrapSeedRouted); the store-forward baseline
+// the forming tree (iccl.Forming); the store-forward baseline
 // (Options.SeedMode) buffers it at the master and broadcasts after
 // bootstrap.
 func BEInit(p *cluster.Proc) (*BackEnd, error) {

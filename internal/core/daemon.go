@@ -14,7 +14,6 @@ import (
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 	"launchmon/internal/transport"
-	"launchmon/internal/vtime"
 )
 
 // This file is the fabric-agnostic daemon-side session core: everything a
@@ -77,13 +76,12 @@ type daemonSession struct {
 // end, the ICCL tree bootstraps, the session seed (RPDTAB + FEData) is
 // distributed to and validated at every daemon, and per-daemon info is
 // gathered to the master for the ready message. Under the default
-// cut-through pipeline the seed streams through the forming tree
-// (iccl.BootstrapSeedRouted); the BE store-forward baseline (selected by
-// LMON_SEED_MODE) buffers it at the master and broadcasts after
-// bootstrap. From its join to its ready the daemon is one iccl.Forming
-// record on the scheduler, which readying carries through the seed and the
-// ready gather; the daemon's goroutine waits on it once, then joins the
-// heartbeat tree.
+// cut-through pipeline the seed streams through the forming tree; the BE
+// store-forward baseline (selected by LMON_SEED_MODE) buffers it at the
+// master and broadcasts after bootstrap. From its dial to its ready the
+// daemon is one iccl.Forming record on the scheduler, which readying
+// carries through the seed and the ready gather; the daemon's goroutine
+// waits on it once, then joins the heartbeat tree.
 func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 	env, err := parseBootEnv(p)
 	if err != nil {
@@ -93,12 +91,7 @@ func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 		env.tree.Metrics = obs.NewRegistry()
 	}
 	d := &daemonSession{p: p, fab: fab, obsReg: env.tree.Metrics}
-	if env.seedMode == SeedStoreForward {
-		err = d.initStoreForward(env)
-	} else {
-		err = d.initCutThrough(env)
-	}
-	if err == nil {
+	if err = d.form(env); err == nil {
 		// Join the fabric's heartbeat tree when the front end enabled
 		// failure detection; the master forwards failure reports upstream
 		// as LMONP status events. Started after the ready message so the
@@ -118,22 +111,40 @@ func initDaemon(p *cluster.Proc, fab *fabricProfile) (*daemonSession, error) {
 	return d, nil
 }
 
-// initCutThrough receives the session seed as a chunk stream flowing
-// through the still-forming ICCL tree. Every rank reassembles its rank
+// form runs the daemon's Forming record. Under cut-through the session seed
+// streams through the still-forming tree: every rank reassembles its rank
 // slice with a proctab.Assembler and validates it (FinishSlice) before
 // contributing to the ready gather, so the ready message at the front end
-// implies a validated slice at every daemon of the fabric.
-func (d *daemonSession) initCutThrough(env *bootEnv) error {
-	rt := d.seedRouter(env)
-	var src iccl.SeedSource
+// implies a validated slice at every daemon of the fabric. Under
+// store-forward — the serialized baseline the paper's broadcast-vs-shared-file
+// ablation measures — the master buffers the full chunk-streamed RPDTAB from
+// the FE, the tree bootstraps, and the seed goes out as one monolithic ICCL
+// broadcast; the master keeps its already-decoded table instead of decoding
+// its own broadcast.
+func (d *daemonSession) form(env *bootEnv) error {
+	cut := env.seedMode != SeedStoreForward
+	var rt *iccl.SeedRouter
+	var sink func(coll.Frame, proctab.Chunk) error
+	if cut {
+		rt, sink = d.seedRouter(env), d.seedSink()
+	}
+	var seed []byte
+	f := iccl.NewForming(d.p, env.tree, rt, sink, &readying{d: d, env: env})
 	if env.tree.Rank == 0 {
 		feData, err := d.masterHandshake(env)
 		if err != nil {
 			return err
 		}
-		src = seedSourceFromFE(d.p.Sim(), d.fe, feData)
+		if !cut {
+			if d.tab, err = proctab.RecvStream(d.fe, d.fab.class); err != nil {
+				return err
+			}
+			d.feData = append([]byte(nil), feData...)
+			seed = lmonp.AppendBytes(lmonp.AppendBytes(nil, d.tab.Encode()), feData)
+		}
+		d.watchFE(f, cut, feData)
 	}
-	_, err := iccl.BootstrapSeedRouted(d.p, env.tree, src, rt, d.seedSink(), &readying{d: d, env: env})
+	_, err := f.Run(seed)
 	return err
 }
 
@@ -198,72 +209,60 @@ func (d *daemonSession) masterHandshake(env *bootEnv) ([]byte, error) {
 	return handshake.UsrData, nil
 }
 
-// seedSourceFromFE adapts the master's FE connection into the tree's
-// seed stream: a synthesized frame 0 with the handshake's FEData, then
-// one frame per relayed RPDTAB chunk, closed by the relay's end marker.
-// Frame 0 is its own zero-delay event, scheduled ahead of the connection's
-// first delivery. The handler stays past the stream's last frame — the
-// connection's end still fails a forming tree — until readying.Seeded takes
-// the connection over. Chunk sums are computed here (the LMONP relay ships
-// bare payloads); the end marker's digest arrives from the FE, so the
-// master's stream check covers the whole engine→FE→master path.
-func seedSourceFromFE(sim *vtime.Sim, fe *lmonp.Conn, feData []byte) iccl.SeedSource {
+// watchFE installs the master's one handler on its FE connection, from the
+// handshake — under store-forward, the table stream's end — to its close.
+// While the tree forms it feeds f the cut-through seed: a synthesized frame 0
+// with the handshake's FEData, its own zero-delay event scheduled ahead of the
+// connection's first delivery, then one frame per relayed RPDTAB chunk,
+// closed by the relay's end marker. Chunk sums are computed here (the LMONP
+// relay ships bare payloads); the end marker's digest arrives from the FE, so
+// the master's stream check covers the whole engine→FE→master path. The
+// front end's ask or the connection's end ends f (Forming.End), and so does
+// anything else, as a protocol error. From the master's ready on, it sorts the
+// connection (rxStreams).
+func (d *daemonSession) watchFE(f *iccl.Forming, cut bool, feData []byte) {
+	rx := newRxStreams(d.p.Sim(), "front end", nil, nil)
+	rx.forming, d.feRx = f, rx
 	idx := uint32(0)
-	chunk := func(body []byte) (coll.Frame, error) {
+	chunk := func(f *iccl.Forming, body []byte) {
 		idx++
-		return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx - 1}, Body: body, Sum: lmonp.Sum64(body)}, nil
+		f.Feed(coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx - 1}, Body: body, Sum: lmonp.Sum64(body)})
 	}
-	frame := func(msg *lmonp.Msg) (coll.Frame, error) {
-		switch msg.Type {
-		case lmonp.TypeProctabChunk:
-			return chunk(msg.Payload)
-		case lmonp.TypeProctabEnd:
-			total, digest, err := proctab.DecodeEndMarker(msg.Payload)
-			if err != nil {
-				return coll.Frame{}, fmt.Errorf("core: seed end marker: %w", err)
+	if cut {
+		d.p.Sim().After(0, func() { chunk(f, feData) })
+	}
+	// The handler reaches the record through rx alone: it outlives the
+	// record, which holds the daemon's session.
+	d.fe.Handle(func(msg *lmonp.Msg, err error) {
+		f := rx.forming
+		switch {
+		case err != nil:
+		case msg.Type == lmonp.TypeStatus && f == nil: // an ask that finds the tree ready is dropped
+		case msg.Type == lmonp.TypeStatus: // readyGrace short of readyBound: end the tree, naming whom it waits on
+			err = errors.New("ended by the front end")
+		case f == nil && !rx.sort(msg):
+			err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
+		case f == nil:
+		case cut && msg.Type == lmonp.TypeProctabChunk:
+			chunk(f, msg.Payload)
+		case cut && msg.Type == lmonp.TypeProctabEnd:
+			var total, digest uint64
+			if total, digest, err = proctab.DecodeEndMarker(msg.Payload); err == nil {
+				f.Feed(coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx}, End: true, Total: total, Sum: digest})
+			} else {
+				err = fmt.Errorf("core: seed end marker: %w", err)
 			}
-			return coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: idx}, End: true, Total: total, Sum: digest}, nil
-		case lmonp.TypeStatus: // readyGrace short of readyBound: end the tree, naming whom it waits on
-			return coll.Frame{}, errors.New("ended by the front end")
 		default:
-			return coll.Frame{}, fmt.Errorf("core: unexpected %v message in session-seed stream", msg.Type)
+			err = fmt.Errorf("core: unexpected %v message in session-seed stream", msg.Type)
 		}
-	}
-	return func(emit func(coll.Frame, error) bool) {
-		sim.After(0, func() { emit(chunk(feData)) })
-		fe.Handle(func(msg *lmonp.Msg, err error) {
-			var f coll.Frame
-			if err == nil {
-				f, err = frame(msg)
-			}
-			// Last: the End frame may carry the rank's Forming record on to
-			// readying.Seeded, which takes the connection over while this
-			// callback still runs.
-			emit(f, err)
-		})
-	}
-}
-
-// initStoreForward is the serialized baseline: the master buffers the
-// full chunk-streamed RPDTAB from the FE, the tree bootstraps, and the
-// seed goes out as one monolithic ICCL broadcast — the shape the paper's
-// broadcast-vs-shared-file ablation measures. The master keeps its
-// already-decoded table instead of decoding its own broadcast.
-func (d *daemonSession) initStoreForward(env *bootEnv) error {
-	var seed []byte
-	if env.tree.Rank == 0 {
-		feData, err := d.masterHandshake(env)
-		if err != nil {
-			return err
+		switch {
+		case err == nil:
+		case f != nil:
+			f.End(err)
+		default:
+			rx.fail(err)
 		}
-		if d.tab, err = proctab.RecvStream(d.fe, d.fab.class); err != nil {
-			return err
-		}
-		d.feData = append([]byte(nil), feData...)
-		seed = lmonp.AppendBytes(lmonp.AppendBytes(nil, d.tab.Encode()), feData)
-	}
-	_, err := iccl.BootstrapUnder(d.p, env.tree, d.fe, seed, &readying{d: d, env: env})
-	return err
+	})
 }
 
 // adopt takes the bootstrapped communicator; the master's return from
@@ -278,10 +277,9 @@ func (d *daemonSession) adopt(comm *iccl.Comm) {
 // readying carries a daemon from its join to its ready: the iccl.Ready its
 // Forming record calls on the scheduler. It takes the formed tree, the
 // validated seed — where it attaches the collective tool-data plane, whose
-// root's FE hop is the FE connection init has stopped reading (sorted by
-// rxStreams from there on) — then gathers per-daemon info for the ready
-// message and folds the metrics snapshots up behind it. It dies with the
-// record, at ready.
+// root's FE hop is the master's FE connection (watchFE) — then gathers
+// per-daemon info for the ready message and folds the metrics snapshots up
+// behind it. It dies with the record, at ready.
 type readying struct {
 	d   *daemonSession
 	env *bootEnv
@@ -290,7 +288,7 @@ type readying struct {
 
 func (r *readying) Formed(c *iccl.Comm) { r.d.adopt(c) }
 
-func (r *readying) Seeded(f *iccl.Forming, blob []byte) ([]byte, error) {
+func (r *readying) Seeded(blob []byte) ([]byte, error) {
 	d := r.d
 	if r.env.seedMode == SeedStoreForward && !d.comm.IsMaster() {
 		rd := lmonp.NewReader(blob)
@@ -313,25 +311,8 @@ func (r *readying) Seeded(f *iccl.Forming, blob []byte) ([]byte, error) {
 		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
 	}
 	d.coll = d.comm.NewPlane(r.env.collChunk, r.env.collWindow, up, nil)
-	if d.comm.IsMaster() {
-		rx := newRxStreams(d.p.Sim(), "front end", d.coll, nil)
-		rx.forming = f
-		d.feRx = rx
-		d.fe.Unhandle() // the cut-through seed source: the link's watch while the tree formed
-		d.fe.Handle(func(msg *lmonp.Msg, err error) {
-			switch {
-			case err != nil:
-			case msg.Type == lmonp.TypeStatus: // readyGrace short of readyBound: end the ready gather, naming whom it waits on
-				if f := rx.forming; f != nil {
-					f.End(errors.New("ended by the front end"))
-				}
-			case !rx.sort(msg):
-				err = fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
-			}
-			if err != nil {
-				rx.fail(err)
-			}
-		})
+	if d.feRx != nil {
+		d.feRx.pl = d.coll
 	}
 	// Gather per-daemon info to the master; it rides the ready message.
 	return encodeDaemonInfo(DaemonInfo{

@@ -76,7 +76,7 @@ func (s *Session) launchMW(opts MWOptions, relay *seedRelay) ([]string, error) {
 	// The relay is open across the spawn exchange below — the master
 	// daemon dials the moment the RM spawns it, typically while its sibling
 	// daemons are still coming up, and the seed flows through the forming
-	// MW tree (iccl.BootstrapSeedRouted) with per-rank validation.
+	// MW tree (iccl.Forming) with per-rank validation.
 	relay.start()
 	// MW daemons own no application tasks, so their rank slice is empty:
 	// the stream is just the FEData preamble plus an empty-table end

@@ -257,18 +257,17 @@ func runSeedScript(t *testing.T, n int, reference bool) (at []time.Duration) {
 					}
 					return
 				}
-				var src SeedSource
+				feed := func(f *Forming) {
+					for k, fr := range frames {
+						fr := fr
+						sim.After(scriptStart+seedScript[k]-sim.Now(), func() { f.Feed(fr) })
+					}
+				}
 				rt := route
 				if i == 0 {
-					src = func(emit func(coll.Frame, error) bool) {
-						for k, f := range frames {
-							f := f
-							sim.After(scriptStart+seedScript[k]-sim.Now(), func() { emit(f, nil) })
-						}
-					}
 					rt = rootRoute
 				}
-				c, err := BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame, proctab.Chunk) error {
+				c, err := bootSeeded(p, cfg, feed, rt, func(coll.Frame, proctab.Chunk) error {
 					if now := sim.Now(); i == 1 && (len(at) == 0 || at[len(at)-1] != now) {
 						at = append(at, now)
 					}

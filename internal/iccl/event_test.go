@@ -9,6 +9,7 @@ import (
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
+	"launchmon/internal/proctab"
 	"launchmon/internal/vtime"
 )
 
@@ -36,18 +37,26 @@ func seedFrames(bodies [][]byte) []coll.Frame {
 	})
 }
 
-// scriptedSeed returns a root seed source that emits frames from one
+// scriptedSeed subscribes the root's record to frames, fed from one
 // scheduler callback at the instant it is subscribed.
-func scriptedSeed(sim *vtime.Sim, frames []coll.Frame) SeedSource {
-	return func(emit func(coll.Frame, error) bool) {
+func scriptedSeed(sim *vtime.Sim, frames []coll.Frame) func(*Forming) {
+	return func(f *Forming) {
 		sim.After(0, func() {
-			for _, f := range frames {
-				if emit(f, nil) {
-					return
-				}
+			for _, fr := range frames {
+				f.Feed(fr)
 			}
 		})
 	}
+}
+
+// bootSeeded is a cut-through rank's bootstrap as its daemon makes it: the
+// record, subscribed by feed before it runs when it is rank 0's, run.
+func bootSeeded(p *cluster.Proc, cfg Config, feed func(*Forming), rt *SeedRouter, sink func(coll.Frame, proctab.Chunk) error, r Ready) (*Comm, error) {
+	f := NewForming(p, cfg, rt, sink, r)
+	if cfg.Rank == 0 && feed != nil {
+		feed(f)
+	}
+	return f.Run(nil)
 }
 
 // TestSeedSpawnsNoGoroutine: the seed stream is scheduler state at every

@@ -9,21 +9,21 @@ import (
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
-	"launchmon/internal/lmonp"
 	"launchmon/internal/obs"
+	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 )
 
 // This file is a forming rank's record: everything a daemon does from its
-// join to its ready — the dial and join, the child accepts, the ready wave,
-// the seed (the cut-through stream's end, or store-forward's broadcast), the
-// ready gather and the fold behind it — carried on the scheduler, the way
-// planeOp carries a collective and Seed the stream. Its timers are the
-// goroutine's sleeps and charges, and a link it reads wakes it where a
-// goroutine parked on the link would have run (vtime.Chan.Await), so a launch
-// fires the events a goroutine blocked in each phase fired, in the same (at,
-// seq) order, while the daemon's goroutine waits once. Its tree reader, and
-// the ready wave, broadcast, gather and fold, are its walk's (walk.go).
+// dial to its ready — the dial and join, the child accepts, the ready wave,
+// the seed (the cut-through stream, seed.go, or store-forward's broadcast),
+// the ready gather and the fold behind it — carried on the scheduler, the way
+// planeOp carries a collective. Its timers are the goroutine's sleeps and
+// charges, and a link it reads wakes it where a goroutine parked on the link
+// would have run (vtime.Chan.Await), so a launch fires the events a goroutine
+// blocked in each phase fired, in the same (at, seq) order, while the
+// daemon's goroutine waits once. Its tree reader, and the ready wave,
+// broadcast, gather and fold, are its walk's (walk.go).
 
 // Ready is a forming rank's owner. The record calls it on the scheduler (or
 // on the rank's goroutine before it waits), in this order, as the rank goes
@@ -34,7 +34,7 @@ type Ready interface {
 	// Seeded: the rank's seed is in — its share of the stream validated,
 	// or store-forward's broadcast (blob) received. It returns the rank's
 	// contribution to the ready gather.
-	Seeded(f *Forming, blob []byte) (mine []byte, err error)
+	Seeded(blob []byte) (mine []byte, err error)
 	// Gathered is handed the ready gather — every rank's contribution by
 	// rank at the root, nil elsewhere — and returns the rank's contribution
 	// to a fold up the same links, nil for none.
@@ -60,51 +60,110 @@ const (
 	phWalk                  // its walk: store-forward's broadcast, the ready gather, the fold
 )
 
-// Forming is one rank's record from its join to its ready. Scheduler
-// callbacks carry it on — its own timers, the wakes of the link it reads,
-// the seed stream's last part — and never overlap; the rank's goroutine
-// starts it, waits on it once (wait), and takes the communicator or the
-// error. The record is dropped at ready.
+// Forming is one rank's record from its dial to its ready. Scheduler
+// callbacks carry it on — its own timers, the wakes of the link it reads, the
+// seed stream's frames — and never overlap; the rank's goroutine runs it,
+// waits on it once (wait), and takes the communicator or the error. The
+// record is dropped at ready.
 type Forming struct {
 	walk
 	nodes []string      // Config.Nodelist
 	port  int           // Config.Port
 	reg   *obs.Registry // Config.Metrics
 	r     Ready         // nil: the rank stops at formed, or with a seed stream at its end
-	up    *lmonp.Conn   // the root's parent link while the tree forms (store-forward)
-	seed  Seed          // the cut-through stream, when seeded
+	conn  *simnet.Conn  // the link being dialed; an accepted child's, join unread
 
-	phase  phase
-	seeded bool // the seed streams through the forming tree
-	done   bool
-	conn   *simnet.Conn // the link being dialed; an accepted child's, join unread
+	// The cut-through seed stream (seed.go), when router is set. held keeps
+	// each child's messages, routed before its join was accepted, for
+	// onChild to write; sent counts the bytes written to each child's link;
+	// entered the seed bytes that entered the tree here (the root).
+	router  seedRoute
+	chk     coll.SeqCheck
+	held    [][][]byte
+	sent    []uint64
+	entered uint64
+	serr    error // the stream's first error
+
+	phase phase
+	done  bool
+	// shared marks the rank's share finished: its End handed to the sink
+	// (every child's End is written before it), or the stream failed.
+	shared bool
+	// watched marks the parent link handed back, its end watched for, when
+	// the seed's End arrived while the rank formed.
+	watched bool
 }
 
-// form starts the record of rank cfg.Rank (defaults applied) with f's plan
-// on the rank's goroutine and waits for its ready.
-func form(p *cluster.Proc, cfg *Config, f *Forming) (*Comm, error) {
-	f.nodes, f.port, f.reg = cfg.Nodelist, cfg.Port, cfg.Metrics
+// NewForming makes rank cfg.Rank's record, which Run runs: the rank joins
+// its parent, takes its children's joins and its subtree's ready wave, and r,
+// when set, carries it on through its seed and ready gather to its ready.
+//
+// With rt set the cut-through session seed streams through the forming tree,
+// every rank routing it with rt: sink is handed the rank's share — the FEData
+// frame, the chunks of its slice of the RPDTAB, each with c its scan, then the
+// End frame whose Total is the slice's entry count — on the scheduler as each
+// is routed (a childless rank's as it arrived), and children receive freshly
+// packed streams covering exactly their subtrees. A table-less stream's
+// router need own no host. sink must not block; an error it returns fails the
+// stream. Rank 0 is fed its stream (Feed); every other rank's comes down its
+// parent link. Observability goes to cfg.Metrics (nil: nowhere):
+// seed.link.bytes.max is the peak per-link forwarded byte count across the
+// whole tree once harvested — the measured quantity behind the O(table/K ·
+// subtree) per-link claim of rank-sliced routing.
+func NewForming(p *cluster.Proc, cfg Config, rt *SeedRouter, sink func(f coll.Frame, c proctab.Chunk) error, r Ready) *Forming {
+	cfg = cfg.withDefaults()
+	f := &Forming{nodes: cfg.Nodelist, port: cfg.Port, reg: cfg.Metrics, r: r}
+	f.c = &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
+	if rt == nil {
+		return f
+	}
+	kids := childCount(cfg.Rank, cfg.Size, cfg.Fanout)
+	f.held, f.sent = make([][][]byte, kids), make([]uint64, kids)
+	for _, name := range [...]string{"seed.fwd.chunks", "seed.fwd.bytes"} {
+		f.reg.Counter(name) // every rank's snapshot names them
+	}
+	for _, name := range [...]string{"seed.link.bytes.max", "seed.queue.depth.max", "seed.src.bytes"} {
+		f.reg.Gauge(name)
+	}
+	if kids > 0 {
+		f.router = newSeedSplitter(rt, cfg, sink, f)
+	} else {
+		leaf := &seedLeaf{sink: sink}
+		leaf.init(rt, cfg, 0)
+		f.router = leaf
+	}
+	return f
+}
+
+// Run runs the record on the rank's goroutine — seed is a store-forward
+// root's broadcast — and waits for its ready: it returns once r reports the
+// rank ready, without r once the rank has formed (and its seed stream, if
+// any, has reached its sink). After a nil return the communicator's links
+// carry no more seed traffic. A rank whose seed stream fails first fails its
+// bootstrap with the stream's error; on a mid-stream link failure — a child's
+// node dying while chunks are in flight — the affected forwarder records the
+// stream's error, which the rank returns.
+func (f *Forming) Run(seed []byte) (*Comm, error) {
+	c := f.c
+	f.bind(f)
 	var err error
 	switch {
-	case cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size:
-		err = fmt.Errorf("bad rank/size %d/%d", cfg.Rank, cfg.Size)
-	case len(cfg.Nodelist) != cfg.Size:
-		err = fmt.Errorf("nodelist has %d entries for size %d", len(cfg.Nodelist), cfg.Size)
+	case c.size <= 0 || c.rank < 0 || c.rank >= c.size:
+		err = fmt.Errorf("bad rank/size %d/%d", c.rank, c.size)
+	case len(f.nodes) != c.size:
+		err = fmt.Errorf("nodelist has %d entries for size %d", len(f.nodes), c.size)
 	}
-	c := &Comm{p: p, rank: cfg.Rank, size: cfg.Size, fanout: cfg.Fanout}
-	f.c = c
-	f.bind(f)
 	if err == nil {
-		c.bindMetrics(cfg.Metrics)
-		p.AdoptConn(c) // a killed daemon's links die with it
-		if childCount(cfg.Rank, cfg.Size, cfg.Fanout) > 0 {
-			c.l, err = p.Host().Listen(cfg.Port)
+		c.bindMetrics(f.reg)
+		c.p.AdoptConn(c) // a killed daemon's links die with it
+		if childCount(c.rank, c.size, c.fanout) > 0 {
+			c.l, err = c.p.Host().Listen(f.port)
 		}
 	}
+	f.buf = seed
 	if err != nil {
 		f.failBoot(err, 0)
 	} else {
-		f.seed.forming = f.seeded
 		if c.rank == 0 {
 			f.accept() // the root joins no parent
 		}
@@ -156,8 +215,8 @@ func (f *Forming) step() bool {
 			return f.failBoot(fmt.Errorf("join: %v", err), 0)
 		}
 		c.parent, f.conn = f.conn, nil
-		if f.seeded {
-			f.seed.onParent(c.parent)
+		if f.router != nil {
+			f.onParent(c.parent)
 		}
 		f.accept()
 	case phAccept:
@@ -188,8 +247,8 @@ func (f *Forming) step() bool {
 			return f.failBoot(fmt.Errorf("unexpected child rank %d", rk), len(c.children))
 		}
 		c.children[slot], f.conn = f.conn, nil
-		if f.seeded {
-			f.seed.onChild(slot)
+		if f.router != nil {
+			f.onChild(slot)
 		}
 		f.phase = phAccept
 		f.slot++
@@ -230,13 +289,12 @@ func (f *Forming) dial() bool {
 	return false
 }
 
-// accept makes the rank's parent link — up at the root — end the forming
-// tree, and turns to the children's joins. A seed stream watches its own
-// parent link (Seed.onParent).
+// accept makes the rank's parent link end the forming tree, and turns to the
+// children's joins. A seed stream watches its own parent link (onParent).
 func (f *Forming) accept() {
 	c := f.c
-	if !f.seeded {
-		c.watchParent(f.up, true)
+	if f.router == nil {
+		c.watchParent(true)
 	}
 	c.children = make([]*simnet.Conn, childCount(c.rank, c.size, c.fanout))
 	f.phase, f.slot = phAccept, 0
@@ -246,13 +304,12 @@ func (f *Forming) accept() {
 // parent link is handed back, its listener closed, and the seed is next.
 func (f *Forming) formed() bool {
 	c := f.c
-	if !f.seeded || f.seed.watched {
-		c.watchParent(f.up, false)
+	if f.router == nil || f.watched {
+		c.watchParent(false)
 	}
 	if c.l != nil {
 		c.l.Close()
 	}
-	f.seed.forming = false
 	f.phase = phSeed
 	if f.r != nil {
 		f.r.Formed(c)
@@ -265,13 +322,13 @@ func (f *Forming) formed() bool {
 // parent (the root's buf) to the children. A rank with an owner gathers next.
 func (f *Forming) seedIn() bool {
 	switch {
-	case f.seeded && !f.seed.shared:
+	case f.router != nil && !f.shared:
 		return false
-	case f.seed.err != nil:
-		return f.finish(f.seed.err)
+	case f.serr != nil:
+		return f.finish(f.serr)
 	case f.r == nil:
 		return f.finish(nil)
-	case !f.seeded:
+	case f.router == nil:
 		f.phase, f.op = phWalk, opBcast
 		return true
 	}
@@ -293,7 +350,7 @@ func (f *Forming) walked(op uint32, err error) bool {
 		return f.failBoot(err, f.slot)
 	case err != nil:
 	case op == opBcast:
-		mine, err = f.r.Seeded(f, f.buf)
+		mine, err = f.r.Seeded(f.buf)
 		f.entries, f.buf = append(f.entries, coll.Entry{Rank: f.c.rank, Blob: mine}), nil
 		f.phase, f.op, f.slot = phWalk, opGather, 0
 	case op == opGather:
@@ -316,17 +373,13 @@ func (f *Forming) walked(op uint32, err error) bool {
 // stream's error when that tore the tree down first, naming the child
 // subtrees it still waits on — no join, or from slot from on no ready
 // delivered: it tells its parent, if it has joined one, and tears down what
-// it formed (Abort), and its seed stream is aborted.
+// it formed (Abort). Its seed stream ends with it.
 func (f *Forming) failBoot(err error, from int) bool {
-	if f.seed.err != nil {
-		err = f.seed.err
+	if f.serr != nil {
+		err = f.serr
 	}
 	err = f.c.waitingOn(fmt.Errorf("%w: %w", errBootstrap, err), from, opReady)
 	f.c.Abort(err)
-	if f.seeded {
-		f.seed.forming = false
-		f.seed.bail(err)
-	}
 	return f.finish(err)
 }
 
@@ -345,17 +398,26 @@ func (f *Forming) finish(err error) bool {
 	return false
 }
 
-// End ends a rank in its ready gather or fold with err, naming the child
-// subtrees whose frame it has not taken — the front end's ask, at the
-// master. A rank past its ready ignores it. Call it from a scheduler
-// callback.
+// End ends a rank before its ready with err — at the master, the front
+// end's ask or its link's end — naming whom it waits on: the child subtrees
+// whose join, or whose frame of the wave it walks, it has not taken, or its
+// seed. A rank that is still forming fails its bootstrap. A rank past its
+// ready ignores it. Call it from a scheduler callback.
 func (f *Forming) End(err error) {
-	if f.done || f.op != opGather && f.op != opFold {
-		return
-	}
 	op, from := f.op, f.slot
 	if f.charged != nil {
 		from++ // taken: its charge runs
 	}
-	f.finish(f.c.waitingOn(fmt.Errorf("iccl: %s at rank %d: %w", phases[op], f.c.rank, err), from, op))
+	switch {
+	case f.done:
+	case f.phase == phSeed || op == opBcast:
+		f.finish(fmt.Errorf("iccl: seed at rank %d: %w; waiting on its share of the seed", f.c.rank, err))
+	case f.phase < phSeed:
+		if op == 0 {
+			op = opJoin // its own, or its children's
+		}
+		f.failBoot(fmt.Errorf("iccl: %s at rank %d: %w", phases[op], f.c.rank, err), from)
+	default:
+		f.finish(f.c.waitingOn(fmt.Errorf("iccl: %s at rank %d: %w", phases[op], f.c.rank, err), from, op))
+	}
 }

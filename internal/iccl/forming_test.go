@@ -16,7 +16,7 @@ import (
 )
 
 // TestFormationParksOncePerRank is the guard of "a daemon parks once from
-// its join to its ready": inside Bootstrap, and inside BootstrapSeedRouted
+// its join to its ready": inside Bootstrap, and inside a cut-through record
 // with the seed stream, every rank's goroutine parks exactly once at fanout
 // 8 and flat — the sibling skew, the dial, the accepts, the charged reads of
 // the ready wave and the seed's end are its Forming record's timers and
@@ -68,11 +68,7 @@ func formationParks(t *testing.T, n, fanout int, seeded, form bool) uint64 {
 				var c *Comm
 				var err error
 				if seeded {
-					var src SeedSource
-					if i == 0 {
-						src = scriptedSeed(sim, frames)
-					}
-					c, err = BootstrapSeedRouted(p, cfg, src, rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+					c, err = bootSeeded(p, cfg, scriptedSeed(sim, frames), rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
 				} else {
 					c, err = Bootstrap(p, cfg)
 				}

@@ -319,34 +319,19 @@ func subtreeSlot(self, fanout, n, r int) int {
 // of the paper's critical path). The rank is one Forming record on the
 // scheduler, and the caller waits on it once.
 func Bootstrap(p *cluster.Proc, cfg Config) (*Comm, error) {
-	return BootstrapUnder(p, cfg, nil, nil, nil)
+	return NewForming(p, cfg, nil, nil, nil).Run(nil)
 }
 
-// BootstrapUnder is Bootstrap under a root whose parent link, while the
-// tree forms, is up — the master daemon's front-end connection; nil below —
-// carried on to ready with r: once the tree has formed, the root broadcasts
-// seed, which every rank's r is handed, and the ready gather and fold follow
-// (the store-forward launch). It returns once r reports the rank ready.
-func BootstrapUnder(p *cluster.Proc, cfg Config, up *lmonp.Conn, seed []byte, r Ready) (*Comm, error) {
-	cfg = cfg.withDefaults()
-	f := &Forming{up: up, r: r}
-	f.buf = seed
-	return form(p, &cfg, f)
-}
-
-// watchParent makes anything on the parent link (up at the root) end the
-// forming tree — nothing else comes down it before the rank's ready goes up
-// — or, formed, hands the link back.
-func (c *Comm) watchParent(up *lmonp.Conn, watch bool) {
+// watchParent makes anything on the parent link end the forming tree —
+// nothing else comes down it before the rank's ready goes up — or, formed,
+// hands the link back.
+func (c *Comm) watchParent(watch bool) {
 	switch {
-	case c.parent != nil && watch:
+	case c.parent == nil:
+	case watch:
 		c.parent.Handle(func([]byte, error) { c.Close() })
-	case c.parent != nil:
+	default:
 		c.parent.Unhandle()
-	case up != nil && watch:
-		up.Handle(func(*lmonp.Msg, error) { c.Close() })
-	case up != nil:
-		up.Unhandle()
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/obs"
 	"launchmon/internal/proctab"
 	"launchmon/internal/simnet"
 )
@@ -23,14 +21,13 @@ import (
 // any node store-and-forward the full table, and the transfer overlaps
 // the join/ready waves of the subtree below it.
 //
-// Goroutine budget: none. The stream is one record a rank (Seed) that
-// scheduler callbacks carry on — the root's source and every other rank's
-// parent link deliver frames into it, which keeps routing while the rank's
-// Forming record waits in its accept loop. A routed message is written to
-// its child's link as it is routed, or held until the child's join is
-// accepted. The stream lives in the rank's Forming record, which goes on to
-// the ready gather once the rank's share is done: every child's End is
-// written by then.
+// Goroutine budget: none. The stream is part of the rank's Forming record,
+// which scheduler callbacks carry on — the root's owner (Feed) and every
+// other rank's parent link deliver frames into it, which keeps routing while
+// the record waits in its accept loop. A routed message is written to its
+// child's link as it is routed, or held until the child's join is accepted.
+// The record goes on to the ready gather once the rank's share is done: every
+// child's End is written by then.
 
 // Seed-stream opcodes on tree links (the frame layout is the shared
 // coll.Frame codec, see encodeFrameOp).
@@ -38,23 +35,6 @@ const (
 	opSeedChunk = 10
 	opSeedEnd   = 11
 )
-
-// SeedSource subscribes the tree root to its seed frames (the master
-// daemon's arrive on its front-end connection). It is called once, before
-// the tree forms, and must not block: it arranges for emit to run on the
-// vtime scheduler — never on the caller's stack — once per frame, in
-// order, or once with the error that broke the stream. emit reports
-// whether the stream is finished (the End frame, or a failure); frames
-// after that are dropped, an error still fails a forming tree: the
-// source's link is the root's parent link until Wait. Frames must carry
-// coll.OpSeed with a contiguous Index sequence, closed by an End frame;
-// every chunk carries Sum64 of its body and the End frame the rolling
-// digest of the RPDTAB chunk sums (frames from index 1 — index 0 is the
-// FEData preamble, excluded from the digest). Tree links carry only that
-// digest: every other rank's parent link computes each chunk's Sum64 on
-// arrival, so every rank's SeqCheck admits the same kind of frame the root
-// does.
-type SeedSource func(emit func(coll.Frame, error) (done bool))
 
 // SeedRouter drives rank-sliced seed delivery: instead of relaying every
 // RPDTAB chunk to every child (each daemon ending up with the full K-entry
@@ -189,20 +169,20 @@ func (l *seedLeaf) finish(f coll.Frame) error {
 type seedSplitter struct {
 	seedHosts
 	local seedSink
-	seed  *Seed // where child streams go (Seed.forward)
+	f     *Forming // where child streams go (Forming.forward)
 
 	w  []*proctab.ChunkWriter // by stream
 	ix []uint32               // last index emitted, by stream
 }
 
-func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, seed *Seed) *seedSplitter {
+func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, f *Forming) *seedSplitter {
 	cb := rt.ChunkBytes
 	if cb <= 0 {
 		cb = coll.DefaultChunkBytes
 	}
-	kids := len(seed.held)
+	kids := len(f.held)
 	s := &seedSplitter{
-		local: local, seed: seed,
+		local: local, f: f,
 		w:  make([]*proctab.ChunkWriter, 1+kids),
 		ix: make([]uint32, 1+kids),
 	}
@@ -217,7 +197,7 @@ func newSeedSplitter(rt *SeedRouter, cfg Config, local seedSink, seed *Seed) *se
 	for i := 1; i < len(s.w); i++ {
 		i := i
 		s.w[i] = proctab.NewChunkWriterBehind(seedChunkHead, cb, func(msg []byte, _ uint64) error {
-			s.seed.forward(i-1, putSeedChunkHead(msg, s.next(i)))
+			s.f.forward(i-1, putSeedChunkHead(msg, s.next(i)))
 			return nil
 		})
 	}
@@ -247,7 +227,7 @@ func (s *seedSplitter) chunk(f coll.Frame) error {
 			msg = encodeFrameOp(opSeedChunk, opSeedEnd, f)
 		}
 		for i := 0; i < s.kids; i++ {
-			s.seed.forward(i, msg)
+			s.f.forward(i, msg)
 		}
 		return nil
 	}
@@ -297,7 +277,7 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 	// links take their scheduler sequence numbers in this order, which is
 	// the one every pin was taken with.
 	for i, w := range s.w[1:] {
-		s.seed.forward(i, encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{H: s.next(1 + i), End: true, Total: uint64(w.Count()), Sum: w.Digest()}))
+		s.f.forward(i, encodeFrameOp(opSeedChunk, opSeedEnd, coll.Frame{H: s.next(1 + i), End: true, Total: uint64(w.Count()), Sum: w.Digest()}))
 	}
 	end := coll.Frame{H: s.next(0), End: true, Total: uint64(s.w[0].Count()), Sum: s.w[0].Digest()}
 	// The writers keep their buffers between chunks; the stream is over.
@@ -305,173 +285,118 @@ func (s *seedSplitter) finish(f coll.Frame) error {
 	return s.local(end, proctab.Chunk{})
 }
 
-// Seed is one rank's record of the session-seed stream, part of the rank's
-// Forming record and built before the tree forms. Scheduler callbacks carry
-// it on — the root's source or the parent link's framer step it with each
-// frame, which it validates and routes to the caller's sink and the child
-// links — and they never overlap. The end of the rank's share hands the
-// rank on to its ready gather.
-type Seed struct {
-	f      *Forming
-	router seedRoute
-	reg    *obs.Registry // where the stream's counters and gauges go (nil: nowhere)
-	chk    coll.SeqCheck
-
-	entered uint64 // seed bytes that entered the tree here (the root)
-
-	// held keeps each child's messages, routed before its join was
-	// accepted, for onChild to write; sent counts the bytes written to each
-	// child's link.
-	held [][][]byte
-	sent []uint64
-
-	// shared marks the rank's share finished: its End handed to the sink
-	// (every child's End is written before it), or the stream failed.
-	shared bool
-
-	// forming is set while bootstrap forms the rank's tree, for bail to
-	// tear down.
-	forming bool
-
-	// err is the stream's first error. Its writers are scheduler callbacks
-	// and the Forming record (a failed bootstrap), which never overlap.
-	err error
-
-	// watched marks the parent link handed back, its end watched for, when
-	// the End frame arrived while the rank formed.
-	watched bool
+// Feed hands rank 0's record the root's next seed frame. Its owner calls it
+// from scheduler callbacks it subscribes before Run, once a frame, in order:
+// frames carry coll.OpSeed with a contiguous Index sequence, closed by an End
+// frame; every chunk carries Sum64 of its body and the End frame the rolling
+// digest of the RPDTAB chunk sums (frames from index 1 — index 0 is the FEData
+// preamble, excluded from the digest). Tree links carry only that digest:
+// every other rank's parent link computes each chunk's Sum64 on arrival, so
+// every rank's SeqCheck admits the same kind of frame the root does. A frame
+// after the End is dropped; one fed to another rank, whose stream comes down
+// its parent link, fails the stream.
+func (f *Forming) Feed(fr coll.Frame) {
+	if f.c.rank != 0 {
+		f.bail(fmt.Errorf("%w: seed frame fed to rank %d, whose stream comes down its parent link", errProtocol, f.c.rank))
+		return
+	}
+	f.admit(fr, nil)
 }
 
-// init builds rank cfg.Rank's stream in f and subscribes it to src at the
-// root. Observability goes to cfg.Metrics (nil: nowhere): seed.link.bytes.max
-// is the peak per-link forwarded byte count across the whole tree once
-// harvested — the measured quantity behind the O(table/K · subtree)
-// per-link claim of rank-sliced routing.
-func (s *Seed) init(f *Forming, cfg *Config, src SeedSource, rt *SeedRouter, sink seedSink) {
-	kids := childCount(cfg.Rank, cfg.Size, cfg.Fanout)
-	*s = Seed{f: f, held: make([][][]byte, kids), sent: make([]uint64, kids), reg: cfg.Metrics}
-	for _, name := range [...]string{"seed.fwd.chunks", "seed.fwd.bytes"} {
-		s.reg.Counter(name) // every rank's snapshot names them
-	}
-	for _, name := range [...]string{"seed.link.bytes.max", "seed.queue.depth.max", "seed.src.bytes"} {
-		s.reg.Gauge(name)
-	}
-	if kids > 0 {
-		s.router = newSeedSplitter(rt, *cfg, sink, s)
-	} else {
-		leaf := &seedLeaf{sink: sink}
-		leaf.init(rt, *cfg, 0)
-		s.router = leaf
-	}
-	if src != nil {
-		src(s.step)
-	}
-}
-
-// step admits one incoming frame, routing it to the sink and the child
-// links, or fails the stream with the error that came in its place. It
-// returns true when the stream is finished — the End frame was processed,
-// or a failure aborted it; a frame after that is dropped, an error fails
-// what still waits on the stream.
-func (s *Seed) step(f coll.Frame, err error) bool {
-	if s.shared {
-		if err != nil {
-			s.bail(err)
-		}
-		return true
-	}
-	if err != nil {
-		return s.bail(fmt.Errorf("iccl: seed stream at rank %d: %w", s.f.c.rank, err))
-	}
-	if s.f.c.rank == 0 {
+// admit takes one incoming seed frame, routing it to the sink and the child
+// links, or fails the stream with the error that came in its place. A frame
+// after the rank's share, or its record, has ended is dropped.
+func (f *Forming) admit(fr coll.Frame, err error) {
+	switch {
+	case f.shared || f.done:
+		return
+	case err != nil:
+		f.bail(fmt.Errorf("iccl: seed stream at rank %d: %w", f.c.rank, err))
+		return
+	case f.c.rank == 0:
 		// Total seed bytes entering the tree at the root: the
 		// denominator of the per-link wire-byte invariants.
-		s.entered += uint64(len(f.Body))
-		if f.End {
-			s.reg.Gauge("seed.src.bytes").SetMax(s.entered)
+		f.entered += uint64(len(fr.Body))
+		if fr.End {
+			f.reg.Gauge("seed.src.bytes").SetMax(f.entered)
 		}
 	}
-	if f.H.Op != coll.OpSeed {
-		return s.bail(fmt.Errorf("%w: %v frame in seed stream", errProtocol, f.H.Op))
+	if fr.H.Op != coll.OpSeed {
+		f.bail(fmt.Errorf("%w: %v frame in seed stream", errProtocol, fr.H.Op))
+		return
 	}
 	// Streaming validation: per-chunk sums and, at End, the rolling
 	// digest — every rank verifies the stream it saw without retaining it.
-	if err := s.chk.AdmitFrame(f); err != nil {
-		return s.bail(err)
+	if err = f.chk.AdmitFrame(fr); err == nil && fr.End {
+		err = f.router.finish(fr)
+	} else if err == nil {
+		err = f.router.chunk(fr)
 	}
-	if f.End {
-		err = s.router.finish(f)
-	} else {
-		err = s.router.chunk(f)
+	switch {
+	case err != nil:
+		f.bail(err)
+	case fr.End:
+		f.shareDone()
 	}
-	if err != nil {
-		return s.bail(err)
-	}
-	if f.End {
-		s.shareDone()
-	}
-	return f.End
 }
 
-// bail fails the stream with err and reports it finished: the share is
-// over. A rank still forming tears its tree down.
-func (s *Seed) bail(err error) bool {
-	s.fail(err)
-	if !s.shared {
-		s.shareDone()
+// bail fails the stream with err: the share is over. A rank still forming
+// tears its tree down.
+func (f *Forming) bail(err error) {
+	f.fail(err)
+	if !f.shared {
+		f.shareDone()
 	}
-	if s.forming {
-		s.forming = false
-		s.f.c.Close() // last: it wakes the Forming record's wait on a link
+	if !f.done && f.phase < phSeed {
+		f.c.Close() // last: it wakes the record's wait on a link
 	}
-	return true
 }
 
 // fail records the stream's first error (later ones keep the original).
-func (s *Seed) fail(err error) {
-	if s.err == nil {
-		s.err = err
+func (f *Forming) fail(err error) {
+	if f.serr == nil {
+		f.serr = err
 	}
 }
 
 // shareDone finishes the rank's share, and with it the rank's stream; the
-// Forming record goes on when it waits for the stream (phSeed), inline:
-// this is where the rank's goroutine woke from its wait on the stream.
-func (s *Seed) shareDone() {
-	if s.shared = true; s.f.phase == phSeed {
-		s.f.Fire()
+// record goes on when it waits for the stream (phSeed), inline: this is
+// where the rank's goroutine woke from its wait on the stream.
+func (f *Forming) shareDone() {
+	if f.shared = true; f.phase == phSeed {
+		f.Fire()
 	}
 }
 
 // forward writes msg, the next message of child slot's stream, to the
 // child's link, or holds it until the child's join is accepted (onChild).
 // A link write never blocks in virtual time: nothing parks on a child link.
-func (s *Seed) forward(slot int, msg []byte) {
-	conn := s.f.c.children[slot]
+func (f *Forming) forward(slot int, msg []byte) {
+	conn := f.c.children[slot]
 	if conn == nil {
-		s.held[slot] = append(s.held[slot], msg)
-		s.reg.Gauge("seed.queue.depth.max").SetMax(uint64(len(s.held[slot])))
+		f.held[slot] = append(f.held[slot], msg)
+		f.reg.Gauge("seed.queue.depth.max").SetMax(uint64(len(f.held[slot])))
 		return
 	}
 	if err := lmonp.SendFrame(conn, msg); err != nil {
-		rank := s.f.c.childRank(slot)
-		s.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", rank, &peerError{rank: rank, phase: "seed", err: err}))
+		rank := f.c.childRank(slot)
+		f.fail(fmt.Errorf("iccl: seed forward to rank %d: %w", rank, &peerError{rank: rank, phase: "seed", err: err}))
 		return
 	}
 	n := uint64(len(msg) - 4)
-	s.reg.Counter("seed.fwd.chunks").Inc()
-	s.reg.Counter("seed.fwd.bytes").Add(n)
-	s.sent[slot] += n
-	s.reg.Gauge("seed.link.bytes.max").SetMax(s.sent[slot])
+	f.reg.Counter("seed.fwd.chunks").Inc()
+	f.reg.Counter("seed.fwd.bytes").Add(n)
+	f.sent[slot] += n
+	f.reg.Gauge("seed.link.bytes.max").SetMax(f.sent[slot])
 }
 
 // onChild writes what was held for child slot, whose join was just
 // accepted.
-func (s *Seed) onChild(slot int) {
-	held := s.held[slot]
-	s.held[slot] = nil
+func (f *Forming) onChild(slot int) {
+	held := f.held[slot]
+	f.held[slot] = nil
 	for _, msg := range held {
-		s.forward(slot, msg)
+		f.forward(slot, msg)
 	}
 }
 
@@ -486,14 +411,14 @@ func (s *Seed) onChild(slot int) {
 // (coll.Frame.Wire) for the verbatim relay of FEData. It is the one receive
 // path that checks a tree stream: it sums each chunk, which the wire does
 // not, once, for the SeqCheck and the sink.
-func (s *Seed) onParent(conn *simnet.Conn) {
-	fr := &SerialFramer{Sim: s.f.c.p.Sim(), Cost: PerMsgCost, Deliver: func(msg []byte) {
-		f, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
-		if err == nil && !f.End {
-			f.Sum = lmonp.Sum64(f.Body)
+func (f *Forming) onParent(conn *simnet.Conn) {
+	fr := &SerialFramer{Sim: f.c.p.Sim(), Cost: PerMsgCost, Deliver: func(msg []byte) {
+		frame, err := parseFrameOp(msg[4:], opSeedChunk, opSeedEnd)
+		if err == nil && !frame.End {
+			frame.Sum = lmonp.Sum64(frame.Body)
 		}
-		f.Wire = msg
-		s.step(f, err)
+		frame.Wire = msg
+		f.admit(frame, err)
 	}}
 	conn.Handle(func(msg []byte, err error) {
 		var raw []byte
@@ -501,7 +426,7 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 			raw, err = lmonp.FrameFromMessage(msg)
 		}
 		if err != nil {
-			fr.Behind(func() { s.step(coll.Frame{}, err) })
+			fr.Behind(func() { f.admit(coll.Frame{}, err) })
 			return
 		}
 		// Peek the opcode at arrival: the End frame (or a
@@ -509,42 +434,11 @@ func (s *Seed) onParent(conn *simnet.Conn) {
 		// turn into an error) is the framer's last.
 		if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
 			conn.Unhandle()
-			if s.forming {
-				s.watched = true
-				s.f.c.watchParent(nil, true)
+			if !f.done && f.phase < phSeed {
+				f.watched = true
+				f.c.watchParent(true)
 			}
 		}
 		fr.Charge(msg)
 	})
-}
-
-// BootstrapSeedRouted is Bootstrap with the cut-through session-seed
-// stream layered over the forming tree, carried on to ready with r. src
-// must be non-nil exactly at the root (rank 0); every other rank receives
-// the stream from its parent. Every rank routes it with rt: sink is handed
-// this rank's share — the FEData frame, the chunks of its slice of the
-// RPDTAB, each with c its scan, then the End frame whose Total is the
-// slice's entry count — on the scheduler as each is routed (a childless
-// rank's as it arrived), and children receive freshly packed streams
-// covering exactly their subtrees. A table-less stream's router need own no
-// host. sink must not block; an error it returns fails the stream.
-//
-// Once the rank's tree has formed, its share has reached the sink and every
-// child forward has finished, r is handed the rank's seed and the ready
-// gather and fold follow; BootstrapSeedRouted returns once r reports the
-// rank ready — without r, at that point. After a nil return the
-// communicator's links carry no more seed traffic.
-//
-// On a bootstrap error the seed stream is aborted (and a stream that fails
-// first fails the bootstrap with its error); on a mid-stream link failure
-// — a child's node dying while chunks are in flight — the affected
-// forwarder records the stream's error, which the rank returns.
-func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter, sink func(f coll.Frame, c proctab.Chunk) error, r Ready) (*Comm, error) {
-	cfg = cfg.withDefaults()
-	if (cfg.Rank == 0) != (src != nil) {
-		return nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", errBootstrap, cfg.Rank)
-	}
-	f := &Forming{r: r, seeded: true}
-	f.seed.init(f, &cfg, src, rt, sink)
-	return form(p, &cfg, f)
 }

@@ -28,7 +28,7 @@ func seedCluster(tb testing.TB, sim *vtime.Sim, n int) *cluster.Cluster {
 	return cl
 }
 
-// seedRig bootstraps one daemon per node of cl with BootstrapSeedRouted —
+// seedRig bootstraps one daemon per node of cl with bootSeeded —
 // the root fed by frames, every rank routing with rt — has each collect its
 // share with a sink and Wait, and runs fn on the formed communicator with
 // the frames the rank's sink was handed, the End frame last.
@@ -47,14 +47,10 @@ func seedRig(tb testing.TB, cl *cluster.Cluster, fanout int, frames []coll.Frame
 		check = sinkContract
 	}
 	main := func(i int, p *cluster.Proc) error {
-		var src SeedSource
-		if i == 0 {
-			src = scriptedSeed(sim, frames)
-		}
 		var got []coll.Frame
-		c, err := BootstrapSeedRouted(p, Config{
+		c, err := bootSeeded(p, Config{
 			Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
-		}, src, rt, func(f coll.Frame, c proctab.Chunk) error {
+		}, scriptedSeed(sim, frames), rt, func(f coll.Frame, c proctab.Chunk) error {
 			got = append(got, f)
 			return check(f, c)
 		}, nil)
@@ -169,8 +165,8 @@ func TestSeedStreamDeliversEverywhere(t *testing.T) {
 
 // TestSeedParksOncePerRank: a daemon's main waits on its seed record once.
 // The stream — FEData, then several chunks of every rank's slice — starts
-// after every rank's tree has formed, while its main waits in
-// BootstrapSeedRouted, which returns only after the stream's end; a main
+// after every rank's tree has formed, while its main waits in its record's
+// Run, which returns only after the stream's end; a main
 // woken per frame handed over, or once more for the child forwards, parks
 // again between the census and the stream's end.
 func TestSeedParksOncePerRank(t *testing.T) {
@@ -190,19 +186,16 @@ func TestSeedParksOncePerRank(t *testing.T) {
 		for i := 0; i < n; i++ {
 			i := i
 			if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-				var src SeedSource
-				if i == 0 {
-					src = func(emit func(coll.Frame, error) bool) {
-						sim.After(start-sim.Now(), func() {
-							for _, f := range frames {
-								emit(f, nil)
-							}
-						})
-					}
+				feed := func(f *Forming) {
+					sim.After(start-sim.Now(), func() {
+						for _, fr := range frames {
+							f.Feed(fr)
+						}
+					})
 				}
-				c, err := BootstrapSeedRouted(p, Config{
+				c, err := bootSeeded(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src, rt, func(coll.Frame, proctab.Chunk) error { handed[i]++; return nil }, nil)
+				}, feed, rt, func(coll.Frame, proctab.Chunk) error { handed[i]++; return nil }, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -239,15 +232,16 @@ func TestSeedParksOncePerRank(t *testing.T) {
 // TestSeedMidStreamFaultAtForwardingRank breaks the stream a forwarding
 // rank is fed from after frame 1, before the End: an interior rank's
 // parent link (the root's node dies) and the root's own source (its FE
-// connection). Rank 4 starts late, so its parent, rank 1, is still
-// accepting children when the fault lands. A rank whose bootstrap had
-// completed was handed the FEData frame, whose forward is not held back
-// by routing, and reports the break from Wait — which returns, so the
-// forwarders finished. A rank still forming (rank 1, and the root when its
-// source breaks) fails its bootstrap at once with the stream's error and
-// tears down what it formed, so its subtree sees the link it closes, and
-// rank 4 finds no parent to join; every goroutine ends once rank 4's dial
-// window has run out.
+// connection, whose end ends the root's record). Rank 4 starts late, so its
+// parent, rank 1, is still accepting children when the fault lands. A rank
+// whose bootstrap had completed was handed the FEData frame, whose forward
+// is not held back by routing, and reports the break from Run — which
+// returns, so the forwarders finished. A rank still forming (rank 1, and
+// the root when its source breaks) fails its bootstrap at once — rank 1 with
+// the stream's error, the root naming the phase its source's end found it in
+// — and tears down what it formed, so its subtree sees the link it closes,
+// and rank 4 finds no parent to join; every goroutine ends once rank 4's
+// dial window has run out.
 func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 	const n, fanout = 7, 2 // 0 → 1, 2 → 3 … 6
 	frames, rt, _ := routedSeed(n, 2, 96)
@@ -272,28 +266,25 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 			res := make([]result, n)
 			spawn := func(i int) {
 				if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-					var src SeedSource
-					if i == 0 {
-						src = func(emit func(coll.Frame, error) bool) {
-							sim.After(0, func() {
-								emit(frames[0], nil)
-								emit(frames[1], nil)
-							})
-							sim.After(time.Second, func() {
-								if tc.rootDies {
-									cl.KillNode(0)
-								} else {
-									emit(coll.Frame{}, io.ErrUnexpectedEOF)
-								}
-							})
-						}
+					feed := func(f *Forming) {
+						sim.After(0, func() {
+							f.Feed(frames[0])
+							f.Feed(frames[1])
+						})
+						sim.After(time.Second, func() {
+							if tc.rootDies {
+								cl.KillNode(0)
+							} else {
+								f.End(io.ErrUnexpectedEOF)
+							}
+						})
 					}
 					r := &res[i]
 					// A rank formed before the fault reports the stream's
 					// error; one still forming, its bootstrap's.
-					c, err := BootstrapSeedRouted(p, Config{
+					c, err := bootSeeded(p, Config{
 						Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50006,
-					}, src, rt, func(coll.Frame, proctab.Chunk) error { r.got++; return nil }, nil)
+					}, feed, rt, func(coll.Frame, proctab.Chunk) error { r.got++; return nil }, nil)
 					switch {
 					case errors.Is(err, errBootstrap):
 						r.boot = err
@@ -328,7 +319,11 @@ func TestSeedMidStreamFaultAtForwardingRank(t *testing.T) {
 					if !errors.Is(r.boot, errBootstrap) {
 						t.Errorf("rank %d bootstrap with its parent torn down: %v, want a wrapped ErrBootstrap", i, r.boot)
 					}
-				case i <= 1: // forming when the fault lands
+				case i == 0: // forming when its source ends
+					if want := "iccl: ready at rank 0: "; !errors.Is(r.boot, errBootstrap) || !strings.Contains(r.boot.Error(), want) {
+						t.Errorf("rank 0 bootstrap across its source's end: %v, want a wrapped ErrBootstrap naming %q", r.boot, want)
+					}
+				case i == 1: // forming when the fault lands
 					if !errors.Is(r.boot, errBootstrap) || !strings.Contains(r.boot.Error(), prefix) {
 						t.Errorf("rank %d bootstrap across the fault: %v, want a wrapped ErrBootstrap naming %q", i, r.boot, prefix)
 					}
@@ -390,18 +385,14 @@ func TestSeedMisrouteFailsTheRank(t *testing.T) {
 			sim.Go("boot", func() {
 				for i := 0; i < n; i++ {
 					i := i
-					var src SeedSource
-					if i == 0 {
-						src = scriptedSeed(sim, frames)
-					}
 					route := rt
 					if i == tc.at {
 						route = bad
 					}
 					if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-						c, err := BootstrapSeedRouted(p, Config{
+						c, err := bootSeeded(p, Config{
 							Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50007,
-						}, src, route, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+						}, scriptedSeed(sim, frames), route, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
 						if errs[i] = err; err == nil {
 							c.Close()
 						}
@@ -418,28 +409,37 @@ func TestSeedMisrouteFailsTheRank(t *testing.T) {
 	}
 }
 
-// TestSeedSourceOnlyAtRoot pins the configuration contract.
+// TestSeedSourceOnlyAtRoot pins where a stream comes from: the root is fed
+// its frames, every other rank's come down its parent link, so a frame fed to
+// rank 1's record fails its stream, and its bootstrap, with a protocol error
+// naming it. The root, fed as it should be, forms.
 func TestSeedSourceOnlyAtRoot(t *testing.T) {
 	sim := vtime.New()
-	cl, err := cluster.New(sim, cluster.Options{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := seedCluster(t, sim, 2)
+	nodelist := []string{cl.Node(0).Name(), cl.Node(1).Name()}
+	frames := seedFrames([][]byte{[]byte("fedata")})
+	errs := make([]error, 2)
 	sim.Go("boot", func() {
-		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-			if _, err := BootstrapSeedRouted(p, Config{
-				Rank: 0, Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50003,
-			}, nil, TablelessRoute, nil, nil); err == nil {
-				t.Error("rank 0 without a seed source accepted")
-			}
-			if _, err := BootstrapSeedRouted(p, Config{
-				Rank: 1, Size: 2, Nodelist: []string{cl.Node(0).Name(), "x"}, Port: 50003,
-			}, func(func(coll.Frame, error) bool) {}, TablelessRoute, nil, nil); err == nil {
-				t.Error("rank 1 with a seed source accepted")
-			}
-		}})
+		for i := range nodelist {
+			i := i
+			cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
+				f := NewForming(p, Config{Rank: i, Size: 2, Nodelist: nodelist, Port: 50003}, TablelessRoute,
+					func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+				scriptedSeed(sim, frames)(f) // at rank 1 as well
+				c, err := f.Run(nil)
+				if errs[i] = err; err == nil {
+					c.Close()
+				}
+			}})
+		}
 	})
 	sim.Run()
+	if err := errs[1]; !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "seed frame fed to rank 1") {
+		t.Errorf("rank 1 fed a seed frame: %v, want a protocol error naming it", err)
+	}
+	if errs[0] != nil {
+		t.Errorf("rank 0: %v", errs[0])
+	}
 }
 
 // parentEndRun is one run of TestSeedParentEndBehindEndWhileForming: rank
@@ -469,22 +469,19 @@ func runParentEnd(t *testing.T, join, at time.Duration, fail bool) parentEndRun 
 	var r parentEndRun
 	spawn := func(i int) {
 		if _, err := cl.Node(i).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
-			var src SeedSource
-			if i == 0 {
-				src = func(emit func(coll.Frame, error) bool) {
-					sim.After(at-sim.Now(), func() {
-						for _, f := range frames {
-							emit(f, nil)
-						}
-						if fail {
-							emit(coll.Frame{}, io.ErrUnexpectedEOF)
-						}
-					})
-				}
+			feed := func(f *Forming) {
+				sim.After(at-sim.Now(), func() {
+					for _, fr := range frames {
+						f.Feed(fr)
+					}
+					if fail {
+						f.End(io.ErrUnexpectedEOF)
+					}
+				})
 			}
-			c, err := BootstrapSeedRouted(p, Config{
+			c, err := bootSeeded(p, Config{
 				Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50008,
-			}, src, rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
+			}, feed, rt, func(coll.Frame, proctab.Chunk) error { return nil }, nil)
 			r.booted[i] = sim.Now()
 			if i == 1 {
 				r.boot = err

@@ -21,8 +21,8 @@ import (
 // the seed frame the splitter is handed.
 type splitterRig struct {
 	s       *seedSplitter
-	seed    *Seed // whose children have not joined: it holds what it is forwarded
-	local   int   // chunk bytes handed to the local consumer since the last drain
+	f       *Forming // whose children have not joined: it holds what it is forwarded
+	local   int      // chunk bytes handed to the local consumer since the last drain
 	lookups int
 	frames  []coll.Frame
 }
@@ -52,12 +52,12 @@ func newSplitterRig(hosts, perHost, inBytes, outBytes int) *splitterRig {
 		r.lookups++
 		return rigRankOf(host)
 	}}
-	f := &Forming{walk: walk{c: &Comm{size: rigSize, fanout: rigFanout, children: make([]*simnet.Conn, rigFanout)}}}
-	f.seed.init(f, &Config{Rank: 0, Size: rigSize, Fanout: rigFanout}, nil, rt, func(f coll.Frame, _ proctab.Chunk) error {
+	f := NewForming(nil, Config{Rank: 0, Size: rigSize, Fanout: rigFanout}, rt, func(f coll.Frame, _ proctab.Chunk) error {
 		r.local += len(f.Body)
 		return nil
-	})
-	r.seed, r.s = &f.seed, f.seed.router.(*seedSplitter)
+	}, nil)
+	f.c.children = make([]*simnet.Conn, rigFanout)
+	r.f, r.s = f, f.router.(*seedSplitter)
 	for i, body := range tab.EncodeChunks(inBytes) {
 		r.frames = append(r.frames, coll.Frame{H: coll.Header{Op: coll.OpSeed, Index: uint32(i + 1)}, Body: body, Sum: lmonp.Sum64(body)})
 	}
@@ -69,11 +69,11 @@ func newSplitterRig(hosts, perHost, inBytes, outBytes int) *splitterRig {
 // messages on the others.
 func (r *splitterRig) drain() (local, links int) {
 	local, r.local = r.local, 0
-	for slot, held := range r.seed.held {
+	for slot, held := range r.f.held {
 		for _, msg := range held {
 			links += len(msg)
 		}
-		r.seed.held[slot] = held[:0]
+		r.f.held[slot] = held[:0]
 	}
 	return local, links
 }
@@ -196,7 +196,7 @@ func TestSeedLinkMessagesAreEncodeFrameOp(t *testing.T) {
 	if err := r.s.finish(end); err != nil {
 		t.Fatal(err)
 	}
-	for slot, held := range r.seed.held {
+	for slot, held := range r.f.held {
 		var chk coll.SeqCheck
 		n := 0
 		for _, msg := range held {
@@ -248,10 +248,9 @@ func TestSeedLeafAllocatesOnlyItsScan(t *testing.T) {
 	frames[len(frames)-1].Total = chunks * perChunk
 
 	cfg := Config{Rank: rank, Size: rigSize, Fanout: rigFanout}
-	f := &Forming{walk: walk{c: &Comm{rank: rank, size: rigSize, fanout: rigFanout}}}
 	var asm proctab.Assembler
 	var tabOut proctab.Table
-	f.seed.init(f, &cfg, nil, &SeedRouter{RankOf: rigRankOf, ChunkBytes: len(bodies[1])}, func(f coll.Frame, c proctab.Chunk) (err error) {
+	f := NewForming(nil, cfg, &SeedRouter{RankOf: rigRankOf, ChunkBytes: len(bodies[1])}, func(f coll.Frame, c proctab.Chunk) (err error) {
 		switch {
 		case f.End:
 			tabOut, err = asm.FinishSlice(int(f.Total))
@@ -259,17 +258,17 @@ func TestSeedLeafAllocatesOnlyItsScan(t *testing.T) {
 			asm.AddScanned(c)
 		}
 		return err
-	})
-	f.seed.step(frames[0], nil)
+	}, nil)
+	f.admit(frames[0], nil)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for _, fr := range frames[1 : 1+chunks] {
-		f.seed.step(fr, nil)
+		f.admit(fr, nil)
 	}
 	runtime.ReadMemStats(&m1)
-	f.seed.step(frames[len(frames)-1], nil)
-	if f.seed.err != nil || len(tabOut) != chunks*perChunk {
-		t.Fatalf("the leaf kept %d entries (%v), want %d", len(tabOut), f.seed.err, chunks*perChunk)
+	f.admit(frames[len(frames)-1], nil)
+	if f.serr != nil || len(tabOut) != chunks*perChunk {
+		t.Fatalf("the leaf kept %d entries (%v), want %d", len(tabOut), f.serr, chunks*perChunk)
 	}
 	objs := float64(m1.Mallocs-m0.Mallocs) / chunks
 	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / chunks

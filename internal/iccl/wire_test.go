@@ -201,12 +201,8 @@ func TestWireBytesPinnedSeedStream(t *testing.T) {
 				return nil, fmt.Errorf("rig names node %d %q", rk, name)
 			}
 		}
-		var src SeedSource
-		if cfg.Rank == 0 {
-			src = scriptedSeed(p.Sim(), frames)
-		}
 		entries := 0
-		c, err := BootstrapSeedRouted(p, cfg, src, rt, func(f coll.Frame, c proctab.Chunk) error {
+		c, err := bootSeeded(p, cfg, scriptedSeed(p.Sim(), frames), rt, func(f coll.Frame, c proctab.Chunk) error {
 			entries += c.Len()
 			return nil
 		}, nil)

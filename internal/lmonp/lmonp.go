@@ -284,7 +284,6 @@ type Endpoint interface {
 	Send(msg []byte) error
 	RecvMessage() ([]byte, error)
 	Handle(fn func(msg []byte, err error))
-	Unhandle()
 	Close() error
 	Sever()
 }
@@ -344,8 +343,8 @@ func (c *Conn) Recv() (*Msg, error) {
 // Handle switches the connection's read side to event-driven delivery:
 // fn runs on the vtime scheduler once per message, in arrival order, and
 // with the error that ended the stream (io.EOF after a clean close) or made
-// a delivery undecodable. It replaces a goroutine parked in Recv and must
-// not block; Recv may not be called again before Unhandle.
+// a delivery undecodable. It replaces a goroutine parked in Recv for the
+// rest of the connection's life and must not block.
 func (c *Conn) Handle(fn func(*Msg, error)) {
 	c.ep.Handle(func(buf []byte, err error) {
 		if err != nil {
@@ -355,12 +354,6 @@ func (c *Conn) Handle(fn func(*Msg, error)) {
 		fn(decode(buf))
 	})
 }
-
-// Unhandle detaches the handler and hands the read side back to Recv or a
-// later Handle; messages not yet delivered stay queued. A handler that owns
-// one phase of the connection's life calls it, from itself, at that phase's
-// last message (simnet.Conn.Unhandle).
-func (c *Conn) Unhandle() { c.ep.Unhandle() }
 
 // Expect reads the next message and verifies its class and type.
 func (c *Conn) Expect(class MsgClass, typ MsgType) (*Msg, error) {

@@ -114,7 +114,6 @@ func (q *queue) RecvMessage() ([]byte, error) {
 }
 
 func (q *queue) Handle(fn func(msg []byte, err error)) { q.deliver = fn }
-func (q *queue) Unhandle()                             { q.deliver = nil }
 func (q *queue) Close() error                          { return nil }
 func (q *queue) Sever()                                {}
 
